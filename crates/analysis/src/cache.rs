@@ -30,7 +30,7 @@
 //! thread. [`AnalysisCache`] is the per-compilation collection of slots,
 //! indexed by procedure position; [`CacheStats`] counts hits, builds,
 //! invalidations, and repairs so the cached-vs-rebuilt ratio is
-//! observable per pass (`--time`, EXP6, `BENCH_compile.json`).
+//! observable per pass (`--time`, EXP6, `titanperf`'s `analysis.usedef_*`).
 
 use std::sync::Arc;
 

@@ -299,18 +299,104 @@ fn check_case(src: &str, engines: &[ExecEngine]) -> Result<(), String> {
     Ok(())
 }
 
-/// Generates and checks the program for one per-case seed; returns the
-/// failure description, if any.
-fn run_one(cseed: u64, engines: &[ExecEngine]) -> Option<String> {
+/// What distinguishes one differential mode's sweep from another's: the
+/// label its FAIL/ok lines carry, the flag a replay hint names, and
+/// whether its summary lines are prefixed with the label (`stress:
+/// cache-faults: …`) or carry it in parentheses (`stress: … (engine
+/// both)`, which also closes with the zero-incidents claim).
+struct Mode<'a> {
+    label: &'a str,
+    replay_flag: &'a str,
+    labelled_prefix: bool,
+}
+
+/// Generates the program for one per-case seed and checks it, treating
+/// an escaping panic anywhere in compile-or-run as a failure; returns
+/// the failure description, if any.
+fn run_case<T>(
+    cseed: u64,
+    totals: &mut T,
+    check: &impl Fn(u64, &str, &mut T) -> Result<(), String>,
+) -> Option<String> {
     let mut rng = progen::Rng::new(cseed);
     let src = progen::program(&mut rng);
-    let verdict = catch_unwind(AssertUnwindSafe(|| check_case(&src, engines)));
+    let verdict = catch_unwind(AssertUnwindSafe(|| check(cseed, &src, totals)));
+    install_io_faults(None); // belt and braces: never leak faults across cases
     let failure = match verdict {
         Ok(Ok(())) => None,
         Ok(Err(why)) => Some(why),
         Err(_) => Some("escaping panic (not contained by the pipeline)".to_string()),
     };
     failure.map(|why| format!("{why}\n--- program ---\n{src}---------------"))
+}
+
+/// The sweep all three modes share: `--case-seed` replays exactly one
+/// generated program; otherwise `--cases` programs run, each FAIL line
+/// carrying its replay hint. Prints the mode's aggregate accounting and
+/// the closing summary, and exits non-zero on any divergence.
+fn sweep<T>(
+    args: &Args,
+    mode: &Mode<'_>,
+    mut totals: T,
+    check: impl Fn(u64, &str, &mut T) -> Result<(), String>,
+    print_totals: impl Fn(&T),
+) -> ! {
+    let label = mode.label;
+    let (prefix, seed_note, run_note, tail) = if mode.labelled_prefix {
+        (
+            format!("stress: {label}:"),
+            String::new(),
+            String::new(),
+            "",
+        )
+    } else {
+        let (seed_note, run_note) = (format!(" ({label})"), format!(", {label}"));
+        (
+            "stress:".to_string(),
+            seed_note,
+            run_note,
+            ", zero incidents",
+        )
+    };
+
+    if let Some(cseed) = args.case_seed {
+        let failure = run_case(cseed, &mut totals, &check);
+        if let Some(why) = &failure {
+            eprintln!("FAIL case seed 0x{cseed:X} ({label}): {why}");
+        }
+        print_totals(&totals);
+        let verdict = if failure.is_some() { "FAILED" } else { "ok" };
+        println!("{prefix} case seed 0x{cseed:X}{seed_note} {verdict}");
+        std::process::exit(i32::from(failure.is_some()));
+    }
+
+    let mut failures = 0u64;
+    for case in 0..args.cases {
+        let cseed = case_seed(args.seed, case);
+        if let Some(why) = run_case(cseed, &mut totals, &check) {
+            failures += 1;
+            eprintln!(
+                "FAIL case {case} (case seed 0x{cseed:X}, run seed 0x{:X}, {label}): {why}\n\
+                 replay with: stress {} --case-seed 0x{cseed:X}",
+                args.seed, mode.replay_flag
+            );
+        } else if args.verbose {
+            eprintln!("ok case {case} (case seed 0x{cseed:X}, {label})");
+        }
+    }
+    print_totals(&totals);
+    if failures == 0 {
+        println!(
+            "{prefix} {} cases (run seed 0x{:X}{run_note}), zero divergence{tail}",
+            args.cases, args.seed
+        );
+        std::process::exit(0);
+    }
+    println!(
+        "{prefix} {failures} of {} cases FAILED (run seed 0x{:X}{run_note})",
+        args.cases, args.seed
+    );
+    std::process::exit(1);
 }
 
 // ---------------------------------------------------------------------------
@@ -647,72 +733,6 @@ fn check_cache_case(cseed: u64, src: &str, totals: &mut CacheTotals) -> Result<(
     result
 }
 
-/// Generates and checks the cache durability case for one per-case
-/// seed; returns the failure description, if any.
-fn run_one_cache(cseed: u64, totals: &mut CacheTotals) -> Option<String> {
-    let mut rng = progen::Rng::new(cseed);
-    let src = progen::program(&mut rng);
-    let verdict = catch_unwind(AssertUnwindSafe(|| check_cache_case(cseed, &src, totals)));
-    install_io_faults(None); // belt and braces: never leak faults across cases
-    let failure = match verdict {
-        Ok(Ok(())) => None,
-        Ok(Err(why)) => Some(why),
-        Err(_) => Some("escaping panic (not contained by the pipeline)".to_string()),
-    };
-    failure.map(|why| format!("{why}\n--- program ---\n{src}---------------"))
-}
-
-/// Driver for `--cache-faults`; prints the aggregate accounting summary
-/// and exits non-zero on any divergence.
-fn run_cache_faults(args: &Args) -> ! {
-    let mut totals = CacheTotals::default();
-
-    if let Some(cseed) = args.case_seed {
-        let failed = match run_one_cache(cseed, &mut totals) {
-            Some(why) => {
-                eprintln!("FAIL case seed 0x{cseed:X} (cache-faults): {why}");
-                true
-            }
-            None => false,
-        };
-        print_cache_totals(&totals);
-        if failed {
-            println!("stress: cache-faults: case seed 0x{cseed:X} FAILED");
-            std::process::exit(1);
-        }
-        println!("stress: cache-faults: case seed 0x{cseed:X} ok");
-        std::process::exit(0);
-    }
-
-    let mut failures = 0u64;
-    for case in 0..args.cases {
-        let cseed = case_seed(args.seed, case);
-        if let Some(why) = run_one_cache(cseed, &mut totals) {
-            failures += 1;
-            eprintln!(
-                "FAIL case {case} (case seed 0x{cseed:X}, run seed 0x{:X}, cache-faults): {why}\n\
-                 replay with: stress --cache-faults --case-seed 0x{cseed:X}",
-                args.seed
-            );
-        } else if args.verbose {
-            eprintln!("ok case {case} (case seed 0x{cseed:X}, cache-faults)");
-        }
-    }
-    print_cache_totals(&totals);
-    if failures == 0 {
-        println!(
-            "stress: cache-faults: {} cases (run seed 0x{:X}), zero divergence",
-            args.cases, args.seed
-        );
-        std::process::exit(0);
-    }
-    println!(
-        "stress: cache-faults: {failures} of {} cases FAILED (run seed 0x{:X})",
-        args.cases, args.seed
-    );
-    std::process::exit(1);
-}
-
 fn print_cache_totals(t: &CacheTotals) {
     println!(
         "stress: cache-faults: totals over {} session(s): {} hit(s), {} miss(es), \
@@ -889,71 +909,6 @@ fn check_server_case(cseed: u64, src: &str, totals: &mut ServerStressTotals) -> 
     result
 }
 
-/// Generates and checks the compile-server case for one per-case seed;
-/// returns the failure description, if any.
-fn run_one_server(cseed: u64, totals: &mut ServerStressTotals) -> Option<String> {
-    let mut rng = progen::Rng::new(cseed);
-    let src = progen::program(&mut rng);
-    let verdict = catch_unwind(AssertUnwindSafe(|| check_server_case(cseed, &src, totals)));
-    let failure = match verdict {
-        Ok(Ok(())) => None,
-        Ok(Err(why)) => Some(why),
-        Err(_) => Some("escaping panic (not contained by the pipeline)".to_string()),
-    };
-    failure.map(|why| format!("{why}\n--- program ---\n{src}---------------"))
-}
-
-/// Driver for `--server`; prints the aggregate accounting summary and
-/// exits non-zero on any divergence.
-fn run_server_stress(args: &Args) -> ! {
-    let mut totals = ServerStressTotals::default();
-
-    if let Some(cseed) = args.case_seed {
-        let failed = match run_one_server(cseed, &mut totals) {
-            Some(why) => {
-                eprintln!("FAIL case seed 0x{cseed:X} (server): {why}");
-                true
-            }
-            None => false,
-        };
-        print_server_totals(&totals);
-        if failed {
-            println!("stress: server: case seed 0x{cseed:X} FAILED");
-            std::process::exit(1);
-        }
-        println!("stress: server: case seed 0x{cseed:X} ok");
-        std::process::exit(0);
-    }
-
-    let mut failures = 0u64;
-    for case in 0..args.cases {
-        let cseed = case_seed(args.seed, case);
-        if let Some(why) = run_one_server(cseed, &mut totals) {
-            failures += 1;
-            eprintln!(
-                "FAIL case {case} (case seed 0x{cseed:X}, run seed 0x{:X}, server): {why}\n\
-                 replay with: stress --server --case-seed 0x{cseed:X}",
-                args.seed
-            );
-        } else if args.verbose {
-            eprintln!("ok case {case} (case seed 0x{cseed:X}, server)");
-        }
-    }
-    print_server_totals(&totals);
-    if failures == 0 {
-        println!(
-            "stress: server: {} cases (run seed 0x{:X}), zero divergence",
-            args.cases, args.seed
-        );
-        std::process::exit(0);
-    }
-    println!(
-        "stress: server: {failures} of {} cases FAILED (run seed 0x{:X})",
-        args.cases, args.seed
-    );
-    std::process::exit(1);
-}
-
 fn print_server_totals(t: &ServerStressTotals) {
     println!("stress: server: daemon totals: {}", t.daemon);
     println!(
@@ -973,57 +928,32 @@ fn print_server_totals(t: &ServerStressTotals) {
 fn main() {
     let args = parse_args();
     if args.cache_faults {
-        run_cache_faults(&args);
+        let mode = Mode {
+            label: "cache-faults",
+            replay_flag: "--cache-faults",
+            labelled_prefix: true,
+        };
+        let totals = CacheTotals::default();
+        sweep(&args, &mode, totals, check_cache_case, print_cache_totals);
     }
     if args.server {
-        run_server_stress(&args);
+        let mode = Mode {
+            label: "server",
+            replay_flag: "--server",
+            labelled_prefix: true,
+        };
+        let totals = ServerStressTotals::default();
+        sweep(&args, &mode, totals, check_server_case, print_server_totals);
     }
     let engines = args.engine.engines();
-    let engine_name = args.engine.name();
-
-    // --case-seed: replay exactly one generated program
-    if let Some(cseed) = args.case_seed {
-        match run_one(cseed, &engines) {
-            Some(why) => {
-                eprintln!("FAIL case seed 0x{cseed:X} (engine {engine_name}): {why}");
-                println!("stress: case seed 0x{cseed:X} (engine {engine_name}) FAILED");
-                std::process::exit(1);
-            }
-            None => {
-                println!("stress: case seed 0x{cseed:X} (engine {engine_name}) ok");
-                return;
-            }
-        }
-    }
-
-    let mut failures = 0u64;
-    for case in 0..args.cases {
-        let cseed = case_seed(args.seed, case);
-        if let Some(why) = run_one(cseed, &engines) {
-            failures += 1;
-            eprintln!(
-                "FAIL case {case} (case seed 0x{cseed:X}, run seed 0x{:X}, engine {engine_name}): \
-                 {why}\n\
-                 replay with: stress --engine {engine_name} --case-seed 0x{cseed:X}",
-                args.seed
-            );
-        } else if args.verbose {
-            eprintln!("ok case {case} (case seed 0x{cseed:X}, engine {engine_name})");
-        }
-    }
-    if failures == 0 {
-        println!(
-            "stress: {} cases (run seed 0x{:X}, engine {engine_name}), \
-             zero divergence, zero incidents",
-            args.cases, args.seed
-        );
-    } else {
-        println!(
-            "stress: {failures} of {} cases FAILED (run seed 0x{:X}, engine {engine_name})",
-            args.cases, args.seed
-        );
-        std::process::exit(1);
-    }
+    let label = format!("engine {}", args.engine.name());
+    let mode = Mode {
+        label: &label,
+        replay_flag: &format!("--{label}"),
+        labelled_prefix: false,
+    };
+    let check = |_: u64, src: &str, (): &mut ()| check_case(src, &engines);
+    sweep(&args, &mode, (), check, |()| {});
 }
 
 #[cfg(test)]

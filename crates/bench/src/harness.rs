@@ -89,69 +89,24 @@ impl Bench {
 
     /// Times `f` over the configured number of samples (after one warm-up
     /// call) and prints `label: median (min .. max)`.
-    pub fn time<R>(&self, label: &str, f: impl FnMut() -> R) {
-        self.measure(label, f);
-    }
-
-    /// Like [`Bench::time`], but also returns the median sample so callers
-    /// can compute derived figures (speedups, throughput) or persist the
-    /// measurement.
-    pub fn measure<R>(&self, label: &str, f: impl FnMut() -> R) -> Duration {
-        self.stats(label, f).median
-    }
-
-    /// Full summary variant of [`Bench::measure`]. The minimum is the
-    /// noise-robust estimator on shared machines — external load only ever
-    /// inflates a sample — so speedup comparisons should prefer it.
-    pub fn stats<R>(&self, label: &str, mut f: impl FnMut() -> R) -> Measurement {
+    pub fn time<R>(&self, label: &str, mut f: impl FnMut() -> R) {
         std::hint::black_box(f());
-        let times = (0..self.samples)
+        let mut times: Vec<Duration> = (0..self.samples)
             .map(|_| {
                 let t0 = Instant::now();
                 std::hint::black_box(f());
                 t0.elapsed()
             })
             .collect();
-        self.summarize(label, times)
-    }
-
-    /// Like [`Bench::stats`], but the closure times its own region of
-    /// interest and returns the elapsed time, so per-sample setup (e.g.
-    /// building a fresh simulator memory image) stays out of the
-    /// measurement.
-    pub fn stats_timed(&self, label: &str, mut f: impl FnMut() -> Duration) -> Measurement {
-        std::hint::black_box(f());
-        let times = (0..self.samples).map(|_| f()).collect();
-        self.summarize(label, times)
-    }
-
-    fn summarize(&self, label: &str, mut times: Vec<Duration>) -> Measurement {
         times.sort();
-        let m = Measurement {
-            min: times[0],
-            median: times[times.len() / 2],
-            max: times[times.len() - 1],
-        };
         println!(
             "bench {label:<40} {} ({} .. {}) n={}",
-            fmt_duration(m.median),
-            fmt_duration(m.min),
-            fmt_duration(m.max),
+            fmt_duration(times[times.len() / 2]),
+            fmt_duration(times[0]),
+            fmt_duration(times[times.len() - 1]),
             self.samples,
         );
-        m
     }
-}
-
-/// Timing summary over one benchmark's samples.
-#[derive(Clone, Copy, Debug)]
-pub struct Measurement {
-    /// Fastest sample — the least-contended estimate.
-    pub min: Duration,
-    /// Median sample.
-    pub median: Duration,
-    /// Slowest sample.
-    pub max: Duration,
 }
 
 /// Renders a duration with a unit that keeps 3–4 significant digits.

@@ -274,116 +274,6 @@ int main(void)
     )
 }
 
-/// Generates a translation unit with `nprocs` independent procedures, each
-/// heavy enough that per-procedure optimization dominates compile time —
-/// the corpus for the parallel-pipeline benchmark. Every procedure carries
-/// a branch-guarded constant chain (several constant-propagation rounds
-/// off the cached use–def chains), `loops` vectorizable array loops, and a
-/// pointer-walk while loop (while→DO conversion plus induction-variable
-/// substitution).
-pub fn multi_proc_source(nprocs: usize, loops: usize) -> String {
-    let mut src = String::new();
-    for k in 0..nprocs {
-        let seed = k % 7 + 2;
-        src.push_str(&format!("float ma{k}[256], mb{k}[256], mc{k}[256];\n"));
-        src.push_str(&format!("void mp{k}(int n)\n{{\n"));
-        src.push_str("    float *p, *q;\n    int i, j, t0, t1, t2, t3;\n");
-        src.push_str(&format!(
-            "    if (n) t0 = {seed}; else t0 = {seed};\n\
-             \x20   if (n) t1 = t0 * t0; else t1 = t0 * t0;\n\
-             \x20   if (n) t2 = t1 + t1; else t2 = t1 + t1;\n\
-             \x20   t3 = t2 * t1;\n"
-        ));
-        for l in 0..loops {
-            match l % 3 {
-                0 => src.push_str(&format!(
-                    "    for (i = 0; i < 256; i++)\n\
-                     \x20       ma{k}[i] = mb{k}[i] * t3 + mc{k}[i] * t2;\n"
-                )),
-                1 => src.push_str(&format!(
-                    "    for (i = 0; i < 256; i++)\n\
-                     \x20       mc{k}[i] = ma{k}[i] + mb{k}[i] * t1;\n"
-                )),
-                _ => src.push_str(&format!(
-                    "    for (i = 1; i < 255; i++)\n\
-                     \x20       mb{k}[i] = mc{k}[i - 1] * t2 + ma{k}[i + 1];\n"
-                )),
-            }
-        }
-        src.push_str(&format!(
-            "    p = &ma{k}[0];\n\
-             \x20   q = &mb{k}[0];\n\
-             \x20   j = 256;\n\
-             \x20   while (j) {{\n\
-             \x20       *p++ = *q++ + (float)t1;\n\
-             \x20       j--;\n\
-             \x20   }}\n}}\n"
-        ));
-    }
-    src.push_str("int main(void) { return 0; }\n");
-    src
-}
-
-/// [`multi_proc_source`] with a call graph: `main` calls every `mpK`,
-/// and each `mpK` folds `salts[k]` into its constant chain. Changing one
-/// salt "edits" exactly that procedure while every other procedure's
-/// text stays byte-identical — the corpus for the incremental-cache
-/// edit benchmark, where an edit must invalidate only the edited
-/// procedure's inline-cone consumers (here: itself and `main`).
-pub fn multi_proc_call_source(nprocs: usize, loops: usize, salts: &[i64]) -> String {
-    assert_eq!(salts.len(), nprocs, "one salt per procedure");
-    let mut src = multi_proc_call_body(nprocs, loops, salts);
-    src.push_str("int main(void)\n{\n");
-    for k in 0..nprocs {
-        src.push_str(&format!("    mp{k}({});\n", k + 1));
-    }
-    src.push_str("    return 0;\n}\n");
-    src
-}
-
-fn multi_proc_call_body(nprocs: usize, loops: usize, salts: &[i64]) -> String {
-    let mut src = String::new();
-    for (k, &salt) in salts.iter().enumerate().take(nprocs) {
-        let seed = k % 7 + 2;
-        src.push_str(&format!("float ma{k}[256], mb{k}[256], mc{k}[256];\n"));
-        src.push_str(&format!("void mp{k}(int n)\n{{\n"));
-        src.push_str("    float *p, *q;\n    int i, j, t0, t1, t2, t3;\n");
-        src.push_str(&format!(
-            "    if (n) t0 = {seed}; else t0 = {seed};\n\
-             \x20   if (n) t1 = t0 * t0; else t1 = t0 * t0;\n\
-             \x20   if (n) t2 = t1 + t1; else t2 = t1 + t1;\n\
-             \x20   t3 = t2 * t1 + {};\n",
-            salt
-        ));
-        for l in 0..loops {
-            match l % 3 {
-                0 => src.push_str(&format!(
-                    "    for (i = 0; i < 256; i++)\n\
-                     \x20       ma{k}[i] = mb{k}[i] * t3 + mc{k}[i] * t2;\n"
-                )),
-                1 => src.push_str(&format!(
-                    "    for (i = 0; i < 256; i++)\n\
-                     \x20       mc{k}[i] = ma{k}[i] + mb{k}[i] * t1;\n"
-                )),
-                _ => src.push_str(&format!(
-                    "    for (i = 1; i < 255; i++)\n\
-                     \x20       mb{k}[i] = mc{k}[i - 1] * t2 + ma{k}[i + 1];\n"
-                )),
-            }
-        }
-        src.push_str(&format!(
-            "    p = &ma{k}[0];\n\
-             \x20   q = &mb{k}[0];\n\
-             \x20   j = 256;\n\
-             \x20   while (j) {{\n\
-             \x20       *p++ = *q++ + (float)t1;\n\
-             \x20       j--;\n\
-             \x20   }}\n}}\n"
-        ));
-    }
-    src
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -419,17 +309,6 @@ mod tests {
             let rep = titanc_opt::convert_while_loops(&mut proc);
             assert_eq!(rep.converted > 0, expect, "{name}");
         }
-    }
-
-    #[test]
-    fn multi_proc_generator_compiles_and_exercises_cache() {
-        let src = multi_proc_source(3, 2);
-        let c = compile(&src, &Options::o2()).unwrap();
-        assert_eq!(c.program.procs.len(), 4, "3 procs + main");
-        let totals = c.trace.cache_totals();
-        assert!(totals.usedef_hits > 0, "{totals:?}");
-        assert!(c.reports.vector.vectorized >= 3, "{:?}", c.reports.vector);
-        assert!(c.reports.whiledo.converted >= 3);
     }
 
     #[test]

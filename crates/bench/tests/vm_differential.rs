@@ -123,6 +123,16 @@ fn trap_parity() {
     }
 }
 
+/// The largest program in the first 400 seeds of the stress generator's
+/// seed space (about 14k simulated statements): the engines must agree on
+/// a long run, where one misordered `f64` cycle charge has room to show.
+#[test]
+fn largest_stress_program_parity() {
+    let src = progen::program(&mut progen::Rng::new(0x5EED_0001));
+    let machine = MachineConfig::optimized(2);
+    assert_parity(&src, &Options::o2(), machine, "progen 0x5EED0001");
+}
+
 /// 500 progen programs at `-O2`, both engines, full observation and
 /// statistics equality — the broad random sweep behind the stress
 /// harness's `--engine both` default.

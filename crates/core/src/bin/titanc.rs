@@ -53,10 +53,7 @@
 use std::path::Path;
 use std::process::ExitCode;
 use titanc::server;
-use titanc::{
-    compile_session_with, compile_with, Aliasing, Catalog, Compilation, Options, SessionStats,
-    SourceFile,
-};
+use titanc::{compile_session, Aliasing, Catalog, Compilation, Options, SourceFile};
 use titanc_titan::{MachineConfig, Simulator};
 
 struct Cli {
@@ -221,10 +218,46 @@ fn parse_args() -> Cli {
     cli
 }
 
-/// Prints a diagnostic through the shared renderer (single-file
-/// invocations keep the classic `file:line:col: message` shape).
-fn print_diag(files: &[String], d: &impl std::fmt::Display) {
-    eprint!("{}", server::diag_line(files, d));
+/// Reads the input files and bundles them with the option and output
+/// flags — the request `--server` ships to `titand`, and the flag carrier
+/// [`server::render`] reads on the in-process path.
+fn request_of(cli: &Cli) -> Result<server::CompileRequest, ExitCode> {
+    let mut files = Vec::with_capacity(cli.files.len());
+    for f in &cli.files {
+        match std::fs::read_to_string(f) {
+            Ok(src) => files.push(SourceFile::new(f.clone(), src)),
+            Err(e) => {
+                eprintln!("titanc: cannot read {f}: {e}");
+                return Err(ExitCode::FAILURE);
+            }
+        }
+    }
+    Ok(server::CompileRequest {
+        id: i64::from(std::process::id()),
+        files,
+        opt: match cli.options.opt {
+            titanc::OptLevel::O0 => 0,
+            titanc::OptLevel::O1 => 1,
+            titanc::OptLevel::O2 => 2,
+        },
+        parallelize: cli.options.parallelize,
+        spread_lists: cli.options.spread_lists,
+        fortran_aliasing: matches!(cli.options.aliasing, Aliasing::Fortran),
+        inline: cli.options.inline,
+        strip: cli.options.strip,
+        jobs: cli.options.jobs as i64,
+        verify: cli.options.verify,
+        max_errors: cli.options.max_errors as i64,
+        strict: cli.strict,
+        print_il: cli.print_il,
+        stats: cli.stats,
+        opt_report: match cli.opt_report {
+            None => "none",
+            Some(false) => "text",
+            Some(true) => "json",
+        }
+        .to_string(),
+    })
 }
 
 fn main() -> ExitCode {
@@ -232,99 +265,30 @@ fn main() -> ExitCode {
     if cli.files.is_empty() {
         usage();
     }
-    if let Some(addr) = cli.server.clone() {
-        return run_client(cli, &addr);
+    if let Some(addr) = &cli.server {
+        return run_client(&cli, addr);
     }
-    let file = cli.files[0].clone();
-
-    // the server executor builds the same pipeline; byte identity between
-    // the two entry points is by shared construction
-    let pipeline = server::base_pipeline(&cli.options);
-
-    // a plain single-file compile takes the classic path; several files
-    // or a cache directory make it a session
-    let session = cli.files.len() > 1 || cli.cache_dir.is_some();
-    let mut session_stats: Option<SessionStats> = None;
-    let compiled: Compilation = if session {
-        let mut sources = Vec::with_capacity(cli.files.len());
-        for f in &cli.files {
-            match std::fs::read_to_string(f) {
-                Ok(src) => sources.push(SourceFile::new(f.clone(), src)),
-                Err(e) => {
-                    eprintln!("titanc: cannot read {f}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
-        let dir = cli.cache_dir.as_deref().map(Path::new);
-        match compile_session_with(&sources, &cli.options, pipeline, dir) {
-            Ok(sc) => {
-                session_stats = Some(sc.stats);
-                sc.compilation
-            }
-            Err(e) => {
-                for d in &e.diagnostics {
-                    print_diag(&cli.files, d);
-                }
-                return ExitCode::FAILURE;
-            }
-        }
-    } else {
-        let src = match std::fs::read_to_string(&file) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("titanc: cannot read {file}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        match compile_with(&src, &cli.options, pipeline) {
-            Ok(c) => c,
-            Err(e) => {
-                // the recovering front end collected every independent
-                // mistake; report them all, in source order
-                for d in &e.diagnostics {
-                    eprintln!("{file}:{d}");
-                }
-                return ExitCode::FAILURE;
-            }
-        }
+    let req = match request_of(&cli) {
+        Ok(req) => req,
+        Err(code) => return code,
     };
-    // warnings and remarks from a successful compile (loops left scalar
-    // and the defeating dependence, exhausted budgets)
-    for d in &compiled.diagnostics {
-        print_diag(&cli.files, d);
-    }
-    // the cache accounting line is stable: CI's cache-smoke job parses it
-    if let (Some(stats), Some(_)) = (&session_stats, &cli.cache_dir) {
-        eprintln!("{}", server::cache_line(stats));
-    }
-    // contained faults: the affected procedures were rolled back to their
-    // last-verified IL and shipped unoptimized
-    for incident in &compiled.trace.incidents {
-        eprint!("{}", server::incident_line(incident));
-    }
-    if cli.strict && compiled.has_incidents() {
-        eprint!("{}", server::strict_line(compiled.trace.incidents.len()));
-        return ExitCode::from(server::EXIT_INCIDENT);
-    }
+    let file = &cli.files[0];
 
-    if cli.options.snapshots {
-        for snap in &compiled.snapshots {
-            println!(
-                "===== {} after {} =====\n{}",
-                snap.proc, snap.phase, snap.il
-            );
-        }
-    }
-    if cli.print_il {
-        print!("{}", server::il_block(&compiled.program));
-    }
-    if cli.stats {
-        print!("{}", server::stats_block(&compiled.reports));
-    }
-    if let Some(json) = cli.opt_report {
-        print!("{}", server::opt_report_block(&compiled, json));
-    }
+    // one driver: a single file without `--cache-dir` is a one-file,
+    // store-less session. The server executor compiles with the same
+    // pipeline and renders through the same function, so byte identity
+    // between the two entry points is by shared construction.
+    let dir = cli.cache_dir.as_deref().map(Path::new);
+    let result = compile_session(&req.files, &cli.options, dir);
+    // the cache accounting line is stable: CI's cache-smoke job parses it
+    let (stdout, stderr, exit) = server::render(&req, &result, dir.is_some());
+    eprint!("{stderr}");
+    print!("{stdout}");
+    let compiled: Compilation = match result {
+        Ok(sc) if exit == 0 => sc.compilation,
+        _ => return ExitCode::from(exit),
+    };
+
     if let Some(path) = &cli.trace_json {
         let trace = titanc::chrome_trace(&compiled.trace).to_string_compact();
         if let Err(e) = std::fs::write(path, trace) {
@@ -355,7 +319,7 @@ fn main() -> ExitCode {
     }
 
     if cli.emit_catalog.is_some() || cli.emit_catalog_optimized.is_some() {
-        let name = Path::new(&file)
+        let name = Path::new(file)
             .file_stem()
             .map(|s| s.to_string_lossy().to_string())
             .unwrap_or_else(|| "catalog".into());
@@ -422,7 +386,7 @@ fn main() -> ExitCode {
 /// `titanc: cache:` accounting line, which one-shot runs only print
 /// under `--cache-dir`).
 #[cfg(unix)]
-fn run_client(cli: Cli, addr: &str) -> ExitCode {
+fn run_client(cli: &Cli, addr: &str) -> ExitCode {
     // flags that need the client's filesystem, its terminal, or the
     // simulator cannot ride the protocol
     let unsupported = [
@@ -445,41 +409,9 @@ fn run_client(cli: Cli, addr: &str) -> ExitCode {
             std::process::exit(2);
         }
     }
-    let mut files = Vec::with_capacity(cli.files.len());
-    for f in &cli.files {
-        match std::fs::read_to_string(f) {
-            Ok(src) => files.push(SourceFile::new(f.clone(), src)),
-            Err(e) => {
-                eprintln!("titanc: cannot read {f}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    let req = server::CompileRequest {
-        id: i64::from(std::process::id()),
-        files,
-        opt: match cli.options.opt {
-            titanc::OptLevel::O0 => 0,
-            titanc::OptLevel::O1 => 1,
-            titanc::OptLevel::O2 => 2,
-        },
-        parallelize: cli.options.parallelize,
-        spread_lists: cli.options.spread_lists,
-        fortran_aliasing: matches!(cli.options.aliasing, Aliasing::Fortran),
-        inline: cli.options.inline,
-        strip: cli.options.strip,
-        jobs: cli.options.jobs as i64,
-        verify: cli.options.verify,
-        max_errors: cli.options.max_errors as i64,
-        strict: cli.strict,
-        print_il: cli.print_il,
-        stats: cli.stats,
-        opt_report: match cli.opt_report {
-            None => "none",
-            Some(false) => "text",
-            Some(true) => "json",
-        }
-        .to_string(),
+    let req = match request_of(cli) {
+        Ok(req) => req,
+        Err(code) => return code,
     };
     match server::request_over_unix(Path::new(addr), &req) {
         Ok(resp) => {
@@ -495,7 +427,7 @@ fn run_client(cli: Cli, addr: &str) -> ExitCode {
 }
 
 #[cfg(not(unix))]
-fn run_client(_cli: Cli, _addr: &str) -> ExitCode {
+fn run_client(_cli: &Cli, _addr: &str) -> ExitCode {
     eprintln!("titanc: --server needs Unix domain sockets on this platform");
     ExitCode::from(2)
 }

@@ -52,8 +52,7 @@ pub use pass::{
     Pipeline, ProcPass, RecordedCell, SessionReplay, Snapshot, WorkItem,
 };
 pub use session::{
-    compile_session, compile_session_resident, compile_session_with, SessionCompilation,
-    SessionStats, SourceFile,
+    compile_session, compile_session_resident, SessionCompilation, SessionStats, SourceFile,
 };
 pub use store::{install_io_faults, FaultMode, IoFaultSpec, IoOp, ResidentCache, StoreStats};
 pub use titanc_analysis::{AnalysisCache, CacheStats, ProcAnalyses};
@@ -341,74 +340,16 @@ pub fn compile_with(
     options: &Options,
     pipeline: Pipeline,
 ) -> Result<Compilation, CompileError> {
-    let mut sink = DiagnosticSink::new(options.max_errors);
-    let tu = titanc_cfront::parse_recovering(src, &mut sink);
-    if sink.has_errors() {
-        // make the cap visible: the reported list is shorter than the
-        // real error count when --max-errors stopped the front end early
-        if sink.suppressed() > 0 {
-            sink.warning(
-                format!(
-                    "{} further error(s) suppressed by --max-errors (total {})",
-                    sink.suppressed(),
-                    sink.error_count()
-                ),
-                Span::none(),
-            );
-        }
-        return Err(CompileError::from_diagnostics(sink.into_diagnostics()));
-    }
-    let mut program = match titanc_lower::lower(&tu) {
-        Ok(p) => p,
-        Err(e) => {
-            sink.error(e.message.clone(), e.span);
-            return Err(CompileError::from_diagnostics(sink.into_diagnostics()));
-        }
-    };
-
-    let mut snapshots = Vec::new();
-    if options.snapshots {
-        pass::snapshot_all("lower", &program, &mut snapshots);
-    }
-    if cfg!(debug_assertions) || options.verify {
-        // broken IL straight out of lowering has no last-good state to
-        // roll back to: report it as an (internal) error, don't panic
-        if let Err(detail) = pass::verify_program_check(&program) {
-            return Err(CompileError::internal(format!(
-                "internal error: IL verification failed after lowering: {detail}"
-            )));
-        }
-    }
-
-    // §7: link catalogs before the pipeline runs, so the inline pass can
-    // expand cross-file calls.
-    let origin = program
-        .procs
-        .iter()
-        .map(|p| (p.name.clone(), "the translation unit".to_string()))
-        .collect();
-    link_catalogs(&mut program, &options.catalogs, origin, &mut sink);
-
-    let parsed = options.keep_parsed.then(|| program.clone());
-
-    let (reports, trace) = pipeline.run(&mut program, options, &mut snapshots);
-
-    optimization_remarks(&reports, &mut sink);
-
-    Ok(Compilation {
-        program,
-        reports,
-        trace,
-        snapshots,
-        diagnostics: sink.into_diagnostics(),
-        parsed,
-    })
+    // a single source is a one-file, store-less session
+    let file = SourceFile::new("<source>", src);
+    session::compile_session_impl(&[file], options, pipeline, None).map(|sc| sc.compilation)
 }
 
 /// Links catalogs in CLI order, warning about every shadowed procedure
 /// with both origins named. Earlier definitions win: the translation
 /// unit(s) first, then catalogs in the order given. `origin` seeds the
-/// name → origin map with where each already-present procedure came from.
+/// name → origin map with where each already-present procedure came from
+/// (`` `file.c` `` for a translation unit, whatever the session's shape).
 fn link_catalogs(
     program: &mut Program,
     catalogs: &[Catalog],

@@ -333,26 +333,19 @@ pub(crate) fn snapshot_all(phase: &str, program: &Program, out: &mut Vec<Snapsho
 /// `panic!`ed here ("internal compiler error"); the fail-soft pipeline
 /// instead routes violations through the [`PassIncident`] rollback path.
 pub(crate) fn verify_program_check(program: &Program) -> Result<(), String> {
-    match titanc_il::verify_program(program) {
-        Ok(()) => Ok(()),
-        Err(errors) => {
-            let rendered: Vec<String> = errors.iter().map(ToString::to_string).collect();
-            Err(rendered.join("; "))
-        }
-    }
+    titanc_il::verify_program(program).map_err(|errors| render_violations(&errors))
 }
 
 /// Per-procedure flavour of [`verify_program_check`] for the parallel
 /// path; also the gate every cache-replayed procedure passes before it
 /// is trusted (a parseable-but-wrong entry must demote to a cold miss).
 pub(crate) fn verify_proc_check(proc: &Procedure) -> Result<(), String> {
-    match titanc_il::verify_proc(proc) {
-        Ok(()) => Ok(()),
-        Err(errors) => {
-            let rendered: Vec<String> = errors.iter().map(ToString::to_string).collect();
-            Err(rendered.join("; "))
-        }
-    }
+    titanc_il::verify_proc(proc).map_err(|errors| render_violations(&errors))
+}
+
+fn render_violations(errors: &[impl ToString]) -> String {
+    let rendered: Vec<String> = errors.iter().map(ToString::to_string).collect();
+    rendered.join("; ")
 }
 
 thread_local! {
@@ -533,7 +526,7 @@ impl CachedProc {
 /// The session driver seeds [`SessionReplay::hits`] with the procedures
 /// whose per-procedure key (content hash plus environment and, with
 /// inlining on, the arena encodings of the procedure's inline dependency
-/// cone) matched a cache entry; [`Pipeline::run_session`]
+/// cone) matched a cache entry; [`Pipeline::run`]
 /// substitutes their cached IL instead of running their pass chains and
 /// replays the recorded cells through the normal pass-major merge — so
 /// reports, traces and the opt report stay byte-identical to a cold run.
@@ -608,13 +601,27 @@ fn run_proc_chain(
             start: start_offset,
             duration,
         };
+        // a panic, or output the inter-pass verifier rejects, is the same
+        // fault: roll back, record the incident, degrade the procedure
         let run = contain(|| pass.run_on(proc, cx, analyses, &mut delta));
-        let outcome = match run {
+        let duration = start.elapsed();
+        items.push(item(duration));
+        let checked = run
+            .map_err(|payload| (IncidentKind::Panic, panic_message(payload.as_ref())))
+            .and_then(|outcome| {
+                if outcome.changed && proc.generation() == gen_before {
+                    // defensive: a change must move the generation, or a
+                    // later pass could be served stale analyses
+                    proc.bump_generation();
+                }
+                if verify && proc.generation() != last_seen {
+                    verify_proc_check(proc).map_err(|d| (IncidentKind::VerifyFailed, d))?;
+                }
+                Ok(outcome)
+            });
+        let outcome = match checked {
             Ok(outcome) => outcome,
-            Err(payload) => {
-                let detail = panic_message(payload.as_ref());
-                let elapsed = start.elapsed();
-                items.push(item(elapsed));
+            Err((kind, detail)) => {
                 *proc = last_good
                     .clone()
                     .expect("non-degraded chain has a rollback point");
@@ -624,44 +631,17 @@ fn run_proc_chain(
                     PassIncident {
                         pass: pass.name(),
                         proc: Some(proc.name.clone()),
-                        kind: IncidentKind::Panic,
+                        kind,
                         detail,
                     },
                 ));
                 degraded = true;
-                cells.push(PassCell::faulted(elapsed));
+                cells.push(PassCell::faulted(duration));
                 continue;
             }
         };
-        if outcome.changed && proc.generation() == gen_before {
-            // defensive: a change must move the generation, or a later
-            // pass could be served stale analyses
-            proc.bump_generation();
-        }
-        let duration = start.elapsed();
-        items.push(item(duration));
         let cache = analyses.stats().delta_since(&stats_before);
         if proc.generation() != last_seen {
-            if verify {
-                if let Err(detail) = verify_proc_check(proc) {
-                    *proc = last_good
-                        .clone()
-                        .expect("non-degraded chain has a rollback point");
-                    analyses.invalidate();
-                    incident = Some((
-                        k,
-                        PassIncident {
-                            pass: pass.name(),
-                            proc: Some(proc.name.clone()),
-                            kind: IncidentKind::VerifyFailed,
-                            detail,
-                        },
-                    ));
-                    degraded = true;
-                    cells.push(PassCell::faulted(duration));
-                    continue;
-                }
-            }
             if want_snaps {
                 snaps.push((
                     k,
@@ -753,20 +733,22 @@ impl Pipeline {
         if options.opt == OptLevel::O0 {
             return pl;
         }
-        pl.push_proc(WhileDoPass);
-        pl.push_proc(IvSubPass);
-        pl.push_proc(ForwardPass);
-        pl.push_proc(ConstPropPass);
-        pl.push_proc(DcePass);
+        let [whiledo, ivsub, forward, constprop, dce, cse, spread_lists, vectorize, strength] =
+            PROC_PASSES;
+        pl.push_proc(whiledo);
+        pl.push_proc(ivsub);
+        pl.push_proc(forward);
+        pl.push_proc(constprop);
+        pl.push_proc(dce);
         if options.opt == OptLevel::O2 {
             if options.spread_lists && options.parallelize {
-                pl.push_proc(SpreadListsPass);
+                pl.push_proc(spread_lists);
             }
-            pl.push_proc(VectorizePass);
-            pl.push_proc(StrengthPass);
-            pl.push_proc(ForwardPass);
-            pl.push_proc(CsePass);
-            pl.push_proc(DcePass);
+            pl.push_proc(vectorize);
+            pl.push_proc(strength);
+            pl.push_proc(forward);
+            pl.push_proc(cse);
+            pl.push_proc(dce);
         }
         pl
     }
@@ -788,33 +770,15 @@ impl Pipeline {
     /// pipeline itself never panics on a pass fault and never fails:
     /// callers inspect [`PassTrace::incidents`] to decide how strict to
     /// be.
+    ///
+    /// With a `session`, procedures that have a seeded hit skip their
+    /// per-procedure pass chains — their cached IL is substituted and
+    /// their recorded cells replay through the normal pass-major merge,
+    /// so the output (program, reports, opt report) is byte-identical to
+    /// a cold run — and cleanly executed chains are recorded into it for
+    /// the driver to persist. Without one, nothing is replayed or
+    /// recorded.
     pub fn run(
-        &self,
-        program: &mut Program,
-        options: &Options,
-        snapshots: &mut Vec<Snapshot>,
-    ) -> (Reports, PassTrace) {
-        self.run_inner(program, options, snapshots, None)
-    }
-
-    /// [`Pipeline::run`] with incremental-session replay: procedures with
-    /// a seeded hit in `session` skip their per-procedure pass chains —
-    /// their cached IL is substituted and their recorded cells replay
-    /// through the normal pass-major merge, so the output (program,
-    /// reports, opt report) is byte-identical to a cold run. Cleanly
-    /// executed chains are recorded into `session` for the driver to
-    /// persist.
-    pub fn run_session(
-        &self,
-        program: &mut Program,
-        options: &Options,
-        snapshots: &mut Vec<Snapshot>,
-        session: &mut SessionReplay,
-    ) -> (Reports, PassTrace) {
-        self.run_inner(program, options, snapshots, Some(session))
-    }
-
-    fn run_inner(
         &self,
         program: &mut Program,
         options: &Options,
@@ -949,10 +913,29 @@ fn run_program_stage(
         start: start_offset,
         duration,
     });
-    let outcome = match run {
+    let checked = run
+        .map_err(|payload| (IncidentKind::Panic, panic_message(payload.as_ref())))
+        .and_then(|outcome| {
+            let moved = program.procs.len() != gens_before.len()
+                || program
+                    .procs
+                    .iter()
+                    .zip(&gens_before)
+                    .any(|(p, g)| p.generation() != *g);
+            if outcome.changed && !moved {
+                // defensive: the pass mutated something without stamping it
+                for p in &mut program.procs {
+                    p.bump_generation();
+                }
+            }
+            if verify && (moved || outcome.changed) {
+                verify_program_check(program).map_err(|d| (IncidentKind::VerifyFailed, d))?;
+            }
+            Ok(outcome)
+        });
+    let outcome = match checked {
         Ok(outcome) => outcome,
-        Err(payload) => {
-            let detail = panic_message(payload.as_ref());
+        Err((kind, detail)) => {
             *program = backup;
             for slot in cache.slots_mut() {
                 slot.invalidate();
@@ -960,7 +943,7 @@ fn run_program_stage(
             trace.incidents.push(PassIncident {
                 pass: pass.name(),
                 proc: None,
-                kind: IncidentKind::Panic,
+                kind,
                 detail,
             });
             trace.records.push(PassRecord {
@@ -975,46 +958,6 @@ fn run_program_stage(
             return;
         }
     };
-
-    let len_changed = program.procs.len() != gens_before.len();
-    let moved = len_changed
-        || program
-            .procs
-            .iter()
-            .zip(&gens_before)
-            .any(|(p, g)| p.generation() != *g);
-    if outcome.changed && !moved {
-        // defensive: the pass mutated something without stamping it
-        for p in &mut program.procs {
-            p.bump_generation();
-        }
-    }
-    let moved = moved || outcome.changed;
-
-    if verify && moved {
-        if let Err(detail) = verify_program_check(program) {
-            *program = backup;
-            for slot in cache.slots_mut() {
-                slot.invalidate();
-            }
-            trace.incidents.push(PassIncident {
-                pass: pass.name(),
-                proc: None,
-                kind: IncidentKind::VerifyFailed,
-                detail,
-            });
-            trace.records.push(PassRecord {
-                name: pass.name(),
-                duration,
-                delta: Reports::default(),
-                changed: false,
-                cache: CacheStats::default(),
-                skipped_procs: 0,
-                faulted_procs: 0,
-            });
-            return;
-        }
-    }
     cache.ensure(program.procs.len());
     // procedures the pass introduced count as never-seen (and healthy)
     if seen_gens.len() < program.procs.len() {
@@ -1324,206 +1267,123 @@ impl Pass for InlinePass {
     }
 }
 
-/// §5.2 while→DO conversion.
-pub struct WhileDoPass;
-
-impl ProcPass for WhileDoPass {
-    fn name(&self) -> &'static str {
-        "whiledo"
-    }
-
-    fn run_on(
-        &self,
-        proc: &mut Procedure,
-        _: &PassContext<'_>,
-        analyses: &mut ProcAnalyses,
-        delta: &mut Reports,
-    ) -> PassOutcome {
-        let r = titanc_opt::convert_while_loops_cached(proc, analyses);
-        let changed = r.converted > 0;
-        delta.whiledo.merge(r);
-        PassOutcome { changed }
-    }
+/// One row of [`PROC_PASSES`]: the stable pass name, the transformation
+/// (its report placed in the matching [`Reports`] slot), and the
+/// predicate that reads "the procedure changed" off that report.
+#[derive(Clone, Copy)]
+struct TablePass {
+    name: &'static str,
+    run: fn(&mut Procedure, &PassContext<'_>, &mut ProcAnalyses) -> Reports,
+    changed: fn(&Reports) -> bool,
 }
 
-/// §5.2 induction-variable substitution with backtracking.
-pub struct IvSubPass;
-
-impl ProcPass for IvSubPass {
+impl ProcPass for TablePass {
     fn name(&self) -> &'static str {
-        "ivsub"
-    }
-
-    fn run_on(
-        &self,
-        proc: &mut Procedure,
-        _: &PassContext<'_>,
-        _: &mut ProcAnalyses,
-        delta: &mut Reports,
-    ) -> PassOutcome {
-        let r = titanc_opt::induction_substitution(proc);
-        let changed = r.substituted > 0;
-        delta.ivsub.merge(r);
-        PassOutcome { changed }
-    }
-}
-
-/// Forward substitution of single-use scalar definitions.
-pub struct ForwardPass;
-
-impl ProcPass for ForwardPass {
-    fn name(&self) -> &'static str {
-        "forward"
-    }
-
-    fn run_on(
-        &self,
-        proc: &mut Procedure,
-        _: &PassContext<'_>,
-        _: &mut ProcAnalyses,
-        delta: &mut Reports,
-    ) -> PassOutcome {
-        let r = titanc_opt::forward_substitute(proc);
-        let changed = r.substituted > 0;
-        delta.forward.merge(r);
-        PassOutcome { changed }
-    }
-}
-
-/// §8 constant propagation with the unreachable-code heuristic.
-pub struct ConstPropPass;
-
-impl ProcPass for ConstPropPass {
-    fn name(&self) -> &'static str {
-        "constprop"
-    }
-
-    fn run_on(
-        &self,
-        proc: &mut Procedure,
-        _: &PassContext<'_>,
-        analyses: &mut ProcAnalyses,
-        delta: &mut Reports,
-    ) -> PassOutcome {
-        let r = titanc_opt::constant_propagation_cached(proc, analyses);
-        let changed = r.replaced > 0 || r.removed > 0;
-        delta.constprop.merge(r);
-        PassOutcome { changed }
-    }
-}
-
-/// Dead-code elimination.
-pub struct DcePass;
-
-impl ProcPass for DcePass {
-    fn name(&self) -> &'static str {
-        "dce"
-    }
-
-    fn run_on(
-        &self,
-        proc: &mut Procedure,
-        _: &PassContext<'_>,
-        analyses: &mut ProcAnalyses,
-        delta: &mut Reports,
-    ) -> PassOutcome {
-        let r = titanc_opt::eliminate_dead_code_cached(proc, analyses);
-        let changed = r.removed > 0;
-        delta.dce.merge(r);
-        PassOutcome { changed }
-    }
-}
-
-/// Local common-subexpression elimination.
-pub struct CsePass;
-
-impl ProcPass for CsePass {
-    fn name(&self) -> &'static str {
-        "cse"
-    }
-
-    fn run_on(
-        &self,
-        proc: &mut Procedure,
-        _: &PassContext<'_>,
-        _: &mut ProcAnalyses,
-        delta: &mut Reports,
-    ) -> PassOutcome {
-        let r = titanc_opt::local_cse(proc);
-        let changed = r.commoned > 0;
-        delta.cse.merge(r);
-        PassOutcome { changed }
-    }
-}
-
-/// §10 linked-list loop spreading (opt-in future work).
-pub struct SpreadListsPass;
-
-impl ProcPass for SpreadListsPass {
-    fn name(&self) -> &'static str {
-        "spread_lists"
-    }
-
-    fn run_on(
-        &self,
-        proc: &mut Procedure,
-        _: &PassContext<'_>,
-        _: &mut ProcAnalyses,
-        delta: &mut Reports,
-    ) -> PassOutcome {
-        let r = titanc_vector::spread_list_loops(proc);
-        let changed = r.spread > 0;
-        delta.spread.merge(r);
-        PassOutcome { changed }
-    }
-}
-
-/// The §9 Allen–Kennedy vectorizer (with strip mining and `do parallel`).
-pub struct VectorizePass;
-
-impl ProcPass for VectorizePass {
-    fn name(&self) -> &'static str {
-        "vectorize"
+        self.name
     }
 
     fn run_on(
         &self,
         proc: &mut Procedure,
         cx: &PassContext<'_>,
-        _: &mut ProcAnalyses,
+        analyses: &mut ProcAnalyses,
         delta: &mut Reports,
     ) -> PassOutcome {
-        let vopts = VectorOptions {
-            aliasing: cx.options.aliasing,
-            parallelize: cx.options.parallelize,
-            strip: cx.options.strip,
-            max_vl: cx.options.max_vl,
-        };
-        let r = titanc_vector::vectorize(proc, &vopts);
-        let changed = r.vectorized > 0 || r.spread > 0;
-        delta.vector.merge(r);
+        let r = (self.run)(proc, cx, analyses);
+        let changed = (self.changed)(&r);
+        delta.merge(r);
         PassOutcome { changed }
     }
 }
 
-/// The §6 dependence-driven scalar optimizations.
-pub struct StrengthPass;
-
-impl ProcPass for StrengthPass {
-    fn name(&self) -> &'static str {
-        "strength"
-    }
-
-    fn run_on(
-        &self,
-        proc: &mut Procedure,
-        cx: &PassContext<'_>,
-        _: &mut ProcAnalyses,
-        delta: &mut Reports,
-    ) -> PassOutcome {
-        let r = titanc_vector::strength_reduce(proc, cx.options.aliasing);
-        let changed = r.promoted > 0 || r.reduced > 0 || r.hoisted > 0;
-        delta.strength.merge(r);
-        PassOutcome { changed }
-    }
-}
+/// The built-in per-procedure passes, in the order
+/// [`Pipeline::for_options`] destructures them: §5.2 while→DO conversion,
+/// §5.2 induction-variable substitution with backtracking, forward
+/// substitution of single-use scalar definitions, §8 constant propagation
+/// with the unreachable-code heuristic, dead-code elimination, local
+/// common-subexpression elimination, §10 linked-list loop spreading
+/// (opt-in future work), the §9 Allen–Kennedy vectorizer (with strip
+/// mining and `do parallel`), and the §6 dependence-driven scalar
+/// optimizations.
+const PROC_PASSES: [TablePass; 9] = [
+    TablePass {
+        name: "whiledo",
+        run: |p, _, a| Reports {
+            whiledo: titanc_opt::convert_while_loops_cached(p, a),
+            ..Reports::default()
+        },
+        changed: |r| r.whiledo.converted > 0,
+    },
+    TablePass {
+        name: "ivsub",
+        run: |p, _, _| Reports {
+            ivsub: titanc_opt::induction_substitution(p),
+            ..Reports::default()
+        },
+        changed: |r| r.ivsub.substituted > 0,
+    },
+    TablePass {
+        name: "forward",
+        run: |p, _, _| Reports {
+            forward: titanc_opt::forward_substitute(p),
+            ..Reports::default()
+        },
+        changed: |r| r.forward.substituted > 0,
+    },
+    TablePass {
+        name: "constprop",
+        run: |p, _, a| Reports {
+            constprop: titanc_opt::constant_propagation_cached(p, a),
+            ..Reports::default()
+        },
+        changed: |r| r.constprop.replaced > 0 || r.constprop.removed > 0,
+    },
+    TablePass {
+        name: "dce",
+        run: |p, _, a| Reports {
+            dce: titanc_opt::eliminate_dead_code_cached(p, a),
+            ..Reports::default()
+        },
+        changed: |r| r.dce.removed > 0,
+    },
+    TablePass {
+        name: "cse",
+        run: |p, _, _| Reports {
+            cse: titanc_opt::local_cse(p),
+            ..Reports::default()
+        },
+        changed: |r| r.cse.commoned > 0,
+    },
+    TablePass {
+        name: "spread_lists",
+        run: |p, _, _| Reports {
+            spread: titanc_vector::spread_list_loops(p),
+            ..Reports::default()
+        },
+        changed: |r| r.spread.spread > 0,
+    },
+    TablePass {
+        name: "vectorize",
+        run: |p, cx, _| {
+            let vopts = VectorOptions {
+                aliasing: cx.options.aliasing,
+                parallelize: cx.options.parallelize,
+                strip: cx.options.strip,
+                max_vl: cx.options.max_vl,
+            };
+            Reports {
+                vector: titanc_vector::vectorize(p, &vopts),
+                ..Reports::default()
+            }
+        },
+        changed: |r| r.vector.vectorized > 0 || r.vector.spread > 0,
+    },
+    TablePass {
+        name: "strength",
+        run: |p, cx, _| Reports {
+            strength: titanc_vector::strength_reduce(p, cx.options.aliasing),
+            ..Reports::default()
+        },
+        changed: |r| r.strength.promoted > 0 || r.strength.reduced > 0 || r.strength.hoisted > 0,
+    },
+];

@@ -17,10 +17,10 @@
 //!
 //! Server responses must be byte-identical to a one-shot `titanc` run on
 //! the same inputs. That contract is kept *by construction*: the CLI
-//! driver and [`execute`] render through the same functions in this
-//! module ([`diag_line`], [`cache_line`], [`stats_block`], [`il_block`],
-//! [`opt_report_block`], …) — there is no second copy of the output
-//! formatting to drift. The only legitimate difference is the
+//! driver prints, and [`execute`] wraps, the `(stdout, stderr, exit)`
+//! that the one [`render`] function produces — there is no second copy
+//! of the output sequence or its formatting to drift. The only
+//! legitimate difference is the
 //! `titanc: cache:` accounting line, which reflects cache *state* (a
 //! long-lived daemon accumulates hits a cold one-shot run cannot see);
 //! comparisons strip it.
@@ -45,10 +45,10 @@ use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 
-use crate::session::{compile_session_resident, SourceFile};
+use crate::session::{compile_session_resident, SessionCompilation, SourceFile};
 use crate::store::ResidentCache;
 use crate::trace::OptReport;
-use crate::{Compilation, Options, Pipeline, Reports, SessionStats};
+use crate::{Compilation, CompileError, Options, Pipeline, Reports, SessionStats};
 use titanc_il::json::{parse, FromJson, Json, ToJson};
 
 /// Exit code for "a contained pass incident was reported and `--strict`
@@ -297,18 +297,6 @@ impl std::fmt::Display for ServerTotals {
 // Shared output rendering (the byte-identity functions)
 // ---------------------------------------------------------------------
 
-/// Renders one diagnostic line exactly as the CLI prints it:
-/// single-file invocations keep the classic `file:line:col: message`
-/// shape; multi-file sessions already carry the file name inside the
-/// message.
-pub fn diag_line(files: &[String], d: &impl std::fmt::Display) -> String {
-    if let [file] = files {
-        format!("{file}:{d}\n")
-    } else {
-        format!("{d}\n")
-    }
-}
-
 /// The `titanc: cache:` accounting line (no trailing newline); CI's
 /// cache-smoke job parses this exact shape.
 pub fn cache_line(stats: &SessionStats) -> String {
@@ -327,27 +315,21 @@ pub fn cache_line(stats: &SessionStats) -> String {
     )
 }
 
-/// One contained-incident warning line.
-pub fn incident_line(incident: &impl std::fmt::Display) -> String {
-    format!("titanc: warning: {incident}\n")
-}
-
-/// The `--strict` failure line.
-pub fn strict_line(incidents: usize) -> String {
-    format!("titanc: {incidents} pass incident(s) contained; failing because of --strict\n")
-}
-
 /// The `--print-il` block: every procedure pretty-printed.
 pub fn il_block(program: &titanc_il::Program) -> String {
     let mut out = String::new();
-    for p in &program.procs {
-        let _ = writeln!(out, "{}", titanc_il::pretty_proc(p));
-    }
+    write_il(&mut out, program);
     out
 }
 
+fn write_il(out: &mut String, program: &titanc_il::Program) {
+    for p in &program.procs {
+        let _ = writeln!(out, "{}", titanc_il::pretty_proc(p));
+    }
+}
+
 /// The `--stats` block.
-pub fn stats_block(r: &Reports) -> String {
+fn stats_block(r: &Reports) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -446,91 +428,106 @@ pub struct Executed {
     pub stats: Option<SessionStats>,
 }
 
-/// Executes one request against the shared resident cache, rendering
-/// stdout/stderr exactly as one-shot `titanc` would (see the module
-/// docs on byte identity).
-pub fn execute(req: &CompileRequest, resident: &ResidentCache) -> Executed {
+/// Renders a finished compile as `(stdout, stderr, exit)` — the one
+/// output sequence behind both one-shot `titanc`, which prints it, and
+/// [`execute`], which wraps it in a response. `req` supplies the file
+/// names and the output flags (`--strict`, `--print-il`, `--stats`,
+/// `--opt-report`); `cache` asks for the `titanc: cache:` accounting line
+/// (one-shot runs print it only under `--cache-dir`).
+pub fn render(
+    req: &CompileRequest,
+    result: &Result<SessionCompilation, CompileError>,
+    cache: bool,
+) -> (String, String, u8) {
     let mut out = String::new();
     let mut err = String::new();
-    let names: Vec<String> = req.files.iter().map(|f| f.name.clone()).collect();
-
-    if req.files.is_empty() {
-        return Executed {
-            response: CompileResponse {
-                id: req.id,
-                exit: 2,
-                stdout: out,
-                stderr: "titanc: server: request carries no files\n".to_string(),
-            },
-            stats: None,
-        };
-    }
-
-    let options = req.options();
-    let pipeline = base_pipeline(&options);
-    let compiled = match compile_session_resident(&req.files, &options, pipeline, resident) {
-        Ok(sc) => {
-            let stats = sc.stats;
-            let compiled = sc.compilation;
-            for d in &compiled.diagnostics {
-                err.push_str(&diag_line(&names, d));
-            }
-            err.push_str(&cache_line(&stats));
-            err.push('\n');
-            for incident in &compiled.trace.incidents {
-                err.push_str(&incident_line(incident));
-            }
-            if req.strict && compiled.has_incidents() {
-                err.push_str(&strict_line(compiled.trace.incidents.len()));
-                return Executed {
-                    response: CompileResponse {
-                        id: req.id,
-                        exit: i64::from(EXIT_INCIDENT),
-                        stdout: out,
-                        stderr: err,
-                    },
-                    stats: Some(stats),
-                };
-            }
-            (compiled, stats)
-        }
-        Err(e) => {
-            for d in &e.diagnostics {
-                err.push_str(&diag_line(&names, d));
-            }
-            return Executed {
-                response: CompileResponse {
-                    id: req.id,
-                    exit: 1,
-                    stdout: out,
-                    stderr: err,
-                },
-                stats: None,
-            };
-        }
+    // single-file invocations keep the classic `file:line:col: message`
+    // shape; multi-file sessions already carry the file name inside the
+    // message
+    let prefix = match req.files.as_slice() {
+        [file] => format!("{}:", file.name),
+        _ => String::new(),
     };
-    let (compiled, stats) = compiled;
-
+    let diagnostics = match result {
+        Ok(sc) => &sc.compilation.diagnostics,
+        Err(e) => &e.diagnostics,
+    };
+    // on failure, every independent mistake the recovering front end
+    // collected, in source order; on success, warnings and remarks (loops
+    // left scalar and the defeating dependence, exhausted budgets)
+    for d in diagnostics {
+        let _ = writeln!(err, "{prefix}{d}");
+    }
+    let Ok(sc) = result else {
+        return (out, err, 1);
+    };
+    let compiled = &sc.compilation;
+    if cache {
+        let _ = writeln!(err, "{}", cache_line(&sc.stats));
+    }
+    // contained faults: the affected procedures were rolled back to their
+    // last-verified IL and shipped unoptimized
+    let incidents = &compiled.trace.incidents;
+    for incident in incidents {
+        let _ = writeln!(err, "titanc: warning: {incident}");
+    }
+    if req.strict && !incidents.is_empty() {
+        let _ = writeln!(
+            err,
+            "titanc: {} pass incident(s) contained; failing because of --strict",
+            incidents.len()
+        );
+        return (out, err, EXIT_INCIDENT);
+    }
+    // present only under `--snapshots`
+    for snap in &compiled.snapshots {
+        let _ = writeln!(
+            out,
+            "===== {} after {} =====\n{}",
+            snap.proc, snap.phase, snap.il
+        );
+    }
     if req.print_il {
-        out.push_str(&il_block(&compiled.program));
+        write_il(&mut out, &compiled.program);
     }
     if req.stats {
         out.push_str(&stats_block(&compiled.reports));
     }
     match req.opt_report.as_str() {
-        "text" => out.push_str(&opt_report_block(&compiled, false)),
-        "json" => out.push_str(&opt_report_block(&compiled, true)),
+        "text" => out.push_str(&opt_report_block(compiled, false)),
+        "json" => out.push_str(&opt_report_block(compiled, true)),
         _ => {}
     }
+    (out, err, 0)
+}
 
+/// Executes one request against the shared resident cache; the response
+/// carries exactly what one-shot `titanc` would have printed, because
+/// both go through [`render`].
+pub fn execute(req: &CompileRequest, resident: &ResidentCache) -> Executed {
+    if req.files.is_empty() {
+        return Executed {
+            response: CompileResponse {
+                id: req.id,
+                exit: 2,
+                stdout: String::new(),
+                stderr: "titanc: server: request carries no files\n".to_string(),
+            },
+            stats: None,
+        };
+    }
+    let options = req.options();
+    let pipeline = base_pipeline(&options);
+    let result = compile_session_resident(&req.files, &options, pipeline, resident);
+    let (stdout, stderr, exit) = render(req, &result, true);
     Executed {
         response: CompileResponse {
             id: req.id,
-            exit: 0,
-            stdout: out,
-            stderr: err,
+            exit: i64::from(exit),
+            stdout,
+            stderr,
         },
-        stats: Some(stats),
+        stats: result.ok().map(|sc| sc.stats),
     }
 }
 

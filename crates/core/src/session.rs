@@ -35,7 +35,7 @@
 //! [`RecordedCell`]s — the statistics deltas, changed flags, and
 //! analysis-cache counters of the original execution. On a warm run the
 //! pass manager substitutes the cached IL and replays the cells through
-//! its normal pass-major merge ([`Pipeline::run_session`]), so reports,
+//! its normal pass-major merge ([`Pipeline::run`]), so reports,
 //! counters, and `--opt-report` output are **byte-identical between cold
 //! and warm runs and across every `-j` value**. Only wall-clock data
 //! (durations, the timeline) and `--snapshots` differ: replayed work is
@@ -68,6 +68,7 @@ use crate::pass::{
     snapshot_all, verify_proc_check, verify_program_check, CachedProc, PassRecord, PassTrace,
     RecordedCell, SessionReplay,
 };
+use crate::server::base_pipeline;
 use crate::store::{CacheStore, ResidentCache, CACHE_FORMAT};
 use crate::{
     link_catalogs, optimization_remarks, Compilation, CompileError, Options, Pipeline, Reports,
@@ -142,7 +143,9 @@ pub struct SessionCompilation {
     pub stats: SessionStats,
 }
 
-/// Compiles a multi-file session with [`Pipeline::for_options`].
+/// Compiles a multi-file session with the pipeline `titanc` itself uses
+/// ([`base_pipeline`]) — this is what `titanc files… [--cache-dir DIR]`
+/// runs; without a cache directory the session is store-less.
 ///
 /// # Errors
 ///
@@ -153,31 +156,18 @@ pub fn compile_session(
     options: &Options,
     cache_dir: Option<&Path>,
 ) -> Result<SessionCompilation, CompileError> {
-    compile_session_with(files, options, Pipeline::for_options(options), cache_dir)
+    let store = cache_dir.map(CacheStore::open);
+    compile_session_impl(files, options, base_pipeline(options), store)
 }
 
-/// [`compile_session`] with a caller-built [`Pipeline`].
-///
-/// # Errors
-///
-/// Returns a [`CompileError`] for lexical, syntactic or semantic errors
-/// in any input file.
-pub fn compile_session_with(
-    files: &[SourceFile],
-    options: &Options,
-    pipeline: Pipeline,
-    cache_dir: Option<&Path>,
-) -> Result<SessionCompilation, CompileError> {
-    compile_session_impl(files, options, pipeline, cache_dir.map(CacheStore::open))
-}
-
-/// [`compile_session_with`] against a shared [`ResidentCache`]: cache
-/// reads are served from the resident in-memory map (falling back to,
-/// and adopting from, the map's backing directory when it has one), and
-/// publishes write through to both. This is the compile server's entry
-/// point — many concurrent sessions in one process share a single
-/// resident cache, and a `--cache-dir` backing directory keeps one-shot
-/// `titanc` invocations interoperable with the daemon.
+/// [`compile_session`] with a caller-built [`Pipeline`] against a shared
+/// [`ResidentCache`]: cache reads are served from the resident in-memory
+/// map (falling back to, and adopting from, the map's backing directory
+/// when it has one), and publishes write through to both. This is the
+/// compile server's entry point — many concurrent sessions in one
+/// process share a single resident cache, and a `--cache-dir` backing
+/// directory keeps one-shot `titanc` invocations interoperable with the
+/// daemon.
 ///
 /// # Errors
 ///
@@ -189,15 +179,27 @@ pub fn compile_session_resident(
     pipeline: Pipeline,
     resident: &ResidentCache,
 ) -> Result<SessionCompilation, CompileError> {
-    compile_session_impl(
-        files,
-        options,
-        pipeline,
-        Some(CacheStore::open_resident(resident)),
-    )
+    let store = CacheStore::open_resident(resident);
+    compile_session_impl(files, options, pipeline, Some(store))
 }
 
-fn compile_session_impl(
+/// What an open store adds to one compile: the name → key index it was
+/// opened with, the per-procedure keys and the session key of the parsed
+/// program, and the replay state the pipeline fills in.
+struct OpenCache {
+    store: CacheStore,
+    index: BTreeMap<String, String>,
+    hashes: Vec<StableHash>,
+    session_key: StableHash,
+    replay: SessionReplay,
+}
+
+/// The compile driver — every public entry point is a wrapper over this.
+/// Front end per file, merge (earlier files win), catalog link, the
+/// `lower` snapshot and post-lower verification over the *linked*
+/// program, then the pipeline. Without a `store` nothing is hashed,
+/// replayed or recorded.
+pub(crate) fn compile_session_impl(
     files: &[SourceFile],
     options: &Options,
     pipeline: Pipeline,
@@ -209,7 +211,8 @@ fn compile_session_impl(
     let multi = files.len() > 1;
 
     // front end, one TU at a time; every file is processed even after a
-    // failure so one broken file cannot hide another's diagnostics
+    // failure so one broken file cannot hide another's diagnostics. The
+    // recovering parser collects every independent mistake.
     let mut diagnostics: Vec<Diagnostic> = Vec::new();
     let mut tus: Vec<(String, Program)> = Vec::new();
     let mut failed = false;
@@ -217,6 +220,8 @@ fn compile_session_impl(
         let mut sink = DiagnosticSink::new(options.max_errors);
         let tu = titanc_cfront::parse_recovering(&f.src, &mut sink);
         if sink.has_errors() {
+            // make the cap visible: the reported list is shorter than the
+            // real error count when --max-errors stopped the front end early
             if sink.suppressed() > 0 {
                 sink.warning(
                     format!(
@@ -228,26 +233,23 @@ fn compile_session_impl(
                 );
             }
             failed = true;
-            extend_tagged(&mut diagnostics, &f.name, sink.into_diagnostics(), multi);
-            continue;
-        }
-        match titanc_lower::lower(&tu) {
-            Ok(p) => {
-                extend_tagged(&mut diagnostics, &f.name, sink.into_diagnostics(), multi);
-                tus.push((f.name.clone(), p));
-            }
-            Err(e) => {
-                sink.error(e.message.clone(), e.span);
-                failed = true;
-                extend_tagged(&mut diagnostics, &f.name, sink.into_diagnostics(), multi);
+        } else {
+            match titanc_lower::lower(&tu) {
+                Ok(p) => tus.push((f.name.clone(), p)),
+                Err(e) => {
+                    sink.error(e.message.clone(), e.span);
+                    failed = true;
+                }
             }
         }
+        extend_tagged(&mut diagnostics, &f.name, sink.into_diagnostics(), multi);
     }
     if failed {
         return Err(CompileError::from_diagnostics(diagnostics));
     }
 
-    // merge the TUs (earlier files win), then link catalogs as usual
+    // merge the TUs (earlier files win), then link catalogs (§7) before
+    // the pipeline runs, so the inline pass can expand cross-file calls
     let mut sink = DiagnosticSink::new(0);
     let mut program = Program::new();
     let mut origin: Vec<(String, String)> = Vec::new();
@@ -260,7 +262,11 @@ fn compile_session_impl(
     if options.snapshots {
         snapshot_all("lower", &program, &mut snapshots);
     }
-    if cfg!(debug_assertions) || options.verify {
+    let verify = cfg!(debug_assertions) || options.verify;
+    if verify {
+        // broken IL straight out of lowering (or a catalog) has no
+        // last-good state to roll back to: report it as an (internal)
+        // error, don't panic
         if let Err(detail) = verify_program_check(&program) {
             return Err(CompileError::internal(format!(
                 "internal error: IL verification failed after lowering: {detail}"
@@ -269,32 +275,40 @@ fn compile_session_impl(
     }
 
     let parsed = options.keep_parsed.then(|| program.clone());
-
-    let pipeline_fp = pipeline.pass_names().join(",");
-    let hashes = proc_hashes(&program, options, &pipeline_fp);
     let (program_stages, proc_stages) = pipeline.stage_counts();
     let mut stats = SessionStats::default();
 
-    let mut store = store;
-    let index = store.as_mut().map(load_index).unwrap_or_default();
-    // the session key is computed on the *parsed* program — exactly what
-    // the next invocation computes before any pass runs, so the manifest
-    // a run persists is the manifest its successor looks up
-    let session_key = store
-        .as_ref()
-        .map(|_| session_hash(&program, options, &pipeline_fp, &hashes));
+    // cache keys exist only while a store is open: a store-less compile
+    // builds no call graph, hashes nothing and records nothing. The
+    // session key is computed on the *parsed* program — exactly what the
+    // next invocation computes before any pass runs, so the manifest a
+    // run persists is the manifest its successor looks up
+    let mut cache = store.map(|mut store| {
+        let index = load_index(&mut store);
+        let pipeline_fp = pipeline.pass_names().join(",");
+        let hashes = proc_hashes(&program, options, &pipeline_fp);
+        let session_key = session_hash(&program, options, &pipeline_fp, &hashes);
+        OpenCache {
+            store,
+            index,
+            hashes,
+            session_key,
+            replay: SessionReplay::default(),
+        }
+    });
 
     // fully warm? the manifest carries the aggregate records and the
     // post-pipeline program environment, the entries carry the IL — no
     // pass executes at all. Every entry is checksummed on read and its
     // IL re-verified before being trusted; any rejection quarantines the
     // file and falls through to a real compile.
-    if let (Some(st), Some(key)) = (store.as_mut(), &session_key) {
-        if let Some((warm, reports, trace)) = load_full_warm(st, key, &program, &hashes, &pipeline)
-        {
-            let verified =
-                !(cfg!(debug_assertions) || options.verify) || verify_program_check(&warm).is_ok();
-            if verified {
+    if let Some(c) = cache.as_mut() {
+        let st = &mut c.store;
+        let warm = load_full_warm(st, &c.session_key, &program, &c.hashes, &pipeline);
+        if let Some((warm, reports, trace)) = warm {
+            // a manifest that decodes but fails verification is corrupt:
+            // fall through and compile for real
+            if !verify || verify_program_check(&warm).is_ok() {
                 optimization_remarks(&reports, &mut sink);
                 store_diagnostics(st, &mut sink);
                 fold_store_stats(st, &mut stats);
@@ -313,38 +327,35 @@ fn compile_session_impl(
                     stats,
                 });
             }
-            // a manifest that decodes but fails verification is corrupt:
-            // fall through and compile for real
         }
     }
 
     // cold or partially warm: seed per-procedure hits and run the
-    // pipeline; hits replay, misses execute
-    let mut replay = SessionReplay::default();
-    if let Some(st) = store.as_mut() {
-        for (p, h) in program.procs.iter().zip(&hashes) {
-            if let Some((il, cells)) = load_entry(st, h, &p.name) {
-                replay
+    // pipeline; hits replay, misses execute (and, with a store open, are
+    // recorded for `persist`)
+    if let Some(c) = cache.as_mut() {
+        for (p, h) in program.procs.iter().zip(&c.hashes) {
+            if let Some((il, cells)) = load_entry(&mut c.store, h, &p.name) {
+                c.replay
                     .hits
                     .insert(p.name.clone(), CachedProc::new(il, cells));
-            } else if index.get(&p.name).is_some_and(|old| *old != h.hex()) {
+            } else if c.index.get(&p.name).is_some_and(|old| *old != h.hex()) {
                 stats.invalidated += 1;
             }
         }
     }
-    let (reports, trace) = pipeline.run_session(&mut program, options, &mut snapshots, &mut replay);
+    let replay = cache.as_mut().map(|c| &mut c.replay);
+    let (reports, trace) = pipeline.run(&mut program, options, &mut snapshots, replay);
 
-    stats.hits = replay.replayed.len();
+    stats.hits = cache.as_ref().map_or(0, |c| c.replay.replayed.len());
     stats.misses = program.procs.len().saturating_sub(stats.hits);
     stats.passes_executed = program_stages + proc_stages * stats.misses;
 
-    if let (Some(st), Some(key)) = (store.as_mut(), &session_key) {
-        persist(st, key, &program, &hashes, &trace, &replay, proc_stages);
-    }
     optimization_remarks(&reports, &mut sink);
-    if let Some(st) = &store {
-        store_diagnostics(st, &mut sink);
-        fold_store_stats(st, &mut stats);
+    if let Some(c) = cache.as_mut() {
+        persist(c, &program, &trace, proc_stages);
+        store_diagnostics(&c.store, &mut sink);
+        fold_store_stats(&c.store, &mut stats);
     }
     diagnostics.extend(sink.into_diagnostics());
 
@@ -787,15 +798,14 @@ fn load_full_warm(
 /// writer lock; on contention they are skipped (counted, never torn).
 /// The session key was computed on the parsed program, which is exactly
 /// what the next invocation hashes before running any pass.
-fn persist(
-    store: &mut CacheStore,
-    session_key: &StableHash,
-    program: &Program,
-    hashes: &[StableHash],
-    trace: &PassTrace,
-    replay: &SessionReplay,
-    proc_stages: usize,
-) {
+fn persist(cache: &mut OpenCache, program: &Program, trace: &PassTrace, proc_stages: usize) {
+    let OpenCache {
+        store,
+        hashes,
+        session_key,
+        replay,
+        ..
+    } = cache;
     if !store.enabled() || trace.has_incidents() || program.procs.len() != hashes.len() {
         // a degraded program must never be served from the cache, and a
         // pass that changed the procedure count leaves the keys stale

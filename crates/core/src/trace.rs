@@ -31,9 +31,9 @@ use crate::Reports;
 
 /// Named compilation counters, sorted by name.
 ///
-/// The names are stable — the bench harness records them in
-/// `BENCH_compile.json` and guards the vectorization rate, so renaming a
-/// counter is a breaking change to the performance baseline.
+/// The names are stable — `titanperf` reads them for its per-layer
+/// metrics and `tests/opt_report.rs` guards the vectorization rate, so
+/// renaming a counter is a breaking change to the performance baseline.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Counters {
     /// Counter name → value, sorted by name.
@@ -82,8 +82,8 @@ impl Counters {
     /// arena footprint in bytes. Arena layout is deterministic across
     /// `-j` values, but NOT across cold-vs-warm cache runs (a warm run
     /// decodes compacted procedures from disk and re-runs no passes), so
-    /// these counters feed `BENCH_compile.json` rather than the
-    /// byte-identical `--opt-report` surface.
+    /// these counters stay off the byte-identical `--opt-report`
+    /// surface.
     pub fn record_program(&mut self, program: &titanc_il::Program) {
         let mut exprs = 0u64;
         let mut stmts = 0u64;

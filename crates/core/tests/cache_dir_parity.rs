@@ -1,0 +1,110 @@
+//! `--cache-dir` changes where optimized IL comes from, never what
+//! `titanc` prints: the same command with and without a (cold) cache
+//! directory must produce byte-identical stdout and stderr once the
+//! `titanc: cache:` accounting line is dropped. Both shapes are one-file
+//! sessions through the one compile driver, so the shadow-warning wording
+//! and the `lower` snapshot / post-lower verification of catalog-linked
+//! procedures cannot depend on the flag.
+
+use std::path::{Path, PathBuf};
+use std::process::{Command, Output};
+
+const LIB: &str = "\
+void fill(float *x, int n) { int i; for (i = 0; i < n; i++) x[i] = 1.0f; }
+";
+
+const CALLER: &str = "\
+float a[64];
+int main(void) { fill(a, 64); return 0; }
+";
+
+fn scratch(name: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("titanc-parity-{name}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+fn titanc(dir: &Path, args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_titanc"))
+        .current_dir(dir)
+        .args(args)
+        .output()
+        .unwrap()
+}
+
+/// Writes `lib.c` and its §7 catalog `lib.json` into `dir`.
+fn emit_catalog(dir: &Path) {
+    std::fs::write(dir.join("lib.c"), LIB).unwrap();
+    let out = titanc(dir, &["--emit-catalog", "lib.json", "lib.c"]);
+    assert!(out.status.success(), "{out:?}");
+}
+
+/// Runs `args` plain and again with a fresh `--cache-dir`; returns the
+/// shared `(stdout, stderr)` after asserting the two runs agree.
+fn assert_parity(dir: &Path, args: &[&str]) -> (String, String) {
+    let plain = titanc(dir, args);
+    let cached = titanc(dir, &[args, &["--cache-dir", "cache"]].concat());
+    let text = |bytes: &[u8]| String::from_utf8(bytes.to_vec()).unwrap();
+    let (plain_err, cached_err) = (text(&plain.stderr), text(&cached.stderr));
+    let is_cache_line = |l: &&str| l.starts_with("titanc: cache:");
+    assert_eq!(plain_err.lines().filter(is_cache_line).count(), 0);
+    let without_cache_line: Vec<&str> = cached_err.lines().filter(|l| !is_cache_line(l)).collect();
+    assert_eq!(
+        plain_err.lines().collect::<Vec<_>>(),
+        without_cache_line,
+        "stderr depends on --cache-dir for {args:?}"
+    );
+    assert_eq!(plain.status.code(), cached.status.code(), "{args:?}");
+    assert_eq!(
+        text(&plain.stdout),
+        text(&cached.stdout),
+        "stdout depends on --cache-dir for {args:?}"
+    );
+    (text(&plain.stdout), plain_err)
+}
+
+#[test]
+fn shadow_warning_names_the_file_either_way() {
+    let dir = scratch("shadow");
+    emit_catalog(&dir);
+    std::fs::write(dir.join("a.c"), format!("{LIB}{CALLER}")).unwrap();
+    let (_, err) = assert_parity(&dir, &["a.c", "--catalog", "lib.json"]);
+    assert!(
+        err.contains("procedure `fill` from catalog `lib` is shadowed by `a.c`"),
+        "{err}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn catalog_procedures_get_a_lower_snapshot_either_way() {
+    let dir = scratch("snapshots");
+    emit_catalog(&dir);
+    std::fs::write(dir.join("b.c"), CALLER).unwrap();
+    let args = [
+        "-O1",
+        "--snapshots",
+        "--verify",
+        "b.c",
+        "--catalog",
+        "lib.json",
+    ];
+    let (out, _) = assert_parity(&dir, &args);
+    assert!(out.contains("===== fill after lower ====="), "{out}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn syntax_errors_render_the_same_either_way() {
+    let dir = scratch("syntax");
+    std::fs::write(
+        dir.join("bad.c"),
+        "void f(void)\n{\n    int x;\n    x = ;\n}\n",
+    )
+    .unwrap();
+    let (out, err) = assert_parity(&dir, &["bad.c"]);
+    assert!(out.is_empty());
+    assert!(err.starts_with("bad.c:4:"), "{err}");
+    let _ = std::fs::remove_dir_all(&dir);
+}

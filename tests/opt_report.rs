@@ -121,6 +121,44 @@ fn counters_track_the_corpus() {
     assert!(inlined > 0, "corpus inlines nothing");
 }
 
+/// On a corpus built to vectorize (per procedure: a branch-guarded
+/// constant chain, three array-loop shapes, one pointer-walk `while`), at
+/// least half the accounted loops must vectorize. A rate collapse is an
+/// optimizer regression that no wall-clock figure would catch.
+#[test]
+fn vectorization_rate_holds_on_a_corpus_built_to_vectorize() {
+    let mut src = String::new();
+    for k in 0..4 {
+        src.push_str(&format!(
+            "float ma{k}[256], mb{k}[256], mc{k}[256];\n\
+             void mp{k}(int n)\n{{\n\
+             \x20   float *p, *q;\n    int i, j, t0, t1, t2;\n\
+             \x20   if (n) t0 = {seed}; else t0 = {seed};\n\
+             \x20   if (n) t1 = t0 * t0; else t1 = t0 * t0;\n\
+             \x20   t2 = t1 + t1;\n\
+             \x20   for (i = 0; i < 256; i++) ma{k}[i] = mb{k}[i] * t2 + mc{k}[i] * t1;\n\
+             \x20   for (i = 0; i < 256; i++) mc{k}[i] = ma{k}[i] + mb{k}[i] * t1;\n\
+             \x20   for (i = 1; i < 255; i++) mb{k}[i] = mc{k}[i - 1] * t2 + ma{k}[i + 1];\n\
+             \x20   p = &ma{k}[0];\n    q = &mb{k}[0];\n    j = 256;\n\
+             \x20   while (j) {{ *p++ = *q++ + (float)t1; j--; }}\n}}\n",
+            seed = k + 2
+        ));
+    }
+    src.push_str("int main(void) { return 0; }\n");
+    let c = compile(&src, &Options::parallel()).unwrap();
+    let counters = OptReport::build(&c.reports, &c.trace).counters;
+    let vectorized = counters.get("loops.vectorized");
+    let accounted = vectorized + counters.get("loops.parallelized") + counters.get("loops.scalar");
+    assert!(
+        accounted >= 16,
+        "corpus loops went unaccounted: {accounted}"
+    );
+    assert!(
+        2 * vectorized >= accounted,
+        "vectorization rate collapsed: {vectorized} of {accounted} loops"
+    );
+}
+
 /// Two distinct call sites sharing one source span — `sq(2) + sq(3)`
 /// lowers both calls onto the statement's span — are distinct inline
 /// decisions: the report dedupes on site identity, not span equality.

@@ -162,7 +162,7 @@ fn custom_pipeline_runs_user_defined_passes() {
     let mut pipeline = Pipeline::new();
     pipeline.push(CountProcs { seen: seen.clone() });
     assert_eq!(pipeline.pass_names(), vec!["count-procs"]);
-    let (_, trace) = pipeline.run(&mut program, &opts, &mut Vec::new());
+    let (_, trace) = pipeline.run(&mut program, &opts, &mut Vec::new(), None);
     assert_eq!(seen.get(), 2, "daxpy + main");
     let rec = trace.record("count-procs").expect("custom pass traced");
     assert!(!rec.changed);
