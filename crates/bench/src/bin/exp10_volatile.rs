@@ -8,12 +8,10 @@
 
 use titanc::Options;
 use titanc_bench::corpus;
-use titanc_bench::harness::engine_arg;
 use titanc_titan::{MachineConfig, Simulator};
 
 fn main() {
-    let engine = engine_arg();
-    println!("== EXP10 volatile poll loop (§1), engine: {engine}");
+    println!("== EXP10 volatile poll loop (§1)");
     for (name, opts) in [
         ("O0", Options::o0()),
         ("O1", Options::o1()),
@@ -21,7 +19,7 @@ fn main() {
         ("O2 parallel", Options::parallel()),
     ] {
         let c = titanc::compile(corpus::VOLATILE_POLL, &opts).expect("compiles");
-        let mut sim = Simulator::with_engine(&c.program, MachineConfig::default(), engine);
+        let mut sim = Simulator::new(&c.program, MachineConfig::default());
         // the device produces three zero reads, then 7
         sim.push_volatile_values(&[0, 0, 0, 7]);
         let r = sim.run("main", &[]).expect("terminates via device write");
@@ -42,7 +40,7 @@ fn main() {
         max_steps: 50_000,
         ..MachineConfig::default()
     };
-    let mut sim = Simulator::with_engine(&c.program, cfg, engine);
+    let mut sim = Simulator::new(&c.program, cfg);
     sim.push_volatile_values(&[0, 0, 0, 7]); // ignored: no volatile reads
     let err = sim.run("main", &[]).expect_err("spins forever");
     println!("   non-volatile variant: {err} (expected)");

@@ -7,12 +7,11 @@
 //! the per-node work distributes.
 
 use titanc::Options;
-use titanc_bench::harness::{engine_arg, run_experiment, ExpCase};
+use titanc_bench::harness::{run_experiment, ExpCase};
 use titanc_bench::{corpus, print_table, Row};
 use titanc_titan::MachineConfig;
 
 fn main() {
-    let engine = engine_arg();
     let plain = Options::parallel();
     let spread = Options {
         spread_lists: true,
@@ -29,7 +28,7 @@ fn main() {
             MachineConfig::optimized(procs),
         ));
     }
-    let stats = run_experiment(corpus::LISTWALK, &cases, engine);
+    let stats = run_experiment(corpus::LISTWALK, &cases);
     let base = &stats[0];
     let mut rows = vec![Row {
         label: "list walk, no spreading".into(),

@@ -7,12 +7,11 @@
 //! aliasing guarantee C cannot.
 
 use titanc::Options;
-use titanc_bench::harness::{engine_arg, run_experiment, ExpCase};
+use titanc_bench::harness::{run_experiment, ExpCase};
 use titanc_bench::{copy_source, mflops, print_table, Row};
 use titanc_titan::MachineConfig;
 
 fn main() {
-    let engine = engine_arg();
     for n in [64usize, 100, 1024, 8192] {
         let src = copy_source(n);
         let stats = run_experiment(
@@ -22,7 +21,6 @@ fn main() {
                 ExpCase::new(Options::o2(), MachineConfig::optimized(1)),
                 ExpCase::new(Options::parallel(), MachineConfig::optimized(2)),
             ],
-            engine,
         );
         let [scalar, vector, par2] = &stats[..] else {
             unreachable!("three cases")

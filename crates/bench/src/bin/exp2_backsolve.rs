@@ -8,12 +8,11 @@
 //! optimizations** (within 5% of the best possible code for the loop).
 
 use titanc::Options;
-use titanc_bench::harness::{engine_arg, run_experiment, ExpCase};
+use titanc_bench::harness::{run_experiment, ExpCase};
 use titanc_bench::{backsolve_source, mflops, print_table, Row};
 use titanc_titan::MachineConfig;
 
 fn main() {
-    let engine = engine_arg();
     for n in [100usize, 1024] {
         let src = backsolve_source(n);
         let stats = run_experiment(
@@ -26,7 +25,6 @@ fn main() {
                 // reduction + scheduling overlap
                 ExpCase::new(Options::o2(), MachineConfig::optimized(1)),
             ],
-            engine,
         );
         let [scalar, optimized] = &stats[..] else {
             unreachable!("two cases")

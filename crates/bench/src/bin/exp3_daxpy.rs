@@ -8,12 +8,11 @@
 //! routine."
 
 use titanc::Options;
-use titanc_bench::harness::{engine_arg, run_experiment, ExpCase};
+use titanc_bench::harness::{run_experiment, ExpCase};
 use titanc_bench::{corpus, daxpy_source, print_table, Row};
 use titanc_titan::MachineConfig;
 
 fn main() {
-    let engine = engine_arg();
     // show the stage-by-stage walkthrough for the paper's n=100 case
     let c = titanc::compile(
         corpus::DAXPY,
@@ -39,7 +38,7 @@ fn main() {
                 MachineConfig::optimized(procs),
             ));
         }
-        let stats = run_experiment(&src, &cases, engine);
+        let stats = run_experiment(&src, &cases);
         let scalar = &stats[0];
         let mut rows = vec![Row {
             label: format!("scalar (O1), n={n}"),

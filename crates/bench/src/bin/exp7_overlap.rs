@@ -9,12 +9,11 @@
 //! identical optimization levels.
 
 use titanc::Options;
-use titanc_bench::harness::{engine_arg, run_experiment, ExpCase};
+use titanc_bench::harness::{run_experiment, ExpCase};
 use titanc_bench::{backsolve_source, daxpy_source, print_table, Row};
 use titanc_titan::MachineConfig;
 
 fn main() {
-    let engine = engine_arg();
     let mut rows = Vec::new();
     for (name, src) in [
         ("backsolve n=1024", backsolve_source(1024)),
@@ -32,7 +31,6 @@ fn main() {
                     },
                 ),
             ],
-            engine,
         );
         let [off, on] = &stats[..] else {
             unreachable!("two cases")

@@ -8,12 +8,11 @@
 //! the gain.
 
 use titanc::Options;
-use titanc_bench::harness::{engine_arg, run_experiment, ExpCase};
+use titanc_bench::harness::{run_experiment, ExpCase};
 use titanc_bench::{corpus, print_table, Row};
 use titanc_titan::MachineConfig;
 
 fn main() {
-    let engine = engine_arg();
     let c = titanc::compile(corpus::STRUCT_MATRIX, &Options::o2()).expect("compiles");
     println!(
         "while->DO conversions: {}, IVs substituted: {}",
@@ -30,7 +29,6 @@ fn main() {
             ExpCase::new(Options::o1(), MachineConfig::scalar()),
             ExpCase::new(Options::o2(), MachineConfig::optimized(1)),
         ],
-        engine,
     );
     let [scalar, opt] = &stats[..] else {
         unreachable!("two cases")

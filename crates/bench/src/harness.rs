@@ -9,7 +9,7 @@
 use std::time::{Duration, Instant};
 
 use titanc::Options;
-use titanc_titan::{ExecEngine, ExecStats, MachineConfig};
+use titanc_titan::{ExecStats, MachineConfig};
 
 /// One measured configuration of an experiment: a compile recipe plus a
 /// simulated machine.
@@ -29,40 +29,17 @@ impl ExpCase {
 }
 
 /// The shared compile-then-simulate loop behind the `exp*` binaries:
-/// compiles `src` once per case and runs `main` on that case's machine
-/// with the chosen engine, returning the statistics in case order.
+/// compiles `src` once per case and runs `main` on that case's machine,
+/// returning the statistics in case order.
 ///
 /// # Panics
 ///
 /// Panics on compile or runtime errors — experiments are supposed to work.
-pub fn run_experiment(src: &str, cases: &[ExpCase], engine: ExecEngine) -> Vec<ExecStats> {
+pub fn run_experiment(src: &str, cases: &[ExpCase]) -> Vec<ExecStats> {
     cases
         .iter()
-        .map(|c| crate::run_with(src, &c.options, c.machine.clone(), engine))
+        .map(|c| crate::run(src, &c.options, c.machine.clone()))
         .collect()
-}
-
-/// Parses `--engine interp|vm` from the process arguments (both
-/// `--engine vm` and `--engine=vm` forms), defaulting to the reference
-/// interpreter. Exits with usage on an unknown engine so experiment
-/// binaries share one spelling of the flag.
-pub fn engine_arg() -> ExecEngine {
-    let mut it = std::env::args().skip(1);
-    let mut engine = ExecEngine::default();
-    while let Some(a) = it.next() {
-        let value = if a == "--engine" {
-            it.next()
-        } else {
-            a.strip_prefix("--engine=").map(str::to_string)
-        };
-        if let Some(v) = value {
-            engine = v.parse().unwrap_or_else(|e: String| {
-                eprintln!("{e}");
-                std::process::exit(2);
-            });
-        }
-    }
-    engine
 }
 
 /// Runs closures a fixed number of times and prints timing summaries.

@@ -11,7 +11,7 @@ pub mod harness;
 pub mod progen;
 
 use titanc::{compile, Options};
-use titanc_titan::{ExecEngine, ExecStats, MachineConfig, Simulator};
+use titanc_titan::{ExecStats, MachineConfig, Simulator};
 
 /// The paper's corpus, embedded.
 pub mod corpus {
@@ -38,23 +38,8 @@ pub mod corpus {
 ///
 /// Panics on compile or runtime errors — experiments are supposed to work.
 pub fn run(src: &str, options: &Options, machine: MachineConfig) -> ExecStats {
-    run_with(src, options, machine, ExecEngine::default())
-}
-
-/// [`run`], with an explicit execution backend. Both engines report
-/// identical statistics, so experiment tables are engine-independent.
-///
-/// # Panics
-///
-/// Panics on compile or runtime errors — experiments are supposed to work.
-pub fn run_with(
-    src: &str,
-    options: &Options,
-    machine: MachineConfig,
-    engine: ExecEngine,
-) -> ExecStats {
     let compiled = compile(src, options).expect("experiment source compiles");
-    let mut sim = Simulator::with_engine(&compiled.program, machine, engine);
+    let mut sim = Simulator::new(&compiled.program, machine);
     let result = sim.run("main", &[]).expect("experiment runs");
     result.stats
 }

@@ -119,6 +119,26 @@ int main(void) { return poke(); }
 }
 
 #[test]
+fn wild_pointer_is_a_simulator_fault_not_a_crash() {
+    // 0xfffffffc + 4 wraps in 32 bits; the range check must not
+    let load = "int main(void){int *p; p=(int*)0; p=p-1; return *p;}\n";
+    let store = "int main(void){int *p; p=(int*)0; p=p-1; *p=7; return 0;}\n";
+    for (name, body) in [("wild-load.c", load), ("wild-store.c", store)] {
+        let src = write_temp(name, body);
+        for level in ["-O0", "-O2"] {
+            let out = titanc().args([level, "--run"]).arg(&src).output().unwrap();
+            let err = stderr_of(&out);
+            assert_eq!(out.status.code(), Some(1), "{name} {level}: {err}");
+            assert!(
+                err.contains("memory access out of range"),
+                "{name} {level}: {err}"
+            );
+            assert!(!err.contains("panicked"), "{name} {level}: {err}");
+        }
+    }
+}
+
+#[test]
 fn max_errors_caps_reported_diagnostics() {
     let mut body = String::from("void f(void) {\n");
     for _ in 0..30 {

@@ -24,6 +24,7 @@ pub enum Value {
 
 impl Value {
     /// The value as an i64, converting floats by truncation.
+    #[inline]
     pub fn as_int(self) -> i64 {
         match self {
             Value::Int(v) => v,
@@ -32,6 +33,7 @@ impl Value {
     }
 
     /// The value as an f64.
+    #[inline]
     pub fn as_float(self) -> f64 {
         match self {
             Value::Int(v) => v as f64,
@@ -40,6 +42,7 @@ impl Value {
     }
 
     /// C truthiness: nonzero is true.
+    #[inline]
     pub fn is_truthy(self) -> bool {
         match self {
             Value::Int(v) => v != 0,
@@ -50,6 +53,7 @@ impl Value {
 
 /// Normalizes a raw value to the representation of `ty` (wrapping integers,
 /// rounding floats).
+#[inline]
 pub fn normalize(v: Value, ty: ScalarType) -> Value {
     match ty {
         ScalarType::Char => Value::Int((v.as_int() as i8) as i64),
@@ -61,6 +65,7 @@ pub fn normalize(v: Value, ty: ScalarType) -> Value {
 }
 
 /// Evaluates a cast.
+#[inline]
 pub fn eval_cast(to: ScalarType, _from: ScalarType, v: Value) -> Value {
     match to {
         ScalarType::Char | ScalarType::Int | ScalarType::Ptr => {
@@ -71,6 +76,7 @@ pub fn eval_cast(to: ScalarType, _from: ScalarType, v: Value) -> Value {
 }
 
 /// Evaluates a unary operator on an operand of kind `ty`.
+#[inline]
 pub fn eval_unop(op: UnOp, ty: ScalarType, v: Value) -> Value {
     match op {
         UnOp::Neg => {
@@ -89,6 +95,7 @@ pub fn eval_unop(op: UnOp, ty: ScalarType, v: Value) -> Value {
 ///
 /// Returns `None` for division/remainder by zero (the fold must leave the
 /// expression alone and let the simulator trap at run time).
+#[inline]
 pub fn eval_binop(op: BinOp, ty: ScalarType, a: Value, b: Value) -> Option<Value> {
     if ty.is_float() {
         let (x, y) = (a.as_float(), b.as_float());

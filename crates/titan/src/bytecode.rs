@@ -1,106 +1,138 @@
 //! One-pass lowering of final IL to register bytecode.
 //!
-//! Each procedure becomes a flat `Vec<Instr>` over a register file whose
+//! Each procedure becomes a flat `Vec<Slot>` over a register file whose
 //! first `proc.vars.len()` slots are the procedure's register-resident
-//! variables (same indices as [`crate::interp::Frame::regs`]) and whose
-//! remaining slots are expression temporaries allocated by the lowerer.
-//! Control flow is explicit jumps; the structured `do`/`while`/spread
-//! constructs compile to the exact sequence of step-guards, cost charges
-//! and flushes the tree-walking interpreter performs, so cycle totals are
-//! byte-for-byte identical between engines.
+//! variables and whose remaining slots are expression temporaries and
+//! constants, all laid out in a per-procedure *frame template* a call
+//! copies in one go. Control flow is explicit jumps; the structured
+//! `do`/`while`/spread constructs compile to the exact sequence of
+//! statement steps, charges and flushes the tree-walking interpreter
+//! performs, so cycle totals are byte-for-byte identical between engines.
+//!
+//! Charges come from the machine's charge table and are *baked into the
+//! instruction* here, once, instead of being looked up per execution.
+//! Because charges between two flush points commute (see `machine.rs`),
+//! the lowerer is free to fuse: a statement's step rides on its first
+//! instruction, constants are registers, an operator writes a register
+//! variable directly, and a condition branches in the instruction that
+//! computes it. What it may not do is reorder two flushes or move a
+//! trap-capable operation across a counter the trap would expose.
 //!
 //! Vector statements compile to a [`VecPlan`]: operand registers plus a
 //! postorder [`VStep`] program the VM executes as chunked kernels over
-//! contiguous buffers (see `vm.rs`). Statements whose right-hand side
-//! contains a volatile load deoptimize to the interpreter's element loop
-//! ([`Instr::VecDeopt`]) to preserve per-element volatile-script pops.
+//! contiguous buffers (see `vm.rs`). A statement whose loop-invariant
+//! scalar operands contain a volatile load runs element by element
+//! instead, so the device script advances once per element.
 
-use crate::interp::{collect_sections, count_vector_ops, var_is_memory};
+use crate::machine::{
+    binop_charge, cast_charge, collect_sections, count_vector_ops, unop_charge, var_is_memory,
+    Charge, CostModel, Intrinsic, Unit,
+};
 use titanc_il::fold::{normalize, Value};
 use titanc_il::{
     BinOp, Expr, ExprId, ExprPool, LValue, LabelId, Procedure, Program, ScalarType, StmtId,
     StmtKind, UnOp, VarId,
 };
 
-/// Register index into `Frame::regs`.
+/// Register index into the activation's register file.
 pub(crate) type Reg = u32;
 
 /// Sentinel for "no register" (e.g. a value-less `return`).
 pub(crate) const NO_REG: Reg = u32::MAX;
 
-/// Intrinsics recognized by name before procedure lookup, mirroring
-/// `Simulator::intrinsic`.
-pub(crate) const INTRINSICS: &[&str] = &[
-    "print_int",
-    "print_float",
-    "print_double",
-    "sqrt",
-    "sqrtf",
-    "fabs",
-    "fabsf",
-    "abs",
-];
+/// An instruction and the number of statements that begin at it: the VM
+/// counts those steps (and checks the step limit) before executing `ins`.
+/// More than one only when the extra statements lower to nothing (`Nop`,
+/// labels), so stopping at the limit mid-count loses no effect.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Slot {
+    pub(crate) steps: u8,
+    pub(crate) ins: Instr,
+}
 
-/// One bytecode instruction. Cost charges are explicit instructions or
-/// baked into the memory/ALU ops, mirroring the interpreter's charge
-/// points exactly.
+/// One bytecode instruction. Value-producing instructions carry a `sink`:
+/// `Some(ty)` means `dst` is a register *variable* being assigned, so the
+/// value is coerced to `ty` and the register write is charged, as the
+/// interpreter's `store_var` does after evaluating the right-hand side.
 #[derive(Clone, Copy, Debug)]
 pub(crate) enum Instr {
-    /// `step_guard()` — one simulated statement.
-    Step,
+    /// Carries the steps of statements that lower to no instruction.
+    Nop,
     /// `flush(costs.branch)`.
     FlushBranch,
-    /// `flush(0)`.
-    Flush0,
-    /// `cycles += fork_join` (spread-loop entry).
-    AddForkJoin,
-    /// `regs[dst] = val`.
-    Const { dst: Reg, val: Value },
     /// Load a memory-resident variable (charges a scalar load).
-    LoadVarMem { dst: Reg, var: u32, ty: ScalarType },
+    LoadVar {
+        dst: Reg,
+        var: u32,
+        ty: ScalarType,
+        sink: Option<ScalarType>,
+    },
     /// Store to a memory-resident variable (charges a scalar store).
-    StoreVarMem { var: u32, ty: ScalarType, src: Reg },
-    /// Store to a register variable (charges one int ALU op).
-    StoreVarReg { var: u32, ty: ScalarType, src: Reg },
+    StoreVar { var: u32, ty: ScalarType, src: Reg },
+    /// Assign a register variable from a register (charges the write).
+    SetVar { var: Reg, ty: ScalarType, src: Reg },
     /// Address of a memory-resident variable (charges one int ALU op).
-    AddrOfVar { dst: Reg, var: u32 },
+    AddrOf {
+        dst: Reg,
+        var: u32,
+        sink: Option<ScalarType>,
+    },
     /// Load through a pointer register (charges a scalar load; volatile
     /// loads pop the volatile script first).
-    LoadMem {
+    Load {
         dst: Reg,
         addr: Reg,
         ty: ScalarType,
         volatile: bool,
+        sink: Option<ScalarType>,
     },
     /// Store through a pointer register (charges a scalar store).
-    StoreMem { addr: Reg, ty: ScalarType, src: Reg },
-    /// Unary ALU op (charges per `charge_op_cost`).
+    Store { addr: Reg, ty: ScalarType, src: Reg },
+    /// Unary ALU op.
     Un {
         dst: Reg,
         op: UnOp,
         ty: ScalarType,
         src: Reg,
+        charge: Charge,
+        sink: Option<ScalarType>,
     },
-    /// Binary ALU op (charges per `charge_binop_cost`).
+    /// Binary ALU op; traps on division by zero.
     Bin {
         dst: Reg,
         op: BinOp,
         ty: ScalarType,
         a: Reg,
         b: Reg,
+        charge: Charge,
+        sink: Option<ScalarType>,
     },
-    /// Scalar conversion (charges fp_cvt or int_alu).
-    CastOp {
+    /// Scalar conversion.
+    Cast {
         dst: Reg,
         to: ScalarType,
         from: ScalarType,
         src: Reg,
+        charge: Charge,
+        sink: Option<ScalarType>,
     },
-    /// Unconditional jump (cost-free; branch cycles are charged by the
-    /// explicit `FlushBranch` the structured lowering emits).
+    /// Unconditional jump (cost-free).
     Jump { target: u32 },
-    /// Jump when `regs[cond]` is falsy.
+    /// Cost-free jump when `regs[cond]` is falsy.
     JumpIfZero { cond: Reg, target: u32 },
+    /// Conditional branch of `if`/`while`: `flush(costs.branch)`, then
+    /// jump when `regs[cond]` is falsy.
+    Br { cond: Reg, target: u32 },
+    /// [`Instr::Bin`] + [`Instr::Br`] on its result: a condition that is
+    /// a binary operator branches in the instruction that computes it.
+    BrBin {
+        op: BinOp,
+        ty: ScalarType,
+        a: Reg,
+        b: Reg,
+        charge: Charge,
+        target: u32,
+    },
     /// DO-loop entry: latch lo/hi/step (as ints) into loop registers;
     /// errors on a zero step.
     DoEnter {
@@ -111,45 +143,55 @@ pub(crate) enum Instr {
         hi_src: Reg,
         step_src: Reg,
     },
-    /// DO-loop head: step guard, loop-control charge, flush(branch), exit
-    /// when the trip test fails.
+    /// DO-loop trip test: loop-control charge, `flush(branch)`, exit when
+    /// the test fails; otherwise assign the loop variable when it is the
+    /// register `var` (a memory-resident one is stored by the `StoreVar`
+    /// that follows, `var == NO_REG`).
     DoHead {
         iv: Reg,
         hi: Reg,
         step: Reg,
         exit: u32,
+        var: Reg,
+        ty: ScalarType,
     },
-    /// DO-loop back edge: `iv += step`, jump to head.
+    /// DO-loop back edge: `iv += step`, jump to the trip test at `head`.
     DoNext { iv: Reg, step: Reg, head: u32 },
     /// `do parallel` entry: flush(0) then snapshot cycles.
     ParEnter { slot: u32 },
     /// `do parallel` exit: flush(0), divide the region's cycles by the
     /// processor count, add fork/join overhead.
     ParExit { slot: u32 },
+    /// Spread-loop entry: flush(0) and the loop's one fork/join.
+    SpreadLoop,
     /// Spread-loop iteration entry: snapshot cycles (no flush — the
     /// preceding condition flush already drained the bucket).
     SpreadEnter { slot: u32 },
-    /// Spread-loop iteration exit: flush(0) then divide (no fork/join —
-    /// it was charged once at loop entry).
+    /// Spread-loop iteration exit: flush(0) then divide.
     SpreadExit { slot: u32 },
-    /// Save cost buckets (loop-invariant scalar operand evaluation in
-    /// vector statements is cost-free).
+    /// Save the meter (loop-invariant scalar operand evaluation in vector
+    /// statements is cost-free).
     QuietSave,
-    /// Restore cost buckets.
+    /// Restore the meter.
     QuietRestore,
-    /// Call via `calls[data]`.
+    /// `flush(0)`, then call via `calls[data]`.
     Call { data: u32 },
-    /// Return `regs[src]` (or nothing when `src == NO_REG`).
-    Ret { src: Reg },
+    /// Return `regs[src]` (or nothing when `src == NO_REG`), after
+    /// `flush(costs.branch)` when `flush` is set (a `return` statement,
+    /// as opposed to falling off the end of the body).
+    Ret { src: Reg, flush: bool },
     /// Vector statement: check `len >= 0`.
     VecCheckLen { plan: u32 },
     /// Vector statement: check section `idx`'s length matches the store's.
     VecCheckSec { plan: u32, idx: u32 },
     /// Execute a vector plan (charges the vector cost model).
     VecRun { plan: u32 },
-    /// Fall back to the interpreter's element loop for this statement
-    /// (volatile loads on the rhs need per-element script pops).
-    VecDeopt { stmt: StmtId },
+    /// Element-by-element execution: charge the vector cost model.
+    VecCharge { plan: u32 },
+    /// Element-by-element execution: compute element `regs[k]`.
+    VecElem { plan: u32, k: Reg },
+    /// Element-by-element execution: store the computed elements.
+    VecScatter { plan: u32 },
     /// Raise `traps[msg]` as a `SimError`.
     Trap { msg: u32 },
 }
@@ -159,8 +201,8 @@ pub(crate) enum Instr {
 pub(crate) enum Callee {
     /// Index into `Program::procs`.
     Proc(u32),
-    /// A `print_*`/math intrinsic (dispatched by name).
-    Intrinsic,
+    /// A `print_*`/math intrinsic.
+    Intrinsic(Intrinsic),
     /// No such procedure — errors if executed.
     Unknown,
 }
@@ -219,9 +261,12 @@ pub(crate) struct VecPlan {
 /// Bytecode for one procedure.
 #[derive(Debug)]
 pub(crate) struct BcProc {
-    pub(crate) code: Vec<Instr>,
-    /// Register-file size: variable slots plus temporaries.
-    pub(crate) num_regs: u32,
+    pub(crate) code: Vec<Slot>,
+    /// The frame template's register file: variables and temporaries
+    /// zeroed, constants in place. A call copies it.
+    pub(crate) frame: Vec<Value>,
+    /// Parameter variables and their kinds, in argument order.
+    pub(crate) params: Vec<(u32, ScalarType)>,
     /// Cycle-snapshot slots used by parallel/spread regions.
     pub(crate) num_snaps: u32,
     pub(crate) calls: Vec<CallData>,
@@ -235,12 +280,24 @@ pub(crate) struct BcProgram {
     pub(crate) procs: Vec<BcProc>,
 }
 
-/// Compiles every procedure of `prog` to bytecode.
-pub(crate) fn compile(prog: &Program) -> BcProgram {
+/// Compiles every procedure of `prog` to bytecode, baking `costs` in.
+pub(crate) fn compile(prog: &Program, costs: &CostModel) -> BcProgram {
     BcProgram {
-        procs: prog.procs.iter().map(|p| lower_proc(prog, p)).collect(),
+        procs: prog
+            .procs
+            .iter()
+            .map(|p| lower_proc(prog, p, costs))
+            .collect(),
     }
 }
+
+/// The charge of bookkeeping arithmetic the lowerer adds itself (the
+/// element counter of an element-by-element vector statement).
+const FREE: Charge = Charge {
+    unit: Unit::Int,
+    cycles: 0,
+    flop: false,
+};
 
 /// Cost-accounting region a block executes under, for goto/return
 /// unwinding: leaving a `Par` region must still divide its cycles.
@@ -263,7 +320,7 @@ struct BlockCtx {
 }
 
 /// An expression result: a register, and whether it is a temporary the
-/// lowerer owns (variable registers are referenced in place).
+/// lowerer owns (variable and constant registers are referenced in place).
 #[derive(Clone, Copy)]
 struct Operand {
     reg: Reg,
@@ -273,8 +330,13 @@ struct Operand {
 struct Lowerer<'a> {
     prog: &'a Program,
     proc: &'a Procedure,
+    costs: &'a CostModel,
     mem_var: Vec<bool>,
-    code: Vec<Instr>,
+    code: Vec<Slot>,
+    /// Steps of statements begun since the last emitted instruction.
+    pending_steps: u8,
+    /// Constant registers allocated so far, with their values.
+    consts: Vec<(Reg, Value)>,
     calls: Vec<CallData>,
     plans: Vec<VecPlan>,
     traps: Vec<String>,
@@ -285,17 +347,19 @@ struct Lowerer<'a> {
     label_fixups: Vec<(usize, u32)>,
     next_reg: u32,
     free_regs: Vec<Reg>,
-    max_regs: u32,
     num_snaps: u32,
 }
 
-fn lower_proc(prog: &Program, proc: &Procedure) -> BcProc {
+fn lower_proc(prog: &Program, proc: &Procedure, costs: &CostModel) -> BcProc {
     let nvars = proc.vars.len() as u32;
     let mut lw = Lowerer {
         prog,
         proc,
+        costs,
         mem_var: proc.vars.iter().map(var_is_memory).collect(),
         code: Vec::new(),
+        pending_steps: 0,
+        consts: Vec::new(),
         calls: Vec::new(),
         plans: Vec::new(),
         traps: Vec::new(),
@@ -304,19 +368,30 @@ fn lower_proc(prog: &Program, proc: &Procedure) -> BcProc {
         label_fixups: Vec::new(),
         next_reg: nvars,
         free_regs: Vec::new(),
-        max_regs: nvars,
         num_snaps: 0,
     };
     lw.lower_block(&proc.body, Region::None);
-    lw.code.push(Instr::Ret { src: NO_REG });
+    lw.emit(Instr::Ret {
+        src: NO_REG,
+        flush: false,
+    });
     let fixups = std::mem::take(&mut lw.label_fixups);
     for (pc, cell) in fixups {
         let target = lw.label_cells[cell as usize].expect("label lowered with its block");
         lw.patch(pc, target);
     }
+    let mut frame = vec![Value::Int(0); lw.next_reg as usize];
+    for &(r, v) in &lw.consts {
+        frame[r as usize] = v;
+    }
     BcProc {
         code: lw.code,
-        num_regs: lw.max_regs,
+        frame,
+        params: proc
+            .params
+            .iter()
+            .map(|&p| (p.index() as u32, proc.var_scalar(p)))
+            .collect(),
         num_snaps: lw.num_snaps,
         calls: lw.calls,
         plans: lw.plans,
@@ -335,7 +410,6 @@ impl<'a> Lowerer<'a> {
         }
         let r = self.next_reg;
         self.next_reg += 1;
-        self.max_regs = self.max_regs.max(self.next_reg);
         r
     }
 
@@ -349,7 +423,45 @@ impl<'a> Lowerer<'a> {
         }
     }
 
-    fn here(&self) -> u32 {
+    /// The register holding constant `val`: a slot of the frame template
+    /// no instruction writes, so a constant operand costs no instruction.
+    fn const_reg(&mut self, val: Value) -> Operand {
+        let same = |a: Value, b: Value| match (a, b) {
+            (Value::Int(x), Value::Int(y)) => x == y,
+            (Value::Float(x), Value::Float(y)) => x.to_bits() == y.to_bits(),
+            _ => false,
+        };
+        let reg = match self.consts.iter().find(|&&(_, v)| same(v, val)) {
+            Some(&(r, _)) => r,
+            None => {
+                let r = self.next_reg;
+                self.next_reg += 1;
+                self.consts.push((r, val));
+                r
+            }
+        };
+        Operand { reg, temp: false }
+    }
+
+    /// Counts one statement; the step rides on the next instruction.
+    fn step(&mut self) {
+        if self.pending_steps == u8::MAX {
+            self.emit(Instr::Nop);
+        }
+        self.pending_steps += 1;
+    }
+
+    fn emit(&mut self, ins: Instr) {
+        let steps = std::mem::take(&mut self.pending_steps);
+        self.code.push(Slot { steps, ins });
+    }
+
+    /// The next instruction's pc, as a jump target: pending steps belong
+    /// to the fall-through path only, so they are flushed first.
+    fn here(&mut self) -> u32 {
+        if self.pending_steps > 0 {
+            self.emit(Instr::Nop);
+        }
         self.code.len() as u32
     }
 
@@ -357,13 +469,16 @@ impl<'a> Lowerer<'a> {
     /// later patching.
     fn emit_pending(&mut self, i: Instr) -> usize {
         let pc = self.code.len();
-        self.code.push(i);
+        self.emit(i);
         pc
     }
 
     fn patch(&mut self, pc: usize, t: u32) {
-        match &mut self.code[pc] {
-            Instr::Jump { target } | Instr::JumpIfZero { target, .. } => *target = t,
+        match &mut self.code[pc].ins {
+            Instr::Jump { target }
+            | Instr::JumpIfZero { target, .. }
+            | Instr::Br { target, .. }
+            | Instr::BrBin { target, .. } => *target = t,
             Instr::DoHead { exit, .. } => *exit = t,
             other => unreachable!("patching non-jump {other:?}"),
         }
@@ -372,7 +487,7 @@ impl<'a> Lowerer<'a> {
     fn trap(&mut self, msg: String) {
         let idx = self.traps.len() as u32;
         self.traps.push(msg);
-        self.code.push(Instr::Trap { msg: idx });
+        self.emit(Instr::Trap { msg: idx });
     }
 
     // --------------------------------------------------------------
@@ -399,10 +514,11 @@ impl<'a> Lowerer<'a> {
 
     #[allow(clippy::too_many_lines)]
     fn lower_stmt(&mut self, s: StmtId) {
-        self.code.push(Instr::Step);
+        self.step();
         match &self.proc.stmts[s] {
             StmtKind::Nop => {}
             StmtKind::Label(l) => {
+                // a goto resumes *after* the label statement, past its step
                 let here = self.here();
                 let ctx = self.blocks.last().expect("in a block");
                 if let Some(&(_, cell)) = ctx.labels.iter().find(|&&(m, _)| m == *l) {
@@ -416,21 +532,13 @@ impl<'a> Lowerer<'a> {
             }
             StmtKind::Assign { lhs, rhs } => {
                 if matches!(lhs, LValue::Section { .. }) || self.exprs().has_section(*rhs) {
-                    self.lower_vector_assign(s, lhs, *rhs);
+                    self.lower_vector_assign(lhs, *rhs);
                 } else {
                     match *lhs {
-                        // rhs is evaluated before the destination address
-                        LValue::Deref { addr, ty, .. } => {
-                            let v = self.lower_expr(*rhs);
-                            let a = self.lower_expr(addr);
-                            self.code.push(Instr::StoreMem {
-                                addr: a.reg,
-                                ty,
-                                src: v.reg,
-                            });
-                            self.free(a);
-                            self.free(v);
+                        LValue::Var(v) if !self.mem_var[v.index()] => {
+                            self.lower_assign_reg(v, *rhs)
                         }
+                        // rhs is evaluated before the destination address
                         _ => {
                             let v = self.lower_expr(*rhs);
                             self.lower_store(lhs, v.reg);
@@ -444,21 +552,15 @@ impl<'a> Lowerer<'a> {
                 then_blk,
                 else_blk,
             } => {
-                let c = self.lower_expr(*cond);
-                self.code.push(Instr::FlushBranch);
-                self.free(c);
-                let jz = self.emit_pending(Instr::JumpIfZero {
-                    cond: c.reg,
-                    target: 0,
-                });
+                let br = self.lower_branch(*cond);
                 self.lower_block(then_blk, Region::None);
                 if else_blk.is_empty() {
                     let t = self.here();
-                    self.patch(jz, t);
+                    self.patch(br, t);
                 } else {
                     let jend = self.emit_pending(Instr::Jump { target: 0 });
                     let t = self.here();
-                    self.patch(jz, t);
+                    self.patch(br, t);
                     self.lower_block(else_blk, Region::None);
                     let end = self.here();
                     self.patch(jend, end);
@@ -466,44 +568,31 @@ impl<'a> Lowerer<'a> {
             }
             StmtKind::While { cond, body, .. } => {
                 let head = self.here();
-                self.code.push(Instr::Step);
-                let c = self.lower_expr(*cond);
-                self.code.push(Instr::FlushBranch);
-                self.free(c);
-                let jz = self.emit_pending(Instr::JumpIfZero {
-                    cond: c.reg,
-                    target: 0,
-                });
+                self.step();
+                let br = self.lower_branch(*cond);
                 self.lower_block(body, Region::None);
-                self.code.push(Instr::Jump { target: head });
+                self.emit(Instr::Jump { target: head });
                 let exit = self.here();
-                self.patch(jz, exit);
+                self.patch(br, exit);
             }
             StmtKind::WhileSpread {
                 cond,
                 parallel,
                 serial,
             } => {
-                self.code.push(Instr::Flush0);
-                self.code.push(Instr::AddForkJoin);
+                self.emit(Instr::SpreadLoop);
                 let head = self.here();
-                self.code.push(Instr::Step);
-                let c = self.lower_expr(*cond);
-                self.code.push(Instr::FlushBranch);
-                self.free(c);
-                let jz = self.emit_pending(Instr::JumpIfZero {
-                    cond: c.reg,
-                    target: 0,
-                });
+                self.step();
+                let br = self.lower_branch(*cond);
                 let slot = self.num_snaps;
                 self.num_snaps += 1;
-                self.code.push(Instr::SpreadEnter { slot });
+                self.emit(Instr::SpreadEnter { slot });
                 self.lower_block(parallel, Region::Discard);
-                self.code.push(Instr::SpreadExit { slot });
+                self.emit(Instr::SpreadExit { slot });
                 self.lower_block(serial, Region::None);
-                self.code.push(Instr::Jump { target: head });
+                self.emit(Instr::Jump { target: head });
                 let exit = self.here();
-                self.patch(jz, exit);
+                self.patch(br, exit);
             }
             StmtKind::DoLoop {
                 var,
@@ -522,39 +611,29 @@ impl<'a> Lowerer<'a> {
             } => {
                 let slot = self.num_snaps;
                 self.num_snaps += 1;
-                self.code.push(Instr::ParEnter { slot });
+                self.emit(Instr::ParEnter { slot });
                 self.lower_do(*var, *lo, *hi, *step, body, Region::Par(slot));
-                self.code.push(Instr::ParExit { slot });
+                self.emit(Instr::ParExit { slot });
             }
             StmtKind::Goto(l) => {
-                self.code.push(Instr::FlushBranch);
+                self.emit(Instr::FlushBranch);
                 self.lower_goto(*l);
             }
             StmtKind::IfGoto { cond, target } => {
-                let c = self.lower_expr(*cond);
-                self.code.push(Instr::FlushBranch);
-                self.free(c);
-                let jz = self.emit_pending(Instr::JumpIfZero {
-                    cond: c.reg,
-                    target: 0,
-                });
+                let br = self.lower_branch(*cond);
                 self.lower_goto(*target);
                 let t = self.here();
-                self.patch(jz, t);
+                self.patch(br, t);
             }
             StmtKind::Call { dst, callee, args } => {
-                let mut arg_ops = Vec::with_capacity(args.len());
-                for &a in args {
-                    arg_ops.push(self.lower_expr(a));
-                }
-                self.code.push(Instr::Flush0);
+                let arg_ops: Vec<Operand> = args.iter().map(|&a| self.lower_expr(a)).collect();
                 let dst_reg = if dst.is_some() {
                     self.alloc_reg()
                 } else {
                     NO_REG
                 };
-                let callee_k = if INTRINSICS.contains(&callee.as_str()) {
-                    Callee::Intrinsic
+                let callee_k = if let Some(which) = Intrinsic::by_name(callee) {
+                    Callee::Intrinsic(which)
                 } else if let Some(i) = self.prog.procs.iter().position(|p| p.name == *callee) {
                     Callee::Proc(i as u32)
                 } else {
@@ -567,25 +646,14 @@ impl<'a> Lowerer<'a> {
                     args: arg_ops.iter().map(|o| o.reg).collect(),
                     dst: dst_reg,
                 });
-                self.code.push(Instr::Call { data });
+                self.emit(Instr::Call { data });
                 for o in arg_ops {
                     self.free(o);
                 }
                 if let Some(d) = dst {
-                    match *d {
-                        // the destination address is evaluated after the
-                        // call returns
-                        LValue::Deref { addr, ty, .. } => {
-                            let a = self.lower_expr(addr);
-                            self.code.push(Instr::StoreMem {
-                                addr: a.reg,
-                                ty,
-                                src: dst_reg,
-                            });
-                            self.free(a);
-                        }
-                        _ => self.lower_store(d, dst_reg),
-                    }
+                    // a destination address is evaluated after the call
+                    // returns
+                    self.lower_store(d, dst_reg);
                     self.free_reg(dst_reg);
                 }
             }
@@ -598,22 +666,32 @@ impl<'a> Lowerer<'a> {
                         o.reg
                     }
                 };
-                self.code.push(Instr::FlushBranch);
-                let exits: Vec<u32> = self
-                    .blocks
-                    .iter()
-                    .rev()
-                    .filter_map(|c| match c.region {
-                        Region::Par(slot) => Some(slot),
-                        _ => None,
-                    })
-                    .collect();
-                for slot in exits {
-                    self.code.push(Instr::ParExit { slot });
+                let exits = self.par_exits(0);
+                if !exits.is_empty() {
+                    self.emit(Instr::FlushBranch);
+                    for &slot in &exits {
+                        self.emit(Instr::ParExit { slot });
+                    }
                 }
-                self.code.push(Instr::Ret { src });
+                self.emit(Instr::Ret {
+                    src,
+                    flush: exits.is_empty(),
+                });
             }
         }
+    }
+
+    /// The `do parallel` regions of blocks `from..`, innermost first: the
+    /// exits a jump out of those blocks must run.
+    fn par_exits(&self, from: usize) -> Vec<u32> {
+        self.blocks[from..]
+            .iter()
+            .rev()
+            .filter_map(|c| match c.region {
+                Region::Par(slot) => Some(slot),
+                _ => None,
+            })
+            .collect()
     }
 
     /// Resolves a goto against the lexical block stack (innermost block
@@ -629,16 +707,8 @@ impl<'a> Lowerer<'a> {
         });
         match found {
             Some((bi, cell)) => {
-                let exits: Vec<u32> = self.blocks[bi + 1..]
-                    .iter()
-                    .rev()
-                    .filter_map(|c| match c.region {
-                        Region::Par(slot) => Some(slot),
-                        _ => None,
-                    })
-                    .collect();
-                for slot in exits {
-                    self.code.push(Instr::ParExit { slot });
+                for slot in self.par_exits(bi + 1) {
+                    self.emit(Instr::ParExit { slot });
                 }
                 let pc = self.emit_pending(Instr::Jump { target: 0 });
                 self.label_fixups.push((pc, cell));
@@ -648,6 +718,32 @@ impl<'a> Lowerer<'a> {
                 self.proc.name
             )),
         }
+    }
+
+    /// Lowers the condition of an `if`/`while`/`if-goto` and the branch
+    /// on it; returns the branch's pc, to be patched with the target taken
+    /// when the condition is false.
+    fn lower_branch(&mut self, cond: ExprId) -> usize {
+        if let Expr::Binary { op, ty, lhs, rhs } = self.exprs()[cond] {
+            let a = self.lower_expr(lhs);
+            let b = self.lower_expr(rhs);
+            self.free(a);
+            self.free(b);
+            return self.emit_pending(Instr::BrBin {
+                op,
+                ty,
+                a: a.reg,
+                b: b.reg,
+                charge: binop_charge(op, ty, self.costs),
+                target: 0,
+            });
+        }
+        let c = self.lower_expr(cond);
+        self.free(c);
+        self.emit_pending(Instr::Br {
+            cond: c.reg,
+            target: 0,
+        })
     }
 
     fn lower_do(
@@ -665,7 +761,7 @@ impl<'a> Lowerer<'a> {
         let iv = self.alloc_reg();
         let hi2 = self.alloc_reg();
         let st2 = self.alloc_reg();
-        self.code.push(Instr::DoEnter {
+        self.emit(Instr::DoEnter {
             iv,
             hi: hi2,
             step: st2,
@@ -676,15 +772,28 @@ impl<'a> Lowerer<'a> {
         self.free(l);
         self.free(h);
         self.free(st);
+        let ty = self.proc.var_scalar(var);
+        let in_mem = self.mem_var[var.index()];
+        let var_reg = if in_mem { NO_REG } else { var.index() as u32 };
+        // each trip test is one step
+        self.step();
         let head = self.emit_pending(Instr::DoHead {
             iv,
             hi: hi2,
             step: st2,
             exit: 0,
+            var: var_reg,
+            ty,
         });
-        self.emit_store_var(var, iv);
+        if in_mem {
+            self.emit(Instr::StoreVar {
+                var: var.index() as u32,
+                ty,
+                src: iv,
+            });
+        }
         self.lower_block(body, region);
-        self.code.push(Instr::DoNext {
+        self.emit(Instr::DoNext {
             iv,
             step: st2,
             head: head as u32,
@@ -700,13 +809,29 @@ impl<'a> Lowerer<'a> {
     // stores
     // --------------------------------------------------------------
 
-    fn emit_store_var(&mut self, v: VarId, src: Reg) {
-        let ty = self.proc.var_scalar(v);
+    /// `v = rhs` for a register variable: an operator, load or address
+    /// writes the variable directly (its `sink`); a bare register or
+    /// constant is copied.
+    fn lower_assign_reg(&mut self, v: VarId, rhs: ExprId) {
         let var = v.index() as u32;
-        if self.mem_var[v.index()] {
-            self.code.push(Instr::StoreVarMem { var, ty, src });
+        let var_ty = self.proc.var_scalar(v);
+        let fusible = match self.exprs()[rhs] {
+            Expr::Unary { .. } | Expr::Binary { .. } | Expr::Cast { .. } | Expr::Load { .. } => {
+                true
+            }
+            Expr::Var(u) | Expr::AddrOf(u) => self.mem_var[u.index()],
+            _ => false,
+        };
+        if fusible {
+            self.lower_value(rhs, Some((var, var_ty)));
         } else {
-            self.code.push(Instr::StoreVarReg { var, ty, src });
+            let src = self.lower_expr(rhs);
+            self.emit(Instr::SetVar {
+                var,
+                ty: var_ty,
+                src: src.reg,
+            });
+            self.free(src);
         }
     }
 
@@ -714,10 +839,18 @@ impl<'a> Lowerer<'a> {
     /// evaluated here, after `src` was produced.
     fn lower_store(&mut self, lhs: &LValue, src: Reg) {
         match *lhs {
-            LValue::Var(v) => self.emit_store_var(v, src),
+            LValue::Var(v) => {
+                let ty = self.proc.var_scalar(v);
+                let var = v.index() as u32;
+                if self.mem_var[v.index()] {
+                    self.emit(Instr::StoreVar { var, ty, src });
+                } else {
+                    self.emit(Instr::SetVar { var, ty, src });
+                }
+            }
             LValue::Deref { addr, ty, .. } => {
                 let a = self.lower_expr(addr);
-                self.code.push(Instr::StoreMem {
+                self.emit(Instr::Store {
                     addr: a.reg,
                     ty,
                     src,
@@ -734,113 +867,129 @@ impl<'a> Lowerer<'a> {
     // expressions
     // --------------------------------------------------------------
 
+    /// Lowers `e` to a register: variables and constants are referenced in
+    /// place, anything computed lands in a fresh temporary.
     fn lower_expr(&mut self, e: ExprId) -> Operand {
-        let temp = |reg| Operand { reg, temp: true };
         match self.exprs()[e] {
-            Expr::IntConst(v) => {
-                let r = self.alloc_reg();
-                self.code.push(Instr::Const {
-                    dst: r,
-                    val: Value::Int(v),
-                });
-                temp(r)
-            }
-            Expr::FloatConst(f, ty) => {
-                let r = self.alloc_reg();
-                self.code.push(Instr::Const {
-                    dst: r,
-                    val: normalize(Value::Float(f), ty),
-                });
-                temp(r)
-            }
+            Expr::IntConst(v) => self.const_reg(Value::Int(v)),
+            Expr::FloatConst(f, ty) => self.const_reg(normalize(Value::Float(f), ty)),
+            Expr::Var(v) if !self.mem_var[v.index()] => Operand {
+                reg: v.index() as u32,
+                temp: false,
+            },
+            _ => Operand {
+                reg: self.lower_value(e, None),
+                temp: true,
+            },
+        }
+    }
+
+    /// Emits the instruction computing non-leaf `e`: into the register
+    /// variable `into` names (with its kind, as the instruction's sink),
+    /// or into a fresh temporary. Returns the destination. Operands are
+    /// freed before the destination is chosen, so it may reuse one.
+    fn lower_value(&mut self, e: ExprId, into: Option<(Reg, ScalarType)>) -> Reg {
+        let sink = into.map(|(_, ty)| ty);
+        match self.exprs()[e] {
             Expr::Var(v) => {
-                if self.mem_var[v.index()] {
-                    let r = self.alloc_reg();
-                    self.code.push(Instr::LoadVarMem {
-                        dst: r,
-                        var: v.index() as u32,
-                        ty: self.proc.var_scalar(v),
-                    });
-                    temp(r)
-                } else {
-                    Operand {
-                        reg: v.index() as u32,
-                        temp: false,
-                    }
-                }
+                let dst = self.dest(into);
+                self.emit(Instr::LoadVar {
+                    dst,
+                    var: v.index() as u32,
+                    ty: self.proc.var_scalar(v),
+                    sink,
+                });
+                dst
             }
             Expr::AddrOf(v) => {
+                let dst = self.dest(into);
                 if self.mem_var[v.index()] {
-                    let r = self.alloc_reg();
-                    self.code.push(Instr::AddrOfVar {
-                        dst: r,
+                    self.emit(Instr::AddrOf {
+                        dst,
                         var: v.index() as u32,
+                        sink,
                     });
-                    temp(r)
                 } else {
                     self.trap(format!(
                         "address taken of register variable {} (not memory-resident)",
                         self.proc.var(v).name
                     ));
-                    temp(self.alloc_reg())
                 }
+                dst
             }
             Expr::Load { addr, ty, volatile } => {
                 let a = self.lower_expr(addr);
                 self.free(a);
-                let r = self.alloc_reg();
-                self.code.push(Instr::LoadMem {
-                    dst: r,
+                let dst = self.dest(into);
+                self.emit(Instr::Load {
+                    dst,
                     addr: a.reg,
                     ty,
                     volatile,
+                    sink,
                 });
-                temp(r)
+                dst
             }
             Expr::Unary { op, ty, arg } => {
                 let a = self.lower_expr(arg);
                 self.free(a);
-                let r = self.alloc_reg();
-                self.code.push(Instr::Un {
-                    dst: r,
+                let dst = self.dest(into);
+                self.emit(Instr::Un {
+                    dst,
                     op,
                     ty,
                     src: a.reg,
+                    charge: unop_charge(op, ty, self.costs),
+                    sink,
                 });
-                temp(r)
+                dst
             }
             Expr::Binary { op, ty, lhs, rhs } => {
                 let a = self.lower_expr(lhs);
                 let b = self.lower_expr(rhs);
                 self.free(a);
                 self.free(b);
-                let r = self.alloc_reg();
-                self.code.push(Instr::Bin {
-                    dst: r,
+                let dst = self.dest(into);
+                self.emit(Instr::Bin {
+                    dst,
                     op,
                     ty,
                     a: a.reg,
                     b: b.reg,
+                    charge: binop_charge(op, ty, self.costs),
+                    sink,
                 });
-                temp(r)
+                dst
             }
             Expr::Cast { to, from, arg } => {
                 let a = self.lower_expr(arg);
                 self.free(a);
-                let r = self.alloc_reg();
-                self.code.push(Instr::CastOp {
-                    dst: r,
+                let dst = self.dest(into);
+                self.emit(Instr::Cast {
+                    dst,
                     to,
                     from,
                     src: a.reg,
+                    charge: cast_charge(to, from, self.costs),
+                    sink,
                 });
-                temp(r)
+                dst
             }
             Expr::Section { .. } => {
                 // errors before evaluating operands, like the interpreter
                 self.trap("vector section used outside a vector statement".to_string());
-                temp(self.alloc_reg())
+                self.dest(into)
             }
+            Expr::IntConst(_) | Expr::FloatConst(..) => {
+                unreachable!("constants are registers, not instructions")
+            }
+        }
+    }
+
+    fn dest(&mut self, into: Option<(Reg, ScalarType)>) -> Reg {
+        match into {
+            Some((r, _)) => r,
+            None => self.alloc_reg(),
         }
     }
 
@@ -848,7 +997,7 @@ impl<'a> Lowerer<'a> {
     // vector statements
     // --------------------------------------------------------------
 
-    fn lower_vector_assign(&mut self, s: StmtId, lhs: &LValue, rhs: ExprId) {
+    fn lower_vector_assign(&mut self, lhs: &LValue, rhs: ExprId) {
         let exprs = self.exprs();
         let (base, len, stride, kind) = match *lhs {
             LValue::Section {
@@ -862,17 +1011,11 @@ impl<'a> Lowerer<'a> {
                 return;
             }
         };
-        if exprs.has_volatile_load(rhs) {
-            // per-element volatile-script pops: run the interpreter's
-            // element loop for this one statement
-            self.code.push(Instr::VecDeopt { stmt: s });
-            return;
-        }
         let b = self.lower_expr(base);
         let l = self.lower_expr(len);
         let strd = self.lower_expr(stride);
         let plan_idx = self.plans.len() as u32;
-        self.code.push(Instr::VecCheckLen { plan: plan_idx });
+        self.emit(Instr::VecCheckLen { plan: plan_idx });
 
         let mut sec_ids = Vec::new();
         collect_sections(exprs, rhs, &mut sec_ids);
@@ -900,29 +1043,61 @@ impl<'a> Lowerer<'a> {
             sec_ops.push((ob, ol, os));
             // length checks interleave with operand evaluation, matching
             // the interpreter's per-section check
-            self.code.push(Instr::VecCheckSec {
+            self.emit(Instr::VecCheckSec {
                 plan: plan_idx,
                 idx: i as u32,
             });
         }
 
-        // Loop-invariant scalar leaves evaluate once, cost-free. The
-        // interpreter only touches them inside the element loop, so a
-        // zero-length statement must skip them (their registers stay
+        // Loop-invariant scalar leaves are cost-free. The interpreter
+        // evaluates them inside the element loop: when none reads a
+        // volatile location, once is the same as once per element — but
+        // zero times for a zero-length statement (their registers stay
         // unread by a zero-length kernel).
         let mut leaves = Vec::new();
         collect_scalar_leaves(exprs, rhs, &mut leaves);
+        let per_element = leaves.iter().any(|&le| exprs.has_volatile_load(le));
         let mut leaf_ops = Vec::with_capacity(leaves.len());
-        if !leaves.is_empty() {
+        let mut counter = None;
+        if per_element {
+            // k = 0; while (k < len) { leaves; element k; k = k + 1 }; store
+            self.emit(Instr::VecCharge { plan: plan_idx });
+            let zero = self.const_reg(Value::Int(0));
+            let one = self.const_reg(Value::Int(1));
+            let k = self.alloc_reg();
+            let more = self.alloc_reg();
+            let counter_op = |dst, op, a, b| Instr::Bin {
+                dst,
+                op,
+                ty: ScalarType::Int,
+                a,
+                b,
+                charge: FREE,
+                sink: None,
+            };
+            self.emit(counter_op(k, BinOp::Add, zero.reg, zero.reg));
+            let head = self.here();
+            self.emit(counter_op(more, BinOp::Lt, k, l.reg));
+            let done = self.emit_pending(Instr::JumpIfZero {
+                cond: more,
+                target: 0,
+            });
+            self.emit(Instr::QuietSave);
+            for &le in &leaves {
+                leaf_ops.push(self.lower_expr(le));
+            }
+            self.emit(Instr::QuietRestore);
+            counter = Some((k, more, head, done, counter_op(k, BinOp::Add, k, one.reg)));
+        } else if !leaves.is_empty() {
             let skip = self.emit_pending(Instr::JumpIfZero {
                 cond: l.reg,
                 target: 0,
             });
-            self.code.push(Instr::QuietSave);
+            self.emit(Instr::QuietSave);
             for &le in &leaves {
                 leaf_ops.push(self.lower_expr(le));
             }
-            self.code.push(Instr::QuietRestore);
+            self.emit(Instr::QuietRestore);
             let t = self.here();
             self.patch(skip, t);
         }
@@ -943,7 +1118,19 @@ impl<'a> Lowerer<'a> {
             ops,
             n_instr,
         });
-        self.code.push(Instr::VecRun { plan: plan_idx });
+        match counter {
+            None => self.emit(Instr::VecRun { plan: plan_idx }),
+            Some((k, more, head, done, bump)) => {
+                self.emit(Instr::VecElem { plan: plan_idx, k });
+                self.emit(bump);
+                self.emit(Instr::Jump { target: head });
+                let t = self.here();
+                self.patch(done, t);
+                self.emit(Instr::VecScatter { plan: plan_idx });
+                self.free_reg(k);
+                self.free_reg(more);
+            }
+        }
 
         for o in leaf_ops {
             self.free(o);
@@ -959,9 +1146,9 @@ impl<'a> Lowerer<'a> {
     }
 }
 
-/// Scalar (loop-invariant) leaves of a vector rhs, in the order
-/// `eval_vector_elem` reaches them: everything that is not a section and
-/// not an interior Binary/Unary/Cast node.
+/// Scalar (loop-invariant) leaves of a vector rhs, in the order the
+/// interpreter's element evaluation reaches them: everything that is not
+/// a section and not an interior Binary/Unary/Cast node.
 fn collect_scalar_leaves(pool: &ExprPool, e: ExprId, out: &mut Vec<ExprId>) {
     match pool[e] {
         Expr::Section { .. } => {}

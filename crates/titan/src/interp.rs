@@ -1,64 +1,19 @@
-//! The IL interpreter / cycle-cost simulator.
+//! The tree-walking IL interpreter: the reference executor.
 //!
-//! Executes an IL [`Program`] with Titan cost accounting. The interpreter
-//! is the arbiter of IL semantics: optimization passes are validated by
-//! running the same program before and after a transformation and comparing
-//! observable state (return value, `print_*` output, global memory).
+//! Executes an IL [`Program`](titanc_il::Program) statement by statement
+//! on the shared machine (`machine.rs`: memory, frames, meter, charge
+//! table, intrinsics), looking each operation's charge up as it evaluates
+//! the node. It is the arbiter of IL semantics and the oracle the
+//! bytecode VM — the engine everything runs on by default — is checked
+//! against: same observations, same statistics, same traps.
 
-use crate::machine::{ExecEngine, ExecStats, MachineConfig};
-use std::collections::{HashMap, VecDeque};
-use std::error::Error;
-use std::fmt;
+use crate::machine::{
+    binop_charge, cast_charge, coerce, collect_sections, count_vector_ops, do_control_charge,
+    reg_move_charge, unop_charge, FrameLayout, Intrinsic, SimError, Simulator,
+};
 use std::rc::Rc;
 use titanc_il::fold::{eval_binop, eval_cast, eval_unop, normalize, Value};
-use titanc_il::{
-    BinOp, ConstInit, Expr, ExprId, ExprPool, LValue, LabelId, Procedure, Program, ScalarType,
-    StmtId, StmtKind, Storage, Type, VarId,
-};
-
-/// A runtime error: out-of-bounds access, division by zero, missing
-/// procedure, runaway loop.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SimError {
-    /// What went wrong.
-    pub message: String,
-}
-
-impl SimError {
-    pub(crate) fn new(m: impl Into<String>) -> SimError {
-        SimError { message: m.into() }
-    }
-}
-
-impl fmt::Display for SimError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "titan: {}", self.message)
-    }
-}
-
-impl Error for SimError {}
-
-pub(crate) const MEM_SIZE: usize = 1 << 24; // 16 MiB
-const GLOBAL_BASE: u32 = 0x1000;
-const STACK_BASE: u32 = 0x40_0000;
-
-/// The result of running a procedure.
-#[derive(Clone, Debug, PartialEq)]
-pub struct RunResult {
-    /// The entry procedure's return value, if any.
-    pub value: Option<Value>,
-    /// Cycle/operation statistics.
-    pub stats: ExecStats,
-    /// The backend that produced this result.
-    pub engine: ExecEngine,
-}
-
-#[derive(Default, Clone, Copy, Debug)]
-pub(crate) struct Bucket {
-    pub(crate) int: u64,
-    pub(crate) fp: u64,
-    pub(crate) mem: u64,
-}
+use titanc_il::{Expr, ExprId, LValue, LabelId, Procedure, ScalarType, StmtId, StmtKind, VarId};
 
 enum Flow {
     Normal,
@@ -66,297 +21,37 @@ enum Flow {
     Goto(LabelId),
 }
 
-/// One activation record, shared by both engines. The interpreter sizes
-/// `regs` to the variable table; the VM appends expression temporaries
-/// after the variable slots.
-pub(crate) struct Frame {
-    pub(crate) proc_index: usize,
-    pub(crate) regs: Vec<Value>,
-    pub(crate) addrs: Vec<Option<u32>>,
-    pub(crate) saved_sp: u32,
+/// One activation record: a register per variable (memory-resident ones
+/// leave theirs unused) and where the frame template places the rest.
+struct Frame {
+    proc_index: usize,
+    regs: Vec<Value>,
+    layout: Rc<FrameLayout>,
+    base: u32,
 }
 
-/// True when a variable must live in simulated memory rather than a
-/// register: its address is taken, it is an aggregate, it is volatile, or
-/// it has static/global storage. Both engines and the bytecode lowerer
-/// must agree on this predicate, so it lives in one place.
-pub(crate) fn var_is_memory(info: &titanc_il::VarInfo) -> bool {
-    match info.storage {
-        Storage::Global | Storage::Static => true,
-        Storage::Auto | Storage::Param | Storage::Temp => {
-            info.addressed || info.ty.scalar().is_none() || info.volatile
-        }
+impl Frame {
+    fn addr(&self, v: VarId) -> Option<u32> {
+        self.layout.addr(v.index(), self.base)
     }
-}
-
-/// The Titan simulator.
-///
-/// # Example
-///
-/// ```
-/// use titanc_titan::{Simulator, MachineConfig};
-/// let prog = titanc_lower::compile_to_il(
-///     "int main(void) { int i, s; s = 0; for (i = 1; i <= 10; i++) s += i; return s; }",
-/// ).unwrap();
-/// let mut sim = Simulator::new(&prog, MachineConfig::default());
-/// let r = sim.run("main", &[]).unwrap();
-/// assert_eq!(r.value.unwrap().as_int(), 55);
-/// ```
-pub struct Simulator<'p> {
-    pub(crate) prog: &'p Program,
-    pub(crate) cfg: MachineConfig,
-    pub(crate) mem: Vec<u8>,
-    globals: HashMap<String, u32>,
-    statics: HashMap<(String, String), u32>,
-    alloc_ptr: u32,
-    pub(crate) sp: u32,
-    pub(crate) stats: ExecStats,
-    pub(crate) bucket: Bucket,
-    pub(crate) volatile_script: VecDeque<i64>,
-    pub(crate) depth: u32,
-    engine: ExecEngine,
-    pub(crate) bc: Option<Rc<crate::bytecode::BcProgram>>,
-    pub(crate) vscratch: crate::vm::Scratch,
 }
 
 impl<'p> Simulator<'p> {
-    /// Builds a simulator for a program; globals are allocated and
-    /// initialized immediately. Uses the reference interpreter engine.
-    pub fn new(prog: &'p Program, cfg: MachineConfig) -> Simulator<'p> {
-        Simulator::with_engine(prog, cfg, ExecEngine::Interp)
-    }
-
-    /// Builds a simulator that executes with the chosen backend. Both
-    /// engines share memory layout and the cycle-cost model, so results
-    /// and statistics are identical; the VM is merely faster.
-    pub fn with_engine(prog: &'p Program, cfg: MachineConfig, engine: ExecEngine) -> Simulator<'p> {
-        let mut sim = Simulator {
-            prog,
-            cfg,
-            mem: vec![0u8; MEM_SIZE],
-            globals: HashMap::new(),
-            statics: HashMap::new(),
-            alloc_ptr: GLOBAL_BASE,
-            sp: STACK_BASE,
-            stats: ExecStats::default(),
-            bucket: Bucket::default(),
-            volatile_script: VecDeque::new(),
-            depth: 0,
-            engine,
-            bc: None,
-            vscratch: crate::vm::Scratch::default(),
-        };
-        for g in &prog.globals {
-            sim.alloc_global(g);
-        }
-        sim
-    }
-
-    /// The machine configuration.
-    pub fn config(&self) -> &MachineConfig {
-        &self.cfg
-    }
-
-    /// The execution backend this simulator runs with.
-    pub fn engine(&self) -> ExecEngine {
-        self.engine
-    }
-
-    /// Queues values that successive *volatile loads* will observe: before
-    /// each volatile load, the next queued value is stored to the loaded
-    /// address (simulating a device register changing outside the program,
-    /// §1 item 6).
-    pub fn push_volatile_values(&mut self, values: &[i64]) {
-        self.volatile_script.extend(values.iter().copied());
-    }
-
-    fn alloc_global(&mut self, g: &titanc_il::VarInfo) -> u32 {
-        if let Some(a) = self.globals.get(&g.name) {
-            return *a;
-        }
-        let size = self.prog.type_size(&g.ty).max(1) as u32;
-        let addr = align_up(self.alloc_ptr, 8);
-        self.alloc_ptr = addr + size;
-        self.globals.insert(g.name.clone(), addr);
-        if let Some(init) = g.init {
-            self.write_init(addr, &g.ty, init);
-        }
-        addr
-    }
-
-    fn write_init(&mut self, addr: u32, ty: &Type, init: ConstInit) {
-        if let Some(kind) = ty.scalar() {
-            let v = match init {
-                ConstInit::Int(i) => Value::Int(i),
-                ConstInit::Float(f) => Value::Float(f),
-            };
-            let v = coerce(v, kind);
-            let _ = self.write_mem(addr, kind, v);
-        }
-    }
-
-    /// The address of a named global, if the program declares one.
-    pub fn global_addr(&self, name: &str) -> Option<u32> {
-        self.globals.get(name).copied()
-    }
-
-    /// Reads element `index` of the named global viewed as an array of
-    /// `kind` (element 0 is the global's base address).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when the global does not exist or the access is out
-    /// of bounds.
-    pub fn read_global(&self, name: &str, kind: ScalarType, index: u32) -> Result<Value, SimError> {
-        let base = self
-            .global_addr(name)
-            .ok_or_else(|| SimError::new(format!("no global `{name}`")))?;
-        self.read_mem(base + index * kind.size() as u32, kind)
-    }
-
-    /// Writes element `index` of the named global.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when the global does not exist or the access is out
-    /// of bounds.
-    pub fn write_global(
-        &mut self,
-        name: &str,
-        kind: ScalarType,
-        index: u32,
-        v: Value,
-    ) -> Result<(), SimError> {
-        let base = self
-            .global_addr(name)
-            .ok_or_else(|| SimError::new(format!("no global `{name}`")))?;
-        self.write_mem(base + index * kind.size() as u32, kind, v)
-    }
-
-    /// Runs the named procedure with the given arguments and returns its
-    /// value and the accumulated statistics.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SimError`] on runtime faults (bad memory access,
-    /// division by zero, unknown procedure, step-limit exceeded).
-    pub fn run(&mut self, entry: &str, args: &[Value]) -> Result<RunResult, SimError> {
-        let value = match self.engine {
-            ExecEngine::Interp => self.call(entry, args)?,
-            ExecEngine::Vm => self.vm_entry(entry, args)?,
-        };
-        self.flush(0);
-        Ok(RunResult {
-            value,
-            stats: self.stats.clone(),
-            engine: self.engine,
-        })
-    }
-
-    /// Statistics accumulated so far.
-    pub fn stats(&self) -> &ExecStats {
-        &self.stats
-    }
-
-    pub(crate) fn proc_by_name(&self, name: &str) -> Option<(usize, &'p Procedure)> {
-        self.prog
-            .procs
-            .iter()
-            .enumerate()
-            .find(|(_, p)| p.name == name)
-    }
-
     /// The procedure a frame is executing. The reference lives for `'p`
     /// (the program borrow), independent of `&mut self`.
-    pub(crate) fn cur_proc(&self, frame: &Frame) -> &'p Procedure {
+    fn cur_proc(&self, frame: &Frame) -> &'p Procedure {
         &self.prog.procs[frame.proc_index]
     }
 
-    /// Builds an activation record for procedure `idx`: allocates stack
-    /// slots for memory-resident variables (zeroed), resolves global and
-    /// static addresses (allocating statics lazily), and sizes the register
-    /// file to `num_regs` slots. Address assignment order is part of the
-    /// engine-equivalence contract — both backends call this.
-    pub(crate) fn setup_frame(&mut self, idx: usize, num_regs: usize) -> Result<Frame, SimError> {
-        let proc: &'p Procedure = &self.prog.procs[idx];
-        let mut frame = Frame {
-            proc_index: idx,
-            regs: vec![Value::Int(0); num_regs],
-            addrs: vec![None; proc.vars.len()],
-            saved_sp: self.sp,
-        };
-        // Allocate memory-resident variables.
-        for (i, info) in proc.vars.iter().enumerate() {
-            match info.storage {
-                Storage::Global => {
-                    let addr = match self.globals.get(&info.name) {
-                        Some(a) => *a,
-                        None => self.alloc_global(info),
-                    };
-                    frame.addrs[i] = Some(addr);
-                    continue;
-                }
-                Storage::Static => {
-                    let key = (proc.name.clone(), info.name.clone());
-                    let addr = match self.statics.get(&key) {
-                        Some(a) => *a,
-                        None => {
-                            let size = self.prog.type_size(&info.ty).max(1) as u32;
-                            let addr = align_up(self.alloc_ptr, 8);
-                            self.alloc_ptr = addr + size;
-                            self.statics.insert(key, addr);
-                            if let Some(init) = info.init {
-                                self.write_init(addr, &info.ty, init);
-                            }
-                            addr
-                        }
-                    };
-                    frame.addrs[i] = Some(addr);
-                    continue;
-                }
-                Storage::Auto | Storage::Param | Storage::Temp => {}
-            }
-            if var_is_memory(info) {
-                let size = self.prog.type_size(&info.ty).max(1) as u32;
-                let addr = align_up(self.sp, 8);
-                self.sp = addr + size;
-                if self.sp as usize >= MEM_SIZE {
-                    return Err(SimError::new("stack overflow"));
-                }
-                // stack slots are not cleared on the real machine, but a
-                // deterministic simulator zeroes them
-                for b in &mut self.mem[addr as usize..self.sp as usize] {
-                    *b = 0;
-                }
-                frame.addrs[i] = Some(addr);
-            }
-        }
-        Ok(frame)
-    }
-
-    /// Binds call arguments to parameter slots (uncharged, like register
-    /// passing on the real machine).
-    pub(crate) fn bind_params(
+    /// Interpreter entry point and the callee side of every call:
+    /// intrinsics first, then procedures by name.
+    pub(crate) fn interp_call(
         &mut self,
-        frame: &mut Frame,
+        name: &str,
         args: &[Value],
-    ) -> Result<(), SimError> {
-        let proc = self.cur_proc(frame);
-        for (pi, &pv) in proc.params.iter().enumerate() {
-            let kind = proc.var_scalar(pv);
-            let v = coerce(args[pi], kind);
-            if let Some(addr) = frame.addrs[pv.index()] {
-                self.write_mem(addr, kind, v)?;
-            } else {
-                frame.regs[pv.index()] = v;
-            }
-        }
-        Ok(())
-    }
-
-    fn call(&mut self, name: &str, args: &[Value]) -> Result<Option<Value>, SimError> {
-        if let Some(v) = self.intrinsic(name, args)? {
-            return Ok(v.into_value());
+    ) -> Result<Option<Value>, SimError> {
+        if let Some(which) = Intrinsic::by_name(name) {
+            return self.intrinsic(which, name, args);
         }
         let (idx, proc) = self
             .proc_by_name(name)
@@ -368,20 +63,27 @@ impl<'p> Simulator<'p> {
                 args.len()
             )));
         }
-        self.depth += 1;
-        if self.depth > 512 {
-            self.depth -= 1;
-            return Err(SimError::new("call depth exceeded (runaway recursion?)"));
+        let saved_sp = self.sp;
+        let (layout, base) = self.enter_frame(idx)?;
+        let mut frame = Frame {
+            proc_index: idx,
+            regs: vec![Value::Int(0); proc.vars.len()],
+            layout,
+            base,
+        };
+        // arguments bind uncharged, like register passing on the real
+        // machine
+        for (&pv, &arg) in proc.params.iter().zip(args) {
+            let kind = proc.var_scalar(pv);
+            let v = coerce(arg, kind);
+            match frame.addr(pv) {
+                Some(addr) => self.write_mem(addr, kind, v)?,
+                None => frame.regs[pv.index()] = v,
+            }
         }
-        self.charge_int(self.cfg.costs.call);
-
-        let mut frame = self.setup_frame(idx, proc.vars.len())?;
-        self.bind_params(&mut frame, args)?;
 
         let flow = self.exec_block(&mut frame, &proc.body)?;
-        self.sp = frame.saved_sp;
-        self.depth -= 1;
-        self.charge_int(self.cfg.costs.call / 2);
+        self.leave_frame(saved_sp);
         match flow {
             Flow::Return(v) => Ok(v),
             Flow::Normal => Ok(None),
@@ -419,14 +121,6 @@ impl<'p> Simulator<'p> {
         Ok(Flow::Normal)
     }
 
-    pub(crate) fn step_guard(&mut self) -> Result<(), SimError> {
-        self.stats.steps += 1;
-        if self.stats.steps > self.cfg.max_steps {
-            return Err(SimError::new("step limit exceeded (infinite loop?)"));
-        }
-        Ok(())
-    }
-
     #[allow(clippy::too_many_lines)]
     fn exec_stmt(&mut self, frame: &mut Frame, s: StmtId) -> Result<Flow, SimError> {
         self.step_guard()?;
@@ -439,7 +133,7 @@ impl<'p> Simulator<'p> {
                     return Ok(Flow::Normal);
                 }
                 let v = self.eval(frame, *rhs)?;
-                self.store(frame, lhs, v)?;
+                self.assign(frame, lhs, v)?;
                 Ok(Flow::Normal)
             }
             StmtKind::If {
@@ -448,7 +142,7 @@ impl<'p> Simulator<'p> {
                 else_blk,
             } => {
                 let c = self.eval(frame, *cond)?;
-                self.flush(self.cfg.costs.branch);
+                self.flush_branch();
                 if c.is_truthy() {
                     self.exec_block(frame, then_blk)
                 } else {
@@ -458,7 +152,7 @@ impl<'p> Simulator<'p> {
             StmtKind::While { cond, body, .. } => loop {
                 self.step_guard()?;
                 let c = self.eval(frame, *cond)?;
-                self.flush(self.cfg.costs.branch);
+                self.flush_branch();
                 if !c.is_truthy() {
                     return Ok(Flow::Normal);
                 }
@@ -475,13 +169,11 @@ impl<'p> Simulator<'p> {
                 // §10 list spreading: the parallel work of each iteration
                 // is divided across processors; the condition and the
                 // pointer chase stay serial. One fork/join for the loop.
-                let procs = f64::from(self.cfg.num_procs.max(1));
-                self.flush(0);
-                self.stats.cycles += self.cfg.costs.fork_join as f64;
+                self.spread_enter();
                 loop {
                     self.step_guard()?;
                     let c = self.eval(frame, *cond)?;
-                    self.flush(self.cfg.costs.branch);
+                    self.flush_branch();
                     if !c.is_truthy() {
                         return Ok(Flow::Normal);
                     }
@@ -490,9 +182,7 @@ impl<'p> Simulator<'p> {
                         Flow::Normal => {}
                         other => return Ok(other),
                     }
-                    self.flush(0);
-                    let delta = self.stats.cycles - before;
-                    self.stats.cycles = before + delta / procs;
+                    self.spread_exit(before);
                     match self.exec_block(frame, serial)? {
                         Flow::Normal => {}
                         other => return Ok(other),
@@ -514,22 +204,18 @@ impl<'p> Simulator<'p> {
                 step,
                 body,
             } => {
-                self.flush(0);
-                let before = self.stats.cycles;
+                let before = self.par_enter();
                 let flow = self.exec_do(frame, *var, *lo, *hi, *step, body)?;
-                self.flush(0);
-                let delta = self.stats.cycles - before;
-                let procs = f64::from(self.cfg.num_procs.max(1));
-                self.stats.cycles = before + delta / procs + self.cfg.costs.fork_join as f64;
+                self.par_exit(before);
                 Ok(flow)
             }
             StmtKind::Goto(l) => {
-                self.flush(self.cfg.costs.branch);
+                self.flush_branch();
                 Ok(Flow::Goto(*l))
             }
             StmtKind::IfGoto { cond, target } => {
                 let c = self.eval(frame, *cond)?;
-                self.flush(self.cfg.costs.branch);
+                self.flush_branch();
                 if c.is_truthy() {
                     Ok(Flow::Goto(*target))
                 } else {
@@ -542,12 +228,12 @@ impl<'p> Simulator<'p> {
                     vals.push(self.eval(frame, a)?);
                 }
                 self.flush(0);
-                let ret = self.call(callee, &vals)?;
+                let ret = self.interp_call(callee, &vals)?;
                 if let Some(d) = dst {
                     let v = ret.ok_or_else(|| {
                         SimError::new(format!("procedure `{callee}` returned no value"))
                     })?;
-                    self.store(frame, d, v)?;
+                    self.assign(frame, d, v)?;
                 }
                 Ok(Flow::Normal)
             }
@@ -556,7 +242,7 @@ impl<'p> Simulator<'p> {
                     None => None,
                     Some(e) => Some(self.eval(frame, *e)?),
                 };
-                self.flush(self.cfg.costs.branch);
+                self.flush_branch();
                 Ok(Flow::Return(value))
             }
         }
@@ -583,9 +269,8 @@ impl<'p> Simulator<'p> {
         loop {
             self.step_guard()?;
             let cont = if step_v > 0 { iv <= hi_v } else { iv >= hi_v };
-            // loop control: increment + compare
-            self.charge_int(2 * self.cfg.costs.int_alu);
-            self.flush(self.cfg.costs.branch);
+            self.charge(do_control_charge(&self.cfg.costs));
+            self.flush_branch();
             if !cont {
                 break;
             }
@@ -607,7 +292,7 @@ impl<'p> Simulator<'p> {
     /// unit's cost model: one instruction per vector load, per FP/int
     /// vector operation, and per vector store; each instruction costs
     /// `startup + len`.
-    pub(crate) fn exec_vector_assign(
+    fn exec_vector_assign(
         &mut self,
         frame: &mut Frame,
         lhs: &LValue,
@@ -661,13 +346,7 @@ impl<'p> Simulator<'p> {
         }
         let ops = count_vector_ops(exprs, rhs);
         let n_instr = sections.len() as u64 + ops + 1; // loads + ops + store
-        self.stats.vector_instrs += n_instr;
-        self.stats.vector_elems += len_u * n_instr;
-        let c = &self.cfg.costs;
-        self.stats.cycles += (n_instr * (c.vector_startup + c.vector_per_elem * len_u)) as f64;
-        if kind.is_float() {
-            self.stats.flops += ops * len_u;
-        }
+        self.charge_vector(n_instr, ops, len_u, kind.is_float());
 
         // Element-wise semantics (vector stores complete after all loads of
         // the statement — IL vector statements are only emitted for proven
@@ -727,14 +406,14 @@ impl<'p> Simulator<'p> {
     // expression evaluation
     // ------------------------------------------------------------------
 
-    pub(crate) fn eval(&mut self, frame: &mut Frame, e: ExprId) -> Result<Value, SimError> {
+    fn eval(&mut self, frame: &mut Frame, e: ExprId) -> Result<Value, SimError> {
         match self.cur_proc(frame).exprs[e] {
             Expr::IntConst(v) => Ok(Value::Int(v)),
             Expr::FloatConst(f, ty) => Ok(normalize(Value::Float(f), ty)),
             Expr::Var(v) => self.load_var(frame, v),
             Expr::AddrOf(v) => {
-                self.charge_int(self.cfg.costs.int_alu);
-                let addr = frame.addrs[v.index()].ok_or_else(|| {
+                self.charge(reg_move_charge(&self.cfg.costs));
+                let addr = frame.addr(v).ok_or_else(|| {
                     SimError::new(format!(
                         "address taken of register variable {} (not memory-resident)",
                         self.prog.procs[frame.proc_index].var(v).name
@@ -744,33 +423,22 @@ impl<'p> Simulator<'p> {
             }
             Expr::Load { addr, ty, volatile } => {
                 let a = self.eval(frame, addr)?.as_int() as u32;
-                if volatile {
-                    if let Some(next) = self.volatile_script.pop_front() {
-                        self.write_mem(a, ty, coerce(Value::Int(next), ty))?;
-                    }
-                }
-                self.bucket.mem += self.cfg.costs.load;
-                self.stats.loads += 1;
-                self.read_mem(a, ty)
+                self.load(a, ty, volatile)
             }
             Expr::Unary { op, ty, arg } => {
                 let a = self.eval(frame, arg)?;
-                self.charge_op_cost(ty, false);
+                self.charge(unop_charge(op, ty, &self.cfg.costs));
                 Ok(eval_unop(op, ty, a))
             }
             Expr::Binary { op, ty, lhs, rhs } => {
                 let a = self.eval(frame, lhs)?;
                 let b = self.eval(frame, rhs)?;
-                self.charge_binop_cost(op, ty);
+                self.charge(binop_charge(op, ty, &self.cfg.costs));
                 eval_binop(op, ty, a, b).ok_or_else(|| SimError::new("division by zero"))
             }
             Expr::Cast { to, from, arg } => {
                 let a = self.eval(frame, arg)?;
-                if to.is_float() != from.is_float() {
-                    self.bucket.fp += self.cfg.costs.fp_cvt;
-                } else {
-                    self.charge_int(self.cfg.costs.int_alu);
-                }
+                self.charge(cast_charge(to, from, &self.cfg.costs));
                 Ok(eval_cast(to, from, a))
             }
             Expr::Section { .. } => Err(SimError::new(
@@ -782,272 +450,41 @@ impl<'p> Simulator<'p> {
     /// Evaluates without charging costs (used for loop-invariant scalar
     /// operands of vector statements, already in registers).
     fn eval_quiet(&mut self, frame: &mut Frame, e: ExprId) -> Result<Value, SimError> {
-        let save_bucket = self.bucket;
-        let save_loads = self.stats.loads;
-        let save_flops = self.stats.flops;
+        let saved = self.quiet_save();
         let v = self.eval(frame, e)?;
-        self.bucket = save_bucket;
-        self.stats.loads = save_loads;
-        self.stats.flops = save_flops;
+        self.quiet_restore(saved);
         Ok(v)
     }
 
     fn load_var(&mut self, frame: &mut Frame, v: VarId) -> Result<Value, SimError> {
-        let proc = self.cur_proc(frame);
-        match frame.addrs[v.index()] {
-            Some(addr) => {
-                let kind = proc.var_scalar(v);
-                self.bucket.mem += self.cfg.costs.load;
-                self.stats.loads += 1;
-                self.read_mem(addr, kind)
-            }
+        match frame.addr(v) {
+            Some(addr) => self.load(addr, self.cur_proc(frame).var_scalar(v), false),
             None => Ok(frame.regs[v.index()]),
         }
     }
 
     fn store_var(&mut self, frame: &mut Frame, v: VarId, value: Value) -> Result<(), SimError> {
-        let proc = self.cur_proc(frame);
-        let kind = proc.var_scalar(v);
-        let value = coerce(value, kind);
-        match frame.addrs[v.index()] {
-            Some(addr) => {
-                self.bucket.mem += self.cfg.costs.store;
-                self.stats.stores += 1;
-                self.write_mem(addr, kind, value)
-            }
+        let kind = self.cur_proc(frame).var_scalar(v);
+        match frame.addr(v) {
+            Some(addr) => self.store(addr, kind, value),
             None => {
-                self.charge_int(self.cfg.costs.int_alu);
-                frame.regs[v.index()] = value;
+                self.charge(reg_move_charge(&self.cfg.costs));
+                frame.regs[v.index()] = coerce(value, kind);
                 Ok(())
             }
         }
     }
 
-    fn store(&mut self, frame: &mut Frame, lhs: &LValue, value: Value) -> Result<(), SimError> {
+    fn assign(&mut self, frame: &mut Frame, lhs: &LValue, value: Value) -> Result<(), SimError> {
         match lhs {
             LValue::Var(v) => self.store_var(frame, *v, value),
             LValue::Deref { addr, ty, .. } => {
                 let a = self.eval(frame, *addr)?.as_int() as u32;
-                self.bucket.mem += self.cfg.costs.store;
-                self.stats.stores += 1;
-                self.write_mem(a, *ty, coerce(value, *ty))
+                self.store(a, *ty, value)
             }
             LValue::Section { .. } => {
                 Err(SimError::new("scalar value assigned to a vector section"))
             }
         }
-    }
-
-    // ------------------------------------------------------------------
-    // memory
-    // ------------------------------------------------------------------
-
-    fn check(&self, addr: u32, size: u32) -> Result<(), SimError> {
-        if addr < 4 || (addr + size) as usize > MEM_SIZE {
-            return Err(SimError::new(format!(
-                "memory access out of range: {addr:#x}+{size}"
-            )));
-        }
-        Ok(())
-    }
-
-    pub(crate) fn read_mem(&self, addr: u32, kind: ScalarType) -> Result<Value, SimError> {
-        self.check(addr, kind.size() as u32)?;
-        let i = addr as usize;
-        Ok(match kind {
-            ScalarType::Char => Value::Int(self.mem[i] as i8 as i64),
-            ScalarType::Int => {
-                Value::Int(i32::from_le_bytes(self.mem[i..i + 4].try_into().unwrap()) as i64)
-            }
-            ScalarType::Ptr => {
-                Value::Int(u32::from_le_bytes(self.mem[i..i + 4].try_into().unwrap()) as i64)
-            }
-            ScalarType::Float => {
-                Value::Float(f32::from_le_bytes(self.mem[i..i + 4].try_into().unwrap()) as f64)
-            }
-            ScalarType::Double => {
-                Value::Float(f64::from_le_bytes(self.mem[i..i + 8].try_into().unwrap()))
-            }
-        })
-    }
-
-    pub(crate) fn write_mem(
-        &mut self,
-        addr: u32,
-        kind: ScalarType,
-        v: Value,
-    ) -> Result<(), SimError> {
-        self.check(addr, kind.size() as u32)?;
-        let i = addr as usize;
-        match kind {
-            ScalarType::Char => self.mem[i] = v.as_int() as u8,
-            ScalarType::Int => {
-                self.mem[i..i + 4].copy_from_slice(&(v.as_int() as i32).to_le_bytes());
-            }
-            ScalarType::Ptr => {
-                self.mem[i..i + 4].copy_from_slice(&(v.as_int() as u32).to_le_bytes());
-            }
-            ScalarType::Float => {
-                self.mem[i..i + 4].copy_from_slice(&(v.as_float() as f32).to_le_bytes());
-            }
-            ScalarType::Double => {
-                self.mem[i..i + 8].copy_from_slice(&v.as_float().to_le_bytes());
-            }
-        }
-        Ok(())
-    }
-
-    // ------------------------------------------------------------------
-    // costs
-    // ------------------------------------------------------------------
-
-    pub(crate) fn charge_int(&mut self, c: u64) {
-        self.bucket.int += c;
-    }
-
-    pub(crate) fn charge_op_cost(&mut self, ty: ScalarType, div: bool) {
-        let c = &self.cfg.costs;
-        if ty.is_float() {
-            self.bucket.fp += if div { c.fp_div } else { c.fp_op };
-            self.stats.flops += 1;
-        } else {
-            self.bucket.int += c.int_alu;
-        }
-    }
-
-    pub(crate) fn charge_binop_cost(&mut self, op: BinOp, ty: ScalarType) {
-        let c = &self.cfg.costs;
-        if ty.is_float() {
-            self.bucket.fp += match op {
-                BinOp::Div => c.fp_div,
-                _ => c.fp_op,
-            };
-            if !op.is_comparison() {
-                self.stats.flops += 1;
-            }
-        } else {
-            self.bucket.int += match op {
-                BinOp::Mul => c.int_mul,
-                BinOp::Div | BinOp::Rem => c.int_div,
-                _ => c.int_alu,
-            };
-        }
-    }
-
-    /// Ends a straight-line region: with overlap scheduling the region
-    /// costs the maximum of the three unit streams (§6 item 2); without it,
-    /// their sum.
-    pub(crate) fn flush(&mut self, extra: u64) {
-        let b = self.bucket;
-        let region = if self.cfg.overlap {
-            b.int.max(b.fp).max(b.mem)
-        } else {
-            b.int + b.fp + b.mem
-        };
-        self.stats.cycles += (region + extra) as f64;
-        self.bucket = Bucket::default();
-    }
-
-    // ------------------------------------------------------------------
-    // intrinsics
-    // ------------------------------------------------------------------
-
-    pub(crate) fn intrinsic(
-        &mut self,
-        name: &str,
-        args: &[Value],
-    ) -> Result<Option<Intrinsic>, SimError> {
-        let need = |n: usize| -> Result<(), SimError> {
-            if args.len() != n {
-                Err(SimError::new(format!(
-                    "intrinsic `{name}` expects {n} argument(s)"
-                )))
-            } else {
-                Ok(())
-            }
-        };
-        let c = &self.cfg.costs;
-        Ok(match name {
-            "print_int" => {
-                need(1)?;
-                let line = format!("{}", args[0].as_int());
-                self.stats.output.push(line);
-                Some(Intrinsic::Void)
-            }
-            "print_float" | "print_double" => {
-                need(1)?;
-                let line = format!("{:.6}", args[0].as_float());
-                self.stats.output.push(line);
-                Some(Intrinsic::Void)
-            }
-            "sqrt" | "sqrtf" => {
-                need(1)?;
-                self.bucket.fp += c.fp_div;
-                self.stats.flops += 1;
-                Some(Intrinsic::Value(Value::Float(args[0].as_float().sqrt())))
-            }
-            "fabs" | "fabsf" => {
-                need(1)?;
-                self.bucket.fp += c.fp_op;
-                self.stats.flops += 1;
-                Some(Intrinsic::Value(Value::Float(args[0].as_float().abs())))
-            }
-            "abs" => {
-                need(1)?;
-                self.bucket.int += c.int_alu;
-                Some(Intrinsic::Value(Value::Int(args[0].as_int().abs())))
-            }
-            _ => None,
-        })
-    }
-}
-
-pub(crate) enum Intrinsic {
-    Void,
-    Value(Value),
-}
-
-impl Intrinsic {
-    pub(crate) fn into_value(self) -> Option<Value> {
-        match self {
-            Intrinsic::Void => None,
-            Intrinsic::Value(v) => Some(v),
-        }
-    }
-}
-
-fn align_up(x: u32, a: u32) -> u32 {
-    x.div_ceil(a) * a
-}
-
-pub(crate) fn coerce(v: Value, kind: ScalarType) -> Value {
-    match kind {
-        ScalarType::Float | ScalarType::Double => normalize(Value::Float(v.as_float()), kind),
-        _ => normalize(Value::Int(v.as_int()), kind),
-    }
-}
-
-pub(crate) fn collect_sections(pool: &ExprPool, e: ExprId, out: &mut Vec<ExprId>) {
-    if matches!(pool[e], Expr::Section { .. }) {
-        out.push(e);
-        return;
-    }
-    for c in pool[e].child_ids() {
-        collect_sections(pool, c, out);
-    }
-}
-
-/// Number of vector ALU operations in a vector rhs (operations with at
-/// least one section-derived operand).
-pub(crate) fn count_vector_ops(pool: &ExprPool, e: ExprId) -> u64 {
-    match pool[e] {
-        Expr::Binary { lhs, rhs, .. } => {
-            let mine = u64::from(pool.has_section(lhs) || pool.has_section(rhs));
-            mine + count_vector_ops(pool, lhs) + count_vector_ops(pool, rhs)
-        }
-        Expr::Unary { arg, .. } | Expr::Cast { arg, .. } => {
-            u64::from(pool.has_section(arg)) + count_vector_ops(pool, arg)
-        }
-        _ => 0,
     }
 }

@@ -2,9 +2,9 @@
 //!
 //! A cycle-cost simulator for the Ardent Titan, the multi-processor vector
 //! machine the paper's compiler targets (§2). The real hardware is long
-//! gone, so this crate substitutes a deterministic interpreter over the
-//! compiler's IL that charges cycles according to the Titan's published
-//! architectural characteristics:
+//! gone, so this crate substitutes a deterministic machine model that
+//! executes the compiler's IL and charges cycles according to the Titan's
+//! published architectural characteristics:
 //!
 //! * a RISC integer unit (1-cycle ALU, expensive multiply),
 //! * a highly pipelined FP unit (≈6-cycle pipelined scalar ops) that also
@@ -21,6 +21,13 @@
 //! MFLOPS on the backsolve loop; 12× for inlined/vectorized/parallelized
 //! daxpy on two processors) are reproduced in *shape* against this model;
 //! see `EXPERIMENTS.md`.
+//!
+//! One machine, two executors: `machine.rs` owns memory, frames, the cycle
+//! meter, the charge table and the intrinsics; the register-bytecode VM
+//! (`bytecode.rs` + `vm.rs`) is the engine everything runs on by default,
+//! and the tree-walking interpreter (`interp.rs`) is the independent
+//! oracle it is checked against — same observations, same statistics,
+//! same traps ([`ExecEngine`]).
 //!
 //! The simulator is also the semantic referee for the whole compiler: every
 //! optimization pass is tested by comparing observable behaviour (return
@@ -50,8 +57,9 @@ mod interp;
 mod machine;
 mod vm;
 
-pub use interp::{RunResult, SimError, Simulator};
-pub use machine::{CostModel, ExecEngine, ExecStats, MachineConfig};
+pub use machine::{
+    CostModel, ExecEngine, ExecStats, MachineConfig, RunResult, SimError, Simulator,
+};
 pub use titanc_il::fold::Value;
 
 /// Observable state of a run, for before/after-optimization comparisons.
@@ -77,11 +85,12 @@ pub fn observe(
     entry: &str,
     globals: &[(&str, titanc_il::ScalarType, u32)],
 ) -> Result<(Observation, ExecStats), SimError> {
-    observe_with(prog, cfg, ExecEngine::Interp, entry, globals)
+    observe_with(prog, cfg, ExecEngine::default(), entry, globals)
 }
 
 /// [`observe`], with an explicit choice of execution backend. Both engines
-/// produce identical observations and statistics; the VM is faster.
+/// produce identical observations and statistics; pass
+/// [`ExecEngine::Interp`] for the reference oracle.
 ///
 /// # Errors
 ///

@@ -628,15 +628,15 @@ mod vm_parity {
         r
     }
 
-    /// Both engines must fail with the identical error.
+    /// Both engines must fail with the identical error, having counted
+    /// the same statements, operations and flushed cycles up to the trap.
     fn err_both(prog: &titanc_il::Program, cfg: &MachineConfig) -> String {
-        let e1 = Simulator::with_engine(prog, cfg.clone(), ExecEngine::Interp)
-            .run("main", &[])
-            .expect_err("interp should error");
-        let e2 = Simulator::with_engine(prog, cfg.clone(), ExecEngine::Vm)
-            .run("main", &[])
-            .expect_err("vm should error");
+        let mut interp = Simulator::with_engine(prog, cfg.clone(), ExecEngine::Interp);
+        let e1 = interp.run("main", &[]).expect_err("interp should error");
+        let mut vm = Simulator::with_engine(prog, cfg.clone(), ExecEngine::Vm);
+        let e2 = vm.run("main", &[]).expect_err("vm should error");
         assert_eq!(e1, e2, "engines disagree on the error");
+        assert_eq!(interp.stats(), vm.stats(), "statistics at the trap");
         e1.message
     }
 
@@ -688,6 +688,17 @@ int main(void)
 
         let oob = compile_to_il("int main(void) { int *p; p = (int *)0; return *p; }").unwrap();
         assert!(err_both(&oob, &cfg).contains("memory access out of range"));
+
+        // an address within 8 bytes of 2^32: `addr + size` must not wrap
+        // back into range (it once did, and panicked in the slice index)
+        for wild in [
+            "int main(void) { int *p; p = (int *)0; p = p - 1; return *p; }",
+            "int main(void) { int *p; p = (int *)0; p = p - 1; *p = 7; return 0; }",
+            "int main(void) { double *p; double d; p = (double *)0; p = p - 1; d = *p; return (int)d; }",
+        ] {
+            let prog = compile_to_il(wild).unwrap();
+            assert!(err_both(&prog, &cfg).contains("memory access out of range"));
+        }
 
         let missing = compile_to_il("int main(void) { missing(); return 0; }").unwrap();
         assert!(err_both(&missing, &cfg).contains("undefined procedure"));

@@ -1,19 +1,26 @@
-//! The register-bytecode VM.
+//! The register-bytecode VM: the engine everything runs on by default.
 //!
-//! A dispatch loop over [`crate::bytecode::Instr`] that shares the
-//! interpreter's memory image, frames, cost buckets and statistics, so
-//! every charge lands in the same order and every measured number is
-//! byte-for-byte identical to the tree-walking engine. Vector plans run
-//! as chunked kernels: each section is gathered into a contiguous
-//! `Vec<i64>`/`Vec<f64>` buffer, operations are tight element loops the
-//! host compiler can autovectorize, and the result is scattered back in
-//! one pass — with a pre-flight range check falling back to a per-element
-//! slow path that reproduces the interpreter's error behavior exactly.
+//! A dispatch loop over [`crate::bytecode::Slot`]s on the shared machine
+//! (`machine.rs`: memory, frames, meter, intrinsics). Every charge an
+//! instruction applies was looked up in the machine's charge table when
+//! the bytecode was lowered, and every flush happens where the
+//! tree-walking interpreter flushes, so every measured number is
+//! byte-for-byte identical to the reference engine's. Activations live on
+//! one register stack, so a call copies the callee's frame template and
+//! allocates nothing. Vector plans run as chunked kernels: each section
+//! is gathered into a contiguous `Vec<i64>`/`Vec<f64>` buffer, operations
+//! are tight element loops the host compiler can autovectorize, and the
+//! result is scattered back in one pass — with a pre-flight range check
+//! falling back to a per-element slow path that reproduces the
+//! interpreter's error behavior exactly.
 
-use crate::bytecode::{BcProc, BcProgram, Callee, Instr, VStep, VecPlan, NO_REG};
-use crate::interp::{coerce, Bucket, Frame, SimError, Simulator, MEM_SIZE};
+use crate::bytecode::{BcProgram, Callee, Instr, VStep, VecPlan, NO_REG};
+use crate::machine::{
+    coerce, do_control_charge, reg_move_charge, FrameLayout, Quiet, SimError, Simulator, MEM_SIZE,
+};
+use std::rc::Rc;
 use titanc_il::fold::{eval_binop, eval_cast, eval_unop, Value};
-use titanc_il::{BinOp, ScalarType, StmtKind, UnOp};
+use titanc_il::{BinOp, ScalarType, UnOp};
 
 /// A vector value during kernel execution: every element in the integer
 /// or the float domain (mirroring [`Value`] element-wise).
@@ -22,185 +29,281 @@ enum VBuf {
     F(Vec<f64>),
 }
 
-/// One live procedure activation of the VM.
+/// One live procedure activation: where its registers and cycle snapshots
+/// start on the shared stacks, and where its memory-resident variables
+/// live.
 struct Act {
-    frame: Frame,
     proc: usize,
     pc: usize,
-    /// Cycle snapshots for parallel/spread regions.
-    snaps: Vec<f64>,
-    /// Saved (bucket, loads, flops) for quiet regions.
-    quiet: Vec<(Bucket, u64, u64)>,
-    /// Call-data index of the in-flight `Call` instruction.
-    pending_call: u32,
+    regs_base: usize,
+    snaps_base: usize,
+    layout: Rc<FrameLayout>,
+    /// Base address of the activation's stack slots.
+    base: u32,
+    saved_sp: u32,
 }
 
-impl Act {
-    fn new(frame: Frame, proc: usize, bcp: &BcProc) -> Act {
-        Act {
-            frame,
-            proc,
-            pc: 0,
-            snaps: vec![0.0f64; bcp.num_snaps as usize],
-            quiet: Vec::new(),
-            pending_call: 0,
-        }
-    }
+/// The register and snapshot stacks of every live activation, kept
+/// between runs so steady-state calls allocate nothing.
+#[derive(Default)]
+struct Stack {
+    regs: Vec<Value>,
+    /// Cycle snapshots for parallel/spread regions.
+    snaps: Vec<f64>,
+    acts: Vec<Act>,
+    /// Arguments of the call being set up.
+    argv: Vec<Value>,
+}
+
+/// Everything the VM keeps on a [`Simulator`]: the program's bytecode
+/// (lowered once, on the first run) and its reusable buffers.
+#[derive(Default)]
+pub(crate) struct VmState {
+    bc: Option<Rc<BcProgram>>,
+    stack: Stack,
+    /// The meter as saved by `QuietSave`.
+    quiet: Quiet,
+    /// Elements computed so far by an element-by-element vector statement.
+    elems: Vec<Value>,
+    scratch: Scratch,
+}
+
+/// How the dispatch loop leaves an activation.
+enum Transfer {
+    /// Enter this procedure (an index into `Program::procs`).
+    Call(u32),
+    Ret(Option<Value>),
+}
+
+/// The address of memory-resident variable `var` in the activation based
+/// at `base`.
+fn var_addr(layout: &FrameLayout, var: u32, base: u32) -> u32 {
+    layout
+        .addr(var as usize, base)
+        .expect("the lowerer addresses memory-resident variables only")
 }
 
 impl<'p> Simulator<'p> {
-    fn ensure_bc(&mut self) {
-        if self.bc.is_none() {
-            self.bc = Some(std::rc::Rc::new(crate::bytecode::compile(self.prog)));
-        }
-    }
-
-    /// VM entry point: resolves `entry` like the interpreter's `call`
+    /// VM entry point: resolves `entry` like the interpreter does
     /// (intrinsics first, then procedures by name).
-    pub(crate) fn vm_entry(
+    pub(crate) fn vm_call(
         &mut self,
         entry: &str,
         args: &[Value],
     ) -> Result<Option<Value>, SimError> {
-        self.ensure_bc();
-        if let Some(v) = self.intrinsic(entry, args)? {
-            return Ok(v.into_value());
+        let bc = match &self.vm.bc {
+            Some(bc) => Rc::clone(bc),
+            None => {
+                let bc = Rc::new(crate::bytecode::compile(self.prog, &self.cfg.costs));
+                self.vm.bc = Some(Rc::clone(&bc));
+                bc
+            }
+        };
+        if let Some(which) = crate::machine::Intrinsic::by_name(entry) {
+            return self.intrinsic(which, entry, args);
         }
         let idx = self
             .proc_by_name(entry)
             .ok_or_else(|| SimError::new(format!("undefined procedure `{entry}`")))?
             .0;
-        let bc = self.bc.clone().expect("bytecode compiled");
-        let frame = self.vm_prologue(&bc, idx, args)?;
-        self.vm_exec(frame, idx, &bc)
+        // the stacks leave `self` for the run, so frames and `self.mem`
+        // borrow independently
+        let mut st = std::mem::take(&mut self.vm.stack);
+        st.argv.clear();
+        st.argv.extend_from_slice(args);
+        let r = self.vm_exec(&bc, &mut st, idx);
+        st.regs.clear();
+        st.snaps.clear();
+        st.acts.clear();
+        self.vm.stack = st;
+        r
     }
 
     /// Call prologue, in the interpreter's exact order: argument-count
-    /// check, depth guard, call charge, frame setup, parameter binding.
-    fn vm_prologue(
-        &mut self,
-        bc: &BcProgram,
-        idx: usize,
-        args: &[Value],
-    ) -> Result<Frame, SimError> {
-        let proc = &self.prog.procs[idx];
-        if proc.params.len() != args.len() {
+    /// check, the machine's frame entry (depth guard, call charge, stack
+    /// slots), then the frame template and parameter binding. Arguments
+    /// come from `st.argv`.
+    fn vm_enter(&mut self, bc: &BcProgram, st: &mut Stack, idx: usize) -> Result<Act, SimError> {
+        let bcp = &bc.procs[idx];
+        if bcp.params.len() != st.argv.len() {
             return Err(SimError::new(format!(
                 "procedure `{}` expects {} arguments, got {}",
-                proc.name,
-                proc.params.len(),
-                args.len()
+                self.prog.procs[idx].name,
+                bcp.params.len(),
+                st.argv.len()
             )));
         }
-        self.depth += 1;
-        if self.depth > 512 {
-            self.depth -= 1;
-            return Err(SimError::new("call depth exceeded (runaway recursion?)"));
+        let saved_sp = self.sp;
+        let (layout, base) = self.enter_frame(idx)?;
+        let regs_base = st.regs.len();
+        st.regs.extend_from_slice(&bcp.frame);
+        for (&(var, kind), &arg) in bcp.params.iter().zip(&st.argv) {
+            let v = coerce(arg, kind);
+            match layout.addr(var as usize, base) {
+                Some(addr) => self.write_mem(addr, kind, v)?,
+                None => st.regs[regs_base + var as usize] = v,
+            }
         }
-        self.charge_int(self.cfg.costs.call);
-        let mut frame = self.setup_frame(idx, bc.procs[idx].num_regs as usize)?;
-        self.bind_params(&mut frame, args)?;
-        Ok(frame)
+        let snaps_base = st.snaps.len();
+        st.snaps.resize(snaps_base + bcp.num_snaps as usize, 0.0);
+        Ok(Act {
+            proc: idx,
+            pc: 0,
+            regs_base,
+            snaps_base,
+            layout,
+            base,
+            saved_sp,
+        })
+    }
+
+    /// Finishes a value-producing instruction: an assignment to a register
+    /// variable coerces to the variable's kind and charges the write.
+    fn sink(&mut self, v: Value, sink: Option<ScalarType>) -> Value {
+        match sink {
+            None => v,
+            Some(ty) => {
+                self.charge(reg_move_charge(&self.cfg.costs));
+                coerce(v, ty)
+            }
+        }
     }
 
     /// The dispatch loop. Procedure calls are iterative — an explicit
     /// activation stack instead of Rust recursion — so simulated call
-    /// depth (bounded at 512 by the same guard the interpreter uses)
-    /// never stresses the host stack. On error, `sp`/`depth` stay where
-    /// they were, matching the interpreter's propagation.
+    /// depth (bounded by the machine's depth guard) never stresses the
+    /// host stack. On error, `sp`/`depth` stay where they were, matching
+    /// the interpreter's propagation.
     #[allow(clippy::too_many_lines)]
     fn vm_exec(
         &mut self,
-        frame: Frame,
-        idx: usize,
         bc: &BcProgram,
+        st: &mut Stack,
+        idx: usize,
     ) -> Result<Option<Value>, SimError> {
-        let mut acts: Vec<Act> = Vec::new();
-        let mut cur = Act::new(frame, idx, &bc.procs[idx]);
-        'activation: loop {
+        let mut cur = self.vm_enter(bc, st, idx)?;
+        loop {
             let bcp = &bc.procs[cur.proc];
-            let code = &bcp.code;
-            loop {
-                match code[cur.pc] {
-                    Instr::Step => self.step_guard()?,
-                    Instr::FlushBranch => self.flush(self.cfg.costs.branch),
-                    Instr::Flush0 => self.flush(0),
-                    Instr::AddForkJoin => self.stats.cycles += self.cfg.costs.fork_join as f64,
-                    Instr::Const { dst, val } => cur.frame.regs[dst as usize] = val,
-                    Instr::LoadVarMem { dst, var, ty } => {
-                        let addr = cur.frame.addrs[var as usize].expect("memory-resident variable");
-                        self.bucket.mem += self.cfg.costs.load;
-                        self.stats.loads += 1;
-                        cur.frame.regs[dst as usize] = self.read_mem(addr, ty)?;
+            let code = &bcp.code[..];
+            let layout = &*cur.layout;
+            let base = cur.base;
+            let regs = &mut st.regs[cur.regs_base..];
+            let snaps = &mut st.snaps[cur.snaps_base..];
+            let mut pc = cur.pc;
+            let transfer = loop {
+                let slot = &code[pc];
+                if slot.steps > 0 {
+                    self.stats.steps += u64::from(slot.steps);
+                    if self.stats.steps > self.cfg.max_steps {
+                        // the statements sharing this slot lower to
+                        // nothing, so the one that hit the limit is all
+                        // that is left to account for
+                        self.stats.steps = self.cfg.max_steps + 1;
+                        return Err(SimError::new("step limit exceeded (infinite loop?)"));
                     }
-                    Instr::StoreVarMem { var, ty, src } => {
-                        let addr = cur.frame.addrs[var as usize].expect("memory-resident variable");
-                        let v = coerce(cur.frame.regs[src as usize], ty);
-                        self.bucket.mem += self.cfg.costs.store;
-                        self.stats.stores += 1;
-                        self.write_mem(addr, ty, v)?;
+                }
+                match slot.ins {
+                    Instr::Nop => {}
+                    Instr::FlushBranch => self.flush_branch(),
+                    Instr::LoadVar { dst, var, ty, sink } => {
+                        let v = self.load(var_addr(layout, var, base), ty, false)?;
+                        regs[dst as usize] = self.sink(v, sink);
                     }
-                    Instr::StoreVarReg { var, ty, src } => {
-                        let v = coerce(cur.frame.regs[src as usize], ty);
-                        self.charge_int(self.cfg.costs.int_alu);
-                        cur.frame.regs[var as usize] = v;
+                    Instr::StoreVar { var, ty, src } => {
+                        self.store(var_addr(layout, var, base), ty, regs[src as usize])?;
                     }
-                    Instr::AddrOfVar { dst, var } => {
-                        self.charge_int(self.cfg.costs.int_alu);
-                        let addr = cur.frame.addrs[var as usize].expect("memory-resident variable");
-                        cur.frame.regs[dst as usize] = Value::Int(addr as i64);
+                    Instr::SetVar { var, ty, src } => {
+                        regs[var as usize] = self.sink(regs[src as usize], Some(ty));
                     }
-                    Instr::LoadMem {
+                    Instr::AddrOf { dst, var, sink } => {
+                        self.charge(reg_move_charge(&self.cfg.costs));
+                        let v = Value::Int(i64::from(var_addr(layout, var, base)));
+                        regs[dst as usize] = self.sink(v, sink);
+                    }
+                    Instr::Load {
                         dst,
                         addr,
                         ty,
                         volatile,
+                        sink,
                     } => {
-                        let a = cur.frame.regs[addr as usize].as_int() as u32;
-                        if volatile {
-                            if let Some(next) = self.volatile_script.pop_front() {
-                                self.write_mem(a, ty, coerce(Value::Int(next), ty))?;
-                            }
-                        }
-                        self.bucket.mem += self.cfg.costs.load;
-                        self.stats.loads += 1;
-                        cur.frame.regs[dst as usize] = self.read_mem(a, ty)?;
+                        let a = regs[addr as usize].as_int() as u32;
+                        let v = self.load(a, ty, volatile)?;
+                        regs[dst as usize] = self.sink(v, sink);
                     }
-                    Instr::StoreMem { addr, ty, src } => {
-                        let a = cur.frame.regs[addr as usize].as_int() as u32;
-                        let v = coerce(cur.frame.regs[src as usize], ty);
-                        self.bucket.mem += self.cfg.costs.store;
-                        self.stats.stores += 1;
-                        self.write_mem(a, ty, v)?;
+                    Instr::Store { addr, ty, src } => {
+                        let a = regs[addr as usize].as_int() as u32;
+                        self.store(a, ty, regs[src as usize])?;
                     }
-                    Instr::Un { dst, op, ty, src } => {
-                        let a = cur.frame.regs[src as usize];
-                        self.charge_op_cost(ty, false);
-                        cur.frame.regs[dst as usize] = eval_unop(op, ty, a);
+                    Instr::Un {
+                        dst,
+                        op,
+                        ty,
+                        src,
+                        charge,
+                        sink,
+                    } => {
+                        self.charge(charge);
+                        let v = eval_unop(op, ty, regs[src as usize]);
+                        regs[dst as usize] = self.sink(v, sink);
                     }
-                    Instr::Bin { dst, op, ty, a, b } => {
-                        let x = cur.frame.regs[a as usize];
-                        let y = cur.frame.regs[b as usize];
-                        self.charge_binop_cost(op, ty);
-                        cur.frame.regs[dst as usize] = eval_binop(op, ty, x, y)
+                    Instr::Bin {
+                        dst,
+                        op,
+                        ty,
+                        a,
+                        b,
+                        charge,
+                        sink,
+                    } => {
+                        self.charge(charge);
+                        let v = eval_binop(op, ty, regs[a as usize], regs[b as usize])
                             .ok_or_else(|| SimError::new("division by zero"))?;
+                        regs[dst as usize] = self.sink(v, sink);
                     }
-                    Instr::CastOp { dst, to, from, src } => {
-                        let a = cur.frame.regs[src as usize];
-                        if to.is_float() != from.is_float() {
-                            self.bucket.fp += self.cfg.costs.fp_cvt;
-                        } else {
-                            self.charge_int(self.cfg.costs.int_alu);
-                        }
-                        cur.frame.regs[dst as usize] = eval_cast(to, from, a);
+                    Instr::Cast {
+                        dst,
+                        to,
+                        from,
+                        src,
+                        charge,
+                        sink,
+                    } => {
+                        self.charge(charge);
+                        let v = eval_cast(to, from, regs[src as usize]);
+                        regs[dst as usize] = self.sink(v, sink);
                     }
                     Instr::Jump { target } => {
-                        cur.pc = target as usize;
+                        pc = target as usize;
                         continue;
                     }
                     Instr::JumpIfZero { cond, target } => {
-                        if !cur.frame.regs[cond as usize].is_truthy() {
-                            cur.pc = target as usize;
+                        if !regs[cond as usize].is_truthy() {
+                            pc = target as usize;
+                            continue;
+                        }
+                    }
+                    Instr::Br { cond, target } => {
+                        self.flush_branch();
+                        if !regs[cond as usize].is_truthy() {
+                            pc = target as usize;
+                            continue;
+                        }
+                    }
+                    Instr::BrBin {
+                        op,
+                        ty,
+                        a,
+                        b,
+                        charge,
+                        target,
+                    } => {
+                        self.charge(charge);
+                        let c = eval_binop(op, ty, regs[a as usize], regs[b as usize])
+                            .ok_or_else(|| SimError::new("division by zero"))?;
+                        self.flush_branch();
+                        if !c.is_truthy() {
+                            pc = target as usize;
                             continue;
                         }
                     }
@@ -212,88 +315,66 @@ impl<'p> Simulator<'p> {
                         hi_src,
                         step_src,
                     } => {
-                        let lo_v = cur.frame.regs[lo_src as usize].as_int();
-                        let hi_v = cur.frame.regs[hi_src as usize].as_int();
-                        let st_v = cur.frame.regs[step_src as usize].as_int();
+                        let lo_v = regs[lo_src as usize].as_int();
+                        let hi_v = regs[hi_src as usize].as_int();
+                        let st_v = regs[step_src as usize].as_int();
                         if st_v == 0 {
                             return Err(SimError::new("DO loop with zero step"));
                         }
-                        cur.frame.regs[iv as usize] = Value::Int(lo_v);
-                        cur.frame.regs[hi as usize] = Value::Int(hi_v);
-                        cur.frame.regs[step as usize] = Value::Int(st_v);
+                        regs[iv as usize] = Value::Int(lo_v);
+                        regs[hi as usize] = Value::Int(hi_v);
+                        regs[step as usize] = Value::Int(st_v);
                     }
-                    Instr::DoHead { iv, hi, step, exit } => {
-                        self.step_guard()?;
-                        let ivv = cur.frame.regs[iv as usize].as_int();
-                        let hiv = cur.frame.regs[hi as usize].as_int();
-                        let stv = cur.frame.regs[step as usize].as_int();
-                        let cont = if stv > 0 { ivv <= hiv } else { ivv >= hiv };
-                        self.charge_int(2 * self.cfg.costs.int_alu);
-                        self.flush(self.cfg.costs.branch);
+                    Instr::DoHead {
+                        iv,
+                        hi,
+                        step,
+                        exit,
+                        var,
+                        ty,
+                    } => {
+                        let ivv = regs[iv as usize].as_int();
+                        let hiv = regs[hi as usize].as_int();
+                        let cont = if regs[step as usize].as_int() > 0 {
+                            ivv <= hiv
+                        } else {
+                            ivv >= hiv
+                        };
+                        self.charge(do_control_charge(&self.cfg.costs));
+                        self.flush_branch();
                         if !cont {
-                            cur.pc = exit as usize;
+                            pc = exit as usize;
                             continue;
+                        }
+                        if var != NO_REG {
+                            regs[var as usize] = self.sink(Value::Int(ivv), Some(ty));
                         }
                     }
                     Instr::DoNext { iv, step, head } => {
-                        let v = cur.frame.regs[iv as usize]
+                        let next = regs[iv as usize]
                             .as_int()
-                            .wrapping_add(cur.frame.regs[step as usize].as_int());
-                        cur.frame.regs[iv as usize] = Value::Int(v);
-                        cur.pc = head as usize;
+                            .wrapping_add(regs[step as usize].as_int());
+                        regs[iv as usize] = Value::Int(next);
+                        pc = head as usize;
                         continue;
                     }
-                    Instr::ParEnter { slot } => {
-                        self.flush(0);
-                        cur.snaps[slot as usize] = self.stats.cycles;
-                    }
-                    Instr::ParExit { slot } => {
-                        self.flush(0);
-                        let before = cur.snaps[slot as usize];
-                        let delta = self.stats.cycles - before;
-                        let procs = f64::from(self.cfg.num_procs.max(1));
-                        self.stats.cycles =
-                            before + delta / procs + self.cfg.costs.fork_join as f64;
-                    }
-                    Instr::SpreadEnter { slot } => cur.snaps[slot as usize] = self.stats.cycles,
-                    Instr::SpreadExit { slot } => {
-                        self.flush(0);
-                        let before = cur.snaps[slot as usize];
-                        let delta = self.stats.cycles - before;
-                        let procs = f64::from(self.cfg.num_procs.max(1));
-                        self.stats.cycles = before + delta / procs;
-                    }
-                    Instr::QuietSave => {
-                        cur.quiet
-                            .push((self.bucket, self.stats.loads, self.stats.flops));
-                    }
-                    Instr::QuietRestore => {
-                        let (b, loads, flops) = cur.quiet.pop().expect("balanced quiet region");
-                        self.bucket = b;
-                        self.stats.loads = loads;
-                        self.stats.flops = flops;
-                    }
+                    Instr::ParEnter { slot } => snaps[slot as usize] = self.par_enter(),
+                    Instr::ParExit { slot } => self.par_exit(snaps[slot as usize]),
+                    Instr::SpreadLoop => self.spread_enter(),
+                    Instr::SpreadEnter { slot } => snaps[slot as usize] = self.stats.cycles,
+                    Instr::SpreadExit { slot } => self.spread_exit(snaps[slot as usize]),
+                    Instr::QuietSave => self.vm.quiet = self.quiet_save(),
+                    Instr::QuietRestore => self.quiet_restore(self.vm.quiet),
                     Instr::Call { data } => {
+                        self.flush(0);
                         let cd = &bcp.calls[data as usize];
-                        let argv: Vec<Value> = cd
-                            .args
-                            .iter()
-                            .map(|&r| cur.frame.regs[r as usize])
-                            .collect();
+                        st.argv.clear();
+                        st.argv.extend(cd.args.iter().map(|&r| regs[r as usize]));
                         match cd.callee {
-                            Callee::Intrinsic => {
-                                let ret = self
-                                    .intrinsic(&cd.name, &argv)?
-                                    .expect("resolved intrinsic")
-                                    .into_value();
+                            Callee::Intrinsic(which) => {
+                                let ret = self.intrinsic(which, &cd.name, &st.argv)?;
                                 if cd.dst != NO_REG {
-                                    let v = ret.ok_or_else(|| {
-                                        SimError::new(format!(
-                                            "procedure `{}` returned no value",
-                                            cd.name
-                                        ))
-                                    })?;
-                                    cur.frame.regs[cd.dst as usize] = v;
+                                    regs[cd.dst as usize] = returned(ret, &cd.name)?;
                                 }
                             }
                             Callee::Unknown => {
@@ -302,79 +383,76 @@ impl<'p> Simulator<'p> {
                                     cd.name
                                 )));
                             }
-                            Callee::Proc(i) => {
-                                let i = i as usize;
-                                let callee_frame = self.vm_prologue(bc, i, &argv)?;
-                                let callee = Act::new(callee_frame, i, &bc.procs[i]);
-                                cur.pending_call = data;
-                                acts.push(std::mem::replace(&mut cur, callee));
-                                continue 'activation;
-                            }
+                            Callee::Proc(callee) => break Transfer::Call(callee),
                         }
                     }
-                    Instr::Ret { src } => {
-                        let ret = if src == NO_REG {
-                            None
-                        } else {
-                            Some(cur.frame.regs[src as usize])
-                        };
-                        // callee epilogue, same order as the interpreter
-                        self.sp = cur.frame.saved_sp;
-                        self.depth -= 1;
-                        self.charge_int(self.cfg.costs.call / 2);
-                        match acts.pop() {
-                            None => return Ok(ret),
-                            Some(caller) => {
-                                cur = caller;
-                                let cd = &bc.procs[cur.proc].calls[cur.pending_call as usize];
-                                if cd.dst != NO_REG {
-                                    let v = ret.ok_or_else(|| {
-                                        SimError::new(format!(
-                                            "procedure `{}` returned no value",
-                                            cd.name
-                                        ))
-                                    })?;
-                                    cur.frame.regs[cd.dst as usize] = v;
-                                }
-                                cur.pc += 1;
-                                continue 'activation;
-                            }
+                    Instr::Ret { src, flush } => {
+                        if flush {
+                            self.flush_branch();
                         }
+                        break Transfer::Ret((src != NO_REG).then(|| regs[src as usize]));
                     }
                     Instr::VecCheckLen { plan } => {
                         let p = &bcp.plans[plan as usize];
-                        if cur.frame.regs[p.len as usize].as_int() < 0 {
+                        if regs[p.len as usize].as_int() < 0 {
                             return Err(SimError::new("negative vector length"));
                         }
                     }
                     Instr::VecCheckSec { plan, idx } => {
                         let p = &bcp.plans[plan as usize];
-                        let len_v = cur.frame.regs[p.len as usize].as_int();
-                        let l = cur.frame.regs[p.sections[idx as usize].len as usize].as_int();
+                        let len_v = regs[p.len as usize].as_int();
+                        let l = regs[p.sections[idx as usize].len as usize].as_int();
                         if l != len_v {
                             return Err(SimError::new(format!(
                                 "vector length mismatch: {l} vs {len_v}"
                             )));
                         }
                     }
-                    Instr::VecRun { plan } => {
-                        self.vec_run(&cur.frame, &bcp.plans[plan as usize])?;
+                    Instr::VecRun { plan } => self.vec_run(regs, &bcp.plans[plan as usize])?,
+                    Instr::VecCharge { plan } => {
+                        self.vec_charge(regs, &bcp.plans[plan as usize]);
+                        self.vm.elems.clear();
                     }
-                    Instr::VecDeopt { stmt } => {
-                        let (lhs, rhs) = {
-                            let proc = self.cur_proc(&cur.frame);
-                            let StmtKind::Assign { lhs, rhs } = &proc.stmts[stmt] else {
-                                unreachable!("VecDeopt lowered from an assignment")
-                            };
-                            (*lhs, *rhs)
-                        };
-                        self.exec_vector_assign(&mut cur.frame, &lhs, rhs)?;
+                    Instr::VecElem { plan, k } => {
+                        let k = regs[k as usize].as_int();
+                        let v = self.vec_elem(regs, &bcp.plans[plan as usize], k)?;
+                        self.vm.elems.push(v);
+                    }
+                    Instr::VecScatter { plan } => {
+                        let elems = std::mem::take(&mut self.vm.elems);
+                        self.vec_scatter(regs, &bcp.plans[plan as usize], &elems)?;
+                        self.vm.elems = elems;
                     }
                     Instr::Trap { msg } => {
                         return Err(SimError::new(bcp.traps[msg as usize].clone()));
                     }
                 }
-                cur.pc += 1;
+                pc += 1;
+            };
+            match transfer {
+                Transfer::Call(callee) => {
+                    // resume at the call: its `Ret` delivers the value
+                    cur.pc = pc;
+                    let callee = self.vm_enter(bc, st, callee as usize)?;
+                    st.acts.push(std::mem::replace(&mut cur, callee));
+                }
+                Transfer::Ret(ret) => {
+                    st.regs.truncate(cur.regs_base);
+                    st.snaps.truncate(cur.snaps_base);
+                    self.leave_frame(cur.saved_sp);
+                    let Some(caller) = st.acts.pop() else {
+                        return Ok(ret);
+                    };
+                    cur = caller;
+                    let Instr::Call { data } = bc.procs[cur.proc].code[cur.pc].ins else {
+                        unreachable!("a caller is suspended at its call")
+                    };
+                    let cd = &bc.procs[cur.proc].calls[data as usize];
+                    if cd.dst != NO_REG {
+                        st.regs[cur.regs_base + cd.dst as usize] = returned(ret, &cd.name)?;
+                    }
+                    cur.pc += 1;
+                }
             }
         }
     }
@@ -383,48 +461,46 @@ impl<'p> Simulator<'p> {
     // vector kernels
     // --------------------------------------------------------------
 
-    fn vec_run(&mut self, frame: &Frame, plan: &VecPlan) -> Result<(), SimError> {
-        let base_v = frame.regs[plan.base as usize].as_int() as u32;
-        let len_v = frame.regs[plan.len as usize].as_int();
-        let stride_v = frame.regs[plan.stride as usize].as_int();
-        let len_u = len_v as u64; // VecCheckLen guaranteed len_v >= 0
-                                  // the scratch pool is taken out of `self` for the duration of the
-                                  // statement so buffers and `self.mem` borrow independently; a
-                                  // steady-state vector statement allocates nothing
-        let mut scratch = std::mem::take(&mut self.vscratch);
+    /// Charges the vector cost model for one execution of `plan`.
+    fn vec_charge(&mut self, regs: &[Value], plan: &VecPlan) {
+        // `VecCheckLen` guaranteed a non-negative length
+        let len = regs[plan.len as usize].as_int() as u64;
+        self.charge_vector(plan.n_instr, plan.ops, len, plan.kind.is_float());
+    }
+
+    fn vec_run(&mut self, regs: &[Value], plan: &VecPlan) -> Result<(), SimError> {
+        self.vec_charge(regs, plan);
+        let len_v = regs[plan.len as usize].as_int();
+        if len_v == 0 {
+            return Ok(());
+        }
+        let base_v = regs[plan.base as usize].as_int() as u32;
+        let stride_v = regs[plan.stride as usize].as_int();
+        // the scratch pool is taken out of `self` for the duration of the
+        // statement so buffers and `self.mem` borrow independently; a
+        // steady-state vector statement allocates nothing
+        let mut scratch = std::mem::take(&mut self.vm.scratch);
         let mut resolved = std::mem::take(&mut scratch.secs);
         resolved.clear();
-        for s in &plan.sections {
-            resolved.push((
-                frame.regs[s.base as usize].as_int() as u32,
-                frame.regs[s.stride as usize].as_int(),
+        resolved.extend(plan.sections.iter().map(|s| {
+            (
+                regs[s.base as usize].as_int() as u32,
+                regs[s.stride as usize].as_int(),
                 s.ty,
-            ));
-        }
-        // vector cost model, identical to the interpreter
-        let c = &self.cfg.costs;
-        self.stats.vector_instrs += plan.n_instr;
-        self.stats.vector_elems += len_u * plan.n_instr;
-        self.stats.cycles += (plan.n_instr * (c.vector_startup + c.vector_per_elem * len_u)) as f64;
-        if plan.kind.is_float() {
-            self.stats.flops += plan.ops * len_u;
-        }
-        let r = if len_v == 0 {
-            Ok(())
-        } else {
+            )
+        }));
+        let fast = range_ok(base_v, stride_v, len_v, plan.kind.size())
+            && resolved
+                .iter()
+                .all(|&(b, st, ty)| range_ok(b, st, len_v, ty.size()));
+        let r = if fast {
             let n = len_v as usize;
-            let fast = range_ok(base_v, stride_v, len_v, plan.kind.size())
-                && resolved
-                    .iter()
-                    .all(|&(b, st, ty)| range_ok(b, st, len_v, ty.size()));
-            if fast {
-                self.vec_kernel(frame, plan, base_v, stride_v, &resolved, n, &mut scratch)
-            } else {
-                self.vec_slow(frame, plan, base_v, stride_v, &resolved, len_v)
-            }
+            self.vec_kernel(regs, plan, base_v, stride_v, &resolved, n, &mut scratch)
+        } else {
+            self.vec_slow(regs, plan, len_v)
         };
         scratch.secs = resolved;
-        self.vscratch = scratch;
+        self.vm.scratch = scratch;
         r
     }
 
@@ -435,7 +511,7 @@ impl<'p> Simulator<'p> {
     #[allow(clippy::too_many_arguments)]
     fn vec_kernel(
         &mut self,
-        frame: &Frame,
+        regs: &[Value],
         plan: &VecPlan,
         base: u32,
         stride: i64,
@@ -451,7 +527,7 @@ impl<'p> Simulator<'p> {
                     let (b, st, ty) = resolved[i as usize];
                     stack.push(self.load_section(b, st, ty, n, scratch));
                 }
-                VStep::Splat(r) => stack.push(match frame.regs[r as usize] {
+                VStep::Splat(r) => stack.push(match regs[r as usize] {
                     Value::Int(v) => {
                         let mut o = scratch.take_i(n);
                         o.resize(n, v);
@@ -687,47 +763,58 @@ impl<'p> Simulator<'p> {
 
     /// Per-element fallback, bit-identical to the interpreter's element
     /// loop (same traversal, same checked memory ops, same error order).
-    fn vec_slow(
-        &mut self,
-        frame: &Frame,
-        plan: &VecPlan,
-        base: u32,
-        stride: i64,
-        resolved: &[(u32, i64, ScalarType)],
-        len_v: i64,
-    ) -> Result<(), SimError> {
+    fn vec_slow(&mut self, regs: &[Value], plan: &VecPlan, len_v: i64) -> Result<(), SimError> {
         let mut results = Vec::with_capacity(len_v as usize);
-        let mut stack: Vec<Value> = Vec::with_capacity(4);
         for k in 0..len_v {
-            stack.clear();
-            for step in &plan.steps {
-                match *step {
-                    VStep::Sec(i) => {
-                        let (b, st, ty) = resolved[i as usize];
-                        let addr = (b as i64 + k * st) as u32;
-                        stack.push(self.read_mem(addr, ty)?);
-                    }
-                    VStep::Splat(r) => stack.push(frame.regs[r as usize]),
-                    VStep::Un { op, ty } => {
-                        let a = stack.pop().expect("element operand");
-                        stack.push(eval_unop(op, ty, a));
-                    }
-                    VStep::Bin { op, ty } => {
-                        let b = stack.pop().expect("element operand");
-                        let a = stack.pop().expect("element operand");
-                        stack.push(eval_binop(op, ty, a, b).ok_or_else(|| {
+            results.push(self.vec_elem(regs, plan, k)?);
+        }
+        self.vec_scatter(regs, plan, &results)
+    }
+
+    /// Element `k` of the plan's right-hand side, coerced to the store's
+    /// kind, through checked memory reads.
+    fn vec_elem(&mut self, regs: &[Value], plan: &VecPlan, k: i64) -> Result<Value, SimError> {
+        let mut stack: Vec<Value> = Vec::with_capacity(4);
+        for step in &plan.steps {
+            match *step {
+                VStep::Sec(i) => {
+                    let s = &plan.sections[i as usize];
+                    let b = regs[s.base as usize].as_int() as u32;
+                    let st = regs[s.stride as usize].as_int();
+                    stack.push(self.read_mem((b as i64 + k * st) as u32, s.ty)?);
+                }
+                VStep::Splat(r) => stack.push(regs[r as usize]),
+                VStep::Un { op, ty } => {
+                    let a = stack.pop().expect("element operand");
+                    stack.push(eval_unop(op, ty, a));
+                }
+                VStep::Bin { op, ty } => {
+                    let b = stack.pop().expect("element operand");
+                    let a = stack.pop().expect("element operand");
+                    stack
+                        .push(eval_binop(op, ty, a, b).ok_or_else(|| {
                             SimError::new("division by zero in vector statement")
                         })?);
-                    }
-                    VStep::Cast { to, from } => {
-                        let a = stack.pop().expect("element operand");
-                        stack.push(eval_cast(to, from, a));
-                    }
+                }
+                VStep::Cast { to, from } => {
+                    let a = stack.pop().expect("element operand");
+                    stack.push(eval_cast(to, from, a));
                 }
             }
-            results.push(coerce(stack.pop().expect("element result"), plan.kind));
         }
-        for (k, v) in results.into_iter().enumerate() {
+        Ok(coerce(stack.pop().expect("element result"), plan.kind))
+    }
+
+    /// Stores computed elements through checked memory writes.
+    fn vec_scatter(
+        &mut self,
+        regs: &[Value],
+        plan: &VecPlan,
+        elems: &[Value],
+    ) -> Result<(), SimError> {
+        let base = regs[plan.base as usize].as_int() as u32;
+        let stride = regs[plan.stride as usize].as_int();
+        for (k, &v) in elems.iter().enumerate() {
             let addr = (base as i64 + k as i64 * stride) as u32;
             self.write_mem(addr, plan.kind, v)?;
         }
@@ -1014,4 +1101,10 @@ fn vec_bin(op: BinOp, ty: ScalarType, a: VBuf, b: VBuf, s: &mut Scratch) -> Resu
             BinOp::Max => arith_i(x, y, ty, s, |p, q| p.max(q)),
         })
     }
+}
+
+/// The value a call delivers to a destination, which a `void` callee
+/// cannot.
+fn returned(ret: Option<Value>, callee: &str) -> Result<Value, SimError> {
+    ret.ok_or_else(|| SimError::new(format!("procedure `{callee}` returned no value")))
 }
