@@ -59,7 +59,7 @@
 //! and the offending program so any failure reproduces.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use titanc::server::{
     il_block, opt_report_block, CompileRequest, CompileResponse, Reply, Server, ServerConfig,
     ServerTotals,
@@ -501,42 +501,6 @@ fn cache_run(
     Ok(sc)
 }
 
-/// Damages a populated cache directory in place: one random bit flip in
-/// one top-level `*.json` file and a random truncation of another (the
-/// same file when only one exists). `FORMAT`, lock files and the
-/// quarantine subdirectory are left alone, so every damaged file is one
-/// the warm run will actually read and must detect.
-fn corrupt_cache_dir(dir: &Path, rng: &mut progen::Rng) -> Result<(), String> {
-    let mut files: Vec<PathBuf> = std::fs::read_dir(dir)
-        .map_err(|e| format!("read_dir {}: {e}", dir.display()))?
-        .filter_map(|e| e.ok().map(|e| e.path()))
-        .filter(|p| p.is_file() && p.extension().is_some_and(|x| x == "json"))
-        .collect();
-    files.sort();
-    if files.is_empty() {
-        return Err("populated cache dir has no *.json entries to corrupt".to_string());
-    }
-
-    // bit flip
-    let victim = &files[rng.below(files.len() as u64) as usize];
-    let mut bytes = std::fs::read(victim).map_err(|e| format!("read {}: {e}", victim.display()))?;
-    if bytes.is_empty() {
-        bytes.push(b'!');
-    } else {
-        let at = rng.below(bytes.len() as u64) as usize;
-        bytes[at] ^= 1 << rng.below(8);
-    }
-    std::fs::write(victim, &bytes).map_err(|e| format!("write {}: {e}", victim.display()))?;
-
-    // truncation
-    let victim = &files[rng.below(files.len() as u64) as usize];
-    let bytes = std::fs::read(victim).map_err(|e| format!("read {}: {e}", victim.display()))?;
-    let keep = rng.below(bytes.len().max(1) as u64) as usize;
-    std::fs::write(victim, &bytes[..keep.min(bytes.len())])
-        .map_err(|e| format!("write {}: {e}", victim.display()))?;
-    Ok(())
-}
-
 /// Installs `spec`, runs `f`, and uninstalls the fault hook even when
 /// `f` panics — faults are process-global, so leaking them would poison
 /// every later phase.
@@ -607,7 +571,8 @@ fn check_cache_case(cseed: u64, src: &str, totals: &mut CacheTotals) -> Result<(
             "clean populate",
         )?;
         let mut rng = progen::Rng::new(cseed ^ 0x5EED_C0DE);
-        corrupt_cache_dir(&dir_corrupt, &mut rng)?;
+        titanc_bench::corrupt_cache_dir(&dir_corrupt, &mut rng)
+            .map_err(|e| format!("corrupting {}: {e}", dir_corrupt.display()))?;
         let damaged = cache_run(
             src,
             &options,

@@ -50,6 +50,46 @@ pub fn compile_only(src: &str, options: &Options) -> titanc::Compilation {
     compile(src, options).expect("experiment source compiles")
 }
 
+/// Damages a populated `--cache-dir` in place: one random bit flip in one
+/// file and a random truncation of another (the same file when only one
+/// exists). Victims are every top-level file except the `FORMAT` marker
+/// and the `.lock` — entries, manifests and the index alike, whatever
+/// they are named — and the `quarantine/` subdirectory is left alone, so
+/// every damaged file is one a warm run actually reads and must detect.
+/// Shared by `stress --cache-faults` and `tests/cache_faults.rs`.
+///
+/// # Errors
+///
+/// Any I/O failure, or `NotFound` when the directory holds no victim.
+pub fn corrupt_cache_dir(dir: &std::path::Path, rng: &mut progen::Rng) -> std::io::Result<()> {
+    let mut files: Vec<std::path::PathBuf> = std::fs::read_dir(dir)?
+        .filter_map(|e| e.ok().map(|e| e.path()))
+        .filter(|p| p.is_file() && !p.ends_with("FORMAT") && !p.ends_with(".lock"))
+        .collect();
+    files.sort();
+    if files.is_empty() {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::NotFound,
+            "populated cache dir has no files to corrupt",
+        ));
+    }
+
+    let victim = &files[rng.below(files.len() as u64) as usize];
+    let mut bytes = std::fs::read(victim)?;
+    if bytes.is_empty() {
+        bytes.push(b'!');
+    } else {
+        let at = rng.below(bytes.len() as u64) as usize;
+        bytes[at] ^= 1 << rng.below(8);
+    }
+    std::fs::write(victim, &bytes)?;
+
+    let victim = &files[rng.below(files.len() as u64) as usize];
+    let bytes = std::fs::read(victim)?;
+    let keep = rng.below(bytes.len().max(1) as u64) as usize;
+    std::fs::write(victim, &bytes[..keep.min(bytes.len())])
+}
+
 /// MFLOPS at the Titan's 16 MHz clock.
 pub fn mflops(stats: &ExecStats) -> f64 {
     stats.mflops(16.0)

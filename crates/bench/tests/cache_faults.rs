@@ -61,34 +61,6 @@ fn compile(src: &str, dir: Option<&PathBuf>) -> SessionCompilation {
     compile_session(&files, &Options::o2(), dir.map(|d| d.as_path())).expect("progen compiles")
 }
 
-/// Flips one random bit in, and truncates, the top-level `*.json` files
-/// of a populated cache directory (sparing `FORMAT`, locks and the
-/// quarantine subdirectory, which a warm run does not read as entries).
-fn corrupt(dir: &PathBuf, rng: &mut progen::Rng) {
-    let mut files: Vec<PathBuf> = std::fs::read_dir(dir)
-        .expect("cache dir")
-        .filter_map(|e| e.ok().map(|e| e.path()))
-        .filter(|p| p.is_file() && p.extension().is_some_and(|x| x == "json"))
-        .collect();
-    files.sort();
-    assert!(!files.is_empty(), "populated dir must hold *.json files");
-
-    let victim = &files[rng.below(files.len() as u64) as usize];
-    let mut bytes = std::fs::read(victim).expect("read victim");
-    if bytes.is_empty() {
-        bytes.push(b'!');
-    } else {
-        let at = rng.below(bytes.len() as u64) as usize;
-        bytes[at] ^= 1 << rng.below(8);
-    }
-    std::fs::write(victim, &bytes).expect("write victim");
-
-    let victim = &files[rng.below(files.len() as u64) as usize];
-    let bytes = std::fs::read(victim).expect("read victim");
-    let keep = rng.below(bytes.len().max(1) as u64) as usize;
-    std::fs::write(victim, &bytes[..keep.min(bytes.len())]).expect("truncate victim");
-}
-
 /// Property: whatever bytes rot on disk, the warm run detects the
 /// damage (corrupt counter, quarantine) and still emits output
 /// byte-identical to a no-cache compile. Several progen seeds, each
@@ -104,7 +76,7 @@ fn random_corruption_never_escapes_into_the_output() {
 
         let dir = cache_dir(&format!("corrupt-{seed}"));
         compile(&src, Some(&dir)); // clean populate
-        corrupt(&dir, &mut rng);
+        titanc_bench::corrupt_cache_dir(&dir, &mut rng).expect("corrupt the populated dir");
         let damaged = compile(&src, Some(&dir));
 
         assert_eq!(

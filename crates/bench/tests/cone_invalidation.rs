@@ -40,6 +40,17 @@ fn opt_report_json(sc: &SessionCompilation) -> String {
     .to_string_compact()
 }
 
+/// The per-procedure entry files (`<key>.il`) of a cache directory.
+fn entry_files(dir: &std::path::Path) -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir(dir)
+        .expect("cache dir")
+        .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
+        .filter(|n| n.ends_with(".il"))
+        .collect();
+    names.sort();
+    names
+}
+
 /// The procedures whose inline cone contains `victim` — exactly the set
 /// the session cache must recompile after an edit to `victim`.
 fn cone_consumers(src: &str, victim: &str) -> Vec<String> {
@@ -106,8 +117,9 @@ fn one_proc_edits_invalidate_exactly_the_cone() {
             assert_eq!(warm.stats.invalidated, consumers.len());
             assert_eq!(warm.stats.hits, total - consumers.len());
 
-            let fresh = compile_session(&[SourceFile::new("gen.c", edited)], &options, None)
-                .expect("reference compile");
+            let fresh =
+                compile_session(&[SourceFile::new("gen.c", edited.clone())], &options, None)
+                    .expect("reference compile");
             assert_eq!(
                 il_text(&fresh),
                 il_text(&warm),
@@ -117,6 +129,34 @@ fn one_proc_edits_invalidate_exactly_the_cone() {
                 opt_report_json(&fresh),
                 opt_report_json(&warm),
                 "seed {seed} -j{jobs}: warm-edit opt report must match a cold compile"
+            );
+
+            // entry bytes are a function of the IL's structure, not of
+            // which session produced it: a from-scratch directory of the
+            // edited sources holds, byte for byte, a subset of the files
+            // the warm-edit directory ended up with
+            let scratch_dir = cache_dir(&format!("{seed}-{jobs}-scratch"));
+            compile_session(
+                &[SourceFile::new("gen.c", edited.clone())],
+                &options,
+                Some(&scratch_dir),
+            )
+            .expect("from-scratch compile");
+            let scratch_entries = entry_files(&scratch_dir);
+            assert_eq!(scratch_entries.len(), total);
+            for name in &scratch_entries {
+                assert_eq!(
+                    std::fs::read(dir.join(name)).ok(),
+                    std::fs::read(scratch_dir.join(name)).ok(),
+                    "seed {seed} -j{jobs}: entry {name} differs between the warm-edit \
+                     and the from-scratch directory"
+                );
+            }
+            let stale = entry_files(&dir).len() - scratch_entries.len();
+            assert_eq!(
+                stale,
+                consumers.len(),
+                "only the superseded entries are extra"
             );
         }
     }

@@ -15,8 +15,9 @@
 //! With `--cache-dir DIR`, each procedure's fully optimized IL is keyed
 //! by a stable 128-bit content hash ([`titanc_il::StableHash`]) of:
 //!
-//! * the parsed procedure's catalog encoding (names, types, statement
-//!   tree, spans — everything the optimizer sees),
+//! * the parsed procedure's canonical arena bytes
+//!   ([`titanc_il::write_proc`]: names, types, statements, spans —
+//!   everything the optimizer sees),
 //! * the shared program environment (globals, struct table, file
 //!   table), hashed once and folded into **every** key,
 //! * an [`Options`] fingerprint (every knob that can change generated
@@ -31,9 +32,12 @@
 //!   cones contain it, never the whole program. `--no-inline` sessions
 //!   key each procedure on its own encoding alone.
 //!
-//! A cache entry stores the post-pipeline IL *plus* the per-pass
-//! [`RecordedCell`]s — the statistics deltas, changed flags, and
-//! analysis-cache counters of the original execution. On a warm run the
+//! A cache entry stores the post-pipeline IL — as the binary wire bytes
+//! of [`titanc_il::wire`], the same layout the hasher sweeps — *plus* the
+//! per-pass [`RecordedCell`]s — the statistics deltas, changed flags, and
+//! analysis-cache counters of the original execution — as a
+//! length-prefixed section of JSON text (reports stay JSON everywhere)
+//! that is decoded only when the hit is actually replayed. On a warm run the
 //! pass manager substitutes the cached IL and replays the cells through
 //! its normal pass-major merge ([`Pipeline::run`]), so reports,
 //! counters, and `--opt-report` output are **byte-identical between cold
@@ -62,6 +66,7 @@ use std::time::Duration;
 use titanc_analysis::CallGraph;
 use titanc_cfront::{Diagnostic, DiagnosticSink, Span};
 use titanc_il::json::{FromJson, Json, ToJson};
+use titanc_il::wire::Reader;
 use titanc_il::{Procedure, Program, StableHash, StableHasher, StructDef, StructId, Type, VarInfo};
 
 use crate::pass::{
@@ -76,7 +81,7 @@ use crate::{
 
 /// Bumped when the entry or manifest encoding changes shape; entries
 /// written by other versions are treated as misses.
-const ENTRY_VERSION: i64 = 1;
+const ENTRY_VERSION: u32 = 1;
 
 /// One input translation unit: a display name (normally the path) and
 /// its source text.
@@ -335,10 +340,11 @@ pub(crate) fn compile_session_impl(
     // recorded for `persist`)
     if let Some(c) = cache.as_mut() {
         for (p, h) in program.procs.iter().zip(&c.hashes) {
-            if let Some((il, cells)) = load_entry(&mut c.store, h, &p.name) {
-                c.replay
-                    .hits
-                    .insert(p.name.clone(), CachedProc::new(il, cells));
+            let hit = load_entry(&mut c.store, h, &p.name, |il, cells| {
+                Some(CachedProc::new(il, decode_cells(cells)?))
+            });
+            if let Some(hit) = hit {
+                c.replay.hits.insert(p.name.clone(), hit);
             } else if c.index.get(&p.name).is_some_and(|old| *old != h.hex()) {
                 stats.invalidated += 1;
             }
@@ -571,11 +577,10 @@ fn proc_hashes(program: &Program, options: &Options, pipeline_fp: &str) -> Vec<S
             h.write_str(&env);
             h.write_str(&p.name);
             match &cones {
-                // hash the arena columns directly — a linear byte sweep
-                // instead of a JSON re-encode of each body. Cone members
-                // are hashed in program order: the inliner's round loop
-                // visits callers in that order, so relative position is
-                // part of what determines the spliced code.
+                // cone members are hashed in program order: the
+                // inliner's round loop visits callers in that order, so
+                // relative position is part of what determines the
+                // spliced code
                 Some(cones) => {
                     for &j in &cones[i] {
                         let m = &program.procs[j];
@@ -612,14 +617,44 @@ fn session_hash(
     h.finish()
 }
 
-/// One per-procedure cache entry on disk.
-struct CacheEntry {
-    version: i64,
-    proc: Procedure,
-    cells: Vec<RecordedCell>,
+/// One per-procedure cache entry's payload: the entry version, then two
+/// `u64`-length-prefixed sections — the IL's wire bytes
+/// ([`titanc_il::encode_proc`]) and the recorded cells as JSON text. The
+/// bytes are a function of the procedure's structure and its cells alone,
+/// so concurrent sessions publishing one key write identical files.
+fn encode_entry(proc: &Procedure, cells: &[RecordedCell]) -> Vec<u8> {
+    let cells = Json::Arr(cells.iter().map(ToJson::to_json).collect()).to_string_compact();
+    frame_entry(&titanc_il::encode_proc(proc), cells.as_bytes())
 }
 
-titanc_il::struct_json!(CacheEntry, [version, proc, cells]);
+/// The entry framing [`split_entry`] undoes.
+fn frame_entry(il: &[u8], cells: &[u8]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(4 + 8 + il.len() + 8 + cells.len());
+    out.extend_from_slice(&ENTRY_VERSION.to_le_bytes());
+    for section in [il, cells] {
+        out.extend_from_slice(&(section.len() as u64).to_le_bytes());
+        out.extend_from_slice(section);
+    }
+    out
+}
+
+/// Splits an entry payload into its (IL, cells) sections.
+fn split_entry(payload: &[u8]) -> Option<(&[u8], &[u8])> {
+    let mut r = Reader::new(payload);
+    if r.u32().ok()? != ENTRY_VERSION {
+        return None;
+    }
+    let il = r.section().ok()?;
+    let cells = r.section().ok()?;
+    r.finish().ok()?;
+    Some((il, cells))
+}
+
+/// Decodes an entry's cells section.
+fn decode_cells(section: &[u8]) -> Option<Vec<RecordedCell>> {
+    let doc = titanc_il::json::parse(std::str::from_utf8(section).ok()?).ok()?;
+    Vec::from_json(&doc).ok()
+}
 
 /// One aggregate pass record in the session manifest (a serializable
 /// [`PassRecord`] minus the wall-clock duration).
@@ -640,7 +675,7 @@ titanc_il::struct_json!(
 /// The session manifest: everything a fully warm run needs beyond the
 /// per-procedure entries.
 struct Manifest {
-    version: i64,
+    version: u32,
     records: Vec<ManifestRecord>,
     globals: Vec<VarInfo>,
     structs: Vec<StructDef>,
@@ -650,7 +685,7 @@ struct Manifest {
 titanc_il::struct_json!(Manifest, [version, records, globals, structs, files]);
 
 fn entry_name(hash: &StableHash) -> String {
-    format!("{}.json", hash.hex())
+    format!("{}.il", hash.hex())
 }
 
 fn manifest_name(key: &StableHash) -> String {
@@ -701,26 +736,28 @@ fn fold_store_stats(store: &CacheStore, stats: &mut SessionStats) {
 /// Loads and validates one entry; any failure is a miss. A missing file
 /// is a plain (cold) miss; a file that read but failed its checksum,
 /// decode, version, name, or — crucially — the IL verifier is
-/// quarantined so the bad bytes are never trusted or re-read.
-fn load_entry(
+/// quarantined so the bad bytes are never trusted or re-read. `finish`
+/// receives the verified IL and the still-encoded cells section: a
+/// fully warm run drops the section unread, a replay decodes it (and a
+/// `None` from there quarantines the entry like any other damage).
+fn load_entry<T>(
     store: &mut CacheStore,
     hash: &StableHash,
     name: &str,
-) -> Option<(Procedure, Vec<RecordedCell>)> {
+    finish: impl FnOnce(Procedure, &[u8]) -> Option<T>,
+) -> Option<T> {
     let file = entry_name(hash);
     let payload = store.read(&file)?;
-    let decoded = titanc_il::json::parse(&payload)
-        .ok()
-        .and_then(|doc| CacheEntry::from_json(&doc).ok())
-        .filter(|e| e.version == ENTRY_VERSION && e.proc.name == name)
-        .filter(|e| verify_proc_check(&e.proc).is_ok());
-    match decoded {
-        Some(entry) => Some((entry.proc, entry.cells)),
-        None => {
-            store.quarantine(&file);
-            None
-        }
+    let loaded = split_entry(&payload).and_then(|(il, cells)| {
+        let il = titanc_il::decode_proc(il).ok()?;
+        (il.name == name && verify_proc_check(&il).is_ok())
+            .then(|| finish(il, cells))
+            .flatten()
+    });
+    if loaded.is_none() {
+        store.quarantine(&file);
     }
+    loaded
 }
 
 /// Reconstructs a fully warm compilation: the program from the manifest
@@ -736,8 +773,9 @@ fn load_full_warm(
 ) -> Option<(Program, Reports, PassTrace)> {
     let file = manifest_name(key);
     let payload = store.read(&file)?;
-    let manifest = titanc_il::json::parse(&payload)
+    let manifest = std::str::from_utf8(&payload)
         .ok()
+        .and_then(|text| titanc_il::json::parse(text).ok())
         .and_then(|doc| Manifest::from_json(&doc).ok())
         .filter(|m| m.version == ENTRY_VERSION);
     let Some(manifest) = manifest else {
@@ -770,8 +808,7 @@ fn load_full_warm(
     }
     let mut procs = Vec::with_capacity(program.procs.len());
     for (p, h) in program.procs.iter().zip(hashes) {
-        let (il, _) = load_entry(store, h, &p.name)?;
-        procs.push(il);
+        procs.push(load_entry(store, h, &p.name, |il, _| Some(il))?);
     }
     Some((
         Program {
@@ -820,12 +857,7 @@ fn persist(cache: &mut OpenCache, program: &Program, trace: &PassTrace, proc_sta
         }
         match replay.recorded.get(&p.name) {
             Some(cells) if cells.len() == proc_stages && !replay.uncacheable.contains(&p.name) => {
-                let entry = CacheEntry {
-                    version: ENTRY_VERSION,
-                    proc: p.clone(),
-                    cells: cells.clone(),
-                };
-                if store.publish(&entry_name(h), &entry.to_json().to_string_compact()) {
+                if store.publish(&entry_name(h), &encode_entry(p, cells)) {
                     updates.insert(p.name.clone(), h.hex());
                 } else {
                     all_cached = false;
@@ -865,7 +897,7 @@ fn persist(cache: &mut OpenCache, program: &Program, trace: &PassTrace, proc_sta
         };
         store.publish(
             &manifest_name(session_key),
-            &manifest.to_json().to_string_compact(),
+            manifest.to_json().to_string_compact().as_bytes(),
         );
     }
     // reload-merge under the lock: another session may have extended the
@@ -883,7 +915,10 @@ fn load_index(store: &mut CacheStore) -> BTreeMap<String, String> {
     let Some(payload) = store.read(INDEX_FILE) else {
         return map;
     };
-    let Ok(doc) = titanc_il::json::parse(&payload) else {
+    let doc = std::str::from_utf8(&payload)
+        .ok()
+        .and_then(|text| titanc_il::json::parse(text).ok());
+    let Some(doc) = doc else {
         store.quarantine(INDEX_FILE);
         return map;
     };
@@ -906,5 +941,120 @@ fn save_index(store: &mut CacheStore, map: &BTreeMap<String, String>) {
                 .collect(),
         ),
     )]);
-    store.publish(INDEX_FILE, &obj.to_string_compact());
+    store.publish(INDEX_FILE, obj.to_string_compact().as_bytes());
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::path::PathBuf;
+
+    const SRC: &str = "float a[64], b[64];\n\
+        void scale(float *x, int n) { int i; for (i = 0; i < n; i++) x[i] = x[i] * 2.0f; }\n\
+        int main(void) { int i; for (i = 0; i < 64; i++) a[i] = b[i] + 1.0f; scale(a, 64); return 0; }\n";
+
+    fn scratch(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("titanc-session-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    fn compile(dir: Option<&Path>) -> SessionCompilation {
+        let files = [SourceFile::new("t.c", SRC)];
+        compile_session(&files, &Options::o2(), dir).expect("compiles")
+    }
+
+    fn il_text(sc: &SessionCompilation) -> String {
+        let procs = &sc.compilation.program.procs;
+        procs.iter().map(titanc_il::pretty_proc).collect()
+    }
+
+    /// The entry files of `dir`, sorted.
+    fn entries(dir: &Path) -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(dir)
+            .expect("cache dir")
+            .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
+            .filter(|n| n.ends_with(".il"))
+            .collect();
+        names.sort();
+        names
+    }
+
+    /// Rewrites entry `name` through `damage` and re-seals it, so the
+    /// envelope checksum is *valid* for the damaged payload — the one
+    /// kind of corruption only the decoder and verifier can catch.
+    fn reseal(dir: &Path, name: &str, damage: impl FnOnce(&[u8], &[u8]) -> (Vec<u8>, Vec<u8>)) {
+        let mut store = CacheStore::open(dir);
+        let payload = store.read(name).expect("entry reads");
+        let (il, cells) = split_entry(&payload).expect("entry splits");
+        let (il, cells) = damage(il, cells);
+        assert!(store.publish(name, &frame_entry(&il, &cells)));
+    }
+
+    #[test]
+    fn checksum_valid_but_undecodable_il_is_quarantined_and_recompiled() {
+        let reference = compile(None);
+        let dir = scratch("bad-il");
+        let cold = compile(Some(&dir));
+        assert_eq!(cold.stats.misses, 2);
+        let victim = entries(&dir).remove(0);
+        // the IL section loses its last byte (its length prefix agrees)
+        reseal(&dir, &victim, |il, cells| {
+            (il[..il.len() - 1].to_vec(), cells.to_vec())
+        });
+
+        let warm = compile(Some(&dir));
+        assert_eq!(il_text(&reference), il_text(&warm));
+        assert_eq!((warm.stats.corrupt, warm.stats.quarantined), (1, 1));
+        assert_eq!((warm.stats.hits, warm.stats.misses), (1, 1));
+        assert!(!warm.stats.full_warm);
+        assert_eq!(
+            std::fs::read_dir(dir.join("quarantine"))
+                .expect("quarantine/")
+                .count(),
+            1,
+            "the bad bytes are preserved for post-mortem"
+        );
+        // the recompile re-published a good entry: fully warm and clean again
+        let healed = compile(Some(&dir));
+        assert!(healed.stats.full_warm);
+        assert_eq!(healed.stats.corrupt, 0);
+        assert_eq!(il_text(&reference), il_text(&healed));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn cells_are_decoded_only_when_a_hit_is_replayed() {
+        let reference = compile(None);
+        let dir = scratch("bad-cells");
+        compile(Some(&dir));
+        let victim = entries(&dir).remove(0);
+        reseal(&dir, &victim, |il, _| {
+            (il.to_vec(), b"[{\"pass\":".to_vec())
+        });
+
+        // fully warm: the manifest carries the aggregate records, so the
+        // cells section is never opened — and never missed
+        let warm = compile(Some(&dir));
+        assert!(warm.stats.full_warm);
+        assert_eq!(warm.stats.corrupt, 0);
+        assert_eq!(il_text(&reference), il_text(&warm));
+
+        // without the manifest every hit is replayed cell by cell: now
+        // the damage matters, and is handled like any other
+        for e in std::fs::read_dir(&dir).expect("cache dir") {
+            let path = e.expect("entry").path();
+            if path
+                .file_name()
+                .is_some_and(|n| n.to_string_lossy().starts_with("session-"))
+            {
+                std::fs::remove_file(path).expect("drop the manifest");
+            }
+        }
+        let replayed = compile(Some(&dir));
+        assert_eq!((replayed.stats.corrupt, replayed.stats.quarantined), (1, 1));
+        assert_eq!((replayed.stats.hits, replayed.stats.misses), (1, 1));
+        assert_eq!(il_text(&reference), il_text(&replayed));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

@@ -12,9 +12,11 @@
 //!   never observe a half-written entry; a crash mid-write leaves at
 //!   worst an orphaned `.tmp-*` file.
 //! * **Checksummed envelopes.** Every file starts with a one-line
-//!   header — the format name and a 128-bit FNV-1a digest of the
-//!   payload — so a bit flip, truncation, or encoding skew is detected
-//!   before the payload is parsed, not after it has been trusted.
+//!   text header — the format name and a 128-bit FNV-1a digest of the
+//!   payload — followed by the payload bytes (binary for entries, JSON
+//!   text for the manifest and index), so a bit flip, truncation, or
+//!   encoding skew is detected before the payload is decoded, not after
+//!   it has been trusted.
 //! * **Quarantine-and-miss.** A file that fails the checksum (or
 //!   decodes to something the IL verifier rejects) is moved into a
 //!   `quarantine/` subdirectory and treated as a miss. The bad bytes
@@ -30,8 +32,10 @@
 //!   acquire the lock in time skips the derived files (they are
 //!   advisory) rather than torn-writing them.
 //!
-//! The [`ResidentCache`] layer on top keeps all payloads in one shared
-//! in-memory map for the `titand` compile server: every request's store
+//! The [`ResidentCache`] layer on top keeps all payloads (`Arc<[u8]>`,
+//! so a hit is a pointer clone under the map lock and decoding happens
+//! outside it) in one shared in-memory map for the `titand` compile
+//! server: every request's store
 //! reads through it and writes through to the backing directory, so the
 //! daemon and one-shot processes interoperate on the same `--cache-dir`.
 //!
@@ -54,14 +58,12 @@ use titanc_il::{StableHash, StableHasher};
 
 /// On-disk cache format name. Written to the directory's `FORMAT`
 /// marker and prefixed to every envelope header; folded into every
-/// content hash so a format change invalidates wholesale. Bumped to v3
-/// when entries gained checksummed envelopes (a v2-era directory has
-/// no marker and is refused cleanly — one remark, cold compile), and to
-/// v4 when per-procedure keys switched from the whole-program hash to
-/// inline dependency cones and `InlineEvent` gained its site ordinal —
-/// a v3-era directory's marker names another version and is refused
-/// the same way.
-pub(crate) const CACHE_FORMAT: &str = "titanc-cache-v4";
+/// content hash so a format change invalidates wholesale. v5 is the
+/// format whose entries are the IL's binary wire bytes
+/// ([`titanc_il::wire`]) instead of JSON text. A directory whose marker
+/// says anything else — or that holds files but no marker at all — is
+/// refused cleanly: one remark, cold compile, nothing touched.
+pub(crate) const CACHE_FORMAT: &str = "titanc-cache-v5";
 
 /// The directory-level format marker file.
 const MARKER_FILE: &str = "FORMAT";
@@ -322,28 +324,53 @@ fn faulty_rename(from: &Path, to: &Path) -> io::Result<()> {
 // Checksummed envelopes
 // ---------------------------------------------------------------------
 
-/// Wraps a payload in the v3 envelope: a `FORMAT <fnv128-hex>` header
-/// line, then the payload bytes the digest covers.
-fn seal(payload: &str) -> String {
+fn digest(payload: &[u8]) -> StableHash {
     let mut h = StableHasher::new();
-    h.write(payload.as_bytes());
-    format!("{CACHE_FORMAT} {}\n{payload}", h.finish().hex())
+    h.write(payload);
+    h.finish()
 }
 
-/// Opens an envelope: checks the format name and the payload digest.
-/// `None` on any mismatch — wrong format, bad header shape, checksum
-/// failure, or non-UTF-8 bytes.
-fn unseal(bytes: &[u8]) -> Option<String> {
-    let text = String::from_utf8(bytes.to_vec()).ok()?;
-    let (header, payload) = text.split_once('\n')?;
-    let (format, digest) = header.split_once(' ')?;
+/// Wraps a payload in the envelope: a `FORMAT <fnv128-hex>` header
+/// line, then the payload bytes the digest covers.
+fn seal(payload: &[u8]) -> Vec<u8> {
+    let mut out = format!("{CACHE_FORMAT} {}\n", digest(payload).hex()).into_bytes();
+    out.extend_from_slice(payload);
+    out
+}
+
+/// Opens an envelope in place: checks the format name and the payload
+/// digest and returns the payload's slice of `bytes`. `None` on any
+/// mismatch — wrong format, bad header shape, checksum failure.
+fn unseal(bytes: &[u8]) -> Option<&[u8]> {
+    let newline = bytes.iter().position(|&b| b == b'\n')?;
+    let header = std::str::from_utf8(&bytes[..newline]).ok()?;
+    let payload = &bytes[newline + 1..];
+    let (format, hex) = header.split_once(' ')?;
     if format != CACHE_FORMAT {
         return None;
     }
-    let expected = StableHash::from_hex(digest)?;
-    let mut h = StableHasher::new();
-    h.write(payload.as_bytes());
-    (h.finish() == expected).then(|| payload.to_string())
+    (digest(payload) == StableHash::from_hex(hex)?).then_some(payload)
+}
+
+/// One unsealed payload, borrowed from wherever the store found it: the
+/// tail of the file it just read (no copy), or the resident map's shared
+/// allocation. Dereferences to the payload bytes.
+pub(crate) enum Payload {
+    /// A whole envelope read from disk; the payload starts at `start`.
+    Disk { file: Vec<u8>, start: usize },
+    /// A handle on the resident layer's copy.
+    Resident(Arc<[u8]>),
+}
+
+impl std::ops::Deref for Payload {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        match self {
+            Payload::Disk { file, start } => &file[*start..],
+            Payload::Resident(bytes) => bytes,
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -360,7 +387,9 @@ fn unseal(bytes: &[u8]) -> Option<String> {
 /// `titanc` processes and the daemon interoperate on the same directory.
 /// Payloads enter the map only after passing the envelope checksum (disk
 /// reads) or straight from the compiler (publishes), so map hits skip
-/// the checksum, not the IL verifier.
+/// the checksum, not the IL verifier. They are held as `Arc<[u8]>`: a hit
+/// clones a pointer while the map lock — which every daemon worker
+/// shares — is held, and decodes after it is released.
 ///
 /// The layer also carries the **in-process writer gate**: daemon workers
 /// serialize their index/manifest read-modify-write sections here,
@@ -377,7 +406,7 @@ pub struct ResidentCache {
 #[derive(Default)]
 struct ResidentInner {
     dir: Option<PathBuf>,
-    map: Mutex<BTreeMap<String, String>>,
+    map: Mutex<BTreeMap<String, Arc<[u8]>>>,
     /// The writer gate: `true` while some store in this process holds
     /// the advisory lock. A `Condvar` semaphore rather than a plain
     /// `Mutex<()>` so the guard can live inside a [`StoreLock`] without
@@ -410,17 +439,20 @@ impl ResidentCache {
         self.lock_map().len()
     }
 
-    fn lock_map(&self) -> std::sync::MutexGuard<'_, BTreeMap<String, String>> {
+    fn lock_map(&self) -> std::sync::MutexGuard<'_, BTreeMap<String, Arc<[u8]>>> {
         self.inner.map.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    fn get(&self, name: &str) -> Option<String> {
+    fn get(&self, name: &str) -> Option<Arc<[u8]>> {
         self.lock_map().get(name).cloned()
     }
 
-    fn put(&self, name: &str, payload: &str) {
+    fn put(&self, name: &str, payload: &[u8]) -> Arc<[u8]> {
+        // the copy happens before the lock is taken
+        let payload: Arc<[u8]> = Arc::from(payload);
         self.lock_map()
-            .insert(name.to_string(), payload.to_string());
+            .insert(name.to_string(), Arc::clone(&payload));
+        payload
     }
 
     fn remove(&self, name: &str) {
@@ -491,10 +523,10 @@ pub(crate) struct CacheStore {
 
 impl CacheStore {
     /// Opens (creating if needed) a cache directory, validating its
-    /// format marker. A directory written by another format — or a
-    /// pre-v3 directory with no marker but existing entries — disables
-    /// the store for the whole session: the compile proceeds cold and
-    /// one remark explains why. Never an error.
+    /// format marker. A marker naming another format — or no marker on a
+    /// directory that already holds files — disables the store for the
+    /// whole session: the compile proceeds cold and one remark explains
+    /// why. Never an error.
     pub(crate) fn open(dir: &Path) -> CacheStore {
         let mut store = CacheStore {
             dir: dir.to_path_buf(),
@@ -509,39 +541,27 @@ impl CacheStore {
             store.note_write_failure(&format!("cannot create cache directory: {e}"));
             return store;
         }
-        match faulty_read(&dir.join(MARKER_FILE)) {
-            Ok(bytes) => match String::from_utf8(bytes) {
-                Ok(text) if text.trim() == CACHE_FORMAT => store.enabled = true,
-                Ok(text) => {
-                    store.format_warning = Some(format!(
-                        "cache directory `{}` has format `{}` but this compiler writes \
-                         `{CACHE_FORMAT}`; compiling cold (clear the directory to re-enable)",
-                        dir.display(),
-                        text.trim().escape_default(),
-                    ));
-                }
-                Err(_) => {
-                    store.format_warning = Some(format!(
-                        "cache directory `{}` has an unreadable format marker; compiling cold \
-                         (clear the directory to re-enable)",
-                        dir.display(),
-                    ));
-                }
-            },
-            Err(_) => {
-                // no readable marker: adopt an empty directory, refuse a
-                // populated one (it predates the marker — a v2-era cache)
-                if store.has_entries() {
-                    store.format_warning = Some(format!(
-                        "cache directory `{}` predates {CACHE_FORMAT} (no format marker); \
-                         compiling cold (clear the directory to re-enable)",
-                        dir.display(),
-                    ));
-                } else if store.publish_raw(MARKER_FILE, format!("{CACHE_FORMAT}\n").as_bytes()) {
-                    store.enabled = true;
-                }
-                // publish failure already counted write_failed; the
-                // store stays disabled for this run
+        let marker = faulty_read(&dir.join(MARKER_FILE))
+            .ok()
+            .map(|bytes| String::from_utf8_lossy(&bytes).trim().to_string());
+        match marker {
+            Some(found) if found == CACHE_FORMAT => store.enabled = true,
+            // an empty directory is adopted (a failed marker publish is
+            // counted write_failed and the store stays disabled)
+            None if !store.has_entries() => {
+                store.enabled =
+                    store.publish_raw(MARKER_FILE, format!("{CACHE_FORMAT}\n").as_bytes());
+            }
+            found => {
+                store.format_warning = Some(format!(
+                    "cache directory `{}` is not a `{CACHE_FORMAT}` cache (format marker: {}); \
+                     compiling cold (clear the directory to re-enable)",
+                    dir.display(),
+                    found.map_or("missing or unreadable".to_string(), |f| format!(
+                        "`{}`",
+                        f.escape_default()
+                    )),
+                ));
             }
         }
         store
@@ -585,16 +605,17 @@ impl CacheStore {
         self.first_write_error.as_deref()
     }
 
-    /// Any top-level `*.json` file means the directory holds (pre-v3)
-    /// cache state we must not misread or clobber.
+    /// Anything in the directory is state we must not misread or clobber
+    /// — except what a concurrent first opener of the same empty
+    /// directory may be publishing right now: the marker itself and the
+    /// store's transient dotfiles (`.tmp-*`, `.lock`).
     fn has_entries(&self) -> bool {
         let Ok(entries) = fs::read_dir(&self.dir) else {
             return true; // unreadable: assume occupied, stay disabled
         };
         entries.flatten().any(|e| {
-            e.file_name()
-                .to_str()
-                .is_some_and(|name| name.ends_with(".json"))
+            let name = e.file_name();
+            name != MARKER_FILE && !name.as_encoded_bytes().starts_with(b".")
         })
     }
 
@@ -604,31 +625,30 @@ impl CacheStore {
     /// read wasn't) is a plain miss; an envelope that fails the format
     /// or checksum is quarantined and counted. Disk hits populate the
     /// resident map so the next request never touches the file.
-    pub(crate) fn read(&mut self, name: &str) -> Option<String> {
+    pub(crate) fn read(&mut self, name: &str) -> Option<Payload> {
         if !self.enabled {
             return None;
         }
         if let Some(resident) = &self.resident {
             if let Some(payload) = resident.get(name) {
-                return Some(payload);
+                return Some(Payload::Resident(payload));
             }
         }
         if !self.disk {
             return None;
         }
-        let bytes = faulty_read(&self.dir.join(name)).ok()?;
-        match unseal(&bytes) {
-            Some(payload) => {
-                if let Some(resident) = &self.resident {
-                    resident.put(name, &payload);
-                }
-                Some(payload)
-            }
-            None => {
-                self.quarantine(name);
-                None
-            }
-        }
+        let file = faulty_read(&self.dir.join(name)).ok()?;
+        let Some(payload) = unseal(&file) else {
+            self.quarantine(name);
+            return None;
+        };
+        Some(match &self.resident {
+            Some(resident) => Payload::Resident(resident.put(name, payload)),
+            None => Payload::Disk {
+                start: file.len() - payload.len(),
+                file,
+            },
+        })
     }
 
     /// Seals `payload` and publishes it atomically under `name`:
@@ -639,11 +659,11 @@ impl CacheStore {
     /// layer the payload also lands in the shared map — but only after
     /// the disk accepted it, so memory and disk never disagree about
     /// what was published.
-    pub(crate) fn publish(&mut self, name: &str, payload: &str) -> bool {
+    pub(crate) fn publish(&mut self, name: &str, payload: &[u8]) -> bool {
         if !self.enabled {
             return false;
         }
-        let ok = !self.disk || self.publish_raw(name, seal(payload).as_bytes());
+        let ok = !self.disk || self.publish_raw(name, &seal(payload));
         if ok {
             if let Some(resident) = &self.resident {
                 resident.put(name, payload);
@@ -868,24 +888,26 @@ mod tests {
 
     #[test]
     fn seal_round_trips_and_detects_damage() {
-        let payload = r#"{"version":1,"data":[1,2,3]}"#;
+        // payloads are bytes: newlines and non-UTF-8 are fine past the header
+        let payload: &[u8] = b"\x00\xff\n{\"version\":1}\n\xfe";
         let sealed = seal(payload);
-        assert_eq!(unseal(sealed.as_bytes()).as_deref(), Some(payload));
+        assert_eq!(unseal(&sealed), Some(payload));
 
         // flip one payload byte
-        let mut bytes = sealed.clone().into_bytes();
+        let mut bytes = sealed.clone();
         let last = bytes.len() - 1;
         bytes[last] ^= 0x55;
         assert_eq!(unseal(&bytes), None);
 
         // truncate mid-payload
-        assert_eq!(unseal(&sealed.as_bytes()[..sealed.len() / 2]), None);
+        assert_eq!(unseal(&sealed[..sealed.len() - 3]), None);
 
         // wrong format name
-        let skewed = sealed.replace(CACHE_FORMAT, "titanc-cache-v2");
-        assert_eq!(unseal(skewed.as_bytes()), None);
+        let mut skewed = b"titanc-cache-v4".to_vec();
+        skewed.extend_from_slice(&sealed[CACHE_FORMAT.len()..]);
+        assert_eq!(unseal(&skewed), None);
 
-        // not UTF-8 at all
+        // a header that is not UTF-8
         assert_eq!(unseal(&[0xFF, 0xFE, b'\n', b'x']), None);
         // empty and header-only
         assert_eq!(unseal(b""), None);
@@ -916,8 +938,8 @@ mod tests {
         let dir = scratch("roundtrip");
         let mut store = CacheStore::open(&dir);
         assert!(store.enabled(), "fresh directory must adopt the format");
-        assert!(store.publish("entry.json", "{\"k\":1}"));
-        assert_eq!(store.read("entry.json").as_deref(), Some("{\"k\":1}"));
+        assert!(store.publish("entry", b"{\"k\":1}"));
+        assert_eq!(store.read("entry").as_deref(), Some(&b"{\"k\":1}"[..]));
         assert_eq!(store.stats, StoreStats::default());
         // no temp litter after a clean publish
         let litter = fs::read_dir(&dir)
@@ -933,15 +955,15 @@ mod tests {
     fn corrupt_files_are_quarantined_and_miss() {
         let dir = scratch("quarantine");
         let mut store = CacheStore::open(&dir);
-        assert!(store.publish("entry.json", "payload"));
+        assert!(store.publish("entry", b"payload"));
         // flip a byte on disk
-        let path = dir.join("entry.json");
+        let path = dir.join("entry");
         let mut bytes = fs::read(&path).unwrap();
         let last = bytes.len() - 1;
         bytes[last] ^= 0x01;
         fs::write(&path, &bytes).unwrap();
 
-        assert_eq!(store.read("entry.json"), None);
+        assert!(store.read("entry").is_none());
         assert_eq!(store.stats.corrupt, 1);
         assert_eq!(store.stats.quarantined, 1);
         assert!(!path.exists(), "the corrupt file must be moved aside");
@@ -950,7 +972,7 @@ mod tests {
             "the bad bytes are preserved in quarantine/"
         );
         // a second read is a plain miss, not a second quarantine
-        assert_eq!(store.read("entry.json"), None);
+        assert!(store.read("entry").is_none());
         assert_eq!(store.stats.corrupt, 1);
         let _ = fs::remove_dir_all(&dir);
     }
@@ -959,28 +981,37 @@ mod tests {
     fn version_skewed_directories_are_refused_cleanly() {
         let dir = scratch("skew");
         fs::create_dir_all(&dir).unwrap();
-        // a v2-era directory: entries, no marker
+        // files but no marker (a v2-era directory looked like this)
         fs::write(dir.join("index.json"), "{\"procs\":{}}").unwrap();
         let mut store = CacheStore::open(&dir);
         assert!(!store.enabled());
-        assert!(store.format_warning().is_some());
-        assert_eq!(store.read("index.json"), None, "disabled stores miss");
-        assert!(!store.publish("x.json", "y"), "disabled stores skip writes");
+        assert!(store.format_warning().unwrap().contains("missing"));
+        assert!(store.read("index.json").is_none(), "disabled stores miss");
+        assert!(!store.publish("x", b"y"), "disabled stores skip writes");
         assert_eq!(store.stats, StoreStats::default());
         assert!(
             dir.join("index.json").exists(),
             "foreign files are left untouched"
         );
 
-        // an explicit future-format marker is refused the same way
+        // any other marker — older or newer — is refused the same way
         let dir2 = scratch("skew2");
         fs::create_dir_all(&dir2).unwrap();
         fs::write(dir2.join(MARKER_FILE), "titanc-cache-v9\n").unwrap();
         let store2 = CacheStore::open(&dir2);
         assert!(!store2.enabled());
         assert!(store2.format_warning().unwrap().contains("titanc-cache-v9"));
-        let _ = fs::remove_dir_all(&dir);
-        let _ = fs::remove_dir_all(&dir2);
+
+        // the store's own transient dotfiles do not make a directory
+        // "populated": a racing first opener may be mid-publish
+        let dir3 = scratch("skew3");
+        fs::create_dir_all(&dir3).unwrap();
+        fs::write(dir3.join(".tmp-FORMAT-1-0"), "titanc").unwrap();
+        fs::write(dir3.join(LOCK_FILE), "1:00").unwrap();
+        assert!(CacheStore::open(&dir3).enabled());
+        for d in [dir, dir2, dir3] {
+            let _ = fs::remove_dir_all(d);
+        }
     }
 
     #[test]
@@ -1119,30 +1150,35 @@ mod tests {
         let resident = ResidentCache::new(Some(&dir));
         let mut store = CacheStore::open_resident(&resident);
         assert!(store.enabled());
-        assert!(store.publish("entry.json", "payload"));
+        assert!(store.publish("entry", b"payload"));
         assert_eq!(resident.entries(), 1);
 
         // write-through: a plain (non-resident) store sees the entry…
         let mut oneshot = CacheStore::open(&dir);
-        assert_eq!(oneshot.read("entry.json").as_deref(), Some("payload"));
+        assert_eq!(oneshot.read("entry").as_deref(), Some(&b"payload"[..]));
 
         // …and the resident map survives disk loss (hits come from memory)
-        fs::remove_file(dir.join("entry.json")).unwrap();
+        fs::remove_file(dir.join("entry")).unwrap();
         let mut second = CacheStore::open_resident(&resident);
-        assert_eq!(second.read("entry.json").as_deref(), Some("payload"));
+        assert_eq!(second.read("entry").as_deref(), Some(&b"payload"[..]));
 
         // a disk entry published by a one-shot process is adopted into
-        // the map on first read
-        assert!(oneshot.publish("other.json", "from-oneshot"));
-        assert_eq!(second.read("other.json").as_deref(), Some("from-oneshot"));
+        // the map on first read, and later reads share that allocation
+        assert!(oneshot.publish("other", b"from-oneshot"));
+        let first = second.read("other").expect("adopted from disk");
+        assert_eq!(&*first, b"from-oneshot");
         assert_eq!(resident.entries(), 2);
+        match (first, second.read("other").expect("resident hit")) {
+            (Payload::Resident(a), Payload::Resident(b)) => assert!(Arc::ptr_eq(&a, &b)),
+            _ => panic!("a resident store hands out the map's own payloads"),
+        }
 
         // a pure in-memory cache needs no directory at all
         let mem = ResidentCache::new(None);
         let mut memstore = CacheStore::open_resident(&mem);
         assert!(memstore.enabled());
-        assert!(memstore.publish("x.json", "y"));
-        assert_eq!(memstore.read("x.json").as_deref(), Some("y"));
+        assert!(memstore.publish("x", b"y"));
+        assert_eq!(memstore.read("x").as_deref(), Some(&b"y"[..]));
         assert!(memstore.lock().is_some(), "memory stores lock on the gate");
         let _ = fs::remove_dir_all(&dir);
     }

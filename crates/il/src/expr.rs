@@ -361,6 +361,14 @@ impl ExprPool {
         self.nodes.get(id.index())
     }
 
+    /// A pool over already-built nodes (the wire decoder's bulk path).
+    pub(crate) fn from_nodes(nodes: Vec<Expr>) -> ExprPool {
+        ExprPool {
+            total_allocated: nodes.len() as u64,
+            nodes,
+        }
+    }
+
     /// Carries the lifetime allocation count across a compaction rebuild.
     pub(crate) fn set_total_allocated(&mut self, n: u64) {
         self.total_allocated = n;

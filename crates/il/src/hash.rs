@@ -1,24 +1,35 @@
-//! Stable content hashing for cache keys.
+//! Stable content hashing for cache keys — and the one walker that defines
+//! the cache's wire bytes.
 //!
 //! The persistent compilation cache keys a procedure's optimized IL by a
-//! content hash of its parsed encoding plus the option/pipeline
-//! fingerprints. The hash must be stable across runs, platforms and
-//! compiler versions of `titanc` itself — so it is defined over the
-//! canonical JSON encoding bytes (which `encode.rs` keeps deterministic)
-//! with a fixed algorithm, rather than over `std::hash` (whose output is
-//! explicitly unspecified and seeded per-process for `HashMap`).
+//! content hash of its parsed IL plus the option/pipeline fingerprints.
+//! The hash must be stable across runs, platforms and compiler versions of
+//! `titanc` itself — so it is a fixed algorithm over a fixed byte layout,
+//! rather than `std::hash` (whose output is explicitly unspecified and
+//! seeded per-process for `HashMap`).
 //!
 //! The algorithm is 128-bit FNV-1a: dependency-free, endian-independent
 //! (it consumes bytes), and wide enough that accidental collisions
 //! between cache keys are not a practical concern.
 //!
-//! [`hash_proc`] hashes a procedure by sweeping its arena columns linearly
-//! — one pass over the statement kinds (with spans), one over the
-//! expression nodes — instead of re-serializing the structural tree to
-//! JSON and hashing the text. Arena layout is a deterministic function of
-//! how the IL was built (lowering and passes allocate in a fixed order),
-//! so the digest is identical across clones, job counts, and cold/warm
-//! cache runs, while costing a fraction of a JSON encode.
+//! The byte layout is defined **once**, by [`write_proc`]: a linear sweep
+//! of a procedure's arena columns — signature, variable table, body ids,
+//! the statement kinds (then their spans), the expression nodes — with
+//! every count length-prefixed and every enum a tag byte. The walker is
+//! generic over a [`ByteSink`], and there are two sinks:
+//!
+//! * a [`StableHasher`] folds the bytes into a digest ([`hash_proc`]) —
+//!   the cache *key* side. Arena layout is a deterministic function of
+//!   how the IL was built (lowering allocates in a fixed order), so the
+//!   digest of a parsed procedure is identical across runs, clones and
+//!   job counts;
+//! * a `Vec<u8>` keeps the bytes ([`crate::wire::encode_proc`]) — the
+//!   cache *entry* side, read back by the bounds-checked
+//!   [`crate::wire::decode_proc`].
+//!
+//! Hashing and encoding therefore cannot drift: the digest of a decoded
+//! entry is the FNV of the entry's own bytes. [`IL_HASH_VERSION`] leads
+//! the layout and is bumped — here, once — whenever it changes.
 
 use crate::expr::{Expr, LValue};
 use crate::program::{ConstInit, Procedure, Storage, VarInfo};
@@ -53,7 +64,10 @@ impl StableHasher {
         StableHasher { state: OFFSET }
     }
 
-    /// Feeds bytes into the hash.
+    /// Feeds bytes into the hash. `#[inline]` because the generic walker
+    /// is instantiated in the *calling* crate, where a non-inline call per
+    /// one-to-four-byte field would dominate the sweep.
+    #[inline]
     pub fn write(&mut self, bytes: &[u8]) {
         for &b in bytes {
             self.state ^= u128::from(b);
@@ -61,16 +75,42 @@ impl StableHasher {
         }
     }
 
-    /// Feeds a string, length-prefixed so concatenations can't collide
-    /// (`"ab" + "c"` vs `"a" + "bc"`).
+    /// Feeds a length-prefixed string (see [`ByteSink::write_str`]).
     pub fn write_str(&mut self, s: &str) {
-        self.write(&(s.len() as u64).to_le_bytes());
-        self.write(s.as_bytes());
+        ByteSink::write_str(self, s);
     }
 
     /// The current digest.
     pub fn finish(&self) -> StableHash {
         StableHash(self.state)
+    }
+}
+
+/// Where the walker's canonical bytes go. [`StableHasher`] folds them into
+/// a digest; `Vec<u8>` keeps them as the cache's wire format.
+pub trait ByteSink {
+    /// Accepts the next bytes of the stream.
+    fn write(&mut self, bytes: &[u8]);
+
+    /// Writes a string, length-prefixed so concatenations can't collide
+    /// (`"ab" + "c"` vs `"a" + "bc"`) and a reader knows where it ends.
+    fn write_str(&mut self, s: &str) {
+        self.write(&(s.len() as u64).to_le_bytes());
+        self.write(s.as_bytes());
+    }
+}
+
+impl ByteSink for StableHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        StableHasher::write(self, bytes);
+    }
+}
+
+impl ByteSink for Vec<u8> {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        self.extend_from_slice(bytes);
     }
 }
 
@@ -121,9 +161,11 @@ pub fn hash_proc(proc: &Procedure) -> StableHash {
     h.finish()
 }
 
-/// Feeds a procedure's canonical bytes into an existing hasher (for
-/// program-wide keys that fold several procedures).
-pub fn write_proc(h: &mut StableHasher, proc: &Procedure) {
+/// Feeds a procedure's canonical bytes into a sink: an existing hasher
+/// (program-wide keys fold several procedures) or a byte buffer (the
+/// cache's wire format). This function *is* the layout definition —
+/// [`crate::wire::decode_proc`] reads exactly what it writes.
+pub fn write_proc<S: ByteSink>(h: &mut S, proc: &Procedure) {
     h.write(&IL_HASH_VERSION.to_le_bytes());
     h.write_str(&proc.name);
     write_type(h, &proc.ret);
@@ -158,7 +200,7 @@ pub fn write_proc(h: &mut StableHasher, proc: &Procedure) {
     }
 }
 
-fn write_type(h: &mut StableHasher, ty: &Type) {
+fn write_type<S: ByteSink>(h: &mut S, ty: &Type) {
     match ty {
         Type::Void => h.write(&[0]),
         Type::Char => h.write(&[1]),
@@ -181,7 +223,7 @@ fn write_type(h: &mut StableHasher, ty: &Type) {
     }
 }
 
-fn write_var_info(h: &mut StableHasher, v: &VarInfo) {
+fn write_var_info<S: ByteSink>(h: &mut S, v: &VarInfo) {
     h.write_str(&v.name);
     write_type(h, &v.ty);
     h.write(&[
@@ -208,7 +250,7 @@ fn write_var_info(h: &mut StableHasher, v: &VarInfo) {
     }
 }
 
-fn write_expr_node(h: &mut StableHasher, e: &Expr) {
+fn write_expr_node<S: ByteSink>(h: &mut S, e: &Expr) {
     match *e {
         Expr::IntConst(v) => {
             h.write(&[0]);
@@ -257,7 +299,7 @@ fn write_expr_node(h: &mut StableHasher, e: &Expr) {
     }
 }
 
-fn write_lvalue(h: &mut StableHasher, lv: &LValue) {
+fn write_lvalue<S: ByteSink>(h: &mut S, lv: &LValue) {
     match *lv {
         LValue::Var(v) => {
             h.write(&[0]);
@@ -281,14 +323,14 @@ fn write_lvalue(h: &mut StableHasher, lv: &LValue) {
     }
 }
 
-fn write_block(h: &mut StableHasher, block: &[crate::ids::StmtId]) {
+fn write_block<S: ByteSink>(h: &mut S, block: &[crate::ids::StmtId]) {
     h.write(&(block.len() as u32).to_le_bytes());
     for s in block {
         h.write(&s.0.to_le_bytes());
     }
 }
 
-fn write_stmt_kind(h: &mut StableHasher, kind: &StmtKind) {
+fn write_stmt_kind<S: ByteSink>(h: &mut S, kind: &StmtKind) {
     match kind {
         StmtKind::Assign { lhs, rhs } => {
             h.write(&[0]);

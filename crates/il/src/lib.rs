@@ -82,12 +82,13 @@ pub mod trace;
 pub mod types;
 pub mod verify;
 pub mod visit;
+pub mod wire;
 
 pub use builder::{BlockBuilder, ProcBuilder};
 pub use catalog::{Catalog, LinkReport};
 pub use expr::{BinOp, Expr, ExprPool, LValue, UnOp};
 pub use fold::{fold_expr, Value};
-pub use hash::{hash_proc, write_proc, StableHash, StableHasher};
+pub use hash::{hash_proc, write_proc, ByteSink, StableHash, StableHasher};
 pub use ids::{ExprId, LabelId, ProcId, StmtId, StructId, VarId};
 pub use json::{FromJson, Json, JsonError, ToJson};
 pub use pretty::{pretty_block, pretty_expr, pretty_expr_in, pretty_lvalue, pretty_proc};
@@ -97,3 +98,4 @@ pub use stmt::{block_len, Block, StmtKind, StmtPool};
 pub use trace::{InlineEvent, InlineOutcome, LoopDecision, LoopEvent};
 pub use types::{ScalarType, Type};
 pub use verify::{verify_proc, verify_program, VerifyError};
+pub use wire::{decode_proc, encode_proc, WireError};

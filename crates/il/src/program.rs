@@ -357,6 +357,48 @@ impl Procedure {
         self.bump_generation();
     }
 
+    /// The procedure in *canonical* arena layout: every reachable statement
+    /// at its own stamp with its span, every other statement slot a
+    /// span-less `Nop`, and the expression arena holding only reachable
+    /// nodes, operands before their node, in statement preorder. The
+    /// result equals `self` (equality is structural) but is a function of
+    /// the IL's structure alone — arena garbage and allocation history are
+    /// gone — which is what lets [`crate::wire::encode_proc`] promise
+    /// identical bytes for equal procedures. Unlike [`Procedure::restamp`]
+    /// the stamps are kept: reports and traces key on them.
+    pub fn canonical(&self) -> Procedure {
+        fn walk(block: &[StmtId], old: &Procedure, stmts: &mut StmtPool, exprs: &mut ExprPool) {
+            for &s in block {
+                let mut kind = old.stmts[s].clone();
+                for slot in kind.expr_slots_mut() {
+                    *slot = exprs.import(&old.exprs, *slot);
+                }
+                for b in kind.blocks() {
+                    walk(b, old, stmts, exprs);
+                }
+                stmts[s] = kind;
+                stmts.set_span(s, old.stmts.span(s));
+            }
+        }
+
+        let mut stmts = StmtPool::new();
+        stmts.grow_to(self.stmts.len());
+        let mut exprs = ExprPool::new();
+        walk(&self.body, self, &mut stmts, &mut exprs);
+        Procedure {
+            name: self.name.clone(),
+            ret: self.ret.clone(),
+            params: self.params.clone(),
+            vars: self.vars.clone(),
+            num_labels: self.num_labels,
+            body: self.body.clone(),
+            exprs,
+            stmts,
+            next_temp: self.next_temp,
+            generation: 0,
+        }
+    }
+
     /// True if any reachable statement satisfies the predicate.
     pub fn any_stmt(&self, mut pred: impl FnMut(StmtId, &StmtKind) -> bool) -> bool {
         let mut found = false;

@@ -336,6 +336,17 @@ impl StmtPool {
         &mut self.spans
     }
 
+    /// A pool over already-built parallel columns (the wire decoder's
+    /// bulk path).
+    pub(crate) fn from_columns(kinds: Vec<StmtKind>, spans: Vec<SrcSpan>) -> StmtPool {
+        debug_assert_eq!(kinds.len(), spans.len());
+        StmtPool {
+            total_allocated: kinds.len() as u64,
+            kinds,
+            spans,
+        }
+    }
+
     /// Carries the lifetime allocation count across a compaction rebuild.
     pub(crate) fn set_total_allocated(&mut self, n: u64) {
         self.total_allocated = n;

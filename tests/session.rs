@@ -326,105 +326,111 @@ fn concurrent_sessions_share_one_directory_safely() {
     assert_eq!(opt_report_json(&reference), opt_report_json(&warm));
 }
 
-/// A cache directory written by a pre-v3 compiler (entries on disk, no
-/// `FORMAT` marker) is refused cleanly: the compile succeeds cold with
-/// exactly one explanatory remark, and the old files are left exactly
-/// as they were — never adopted, rewritten, or quarantined.
-#[test]
-fn v2_era_cache_dirs_fall_back_cold_with_one_remark() {
-    let dir = cache_dir("v2-era");
+/// Seeds `dir` with `seed` (name → contents), compiles through it and
+/// asserts the one refusal contract every foreign directory gets: the
+/// compile succeeds cold, byte-identical to a store-less one, with
+/// exactly one remark — naming `marker` — and every seeded file left
+/// exactly as it was: never adopted, rewritten, or quarantined. A second
+/// run behaves the same way (refusal is stable, not sticky state that
+/// decays into an error).
+fn assert_refused_cold(tag: &str, seed: &[(&str, &str)], marker: &str) {
+    let dir = cache_dir(tag);
     std::fs::create_dir_all(&dir).expect("mkdir");
-    let stale_index = r#"{"procs":{"main":"00ff"}}"#;
-    std::fs::write(dir.join("index.json"), stale_index).expect("seed v2 index");
-    std::fs::write(dir.join("0123abcd.json"), "{\"version\":0}").expect("seed v2 entry");
+    for (name, contents) in seed {
+        std::fs::write(dir.join(name), contents).expect("seed file");
+    }
 
     let files = [corpus("daxpy.c"), corpus("blaslib.c")];
     let reference = compile_session(&files, &Options::o2(), None).expect("reference compile");
-    let sc = compile_session(&files, &Options::o2(), Some(&dir)).expect("v2 dir must not error");
+    for run in ["first", "second"] {
+        let sc = compile_session(&files, &Options::o2(), Some(&dir))
+            .unwrap_or_else(|e| panic!("{tag}, {run} run: a foreign dir must not error: {e}"));
+        assert_eq!(sc.stats.hits, 0, "a refused directory cannot serve hits");
+        assert_eq!(sc.stats.misses, reference.compilation.program.procs.len());
+        assert!(!sc.stats.full_warm);
+        assert_eq!(il_text(&reference), il_text(&sc));
+        assert_eq!(opt_report_json(&reference), opt_report_json(&sc));
 
-    assert_eq!(sc.stats.hits, 0, "a refused directory cannot serve hits");
-    assert!(!sc.stats.full_warm);
-    assert_eq!(il_text(&reference), il_text(&sc));
-    assert_eq!(opt_report_json(&reference), opt_report_json(&sc));
-
-    let remarks: Vec<_> = sc
-        .compilation
-        .diagnostics
-        .iter()
-        .filter(|d| d.message.contains("predates"))
-        .collect();
-    assert_eq!(
-        remarks.len(),
-        1,
-        "exactly one format-skew remark: {:?}",
-        sc.compilation
+        let messages: Vec<_> = sc
+            .compilation
             .diagnostics
             .iter()
             .map(|d| &d.message)
-            .collect::<Vec<_>>()
-    );
+            .collect();
+        let remarks = messages
+            .iter()
+            .filter(|m| m.contains("cache directory"))
+            .count();
+        assert_eq!(remarks, 1, "exactly one format-skew remark: {messages:?}");
+        assert!(
+            messages
+                .iter()
+                .any(|m| m.contains(&format!("format marker: {marker}"))
+                    && m.contains("compiling cold")),
+            "the remark names the marker it found: {messages:?}"
+        );
+    }
 
-    assert!(
-        !dir.join("FORMAT").exists(),
-        "a refused directory must not be adopted"
-    );
-    assert_eq!(
-        std::fs::read_to_string(dir.join("index.json")).expect("index survives"),
-        stale_index,
-        "the v2 files must be untouched"
-    );
-    assert!(dir.join("0123abcd.json").exists());
+    let mut left: Vec<String> = std::fs::read_dir(&dir)
+        .expect("dir survives")
+        .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
+        .collect();
+    left.sort();
+    let mut seeded: Vec<String> = seed.iter().map(|(n, _)| n.to_string()).collect();
+    seeded.sort();
+    assert_eq!(left, seeded, "nothing added to, or removed from, the dir");
+    for (name, contents) in seed {
+        assert_eq!(
+            std::fs::read_to_string(dir.join(name)).expect("seeded file survives"),
+            *contents,
+            "`{name}` must be untouched"
+        );
+    }
+}
 
-    // a later run behaves the same way — refusal is stable, not sticky
-    // state that decays into an error
-    let again = compile_session(&files, &Options::o2(), Some(&dir)).expect("still compiles");
-    assert_eq!(again.stats.hits, 0);
-    assert_eq!(il_text(&reference), il_text(&again));
+/// A cache directory written by a pre-v3 compiler: entries on disk, no
+/// `FORMAT` marker at all.
+#[test]
+fn v2_era_cache_dirs_fall_back_cold_with_one_remark() {
+    assert_refused_cold(
+        "v2-era",
+        &[
+            ("index.json", r#"{"procs":{"main":"00ff"}}"#),
+            ("0123abcd.json", "{\"version\":0}"),
+        ],
+        "missing",
+    );
 }
 
 /// A directory written by the v3 format — whole-program inline keys,
-/// pre-site-ordinal events — carries a marker naming the old version
-/// and is refused the same way: one remark, cold compile, files
-/// untouched.
+/// pre-site-ordinal events — carries a marker naming the old version.
 #[test]
 fn v3_era_cache_dirs_fall_back_cold_with_one_remark() {
-    let dir = cache_dir("v3-era");
-    std::fs::create_dir_all(&dir).expect("mkdir");
-    std::fs::write(dir.join("FORMAT"), "titanc-cache-v3").expect("seed v3 marker");
-    std::fs::write(dir.join("0123abcd.json"), "titanc-cache-v3 00ff\n{}").expect("seed v3 entry");
-
-    let files = [corpus("daxpy.c"), corpus("blaslib.c")];
-    let reference = compile_session(&files, &Options::o2(), None).expect("reference compile");
-    let sc = compile_session(&files, &Options::o2(), Some(&dir)).expect("v3 dir must not error");
-
-    assert_eq!(sc.stats.hits, 0, "a refused directory cannot serve hits");
-    assert!(!sc.stats.full_warm);
-    assert_eq!(il_text(&reference), il_text(&sc));
-    assert_eq!(opt_report_json(&reference), opt_report_json(&sc));
-
-    let remarks: Vec<_> = sc
-        .compilation
-        .diagnostics
-        .iter()
-        .filter(|d| d.message.contains("titanc-cache-v3"))
-        .collect();
-    assert_eq!(
-        remarks.len(),
-        1,
-        "exactly one format-skew remark: {:?}",
-        sc.compilation
-            .diagnostics
-            .iter()
-            .map(|d| &d.message)
-            .collect::<Vec<_>>()
+    assert_refused_cold(
+        "v3-era",
+        &[
+            ("FORMAT", "titanc-cache-v3"),
+            ("0123abcd.json", "titanc-cache-v3 00ff\n{}"),
+        ],
+        "`titanc-cache-v3`",
     );
+}
 
-    assert_eq!(
-        std::fs::read_to_string(dir.join("FORMAT")).expect("marker survives"),
-        "titanc-cache-v3",
-        "the refused marker must not be rewritten"
+/// A directory written by the v4 format — the last one whose entries
+/// were JSON text. Its files share names (`index.json`,
+/// `session-*.json`) with v5's, which is exactly why the marker, not
+/// the file names, decides.
+#[test]
+fn v4_era_cache_dirs_fall_back_cold_with_one_remark() {
+    assert_refused_cold(
+        "v4-era",
+        &[
+            ("FORMAT", "titanc-cache-v4\n"),
+            ("index.json", "titanc-cache-v4 00ff\n{\"procs\":{}}"),
+            ("0123abcd.json", "titanc-cache-v4 00ff\n{\"version\":1}"),
+        ],
+        "`titanc-cache-v4`",
     );
-    assert!(dir.join("0123abcd.json").exists(), "old entries untouched");
 }
 
 /// `keep_parsed` snapshots the program before any pass runs — the §7
