@@ -53,6 +53,13 @@ impl BitSet {
         changed
     }
 
+    /// `self = other`, reusing this set's storage (both sets must have the
+    /// same capacity).
+    pub fn assign(&mut self, other: &BitSet) {
+        debug_assert_eq!(self.len, other.len);
+        self.words.copy_from_slice(&other.words);
+    }
+
     /// `self &= !other`.
     pub fn subtract(&mut self, other: &BitSet) {
         for (a, b) in self.words.iter_mut().zip(&other.words) {

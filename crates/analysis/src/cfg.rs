@@ -27,7 +27,9 @@ pub struct Cfg {
     pub succs: Vec<Vec<NodeId>>,
     /// Predecessor lists.
     pub preds: Vec<Vec<NodeId>>,
-    node_of_stmt: HashMap<StmtId, NodeId>,
+    /// The node of each statement, by `StmtId` index (`None` for arena
+    /// slots no block links).
+    node_of_stmt: Vec<Option<NodeId>>,
     labels: HashMap<LabelId, NodeId>,
 }
 
@@ -41,7 +43,7 @@ impl Cfg {
                 stmt_of: vec![None, None],
                 succs: vec![Vec::new(), Vec::new()],
                 preds: vec![Vec::new(), Vec::new()],
-                node_of_stmt: HashMap::new(),
+                node_of_stmt: vec![None; proc.stmts.len()],
                 labels: HashMap::new(),
             },
             gotos: Vec::new(),
@@ -81,7 +83,12 @@ impl Cfg {
 
     /// The node representing statement `s`, if it exists.
     pub fn node_of(&self, s: StmtId) -> Option<NodeId> {
-        self.node_of_stmt.get(&s).copied()
+        self.node_of_stmt.get(s.index()).copied().flatten()
+    }
+
+    /// [`Cfg::node_of`] as a table indexed by `StmtId` index.
+    pub(crate) fn nodes_by_stmt(&self) -> &[Option<NodeId>] {
+        &self.node_of_stmt
     }
 
     /// The node a label resolves to.
@@ -121,21 +128,18 @@ impl Cfg {
     /// inside it — the §5.2 "branches entering the loop" test.
     pub fn has_branch_into(&self, proc: &Procedure, loop_stmt: StmtId) -> bool {
         let inside = stmt_ids_in(&proc.stmts, loop_stmt);
-        let inside_nodes: Vec<NodeId> = inside.iter().filter_map(|s| self.node_of(*s)).collect();
         let loop_node = match self.node_of(loop_stmt) {
             Some(n) => n,
             None => return false,
         };
-        for &n in &inside_nodes {
-            for &p in &self.preds[n] {
-                // a predecessor that is neither the loop header nor inside
-                // the body is an entering branch
-                if p != loop_node && !inside_nodes.contains(&p) {
-                    return true;
-                }
-            }
-        }
-        false
+        // a predecessor that is neither the loop header nor inside the body
+        // is an entering branch
+        let is_inside = |p: NodeId| self.stmt_of[p].is_some_and(|s| inside.contains(&s));
+        inside
+            .iter()
+            .filter_map(|&s| self.node_of(s))
+            .flat_map(|n| &self.preds[n])
+            .any(|&p| p != loop_node && !is_inside(p))
     }
 }
 
@@ -151,7 +155,7 @@ impl Builder {
             self.cfg.stmt_of.push(Some(s));
             self.cfg.succs.push(Vec::new());
             self.cfg.preds.push(Vec::new());
-            self.cfg.node_of_stmt.insert(s, n);
+            self.cfg.node_of_stmt[s.index()] = Some(n);
             if let StmtKind::Label(l) = pool[s] {
                 self.cfg.labels.insert(l, n);
             }
@@ -169,7 +173,7 @@ impl Builder {
     }
 
     fn node(&self, s: StmtId) -> NodeId {
-        self.cfg.node_of_stmt[&s]
+        self.cfg.node_of_stmt[s.index()].expect("every linked statement was given a node")
     }
 
     /// Wires a block; returns (head node, dangling tails needing an edge to

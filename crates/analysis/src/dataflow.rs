@@ -9,7 +9,6 @@
 
 use crate::bitset::BitSet;
 use crate::cfg::{Cfg, NodeId};
-use std::collections::HashMap;
 use titanc_il::{Procedure, StmtId, Storage, VarId};
 
 /// A definition site: a statement defining a variable, or the virtual
@@ -22,71 +21,64 @@ pub struct DefSite {
     pub var: VarId,
 }
 
+/// Which variables the chain-driven analyses track, by `VarId` index.
+fn tracked_vars(proc: &Procedure) -> Vec<bool> {
+    proc.vars
+        .iter()
+        .map(|v| {
+            v.ty.scalar().is_some()
+                && !v.addressed
+                && !v.volatile
+                && matches!(v.storage, Storage::Auto | Storage::Param | Storage::Temp)
+        })
+        .collect()
+}
+
 /// Use–def chains built from reaching definitions.
 #[derive(Debug)]
 pub struct UseDef {
     tracked: Vec<bool>,
     defs: Vec<DefSite>,
-    def_index: HashMap<DefSite, usize>,
-    #[allow(dead_code)]
+    /// The definition site a statement is, by `StmtId` index (a statement
+    /// defines at most one variable).
+    def_of_stmt: Vec<Option<usize>>,
+    /// Definition sites per variable, ascending.
     defs_of_var: Vec<Vec<usize>>,
     /// reaching-in per CFG node.
     reach_in: Vec<BitSet>,
-    node_of_stmt: HashMap<StmtId, NodeId>,
+    node_of_stmt: Vec<Option<NodeId>>,
 }
 
 impl UseDef {
     /// Builds use–def chains for a procedure.
     pub fn build(proc: &Procedure, cfg: &Cfg) -> UseDef {
         let nvars = proc.vars.len();
-        let tracked: Vec<bool> = proc
-            .vars
-            .iter()
-            .map(|v| {
-                v.ty.scalar().is_some()
-                    && !v.addressed
-                    && !v.volatile
-                    && matches!(v.storage, Storage::Auto | Storage::Param | Storage::Temp)
-            })
-            .collect();
+        let tracked = tracked_vars(proc);
 
-        // enumerate definition sites
+        // enumerate definition sites: a virtual entry def for every tracked
+        // var, then the defining statements in preorder
         let mut defs: Vec<DefSite> = Vec::new();
-        let mut def_index = HashMap::new();
         let mut defs_of_var: Vec<Vec<usize>> = vec![Vec::new(); nvars];
-        let mut add_def = |d: DefSite, defs: &mut Vec<DefSite>| {
-            let idx = defs.len();
-            defs.push(d);
-            def_index.insert(d, idx);
-            defs_of_var[d.var.index()].push(idx);
-            idx
-        };
-        // virtual entry defs for every tracked var
+        let mut def_of_stmt: Vec<Option<usize>> = vec![None; proc.stmts.len()];
         for (i, is_tracked) in tracked.iter().enumerate() {
             if *is_tracked {
-                add_def(
-                    DefSite {
-                        stmt: None,
-                        var: VarId::from_index(i),
-                    },
-                    &mut defs,
-                );
+                defs_of_var[i].push(defs.len());
+                defs.push(DefSite {
+                    stmt: None,
+                    var: VarId::from_index(i),
+                });
             }
         }
-        let mut node_of_stmt = HashMap::new();
+        let entry_defs = defs.len();
         proc.for_each_stmt(&mut |s, k| {
-            if let Some(n) = cfg.node_of(s) {
-                node_of_stmt.insert(s, n);
-            }
             if let Some(v) = k.defined_var() {
                 if tracked[v.index()] {
-                    add_def(
-                        DefSite {
-                            stmt: Some(s),
-                            var: v,
-                        },
-                        &mut defs,
-                    );
+                    def_of_stmt[s.index()] = Some(defs.len());
+                    defs_of_var[v.index()].push(defs.len());
+                    defs.push(DefSite {
+                        stmt: Some(s),
+                        var: v,
+                    });
                 }
             }
         });
@@ -96,62 +88,53 @@ impl UseDef {
         let mut gen: Vec<BitSet> = (0..cfg.len()).map(|_| BitSet::new(ndefs)).collect();
         let mut kill: Vec<BitSet> = (0..cfg.len()).map(|_| BitSet::new(ndefs)).collect();
         // entry node generates all virtual defs
-        for (i, d) in defs.iter().enumerate() {
-            if d.stmt.is_none() {
-                gen[cfg.entry].insert(i);
-            }
+        for i in 0..entry_defs {
+            gen[cfg.entry].insert(i);
         }
-        proc.for_each_stmt(&mut |s, k| {
-            let n = match cfg.node_of(s) {
-                Some(n) => n,
-                None => return,
+        for (me, d) in defs.iter().enumerate().skip(entry_defs) {
+            let Some(n) = d.stmt.and_then(|s| cfg.node_of(s)) else {
+                continue;
             };
-            if let Some(v) = k.defined_var() {
-                if tracked[v.index()] {
-                    let me = def_index[&DefSite {
-                        stmt: Some(s),
-                        var: v,
-                    }];
-                    gen[n].insert(me);
-                    for &other in &defs_of_var[v.index()] {
-                        if other != me {
-                            kill[n].insert(other);
-                        }
-                    }
+            gen[n].insert(me);
+            for &other in &defs_of_var[d.var.index()] {
+                if other != me {
+                    kill[n].insert(other);
                 }
             }
-        });
+        }
 
-        // forward may analysis to fixpoint, in RPO
+        // forward may analysis to fixpoint, in RPO; `out` is one scratch
+        // frame reused by every node of every iteration
         let order = cfg.rpo();
         let mut reach_in: Vec<BitSet> = (0..cfg.len()).map(|_| BitSet::new(ndefs)).collect();
         let mut reach_out: Vec<BitSet> = (0..cfg.len()).map(|_| BitSet::new(ndefs)).collect();
+        let mut out = BitSet::new(ndefs);
         let mut changed = true;
         while changed {
             changed = false;
             for &n in &order {
-                let mut inn = BitSet::new(ndefs);
+                let inn = &mut reach_in[n];
+                inn.clear();
                 for &p in &cfg.preds[n] {
                     inn.union_with(&reach_out[p]);
                 }
-                let mut out = inn.clone();
+                out.assign(inn);
                 out.subtract(&kill[n]);
                 out.union_with(&gen[n]);
                 if out != reach_out[n] {
-                    reach_out[n] = out;
+                    std::mem::swap(&mut out, &mut reach_out[n]);
                     changed = true;
                 }
-                reach_in[n] = inn;
             }
         }
 
         UseDef {
             tracked,
             defs,
-            def_index,
+            def_of_stmt,
             defs_of_var,
             reach_in,
-            node_of_stmt,
+            node_of_stmt: cfg.nodes_by_stmt().to_vec(),
         }
     }
 
@@ -161,17 +144,20 @@ impl UseDef {
         self.tracked.get(v.index()).copied().unwrap_or(false)
     }
 
+    fn node_of(&self, s: StmtId) -> Option<NodeId> {
+        self.node_of_stmt.get(s.index()).copied().flatten()
+    }
+
     /// The definition sites of `var` that reach the *top* of statement
     /// `at`. `None` entries denote the entry definition.
     pub fn reaching_defs(&self, at: StmtId, var: VarId) -> Vec<Option<StmtId>> {
-        let n = match self.node_of_stmt.get(&at) {
-            Some(n) => *n,
-            None => return Vec::new(),
+        let (Some(n), Some(of_var)) = (self.node_of(at), self.defs_of_var.get(var.index())) else {
+            return Vec::new();
         };
-        self.reach_in[n]
+        of_var
             .iter()
-            .filter(|&i| self.defs[i].var == var)
-            .map(|i| self.defs[i].stmt)
+            .filter(|&&i| self.reach_in[n].contains(i))
+            .map(|&i| self.defs[i].stmt)
             .collect()
     }
 
@@ -188,24 +174,20 @@ impl UseDef {
     /// Every statement whose use of `var` may see the definition made by
     /// `def_stmt` (the def-use direction of the chains).
     pub fn uses_of_def(&self, proc: &Procedure, def_stmt: StmtId, var: VarId) -> Vec<StmtId> {
-        let key = DefSite {
-            stmt: Some(def_stmt),
-            var,
-        };
-        let idx = match self.def_index.get(&key) {
-            Some(i) => *i,
-            None => return Vec::new(),
+        let idx = match self.def_of_stmt.get(def_stmt.index()) {
+            Some(&Some(i)) if self.defs[i].var == var => i,
+            _ => return Vec::new(),
         };
         let mut out = Vec::new();
         proc.for_each_stmt(&mut |s, k| {
-            let n = match self.node_of_stmt.get(&s) {
-                Some(n) => *n,
+            let n = match self.node_of(s) {
+                Some(n) => n,
                 None => return,
             };
             if !self.reach_in[n].contains(idx) {
                 return;
             }
-            let reads = k.exprs().iter().any(|&e| proc.exprs.reads_var(e, var));
+            let reads = k.exprs().iter().any(|e| proc.exprs.reads_var(e, var));
             if reads {
                 out.push(s);
             }
@@ -224,7 +206,7 @@ impl UseDef {
 pub struct Liveness {
     tracked: Vec<bool>,
     live_out: Vec<BitSet>,
-    node_of_stmt: HashMap<StmtId, NodeId>,
+    node_of_stmt: Vec<Option<NodeId>>,
     nvars: usize,
 }
 
@@ -232,30 +214,22 @@ impl Liveness {
     /// Runs the backward analysis.
     pub fn build(proc: &Procedure, cfg: &Cfg) -> Liveness {
         let nvars = proc.vars.len();
-        let tracked: Vec<bool> = proc
-            .vars
-            .iter()
-            .map(|v| {
-                v.ty.scalar().is_some()
-                    && !v.addressed
-                    && !v.volatile
-                    && matches!(v.storage, Storage::Auto | Storage::Param | Storage::Temp)
-            })
-            .collect();
+        let tracked = tracked_vars(proc);
         let mut uses: Vec<BitSet> = (0..cfg.len()).map(|_| BitSet::new(nvars)).collect();
         let mut defs: Vec<BitSet> = (0..cfg.len()).map(|_| BitSet::new(nvars)).collect();
-        let mut node_of_stmt = HashMap::new();
+        let mut reads: Vec<VarId> = Vec::new();
         proc.for_each_stmt(&mut |s, k| {
             let n = match cfg.node_of(s) {
                 Some(n) => n,
                 None => return,
             };
-            node_of_stmt.insert(s, n);
+            reads.clear();
             for e in k.exprs() {
-                for v in proc.exprs.vars_read(e) {
-                    if tracked[v.index()] {
-                        uses[n].insert(v.index());
-                    }
+                proc.exprs.collect_vars_read(e, &mut reads);
+            }
+            for v in &reads {
+                if tracked[v.index()] {
+                    uses[n].insert(v.index());
                 }
             }
             if let Some(v) = k.defined_var() {
@@ -265,32 +239,34 @@ impl Liveness {
             }
         });
 
+        // `inn` is one scratch frame reused by every node of every iteration
         let mut order = cfg.rpo();
         order.reverse();
         let mut live_in: Vec<BitSet> = (0..cfg.len()).map(|_| BitSet::new(nvars)).collect();
         let mut live_out: Vec<BitSet> = (0..cfg.len()).map(|_| BitSet::new(nvars)).collect();
+        let mut inn = BitSet::new(nvars);
         let mut changed = true;
         while changed {
             changed = false;
             for &n in &order {
-                let mut out = BitSet::new(nvars);
+                let out = &mut live_out[n];
+                out.clear();
                 for &s in &cfg.succs[n] {
                     out.union_with(&live_in[s]);
                 }
-                let mut inn = out.clone();
+                inn.assign(out);
                 inn.subtract(&defs[n]);
                 inn.union_with(&uses[n]);
                 if inn != live_in[n] {
-                    live_in[n] = inn;
+                    std::mem::swap(&mut inn, &mut live_in[n]);
                     changed = true;
                 }
-                live_out[n] = out;
             }
         }
         Liveness {
             tracked,
             live_out,
-            node_of_stmt,
+            node_of_stmt: cfg.nodes_by_stmt().to_vec(),
             nvars,
         }
     }
@@ -301,8 +277,8 @@ impl Liveness {
         if !self.tracked.get(var.index()).copied().unwrap_or(false) {
             return true;
         }
-        match self.node_of_stmt.get(&at) {
-            Some(&n) => self.live_out[n].contains(var.index()),
+        match self.node_of_stmt.get(at.index()).copied().flatten() {
+            Some(n) => self.live_out[n].contains(var.index()),
             None => true,
         }
     }
@@ -342,7 +318,7 @@ mod tests {
         let ud = UseDef::build(&proc, &cfg);
         let x = proc.var_by_name("x").unwrap();
         let use_stmt = stmt_matching(&proc, |_, k| {
-            k.exprs().iter().any(|&e| proc.exprs.reads_var(e, x))
+            k.exprs().iter().any(|e| proc.exprs.reads_var(e, x))
         });
         let def = ud.unique_reaching_def(use_stmt, x);
         assert!(def.is_some());

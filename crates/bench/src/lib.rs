@@ -299,6 +299,47 @@ int main(void)
     )
 }
 
+/// Generates one procedure, `kernel<tag>`, of `loops` consecutive
+/// vectorizable `for` loops over three global arrays of its own, after
+/// three branch-defined scalars — the shape of one `mp9` procedure of the
+/// benchmark, with the loop count as the knob. Pass time per loop staying
+/// flat as `loops` grows is what "the scalar pipeline is linear in
+/// procedure size" means (EXP6's second axis, and the allocation ratchet
+/// in `tests/scaling_ratchet.rs`).
+pub fn many_loops_source(tag: usize, loops: usize) -> String {
+    let t = tag;
+    let bodies = [
+        format!("        ma{t}[i] = (mb{t}[i] * t3 + mc{t}[i] * t2) * 0.025f;\n"),
+        format!("        mc{t}[i] = (ma{t}[i] + mb{t}[i] * t1) * 0.2f;\n"),
+        format!("        mb{t}[i] = (mc{t}[i - 1] * t2 + ma{t}[i + 1]) * 0.111f;\n"),
+    ];
+    let mut body = String::new();
+    for k in 0..loops {
+        // the third form reads its neighbours, so it stays off the ends
+        let (lo, hi) = if k % 3 == 2 { (1, 255) } else { (0, 256) };
+        body.push_str(&format!("    for (i = {lo}; i < {hi}; i++)\n"));
+        body.push_str(&bodies[k % 3]);
+    }
+    format!(
+        r#"
+float ma{t}[256], mb{t}[256], mc{t}[256];
+void kernel{t}(int n)
+{{
+    int i, t0, t1, t2, t3;
+    for (i = 0; i < 256; i++) {{
+        ma{t}[i] = 19.0f + i;
+        mb{t}[i] = 19.5f - i;
+        mc{t}[i] = i * 0.25f;
+    }}
+    if (n) t0 = 2; else t0 = 2;
+    if (n) t1 = t0 * t0; else t1 = t0 * t0;
+    if (n) t2 = t1 + t1; else t2 = t1 + t1;
+    t3 = t2 * t1;
+{body}}}
+"#
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

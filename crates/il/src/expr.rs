@@ -266,6 +266,33 @@ impl IntoIterator for ExprChildren {
     }
 }
 
+/// Up to `N` mutable slots (nested blocks, operand ids) of one statement
+/// or lvalue, without heap allocation. Consumed by iteration.
+#[derive(Debug)]
+pub struct SlotsMut<'a, T, const N: usize> {
+    buf: [Option<&'a mut T>; N],
+}
+
+impl<'a, T, const N: usize> SlotsMut<'a, T, N> {
+    pub(crate) fn new(buf: [Option<&'a mut T>; N]) -> SlotsMut<'a, T, N> {
+        SlotsMut { buf }
+    }
+
+    /// The raw slots, for splicing into a longer list.
+    pub(crate) fn into_slots(self) -> [Option<&'a mut T>; N] {
+        self.buf
+    }
+}
+
+impl<'a, T, const N: usize> IntoIterator for SlotsMut<'a, T, N> {
+    type Item = &'a mut T;
+    type IntoIter = std::iter::Flatten<std::array::IntoIter<Option<&'a mut T>, N>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.buf.into_iter().flatten()
+    }
+}
+
 impl Expr {
     /// The operand ids of this node, in evaluation order.
     pub fn child_ids(&self) -> ExprChildren {
@@ -607,17 +634,32 @@ impl ExprPool {
     /// of the subtree at `replacement`, in place (slot ids of the subtree
     /// stay valid). Returns the number of replacements made.
     pub fn substitute_var(&mut self, root: ExprId, v: VarId, replacement: ExprId) -> usize {
+        self.substitute_vars(root, &|w| (w == v).then_some(replacement))
+    }
+
+    /// Simultaneous substitution: replaces every read of a variable `v`
+    /// for which `replacement_of(v)` is `Some(r)` with a deep copy of the
+    /// subtree at `r`, in place, in one walk of the subtree at `root`. The
+    /// inserted copies are not themselves rewritten. Returns the number of
+    /// replacements made.
+    pub fn substitute_vars(
+        &mut self,
+        root: ExprId,
+        replacement_of: &impl Fn(VarId) -> Option<ExprId>,
+    ) -> usize {
         if let Expr::Var(w) = self[root] {
-            if w == v {
-                let copied = self.copy(replacement);
-                self[root] = self[copied];
-                return 1;
-            }
-            return 0;
+            return match replacement_of(w) {
+                Some(replacement) => {
+                    let copied = self.copy(replacement);
+                    self[root] = self[copied];
+                    1
+                }
+                None => 0,
+            };
         }
         let mut n = 0;
         for c in self[root].child_ids() {
-            n += self.substitute_var(c, v, replacement);
+            n += self.substitute_vars(c, replacement_of);
         }
         n
     }
@@ -802,14 +844,14 @@ impl LValue {
     }
 
     /// Mutable slots of the address operand ids, for id rebinding.
-    pub fn address_exprs_mut(&mut self) -> Vec<&mut ExprId> {
-        match self {
-            LValue::Var(_) => vec![],
-            LValue::Deref { addr, .. } => vec![addr],
+    pub fn address_exprs_mut(&mut self) -> SlotsMut<'_, ExprId, 3> {
+        SlotsMut::new(match self {
+            LValue::Var(_) => [None, None, None],
+            LValue::Deref { addr, .. } => [Some(addr), None, None],
             LValue::Section {
                 base, len, stride, ..
-            } => vec![base, len, stride],
-        }
+            } => [Some(base), Some(len), Some(stride)],
+        })
     }
 
     /// True when assigning through this target touches memory (not a plain

@@ -86,7 +86,7 @@ pub mod wire;
 
 pub use builder::{BlockBuilder, ProcBuilder};
 pub use catalog::{Catalog, LinkReport};
-pub use expr::{BinOp, Expr, ExprPool, LValue, UnOp};
+pub use expr::{BinOp, Expr, ExprPool, LValue, SlotsMut, UnOp};
 pub use fold::{fold_expr, Value};
 pub use hash::{hash_proc, write_proc, ByteSink, StableHash, StableHasher};
 pub use ids::{ExprId, LabelId, ProcId, StmtId, StructId, VarId};
@@ -94,7 +94,7 @@ pub use json::{FromJson, Json, JsonError, ToJson};
 pub use pretty::{pretty_block, pretty_expr, pretty_expr_in, pretty_lvalue, pretty_proc};
 pub use program::{ConstInit, Field, Procedure, Program, Storage, StructDef, VarInfo};
 pub use span::SrcSpan;
-pub use stmt::{block_len, Block, StmtKind, StmtPool};
+pub use stmt::{block_len, Block, Blocks, BlocksMut, ExprSlotsMut, StmtExprs, StmtKind, StmtPool};
 pub use trace::{InlineEvent, InlineOutcome, LoopDecision, LoopEvent};
 pub use types::{ScalarType, Type};
 pub use verify::{verify_proc, verify_program, VerifyError};

@@ -13,7 +13,7 @@
 //! parallel arena columns, so procedure clones copy three flat vectors
 //! instead of walking a pointer tree.
 
-use crate::expr::{ExprPool, LValue};
+use crate::expr::{ExprPool, LValue, SlotsMut};
 use crate::ids::{ExprId, LabelId, StmtId, VarId};
 use crate::span::SrcSpan;
 use std::ops::{Index, IndexMut};
@@ -130,97 +130,226 @@ pub enum StmtKind {
     Nop,
 }
 
+/// The (up to two) nested blocks of one statement, without heap
+/// allocation. Dereferences to a `[&Block]` slice.
+#[derive(Clone, Copy, Debug)]
+pub struct Blocks<'a> {
+    buf: [&'a Block; 2],
+    len: u8,
+}
+
+/// Fills the unused slots of a [`Blocks`].
+static NO_BLOCK: Block = Vec::new();
+
+impl<'a> Blocks<'a> {
+    const NONE: Blocks<'static> = Blocks {
+        buf: [&NO_BLOCK, &NO_BLOCK],
+        len: 0,
+    };
+
+    fn one(a: &'a Block) -> Blocks<'a> {
+        Blocks {
+            buf: [a, &NO_BLOCK],
+            len: 1,
+        }
+    }
+
+    fn two(a: &'a Block, b: &'a Block) -> Blocks<'a> {
+        Blocks {
+            buf: [a, b],
+            len: 2,
+        }
+    }
+}
+
+impl<'a> std::ops::Deref for Blocks<'a> {
+    type Target = [&'a Block];
+
+    fn deref(&self) -> &[&'a Block] {
+        &self.buf[..self.len as usize]
+    }
+}
+
+impl<'a> IntoIterator for Blocks<'a> {
+    type Item = &'a Block;
+    type IntoIter = std::iter::Take<std::array::IntoIter<&'a Block, 2>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.buf.into_iter().take(self.len as usize)
+    }
+}
+
+/// Mutable access to the (up to two) nested blocks of one statement.
+pub type BlocksMut<'a> = SlotsMut<'a, Block, 2>;
+
+/// The operand expression ids of one statement, without heap allocation:
+/// up to four inline (an assignment's target address operands and its
+/// right-hand side) followed by a borrowed run (a call's arguments).
+#[derive(Clone, Copy, Debug)]
+pub struct StmtExprs<'a> {
+    head: [ExprId; 4],
+    head_len: u8,
+    tail: &'a [ExprId],
+}
+
+impl<'a> StmtExprs<'a> {
+    fn new(head: &[ExprId], tail: &'a [ExprId]) -> StmtExprs<'a> {
+        let mut buf = [ExprId(0); 4];
+        buf[..head.len()].copy_from_slice(head);
+        StmtExprs {
+            head: buf,
+            head_len: head.len() as u8,
+            tail,
+        }
+    }
+
+    /// Number of operand expressions.
+    pub fn len(&self) -> usize {
+        self.head_len as usize + self.tail.len()
+    }
+
+    /// True when the statement evaluates no expression.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The ids, in evaluation order.
+    pub fn iter(&self) -> StmtExprsIter<'a> {
+        self.into_iter()
+    }
+}
+
+/// Iterator over a [`StmtExprs`].
+pub type StmtExprsIter<'a> = std::iter::Chain<
+    std::iter::Take<std::array::IntoIter<ExprId, 4>>,
+    std::iter::Copied<std::slice::Iter<'a, ExprId>>,
+>;
+
+impl<'a> IntoIterator for StmtExprs<'a> {
+    type Item = ExprId;
+    type IntoIter = StmtExprsIter<'a>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.head
+            .into_iter()
+            .take(self.head_len as usize)
+            .chain(self.tail.iter().copied())
+    }
+}
+
+/// Mutable slots of one statement's operand expression ids, without heap
+/// allocation (the mutable counterpart of [`StmtExprs`]). Consumed by
+/// iteration.
+#[derive(Debug)]
+pub struct ExprSlotsMut<'a> {
+    head: SlotsMut<'a, ExprId, 4>,
+    tail: &'a mut [ExprId],
+}
+
+impl<'a> IntoIterator for ExprSlotsMut<'a> {
+    type Item = &'a mut ExprId;
+    type IntoIter = std::iter::Chain<
+        <SlotsMut<'a, ExprId, 4> as IntoIterator>::IntoIter,
+        std::slice::IterMut<'a, ExprId>,
+    >;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.head.into_iter().chain(self.tail.iter_mut())
+    }
+}
+
 impl StmtKind {
     /// The nested statement blocks, in source order.
-    pub fn blocks(&self) -> Vec<&Block> {
+    pub fn blocks(&self) -> Blocks<'_> {
         match self {
             StmtKind::If {
                 then_blk, else_blk, ..
-            } => vec![then_blk, else_blk],
+            } => Blocks::two(then_blk, else_blk),
             StmtKind::While { body, .. }
             | StmtKind::DoLoop { body, .. }
-            | StmtKind::DoParallel { body, .. } => vec![body],
+            | StmtKind::DoParallel { body, .. } => Blocks::one(body),
             StmtKind::WhileSpread {
                 parallel, serial, ..
-            } => vec![parallel, serial],
-            _ => vec![],
+            } => Blocks::two(parallel, serial),
+            _ => Blocks::NONE,
         }
     }
 
     /// Mutable access to the nested statement blocks.
-    pub fn blocks_mut(&mut self) -> Vec<&mut Block> {
-        match self {
+    pub fn blocks_mut(&mut self) -> BlocksMut<'_> {
+        SlotsMut::new(match self {
             StmtKind::If {
                 then_blk, else_blk, ..
-            } => vec![then_blk, else_blk],
+            } => [Some(then_blk), Some(else_blk)],
             StmtKind::While { body, .. }
             | StmtKind::DoLoop { body, .. }
-            | StmtKind::DoParallel { body, .. } => vec![body],
+            | StmtKind::DoParallel { body, .. } => [Some(body), None],
             StmtKind::WhileSpread {
                 parallel, serial, ..
-            } => vec![parallel, serial],
-            _ => vec![],
-        }
+            } => [Some(parallel), Some(serial)],
+            _ => [None, None],
+        })
     }
 
     /// Ids of the expressions this statement evaluates directly (not those
     /// in nested blocks). For an `Assign` this includes the target's
     /// address expressions.
-    pub fn exprs(&self) -> Vec<ExprId> {
+    pub fn exprs(&self) -> StmtExprs<'_> {
         match self {
             StmtKind::Assign { lhs, rhs } => {
-                let mut v: Vec<ExprId> = lhs.address_exprs().to_vec();
-                v.push(*rhs);
-                v
+                let mut exprs = StmtExprs::new(&lhs.address_exprs(), &[]);
+                exprs.head[exprs.head_len as usize] = *rhs;
+                exprs.head_len += 1;
+                exprs
             }
             StmtKind::If { cond, .. }
             | StmtKind::While { cond, .. }
             | StmtKind::WhileSpread { cond, .. }
-            | StmtKind::IfGoto { cond, .. } => vec![*cond],
+            | StmtKind::IfGoto { cond, .. } => StmtExprs::new(&[*cond], &[]),
             StmtKind::DoLoop { lo, hi, step, .. } | StmtKind::DoParallel { lo, hi, step, .. } => {
-                vec![*lo, *hi, *step]
+                StmtExprs::new(&[*lo, *hi, *step], &[])
             }
-            StmtKind::Call { dst, args, .. } => {
-                let mut v: Vec<ExprId> = dst
-                    .iter()
-                    .flat_map(|d| d.address_exprs().to_vec())
-                    .collect();
-                v.extend(args.iter().copied());
-                v
-            }
-            StmtKind::Return(Some(e)) => vec![*e],
+            StmtKind::Call { dst, args, .. } => match dst {
+                Some(d) => StmtExprs::new(&d.address_exprs(), args),
+                None => StmtExprs::new(&[], args),
+            },
+            StmtKind::Return(Some(e)) => StmtExprs::new(&[*e], &[]),
             StmtKind::Label(_) | StmtKind::Goto(_) | StmtKind::Return(None) | StmtKind::Nop => {
-                vec![]
+                StmtExprs::new(&[], &[])
             }
         }
     }
 
     /// Mutable slots holding this statement's operand expression ids, for
     /// id rebinding (point an operand at a freshly built subtree).
-    pub fn expr_slots_mut(&mut self) -> Vec<&mut ExprId> {
-        match self {
+    pub fn expr_slots_mut(&mut self) -> ExprSlotsMut<'_> {
+        let (head, tail): ([Option<&mut ExprId>; 4], &mut [ExprId]) = match self {
             StmtKind::Assign { lhs, rhs } => {
-                let mut v = lhs.address_exprs_mut();
-                v.push(rhs);
-                v
+                let [a, b, c] = lhs.address_exprs_mut().into_slots();
+                ([a, b, c, Some(rhs)], &mut [])
             }
             StmtKind::If { cond, .. }
             | StmtKind::While { cond, .. }
             | StmtKind::WhileSpread { cond, .. }
-            | StmtKind::IfGoto { cond, .. } => vec![cond],
+            | StmtKind::IfGoto { cond, .. } => ([Some(cond), None, None, None], &mut []),
             StmtKind::DoLoop { lo, hi, step, .. } | StmtKind::DoParallel { lo, hi, step, .. } => {
-                vec![lo, hi, step]
+                ([Some(lo), Some(hi), Some(step), None], &mut [])
             }
             StmtKind::Call { dst, args, .. } => {
-                let mut v: Vec<&mut ExprId> =
-                    dst.iter_mut().flat_map(|d| d.address_exprs_mut()).collect();
-                v.extend(args.iter_mut());
-                v
+                let [a, b, c] = match dst {
+                    Some(d) => d.address_exprs_mut().into_slots(),
+                    None => [None, None, None],
+                };
+                ([a, b, c, None], args.as_mut_slice())
             }
-            StmtKind::Return(Some(e)) => vec![e],
+            StmtKind::Return(Some(e)) => ([Some(e), None, None, None], &mut []),
             StmtKind::Label(_) | StmtKind::Goto(_) | StmtKind::Return(None) | StmtKind::Nop => {
-                vec![]
+                ([None, None, None, None], &mut [])
             }
+        };
+        ExprSlotsMut {
+            head: SlotsMut::new(head),
+            tail,
         }
     }
 

@@ -119,7 +119,7 @@ fn logical_and_short_circuits() {
                 proc.stmts[inner]
                     .exprs()
                     .iter()
-                    .any(|&e| pretty_expr_in(&proc.exprs, e).contains('/'))
+                    .any(|e| pretty_expr_in(&proc.exprs, e).contains('/'))
             })
         } else {
             false

@@ -140,8 +140,9 @@ fn propagate_once(
 ) -> usize {
     let ud = analyses.usedef(proc);
 
-    // constant value per defining statement
-    let mut const_defs: Vec<(StmtId, titanc_il::VarId, Value, ScalarType)> = Vec::new();
+    // the literal each defining statement assigns, by `StmtId` index
+    let mut const_defs: Vec<Option<(titanc_il::VarId, Value, ScalarType)>> =
+        vec![None; proc.stmts.len()];
     proc.for_each_stmt(&mut |s, kind| {
         if let StmtKind::Assign {
             lhs: titanc_il::LValue::Var(v),
@@ -150,31 +151,34 @@ fn propagate_once(
         {
             if ud.tracked(*v) {
                 if let Some(val) = const_value(&proc.exprs[*rhs]) {
-                    let scalar = proc.var_scalar(*v);
-                    const_defs.push((s, *v, val, scalar));
+                    const_defs[s.index()] = Some((*v, val, proc.var_scalar(*v)));
                 }
             }
         }
     });
     let lookup = |def: StmtId, var: titanc_il::VarId| -> Option<(Value, ScalarType)> {
-        const_defs
-            .iter()
-            .find(|(s, v, _, _)| *s == def && *v == var)
-            .map(|(_, _, val, k)| (*val, *k))
+        match const_defs[def.index()] {
+            Some((v, val, k)) if v == var => Some((val, k)),
+            _ => None,
+        }
     };
 
     // decide the replacement per (stmt, var)
     let mut plan: Vec<(StmtId, titanc_il::VarId, Value, ScalarType)> = Vec::new();
+    let mut reads: Vec<titanc_il::VarId> = Vec::new();
+    let mut vars: Vec<titanc_il::VarId> = Vec::new();
     proc.for_each_stmt(&mut |s, kind| {
-        let mut vars: Vec<titanc_il::VarId> = Vec::new();
+        reads.clear();
+        vars.clear();
         for e in kind.exprs() {
-            for v in proc.exprs.vars_read(e) {
-                if !vars.contains(&v) {
-                    vars.push(v);
-                }
+            proc.exprs.collect_vars_read(e, &mut reads);
+        }
+        for &v in &reads {
+            if !vars.contains(&v) {
+                vars.push(v);
             }
         }
-        for v in vars {
+        for &v in &vars {
             if !ud.tracked(v) {
                 continue;
             }
@@ -356,7 +360,11 @@ pub fn eliminate_unreachable_cfg(proc: &mut Procedure) -> usize {
     }
     let mut removed = 0;
     let mut body = std::mem::take(&mut proc.body);
-    remove_ids(&mut proc.stmts, &mut body, &dead_ids, &mut removed);
+    let mut is_dead = vec![false; proc.stmts.len()];
+    for s in dead_ids {
+        is_dead[s.index()] = true;
+    }
+    remove_ids(&mut proc.stmts, &mut body, &is_dead, &mut removed);
     proc.body = body;
     if removed > 0 {
         proc.bump_generation();
@@ -364,16 +372,17 @@ pub fn eliminate_unreachable_cfg(proc: &mut Procedure) -> usize {
     removed
 }
 
-fn remove_ids(stmts: &mut StmtPool, block: &mut Block, ids: &[StmtId], removed: &mut usize) {
+/// Unlinks every statement flagged in `is_dead` (by `StmtId` index).
+fn remove_ids(stmts: &mut StmtPool, block: &mut Block, is_dead: &[bool], removed: &mut usize) {
     for &s in block.iter() {
         let mut kind = std::mem::replace(&mut stmts[s], StmtKind::Nop);
         for b in kind.blocks_mut() {
-            remove_ids(stmts, b, ids, removed);
+            remove_ids(stmts, b, is_dead, removed);
         }
         stmts[s] = kind;
     }
     let before = block.len();
-    block.retain(|s| !ids.contains(s));
+    block.retain(|s| !is_dead[s.index()]);
     *removed += before - block.len();
 }
 

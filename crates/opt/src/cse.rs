@@ -179,7 +179,7 @@ fn try_common(
             total += proc.stmts[s]
                 .exprs()
                 .iter()
-                .map(|&e| count_occurrences(&proc.exprs, e, cand_orig))
+                .map(|e| count_occurrences(&proc.exprs, e, cand_orig))
                 .sum::<usize>();
             end = j;
             break;
@@ -228,7 +228,7 @@ fn count_in_stmt(proc: &Procedure, s: StmtId, cand: ExprId) -> usize {
     let mut n: usize = proc.stmts[s]
         .exprs()
         .iter()
-        .map(|&e| count_occurrences(&proc.exprs, e, cand))
+        .map(|e| count_occurrences(&proc.exprs, e, cand))
         .sum();
     for b in proc.stmts[s].blocks() {
         for &inner in b {

@@ -188,9 +188,15 @@ fn eliminate_faint(proc: &mut Procedure) -> usize {
 /// Returns the number of statements removed.
 pub fn sweep(proc: &mut Procedure) -> usize {
     // collect referenced labels
-    let mut referenced = Vec::new();
+    let mut referenced = vec![false; proc.num_labels as usize];
     proc.for_each_stmt(&mut |_, kind| match kind {
-        StmtKind::Goto(l) | StmtKind::IfGoto { target: l, .. } => referenced.push(*l),
+        StmtKind::Goto(l) | StmtKind::IfGoto { target: l, .. } => {
+            // verified IL keeps labels below `num_labels`; stay total anyway
+            if l.index() >= referenced.len() {
+                referenced.resize(l.index() + 1, false);
+            }
+            referenced[l.index()] = true;
+        }
         _ => {}
     });
     let mut removed = 0;
@@ -200,12 +206,7 @@ pub fn sweep(proc: &mut Procedure) -> usize {
     removed
 }
 
-fn sweep_block(
-    proc: &mut Procedure,
-    block: &mut Block,
-    referenced: &[titanc_il::LabelId],
-    removed: &mut usize,
-) {
+fn sweep_block(proc: &mut Procedure, block: &mut Block, referenced: &[bool], removed: &mut usize) {
     for &s in block.iter() {
         let mut kind = std::mem::replace(&mut proc.stmts[s], StmtKind::Nop);
         for b in kind.blocks_mut() {
@@ -213,7 +214,7 @@ fn sweep_block(
         }
         proc.stmts[s] = kind;
         let kill = match &proc.stmts[s] {
-            StmtKind::Label(l) => !referenced.contains(l),
+            StmtKind::Label(l) => !referenced.get(l.index()).copied().unwrap_or(false),
             StmtKind::If {
                 cond,
                 then_blk,

@@ -12,13 +12,27 @@
 //! additionally stop at stores and calls. Expressions with volatile loads
 //! never move.
 //!
+//! The pass is one *available-definitions sweep* per block: it carries the
+//! set of definitions that may still be forwarded ([`Avail`]), and each
+//! statement is visited once — entries its nested blocks could invalidate
+//! are dropped, every remaining entry is substituted in a single walk of
+//! the statement tree, entries the statement itself invalidates are
+//! dropped, and the statement is admitted as a new entry if it qualifies.
+//! Substituting all live entries at once equals substituting them one
+//! definition at a time: two entries live at the same statement never read
+//! each other's target (the later one would have killed the earlier, and
+//! the earlier was already substituted into the later's right-hand side
+//! before that one was admitted), so the inserted copies need no second
+//! look.
+//!
 //! Substituted reads get a *deep copy* of the defining expression per
-//! occurrence ([`titanc_il::ExprPool::substitute_var`]), preserving the
+//! occurrence ([`titanc_il::ExprPool::substitute_vars`]), preserving the
 //! no-shared-slots invariant; the replaced `Var` nodes become arena
 //! garbage swept at the next compaction point.
 
-use crate::util::{defined_in, register_candidate, replace_reads};
-use titanc_il::{Block, LValue, Procedure, StmtId, StmtKind, StmtPool, VarId};
+use crate::util::{register_candidate, replace_reads_with};
+use std::collections::HashMap;
+use titanc_il::{ExprId, ExprPool, LValue, Procedure, StmtId, StmtKind, StmtPool, VarId};
 
 /// Substitution statistics.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -37,108 +51,184 @@ impl ForwardReport {
 
 titanc_il::struct_json!(ForwardReport, [substituted]);
 
+/// Expressions larger than this are not forwarded (avoids exponential
+/// growth through chains of substitutions).
+const MAX_FORWARDED_SIZE: usize = 24;
+
 /// Runs forward substitution over every block of the procedure.
 pub fn forward_substitute(proc: &mut Procedure) -> ForwardReport {
-    let mut report = ForwardReport::default();
-    let body = proc.body.clone();
-    run_block(proc, &body, &mut report);
+    let candidate: Vec<bool> = (0..proc.vars.len())
+        .map(|i| register_candidate(proc, VarId::from_index(i)))
+        .collect();
+    let mut sweep = Sweep {
+        stmts: &proc.stmts,
+        exprs: &mut proc.exprs,
+        candidate,
+        defined: Vec::new(),
+        memory_writes: 0,
+        substituted: 0,
+    };
+    sweep.block(&proc.body);
+    let report = ForwardReport {
+        substituted: sweep.substituted,
+    };
     if report.substituted > 0 {
         proc.bump_generation();
     }
     report
 }
 
-fn run_block(proc: &mut Procedure, block: &[StmtId], report: &mut ForwardReport) {
-    // recurse into nested blocks first (no structural edits: id lists are
-    // cloned, statement kinds stay in place)
-    for &s in block {
-        let nested: Vec<Block> = proc.stmts[s].blocks().iter().map(|b| b.to_vec()).collect();
-        for b in &nested {
-            run_block(proc, b, report);
+/// A forwardable definition `x = rhs` that is still valid at the sweep's
+/// current statement.
+struct Avail {
+    rhs: ExprId,
+    /// The variables `rhs` reads.
+    deps: Vec<VarId>,
+    /// `rhs` loads from memory, so stores and calls end its window.
+    has_loads: bool,
+}
+
+/// The definitions available at one point of a block sweep, indexed so
+/// each kill rule touches only the entries it drops.
+#[derive(Default)]
+struct AvailSet {
+    by_target: HashMap<VarId, Avail>,
+    /// Targets admitted while reading each variable. A listed target may
+    /// have been dropped or re-admitted since; [`AvailSet::kill_var`]
+    /// re-checks.
+    readers: HashMap<VarId, Vec<VarId>>,
+    /// Targets admitted with loads (same caveat).
+    loaded: Vec<VarId>,
+}
+
+impl AvailSet {
+    fn admit(&mut self, x: VarId, avail: Avail) {
+        for &d in &avail.deps {
+            self.readers.entry(d).or_default().push(x);
+        }
+        if avail.has_loads {
+            self.loaded.push(x);
+        }
+        self.by_target.insert(x, avail);
+    }
+
+    /// `v` is (possibly) redefined: its own entry and every entry whose
+    /// expression reads it end here.
+    fn kill_var(&mut self, v: VarId) {
+        self.by_target.remove(&v);
+        for x in self.readers.remove(&v).unwrap_or_default() {
+            if self.by_target.get(&x).is_some_and(|a| a.deps.contains(&v)) {
+                self.by_target.remove(&x);
+            }
         }
     }
-    let len = block.len();
-    for i in 0..len {
-        let (x, rhs) = match &proc.stmts[block[i]] {
-            StmtKind::Assign {
-                lhs: LValue::Var(x),
-                rhs,
-            } => (*x, *rhs),
-            _ => continue,
-        };
-        if !register_candidate(proc, x) {
-            continue;
+
+    /// Memory is (possibly) written: load-bearing entries end here.
+    fn kill_loads(&mut self) {
+        for x in self.loaded.drain(..) {
+            if self.by_target.get(&x).is_some_and(|a| a.has_loads) {
+                self.by_target.remove(&x);
+            }
         }
-        if proc.exprs.has_volatile_load(rhs) || proc.exprs.has_section(rhs) {
-            continue;
-        }
-        if proc.exprs.reads_var(rhs, x) {
-            continue; // x = f(x): nothing to forward
-        }
-        // avoid exponential growth: cap the substituted expression size
-        if proc.exprs.size(rhs) > 24 {
-            continue;
-        }
-        let deps: Vec<VarId> = proc.exprs.vars_read(rhs);
-        let has_loads = proc.exprs.has_load(rhs);
-        let mut j = i + 1;
-        while j < len {
-            let s = block[j];
+    }
+
+    /// A label or goto: the straight-line window ends for every entry.
+    fn clear(&mut self) {
+        self.by_target.clear();
+        self.readers.clear();
+        self.loaded.clear();
+    }
+}
+
+struct Sweep<'a> {
+    stmts: &'a StmtPool,
+    exprs: &'a mut ExprPool,
+    /// [`register_candidate`], by `VarId` index.
+    candidate: Vec<bool>,
+    /// Every variable defined by a statement visited so far, in visit
+    /// order: the definitions inside a nested block are the tail pushed
+    /// while it was swept, so an enclosing sweep reads them off without
+    /// walking the block again.
+    defined: Vec<VarId>,
+    /// Memory-writing statements visited so far (same idea).
+    memory_writes: usize,
+    substituted: usize,
+}
+
+impl Sweep<'_> {
+    fn block(&mut self, block: &[StmtId]) {
+        let stmts = self.stmts;
+        let mut avail = AvailSet::default();
+        for &s in block {
+            let kind = &stmts[s];
             // control-flow joins and departures end the straight-line
             // window: a label may be reached from elsewhere (the def does
             // not dominate it), and nothing after an unconditional goto is
             // reached by fallthrough.
-            if matches!(proc.stmts[s], StmtKind::Label(_) | StmtKind::Goto(_)) {
-                break;
+            if matches!(kind, StmtKind::Label(_) | StmtKind::Goto(_)) {
+                avail.clear();
+                continue;
             }
 
-            // nested blocks: only substitute inside when the block cannot
-            // invalidate the expression or x (vacuously true for
-            // straight-line statements)
-            let nested_safe = proc.stmts[s].blocks().iter().all(|b| {
-                !defined_in(&proc.stmts, b, x)
-                    && deps.iter().all(|&d| !defined_in(&proc.stmts, b, d))
-                    && (!has_loads || !block_may_write_memory(&proc.stmts, b))
-            });
-            if !nested_safe {
-                // cannot see through the nested block: stop
-                break;
+            // nested blocks are swept first, on their own; what they define
+            // or store ends the entries that cannot see through them, before
+            // anything is substituted into this statement
+            let (defined_mark, writes_mark) = (self.defined.len(), self.memory_writes);
+            for b in kind.blocks() {
+                self.block(b);
+            }
+            for &v in &self.defined[defined_mark..] {
+                avail.kill_var(v);
+            }
+            if self.memory_writes > writes_mark {
+                avail.kill_loads();
             }
 
             // a statement may read x before (possibly) redefining it;
             // substitute first, then evaluate the stop conditions
-            report.substituted += replace_reads(&proc.stmts, &mut proc.exprs, s, x, rhs);
+            if !avail.by_target.is_empty() {
+                let rhs_of = |v: VarId| avail.by_target.get(&v).map(|a| a.rhs);
+                self.substituted += replace_reads_with(stmts, self.exprs, s, &rhs_of);
+            }
 
-            let kind = &proc.stmts[s];
-            if kind.defined_var() == Some(x)
-                || kind.blocks().iter().any(|b| defined_in(&proc.stmts, b, x))
+            if let Some(v) = kind.defined_var() {
+                avail.kill_var(v);
+                self.defined.push(v);
+            }
+            if kind.writes_memory() {
+                avail.kill_loads();
+                self.memory_writes += 1;
+            }
+
+            if let StmtKind::Assign {
+                lhs: LValue::Var(x),
+                rhs,
+            } = *kind
             {
-                break;
+                if let Some(entry) = self.forwardable(x, rhs) {
+                    avail.admit(x, entry);
+                }
             }
-            if deps.iter().any(|&d| {
-                kind.defined_var() == Some(d)
-                    || kind.blocks().iter().any(|b| defined_in(&proc.stmts, b, d))
-            }) {
-                break;
-            }
-            if has_loads && stmt_may_write_memory(&proc.stmts, s) {
-                break;
-            }
-            j += 1;
         }
     }
-}
 
-fn stmt_may_write_memory(pool: &StmtPool, s: StmtId) -> bool {
-    pool[s].writes_memory()
-        || pool[s]
-            .blocks()
-            .iter()
-            .any(|b| block_may_write_memory(pool, b))
-}
-
-fn block_may_write_memory(pool: &StmtPool, block: &[StmtId]) -> bool {
-    block.iter().any(|&s| stmt_may_write_memory(pool, s))
+    /// The candidate tests on `x = rhs` as it reads after substitution.
+    fn forwardable(&self, x: VarId, rhs: ExprId) -> Option<Avail> {
+        let exprs = &*self.exprs;
+        if !self.candidate[x.index()]
+            || exprs.has_volatile_load(rhs)
+            || exprs.has_section(rhs)
+            || exprs.reads_var(rhs, x) // x = f(x): nothing to forward
+            || exprs.size(rhs) > MAX_FORWARDED_SIZE
+        {
+            return None;
+        }
+        Some(Avail {
+            rhs,
+            deps: exprs.vars_read(rhs),
+            has_loads: exprs.has_load(rhs),
+        })
+    }
 }
 
 #[cfg(test)]
@@ -216,6 +306,56 @@ mod tests {
             fwd("int f(int a, int c) { int t, r; t = a; if (c) { a = 1; } r = t; return r; }");
         let text = pretty_proc(&proc);
         assert!(text.contains("r = t"), "conditional redef of a: {text}");
+    }
+
+    /// The sweep and the quadratic reference agree on the printed IL and
+    /// on the count.
+    fn assert_matches_reference(src: &str) {
+        let prog = compile_to_il(src).unwrap();
+        for p in &prog.procs {
+            let (mut want, mut got) = (p.clone(), p.clone());
+            let want_n = crate::forward_reference::forward_substitute(&mut want);
+            let got_n = forward_substitute(&mut got).substituted;
+            assert_eq!(pretty_proc(&got), pretty_proc(&want), "{src}");
+            assert_eq!(got_n, want_n, "{src}");
+            assert_eq!(got.generation(), want.generation(), "{src}");
+        }
+    }
+
+    #[test]
+    fn sweep_matches_reference_on_window_edges() {
+        for src in [
+            // chains: each definition is substituted into the next before
+            // that one is admitted
+            "int f(int a) { int t, u, v; t = a + 1; u = t * 2; v = u - t; return v + u + t; }",
+            // a label and a goto inside the window
+            "int f(int a) { int t, u; t = a; u = t; if (a) goto l; u = t + 1; l: return t + u; }",
+            "int f(int a) { int t; t = a; goto l; l: return t; }",
+            // a nested block that redefines a dep, and one that does not
+            "int f(int a, int c) { int t, r; t = a + 1; if (c) { r = t; } if (c) { a = 2; } \
+             r = t; return r; }",
+            // a nested block that redefines the target
+            "int f(int a, int c) { int t; t = a; while (c) { t = t + 1; c = c - 1; } return t; }",
+            // load-bearing definitions: crossing a pure statement, a store,
+            // a call, and a nested store
+            "int g(int); int f(int *p, int *q, int c) { int t, u, v, w; t = *p; u = t + 1; \
+             v = g(u); w = *p; *q = w; if (c) { *q = 0; } return t + u + v + w; }",
+            // the target is re-admitted after being killed
+            "int f(int a, int b) { int t, r; t = a; r = t; a = 0; t = b; r = r + t; return r; }",
+            // ... and a dep of its earlier definition is redefined after
+            "int f(int a, int b) { int t, r; t = a; r = t; t = b; a = 0; r = r + t; return r; }",
+            // ... or it loaded at first, no longer does, and a store follows
+            "int f(int *p, int *q, int a) { int t, r; t = *p; r = t; t = a; *q = 1; r = r + t; \
+             return r; }",
+            // inner definitions forward before outer ones reach them
+            "int f(int a, int c) { int t, u, r; t = a * 3; r = 0; if (c) { u = t; r = u + t; } \
+             return r; }",
+            // the size cap is tested on the substituted right-hand side
+            "int f(int a) { int t, u, v, w; t = a + a + a + a; u = t + t + t; v = u + u + u; \
+             w = v + v; return w; }",
+        ] {
+            assert_matches_reference(src);
+        }
     }
 
     #[test]

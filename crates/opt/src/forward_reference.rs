@@ -1,0 +1,146 @@
+//! The quadratic forward substitution the available-definitions sweep in
+//! `forward.rs` replaced, kept as the *test reference* the sweep is diffed
+//! against: every candidate `x = e` rescans the rest of its block and
+//! re-walks every nested body it passes. It is compiled only into tests —
+//! `forward.rs`'s unit tests and, through `#[path]`,
+//! `crates/bench/tests/forward_differential.rs` — and depends on nothing
+//! but `titanc_il`, so a change to the pass's helpers cannot move it.
+
+use titanc_il::{ExprId, ExprPool, LValue, Procedure, StmtId, StmtKind, StmtPool, Storage, VarId};
+
+/// Runs the reference substitution; returns the reads replaced.
+pub fn forward_substitute(proc: &mut Procedure) -> usize {
+    let mut substituted = 0;
+    let body = proc.body.clone();
+    run_block(proc, &body, &mut substituted);
+    if substituted > 0 {
+        proc.bump_generation();
+    }
+    substituted
+}
+
+fn register_candidate(proc: &Procedure, v: VarId) -> bool {
+    let info = proc.var(v);
+    info.ty.scalar().is_some()
+        && !info.addressed
+        && !info.volatile
+        && matches!(info.storage, Storage::Auto | Storage::Param | Storage::Temp)
+}
+
+fn defined_in(pool: &StmtPool, block: &[StmtId], v: VarId) -> bool {
+    block.iter().any(|&s| {
+        pool[s].defined_var() == Some(v) || pool[s].blocks().iter().any(|b| defined_in(pool, b, v))
+    })
+}
+
+fn replace_reads(
+    stmts: &StmtPool,
+    exprs: &mut ExprPool,
+    s: StmtId,
+    v: VarId,
+    replacement: ExprId,
+) -> usize {
+    let mut n = 0;
+    for e in stmts[s].exprs() {
+        n += exprs.substitute_var(e, v, replacement);
+    }
+    for b in stmts[s].blocks() {
+        for &inner in b {
+            n += replace_reads(stmts, exprs, inner, v, replacement);
+        }
+    }
+    n
+}
+
+fn run_block(proc: &mut Procedure, block: &[StmtId], substituted: &mut usize) {
+    // recurse into nested blocks first (no structural edits: id lists are
+    // cloned, statement kinds stay in place)
+    for &s in block {
+        let nested: Vec<Vec<StmtId>> = proc.stmts[s].blocks().iter().map(|b| b.to_vec()).collect();
+        for b in &nested {
+            run_block(proc, b, substituted);
+        }
+    }
+    let len = block.len();
+    for i in 0..len {
+        let (x, rhs) = match &proc.stmts[block[i]] {
+            StmtKind::Assign {
+                lhs: LValue::Var(x),
+                rhs,
+            } => (*x, *rhs),
+            _ => continue,
+        };
+        if !register_candidate(proc, x) {
+            continue;
+        }
+        if proc.exprs.has_volatile_load(rhs) || proc.exprs.has_section(rhs) {
+            continue;
+        }
+        if proc.exprs.reads_var(rhs, x) {
+            continue; // x = f(x): nothing to forward
+        }
+        // avoid exponential growth: cap the substituted expression size
+        if proc.exprs.size(rhs) > 24 {
+            continue;
+        }
+        let deps: Vec<VarId> = proc.exprs.vars_read(rhs);
+        let has_loads = proc.exprs.has_load(rhs);
+        let mut j = i + 1;
+        while j < len {
+            let s = block[j];
+            // control-flow joins and departures end the straight-line
+            // window: a label may be reached from elsewhere (the def does
+            // not dominate it), and nothing after an unconditional goto is
+            // reached by fallthrough.
+            if matches!(proc.stmts[s], StmtKind::Label(_) | StmtKind::Goto(_)) {
+                break;
+            }
+
+            // nested blocks: only substitute inside when the block cannot
+            // invalidate the expression or x (vacuously true for
+            // straight-line statements)
+            let nested_safe = proc.stmts[s].blocks().iter().all(|b| {
+                !defined_in(&proc.stmts, b, x)
+                    && deps.iter().all(|&d| !defined_in(&proc.stmts, b, d))
+                    && (!has_loads || !block_may_write_memory(&proc.stmts, b))
+            });
+            if !nested_safe {
+                // cannot see through the nested block: stop
+                break;
+            }
+
+            // a statement may read x before (possibly) redefining it;
+            // substitute first, then evaluate the stop conditions
+            *substituted += replace_reads(&proc.stmts, &mut proc.exprs, s, x, rhs);
+
+            let kind = &proc.stmts[s];
+            if kind.defined_var() == Some(x)
+                || kind.blocks().iter().any(|b| defined_in(&proc.stmts, b, x))
+            {
+                break;
+            }
+            if deps.iter().any(|&d| {
+                kind.defined_var() == Some(d)
+                    || kind.blocks().iter().any(|b| defined_in(&proc.stmts, b, d))
+            }) {
+                break;
+            }
+            if has_loads && stmt_may_write_memory(&proc.stmts, s) {
+                break;
+            }
+            j += 1;
+        }
+    }
+}
+
+fn stmt_may_write_memory(pool: &StmtPool, s: StmtId) -> bool {
+    pool[s].writes_memory()
+        || pool[s]
+            .blocks()
+            .iter()
+            .any(|b| block_may_write_memory(pool, b))
+}
+
+fn block_may_write_memory(pool: &StmtPool, block: &[StmtId]) -> bool {
+    block.iter().any(|&s| stmt_may_write_memory(pool, s))
+}

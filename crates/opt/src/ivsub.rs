@@ -21,7 +21,7 @@
 //! tree is built from *deep copies*; the per-occurrence copies made by
 //! [`titanc_il::ExprPool::substitute_var`] keep replacement sites disjoint.
 
-use crate::util::{invariant_in, register_candidate, resolve_copy};
+use crate::util::{invariant_in, register_candidate, replace_reads, resolve_copy};
 use titanc_il::{
     BinOp, Block, Expr, ExprId, ExprPool, LValue, Procedure, ScalarType, StmtId, StmtKind,
     StmtPool, Type, VarId,
@@ -71,29 +71,34 @@ titanc_il::struct_json!(
 /// Runs induction-variable substitution on every DO loop of the procedure.
 pub fn induction_substitution(proc: &mut Procedure) -> IvSubReport {
     let mut report = IvSubReport::default();
-    // Collect DO-loop ids; process innermost-first (postorder).
-    let mut loop_ids = Vec::new();
-    collect_do_loops_postorder(&proc.stmts, &proc.body, &mut loop_ids);
-    for id in loop_ids {
-        substitute_in_loop(proc, id, &mut report);
-    }
+    let mut body = std::mem::take(&mut proc.body);
+    substitute_in_block(proc, &mut body, &mut report);
+    proc.body = body;
     if report.substituted > 0 {
         proc.bump_generation();
     }
     report
 }
 
-fn collect_do_loops_postorder(pool: &StmtPool, block: &[StmtId], out: &mut Vec<StmtId>) {
-    for &s in block {
-        for b in pool[s].blocks() {
-            collect_do_loops_postorder(pool, b, out);
+/// Processes the DO loops of `block` innermost-first (postorder), with the
+/// block in hand: a substitution puts its snapshot and finalization beside
+/// the loop without searching for it from the procedure root.
+fn substitute_in_block(proc: &mut Procedure, block: &mut Block, report: &mut IvSubReport) {
+    let mut i = 0;
+    while i < block.len() {
+        let s = block[i];
+        let mut kind = std::mem::replace(&mut proc.stmts[s], StmtKind::Nop);
+        for b in kind.blocks_mut() {
+            substitute_in_block(proc, b, report);
         }
+        proc.stmts[s] = kind;
         if matches!(
-            pool[s],
+            proc.stmts[s],
             StmtKind::DoLoop { .. } | StmtKind::DoParallel { .. }
         ) {
-            out.push(s);
+            substitute_in_loop(proc, block, &mut i, report);
         }
+        i += 1;
     }
 }
 
@@ -121,7 +126,14 @@ enum IncPlan {
     Neg(ExprId),
 }
 
-fn substitute_in_loop(proc: &mut Procedure, loop_id: StmtId, report: &mut IvSubReport) {
+/// Substitutes in the loop at `block[*pos]`; `*pos` follows the loop as
+/// snapshots are inserted before it.
+fn substitute_in_loop(
+    proc: &mut Procedure,
+    block: &mut Block,
+    pos: &mut usize,
+    report: &mut IvSubReport,
+) {
     // repeat until no candidate substitutes; the worklist effect of
     // blocking/backtracking is realized by the re-scan, and `backtracks`
     // counts successes after the first pass.
@@ -130,7 +142,7 @@ fn substitute_in_loop(proc: &mut Procedure, loop_id: StmtId, report: &mut IvSubR
     loop {
         pass += 1;
         report.passes += 1;
-        let subs = one_pass(proc, loop_id);
+        let subs = one_pass(proc, block, pos);
         report.substituted += subs;
         loop_subs += subs;
         if pass > 1 {
@@ -146,46 +158,43 @@ fn substitute_in_loop(proc: &mut Procedure, loop_id: StmtId, report: &mut IvSubR
         }
     }
     if loop_subs > 0 {
-        if let Some(kind) = proc.find_stmt(loop_id) {
-            let var = match kind {
-                StmtKind::DoLoop { var, .. } | StmtKind::DoParallel { var, .. } => {
-                    proc.var(*var).name.clone()
-                }
-                _ => String::new(),
-            };
-            report.events.push(titanc_il::LoopEvent {
-                proc: proc.name.clone(),
-                var,
-                span: proc.stmts.span(loop_id),
-                decision: titanc_il::LoopDecision::IvSubstituted {
-                    substituted: loop_subs,
-                },
-            });
-        }
+        let loop_id = block[*pos];
+        let var = match &proc.stmts[loop_id] {
+            StmtKind::DoLoop { var, .. } | StmtKind::DoParallel { var, .. } => {
+                proc.var(*var).name.clone()
+            }
+            _ => String::new(),
+        };
+        report.events.push(titanc_il::LoopEvent {
+            proc: proc.name.clone(),
+            var,
+            span: proc.stmts.span(loop_id),
+            decision: titanc_il::LoopDecision::IvSubstituted {
+                substituted: loop_subs,
+            },
+        });
     }
 }
 
-/// Performs one scan over the loop, substituting every currently-unblocked
-/// candidate. Returns the number substituted.
-fn one_pass(proc: &mut Procedure, loop_id: StmtId) -> usize {
-    let (var, lo, hi, step, body) = match proc.find_stmt(loop_id) {
-        Some(
-            StmtKind::DoLoop {
-                var,
-                lo,
-                hi,
-                step,
-                body,
-                ..
-            }
-            | StmtKind::DoParallel {
-                var,
-                lo,
-                hi,
-                step,
-                body,
-            },
-        ) => (*var, *lo, *hi, *step, body.clone()),
+/// Performs one scan over the loop at `block[*pos]`, substituting every
+/// currently-unblocked candidate. Returns the number substituted.
+fn one_pass(proc: &mut Procedure, block: &mut Block, pos: &mut usize) -> usize {
+    let (var, lo, hi, step, body) = match &proc.stmts[block[*pos]] {
+        StmtKind::DoLoop {
+            var,
+            lo,
+            hi,
+            step,
+            body,
+            ..
+        }
+        | StmtKind::DoParallel {
+            var,
+            lo,
+            hi,
+            step,
+            body,
+        } => (*var, *lo, *hi, *step, body.clone()),
         _ => return 0,
     };
     let step_c = match proc.exprs.as_int(step) {
@@ -203,16 +212,10 @@ fn one_pass(proc: &mut Procedure, loop_id: StmtId) -> usize {
     };
 
     let candidates = find_candidates(proc, &shape, &body);
-    if candidates.is_empty() {
-        return 0;
+    for cand in &candidates {
+        apply_candidate(proc, block, pos, &shape, cand);
     }
-    let mut count = 0;
-    for cand in candidates {
-        if apply_candidate(proc, loop_id, &shape, &cand) {
-            count += 1;
-        }
-    }
-    count
+    candidates.len()
 }
 
 /// Finds unblocked candidates: single top-level def `v = origin ± c` where
@@ -337,12 +340,15 @@ fn make_inc(exprs: &mut ExprPool, inc: &IncPlan) -> ExprId {
 /// `v0 + k*c`, uses after it read `v0 + (k+1)*c`; `v0` snapshots the entry
 /// value before the loop and a finalization after the loop restores `v` for
 /// any later readers (dead-code elimination removes both when unused).
+/// The loop is `block[*pos]`; the snapshot goes in before it (moving
+/// `*pos` along) and the finalization right after it.
 fn apply_candidate(
     proc: &mut Procedure,
-    loop_id: StmtId,
+    block: &mut Block,
+    pos: &mut usize,
     shape: &LoopShape,
     cand: &Candidate,
-) -> bool {
+) {
     let kind = proc.var_scalar(cand.v);
     let v0 = proc.fresh_temp(match kind {
         ScalarType::Ptr => Type::ptr_to(Type::Void),
@@ -389,68 +395,20 @@ fn apply_candidate(
     });
 
     // rewrite the loop body in place
-    #[allow(clippy::too_many_arguments)]
-    fn find_and_apply(
-        stmts: &mut StmtPool,
-        exprs: &mut ExprPool,
-        block: &mut Block,
-        loop_id: StmtId,
-        cand_v: VarId,
-        def_pos: usize,
-        pre_value: ExprId,
-        post_value: ExprId,
-        pre_stmt: StmtId,
-        final_stmt: StmtId,
-    ) -> bool {
-        for i in 0..block.len() {
-            let s = block[i];
-            if s == loop_id {
-                let kind = std::mem::replace(&mut stmts[s], StmtKind::Nop);
-                if let StmtKind::DoLoop { body, .. } | StmtKind::DoParallel { body, .. } = &kind {
-                    for (p, &inner) in body.iter().enumerate() {
-                        let value = if p <= def_pos { pre_value } else { post_value };
-                        crate::util::replace_reads(stmts, exprs, inner, cand_v, value);
-                    }
-                }
-                stmts[s] = kind;
-                block.insert(i, pre_stmt);
-                block.insert(i + 2, final_stmt);
-                return true;
-            }
-            let mut kind = std::mem::replace(&mut stmts[s], StmtKind::Nop);
-            let mut done = false;
-            for b in kind.blocks_mut() {
-                if find_and_apply(
-                    stmts, exprs, b, loop_id, cand_v, def_pos, pre_value, post_value, pre_stmt,
-                    final_stmt,
-                ) {
-                    done = true;
-                    break;
-                }
-            }
-            stmts[s] = kind;
-            if done {
-                return true;
-            }
+    let (stmts, exprs) = (&proc.stmts, &mut proc.exprs);
+    if let StmtKind::DoLoop { body, .. } | StmtKind::DoParallel { body, .. } = &stmts[block[*pos]] {
+        for (p, &inner) in body.iter().enumerate() {
+            let value = if p <= cand.def_pos {
+                pre_value
+            } else {
+                post_value
+            };
+            replace_reads(stmts, exprs, inner, cand.v, value);
         }
-        false
     }
-
-    let mut body = std::mem::take(&mut proc.body);
-    let ok = find_and_apply(
-        &mut proc.stmts,
-        &mut proc.exprs,
-        &mut body,
-        loop_id,
-        cand.v,
-        cand.def_pos,
-        pre_value,
-        post_value,
-        pre_stmt,
-        final_stmt,
-    );
-    proc.body = body;
-    ok
+    block.insert(*pos, pre_stmt);
+    block.insert(*pos + 2, final_stmt);
+    *pos += 1;
 }
 
 #[cfg(test)]

@@ -12,6 +12,8 @@ pub mod constprop;
 pub mod cse;
 pub mod dce;
 pub mod forward;
+#[cfg(test)]
+mod forward_reference;
 pub mod ivsub;
 pub mod util;
 pub mod whiledo;

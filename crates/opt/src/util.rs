@@ -90,13 +90,25 @@ pub fn replace_reads(
     v: VarId,
     replacement: ExprId,
 ) -> usize {
+    replace_reads_with(stmts, exprs, s, &|w| (w == v).then_some(replacement))
+}
+
+/// [`replace_reads`] for several variables at once: every read of a
+/// variable `replacement_of` maps is replaced, in one walk of the tree
+/// ([`ExprPool::substitute_vars`]).
+pub fn replace_reads_with(
+    stmts: &StmtPool,
+    exprs: &mut ExprPool,
+    s: StmtId,
+    replacement_of: &impl Fn(VarId) -> Option<ExprId>,
+) -> usize {
     let mut n = 0;
     for e in stmts[s].exprs() {
-        n += exprs.substitute_var(e, v, replacement);
+        n += exprs.substitute_vars(e, replacement_of);
     }
     for b in stmts[s].blocks() {
         for &inner in b {
-            n += replace_reads(stmts, exprs, inner, v, replacement);
+            n += replace_reads_with(stmts, exprs, inner, replacement_of);
         }
     }
     n

@@ -199,50 +199,69 @@ pub fn convert_while_loops_cached(
     analyses: &mut ProcAnalyses,
 ) -> WhileDoReport {
     let mut report = WhileDoReport::default();
-    let mut done: Vec<StmtId> = Vec::new();
     let cfg = analyses.cfg(proc);
-    loop {
-        // find the first unprocessed while loop (preorder)
-        let mut target: Option<StmtId> = None;
-        proc.for_each_stmt(&mut |s, kind| {
-            if target.is_none() && matches!(kind, StmtKind::While { .. }) && !done.contains(&s) {
-                target = Some(s);
-            }
-        });
-        let w = match target {
-            Some(w) => w,
-            None => break,
-        };
-        done.push(w);
-        let span = proc.stmts.span(w);
-        if report.converted > 0 {
-            // reusing the CFG past a mutation is the repaired-analysis path
-            analyses.note_repair();
-        }
-        match analyze(proc, &cfg, w) {
-            Ok(plan) => {
-                report.events.push(LoopEvent {
-                    proc: proc.name.clone(),
-                    var: proc.var(plan.iv).name.clone(),
-                    span,
-                    decision: LoopDecision::DoConverted,
-                });
-                apply(proc, w, span, plan);
-                proc.bump_generation();
-                report.converted += 1;
-            }
-            Err(r) => {
-                report.events.push(LoopEvent {
-                    proc: proc.name.clone(),
-                    var: String::new(),
-                    span,
-                    decision: LoopDecision::DoRejected(r.describe().to_string()),
-                });
-                report.rejects.push((w, r));
-            }
-        }
-    }
+    let mut body = std::mem::take(&mut proc.body);
+    convert_block(proc, &mut body, &cfg, analyses, &mut report);
+    proc.body = body;
     report
+}
+
+/// Visits `block` in preorder with the block in hand, so a conversion
+/// splices its three statements in where the `While` stood: each `While`
+/// is decided before the loops nested in it, and nothing is searched for
+/// from the procedure root.
+fn convert_block(
+    proc: &mut Procedure,
+    block: &mut Block,
+    cfg: &Cfg,
+    analyses: &mut ProcAnalyses,
+    report: &mut WhileDoReport,
+) {
+    let mut i = 0;
+    while i < block.len() {
+        let mut s = block[i];
+        if matches!(proc.stmts[s], StmtKind::While { .. }) {
+            let span = proc.stmts.span(s);
+            if report.converted > 0 {
+                // reusing the CFG past a mutation is the repaired-analysis path
+                analyses.note_repair();
+            }
+            match analyze(proc, cfg, s) {
+                Ok(plan) => {
+                    report.events.push(LoopEvent {
+                        proc: proc.name.clone(),
+                        var: proc.var(plan.iv).name.clone(),
+                        span,
+                        decision: LoopDecision::DoConverted,
+                    });
+                    let replacement = apply(proc, s, span, plan);
+                    s = replacement[2];
+                    block.splice(i..=i, replacement);
+                    i += 2;
+                    proc.bump_generation();
+                    report.converted += 1;
+                }
+                Err(r) => {
+                    report.events.push(LoopEvent {
+                        proc: proc.name.clone(),
+                        var: String::new(),
+                        span,
+                        decision: LoopDecision::DoRejected(r.describe().to_string()),
+                    });
+                    report.rejects.push((s, r));
+                }
+            }
+        }
+        // the statement's own kind is out of the pool while its blocks are
+        // visited; decisions only ever look at the subtree of the loop
+        // they are about
+        let mut kind = std::mem::replace(&mut proc.stmts[s], StmtKind::Nop);
+        for b in kind.blocks_mut() {
+            convert_block(proc, b, cfg, analyses, report);
+        }
+        proc.stmts[s] = kind;
+        i += 1;
+    }
 }
 
 struct Plan {
@@ -462,9 +481,15 @@ fn find_step(proc: &Procedure, body: &[StmtId], iv: VarId) -> Result<StepInfo, R
     }
 }
 
-/// Replaces the while statement with `t_lo = iv; t_hi = bound±adj;
-/// DO dummy = t_lo, t_hi, step { body }`.
-fn apply(proc: &mut Procedure, while_id: StmtId, span: titanc_il::SrcSpan, plan: Plan) {
+/// Builds the replacement of the while statement — `t_lo = iv;
+/// t_hi = bound±adj; DO dummy = t_lo, t_hi, step { body }` — moving the
+/// body out of the `While`, whose slot is left a `Nop`.
+fn apply(
+    proc: &mut Procedure,
+    while_id: StmtId,
+    span: titanc_il::SrcSpan,
+    plan: Plan,
+) -> [StmtId; 3] {
     let dummy = proc.fresh_temp(Type::Int);
     proc.var_mut(dummy).name = format!("dummy_{}", dummy.index());
     let t_lo = proc.fresh_temp(Type::Int);
@@ -512,60 +537,23 @@ fn apply(proc: &mut Procedure, while_id: StmtId, span: titanc_il::SrcSpan, plan:
     let lo_read = proc.exprs.var(t_lo);
     let hi_read = proc.exprs.var(t_hi);
 
-    // splice: find the while statement and replace it in its block
-    fn splice(
-        proc: &mut Procedure,
-        block: &mut Block,
-        while_id: StmtId,
-        mk: &mut dyn FnMut(&mut Procedure, Block, bool) -> Vec<StmtId>,
-    ) -> bool {
-        for i in 0..block.len() {
-            let s = block[i];
-            if s == while_id {
-                if let StmtKind::While { body, safe, .. } =
-                    std::mem::replace(&mut proc.stmts[s], StmtKind::Nop)
-                {
-                    let replacement = mk(proc, body, safe);
-                    block.splice(i..=i, replacement);
-                    return true;
-                }
-                return false;
-            }
-            let mut kind = std::mem::replace(&mut proc.stmts[s], StmtKind::Nop);
-            let mut found = false;
-            for b in kind.blocks_mut() {
-                if splice(proc, b, while_id, mk) {
-                    found = true;
-                    break;
-                }
-            }
-            proc.stmts[s] = kind;
-            if found {
-                return true;
-            }
-        }
-        false
-    }
-
-    let safe_flag = plan.safe;
-    let mut body_tmp = std::mem::take(&mut proc.body);
-    let mut make = |proc: &mut Procedure, body: Block, safe: bool| {
-        let do_stmt = proc.stamp_at(
-            StmtKind::DoLoop {
-                var: dummy,
-                lo: lo_read,
-                hi: hi_read,
-                step,
-                body,
-                safe: safe || safe_flag,
-            },
-            span,
-        );
-        vec![lo_assign, hi_assign, do_stmt]
+    let StmtKind::While { body, safe, .. } =
+        std::mem::replace(&mut proc.stmts[while_id], StmtKind::Nop)
+    else {
+        unreachable!("apply called on non-while");
     };
-    let ok = splice(proc, &mut body_tmp, while_id, &mut make);
-    debug_assert!(ok, "while statement not found for splice");
-    proc.body = body_tmp;
+    let do_stmt = proc.stamp_at(
+        StmtKind::DoLoop {
+            var: dummy,
+            lo: lo_read,
+            hi: hi_read,
+            step,
+            body,
+            safe: safe || plan.safe,
+        },
+        span,
+    );
+    [lo_assign, hi_assign, do_stmt]
 }
 
 #[cfg(test)]

@@ -148,7 +148,7 @@ fn analyze(proc: &Procedure, cond: ExprId, body: &[StmtId]) -> Option<Plan> {
     let mut needed: Vec<VarId> = proc.stmts[body[def_pos]]
         .exprs()
         .iter()
-        .flat_map(|&e| proc.exprs.vars_read(e))
+        .flat_map(|e| proc.exprs.vars_read(e))
         .collect();
     for i in (0..def_pos).rev() {
         if let Some(v) = proc.stmts[body[i]].defined_var() {
@@ -158,7 +158,7 @@ fn analyze(proc: &Procedure, cond: ExprId, body: &[StmtId]) -> Option<Plan> {
                     proc.stmts[body[i]]
                         .exprs()
                         .iter()
-                        .flat_map(|&e| proc.exprs.vars_read(e)),
+                        .flat_map(|e| proc.exprs.vars_read(e)),
                 );
             }
         }
@@ -183,7 +183,7 @@ fn analyze(proc: &Procedure, cond: ExprId, body: &[StmtId]) -> Option<Plan> {
                 proc.stmts[body[j]]
                     .exprs()
                     .iter()
-                    .any(|&e| proc.exprs.reads_var(e, v))
+                    .any(|e| proc.exprs.reads_var(e, v))
             }) {
                 return None;
             }
@@ -199,7 +199,7 @@ fn analyze(proc: &Procedure, cond: ExprId, body: &[StmtId]) -> Option<Plan> {
                         proc.stmts[t]
                             .exprs()
                             .iter()
-                            .map(|&e| proc.exprs.vars_read(e).iter().filter(|&&w| w == v).count())
+                            .map(|e| proc.exprs.vars_read(e).iter().filter(|&&w| w == v).count())
                             .sum()
                     } else {
                         count_reads_block(&proc.stmts, &proc.exprs, std::slice::from_ref(&t), v)

@@ -211,7 +211,8 @@ fn promote_registers(
     let mut new_body = body.clone();
     // replace the matching load in the sink statement with reg
     let mut replaced = false;
-    for e in proc.stmts[new_body[load_idx]].exprs() {
+    let roots: Vec<ExprId> = proc.stmts[new_body[load_idx]].exprs().iter().collect();
+    for e in roots {
         replace_matching_load(proc, &body, lv, e, &matches_load, reg, &mut replaced);
     }
     if !replaced {
@@ -395,7 +396,8 @@ fn reduce_addresses(proc: &mut Procedure, id: StmtId, report: &mut StrengthRepor
         post_incs.push(bump);
         // replace address expressions equal to this affine with Var(pt)
         for &s in &new_body {
-            for e in proc.stmts[s].exprs() {
+            let roots: Vec<ExprId> = proc.stmts[s].exprs().iter().collect();
+            for e in roots {
                 replace_affine_addr(proc, &body, lv, e, aff, pt);
             }
             let store_addr = match &proc.stmts[s] {
