@@ -43,7 +43,11 @@
 //! daemon's write-through directory. Every server response must carry
 //! the reference's exact stdout bytes, every one-shot session must
 //! match the reference IL and opt report, and a post-burst repeat must
-//! skip the pipeline entirely (fully warm). The daemon's aggregate
+//! skip the pipeline entirely (fully warm). Each case then edits the
+//! program and reverts it (the revert must come wholly from the daemon's
+//! memos) and damages the directory under the daemon (its typed values
+//! are immune; a fresh daemon quarantines what is damaged and heals it).
+//! The daemon's aggregate
 //! accounting (and the one-shot sessions') prints at the end; CI
 //! uploads it as an artifact.
 //!
@@ -857,14 +861,94 @@ fn check_server_case(cseed: u64, src: &str, totals: &mut ServerStressTotals) -> 
             ));
         }
 
+        // edit, then revert: a procedure appears and disappears again.
+        // The edited request must match its own no-cache reference; the
+        // revert must be answered from the memos — front end a hit, every
+        // entry typed already, pipeline skipped — with the first bytes.
+        let edited_src = format!("{src}\nint stress_edit_marker(void) {{ return 7; }}\n");
+        let edited_files = [SourceFile::new("case.c", &*edited_src)];
+        let edited_ref = compile_session(&edited_files, &options, None)
+            .map_err(|e| format!("edited reference: front end rejected input: {e}"))?;
+        let mut edit_req = req.clone();
+        edit_req.id = SERVER_CLIENTS as i64 + 2;
+        edit_req.files = edited_files.to_vec();
+        let edited = server_round_trip(&srv, &edit_req, "edit")?;
+        let edited_stdout = format!(
+            "{}{}",
+            il_block(&edited_ref.compilation.program),
+            opt_report_block(&edited_ref.compilation, true)
+        );
+        if edited.exit != 0 || edited.stdout != edited_stdout {
+            return Err(format!(
+                "edit: exit {} or stdout diverged from its no-cache reference:\n{}",
+                edited.exit, edited.stderr
+            ));
+        }
+        let before_revert = srv.totals();
+        let mut revert_req = req.clone();
+        revert_req.id = SERVER_CLIENTS as i64 + 3;
+        let reverted = server_round_trip(&srv, &revert_req, "revert")?;
+        if reverted.stdout != ref_stdout || !reverted.stderr.contains("(fully warm)") {
+            return Err(format!(
+                "revert: not the first reply, or not fully warm:\n{}",
+                reverted.stderr
+            ));
+        }
+        let after_revert = srv.totals();
+        if after_revert.front_hits != before_revert.front_hits + 1
+            || after_revert.admitted != before_revert.admitted
+        {
+            return Err(format!(
+                "revert re-derived something the daemon had seen: before {before_revert}; \
+                 after {after_revert}"
+            ));
+        }
+
+        // cache faults under the daemon: one file of the directory loses
+        // a bit, another its tail. The running daemon's typed values do
+        // not care; a fresh daemon over the damaged directory refuses what
+        // is damaged at admission (quarantined, never resident), answers
+        // with the same bytes, and its recompile heals the next request.
+        let mut rng = progen::Rng::new(cseed ^ 0x5EED_C0DE);
+        titanc_bench::corrupt_cache_dir(&dir, &mut rng)
+            .map_err(|e| format!("could not corrupt cache dir: {e}"))?;
+        let mut immune_req = req.clone();
+        immune_req.id = SERVER_CLIENTS as i64 + 4;
+        let immune = server_round_trip(&srv, &immune_req, "after corruption")?;
+        if immune.stdout != ref_stdout || !immune.stderr.contains("(fully warm)") {
+            return Err(format!(
+                "after corruption: the resident daemon noticed its directory:\n{}",
+                immune.stderr
+            ));
+        }
+        let fresh = Server::new(&ServerConfig {
+            cache_dir: Some(dir.clone()),
+            workers: 1,
+        })
+        .quiet();
+        for (what, must_be_warm) in [("fresh daemon, damaged dir", false), ("healed", true)] {
+            let resp = server_round_trip(&fresh, &req, what)?;
+            if resp.exit != 0 || resp.stdout != ref_stdout {
+                return Err(format!("{what}: stdout diverged:\n{}", resp.stderr));
+            }
+            if must_be_warm && !resp.stderr.contains("(fully warm)") {
+                return Err(format!("{what}: not fully warm:\n{}", resp.stderr));
+            }
+        }
+        let ft = fresh.totals();
+        if ft.corrupt != ft.quarantined || ft.resident_entries > ft.admitted {
+            return Err(format!("fresh daemon kept something it refused: {ft}"));
+        }
+        totals.daemon.merge(&ft);
+
         let st = srv.totals();
         if st.protocol_errors != 0 {
             return Err(format!("daemon counted protocol errors: {st}"));
         }
-        if st.requests != SERVER_CLIENTS as i64 + 1 {
+        if st.requests != SERVER_CLIENTS as i64 + 4 {
             return Err(format!(
                 "daemon accounting lost requests: expected {}, {st}",
-                SERVER_CLIENTS + 1
+                SERVER_CLIENTS + 4
             ));
         }
         totals.daemon.merge(&st);

@@ -53,9 +53,10 @@ pub fn compile_only(src: &str, options: &Options) -> titanc::Compilation {
 /// Damages a populated `--cache-dir` in place: one random bit flip in one
 /// file and a random truncation of another (the same file when only one
 /// exists). Victims are every top-level file except the `FORMAT` marker
-/// and the `.lock` — entries, manifests and the index alike, whatever
-/// they are named — and the `quarantine/` subdirectory is left alone, so
-/// every damaged file is one a warm run actually reads and must detect.
+/// and the lock files (`.lock`, `.lock-break`) — entries, manifests and
+/// the index alike, whatever they are named — and the `quarantine/`
+/// subdirectory is left alone, so every damaged file is one a warm run
+/// actually reads and must detect.
 /// Shared by `stress --cache-faults` and `tests/cache_faults.rs`.
 ///
 /// # Errors
@@ -64,7 +65,10 @@ pub fn compile_only(src: &str, options: &Options) -> titanc::Compilation {
 pub fn corrupt_cache_dir(dir: &std::path::Path, rng: &mut progen::Rng) -> std::io::Result<()> {
     let mut files: Vec<std::path::PathBuf> = std::fs::read_dir(dir)?
         .filter_map(|e| e.ok().map(|e| e.path()))
-        .filter(|p| p.is_file() && !p.ends_with("FORMAT") && !p.ends_with(".lock"))
+        .filter(|p| {
+            let lock = [".lock", ".lock-break"].iter().any(|n| p.ends_with(n));
+            p.is_file() && !p.ends_with("FORMAT") && !lock
+        })
         .collect();
     files.sort();
     if files.is_empty() {

@@ -15,10 +15,11 @@
 //!   --quiet             suppress the per-request accounting log lines
 //! ```
 //!
-//! The daemon keeps the content-addressed IL cache resident in memory:
-//! the first compile of a program pays the full pipeline, every
-//! subsequent compile of unchanged procedures is served from the
-//! in-memory map, and warm repeats skip the pipeline outright. Requests
+//! The daemon keeps the content-addressed IL cache resident in memory,
+//! as typed values checked once on the way in: the first compile of a
+//! program pays the full pipeline, every subsequent compile parses only
+//! the files whose text changed and replays unchanged procedures from
+//! the shared entries, and warm repeats skip the pipeline outright. Requests
 //! are batched across the worker pool; responses stream back as they
 //! finish, tagged by request id. Responses are byte-identical to
 //! one-shot `titanc` on the same inputs (modulo the `titanc: cache:`

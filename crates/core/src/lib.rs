@@ -38,6 +38,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod memo;
 pub mod pass;
 pub mod server;
 pub mod session;
@@ -48,8 +49,8 @@ use std::error::Error;
 use std::fmt;
 
 pub use pass::{
-    CachedProc, IncidentKind, Pass, PassContext, PassIncident, PassOutcome, PassRecord, PassTrace,
-    Pipeline, ProcPass, RecordedCell, SessionReplay, Snapshot, WorkItem,
+    CachedEntry, CachedProc, IncidentKind, Pass, PassContext, PassIncident, PassOutcome,
+    PassRecord, PassTrace, Pipeline, ProcPass, RecordedCell, SessionReplay, Snapshot, WorkItem,
 };
 pub use session::{
     compile_session, compile_session_resident, SessionCompilation, SessionStats, SourceFile,

@@ -59,7 +59,7 @@ use std::any::Any;
 use std::cell::Cell;
 use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Mutex, Once};
+use std::sync::{Arc, Mutex, Once};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -498,14 +498,22 @@ pub struct RecordedCell {
 
 titanc_il::struct_json!(RecordedCell, [pass, delta, changed, cache]);
 
-/// A cache hit for one procedure: its fully optimized IL plus the
-/// per-pass cells recorded when it was last compiled, consumed group by
-/// group as the pipeline replays it.
-pub struct CachedProc {
+/// What one cache entry holds, decoded and checked: a procedure's fully
+/// optimized IL plus the per-pass cells recorded when it was last
+/// compiled. Immutable once built — the compile server shares one behind
+/// an `Arc` between every request that hits it.
+pub struct CachedEntry {
     /// The procedure's post-pipeline IL, decoded from the cache entry.
     pub il: Procedure,
     /// Recorded cells for every per-procedure pass, in pipeline order.
     pub cells: Vec<RecordedCell>,
+}
+
+/// A cache hit for one procedure: the (possibly shared) entry plus this
+/// request's own position in its cells, consumed group by group as the
+/// pipeline replays it.
+pub struct CachedProc {
+    entry: Arc<CachedEntry>,
     /// Consumption cursor: how many cells earlier proc groups used.
     cursor: usize,
 }
@@ -513,11 +521,12 @@ pub struct CachedProc {
 impl CachedProc {
     /// A replayable hit from a decoded cache entry.
     pub fn new(il: Procedure, cells: Vec<RecordedCell>) -> CachedProc {
-        CachedProc {
-            il,
-            cells,
-            cursor: 0,
-        }
+        CachedProc::shared(Arc::new(CachedEntry { il, cells }))
+    }
+
+    /// A replayable hit on an entry other requests may be replaying too.
+    pub fn shared(entry: Arc<CachedEntry>) -> CachedProc {
+        CachedProc { entry, cursor: 0 }
     }
 }
 
@@ -1043,16 +1052,17 @@ fn run_proc_group(
                 continue;
             };
             let end = hit.cursor + group.len();
-            let names_match = end <= hit.cells.len()
+            let entry = &hit.entry;
+            let names_match = end <= entry.cells.len()
                 && group
                     .iter()
                     .enumerate()
-                    .all(|(k, p)| hit.cells[hit.cursor + k].pass == p.name());
+                    .all(|(k, p)| entry.cells[hit.cursor + k].pass == p.name());
             if !names_match {
                 // stale or truncated entry — run the chain for real
                 continue;
             }
-            let cells = hit.cells[hit.cursor..end]
+            let cells = entry.cells[hit.cursor..end]
                 .iter()
                 .map(|c| PassCell {
                     duration: Duration::ZERO,
@@ -1062,8 +1072,8 @@ fn run_proc_group(
                     status: CellStatus::Ran,
                 })
                 .collect();
+            let mut il = entry.il.clone();
             hit.cursor = end;
-            let mut il = hit.il.clone();
             // land strictly past the generation already covered so the
             // closing whole-program verify re-checks the substituted IL
             while il.generation() <= seen_gens[idx] {

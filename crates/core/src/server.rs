@@ -27,16 +27,22 @@
 //!
 //! ## Shared cache semantics
 //!
-//! All requests compile through one [`ResidentCache`]: an in-memory map
-//! of unsealed cache entries that write through to the daemon's
-//! `--cache-dir` (when it has one), so one-shot `titanc --cache-dir`
-//! invocations and the daemon interoperate on the same directory. The
-//! per-request pipeline still fans procedures across its own `-j`
-//! worker pool; the daemon's pool (its own `-j`) batches independent
-//! *requests*. Analysis caches stay per-request — they are keyed by
-//! in-memory generation counters that restart with every compilation —
-//! but a warm request skips the pipeline (and with it all analyses)
-//! outright.
+//! All requests compile through one [`ResidentCache`], which makes the
+//! daemon a small query engine: three keyed memos — the front end per
+//! file content, cache entries as decoded and verified typed values,
+//! session manifests decoded — each filled by checking a value once, where
+//! it enters, and answering every later request with the shared immutable
+//! result (see [`crate::session`] § Resident sessions). A fully warm
+//! request therefore parses, decodes and verifies nothing: it hashes,
+//! clones what it must own, and renders. The layer writes through to the
+//! daemon's `--cache-dir` (when it has one), so one-shot
+//! `titanc --cache-dir` invocations and the daemon interoperate on the
+//! same directory. The per-request pipeline still fans procedures across
+//! its own `-j` worker pool; the daemon's pool (its own `-j`) batches
+//! independent *requests*. Analysis caches stay per-request — they are
+//! keyed by in-memory generation counters that restart with every
+//! compilation — but a warm request skips the pipeline (and with it all
+//! analyses) outright.
 
 use std::fmt::Write as _;
 use std::io::{self, BufRead, BufReader, Write};
@@ -222,6 +228,20 @@ pub struct ServerTotals {
     pub lock_contended: i64,
     /// Summed [`SessionStats::write_failed`].
     pub write_failed: i64,
+    /// Input files answered from the front-end memo (failed requests
+    /// included — a file that parsed is remembered even when its
+    /// neighbour did not).
+    pub front_hits: i64,
+    /// Input files parsed and lowered for real.
+    pub front_misses: i64,
+    /// Cache entries admitted into the typed layer: decoded and verified
+    /// once, on first use, from this daemon's own publish or the backing
+    /// directory.
+    pub admitted: i64,
+    /// Memoised values dropped by the fixed caps, all three layers.
+    pub evicted: i64,
+    /// Typed cache entries resident at the time of the snapshot.
+    pub resident_entries: i64,
 }
 
 titanc_il::struct_json!(
@@ -237,7 +257,12 @@ titanc_il::struct_json!(
         corrupt,
         quarantined,
         lock_contended,
-        write_failed
+        write_failed,
+        front_hits,
+        front_misses,
+        admitted,
+        evicted,
+        resident_entries
     ]
 );
 
@@ -256,6 +281,11 @@ impl ServerTotals {
         self.quarantined += other.quarantined;
         self.lock_contended += other.lock_contended;
         self.write_failed += other.write_failed;
+        self.front_hits += other.front_hits;
+        self.front_misses += other.front_misses;
+        self.admitted += other.admitted;
+        self.evicted += other.evicted;
+        self.resident_entries += other.resident_entries;
     }
 
     fn fold(&mut self, stats: &SessionStats) {
@@ -277,7 +307,8 @@ impl std::fmt::Display for ServerTotals {
             f,
             "{} request(s), {} protocol error(s), {} fully warm; \
              {} hit(s), {} miss(es), {} invalidated; {} pass execution(s); \
-             {} corrupt, {} quarantined, {} lock-contended, {} write-failed",
+             {} corrupt, {} quarantined, {} lock-contended, {} write-failed; \
+             front end {} hit(s), {} miss(es); {} admitted, {} evicted, {} resident",
             self.requests,
             self.protocol_errors,
             self.fully_warm,
@@ -288,7 +319,12 @@ impl std::fmt::Display for ServerTotals {
             self.corrupt,
             self.quarantined,
             self.lock_contended,
-            self.write_failed
+            self.write_failed,
+            self.front_hits,
+            self.front_misses,
+            self.admitted,
+            self.evicted,
+            self.resident_entries
         )
     }
 }
@@ -602,9 +638,19 @@ impl Server {
         &self.resident
     }
 
-    /// A snapshot of the aggregate accounting.
+    /// A snapshot of the aggregate accounting: the per-request sums plus
+    /// what the resident memos have counted since the server started.
     pub fn totals(&self) -> ServerTotals {
-        self.totals.lock().unwrap().clone()
+        let mut totals = self.totals.lock().unwrap().clone();
+        let memos = self.resident.memos();
+        let (front, entries) = (memos.front.counts(), memos.entries.counts());
+        totals.front_hits = front.hits as i64;
+        totals.front_misses = front.misses as i64;
+        totals.admitted = entries.admitted as i64;
+        totals.evicted =
+            (front.evicted + entries.evicted + memos.manifests.counts().evicted) as i64;
+        totals.resident_entries = memos.entries.len() as i64;
+        totals
     }
 
     /// Handles one protocol line: parse, execute, account, serialize.
@@ -650,10 +696,12 @@ impl Server {
             // copy inside its stderr field)
             match &done.stats {
                 Some(stats) => eprintln!(
-                    "titand: req={} files={} exit={} {}",
+                    "titand: req={} files={} exit={} front={}/{} {}",
                     req.id,
                     req.files.len(),
                     done.response.exit,
+                    stats.front_hits,
+                    stats.front_misses,
                     cache_line(stats)
                 ),
                 None => eprintln!(

@@ -58,9 +58,22 @@
 //! index/manifest updates through an advisory lock. Every degradation
 //! is counted ([`SessionStats`]) and surfaced on the `titanc: cache:`
 //! accounting line — a cache failure is never a compilation failure.
+//!
+//! ## Resident sessions
+//!
+//! A session whose store belongs to the compile server's
+//! [`ResidentCache`] answers from three keyed memos instead of
+//! recomputing functions of bytes the daemon has already seen: the front
+//! end per file content ([`FrontEnd`]), cache entries as typed
+//! [`CachedEntry`]s, session manifests as decoded [`Manifest`]s. A value
+//! is checked where it enters — exactly the checks a one-shot load runs
+//! on every read ([`check_entry`], [`decode_manifest`]) — and is then an
+//! immutable `Arc` that no request re-decodes or re-verifies. A one-shot
+//! session (no resident layer) takes none of that code.
 
 use std::collections::BTreeMap;
 use std::path::Path;
+use std::sync::Arc;
 use std::time::Duration;
 
 use titanc_analysis::CallGraph;
@@ -70,11 +83,11 @@ use titanc_il::wire::Reader;
 use titanc_il::{Procedure, Program, StableHash, StableHasher, StructDef, StructId, Type, VarInfo};
 
 use crate::pass::{
-    snapshot_all, verify_proc_check, verify_program_check, CachedProc, PassRecord, PassTrace,
-    RecordedCell, SessionReplay,
+    snapshot_all, verify_proc_check, verify_program_check, CachedEntry, CachedProc, PassRecord,
+    PassTrace, RecordedCell, SessionReplay,
 };
 use crate::server::base_pipeline;
-use crate::store::{CacheStore, ResidentCache, CACHE_FORMAT};
+use crate::store::{CacheStore, Memos, ResidentCache, CACHE_FORMAT};
 use crate::{
     link_catalogs, optimization_remarks, Compilation, CompileError, Options, Pipeline, Reports,
 };
@@ -134,6 +147,12 @@ pub struct SessionStats {
     /// Cache files that could not be published (write/rename failure);
     /// surfaced as a warning, never a compilation failure.
     pub write_failed: usize,
+    /// Input files whose front-end result came from the compile server's
+    /// memo (always zero in a one-shot session; not on the `titanc:
+    /// cache:` line, which one-shot and served output share).
+    pub front_hits: usize,
+    /// Input files a resident session parsed and lowered for real.
+    pub front_misses: usize,
 }
 
 /// A [`Compilation`] plus the session's cache accounting. The stats stay
@@ -221,33 +240,18 @@ pub(crate) fn compile_session_impl(
     let mut diagnostics: Vec<Diagnostic> = Vec::new();
     let mut tus: Vec<(String, Program)> = Vec::new();
     let mut failed = false;
+    let mut stats = SessionStats::default();
+    let memos = store.as_ref().and_then(CacheStore::memos);
     for f in files {
-        let mut sink = DiagnosticSink::new(options.max_errors);
-        let tu = titanc_cfront::parse_recovering(&f.src, &mut sink);
-        if sink.has_errors() {
-            // make the cap visible: the reported list is shorter than the
-            // real error count when --max-errors stopped the front end early
-            if sink.suppressed() > 0 {
-                sink.warning(
-                    format!(
-                        "{} further error(s) suppressed by --max-errors (total {})",
-                        sink.suppressed(),
-                        sink.error_count()
-                    ),
-                    Span::none(),
-                );
-            }
-            failed = true;
-        } else {
-            match titanc_lower::lower(&tu) {
-                Ok(p) => tus.push((f.name.clone(), p)),
-                Err(e) => {
-                    sink.error(e.message.clone(), e.span);
-                    failed = true;
-                }
-            }
+        let (tu, diags) = match memos {
+            Some(memos) => front_end_memoised(memos, &f.src, options.max_errors, &mut stats),
+            None => front_end(&f.src, options.max_errors),
+        };
+        match tu {
+            Some(tu) => tus.push((f.name.clone(), tu)),
+            None => failed = true,
         }
-        extend_tagged(&mut diagnostics, &f.name, sink.into_diagnostics(), multi);
+        extend_tagged(&mut diagnostics, &f.name, diags, multi);
     }
     if failed {
         return Err(CompileError::from_diagnostics(diagnostics));
@@ -281,7 +285,6 @@ pub(crate) fn compile_session_impl(
 
     let parsed = options.keep_parsed.then(|| program.clone());
     let (program_stages, proc_stages) = pipeline.stage_counts();
-    let mut stats = SessionStats::default();
 
     // cache keys exist only while a store is open: a store-less compile
     // builds no call graph, hashes nothing and records nothing. The
@@ -340,9 +343,13 @@ pub(crate) fn compile_session_impl(
     // recorded for `persist`)
     if let Some(c) = cache.as_mut() {
         for (p, h) in program.procs.iter().zip(&c.hashes) {
-            let hit = load_entry(&mut c.store, h, &p.name, |il, cells| {
-                Some(CachedProc::new(il, decode_cells(cells)?))
-            });
+            let hit = if c.store.memos().is_some() {
+                load_entry_shared(&mut c.store, h, &p.name).map(CachedProc::shared)
+            } else {
+                load_entry(&mut c.store, h, &p.name, |il, cells| {
+                    Some(CachedProc::new(il, decode_cells(cells)?))
+                })
+            };
             if let Some(hit) = hit {
                 c.replay.hits.insert(p.name.clone(), hit);
             } else if c.index.get(&p.name).is_some_and(|old| *old != h.hex()) {
@@ -376,6 +383,74 @@ pub(crate) fn compile_session_impl(
         },
         stats,
     })
+}
+
+/// The front end over one file's text: the lowered TU — `None` when the
+/// file has errors — and its diagnostics, not yet tagged with a file name.
+fn front_end(src: &str, max_errors: usize) -> (Option<Program>, Vec<Diagnostic>) {
+    let mut sink = DiagnosticSink::new(max_errors);
+    let tu = titanc_cfront::parse_recovering(src, &mut sink);
+    let mut program = None;
+    if sink.has_errors() {
+        // make the cap visible: the reported list is shorter than the
+        // real error count when --max-errors stopped the front end early
+        if sink.suppressed() > 0 {
+            sink.warning(
+                format!(
+                    "{} further error(s) suppressed by --max-errors (total {})",
+                    sink.suppressed(),
+                    sink.error_count()
+                ),
+                Span::none(),
+            );
+        }
+    } else {
+        match titanc_lower::lower(&tu) {
+            Ok(p) => program = Some(p),
+            Err(e) => sink.error(e.message.clone(), e.span),
+        }
+    }
+    (program, sink.into_diagnostics())
+}
+
+/// What the compile server remembers of one error-free file: the text it
+/// stands for, the lowered TU and the (warning) diagnostics, untagged —
+/// the same text may arrive under any file name.
+pub(crate) struct FrontEnd {
+    src: String,
+    program: Program,
+    diagnostics: Vec<Diagnostic>,
+}
+
+/// [`front_end`] through the compile server's memo, keyed by the digest
+/// of the text and the error cap. A hit is confirmed by comparing the
+/// text itself, so a digest collision is a miss; a file with errors is
+/// never remembered (its diagnostics depend on the cap in ways a success
+/// does not, and it is about to be edited anyway).
+fn front_end_memoised(
+    memos: &Memos,
+    src: &str,
+    max_errors: usize,
+    stats: &mut SessionStats,
+) -> (Option<Program>, Vec<Diagnostic>) {
+    let mut h = StableHasher::new();
+    h.write(src.as_bytes());
+    let key = (h.finish(), max_errors);
+    if let Some(hit) = memos.front.get(&key, |f| f.src == src) {
+        stats.front_hits += 1;
+        return (Some(hit.program.clone()), hit.diagnostics.clone());
+    }
+    stats.front_misses += 1;
+    let (program, diagnostics) = front_end(src, max_errors);
+    if let Some(program) = &program {
+        let remembered = FrontEnd {
+            src: src.to_string(),
+            program: program.clone(),
+            diagnostics: diagnostics.clone(),
+        };
+        memos.front.insert(key, remembered);
+    }
+    (program, diagnostics)
 }
 
 /// Appends `diags`, folding the file name (and the position, when
@@ -658,6 +733,7 @@ fn decode_cells(section: &[u8]) -> Option<Vec<RecordedCell>> {
 
 /// One aggregate pass record in the session manifest (a serializable
 /// [`PassRecord`] minus the wall-clock duration).
+#[derive(Clone)]
 struct ManifestRecord {
     name: String,
     delta: Reports,
@@ -674,7 +750,7 @@ titanc_il::struct_json!(
 
 /// The session manifest: everything a fully warm run needs beyond the
 /// per-procedure entries.
-struct Manifest {
+pub(crate) struct Manifest {
     version: u32,
     records: Vec<ManifestRecord>,
     globals: Vec<VarInfo>,
@@ -733,13 +809,23 @@ fn fold_store_stats(store: &CacheStore, stats: &mut SessionStats) {
     stats.write_failed = store.stats.write_failed;
 }
 
+/// The checks every entry passes before its IL is trusted — by a one-shot
+/// load on each read, by the compile server once, at admission: the entry
+/// version and framing, the wire decode, the name, and — crucially — the
+/// IL verifier. Yields the IL and the still-encoded cells section.
+fn check_entry<'p>(payload: &'p [u8], name: &str) -> Option<(Procedure, &'p [u8])> {
+    let (il, cells) = split_entry(payload)?;
+    let il = titanc_il::decode_proc(il).ok()?;
+    (il.name == name && verify_proc_check(&il).is_ok()).then_some((il, cells))
+}
+
 /// Loads and validates one entry; any failure is a miss. A missing file
-/// is a plain (cold) miss; a file that read but failed its checksum,
-/// decode, version, name, or — crucially — the IL verifier is
-/// quarantined so the bad bytes are never trusted or re-read. `finish`
-/// receives the verified IL and the still-encoded cells section: a
-/// fully warm run drops the section unread, a replay decodes it (and a
-/// `None` from there quarantines the entry like any other damage).
+/// is a plain (cold) miss; a file that read but failed its checksum or
+/// [`check_entry`] is quarantined so the bad bytes are never trusted or
+/// re-read. `finish` receives the verified IL and the still-encoded cells
+/// section: a fully warm run drops the section unread, a replay decodes
+/// it (and a `None` from there quarantines the entry like any other
+/// damage).
 fn load_entry<T>(
     store: &mut CacheStore,
     hash: &StableHash,
@@ -748,16 +834,48 @@ fn load_entry<T>(
 ) -> Option<T> {
     let file = entry_name(hash);
     let payload = store.read(&file)?;
-    let loaded = split_entry(&payload).and_then(|(il, cells)| {
-        let il = titanc_il::decode_proc(il).ok()?;
-        (il.name == name && verify_proc_check(&il).is_ok())
-            .then(|| finish(il, cells))
-            .flatten()
-    });
+    let loaded = check_entry(&payload, name).and_then(|(il, cells)| finish(il, cells));
     if loaded.is_none() {
         store.quarantine(&file);
     }
     loaded
+}
+
+/// Admission of an entry into the compile server's typed layer:
+/// [`check_entry`] plus the cells decode, once, for every later request.
+fn admit_entry(payload: &[u8], name: &str) -> Option<CachedEntry> {
+    let (il, cells) = check_entry(payload, name)?;
+    Some(CachedEntry {
+        il,
+        cells: decode_cells(cells)?,
+    })
+}
+
+/// [`load_entry`] on a resident store: the shared typed entry, admitted
+/// from the backing directory on first sight. The name is compared on
+/// every hit (it is one string compare); everything else was settled at
+/// admission and the value has been immutable since.
+fn load_entry_shared(
+    store: &mut CacheStore,
+    hash: &StableHash,
+    name: &str,
+) -> Option<Arc<CachedEntry>> {
+    let file = entry_name(hash);
+    let entry = store.read_typed(&file, |m| &m.entries, |payload| admit_entry(payload, name))?;
+    if entry.il.name != name {
+        store.quarantine(&file);
+        return None;
+    }
+    Some(entry)
+}
+
+/// Decodes a manifest payload; `None` for anything but this version's.
+fn decode_manifest(payload: &[u8]) -> Option<Manifest> {
+    std::str::from_utf8(payload)
+        .ok()
+        .and_then(|text| titanc_il::json::parse(text).ok())
+        .and_then(|doc| Manifest::from_json(&doc).ok())
+        .filter(|m| m.version == ENTRY_VERSION)
 }
 
 /// Reconstructs a fully warm compilation: the program from the manifest
@@ -772,32 +890,69 @@ fn load_full_warm(
     pipeline: &Pipeline,
 ) -> Option<(Program, Reports, PassTrace)> {
     let file = manifest_name(key);
-    let payload = store.read(&file)?;
-    let manifest = std::str::from_utf8(&payload)
-        .ok()
-        .and_then(|text| titanc_il::json::parse(text).ok())
-        .and_then(|doc| Manifest::from_json(&doc).ok())
-        .filter(|m| m.version == ENTRY_VERSION);
-    let Some(manifest) = manifest else {
-        // checksum passed but the payload does not decode: quarantine
-        store.quarantine(&file);
-        return None;
-    };
+    let resident = store.memos().is_some();
     let names = pipeline.pass_names();
-    if manifest.records.len() != names.len() {
+    // the replayed records, and the warm program's environment around
+    // procedures still to be loaded
+    let ((reports, trace), (globals, structs, files)) = if resident {
+        // decoded once, at admission; this request owns copies, made one
+        // record at a time
+        let shared = store.read_typed(&file, |m| &m.manifests, decode_manifest)?;
+        let replayed = replay_records(shared.records.iter().cloned(), &names)?;
+        let m = &*shared;
+        (
+            replayed,
+            (m.globals.clone(), m.structs.clone(), m.files.clone()),
+        )
+    } else {
+        let payload = store.read(&file)?;
+        let Some(m) = decode_manifest(&payload) else {
+            // checksum passed but the payload does not decode: quarantine
+            store.quarantine(&file);
+            return None;
+        };
+        let replayed = replay_records(m.records.into_iter(), &names)?;
+        (replayed, (m.globals, m.structs, m.files))
+    };
+    let mut procs = Vec::with_capacity(program.procs.len());
+    for (p, h) in program.procs.iter().zip(hashes) {
+        procs.push(if resident {
+            load_entry_shared(store, h, &p.name)?.il.clone()
+        } else {
+            load_entry(store, h, &p.name, |il, _| Some(il))?
+        });
+    }
+    let program = Program {
+        procs,
+        globals,
+        structs,
+        files,
+    };
+    Some((program, reports, trace))
+}
+
+/// The aggregate reports and zero-duration trace records a manifest's
+/// `records` replay to; `None` when they are not this pipeline's passes
+/// in this pipeline's order (checked per request: the pipeline is the
+/// request's, whoever decoded the manifest).
+fn replay_records(
+    records: impl ExactSizeIterator<Item = ManifestRecord>,
+    names: &[&'static str],
+) -> Option<(Reports, PassTrace)> {
+    if records.len() != names.len() {
         return None;
     }
     let mut reports = Reports::default();
     let mut trace = PassTrace::default();
-    for (i, rec) in manifest.records.into_iter().enumerate() {
+    for (rec, &name) in records.zip(names) {
         // the replayed record borrows the pipeline's static pass name;
         // the fingerprint in the key guarantees the sequences agree
-        if rec.name != names[i] {
+        if rec.name != name {
             return None;
         }
         reports.merge(rec.delta.clone());
         trace.records.push(PassRecord {
-            name: names[i],
+            name,
             duration: Duration::ZERO,
             delta: rec.delta,
             changed: rec.changed,
@@ -806,20 +961,7 @@ fn load_full_warm(
             faulted_procs: rec.faulted as usize,
         });
     }
-    let mut procs = Vec::with_capacity(program.procs.len());
-    for (p, h) in program.procs.iter().zip(hashes) {
-        procs.push(load_entry(store, h, &p.name, |il, _| Some(il))?);
-    }
-    Some((
-        Program {
-            procs,
-            globals: manifest.globals,
-            structs: manifest.structs,
-            files: manifest.files,
-        },
-        reports,
-        trace,
-    ))
+    Some((reports, trace))
 }
 
 /// Persists the run through the hardened store: per-procedure entries
@@ -866,6 +1008,9 @@ fn persist(cache: &mut OpenCache, program: &Program, trace: &PassTrace, proc_sta
             _ => all_cached = false,
         }
     }
+    // one directory fsync for the whole group of entries: they are
+    // durable before the manifest and the index can name them
+    store.sync_dir();
     let Some(_lock) = store.lock() else {
         // contended: skip the derived files rather than interleave a
         // read-modify-write with another session (counted in stats)
@@ -905,6 +1050,7 @@ fn persist(cache: &mut OpenCache, program: &Program, trace: &PassTrace, proc_sta
     let mut merged = load_index(store);
     merged.extend(updates);
     save_index(store, &merged);
+    store.sync_dir();
 }
 
 /// The name → key index (invalidation accounting only; lookups never
@@ -1055,6 +1201,277 @@ mod tests {
         assert_eq!((replayed.stats.corrupt, replayed.stats.quarantined), (1, 1));
         assert_eq!((replayed.stats.hits, replayed.stats.misses), (1, 1));
         assert_eq!(il_text(&reference), il_text(&replayed));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    // -----------------------------------------------------------------
+    // resident sessions: the memo layers
+    // -----------------------------------------------------------------
+
+    fn compile_resident(resident: &ResidentCache) -> SessionCompilation {
+        let files = [SourceFile::new("t.c", SRC)];
+        let options = Options::o2();
+        compile_session_resident(&files, &options, base_pipeline(&options), resident)
+            .expect("compiles")
+    }
+
+    /// (typed entries, typed manifests, payloads still raw bytes).
+    fn resident_shape(resident: &ResidentCache) -> (usize, usize, usize) {
+        let memos = resident.memos();
+        let typed = memos.entries.len() + memos.manifests.len();
+        (
+            memos.entries.len(),
+            memos.manifests.len(),
+            resident.entries() - typed,
+        )
+    }
+
+    #[test]
+    fn a_resident_payload_is_bytes_or_typed_never_both() {
+        let reference = compile(None);
+        let resident = ResidentCache::new(None);
+        let cold = compile_resident(&resident);
+        assert_eq!((cold.stats.front_hits, cold.stats.front_misses), (0, 1));
+        // published, not yet asked for: two entries, the manifest and the
+        // index wait as bytes
+        assert_eq!(resident_shape(&resident), (0, 0, 4));
+
+        let warm = compile_resident(&resident);
+        assert!(warm.stats.full_warm);
+        assert_eq!((warm.stats.front_hits, warm.stats.front_misses), (1, 0));
+        assert_eq!(il_text(&reference), il_text(&warm));
+        // admitted on first use, and the bytes went with it: only the
+        // index has no typed form
+        assert_eq!(resident_shape(&resident), (2, 1, 1));
+        assert_eq!(resident.memos().entries.counts().admitted, 2);
+
+        // nothing is decoded or admitted twice
+        let again = compile_resident(&resident);
+        assert!(again.stats.full_warm);
+        assert_eq!(il_text(&reference), il_text(&again));
+        assert_eq!(resident.memos().entries.counts().admitted, 2);
+        assert_eq!(resident.memos().manifests.counts().admitted, 1);
+    }
+
+    #[test]
+    fn quarantine_evicts_the_typed_value_with_the_file() {
+        let reference = compile(None);
+        let dir = scratch("typed-quarantine");
+        let resident = ResidentCache::new(Some(&dir));
+        compile_resident(&resident);
+        compile_resident(&resident);
+        assert_eq!(resident_shape(&resident), (2, 1, 1));
+
+        let victim = entries(&dir).remove(0);
+        let mut store = CacheStore::open_resident(&resident);
+        store.quarantine(&victim);
+        assert_eq!((store.stats.corrupt, store.stats.quarantined), (1, 1));
+        assert_eq!(resident_shape(&resident).0, 1, "gone from the typed layer");
+        assert!(!dir.join(&victim).exists(), "and from the directory");
+
+        // the next request recompiles exactly that procedure, cold
+        let healed = compile_resident(&resident);
+        assert_eq!((healed.stats.hits, healed.stats.misses), (1, 1));
+        assert_eq!(healed.stats.corrupt, 0);
+        assert_eq!(il_text(&reference), il_text(&healed));
+        // the republished manifest superseded its typed form: bytes again
+        assert_eq!(resident_shape(&resident), (1, 0, 3));
+        assert!(compile_resident(&resident).stats.full_warm);
+        assert_eq!(resident_shape(&resident), (2, 1, 1));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Every check a one-shot load runs on each read is an admission
+    /// check: a payload that fails one never becomes a typed value, is
+    /// quarantined and counted exactly as the one-shot path counts it, and
+    /// the procedure is recompiled to the same bytes. Each case damages
+    /// one thing only, so removing the check it names admits the entry
+    /// (`corrupt` 0) and fails the case.
+    #[test]
+    fn admission_runs_every_check_a_load_runs() {
+        type Damage = fn(&Path, &str, &str);
+        let header: Damage = |dir, victim, _| {
+            // a valid payload under a digest that is not its own: only the
+            // envelope checksum can object
+            let path = dir.join(victim);
+            let mut bytes = std::fs::read(&path).expect("entry file");
+            let at = CACHE_FORMAT.len() + 1;
+            bytes[at] = if bytes[at] == b'0' { b'1' } else { b'0' };
+            std::fs::write(&path, bytes).expect("rewrite");
+        };
+        let version: Damage = |dir, victim, _| {
+            let mut store = CacheStore::open(dir);
+            let mut payload = store.read(victim).expect("entry reads").to_vec();
+            payload[..4].copy_from_slice(&(ENTRY_VERSION + 1).to_le_bytes());
+            assert!(store.publish(victim, &payload));
+        };
+        let decode: Damage = |dir, victim, _| {
+            reseal(dir, victim, |il, cells| {
+                (il[..il.len() - 1].to_vec(), cells.to_vec())
+            });
+        };
+        let name: Damage = |dir, victim, other| {
+            // a perfectly good entry — of the other procedure
+            let mut store = CacheStore::open(dir);
+            let payload = store.read(other).expect("entry reads").to_vec();
+            assert!(store.publish(victim, &payload));
+        };
+        let verifier: Damage = |dir, victim, _| {
+            // decodes cleanly, but jumps to a label nobody defines
+            reseal(dir, victim, |il, cells| {
+                let mut p = titanc_il::decode_proc(il).expect("entry decodes");
+                let dangling = p.fresh_label();
+                let st = p.stamp(titanc_il::StmtKind::Goto(dangling));
+                p.body.push(st);
+                (titanc_il::encode_proc(&p), cells.to_vec())
+            });
+        };
+        let cases: [(&str, Damage); 5] = [
+            ("checksum", header),
+            ("entry version", version),
+            ("decode", decode),
+            ("name", name),
+            ("verifier", verifier),
+        ];
+
+        let reference = compile(None);
+        for (what, damage) in cases {
+            let dir = scratch("admission");
+            compile(Some(&dir));
+            let names = entries(&dir);
+            damage(&dir, &names[0], &names[1]);
+
+            let one_shot_dir = scratch("admission-oneshot");
+            copy_dir(&dir, &one_shot_dir);
+            let one_shot = compile(Some(&one_shot_dir));
+
+            let resident = ResidentCache::new(Some(&dir));
+            let served = compile_resident(&resident);
+            assert_eq!(il_text(&reference), il_text(&served), "{what}");
+            assert_eq!(
+                (served.stats.corrupt, served.stats.quarantined),
+                (1, 1),
+                "{what}"
+            );
+            assert_eq!(
+                (served.stats.hits, served.stats.misses, served.stats.corrupt),
+                (
+                    one_shot.stats.hits,
+                    one_shot.stats.misses,
+                    one_shot.stats.corrupt
+                ),
+                "{what}: a refused admission is accounted like a refused load"
+            );
+            // only what passed is resident, and the recompile healed it
+            assert_eq!(resident.memos().entries.counts().admitted, 1, "{what}");
+            let healed = compile_resident(&resident);
+            assert!(healed.stats.full_warm, "{what}");
+            assert_eq!(healed.stats.corrupt, 0, "{what}");
+            assert_eq!(il_text(&reference), il_text(&healed), "{what}");
+            for d in [dir, one_shot_dir] {
+                let _ = std::fs::remove_dir_all(d);
+            }
+        }
+    }
+
+    fn copy_dir(from: &Path, to: &Path) {
+        std::fs::create_dir_all(to).expect("mkdir");
+        for e in std::fs::read_dir(from).expect("cache dir") {
+            let e = e.expect("entry");
+            if e.path().is_file() {
+                std::fs::copy(e.path(), to.join(e.file_name())).expect("copy");
+            }
+        }
+    }
+
+    #[test]
+    fn a_manifest_of_another_version_is_refused_at_admission() {
+        let reference = compile(None);
+        let dir = scratch("manifest-version");
+        compile(Some(&dir));
+        let manifest = std::fs::read_dir(&dir)
+            .expect("cache dir")
+            .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
+            .find(|n| n.starts_with("session-"))
+            .expect("a manifest was published");
+        let mut store = CacheStore::open(&dir);
+        let text = String::from_utf8(store.read(&manifest).expect("reads").to_vec()).expect("json");
+        let skewed = text.replacen("\"version\":1", "\"version\":2", 1);
+        assert_ne!(text, skewed);
+        assert!(store.publish(&manifest, skewed.as_bytes()));
+
+        let resident = ResidentCache::new(Some(&dir));
+        let served = compile_resident(&resident);
+        // the entries still hit (and replay); only the shortcut is gone
+        assert!(!served.stats.full_warm);
+        assert_eq!((served.stats.hits, served.stats.misses), (2, 0));
+        assert_eq!((served.stats.corrupt, served.stats.quarantined), (1, 1));
+        assert_eq!(il_text(&reference), il_text(&served));
+        assert_eq!(resident.memos().manifests.counts().admitted, 0);
+        assert!(compile_resident(&resident).stats.full_warm);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_front_end_hit_is_confirmed_by_comparing_the_source() {
+        let reference = compile(None);
+        let resident = ResidentCache::new(None);
+        // forge a digest collision: under SRC's key sits the front end of
+        // some other text
+        let other = "int main(void) { return 7; }\n";
+        let mut h = StableHasher::new();
+        h.write(SRC.as_bytes());
+        let key = (h.finish(), Options::o2().max_errors);
+        let (program, diagnostics) = front_end(other, key.1);
+        let forged = FrontEnd {
+            src: other.to_string(),
+            program: program.expect("compiles"),
+            diagnostics,
+        };
+        resident.memos().front.insert(key, forged);
+
+        let served = compile_resident(&resident);
+        assert_eq!((served.stats.front_hits, served.stats.front_misses), (0, 1));
+        assert_eq!(il_text(&reference), il_text(&served));
+        // the real text took the slot; now it hits
+        let again = compile_resident(&resident);
+        assert_eq!((again.stats.front_hits, again.stats.front_misses), (1, 0));
+        assert_eq!(il_text(&reference), il_text(&again));
+    }
+
+    /// With every memo capped at one value, a two-file, three-procedure
+    /// session evicts on almost every admission. Eviction can only cost
+    /// recomputation: each round still produces the reference's bytes,
+    /// whether it re-parsed, re-admitted from the directory, or — on a
+    /// memory-only daemon, where the evicted typed value was the only
+    /// copy — recompiled.
+    #[test]
+    fn an_evicted_value_re_misses_to_the_same_bytes() {
+        let second =
+            "float c[64];\nvoid fill(void) { int i; for (i = 0; i < 64; i++) c[i] = 3.0f; }\n";
+        let files = [SourceFile::new("t.c", SRC), SourceFile::new("u.c", second)];
+        let options = Options::o2();
+        let reference = compile_session(&files, &options, None).expect("compiles");
+        let dir = scratch("evict");
+        for backing in [None, Some(dir.as_path())] {
+            let resident = ResidentCache::capped(backing, 1);
+            let mut full_warm = 0;
+            for round in 0..4 {
+                let served =
+                    compile_session_resident(&files, &options, base_pipeline(&options), &resident)
+                        .expect("compiles");
+                assert_eq!(il_text(&reference), il_text(&served), "round {round}");
+                assert_eq!(served.stats.corrupt, 0, "eviction is not damage");
+                full_warm += usize::from(served.stats.full_warm);
+            }
+            let memos = resident.memos();
+            assert!(memos.front.counts().evicted > 0);
+            assert!(memos.entries.counts().evicted > 0);
+            assert!(memos.front.len() <= 1 && memos.entries.len() <= 1);
+            // over a directory the evicted entries are re-admitted from
+            // disk, so every round after the first is still fully warm
+            assert_eq!(full_warm, if backing.is_some() { 3 } else { 1 });
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -25,19 +25,24 @@
 //! * **Advisory single-writer locking.** Concurrent `titanc` processes
 //!   sharing one `--cache-dir` serialize their index/manifest updates
 //!   through a lock file (atomically created with `create_new`, carrying
-//!   a pid+cookie identity token). A holder that died is detected by age
-//!   and the lock is broken by *renaming* it to a contender-unique name —
-//!   exactly one breaker wins, and release verifies the token so no
-//!   holder ever deletes a successor's lock. A contender that cannot
-//!   acquire the lock in time skips the derived files (they are
-//!   advisory) rather than torn-writing them.
+//!   a pid+cookie identity token). A holder that died is detected by age,
+//!   and the judgement and the removal happen together under a
+//!   kernel-held breaker lock, so a stale lock is removed exactly once and
+//!   a live one never; release verifies the token so no holder ever
+//!   deletes a successor's lock. A contender that cannot acquire the lock
+//!   in time skips the derived files (they are advisory) rather than
+//!   torn-writing them.
 //!
-//! The [`ResidentCache`] layer on top keeps all payloads (`Arc<[u8]>`,
-//! so a hit is a pointer clone under the map lock and decoding happens
-//! outside it) in one shared in-memory map for the `titand` compile
-//! server: every request's store
-//! reads through it and writes through to the backing directory, so the
-//! daemon and one-shot processes interoperate on the same `--cache-dir`.
+//! The [`ResidentCache`] layer on top is the `titand` compile server's
+//! shared memory: three keyed [`Memo`]s of *typed* values — front-end
+//! results per file content, decoded and verified cache entries, decoded
+//! session manifests — plus the raw bytes of whatever has no typed form
+//! (the index). A payload is resident either as bytes or as its typed
+//! value, never both; a typed value ran the whole per-load check sequence
+//! once, when it was admitted, and is immutable behind its `Arc` from
+//! then on. Every request's store reads through the layer and writes
+//! through to the backing directory, so the daemon and one-shot processes
+//! interoperate on the same `--cache-dir`.
 //!
 //! The store also hosts the `TITANC_INJECT_IO` fault hook (a sibling of
 //! `TITANC_INJECT_PANIC`): reads, writes, and renames can be made to
@@ -56,6 +61,10 @@ use std::time::Duration;
 
 use titanc_il::{StableHash, StableHasher};
 
+use crate::memo::Memo;
+use crate::pass::CachedEntry;
+use crate::session::{FrontEnd, Manifest};
+
 /// On-disk cache format name. Written to the directory's `FORMAT`
 /// marker and prefixed to every envelope header; folded into every
 /// content hash so a format change invalidates wholesale. v5 is the
@@ -69,6 +78,10 @@ pub(crate) const CACHE_FORMAT: &str = "titanc-cache-v5";
 const MARKER_FILE: &str = "FORMAT";
 /// The advisory writer lock file.
 const LOCK_FILE: &str = ".lock";
+/// The breaker lock: whoever holds the kernel lock on this (empty,
+/// never deleted) file is the one contender allowed to judge the writer
+/// lock stale and remove it.
+const LOCK_BREAK_FILE: &str = ".lock-break";
 /// Where corrupt files are preserved for post-mortem.
 const QUARANTINE_DIR: &str = "quarantine";
 /// Lock acquisition budget: retries × sleep ≈ 250 ms, far longer than
@@ -79,9 +92,9 @@ const LOCK_RETRY_SLEEP: Duration = Duration::from_millis(5);
 /// A lock file older than this belongs to a dead process; break it.
 const LOCK_STALE_AFTER: Duration = Duration::from_secs(10);
 
-/// Process-global uniquifier for temp, quarantine, and lock-break file
-/// names. A per-store counter is not enough once several `CacheStore`s
-/// share one process — the compile server opens one per request, and two
+/// Process-global uniquifier for temp and quarantine file names. A
+/// per-store counter is not enough once several `CacheStore`s share one
+/// process — the compile server opens one per request, and two
 /// concurrent requests publishing the same entry would collide on
 /// `.tmp-<name>-<pid>-0` and tear each other's writes.
 fn next_unique() -> u64 {
@@ -377,19 +390,45 @@ impl std::ops::Deref for Payload {
 // The resident (in-memory) cache layer
 // ---------------------------------------------------------------------
 
+/// How many front-end results, typed entries and manifests a
+/// [`ResidentCache`] keeps before the least recently used one makes room.
+/// Fixed on purpose: the values are content-addressed, so eviction can
+/// only cost a recomputation, and a byte budget belongs to the daemon's
+/// hardening (ROADMAP item 4a), not here.
+const FRONT_CAP: usize = 1024;
+const ENTRY_CAP: usize = 4096;
+const MANIFEST_CAP: usize = 256;
+
+/// The front-end memo's key: the FNV-128 digest of the source text and the
+/// error cap the file was parsed under.
+pub(crate) type FrontKey = (StableHash, usize);
+
+/// The compile server's three memo layers. Each maps a key to a value
+/// that was checked once on the way in and is shared, immutable, from
+/// then on; see [`crate::session`] for what admission checks.
+pub(crate) struct Memos {
+    /// File content → what the front end makes of it (error-free files
+    /// only; a hit compares the source text itself).
+    pub(crate) front: Memo<FrontKey, FrontEnd>,
+    /// Entry file name → the decoded, verified entry.
+    pub(crate) entries: Memo<String, CachedEntry>,
+    /// Manifest file name → the decoded manifest.
+    pub(crate) manifests: Memo<String, Manifest>,
+}
+
 /// The compile server's process-shared, in-memory cache layer.
 ///
-/// A `ResidentCache` holds every cache payload (per-procedure entries,
-/// session manifests, the index) in one map shared by all the
-/// [`CacheStore`]s opened against it — one per request in the daemon.
-/// Reads hit the map before touching disk; published payloads write
-/// through to the backing `--cache-dir` (when there is one) so one-shot
-/// `titanc` processes and the daemon interoperate on the same directory.
-/// Payloads enter the map only after passing the envelope checksum (disk
-/// reads) or straight from the compiler (publishes), so map hits skip
-/// the checksum, not the IL verifier. They are held as `Arc<[u8]>`: a hit
-/// clones a pointer while the map lock — which every daemon worker
-/// shares — is held, and decodes after it is released.
+/// A `ResidentCache` is shared by all the [`CacheStore`]s opened against
+/// it — one per request in the daemon. Cache entries and session
+/// manifests are resident as *typed values* in its [`Memos`]: admitted
+/// once — envelope checksum (disk reads), entry version, decode, name,
+/// IL verifier; manifest version — and handed out as `Arc`s afterwards,
+/// so a warm request decodes and verifies nothing. Only payloads with no
+/// typed form (the index) stay as raw bytes, and nothing is held in both
+/// forms. Reads hit the layer before touching disk; published payloads
+/// write through to the backing `--cache-dir` (when there is one) so
+/// one-shot `titanc` processes and the daemon interoperate on the same
+/// directory.
 ///
 /// The layer also carries the **in-process writer gate**: daemon workers
 /// serialize their index/manifest read-modify-write sections here,
@@ -398,15 +437,16 @@ impl std::ops::Deref for Payload {
 /// *cross-process* contention (a one-shot `titanc` sharing the
 /// directory), which keeps the accounting line of a lone daemon request
 /// identical to a one-shot compile.
-#[derive(Clone, Default)]
+#[derive(Clone)]
 pub struct ResidentCache {
     inner: Arc<ResidentInner>,
 }
 
-#[derive(Default)]
 struct ResidentInner {
     dir: Option<PathBuf>,
+    /// Payloads without a typed form, as unsealed bytes.
     map: Mutex<BTreeMap<String, Arc<[u8]>>>,
+    memos: Memos,
     /// The writer gate: `true` while some store in this process holds
     /// the advisory lock. A `Condvar` semaphore rather than a plain
     /// `Mutex<()>` so the guard can live inside a [`StoreLock`] without
@@ -420,10 +460,28 @@ impl ResidentCache {
     /// with `None` — the daemon still caches, it just shares nothing
     /// with one-shot processes and forgets everything on exit.
     pub fn new(dir: Option<&Path>) -> ResidentCache {
+        ResidentCache::with_caps(dir, FRONT_CAP, ENTRY_CAP, MANIFEST_CAP)
+    }
+
+    /// [`ResidentCache::new`] with every memo capped at `cap` values, so
+    /// a test can watch eviction happen.
+    #[cfg(test)]
+    pub(crate) fn capped(dir: Option<&Path>, cap: usize) -> ResidentCache {
+        ResidentCache::with_caps(dir, cap, cap, cap)
+    }
+
+    fn with_caps(dir: Option<&Path>, front: usize, entries: usize, manifests: usize) -> Self {
         ResidentCache {
             inner: Arc::new(ResidentInner {
                 dir: dir.map(Path::to_path_buf),
-                ..ResidentInner::default()
+                map: Mutex::default(),
+                memos: Memos {
+                    front: Memo::new(front),
+                    entries: Memo::new(entries),
+                    manifests: Memo::new(manifests),
+                },
+                gate: Mutex::default(),
+                gate_cv: Condvar::new(),
             }),
         }
     }
@@ -433,10 +491,15 @@ impl ResidentCache {
         self.inner.dir.as_deref()
     }
 
-    /// How many payloads are resident right now (the daemon's summary
-    /// line reports this).
+    /// How many cache payloads are resident right now, typed or raw.
     pub fn entries(&self) -> usize {
-        self.lock_map().len()
+        let memos = &self.inner.memos;
+        self.lock_map().len() + memos.entries.len() + memos.manifests.len()
+    }
+
+    /// The typed layers.
+    pub(crate) fn memos(&self) -> &Memos {
+        &self.inner.memos
     }
 
     fn lock_map(&self) -> std::sync::MutexGuard<'_, BTreeMap<String, Arc<[u8]>>> {
@@ -450,13 +513,19 @@ impl ResidentCache {
     fn put(&self, name: &str, payload: &[u8]) -> Arc<[u8]> {
         // the copy happens before the lock is taken
         let payload: Arc<[u8]> = Arc::from(payload);
+        // a republish (a healed manifest, say) supersedes the typed value:
+        // the bytes are the resident form again until someone asks
+        self.remove(name);
         self.lock_map()
             .insert(name.to_string(), Arc::clone(&payload));
         payload
     }
 
+    /// Forgets `name` in whichever form it is resident.
     fn remove(&self, name: &str) {
         self.lock_map().remove(name);
+        self.inner.memos.entries.remove(name);
+        self.inner.memos.manifests.remove(name);
     }
 
     /// Blocks until this process's writer gate is free, then takes it.
@@ -519,6 +588,9 @@ pub(crate) struct CacheStore {
     /// First write failure, for the surfaced warning (the counter has
     /// the total; repeating the message per entry would be noise).
     first_write_error: Option<String>,
+    /// True while a rename into the directory has not been followed by a
+    /// directory fsync ([`CacheStore::sync_dir`]).
+    dir_dirty: bool,
 }
 
 impl CacheStore {
@@ -536,6 +608,7 @@ impl CacheStore {
             format_warning: None,
             stats: StoreStats::default(),
             first_write_error: None,
+            dir_dirty: false,
         };
         if let Err(e) = fs::create_dir_all(dir) {
             store.note_write_failure(&format!("cannot create cache directory: {e}"));
@@ -551,6 +624,7 @@ impl CacheStore {
             None if !store.has_entries() => {
                 store.enabled =
                     store.publish_raw(MARKER_FILE, format!("{CACHE_FORMAT}\n").as_bytes());
+                store.sync_dir();
             }
             found => {
                 store.format_warning = Some(format!(
@@ -586,8 +660,14 @@ impl CacheStore {
                 format_warning: None,
                 stats: StoreStats::default(),
                 first_write_error: None,
+                dir_dirty: false,
             },
         }
+    }
+
+    /// The compile server's typed layers, when this store belongs to one.
+    pub(crate) fn memos(&self) -> Option<&Memos> {
+        self.resident.as_ref().map(ResidentCache::memos)
     }
 
     /// True when reads and writes are live (format marker matched).
@@ -634,10 +714,7 @@ impl CacheStore {
                 return Some(Payload::Resident(payload));
             }
         }
-        if !self.disk {
-            return None;
-        }
-        let file = faulty_read(&self.dir.join(name)).ok()?;
+        let file = self.read_disk(name)?;
         let Some(payload) = unseal(&file) else {
             self.quarantine(name);
             return None;
@@ -651,14 +728,60 @@ impl CacheStore {
         })
     }
 
+    /// The sealed bytes of `name` from the backing directory, if there is
+    /// one and the read went through.
+    fn read_disk(&self, name: &str) -> Option<Vec<u8>> {
+        if !self.disk {
+            return None;
+        }
+        faulty_read(&self.dir.join(name)).ok()
+    }
+
+    /// A resident store's typed read: the value of `name` in `layer`. On a
+    /// memo miss the payload's bytes — a publish of this daemon's still
+    /// waiting in the raw map, else the backing directory's file — are
+    /// admitted through `admit`, which runs every check a per-request
+    /// load would; from then on the payload is resident as the typed value
+    /// and the bytes are gone. A checksum failure or a refused admission
+    /// quarantines the file and counts it corrupt, exactly as an untyped
+    /// read would. `None` on a store without a resident layer.
+    pub(crate) fn read_typed<V>(
+        &mut self,
+        name: &str,
+        layer: impl Fn(&Memos) -> &Memo<String, V>,
+        admit: impl FnOnce(&[u8]) -> Option<V>,
+    ) -> Option<Arc<V>> {
+        if !self.enabled {
+            return None;
+        }
+        let resident = self.resident.clone()?;
+        let memo = layer(resident.memos());
+        if let Some(value) = memo.get(name, |_| true) {
+            return Some(value);
+        }
+        let admitted = match resident.get(name) {
+            Some(payload) => admit(&payload),
+            None => unseal(&self.read_disk(name)?).and_then(admit),
+        };
+        let Some(value) = admitted else {
+            self.quarantine(name);
+            return None;
+        };
+        let value = memo.insert(name.to_string(), value);
+        // the bytes go only now: a worker racing this one finds one form
+        // or the other, never neither
+        resident.lock_map().remove(name);
+        Some(value)
+    }
+
     /// Seals `payload` and publishes it atomically under `name`:
-    /// temp-file in the cache directory, fsync, rename into place, then
-    /// a best-effort directory fsync so the rename itself is durable.
-    /// Failures are counted (and the first is kept for the warning);
-    /// the temp file is removed on any failure path. With a resident
-    /// layer the payload also lands in the shared map — but only after
-    /// the disk accepted it, so memory and disk never disagree about
-    /// what was published.
+    /// temp-file in the cache directory, fsync, rename into place (the
+    /// rename itself becomes durable at the caller's next
+    /// [`CacheStore::sync_dir`]). Failures are counted (and the first is
+    /// kept for the warning); the temp file is removed on any failure
+    /// path. With a resident layer the payload also lands in the shared
+    /// map — but only after the disk accepted it, so memory and disk never
+    /// disagree about what was published.
     pub(crate) fn publish(&mut self, name: &str, payload: &[u8]) -> bool {
         if !self.enabled {
             return false;
@@ -690,11 +813,22 @@ impl CacheStore {
             self.note_write_failure(&format!("cannot publish `{name}`: {e}"));
             return false;
         }
-        // make the rename durable, not just atomic
-        if let Ok(d) = File::open(&self.dir) {
-            let _ = d.sync_all();
-        }
+        self.dir_dirty = true;
         true
+    }
+
+    /// Makes the renames since the last call durable, not just atomic:
+    /// one best-effort directory fsync for the whole group. Every file
+    /// was fsynced before its rename, so the group's *contents* are
+    /// already safe; callers sync once after the entries and once after
+    /// the derived files that name them, which keeps "entries durable
+    /// before the manifest and index point at them".
+    pub(crate) fn sync_dir(&mut self) {
+        if std::mem::take(&mut self.dir_dirty) {
+            if let Ok(d) = File::open(&self.dir) {
+                let _ = d.sync_all();
+            }
+        }
     }
 
     fn note_write_failure(&mut self, why: &str) {
@@ -733,16 +867,19 @@ impl CacheStore {
     /// `None` (counted as contention) means the caller must skip
     /// derived-file updates rather than risk interleaving them.
     ///
-    /// Two races in the original scheme are closed here:
+    /// Three races are closed here:
     ///
     /// * **Double stale-break.** Two contenders could both observe a
     ///   stale lock and both `remove_file` it — the second removal
     ///   landing *after* the first contender re-acquired via
     ///   `create_new`, deleting the new holder's lock and letting a
-    ///   third contender in. Stale locks are now broken by **renaming**
-    ///   the file to a contender-unique grave name: the rename succeeds
-    ///   for exactly one contender, and nothing on the break path ever
-    ///   deletes the live `.lock` path.
+    ///   third contender in.
+    /// * **Late stale-break.** A contender that judged staleness *before*
+    ///   a break winner re-acquired would go on to take the winner's live
+    ///   lock away. Judging and removing therefore happen together, under
+    ///   the kernel-held breaker lock ([`break_if_stale`]): while one
+    ///   contender holds it nobody else removes anything, so what it
+    ///   judged stale is what it removes.
     /// * **Cross-holder release.** Every acquisition writes an identity
     ///   token (pid + random cookie) into the lock file, and
     ///   [`StoreLock::drop`] verifies the file still carries *its* token
@@ -785,9 +922,7 @@ impl CacheStore {
                     });
                 }
                 Err(e) if e.kind() == io::ErrorKind::AlreadyExists => {
-                    if lock_is_stale(&path) {
-                        break_stale_lock(&self.dir, &path);
-                    } else {
+                    if !(lock_is_stale(&path) && break_if_stale(&self.dir, &path)) {
                         std::thread::sleep(LOCK_RETRY_SLEEP);
                     }
                 }
@@ -811,29 +946,24 @@ fn lock_is_stale(path: &Path) -> bool {
         .is_some_and(|age| age > LOCK_STALE_AFTER)
 }
 
-/// Breaks a stale lock by renaming it to a contender-unique grave name.
-/// Exactly one contender's rename succeeds (the rest fail with
-/// `NotFound` and simply retry `create_new`), and the live `.lock` path
-/// is never deleted — so a break winner that re-acquires can no longer
-/// lose its fresh lock to a slower second breaker.
-fn break_stale_lock(dir: &Path, path: &Path) {
-    let grave = dir.join(format!(
-        ".lock-break-{}-{}",
-        std::process::id(),
-        next_unique()
-    ));
-    if fs::rename(path, &grave).is_err() {
-        return; // another contender won the break; just retry
-    }
-    // paranoia: re-check the age of what the rename actually grabbed.
-    // If the stale holder released and a live contender re-created the
-    // lock between the staleness check and the rename, this grabbed a
-    // *live* lock — put it back (best-effort: if the path was re-taken
-    // in the meantime, the displaced holder's token-guarded drop keeps
-    // the damage to one extra contention round).
-    if lock_is_stale(&grave) || fs::rename(&grave, path).is_err() {
-        let _ = fs::remove_file(&grave);
-    }
+/// Removes the writer lock if — judged *while holding the breaker lock* —
+/// its holder died; true when this call removed it. The breaker lock is
+/// a kernel lock (`flock`) on [`LOCK_BREAK_FILE`], so it is exclusive
+/// across threads and processes and released even if the breaker dies.
+/// The only other party that ever removes the writer lock is its holder's
+/// token-guarded drop, and a holder judged dead has none; so between the
+/// judgement and the `remove_file` below the path cannot have become
+/// anyone else's lock. A contender that loses the breaker lock (or whose
+/// filesystem has no `flock`) just waits a round like any other.
+fn break_if_stale(dir: &Path, path: &Path) -> bool {
+    let breaker = OpenOptions::new()
+        .write(true)
+        .create(true)
+        .truncate(false)
+        .open(dir.join(LOCK_BREAK_FILE));
+    let Ok(breaker) = breaker else { return false };
+    // closing `breaker` on return releases the kernel lock
+    breaker.try_lock().is_ok() && lock_is_stale(path) && fs::remove_file(path).is_ok()
 }
 
 /// Holds the advisory writer lock; dropping it releases the in-process
@@ -1037,13 +1167,29 @@ mod tests {
     /// old unconditional `Drop` could delete a successor's lock).
     #[test]
     fn lock_stress_single_holder_and_no_foreign_release() {
+        lock_stress("lock-stress");
+    }
+
+    /// The same stress 500 times over: a contender that judged the
+    /// planted lock stale *before* the break winner re-acquired used to
+    /// rename the winner's live lock away in 2–4 % of runs. CI runs this
+    /// with `--release -- --ignored`.
+    #[test]
+    #[ignore = "about four minutes; wired into CI's test job"]
+    fn lock_stress_holds_for_500_runs() {
+        for _ in 0..500 {
+            lock_stress("lock-stress-500");
+        }
+    }
+
+    fn lock_stress(tag: &str) {
         use std::sync::atomic::AtomicUsize;
         use std::sync::Barrier;
 
         const THREADS: usize = 8;
         const ROUNDS: usize = 12;
 
-        let dir = scratch("lock-stress");
+        let dir = scratch(tag);
         fs::create_dir_all(&dir).unwrap();
         let lock_path = dir.join(LOCK_FILE);
 

@@ -4,14 +4,21 @@
 //! line, which legitimately reflects cache state), warm repeats must
 //! skip the pipeline, and ≥8 concurrent clients over a Unix socket must
 //! each see their own one-shot-identical response.
+//!
+//! The second half drives an in-process [`Server`] one request at a time
+//! — so the order is known and its totals can be read between requests —
+//! through the resident memo layers (front end per file content, typed
+//! entries, manifests): every reply is still compared byte for byte with
+//! a store-less one-shot `titanc` run on the same files.
 
 use std::collections::BTreeMap;
 use std::fs;
 use std::io::Write;
 use std::path::PathBuf;
 use std::process::{Command, Output, Stdio};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
-use titanc::server::{CompileRequest, CompileResponse};
+use titanc::server::{CompileRequest, CompileResponse, Reply, Server, ServerConfig, ServerTotals};
 use titanc::SourceFile;
 use titanc_il::json::{parse, FromJson, ToJson};
 
@@ -307,5 +314,338 @@ fn eight_concurrent_socket_clients_each_match_one_shot() {
     );
     let status = daemon.wait().unwrap();
     assert!(status.success());
+    let _ = fs::remove_dir_all(&dir);
+}
+
+// ---------------------------------------------------------------------
+// The resident memo layers, differentially
+// ---------------------------------------------------------------------
+
+/// One kernel file of the nine-file program: a procedure of vectorizable
+/// loops over its own globals; `salt` only changes a constant.
+fn kernel_file(k: usize, salt: u32) -> SourceFile {
+    let src = format!(
+        "float a{k}[64], b{k}[64];\n\
+         void k{k}(float s) {{\n\
+         \x20 int i;\n\
+         \x20 for (i = 0; i < 64; i++) a{k}[i] = b{k}[i] * s + {salt}.0f;\n\
+         \x20 for (i = 1; i < 64; i++) b{k}[i] = b{k}[i - 1] + a{k}[i];\n\
+         }}\n"
+    );
+    SourceFile::new(format!("mp{k}.c"), src)
+}
+
+/// Eight kernel files plus a `main.c` that calls them all (so `main`'s
+/// inline cone contains every kernel).
+fn nine_files() -> Vec<SourceFile> {
+    let mut files: Vec<SourceFile> = (0..8).map(|k| kernel_file(k, 1)).collect();
+    let protos: String = (0..8).map(|k| format!("void k{k}(float s);\n")).collect();
+    let calls: String = (0..8).map(|k| format!(" k{k}(2.0f);")).collect();
+    let main = format!("{protos}int main(void) {{{calls} return 0; }}\n");
+    files.push(SourceFile::new("main.c", main));
+    files
+}
+
+fn request_of(id: i64, files: &[SourceFile]) -> CompileRequest {
+    CompileRequest {
+        id,
+        files: files.to_vec(),
+        parallelize: true,
+        print_il: true,
+        opt_report: "json".to_string(),
+        ..CompileRequest::default()
+    }
+}
+
+/// What store-less one-shot `titanc` prints for `req`'s files and flags:
+/// (exit code, stdout, stderr).
+fn one_shot_of(req: &CompileRequest, extra: &[&str]) -> (i64, String, String) {
+    // tests run in parallel in one process: every call gets its own
+    static CALLS: AtomicUsize = AtomicUsize::new(0);
+    let dir = scratch(&format!(
+        "oneshot-{}",
+        CALLS.fetch_add(1, Ordering::Relaxed)
+    ));
+    for f in &req.files {
+        fs::write(dir.join(&f.name), &f.src).unwrap();
+    }
+    let out = Command::new(env!("CARGO_BIN_EXE_titanc"))
+        .current_dir(&dir)
+        .args(["--parallel", "--print-il", "--opt-report=json"])
+        .args(extra)
+        .args(req.files.iter().map(|f| &f.name))
+        .output()
+        .unwrap();
+    let _ = fs::remove_dir_all(&dir);
+    (
+        i64::from(out.status.code().unwrap()),
+        String::from_utf8(out.stdout).unwrap(),
+        String::from_utf8(out.stderr).unwrap(),
+    )
+}
+
+fn serve(server: &Server, req: &CompileRequest) -> CompileResponse {
+    match server.handle_line(&req.to_json().to_string_compact()) {
+        Reply::Line(line) => CompileResponse::from_json(&parse(&line).unwrap()).unwrap(),
+        Reply::Shutdown(ack) => panic!("unexpected shutdown ack: {ack}"),
+    }
+}
+
+/// Serves `req` and requires the reply to be what store-less one-shot
+/// `titanc` prints (stderr modulo the cache accounting line).
+fn serve_checked(server: &Server, req: &CompileRequest, extra: &[&str]) -> CompileResponse {
+    let resp = serve(server, req);
+    let (exit, stdout, stderr) = one_shot_of(req, extra);
+    assert_eq!(resp.exit, exit, "request {}: {}", req.id, resp.stderr);
+    assert_eq!(resp.stdout, stdout, "request {}: stdout diverged", req.id);
+    assert_eq!(
+        strip_cache_lines(&resp.stderr),
+        stderr,
+        "request {}: stderr diverged",
+        req.id
+    );
+    resp
+}
+
+/// (front-end hits, front-end misses, entries admitted) since `before`.
+fn memo_delta(server: &Server, before: &ServerTotals) -> (i64, i64, i64) {
+    let now = server.totals();
+    (
+        now.front_hits - before.front_hits,
+        now.front_misses - before.front_misses,
+        now.admitted - before.admitted,
+    )
+}
+
+#[test]
+fn edit_and_revert_reuse_the_front_end_and_admit_each_entry_once() {
+    let server = Server::new(&ServerConfig::default()).quiet();
+    let original = nine_files();
+    let mut edited = original.clone();
+    edited[3] = kernel_file(3, 2);
+
+    // cold: nine files parsed, nine entries published as bytes — nothing
+    // has been asked for yet, so nothing is admitted
+    let t0 = server.totals();
+    let cold = serve_checked(&server, &request_of(1, &original), &[]);
+    assert!(
+        cold.stderr.contains("0 hit(s), 9 miss(es)"),
+        "{}",
+        cold.stderr
+    );
+    assert_eq!(memo_delta(&server, &t0), (0, 9, 0));
+
+    // mp3.c edited: eight files come from the memo; `k3` and `main` (its
+    // cone holds `k3`) recompile, the seven hits are admitted as typed
+    // entries on this first use
+    let t1 = server.totals();
+    let warm_edit = serve_checked(&server, &request_of(2, &edited), &[]);
+    assert!(
+        warm_edit
+            .stderr
+            .contains("7 hit(s), 2 miss(es), 2 invalidated"),
+        "{}",
+        warm_edit.stderr
+    );
+    assert_eq!(memo_delta(&server, &t1), (8, 1, 7));
+
+    // reverted: the old text of mp3.c is still memoised, and the two
+    // entries the edit displaced are admitted now — each entry once
+    let t2 = server.totals();
+    let reverted = serve_checked(&server, &request_of(3, &original), &[]);
+    assert!(
+        reverted.stderr.contains("(fully warm)"),
+        "{}",
+        reverted.stderr
+    );
+    assert_eq!(memo_delta(&server, &t2), (9, 0, 2));
+    assert_eq!(reverted.stdout, cold.stdout);
+
+    // and from here on a repeat admits and parses nothing
+    let t3 = server.totals();
+    let again = serve_checked(&server, &request_of(4, &original), &[]);
+    assert_eq!(memo_delta(&server, &t3), (9, 0, 0));
+    assert_eq!(again.stdout, cold.stdout);
+    let totals = server.totals();
+    assert_eq!((totals.admitted, totals.evicted), (9, 0));
+    assert_eq!(totals.resident_entries, 9);
+}
+
+#[test]
+fn one_text_under_two_names_hits_and_diagnostics_name_the_requester() {
+    let server = Server::new(&ServerConfig::default()).quiet();
+    let text = kernel_file(0, 1).src;
+    let pair = |a: &str, b: &str| vec![SourceFile::new(a, &*text), SourceFile::new(b, &*text)];
+
+    // within one request: the second file is the first one's text
+    let t0 = server.totals();
+    let first = serve_checked(&server, &request_of(1, &pair("a.c", "b.c")), &[]);
+    assert_eq!(memo_delta(&server, &t0), (1, 1, 0));
+    assert!(
+        first
+            .stderr
+            .contains("procedure `k0` in `b.c` is shadowed by the definition in `a.c`"),
+        "{}",
+        first.stderr
+    );
+
+    // across requests, under two more names: both hit, and nothing the
+    // reply says mentions the names the text was first seen under
+    let t1 = server.totals();
+    let second = serve_checked(&server, &request_of(2, &pair("c.c", "d.c")), &[]);
+    assert_eq!(memo_delta(&server, &t1).0, 2);
+    assert!(
+        second
+            .stderr
+            .contains("procedure `k0` in `d.c` is shadowed by the definition in `c.c`"),
+        "{}",
+        second.stderr
+    );
+    for stream in [&second.stdout, &second.stderr] {
+        assert!(
+            !stream.contains("a.c") && !stream.contains("b.c"),
+            "{stream}"
+        );
+    }
+    assert!(
+        second.stdout.contains("c.c"),
+        "the opt report names the file"
+    );
+}
+
+#[test]
+fn warnings_and_remarks_replay_byte_identically_on_a_hit() {
+    let server = Server::new(&ServerConfig::default()).quiet();
+    // the second loop of a kernel file carries a recurrence: the compile
+    // succeeds with a remark naming the dependence that defeated it
+    let req = request_of(1, &[kernel_file(5, 1)]);
+    let cold = serve_checked(&server, &req, &[]);
+    assert_eq!(cold.exit, 0);
+    assert!(cold.stderr.contains("remark:"), "{}", cold.stderr);
+    let t0 = server.totals();
+    let warm = serve_checked(&server, &req, &[]);
+    assert_eq!(
+        memo_delta(&server, &t0).0,
+        1,
+        "the repeat was a front-end hit"
+    );
+    assert_eq!(warm.stdout, cold.stdout);
+    assert_eq!(
+        strip_cache_lines(&warm.stderr),
+        strip_cache_lines(&cold.stderr)
+    );
+}
+
+#[test]
+fn files_with_errors_are_never_memoised_and_the_error_cap_is_part_of_the_key() {
+    let server = Server::new(&ServerConfig::default()).quiet();
+    let broken = [SourceFile::new(
+        "broken.c",
+        "int f(void) { return 1 +; }\nint g(void) { return 2 *; }\nint h(void) { int; return }\n",
+    )];
+    let capped = |id, files: &[SourceFile], max_errors| CompileRequest {
+        max_errors,
+        ..request_of(id, files)
+    };
+
+    // an erroneous file is parsed on every request…
+    let t0 = server.totals();
+    let many = serve_checked(&server, &capped(1, &broken, 20), &["--max-errors", "20"]);
+    serve_checked(&server, &capped(2, &broken, 20), &["--max-errors", "20"]);
+    assert_eq!(many.exit, 1);
+    assert_eq!(memo_delta(&server, &t0), (0, 2, 0));
+    // …and what a cap of 1 reports is not what a cap of 20 reports
+    let one = serve_checked(&server, &capped(3, &broken, 1), &["--max-errors", "1"]);
+    assert!(one.stderr.contains("too many errors"), "{}", one.stderr);
+    assert_ne!(one.stderr, many.stderr);
+
+    // a clean file parsed under one cap is not served under another
+    let clean = [kernel_file(6, 1)];
+    let t1 = server.totals();
+    serve_checked(&server, &capped(4, &clean, 1), &["--max-errors", "1"]);
+    serve_checked(&server, &capped(5, &clean, 20), &["--max-errors", "20"]);
+    assert_eq!(memo_delta(&server, &t1), (0, 2, 1));
+    serve_checked(&server, &capped(6, &clean, 1), &["--max-errors", "1"]);
+    assert_eq!(memo_delta(&server, &t1).0, 1);
+}
+
+/// A daemon over a `--cache-dir` that a one-shot process primed and
+/// something then damaged: the damaged entry is refused at admission —
+/// quarantined, counted, absent from the typed layer — the reply is still
+/// byte-identical, and the recompile heals the directory for both kinds
+/// of reader.
+#[test]
+fn a_quarantined_entry_is_not_resident_and_the_next_request_heals_it() {
+    let dir = scratch("typed-quarantine");
+    let cache = dir.join("cache");
+    let files = nine_files();
+    let req = request_of(1, &files);
+    // prime through one-shot titanc: the daemon must read its entries
+    let src_dir = dir.join("src");
+    fs::create_dir_all(&src_dir).unwrap();
+    for f in &files {
+        fs::write(src_dir.join(&f.name), &f.src).unwrap();
+    }
+    let one_shot = |what: &str| {
+        let out = Command::new(env!("CARGO_BIN_EXE_titanc"))
+            .current_dir(&src_dir)
+            .args([
+                "--parallel",
+                "--print-il",
+                "--opt-report=json",
+                "--cache-dir",
+            ])
+            .arg(&cache)
+            .args(files.iter().map(|f| &f.name))
+            .output()
+            .unwrap();
+        assert!(out.status.success(), "{what}");
+        String::from_utf8(out.stderr).unwrap()
+    };
+    assert!(one_shot("prime").contains("0 hit(s), 9 miss(es)"));
+
+    // one bit of one entry flips on disk
+    let mut entries: Vec<PathBuf> = fs::read_dir(&cache)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|x| x == "il"))
+        .collect();
+    entries.sort();
+    assert_eq!(entries.len(), 9);
+    let mut bytes = fs::read(&entries[4]).unwrap();
+    let at = bytes.len() / 2;
+    bytes[at] ^= 0x10;
+    fs::write(&entries[4], bytes).unwrap();
+
+    let server = Server::new(&ServerConfig {
+        cache_dir: Some(cache.clone()),
+        workers: 1,
+    })
+    .quiet();
+    // the degradation warning is cache state, like the accounting line;
+    // everything else is what a store-less one-shot prints
+    let served = serve(&server, &req);
+    let (exit, stdout, stderr) = one_shot_of(&req, &[]);
+    let warning = "warning: 1 corrupt cache file(s) detected (1 quarantined); \
+                   the affected procedures were recompiled cold\n";
+    assert_eq!((served.exit, &served.stdout), (exit, &stdout));
+    assert_eq!(
+        strip_cache_lines(&served.stderr),
+        format!("{stderr}{warning}")
+    );
+    let totals = server.totals();
+    assert_eq!((totals.corrupt, totals.quarantined), (1, 1));
+    assert!(totals.misses >= 1, "the damaged procedure recompiled cold");
+    assert_eq!(fs::read_dir(cache.join("quarantine")).unwrap().count(), 1);
+
+    // healed: the daemon answers fully warm, every entry typed exactly
+    // once, and a one-shot process reads the daemon's recompiled entry
+    let healed = serve_checked(&server, &request_of(2, &files), &[]);
+    assert!(healed.stderr.contains("(fully warm)"), "{}", healed.stderr);
+    assert_eq!(healed.stdout, served.stdout);
+    let totals = server.totals();
+    assert_eq!((totals.corrupt, totals.resident_entries), (1, 9));
+    assert!(totals.admitted <= 10, "{totals}");
+    assert!(one_shot("after healing").contains("9 hit(s), 0 miss(es)"));
     let _ = fs::remove_dir_all(&dir);
 }
