@@ -1,13 +1,15 @@
-//! # titanc-bench — the experiment harness
+//! # titanc-bench — the experiments table and the stress tooling
 //!
-//! One binary per experiment in `DESIGN.md`'s index (EXP1–EXP10), each
-//! regenerating the corresponding paper result; `benches/` wraps the same
-//! measurements in the [`harness`] timer for `cargo bench`. Run a binary
-//! with `cargo run --release -p titanc-bench --bin exp2_backsolve`.
+//! [`experiments`] is the paper's evaluation as data: one table of eleven
+//! experiments (EXP1–EXP11) whose deterministic rows *are* the generated
+//! block of `EXPERIMENTS.md` — `tests/experiments.rs` holds the document to
+//! the tool byte for byte. `cargo run --release -p titanc-bench --bin exp`
+//! prints the tables (`exp EXP3`, `exp --markdown`); the `stress` binary
+//! and [`progen`] are the differential harness.
 
 #![forbid(unsafe_code)]
 
-pub mod harness;
+pub mod experiments;
 pub mod progen;
 
 use titanc::{compile, Options};
@@ -42,12 +44,6 @@ pub fn run(src: &str, options: &Options, machine: MachineConfig) -> ExecStats {
     let mut sim = Simulator::new(&compiled.program, machine);
     let result = sim.run("main", &[]).expect("experiment runs");
     result.stats
-}
-
-/// Compiles with `options` and returns the program plus reports (for
-/// compile-time/shape experiments).
-pub fn compile_only(src: &str, options: &Options) -> titanc::Compilation {
-    compile(src, options).expect("experiment source compiles")
 }
 
 /// Damages a populated `--cache-dir` in place: one random bit flip in one
@@ -108,6 +104,31 @@ pub struct Row {
     pub value: f64,
     /// Unit/notes.
     pub note: String,
+    /// True for what the simulator and the passes determine — cycles,
+    /// MFLOPS, counts, decisions, exit values: the same on every host and
+    /// pinned by `EXPERIMENTS.md`. False for host wall-clock, which only
+    /// the `exp` binary computes.
+    pub exact: bool,
+}
+
+impl Row {
+    /// A deterministic row.
+    pub fn exact(label: impl Into<String>, value: f64, note: impl Into<String>) -> Row {
+        Row {
+            label: label.into(),
+            value,
+            note: note.into(),
+            exact: true,
+        }
+    }
+
+    /// A wall-clock row; [`print_table`] labels it as host-dependent.
+    pub fn host(label: impl Into<String>, value: f64, note: impl Into<String>) -> Row {
+        Row {
+            exact: false,
+            ..Row::exact(label, value, note)
+        }
+    }
 }
 
 /// Prints an experiment table with a title and the paper's claim.
@@ -115,7 +136,8 @@ pub fn print_table(title: &str, paper_claim: &str, rows: &[Row]) {
     println!("== {title}");
     println!("   paper: {paper_claim}");
     for r in rows {
-        println!("   {:<42} {:>12.3}  {}", r.label, r.value, r.note);
+        let host = if r.exact { "" } else { " (host-dependent)" };
+        println!("   {:<42} {:>12.3}  {}{host}", r.label, r.value, r.note);
     }
     println!();
 }

@@ -112,27 +112,20 @@ fn parse_args() -> Cli {
         volatile_values: Vec::new(),
         server: None,
     };
+    let mut no_inline = false;
     let mut args = std::env::args().skip(1).peekable();
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            // set only the level-dependent fields so `-On` composes with
-            // other flags regardless of argument order
-            "-O0" => {
-                cli.options.opt = titanc::OptLevel::O0;
-                cli.options.inline = false;
-            }
-            "-O1" => {
-                cli.options.opt = titanc::OptLevel::O1;
-                cli.options.inline = false;
-            }
-            "-O2" => {
-                cli.options.opt = titanc::OptLevel::O2;
-                cli.options.inline = true;
-            }
+            // set only the level so `-On` composes with other flags
+            // regardless of argument order; `inline` is resolved from the
+            // level and `--no-inline` once every argument is read
+            "-O0" => cli.options.opt = titanc::OptLevel::O0,
+            "-O1" => cli.options.opt = titanc::OptLevel::O1,
+            "-O2" => cli.options.opt = titanc::OptLevel::O2,
             "--parallel" => cli.options.parallelize = true,
             "--spread-lists" => cli.options.spread_lists = true,
             "--fortran-aliasing" => cli.options.aliasing = Aliasing::Fortran,
-            "--no-inline" => cli.options.inline = false,
+            "--no-inline" => no_inline = true,
             "--snapshots" => cli.options.snapshots = true,
             "--verify" => cli.options.verify = true,
             "--strict" => cli.strict = true,
@@ -215,6 +208,8 @@ fn parse_args() -> Cli {
             _ => cli.files.push(arg),
         }
     }
+    // the rule `CompileRequest::options` applies on the server side
+    cli.options.inline = cli.options.opt == titanc::OptLevel::O2 && !no_inline;
     cli
 }
 

@@ -346,6 +346,37 @@ pub fn compile_with(
     session::compile_session_impl(&[file], options, pipeline, None).map(|sc| sc.compilation)
 }
 
+/// Warns about the struct layouts and globals of a linked unit that
+/// differ from the earlier definition the linker kept. `unit` is the
+/// unit's origin as diagnostics name it (`` `file.c` `` or
+/// ``catalog `blas` ``).
+fn warn_link_conflicts(report: &titanc_il::LinkReport, unit: &str, sink: &mut DiagnosticSink) {
+    let kinds = [
+        ("struct", &report.struct_conflicts),
+        ("global", &report.global_conflicts),
+    ];
+    for (kind, names) in kinds {
+        for name in names {
+            sink.warning(
+                format!(
+                    "{kind} `{name}` in {unit} differs from an earlier definition; \
+                     using the first"
+                ),
+                Span::none(),
+            );
+        }
+    }
+}
+
+/// Where the procedure `name` already in the program came from, as the
+/// shadowing warnings name it.
+fn origin_of<'a>(origin: &'a [(String, String)], name: &str) -> &'a str {
+    origin
+        .iter()
+        .find(|(n, _)| n == name)
+        .map_or("an earlier definition", |(_, o)| o)
+}
+
 /// Links catalogs in CLI order, warning about every shadowed procedure
 /// with both origins named. Earlier definitions win: the translation
 /// unit(s) first, then catalogs in the order given. `origin` seeds the
@@ -358,23 +389,18 @@ fn link_catalogs(
     sink: &mut DiagnosticSink,
 ) {
     for catalog in catalogs {
+        let here = format!("catalog `{}`", catalog.name);
         let report = catalog.link_into(program);
+        warn_link_conflicts(&report, &here, sink);
         for name in &report.shadowed {
-            let earlier = origin
-                .iter()
-                .find(|(n, _)| n == name)
-                .map(|(_, o)| o.as_str())
-                .unwrap_or("an earlier definition");
+            let earlier = origin_of(&origin, name);
             sink.warning(
-                format!(
-                    "procedure `{name}` from catalog `{}` is shadowed by {earlier}",
-                    catalog.name
-                ),
+                format!("procedure `{name}` from {here} is shadowed by {earlier}"),
                 Span::none(),
             );
         }
         for name in report.added {
-            origin.push((name, format!("catalog `{}`", catalog.name)));
+            origin.push((name, here.clone()));
         }
     }
 }

@@ -704,6 +704,14 @@ impl Pipeline {
         self.stages.push(Stage::Proc(Box::new(pass)));
     }
 
+    /// This pipeline minus every stage called `name` — how an ablation is
+    /// phrased: the shipped order with one pass taken away, never a
+    /// hand-written pass list that can drift from [`Pipeline::for_options`].
+    pub fn without(mut self, name: &str) -> Pipeline {
+        self.stages.retain(|s| s.name() != name);
+        self
+    }
+
     /// The pass names, in execution order.
     pub fn pass_names(&self) -> Vec<&'static str> {
         self.stages.iter().map(Stage::name).collect()

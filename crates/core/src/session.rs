@@ -80,7 +80,7 @@ use titanc_analysis::CallGraph;
 use titanc_cfront::{Diagnostic, DiagnosticSink, Span};
 use titanc_il::json::{FromJson, Json, ToJson};
 use titanc_il::wire::Reader;
-use titanc_il::{Procedure, Program, StableHash, StableHasher, StructDef, StructId, Type, VarInfo};
+use titanc_il::{Procedure, Program, StableHash, StableHasher, StructDef, VarInfo};
 
 use crate::pass::{
     snapshot_all, verify_proc_check, verify_program_check, CachedEntry, CachedProc, PassRecord,
@@ -472,26 +472,12 @@ fn extend_tagged(out: &mut Vec<Diagnostic>, file: &str, diags: Vec<Diagnostic>, 
     }
 }
 
-/// Rewrites struct ids appearing in `ty` through `smap` (old TU-local
-/// index → merged session index).
-fn remap_type(ty: &mut Type, smap: &[usize]) {
-    match ty {
-        Type::Ptr(inner) => remap_type(inner, smap),
-        Type::Array(inner, _) => remap_type(inner, smap),
-        Type::Struct(sid) => {
-            if let Some(&j) = smap.get(sid.index()) {
-                *sid = StructId::from_index(j);
-            }
-        }
-        Type::Void | Type::Char | Type::Int | Type::Float | Type::Double => {}
-    }
-}
-
-/// Merges one lowered TU into the session program: struct layouts dedup
-/// by tag (ids remapped), globals merge by name, duplicate procedures
-/// are diagnosed and dropped (earlier files win), and in multi-file
-/// sessions every span is tagged with its origin file so `--opt-report`
-/// attributes loops to the right file.
+/// Merges one lowered TU into the session program through the shared
+/// linker ([`titanc_il::link`]: struct layouts dedup by tag with ids
+/// remapped, globals merge by name, earlier files win) and phrases what
+/// it reports: differing layouts and globals, and duplicate procedures
+/// with both origins. In multi-file sessions every span is tagged with
+/// its origin file so `--opt-report` attributes loops to the right file.
 fn merge_tu(
     program: &mut Program,
     tu: Program,
@@ -500,91 +486,23 @@ fn merge_tu(
     origin: &mut Vec<(String, String)>,
     sink: &mut DiagnosticSink,
 ) {
-    let mut smap: Vec<usize> = Vec::with_capacity(tu.structs.len());
-    let mut appended: Vec<usize> = Vec::new();
-    for sd in &tu.structs {
-        match program.structs.iter().position(|s| s.name == sd.name) {
-            Some(j) => {
-                if program.structs[j].size != sd.size
-                    || program.structs[j].fields.len() != sd.fields.len()
-                {
-                    sink.warning(
-                        format!(
-                            "struct `{}` in `{file}` differs from an earlier definition; \
-                             using the first",
-                            sd.name
-                        ),
-                        Span::none(),
-                    );
-                }
-                smap.push(j);
-            }
-            None => {
-                smap.push(program.structs.len());
-                appended.push(program.structs.len());
-                program.structs.push(sd.clone());
-            }
-        }
-    }
-    // newly appended layouts may reference other structs; remap their
-    // field types once the whole map is known
-    for &j in &appended {
-        let mut fields = std::mem::take(&mut program.structs[j].fields);
-        for f in &mut fields {
-            remap_type(&mut f.ty, &smap);
-        }
-        program.structs[j].fields = fields;
-    }
-
-    // span retag map: the TU's own spans (tag 0) plus any tags it already
-    // carries (a TU fresh from the front end has none, but be thorough)
-    let mut tag_map: Vec<u32> = Vec::new();
     if multi {
-        tag_map.push(program.intern_file(file));
-        for f in &tu.files {
-            tag_map.push(program.intern_file(f));
-        }
+        // a TU that adds no procedure still takes its slot in the file
+        // table, which every cache key hashes
+        program.intern_file(file);
     }
-
-    for g in &tu.globals {
-        let mut g = g.clone();
-        remap_type(&mut g.ty, &smap);
-        if let Some(existing) = program.global_by_name(&g.name) {
-            if existing.ty != g.ty || existing.init != g.init {
-                sink.warning(
-                    format!(
-                        "global `{}` in `{file}` differs from an earlier definition; \
-                         using the first",
-                        g.name
-                    ),
-                    Span::none(),
-                );
-            }
-        } else {
-            program.ensure_global(g);
-        }
+    let here = format!("`{file}`");
+    let report = titanc_il::link(program, tu, multi.then_some(file));
+    crate::warn_link_conflicts(&report, &here, sink);
+    for name in report.added {
+        origin.push((name, here.clone()));
     }
-
-    for mut p in tu.procs {
-        if let Some((_, earlier)) = origin.iter().find(|(n, _)| *n == p.name) {
-            sink.warning(
-                format!(
-                    "procedure `{}` in `{file}` is shadowed by the definition in {earlier}",
-                    p.name
-                ),
-                Span::none(),
-            );
-            continue;
-        }
-        remap_type(&mut p.ret, &smap);
-        for v in &mut p.vars {
-            remap_type(&mut v.ty, &smap);
-        }
-        if multi {
-            p.retag_spans(&tag_map);
-        }
-        origin.push((p.name.clone(), format!("`{file}`")));
-        program.add_proc(p);
+    for name in &report.shadowed {
+        let earlier = crate::origin_of(origin, name);
+        sink.warning(
+            format!("procedure `{name}` in {here} is shadowed by the definition in {earlier}"),
+            Span::none(),
+        );
     }
 }
 

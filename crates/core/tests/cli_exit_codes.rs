@@ -182,3 +182,82 @@ int main(void)
         "no vectorization remark:\n{err}"
     );
 }
+
+/// `--no-inline` once clobbered by a later `-O2`: both flag orders must
+/// report the same `--stats` inline line, and it must say nothing was
+/// expanded.
+#[test]
+fn no_inline_composes_with_the_level_in_either_order() {
+    let src = write_temp("order.c", GOOD);
+    let inline_line = |args: &[&str]| {
+        let out = titanc()
+            .args(args)
+            .arg("--stats")
+            .arg(&src)
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(0), "{}", stderr_of(&out));
+        let text = format!(
+            "{}{}",
+            String::from_utf8_lossy(&out.stdout),
+            stderr_of(&out)
+        );
+        let line = text.lines().find(|l| l.starts_with("inline:"));
+        line.unwrap_or_else(|| panic!("no inline line:\n{text}"))
+            .to_string()
+    };
+    let before = inline_line(&["--no-inline", "-O2"]);
+    assert_eq!(before, inline_line(&["-O2", "--no-inline"]));
+    assert!(before.contains(" 0 sites"), "{before}");
+    assert!(inline_line(&["-O2"]).contains(" 1 sites"));
+    assert!(inline_line(&["-O1"]).contains(" 0 sites"));
+}
+
+/// A catalog whose struct table differs from its consumer's (`pt` is the
+/// library's struct 0, `small` the application's) once had its layouts
+/// appended without remapping the ids in the linked procedures: `p` was
+/// laid out as a `small`, its stores clobbered `q`, and `--catalog` runs
+/// exited 6. Every path must observe what the same file observes.
+#[test]
+fn struct_carrying_catalog_runs_like_the_same_file() {
+    let lib = "struct pt {float x,y,z,w;}; float norm1(float a,float b){struct pt p; \
+               float q[2]; q[0]=100.0f; q[1]=200.0f; p.x=a; p.y=b; p.z=a+b; p.w=a-b; \
+               return q[0]+q[1]+p.x;}\n";
+    let app = "struct small {int k;}; float norm1(float,float); int main(){struct small s; \
+               float r; s.k=3; r=norm1(1.0f,2.0f); return ((int)r+s.k)%251;}\n";
+    let lib_c = write_temp("ptlib.c", lib);
+    let app_c = write_temp("ptapp.c", app);
+    let same_c = write_temp("ptsame.c", &format!("{lib}{app}"));
+    let cat = lib_c.with_extension("cat");
+    let emit = titanc()
+        .arg("--emit-catalog")
+        .arg(&cat)
+        .arg(&lib_c)
+        .output()
+        .unwrap();
+    assert_eq!(emit.status.code(), Some(0), "{}", stderr_of(&emit));
+
+    let exit_of = |args: &[&str], files: &[&PathBuf]| {
+        let out = titanc()
+            .args(args)
+            .arg("--run")
+            .args(files)
+            .output()
+            .unwrap();
+        let text = String::from_utf8_lossy(&out.stdout).into_owned() + &stderr_of(&out);
+        let exit = text.rsplit_once("exit ").map(|(_, n)| n.trim().to_string());
+        exit.unwrap_or_else(|| panic!("no `[titan] … exit N` line for {args:?}:\n{text}"))
+    };
+    assert_eq!(exit_of(&[], &[&same_c]), "53");
+    assert_eq!(exit_of(&[], &[&lib_c, &app_c]), "53");
+    let cat = cat.to_str().unwrap();
+    for level in [
+        &["-O0", "--verify"][..],
+        &["-O2"],
+        &["-O2", "--no-inline"],
+        &["--no-inline", "-O2"],
+    ] {
+        let args = [level, &["--catalog", cat]].concat();
+        assert_eq!(exit_of(&args, &[&app_c]), "53", "{level:?}");
+    }
+}

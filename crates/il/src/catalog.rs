@@ -8,6 +8,7 @@
 //! compilation can link any subset in by name.
 
 use crate::json::{FromJson, Json, JsonError, ToJson};
+use crate::link::{link, LinkReport};
 use crate::program::{Procedure, Program, StructDef, VarInfo};
 use std::io;
 use std::path::Path;
@@ -28,19 +29,6 @@ pub struct Catalog {
     /// procedures (mirrors [`Program::files`]). Legacy catalogs without
     /// the field decode to an empty table.
     pub files: Vec<String>,
-}
-
-/// What [`Catalog::link_into`] did — the caller turns `shadowed` into
-/// diagnostics naming both origins (the IL crate has no diagnostic sink).
-#[derive(Clone, PartialEq, Debug, Default)]
-pub struct LinkReport {
-    /// Procedure names newly added from the catalog.
-    pub added: Vec<String>,
-    /// Catalog procedures dropped because the program already defines the
-    /// name — earlier definitions win (TU first, then catalogs in CLI
-    /// order), so a repeated or overlapping `--catalog` must warn rather
-    /// than silently shadow.
-    pub shadowed: Vec<String>,
 }
 
 impl Catalog {
@@ -130,51 +118,22 @@ impl Catalog {
     }
 
     /// Links every procedure, struct and global of the catalog into `prog`
-    /// (procedures already present by name are left untouched — earlier
-    /// definitions win). The returned [`LinkReport`] names both the added
-    /// and the shadowed procedures so the driver can diagnose overlapping
-    /// `--catalog` flags instead of shadowing silently.
+    /// through the shared linker ([`crate::link::link`]): struct ids are
+    /// remapped into `prog`'s table, procedures already present by name
+    /// are left untouched (earlier definitions win), and the returned
+    /// [`LinkReport`] names what was added, shadowed and conflicting so
+    /// the driver can diagnose overlapping `--catalog` flags.
     ///
-    /// Spans of linked procedures are retagged into `prog`'s file table:
-    /// the catalog's own origin files carry over, and spans from the
-    /// catalog's "current TU" are attributed to the catalog itself — so
-    /// `--opt-report` never charges a catalog loop to the consumer TU's
-    /// line numbers.
-    ///
-    /// Struct ids are *not* remapped: catalogs produced against the same
-    /// front-end session share the program's struct table; catalogs with
-    /// their own structs append them. This mirrors the paper's scheme of
-    /// self-contained relocatable tables.
+    /// Spans from the catalog's "current TU" are attributed to the
+    /// catalog itself and its own origin files carry over.
     pub fn link_into(&self, prog: &mut Program) -> LinkReport {
-        for g in &self.globals {
-            prog.ensure_global(g.clone());
-        }
-        for sd in &self.structs {
-            if !prog.structs.iter().any(|s| s.name == sd.name) {
-                prog.structs.push(sd.clone());
-            }
-        }
-        let mut report = LinkReport::default();
-        // tag map, built once a procedure is actually added: the
-        // catalog's tag 0 becomes a tag naming the catalog, its own file
-        // table entries carry over under fresh tags
-        let mut map: Option<Vec<u32>> = None;
-        for p in &self.procs {
-            if prog.proc_by_name(&p.name).is_some() {
-                report.shadowed.push(p.name.clone());
-                continue;
-            }
-            let map = map.get_or_insert_with(|| {
-                let mut m = vec![prog.intern_file(&self.name)];
-                m.extend(self.files.iter().map(|f| prog.intern_file(f)));
-                m
-            });
-            let mut p = p.clone();
-            p.retag_spans(map);
-            report.added.push(p.name.clone());
-            prog.add_proc(p);
-        }
-        report
+        let unit = Program {
+            procs: self.procs.clone(),
+            globals: self.globals.clone(),
+            structs: self.structs.clone(),
+            files: self.files.clone(),
+        };
+        link(prog, unit, Some(&self.name))
     }
 }
 

@@ -74,6 +74,7 @@ pub mod fold;
 pub mod hash;
 pub mod ids;
 pub mod json;
+pub mod link;
 pub mod pretty;
 pub mod program;
 pub mod span;
@@ -85,12 +86,13 @@ pub mod visit;
 pub mod wire;
 
 pub use builder::{BlockBuilder, ProcBuilder};
-pub use catalog::{Catalog, LinkReport};
+pub use catalog::Catalog;
 pub use expr::{BinOp, Expr, ExprPool, LValue, SlotsMut, UnOp};
 pub use fold::{fold_expr, Value};
 pub use hash::{hash_proc, write_proc, ByteSink, StableHash, StableHasher};
 pub use ids::{ExprId, LabelId, ProcId, StmtId, StructId, VarId};
 pub use json::{FromJson, Json, JsonError, ToJson};
+pub use link::{link, LinkReport};
 pub use pretty::{pretty_block, pretty_expr, pretty_expr_in, pretty_lvalue, pretty_proc};
 pub use program::{ConstInit, Field, Procedure, Program, Storage, StructDef, VarInfo};
 pub use span::SrcSpan;
