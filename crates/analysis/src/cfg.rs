@@ -91,11 +91,6 @@ impl Cfg {
         &self.node_of_stmt
     }
 
-    /// The node a label resolves to.
-    pub fn label_node(&self, l: LabelId) -> Option<NodeId> {
-        self.labels.get(&l).copied()
-    }
-
     /// Nodes in reverse-postorder from entry.
     pub fn rpo(&self) -> Vec<NodeId> {
         let mut seen = vec![false; self.len()];

@@ -194,11 +194,6 @@ impl UseDef {
         });
         out
     }
-
-    /// Count of definition sites (including virtual entry defs).
-    pub fn num_defs(&self) -> usize {
-        self.defs.len()
-    }
 }
 
 /// Live-variable analysis over register candidates.
@@ -207,7 +202,6 @@ pub struct Liveness {
     tracked: Vec<bool>,
     live_out: Vec<BitSet>,
     node_of_stmt: Vec<Option<NodeId>>,
-    nvars: usize,
 }
 
 impl Liveness {
@@ -267,7 +261,6 @@ impl Liveness {
             tracked,
             live_out,
             node_of_stmt: cfg.nodes_by_stmt().to_vec(),
-            nvars,
         }
     }
 
@@ -281,11 +274,6 @@ impl Liveness {
             Some(n) => self.live_out[n].contains(var.index()),
             None => true,
         }
-    }
-
-    /// Number of variables in the underlying procedure.
-    pub fn num_vars(&self) -> usize {
-        self.nvars
     }
 }
 

@@ -13,11 +13,12 @@
 
 use std::time::Instant;
 
-use titanc::{compile, compile_with, Catalog, Options, Pipeline};
+use titanc::{compile, compile_with, Aliasing, Catalog, Options, Pipeline, VectorOptions};
 use titanc_il::{Procedure, StmtKind};
 use titanc_lower::compile_to_il;
 use titanc_opt::{convert_while_loops, forward_substitute, induction_substitution};
 use titanc_titan::{ExecStats, MachineConfig as Titan, RunResult, Simulator};
+use titanc_vector::{strength_reduce, vectorize};
 
 use crate::{
     backsolve_source, copy_source, corpus, daxpy_source, ivsub_chain_source, many_loops_source,
@@ -442,11 +443,20 @@ fn exp6_timed() -> Vec<Row> {
         let whiledo = time_pass(&mut proc, convert_while_loops);
         let ivsub = time_pass(&mut proc, induction_substitution);
         let forward = time_pass(&mut proc, forward_substitute);
+        // `strength` gets its own copy: these loops all vectorize, which
+        // would leave it no DO loop to work on
+        let mut scalar = proc.clone();
+        let vector = time_pass(&mut proc, |p| vectorize(p, &VectorOptions::default()));
+        let strength = time_pass(&mut scalar, |p| strength_reduce(p, Aliasing::C));
         // the initializing loop counts too
-        let [w, i, f] = [whiledo, ivsub, forward].map(|us| us / (loops + 1) as f64);
-        let label = format!("{loops} loops in one procedure: three passes, per loop");
-        let note = format!("µs: whiledo {w:.2}, ivsub {i:.2}, forward {f:.2}");
-        rows.push(Row::host(label, w + i + f, note));
+        let per_loop =
+            [whiledo, ivsub, forward, vector, strength].map(|us| us / (loops + 1) as f64);
+        let [w, i, f, v, s] = per_loop;
+        let label = format!("{loops} loops in one procedure: five passes, per loop");
+        let note = format!(
+            "µs: whiledo {w:.2}, ivsub {i:.2}, forward {f:.2}, vectorize {v:.2}, strength {s:.2}"
+        );
+        rows.push(Row::host(label, per_loop.iter().sum(), note));
     }
     // where the whole pipeline spends its time on the worst kernel, from
     // the pass manager's own trace

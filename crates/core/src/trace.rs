@@ -76,28 +76,6 @@ impl Counters {
         c
     }
 
-    /// Folds the compiled program's arena statistics into the counters:
-    /// lifetime node allocations (every `Expr`/`StmtKind` ever stamped,
-    /// including arena garbage later compacted away) and the resident
-    /// arena footprint in bytes. Arena layout is deterministic across
-    /// `-j` values, but NOT across cold-vs-warm cache runs (a warm run
-    /// decodes compacted procedures from disk and re-runs no passes), so
-    /// these counters stay off the byte-identical `--opt-report`
-    /// surface.
-    pub fn record_program(&mut self, program: &titanc_il::Program) {
-        let mut exprs = 0u64;
-        let mut stmts = 0u64;
-        let mut bytes = 0u64;
-        for p in &program.procs {
-            exprs += p.exprs.total_allocated();
-            stmts += p.stmts.total_allocated();
-            bytes += (p.exprs.bytes() + p.stmts.bytes()) as u64;
-        }
-        self.values.insert("il.exprs_allocated".to_string(), exprs);
-        self.values.insert("il.stmts_allocated".to_string(), stmts);
-        self.values.insert("il.arena_bytes".to_string(), bytes);
-    }
-
     /// A counter's value (0 when absent).
     pub fn get(&self, name: &str) -> u64 {
         self.values.get(name).copied().unwrap_or(0)

@@ -173,11 +173,6 @@ macro_rules! emit_methods {
         pub fn goto(&mut self, l: LabelId) {
             self.$pusher(StmtKind::Goto(l));
         }
-
-        /// Emits a conditional branch.
-        pub fn if_goto(&mut self, cond: ExprId, target: LabelId) {
-            self.$pusher(StmtKind::IfGoto { cond, target });
-        }
     };
 }
 

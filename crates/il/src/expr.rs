@@ -377,7 +377,7 @@ impl ExprPool {
     }
 
     /// Cumulative node allocations over the pool's lifetime (survives
-    /// compaction; feeds the `il.exprs_allocated` counter).
+    /// compaction).
     pub fn total_allocated(&self) -> u64 {
         self.total_allocated
     }
@@ -863,14 +863,6 @@ impl LValue {
     /// True when the store is volatile-qualified.
     pub fn is_volatile(&self) -> bool {
         matches!(self, LValue::Deref { volatile: true, .. })
-    }
-
-    /// The scalar kind stored, given variable kinds.
-    pub fn store_type(&self, var_type: &dyn Fn(VarId) -> ScalarType) -> ScalarType {
-        match self {
-            LValue::Var(v) => var_type(*v),
-            LValue::Deref { ty, .. } | LValue::Section { ty, .. } => *ty,
-        }
     }
 }
 

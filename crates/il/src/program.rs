@@ -277,15 +277,6 @@ impl Procedure {
         walk(&self.stmts, &self.body, f);
     }
 
-    /// The reachable statement ids in preorder. Useful for passes that
-    /// need to mutate statements while walking: collect ids first, then
-    /// index the pool.
-    pub fn preorder_ids(&self) -> Vec<StmtId> {
-        let mut out = Vec::with_capacity(self.stmts.len());
-        self.for_each_stmt(&mut |s, _| out.push(s));
-        out
-    }
-
     /// Finds a *reachable* statement by stamp (preorder search). An
     /// orphaned arena slot — its id no longer linked from any block — is
     /// not found, even though indexing the pool directly would still
@@ -433,17 +424,6 @@ impl Procedure {
             *e = self.exprs.copy(*e);
         }
         self.stamp_at(kind, span)
-    }
-
-    /// All `DoLoop`/`DoParallel`/`While` statement stamps, preorder.
-    pub fn loop_ids(&self) -> Vec<StmtId> {
-        let mut out = Vec::new();
-        self.for_each_stmt(&mut |s, k| {
-            if k.is_loop() {
-                out.push(s);
-            }
-        });
-        out
     }
 
     /// Structural equality of a block of this procedure against a block of

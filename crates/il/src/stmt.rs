@@ -488,7 +488,7 @@ impl StmtPool {
     }
 
     /// Cumulative statement allocations over the pool's lifetime (survives
-    /// compaction; feeds the `il.stmts_allocated` counter).
+    /// compaction).
     pub fn total_allocated(&self) -> u64 {
         self.total_allocated
     }
@@ -523,11 +523,6 @@ impl StmtPool {
     /// Re-anchors statement `id` to `span`.
     pub fn set_span(&mut self, id: StmtId, span: SrcSpan) {
         self.spans[id.index()] = span;
-    }
-
-    /// Mutable access to the span column entry of `id`.
-    pub fn span_mut(&mut self, id: StmtId) -> &mut SrcSpan {
-        &mut self.spans[id.index()]
     }
 
     /// Total number of statements in the tree rooted at `id` (including

@@ -126,11 +126,6 @@ impl Type {
             _ => None,
         }
     }
-
-    /// True if the type is a pointer or array (i.e. indexable).
-    pub fn is_indexable(&self) -> bool {
-        matches!(self, Type::Ptr(_) | Type::Array(..))
-    }
 }
 
 impl fmt::Display for Type {

@@ -14,7 +14,8 @@
 
 use titanc_analysis::{Cfg, ProcAnalyses};
 use titanc_il::fold::{const_value, fold_expr, value_to_expr, Value};
-use titanc_il::{Block, Procedure, ScalarType, StmtId, StmtKind, StmtPool};
+use titanc_il::visit::{edit_blocks, edit_tree, Order};
+use titanc_il::{Block, Procedure, ScalarType, StmtId, StmtKind};
 
 /// Resource budget: maximum fixpoint rounds per procedure. Hitting the cap
 /// is sound (each round leaves verified IL) but is reported so the driver
@@ -214,94 +215,85 @@ fn propagate_once(
 /// zero-trip loops. Returns statements eliminated.
 fn simplify_constant_branches(proc: &mut Procedure) -> usize {
     let mut removed = 0usize;
-    let mut body = std::mem::take(&mut proc.body);
-    simplify_block(proc, &mut body, &mut removed);
+    edit_tree(proc, Order::Post, &mut |proc, block, i| {
+        simplify_stmt(proc, block, i, &mut removed)
+    });
     // the quick §8 postpass
-    removed += postpass_block(&mut proc.stmts, &mut body);
-    proc.body = body;
-    removed
+    removed + postpass(proc)
 }
 
-fn simplify_block(proc: &mut Procedure, block: &mut Block, removed: &mut usize) {
-    let mut i = 0;
-    while i < block.len() {
-        let s = block[i];
-        // recurse into nested blocks (take the kind out so the pool stays
-        // borrowable during the recursion)
-        let mut kind = std::mem::replace(&mut proc.stmts[s], StmtKind::Nop);
-        for b in kind.blocks_mut() {
-            simplify_block(proc, b, removed);
-        }
-        proc.stmts[s] = kind;
-
-        let replace: Option<Block> = match &proc.stmts[s] {
-            StmtKind::If {
-                cond,
-                then_blk,
-                else_blk,
-            } => match const_value(&proc.exprs[*cond]) {
-                Some(v) if !proc.exprs.has_volatile_load(*cond) => {
-                    let (taken, dead) = if v.is_truthy() {
-                        (then_blk.clone(), else_blk)
+/// Simplifies `block[i]`, its nested blocks already done; returns the
+/// index behind whatever replaced it.
+fn simplify_stmt(proc: &mut Procedure, block: &mut Block, i: usize, removed: &mut usize) -> usize {
+    let s = block[i];
+    let replace: Option<Block> = match &proc.stmts[s] {
+        StmtKind::If {
+            cond,
+            then_blk,
+            else_blk,
+        } => match const_value(&proc.exprs[*cond]) {
+            Some(v) if !proc.exprs.has_volatile_load(*cond) => {
+                let (taken, dead) = if v.is_truthy() {
+                    (then_blk.clone(), else_blk)
+                } else {
+                    (else_blk.clone(), then_blk)
+                };
+                *removed += 1 + titanc_il::block_len(&proc.stmts, dead);
+                Some(taken)
+            }
+            _ => None,
+        },
+        StmtKind::While { cond, body, .. } => match const_value(&proc.exprs[*cond]) {
+            Some(v) if !v.is_truthy() && !proc.exprs.has_volatile_load(*cond) => {
+                *removed += 1 + titanc_il::block_len(&proc.stmts, body);
+                Some(Vec::new())
+            }
+            _ => None,
+        },
+        StmtKind::DoLoop {
+            lo, hi, step, body, ..
+        } => {
+            let consts = (
+                const_value(&proc.exprs[*lo]),
+                const_value(&proc.exprs[*hi]),
+                const_value(&proc.exprs[*step]),
+            );
+            match consts {
+                (Some(l), Some(h), Some(st)) => {
+                    let (l, h, st) = (l.as_int(), h.as_int(), st.as_int());
+                    let zero_trip = st != 0 && ((st > 0 && l > h) || (st < 0 && l < h));
+                    if zero_trip {
+                        *removed += 1 + titanc_il::block_len(&proc.stmts, body);
+                        Some(Vec::new())
                     } else {
-                        (else_blk.clone(), then_blk)
-                    };
-                    *removed += 1 + titanc_il::block_len(&proc.stmts, dead);
-                    Some(taken)
+                        None
+                    }
                 }
                 _ => None,
-            },
-            StmtKind::While { cond, body, .. } => match const_value(&proc.exprs[*cond]) {
-                Some(v) if !v.is_truthy() && !proc.exprs.has_volatile_load(*cond) => {
-                    *removed += 1 + titanc_il::block_len(&proc.stmts, body);
+            }
+        }
+        StmtKind::IfGoto { cond, target } => match const_value(&proc.exprs[*cond]) {
+            Some(v) if !proc.exprs.has_volatile_load(*cond) => {
+                if v.is_truthy() {
+                    let t = *target;
+                    proc.stmts[s] = StmtKind::Goto(t);
+                    None
+                } else {
+                    *removed += 1;
                     Some(Vec::new())
                 }
-                _ => None,
-            },
-            StmtKind::DoLoop {
-                lo, hi, step, body, ..
-            } => {
-                let consts = (
-                    const_value(&proc.exprs[*lo]),
-                    const_value(&proc.exprs[*hi]),
-                    const_value(&proc.exprs[*step]),
-                );
-                match consts {
-                    (Some(l), Some(h), Some(st)) => {
-                        let (l, h, st) = (l.as_int(), h.as_int(), st.as_int());
-                        let zero_trip = st != 0 && ((st > 0 && l > h) || (st < 0 && l < h));
-                        if zero_trip {
-                            *removed += 1 + titanc_il::block_len(&proc.stmts, body);
-                            Some(Vec::new())
-                        } else {
-                            None
-                        }
-                    }
-                    _ => None,
-                }
             }
-            StmtKind::IfGoto { cond, target } => match const_value(&proc.exprs[*cond]) {
-                Some(v) if !proc.exprs.has_volatile_load(*cond) => {
-                    if v.is_truthy() {
-                        let t = *target;
-                        proc.stmts[s] = StmtKind::Goto(t);
-                        None
-                    } else {
-                        *removed += 1;
-                        Some(Vec::new())
-                    }
-                }
-                _ => None,
-            },
             _ => None,
-        };
-        if let Some(repl) = replace {
+        },
+        _ => None,
+    };
+    match replace {
+        Some(repl) => {
             let n = repl.len();
             block.splice(i..=i, repl);
-            i += n;
-        } else {
-            i += 1;
+            i + n
         }
+        None => i + 1,
     }
 }
 
@@ -310,42 +302,36 @@ fn simplify_block(proc: &mut Procedure, block: &mut Block, removed: &mut usize) 
 /// "A quick heuristic … not as effective as reconstructing basic blocks",
 /// but cheap. Returns statements removed.
 pub fn unreachable_postpass(proc: &mut Procedure) -> usize {
-    let mut body = std::mem::take(&mut proc.body);
-    let removed = postpass_block(&mut proc.stmts, &mut body);
-    proc.body = body;
+    let removed = postpass(proc);
     if removed > 0 {
         proc.bump_generation();
     }
     removed
 }
 
-fn postpass_block(stmts: &mut StmtPool, block: &mut Block) -> usize {
+fn postpass(proc: &mut Procedure) -> usize {
     let mut removed = 0;
-    for &s in block.iter() {
-        let mut kind = std::mem::replace(&mut stmts[s], StmtKind::Nop);
-        for b in kind.blocks_mut() {
-            removed += postpass_block(stmts, b);
-        }
-        stmts[s] = kind;
-    }
-    let mut i = 0;
-    while i < block.len() {
-        let is_jump = matches!(stmts[block[i]], StmtKind::Goto(_) | StmtKind::Return(_));
-        if is_jump {
-            let mut j = i + 1;
-            while j < block.len() && !matches!(stmts[block[j]], StmtKind::Label(_)) {
-                j += 1;
+    edit_blocks(proc, &mut |proc, block| {
+        let stmts = &proc.stmts;
+        let mut i = 0;
+        while i < block.len() {
+            let is_jump = matches!(stmts[block[i]], StmtKind::Goto(_) | StmtKind::Return(_));
+            if is_jump {
+                let mut j = i + 1;
+                while j < block.len() && !matches!(stmts[block[j]], StmtKind::Label(_)) {
+                    j += 1;
+                }
+                if j > i + 1 {
+                    removed += block[i + 1..j]
+                        .iter()
+                        .map(|&s| stmts.tree_len(s))
+                        .sum::<usize>();
+                    block.drain(i + 1..j);
+                }
             }
-            if j > i + 1 {
-                removed += block[i + 1..j]
-                    .iter()
-                    .map(|&s| stmts.tree_len(s))
-                    .sum::<usize>();
-                block.drain(i + 1..j);
-            }
+            i += 1;
         }
-        i += 1;
-    }
+    });
     removed
 }
 
@@ -358,32 +344,20 @@ pub fn eliminate_unreachable_cfg(proc: &mut Procedure) -> usize {
     if dead_ids.is_empty() {
         return 0;
     }
-    let mut removed = 0;
-    let mut body = std::mem::take(&mut proc.body);
     let mut is_dead = vec![false; proc.stmts.len()];
     for s in dead_ids {
         is_dead[s.index()] = true;
     }
-    remove_ids(&mut proc.stmts, &mut body, &is_dead, &mut removed);
-    proc.body = body;
+    let mut removed = 0;
+    edit_blocks(proc, &mut |_, block| {
+        let before = block.len();
+        block.retain(|s| !is_dead[s.index()]);
+        removed += before - block.len();
+    });
     if removed > 0 {
         proc.bump_generation();
     }
     removed
-}
-
-/// Unlinks every statement flagged in `is_dead` (by `StmtId` index).
-fn remove_ids(stmts: &mut StmtPool, block: &mut Block, is_dead: &[bool], removed: &mut usize) {
-    for &s in block.iter() {
-        let mut kind = std::mem::replace(&mut stmts[s], StmtKind::Nop);
-        for b in kind.blocks_mut() {
-            remove_ids(stmts, b, is_dead, removed);
-        }
-        stmts[s] = kind;
-    }
-    let before = block.len();
-    block.retain(|s| !is_dead[s.index()]);
-    *removed += before - block.len();
 }
 
 #[cfg(test)]

@@ -20,6 +20,7 @@
 //! occurrences cannot disturb it.
 
 use crate::util::register_candidate;
+use titanc_il::visit::edit_blocks;
 use titanc_il::{Block, Expr, ExprId, ExprPool, LValue, Procedure, StmtId, StmtKind, Type, VarId};
 
 /// CSE statistics.
@@ -45,9 +46,7 @@ titanc_il::struct_json!(CseReport, [commoned, replaced]);
 /// Runs local CSE over every block of the procedure.
 pub fn local_cse(proc: &mut Procedure) -> CseReport {
     let mut report = CseReport::default();
-    let mut body = std::mem::take(&mut proc.body);
-    run_block(proc, &mut body, &mut report);
-    proc.body = body;
+    edit_blocks(proc, &mut |proc, block| run_block(proc, block, &mut report));
     if report.commoned > 0 || report.replaced > 0 {
         proc.bump_generation();
     }
@@ -65,15 +64,8 @@ fn is_barrier(kind: &StmtKind) -> bool {
     )
 }
 
+/// Commons within one block, the blocks nested in it already done.
 fn run_block(proc: &mut Procedure, block: &mut Block, report: &mut CseReport) {
-    // nested blocks first
-    for &s in block.iter() {
-        let mut kind = std::mem::replace(&mut proc.stmts[s], StmtKind::Nop);
-        for b in kind.blocks_mut() {
-            run_block(proc, b, report);
-        }
-        proc.stmts[s] = kind;
-    }
     let mut i = 0;
     while i < block.len() {
         if is_barrier(&proc.stmts[block[i]]) {

@@ -9,7 +9,8 @@
 //! fixpoint.
 
 use titanc_analysis::{Liveness, ProcAnalyses};
-use titanc_il::{Block, LValue, Procedure, StmtId, StmtKind, StmtPool};
+use titanc_il::visit::edit_blocks;
+use titanc_il::{LValue, Procedure, StmtId, StmtKind};
 
 /// Resource budget: maximum fixpoint rounds per procedure. Hitting the cap
 /// is sound (every completed round leaves verified IL) but is reported so
@@ -200,50 +201,41 @@ pub fn sweep(proc: &mut Procedure) -> usize {
         _ => {}
     });
     let mut removed = 0;
-    let mut body = std::mem::take(&mut proc.body);
-    sweep_block(proc, &mut body, &referenced, &mut removed);
-    proc.body = body;
-    removed
-}
-
-fn sweep_block(proc: &mut Procedure, block: &mut Block, referenced: &[bool], removed: &mut usize) {
-    for &s in block.iter() {
-        let mut kind = std::mem::replace(&mut proc.stmts[s], StmtKind::Nop);
-        for b in kind.blocks_mut() {
-            sweep_block(proc, b, referenced, removed);
-        }
-        proc.stmts[s] = kind;
-        let kill = match &proc.stmts[s] {
-            StmtKind::Label(l) => !referenced.get(l.index()).copied().unwrap_or(false),
-            StmtKind::If {
-                cond,
-                then_blk,
-                else_blk,
-            } => then_blk.is_empty() && else_blk.is_empty() && !proc.exprs.has_volatile_load(*cond),
-            StmtKind::DoLoop {
-                body, lo, hi, step, ..
-            } => {
-                body.is_empty()
-                    && !proc.exprs.has_volatile_load(*lo)
-                    && !proc.exprs.has_volatile_load(*hi)
-                    && !proc.exprs.has_volatile_load(*step)
+    edit_blocks(proc, &mut |proc, block| {
+        for &s in block.iter() {
+            let kill = match &proc.stmts[s] {
+                StmtKind::Label(l) => !referenced.get(l.index()).copied().unwrap_or(false),
+                StmtKind::If {
+                    cond,
+                    then_blk,
+                    else_blk,
+                } => {
+                    then_blk.is_empty()
+                        && else_blk.is_empty()
+                        && !proc.exprs.has_volatile_load(*cond)
+                }
+                StmtKind::DoLoop {
+                    body, lo, hi, step, ..
+                } => {
+                    body.is_empty()
+                        && !proc.exprs.has_volatile_load(*lo)
+                        && !proc.exprs.has_volatile_load(*hi)
+                        && !proc.exprs.has_volatile_load(*step)
+                }
+                _ => false,
+            };
+            if kill {
+                proc.stmts[s] = StmtKind::Nop;
+                removed += 1;
             }
-            _ => false,
-        };
-        if kill {
-            proc.stmts[s] = StmtKind::Nop;
-            *removed += 1;
         }
-    }
-    let before = block.len();
-    retain_non_nops(&proc.stmts, block);
-    // Nops already counted when created by this pass; count only the
-    // pre-existing ones swept here.
-    *removed += before - block.len();
-}
-
-fn retain_non_nops(stmts: &StmtPool, block: &mut Block) {
-    block.retain(|&s| !matches!(stmts[s], StmtKind::Nop));
+        // Nops already counted when created by this pass; count only the
+        // pre-existing ones swept here.
+        let before = block.len();
+        block.retain(|&s| !matches!(proc.stmts[s], StmtKind::Nop));
+        removed += before - block.len();
+    });
+    removed
 }
 
 #[cfg(test)]

@@ -22,6 +22,7 @@
 //! [`titanc_il::ExprPool::substitute_var`] keep replacement sites disjoint.
 
 use crate::util::{invariant_in, register_candidate, replace_reads, resolve_copy};
+use titanc_il::visit::{edit_tree, Order};
 use titanc_il::{
     BinOp, Block, Expr, ExprId, ExprPool, LValue, Procedure, ScalarType, StmtId, StmtKind,
     StmtPool, Type, VarId,
@@ -71,35 +72,22 @@ titanc_il::struct_json!(
 /// Runs induction-variable substitution on every DO loop of the procedure.
 pub fn induction_substitution(proc: &mut Procedure) -> IvSubReport {
     let mut report = IvSubReport::default();
-    let mut body = std::mem::take(&mut proc.body);
-    substitute_in_block(proc, &mut body, &mut report);
-    proc.body = body;
+    // innermost-first (postorder) with the block in hand: a substitution
+    // puts its snapshot and finalization beside the loop without searching
+    // for it from the procedure root
+    edit_tree(proc, Order::Post, &mut |proc, block, mut i| {
+        if matches!(
+            proc.stmts[block[i]],
+            StmtKind::DoLoop { .. } | StmtKind::DoParallel { .. }
+        ) {
+            substitute_in_loop(proc, block, &mut i, &mut report);
+        }
+        i + 1
+    });
     if report.substituted > 0 {
         proc.bump_generation();
     }
     report
-}
-
-/// Processes the DO loops of `block` innermost-first (postorder), with the
-/// block in hand: a substitution puts its snapshot and finalization beside
-/// the loop without searching for it from the procedure root.
-fn substitute_in_block(proc: &mut Procedure, block: &mut Block, report: &mut IvSubReport) {
-    let mut i = 0;
-    while i < block.len() {
-        let s = block[i];
-        let mut kind = std::mem::replace(&mut proc.stmts[s], StmtKind::Nop);
-        for b in kind.blocks_mut() {
-            substitute_in_block(proc, b, report);
-        }
-        proc.stmts[s] = kind;
-        if matches!(
-            proc.stmts[s],
-            StmtKind::DoLoop { .. } | StmtKind::DoParallel { .. }
-        ) {
-            substitute_in_loop(proc, block, &mut i, report);
-        }
-        i += 1;
-    }
 }
 
 /// The loop header slots; `lo`/`hi` are the DoLoop's own expressions (read

@@ -24,9 +24,10 @@
 use crate::util::{defined_in, invariant_in, register_candidate, resolve_copy};
 use titanc_analysis::{loops, Cfg, ProcAnalyses};
 use titanc_il::json::{FromJson, Json, JsonError, ToJson};
+use titanc_il::visit::{edit_tree, Order};
 use titanc_il::{
-    BinOp, Block, Expr, ExprId, LValue, LoopDecision, LoopEvent, Procedure, ScalarType, StmtId,
-    StmtKind, Type, VarId,
+    BinOp, Expr, ExprId, LValue, LoopDecision, LoopEvent, Procedure, ScalarType, StmtId, StmtKind,
+    Type, VarId,
 };
 
 /// Why a `while` loop was not converted (the EXP5 coverage table).
@@ -200,68 +201,43 @@ pub fn convert_while_loops_cached(
 ) -> WhileDoReport {
     let mut report = WhileDoReport::default();
     let cfg = analyses.cfg(proc);
-    let mut body = std::mem::take(&mut proc.body);
-    convert_block(proc, &mut body, &cfg, analyses, &mut report);
-    proc.body = body;
+    // preorder with the block in hand: each `While` is decided before the
+    // loops nested in it, and a conversion splices its three statements in
+    // where the `While` stood; decisions only ever look at the subtree of
+    // the loop they are about
+    edit_tree(proc, Order::Pre, &mut |proc, block, i| {
+        let s = block[i];
+        if !matches!(proc.stmts[s], StmtKind::While { .. }) {
+            return i;
+        }
+        let span = proc.stmts.span(s);
+        if report.converted > 0 {
+            // reusing the CFG past a mutation is the repaired-analysis path
+            analyses.note_repair();
+        }
+        let (var, decision, at) = match analyze(proc, &cfg, s) {
+            Ok(plan) => {
+                let var = proc.var(plan.iv).name.clone();
+                block.splice(i..=i, apply(proc, s, span, plan));
+                proc.bump_generation();
+                report.converted += 1;
+                (var, LoopDecision::DoConverted, i + 2)
+            }
+            Err(r) => {
+                report.rejects.push((s, r));
+                let why = r.describe().to_string();
+                (String::new(), LoopDecision::DoRejected(why), i)
+            }
+        };
+        report.events.push(LoopEvent {
+            proc: proc.name.clone(),
+            var,
+            span,
+            decision,
+        });
+        at
+    });
     report
-}
-
-/// Visits `block` in preorder with the block in hand, so a conversion
-/// splices its three statements in where the `While` stood: each `While`
-/// is decided before the loops nested in it, and nothing is searched for
-/// from the procedure root.
-fn convert_block(
-    proc: &mut Procedure,
-    block: &mut Block,
-    cfg: &Cfg,
-    analyses: &mut ProcAnalyses,
-    report: &mut WhileDoReport,
-) {
-    let mut i = 0;
-    while i < block.len() {
-        let mut s = block[i];
-        if matches!(proc.stmts[s], StmtKind::While { .. }) {
-            let span = proc.stmts.span(s);
-            if report.converted > 0 {
-                // reusing the CFG past a mutation is the repaired-analysis path
-                analyses.note_repair();
-            }
-            match analyze(proc, cfg, s) {
-                Ok(plan) => {
-                    report.events.push(LoopEvent {
-                        proc: proc.name.clone(),
-                        var: proc.var(plan.iv).name.clone(),
-                        span,
-                        decision: LoopDecision::DoConverted,
-                    });
-                    let replacement = apply(proc, s, span, plan);
-                    s = replacement[2];
-                    block.splice(i..=i, replacement);
-                    i += 2;
-                    proc.bump_generation();
-                    report.converted += 1;
-                }
-                Err(r) => {
-                    report.events.push(LoopEvent {
-                        proc: proc.name.clone(),
-                        var: String::new(),
-                        span,
-                        decision: LoopDecision::DoRejected(r.describe().to_string()),
-                    });
-                    report.rejects.push((s, r));
-                }
-            }
-        }
-        // the statement's own kind is out of the pool while its blocks are
-        // visited; decisions only ever look at the subtree of the loop
-        // they are about
-        let mut kind = std::mem::replace(&mut proc.stmts[s], StmtKind::Nop);
-        for b in kind.blocks_mut() {
-            convert_block(proc, b, cfg, analyses, report);
-        }
-        proc.stmts[s] = kind;
-        i += 1;
-    }
 }
 
 struct Plan {

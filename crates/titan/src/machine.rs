@@ -566,22 +566,6 @@ impl<'p> Simulator<'p> {
         self.read_mem(self.global_elem(name, kind, index)?, kind)
     }
 
-    /// Writes element `index` of the named global.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when the global does not exist or the access is out
-    /// of bounds.
-    pub fn write_global(
-        &mut self,
-        name: &str,
-        kind: ScalarType,
-        index: u32,
-        v: Value,
-    ) -> Result<(), SimError> {
-        self.write_mem(self.global_elem(name, kind, index)?, kind, v)
-    }
-
     fn global_elem(&self, name: &str, kind: ScalarType, index: u32) -> Result<u32, SimError> {
         let base = self
             .global_addr(name)

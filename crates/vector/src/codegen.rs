@@ -17,10 +17,12 @@
 //! independent, it is converted to `do parallel` unchanged (loop
 //! spreading, §2 item 2).
 
+use std::collections::HashSet;
 use titanc_deps::{const_trip_count, decompose, Aliasing, DepGraph, DepKind, Verdict};
+use titanc_il::visit::{edit_tree, Order};
 use titanc_il::{
     BinOp, Block, Expr, ExprId, LValue, LoopDecision, LoopEvent, Procedure, ScalarType, SrcSpan,
-    StmtId, StmtKind, StmtPool, Type, VarId,
+    StmtId, StmtKind, Type, VarId,
 };
 use titanc_opt::util::defined_in;
 
@@ -86,58 +88,71 @@ titanc_il::struct_json!(VectorReport, [vectorized, spread, scalar, notes, events
 /// Vectorizes every innermost DO loop of the procedure.
 pub fn vectorize(proc: &mut Procedure, opts: &VectorOptions) -> VectorReport {
     let mut report = VectorReport::default();
-    let mut done: std::collections::HashSet<StmtId> = std::collections::HashSet::new();
-    loop {
-        let target = find_innermost_do(proc, &done);
-        let id = match target {
-            Some(id) => id,
-            None => break,
+    // loops decided here, and the strip loops generated for them
+    let mut done: HashSet<StmtId> = HashSet::new();
+    // by statement index: the subtree holds a loop. Grown as statements
+    // are visited, and a statement's children are visited before it.
+    let mut loopy = vec![false; proc.stmts.len()];
+    // One postorder sweep: a DO loop is innermost when the walk below it
+    // left no loop behind. A vectorized loop's replacement goes in where
+    // the loop stood and the sweep resumes on it, so residual scalar loops
+    // are visited next, and an inner loop that vectorized without a strip
+    // loop leaves its parent the innermost one.
+    edit_tree(proc, Order::Post, &mut |proc, block, i| {
+        let id = block[i];
+        let holds_loop = proc.stmts[id]
+            .blocks()
+            .iter()
+            .any(|b| b.iter().any(|c| loopy[c.index()]));
+        if loopy.len() <= id.index() {
+            loopy.resize(proc.stmts.len(), false);
+        }
+        loopy[id.index()] = holds_loop || proc.stmts[id].is_loop();
+        let StmtKind::DoLoop { var, .. } = proc.stmts[id] else {
+            return i + 1;
         };
-        done.insert(id);
-        let (var, span) = loop_head(proc, id);
-        match try_vectorize_loop(proc, id, opts) {
+        if holds_loop || !done.insert(id) {
+            return i + 1;
+        }
+        let (var, span) = (proc.var(var).name.clone(), proc.stmts.span(id));
+        let (decision, next) = match try_vectorize_loop(proc, id, opts) {
             Outcome::Vectorized {
                 stripped,
                 parallel,
                 residual,
                 strip_ids,
+                replacement,
             } => {
                 report.vectorized += 1;
                 // strip loops are compiler-generated carriers for the
                 // vector statements; never revisit (or report) them
                 done.extend(strip_ids);
-                report.events.push(LoopEvent {
-                    proc: proc.name.clone(),
-                    var,
-                    span,
-                    decision: LoopDecision::Vectorized {
-                        stripped,
-                        parallel,
-                        residual,
-                    },
-                });
+                block.splice(i..=i, replacement);
+                let decision = LoopDecision::Vectorized {
+                    stripped,
+                    parallel,
+                    residual,
+                };
+                (decision, i)
             }
             Outcome::Spread => {
                 report.spread += 1;
-                report.events.push(LoopEvent {
-                    proc: proc.name.clone(),
-                    var,
-                    span,
-                    decision: LoopDecision::Parallelized,
-                });
+                (LoopDecision::Parallelized, i + 1)
             }
             Outcome::Scalar { note, defeat } => {
                 report.scalar += 1;
                 report.notes.push(note);
-                report.events.push(LoopEvent {
-                    proc: proc.name.clone(),
-                    var,
-                    span,
-                    decision: LoopDecision::Scalar(defeat),
-                });
+                (LoopDecision::Scalar(defeat), i + 1)
             }
-        }
-    }
+        };
+        report.events.push(LoopEvent {
+            proc: proc.name.clone(),
+            var,
+            span,
+            decision,
+        });
+        next
+    });
     sweep_unvisited_loops(proc, &done, &mut report);
     if report.vectorized > 0 || report.spread > 0 {
         proc.bump_generation();
@@ -145,31 +160,15 @@ pub fn vectorize(proc: &mut Procedure, opts: &VectorOptions) -> VectorReport {
     report
 }
 
-/// The controlling variable's name and source span of a loop header.
-fn loop_head(proc: &Procedure, id: StmtId) -> (String, SrcSpan) {
-    let var = match proc.find_stmt(id) {
-        Some(StmtKind::DoLoop { var, .. } | StmtKind::DoParallel { var, .. }) => {
-            proc.var(*var).name.clone()
-        }
-        _ => String::new(),
-    };
-    (var, proc.stmts.span(id))
-}
-
 /// Accounts for every loop the innermost-DO walk never visits, so the
 /// driver's `--opt-report` can classify all source loops: non-innermost DO
 /// loops (the vectorizer only considers innermost loops) and `while` loops
 /// that survived DO conversion. Spread (`WhileSpread`) and `do parallel`
 /// loops are already covered by their own events.
-fn sweep_unvisited_loops(
-    proc: &Procedure,
-    done: &std::collections::HashSet<StmtId>,
-    report: &mut VectorReport,
-) {
-    let mut events = Vec::new();
+fn sweep_unvisited_loops(proc: &Procedure, done: &HashSet<StmtId>, report: &mut VectorReport) {
     proc.for_each_stmt(&mut |s, kind| match kind {
         StmtKind::DoLoop { var, .. } if !done.contains(&s) => {
-            events.push(LoopEvent {
+            report.events.push(LoopEvent {
                 proc: proc.name.clone(),
                 var: proc.var(*var).name.clone(),
                 span: proc.stmts.span(s),
@@ -179,7 +178,7 @@ fn sweep_unvisited_loops(
             });
         }
         StmtKind::While { .. } => {
-            events.push(LoopEvent {
+            report.events.push(LoopEvent {
                 proc: proc.name.clone(),
                 var: String::new(),
                 span: proc.stmts.span(s),
@@ -190,7 +189,6 @@ fn sweep_unvisited_loops(
         }
         _ => {}
     });
-    report.events.extend(events);
 }
 
 enum Outcome {
@@ -203,6 +201,8 @@ enum Outcome {
         residual: bool,
         /// Ids of the compiler-generated strip loops.
         strip_ids: Vec<StmtId>,
+        /// What takes the loop's place in its block.
+        replacement: Block,
     },
     Spread,
     /// Left scalar; `note` is the full remark, `defeat` just the reason.
@@ -212,37 +212,7 @@ enum Outcome {
     },
 }
 
-/// Finds an unprocessed innermost `DoLoop` (bodies containing no loops).
-fn find_innermost_do(proc: &Procedure, done: &std::collections::HashSet<StmtId>) -> Option<StmtId> {
-    let mut found = None;
-    proc.for_each_stmt(&mut |s, kind| {
-        if found.is_some() {
-            return;
-        }
-        if let StmtKind::DoLoop { body, .. } = kind {
-            let has_inner_loop = body.iter().any(|&c| contains_loop(&proc.stmts, c));
-            if !has_inner_loop && !done.contains(&s) {
-                found = Some(s);
-            }
-        }
-    });
-    found
-}
-
-fn contains_loop(pool: &StmtPool, s: StmtId) -> bool {
-    if pool[s].is_loop() {
-        return true;
-    }
-    pool[s]
-        .blocks()
-        .iter()
-        .any(|b| b.iter().any(|&c| contains_loop(pool, c)))
-}
-
 struct VecStmtPlan {
-    /// original body index
-    #[allow(dead_code)]
-    index: usize,
     lhs_affine: titanc_deps::Affine,
     lhs_ty: ScalarType,
     /// The original rhs expression; deep-copied per emitted statement.
@@ -250,17 +220,18 @@ struct VecStmtPlan {
 }
 
 fn try_vectorize_loop(proc: &mut Procedure, id: StmtId, opts: &VectorOptions) -> Outcome {
-    let (lv, lo, hi, step_e, body, safe) = match proc.find_stmt(id) {
-        Some(StmtKind::DoLoop {
-            var,
-            lo,
-            hi,
-            step,
-            body,
-            safe,
-        }) => (*var, *lo, *hi, *step, body.clone(), *safe),
-        _ => unreachable!(),
+    let StmtKind::DoLoop {
+        var: lv,
+        lo,
+        hi,
+        step: step_e,
+        ref body,
+        safe,
+    } = proc.stmts[id]
+    else {
+        unreachable!("try_vectorize_loop called on a non-DO statement");
     };
+    let body = body.clone();
     let loop_span = proc.stmts.span(id);
     let lv_name = proc.var(lv).name.clone();
     let proc_name = proc.name.clone();
@@ -303,7 +274,7 @@ fn try_vectorize_loop(proc: &mut Procedure, id: StmtId, opts: &VectorOptions) ->
             if graph.pinned[i] || blocking_cycle(i) {
                 None
             } else {
-                plan_stmt(proc, &body, lv, body[i], i)
+                plan_stmt(proc, &body, lv, body[i])
             }
         } else {
             None
@@ -374,12 +345,12 @@ fn try_vectorize_loop(proc: &mut Procedure, id: StmtId, opts: &VectorOptions) ->
                 }
             }
         }
-        splice(proc, id, replacement);
         return Outcome::Vectorized {
             stripped,
             parallel: opts.parallelize,
             residual,
             strip_ids,
+            replacement,
         };
     }
 
@@ -487,13 +458,7 @@ fn trips_expression(
 }
 
 /// Checks one statement and extracts its vector plan.
-fn plan_stmt(
-    proc: &Procedure,
-    body: &[StmtId],
-    lv: VarId,
-    s: StmtId,
-    index: usize,
-) -> Option<VecStmtPlan> {
+fn plan_stmt(proc: &Procedure, body: &[StmtId], lv: VarId, s: StmtId) -> Option<VecStmtPlan> {
     let (lhs, rhs) = match &proc.stmts[s] {
         StmtKind::Assign { lhs, rhs } => (lhs, *rhs),
         _ => return None,
@@ -514,7 +479,6 @@ fn plan_stmt(
         return None;
     }
     Some(VecStmtPlan {
-        index,
         lhs_affine,
         lhs_ty: ty,
         rhs,
@@ -739,41 +703,4 @@ fn convert_to_parallel(proc: &mut Procedure, id: StmtId) {
             body,
         };
     }
-}
-
-/// Replaces statement `id` with `replacement` in whatever block contains
-/// it, recursing through nested blocks with the take/put-back idiom.
-fn splice(proc: &mut Procedure, id: StmtId, replacement: Block) {
-    fn walk(
-        stmts: &mut StmtPool,
-        block: &mut Block,
-        id: StmtId,
-        replacement: &mut Option<Block>,
-    ) -> bool {
-        for i in 0..block.len() {
-            if block[i] == id {
-                let repl = replacement.take().unwrap();
-                block.splice(i..=i, repl);
-                return true;
-            }
-            let s = block[i];
-            let mut kind = std::mem::replace(&mut stmts[s], StmtKind::Nop);
-            let mut hit = false;
-            for b in kind.blocks_mut() {
-                if walk(stmts, b, id, replacement) {
-                    hit = true;
-                    break;
-                }
-            }
-            stmts[s] = kind;
-            if hit {
-                return true;
-            }
-        }
-        false
-    }
-    let mut body = std::mem::take(&mut proc.body);
-    let mut r = Some(replacement);
-    walk(&mut proc.stmts, &mut body, id, &mut r);
-    proc.body = body;
 }

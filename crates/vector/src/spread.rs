@@ -14,6 +14,7 @@
 //! work distributes. The independent-storage assumption is the user's to
 //! make, so the pass only runs when explicitly enabled.
 
+use titanc_il::visit::{edit_tree, Order};
 use titanc_il::{
     Expr, ExprId, LoopDecision, LoopEvent, Procedure, ScalarType, StmtId, StmtKind, VarId,
 };
@@ -42,32 +43,22 @@ titanc_il::struct_json!(SpreadReport, [spread, events]);
 /// Converts eligible pointer-chasing `while` loops into spread form.
 pub fn spread_list_loops(proc: &mut Procedure) -> SpreadReport {
     let mut report = SpreadReport::default();
-    let mut done: Vec<StmtId> = Vec::new();
-    loop {
-        let mut target: Option<(StmtId, Plan)> = None;
-        proc.for_each_stmt(&mut |s, kind| {
-            if target.is_none() && !done.contains(&s) {
-                if let StmtKind::While { cond, body, .. } = kind {
-                    if let Some(plan) = analyze(proc, *cond, body) {
-                        target = Some((s, plan));
-                    }
-                }
+    edit_tree(proc, Order::Pre, &mut |proc, block, i| {
+        let id = block[i];
+        if let StmtKind::While { cond, body, .. } = &proc.stmts[id] {
+            if let Some(plan) = analyze(proc, *cond, body) {
+                report.events.push(LoopEvent {
+                    proc: proc.name.clone(),
+                    var: proc.var(plan.p).name.clone(),
+                    span: proc.stmts.span(id),
+                    decision: LoopDecision::ListSpread,
+                });
+                apply(proc, id, plan);
+                report.spread += 1;
             }
-        });
-        let (id, plan) = match target {
-            Some(t) => t,
-            None => break,
-        };
-        done.push(id);
-        report.events.push(LoopEvent {
-            proc: proc.name.clone(),
-            var: proc.var(plan.p).name.clone(),
-            span: proc.stmts.span(id),
-            decision: LoopDecision::ListSpread,
-        });
-        apply(proc, id, plan);
-        report.spread += 1;
-    }
+        }
+        i
+    });
     if report.spread > 0 {
         proc.bump_generation();
     }

@@ -19,8 +19,9 @@
 //!   in front of the loop.
 
 use titanc_deps::{const_trip_count, decompose, Affine, Aliasing, DepGraph};
+use titanc_il::visit::{edit_tree, Order};
 use titanc_il::{
-    BinOp, Block, Expr, ExprId, LValue, Procedure, ScalarType, StmtId, StmtKind, StmtPool, Type,
+    BinOp, Block, Expr, ExprId, LValue, Procedure, ScalarType, StmtId, StmtKind, Type, VarId,
 };
 use titanc_opt::util::invariant_in;
 
@@ -50,51 +51,62 @@ titanc_il::struct_json!(StrengthReport, [promoted, reduced, hoisted]);
 /// Runs the §6 optimizations on every remaining scalar DO loop.
 pub fn strength_reduce(proc: &mut Procedure, aliasing: Aliasing) -> StrengthReport {
     let mut report = StrengthReport::default();
-    let ids: Vec<StmtId> = do_loop_ids(proc);
-    for id in ids {
-        promote_registers(proc, id, aliasing, &mut report);
-        hoist_invariants(proc, id, &mut report);
-        reduce_addresses(proc, id, &mut report);
-    }
+    // a loop before the loops nested in it (preorder), the block in hand:
+    // what the loop hoists or initializes goes in right in front of it
+    edit_tree(proc, Order::Pre, &mut |proc, block, i| {
+        let id = block[i];
+        let Some(mut l) = take_loop(proc, id) else {
+            return i;
+        };
+        let mut pre = Block::new();
+        promote_registers(proc, &mut l, &mut pre, aliasing, &mut report);
+        hoist_invariants(proc, &mut l, &mut pre, &mut report);
+        reduce_addresses(proc, &mut l, &mut pre, &mut report);
+        if let StmtKind::DoLoop { body, .. } = &mut proc.stmts[id] {
+            *body = l.body;
+        }
+        let at = i + pre.len();
+        block.splice(i..i, pre);
+        at
+    });
     if report.promoted > 0 || report.reduced > 0 || report.hoisted > 0 {
         proc.bump_generation();
     }
     report
 }
 
-fn do_loop_ids(proc: &Procedure) -> Vec<StmtId> {
-    let mut out = Vec::new();
-    proc.for_each_stmt(&mut |s, kind| {
-        if matches!(kind, StmtKind::DoLoop { .. }) {
-            out.push(s);
-        }
-    });
-    out
+/// A DO loop with a nonzero constant step; its body is out of the pool
+/// while the three rewrites edit it.
+struct Loop {
+    lv: VarId,
+    lo: ExprId,
+    hi: ExprId,
+    step: i64,
+    step_e: ExprId,
+    body: Block,
 }
 
-/// `(var, lo, hi, step constant, step expr, body)` of a DO loop with a
-/// nonzero constant step.
-fn loop_parts(
-    proc: &Procedure,
-    id: StmtId,
-) -> Option<(titanc_il::VarId, ExprId, ExprId, i64, ExprId, Block)> {
-    match proc.find_stmt(id)? {
-        StmtKind::DoLoop {
-            var,
-            lo,
-            hi,
-            step,
-            body,
-            ..
-        } => {
-            let st = proc.exprs.as_int(*step)?;
-            if st == 0 {
-                return None;
-            }
-            Some((*var, *lo, *hi, st, *step, body.clone()))
-        }
-        _ => None,
-    }
+/// Takes the body of the DO loop `id` out, if its step is a nonzero constant.
+fn take_loop(proc: &mut Procedure, id: StmtId) -> Option<Loop> {
+    let StmtKind::DoLoop {
+        var,
+        lo,
+        hi,
+        step,
+        body,
+        ..
+    } = &mut proc.stmts[id]
+    else {
+        return None;
+    };
+    Some(Loop {
+        lv: *var,
+        lo: *lo,
+        hi: *hi,
+        step: proc.exprs.as_int(*step).filter(|&st| st != 0)?,
+        step_e: *step,
+        body: std::mem::take(body),
+    })
 }
 
 /// Semantic affine equality: same symbolic base, coefficient, and offset
@@ -115,17 +127,22 @@ fn affine_eq(a: &Affine, b: &Affine) -> bool {
 /// ```
 fn promote_registers(
     proc: &mut Procedure,
-    id: StmtId,
+    l: &mut Loop,
+    pre: &mut Block,
     aliasing: Aliasing,
     report: &mut StrengthReport,
 ) {
-    let (lv, lo, hi, step, step_e, body) = match loop_parts(proc, id) {
-        Some(p) => p,
-        None => return,
-    };
+    let Loop {
+        lv,
+        lo,
+        hi,
+        step,
+        step_e,
+        ref body,
+    } = *l;
     let trips = const_trip_count(&proc.exprs, lo, hi, step_e);
     let lo_const = proc.exprs.as_int(lo);
-    let graph = DepGraph::build_for_loop(proc, &body, lv, lo_const, step, trips, aliasing);
+    let graph = DepGraph::build_for_loop(proc, body, lv, lo_const, step, trips, aliasing);
     if graph.pinned.iter().any(|&p| p) {
         return;
     }
@@ -150,7 +167,7 @@ fn promote_registers(
                         volatile: false,
                     },
                 ..
-            } => match decompose(proc, &body, lv, *addr) {
+            } => match decompose(proc, body, lv, *addr) {
                 Some(a) => (a, *ty),
                 None => return,
             },
@@ -202,24 +219,22 @@ fn promote_registers(
     let lo_c = proc.exprs.copy(lo);
     let pre_addr = load_aff.materialize(&mut proc.exprs, lo_c);
     let pre_rhs = proc.exprs.load(pre_addr, store_ty);
-    let pre = proc.stamp(StmtKind::Assign {
+    let load_reg = proc.stamp(StmtKind::Assign {
         lhs: LValue::Var(reg),
         rhs: pre_rhs,
     });
 
-    // rewrite body
-    let mut new_body = body.clone();
     // replace the matching load in the sink statement with reg
     let mut replaced = false;
-    let roots: Vec<ExprId> = proc.stmts[new_body[load_idx]].exprs().iter().collect();
+    let roots: Vec<ExprId> = proc.stmts[body[load_idx]].exprs().iter().collect();
     for e in roots {
-        replace_matching_load(proc, &body, lv, e, &matches_load, reg, &mut replaced);
+        replace_matching_load(proc, body, lv, e, &matches_load, reg, &mut replaced);
     }
     if !replaced {
         return;
     }
     // split the store: tval = rhs; store = tval; reg = tval
-    let (store_lhs, store_rhs) = match &proc.stmts[new_body[store_idx]] {
+    let (store_lhs, store_rhs) = match &proc.stmts[body[store_idx]] {
         StmtKind::Assign { lhs, rhs } => (*lhs, *rhs),
         _ => return,
     };
@@ -237,19 +252,18 @@ fn promote_registers(
         lhs: LValue::Var(reg),
         rhs: t_read2,
     });
-    new_body.splice(store_idx..=store_idx, [s1, s2, s3]);
-
-    replace_loop(proc, id, vec![pre], new_body, None);
+    l.body.splice(store_idx..=store_idx, [s1, s2, s3]);
+    pre.push(load_reg);
     report.promoted += 1;
 }
 
 fn replace_matching_load(
     proc: &mut Procedure,
     body: &[StmtId],
-    lv: titanc_il::VarId,
+    lv: VarId,
     e: ExprId,
     matches: &dyn Fn(&Affine) -> bool,
-    reg: titanc_il::VarId,
+    reg: VarId,
     replaced: &mut bool,
 ) {
     if let Expr::Load {
@@ -275,11 +289,15 @@ fn replace_matching_load(
 // loop-invariant hoisting
 // ---------------------------------------------------------------------
 
-fn hoist_invariants(proc: &mut Procedure, id: StmtId, report: &mut StrengthReport) {
-    let (lv, lo, hi, _step, step_e, body) = match loop_parts(proc, id) {
-        Some(p) => p,
-        None => return,
-    };
+fn hoist_invariants(proc: &Procedure, l: &mut Loop, pre: &mut Block, report: &mut StrengthReport) {
+    let Loop {
+        lv,
+        lo,
+        hi,
+        step_e,
+        ref body,
+        ..
+    } = *l;
     // Hoisting executes the assignment exactly once *before* the loop, so
     // it is only sound when (a) the loop provably runs at least once —
     // otherwise a post-loop reader would observe a write that never
@@ -303,7 +321,7 @@ fn hoist_invariants(proc: &mut Procedure, id: StmtId, report: &mut StrengthRepor
             } => {
                 titanc_opt::util::register_candidate(proc, *v)
                     && !proc.exprs.reads_var(*rhs, lv)
-                    && invariant_in(proc, &body, *rhs)
+                    && invariant_in(proc, body, *rhs)
                     && body
                         .iter()
                         .filter(|&&t| proc.stmts[t].defined_var() == Some(*v))
@@ -334,7 +352,8 @@ fn hoist_invariants(proc: &mut Procedure, id: StmtId, report: &mut StrengthRepor
         return;
     }
     report.hoisted += hoisted.len();
-    replace_loop(proc, id, hoisted, kept, None);
+    pre.extend(hoisted);
+    l.body = kept;
 }
 
 // ---------------------------------------------------------------------
@@ -344,23 +363,31 @@ fn hoist_invariants(proc: &mut Procedure, id: StmtId, report: &mut StrengthRepor
 /// (base key, coefficient, offset, representative affine)
 type AddrKey = (Vec<(String, i64)>, i64, i64, Affine);
 
-fn reduce_addresses(proc: &mut Procedure, id: StmtId, report: &mut StrengthReport) {
-    let (lv, lo, _hi, step, _step_e, body) = match loop_parts(proc, id) {
-        Some(p) => p,
-        None => return,
-    };
+fn reduce_addresses(
+    proc: &mut Procedure,
+    l: &mut Loop,
+    pre: &mut Block,
+    report: &mut StrengthReport,
+) {
+    let Loop {
+        lv,
+        lo,
+        step,
+        ref body,
+        ..
+    } = *l;
     // collect distinct varying affine addresses from loads and stores
     let mut keys: Vec<AddrKey> = Vec::new();
-    for &s in &body {
+    for &s in body {
         for e in proc.stmts[s].exprs() {
-            collect_affine_addrs(proc, &body, lv, e, &mut keys);
+            collect_affine_addrs(proc, body, lv, e, &mut keys);
         }
         if let StmtKind::Assign {
             lhs: LValue::Deref { addr, .. },
             ..
         } = &proc.stmts[s]
         {
-            if let Some(aff) = decompose(proc, &body, lv, *addr) {
+            if let Some(aff) = decompose(proc, body, lv, *addr) {
                 if aff.coeff != 0 {
                     push_key(&mut keys, aff);
                 }
@@ -371,9 +398,7 @@ fn reduce_addresses(proc: &mut Procedure, id: StmtId, report: &mut StrengthRepor
         return;
     }
 
-    let mut pre = Vec::new();
     let mut post_incs = Vec::new();
-    let mut new_body = body.clone();
     for (_, coeff, _off, aff) in &keys {
         let pt = proc.fresh_temp(Type::ptr_to(Type::Void));
         proc.var_mut(pt).name = format!("sr_p{}", pt.index());
@@ -395,10 +420,10 @@ fn reduce_addresses(proc: &mut Procedure, id: StmtId, report: &mut StrengthRepor
         });
         post_incs.push(bump);
         // replace address expressions equal to this affine with Var(pt)
-        for &s in &new_body {
+        for &s in body {
             let roots: Vec<ExprId> = proc.stmts[s].exprs().iter().collect();
             for e in roots {
-                replace_affine_addr(proc, &body, lv, e, aff, pt);
+                replace_affine_addr(proc, body, lv, e, aff, pt);
             }
             let store_addr = match &proc.stmts[s] {
                 StmtKind::Assign {
@@ -408,7 +433,7 @@ fn reduce_addresses(proc: &mut Procedure, id: StmtId, report: &mut StrengthRepor
                 _ => None,
             };
             if let Some(addr) = store_addr {
-                if let Some(a2) = decompose(proc, &body, lv, addr) {
+                if let Some(a2) = decompose(proc, body, lv, addr) {
                     if affine_eq(&a2, aff) {
                         proc.exprs[addr] = Expr::Var(pt);
                     }
@@ -417,8 +442,7 @@ fn reduce_addresses(proc: &mut Procedure, id: StmtId, report: &mut StrengthRepor
         }
         report.reduced += 1;
     }
-    new_body.extend(post_incs);
-    replace_loop(proc, id, pre, new_body, None);
+    l.body.extend(post_incs);
 }
 
 fn push_key(keys: &mut Vec<AddrKey>, aff: Affine) {
@@ -434,7 +458,7 @@ fn push_key(keys: &mut Vec<AddrKey>, aff: Affine) {
 fn collect_affine_addrs(
     proc: &Procedure,
     body: &[StmtId],
-    lv: titanc_il::VarId,
+    lv: VarId,
     e: ExprId,
     keys: &mut Vec<AddrKey>,
 ) {
@@ -460,10 +484,10 @@ fn collect_affine_addrs(
 fn replace_affine_addr(
     proc: &mut Procedure,
     body: &[StmtId],
-    lv: titanc_il::VarId,
+    lv: VarId,
     e: ExprId,
     aff: &Affine,
-    pt: titanc_il::VarId,
+    pt: VarId,
 ) {
     if let Expr::Load {
         addr,
@@ -481,56 +505,4 @@ fn replace_affine_addr(
     for c in proc.exprs[e].child_ids() {
         replace_affine_addr(proc, body, lv, c, aff, pt);
     }
-}
-
-// ---------------------------------------------------------------------
-
-/// Replaces the loop: `pre…; DO { new_body }; post…`.
-fn replace_loop(
-    proc: &mut Procedure,
-    id: StmtId,
-    pre: Block,
-    new_body: Block,
-    mut post: Option<Block>,
-) {
-    if let StmtKind::DoLoop { body, .. } = &mut proc.stmts[id] {
-        *body = new_body;
-    }
-    fn walk(
-        stmts: &mut StmtPool,
-        block: &mut Block,
-        id: StmtId,
-        pre: &mut Option<Block>,
-        post: &mut Option<Block>,
-    ) -> bool {
-        for i in 0..block.len() {
-            if block[i] == id {
-                let p = pre.take().unwrap();
-                let n_pre = p.len();
-                block.splice(i..i, p);
-                if let Some(po) = post.take() {
-                    let at = i + n_pre + 1;
-                    block.splice(at..at, po);
-                }
-                return true;
-            }
-            let s = block[i];
-            let mut kind = std::mem::replace(&mut stmts[s], StmtKind::Nop);
-            let mut hit = false;
-            for b in kind.blocks_mut() {
-                if walk(stmts, b, id, pre, post) {
-                    hit = true;
-                    break;
-                }
-            }
-            stmts[s] = kind;
-            if hit {
-                return true;
-            }
-        }
-        false
-    }
-    let mut body = std::mem::take(&mut proc.body);
-    walk(&mut proc.stmts, &mut body, id, &mut Some(pre), &mut post);
-    proc.body = body;
 }

@@ -1,9 +1,9 @@
 //! Vectorizer and §6 optimization tests: IL shapes plus observational
 //! equivalence on the Titan simulator.
 
-use crate::{strength_reduce, vectorize, VectorOptions};
+use crate::{spread_list_loops, strength_reduce, vectorize, VectorOptions};
 use titanc_deps::Aliasing;
-use titanc_il::{pretty_proc, Procedure, Program, ScalarType};
+use titanc_il::{pretty_proc, LoopDecision, LoopEvent, Procedure, Program, ScalarType};
 use titanc_lower::compile_to_il;
 use titanc_titan::MachineConfig;
 
@@ -549,4 +549,149 @@ int main(void)
     vectorize(&mut opt.procs[0], &VectorOptions::default());
     let g = [("a", ScalarType::Float, 64)];
     assert_eq!(observe(&base, &g), observe(&opt, &g));
+}
+
+// ---------------------------------------------------------------------
+// the order of the vector phase's one sweep, as `--opt-report` prints it
+// ---------------------------------------------------------------------
+
+/// `(source line, decision tag, scalar reason)` of every event.
+fn trail(events: &[LoopEvent]) -> Vec<(u32, &'static str, &str)> {
+    events
+        .iter()
+        .map(|e| {
+            let why = match &e.decision {
+                LoopDecision::Scalar(why) => why.as_str(),
+                _ => "",
+            };
+            (e.span.line, e.decision.tag(), why)
+        })
+        .collect()
+}
+
+const INNER_LOOP: &str = "contains an inner loop (only innermost loops are vectorized)";
+
+#[test]
+fn residual_loop_is_reported_right_after_its_vector_half() {
+    let src = r#"
+float a[64], b[64], c[64], r[66];
+int main(void)
+{
+    int i;
+    for (i = 0; i < 64; i++) {
+        a[i] = b[i] + 1.0f;
+        r[i + 1] = r[i] * 0.5f;
+    }
+    for (i = 0; i < 64; i++) c[i] = b[i] * 2.0f;
+    return 0;
+}
+"#;
+    let mut prog = prep(src);
+    let rep = vectorize(&mut prog.procs[0], &VectorOptions::default());
+    assert_eq!(
+        rep.events[0].decision,
+        LoopDecision::Vectorized {
+            stripped: false,
+            parallel: false,
+            residual: true
+        }
+    );
+    let t = trail(&rep.events);
+    assert_eq!(t.len(), 3, "the residual loop is reported once: {t:?}");
+    assert_eq!((t[0].0, t[0].1), (6, "vectorized"));
+    assert_eq!((t[1].0, t[1].1), (6, "scalar"), "{t:?}");
+    assert_ne!(t[1].2, INNER_LOOP);
+    assert_eq!((t[2].0, t[2].1), (10, "vectorized"), "{t:?}");
+    assert_eq!((rep.vectorized, rep.scalar), (2, 1));
+}
+
+const NEST_THEN_SIBLING: &str = r#"
+float a[8][64], b[8][64], c[64];
+int main(void)
+{
+    int i, j;
+    for (i = 0; i < 8; i++)
+        for (j = 0; j < 64; j++) a[i][j] = b[i][j] + 1.0f;
+    for (j = 0; j < 64; j++) c[j] = c[j] * 2.0f;
+    return 0;
+}
+"#;
+
+#[test]
+fn parent_of_an_unstripped_inner_loop_is_the_next_candidate() {
+    // 64 trips fit one vector, so the inner loop leaves no strip loop
+    // behind and its parent is innermost by the time the sweep reaches it
+    let mut prog = prep(NEST_THEN_SIBLING);
+    let rep = vectorize(&mut prog.procs[0], &VectorOptions::default());
+    let t = trail(&rep.events);
+    assert_eq!(t.len(), 3, "{t:?}");
+    assert_eq!((t[0].0, t[0].1), (7, "vectorized"), "{t:?}");
+    assert_eq!(
+        t[1].0, 6,
+        "the parent comes before its later sibling: {t:?}"
+    );
+    assert_ne!(t[1].2, INNER_LOOP, "it was visited, not swept: {t:?}");
+    assert_eq!((t[2].0, t[2].1), (8, "vectorized"), "{t:?}");
+}
+
+#[test]
+fn parent_of_a_strip_mined_inner_loop_is_swept_last() {
+    let mut prog = prep(NEST_THEN_SIBLING);
+    let opts = VectorOptions {
+        parallelize: true,
+        ..VectorOptions::default()
+    };
+    let rep = vectorize(&mut prog.procs[0], &opts);
+    let t = trail(&rep.events);
+    assert_eq!(
+        t,
+        [
+            (7, "vectorized", ""),
+            (8, "vectorized", ""),
+            (6, "scalar", INNER_LOOP)
+        ]
+    );
+}
+
+#[test]
+fn list_loops_spread_in_source_order() {
+    let src = r#"
+struct node { float v; float out; struct node *next; };
+float total;
+void work(struct node *p, struct node *q, struct node *r)
+{
+    float s;
+    while (p) {
+        p->out = p->v * 2.0f;
+        p = p->next;
+    }
+    s = 0.0f;
+    while (q) {
+        s = s + q->v;
+        q = q->next;
+    }
+    total = s;
+    while (r) {
+        r->out = r->v + 1.0f;
+        r = r->next;
+    }
+}
+"#;
+    let prog = compile_to_il(src).unwrap();
+    let mut proc = prog.procs[0].clone();
+    let rep = spread_list_loops(&mut proc);
+    assert_eq!(rep.spread, 2, "{}", pretty_proc(&proc));
+    let vars: Vec<(&str, u32)> = rep
+        .events
+        .iter()
+        .map(|e| (e.var.as_str(), e.span.line))
+        .collect();
+    assert_eq!(vars, [("p", 7), ("r", 17)]);
+    assert!(
+        rep.events
+            .iter()
+            .all(|e| e.decision == LoopDecision::ListSpread),
+        "{:?}",
+        rep.events
+    );
 }

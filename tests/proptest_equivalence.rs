@@ -1,240 +1,18 @@
 //! Property-based differential testing: random C programs must behave
 //! identically at every optimization level.
 //!
-//! The generator produces structured programs (assignments, arithmetic,
-//! branches, bounded counted loops, array stores) over `int` scalars and a
-//! `float` array; observable state is the return value plus the contents
-//! of the output arrays. The Titan simulator is the semantic referee.
-//! Random programs come from a fixed-seed xorshift generator so the suite
-//! needs no external crates and every run checks the same cases
+//! The programs come from the stress harness's generator
+//! (`titanc_bench::progen`): assignments, arithmetic, branches, bounded
+//! counted loops, a helper call and array stores over `int` scalars;
+//! observable state is the return value plus the contents of the output
+//! arrays. The Titan simulator is the semantic referee. The generator is a
+//! fixed-seed xorshift, so every run checks the same cases
 //! (`TITANC_FUZZ_CASES` turns the dial).
 
+use titanc_bench::progen::{program, Rng, OUT_LEN};
 use titanc_repro::il::ScalarType;
 use titanc_repro::titan::MachineConfig;
 use titanc_repro::titanc::{compile, Options};
-
-const INT_VARS: [&str; 4] = ["va", "vb", "vc", "vd"];
-const OUT_LEN: usize = 16;
-
-/// Deterministic xorshift64* generator.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.0 = x;
-        x.wrapping_mul(0x2545F4914F6CDD1D)
-    }
-
-    /// Uniform value in `[0, n)`.
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-
-    /// Uniform value in `[lo, hi)`.
-    fn range(&mut self, lo: i64, hi: i64) -> i64 {
-        lo + self.below((hi - lo) as u64) as i64
-    }
-}
-
-#[derive(Clone, Debug)]
-enum E {
-    Const(i32),
-    Var(usize),
-    LoopVar,
-    Add(Box<E>, Box<E>),
-    Sub(Box<E>, Box<E>),
-    Mul(Box<E>, Box<E>),
-    Lt(Box<E>, Box<E>),
-    /// call the generated helper (fuzzes the inliner)
-    Call(Box<E>, Box<E>),
-}
-
-impl E {
-    /// `loop_level` = nesting depth of counted loops (0 = outside); nested
-    /// loops use distinct counters `l1…` — sharing one counter between
-    /// nests makes genuinely infinite programs (an inner loop leaving the
-    /// counter below the outer bound forever).
-    fn render(&self, loop_level: usize) -> String {
-        match self {
-            E::Const(c) => format!("{c}"),
-            E::Var(i) => INT_VARS[*i % INT_VARS.len()].to_string(),
-            E::LoopVar => {
-                if loop_level > 0 {
-                    format!("l{loop_level}")
-                } else {
-                    "1".into()
-                }
-            }
-            E::Add(a, b) => format!("({} + {})", a.render(loop_level), b.render(loop_level)),
-            E::Sub(a, b) => format!("({} - {})", a.render(loop_level), b.render(loop_level)),
-            E::Mul(a, b) => format!("({} * {})", a.render(loop_level), b.render(loop_level)),
-            E::Lt(a, b) => format!("({} < {})", a.render(loop_level), b.render(loop_level)),
-            E::Call(a, b) => format!("helper({}, {})", a.render(loop_level), b.render(loop_level)),
-        }
-    }
-}
-
-#[derive(Clone, Debug)]
-enum S {
-    Assign(usize, E),
-    Store(usize, E),
-    If(E, Vec<S>, Vec<S>),
-    CountedLoop(u8, Vec<S>),
-    StoreAtLoopVar(E),
-    FloatStore(usize, E),
-}
-
-const MAX_LOOP_LEVEL: usize = 4;
-
-fn render_block(stmts: &[S], out: &mut String, depth: usize, loop_level: usize) {
-    let pad = "    ".repeat(depth);
-    for s in stmts {
-        match s {
-            S::Assign(v, e) => {
-                out.push_str(&format!(
-                    "{pad}{} = {};\n",
-                    INT_VARS[*v % INT_VARS.len()],
-                    e.render(loop_level)
-                ));
-            }
-            S::Store(idx, e) => {
-                out.push_str(&format!(
-                    "{pad}out_g[{}] = {};\n",
-                    idx % OUT_LEN,
-                    e.render(loop_level)
-                ));
-            }
-            S::FloatStore(idx, e) => {
-                out.push_str(&format!(
-                    "{pad}out_f[{}] = {} * 0.5f;\n",
-                    idx % OUT_LEN,
-                    e.render(loop_level)
-                ));
-            }
-            S::If(c, t, f) => {
-                out.push_str(&format!("{pad}if ({}) {{\n", c.render(loop_level)));
-                render_block(t, out, depth + 1, loop_level);
-                if f.is_empty() {
-                    out.push_str(&format!("{pad}}}\n"));
-                } else {
-                    out.push_str(&format!("{pad}}} else {{\n"));
-                    render_block(f, out, depth + 1, loop_level);
-                    out.push_str(&format!("{pad}}}\n"));
-                }
-            }
-            S::CountedLoop(n, body) => {
-                let lv = (loop_level + 1).min(MAX_LOOP_LEVEL);
-                out.push_str(&format!(
-                    "{pad}for (l{lv} = 0; l{lv} < {}; l{lv}++) {{\n",
-                    n % 12 + 1
-                ));
-                render_block(body, out, depth + 1, lv);
-                out.push_str(&format!("{pad}}}\n"));
-            }
-            S::StoreAtLoopVar(e) => {
-                // counters stay < 12 < OUT_LEN
-                if loop_level > 0 {
-                    out.push_str(&format!(
-                        "{pad}out_g[l{loop_level}] = {};\n",
-                        e.render(loop_level)
-                    ));
-                } else {
-                    out.push_str(&format!("{pad}out_g[0] = {};\n", e.render(loop_level)));
-                }
-            }
-        }
-    }
-}
-
-fn render_program(stmts: &[S], helper: &[S], helper_ret: &E, ret: &E) -> String {
-    let mut body = String::new();
-    render_block(stmts, &mut body, 1, 0);
-    let mut hbody = String::new();
-    render_block(helper, &mut hbody, 1, 0);
-    let decls = "int va, vb, vc, vd, l1, l2, l3, l4;";
-    let inits = "l1 = 0; l2 = 0; l3 = 0; l4 = 0;";
-    format!(
-        "int out_g[{OUT_LEN}];\nfloat out_f[{OUT_LEN}];\n\
-         int helper(int ha, int hb)\n{{\n    {decls}\n    va = ha; vb = hb; vc = 3; vd = 4; {inits}\n{hbody}    return {};\n}}\n\
-         int main(void)\n{{\n    {decls}\n    va = 1; vb = 2; vc = 3; vd = 4; {inits}\n{body}    return {};\n}}\n",
-        helper_ret.render(0),
-        ret.render(0)
-    )
-}
-
-fn gen_expr(rng: &mut Rng, depth: u32, allow_calls: bool) -> E {
-    if depth == 0 || rng.below(5) < 2 {
-        return match rng.below(3) {
-            0 => E::Const(rng.range(-20, 20) as i32),
-            1 => E::Var(rng.below(4) as usize),
-            _ => E::LoopVar,
-        };
-    }
-    let a = Box::new(gen_expr(rng, depth - 1, allow_calls));
-    let b = Box::new(gen_expr(rng, depth - 1, allow_calls));
-    match rng.below(if allow_calls { 5 } else { 4 }) {
-        0 => E::Add(a, b),
-        1 => E::Sub(a, b),
-        2 => E::Mul(a, b),
-        3 => E::Lt(a, b),
-        _ => E::Call(a, b),
-    }
-}
-
-fn gen_stmt(rng: &mut Rng, depth: u32, allow_calls: bool) -> S {
-    if depth > 0 && rng.below(3) == 0 {
-        return match rng.below(2) {
-            0 => {
-                let cond = gen_expr(rng, 2, allow_calls);
-                let then_len = rng.range(1, 4);
-                let else_len = rng.range(0, 3);
-                let t = (0..then_len)
-                    .map(|_| gen_stmt(rng, depth - 1, allow_calls))
-                    .collect();
-                let f = (0..else_len)
-                    .map(|_| gen_stmt(rng, depth - 1, allow_calls))
-                    .collect();
-                S::If(cond, t, f)
-            }
-            _ => {
-                let n = rng.below(256) as u8;
-                let body_len = rng.range(1, 4);
-                let body = (0..body_len)
-                    .map(|_| gen_stmt(rng, depth - 1, allow_calls))
-                    .collect();
-                S::CountedLoop(n, body)
-            }
-        };
-    }
-    match rng.below(4) {
-        0 => S::Assign(rng.below(4) as usize, gen_expr(rng, 2, allow_calls)),
-        1 => S::Store(
-            rng.below(OUT_LEN as u64) as usize,
-            gen_expr(rng, 2, allow_calls),
-        ),
-        2 => S::FloatStore(
-            rng.below(OUT_LEN as u64) as usize,
-            gen_expr(rng, 2, allow_calls),
-        ),
-        _ => S::StoreAtLoopVar(gen_expr(rng, 2, allow_calls)),
-    }
-}
-
-fn gen_program(rng: &mut Rng) -> String {
-    let stmts: Vec<S> = (0..rng.range(1, 8))
-        .map(|_| gen_stmt(rng, 2, true))
-        .collect();
-    let helper: Vec<S> = (0..rng.range(1, 5))
-        .map(|_| gen_stmt(rng, 1, false))
-        .collect();
-    let helper_ret = gen_expr(rng, 2, false);
-    let ret = gen_expr(rng, 2, true);
-    render_program(&stmts, &helper, &helper_ret, &ret)
-}
 
 fn observe(src: &str, opts: &Options, machine: MachineConfig) -> titanc_repro::titan::Observation {
     let compiled = compile(src, opts).expect("generated program compiles");
@@ -268,9 +46,9 @@ fn fuzz_cases() -> u32 {
 /// O1, O2 and O2-parallel agree with the unoptimized program.
 #[test]
 fn optimization_levels_agree() {
-    let mut rng = Rng(0xD1FF);
+    let mut rng = Rng::new(0xD1FF);
     for _ in 0..fuzz_cases() {
-        let src = gen_program(&mut rng);
+        let src = program(&mut rng);
         let base = observe(&src, &Options::o0(), MachineConfig::default());
         let o1 = observe(&src, &Options::o1(), MachineConfig::default());
         assert_eq!(base, o1, "O1 diverged on:\n{src}");
@@ -285,9 +63,9 @@ fn optimization_levels_agree() {
 /// crashing for every generated program (fuzz smoke).
 #[test]
 fn front_end_total() {
-    let mut rng = Rng(0xF207);
+    let mut rng = Rng::new(0xF207);
     for _ in 0..fuzz_cases() {
-        let src = gen_program(&mut rng);
+        let src = program(&mut rng);
         let tu = titanc_cfront::parse(&src).expect("parses");
         let prog = titanc_lower::lower(&tu).expect("lowers");
         assert!(!prog.is_empty(), "empty lowering for:\n{src}");
