@@ -935,6 +935,25 @@ fn check_server_case(cseed: u64, src: &str, totals: &mut ServerStressTotals) -> 
                 return Err(format!("{what}: not fully warm:\n{}", resp.stderr));
             }
         }
+        // every request so far asked for `verify`, which the reply memo
+        // stays out of. Without it the healed daemon's next reply is
+        // admitted and the one after is that memoised line — still the
+        // no-cache reference's bytes, for whatever program this case drew.
+        let mut plain_req = req.clone();
+        plain_req.verify = false;
+        let admitted = server_round_trip(&fresh, &plain_req, "plain, executed")?;
+        let memoised = server_round_trip(&fresh, &plain_req, "plain, memoised")?;
+        for (what, resp) in [("executed", &admitted), ("memoised", &memoised)] {
+            if resp.exit != 0 || resp.stdout != ref_stdout || resp.stderr != admitted.stderr {
+                return Err(format!("plain, {what}: diverged:\n{}", resp.stderr));
+            }
+        }
+        let replies = (fresh.totals().reply_hits, fresh.totals().reply_misses);
+        if replies != (1, 1) {
+            return Err(format!(
+                "reply memo: (hits, misses) = {replies:?}, not (1, 1)"
+            ));
+        }
         let ft = fresh.totals();
         if ft.corrupt != ft.quarantined || ft.resident_entries > ft.admitted {
             return Err(format!("fresh daemon kept something it refused: {ft}"));

@@ -25,6 +25,11 @@
 //! one-shot `titanc` on the same inputs (modulo the `titanc: cache:`
 //! accounting line, which reflects cache state).
 //!
+//! A fully warm repeat of a request it has answered is one lookup in the
+//! reply memo. Everything resident lives under fixed byte budgets, and no
+//! line takes the daemon down: one over 16 MiB or not UTF-8 is answered
+//! `exit: 2` unbuffered, a request whose execution panics `exit: 3`.
+//!
 //! `{"shutdown": true}` stops the daemon; the acknowledgement and the
 //! final `titand: totals:` stderr line carry the aggregate accounting.
 

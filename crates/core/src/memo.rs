@@ -1,18 +1,18 @@
 //! The compile server's one memo type.
 //!
 //! A [`Memo`] maps a key to an immutable, shared value (`Arc<V>`) that
-//! was checked once, when it entered. `titand` keeps three of them (see
-//! [`Memos`](crate::store::Memos)): front-end results per file content,
-//! typed cache entries, decoded session manifests. All three hold values
-//! that are pure functions of bytes the daemon has already seen, so an
-//! evicted value is only ever *recomputed* — the front end re-parses, an
-//! entry or manifest is re-admitted from the backing directory or
-//! recompiled — never wrong. That is what makes the fixed entry cap with
-//! least-recently-used eviction safe by construction.
+//! was checked once, when it entered. `titand` keeps one per layer (see
+//! [`Memos`](crate::store::Memos)). Every layer holds values that are pure
+//! functions of bytes the daemon has already seen, so an evicted value is
+//! only ever *recomputed* — the front end re-parses, an entry or manifest
+//! is re-admitted from the backing directory or recompiled, a reply is
+//! executed again — never wrong. That is what makes a fixed byte budget
+//! with least-recently-used eviction safe by construction: each value is
+//! weighed once, on the way in, and the memo never holds more.
 //!
 //! One mutex guards the map, the recency tick and the counters; a hit
 //! clones an `Arc` under it and everything else (decoding, verifying,
-//! cloning the value out) happens outside.
+//! weighing, cloning the value out) happens outside.
 
 use std::borrow::Borrow;
 use std::collections::BTreeMap;
@@ -29,12 +29,16 @@ pub(crate) struct MemoCounts {
     pub admitted: u64,
     /// Values dropped to make room for another.
     pub evicted: u64,
+    /// The summed weight of the values resident right now.
+    pub resident_bytes: u64,
 }
 
 struct Slot<V> {
     value: Arc<V>,
     /// The tick of the last hit or insert; the smallest is evicted.
     used: u64,
+    /// What the value weighed when it was admitted.
+    bytes: usize,
 }
 
 struct Inner<K, V> {
@@ -43,22 +47,37 @@ struct Inner<K, V> {
     counts: MemoCounts,
 }
 
-/// A keyed memo of at most `cap` shared values with LRU eviction.
+impl<K: Ord, V> Inner<K, V> {
+    fn forget<Q: Ord + ?Sized>(&mut self, key: &Q)
+    where
+        K: Borrow<Q>,
+    {
+        let gone = self.map.remove(key).map_or(0, |slot| slot.bytes);
+        self.counts.resident_bytes -= gone as u64;
+    }
+}
+
+/// A keyed memo of shared values weighing at most `budget` bytes together,
+/// with LRU eviction.
 pub(crate) struct Memo<K, V> {
     inner: Mutex<Inner<K, V>>,
-    cap: usize,
+    budget: usize,
+    weight: fn(&V) -> usize,
 }
 
 impl<K: Ord + Clone, V> Memo<K, V> {
-    /// An empty memo that holds at most `cap` values (at least one).
-    pub(crate) fn new(cap: usize) -> Memo<K, V> {
+    /// An empty memo that keeps at most `budget` bytes resident, as
+    /// `weight` (an estimate of what a value allocates) plus a fixed
+    /// per-slot charge count them.
+    pub(crate) fn new(budget: usize, weight: fn(&V) -> usize) -> Memo<K, V> {
         Memo {
             inner: Mutex::new(Inner {
                 map: BTreeMap::new(),
                 tick: 0,
                 counts: MemoCounts::default(),
             }),
-            cap: cap.max(1),
+            budget,
+            weight,
         }
     }
 
@@ -93,30 +112,36 @@ impl<K: Ord + Clone, V> Memo<K, V> {
         }
     }
 
-    /// Admits `value` under `key` (replacing what was there: two workers
-    /// admitting one key computed the same value) and returns the shared
-    /// handle. At the cap, the least recently used value makes room.
+    /// Admits `value` under `key` (replacing what was there) and returns
+    /// the shared handle. Least recently used values make room until it
+    /// fits; a value heavier than the whole budget is handed back without
+    /// being admitted, and the next lookup misses.
     pub(crate) fn insert(&self, key: K, value: V) -> Arc<V> {
+        // the slot charge bounds the *number* of values, however light
+        let bytes = (self.weight)(&value) + size_of::<(K, Slot<V>, V)>();
         let value = Arc::new(value);
         let mut guard = self.lock();
         let inner = &mut *guard;
         inner.tick += 1;
-        if inner.map.len() >= self.cap && !inner.map.contains_key(&key) {
+        inner.forget(&key);
+        if bytes > self.budget {
+            return value;
+        }
+        while inner.counts.resident_bytes as usize + bytes > self.budget {
             // a scan, but only once the memo is full
             let oldest = inner.map.iter().min_by_key(|(_, slot)| slot.used);
-            if let Some(victim) = oldest.map(|(k, _)| k.clone()) {
-                inner.map.remove(&victim);
-                inner.counts.evicted += 1;
-            }
+            let victim = oldest.map(|(k, _)| k.clone()).expect("bytes are resident");
+            inner.forget(&victim);
+            inner.counts.evicted += 1;
         }
         inner.counts.admitted += 1;
-        inner.map.insert(
-            key,
-            Slot {
-                value: Arc::clone(&value),
-                used: inner.tick,
-            },
-        );
+        inner.counts.resident_bytes += bytes as u64;
+        let slot = Slot {
+            value: Arc::clone(&value),
+            used: inner.tick,
+            bytes,
+        };
+        inner.map.insert(key, slot);
         value
     }
 
@@ -127,7 +152,7 @@ impl<K: Ord + Clone, V> Memo<K, V> {
         K: Borrow<Q>,
         Q: Ord + ?Sized,
     {
-        self.lock().map.remove(key);
+        self.lock().forget(key);
     }
 
     /// How many values are resident right now.
@@ -145,42 +170,61 @@ impl<K: Ord + Clone, V> Memo<K, V> {
 mod tests {
     use super::*;
 
-    #[test]
-    fn counts_hits_misses_and_refused_values() {
-        let memo: Memo<String, u32> = Memo::new(8);
-        assert!(memo.get("a", |_| true).is_none());
-        let a = memo.insert("a".to_string(), 1);
-        let hit = memo.get("a", |_| true).expect("resident");
-        assert!(Arc::ptr_eq(&a, &hit), "a hit hands out the admitted value");
-        // a value `accept` turns down is a miss, and stays resident
-        assert!(memo.get("a", |v| *v == 2).is_none());
-        assert_eq!(memo.len(), 1);
-        let want = MemoCounts {
-            hits: 1,
-            misses: 2,
-            admitted: 1,
-            evicted: 0,
-        };
-        assert_eq!(memo.counts(), want);
-        memo.remove("a");
-        assert!(memo.get("a", |_| true).is_none());
-        assert_eq!(memo.len(), 0);
+    /// A memo of strings weighing their length, with room for `payload`
+    /// bytes of them beside the slot charges of `slots` values.
+    fn memo(slots: usize, payload: usize) -> Memo<u32, String> {
+        Memo::new(
+            slots * size_of::<(u32, Slot<String>, String)>() + payload,
+            String::len,
+        )
     }
 
     #[test]
-    fn the_least_recently_used_value_makes_room() {
-        let memo: Memo<u32, &str> = Memo::new(2);
-        memo.insert(1, "one");
-        memo.insert(2, "two");
-        // touching 1 makes 2 the oldest
+    fn counts_hits_misses_and_refused_values() {
+        let memo = memo(8, 64);
+        assert!(memo.get(&1, |_| true).is_none());
+        let a = memo.insert(1, "one".to_string());
+        let hit = memo.get(&1, |_| true).expect("resident");
+        assert!(Arc::ptr_eq(&a, &hit), "a hit hands out the admitted value");
+        // a value `accept` turns down is a miss, and stays resident
+        assert!(memo.get(&1, |v| v == "two").is_none());
+        assert_eq!(memo.len(), 1);
+        let counts = memo.counts();
+        assert_eq!((counts.hits, counts.misses), (1, 2));
+        assert_eq!((counts.admitted, counts.evicted), (1, 0));
+        memo.remove(&1);
+        assert!(memo.get(&1, |_| true).is_none());
+        assert_eq!((memo.len(), memo.counts().resident_bytes), (0, 0));
+    }
+
+    #[test]
+    fn the_least_recently_used_values_make_room_until_the_new_one_fits() {
+        let memo = memo(3, 12);
+        memo.insert(1, "aaaa".to_string());
+        memo.insert(2, "bbbb".to_string());
+        memo.insert(3, "cccc".to_string());
+        let full = memo.counts().resident_bytes;
+        assert_eq!(full as usize, memo.budget);
+        // touching 1 makes 2, then 3, the oldest
         assert!(memo.get(&1, |_| true).is_some());
-        memo.insert(3, "three");
+        memo.insert(4, "dddd".to_string());
         assert!(memo.get(&2, |_| true).is_none(), "2 was evicted");
-        assert!(memo.get(&1, |_| true).is_some());
-        assert!(memo.get(&3, |_| true).is_some());
-        // replacing a resident key evicts nothing
-        memo.insert(3, "drei");
-        assert_eq!((memo.len(), memo.counts().evicted), (2, 1));
-        assert_eq!(memo.counts().admitted, 4);
+        // a heavier value takes as many victims as it needs: 3, then 1
+        memo.insert(5, "eeeeeeeeeeee".to_string());
+        assert!(memo.get(&3, |_| true).is_none() && memo.get(&1, |_| true).is_none());
+        assert!(memo.get(&4, |_| true).is_some() && memo.get(&5, |_| true).is_some());
+        assert_eq!((memo.len(), memo.counts().evicted), (2, 3));
+        assert!(memo.counts().resident_bytes <= full);
+        // replacing a resident key evicts nothing and re-weighs the slot
+        let before = memo.counts().resident_bytes;
+        memo.insert(5, "e".to_string());
+        assert_eq!((memo.len(), memo.counts().evicted), (2, 3));
+        assert_eq!(memo.counts().resident_bytes, before - 11);
+        // a value heavier than the whole budget is handed back unadmitted,
+        // evicts nothing, and still supersedes what its key held
+        let big = memo.insert(5, "f".repeat(memo.budget));
+        assert_eq!(big.len(), memo.budget);
+        assert!(memo.get(&5, |_| true).is_none() && memo.get(&4, |_| true).is_some());
+        assert_eq!((memo.counts().admitted, memo.counts().evicted), (6, 3));
     }
 }

@@ -373,17 +373,18 @@ fn install_containment_hook() {
 
 /// Runs `f` under `catch_unwind` with the containment hook engaged, so a
 /// caught panic does not echo through the default hook.
-fn contain<R>(f: impl FnOnce() -> R) -> Result<R, Box<dyn Any + Send>> {
+pub(crate) fn contain<R>(f: impl FnOnce() -> R) -> Result<R, Box<dyn Any + Send>> {
     install_containment_hook();
-    CONTAINING.with(|c| c.set(true));
+    // restored, not cleared: a request's containment wraps its passes'
+    let outer = CONTAINING.with(|c| c.replace(true));
     let result = catch_unwind(AssertUnwindSafe(f));
-    CONTAINING.with(|c| c.set(false));
+    CONTAINING.with(|c| c.set(outer));
     result
 }
 
 /// Renders a caught panic payload (the `&str`/`String` carried by almost
 /// every `panic!`/`unwrap`) for the incident record.
-fn panic_message(payload: &(dyn Any + Send)) -> String {
+pub(crate) fn panic_message(payload: &(dyn Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {

@@ -28,13 +28,14 @@
 //! ## Shared cache semantics
 //!
 //! All requests compile through one [`ResidentCache`], which makes the
-//! daemon a small query engine: three keyed memos — the front end per
-//! file content, cache entries as decoded and verified typed values,
-//! session manifests decoded — each filled by checking a value once, where
-//! it enters, and answering every later request with the shared immutable
-//! result (see [`crate::session`] § Resident sessions). A fully warm
-//! request therefore parses, decodes and verifies nothing: it hashes,
-//! clones what it must own, and renders. The layer writes through to the
+//! daemon a small query engine: keyed memos — the front end per file
+//! content, cache entries as decoded and verified typed values, session
+//! manifests decoded, finished replies — each filled by checking a value
+//! once, where it enters, and answering every later request with the
+//! shared immutable result (see [`crate::session`] § Resident sessions),
+//! each under a fixed byte budget. A fully warm request parses, decodes
+//! and verifies nothing; repeated, it is one lookup (§ Memoised replies
+//! below). The layer writes through to the
 //! daemon's `--cache-dir` (when it has one), so one-shot
 //! `titanc --cache-dir` invocations and the daemon interoperate on the
 //! same directory. The per-request pipeline still fans procedures across
@@ -43,19 +44,34 @@
 //! keyed by in-memory generation counters that restart with every
 //! compilation — but a warm request skips the pipeline (and with it all
 //! analyses) outright.
+//!
+//! ## Memoised replies and containment
+//!
+//! A fully warm reply is a pure function of the request line minus `id`
+//! and `jobs`, so [`Server::handle_line`] keeps it under a [`ReplyKey`],
+//! in memory only. It is admitted only from an execution that exited 0
+//! fully warm with no incident and no store degradation — the one state
+//! whose `titanc: cache:` line every later execution would repeat — and a
+//! hit is confirmed by comparing the source texts; `verify: true` bypasses
+//! the layer both ways. No line takes the daemon down: one over
+//! [`MAX_LINE_BYTES`] or not UTF-8 is never buffered or parsed (`exit: 2`,
+//! `rejected`), a panic outside a pass cell is answered `exit: 3`
+//! (`contained`). See `docs/architecture.md` § The compile server.
 
 use std::fmt::Write as _;
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 #[cfg(unix)]
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 
+use crate::pass::{contain, panic_message};
 use crate::session::{compile_session_resident, SessionCompilation, SourceFile};
-use crate::store::ResidentCache;
+use crate::store::{self, ResidentCache};
 use crate::trace::OptReport;
 use crate::{Compilation, CompileError, Options, Pipeline, Reports, SessionStats};
 use titanc_il::json::{parse, FromJson, Json, ToJson};
+use titanc_il::StableHash;
 
 /// Exit code for "a contained pass incident was reported and `--strict`
 /// was given" — shared by the CLI and the server executor.
@@ -63,6 +79,12 @@ pub const EXIT_INCIDENT: u8 = 3;
 
 /// Bumped when the request/response encoding changes shape.
 pub const PROTOCOL_VERSION: i64 = 1;
+
+/// The longest request line the server reads (the nine-file `mp9` line is
+/// 27 KB). A longer one is discarded through its newline unbuffered and
+/// answered with an `exit: 2` protocol error.
+pub const MAX_LINE_BYTES: usize = 16 << 20;
+const TOO_LONG: &str = "longer than 16 MiB";
 
 // ---------------------------------------------------------------------
 // Protocol types
@@ -199,95 +221,92 @@ pub struct CompileResponse {
 
 titanc_il::struct_json!(CompileResponse, [id, exit, stdout, stderr]);
 
-/// Aggregate accounting across every request a server instance handled;
-/// returned on the shutdown acknowledgement and logged by `titand` at
-/// exit.
-#[derive(Clone, Debug, Default)]
-pub struct ServerTotals {
+/// Declares [`ServerTotals`] — the struct, its wire form, its
+/// field-by-field sum and its `name=value` log line — from one list of
+/// the (all `i64`) fields.
+macro_rules! server_totals {
+    ($($(#[$doc:meta])* $field:ident),+ $(,)?) => {
+        /// Aggregate accounting across every request a server instance
+        /// handled; returned on the shutdown acknowledgement and logged by
+        /// `titand` at exit.
+        #[derive(Clone, Debug, Default)]
+        pub struct ServerTotals {
+            $($(#[$doc])* pub $field: i64,)+
+        }
+
+        titanc_il::struct_json!(ServerTotals, [$($field),+]);
+
+        impl ServerTotals {
+            /// Adds another instance's counters into this one (the stress
+            /// harness aggregates totals across many short-lived servers).
+            pub fn merge(&mut self, other: &ServerTotals) {
+                $(self.$field += other.$field;)+
+            }
+        }
+
+        impl std::fmt::Display for ServerTotals {
+            fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+                let words = [$(format!("{}={}", stringify!($field), self.$field)),+];
+                f.write_str(&words.join(" "))
+            }
+        }
+    };
+}
+
+server_totals! {
     /// Compile requests executed (including ones that failed with
     /// diagnostics).
-    pub requests: i64,
+    requests,
     /// Lines that were not valid requests.
-    pub protocol_errors: i64,
+    protocol_errors,
     /// Requests whose whole pipeline was skipped via the session
     /// manifest.
-    pub fully_warm: i64,
+    fully_warm,
     /// Summed [`SessionStats::hits`].
-    pub hits: i64,
+    hits,
     /// Summed [`SessionStats::misses`].
-    pub misses: i64,
+    misses,
     /// Summed [`SessionStats::invalidated`].
-    pub invalidated: i64,
+    invalidated,
     /// Summed [`SessionStats::passes_executed`].
-    pub passes_executed: i64,
+    passes_executed,
     /// Summed [`SessionStats::corrupt`].
-    pub corrupt: i64,
+    corrupt,
     /// Summed [`SessionStats::quarantined`].
-    pub quarantined: i64,
+    quarantined,
     /// Summed [`SessionStats::lock_contended`].
-    pub lock_contended: i64,
+    lock_contended,
     /// Summed [`SessionStats::write_failed`].
-    pub write_failed: i64,
+    write_failed,
     /// Input files answered from the front-end memo (failed requests
     /// included — a file that parsed is remembered even when its
     /// neighbour did not).
-    pub front_hits: i64,
+    front_hits,
     /// Input files parsed and lowered for real.
-    pub front_misses: i64,
+    front_misses,
     /// Cache entries admitted into the typed layer: decoded and verified
     /// once, on first use, from this daemon's own publish or the backing
     /// directory.
-    pub admitted: i64,
-    /// Memoised values dropped by the fixed caps, all three layers.
-    pub evicted: i64,
+    admitted,
+    /// Memoised values dropped to stay inside the byte budgets, every
+    /// layer.
+    evicted,
     /// Typed cache entries resident at the time of the snapshot.
-    pub resident_entries: i64,
+    resident_entries,
+    /// Requests answered from the reply memo without executing.
+    reply_hits,
+    /// Requests that looked the reply memo up and executed (`verify`
+    /// requests never look).
+    reply_misses,
+    /// Bytes the memo layers weigh at the time of the snapshot.
+    resident_bytes,
+    /// Lines refused unparsed: over [`MAX_LINE_BYTES`], or not UTF-8.
+    rejected,
+    /// Requests whose execution panicked and was answered `exit: 3`.
+    contained,
 }
 
-titanc_il::struct_json!(
-    ServerTotals,
-    [
-        requests,
-        protocol_errors,
-        fully_warm,
-        hits,
-        misses,
-        invalidated,
-        passes_executed,
-        corrupt,
-        quarantined,
-        lock_contended,
-        write_failed,
-        front_hits,
-        front_misses,
-        admitted,
-        evicted,
-        resident_entries
-    ]
-);
-
 impl ServerTotals {
-    /// Adds another instance's counters into this one (the stress
-    /// harness aggregates totals across many short-lived servers).
-    pub fn merge(&mut self, other: &ServerTotals) {
-        self.requests += other.requests;
-        self.protocol_errors += other.protocol_errors;
-        self.fully_warm += other.fully_warm;
-        self.hits += other.hits;
-        self.misses += other.misses;
-        self.invalidated += other.invalidated;
-        self.passes_executed += other.passes_executed;
-        self.corrupt += other.corrupt;
-        self.quarantined += other.quarantined;
-        self.lock_contended += other.lock_contended;
-        self.write_failed += other.write_failed;
-        self.front_hits += other.front_hits;
-        self.front_misses += other.front_misses;
-        self.admitted += other.admitted;
-        self.evicted += other.evicted;
-        self.resident_entries += other.resident_entries;
-    }
-
     fn fold(&mut self, stats: &SessionStats) {
         self.fully_warm += i64::from(stats.full_warm);
         self.hits += stats.hits as i64;
@@ -298,34 +317,6 @@ impl ServerTotals {
         self.quarantined += stats.quarantined as i64;
         self.lock_contended += stats.lock_contended as i64;
         self.write_failed += stats.write_failed as i64;
-    }
-}
-
-impl std::fmt::Display for ServerTotals {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "{} request(s), {} protocol error(s), {} fully warm; \
-             {} hit(s), {} miss(es), {} invalidated; {} pass execution(s); \
-             {} corrupt, {} quarantined, {} lock-contended, {} write-failed; \
-             front end {} hit(s), {} miss(es); {} admitted, {} evicted, {} resident",
-            self.requests,
-            self.protocol_errors,
-            self.fully_warm,
-            self.hits,
-            self.misses,
-            self.invalidated,
-            self.passes_executed,
-            self.corrupt,
-            self.quarantined,
-            self.lock_contended,
-            self.write_failed,
-            self.front_hits,
-            self.front_misses,
-            self.admitted,
-            self.evicted,
-            self.resident_entries
-        )
     }
 }
 
@@ -462,6 +453,25 @@ pub struct Executed {
     pub response: CompileResponse,
     /// Cache accounting for successful compiles.
     pub stats: Option<SessionStats>,
+    /// Pass incidents the compile contained (its program shipped degraded).
+    pub incidents: usize,
+}
+
+impl Executed {
+    /// A request that compiled nothing: a bad one, or a contained panic.
+    fn refused(id: i64, exit: i64, stderr: String) -> Executed {
+        let response = CompileResponse {
+            id,
+            exit,
+            stderr,
+            ..CompileResponse::default()
+        };
+        Executed {
+            response,
+            stats: None,
+            incidents: 0,
+        }
+    }
 }
 
 /// Renders a finished compile as `(stdout, stderr, exit)` — the one
@@ -542,15 +552,16 @@ pub fn render(
 /// both go through [`render`].
 pub fn execute(req: &CompileRequest, resident: &ResidentCache) -> Executed {
     if req.files.is_empty() {
-        return Executed {
-            response: CompileResponse {
-                id: req.id,
-                exit: 2,
-                stdout: String::new(),
-                stderr: "titanc: server: request carries no files\n".to_string(),
-            },
-            stats: None,
-        };
+        let stderr = "titanc: server: request carries no files\n".to_string();
+        return Executed::refused(req.id, 2, stderr);
+    }
+    // the `TITANC_INJECT_PANIC` hook, outside any pass cell: naming one of
+    // the request's *files* faults the request itself
+    if let Ok(target) = std::env::var("TITANC_INJECT_PANIC") {
+        assert!(
+            req.files.iter().all(|f| f.name != target),
+            "injected fault in request file `{target}`"
+        );
     }
     let options = req.options();
     let pipeline = base_pipeline(&options);
@@ -563,8 +574,56 @@ pub fn execute(req: &CompileRequest, resident: &ResidentCache) -> Executed {
             stdout,
             stderr,
         },
+        incidents: result
+            .as_ref()
+            .map_or(0, |sc| sc.compilation.trace.incidents.len()),
         stats: result.ok().map(|sc| sc.stats),
     }
+}
+
+/// What a fully warm reply is a function of: each file's name and the
+/// FNV-128 digest of its text, in order, and (serialized) every other
+/// [`CompileRequest`] field but `id` and `jobs`.
+pub(crate) type ReplyKey = (Vec<(String, StableHash)>, String);
+
+/// `None` for a request the reply memo stays out of: `verify` asks for the
+/// verifier to run.
+fn reply_key(req: &CompileRequest) -> Option<ReplyKey> {
+    // the rest are `Copy`: a new field joins the key, or fails to build here
+    let flags = CompileRequest {
+        id: 0,
+        jobs: 0,
+        files: Vec::new(),
+        opt_report: req.opt_report.clone(),
+        ..*req
+    };
+    let digest = |f: &SourceFile| (f.name.clone(), store::digest(f.src.as_bytes()));
+    let files = req.files.iter().map(digest).collect();
+    (!req.verify).then(|| (files, flags.to_json().to_string_compact()))
+}
+
+/// One memoised reply: what [`execute`] answered when it was admitted.
+pub(crate) struct MemoReply {
+    /// The response line after `{"id":N,` — exit, stdout and stderr,
+    /// serialized and escaped once.
+    tail: String,
+    /// What the admitting execution told the totals.
+    stats: SessionStats,
+    /// The files the key's digests stand for; a hit compares the texts.
+    files: Vec<SourceFile>,
+}
+
+impl MemoReply {
+    /// What the reply memo charges (names twice: the key holds a copy).
+    pub(crate) fn weight(&self) -> usize {
+        let file = |f: &SourceFile| size_of::<SourceFile>() + 2 * f.name.len() + f.src.len();
+        self.tail.len() + self.files.iter().map(file).sum::<usize>()
+    }
+}
+
+/// The start of a response line, up to where a memoised tail continues.
+fn reply_head(id: i64) -> String {
+    format!("{{\"id\":{id},")
 }
 
 // ---------------------------------------------------------------------
@@ -643,20 +702,27 @@ impl Server {
     pub fn totals(&self) -> ServerTotals {
         let mut totals = self.totals.lock().unwrap().clone();
         let memos = self.resident.memos();
-        let (front, entries) = (memos.front.counts(), memos.entries.counts());
+        let (front, replies) = (memos.front.counts(), memos.replies.counts());
+        let (evicted, resident_bytes) = memos.pressure();
         totals.front_hits = front.hits as i64;
         totals.front_misses = front.misses as i64;
-        totals.admitted = entries.admitted as i64;
-        totals.evicted =
-            (front.evicted + entries.evicted + memos.manifests.counts().evicted) as i64;
+        totals.admitted = memos.entries.counts().admitted as i64;
+        totals.evicted = evicted as i64;
         totals.resident_entries = memos.entries.len() as i64;
+        totals.reply_hits = replies.hits as i64;
+        totals.reply_misses = replies.misses as i64;
+        totals.resident_bytes = resident_bytes as i64;
         totals
     }
 
-    /// Handles one protocol line: parse, execute, account, serialize.
-    /// Unparseable lines get an `exit: 2` response rather than killing
-    /// the connection.
+    /// Handles one protocol line: parse, look the reply up or execute,
+    /// account, serialize. Over-long and unparseable lines get an
+    /// `exit: 2` response rather than killing the connection; a panicking
+    /// execution an `exit: 3` one.
     pub fn handle_line(&self, line: &str) -> Reply {
+        if line.len() > MAX_LINE_BYTES {
+            return self.reject(TOO_LONG);
+        }
         let doc = match parse(line) {
             Ok(doc) => doc,
             Err(e) => {
@@ -682,11 +748,51 @@ impl Server {
                 return Reply::Line(protocol_error(id, &format!("bad request: {e}")));
             }
         };
-        let done = execute(&req, &self.resident);
+        let (id, files) = (req.id, req.files.len());
+        let replies = &self.resident.memos().replies;
+        let key = reply_key(&req);
+        let hit = key
+            .as_ref()
+            .and_then(|key| replies.get(key, |reply| reply.files == req.files));
+        let (line, exit, stats) = match &hit {
+            Some(reply) => (reply_head(id) + &reply.tail, 0, Some(reply.stats)),
+            None => {
+                let done = contain(|| execute(&req, &self.resident)).unwrap_or_else(|panic| {
+                    self.totals.lock().unwrap().contained += 1;
+                    let stderr = format!("titanc: internal error: {}\n", panic_message(&*panic));
+                    Executed::refused(id, i64::from(EXIT_INCIDENT), stderr)
+                });
+                let line = done.response.to_json().to_string_compact();
+                // only the state every later execution would repeat
+                let clean = |s: &SessionStats| {
+                    s.full_warm
+                        && s.corrupt + s.quarantined + s.lock_contended + s.write_failed == 0
+                };
+                if let (Some(key), 0, 0, Some(stats)) = (
+                    key,
+                    done.response.exit,
+                    done.incidents,
+                    done.stats.filter(clean),
+                ) {
+                    let reply = MemoReply {
+                        tail: line[reply_head(id).len()..].to_string(),
+                        // a hit parses no file
+                        stats: SessionStats {
+                            front_hits: 0,
+                            front_misses: 0,
+                            ..stats
+                        },
+                        files: req.files,
+                    };
+                    replies.insert(key, reply);
+                }
+                (line, done.response.exit, done.stats)
+            }
+        };
         {
             let mut totals = self.totals.lock().unwrap();
             totals.requests += 1;
-            if let Some(stats) = &done.stats {
+            if let Some(stats) = &stats {
                 totals.fold(stats);
             }
         }
@@ -694,25 +800,38 @@ impl Server {
             // the per-request accounting line, tagged by request id, on
             // the daemon's own stderr (the response carries the client's
             // copy inside its stderr field)
-            match &done.stats {
-                Some(stats) => eprintln!(
-                    "titand: req={} files={} exit={} front={}/{} {}",
-                    req.id,
-                    req.files.len(),
-                    done.response.exit,
-                    stats.front_hits,
-                    stats.front_misses,
-                    cache_line(stats)
-                ),
-                None => eprintln!(
-                    "titand: req={} files={} exit={}",
-                    req.id,
-                    req.files.len(),
-                    done.response.exit
-                ),
-            }
+            let reply = if hit.is_some() { "hit" } else { "miss" };
+            let cache = stats.map_or(String::new(), |s| {
+                format!(
+                    " front={}/{} {}",
+                    s.front_hits,
+                    s.front_misses,
+                    cache_line(&s)
+                )
+            });
+            eprintln!("titand: req={id} files={files} exit={exit} reply={reply}{cache}");
         }
-        Reply::Line(done.response.to_json().to_string_compact())
+        Reply::Line(line)
+    }
+
+    /// Answers a line that is never parsed.
+    fn reject(&self, why: &str) -> Reply {
+        self.totals.lock().unwrap().rejected += 1;
+        Reply::Line(protocol_error(-1, &format!("request line rejected: {why}")))
+    }
+
+    /// [`handle_line`](Server::handle_line) for a line as [`read_line`]
+    /// delivers it; `None` for a blank one.
+    fn handle_bytes(&self, line: &[u8]) -> Option<Reply> {
+        if line.iter().all(u8::is_ascii_whitespace) {
+            return None;
+        }
+        Some(match std::str::from_utf8(line) {
+            Ok(text) => self.handle_line(text),
+            // an over-long line arrives cut, perhaps inside a character
+            Err(_) if line.len() > MAX_LINE_BYTES => self.reject(TOO_LONG),
+            Err(_) => self.reject("not UTF-8"),
+        })
     }
 
     /// Serves newline-delimited JSON on stdin/stdout: requests are
@@ -728,7 +847,7 @@ impl Server {
         let stdout: Arc<Mutex<Box<dyn Write + Send>>> =
             Arc::new(Mutex::new(Box::new(io::stdout())));
         let stop = AtomicBool::new(false);
-        let (tx, rx) = mpsc::channel::<String>();
+        let (tx, rx) = mpsc::channel::<Vec<u8>>();
         let rx = Mutex::new(rx);
         std::thread::scope(|s| {
             for _ in 0..self.workers {
@@ -738,39 +857,31 @@ impl Server {
                 s.spawn(move || loop {
                     let line = rx.lock().unwrap().recv();
                     let Ok(line) = line else { break };
-                    match self.handle_line(&line) {
-                        Reply::Line(resp) => {
-                            let mut out = out.lock().unwrap();
-                            let _ = writeln!(out, "{resp}");
-                            let _ = out.flush();
-                        }
-                        Reply::Shutdown(ack) => {
-                            stop.store(true, Ordering::SeqCst);
-                            let mut out = out.lock().unwrap();
-                            let _ = writeln!(out, "{ack}");
-                            let _ = out.flush();
-                        }
+                    let Some(reply) = self.handle_bytes(&line) else {
+                        continue;
+                    };
+                    if matches!(reply, Reply::Shutdown(_)) {
+                        stop.store(true, Ordering::SeqCst);
                     }
+                    let (Reply::Line(text) | Reply::Shutdown(text)) = reply;
+                    let mut out = out.lock().unwrap();
+                    let _ = writeln!(out, "{text}");
+                    let _ = out.flush();
                 });
             }
-            for line in io::stdin().lock().lines() {
-                let line = match line {
-                    Ok(l) => l,
-                    Err(e) => {
-                        drop(tx);
-                        return Err(e);
+            let mut stdin = io::stdin().lock();
+            let mut line = Vec::new();
+            let read = loop {
+                match read_line(&mut stdin, &mut line) {
+                    Ok(true) if !stop.load(Ordering::SeqCst) => {
+                        let _ = tx.send(std::mem::take(&mut line));
                     }
-                };
-                if stop.load(Ordering::SeqCst) {
-                    break;
+                    Ok(_) => break Ok(()),
+                    Err(e) => break Err(e),
                 }
-                if line.trim().is_empty() {
-                    continue;
-                }
-                let _ = tx.send(line);
-            }
+            };
             drop(tx);
-            Ok(())
+            read
         })
     }
 
@@ -820,30 +931,23 @@ impl Server {
                         continue;
                     };
                     let mut write = stream;
-                    let reader = BufReader::new(read);
-                    for line in reader.lines() {
-                        let Ok(line) = line else { break };
-                        if line.trim().is_empty() {
+                    let mut reader = BufReader::new(read);
+                    let mut line = Vec::new();
+                    while let Ok(true) = read_line(&mut reader, &mut line) {
+                        let Some(reply) = self.handle_bytes(&line) else {
                             continue;
+                        };
+                        let shutdown = matches!(reply, Reply::Shutdown(_));
+                        let (Reply::Line(text) | Reply::Shutdown(text)) = reply;
+                        let sent = writeln!(write, "{text}").and_then(|()| write.flush());
+                        if shutdown {
+                            stop.store(true, Ordering::SeqCst);
+                            // unblock the accept loop so it can see the
+                            // stop flag
+                            let _ = UnixStream::connect(path);
                         }
-                        match self.handle_line(&line) {
-                            Reply::Line(resp) => {
-                                if writeln!(write, "{resp}")
-                                    .and_then(|()| write.flush())
-                                    .is_err()
-                                {
-                                    break;
-                                }
-                            }
-                            Reply::Shutdown(ack) => {
-                                let _ = writeln!(write, "{ack}");
-                                let _ = write.flush();
-                                stop.store(true, Ordering::SeqCst);
-                                // unblock the accept loop so it can see
-                                // the stop flag
-                                let _ = UnixStream::connect(path);
-                                break;
-                            }
+                        if shutdown || sent.is_err() {
+                            break;
                         }
                     }
                 });
@@ -879,15 +983,27 @@ pub fn bind_unix(path: &Path) -> io::Result<std::os::unix::net::UnixListener> {
     std::os::unix::net::UnixListener::bind(path)
 }
 
-fn protocol_error(id: i64, message: &str) -> String {
-    CompileResponse {
-        id,
-        exit: 2,
-        stdout: String::new(),
-        stderr: format!("titanc: server: {message}\n"),
+/// Reads one line into `line` (cleared first, newline dropped), keeping
+/// at most [`MAX_LINE_BYTES`] + 1 bytes of it: the rest of a longer line is
+/// skipped through its newline unbuffered, and what was kept is long
+/// enough to be rejected for its length. `Ok(false)` at end of input.
+fn read_line(reader: &mut impl BufRead, line: &mut Vec<u8>) -> io::Result<bool> {
+    line.clear();
+    let limit = MAX_LINE_BYTES as u64 + 1;
+    if reader.by_ref().take(limit).read_until(b'\n', line)? == 0 {
+        return Ok(false);
     }
-    .to_json()
-    .to_string_compact()
+    if line.last() == Some(&b'\n') {
+        line.pop();
+    } else if line.len() as u64 == limit {
+        reader.skip_until(b'\n')?;
+    }
+    Ok(true)
+}
+
+fn protocol_error(id: i64, message: &str) -> String {
+    let refused = Executed::refused(id, 2, format!("titanc: server: {message}\n"));
+    refused.response.to_json().to_string_compact()
 }
 
 // ---------------------------------------------------------------------
@@ -1027,6 +1143,48 @@ mod tests {
         let totals = server.totals();
         assert_eq!(totals.fully_warm, 1);
         assert!(totals.hits > 0);
+    }
+
+    /// With room for two of three same-sized replies the least recently
+    /// used one makes room, and comes back byte for byte when asked again.
+    #[test]
+    fn replies_evict_least_recently_used_first_and_recompute_to_the_same_bytes() {
+        let dir = scratch("reply-evict");
+        let over = |resident| Server {
+            resident,
+            totals: Mutex::default(),
+            workers: 1,
+            quiet: true,
+        };
+        let serve = |server: &Server, tag: usize| {
+            let line = tiny_request(7, tag).to_json().to_string_compact();
+            let before = server.totals().reply_hits;
+            let Reply::Line(reply) = server.handle_line(&line) else {
+                panic!("unexpected shutdown ack");
+            };
+            let replies = server.resident.memos().replies.counts();
+            (
+                reply,
+                server.totals().reply_hits - before,
+                replies.resident_bytes,
+            )
+        };
+        let roomy = over(ResidentCache::new(None));
+        let one = [serve(&roomy, 0), serve(&roomy, 0)][1].2;
+        assert!(one > 0, "the fully warm reply was admitted");
+        // over a directory, so entries too heavy for this budget re-read
+        let server = over(ResidentCache::capped(Some(&dir), (one * 5 / 2) as usize));
+        let admitted: Vec<String> = (0..3)
+            .map(|tag| [serve(&server, tag), serve(&server, tag)][1].0.clone())
+            .collect();
+        // 2 displaced 0; touching 1 then 2 makes 1 the next to go
+        for (tag, hit) in [(1, 1), (2, 1), (0, 0), (0, 1), (2, 1), (1, 0)] {
+            let (reply, hits, resident) = serve(&server, tag);
+            assert_eq!((&reply, hits), (&admitted[tag], hit), "tag {tag}");
+            assert!(resident <= one * 5 / 2 && resident >= one);
+        }
+        assert_eq!(server.resident.memos().replies.counts().evicted, 3);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// The ISSUE's second stress bar: the lock-race fix must hold under

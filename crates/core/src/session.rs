@@ -87,7 +87,7 @@ use crate::pass::{
     PassTrace, RecordedCell, SessionReplay,
 };
 use crate::server::base_pipeline;
-use crate::store::{CacheStore, Memos, ResidentCache, CACHE_FORMAT};
+use crate::store::{self, CacheStore, Memos, ResidentCache, CACHE_FORMAT};
 use crate::{
     link_catalogs, optimization_remarks, Compilation, CompileError, Options, Pipeline, Reports,
 };
@@ -98,7 +98,7 @@ const ENTRY_VERSION: u32 = 1;
 
 /// One input translation unit: a display name (normally the path) and
 /// its source text.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SourceFile {
     /// Display name, used for diagnostics and span file tags.
     pub name: String,
@@ -422,6 +422,15 @@ pub(crate) struct FrontEnd {
     diagnostics: Vec<Diagnostic>,
 }
 
+impl FrontEnd {
+    /// What the front-end memo charges for one file (a diagnostic's
+    /// message taken as a line of text).
+    pub(crate) fn weight(&self) -> usize {
+        let notes = self.diagnostics.len() * (size_of::<Diagnostic>() + 80);
+        self.src.len() + self.program.resident_bytes() + notes
+    }
+}
+
 /// [`front_end`] through the compile server's memo, keyed by the digest
 /// of the text and the error cap. A hit is confirmed by comparing the
 /// text itself, so a digest collision is a miss; a file with errors is
@@ -433,9 +442,7 @@ fn front_end_memoised(
     max_errors: usize,
     stats: &mut SessionStats,
 ) -> (Option<Program>, Vec<Diagnostic>) {
-    let mut h = StableHasher::new();
-    h.write(src.as_bytes());
-    let key = (h.finish(), max_errors);
+    let key = (store::digest(src.as_bytes()), max_errors);
     if let Some(hit) = memos.front.get(&key, |f| f.src == src) {
         stats.front_hits += 1;
         return (Some(hit.program.clone()), hit.diagnostics.clone());
@@ -1357,38 +1364,50 @@ mod tests {
         assert_eq!(il_text(&reference), il_text(&again));
     }
 
-    /// With every memo capped at one value, a two-file, three-procedure
-    /// session evicts on almost every admission. Eviction can only cost
-    /// recomputation: each round still produces the reference's bytes,
-    /// whether it re-parsed, re-admitted from the directory, or — on a
-    /// memory-only daemon, where the evicted typed value was the only
-    /// copy — recompiled.
+    /// With every layer held to a budget one byte short of what the two
+    /// front ends — then the three typed entries — weigh together, a
+    /// two-file, three-procedure session evicts on almost every admission
+    /// (and under the smaller budget no entry is admitted at all). Eviction
+    /// can only cost recomputation: each round still produces the
+    /// reference's bytes, whether it re-parsed, re-admitted from the
+    /// directory, or — on a memory-only daemon, where the evicted value was
+    /// the only copy — recompiled.
     #[test]
     fn an_evicted_value_re_misses_to_the_same_bytes() {
         let second =
             "float c[64];\nvoid fill(void) { int i; for (i = 0; i < 64; i++) c[i] = 3.0f; }\n";
         let files = [SourceFile::new("t.c", SRC), SourceFile::new("u.c", second)];
         let options = Options::o2();
+        let serve = |resident: &ResidentCache| {
+            compile_session_resident(&files, &options, base_pipeline(&options), resident)
+                .expect("compiles")
+        };
         let reference = compile_session(&files, &options, None).expect("compiles");
+        let layers = |r: &ResidentCache| [r.memos().front.counts(), r.memos().entries.counts()];
+        // what the two layers weigh when nothing is evicted
+        let roomy = ResidentCache::new(None);
+        assert!(!serve(&roomy).stats.full_warm && serve(&roomy).stats.full_warm);
+        let full = layers(&roomy).map(|c| c.resident_bytes);
+
         let dir = scratch("evict");
-        for backing in [None, Some(dir.as_path())] {
-            let resident = ResidentCache::capped(backing, 1);
-            let mut full_warm = 0;
-            for round in 0..4 {
-                let served =
-                    compile_session_resident(&files, &options, base_pipeline(&options), &resident)
-                        .expect("compiles");
-                assert_eq!(il_text(&reference), il_text(&served), "round {round}");
-                assert_eq!(served.stats.corrupt, 0, "eviction is not damage");
-                full_warm += usize::from(served.stats.full_warm);
+        for (layer, budget) in full.into_iter().map(|bytes| bytes - 1).enumerate() {
+            for backing in [None, Some(dir.as_path())] {
+                let _ = std::fs::remove_dir_all(&dir);
+                let resident = ResidentCache::capped(backing, budget as usize);
+                let mut full_warm = 0;
+                for round in 0..4 {
+                    let served = serve(&resident);
+                    assert_eq!(il_text(&reference), il_text(&served), "round {round}");
+                    assert_eq!(served.stats.corrupt, 0, "eviction is not damage");
+                    full_warm += usize::from(served.stats.full_warm);
+                    assert!(layers(&resident).iter().all(|c| c.resident_bytes <= budget));
+                }
+                assert!(layers(&resident)[layer].evicted > 0);
+                // over a directory whatever was evicted (or never fitted)
+                // is read again, so every round after the first is still
+                // fully warm
+                assert!(backing.is_none() || full_warm == 3, "{full_warm}");
             }
-            let memos = resident.memos();
-            assert!(memos.front.counts().evicted > 0);
-            assert!(memos.entries.counts().evicted > 0);
-            assert!(memos.front.len() <= 1 && memos.entries.len() <= 1);
-            // over a directory the evicted entries are re-admitted from
-            // disk, so every round after the first is still fully warm
-            assert_eq!(full_warm, if backing.is_some() { 3 } else { 1 });
         }
         let _ = std::fs::remove_dir_all(&dir);
     }

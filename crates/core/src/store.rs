@@ -34,15 +34,16 @@
 //!   torn-writing them.
 //!
 //! The [`ResidentCache`] layer on top is the `titand` compile server's
-//! shared memory: three keyed [`Memo`]s of *typed* values — front-end
-//! results per file content, decoded and verified cache entries, decoded
-//! session manifests — plus the raw bytes of whatever has no typed form
-//! (the index). A payload is resident either as bytes or as its typed
-//! value, never both; a typed value ran the whole per-load check sequence
-//! once, when it was admitted, and is immutable behind its `Arc` from
-//! then on. Every request's store reads through the layer and writes
-//! through to the backing directory, so the daemon and one-shot processes
-//! interoperate on the same `--cache-dir`.
+//! shared memory: keyed [`Memo`]s of *typed* values — front-end results
+//! per file content, decoded and verified cache entries, decoded session
+//! manifests, finished replies — plus the raw bytes of whatever was
+//! published and not yet asked for, or has no typed form (the index).
+//! Each layer lives under a fixed byte budget. A payload is resident
+//! either as bytes or as its typed value, never both; a typed value ran
+//! the whole per-load check sequence once, when it was admitted, and is
+//! immutable behind its `Arc` from then on. Every request's store reads
+//! through the layer and writes through to the backing directory, so the
+//! daemon and one-shot processes interoperate on the same `--cache-dir`.
 //!
 //! The store also hosts the `TITANC_INJECT_IO` fault hook (a sibling of
 //! `TITANC_INJECT_PANIC`): reads, writes, and renames can be made to
@@ -51,7 +52,6 @@
 //! lever the `stress --cache-faults` differential harness uses to prove
 //! the degradation paths.
 
-use std::collections::BTreeMap;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
@@ -63,6 +63,7 @@ use titanc_il::{StableHash, StableHasher};
 
 use crate::memo::Memo;
 use crate::pass::CachedEntry;
+use crate::server::{MemoReply, ReplyKey};
 use crate::session::{FrontEnd, Manifest};
 
 /// On-disk cache format name. Written to the directory's `FORMAT`
@@ -337,7 +338,7 @@ fn faulty_rename(from: &Path, to: &Path) -> io::Result<()> {
 // Checksummed envelopes
 // ---------------------------------------------------------------------
 
-fn digest(payload: &[u8]) -> StableHash {
+pub(crate) fn digest(payload: &[u8]) -> StableHash {
     let mut h = StableHasher::new();
     h.write(payload);
     h.finish()
@@ -366,13 +367,13 @@ fn unseal(bytes: &[u8]) -> Option<&[u8]> {
 }
 
 /// One unsealed payload, borrowed from wherever the store found it: the
-/// tail of the file it just read (no copy), or the resident map's shared
+/// tail of the file it just read (no copy), or the resident layer's shared
 /// allocation. Dereferences to the payload bytes.
 pub(crate) enum Payload {
     /// A whole envelope read from disk; the payload starts at `start`.
     Disk { file: Vec<u8>, start: usize },
     /// A handle on the resident layer's copy.
-    Resident(Arc<[u8]>),
+    Resident(Arc<Vec<u8>>),
 }
 
 impl std::ops::Deref for Payload {
@@ -390,23 +391,33 @@ impl std::ops::Deref for Payload {
 // The resident (in-memory) cache layer
 // ---------------------------------------------------------------------
 
-/// How many front-end results, typed entries and manifests a
-/// [`ResidentCache`] keeps before the least recently used one makes room.
-/// Fixed on purpose: the values are content-addressed, so eviction can
-/// only cost a recomputation, and a byte budget belongs to the daemon's
-/// hardening (ROADMAP item 4a), not here.
-const FRONT_CAP: usize = 1024;
-const ENTRY_CAP: usize = 4096;
-const MANIFEST_CAP: usize = 256;
+/// How many bytes each layer of a [`ResidentCache`] — raw payloads, front
+/// ends, typed entries, manifests, replies, in [`Memos`] order — keeps
+/// before least recently used values make room: 304 MiB together,
+/// whatever the requests. Fixed on purpose: every value is a pure function
+/// of bytes the daemon has seen, so eviction can only cost a
+/// recomputation, and a bound an operator can unset is not a bound.
+const MIB: usize = 1 << 20;
+const BUDGETS: [usize; 5] = [64 * MIB, 64 * MIB, 128 * MIB, 16 * MIB, 32 * MIB];
+
+/// What the memos charge for a report-carrying value: the length of its
+/// JSON rendering, standing in for the strings and event lists that
+/// dominate both forms. Paid once, at admission.
+fn json_len(value: &impl titanc_il::ToJson) -> usize {
+    value.to_json().to_string_compact().len()
+}
 
 /// The front-end memo's key: the FNV-128 digest of the source text and the
 /// error cap the file was parsed under.
 pub(crate) type FrontKey = (StableHash, usize);
 
-/// The compile server's three memo layers. Each maps a key to a value
-/// that was checked once on the way in and is shared, immutable, from
-/// then on; see [`crate::session`] for what admission checks.
+/// The compile server's memo layers. Each maps a key to a value that was
+/// checked once on the way in and is shared, immutable, from then on; see
+/// [`crate::session`] and [`crate::server`] for what admission checks.
 pub(crate) struct Memos {
+    /// File name → a published payload nobody has asked for yet, or one
+    /// with no typed form (the index), unsealed.
+    raw: Memo<String, Vec<u8>>,
     /// File content → what the front end makes of it (error-free files
     /// only; a hit compares the source text itself).
     pub(crate) front: Memo<FrontKey, FrontEnd>,
@@ -414,6 +425,24 @@ pub(crate) struct Memos {
     pub(crate) entries: Memo<String, CachedEntry>,
     /// Manifest file name → the decoded manifest.
     pub(crate) manifests: Memo<String, Manifest>,
+    /// Request minus `id` and `jobs` → the finished fully warm reply.
+    pub(crate) replies: Memo<ReplyKey, MemoReply>,
+}
+
+impl Memos {
+    /// (values evicted so far, bytes resident now), every layer summed.
+    pub(crate) fn pressure(&self) -> (u64, u64) {
+        let layers = [
+            self.raw.counts(),
+            self.front.counts(),
+            self.entries.counts(),
+            self.manifests.counts(),
+            self.replies.counts(),
+        ];
+        layers.iter().fold((0, 0), |(evicted, bytes), c| {
+            (evicted + c.evicted, bytes + c.resident_bytes)
+        })
+    }
 }
 
 /// The compile server's process-shared, in-memory cache layer.
@@ -444,8 +473,6 @@ pub struct ResidentCache {
 
 struct ResidentInner {
     dir: Option<PathBuf>,
-    /// Payloads without a typed form, as unsealed bytes.
-    map: Mutex<BTreeMap<String, Arc<[u8]>>>,
     memos: Memos,
     /// The writer gate: `true` while some store in this process holds
     /// the advisory lock. A `Condvar` semaphore rather than a plain
@@ -460,25 +487,27 @@ impl ResidentCache {
     /// with `None` — the daemon still caches, it just shares nothing
     /// with one-shot processes and forgets everything on exit.
     pub fn new(dir: Option<&Path>) -> ResidentCache {
-        ResidentCache::with_caps(dir, FRONT_CAP, ENTRY_CAP, MANIFEST_CAP)
+        ResidentCache::with_budgets(dir, BUDGETS)
     }
 
-    /// [`ResidentCache::new`] with every memo capped at `cap` values, so
+    /// [`ResidentCache::new`] with every layer held to `budget` bytes, so
     /// a test can watch eviction happen.
     #[cfg(test)]
-    pub(crate) fn capped(dir: Option<&Path>, cap: usize) -> ResidentCache {
-        ResidentCache::with_caps(dir, cap, cap, cap)
+    pub(crate) fn capped(dir: Option<&Path>, budget: usize) -> ResidentCache {
+        ResidentCache::with_budgets(dir, [budget; 5])
     }
 
-    fn with_caps(dir: Option<&Path>, front: usize, entries: usize, manifests: usize) -> Self {
+    fn with_budgets(dir: Option<&Path>, budgets: [usize; 5]) -> Self {
+        let [raw, front, entries, manifests, replies] = budgets;
         ResidentCache {
             inner: Arc::new(ResidentInner {
                 dir: dir.map(Path::to_path_buf),
-                map: Mutex::default(),
                 memos: Memos {
-                    front: Memo::new(front),
-                    entries: Memo::new(entries),
-                    manifests: Memo::new(manifests),
+                    raw: Memo::new(raw, Vec::len),
+                    front: Memo::new(front, FrontEnd::weight),
+                    entries: Memo::new(entries, |e| e.il.resident_bytes() + json_len(&e.cells)),
+                    manifests: Memo::new(manifests, json_len),
+                    replies: Memo::new(replies, MemoReply::weight),
                 },
                 gate: Mutex::default(),
                 gate_cv: Condvar::new(),
@@ -494,7 +523,7 @@ impl ResidentCache {
     /// How many cache payloads are resident right now, typed or raw.
     pub fn entries(&self) -> usize {
         let memos = &self.inner.memos;
-        self.lock_map().len() + memos.entries.len() + memos.manifests.len()
+        memos.raw.len() + memos.entries.len() + memos.manifests.len()
     }
 
     /// The typed layers.
@@ -502,28 +531,19 @@ impl ResidentCache {
         &self.inner.memos
     }
 
-    fn lock_map(&self) -> std::sync::MutexGuard<'_, BTreeMap<String, Arc<[u8]>>> {
-        self.inner.map.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    fn get(&self, name: &str) -> Option<Arc<[u8]>> {
-        self.lock_map().get(name).cloned()
-    }
-
-    fn put(&self, name: &str, payload: &[u8]) -> Arc<[u8]> {
-        // the copy happens before the lock is taken
-        let payload: Arc<[u8]> = Arc::from(payload);
+    fn put(&self, name: &str, payload: &[u8]) -> Arc<Vec<u8>> {
         // a republish (a healed manifest, say) supersedes the typed value:
         // the bytes are the resident form again until someone asks
         self.remove(name);
-        self.lock_map()
-            .insert(name.to_string(), Arc::clone(&payload));
-        payload
+        self.inner
+            .memos
+            .raw
+            .insert(name.to_string(), payload.to_vec())
     }
 
     /// Forgets `name` in whichever form it is resident.
     fn remove(&self, name: &str) {
-        self.lock_map().remove(name);
+        self.inner.memos.raw.remove(name);
         self.inner.memos.entries.remove(name);
         self.inner.memos.manifests.remove(name);
     }
@@ -710,7 +730,7 @@ impl CacheStore {
             return None;
         }
         if let Some(resident) = &self.resident {
-            if let Some(payload) = resident.get(name) {
+            if let Some(payload) = resident.memos().raw.get(name, |_| true) {
                 return Some(Payload::Resident(payload));
             }
         }
@@ -759,7 +779,7 @@ impl CacheStore {
         if let Some(value) = memo.get(name, |_| true) {
             return Some(value);
         }
-        let admitted = match resident.get(name) {
+        let admitted = match resident.memos().raw.get(name, |_| true) {
             Some(payload) => admit(&payload),
             None => unseal(&self.read_disk(name)?).and_then(admit),
         };
@@ -770,7 +790,7 @@ impl CacheStore {
         let value = memo.insert(name.to_string(), value);
         // the bytes go only now: a worker racing this one finds one form
         // or the other, never neither
-        resident.lock_map().remove(name);
+        resident.memos().raw.remove(name);
         Some(value)
     }
 

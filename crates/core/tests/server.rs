@@ -8,8 +8,9 @@
 //! The second half drives an in-process [`Server`] one request at a time
 //! — so the order is known and its totals can be read between requests —
 //! through the resident memo layers (front end per file content, typed
-//! entries, manifests): every reply is still compared byte for byte with
-//! a store-less one-shot `titanc` run on the same files.
+//! entries, manifests, replies): every reply is still compared byte for
+//! byte with a store-less one-shot `titanc` run on the same files. The
+//! last part feeds a real `titand` the lines that used to kill it.
 
 use std::collections::BTreeMap;
 use std::fs;
@@ -17,6 +18,7 @@ use std::io::Write;
 use std::path::PathBuf;
 use std::process::{Command, Output, Stdio};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Barrier;
 
 use titanc::server::{CompileRequest, CompileResponse, Reply, Server, ServerConfig, ServerTotals};
 use titanc::SourceFile;
@@ -357,8 +359,34 @@ fn request_of(id: i64, files: &[SourceFile]) -> CompileRequest {
     }
 }
 
-/// What store-less one-shot `titanc` prints for `req`'s files and flags:
-/// (exit code, stdout, stderr).
+/// The command line that asks one-shot `titanc` for what `req` asks the
+/// daemon for (file names aside).
+fn flags_of(req: &CompileRequest) -> Vec<String> {
+    let mut flags = vec![
+        format!("-O{}", req.opt),
+        "--strip".to_string(),
+        req.strip.to_string(),
+    ];
+    let switches = [
+        (req.parallelize, "--parallel"),
+        (req.spread_lists, "--spread-lists"),
+        (req.fortran_aliasing, "--fortran-aliasing"),
+        (!req.inline, "--no-inline"),
+        (req.verify, "--verify"),
+        (req.strict, "--strict"),
+        (req.print_il, "--print-il"),
+        (req.stats, "--stats"),
+        (
+            req.opt_report != "none",
+            &*format!("--opt-report={}", req.opt_report),
+        ),
+    ];
+    flags.extend(switches.iter().filter(|s| s.0).map(|s| s.1.to_string()));
+    flags
+}
+
+/// What store-less one-shot `titanc` prints for `req`'s files and flags
+/// (`--max-errors` rides in `extra`): (exit code, stdout, stderr).
 fn one_shot_of(req: &CompileRequest, extra: &[&str]) -> (i64, String, String) {
     // tests run in parallel in one process: every call gets its own
     static CALLS: AtomicUsize = AtomicUsize::new(0);
@@ -371,7 +399,7 @@ fn one_shot_of(req: &CompileRequest, extra: &[&str]) -> (i64, String, String) {
     }
     let out = Command::new(env!("CARGO_BIN_EXE_titanc"))
         .current_dir(&dir)
-        .args(["--parallel", "--print-il", "--opt-report=json"])
+        .args(flags_of(req))
         .args(extra)
         .args(req.files.iter().map(|f| &f.name))
         .output()
@@ -386,7 +414,7 @@ fn one_shot_of(req: &CompileRequest, extra: &[&str]) -> (i64, String, String) {
 
 fn serve(server: &Server, req: &CompileRequest) -> CompileResponse {
     match server.handle_line(&req.to_json().to_string_compact()) {
-        Reply::Line(line) => CompileResponse::from_json(&parse(&line).unwrap()).unwrap(),
+        Reply::Line(line) => response_of(&line),
         Reply::Shutdown(ack) => panic!("unexpected shutdown ack: {ack}"),
     }
 }
@@ -461,14 +489,17 @@ fn edit_and_revert_reuse_the_front_end_and_admit_each_entry_once() {
     assert_eq!(memo_delta(&server, &t2), (9, 0, 2));
     assert_eq!(reverted.stdout, cold.stdout);
 
-    // and from here on a repeat admits and parses nothing
+    // and from here on a repeat is one lookup: the fully warm reply was
+    // admitted above, so nothing is parsed, hashed or rendered
     let t3 = server.totals();
     let again = serve_checked(&server, &request_of(4, &original), &[]);
-    assert_eq!(memo_delta(&server, &t3), (9, 0, 0));
+    assert_eq!(memo_delta(&server, &t3), (0, 0, 0));
     assert_eq!(again.stdout, cold.stdout);
     let totals = server.totals();
+    assert_eq!((totals.reply_hits, totals.reply_misses), (1, 3));
     assert_eq!((totals.admitted, totals.evicted), (9, 0));
     assert_eq!(totals.resident_entries, 9);
+    assert_eq!((totals.requests, totals.fully_warm), (4, 2));
 }
 
 #[test]
@@ -648,4 +679,409 @@ fn a_quarantined_entry_is_not_resident_and_the_next_request_heals_it() {
     assert!(totals.admitted <= 10, "{totals}");
     assert!(one_shot("after healing").contains("9 hit(s), 0 miss(es)"));
     let _ = fs::remove_dir_all(&dir);
+}
+
+// ---------------------------------------------------------------------
+// The reply memo
+// ---------------------------------------------------------------------
+
+/// (reply hits, reply misses) since `before`.
+fn reply_delta(server: &Server, before: &ServerTotals) -> (i64, i64) {
+    let now = server.totals();
+    (
+        now.reply_hits - before.reply_hits,
+        now.reply_misses - before.reply_misses,
+    )
+}
+
+/// Serves `req` and returns the raw reply line with what the reply memo
+/// counted for it.
+fn serve_line(server: &Server, req: &CompileRequest) -> (String, (i64, i64)) {
+    let before = server.totals();
+    match server.handle_line(&req.to_json().to_string_compact()) {
+        Reply::Line(line) => (line, reply_delta(server, &before)),
+        Reply::Shutdown(ack) => panic!("unexpected shutdown ack: {ack}"),
+    }
+}
+
+const HIT: (i64, i64) = (1, 0);
+const MISS: (i64, i64) = (0, 1);
+
+/// Cold, then fully warm (executed, and admitted), then answered from the
+/// memo — for every combination of output flags. The memoised line is the
+/// executed one byte for byte, and both are what one-shot `titanc` and an
+/// in-process store-less compile print.
+#[test]
+fn a_repeated_fully_warm_request_is_a_reply_hit_for_every_output_flag() {
+    let files = nine_files();
+    let mut id = 0;
+    for print_il in [false, true] {
+        for stats in [false, true] {
+            for opt_report in ["none", "text", "json"] {
+                let server = Server::new(&ServerConfig::default()).quiet();
+                id += 1;
+                let req = CompileRequest {
+                    print_il,
+                    stats,
+                    opt_report: opt_report.to_string(),
+                    ..request_of(id, &files)
+                };
+                let what = format!("print_il={print_il} stats={stats} opt_report={opt_report}");
+                let (cold, counted) = serve_line(&server, &req);
+                assert_eq!(counted, MISS, "{what}");
+                assert!(cold.contains("0 hit(s), 9 miss(es)"), "{what}: {cold}");
+                let (warm, counted) = serve_line(&server, &req);
+                assert_eq!(counted, MISS, "{what}: a cold reply was admitted");
+                let t = server.totals();
+                let (memoised, counted) = serve_line(&server, &req);
+                assert_eq!(counted, HIT, "{what}");
+                assert_eq!(memo_delta(&server, &t), (0, 0, 0), "{what}");
+                assert_eq!(memoised, warm, "{what}");
+
+                let resp = serve_checked(&server, &req, &[]);
+                assert_eq!(resp.to_json().to_string_compact(), warm, "{what}");
+                assert!(resp.stderr.contains("(fully warm)"), "{what}");
+                let storeless = titanc::compile_session(&req.files, &req.options(), None);
+                let (stdout, stderr, exit) = titanc::server::render(&req, &storeless, false);
+                assert_eq!(
+                    (resp.exit, &resp.stdout),
+                    (i64::from(exit), &stdout),
+                    "{what}"
+                );
+                assert_eq!(strip_cache_lines(&resp.stderr), stderr, "{what}");
+                let totals = server.totals();
+                assert_eq!((totals.requests, totals.fully_warm), (4, 3), "{what}");
+            }
+        }
+    }
+}
+
+#[test]
+fn only_id_and_jobs_are_left_out_of_the_reply_key() {
+    let server = Server::new(&ServerConfig::default()).quiet();
+    let files: Vec<SourceFile> = (0..3).map(|k| kernel_file(k, 1)).collect();
+    let base = request_of(1, &files);
+    // warm the memo for `req`: cold, then the fully warm execution
+    let admit = |req: &CompileRequest, what: &str| {
+        assert_eq!(serve_line(&server, req).1, MISS, "{what}");
+        assert_eq!(serve_line(&server, req).1, MISS, "{what}");
+        assert_eq!(serve_line(&server, req).1, HIT, "{what}");
+    };
+    admit(&base, "base");
+    let reference = serve(&server, &base);
+
+    // `id` and `jobs` change nothing but the echoed id
+    for (id, jobs) in [(2, 0), (1, 4), (-7, 1)] {
+        let req = CompileRequest {
+            id,
+            jobs,
+            ..base.clone()
+        };
+        let (line, counted) = serve_line(&server, &req);
+        assert_eq!(counted, HIT, "id={id} jobs={jobs}");
+        let resp = CompileResponse::from_json(&parse(&line).unwrap()).unwrap();
+        assert_eq!(resp.id, id);
+        assert_eq!(
+            (resp.exit, &resp.stdout, &resp.stderr),
+            (0, &reference.stdout, &reference.stderr)
+        );
+    }
+
+    // every other field is part of the key
+    type Edit = fn(&mut CompileRequest);
+    let fields: [(&str, Edit); 11] = [
+        ("opt", |r| r.opt = 1),
+        ("parallelize", |r| r.parallelize = false),
+        ("spread_lists", |r| r.spread_lists = true),
+        ("fortran_aliasing", |r| r.fortran_aliasing = true),
+        ("inline", |r| r.inline = false),
+        ("strip", |r| r.strip = 16),
+        ("max_errors", |r| r.max_errors = 3),
+        ("strict", |r| r.strict = true),
+        ("print_il", |r| r.print_il = false),
+        ("stats", |r| r.stats = true),
+        ("opt_report", |r| r.opt_report = "text".to_string()),
+    ];
+    for (field, edit) in fields {
+        let mut req = base.clone();
+        edit(&mut req);
+        let extra = ["--max-errors".to_string(), req.max_errors.to_string()];
+        let extra: Vec<&str> = extra.iter().map(String::as_str).collect();
+        let t = server.totals();
+        serve_checked(&server, &req, &extra);
+        assert_eq!(reply_delta(&server, &t), MISS, "{field}");
+    }
+
+    // so is every byte of every file, the order of the files, and a name
+    let mut one_byte = base.clone();
+    one_byte.files[1] = kernel_file(1, 2);
+    assert_eq!(one_byte.files[1].src.len(), base.files[1].src.len());
+    let mut reordered = base.clone();
+    reordered.files.swap(0, 2);
+    let mut renamed = base.clone();
+    renamed.files[2].name = "other.c".to_string();
+    for (what, req) in [
+        ("one byte", one_byte),
+        ("order", reordered),
+        ("name", renamed),
+    ] {
+        let t = server.totals();
+        serve_checked(&server, &req, &[]);
+        assert_eq!(reply_delta(&server, &t), MISS, "{what}");
+    }
+    // none of which displaced the original
+    assert_eq!(serve_line(&server, &base).1, HIT);
+}
+
+#[test]
+fn verify_requests_bypass_the_reply_memo_in_both_directions() {
+    let server = Server::new(&ServerConfig::default()).quiet();
+    let files = [kernel_file(0, 1), kernel_file(1, 1)];
+    let plain = request_of(1, &files);
+    let verifying = CompileRequest {
+        verify: true,
+        ..plain.clone()
+    };
+    // never admitted: three verifying requests (the last two fully warm)
+    // leave nothing for the plain one to hit
+    for _ in 0..3 {
+        assert_eq!(serve_line(&server, &verifying).1, (0, 0));
+    }
+    serve_checked(&server, &verifying, &[]);
+    assert_eq!(serve_line(&server, &plain).1, MISS);
+    assert_eq!(serve_line(&server, &plain).1, HIT);
+    // never answered from: the plain reply is resident, the verifier runs
+    let t = server.totals();
+    let resp = serve_checked(&server, &verifying, &[]);
+    assert_eq!(reply_delta(&server, &t), (0, 0));
+    assert_eq!(memo_delta(&server, &t).0, 2, "it executed");
+    assert_eq!(resp.stdout, serve(&server, &plain).stdout);
+}
+
+#[test]
+fn cold_partially_warm_and_failing_requests_admit_nothing() {
+    let server = Server::new(&ServerConfig::default()).quiet();
+    let original = nine_files();
+    let mut edited = original.clone();
+    edited[3] = kernel_file(3, 2);
+    // cold: had it been admitted, the repeat would hit (and repeat a
+    // `9 miss(es)` accounting line that is no longer true)
+    assert_eq!(serve_line(&server, &request_of(1, &original)).1, MISS);
+    assert_eq!(serve_line(&server, &request_of(2, &original)).1, MISS);
+    // partially warm: seven procedures replay, two recompile
+    let (partial, counted) = serve_line(&server, &request_of(3, &edited));
+    assert!(partial.contains("7 hit(s), 2 miss(es)"), "{partial}");
+    assert_eq!(counted, MISS);
+    let (warm, counted) = serve_line(&server, &request_of(4, &edited));
+    assert!(warm.contains("(fully warm)"), "{warm}");
+    assert_eq!(counted, MISS);
+    assert_eq!(serve_line(&server, &request_of(5, &edited)).1, HIT);
+
+    // failing: exit 1 is recomputed every time
+    let mut broken = original.clone();
+    broken[0].src.push_str("int oops(void) { return 1 +; }\n");
+    for id in 6..9 {
+        let t = server.totals();
+        let resp = serve_checked(&server, &request_of(id, &broken), &[]);
+        assert_eq!(resp.exit, 1);
+        assert_eq!(reply_delta(&server, &t), MISS);
+    }
+    // as is a request with nothing to compile
+    for id in 9..11 {
+        let (line, counted) = serve_line(&server, &request_of(id, &[]));
+        assert!(line.contains("request carries no files"), "{line}");
+        assert_eq!(counted, MISS);
+    }
+}
+
+/// Two workers may execute, and admit, one fully warm request at the same
+/// moment: both computed the same value, and whoever reads it — then or
+/// later — gets the same bytes.
+#[test]
+fn two_threads_sending_the_same_line_get_the_same_bytes() {
+    let server = Server::new(&ServerConfig::default()).quiet();
+    let files = nine_files();
+    let line = request_of(1, &files).to_json().to_string_compact();
+    let reference = serve_checked(&server, &request_of(1, &files), &[]);
+    // the cold reply, with the accounting line (its last) of a warm one
+    let warm_stats = titanc::SessionStats {
+        hits: 9,
+        full_warm: true,
+        ..titanc::SessionStats::default()
+    };
+    let warm_line = titanc::server::cache_line(&warm_stats);
+    let expect = CompileResponse {
+        stderr: format!("{}{warm_line}\n", strip_cache_lines(&reference.stderr)),
+        ..reference
+    }
+    .to_json()
+    .to_string_compact();
+    // round 0 races two fully warm executions (and two admissions of one
+    // key), round 1 two hits
+    for round in 0..2 {
+        let barrier = Barrier::new(2);
+        let replies: Vec<String> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..2)
+                .map(|_| {
+                    s.spawn(|| {
+                        barrier.wait();
+                        match server.handle_line(&line) {
+                            Reply::Line(reply) => reply,
+                            Reply::Shutdown(ack) => panic!("unexpected shutdown ack: {ack}"),
+                        }
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert_eq!(replies[0], expect, "round {round}");
+        assert_eq!(replies[1], expect, "round {round}");
+    }
+    let totals = server.totals();
+    assert_eq!((totals.reply_hits, totals.reply_misses), (2, 3));
+}
+
+// ---------------------------------------------------------------------
+// Lines that used to take the daemon down
+// ---------------------------------------------------------------------
+
+/// Feeds `titand --stdio --quiet -j 1` the given lines (one worker: they
+/// are answered in order) and then a shutdown; returns the reply lines
+/// and the totals of the acknowledgement. The daemon must exit 0.
+fn daemon_session(inject: Option<&str>, lines: &[Vec<u8>]) -> (Vec<String>, ServerTotals) {
+    let mut command = Command::new(env!("CARGO_BIN_EXE_titand"));
+    command.args(["--stdio", "--quiet", "-j", "1"]);
+    if let Some(target) = inject {
+        command.env("TITANC_INJECT_PANIC", target);
+    }
+    let mut child = command
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    let mut stdin = child.stdin.take().unwrap();
+    let writer = std::thread::spawn({
+        let lines = lines.to_vec();
+        move || {
+            for line in lines {
+                stdin.write_all(&line).unwrap();
+                stdin.write_all(b"\n").unwrap();
+            }
+            stdin.write_all(b"{\"shutdown\":true}\n").unwrap();
+        }
+    });
+    let out = child.wait_with_output().unwrap();
+    writer.join().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        out.status.success(),
+        "titand died: {:?}\n{stderr}",
+        out.status
+    );
+    let mut replies: Vec<String> = String::from_utf8(out.stdout)
+        .unwrap()
+        .lines()
+        .map(str::to_string)
+        .collect();
+    let ack = parse(&replies.pop().expect("the shutdown ack")).unwrap();
+    let totals = ServerTotals::from_json(ack.field("totals").unwrap()).unwrap();
+    (replies, totals)
+}
+
+fn response_of(line: &str) -> CompileResponse {
+    CompileResponse::from_json(&parse(line).unwrap()).unwrap()
+}
+
+/// The reply to `req` must be what store-less one-shot `titanc` prints.
+fn assert_one_shot(line: &str, req: &CompileRequest) {
+    let resp = response_of(line);
+    let (exit, stdout, stderr) = one_shot_of(req, &[]);
+    assert_eq!((resp.id, resp.exit), (req.id, exit), "{}", resp.stderr);
+    assert_eq!(resp.stdout, stdout);
+    assert_eq!(strip_cache_lines(&resp.stderr), stderr);
+}
+
+#[test]
+fn hostile_lines_are_answered_and_the_next_request_is_still_one_shot_identical() {
+    let valid = request_of(7, &[kernel_file(0, 1)]);
+    let valid_line = valid.to_json().to_string_compact().into_bytes();
+    let mut huge = br#"{"id":1,"files":[{"name":"big.c","src":""#.to_vec();
+    huge.resize(20 << 20, b'x');
+    let lines = [
+        // 10 000 unclosed arrays: a stack overflow (exit 134) before the
+        // parser counted its depth
+        vec![b'['; 10_000],
+        valid_line.clone(),
+        // 20 MiB without a newline in sight, then 0xFF bytes
+        huge,
+        b"{\"id\":2,\"files\":\xff\xfe}".to_vec(),
+        b"   ".to_vec(),
+        valid_line,
+    ];
+    let (replies, totals) = daemon_session(None, &lines);
+    assert_eq!(replies.len(), 5, "the blank line is skipped");
+    let deep = response_of(&replies[0]);
+    assert_eq!((deep.id, deep.exit), (-1, 2));
+    assert!(deep.stderr.contains("nested too deeply"), "{}", deep.stderr);
+    for (reply, why) in [
+        (&replies[2], "longer than 16 MiB"),
+        (&replies[3], "not UTF-8"),
+    ] {
+        let rejected = response_of(reply);
+        assert_eq!((rejected.id, rejected.exit), (-1, 2));
+        assert!(rejected.stderr.contains(why), "{}", rejected.stderr);
+    }
+    assert_one_shot(&replies[1], &valid);
+    assert_one_shot(&replies[4], &valid);
+    assert_eq!(
+        (totals.requests, totals.protocol_errors, totals.rejected),
+        (2, 1, 2)
+    );
+    assert_eq!((totals.contained, totals.fully_warm), (0, 1));
+}
+
+#[test]
+fn a_panic_outside_a_pass_cell_is_answered_exit_three_and_the_worker_lives() {
+    let valid = request_of(1, &[kernel_file(0, 1)]);
+    let mut cursed = request_of(2, &[kernel_file(1, 1)]);
+    cursed.files[0].name = "boom.c".to_string();
+    let lines: Vec<Vec<u8>> = [&valid, &cursed, &cursed, &valid, &valid]
+        .iter()
+        .map(|r| r.to_json().to_string_compact().into_bytes())
+        .collect();
+    let (replies, totals) = daemon_session(Some("boom.c"), &lines);
+    assert_eq!(replies.len(), 5);
+    for reply in &replies[1..3] {
+        let contained = response_of(reply);
+        assert_eq!((contained.id, contained.exit), (2, 3));
+        assert_eq!(contained.stdout, "");
+        assert_eq!(
+            contained.stderr,
+            "titanc: internal error: injected fault in request file `boom.c`\n"
+        );
+    }
+    for reply in [&replies[0], &replies[3], &replies[4]] {
+        assert_one_shot(reply, &valid);
+    }
+    assert_eq!((totals.requests, totals.contained), (5, 2));
+    // the degraded reply was never admitted; the healthy one was
+    assert_eq!((totals.reply_hits, totals.reply_misses), (1, 4));
+}
+
+/// A pass incident (the classic `TITANC_INJECT_PANIC=<procedure>`) leaves
+/// a degraded program that is never persisted, so no request over it is
+/// fully warm and none is admitted, however often it repeats.
+#[test]
+fn incident_carrying_requests_admit_nothing() {
+    let req = request_of(1, &[kernel_file(0, 1), kernel_file(1, 1)]);
+    let line = req.to_json().to_string_compact().into_bytes();
+    let (replies, totals) = daemon_session(Some("k1"), &[line.clone(), line.clone(), line]);
+    for reply in &replies {
+        let resp = response_of(reply);
+        assert_eq!(resp.exit, 0);
+        assert!(resp.stderr.contains("titanc: warning:"), "{}", resp.stderr);
+        assert!(!resp.stderr.contains("(fully warm)"), "{}", resp.stderr);
+    }
+    assert_eq!((totals.reply_hits, totals.reply_misses), (0, 3));
 }

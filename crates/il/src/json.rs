@@ -197,15 +197,23 @@ fn write_escaped(s: &str, out: &mut String) {
     out.push('"');
 }
 
+/// How deeply arrays and objects may nest. The parser recurses once per
+/// level, so without a cap a line of `[[[[…` overflows the stack of
+/// whichever thread reads it; no document this repository writes nests
+/// past a few dozen levels.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses a JSON document.
 ///
 /// # Errors
 ///
-/// Returns a [`JsonError`] with the byte offset of the first problem.
+/// Returns a [`JsonError`] with the byte offset of the first problem;
+/// nesting deeper than [`MAX_DEPTH`] is one.
 pub fn parse(input: &str) -> Result<Json, JsonError> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -219,6 +227,8 @@ pub fn parse(input: &str) -> Result<Json, JsonError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -259,8 +269,8 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Json, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Parser::object),
+            Some(b'[') => self.nested(Parser::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') if self.eat_word("true") => Ok(Json::Bool(true)),
             Some(b'f') if self.eat_word("false") => Ok(Json::Bool(false)),
@@ -274,6 +284,20 @@ impl<'a> Parser<'a> {
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
+    }
+
+    /// Parses one array or object, a level deeper than its parent.
+    fn nested(
+        &mut self,
+        container: fn(&mut Parser<'a>) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err("nested too deeply"));
+        }
+        self.depth += 1;
+        let v = container(self);
+        self.depth -= 1;
+        v
     }
 
     fn object(&mut self) -> Result<Json, JsonError> {
@@ -637,6 +661,19 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse("\"unterminated").is_err());
         assert!(parse("12 34").is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped_and_never_overflows_the_stack() {
+        let nest = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse(&nest(MAX_DEPTH)).is_ok());
+        let err = parse(&nest(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.message, "nested too deeply");
+        assert_eq!(err.offset, MAX_DEPTH);
+        // objects count too, and an unclosed run of any length is an error
+        let objects = "{\"a\":".repeat(MAX_DEPTH + 1);
+        assert_eq!(parse(&objects).unwrap_err().message, "nested too deeply");
+        assert!(parse(&"[".repeat(2_000_000)).is_err());
     }
 
     #[test]

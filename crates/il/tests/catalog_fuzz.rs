@@ -112,6 +112,8 @@ fn load_reports_malformed_files_as_invalid_data() {
         base.replace("\"name\"", "\"nope\""),
         base.chars().take(base.len() / 3).collect(),
         "not json at all".to_string(),
+        // deeper than the parser recurses: an error, not a stack overflow
+        "[".repeat(100_000),
     ];
     for (i, doc) in mutants.iter().enumerate() {
         let path = dir.join(format!("mutant-{i}.json"));
