@@ -1,108 +1,67 @@
-//! A small fixed-capacity bit set for dataflow frames.
+//! Bit sets for dataflow frames: [`BitMatrix`], the solvers' one
+//! allocation of a frame per CFG node, and the word-slice operations their
+//! transfer functions run on.
 
-/// A fixed-size bit set backed by `u64` words.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct BitSet {
+/// `rows` bit sets of equal capacity in one allocation — a dataflow frame
+/// per CFG node. A row is a word slice, so transfer functions run
+/// word-wise over [`BitMatrix::row`] / [`BitMatrix::row_mut`].
+#[derive(Clone, Debug)]
+pub struct BitMatrix {
     words: Vec<u64>,
-    len: usize,
+    /// Words per row.
+    stride: usize,
+    bits: usize,
 }
 
-impl BitSet {
-    /// An empty set with capacity for `len` bits.
-    pub fn new(len: usize) -> BitSet {
-        BitSet {
-            words: vec![0; len.div_ceil(64)],
-            len,
+impl BitMatrix {
+    /// `rows` empty sets with capacity for `bits` bits each.
+    pub fn new(rows: usize, bits: usize) -> BitMatrix {
+        let stride = bits.div_ceil(64);
+        BitMatrix {
+            words: vec![0; rows * stride],
+            stride,
+            bits,
         }
     }
 
-    /// Capacity in bits.
-    pub fn capacity(&self) -> usize {
-        self.len
+    /// Row `r`.
+    pub fn row(&self, r: usize) -> &[u64] {
+        &self.words[r * self.stride..(r + 1) * self.stride]
     }
 
-    /// Sets bit `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn insert(&mut self, i: usize) {
-        assert!(i < self.len, "bit {i} out of range {}", self.len);
-        self.words[i / 64] |= 1 << (i % 64);
+    /// Row `r`, writable.
+    pub fn row_mut(&mut self, r: usize) -> &mut [u64] {
+        &mut self.words[r * self.stride..(r + 1) * self.stride]
     }
 
-    /// Clears bit `i`.
-    pub fn remove(&mut self, i: usize) {
-        assert!(i < self.len, "bit {i} out of range {}", self.len);
-        self.words[i / 64] &= !(1 << (i % 64));
+    /// Sets bit `i` of row `r`.
+    pub fn insert(&mut self, r: usize, i: usize) {
+        self.row_mut(r)[i / 64] |= 1 << (i % 64);
     }
 
-    /// Tests bit `i`.
-    pub fn contains(&self, i: usize) -> bool {
-        i < self.len && self.words[i / 64] & (1 << (i % 64)) != 0
+    /// Tests bit `i` of row `r`; false out of range.
+    pub fn contains(&self, r: usize, i: usize) -> bool {
+        i < self.bits
+            && self
+                .words
+                .get(r * self.stride + i / 64)
+                .is_some_and(|w| w & (1 << (i % 64)) != 0)
     }
+}
 
-    /// `self |= other`; returns true if `self` changed.
-    pub fn union_with(&mut self, other: &BitSet) -> bool {
-        let mut changed = false;
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            let next = *a | *b;
-            changed |= next != *a;
-            *a = next;
-        }
-        changed
-    }
-
-    /// `self = other`, reusing this set's storage (both sets must have the
-    /// same capacity).
-    pub fn assign(&mut self, other: &BitSet) {
-        debug_assert_eq!(self.len, other.len);
-        self.words.copy_from_slice(&other.words);
-    }
-
-    /// `self &= !other`.
-    pub fn subtract(&mut self, other: &BitSet) {
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            *a &= !b;
-        }
-    }
-
-    /// `self &= other`.
-    pub fn intersect_with(&mut self, other: &BitSet) {
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            *a &= b;
-        }
-    }
-
-    /// Empties the set.
-    pub fn clear(&mut self) {
-        self.words.iter_mut().for_each(|w| *w = 0);
-    }
-
-    /// True when no bit is set.
-    pub fn is_empty(&self) -> bool {
-        self.words.iter().all(|w| *w == 0)
-    }
-
-    /// Number of set bits.
-    pub fn count(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
-    /// Iterates over set bit indices.
-    pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
-        self.words.iter().enumerate().flat_map(|(wi, w)| {
-            let mut w = *w;
-            std::iter::from_fn(move || {
-                if w == 0 {
-                    None
-                } else {
-                    let b = w.trailing_zeros() as usize;
-                    w &= w - 1;
-                    Some(wi * 64 + b)
-                }
-            })
-        })
+/// `dst |= src`, word-wise, leaving out bits `lo..hi` of `src` — a
+/// transfer function's "less what this node kills" (`lo == hi`: nothing).
+pub fn union_except(dst: &mut [u64], src: &[u64], lo: usize, hi: usize) {
+    for (w, (d, s)) in dst.iter_mut().zip(src).enumerate() {
+        // the part of lo..hi that lies in word w
+        let (base, end) = (w * 64, w * 64 + 64);
+        let (from, to) = (lo.clamp(base, end) - base, hi.clamp(base, end) - base);
+        let kill = if from < to {
+            (!0u64 >> (64 - (to - from))) << from
+        } else {
+            0
+        };
+        *d |= s & !kill;
     }
 }
 
@@ -111,57 +70,36 @@ mod tests {
     use super::*;
 
     #[test]
-    fn insert_contains_remove() {
-        let mut s = BitSet::new(130);
-        s.insert(0);
-        s.insert(64);
-        s.insert(129);
-        assert!(s.contains(0) && s.contains(64) && s.contains(129));
-        assert!(!s.contains(1));
-        s.remove(64);
-        assert!(!s.contains(64));
-        assert_eq!(s.count(), 2);
+    fn matrix_rows_are_independent() {
+        let mut m = BitMatrix::new(3, 130);
+        m.insert(1, 0);
+        m.insert(1, 129);
+        m.insert(2, 64);
+        assert!(m.contains(1, 0) && m.contains(1, 129) && m.contains(2, 64));
+        assert!(!m.contains(0, 0) && !m.contains(2, 129));
+        assert!(!m.contains(3, 0) && !m.contains(1, 130), "out of range");
+        let (src, mut dst) = (m.row(1).to_vec(), vec![0; 3]);
+        union_except(&mut dst, &src, 0, 0);
+        assert_eq!(dst, m.row(1));
+        assert_eq!(BitMatrix::new(4, 0).row(3), &[] as &[u64]);
     }
 
     #[test]
-    fn union_reports_change() {
-        let mut a = BitSet::new(10);
-        let mut b = BitSet::new(10);
-        b.insert(3);
-        assert!(a.union_with(&b));
-        assert!(!a.union_with(&b), "no change on second union");
-        assert!(a.contains(3));
-    }
-
-    #[test]
-    fn subtract_and_intersect() {
-        let mut a = BitSet::new(10);
-        a.insert(1);
-        a.insert(2);
-        let mut b = BitSet::new(10);
-        b.insert(2);
-        a.subtract(&b);
-        assert!(a.contains(1) && !a.contains(2));
-        let mut c = BitSet::new(10);
-        c.insert(1);
-        c.insert(5);
-        a.intersect_with(&c);
-        assert!(a.contains(1) && a.count() == 1);
-    }
-
-    #[test]
-    fn iter_yields_sorted_indices() {
-        let mut s = BitSet::new(200);
-        for i in [5usize, 70, 199, 0] {
-            s.insert(i);
+    fn union_except_spans_words_and_takes_empty_ranges() {
+        let all = [!0u64; 3];
+        for (lo, hi, want) in [
+            (60, 130, [(1u64 << 60) - 1, 0, !0 << 2]),
+            (0, 0, all),
+            (70, 70, all),
+            (64, 128, [!0, 0, !0]),
+            (3, 4, [!8, !0, !0]),
+        ] {
+            let mut dst = [0u64; 3];
+            union_except(&mut dst, &all, lo, hi);
+            assert_eq!(dst, want, "{lo}..{hi}");
         }
-        let got: Vec<usize> = s.iter().collect();
-        assert_eq!(got, vec![0, 5, 70, 199]);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn out_of_range_insert_panics() {
-        BitSet::new(4).insert(4);
+        let mut dst = [1u64, 0, 0];
+        union_except(&mut dst, &[6, 0, 0], 1, 2);
+        assert_eq!(dst, [5, 0, 0], "what was in dst stays");
     }
 }

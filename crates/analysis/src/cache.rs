@@ -221,10 +221,10 @@ impl ProcAnalyses {
     /// §5.2 incremental repair: adopt the procedure's current generation
     /// while keeping the CFG, use–def chains, dominators, and loop nest.
     ///
-    /// Only sound after *pure expression rewrites*: the statement set,
-    /// statement ids, control-flow edges, and definition sites must be
-    /// unchanged (constant propagation's replace/fold rounds qualify;
-    /// branch simplification does not). Liveness is dropped — a rewrite
+    /// Only sound after *pure expression rewrites* that add no read: the
+    /// statement set and ids, control-flow edges, definition sites and the
+    /// chains' reader index must stay exact (constant propagation's
+    /// replace/fold rounds qualify). Liveness is dropped — a rewrite
     /// can remove reads, leaving cached liveness a sound but imprecise
     /// over-approximation, so it is rebuilt on next request instead.
     pub fn rekey(&mut self, proc: &Procedure) {
@@ -237,6 +237,21 @@ impl ProcAnalyses {
         if self.has_any() {
             self.stats.repairs += 1;
         }
+    }
+
+    /// Adopts the procedure's current generation keeping *only* the CFG.
+    /// Sound when every edit since it was built removed a statement
+    /// control merely passed through (dead-code elimination's stores,
+    /// labels and emptied `if`s / loops): its node stands for nothing now
+    /// but leaves every path between the survivors as it was, which is
+    /// all a dataflow solve over them asks of the graph. A pass that
+    /// reads nodes as statements must not see it — the caller
+    /// invalidates before it returns.
+    pub fn keep_cfg(&mut self, proc: &Procedure) {
+        let cfg = self.cfg.take();
+        self.drop_artifacts();
+        self.stats.repairs += usize::from(cfg.is_some());
+        (self.cfg, self.generation) = (cfg, Some(proc.generation()));
     }
 
     /// Accounts for an in-place artifact reuse a pass performed itself

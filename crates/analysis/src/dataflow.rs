@@ -7,19 +7,9 @@
 //! optimizations must simply leave it alone — exactly the conservatism the
 //! paper ascribes to C's `&` operator (§1 item 7).
 
-use crate::bitset::BitSet;
+use crate::bitset::{union_except, BitMatrix};
 use crate::cfg::{Cfg, NodeId};
 use titanc_il::{Procedure, StmtId, Storage, VarId};
-
-/// A definition site: a statement defining a variable, or the virtual
-/// entry definition (parameter value / uninitialized).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Hash)]
-pub struct DefSite {
-    /// The defining statement; `None` for the entry definition.
-    pub stmt: Option<StmtId>,
-    /// The variable defined.
-    pub var: VarId,
-}
 
 /// Which variables the chain-driven analyses track, by `VarId` index.
 fn tracked_vars(proc: &Procedure) -> Vec<bool> {
@@ -34,19 +24,47 @@ fn tracked_vars(proc: &Procedure) -> Vec<bool> {
         .collect()
 }
 
+/// A stable counting sort by variable: `grouped[first[v]..first[v + 1]]`
+/// are the items keyed `v`, in the order given.
+fn group_by_var<T: Copy>(nvars: usize, items: &[(VarId, T)], fill: T) -> (Vec<u32>, Vec<T>) {
+    let mut first = vec![0u32; nvars + 1];
+    for (v, _) in items {
+        first[v.index() + 1] += 1;
+    }
+    for v in 0..nvars {
+        first[v + 1] += first[v];
+    }
+    let (mut next, mut grouped) = (first.clone(), vec![fill; items.len()]);
+    for &(v, item) in items {
+        grouped[next[v.index()] as usize] = item;
+        next[v.index()] += 1;
+    }
+    (first, grouped)
+}
+
 /// Use–def chains built from reaching definitions.
 #[derive(Debug)]
 pub struct UseDef {
     tracked: Vec<bool>,
-    defs: Vec<DefSite>,
+    /// Definition sites — the defining statement, `None` for the virtual
+    /// entry definition (parameter value / uninitialized) — variable-major:
+    /// a variable's sites are adjacent, its entry definition then its
+    /// statements in preorder, so a site kills a bit *range* and no
+    /// gen/kill frame is ever built.
+    defs: Vec<Option<StmtId>>,
+    /// `defs[first_site[v]..first_site[v + 1]]` are the sites of variable
+    /// `v` (an empty range for an untracked one).
+    first_site: Vec<u32>,
     /// The definition site a statement is, by `StmtId` index (a statement
     /// defines at most one variable).
-    def_of_stmt: Vec<Option<usize>>,
-    /// Definition sites per variable, ascending.
-    defs_of_var: Vec<Vec<usize>>,
-    /// reaching-in per CFG node.
-    reach_in: Vec<BitSet>,
+    def_of_stmt: Vec<Option<u32>>,
+    /// reaching-in, a row per CFG node.
+    reach_in: BitMatrix,
     node_of_stmt: Vec<Option<NodeId>>,
+    /// The def→use index: `readers[first_reader[v]..first_reader[v + 1]]`
+    /// are the statements that read tracked variable `v`, in preorder.
+    readers: Vec<StmtId>,
+    first_reader: Vec<u32>,
 }
 
 impl UseDef {
@@ -55,74 +73,73 @@ impl UseDef {
         let nvars = proc.vars.len();
         let tracked = tracked_vars(proc);
 
-        // enumerate definition sites: a virtual entry def for every tracked
-        // var, then the defining statements in preorder
-        let mut defs: Vec<DefSite> = Vec::new();
-        let mut defs_of_var: Vec<Vec<usize>> = vec![Vec::new(); nvars];
-        let mut def_of_stmt: Vec<Option<usize>> = vec![None; proc.stmts.len()];
-        for (i, is_tracked) in tracked.iter().enumerate() {
-            if *is_tracked {
-                defs_of_var[i].push(defs.len());
-                defs.push(DefSite {
-                    stmt: None,
-                    var: VarId::from_index(i),
-                });
-            }
-        }
-        let entry_defs = defs.len();
+        // one walk: every tracked variable's entry definition, then the
+        // defining statements; and each statement's distinct tracked reads
+        let tracked_ids = (0..nvars)
+            .map(VarId::from_index)
+            .filter(|v| tracked[v.index()]);
+        let mut sites: Vec<(VarId, Option<StmtId>)> = tracked_ids.map(|v| (v, None)).collect();
+        let mut reads: Vec<(VarId, StmtId)> = Vec::new();
+        let mut scratch: Vec<VarId> = Vec::new();
         proc.for_each_stmt(&mut |s, k| {
-            if let Some(v) = k.defined_var() {
-                if tracked[v.index()] {
-                    def_of_stmt[s.index()] = Some(defs.len());
-                    defs_of_var[v.index()].push(defs.len());
-                    defs.push(DefSite {
-                        stmt: Some(s),
-                        var: v,
-                    });
+            if let Some(v) = k.defined_var().filter(|v| tracked[v.index()]) {
+                sites.push((v, Some(s)));
+            }
+            scratch.clear();
+            for e in k.exprs() {
+                proc.exprs.collect_vars_read(e, &mut scratch);
+            }
+            for (i, &v) in scratch.iter().enumerate() {
+                if tracked[v.index()] && !scratch[..i].contains(&v) {
+                    reads.push((v, s));
                 }
             }
         });
+        let (first_site, defs) = group_by_var(nvars, &sites, None);
+        let (first_reader, readers) = group_by_var(nvars, &reads, StmtId::from_index(0));
 
-        let ndefs = defs.len();
-        // gen/kill per node
-        let mut gen: Vec<BitSet> = (0..cfg.len()).map(|_| BitSet::new(ndefs)).collect();
-        let mut kill: Vec<BitSet> = (0..cfg.len()).map(|_| BitSet::new(ndefs)).collect();
-        // entry node generates all virtual defs
-        for i in 0..entry_defs {
-            gen[cfg.entry].insert(i);
-        }
-        for (me, d) in defs.iter().enumerate().skip(entry_defs) {
-            let Some(n) = d.stmt.and_then(|s| cfg.node_of(s)) else {
-                continue;
-            };
-            gen[n].insert(me);
-            for &other in &defs_of_var[d.var.index()] {
-                if other != me {
-                    kill[n].insert(other);
+        // what a node reachable from the entry generates, and the range of
+        // sites it kills (code nothing reaches defines nothing)
+        let order = cfg.rpo();
+        let mut reachable = vec![false; cfg.len()];
+        order.iter().for_each(|&n| reachable[n] = true);
+        let mut def_of_stmt: Vec<Option<u32>> = vec![None; proc.stmts.len()];
+        let mut site_of_node: Vec<Option<(u32, u32, u32)>> = vec![None; cfg.len()];
+        for range in first_site.windows(2) {
+            for me in range[0]..range[1] {
+                let Some(s) = defs[me as usize] else { continue };
+                def_of_stmt[s.index()] = Some(me);
+                if let Some(n) = cfg.node_of(s).filter(|&n| reachable[n]) {
+                    site_of_node[n] = Some((me, range[0], range[1]));
                 }
             }
         }
 
-        // forward may analysis to fixpoint, in RPO; `out` is one scratch
-        // frame reused by every node of every iteration
-        let order = cfg.rpo();
-        let mut reach_in: Vec<BitSet> = (0..cfg.len()).map(|_| BitSet::new(ndefs)).collect();
-        let mut reach_out: Vec<BitSet> = (0..cfg.len()).map(|_| BitSet::new(ndefs)).collect();
-        let mut out = BitSet::new(ndefs);
+        // forward may analysis to fixpoint, in RPO, over the reaching-in
+        // frames alone: what leaves a predecessor is its frame less the
+        // range its site kills, plus that site. `inn` is one scratch frame
+        // reused by every node of every iteration. The entry node has no
+        // predecessor and no statement to ask about: its row holds what it
+        // generates, every virtual definition.
+        let mut reach_in = BitMatrix::new(cfg.len(), defs.len());
+        for range in first_site.windows(2).filter(|r| r[0] < r[1]) {
+            reach_in.insert(cfg.entry, range[0] as usize);
+        }
+        let mut inn = vec![0u64; reach_in.row(0).len()];
         let mut changed = true;
         while changed {
             changed = false;
-            for &n in &order {
-                let inn = &mut reach_in[n];
-                inn.clear();
+            for &n in order.iter().filter(|&&n| n != cfg.entry) {
+                inn.fill(0);
                 for &p in &cfg.preds[n] {
-                    inn.union_with(&reach_out[p]);
+                    let (lo, hi) = site_of_node[p].map_or((0, 0), |(_, lo, hi)| (lo, hi));
+                    union_except(&mut inn, reach_in.row(p), lo as usize, hi as usize);
+                    if let Some((me, ..)) = site_of_node[p] {
+                        inn[me as usize / 64] |= 1 << (me % 64);
+                    }
                 }
-                out.assign(inn);
-                out.subtract(&kill[n]);
-                out.union_with(&gen[n]);
-                if out != reach_out[n] {
-                    std::mem::swap(&mut out, &mut reach_out[n]);
+                if inn != reach_in.row(n) {
+                    reach_in.row_mut(n).copy_from_slice(&inn);
                     changed = true;
                 }
             }
@@ -131,10 +148,12 @@ impl UseDef {
         UseDef {
             tracked,
             defs,
+            first_site,
             def_of_stmt,
-            defs_of_var,
             reach_in,
             node_of_stmt: cfg.nodes_by_stmt().to_vec(),
+            readers,
+            first_reader,
         }
     }
 
@@ -148,51 +167,59 @@ impl UseDef {
         self.node_of_stmt.get(s.index()).copied().flatten()
     }
 
+    /// `table[first[v]..first[v + 1]]`, empty for a variable out of range.
+    fn span_of<'a, T>(table: &'a [T], first: &[u32], v: VarId) -> (usize, &'a [T]) {
+        match first.get(v.index()..v.index() + 2) {
+            Some(&[lo, hi]) => (lo as usize, &table[lo as usize..hi as usize]),
+            _ => (0, &[]),
+        }
+    }
+
     /// The definition sites of `var` that reach the *top* of statement
-    /// `at`. `None` entries denote the entry definition.
-    pub fn reaching_defs(&self, at: StmtId, var: VarId) -> Vec<Option<StmtId>> {
-        let (Some(n), Some(of_var)) = (self.node_of(at), self.defs_of_var.get(var.index())) else {
-            return Vec::new();
-        };
-        of_var
+    /// `at`, ascending. `None` entries denote the entry definition.
+    pub fn reaching_defs(
+        &self,
+        at: StmtId,
+        var: VarId,
+    ) -> impl Iterator<Item = Option<StmtId>> + '_ {
+        let (lo, sites) = UseDef::span_of(&self.defs, &self.first_site, var);
+        let node = self.node_of(at);
+        sites
             .iter()
-            .filter(|&&i| self.reach_in[n].contains(i))
-            .map(|&i| self.defs[i].stmt)
-            .collect()
+            .enumerate()
+            .filter(move |(i, _)| node.is_some_and(|n| self.reach_in.contains(n, lo + i)))
+            .map(|(_, d)| *d)
     }
 
     /// The unique *statement* definition of `var` reaching `at`, if there
     /// is exactly one reaching def and it is a real statement.
     pub fn unique_reaching_def(&self, at: StmtId, var: VarId) -> Option<StmtId> {
-        let defs = self.reaching_defs(at, var);
-        match defs.as_slice() {
-            [Some(s)] => Some(*s),
+        let mut defs = self.reaching_defs(at, var);
+        match (defs.next(), defs.next()) {
+            (Some(s), None) => s,
             _ => None,
         }
     }
 
-    /// Every statement whose use of `var` may see the definition made by
-    /// `def_stmt` (the def-use direction of the chains).
-    pub fn uses_of_def(&self, proc: &Procedure, def_stmt: StmtId, var: VarId) -> Vec<StmtId> {
-        let idx = match self.def_of_stmt.get(def_stmt.index()) {
-            Some(&Some(i)) if self.defs[i].var == var => i,
-            _ => return Vec::new(),
-        };
-        let mut out = Vec::new();
-        proc.for_each_stmt(&mut |s, k| {
-            let n = match self.node_of(s) {
-                Some(n) => n,
-                None => return,
-            };
-            if !self.reach_in[n].contains(idx) {
-                return;
-            }
-            let reads = k.exprs().iter().any(|e| proc.exprs.reads_var(e, var));
-            if reads {
-                out.push(s);
-            }
-        });
-        out
+    /// The statements reading `var` that `def_stmt`'s definition of it
+    /// reaches (the def-use direction of the chains), in preorder, from
+    /// the index of readers taken when the chains were built: a statement
+    /// a rewrite has since taken the read out of is still listed; one a
+    /// rewrite put a read *into* is not, which is why such a rewrite may
+    /// not [`crate::ProcAnalyses::rekey`].
+    pub fn uses_of_def(&self, def_stmt: StmtId, var: VarId) -> impl Iterator<Item = StmtId> + '_ {
+        let (lo, sites) = UseDef::span_of(&self.defs, &self.first_site, var);
+        let site = self.def_of_stmt.get(def_stmt.index()).copied().flatten();
+        let site = site
+            .map(|i| i as usize)
+            .filter(|i| (lo..lo + sites.len()).contains(i));
+        let (_, readers) = UseDef::span_of(&self.readers, &self.first_reader, var);
+        readers.iter().copied().filter(move |&s| {
+            site.is_some_and(|i| {
+                self.node_of(s)
+                    .is_some_and(|n| self.reach_in.contains(n, i))
+            })
+        })
     }
 }
 
@@ -200,7 +227,8 @@ impl UseDef {
 #[derive(Debug)]
 pub struct Liveness {
     tracked: Vec<bool>,
-    live_out: Vec<BitSet>,
+    /// live-out, a row per CFG node.
+    live_out: BitMatrix,
     node_of_stmt: Vec<Option<NodeId>>,
 }
 
@@ -209,50 +237,47 @@ impl Liveness {
     pub fn build(proc: &Procedure, cfg: &Cfg) -> Liveness {
         let nvars = proc.vars.len();
         let tracked = tracked_vars(proc);
-        let mut uses: Vec<BitSet> = (0..cfg.len()).map(|_| BitSet::new(nvars)).collect();
-        let mut defs: Vec<BitSet> = (0..cfg.len()).map(|_| BitSet::new(nvars)).collect();
+        // per node: the variables it reads (`reads[from..to]`, untracked
+        // ones and repeats included) and the tracked one it defines
         let mut reads: Vec<VarId> = Vec::new();
+        let mut reads_of_node = vec![(0usize, 0usize); cfg.len()];
+        let mut def_of_node: Vec<Option<usize>> = vec![None; cfg.len()];
         proc.for_each_stmt(&mut |s, k| {
-            let n = match cfg.node_of(s) {
-                Some(n) => n,
-                None => return,
+            let Some(n) = cfg.node_of(s) else {
+                return;
             };
-            reads.clear();
+            let from = reads.len();
             for e in k.exprs() {
                 proc.exprs.collect_vars_read(e, &mut reads);
             }
-            for v in &reads {
-                if tracked[v.index()] {
-                    uses[n].insert(v.index());
-                }
-            }
-            if let Some(v) = k.defined_var() {
-                if tracked[v.index()] && !uses[n].contains(v.index()) {
-                    defs[n].insert(v.index());
-                }
-            }
+            reads_of_node[n] = (from, reads.len());
+            def_of_node[n] = k.defined_var().map(VarId::index).filter(|&v| tracked[v]);
         });
 
-        // `inn` is one scratch frame reused by every node of every iteration
+        // backward may analysis to fixpoint over the live-out frames alone:
+        // live into a successor is what is live out of it less what it
+        // defines, plus what it reads (a statement reads before it writes:
+        // `x = x + 1` keeps x). `out` is one scratch frame reused by every
+        // node of every iteration.
         let mut order = cfg.rpo();
         order.reverse();
-        let mut live_in: Vec<BitSet> = (0..cfg.len()).map(|_| BitSet::new(nvars)).collect();
-        let mut live_out: Vec<BitSet> = (0..cfg.len()).map(|_| BitSet::new(nvars)).collect();
-        let mut inn = BitSet::new(nvars);
+        let mut live_out = BitMatrix::new(cfg.len(), nvars);
+        let mut out = vec![0u64; live_out.row(0).len()];
         let mut changed = true;
         while changed {
             changed = false;
             for &n in &order {
-                let out = &mut live_out[n];
-                out.clear();
+                out.fill(0);
                 for &s in &cfg.succs[n] {
-                    out.union_with(&live_in[s]);
+                    let (lo, hi) = def_of_node[s].map_or((0, 0), |v| (v, v + 1));
+                    union_except(&mut out, live_out.row(s), lo, hi);
+                    let (from, to) = reads_of_node[s];
+                    for v in &reads[from..to] {
+                        out[v.index() / 64] |= 1 << (v.index() % 64);
+                    }
                 }
-                inn.assign(out);
-                inn.subtract(&defs[n]);
-                inn.union_with(&uses[n]);
-                if inn != live_in[n] {
-                    std::mem::swap(&mut inn, &mut live_in[n]);
+                if out != live_out.row(n) {
+                    live_out.row_mut(n).copy_from_slice(&out);
                     changed = true;
                 }
             }
@@ -271,7 +296,7 @@ impl Liveness {
             return true;
         }
         match self.node_of_stmt.get(at.index()).copied().flatten() {
-            Some(n) => self.live_out[n].contains(var.index()),
+            Some(n) => self.live_out.contains(n, var.index()),
             None => true,
         }
     }
@@ -318,8 +343,7 @@ mod tests {
         let ud = UseDef::build(&proc, &cfg);
         let x = proc.var_by_name("x").unwrap();
         let ret = stmt_matching(&proc, |_, k| matches!(k, StmtKind::Return(Some(_))));
-        let defs = ud.reaching_defs(ret, x);
-        assert_eq!(defs.len(), 2);
+        assert_eq!(ud.reaching_defs(ret, x).count(), 2);
         assert!(ud.unique_reaching_def(ret, x).is_none());
     }
 
@@ -329,7 +353,7 @@ mod tests {
         let ud = UseDef::build(&proc, &cfg);
         let n = proc.var_by_name("n").unwrap();
         let ret = stmt_matching(&proc, |_, k| matches!(k, StmtKind::Return(Some(_))));
-        let defs = ud.reaching_defs(ret, n);
+        let defs: Vec<_> = ud.reaching_defs(ret, n).collect();
         assert_eq!(defs, vec![None], "entry definition");
     }
 
@@ -339,7 +363,7 @@ mod tests {
         let ud = UseDef::build(&proc, &cfg);
         let n = proc.var_by_name("n").unwrap();
         let w = stmt_matching(&proc, |_, k| matches!(k, StmtKind::While { .. }));
-        let defs = ud.reaching_defs(w, n);
+        let defs: Vec<_> = ud.reaching_defs(w, n).collect();
         assert_eq!(defs.len(), 2, "entry def + loop body def: {defs:?}");
     }
 
@@ -359,8 +383,7 @@ mod tests {
         let ud = UseDef::build(&proc, &cfg);
         let x = proc.var_by_name("x").unwrap();
         let def = stmt_matching(&proc, |_, k| k.defined_var() == Some(x));
-        let uses = ud.uses_of_def(&proc, def, x);
-        assert_eq!(uses.len(), 1, "the return reads x");
+        assert_eq!(ud.uses_of_def(def, x).count(), 1, "the return reads x");
     }
 
     #[test]

@@ -31,10 +31,10 @@ pub mod dataflow;
 pub mod dominators;
 pub mod loops;
 
-pub use bitset::BitSet;
+pub use bitset::BitMatrix;
 pub use cache::{AnalysisCache, CacheStats, ProcAnalyses};
 pub use cfg::{Cfg, NodeId};
-pub use dataflow::{DefSite, Liveness, UseDef};
+pub use dataflow::{Liveness, UseDef};
 pub use dominators::Dominators;
 pub use loops::{LoopNest, LoopNestEntry};
 

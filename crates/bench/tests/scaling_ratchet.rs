@@ -4,12 +4,16 @@
 //! A procedure of the benchmark's `mp9` shape is compiled at 30 and at
 //! 120 loops and the allocations `Pipeline::run` makes are counted — how
 //! many, and how many bytes they ask for. Four times the loops may cost at
-//! most five times the allocations. A pass that rescans the rest of its
+//! most 4.4 times the allocations. A pass that rescans the rest of its
 //! block per definition, or re-walks the procedure per loop, fails this
 //! by a wide margin (the quadratic `forward` this guards against grew
 //! ≈12×); bitset dataflow frames grow with nodes × definitions and are
-//! what the slack over 4× is for. Run it with `--release`: a debug build
-//! verifies the IL after every pass, which is not what is being measured.
+//! what the slack over 4× is for. The 30-loop run is also held to an
+//! absolute budget, so a rollback clone per pass or a heap set per CFG
+//! node — each thousands of allocations — cannot come back unnoticed on
+//! any host. Run it with `--release`: a debug build verifies the IL after
+//! every pass and keeps a snapshot per pass to check rollbacks against,
+//! which is not what is being measured.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -91,19 +95,31 @@ fn pipeline_allocations(loops: usize) -> (usize, usize) {
 }
 
 #[test]
-fn four_times_the_loops_is_at_most_five_times_the_allocation() {
+fn four_times_the_loops_is_at_most_4_4_times_the_allocation() {
     let (small_n, small_bytes) = pipeline_allocations(30);
     let (large_n, large_bytes) = pipeline_allocations(120);
     assert!(
-        large_n <= 5 * small_n,
-        "allocation count grew {:.1}x for 4x the loops ({small_n} -> {large_n}): a rescan is back",
+        10 * large_n <= 44 * small_n,
+        "allocation count grew {:.2}x for 4x the loops ({small_n} -> {large_n}): a rescan is back",
         large_n as f64 / small_n as f64
     );
     assert!(
-        large_bytes <= 5 * small_bytes,
-        "bytes requested grew {:.1}x for 4x the loops ({small_bytes} -> {large_bytes})",
+        10 * large_bytes <= 44 * small_bytes,
+        "bytes requested grew {:.2}x for 4x the loops ({small_bytes} -> {large_bytes})",
         large_bytes as f64 / small_bytes as f64
     );
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "a debug chain keeps a snapshot per pass")]
+fn thirty_loops_stay_inside_the_allocation_budget() {
+    let (count, bytes) = pipeline_allocations(30);
+    assert!(
+        count <= 7_000 && bytes <= 1_250_000,
+        "one 30-loop `Pipeline::run` made {count} allocations for {bytes} bytes \
+         (budget 7000 / 1.25 MB; 12826 / 2149952 with a clone per pass and a set per node)"
+    );
+    eprintln!("30 loops: {count} allocations, {bytes} bytes");
 }
 
 #[test]

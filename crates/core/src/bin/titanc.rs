@@ -311,6 +311,15 @@ fn main() -> ExitCode {
             totals.repairs,
             totals.invalidations
         );
+        // pass time is summed over workers, so above `-j 1` it can exceed
+        // the wall clock and "outside" reads zero
+        let (wall, passes) = (compiled.trace.wall, compiled.trace.total_duration());
+        println!(
+            "pipeline wall  {:>9.3} ms  (passes {:.3} ms, outside any pass {:.3} ms)",
+            wall.as_secs_f64() * 1e3,
+            passes.as_secs_f64() * 1e3,
+            wall.saturating_sub(passes).as_secs_f64() * 1e3
+        );
     }
 
     if cli.emit_catalog.is_some() || cli.emit_catalog_optimized.is_some() {

@@ -274,6 +274,9 @@ pub struct PassTrace {
     /// wall-clock data and vary run to run — tools must not expect this
     /// to be reproducible the way [`PassTrace::records`] is.
     pub timeline: Vec<WorkItem>,
+    /// Wall clock of the whole [`Pipeline::run`] (timing data): at `-j 1`,
+    /// what it exceeds [`PassTrace::total_duration`] by sat between passes.
+    pub wall: Duration,
 }
 
 impl PassTrace {
@@ -563,23 +566,25 @@ pub struct SessionReplay {
 /// ## Fault isolation
 ///
 /// Each pass runs under `catch_unwind`. On a panic — or on a verifier
-/// rejection of the pass's output — the procedure is rolled back to
-/// `last_good` (the IL that last passed verification, starting from the
-/// chain's entry state), the cache slot is invalidated (artifacts built
-/// against the abandoned IL must not survive the rollback), a
-/// [`PassIncident`] is recorded, and the rest of the chain is skipped:
-/// the procedure is *degraded*. Panics never cross the worker-thread
-/// boundary, so one faulty procedure cannot poison the thread scope.
+/// rejection of the pass's output — the procedure is rolled back to the
+/// IL the faulting pass was handed ([`roll_back`]: the chain's one
+/// `entry` snapshot with the passes that ran clean replayed over it), the
+/// cache slot is invalidated (artifacts built against the abandoned IL
+/// must not survive the rollback), a [`PassIncident`] is recorded, and the
+/// rest of the chain is skipped: the procedure is *degraded*. `entry` is
+/// `None` for a procedure an earlier group already degraded — every pass
+/// is skipped. Panics never cross the worker-thread boundary, so one
+/// faulty procedure cannot poison the thread scope.
 #[allow(clippy::too_many_arguments)]
 fn run_proc_chain(
     group: &[&dyn ProcPass],
     proc: &mut Procedure,
+    entry: Option<&Procedure>,
     analyses: &mut ProcAnalyses,
     cx: &PassContext<'_>,
     verify: bool,
     want_snaps: bool,
     seen_gen: u64,
-    degraded_in: bool,
     epoch: Instant,
     lane: usize,
 ) -> ProcResult {
@@ -589,15 +594,15 @@ fn run_proc_chain(
     // the generation already covered by a snapshot + verification
     let mut last_seen = seen_gen;
     let mut incident: Option<(usize, PassIncident)> = None;
-    let mut degraded = degraded_in;
-    // rollback point: without the verifier this is the state after the
-    // last completed pass; with it, the last *verified* state
-    let mut last_good = if degraded { None } else { Some(proc.clone()) };
+    let mut degraded = entry.is_none();
     for (k, pass) in group.iter().enumerate() {
         if degraded {
             cells.push(PassCell::skipped());
             continue;
         }
+        // every debug run is a differential: the per-pass snapshot the
+        // replay replaced, kept to check the replay against
+        let handed = cfg!(debug_assertions).then(|| proc.clone());
         let stats_before = analyses.stats();
         let gen_before = proc.generation();
         let mut delta = Reports::default();
@@ -631,10 +636,20 @@ fn run_proc_chain(
             });
         let outcome = match checked {
             Ok(outcome) => outcome,
-            Err((kind, detail)) => {
-                *proc = last_good
-                    .clone()
-                    .expect("non-degraded chain has a rollback point");
+            Err((kind, mut detail)) => {
+                let entry = entry.expect("non-degraded chain has a rollback point");
+                match roll_back(proc, entry, &group[..k], cx) {
+                    Ok(()) => debug_assert!(
+                        handed.is_some_and(|h| *proc == h && proc.generation() == h.generation()),
+                        "replaying `{}` up to `{}` left other IL than that pass was handed",
+                        proc.name,
+                        pass.name()
+                    ),
+                    Err(why) => detail.push_str(&format!(
+                        "; replaying the earlier passes failed ({why}), rolled back to the \
+                         chain's entry state"
+                    )),
+                }
                 analyses.invalidate();
                 incident = Some((
                     k,
@@ -663,7 +678,6 @@ fn run_proc_chain(
                 ));
             }
             last_seen = proc.generation();
-            last_good = Some(proc.clone());
         }
         cells.push(PassCell {
             duration,
@@ -680,6 +694,36 @@ fn run_proc_chain(
         final_gen: proc.generation(),
         incident,
     }
+}
+
+/// Restores the IL a faulting pass was handed from the chain's only
+/// snapshot: `entry`, with `clean` — the passes before the faulting one,
+/// deterministic functions of IL and options that already ran and
+/// verified — replayed over it. A replay that itself panics leaves `proc`
+/// at `entry` and returns the panic message.
+fn roll_back(
+    proc: &mut Procedure,
+    entry: &Procedure,
+    clean: &[&dyn ProcPass],
+    cx: &PassContext<'_>,
+) -> Result<(), String> {
+    proc.clone_from(entry);
+    // a scratch slot: nothing built over the abandoned IL is consulted,
+    // and nothing the replay builds is accounted to a pass cell
+    let mut analyses = ProcAnalyses::new();
+    contain(|| {
+        for pass in clean {
+            let gen_before = proc.generation();
+            let outcome = pass.run_on(proc, cx, &mut analyses, &mut Reports::default());
+            if outcome.changed && proc.generation() == gen_before {
+                proc.bump_generation();
+            }
+        }
+    })
+    .map_err(|payload| {
+        proc.clone_from(entry);
+        panic_message(payload.as_ref())
+    })
 }
 
 /// A declarative sequence of passes.
@@ -703,6 +747,18 @@ impl Pipeline {
     /// fanned out across [`Options::jobs`] threads.
     pub fn push_proc(&mut self, pass: impl ProcPass + 'static) {
         self.stages.push(Stage::Proc(Box::new(pass)));
+    }
+
+    /// [`Pipeline::push_proc`] at stage `at`: a faulting pass *inside* a chain.
+    pub fn insert_proc(&mut self, at: usize, pass: impl ProcPass + 'static) {
+        self.stages.insert(at, Stage::Proc(Box::new(pass)));
+    }
+
+    /// This pipeline cut to its first `len` stages — what a procedure
+    /// degraded at stage `len` must look like.
+    pub fn truncated(mut self, len: usize) -> Pipeline {
+        self.stages.truncate(len);
+        self
     }
 
     /// This pipeline minus every stage called `name` — how an ablation is
@@ -886,6 +942,7 @@ impl Pipeline {
                 });
             }
         }
+        trace.wall = epoch.elapsed();
         (reports, trace)
     }
 }
@@ -1129,17 +1186,24 @@ fn run_proc_group(
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1);
     let workers = jobs.min(avail).clamp(1, tasks.len().max(1));
+    // one procedure's chain: the same call on the serial and the worker path
+    let chain =
+        |proc: &mut Procedure, entry: Option<&Procedure>, slot: &mut ProcAnalyses, seen, lane| {
+            run_proc_chain(
+                group, proc, entry, slot, cx, verify, want_snaps, seen, epoch, lane,
+            )
+        };
     if workers <= 1 {
         for (seen, skip, proc, slot, out) in tasks {
-            *out = Some(run_proc_chain(
-                group, proc, slot, cx, verify, want_snaps, seen, skip, epoch, 0,
-            ));
+            // the chain's one rollback snapshot
+            let entry = (!skip).then(|| proc.clone());
+            *out = Some(chain(proc, entry.as_ref(), slot, seen, 0));
         }
     } else {
         let queue = Mutex::new(tasks.into_iter());
         thread::scope(|s| {
             for lane in 1..=workers {
-                let queue = &queue;
+                let (queue, chain) = (&queue, &chain);
                 s.spawn(move || loop {
                     // take the lock only to pop; run outside it
                     let task = queue.lock().unwrap().next();
@@ -1150,14 +1214,13 @@ fn run_proc_group(
                             // thread's malloc arena instead of contending
                             // for the main thread's (the procedure itself
                             // was built there), and the original is freed
-                            // in one sweep at write-back. Faults inside
-                            // the chain are caught there, so a panicking
-                            // pass cannot poison this scope.
+                            // in one sweep at write-back — until when it
+                            // is the chain's rollback snapshot. Faults
+                            // inside the chain are caught there, so a
+                            // panicking pass cannot poison this scope.
                             let mut local = proc.clone();
-                            *out = Some(run_proc_chain(
-                                group, &mut local, slot, cx, verify, want_snaps, seen, skip, epoch,
-                                lane,
-                            ));
+                            let entry = (!skip).then_some(&*proc);
+                            *out = Some(chain(&mut local, entry, slot, seen, lane));
                             *proc = local;
                         }
                         None => break,
@@ -1406,3 +1469,38 @@ const PROC_PASSES: [TablePass; 9] = [
         changed: |r| r.strength.promoted > 0 || r.strength.reduced > 0 || r.strength.hoisted > 0,
     },
 ];
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// After a rollback nothing built over the abandoned IL is served: the
+    /// slot is empty, and the next request builds.
+    #[test]
+    fn a_rollback_leaves_the_analysis_slot_empty() {
+        let boom = TablePass {
+            name: "boom",
+            run: |p, _, a| {
+                a.usedef(p);
+                p.body.clear();
+                panic!("injected fault")
+            },
+            changed: |_| false,
+        };
+        let src = "void f(int n) { while (n) n = n - 1; }";
+        let mut proc = titanc_lower::compile_to_il(src).unwrap().procs.remove(0);
+        let (entry, options, now) = (proc.clone(), Options::o2(), Instant::now());
+        let (cx, gen) = (PassContext { options: &options }, proc.generation());
+        let mut slot = ProcAnalyses::new();
+        let g: [&dyn ProcPass; 2] = [&PROC_PASSES[0], &boom];
+        let e = Some(&entry);
+        let result = run_proc_chain(&g, &mut proc, e, &mut slot, &cx, true, false, gen, now, 0);
+        assert_eq!(result.incident.expect("contained").0, 1);
+        assert_eq!(proc.generation(), entry.generation() + 1, "replayed");
+        assert_eq!(slot.cached_generation(), None);
+        let before = slot.stats();
+        slot.cfg(&proc);
+        let seen = slot.stats().delta_since(&before);
+        assert_eq!((seen.cfg_builds, seen.cfg_hits), (1, 0));
+    }
+}

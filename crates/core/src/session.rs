@@ -92,9 +92,12 @@ use crate::{
     link_catalogs, optimization_remarks, Compilation, CompileError, Options, Pipeline, Reports,
 };
 
-/// Bumped when the entry or manifest encoding changes shape; entries
-/// written by other versions are treated as misses.
-const ENTRY_VERSION: u32 = 1;
+/// Bumped when the entry or manifest encoding changes shape, or when a
+/// recorded cell would replay differently from how the chain now runs;
+/// entries written by other versions are treated as misses. (2: `dce`
+/// re-solves liveness over one CFG, so the recorded analysis-cache
+/// counters moved.)
+const ENTRY_VERSION: u32 = 2;
 
 /// One input translation unit: a display name (normally the path) and
 /// its source text.
@@ -1321,7 +1324,11 @@ mod tests {
             .expect("a manifest was published");
         let mut store = CacheStore::open(&dir);
         let text = String::from_utf8(store.read(&manifest).expect("reads").to_vec()).expect("json");
-        let skewed = text.replacen("\"version\":1", "\"version\":2", 1);
+        let skewed = text.replacen(
+            &format!("\"version\":{ENTRY_VERSION}"),
+            &format!("\"version\":{}", ENTRY_VERSION + 1),
+            1,
+        );
         assert_ne!(text, skewed);
         assert!(store.publish(&manifest, skewed.as_bytes()));
 

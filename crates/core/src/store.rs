@@ -930,11 +930,15 @@ impl CacheStore {
         for _ in 0..LOCK_RETRIES {
             match OpenOptions::new().write(true).create_new(true).open(&path) {
                 Ok(mut file) => {
-                    // the token lands (and syncs) before this holder does
-                    // any work: a contender that later verifies content
-                    // can only match if the file really is still ours
+                    // the token lands before this holder does any work: a
+                    // holder that later verifies content can only match
+                    // if the file really is still its own. It needs to be
+                    // *visible*, not durable, so there is no fsync: every
+                    // reader ([`StoreLock::drop`]) goes through the page
+                    // cache, staleness is judged by mtime, and after a
+                    // crash the file is broken by age whether or not its
+                    // bytes reached the disk
                     let _ = file.write_all(token.as_bytes());
-                    let _ = file.sync_all();
                     return Some(StoreLock {
                         path: Some(path),
                         token,

@@ -386,11 +386,13 @@ fn classify(events: &[LoopEvent]) -> (&'static str, Option<String>) {
 
 /// Exports the pass trace in Chrome trace-event format: one complete
 /// (`"ph": "X"`) event per (pass × procedure) execution, with worker
-/// lanes as thread ids, plus thread-name metadata. Load the file at
+/// lanes as thread ids, under a `pipeline` begin/end pair on lane 0 that
+/// spans [`PassTrace::wall`], plus thread-name metadata. Load the file at
 /// `chrome://tracing` or <https://ui.perfetto.dev>.
 pub fn chrome_trace(trace: &PassTrace) -> Json {
     let mut events: Vec<Json> = Vec::new();
-    let mut lanes: Vec<usize> = trace.timeline.iter().map(|w| w.lane).collect();
+    // lane 0 always exists: it carries the `pipeline` slice
+    let mut lanes: Vec<usize> = trace.timeline.iter().map(|w| w.lane).chain([0]).collect();
     lanes.sort_unstable();
     lanes.dedup();
     for lane in lanes {
@@ -405,6 +407,18 @@ pub fn chrome_trace(trace: &PassTrace) -> Json {
             ("pid", Json::Int(0)),
             ("tid", Json::Int(lane as i64)),
             ("args", Json::obj(vec![("name", Json::Str(name))])),
+        ]));
+    }
+    // the parent slice every pass cell nests under, as a begin/end pair:
+    // time between its children was spent outside any pass
+    for (ph, ts) in [("B", 0), ("E", trace.wall.as_micros() as i64)] {
+        events.push(Json::obj(vec![
+            ("name", Json::Str("pipeline".to_string())),
+            ("cat", Json::Str("pipeline".to_string())),
+            ("ph", Json::Str(ph.to_string())),
+            ("ts", Json::Int(ts)),
+            ("pid", Json::Int(0)),
+            ("tid", Json::Int(0)),
         ]));
     }
     for w in &trace.timeline {
@@ -526,7 +540,10 @@ mod tests {
 
     #[test]
     fn chrome_trace_is_valid_json() {
-        let mut trace = PassTrace::default();
+        let mut trace = PassTrace {
+            wall: std::time::Duration::from_micros(200),
+            ..PassTrace::default()
+        };
         trace.timeline.push(crate::pass::WorkItem {
             pass: "vectorize",
             proc: "main".to_string(),
@@ -537,11 +554,16 @@ mod tests {
         let json = chrome_trace(&trace).to_string_compact();
         let parsed = titanc_il::json::parse(&json).expect("chrome trace parses");
         let evs = parsed.field("traceEvents").unwrap().as_arr().unwrap();
-        // one thread_name metadata record + one complete event
-        assert_eq!(evs.len(), 2);
-        assert_eq!(evs[1].field("ph").unwrap().as_str().unwrap(), "X");
-        assert_eq!(evs[1].field("ts").unwrap().as_i64().unwrap(), 15);
-        assert_eq!(evs[1].field("dur").unwrap().as_i64().unwrap(), 120);
-        assert_eq!(evs[1].field("tid").unwrap().as_i64().unwrap(), 2);
+        // two thread_name records (lane 0 carries the `pipeline` begin/end
+        // pair), the pair, one complete event
+        let of = |e: &Json, k: &str| e.field(k).unwrap().as_i64().unwrap();
+        let phases: Vec<&str> = evs
+            .iter()
+            .map(|e| e.field("ph").unwrap().as_str().unwrap())
+            .collect();
+        assert_eq!(phases, ["M", "M", "B", "E", "X"]);
+        assert_eq!((of(&evs[3], "ts"), of(&evs[3], "tid")), (200, 0));
+        let x = &evs[4];
+        assert_eq!((of(x, "ts"), of(x, "dur"), of(x, "tid")), (15, 120, 2));
     }
 }

@@ -8,14 +8,15 @@
 //! fold to constants, and — when a definition is eliminated as unreachable
 //! — re-seed the propagation worklist from the statements that definition
 //! reached. This module implements that heuristic as a round-based
-//! fixpoint (each structural simplification re-seeds the next round), the
+//! fixpoint (a round is seeded by the definitions the last one made
+//! constant; a structural simplification re-seeds with everything), the
 //! §8 *postpass* for code trapped behind always-taken branches, and the
 //! rejected "rebuild basic blocks" strategy as a measurable baseline.
 
-use titanc_analysis::{Cfg, ProcAnalyses};
+use titanc_analysis::{Cfg, ProcAnalyses, UseDef};
 use titanc_il::fold::{const_value, fold_expr, value_to_expr, Value};
 use titanc_il::visit::{edit_blocks, edit_tree, Order};
-use titanc_il::{Block, Procedure, ScalarType, StmtId, StmtKind};
+use titanc_il::{Block, LValue, Procedure, ScalarType, StmtId, StmtKind, VarId};
 
 /// Resource budget: maximum fixpoint rounds per procedure. Hitting the cap
 /// is sound (each round leaves verified IL) but is reported so the driver
@@ -70,8 +71,10 @@ pub fn constant_propagation_no_unreachable(proc: &mut Procedure) -> ConstPropRep
 /// preserve the statement set, definition sites, and control-flow edges,
 /// so the chains are repaired in place — the generation is bumped and the
 /// cache rekeyed ([`ProcAnalyses::rekey`], the §5.2 discipline) — and the
-/// next round's use–def request is a cache hit. Rounds that structurally
-/// simplify branches invalidate instead.
+/// next round is §8's re-seeding: it revisits only the statements reached
+/// by the definitions the last round made constant. Rounds that
+/// structurally simplify branches invalidate instead, and the round after
+/// one sweeps the procedure over rebuilt chains, as the first does.
 pub fn constant_propagation_cached(
     proc: &mut Procedure,
     analyses: &mut ProcAnalyses,
@@ -79,28 +82,28 @@ pub fn constant_propagation_cached(
     run(proc, true, analyses)
 }
 
+/// The literal each defining statement assigns, by `StmtId` index.
+type ConstDefs = Vec<Option<(VarId, Value, ScalarType)>>;
+
 fn run(
     proc: &mut Procedure,
     simplify_branches: bool,
     analyses: &mut ProcAnalyses,
 ) -> ConstPropReport {
     let mut report = ConstPropReport::default();
+    let mut const_defs: ConstDefs = Vec::new();
+    // the definitions the last round made constant, which seed this one;
+    // `None` when the chains are new and the whole procedure is swept
+    let mut seeds: Option<Vec<StmtId>> = None;
     loop {
         report.rounds += 1;
-        let mut changed = 0usize;
 
-        // 1. propagate constants along use-def chains
-        let replaced = propagate_once(proc, analyses, &mut report);
-        changed += replaced;
-
-        // 2. fold everything (slot rewrite: ids in statements stay valid)
-        let mut roots = Vec::new();
-        titanc_il::visit::walk_block(&proc.stmts, &proc.body, &mut |_, kind| {
-            roots.extend(kind.exprs())
-        });
-        for r in roots {
-            fold_expr(&mut proc.exprs, r);
-        }
+        // 1. propagate constants along use-def chains, 2. fold what that
+        // rewrote (slot rewrite: ids in statements stay valid)
+        let (replaced, newly_const) =
+            propagate_once(proc, analyses, seeds, &mut const_defs, &mut report);
+        let mut changed = replaced;
+        seeds = Some(newly_const);
 
         if replaced > 0 {
             // pure expression rewrites: repair the chains instead of
@@ -115,9 +118,11 @@ fn run(
             report.removed += removed;
             changed += removed;
             if removed > 0 {
-                // structural edit: statements vanished, edges moved
+                // structural edit: statements vanished, edges moved — a
+                // read can now be constant without any new literal
                 proc.bump_generation();
                 analyses.invalidate();
+                seeds = None;
             }
         }
 
@@ -132,83 +137,111 @@ fn run(
     report
 }
 
-/// One propagation sweep: replaces reads whose reaching definitions all
-/// assign the same literal.
+/// The literal a statement assigns to a tracked scalar, if it does.
+fn literal_def(proc: &Procedure, ud: &UseDef, s: StmtId) -> Option<(VarId, Value, ScalarType)> {
+    match proc.stmts[s] {
+        StmtKind::Assign {
+            lhs: LValue::Var(v),
+            rhs,
+        } if ud.tracked(v) => Some((v, const_value(&proc.exprs[rhs])?, proc.var_scalar(v))),
+        _ => None,
+    }
+}
+
+/// One propagation round: replaces reads whose reaching definitions all
+/// assign the same literal, then folds. Without `seeds` every statement
+/// is examined and every root folded; with them only the statements they
+/// reach and the roots rewritten — with the statement set and the chains
+/// unchanged, a read becomes replaceable only when one of its reaching
+/// definitions becomes a literal. Returns the (statement, variable) pairs
+/// replaced and the definitions folding made constant.
 fn propagate_once(
     proc: &mut Procedure,
     analyses: &mut ProcAnalyses,
+    seeds: Option<Vec<StmtId>>,
+    const_defs: &mut ConstDefs,
     report: &mut ConstPropReport,
-) -> usize {
+) -> (usize, Vec<StmtId>) {
     let ud = analyses.usedef(proc);
+    let sweep = seeds.is_none();
 
-    // the literal each defining statement assigns, by `StmtId` index
-    let mut const_defs: Vec<Option<(titanc_il::VarId, Value, ScalarType)>> =
-        vec![None; proc.stmts.len()];
-    proc.for_each_stmt(&mut |s, kind| {
-        if let StmtKind::Assign {
-            lhs: titanc_il::LValue::Var(v),
-            rhs,
-        } = kind
-        {
-            if ud.tracked(*v) {
-                if let Some(val) = const_value(&proc.exprs[*rhs]) {
-                    const_defs[s.index()] = Some((*v, val, proc.var_scalar(*v)));
-                }
+    // the statements to examine
+    let mut visit: Vec<StmtId> = Vec::new();
+    match seeds {
+        None => {
+            proc.for_each_stmt(&mut |s, _| visit.push(s));
+            const_defs.clear();
+            const_defs.resize(proc.stmts.len(), None);
+            for &s in &visit {
+                const_defs[s.index()] = literal_def(proc, &ud, s);
             }
         }
-    });
-    let lookup = |def: StmtId, var: titanc_il::VarId| -> Option<(Value, ScalarType)> {
+        Some(defs) => {
+            for d in defs {
+                let (v, ..) = const_defs[d.index()].expect("a seed assigns a literal");
+                visit.extend(ud.uses_of_def(d, v));
+            }
+            visit.sort_unstable();
+            visit.dedup();
+        }
+    }
+    let lookup = |def: StmtId, var: VarId| -> Option<(Value, ScalarType)> {
         match const_defs[def.index()] {
             Some((v, val, k)) if v == var => Some((val, k)),
             _ => None,
         }
     };
 
-    // decide the replacement per (stmt, var)
-    let mut plan: Vec<(StmtId, titanc_il::VarId, Value, ScalarType)> = Vec::new();
-    let mut reads: Vec<titanc_il::VarId> = Vec::new();
-    let mut vars: Vec<titanc_il::VarId> = Vec::new();
-    proc.for_each_stmt(&mut |s, kind| {
+    // decide the replacement per (stmt, var), a statement's variables in
+    // first-read order
+    let mut plan: Vec<(StmtId, VarId, Value, ScalarType)> = Vec::new();
+    let mut reads: Vec<VarId> = Vec::new();
+    for &s in &visit {
         reads.clear();
-        vars.clear();
-        for e in kind.exprs() {
+        for e in proc.stmts[s].exprs() {
             proc.exprs.collect_vars_read(e, &mut reads);
         }
-        for &v in &reads {
-            if !vars.contains(&v) {
-                vars.push(v);
-            }
-        }
-        for &v in &vars {
-            if !ud.tracked(v) {
+        for (i, &v) in reads.iter().enumerate() {
+            if reads[..i].contains(&v) || !ud.tracked(v) {
                 continue;
             }
-            let defs = ud.reaching_defs(s, v);
-            if defs.is_empty() || defs.iter().any(Option::is_none) {
-                continue; // entry def (param/uninitialized) reaches
-            }
-            let consts: Option<Vec<(Value, ScalarType)>> =
-                defs.iter().map(|d| lookup(d.unwrap(), v)).collect();
-            if let Some(cs) = consts {
-                let (first, kind) = cs[0];
-                if cs.iter().all(|(c, _)| *c == first) {
-                    plan.push((s, v, first, kind));
-                }
+            // every reaching def a statement (no entry def: that is a
+            // parameter or uninitialized) assigning the first one's literal
+            let mut first = None;
+            let agree = ud.reaching_defs(s, v).all(|d| {
+                d.and_then(|d| lookup(d, v))
+                    .is_some_and(|c| c.0 == first.get_or_insert(c).0)
+            });
+            if let (true, Some((val, kind))) = (agree, first) {
+                plan.push((s, v, val, kind));
             }
         }
-    });
-
-    let count = plan.len();
-    if count == 0 {
-        return 0;
     }
-    for (s, v, val, scalar) in plan {
+    for &(s, v, val, scalar) in &plan {
         let rep = proc.exprs.alloc(value_to_expr(val, scalar));
         for e in proc.stmts[s].exprs() {
             report.replaced += proc.exprs.substitute_var(e, v, rep);
         }
     }
-    count
+
+    // fold what was rewritten (on a sweep, every root) and collect the
+    // assignments that made literals
+    let mut rewritten = if sweep {
+        visit
+    } else {
+        plan.iter().map(|p| p.0).collect()
+    };
+    rewritten.dedup();
+    rewritten.retain(|&s| {
+        for e in proc.stmts[s].exprs() {
+            fold_expr(&mut proc.exprs, e);
+        }
+        const_defs[s.index()].is_none() && {
+            const_defs[s.index()] = literal_def(proc, &ud, s);
+            const_defs[s.index()].is_some()
+        }
+    });
+    (plan.len(), rewritten)
 }
 
 /// Replaces branches with constant conditions by the taken path; removes

@@ -17,11 +17,16 @@
 //! Candidates are compared *structurally* ([`ExprPool::expr_eq`]), so the
 //! arena layout of equal subtrees is irrelevant; the commoned definition
 //! gets a detached deep copy of the subtree so later slot rewrites of the
-//! occurrences cannot disturb it.
+//! occurrences cannot disturb it. What comparison, size order and purity
+//! test would re-derive by recursion at every node is a [`Shape`] per
+//! node, computed bottom-up once for the procedure and kept current along
+//! the path of every replacement.
 
 use crate::util::register_candidate;
-use titanc_il::visit::edit_blocks;
-use titanc_il::{Block, Expr, ExprId, ExprPool, LValue, Procedure, StmtId, StmtKind, Type, VarId};
+use titanc_il::visit::{edit_blocks, walk_block};
+use titanc_il::{
+    Block, Expr, ExprId, ExprPool, LValue, Procedure, StmtId, StmtKind, StmtPool, Type, VarId,
+};
 
 /// CSE statistics.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -46,7 +51,10 @@ titanc_il::struct_json!(CseReport, [commoned, replaced]);
 /// Runs local CSE over every block of the procedure.
 pub fn local_cse(proc: &mut Procedure) -> CseReport {
     let mut report = CseReport::default();
-    edit_blocks(proc, &mut |proc, block| run_block(proc, block, &mut report));
+    let mut cse = Cse::of(proc);
+    edit_blocks(proc, &mut |proc, block| {
+        cse.run_block(proc, block, &mut report)
+    });
     if report.commoned > 0 || report.replaced > 0 {
         proc.bump_generation();
     }
@@ -64,186 +72,292 @@ fn is_barrier(kind: &StmtKind) -> bool {
     )
 }
 
-/// Commons within one block, the blocks nested in it already done.
-fn run_block(proc: &mut Procedure, block: &mut Block, report: &mut CseReport) {
-    let mut i = 0;
-    while i < block.len() {
-        if is_barrier(&proc.stmts[block[i]]) {
-            i += 1;
-            continue;
-        }
-        // candidate subexpressions of statement i, largest first
-        let mut cands: Vec<ExprId> = Vec::new();
-        for e in proc.stmts[block[i]].exprs() {
-            collect_candidates(&proc.exprs, e, &mut cands);
-        }
-        cands.sort_by_key(|&e| std::cmp::Reverse(proc.exprs.size(e)));
-        let mut did = false;
-        for cand in cands {
-            if try_common(proc, block, i, cand, report) {
-                did = true;
-                break; // statement i changed; rescan it
+/// The subtree under one expression node: a hash equal for structurally
+/// equal subtrees (`expr_eq` still decides), [`ExprPool::size`], and "no
+/// load and no section" — a pure register expression.
+#[derive(Clone, Copy, Default)]
+struct Shape {
+    hash: u64,
+    size: u32,
+    pure: bool,
+}
+
+/// The state of one run.
+struct Cse {
+    /// By `ExprId` index; current for every node a statement reaches.
+    shape: Vec<Shape>,
+    /// `defs[from..to]`, `(from, to)` being `nested[s]`: the variables
+    /// defined in the blocks nested in statement `s` — the definitions in
+    /// preorder, a statement's descendants adjacent. Taken once: the run
+    /// only adds definitions of temporaries no statement outside their
+    /// block reads.
+    defs: Vec<VarId>,
+    nested: Vec<(u32, u32)>,
+}
+
+impl Cse {
+    fn of(proc: &Procedure) -> Cse {
+        fn mark(cse: &mut Cse, stmts: &StmtPool, block: &[StmtId]) {
+            for &s in block {
+                cse.defs.extend(stmts[s].defined_var());
+                let from = cse.defs.len() as u32;
+                for b in stmts[s].blocks() {
+                    mark(cse, stmts, b);
+                }
+                cse.nested[s.index()] = (from, cse.defs.len() as u32);
             }
         }
-        if !did {
-            i += 1;
-        }
-    }
-}
-
-/// Pure, load-free subexpressions worth commoning (size ≥ 3).
-fn collect_candidates(exprs: &ExprPool, e: ExprId, out: &mut Vec<ExprId>) {
-    if exprs.size(e) >= 3
-        && is_pure_register_expr(exprs, e)
-        && !out.iter().any(|&o| exprs.expr_eq(o, exprs, e))
-    {
-        out.push(e);
-    }
-    for c in exprs[e].child_ids() {
-        collect_candidates(exprs, c, out);
-    }
-}
-
-fn is_pure_register_expr(exprs: &ExprPool, e: ExprId) -> bool {
-    match exprs[e] {
-        Expr::Load { .. } | Expr::Section { .. } => false,
-        _ => exprs[e]
-            .child_ids()
-            .into_iter()
-            .all(|c| is_pure_register_expr(exprs, c)),
-    }
-}
-
-/// Counts occurrences of `cand` in an expression tree.
-fn count_occurrences(exprs: &ExprPool, e: ExprId, cand: ExprId) -> usize {
-    let mine = usize::from(exprs.expr_eq(e, exprs, cand));
-    mine + exprs[e]
-        .child_ids()
-        .into_iter()
-        .map(|c| count_occurrences(exprs, c, cand))
-        .sum::<usize>()
-}
-
-fn replace_occurrences(exprs: &mut ExprPool, e: ExprId, cand: ExprId, t: VarId) -> usize {
-    if exprs.expr_eq(e, exprs, cand) {
-        exprs[e] = Expr::Var(t);
-        return 1;
-    }
-    let mut n = 0;
-    for c in exprs[e].child_ids() {
-        n += replace_occurrences(exprs, c, cand, t);
-    }
-    n
-}
-
-/// Tries to common `cand`, first occurring in statement `start`, across
-/// its valid window. Returns true when a rewrite happened.
-fn try_common(
-    proc: &mut Procedure,
-    block: &mut Block,
-    start: usize,
-    cand_orig: ExprId,
-    report: &mut CseReport,
-) -> bool {
-    let deps: Vec<VarId> = proc.exprs.vars_read(cand_orig);
-    if deps.iter().any(|&v| !register_candidate(proc, v)) {
-        return false;
-    }
-    // window: statements start..end where no dep is redefined and no
-    // barrier intervenes (the defining statement itself may redefine a dep
-    // — occurrences in later statements then see a different value)
-    let mut end = start;
-    let mut total = 0usize;
-    for (j, &s) in block.iter().enumerate().skip(start) {
-        if j > start && is_barrier(&proc.stmts[s]) {
-            break;
-        }
-        // count occurrences in this statement (top-level exprs only; the
-        // nested blocks of an If/loop may execute conditionally but the
-        // candidate is pure, so replacing there is still sound as long as
-        // deps are not redefined inside)
-        let nested_safe = proc.stmts[s].blocks().iter().all(|b| {
-            deps.iter()
-                .all(|&v| !crate::util::defined_in(&proc.stmts, b, v))
+        let mut cse = Cse {
+            shape: vec![Shape::default(); proc.exprs.len()],
+            defs: Vec::new(),
+            nested: vec![(0, 0); proc.stmts.len()],
+        };
+        mark(&mut cse, &proc.stmts, &proc.body);
+        walk_block(&proc.stmts, &proc.body, &mut |_, kind| {
+            for e in kind.exprs() {
+                cse.shape_tree(&proc.exprs, e);
+            }
         });
-        if !nested_safe {
-            // stop before descending into a block that redefines deps
-            total += proc.stmts[s]
-                .exprs()
+        cse
+    }
+
+    /// The shape of node `e`, its children's being current.
+    fn node_shape(&self, exprs: &ExprPool, e: ExprId) -> Shape {
+        let mix = |h: u64, x: u64| (h.rotate_left(5) ^ x).wrapping_mul(0x517c_c1b7_2722_0a95);
+        let (hash, pure) = match exprs[e] {
+            Expr::IntConst(v) => (mix(1, v as u64), true),
+            // `expr_eq` compares with `==`: both zeros must hash alike
+            Expr::FloatConst(v, ty) => (mix(mix(2, (v + 0.0).to_bits()), ty as u64), true),
+            Expr::Var(v) => (mix(3, v.index() as u64), true),
+            Expr::AddrOf(v) => (mix(4, v.index() as u64), true),
+            Expr::Load { ty, volatile, .. } => (mix(mix(5, ty as u64), volatile as u64), false),
+            Expr::Unary { op, ty, .. } => (mix(mix(6, op as u64), ty as u64), true),
+            Expr::Binary { op, ty, .. } => (mix(mix(7, op as u64), ty as u64), true),
+            Expr::Cast { to, from, .. } => (mix(mix(8, to as u64), from as u64), true),
+            Expr::Section { ty, .. } => (mix(9, ty as u64), false),
+        };
+        let node = Shape {
+            hash,
+            size: 1,
+            pure,
+        };
+        exprs[e].child_ids().into_iter().fold(node, |n, c| {
+            let c = self.shape[c.index()];
+            Shape {
+                hash: mix(n.hash, c.hash),
+                size: n.size + c.size,
+                pure: n.pure && c.pure,
+            }
+        })
+    }
+
+    /// Computes the shapes of the subtree at `e`, bottom-up.
+    fn shape_tree(&mut self, exprs: &ExprPool, e: ExprId) {
+        for c in exprs[e].child_ids() {
+            self.shape_tree(exprs, c);
+        }
+        if self.shape.len() <= e.index() {
+            self.shape.resize(exprs.len(), Shape::default());
+        }
+        self.shape[e.index()] = self.node_shape(exprs, e);
+    }
+
+    /// Structural equality, decided by the shapes where they differ.
+    fn same(&self, exprs: &ExprPool, a: ExprId, b: ExprId) -> bool {
+        let (x, y) = (self.shape[a.index()], self.shape[b.index()]);
+        x.hash == y.hash && x.size == y.size && exprs.expr_eq(a, exprs, b)
+    }
+
+    /// Commons within one block, the blocks nested in it already done.
+    fn run_block(&mut self, proc: &mut Procedure, block: &mut Block, report: &mut CseReport) {
+        // scratch every try of the block shares
+        let (mut cands, mut deps) = (Vec::new(), Vec::new());
+        let mut i = 0;
+        while i < block.len() {
+            if is_barrier(&proc.stmts[block[i]]) {
+                i += 1;
+                continue;
+            }
+            // candidate subexpressions of statement i, largest first
+            cands.clear();
+            for e in proc.stmts[block[i]].exprs() {
+                self.collect_candidates(&proc.exprs, e, &mut cands);
+            }
+            cands.sort_by_key(|&e| std::cmp::Reverse(self.shape[e.index()].size));
+            // on a rewrite statement i changed (it is the new definition
+            // now): rescan it
+            let did = cands
                 .iter()
-                .map(|e| count_occurrences(&proc.exprs, e, cand_orig))
-                .sum::<usize>();
+                .any(|&cand| self.try_common(proc, block, i, cand, &mut deps, report));
+            if !did {
+                i += 1;
+            }
+        }
+    }
+
+    /// Pure, load-free subexpressions worth commoning (size ≥ 3), distinct,
+    /// in preorder.
+    fn collect_candidates(&self, exprs: &ExprPool, e: ExprId, out: &mut Vec<ExprId>) {
+        let shape = self.shape[e.index()];
+        if shape.size < 3 {
+            return; // and nothing below is larger
+        }
+        if shape.pure && !out.iter().any(|&o| self.same(exprs, o, e)) {
+            out.push(e);
+        }
+        for c in exprs[e].child_ids() {
+            self.collect_candidates(exprs, c, out);
+        }
+    }
+
+    /// Counts occurrences of `cand` in an expression tree.
+    fn count_occurrences(&self, exprs: &ExprPool, e: ExprId, cand: ExprId) -> usize {
+        // an occurrence holds none, nor does anything smaller
+        if self.shape[e.index()].size <= self.shape[cand.index()].size {
+            return usize::from(self.same(exprs, e, cand));
+        }
+        let below = exprs[e].child_ids().into_iter();
+        below.map(|c| self.count_occurrences(exprs, c, cand)).sum()
+    }
+
+    fn replace_occurrences(
+        &mut self,
+        exprs: &mut ExprPool,
+        e: ExprId,
+        cand: ExprId,
+        t: VarId,
+    ) -> usize {
+        let n = if self.shape[e.index()].size > self.shape[cand.index()].size {
+            let below = exprs[e].child_ids().into_iter();
+            below
+                .map(|c| self.replace_occurrences(exprs, c, cand, t))
+                .sum()
+        } else if self.same(exprs, e, cand) {
+            exprs[e] = Expr::Var(t);
+            1
+        } else {
+            0
+        };
+        if n > 0 {
+            // the shapes stay current from the occurrence up to the root
+            self.shape[e.index()] = self.node_shape(exprs, e);
+        }
+        n
+    }
+
+    /// Tries to common `cand`, first occurring in statement `start`, across
+    /// its valid window. Returns true when a rewrite happened.
+    fn try_common(
+        &mut self,
+        proc: &mut Procedure,
+        block: &mut Block,
+        start: usize,
+        cand_orig: ExprId,
+        deps: &mut Vec<VarId>,
+        report: &mut CseReport,
+    ) -> bool {
+        deps.clear();
+        proc.exprs.collect_vars_read(cand_orig, deps);
+        if deps.iter().any(|&v| !register_candidate(proc, v)) {
+            return false;
+        }
+        let redefines_dep = |kind: &StmtKind| deps.iter().any(|&v| kind.defined_var() == Some(v));
+        // window: statements start..end where no dep is redefined and no
+        // barrier intervenes (the defining statement itself may redefine a dep
+        // — occurrences in later statements then see a different value)
+        let mut end = start;
+        let mut total = 0usize;
+        // whether the window takes in the blocks nested in its last statement
+        let mut whole = true;
+        for (j, &s) in block.iter().enumerate().skip(start) {
+            if j > start && is_barrier(&proc.stmts[s]) {
+                break;
+            }
             end = j;
-            break;
+            // the nested blocks of an If/loop may execute conditionally but
+            // the candidate is pure, so replacing there is still sound as
+            // long as deps are not redefined inside; where one is, the
+            // window ends at the statement's own expressions
+            let (from, to) = self.nested.get(s.index()).copied().unwrap_or_default();
+            let nested_defs = &self.defs[from as usize..to as usize];
+            whole = !deps.iter().any(|v| nested_defs.contains(v));
+            total += self.count_in_stmt(proc, s, cand_orig, whole);
+            if !whole || redefines_dep(&proc.stmts[s]) {
+                break;
+            }
         }
-        total += count_in_stmt(proc, s, cand_orig);
-        end = j;
-        if deps.iter().any(|&v| proc.stmts[s].defined_var() == Some(v)) {
-            break;
+        if total < 2 {
+            return false;
         }
-    }
-    if total < 2 {
-        return false;
+
+        // materialize: t = cand, inserted before `start`. The definition keeps
+        // a detached deep copy so replacing the occurrences (including the
+        // original subtree) cannot corrupt it.
+        let scalar = proc.exprs.result_type(cand_orig, &|v| proc.var_scalar(v));
+        let t = proc.fresh_temp(match scalar {
+            titanc_il::ScalarType::Char => Type::Char,
+            titanc_il::ScalarType::Int => Type::Int,
+            titanc_il::ScalarType::Float => Type::Float,
+            titanc_il::ScalarType::Double => Type::Double,
+            titanc_il::ScalarType::Ptr => Type::ptr_to(Type::Void),
+        });
+        proc.var_mut(t).name = format!("cse_{}", t.index());
+        let cand = proc.exprs.copy(cand_orig);
+        self.shape_tree(&proc.exprs, cand);
+        let def = proc.stamp(StmtKind::Assign {
+            lhs: LValue::Var(t),
+            rhs: cand,
+        });
+        let mut replaced = 0;
+        for (j, &s) in block.iter().enumerate().take(end + 1).skip(start) {
+            let nested = whole || j < end;
+            replaced += self.replace_in_stmt(&proc.stmts, &mut proc.exprs, s, cand, t, nested);
+            if redefines_dep(&proc.stmts[s]) {
+                break;
+            }
+        }
+        block.insert(start, def);
+        report.commoned += 1;
+        report.replaced += replaced;
+        true
     }
 
-    // materialize: t = cand, inserted before `start`. The definition keeps
-    // a detached deep copy so replacing the occurrences (including the
-    // original subtree) cannot corrupt it.
-    let scalar = proc.exprs.result_type(cand_orig, &|v| proc.var_scalar(v));
-    let t = proc.fresh_temp(match scalar {
-        titanc_il::ScalarType::Char => Type::Char,
-        titanc_il::ScalarType::Int => Type::Int,
-        titanc_il::ScalarType::Float => Type::Float,
-        titanc_il::ScalarType::Double => Type::Double,
-        titanc_il::ScalarType::Ptr => Type::ptr_to(Type::Void),
-    });
-    proc.var_mut(t).name = format!("cse_{}", t.index());
-    let cand = proc.exprs.copy(cand_orig);
-    let def = proc.stamp(StmtKind::Assign {
-        lhs: LValue::Var(t),
-        rhs: cand,
-    });
-    let mut replaced = 0;
-    for &s in block.iter().take(end + 1).skip(start) {
-        replaced += replace_in_stmt(proc, s, cand, t);
-        if deps.iter().any(|&v| proc.stmts[s].defined_var() == Some(v)) {
-            break;
+    /// Occurrences in the statement's own expressions and, with `nested`,
+    /// in the blocks under it.
+    fn count_in_stmt(&self, proc: &Procedure, s: StmtId, cand: ExprId, nested: bool) -> usize {
+        let mut n: usize = proc.stmts[s]
+            .exprs()
+            .iter()
+            .map(|e| self.count_occurrences(&proc.exprs, e, cand))
+            .sum();
+        for b in proc.stmts[s].blocks().iter().filter(|_| nested) {
+            for &inner in b.iter() {
+                n += self.count_in_stmt(proc, inner, cand, true);
+            }
         }
+        n
     }
-    block.insert(start, def);
-    report.commoned += 1;
-    report.replaced += replaced;
-    true
-}
 
-fn count_in_stmt(proc: &Procedure, s: StmtId, cand: ExprId) -> usize {
-    let mut n: usize = proc.stmts[s]
-        .exprs()
-        .iter()
-        .map(|e| count_occurrences(&proc.exprs, e, cand))
-        .sum();
-    for b in proc.stmts[s].blocks() {
-        for &inner in b {
-            n += count_in_stmt(proc, inner, cand);
+    fn replace_in_stmt(
+        &mut self,
+        stmts: &StmtPool,
+        exprs: &mut ExprPool,
+        s: StmtId,
+        cand: ExprId,
+        t: VarId,
+        nested: bool,
+    ) -> usize {
+        let mut n = 0;
+        for e in stmts[s].exprs() {
+            n += self.replace_occurrences(exprs, e, cand, t);
         }
+        for b in stmts[s].blocks().iter().filter(|_| nested) {
+            for &inner in b.iter() {
+                n += self.replace_in_stmt(stmts, exprs, inner, cand, t, true);
+            }
+        }
+        n
     }
-    n
-}
-
-fn replace_in_stmt(proc: &mut Procedure, s: StmtId, cand: ExprId, t: VarId) -> usize {
-    let mut n = 0;
-    for e in proc.stmts[s].exprs() {
-        n += replace_occurrences(&mut proc.exprs, e, cand, t);
-    }
-    let nested: Vec<StmtId> = proc.stmts[s]
-        .blocks()
-        .iter()
-        .flat_map(|b| b.iter().copied())
-        .collect();
-    for inner in nested {
-        n += replace_in_stmt(proc, inner, cand, t);
-    }
-    n
 }
 
 #[cfg(test)]

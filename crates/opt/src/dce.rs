@@ -8,9 +8,10 @@
 //! `Nop`s, unreferenced labels, and empty branches, and iterates to a
 //! fixpoint.
 
+use crate::util::register_candidate;
 use titanc_analysis::{Liveness, ProcAnalyses};
 use titanc_il::visit::edit_blocks;
-use titanc_il::{LValue, Procedure, StmtId, StmtKind};
+use titanc_il::{LValue, Procedure, StmtId, StmtKind, VarId};
 
 /// Resource budget: maximum fixpoint rounds per procedure. Hitting the cap
 /// is sound (every completed round leaves verified IL) but is reported so
@@ -47,12 +48,14 @@ pub fn eliminate_dead_code(proc: &mut Procedure) -> DceReport {
 
 /// Cache-aware dead-code elimination.
 ///
-/// Liveness comes from the analysis cache; the final (clean) fixpoint
-/// round rebuilds nothing it can reuse and deposits a CFG + liveness
-/// valid for the procedure's final generation, so a later pass asking
-/// for either gets a cache hit. Rounds that remove statements bump the
-/// generation and invalidate — removal changes the statement set and can
-/// change edges, so incremental repair would be unsound here.
+/// Liveness comes from the analysis cache, re-solved each round over
+/// *one* CFG: everything a round removes — a dead store, an unreferenced
+/// label, an `if` or DO loop left empty — is a node control only passes
+/// through, so with the statement gone from the walk that collects uses
+/// and definitions its node is transparent and the solution at every
+/// surviving statement is the one a rebuilt graph would give
+/// ([`ProcAnalyses::keep_cfg`]). That graph is no use to a later pass, so
+/// an invocation that removed anything leaves the slot empty.
 pub fn eliminate_dead_code_cached(proc: &mut Procedure, analyses: &mut ProcAnalyses) -> DceReport {
     let mut report = DceReport::default();
     loop {
@@ -70,17 +73,18 @@ pub fn eliminate_dead_code_cached(proc: &mut Procedure, analyses: &mut ProcAnaly
         removed += sweep(proc);
 
         report.removed += removed;
-        if removed > 0 {
-            proc.bump_generation();
-            analyses.invalidate();
-        }
         if removed == 0 {
             break;
         }
+        proc.bump_generation();
+        analyses.keep_cfg(proc);
         if report.rounds >= MAX_ROUNDS {
             report.budget_exhausted = true;
             break;
         }
+    }
+    if report.removed > 0 {
+        analyses.invalidate();
     }
     report
 }
@@ -112,51 +116,52 @@ fn kill_dead_stores(live: &Liveness, proc: &mut Procedure, removed: &mut usize) 
 /// flow-sensitive liveness cannot, which matters after inlining and
 /// induction-variable substitution leave orphaned updates behind.
 fn eliminate_faint(proc: &mut Procedure) -> usize {
-    use crate::util::register_candidate;
-    use std::collections::HashSet;
-    use titanc_il::VarId;
-
-    // contributes[v] = vars read by assignments defining v
-    let mut contributes: Vec<(VarId, Vec<VarId>)> = Vec::new();
-    let mut needed: HashSet<VarId> = HashSet::new();
-    proc.for_each_stmt(&mut |_, kind| match kind {
+    let candidate: Vec<bool> = (0..proc.vars.len())
+        .map(|i| register_candidate(proc, VarId::from_index(i)))
+        .collect();
+    // the candidate a removable assignment defines
+    let removable = |kind: &StmtKind| match kind {
         StmtKind::Assign {
             lhs: LValue::Var(v),
             rhs,
-        } if register_candidate(proc, *v) && !proc.exprs.has_volatile_load(*rhs) => {
-            contributes.push((*v, proc.exprs.vars_read(*rhs)));
+        } if candidate[v.index()] && !proc.exprs.has_volatile_load(*rhs) => Some(*v),
+        _ => None,
+    };
+    let mut contributes: Vec<(VarId, usize, usize)> = Vec::new();
+    let mut reads: Vec<VarId> = Vec::new();
+    let mut needed = vec![false; proc.vars.len()];
+    proc.for_each_stmt(&mut |_, kind| {
+        let from = reads.len();
+        for e in kind.exprs() {
+            proc.exprs.collect_vars_read(e, &mut reads);
         }
-        StmtKind::DoLoop { var, .. } | StmtKind::DoParallel { var, .. } => {
-            // the loop's own counter drives iteration
-            needed.insert(*var);
-            for e in kind.exprs() {
-                needed.extend(proc.exprs.vars_read(e));
-            }
+        if let Some(v) = removable(kind) {
+            contributes.push((v, from, reads.len()));
+            return;
         }
-        _ => {
-            for e in kind.exprs() {
-                needed.extend(proc.exprs.vars_read(e));
-            }
-            if let StmtKind::Call {
-                dst: Some(LValue::Var(v)),
-                ..
-            } = kind
-            {
-                // a call result must stay receivable
-                needed.insert(*v);
-            }
+        // read by a statement that stays; a loop's own counter drives
+        // iteration, and a call result must stay receivable
+        for r in reads.drain(from..) {
+            needed[r.index()] = true;
+        }
+        if let StmtKind::DoLoop { var: v, .. }
+        | StmtKind::DoParallel { var: v, .. }
+        | StmtKind::Call {
+            dst: Some(LValue::Var(v)),
+            ..
+        } = kind
+        {
+            needed[v.index()] = true;
         }
     });
     // close over contributions
     let mut changed = true;
     while changed {
         changed = false;
-        for (v, reads) in &contributes {
-            if needed.contains(v) {
-                for r in reads {
-                    if needed.insert(*r) {
-                        changed = true;
-                    }
+        for &(v, from, to) in &contributes {
+            if needed[v.index()] {
+                for r in &reads[from..to] {
+                    changed |= !std::mem::replace(&mut needed[r.index()], true);
                 }
             }
         }
@@ -164,17 +169,8 @@ fn eliminate_faint(proc: &mut Procedure) -> usize {
     // remove assignments to unneeded candidates
     let mut dead: Vec<StmtId> = Vec::new();
     proc.for_each_stmt(&mut |s, kind| {
-        if let StmtKind::Assign {
-            lhs: LValue::Var(v),
-            rhs,
-        } = kind
-        {
-            if register_candidate(proc, *v)
-                && !needed.contains(v)
-                && !proc.exprs.has_volatile_load(*rhs)
-            {
-                dead.push(s);
-            }
+        if removable(kind).is_some_and(|v| !needed[v.index()]) {
+            dead.push(s);
         }
     });
     let removed = dead.len();

@@ -3,7 +3,7 @@
 //! against: every candidate `x = e` rescans the rest of its block and
 //! re-walks every nested body it passes. It is compiled only into tests —
 //! `forward.rs`'s unit tests and, through `#[path]`,
-//! `crates/bench/tests/forward_differential.rs` — and depends on nothing
+//! `crates/bench/tests/scalar_differential.rs` — and depends on nothing
 //! but `titanc_il`, so a change to the pass's helpers cannot move it.
 
 use titanc_il::{ExprId, ExprPool, LValue, Procedure, StmtId, StmtKind, StmtPool, Storage, VarId};

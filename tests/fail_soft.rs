@@ -211,3 +211,143 @@ fn whole_program_pass_panic_restores_the_backup() {
 
     assert_eq!(pretty_all(&faulted.program), pretty_all(&reference.program));
 }
+
+/// The `-O2` pipeline of [`options`] with `pass` put in at stage `at`.
+fn compile_injected_at(pass: impl ProcPass + 'static, at: usize, jobs: usize) -> Compilation {
+    let opts = options(jobs);
+    let mut pipeline = Pipeline::for_options(&opts);
+    pipeline.insert_proc(at, pass);
+    compile_with(KERNEL, &opts, pipeline).expect("front end is clean")
+}
+
+fn pretty_of<'a>(all: &'a [(String, String)], name: &str) -> &'a str {
+    &all.iter().find(|(n, _)| n == name).expect("procedure").1
+}
+
+/// A fault at *any* position of the chain leaves the procedure exactly
+/// what the passes before that position made of it — the state the one
+/// entry snapshot is replayed to — and nothing else moves.
+#[test]
+fn a_fault_at_every_chain_position_rolls_back_to_the_passes_before_it() {
+    let opts = options(1);
+    let stages = Pipeline::for_options(&opts).pass_names().len();
+    assert_eq!(
+        stages, 10,
+        "inlining is off: every -O2 stage is per-procedure"
+    );
+    let reference = pretty_all(&compile(KERNEL, &opts).expect("reference").program);
+    for at in 0..=stages {
+        let truncated = Pipeline::for_options(&opts).truncated(at);
+        let prefix = pretty_all(
+            &compile_with(KERNEL, &opts, truncated)
+                .expect("prefix")
+                .program,
+        );
+        for (name, kind) in [
+            ("boom", IncidentKind::Panic),
+            ("corrupt", IncidentKind::VerifyFailed),
+        ] {
+            let inject = |jobs| match kind {
+                IncidentKind::Panic => compile_injected_at(Boom, at, jobs),
+                IncidentKind::VerifyFailed => compile_injected_at(Corrupt, at, jobs),
+            };
+            let (j1, j4) = (inject(1), inject(4));
+            let what = format!("`{name}` at stage {at}");
+            assert_eq!(
+                j1.trace.incidents.len(),
+                1,
+                "{what}: {:?}",
+                j1.trace.incidents
+            );
+            let incident = &j1.trace.incidents[0];
+            assert_eq!((incident.pass, &incident.kind), (name, &kind), "{what}");
+            assert_eq!(incident.proc.as_deref(), Some("faulty"), "{what}");
+            assert!(
+                !incident.detail.contains("replaying"),
+                "{what}: {}",
+                incident.detail
+            );
+            let got = pretty_all(&j1.program);
+            assert_eq!(
+                pretty_of(&got, "faulty"),
+                pretty_of(&prefix, "faulty"),
+                "{what}"
+            );
+            for healthy in ["left", "right", "main"] {
+                assert_eq!(
+                    pretty_of(&got, healthy),
+                    pretty_of(&reference, healthy),
+                    "{what}"
+                );
+            }
+            assert_eq!(j1.trace.incidents, j4.trace.incidents, "{what}: -j 4");
+            assert_eq!(got, pretty_all(&j4.program), "{what}: -j 4");
+        }
+    }
+}
+
+/// Runs clean the first time it sees `faulty` and panics the second: the
+/// second time is the rollback's replay.
+struct FailsOnReplay(std::sync::atomic::AtomicUsize);
+
+impl ProcPass for FailsOnReplay {
+    fn name(&self) -> &'static str {
+        "fails-on-replay"
+    }
+
+    fn run_on(
+        &self,
+        proc: &mut Procedure,
+        _cx: &PassContext<'_>,
+        _analyses: &mut ProcAnalyses,
+        _delta: &mut Reports,
+    ) -> PassOutcome {
+        if proc.name == "faulty" && self.0.fetch_add(1, std::sync::atomic::Ordering::SeqCst) > 0 {
+            panic!("not deterministic after all");
+        }
+        PassOutcome::unchanged()
+    }
+}
+
+#[test]
+fn a_failing_replay_degrades_to_the_chain_entry_state() {
+    let opts = options(1);
+    let entry = compile_with(KERNEL, &opts, Pipeline::new()).expect("no passes");
+    let reference = pretty_all(&compile(KERNEL, &opts).expect("reference").program);
+    let mut pipeline = Pipeline::for_options(&opts);
+    pipeline.insert_proc(0, FailsOnReplay(Default::default()));
+    pipeline.insert_proc(4, Boom);
+    let faulted = compile_with(KERNEL, &opts, pipeline).expect("front end is clean");
+
+    assert_eq!(
+        faulted.trace.incidents.len(),
+        1,
+        "{:?}",
+        faulted.trace.incidents
+    );
+    let incident = &faulted.trace.incidents[0];
+    assert_eq!(
+        (incident.pass, incident.proc.as_deref()),
+        ("boom", Some("faulty"))
+    );
+    assert!(
+        incident.detail.contains("injected fault"),
+        "{}",
+        incident.detail
+    );
+    assert!(
+        incident
+            .detail
+            .contains("replaying the earlier passes failed (not deterministic"),
+        "{}",
+        incident.detail
+    );
+    let got = pretty_all(&faulted.program);
+    assert_eq!(
+        pretty_of(&got, "faulty"),
+        pretty_of(&pretty_all(&entry.program), "faulty")
+    );
+    for healthy in ["left", "right", "main"] {
+        assert_eq!(pretty_of(&got, healthy), pretty_of(&reference, healthy));
+    }
+}

@@ -241,3 +241,42 @@ int main(void)
         &[("out_g", ScalarType::Int, 16)],
     );
 }
+
+/// A CSE window that ended at an `if` redefining a dependence still
+/// replaced the occurrences *inside* the `if`, past the redefinition, with
+/// the temporary computed before it (found reading `cse.rs` against its
+/// test reference; `forward` hides the shape unless the redefined
+/// variable is read more than once, and inlining constants hide it again).
+#[test]
+fn cse_window_stops_at_a_nested_redefinition() {
+    let src = r#"
+int out_g[4];
+int f(int a, int b, int c)
+{
+    int x, z, y;
+    y = 0;
+    x = (a * b + 1) * 2;
+    z = (a * b + 1) * 3;
+    if (c) { a = out_g[3]; out_g[3] = 1; y = (a * b + 1) * 2 + a * a; }
+    out_g[0] = x; out_g[1] = z; out_g[2] = y;
+    return y;
+}
+int main(void) { out_g[3] = 9; return f(3, 4, 2); }
+"#;
+    let globals = [("out_g", ScalarType::Int, 4)];
+    let base = compile(src, &Options::o0()).expect("O0");
+    let (expect, _) =
+        observe(&base.program, MachineConfig::default(), "main", &globals).expect("O0 runs");
+    let no_inline = Options {
+        inline: false,
+        ..Options::o2()
+    };
+    let c = compile(src, &no_inline).expect("O2");
+    assert!(
+        c.reports.cse.commoned > 0,
+        "the shape no longer reaches cse"
+    );
+    let (got, _) =
+        observe(&c.program, MachineConfig::optimized(2), "main", &globals).expect("O2 runs");
+    assert_eq!(expect, got, "O2 --no-inline diverged");
+}
