@@ -27,10 +27,10 @@
 //! Artifacts are shared as `Arc`s so a pass can hold an analysis while
 //! the cache stays borrowable; `Arc` (not `Rc`) keeps the slots `Send`,
 //! which lets the pass manager move each procedure's slot onto a worker
-//! thread. [`AnalysisCache`] is the per-compilation collection of slots,
-//! indexed by procedure position; [`CacheStats`] counts hits, builds,
-//! invalidations, and repairs so the cached-vs-rebuilt ratio is
-//! observable per pass (`--time`, EXP6, `titanperf`'s `analysis.usedef_*`).
+//! thread (it keeps one per procedure, by position). [`CacheStats`] counts
+//! hits, builds, invalidations, and repairs so the cached-vs-rebuilt ratio
+//! is observable per pass (`--time`, EXP6, `titanperf`'s
+//! `analysis.usedef_*`).
 
 use std::sync::Arc;
 
@@ -39,34 +39,62 @@ use titanc_il::Procedure;
 use crate::loops::LoopNest;
 use crate::{Cfg, Dominators, Liveness, UseDef};
 
-/// Hit/build counters for the generation-keyed analysis cache.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub struct CacheStats {
+/// Declares [`CacheStats`] — the struct, its wire form, its sum and its
+/// difference — from one list of the (all `usize`) counters.
+macro_rules! cache_stats {
+    ($($(#[$doc:meta])* $field:ident),+ $(,)?) => {
+        /// Hit/build counters for the generation-keyed analysis cache.
+        #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+        pub struct CacheStats {
+            $($(#[$doc])* pub $field: usize,)+
+        }
+
+        titanc_il::struct_json!(CacheStats, [$($field),+]);
+
+        impl CacheStats {
+            /// Folds another counter set into this one.
+            pub fn merge(&mut self, other: &CacheStats) {
+                $(self.$field += other.$field;)+
+            }
+
+            /// The counters accumulated since `earlier` (fieldwise
+            /// difference; `earlier` must be a previous snapshot of the
+            /// same counters).
+            pub fn delta_since(&self, earlier: &CacheStats) -> CacheStats {
+                CacheStats {
+                    $($field: self.$field - earlier.$field,)+
+                }
+            }
+        }
+    };
+}
+
+cache_stats! {
     /// CFG requests answered from the cache.
-    pub cfg_hits: usize,
+    cfg_hits,
     /// CFG requests that ran [`Cfg::build`].
-    pub cfg_builds: usize,
+    cfg_builds,
     /// Use–def requests answered from the cache.
-    pub usedef_hits: usize,
+    usedef_hits,
     /// Use–def requests that ran [`UseDef::build`].
-    pub usedef_builds: usize,
+    usedef_builds,
     /// Liveness requests answered from the cache.
-    pub liveness_hits: usize,
+    liveness_hits,
     /// Liveness requests that ran [`Liveness::build`].
-    pub liveness_builds: usize,
+    liveness_builds,
     /// Dominator requests answered from the cache.
-    pub dominators_hits: usize,
+    dominators_hits,
     /// Dominator requests that ran [`Dominators::build`].
-    pub dominators_builds: usize,
+    dominators_builds,
     /// Loop-nest requests answered from the cache.
-    pub loopnest_hits: usize,
+    loopnest_hits,
     /// Loop-nest requests that ran [`LoopNest::build`].
-    pub loopnest_builds: usize,
+    loopnest_builds,
     /// Times cached artifacts were dropped because the generation moved.
-    pub invalidations: usize,
+    invalidations,
     /// Times artifacts survived a mutation via §5.2-style repair
     /// ([`ProcAnalyses::rekey`] / [`ProcAnalyses::note_repair`]).
-    pub repairs: usize,
+    repairs,
 }
 
 impl CacheStats {
@@ -91,61 +119,6 @@ impl CacheStats {
     /// Total analysis requests.
     pub fn requests(&self) -> usize {
         self.hits() + self.builds()
-    }
-
-    /// Folds another counter set into this one.
-    pub fn merge(&mut self, other: &CacheStats) {
-        self.cfg_hits += other.cfg_hits;
-        self.cfg_builds += other.cfg_builds;
-        self.usedef_hits += other.usedef_hits;
-        self.usedef_builds += other.usedef_builds;
-        self.liveness_hits += other.liveness_hits;
-        self.liveness_builds += other.liveness_builds;
-        self.dominators_hits += other.dominators_hits;
-        self.dominators_builds += other.dominators_builds;
-        self.loopnest_hits += other.loopnest_hits;
-        self.loopnest_builds += other.loopnest_builds;
-        self.invalidations += other.invalidations;
-        self.repairs += other.repairs;
-    }
-}
-
-titanc_il::struct_json!(
-    CacheStats,
-    [
-        cfg_hits,
-        cfg_builds,
-        usedef_hits,
-        usedef_builds,
-        liveness_hits,
-        liveness_builds,
-        dominators_hits,
-        dominators_builds,
-        loopnest_hits,
-        loopnest_builds,
-        invalidations,
-        repairs,
-    ]
-);
-
-impl CacheStats {
-    /// The counters accumulated since `earlier` (fieldwise difference;
-    /// `earlier` must be a previous snapshot of the same counters).
-    pub fn delta_since(&self, earlier: &CacheStats) -> CacheStats {
-        CacheStats {
-            cfg_hits: self.cfg_hits - earlier.cfg_hits,
-            cfg_builds: self.cfg_builds - earlier.cfg_builds,
-            usedef_hits: self.usedef_hits - earlier.usedef_hits,
-            usedef_builds: self.usedef_builds - earlier.usedef_builds,
-            liveness_hits: self.liveness_hits - earlier.liveness_hits,
-            liveness_builds: self.liveness_builds - earlier.liveness_builds,
-            dominators_hits: self.dominators_hits - earlier.dominators_hits,
-            dominators_builds: self.dominators_builds - earlier.dominators_builds,
-            loopnest_hits: self.loopnest_hits - earlier.loopnest_hits,
-            loopnest_builds: self.loopnest_builds - earlier.loopnest_builds,
-            invalidations: self.invalidations - earlier.invalidations,
-            repairs: self.repairs - earlier.repairs,
-        }
     }
 }
 
@@ -327,62 +300,6 @@ impl ProcAnalyses {
     }
 }
 
-/// Per-compilation analysis cache: one [`ProcAnalyses`] slot per
-/// procedure, indexed by position in [`titanc_il::Program::procs`]. The
-/// pass manager hands each worker thread the slot alongside its
-/// procedure, so a procedure's analyses follow it through the whole
-/// per-procedure pass sequence.
-#[derive(Debug, Default)]
-pub struct AnalysisCache {
-    slots: Vec<ProcAnalyses>,
-}
-
-impl AnalysisCache {
-    /// A cache with one slot per procedure.
-    pub fn with_procs(n: usize) -> AnalysisCache {
-        let mut c = AnalysisCache::default();
-        c.ensure(n);
-        c
-    }
-
-    /// Grows the cache to at least `n` slots (new slots start empty).
-    pub fn ensure(&mut self, n: usize) {
-        if self.slots.len() < n {
-            self.slots.resize_with(n, ProcAnalyses::default);
-        }
-    }
-
-    /// Number of slots.
-    pub fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// True when the cache has no slots.
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
-    }
-
-    /// The slot for procedure `index`.
-    pub fn slot_mut(&mut self, index: usize) -> &mut ProcAnalyses {
-        &mut self.slots[index]
-    }
-
-    /// Mutable access to all slots (the pass manager splits these across
-    /// worker threads alongside the procedures).
-    pub fn slots_mut(&mut self) -> &mut [ProcAnalyses] {
-        &mut self.slots
-    }
-
-    /// Counters merged across every slot.
-    pub fn stats(&self) -> CacheStats {
-        let mut total = CacheStats::default();
-        for s in &self.slots {
-            total.merge(&s.stats);
-        }
-        total
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -457,17 +374,5 @@ mod tests {
         total.merge(&d);
         assert_eq!(total.builds(), 2 * d.builds());
         assert_eq!(total.requests(), total.hits() + total.builds());
-    }
-
-    #[test]
-    fn cache_slots_per_proc() {
-        let mut cache = AnalysisCache::with_procs(3);
-        assert_eq!(cache.len(), 3);
-        let proc = proc_of("void f(void) { ; }");
-        let _ = cache.slot_mut(1).cfg(&proc);
-        assert_eq!(cache.stats().cfg_builds, 1);
-        cache.ensure(5);
-        assert_eq!(cache.len(), 5);
-        assert!(!cache.is_empty());
     }
 }

@@ -32,7 +32,7 @@ pub mod dominators;
 pub mod loops;
 
 pub use bitset::BitMatrix;
-pub use cache::{AnalysisCache, CacheStats, ProcAnalyses};
+pub use cache::{CacheStats, ProcAnalyses};
 pub use cfg::{Cfg, NodeId};
 pub use dataflow::{Liveness, UseDef};
 pub use dominators::Dominators;

@@ -65,12 +65,12 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use titanc::server::{
-    il_block, opt_report_block, CompileRequest, CompileResponse, Reply, Server, ServerConfig,
-    ServerTotals,
+    cache_line, il_block, opt_report_block, CompileRequest, CompileResponse, Reply, Server,
+    ServerConfig, ServerTotals,
 };
 use titanc::{
     compile, compile_session, install_io_faults, Compilation, FaultMode, IoFaultSpec, IoOp,
-    OptReport, Options, SessionCompilation, SourceFile,
+    OptReport, Options, SessionCompilation, SessionStats, SourceFile,
 };
 use titanc_bench::progen;
 use titanc_il::json::{parse as parse_json, FromJson, ToJson};
@@ -407,42 +407,13 @@ fn sweep<T>(
 // cache durability differential (`--cache-faults`)
 // ---------------------------------------------------------------------------
 
-/// Aggregate cache accounting across every session a `--cache-faults`
-/// run performed; printed at the end and uploaded by CI as an artifact.
-#[derive(Default, Clone, Copy)]
-struct CacheTotals {
-    sessions: u64,
-    hits: u64,
-    misses: u64,
-    invalidated: u64,
-    corrupt: u64,
-    quarantined: u64,
-    lock_contended: u64,
-    write_failed: u64,
-}
+/// How many sessions a sweep ran and what their caches did, summed;
+/// printed at the end and uploaded by CI as an artifact.
+type SessionTotals = (usize, SessionStats);
 
-impl CacheTotals {
-    fn absorb(&mut self, sc: &SessionCompilation) {
-        self.sessions += 1;
-        self.hits += sc.stats.hits as u64;
-        self.misses += sc.stats.misses as u64;
-        self.invalidated += sc.stats.invalidated as u64;
-        self.corrupt += sc.stats.corrupt as u64;
-        self.quarantined += sc.stats.quarantined as u64;
-        self.lock_contended += sc.stats.lock_contended as u64;
-        self.write_failed += sc.stats.write_failed as u64;
-    }
-
-    fn merge(&mut self, other: CacheTotals) {
-        self.sessions += other.sessions;
-        self.hits += other.hits;
-        self.misses += other.misses;
-        self.invalidated += other.invalidated;
-        self.corrupt += other.corrupt;
-        self.quarantined += other.quarantined;
-        self.lock_contended += other.lock_contended;
-        self.write_failed += other.write_failed;
-    }
+fn absorb(totals: &mut SessionTotals, (sessions, stats): &SessionTotals) {
+    totals.0 += sessions;
+    totals.1.merge(stats);
 }
 
 /// Pretty-prints a session's optimized IL, the byte-identity unit.
@@ -486,14 +457,14 @@ fn cache_run(
     src: &str,
     options: &Options,
     dir: Option<&Path>,
-    totals: &mut CacheTotals,
+    totals: &mut SessionTotals,
     reference: Option<(&str, &str)>,
     what: &str,
 ) -> Result<SessionCompilation, String> {
     let files = [SourceFile::new("case.c", src)];
     let sc = compile_session(&files, options, dir)
         .map_err(|e| format!("{what}: front end rejected input: {e}"))?;
-    totals.absorb(&sc);
+    absorb(totals, &(1, sc.stats));
     if let Some((ref_il, ref_report)) = reference {
         if session_il(&sc) != ref_il {
             return Err(format!("{what}: optimized IL diverged from no-cache run"));
@@ -522,7 +493,7 @@ fn with_faults<T>(spec: IoFaultSpec, f: impl FnOnce() -> T) -> T {
 /// program through a cache directory under injected IO faults (cold and
 /// warm), on-disk corruption, and a two-session race — every scenario
 /// byte-compared against the reference.
-fn check_cache_case(cseed: u64, src: &str, totals: &mut CacheTotals) -> Result<(), String> {
+fn check_cache_case(cseed: u64, src: &str, totals: &mut SessionTotals) -> Result<(), String> {
     let options = opts(Options::o2(), 1);
 
     // phase 0: no-cache reference
@@ -594,14 +565,13 @@ fn check_cache_case(cseed: u64, src: &str, totals: &mut CacheTotals) -> Result<(
         // phase 4: two sessions racing into one fresh directory, then a
         // warm run over whatever they left behind
         let dir_race = scratch.join("race");
-        let mut race_totals = CacheTotals::default();
         std::thread::scope(|scope| -> Result<(), String> {
             let handles: Vec<_> = (0..2)
                 .map(|i| {
                     let dir = &dir_race;
                     let options = &options;
                     scope.spawn(move || {
-                        let mut t = CacheTotals::default();
+                        let mut t = SessionTotals::default();
                         let r = cache_run(
                             src,
                             options,
@@ -619,12 +589,11 @@ fn check_cache_case(cseed: u64, src: &str, totals: &mut CacheTotals) -> Result<(
                 let (t, r) = h
                     .join()
                     .map_err(|_| "racing session panicked".to_string())?;
-                race_totals.merge(t);
+                absorb(totals, &t);
                 r?;
             }
             Ok(())
         })?;
-        totals.merge(race_totals);
         cache_run(
             src,
             &options,
@@ -702,19 +671,9 @@ fn check_cache_case(cseed: u64, src: &str, totals: &mut CacheTotals) -> Result<(
     result
 }
 
-fn print_cache_totals(t: &CacheTotals) {
-    println!(
-        "stress: cache-faults: totals over {} session(s): {} hit(s), {} miss(es), \
-         {} invalidated; {} corrupt, {} quarantined, {} lock-contended, {} write-failed",
-        t.sessions,
-        t.hits,
-        t.misses,
-        t.invalidated,
-        t.corrupt,
-        t.quarantined,
-        t.lock_contended,
-        t.write_failed
-    );
+fn print_cache_totals((sessions, stats): &SessionTotals) {
+    let line = cache_line(stats);
+    println!("stress: cache-faults: totals over {sessions} session(s): {line}");
 }
 
 // ---------------------------------------------------------------------
@@ -726,7 +685,7 @@ fn print_cache_totals(t: &CacheTotals) {
 #[derive(Default)]
 struct ServerStressTotals {
     daemon: ServerTotals,
-    sessions: CacheTotals,
+    sessions: SessionTotals,
 }
 
 /// Sends one request line to an in-process server and returns the
@@ -799,7 +758,7 @@ fn check_server_case(cseed: u64, src: &str, totals: &mut ServerStressTotals) -> 
             let mut handles = Vec::new();
             for i in 0..SERVER_CLIENTS {
                 let (srv, req, ref_stdout) = (&srv, &req, ref_stdout.as_str());
-                handles.push(scope.spawn(move || -> Result<CacheTotals, String> {
+                handles.push(scope.spawn(move || -> Result<SessionTotals, String> {
                     let what = format!("server client {i}");
                     let mut req = req.clone();
                     req.id = i as i64 + 1;
@@ -810,32 +769,30 @@ fn check_server_case(cseed: u64, src: &str, totals: &mut ServerStressTotals) -> 
                     if resp.stdout != ref_stdout {
                         return Err(format!("{what}: stdout diverged from no-cache reference"));
                     }
-                    Ok(CacheTotals::default())
+                    Ok(SessionTotals::default())
                 }));
             }
             for i in 0..ONE_SHOT_SESSIONS {
                 let (dir, options, files) = (&dir, &options, &files);
                 let (ref_il, ref_report) = (ref_il.as_str(), ref_report.as_str());
-                handles.push(scope.spawn(move || -> Result<CacheTotals, String> {
+                handles.push(scope.spawn(move || -> Result<SessionTotals, String> {
                     let what = format!("one-shot session {i}");
-                    let mut t = CacheTotals::default();
                     let sc = compile_session(files, options, Some(dir.as_path()))
                         .map_err(|e| format!("{what}: front end rejected input: {e}"))?;
-                    t.absorb(&sc);
                     if session_il(&sc) != ref_il {
                         return Err(format!("{what}: optimized IL diverged from no-cache run"));
                     }
                     if session_report(&sc) != ref_report {
                         return Err(format!("{what}: opt report diverged from no-cache run"));
                     }
-                    Ok(t)
+                    Ok((1, sc.stats))
                 }));
             }
             for h in handles {
                 let t = h
                     .join()
                     .map_err(|_| "burst participant panicked".to_string())??;
-                totals.sessions.merge(t);
+                absorb(&mut totals.sessions, &t);
             }
             Ok(())
         })?;
@@ -979,18 +936,8 @@ fn check_server_case(cseed: u64, src: &str, totals: &mut ServerStressTotals) -> 
 
 fn print_server_totals(t: &ServerStressTotals) {
     println!("stress: server: daemon totals: {}", t.daemon);
-    println!(
-        "stress: server: one-shot totals over {} session(s): {} hit(s), {} miss(es), \
-         {} invalidated; {} corrupt, {} quarantined, {} lock-contended, {} write-failed",
-        t.sessions.sessions,
-        t.sessions.hits,
-        t.sessions.misses,
-        t.sessions.invalidated,
-        t.sessions.corrupt,
-        t.sessions.quarantined,
-        t.sessions.lock_contended,
-        t.sessions.write_failed
-    );
+    let (sessions, line) = (t.sessions.0, cache_line(&t.sessions.1));
+    println!("stress: server: one-shot totals over {sessions} session(s): {line}");
 }
 
 fn main() {
@@ -1001,7 +948,7 @@ fn main() {
             replay_flag: "--cache-faults",
             labelled_prefix: true,
         };
-        let totals = CacheTotals::default();
+        let totals = SessionTotals::default();
         sweep(&args, &mode, totals, check_cache_case, print_cache_totals);
     }
     if args.server {

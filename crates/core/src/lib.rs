@@ -49,14 +49,14 @@ use std::error::Error;
 use std::fmt;
 
 pub use pass::{
-    CachedEntry, CachedProc, IncidentKind, Pass, PassContext, PassIncident, PassOutcome,
-    PassRecord, PassTrace, Pipeline, ProcPass, RecordedCell, SessionReplay, Snapshot, WorkItem,
+    CachedEntry, IncidentKind, Pass, PassContext, PassIncident, PassOutcome, PassRecord, PassTrace,
+    Pipeline, ProcPass, RecordedCell, Replay, SessionReplay, Snapshot, WorkItem,
 };
 pub use session::{
     compile_session, compile_session_resident, SessionCompilation, SessionStats, SourceFile,
 };
-pub use store::{install_io_faults, FaultMode, IoFaultSpec, IoOp, ResidentCache, StoreStats};
-pub use titanc_analysis::{AnalysisCache, CacheStats, ProcAnalyses};
+pub use store::{install_io_faults, FaultMode, IoFaultSpec, IoOp, ResidentCache};
+pub use titanc_analysis::{CacheStats, ProcAnalyses};
 pub use titanc_cfront::{Diagnostic, DiagnosticSink, Severity, Span};
 pub use titanc_deps::Aliasing;
 pub use titanc_il::{Catalog, Program};

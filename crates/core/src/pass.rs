@@ -17,8 +17,11 @@
 //! procedure is sent through the *whole group* as one unit of work, and
 //! the procedures fan out across [`Options::jobs`] worker threads
 //! (`std::thread::scope`, no runtime dependency). Each unit carries the
-//! procedure, its [`ProcAnalyses`] cache slot, and produces a
-//! [`ProcResult`]: per-pass deltas, timings, cache counters and
+//! procedure and its [`ProcSlot`] — everything the manager keeps about one
+//! procedure, one value at the procedure's position: its analyses, the
+//! generation already snapshotted and verified, whether a fault degraded
+//! it, and where it stands with the session cache ([`Replay`]) — and
+//! produces a [`ProcResult`]: per-pass deltas, timings, cache counters and
 //! snapshots. Results are merged **in procedure order, pass-major**, and
 //! the serial path (`jobs = 1`) runs the exact same per-procedure chain,
 //! so `-j 1` and `-j N` produce byte-identical programs, reports, traces
@@ -26,7 +29,7 @@
 //!
 //! ## The generation-keyed analysis cache
 //!
-//! Each worker threads a [`ProcAnalyses`] slot through its procedure's
+//! Each worker threads the slot's [`ProcAnalyses`] through its procedure's
 //! pass chain. Passes request the CFG, use–def chains, liveness,
 //! dominators, or loop nest from the slot; artifacts are memoized keyed
 //! to the procedure's *generation counter*, which every mutating pass
@@ -57,13 +60,12 @@
 
 use std::any::Any;
 use std::cell::Cell;
-use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex, Once};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use titanc_analysis::{AnalysisCache, CacheStats, ProcAnalyses};
+use titanc_analysis::{CacheStats, ProcAnalyses};
 use titanc_il::{Procedure, Program};
 
 use crate::{OptLevel, Options, Reports, VectorOptions};
@@ -99,9 +101,8 @@ impl PassOutcome {
 /// merging counts into `delta`, a fresh [`Reports`] value the manager
 /// aggregates and records in the [`PassTrace`]. Implement this directly
 /// only for transformations that must see every procedure at once (the
-/// inliner); per-procedure transformations should implement [`ProcPass`]
-/// instead, which provides `Pass` via a blanket impl and additionally
-/// runs in parallel inside pipelines.
+/// inliner); per-procedure transformations implement [`ProcPass`]
+/// instead, which runs in parallel inside pipelines.
 pub trait Pass {
     /// Stable pass name, used in traces, snapshots and `--stats` output.
     fn name(&self) -> &'static str;
@@ -131,26 +132,6 @@ pub trait ProcPass: Sync {
         analyses: &mut ProcAnalyses,
         delta: &mut Reports,
     ) -> PassOutcome;
-}
-
-/// Every per-procedure pass is also a whole-program pass: loop over the
-/// procedures serially with throwaway cache slots. This keeps custom
-/// pipelines built with [`Pipeline::push`] working unchanged; pipelines
-/// built with [`Pipeline::push_proc`] (and [`Pipeline::for_options`]) get
-/// the parallel, cache-threading execution instead.
-impl<T: ProcPass> Pass for T {
-    fn name(&self) -> &'static str {
-        ProcPass::name(self)
-    }
-
-    fn run(&self, program: &mut Program, cx: &PassContext<'_>, delta: &mut Reports) -> PassOutcome {
-        let mut changed = false;
-        for proc in &mut program.procs {
-            let mut analyses = ProcAnalyses::new();
-            changed |= self.run_on(proc, cx, &mut analyses, delta).changed;
-        }
-        PassOutcome { changed }
-    }
 }
 
 /// One executed pass in a [`PassTrace`].
@@ -321,15 +302,20 @@ pub struct Snapshot {
     pub il: String,
 }
 
+impl Snapshot {
+    /// The image of `proc` as `phase` left it.
+    fn of(phase: &str, proc: &Procedure) -> Snapshot {
+        Snapshot {
+            phase: phase.to_string(),
+            proc: proc.name.clone(),
+            il: titanc_il::pretty_proc(proc),
+        }
+    }
+}
+
 /// Captures a snapshot of every procedure under the given phase name.
 pub(crate) fn snapshot_all(phase: &str, program: &Program, out: &mut Vec<Snapshot>) {
-    for p in &program.procs {
-        out.push(Snapshot {
-            phase: phase.to_string(),
-            proc: p.name.clone(),
-            il: titanc_il::pretty_proc(p),
-        });
-    }
+    out.extend(program.procs.iter().map(|p| Snapshot::of(phase, p)));
 }
 
 /// Whole-program IL verification, rendered for diagnostics. The seed
@@ -408,9 +394,93 @@ impl Stage {
     fn name(&self) -> &'static str {
         match self {
             Stage::Program(p) => p.name(),
-            Stage::Proc(p) => ProcPass::name(&**p),
+            Stage::Proc(p) => p.name(),
         }
     }
+
+    fn as_proc(&self) -> Option<&dyn ProcPass> {
+        match self {
+            Stage::Program(_) => None,
+            Stage::Proc(p) => Some(&**p),
+        }
+    }
+}
+
+/// A contained fault: its kind, and the panic message or the verifier's
+/// rendered violation list.
+type Fault = (IncidentKind, String);
+
+/// What a pass runs over — one procedure, or the whole program — as far
+/// as [`run_pass`] has to know it.
+trait Unit {
+    /// The generation stamp: equal stamps mean nothing moved.
+    type Stamp: PartialEq;
+    fn stamp(&self) -> Self::Stamp;
+    fn bump(&mut self);
+    fn check(&self) -> Result<(), String>;
+}
+
+impl Unit for Procedure {
+    type Stamp = u64;
+
+    fn stamp(&self) -> u64 {
+        self.generation()
+    }
+
+    fn bump(&mut self) {
+        self.bump_generation();
+    }
+
+    fn check(&self) -> Result<(), String> {
+        verify_proc_check(self)
+    }
+}
+
+impl Unit for Program {
+    type Stamp = Vec<u64>;
+
+    fn stamp(&self) -> Vec<u64> {
+        self.procs.iter().map(Procedure::generation).collect()
+    }
+
+    fn bump(&mut self) {
+        self.procs.iter_mut().for_each(Procedure::bump_generation);
+    }
+
+    fn check(&self) -> Result<(), String> {
+        verify_program_check(self)
+    }
+}
+
+/// The one way a pass executes: under containment and timed (the clock
+/// stops before the bookkeeping), its generation kept honest — a change
+/// must move the generation, or a later pass could be served stale
+/// analyses, so a pass that reports one without stamping it gets the unit
+/// bumped defensively — and, with `verify`, whatever moved re-verified. A
+/// panic and output the verifier rejects are the same fault to the caller.
+fn run_pass<U: Unit>(
+    unit: &mut U,
+    verify: bool,
+    run: impl FnOnce(&mut U) -> PassOutcome,
+) -> (Instant, Duration, Result<PassOutcome, Fault>) {
+    let before = unit.stamp();
+    let start = Instant::now();
+    let ran = contain(|| run(unit));
+    let duration = start.elapsed();
+    let checked = ran
+        .map_err(|payload| (IncidentKind::Panic, panic_message(payload.as_ref())))
+        .and_then(|outcome| {
+            let mut moved = unit.stamp() != before;
+            if outcome.changed && !moved {
+                unit.bump();
+                moved = true;
+            }
+            if verify && moved {
+                unit.check().map_err(|d| (IncidentKind::VerifyFailed, d))?;
+            }
+            Ok(outcome)
+        });
+    (start, duration, checked)
 }
 
 /// What one procedure produced from one grouped per-procedure chain.
@@ -451,11 +521,8 @@ struct PassCell {
 }
 
 impl PassCell {
-    /// The cell recorded for a pass that was skipped outright because the
-    /// procedure was already degraded. No work happened, so no time is
-    /// charged — previously the two skip paths disagreed (zero here,
-    /// elapsed time on the fault path), which made `duration` drift
-    /// depending on where in the chain a fault landed.
+    /// The cell of a pass skipped outright because the procedure was
+    /// already degraded. No work happened, so no time is charged.
     fn skipped() -> PassCell {
         PassCell {
             duration: Duration::ZERO,
@@ -466,16 +533,35 @@ impl PassCell {
         }
     }
 
-    /// The cell recorded for the pass execution that faulted (and rolled
-    /// back). The time spent before containment is real work and stays
-    /// charged to the pass.
+    /// The cell of the pass execution that faulted (and rolled back). The
+    /// time spent before containment is real work and stays charged.
     fn faulted(duration: Duration) -> PassCell {
         PassCell {
             duration,
-            delta: Reports::default(),
-            changed: false,
-            cache: CacheStats::default(),
             status: CellStatus::Faulted,
+            ..PassCell::skipped()
+        }
+    }
+
+    /// A recorded cell, replayed: it merges exactly as the live cell did,
+    /// charged zero time.
+    fn replayed(cell: &RecordedCell) -> PassCell {
+        PassCell {
+            duration: Duration::ZERO,
+            delta: cell.delta.clone(),
+            changed: cell.changed,
+            cache: cell.cache,
+            status: CellStatus::Ran,
+        }
+    }
+
+    /// This cell as the session cache stores it.
+    fn recorded(&self, pass: &str) -> RecordedCell {
+        RecordedCell {
+            pass: pass.to_string(),
+            delta: self.delta.clone(),
+            changed: self.changed,
+            cache: self.cache,
         }
     }
 }
@@ -488,9 +574,9 @@ impl PassCell {
 /// derives from a warm run byte-identical to the cold run.
 #[derive(Clone, Debug, Default)]
 pub struct RecordedCell {
-    /// The pass name (matched against the pipeline's static pass names on
-    /// replay; the session cache key includes the pipeline fingerprint,
-    /// so a mismatch means a stale entry and the chain runs for real).
+    /// The pass name (checked against the pipeline's per-procedure pass
+    /// names where the hit is seeded; the session cache key includes the
+    /// pipeline fingerprint, so a mismatch means a damaged entry).
     pub pass: String,
     /// The statistics delta the pass contributed to this procedure.
     pub delta: Reports,
@@ -511,52 +597,143 @@ pub struct CachedEntry {
     pub il: Procedure,
     /// Recorded cells for every per-procedure pass, in pipeline order.
     pub cells: Vec<RecordedCell>,
+    /// Length of the JSON section `cells` was decoded from — what the
+    /// compile server's entry memo charges for them.
+    pub cells_bytes: usize,
 }
 
-/// A cache hit for one procedure: the (possibly shared) entry plus this
-/// request's own position in its cells, consumed group by group as the
-/// pipeline replays it.
-pub struct CachedProc {
-    entry: Arc<CachedEntry>,
-    /// Consumption cursor: how many cells earlier proc groups used.
-    cursor: usize,
+/// Where one procedure stands with the incremental session cache. The
+/// session driver seeds one per procedure, by position — [`Replay::Hit`]
+/// where the procedure's key (content hash plus environment and, with
+/// inlining on, the arena encodings of its inline dependency cone) matched
+/// a cache entry, [`Replay::None`] where it missed — [`Pipeline::run`]
+/// moves each through the transitions below, and the driver persists what
+/// it finds afterwards: a [`Replay::Replayed`] procedure is already
+/// cached, a [`Replay::Recorded`] one is published, anything else must not
+/// be.
+pub enum Replay {
+    /// A miss no pass group has run over yet.
+    None,
+    /// A hit: every proc group substitutes the entry's IL for the
+    /// procedure's pass chain and replays its next cells through the
+    /// normal pass-major merge — so reports, traces and the opt report
+    /// stay byte-identical to a cold run.
+    Hit {
+        /// The (possibly shared) decoded entry.
+        entry: Arc<CachedEntry>,
+        /// How many cells earlier proc groups consumed.
+        cursor: usize,
+    },
+    /// A hit replayed to its last cell.
+    Replayed,
+    /// The cells of the chains executed so far, every one clean.
+    Recorded(Vec<RecordedCell>),
+    /// Faulted, skipped, degraded, only partially replayed, or overtaken
+    /// by a stage that changed the procedure count: not to be persisted.
+    /// Outside a session every procedure starts here.
+    Uncacheable,
 }
 
-impl CachedProc {
-    /// A replayable hit from a decoded cache entry.
-    pub fn new(il: Procedure, cells: Vec<RecordedCell>) -> CachedProc {
-        CachedProc::shared(Arc::new(CachedEntry { il, cells }))
+/// Per-procedure [`Replay`] states, by position in [`Program::procs`].
+pub type SessionReplay = Vec<Replay>;
+
+impl Replay {
+    /// A group of `len` passes begins: a hit hands over its entry and the
+    /// range of cells the group replays, and is [`Replay::Replayed`] once
+    /// none are left. Hits are validated whole where they are seeded; one
+    /// that runs short anyway executes its chain like any other state.
+    fn next_group(&mut self, len: usize) -> Option<(Arc<CachedEntry>, std::ops::Range<usize>)> {
+        let Replay::Hit { entry, cursor } = self else {
+            return None;
+        };
+        let range = *cursor..*cursor + len;
+        if range.end > entry.cells.len() {
+            return None;
+        }
+        let entry = Arc::clone(entry);
+        if range.end == entry.cells.len() {
+            *self = Replay::Replayed;
+        } else {
+            *cursor = range.end;
+        }
+        Some((entry, range))
     }
 
-    /// A replayable hit on an entry other requests may be replaying too.
-    pub fn shared(entry: Arc<CachedEntry>) -> CachedProc {
-        CachedProc { entry, cursor: 0 }
+    /// The procedure's chain executed — `clean` when every pass of the
+    /// group ran to completion — yielding `cells`. This is the whole "must
+    /// not be persisted" rule: only a miss whose every chain ran clean
+    /// stays recorded; a fault, a skipped pass, or a chain executed over a
+    /// (partially) replayed hit is final.
+    fn chain_ran(&mut self, clean: bool, cells: impl Iterator<Item = RecordedCell>) {
+        match self {
+            Replay::None if clean => *self = Replay::Recorded(cells.collect()),
+            Replay::Recorded(earlier) if clean => earlier.extend(cells),
+            _ => *self = Replay::Uncacheable,
+        }
     }
 }
 
-/// Per-procedure replay and record state for an incremental session.
-///
-/// The session driver seeds [`SessionReplay::hits`] with the procedures
-/// whose per-procedure key (content hash plus environment and, with
-/// inlining on, the arena encodings of the procedure's inline dependency
-/// cone) matched a cache entry; [`Pipeline::run`]
-/// substitutes their cached IL instead of running their pass chains and
-/// replays the recorded cells through the normal pass-major merge — so
-/// reports, traces and the opt report stay byte-identical to a cold run.
-/// Procedures that miss run normally and land in
-/// [`SessionReplay::recorded`] for the driver to persist; procedures
-/// whose chain faulted or degraded land in
-/// [`SessionReplay::uncacheable`] and must not be cached.
-#[derive(Default)]
-pub struct SessionReplay {
-    /// Procedure name → cached result to substitute for its pass chains.
-    pub hits: HashMap<String, CachedProc>,
-    /// Procedure name → cells recorded from cleanly executed chains.
-    pub recorded: HashMap<String, Vec<RecordedCell>>,
-    /// Procedures that faulted or were degraded during this run.
-    pub uncacheable: HashSet<String>,
-    /// Procedures whose cached IL was actually substituted.
-    pub replayed: HashSet<String>,
+/// What the manager keeps about one procedure for one run — one slot per
+/// procedure, at the procedure's position in [`Program::procs`].
+struct ProcSlot {
+    /// The generation-keyed analyses the procedure's passes share.
+    analyses: ProcAnalyses,
+    /// The generation already covered by a snapshot and verification.
+    seen_gen: u64,
+    /// A pass faulted on the procedure: its remaining passes are skipped.
+    degraded: bool,
+    /// Where the procedure stands with the session cache.
+    replay: Replay,
+}
+
+impl ProcSlot {
+    fn new(seen_gen: u64, replay: Replay) -> ProcSlot {
+        ProcSlot {
+            analyses: ProcAnalyses::new(),
+            seen_gen,
+            degraded: false,
+            replay,
+        }
+    }
+
+    /// Session replay: a healthy procedure with a hit skips its chain —
+    /// the cached post-pipeline IL replaces it and the recorded cells feed
+    /// the pass-major merge exactly as live cells would, so a warm run
+    /// merges to byte-identical reports and traces (durations excepted:
+    /// replayed cells charge zero time).
+    fn replay_group(&mut self, len: usize, proc: &mut Procedure) -> Option<ProcResult> {
+        if self.degraded {
+            return None;
+        }
+        let (entry, range) = self.replay.next_group(len)?;
+        let mut il = entry.il.clone();
+        // land strictly past the generation already covered so the
+        // closing whole-program verify re-checks the substituted IL
+        while il.generation() <= self.seen_gen {
+            il.bump_generation();
+        }
+        *proc = il;
+        // artifacts built against the pre-substitution IL are stale
+        self.analyses.invalidate();
+        Some(ProcResult {
+            cells: entry.cells[range].iter().map(PassCell::replayed).collect(),
+            snaps: Vec::new(),
+            items: Vec::new(),
+            final_gen: proc.generation(),
+            incident: None,
+        })
+    }
+}
+
+/// What every pass chain of one run reads and none writes — the half of a
+/// [`Run`] the worker threads share.
+struct Env<'a> {
+    cx: PassContext<'a>,
+    /// Re-verify whatever a pass moved (debug builds, `--verify`).
+    verify: bool,
+    want_snaps: bool,
+    /// Every timeline interval is an offset from this instant.
+    epoch: Instant,
 }
 
 /// Runs one procedure through a group of per-procedure passes. Both the
@@ -569,76 +746,50 @@ pub struct SessionReplay {
 /// rejection of the pass's output — the procedure is rolled back to the
 /// IL the faulting pass was handed ([`roll_back`]: the chain's one
 /// `entry` snapshot with the passes that ran clean replayed over it), the
-/// cache slot is invalidated (artifacts built against the abandoned IL
-/// must not survive the rollback), a [`PassIncident`] is recorded, and the
-/// rest of the chain is skipped: the procedure is *degraded*. `entry` is
-/// `None` for a procedure an earlier group already degraded — every pass
-/// is skipped. Panics never cross the worker-thread boundary, so one
+/// slot's analyses are invalidated (artifacts built against the abandoned
+/// IL must not survive the rollback), a [`PassIncident`] is recorded, and
+/// the rest of the chain is skipped: the procedure is *degraded*. `entry`
+/// is `None` for a procedure an earlier group already degraded — every
+/// pass is skipped. Panics never cross the worker-thread boundary, so one
 /// faulty procedure cannot poison the thread scope.
-#[allow(clippy::too_many_arguments)]
 fn run_proc_chain(
+    env: &Env<'_>,
     group: &[&dyn ProcPass],
     proc: &mut Procedure,
     entry: Option<&Procedure>,
-    analyses: &mut ProcAnalyses,
-    cx: &PassContext<'_>,
-    verify: bool,
-    want_snaps: bool,
-    seen_gen: u64,
-    epoch: Instant,
+    slot: &mut ProcSlot,
     lane: usize,
 ) -> ProcResult {
     let mut cells = Vec::with_capacity(group.len());
     let mut snaps = Vec::new();
     let mut items = Vec::new();
     // the generation already covered by a snapshot + verification
-    let mut last_seen = seen_gen;
+    let mut last_seen = slot.seen_gen;
     let mut incident: Option<(usize, PassIncident)> = None;
-    let mut degraded = entry.is_none();
     for (k, pass) in group.iter().enumerate() {
-        if degraded {
+        let Some(entry) = entry.filter(|_| incident.is_none()) else {
             cells.push(PassCell::skipped());
             continue;
-        }
+        };
         // every debug run is a differential: the per-pass snapshot the
         // replay replaced, kept to check the replay against
         let handed = cfg!(debug_assertions).then(|| proc.clone());
-        let stats_before = analyses.stats();
-        let gen_before = proc.generation();
+        let stats_before = slot.analyses.stats();
         let mut delta = Reports::default();
-        let start = Instant::now();
-        let start_offset = start.duration_since(epoch);
-        let pname = proc.name.clone();
-        let item = move |duration: Duration| WorkItem {
+        let (start, duration, ran) = run_pass(proc, env.verify, |p| {
+            pass.run_on(p, &env.cx, &mut slot.analyses, &mut delta)
+        });
+        items.push(WorkItem {
             pass: pass.name(),
-            proc: pname.clone(),
+            proc: proc.name.clone(),
             lane,
-            start: start_offset,
+            start: start.duration_since(env.epoch),
             duration,
-        };
-        // a panic, or output the inter-pass verifier rejects, is the same
-        // fault: roll back, record the incident, degrade the procedure
-        let run = contain(|| pass.run_on(proc, cx, analyses, &mut delta));
-        let duration = start.elapsed();
-        items.push(item(duration));
-        let checked = run
-            .map_err(|payload| (IncidentKind::Panic, panic_message(payload.as_ref())))
-            .and_then(|outcome| {
-                if outcome.changed && proc.generation() == gen_before {
-                    // defensive: a change must move the generation, or a
-                    // later pass could be served stale analyses
-                    proc.bump_generation();
-                }
-                if verify && proc.generation() != last_seen {
-                    verify_proc_check(proc).map_err(|d| (IncidentKind::VerifyFailed, d))?;
-                }
-                Ok(outcome)
-            });
-        let outcome = match checked {
+        });
+        let outcome = match ran {
             Ok(outcome) => outcome,
             Err((kind, mut detail)) => {
-                let entry = entry.expect("non-degraded chain has a rollback point");
-                match roll_back(proc, entry, &group[..k], cx) {
+                match roll_back(proc, entry, &group[..k], &env.cx) {
                     Ok(()) => debug_assert!(
                         handed.is_some_and(|h| *proc == h && proc.generation() == h.generation()),
                         "replaying `{}` up to `{}` left other IL than that pass was handed",
@@ -650,7 +801,7 @@ fn run_proc_chain(
                          chain's entry state"
                     )),
                 }
-                analyses.invalidate();
+                slot.analyses.invalidate();
                 incident = Some((
                     k,
                     PassIncident {
@@ -660,22 +811,14 @@ fn run_proc_chain(
                         detail,
                     },
                 ));
-                degraded = true;
+                slot.degraded = true;
                 cells.push(PassCell::faulted(duration));
                 continue;
             }
         };
-        let cache = analyses.stats().delta_since(&stats_before);
         if proc.generation() != last_seen {
-            if want_snaps {
-                snaps.push((
-                    k,
-                    Snapshot {
-                        phase: pass.name().to_string(),
-                        proc: proc.name.clone(),
-                        il: titanc_il::pretty_proc(proc),
-                    },
-                ));
+            if env.want_snaps {
+                snaps.push((k, Snapshot::of(pass.name(), proc)));
             }
             last_seen = proc.generation();
         }
@@ -683,10 +826,13 @@ fn run_proc_chain(
             duration,
             delta,
             changed: outcome.changed,
-            cache,
+            cache: slot.analyses.stats().delta_since(&stats_before),
             status: CellStatus::Ran,
         });
     }
+    let clean = cells.iter().all(|c| c.status == CellStatus::Ran);
+    let recorded = group.iter().zip(&cells).map(|(p, c)| c.recorded(p.name()));
+    slot.replay.chain_ran(clean, recorded);
     ProcResult {
         cells,
         snaps,
@@ -711,19 +857,14 @@ fn roll_back(
     // a scratch slot: nothing built over the abandoned IL is consulted,
     // and nothing the replay builds is accounted to a pass cell
     let mut analyses = ProcAnalyses::new();
-    contain(|| {
-        for pass in clean {
-            let gen_before = proc.generation();
-            let outcome = pass.run_on(proc, cx, &mut analyses, &mut Reports::default());
-            if outcome.changed && proc.generation() == gen_before {
-                proc.bump_generation();
-            }
+    for pass in clean {
+        let replay = |p: &mut Procedure| pass.run_on(p, cx, &mut analyses, &mut Reports::default());
+        if let (.., Err((_, why))) = run_pass(proc, false, replay) {
+            proc.clone_from(entry);
+            return Err(why);
         }
-    })
-    .map_err(|payload| {
-        proc.clone_from(entry);
-        panic_message(payload.as_ref())
-    })
+    }
+    Ok(())
 }
 
 /// A declarative sequence of passes.
@@ -774,15 +915,11 @@ impl Pipeline {
         self.stages.iter().map(Stage::name).collect()
     }
 
-    /// `(whole-program stage count, per-procedure stage count)` — the
-    /// session driver sizes its pass-execution accounting from this.
-    pub fn stage_counts(&self) -> (usize, usize) {
-        let program = self
-            .stages
-            .iter()
-            .filter(|s| matches!(s, Stage::Program(_)))
-            .count();
-        (program, self.stages.len() - program)
+    /// The names of the per-procedure passes alone, in execution order —
+    /// what a cache entry's recorded cells must name to be replayed.
+    pub fn proc_pass_names(&self) -> Vec<&'static str> {
+        let procs = self.stages.iter().filter_map(Stage::as_proc);
+        procs.map(ProcPass::name).collect()
     }
 
     /// Builds the pipeline the given options describe.
@@ -845,13 +982,12 @@ impl Pipeline {
     /// callers inspect [`PassTrace::incidents`] to decide how strict to
     /// be.
     ///
-    /// With a `session`, procedures that have a seeded hit skip their
-    /// per-procedure pass chains — their cached IL is substituted and
+    /// With a `session` — one seeded [`Replay`] per procedure — hits skip
+    /// their per-procedure pass chains: their cached IL is substituted and
     /// their recorded cells replay through the normal pass-major merge,
     /// so the output (program, reports, opt report) is byte-identical to
-    /// a cold run — and cleanly executed chains are recorded into it for
-    /// the driver to persist. Without one, nothing is replayed or
-    /// recorded.
+    /// a cold run. The states come back in `session`, by position, for the
+    /// driver to persist. Without one, nothing is replayed or recorded.
     pub fn run(
         &self,
         program: &mut Program,
@@ -859,71 +995,36 @@ impl Pipeline {
         snapshots: &mut Vec<Snapshot>,
         mut session: Option<&mut SessionReplay>,
     ) -> (Reports, PassTrace) {
-        let cx = PassContext { options };
-        let verify = cfg!(debug_assertions) || options.verify;
-        let want_snaps = options.snapshots;
-        let jobs = options.effective_jobs();
-        // every timeline interval is an offset from this instant
-        let epoch = Instant::now();
-        let mut reports = Reports::default();
-        let mut trace = PassTrace::default();
-        let mut cache = AnalysisCache::with_procs(program.procs.len());
-        // generation already covered by snapshot/verification, per proc
-        // (the "lower" snapshot + verify ran before the pipeline)
-        let mut seen_gens: Vec<u64> = program.procs.iter().map(Procedure::generation).collect();
-        let initial_gens = seen_gens.clone();
-        // procedures that faulted: their remaining passes are skipped
-        let mut degraded: Vec<bool> = vec![false; program.procs.len()];
-
-        let mut i = 0;
-        while i < self.stages.len() {
-            match &self.stages[i] {
-                Stage::Program(pass) => {
-                    run_program_stage(
-                        &**pass,
-                        program,
-                        &cx,
-                        verify,
-                        want_snaps,
-                        epoch,
-                        &mut cache,
-                        &mut seen_gens,
-                        &mut degraded,
-                        &mut reports,
-                        &mut trace,
-                        snapshots,
-                    );
-                    i += 1;
-                }
+        // outside a session (or past its seeds) nothing is cacheable
+        let seeds = session.as_deref_mut().map(std::mem::take);
+        let mut seeds = seeds.unwrap_or_default().into_iter();
+        let slots = program.procs.iter().map(|p| {
+            // the "lower" snapshot + verify ran before the pipeline
+            ProcSlot::new(p.generation(), seeds.next().unwrap_or(Replay::Uncacheable))
+        });
+        let mut run = Run {
+            env: Env {
+                cx: PassContext { options },
+                verify: cfg!(debug_assertions) || options.verify,
+                want_snaps: options.snapshots,
+                epoch: Instant::now(),
+            },
+            jobs: options.effective_jobs(),
+            slots: slots.collect(),
+            moved: false,
+            reports: Reports::default(),
+            trace: PassTrace::default(),
+            snapshots,
+        };
+        // a whole-program stage alone, or a maximal run of per-procedure ones
+        let both_proc = |a: &Stage, b: &Stage| a.as_proc().is_some() && b.as_proc().is_some();
+        for stages in self.stages.chunk_by(both_proc) {
+            match &stages[0] {
+                Stage::Program(pass) => run.program_stage(&**pass, program),
                 Stage::Proc(_) => {
-                    let mut j = i;
-                    while j < self.stages.len() && matches!(self.stages[j], Stage::Proc(_)) {
-                        j += 1;
-                    }
-                    let group: Vec<&dyn ProcPass> = self.stages[i..j]
-                        .iter()
-                        .map(|s| match s {
-                            Stage::Proc(p) => &**p,
-                            Stage::Program(_) => unreachable!("group holds only proc stages"),
-                        })
-                        .collect();
-                    run_proc_group(
-                        &group,
-                        program,
-                        &cx,
-                        verify,
-                        want_snaps,
-                        jobs,
-                        epoch,
-                        &mut cache,
-                        &mut seen_gens,
-                        &mut degraded,
-                        &mut reports,
-                        &mut trace,
-                        snapshots,
-                        session.as_deref_mut(),
-                    );
-                    i = j;
+                    let group: Vec<&dyn ProcPass> =
+                        stages.iter().filter_map(Stage::as_proc).collect();
+                    run.proc_group(&group, program);
                 }
             }
         }
@@ -931,10 +1032,9 @@ impl Pipeline {
         // per-proc verification skips program-level invariants (call
         // targets, globals); close the run with one whole-program check
         // when anything moved
-        let moved = seen_gens != initial_gens;
-        if verify && moved {
+        if run.env.verify && run.moved {
             if let Err(detail) = verify_program_check(program) {
-                trace.incidents.push(PassIncident {
+                run.trace.incidents.push(PassIncident {
                     pass: "pipeline",
                     proc: None,
                     kind: IncidentKind::VerifyFailed,
@@ -942,387 +1042,221 @@ impl Pipeline {
                 });
             }
         }
-        trace.wall = epoch.elapsed();
-        (reports, trace)
+        run.trace.wall = run.env.epoch.elapsed();
+        if let Some(session) = session {
+            session.extend(run.slots.into_iter().map(|slot| slot.replay));
+        }
+        (run.reports, run.trace)
     }
 }
 
-/// Runs one whole-program stage, keeping the generation bookkeeping
-/// honest: a pass that reports a change without moving any generation
-/// gets every procedure bumped defensively, and snapshots/verification
-/// cover exactly the procedures whose generation moved.
-///
-/// Whole-program passes are isolated at program granularity: on a panic
-/// or a verifier rejection the *entire program* rolls back to its state
-/// before the pass (there is no narrower verified unit — the pass may
-/// have moved code between procedures), an incident is recorded, and the
-/// pipeline continues with the remaining stages. No procedure is marked
-/// degraded: the rolled-back program is exactly the verified pre-pass
-/// state.
-#[allow(clippy::too_many_arguments)]
-fn run_program_stage(
-    pass: &dyn Pass,
-    program: &mut Program,
-    cx: &PassContext<'_>,
-    verify: bool,
-    want_snaps: bool,
-    epoch: Instant,
-    cache: &mut AnalysisCache,
-    seen_gens: &mut Vec<u64>,
-    degraded: &mut Vec<bool>,
-    reports: &mut Reports,
-    trace: &mut PassTrace,
-    snapshots: &mut Vec<Snapshot>,
-) {
-    let gens_before: Vec<u64> = program.procs.iter().map(Procedure::generation).collect();
-    let backup = program.clone();
-    let mut delta = Reports::default();
-    let start = Instant::now();
-    let start_offset = start.duration_since(epoch);
-    let run = contain(|| pass.run(program, cx, &mut delta));
-    let duration = start.elapsed();
-    trace.timeline.push(WorkItem {
-        pass: pass.name(),
-        proc: String::new(),
-        lane: 0,
-        start: start_offset,
-        duration,
-    });
-    let checked = run
-        .map_err(|payload| (IncidentKind::Panic, panic_message(payload.as_ref())))
-        .and_then(|outcome| {
-            let moved = program.procs.len() != gens_before.len()
-                || program
-                    .procs
-                    .iter()
-                    .zip(&gens_before)
-                    .any(|(p, g)| p.generation() != *g);
-            if outcome.changed && !moved {
-                // defensive: the pass mutated something without stamping it
-                for p in &mut program.procs {
-                    p.bump_generation();
-                }
-            }
-            if verify && (moved || outcome.changed) {
-                verify_program_check(program).map_err(|d| (IncidentKind::VerifyFailed, d))?;
-            }
-            Ok(outcome)
+/// One execution of a [`Pipeline`]: what every stage reads, one
+/// [`ProcSlot`] per procedure, and what the run accumulates.
+struct Run<'a> {
+    env: Env<'a>,
+    jobs: usize,
+    /// By position in [`Program::procs`]; sized in [`Run::resync`] alone.
+    slots: Vec<ProcSlot>,
+    /// Some procedure's generation moved past the one it entered with.
+    moved: bool,
+    reports: Reports,
+    trace: PassTrace,
+    snapshots: &'a mut Vec<Snapshot>,
+}
+
+impl Run<'_> {
+    /// Keeps one slot per procedure after a whole-program stage. A stage
+    /// that changed the procedure count made positions meaningless:
+    /// procedures it introduced count as never seen (and healthy), no
+    /// analysis survives, and nothing replays or is recorded from here on
+    /// — so nothing of this run is persisted.
+    fn resync(&mut self, program: &Program) {
+        if self.slots.len() == program.procs.len() {
+            return;
+        }
+        self.slots.resize_with(program.procs.len(), || {
+            ProcSlot::new(u64::MAX, Replay::Uncacheable)
         });
-    let outcome = match checked {
-        Ok(outcome) => outcome,
-        Err((kind, detail)) => {
-            *program = backup;
-            for slot in cache.slots_mut() {
-                slot.invalidate();
+        for slot in &mut self.slots {
+            slot.analyses.invalidate();
+            slot.replay = Replay::Uncacheable;
+        }
+        self.moved = true;
+    }
+
+    /// Runs one whole-program stage; snapshots and verification cover
+    /// exactly the procedures whose generation moved.
+    ///
+    /// Whole-program passes are isolated at program granularity: on a
+    /// panic or a verifier rejection the *entire program* rolls back to
+    /// its state before the pass (there is no narrower verified unit — the
+    /// pass may have moved code between procedures), an incident is
+    /// recorded, and the pipeline continues with the remaining stages. No
+    /// procedure is marked degraded: the rolled-back program is exactly
+    /// the verified pre-pass state.
+    fn program_stage(&mut self, pass: &dyn Pass, program: &mut Program) {
+        let backup = program.clone();
+        let mut delta = Reports::default();
+        let cx = &self.env.cx;
+        let (start, duration, ran) =
+            run_pass(program, self.env.verify, |p| pass.run(p, cx, &mut delta));
+        self.trace.timeline.push(WorkItem {
+            pass: pass.name(),
+            proc: String::new(),
+            lane: 0,
+            start: start.duration_since(self.env.epoch),
+            duration,
+        });
+        let changed = match ran {
+            Ok(outcome) => {
+                self.resync(program);
+                for (p, slot) in program.procs.iter().zip(&mut self.slots) {
+                    if p.generation() != slot.seen_gen {
+                        if self.env.want_snaps {
+                            self.snapshots.push(Snapshot::of(pass.name(), p));
+                        }
+                        slot.seen_gen = p.generation();
+                        self.moved = true;
+                    }
+                }
+                outcome.changed
             }
-            trace.incidents.push(PassIncident {
-                pass: pass.name(),
-                proc: None,
-                kind,
-                detail,
+            Err((kind, detail)) => {
+                *program = backup;
+                for slot in &mut self.slots {
+                    slot.analyses.invalidate();
+                }
+                self.trace.incidents.push(PassIncident {
+                    pass: pass.name(),
+                    proc: None,
+                    kind,
+                    detail,
+                });
+                delta = Reports::default();
+                false
+            }
+        };
+        self.reports.merge(delta.clone());
+        self.trace.records.push(PassRecord {
+            name: pass.name(),
+            duration,
+            delta,
+            changed,
+            cache: CacheStats::default(),
+            skipped_procs: 0,
+            faulted_procs: 0,
+        });
+    }
+
+    /// Fans the procedures across worker threads, each running the whole
+    /// group of per-procedure passes, then merges the results in procedure
+    /// order so the output is independent of scheduling.
+    fn proc_group(&mut self, group: &[&dyn ProcPass], program: &mut Program) {
+        let env = &self.env;
+        let mut results: Vec<Option<ProcResult>> = program
+            .procs
+            .iter_mut()
+            .zip(&mut self.slots)
+            .map(|(proc, slot)| slot.replay_group(group.len(), proc))
+            .collect();
+        let tasks: Vec<_> = program
+            .procs
+            .iter_mut()
+            .zip(&mut self.slots)
+            .zip(&mut results)
+            .filter(|(_, out)| out.is_none())
+            .collect();
+
+        // more worker threads than hardware threads only adds scheduler churn
+        // to a CPU-bound pipeline, so the request is capped at the machine's
+        // available parallelism (and at the task count — spare workers would
+        // find an empty queue and exit immediately anyway)
+        let avail = thread::available_parallelism()
+            .map(std::num::NonZeroUsize::get)
+            .unwrap_or(1);
+        let workers = self.jobs.min(avail).clamp(1, tasks.len().max(1));
+        if workers <= 1 {
+            for ((proc, slot), out) in tasks {
+                // the chain's one rollback snapshot
+                let entry = (!slot.degraded).then(|| proc.clone());
+                *out = Some(run_proc_chain(env, group, proc, entry.as_ref(), slot, 0));
+            }
+        } else {
+            let queue = Mutex::new(tasks.into_iter());
+            thread::scope(|s| {
+                for lane in 1..=workers {
+                    let queue = &queue;
+                    s.spawn(move || loop {
+                        // take the lock only to pop; run outside it
+                        let task = queue.lock().unwrap().next();
+                        let Some(((proc, slot), out)) = task else {
+                            break;
+                        };
+                        // run the chain on a worker-local clone: the passes'
+                        // allocation churn then stays in this thread's malloc
+                        // arena instead of contending for the main thread's
+                        // (the procedure itself was built there), and the
+                        // original is freed in one sweep at write-back —
+                        // until when it is the chain's rollback snapshot.
+                        // Faults inside the chain are caught there, so a
+                        // panicking pass cannot poison this scope.
+                        let mut local = proc.clone();
+                        let entry = (!slot.degraded).then_some(&*proc);
+                        *out = Some(run_proc_chain(env, group, &mut local, entry, slot, lane));
+                        *proc = local;
+                    });
+                }
             });
-            trace.records.push(PassRecord {
+        }
+
+        let results: Vec<ProcResult> = results
+            .into_iter()
+            .map(|r| r.expect("every procedure ran its pass chain"))
+            .collect();
+
+        // merge pass-major, procedure order: identical for any worker count
+        for (k, pass) in group.iter().enumerate() {
+            let mut record = PassRecord {
                 name: pass.name(),
-                duration,
+                duration: Duration::ZERO,
                 delta: Reports::default(),
                 changed: false,
                 cache: CacheStats::default(),
                 skipped_procs: 0,
                 faulted_procs: 0,
-            });
-            return;
-        }
-    };
-    cache.ensure(program.procs.len());
-    // procedures the pass introduced count as never-seen (and healthy)
-    if seen_gens.len() < program.procs.len() {
-        seen_gens.resize(program.procs.len(), u64::MAX);
-    }
-    seen_gens.truncate(program.procs.len());
-    if degraded.len() < program.procs.len() {
-        degraded.resize(program.procs.len(), false);
-    }
-    degraded.truncate(program.procs.len());
-    if want_snaps {
-        for (idx, p) in program.procs.iter().enumerate() {
-            if p.generation() != seen_gens[idx] {
-                snapshots.push(Snapshot {
-                    phase: pass.name().to_string(),
-                    proc: p.name.clone(),
-                    il: titanc_il::pretty_proc(p),
-                });
-            }
-        }
-    }
-    for (idx, p) in program.procs.iter().enumerate() {
-        seen_gens[idx] = p.generation();
-    }
-
-    reports.merge(delta.clone());
-    trace.records.push(PassRecord {
-        name: pass.name(),
-        duration,
-        delta,
-        changed: outcome.changed,
-        cache: CacheStats::default(),
-        skipped_procs: 0,
-        faulted_procs: 0,
-    });
-}
-
-/// Fans the procedures across worker threads, each running the whole
-/// group of per-procedure passes, then merges the results in procedure
-/// order so the output is independent of scheduling.
-#[allow(clippy::too_many_arguments)]
-fn run_proc_group(
-    group: &[&dyn ProcPass],
-    program: &mut Program,
-    cx: &PassContext<'_>,
-    verify: bool,
-    want_snaps: bool,
-    jobs: usize,
-    epoch: Instant,
-    cache: &mut AnalysisCache,
-    seen_gens: &mut Vec<u64>,
-    degraded: &mut Vec<bool>,
-    reports: &mut Reports,
-    trace: &mut PassTrace,
-    snapshots: &mut Vec<Snapshot>,
-    mut session: Option<&mut SessionReplay>,
-) {
-    let n = program.procs.len();
-    cache.ensure(n);
-    if seen_gens.len() < n {
-        seen_gens.resize(n, u64::MAX);
-    }
-    if degraded.len() < n {
-        degraded.resize(n, false);
-    }
-
-    let mut results: Vec<Option<ProcResult>> = Vec::new();
-    results.resize_with(n, || None);
-
-    // session replay: a procedure with a cache hit skips its chain — the
-    // cached post-pipeline IL replaces it and the recorded cells feed the
-    // pass-major merge below exactly as live cells would, so a warm run
-    // merges to byte-identical reports and traces (durations excepted:
-    // replayed cells charge zero time)
-    let mut replayed_now = vec![false; n];
-    if let Some(sess) = session.as_deref_mut() {
-        let slots = cache.slots_mut();
-        for (idx, (proc, out)) in program.procs.iter_mut().zip(results.iter_mut()).enumerate() {
-            if degraded[idx] {
-                continue;
-            }
-            let Some(hit) = sess.hits.get_mut(&proc.name) else {
-                continue;
             };
-            let end = hit.cursor + group.len();
-            let entry = &hit.entry;
-            let names_match = end <= entry.cells.len()
-                && group
-                    .iter()
-                    .enumerate()
-                    .all(|(k, p)| entry.cells[hit.cursor + k].pass == p.name());
-            if !names_match {
-                // stale or truncated entry — run the chain for real
-                continue;
-            }
-            let cells = entry.cells[hit.cursor..end]
-                .iter()
-                .map(|c| PassCell {
-                    duration: Duration::ZERO,
-                    delta: c.delta.clone(),
-                    changed: c.changed,
-                    cache: c.cache,
-                    status: CellStatus::Ran,
-                })
-                .collect();
-            let mut il = entry.il.clone();
-            hit.cursor = end;
-            // land strictly past the generation already covered so the
-            // closing whole-program verify re-checks the substituted IL
-            while il.generation() <= seen_gens[idx] {
-                il.bump_generation();
-            }
-            let final_gen = il.generation();
-            *proc = il;
-            // artifacts built against the pre-substitution IL are stale
-            slots[idx].invalidate();
-            *out = Some(ProcResult {
-                cells,
-                snaps: Vec::new(),
-                items: Vec::new(),
-                final_gen,
-                incident: None,
-            });
-            replayed_now[idx] = true;
-            sess.replayed.insert(proc.name.clone());
-        }
-    }
-
-    type Task<'t> = (
-        u64,
-        bool,
-        &'t mut Procedure,
-        &'t mut ProcAnalyses,
-        &'t mut Option<ProcResult>,
-    );
-    let tasks: Vec<Task<'_>> = program
-        .procs
-        .iter_mut()
-        .zip(cache.slots_mut().iter_mut())
-        .zip(results.iter_mut())
-        .enumerate()
-        .filter(|(_, ((_, _), out))| out.is_none())
-        .map(|(idx, ((proc, slot), out))| (seen_gens[idx], degraded[idx], proc, slot, out))
-        .collect();
-
-    // more worker threads than hardware threads only adds scheduler churn
-    // to a CPU-bound pipeline, so the request is capped at the machine's
-    // available parallelism (and at the task count — spare workers would
-    // find an empty queue and exit immediately anyway)
-    let avail = thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
-    let workers = jobs.min(avail).clamp(1, tasks.len().max(1));
-    // one procedure's chain: the same call on the serial and the worker path
-    let chain =
-        |proc: &mut Procedure, entry: Option<&Procedure>, slot: &mut ProcAnalyses, seen, lane| {
-            run_proc_chain(
-                group, proc, entry, slot, cx, verify, want_snaps, seen, epoch, lane,
-            )
-        };
-    if workers <= 1 {
-        for (seen, skip, proc, slot, out) in tasks {
-            // the chain's one rollback snapshot
-            let entry = (!skip).then(|| proc.clone());
-            *out = Some(chain(proc, entry.as_ref(), slot, seen, 0));
-        }
-    } else {
-        let queue = Mutex::new(tasks.into_iter());
-        thread::scope(|s| {
-            for lane in 1..=workers {
-                let (queue, chain) = (&queue, &chain);
-                s.spawn(move || loop {
-                    // take the lock only to pop; run outside it
-                    let task = queue.lock().unwrap().next();
-                    match task {
-                        Some((seen, skip, proc, slot, out)) => {
-                            // run the chain on a worker-local clone: the
-                            // passes' allocation churn then stays in this
-                            // thread's malloc arena instead of contending
-                            // for the main thread's (the procedure itself
-                            // was built there), and the original is freed
-                            // in one sweep at write-back — until when it
-                            // is the chain's rollback snapshot. Faults
-                            // inside the chain are caught there, so a
-                            // panicking pass cannot poison this scope.
-                            let mut local = proc.clone();
-                            let entry = (!skip).then_some(&*proc);
-                            *out = Some(chain(&mut local, entry, slot, seen, lane));
-                            *proc = local;
-                        }
-                        None => break,
-                    }
-                });
-            }
-        });
-    }
-
-    let results: Vec<ProcResult> = results
-        .into_iter()
-        .map(|r| r.expect("every procedure ran its pass chain"))
-        .collect();
-
-    // merge pass-major, procedure order: identical for any worker count
-    for (k, pass) in group.iter().enumerate() {
-        let mut delta = Reports::default();
-        let mut duration = Duration::ZERO;
-        let mut changed = false;
-        let mut cache_stats = CacheStats::default();
-        let mut skipped_procs = 0usize;
-        let mut faulted_procs = 0usize;
-        for r in &results {
-            let cell = &r.cells[k];
-            delta.merge(cell.delta.clone());
-            duration += cell.duration;
-            changed |= cell.changed;
-            cache_stats.merge(&cell.cache);
-            match cell.status {
-                CellStatus::Ran => {}
-                CellStatus::Faulted => faulted_procs += 1,
-                CellStatus::Skipped => skipped_procs += 1,
-            }
-        }
-        if want_snaps {
             for r in &results {
-                for (ki, snap) in &r.snaps {
-                    if *ki == k {
-                        snapshots.push(snap.clone());
-                    }
+                let cell = &r.cells[k];
+                record.delta.merge(cell.delta.clone());
+                record.duration += cell.duration;
+                record.changed |= cell.changed;
+                record.cache.merge(&cell.cache);
+                match cell.status {
+                    CellStatus::Ran => {}
+                    CellStatus::Faulted => record.faulted_procs += 1,
+                    CellStatus::Skipped => record.skipped_procs += 1,
                 }
             }
+            let snaps = results.iter().flat_map(|r| &r.snaps);
+            self.snapshots
+                .extend(snaps.filter(|(ki, _)| *ki == k).map(|(_, s)| s.clone()));
+            self.reports.merge(record.delta.clone());
+            self.trace.records.push(record);
+            // incidents surface pass-major, procedure order — the same
+            // deterministic merge as everything else, so `-j 1` and `-j N`
+            // report identical traces
+            let incidents = results.iter().filter_map(|r| r.incident.as_ref());
+            self.trace
+                .incidents
+                .extend(incidents.filter(|(ki, _)| *ki == k).map(|(_, i)| i.clone()));
         }
-        reports.merge(delta.clone());
-        trace.records.push(PassRecord {
-            name: ProcPass::name(*pass),
-            duration,
-            delta,
-            changed,
-            cache: cache_stats,
-            skipped_procs,
-            faulted_procs,
-        });
-        // incidents surface pass-major, procedure order — the same
-        // deterministic merge as everything else, so `-j 1` and `-j N`
-        // report identical traces
-        for r in &results {
-            if let Some((ki, inc)) = &r.incident {
-                if *ki == k {
-                    trace.incidents.push(inc.clone());
-                }
-            }
+        // the timeline is appended in procedure order too; the timestamps
+        // inside are wall-clock data and carry the real worker interleaving
+        for (slot, r) in self.slots.iter_mut().zip(results) {
+            self.moved |= slot.seen_gen != r.final_gen;
+            slot.seen_gen = r.final_gen;
+            self.trace.timeline.extend(r.items);
         }
-    }
-    for (idx, r) in results.iter().enumerate() {
-        seen_gens[idx] = r.final_gen;
-        if r.incident.is_some() {
-            degraded[idx] = true;
-        }
-    }
-    // record cleanly executed chains for the session cache; anything
-    // faulted, skipped, or only partially replayed must not be persisted
-    if let Some(sess) = session {
-        for (idx, r) in results.iter().enumerate() {
-            if replayed_now[idx] {
-                continue;
-            }
-            let name = &program.procs[idx].name;
-            let clean = r.incident.is_none()
-                && !degraded[idx]
-                && r.cells.iter().all(|c| c.status == CellStatus::Ran)
-                && !sess.replayed.contains(name);
-            if clean {
-                let rec = sess.recorded.entry(name.clone()).or_default();
-                for (k, cell) in r.cells.iter().enumerate() {
-                    rec.push(RecordedCell {
-                        pass: group[k].name().to_string(),
-                        delta: cell.delta.clone(),
-                        changed: cell.changed,
-                        cache: cell.cache,
-                    });
-                }
-            } else {
-                sess.recorded.remove(name);
-                sess.uncacheable.insert(name.clone());
-            }
-        }
-    }
-    // the timeline is appended in procedure order too; the timestamps
-    // inside are wall-clock data and carry the real worker interleaving
-    for r in &results {
-        trace.timeline.extend(r.items.iter().cloned());
     }
 }
 
@@ -1474,33 +1408,140 @@ const PROC_PASSES: [TablePass; 9] = [
 mod tests {
     use super::*;
 
+    fn env(options: &Options) -> Env<'_> {
+        Env {
+            cx: PassContext { options },
+            verify: true,
+            want_snaps: false,
+            epoch: Instant::now(),
+        }
+    }
+
+    const BOOM: TablePass = TablePass {
+        name: "boom",
+        run: |p, _, a| {
+            a.usedef(p);
+            p.body.clear();
+            panic!("injected fault")
+        },
+        changed: |_| false,
+    };
+
+    fn countdown() -> Procedure {
+        let src = "void f(int n) { while (n) n = n - 1; }";
+        titanc_lower::compile_to_il(src).unwrap().procs.remove(0)
+    }
+
     /// After a rollback nothing built over the abandoned IL is served: the
     /// slot is empty, and the next request builds.
     #[test]
     fn a_rollback_leaves_the_analysis_slot_empty() {
-        let boom = TablePass {
-            name: "boom",
-            run: |p, _, a| {
-                a.usedef(p);
-                p.body.clear();
-                panic!("injected fault")
-            },
-            changed: |_| false,
-        };
-        let src = "void f(int n) { while (n) n = n - 1; }";
-        let mut proc = titanc_lower::compile_to_il(src).unwrap().procs.remove(0);
-        let (entry, options, now) = (proc.clone(), Options::o2(), Instant::now());
-        let (cx, gen) = (PassContext { options: &options }, proc.generation());
-        let mut slot = ProcAnalyses::new();
-        let g: [&dyn ProcPass; 2] = [&PROC_PASSES[0], &boom];
-        let e = Some(&entry);
-        let result = run_proc_chain(&g, &mut proc, e, &mut slot, &cx, true, false, gen, now, 0);
+        let mut proc = countdown();
+        let (entry, options) = (proc.clone(), Options::o2());
+        let mut slot = ProcSlot::new(proc.generation(), Replay::Uncacheable);
+        let g: [&dyn ProcPass; 2] = [&PROC_PASSES[0], &BOOM];
+        let result = run_proc_chain(&env(&options), &g, &mut proc, Some(&entry), &mut slot, 0);
         assert_eq!(result.incident.expect("contained").0, 1);
         assert_eq!(proc.generation(), entry.generation() + 1, "replayed");
-        assert_eq!(slot.cached_generation(), None);
-        let before = slot.stats();
-        slot.cfg(&proc);
-        let seen = slot.stats().delta_since(&before);
+        assert_eq!(slot.analyses.cached_generation(), None);
+        let before = slot.analyses.stats();
+        slot.analyses.cfg(&proc);
+        let seen = slot.analyses.stats().delta_since(&before);
         assert_eq!((seen.cfg_builds, seen.cfg_hits), (1, 0));
+    }
+
+    /// The "must not be persisted" rule, as the transitions of [`Replay`]: a
+    /// hit consumed to its last cell is `Replayed`; a miss is `Recorded`
+    /// only while every chain runs clean; a fault, a skipped (degraded)
+    /// chain, or a chain executed where a hit was replayed is `Uncacheable`
+    /// — and stays so whatever runs clean afterwards.
+    #[test]
+    fn replay_transitions() {
+        let options = Options::o2();
+        let env = env(&options);
+        let clean: [&dyn ProcPass; 2] = [&PROC_PASSES[0], &PROC_PASSES[1]];
+        let faulty: [&dyn ProcPass; 2] = [&PROC_PASSES[0], &BOOM];
+        let run = |group: &[&dyn ProcPass], slot: &mut ProcSlot| {
+            let mut proc = countdown();
+            let entry = (!slot.degraded).then(|| proc.clone());
+            run_proc_chain(&env, group, &mut proc, entry.as_ref(), slot, 0);
+        };
+        let names = |r: &Replay| match r {
+            Replay::Recorded(cells) => cells.iter().map(|c| c.pass.clone()).collect(),
+            _ => vec!["not recorded".to_string()],
+        };
+
+        // a miss records group after group
+        let mut slot = ProcSlot::new(0, Replay::None);
+        run(&clean, &mut slot);
+        run(&clean[..1], &mut slot);
+        assert_eq!(names(&slot.replay), ["whiledo", "ivsub", "whiledo"]);
+
+        // a fault is final: the next group is skipped, never recorded
+        for first in [&faulty[..], &clean[..]] {
+            let mut slot = ProcSlot::new(0, Replay::None);
+            run(first, &mut slot);
+            run(&faulty, &mut slot);
+            assert!(slot.degraded);
+            run(&clean, &mut slot);
+            assert!(matches!(slot.replay, Replay::Uncacheable));
+        }
+
+        // outside a session nothing is ever recorded
+        let mut slot = ProcSlot::new(0, Replay::Uncacheable);
+        run(&clean, &mut slot);
+        assert!(matches!(slot.replay, Replay::Uncacheable));
+
+        // a hit is consumed group by group, to `Replayed`
+        let Replay::Recorded(cells) = ({
+            let mut slot = ProcSlot::new(0, Replay::None);
+            run(&clean, &mut slot);
+            run(&clean[..1], &mut slot);
+            slot.replay
+        }) else {
+            panic!("recorded")
+        };
+        let hit = || Replay::Hit {
+            entry: Arc::new(CachedEntry {
+                il: countdown(),
+                cells: cells.clone(),
+                cells_bytes: 0,
+            }),
+            cursor: 0,
+        };
+        let mut slot = ProcSlot::new(0, hit());
+        let mut proc = countdown();
+        let first = slot.replay_group(2, &mut proc).expect("replays");
+        assert_eq!(first.cells.len(), 2);
+        assert!(matches!(slot.replay, Replay::Hit { cursor: 2, .. }));
+        assert!(proc.generation() > 0, "past the generation already covered");
+        assert_eq!(
+            slot.replay_group(1, &mut proc)
+                .expect("replays")
+                .cells
+                .len(),
+            1
+        );
+        assert!(matches!(slot.replay, Replay::Replayed));
+
+        // a chain executed after a (partial) replay, a hit on a degraded
+        // procedure, a hit that runs short: executed, and never persisted
+        for groups in [[2, 0], [2, 1]] {
+            let mut slot = ProcSlot::new(0, hit());
+            for len in groups {
+                slot.replay_group(len, &mut proc);
+            }
+            run(&clean, &mut slot);
+            assert!(matches!(slot.replay, Replay::Uncacheable));
+        }
+        let mut slot = ProcSlot::new(0, hit());
+        slot.degraded = true;
+        assert!(slot.replay_group(2, &mut proc).is_none());
+        run(&clean, &mut slot);
+        assert!(matches!(slot.replay, Replay::Uncacheable));
+        let mut slot = ProcSlot::new(0, hit());
+        assert!(slot.replay_group(4, &mut proc).is_none(), "three cells");
+        run(&clean, &mut slot);
+        assert!(matches!(slot.replay, Replay::Uncacheable));
     }
 }

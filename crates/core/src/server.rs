@@ -222,10 +222,11 @@ pub struct CompileResponse {
 titanc_il::struct_json!(CompileResponse, [id, exit, stdout, stderr]);
 
 /// Declares [`ServerTotals`] — the struct, its wire form, its
-/// field-by-field sum and its `name=value` log line — from one list of
-/// the (all `i64`) fields.
+/// field-by-field sum, its `name=value` log line and the fold of one
+/// request's [`SessionStats`] into it (`total = counter` names the
+/// counter a field sums) — from one list of the (all `i64`) fields.
 macro_rules! server_totals {
-    ($($(#[$doc:meta])* $field:ident),+ $(,)?) => {
+    ($($(#[$doc:meta])* $field:ident $(= $counter:ident)?),+ $(,)?) => {
         /// Aggregate accounting across every request a server instance
         /// handled; returned on the shutdown acknowledgement and logged by
         /// `titand` at exit.
@@ -241,6 +242,10 @@ macro_rules! server_totals {
             /// harness aggregates totals across many short-lived servers).
             pub fn merge(&mut self, other: &ServerTotals) {
                 $(self.$field += other.$field;)+
+            }
+
+            fn fold(&mut self, stats: &SessionStats) {
+                $($(self.$field += stats.$counter as i64;)?)+
             }
         }
 
@@ -261,23 +266,23 @@ server_totals! {
     protocol_errors,
     /// Requests whose whole pipeline was skipped via the session
     /// manifest.
-    fully_warm,
+    fully_warm = full_warm,
     /// Summed [`SessionStats::hits`].
-    hits,
+    hits = hits,
     /// Summed [`SessionStats::misses`].
-    misses,
+    misses = misses,
     /// Summed [`SessionStats::invalidated`].
-    invalidated,
+    invalidated = invalidated,
     /// Summed [`SessionStats::passes_executed`].
-    passes_executed,
+    passes_executed = passes_executed,
     /// Summed [`SessionStats::corrupt`].
-    corrupt,
+    corrupt = corrupt,
     /// Summed [`SessionStats::quarantined`].
-    quarantined,
+    quarantined = quarantined,
     /// Summed [`SessionStats::lock_contended`].
-    lock_contended,
+    lock_contended = lock_contended,
     /// Summed [`SessionStats::write_failed`].
-    write_failed,
+    write_failed = write_failed,
     /// Input files answered from the front-end memo (failed requests
     /// included — a file that parsed is remembered even when its
     /// neighbour did not).
@@ -304,20 +309,6 @@ server_totals! {
     rejected,
     /// Requests whose execution panicked and was answered `exit: 3`.
     contained,
-}
-
-impl ServerTotals {
-    fn fold(&mut self, stats: &SessionStats) {
-        self.fully_warm += i64::from(stats.full_warm);
-        self.hits += stats.hits as i64;
-        self.misses += stats.misses as i64;
-        self.invalidated += stats.invalidated as i64;
-        self.passes_executed += stats.passes_executed as i64;
-        self.corrupt += stats.corrupt as i64;
-        self.quarantined += stats.quarantined as i64;
-        self.lock_contended += stats.lock_contended as i64;
-        self.write_failed += stats.write_failed as i64;
-    }
 }
 
 // ---------------------------------------------------------------------

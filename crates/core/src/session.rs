@@ -83,8 +83,8 @@ use titanc_il::wire::Reader;
 use titanc_il::{Procedure, Program, StableHash, StableHasher, StructDef, VarInfo};
 
 use crate::pass::{
-    snapshot_all, verify_proc_check, verify_program_check, CachedEntry, CachedProc, PassRecord,
-    PassTrace, RecordedCell, SessionReplay,
+    snapshot_all, verify_proc_check, verify_program_check, CachedEntry, PassRecord, PassTrace,
+    RecordedCell, Replay, SessionReplay,
 };
 use crate::server::base_pipeline;
 use crate::store::{self, CacheStore, Memos, ResidentCache, CACHE_FORMAT};
@@ -121,41 +121,61 @@ impl SourceFile {
 
 titanc_il::struct_json!(SourceFile, [name, src]);
 
-/// What the cache did during one session.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SessionStats {
+/// Declares [`SessionStats`] — the struct and its field-by-field sum —
+/// from one list of the (all `usize`) counters.
+macro_rules! session_stats {
+    ($($(#[$doc:meta])* $field:ident),+ $(,)?) => {
+        /// What the cache did during one session.
+        #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+        pub struct SessionStats {
+            $($(#[$doc])* pub $field: usize,)+
+            /// True when the whole pipeline was skipped and the result was
+            /// reconstructed from the session manifest.
+            pub full_warm: bool,
+        }
+
+        impl SessionStats {
+            /// Adds `other`'s counters into this one: the one fold behind
+            /// the store's share of a session and every total over
+            /// sessions. (`full_warm` describes one session; a sum keeps
+            /// its own.)
+            pub fn merge(&mut self, other: &SessionStats) {
+                $(self.$field += other.$field;)+
+            }
+        }
+    };
+}
+
+session_stats! {
     /// Procedures served from the cache.
-    pub hits: usize,
+    hits,
     /// Procedures compiled for real.
-    pub misses: usize,
+    misses,
     /// Misses whose name was cached under a different key — an edited
     /// procedure (or changed options/pipeline), not a cold one.
-    pub invalidated: usize,
+    invalidated,
     /// Optimization-pass executions this run actually performed
     /// (whole-program stages plus per-procedure chains for misses). A
     /// fully warm run reports zero.
-    pub passes_executed: usize,
-    /// True when the whole pipeline was skipped and the result was
-    /// reconstructed from the session manifest.
-    pub full_warm: bool,
+    passes_executed,
     /// Cache files whose checksum, decode, or IL verification failed;
     /// each was demoted to a cold recompile.
-    pub corrupt: usize,
+    corrupt,
     /// Corrupt files successfully moved into `quarantine/` (or
     /// deleted) so they are never re-read.
-    pub quarantined: usize,
+    quarantined,
     /// Times the advisory writer lock could not be acquired and the
     /// index/manifest update was skipped (entries still published).
-    pub lock_contended: usize,
+    lock_contended,
     /// Cache files that could not be published (write/rename failure);
     /// surfaced as a warning, never a compilation failure.
-    pub write_failed: usize,
+    write_failed,
     /// Input files whose front-end result came from the compile server's
     /// memo (always zero in a one-shot session; not on the `titanc:
     /// cache:` line, which one-shot and served output share).
-    pub front_hits: usize,
+    front_hits,
     /// Input files a resident session parsed and lowered for real.
-    pub front_misses: usize,
+    front_misses,
 }
 
 /// A [`Compilation`] plus the session's cache accounting. The stats stay
@@ -212,7 +232,8 @@ pub fn compile_session_resident(
 
 /// What an open store adds to one compile: the name → key index it was
 /// opened with, the per-procedure keys and the session key of the parsed
-/// program, and the replay state the pipeline fills in.
+/// program, and — by position, like the keys — the replay states the
+/// pipeline moves along.
 struct OpenCache {
     store: CacheStore,
     index: BTreeMap<String, String>,
@@ -287,7 +308,7 @@ pub(crate) fn compile_session_impl(
     }
 
     let parsed = options.keep_parsed.then(|| program.clone());
-    let (program_stages, proc_stages) = pipeline.stage_counts();
+    let proc_passes = pipeline.proc_pass_names();
 
     // cache keys exist only while a store is open: a store-less compile
     // builds no call graph, hashes nothing and records nothing. The
@@ -304,7 +325,7 @@ pub(crate) fn compile_session_impl(
             index,
             hashes,
             session_key,
-            replay: SessionReplay::default(),
+            replay: SessionReplay::new(),
         }
     });
 
@@ -312,66 +333,52 @@ pub(crate) fn compile_session_impl(
     // post-pipeline program environment, the entries carry the IL — no
     // pass executes at all. Every entry is checksummed on read and its
     // IL re-verified before being trusted; any rejection quarantines the
-    // file and falls through to a real compile.
-    if let Some(c) = cache.as_mut() {
-        let st = &mut c.store;
-        let warm = load_full_warm(st, &c.session_key, &program, &c.hashes, &pipeline);
-        if let Some((warm, reports, trace)) = warm {
-            // a manifest that decodes but fails verification is corrupt:
-            // fall through and compile for real
-            if !verify || verify_program_check(&warm).is_ok() {
-                optimization_remarks(&reports, &mut sink);
-                store_diagnostics(st, &mut sink);
-                fold_store_stats(st, &mut stats);
-                diagnostics.extend(sink.into_diagnostics());
-                stats.hits = warm.procs.len();
-                stats.full_warm = true;
-                return Ok(SessionCompilation {
-                    compilation: Compilation {
-                        program: warm,
-                        reports,
-                        trace,
-                        snapshots,
-                        diagnostics,
-                        parsed,
-                    },
-                    stats,
+    // file and falls through to a real compile — as does a manifest that
+    // decodes but fails verification.
+    let warm = cache.as_mut().and_then(|c| {
+        load_full_warm(&mut c.store, &c.session_key, &program, &c.hashes, &pipeline)
+            .filter(|(warm, ..)| !verify || verify_program_check(warm).is_ok())
+    });
+    let (reports, trace) = if let Some((warm, reports, trace)) = warm {
+        stats.hits = warm.procs.len();
+        stats.full_warm = true;
+        program = warm;
+        (reports, trace)
+    } else {
+        // cold or partially warm: seed one replay state per procedure and
+        // run the pipeline; hits replay, misses execute (and, with a store
+        // open, are recorded for `persist`)
+        if let Some(c) = cache.as_mut() {
+            for (p, h) in program.procs.iter().zip(&c.hashes) {
+                let hit = load_hit(&mut c.store, h, &p.name, &proc_passes);
+                c.replay.push(match hit {
+                    Some(entry) => Replay::Hit { entry, cursor: 0 },
+                    None => {
+                        let edited = |old: &String| *old != h.hex();
+                        stats.invalidated += usize::from(c.index.get(&p.name).is_some_and(edited));
+                        Replay::None
+                    }
                 });
             }
         }
-    }
+        let replay = cache.as_mut().map(|c| &mut c.replay);
+        let (reports, trace) = pipeline.run(&mut program, options, &mut snapshots, replay);
 
-    // cold or partially warm: seed per-procedure hits and run the
-    // pipeline; hits replay, misses execute (and, with a store open, are
-    // recorded for `persist`)
-    if let Some(c) = cache.as_mut() {
-        for (p, h) in program.procs.iter().zip(&c.hashes) {
-            let hit = if c.store.memos().is_some() {
-                load_entry_shared(&mut c.store, h, &p.name).map(CachedProc::shared)
-            } else {
-                load_entry(&mut c.store, h, &p.name, |il, cells| {
-                    Some(CachedProc::new(il, decode_cells(cells)?))
-                })
-            };
-            if let Some(hit) = hit {
-                c.replay.hits.insert(p.name.clone(), hit);
-            } else if c.index.get(&p.name).is_some_and(|old| *old != h.hex()) {
-                stats.invalidated += 1;
-            }
+        if let Some(c) = cache.as_mut() {
+            let replayed = |r: &&Replay| matches!(r, Replay::Replayed);
+            stats.hits = c.replay.iter().filter(replayed).count();
+            persist(c, &program, &trace);
         }
-    }
-    let replay = cache.as_mut().map(|c| &mut c.replay);
-    let (reports, trace) = pipeline.run(&mut program, options, &mut snapshots, replay);
-
-    stats.hits = cache.as_ref().map_or(0, |c| c.replay.replayed.len());
-    stats.misses = program.procs.len().saturating_sub(stats.hits);
-    stats.passes_executed = program_stages + proc_stages * stats.misses;
+        stats.misses = program.procs.len().saturating_sub(stats.hits);
+        let program_stages = pipeline.pass_names().len() - proc_passes.len();
+        stats.passes_executed = program_stages + proc_passes.len() * stats.misses;
+        (reports, trace)
+    };
 
     optimization_remarks(&reports, &mut sink);
-    if let Some(c) = cache.as_mut() {
-        persist(c, &program, &trace, proc_stages);
+    if let Some(c) = &cache {
         store_diagnostics(&c.store, &mut sink);
-        fold_store_stats(&c.store, &mut stats);
+        stats.merge(&c.store.stats);
     }
     diagnostics.extend(sink.into_diagnostics());
 
@@ -676,9 +683,9 @@ titanc_il::struct_json!(
     [name, delta, changed, cache, skipped, faulted]
 );
 
-/// The session manifest: everything a fully warm run needs beyond the
-/// per-procedure entries.
-pub(crate) struct Manifest {
+/// The session manifest's wire form: everything a fully warm run needs
+/// beyond the per-procedure entries.
+struct ManifestDoc {
     version: u32,
     records: Vec<ManifestRecord>,
     globals: Vec<VarInfo>,
@@ -686,7 +693,14 @@ pub(crate) struct Manifest {
     files: Vec<String>,
 }
 
-titanc_il::struct_json!(Manifest, [version, records, globals, structs, files]);
+titanc_il::struct_json!(ManifestDoc, [version, records, globals, structs, files]);
+
+/// A decoded manifest, with the length of the payload it was decoded from
+/// — what the compile server's manifest memo charges for it.
+pub(crate) struct Manifest {
+    doc: ManifestDoc,
+    pub(crate) bytes: usize,
+}
 
 fn entry_name(hash: &StableHash) -> String {
     format!("{}.il", hash.hex())
@@ -729,14 +743,6 @@ fn store_diagnostics(store: &CacheStore, sink: &mut DiagnosticSink) {
     }
 }
 
-/// Copies the store's durability counters onto the session accounting.
-fn fold_store_stats(store: &CacheStore, stats: &mut SessionStats) {
-    stats.corrupt = store.stats.corrupt;
-    stats.quarantined = store.stats.quarantined;
-    stats.lock_contended = store.stats.lock_contended;
-    stats.write_failed = store.stats.write_failed;
-}
-
 /// The checks every entry passes before its IL is trusted — by a one-shot
 /// load on each read, by the compile server once, at admission: the entry
 /// version and framing, the wire decode, the name, and — crucially — the
@@ -769,14 +775,20 @@ fn load_entry<T>(
     loaded
 }
 
+/// A checked entry's IL with its cells section decoded.
+fn typed_entry(il: Procedure, section: &[u8]) -> Option<CachedEntry> {
+    Some(CachedEntry {
+        il,
+        cells: decode_cells(section)?,
+        cells_bytes: section.len(),
+    })
+}
+
 /// Admission of an entry into the compile server's typed layer:
 /// [`check_entry`] plus the cells decode, once, for every later request.
 fn admit_entry(payload: &[u8], name: &str) -> Option<CachedEntry> {
-    let (il, cells) = check_entry(payload, name)?;
-    Some(CachedEntry {
-        il,
-        cells: decode_cells(cells)?,
-    })
+    let (il, section) = check_entry(payload, name)?;
+    typed_entry(il, section)
 }
 
 /// [`load_entry`] on a resident store: the shared typed entry, admitted
@@ -797,13 +809,42 @@ fn load_entry_shared(
     Some(entry)
 }
 
+/// One procedure's hit, validated *whole* where it is seeded: beyond every
+/// check a load runs, its cells must name exactly the pipeline's
+/// per-procedure passes, in order. The key covers the pipeline
+/// fingerprint, so an entry that does not is damaged — quarantined and
+/// counted like any other damage, and the procedure compiles cold.
+fn load_hit(
+    store: &mut CacheStore,
+    hash: &StableHash,
+    name: &str,
+    passes: &[&str],
+) -> Option<Arc<CachedEntry>> {
+    let whole = |e: &CachedEntry| e.cells.iter().map(|c| &*c.pass).eq(passes.iter().copied());
+    if store.memos().is_none() {
+        return load_entry(store, hash, name, |il, section| {
+            typed_entry(il, section).filter(whole).map(Arc::new)
+        });
+    }
+    let entry = load_entry_shared(store, hash, name)?;
+    if !whole(&entry) {
+        store.quarantine(&entry_name(hash));
+        return None;
+    }
+    Some(entry)
+}
+
 /// Decodes a manifest payload; `None` for anything but this version's.
 fn decode_manifest(payload: &[u8]) -> Option<Manifest> {
     std::str::from_utf8(payload)
         .ok()
         .and_then(|text| titanc_il::json::parse(text).ok())
-        .and_then(|doc| Manifest::from_json(&doc).ok())
-        .filter(|m| m.version == ENTRY_VERSION)
+        .and_then(|doc| ManifestDoc::from_json(&doc).ok())
+        .filter(|doc| doc.version == ENTRY_VERSION)
+        .map(|doc| Manifest {
+            doc,
+            bytes: payload.len(),
+        })
 }
 
 /// Reconstructs a fully warm compilation: the program from the manifest
@@ -826,8 +867,8 @@ fn load_full_warm(
         // decoded once, at admission; this request owns copies, made one
         // record at a time
         let shared = store.read_typed(&file, |m| &m.manifests, decode_manifest)?;
-        let replayed = replay_records(shared.records.iter().cloned(), &names)?;
-        let m = &*shared;
+        let m = &shared.doc;
+        let replayed = replay_records(m.records.iter().cloned(), &names)?;
         (
             replayed,
             (m.globals.clone(), m.structs.clone(), m.files.clone()),
@@ -839,6 +880,7 @@ fn load_full_warm(
             store.quarantine(&file);
             return None;
         };
+        let m = m.doc;
         let replayed = replay_records(m.records.into_iter(), &names)?;
         (replayed, (m.globals, m.structs, m.files))
     };
@@ -905,7 +947,7 @@ fn replay_records(
 /// writer lock; on contention they are skipped (counted, never torn).
 /// The session key was computed on the parsed program, which is exactly
 /// what the next invocation hashes before running any pass.
-fn persist(cache: &mut OpenCache, program: &Program, trace: &PassTrace, proc_stages: usize) {
+fn persist(cache: &mut OpenCache, program: &Program, trace: &PassTrace) {
     let OpenCache {
         store,
         hashes,
@@ -920,20 +962,16 @@ fn persist(cache: &mut OpenCache, program: &Program, trace: &PassTrace, proc_sta
     }
     let mut updates: BTreeMap<String, String> = BTreeMap::new();
     let mut all_cached = true;
-    for (p, h) in program.procs.iter().zip(hashes) {
-        if replay.replayed.contains(&p.name) {
+    for ((p, h), replay) in program.procs.iter().zip(hashes).zip(replay) {
+        let cached = match replay {
+            Replay::Replayed => true,
+            Replay::Recorded(cells) => store.publish(&entry_name(h), &encode_entry(p, cells)),
+            _ => false,
+        };
+        if cached {
             updates.insert(p.name.clone(), h.hex());
-            continue;
-        }
-        match replay.recorded.get(&p.name) {
-            Some(cells) if cells.len() == proc_stages && !replay.uncacheable.contains(&p.name) => {
-                if store.publish(&entry_name(h), &encode_entry(p, cells)) {
-                    updates.insert(p.name.clone(), h.hex());
-                } else {
-                    all_cached = false;
-                }
-            }
-            _ => all_cached = false,
+        } else {
+            all_cached = false;
         }
     }
     // one directory fsync for the whole group of entries: they are
@@ -961,7 +999,7 @@ fn persist(cache: &mut OpenCache, program: &Program, trace: &PassTrace, proc_sta
                 faulted: r.faulted_procs as u64,
             })
             .collect();
-        let manifest = Manifest {
+        let manifest = ManifestDoc {
             version: ENTRY_VERSION,
             records,
             globals: program.globals.clone(),
@@ -1021,6 +1059,7 @@ fn save_index(store: &mut CacheStore, map: &BTreeMap<String, String>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{PassContext, PassOutcome};
     use std::path::PathBuf;
 
     const SRC: &str = "float a[64], b[64];\n\
@@ -1097,6 +1136,20 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// Removes every session manifest of `dir`: the next run cannot go
+    /// fully warm and replays its hits cell by cell.
+    fn drop_manifests(dir: &Path) {
+        for e in std::fs::read_dir(dir).expect("cache dir") {
+            let path = e.expect("entry").path();
+            if path
+                .file_name()
+                .is_some_and(|n| n.to_string_lossy().starts_with("session-"))
+            {
+                std::fs::remove_file(path).expect("drop the manifest");
+            }
+        }
+    }
+
     #[test]
     fn cells_are_decoded_only_when_a_hit_is_replayed() {
         let reference = compile(None);
@@ -1116,19 +1169,235 @@ mod tests {
 
         // without the manifest every hit is replayed cell by cell: now
         // the damage matters, and is handled like any other
-        for e in std::fs::read_dir(&dir).expect("cache dir") {
-            let path = e.expect("entry").path();
-            if path
-                .file_name()
-                .is_some_and(|n| n.to_string_lossy().starts_with("session-"))
-            {
-                std::fs::remove_file(path).expect("drop the manifest");
-            }
-        }
+        drop_manifests(&dir);
         let replayed = compile(Some(&dir));
         assert_eq!((replayed.stats.corrupt, replayed.stats.quarantined), (1, 1));
         assert_eq!((replayed.stats.hits, replayed.stats.misses), (1, 1));
         assert_eq!(il_text(&reference), il_text(&replayed));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    // -----------------------------------------------------------------
+    // replay through a hand-built pipeline: two proc groups, a damaged
+    // cell list, a stage that changes the procedure count
+    // -----------------------------------------------------------------
+
+    /// A whole-program stage between two proc groups: a no-op, or one that
+    /// appends a procedure. Both go by one name, so both pipelines share
+    /// their cache keys.
+    struct Between {
+        grow: bool,
+    }
+
+    impl crate::Pass for Between {
+        fn name(&self) -> &'static str {
+            "between"
+        }
+
+        fn run(&self, program: &mut Program, _: &PassContext<'_>, _: &mut Reports) -> PassOutcome {
+            if self.grow {
+                let extra = titanc_lower::compile_to_il("int grown(void) { return 7; }");
+                program.procs.extend(extra.expect("lowers").procs);
+            }
+            PassOutcome { changed: self.grow }
+        }
+    }
+
+    /// A per-procedure pass outside the shipped `-O1` group.
+    struct LateCse;
+
+    impl crate::ProcPass for LateCse {
+        fn name(&self) -> &'static str {
+            "late-cse"
+        }
+
+        fn run_on(
+            &self,
+            proc: &mut Procedure,
+            _: &PassContext<'_>,
+            _: &mut crate::ProcAnalyses,
+            delta: &mut Reports,
+        ) -> PassOutcome {
+            let cse = titanc_opt::local_cse(proc);
+            let changed = cse.commoned > 0;
+            delta.merge(Reports {
+                cse,
+                ..Reports::default()
+            });
+            PassOutcome { changed }
+        }
+    }
+
+    /// `-O1`'s five-pass group, `between`, then a one-pass group.
+    fn split_pipeline(grow: bool) -> Pipeline {
+        let mut pl = Pipeline::for_options(&Options::o1());
+        pl.push(Between { grow });
+        pl.push_proc(LateCse);
+        pl
+    }
+
+    /// `between` first, then the one-pass group.
+    fn grow_first_pipeline(grow: bool) -> Pipeline {
+        let mut pl = Pipeline::new();
+        pl.push(Between { grow });
+        pl.push_proc(LateCse);
+        pl
+    }
+
+    fn compile_with(pipeline: Pipeline, dir: Option<&Path>) -> SessionCompilation {
+        let files = [SourceFile::new("t.c", SRC)];
+        compile_session_impl(&files, &Options::o1(), pipeline, dir.map(CacheStore::open))
+            .expect("compiles")
+    }
+
+    /// IL and opt report: everything a warm run must reproduce.
+    fn output(sc: &SessionCompilation) -> (String, String) {
+        let c = &sc.compilation;
+        let report = crate::OptReport::build_for(&c.reports, &c.trace, &c.program.files);
+        (il_text(sc), report.to_json().to_string_compact())
+    }
+
+    /// Every file of `dir` with its bytes (the lock file aside).
+    fn dir_image(dir: &Path) -> BTreeMap<String, Vec<u8>> {
+        let Ok(listing) = std::fs::read_dir(dir) else {
+            return BTreeMap::new();
+        };
+        listing
+            .map(|e| e.expect("entry").path())
+            .filter(|p| p.is_file() && !p.to_string_lossy().contains("lock"))
+            .map(|p| {
+                let name = p.file_name().expect("name").to_string_lossy().into_owned();
+                (name, std::fs::read(&p).expect("reads"))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn one_entry_replays_across_two_proc_groups() {
+        let reference = compile_with(split_pipeline(false), None);
+        let dir = scratch("two-groups");
+        let cold = compile_with(split_pipeline(false), Some(&dir));
+        assert_eq!((cold.stats.hits, cold.stats.misses), (0, 2));
+        assert_eq!(cold.stats.passes_executed, 1 + 6 * 2);
+        assert_eq!(output(&reference), output(&cold));
+
+        // no manifest: both groups replay from each entry's six cells
+        drop_manifests(&dir);
+        let warm = compile_with(split_pipeline(false), Some(&dir));
+        assert!(!warm.stats.full_warm);
+        assert_eq!((warm.stats.hits, warm.stats.misses), (2, 0));
+        assert_eq!(warm.stats.passes_executed, 1, "only `between` executes");
+        assert_eq!(output(&reference), output(&warm));
+        let trace = &warm.compilation.trace;
+        assert_eq!(trace.records.len(), 7);
+        assert_eq!(trace.timeline.len(), 1, "no chain ran");
+        assert_eq!(trace.timeline[0].pass, "between");
+        // both hits were consumed to the end, so the manifest is back
+        assert!(
+            compile_with(split_pipeline(false), Some(&dir))
+                .stats
+                .full_warm
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn an_entry_whose_cells_are_not_the_pipelines_is_refused_whole() {
+        type Damage = fn(&mut Vec<RecordedCell>);
+        let cut_to_the_first_group: Damage = |cells| cells.truncate(5);
+        let rename_one: Damage = |cells| cells[5].pass = "cse".to_string();
+        let reference = compile_with(split_pipeline(false), None);
+        for damage in [cut_to_the_first_group, rename_one] {
+            let dir = scratch("cells-not-the-pipelines");
+            compile_with(split_pipeline(false), Some(&dir));
+            drop_manifests(&dir);
+            let victim = entries(&dir).remove(0);
+            reseal(&dir, &victim, |il, section| {
+                let mut cells = decode_cells(section).expect("cells decode");
+                damage(&mut cells);
+                (
+                    il.to_vec(),
+                    cells.to_json().to_string_compact().into_bytes(),
+                )
+            });
+
+            // refused where it is seeded — before group one could substitute
+            // IL that group two's passes would then run over again
+            let warm = compile_with(split_pipeline(false), Some(&dir));
+            assert_eq!((warm.stats.corrupt, warm.stats.quarantined), (1, 1));
+            assert_eq!((warm.stats.hits, warm.stats.misses), (1, 1));
+            assert_eq!(warm.stats.passes_executed, 1 + 6);
+            assert_eq!(output(&reference), output(&warm));
+            // compiled cold and re-published: fully warm and clean again
+            let healed = compile_with(split_pipeline(false), Some(&dir));
+            assert!(healed.stats.full_warm);
+            assert_eq!(healed.stats.corrupt, 0);
+            assert_eq!(output(&reference), output(&healed));
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    #[test]
+    fn a_stage_that_changes_the_procedure_count_ends_replay_and_persists_nothing() {
+        // over a primed directory: the seeded hits must not replay
+        let reference = compile_with(grow_first_pipeline(true), None);
+        assert_eq!(reference.compilation.program.procs.len(), 3);
+        let dir = scratch("grow-primed");
+        compile_with(grow_first_pipeline(false), Some(&dir));
+        drop_manifests(&dir);
+        let primed = dir_image(&dir);
+        assert_eq!(entries(&dir).len(), 2);
+        let grown = compile_with(grow_first_pipeline(true), Some(&dir));
+        assert_eq!((grown.stats.hits, grown.stats.misses), (0, 3));
+        assert_eq!(grown.stats.passes_executed, 1 + 3);
+        assert_eq!((grown.stats.write_failed, grown.stats.corrupt), (0, 0));
+        assert_eq!(output(&reference), output(&grown));
+        assert!(dir_image(&dir) == primed, "nothing was persisted");
+        let _ = std::fs::remove_dir_all(&dir);
+
+        // over an empty one, between two groups: what group one recorded
+        // is dropped where the count changes
+        let reference = compile_with(split_pipeline(true), None);
+        let dir = scratch("grow-cold");
+        let grown = compile_with(split_pipeline(true), Some(&dir));
+        assert_eq!((grown.stats.hits, grown.stats.misses), (0, 3));
+        assert_eq!((grown.stats.write_failed, grown.stats.corrupt), (0, 0));
+        assert_eq!(output(&reference), output(&grown));
+        let left: Vec<String> = dir_image(&dir).into_keys().collect();
+        assert!(
+            left.iter()
+                .all(|n| !n.ends_with(".il") && !n.ends_with(".json")),
+            "{left:?}"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The memos weigh a decoded entry and manifest by the length of the
+    /// JSON they were decoded from, carried since admission — the number
+    /// re-serialising the value would give.
+    #[test]
+    fn the_carried_lengths_are_the_json_lengths() {
+        let dir = scratch("carried-lengths");
+        compile(Some(&dir));
+        let mut store = CacheStore::open(&dir);
+        for file in entries(&dir) {
+            let payload = store.read(&file).expect("entry reads");
+            let (il, _) = split_entry(&payload).expect("entry splits");
+            let name = titanc_il::decode_proc(il).expect("entry decodes").name;
+            let entry = admit_entry(&payload, &name).expect("admitted");
+            assert!(entry.cells_bytes > 0);
+            assert_eq!(
+                entry.cells_bytes,
+                entry.cells.to_json().to_string_compact().len()
+            );
+        }
+        let manifest = dir_image(&dir)
+            .into_keys()
+            .find(|n| n.starts_with("session-"))
+            .expect("a manifest was published");
+        let m = decode_manifest(&store.read(&manifest).expect("reads")).expect("decodes");
+        assert!(m.bytes > 0);
+        assert_eq!(m.bytes, m.doc.to_json().to_string_compact().len());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

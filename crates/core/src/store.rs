@@ -64,7 +64,7 @@ use titanc_il::{StableHash, StableHasher};
 use crate::memo::Memo;
 use crate::pass::CachedEntry;
 use crate::server::{MemoReply, ReplyKey};
-use crate::session::{FrontEnd, Manifest};
+use crate::session::{FrontEnd, Manifest, SessionStats};
 
 /// On-disk cache format name. Written to the directory's `FORMAT`
 /// marker and prefixed to every envelope header; folded into every
@@ -400,13 +400,6 @@ impl std::ops::Deref for Payload {
 const MIB: usize = 1 << 20;
 const BUDGETS: [usize; 5] = [64 * MIB, 64 * MIB, 128 * MIB, 16 * MIB, 32 * MIB];
 
-/// What the memos charge for a report-carrying value: the length of its
-/// JSON rendering, standing in for the strings and event lists that
-/// dominate both forms. Paid once, at admission.
-fn json_len(value: &impl titanc_il::ToJson) -> usize {
-    value.to_json().to_string_compact().len()
-}
-
 /// The front-end memo's key: the FNV-128 digest of the source text and the
 /// error cap the file was parsed under.
 pub(crate) type FrontKey = (StableHash, usize);
@@ -505,8 +498,11 @@ impl ResidentCache {
                 memos: Memos {
                     raw: Memo::new(raw, Vec::len),
                     front: Memo::new(front, FrontEnd::weight),
-                    entries: Memo::new(entries, |e| e.il.resident_bytes() + json_len(&e.cells)),
-                    manifests: Memo::new(manifests, json_len),
+                    // a report-carrying value is charged the length of the
+                    // JSON it was decoded from, standing in for the strings
+                    // and event lists that dominate both forms
+                    entries: Memo::new(entries, |e| e.il.resident_bytes() + e.cells_bytes),
+                    manifests: Memo::new(manifests, |m| m.bytes),
                     replies: Memo::new(replies, MemoReply::weight),
                 },
                 gate: Mutex::default(),
@@ -572,22 +568,6 @@ impl ResidentCache {
 // The store
 // ---------------------------------------------------------------------
 
-/// What the storage layer observed during one session — the durability
-/// counters surfaced on the `titanc: cache:` accounting line.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct StoreStats {
-    /// Files whose checksum, decode, or IL verification failed.
-    pub corrupt: usize,
-    /// Corrupt files successfully moved aside (or deleted) so they are
-    /// never re-read.
-    pub quarantined: usize,
-    /// Times the advisory writer lock could not be acquired in time and
-    /// derived files (index, manifest) were skipped.
-    pub lock_contended: usize,
-    /// Files that could not be published (write or rename failure).
-    pub write_failed: usize,
-}
-
 /// A hardened handle on one cache directory. All session cache IO goes
 /// through here; see the module docs for the guarantees.
 pub(crate) struct CacheStore {
@@ -603,8 +583,9 @@ pub(crate) struct CacheStore {
     resident: Option<ResidentCache>,
     /// The one-shot remark explaining a disabled store.
     format_warning: Option<String>,
-    /// Durability counters for the session accounting line.
-    pub(crate) stats: StoreStats,
+    /// What this layer observed — its share of the session accounting
+    /// line: `corrupt`, `quarantined`, `lock_contended`, `write_failed`.
+    pub(crate) stats: SessionStats,
     /// First write failure, for the surfaced warning (the counter has
     /// the total; repeating the message per entry would be noise).
     first_write_error: Option<String>,
@@ -626,7 +607,7 @@ impl CacheStore {
             enabled: false,
             resident: None,
             format_warning: None,
-            stats: StoreStats::default(),
+            stats: SessionStats::default(),
             first_write_error: None,
             dir_dirty: false,
         };
@@ -678,7 +659,7 @@ impl CacheStore {
                 enabled: true,
                 resident: Some(resident.clone()),
                 format_warning: None,
-                stats: StoreStats::default(),
+                stats: SessionStats::default(),
                 first_write_error: None,
                 dir_dirty: false,
             },
@@ -1094,7 +1075,7 @@ mod tests {
         assert!(store.enabled(), "fresh directory must adopt the format");
         assert!(store.publish("entry", b"{\"k\":1}"));
         assert_eq!(store.read("entry").as_deref(), Some(&b"{\"k\":1}"[..]));
-        assert_eq!(store.stats, StoreStats::default());
+        assert_eq!(store.stats, SessionStats::default());
         // no temp litter after a clean publish
         let litter = fs::read_dir(&dir)
             .unwrap()
@@ -1142,7 +1123,7 @@ mod tests {
         assert!(store.format_warning().unwrap().contains("missing"));
         assert!(store.read("index.json").is_none(), "disabled stores miss");
         assert!(!store.publish("x", b"y"), "disabled stores skip writes");
-        assert_eq!(store.stats, StoreStats::default());
+        assert_eq!(store.stats, SessionStats::default());
         assert!(
             dir.join("index.json").exists(),
             "foreign files are left untouched"

@@ -4,7 +4,7 @@
 
 use crate::affine::{decompose, Affine};
 use crate::test::{test_pair, Verdict};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use titanc_il::{Expr, ExprId, ExprPool, LValue, Procedure, StmtId, StmtKind, VarId};
 use titanc_opt::util::register_candidate;
 
@@ -487,8 +487,10 @@ fn reverse(kind: DepKind) -> DepKind {
 /// (scalar cycles make a statement group sequential — accumulations stay
 /// scalar).
 fn scalar_edges(proc: &Procedure, body: &[StmtId], lv: VarId, edges: &mut Vec<DepEdge>) {
-    let mut writes: HashMap<VarId, Vec<usize>> = HashMap::new();
-    let mut reads: HashMap<VarId, Vec<usize>> = HashMap::new();
+    // ordered maps: the edge order reaches the vectorizer's remarks, which
+    // must not vary run to run
+    let mut writes: BTreeMap<VarId, Vec<usize>> = BTreeMap::new();
+    let mut reads: BTreeMap<VarId, Vec<usize>> = BTreeMap::new();
     for (i, &s) in body.iter().enumerate() {
         if let Some(v) = proc.stmts[s].defined_var() {
             if v != lv && register_candidate(proc, v) {

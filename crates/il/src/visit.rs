@@ -59,22 +59,6 @@ pub fn rewrite_expr(exprs: &mut ExprPool, id: ExprId, f: &mut dyn FnMut(&mut Exp
     f(exprs, id);
 }
 
-/// Applies a bottom-up expression rewrite to every expression in the block
-/// tree. Borrows the statement pool immutably (split borrow against
-/// `&mut exprs`).
-pub fn rewrite_exprs_in_block(
-    stmts: &StmtPool,
-    exprs: &mut ExprPool,
-    block: &[StmtId],
-    f: &mut dyn FnMut(&mut ExprPool, ExprId),
-) {
-    let mut roots = Vec::new();
-    walk_block(stmts, block, &mut |_, kind| roots.extend(kind.exprs()));
-    for r in roots {
-        rewrite_expr(exprs, r, f);
-    }
-}
-
 /// When [`edit_tree`] hands a statement to its callback.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Order {

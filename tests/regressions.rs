@@ -280,3 +280,36 @@ int main(void) { out_g[3] = 9; return f(3, 4, 2); }
         observe(&c.program, MachineConfig::optimized(2), "main", &globals).expect("O2 runs");
     assert_eq!(expect, got, "O2 --no-inline diverged");
 }
+
+/// The scalar dependence edges of a loop were collected per variable in
+/// `HashMap` order, so the "dependence cycle among statements … (carried …
+/// from statement N to …)" remark — stderr, the opt report, the recorded
+/// cache cells — could name a different edge each time one binary compiled
+/// one program. `progen` seed 5077 is a program on which it did.
+#[test]
+fn a_remark_names_the_same_edge_every_run() {
+    use titanc_bench::progen;
+    use titanc_repro::titanc::server::{render, CompileRequest};
+    use titanc_repro::titanc::{compile_session, SourceFile};
+
+    let src = progen::program(&mut progen::Rng::new(5077));
+    let outputs = |jobs: i64| {
+        let req = CompileRequest {
+            files: vec![SourceFile::new("p5077.c", &*src)],
+            jobs,
+            opt_report: "json".to_string(),
+            ..CompileRequest::default()
+        };
+        let result = compile_session(&req.files, &req.options(), None);
+        let (opt_report, stderr, exit) = render(&req, &result, false);
+        assert_eq!(exit, 0, "{stderr}");
+        (opt_report, stderr)
+    };
+    let first = outputs(1);
+    assert!(first.1.contains("dependence cycle among statements"));
+    for run in 1..20 {
+        for jobs in [1, 4] {
+            assert!(outputs(jobs) == first, "run {run} at -j {jobs} differs");
+        }
+    }
+}
