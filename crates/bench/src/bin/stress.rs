@@ -25,7 +25,8 @@
 //! and then through a `--cache-dir` under escalating abuse — injected
 //! IO faults (fail/truncate/delay on reads, writes, renames), random
 //! byte flips and truncations of the on-disk entries and manifest, and
-//! two sessions racing into one directory — asserting after every
+//! sessions of two different programs racing into one directory (each
+//! must find it fully warm afterwards) — asserting after every
 //! scenario that the optimized IL and the opt report are byte-identical
 //! to the no-cache reference, that nothing panics, and that detected
 //! corruption is counted and quarantined. Each case finishes with a
@@ -33,8 +34,8 @@
 //! one procedure is mutated, and the warm run must miss exactly that
 //! procedure's inline cone while matching a no-cache compile of the
 //! edited source — clean and again under injected faults. An aggregate accounting
-//! summary (hits, misses, corrupt, quarantined, lock-contended,
-//! write-failed) prints at the end; CI uploads it as an artifact.
+//! summary (the `titanc: cache:` line's counters) prints at the end; CI
+//! uploads it as an artifact.
 //!
 //! `--server` switches to the **compile-server differential**: every
 //! case compiles a progen program with no cache (the reference), then
@@ -491,8 +492,8 @@ fn with_faults<T>(spec: IoFaultSpec, f: impl FnOnce() -> T) -> T {
 
 /// One cache durability case: a no-cache reference, then the same
 /// program through a cache directory under injected IO faults (cold and
-/// warm), on-disk corruption, and a two-session race — every scenario
-/// byte-compared against the reference.
+/// warm), on-disk corruption, and a race with another program's sessions
+/// — every scenario byte-compared against the reference.
 fn check_cache_case(cseed: u64, src: &str, totals: &mut SessionTotals) -> Result<(), String> {
     let options = opts(Options::o2(), 1);
 
@@ -562,14 +563,27 @@ fn check_cache_case(cseed: u64, src: &str, totals: &mut SessionTotals) -> Result
             );
         }
 
-        // phase 4: two sessions racing into one fresh directory, then a
-        // warm run over whatever they left behind
+        // phase 4: two sessions of this program and two of another racing
+        // into one fresh directory, under one file name; nothing is locked,
+        // so each must find a complete, fully warm cache afterwards
+        let other = progen::program(&mut progen::Rng::new(cseed ^ 0x07E5_0C0D));
+        let other_ref = cache_run(&other, &options, None, totals, None, "other reference")?;
+        let other_il = session_il(&other_ref);
+        let other_report = session_report(&other_ref);
+        let programs = [
+            (src, expect),
+            (
+                other.as_str(),
+                Some((other_il.as_str(), other_report.as_str())),
+            ),
+        ];
         let dir_race = scratch.join("race");
         std::thread::scope(|scope| -> Result<(), String> {
-            let handles: Vec<_> = (0..2)
+            let handles: Vec<_> = (0..4)
                 .map(|i| {
                     let dir = &dir_race;
                     let options = &options;
+                    let (src, expect) = programs[i % 2];
                     scope.spawn(move || {
                         let mut t = SessionTotals::default();
                         let r = cache_run(
@@ -594,14 +608,13 @@ fn check_cache_case(cseed: u64, src: &str, totals: &mut SessionTotals) -> Result
             }
             Ok(())
         })?;
-        cache_run(
-            src,
-            &options,
-            Some(&dir_race),
-            totals,
-            expect,
-            "warm after race",
-        )?;
+        for (i, (src, expect)) in programs.into_iter().enumerate() {
+            let what = format!("warm after race (program {i})");
+            let warm = cache_run(src, &options, Some(&dir_race), totals, expect, &what)?;
+            if !warm.stats.full_warm {
+                return Err(format!("{what}: the race left no fully warm cache"));
+            }
+        }
 
         // phase 5: cone-scoped edit — populate with a generated
         // multi-procedure session (inlining on), mutate exactly the

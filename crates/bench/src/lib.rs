@@ -48,11 +48,11 @@ pub fn run(src: &str, options: &Options, machine: MachineConfig) -> ExecStats {
 
 /// Damages a populated `--cache-dir` in place: one random bit flip in one
 /// file and a random truncation of another (the same file when only one
-/// exists). Victims are every top-level file except the `FORMAT` marker
-/// and the lock files (`.lock`, `.lock-break`) — entries, manifests and
-/// the index alike, whatever they are named — and the `quarantine/`
-/// subdirectory is left alone, so every damaged file is one a warm run
-/// actually reads and must detect.
+/// exists). Victims are every top-level file a fully warm run reads —
+/// entries and manifests, whatever they are named. The `FORMAT` marker,
+/// the `index-*.json` files (opened only once a procedure misses) and
+/// the `quarantine/` subdirectory are left alone, so every damaged file
+/// is one a warm run actually reads and must detect.
 /// Shared by `stress --cache-faults` and `tests/cache_faults.rs`.
 ///
 /// # Errors
@@ -62,8 +62,8 @@ pub fn corrupt_cache_dir(dir: &std::path::Path, rng: &mut progen::Rng) -> std::i
     let mut files: Vec<std::path::PathBuf> = std::fs::read_dir(dir)?
         .filter_map(|e| e.ok().map(|e| e.path()))
         .filter(|p| {
-            let lock = [".lock", ".lock-break"].iter().any(|n| p.ends_with(n));
-            p.is_file() && !p.ends_with("FORMAT") && !lock
+            let name = p.file_name().and_then(|n| n.to_str()).unwrap_or("");
+            p.is_file() && name != "FORMAT" && !name.starts_with("index-")
         })
         .collect();
     files.sort();

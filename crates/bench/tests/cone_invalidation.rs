@@ -40,15 +40,25 @@ fn opt_report_json(sc: &SessionCompilation) -> String {
     .to_string_compact()
 }
 
-/// The per-procedure entry files (`<key>.il`) of a cache directory.
-fn entry_files(dir: &std::path::Path) -> Vec<String> {
+/// The files of a cache directory whose names pass `keep`, sorted.
+fn cache_files(dir: &std::path::Path, keep: impl Fn(&str) -> bool) -> Vec<String> {
     let mut names: Vec<String> = std::fs::read_dir(dir)
         .expect("cache dir")
         .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
-        .filter(|n| n.ends_with(".il"))
+        .filter(|n| keep(n))
         .collect();
     names.sort();
     names
+}
+
+/// The per-procedure entry files (`<key>.il`) of a cache directory.
+fn entry_files(dir: &std::path::Path) -> Vec<String> {
+    cache_files(dir, |n| n.ends_with(".il"))
+}
+
+/// The session manifests (`session-<key>.json`) of a cache directory.
+fn manifest_files(dir: &std::path::Path) -> Vec<String> {
+    cache_files(dir, |n| n.starts_with("session-"))
 }
 
 /// The procedures whose inline cone contains `victim` — exactly the set
@@ -131,24 +141,43 @@ fn one_proc_edits_invalidate_exactly_the_cone() {
                 "seed {seed} -j{jobs}: warm-edit opt report must match a cold compile"
             );
 
-            // entry bytes are a function of the IL's structure, not of
-            // which session produced it: a from-scratch directory of the
-            // edited sources holds, byte for byte, a subset of the files
-            // the warm-edit directory ended up with
-            let scratch_dir = cache_dir(&format!("{seed}-{jobs}-scratch"));
-            compile_session(
-                &[SourceFile::new("gen.c", edited.clone())],
-                &options,
-                Some(&scratch_dir),
-            )
-            .expect("from-scratch compile");
+            // entry and manifest bytes are a function of the IL's
+            // structure, not of which session produced them: two
+            // from-scratch directories of the edited sources (at either
+            // job count) hold the same bytes, and, byte for byte, a subset
+            // of the files the warm-edit directory ended up with
+            let scratch = |tag: &str, jobs: usize| {
+                let scratch_dir = cache_dir(&format!("{seed}-{jobs}-{tag}"));
+                let options = Options {
+                    jobs,
+                    ..options.clone()
+                };
+                compile_session(
+                    &[SourceFile::new("gen.c", edited.clone())],
+                    &options,
+                    Some(&scratch_dir),
+                )
+                .expect("from-scratch compile");
+                scratch_dir
+            };
+            let scratch_dir = scratch("scratch", jobs);
+            let second_dir = scratch("scratch-again", 5 - jobs);
             let scratch_entries = entry_files(&scratch_dir);
             assert_eq!(scratch_entries.len(), total);
-            for name in &scratch_entries {
+            let scratch_manifests = manifest_files(&scratch_dir);
+            assert_eq!(scratch_manifests.len(), 1);
+            assert_eq!(manifest_files(&second_dir), scratch_manifests);
+            for name in scratch_entries.iter().chain(&scratch_manifests) {
+                let bytes = std::fs::read(scratch_dir.join(name)).ok();
+                assert_eq!(
+                    std::fs::read(second_dir.join(name)).ok(),
+                    bytes,
+                    "seed {seed} -j{jobs}: {name} differs between two from-scratch directories"
+                );
                 assert_eq!(
                     std::fs::read(dir.join(name)).ok(),
-                    std::fs::read(scratch_dir.join(name)).ok(),
-                    "seed {seed} -j{jobs}: entry {name} differs between the warm-edit \
+                    bytes,
+                    "seed {seed} -j{jobs}: {name} differs between the warm-edit \
                      and the from-scratch directory"
                 );
             }

@@ -54,8 +54,8 @@
 //! (temp-file, fsync, rename) inside a checksummed envelope, anything
 //! that fails the checksum or decode is quarantined and treated as a
 //! miss, replayed IL must pass the IL verifier before it is trusted,
-//! and concurrent sessions sharing one directory serialize their
-//! index/manifest updates through an advisory lock. Every degradation
+//! and concurrent sessions sharing one directory need no coordination:
+//! every file is content-addressed or overwritten whole. Every degradation
 //! is counted ([`SessionStats`]) and surfaced on the `titanc: cache:`
 //! accounting line — a cache failure is never a compilation failure.
 //!
@@ -151,8 +151,9 @@ session_stats! {
     hits,
     /// Procedures compiled for real.
     misses,
-    /// Misses whose name was cached under a different key — an edited
-    /// procedure (or changed options/pipeline), not a cold one.
+    /// Misses whose name the last session over the same input files
+    /// cached under a different key — an edited procedure (or changed
+    /// options/pipeline), not a cold one.
     invalidated,
     /// Optimization-pass executions this run actually performed
     /// (whole-program stages plus per-procedure chains for misses). A
@@ -164,9 +165,6 @@ session_stats! {
     /// Corrupt files successfully moved into `quarantine/` (or
     /// deleted) so they are never re-read.
     quarantined,
-    /// Times the advisory writer lock could not be acquired and the
-    /// index/manifest update was skipped (entries still published).
-    lock_contended,
     /// Cache files that could not be published (write/rename failure);
     /// surfaced as a warning, never a compilation failure.
     write_failed,
@@ -230,13 +228,13 @@ pub fn compile_session_resident(
     compile_session_impl(files, options, pipeline, Some(store))
 }
 
-/// What an open store adds to one compile: the name → key index it was
-/// opened with, the per-procedure keys and the session key of the parsed
-/// program, and — by position, like the keys — the replay states the
-/// pipeline moves along.
+/// What an open store adds to one compile: the name of the index file of
+/// its input files, the per-procedure keys and the session key of the
+/// parsed program, and — by position, like the keys — the replay states
+/// the pipeline moves along.
 struct OpenCache {
     store: CacheStore,
-    index: BTreeMap<String, String>,
+    index: String,
     hashes: Vec<StableHash>,
     session_key: StableHash,
     replay: SessionReplay,
@@ -315,14 +313,13 @@ pub(crate) fn compile_session_impl(
     // session key is computed on the *parsed* program — exactly what the
     // next invocation computes before any pass runs, so the manifest a
     // run persists is the manifest its successor looks up
-    let mut cache = store.map(|mut store| {
-        let index = load_index(&mut store);
+    let mut cache = store.map(|store| {
         let pipeline_fp = pipeline.pass_names().join(",");
         let hashes = proc_hashes(&program, options, &pipeline_fp);
         let session_key = session_hash(&program, options, &pipeline_fp, &hashes);
         OpenCache {
             store,
-            index,
+            index: index_name(files),
             hashes,
             session_key,
             replay: SessionReplay::new(),
@@ -349,13 +346,17 @@ pub(crate) fn compile_session_impl(
         // run the pipeline; hits replay, misses execute (and, with a store
         // open, are recorded for `persist`)
         if let Some(c) = cache.as_mut() {
+            // the keys the last session over these files cached, read at
+            // the first miss: only a miss can be an invalidation
+            let mut index = None;
             for (p, h) in program.procs.iter().zip(&c.hashes) {
                 let hit = load_hit(&mut c.store, h, &p.name, &proc_passes);
                 c.replay.push(match hit {
                     Some(entry) => Replay::Hit { entry, cursor: 0 },
                     None => {
+                        let index = index.get_or_insert_with(|| load_index(&mut c.store, &c.index));
                         let edited = |old: &String| *old != h.hex();
-                        stats.invalidated += usize::from(c.index.get(&p.name).is_some_and(edited));
+                        stats.invalidated += usize::from(index.get(&p.name).is_some_and(edited));
                         Replay::None
                     }
                 });
@@ -710,8 +711,16 @@ fn manifest_name(key: &StableHash) -> String {
     format!("session-{}.json", key.hex())
 }
 
-/// The name → key index file (invalidation accounting only).
-const INDEX_FILE: &str = "index.json";
+/// The name → key index file of one list of input files (invalidation
+/// accounting only), named by their names in order: each session over
+/// those files overwrites it whole, and no other session writes it.
+fn index_name(files: &[SourceFile]) -> String {
+    let mut h = StableHasher::new();
+    for f in files {
+        h.write_str(&f.name);
+    }
+    format!("index-{}.json", h.finish().hex())
+}
 
 /// Surfaces the store's degradations as warnings — a format-skewed
 /// directory compiling cold, quarantined corruption, write failures.
@@ -936,24 +945,22 @@ fn replay_records(
 
 /// Persists the run through the hardened store: per-procedure entries
 /// for cleanly compiled misses, the session manifest when every
-/// procedure is covered, and the name → key index that powers
-/// invalidation accounting.
+/// procedure is covered, and the name → key index of this session's
+/// input files that powers invalidation accounting.
 ///
-/// Entries are published first, *without* the lock — they are
-/// content-addressed and atomically renamed into place, so concurrent
-/// sessions writing the same key produce identical bytes and the last
-/// rename wins harmlessly. The manifest and index are derived files
-/// with read-modify-write semantics, so they update under the advisory
-/// writer lock; on contention they are skipped (counted, never torn).
-/// The session key was computed on the parsed program, which is exactly
-/// what the next invocation hashes before running any pass.
+/// Nothing here reads what it writes. Entries and the manifest are
+/// content-addressed — concurrent sessions writing one key produce
+/// identical bytes — and the index is this session's whole map, so every
+/// file is published blind and the last rename wins harmlessly. The
+/// session key was computed on the parsed program, which is exactly what
+/// the next invocation hashes before running any pass.
 fn persist(cache: &mut OpenCache, program: &Program, trace: &PassTrace) {
     let OpenCache {
         store,
+        index,
         hashes,
         session_key,
         replay,
-        ..
     } = cache;
     if !store.enabled() || trace.has_incidents() || program.procs.len() != hashes.len() {
         // a degraded program must never be served from the cache, and a
@@ -977,11 +984,6 @@ fn persist(cache: &mut OpenCache, program: &Program, trace: &PassTrace) {
     // one directory fsync for the whole group of entries: they are
     // durable before the manifest and the index can name them
     store.sync_dir();
-    let Some(_lock) = store.lock() else {
-        // contended: skip the derived files rather than interleave a
-        // read-modify-write with another session (counted in stats)
-        return;
-    };
     let healthy = trace
         .records
         .iter()
@@ -1011,27 +1013,23 @@ fn persist(cache: &mut OpenCache, program: &Program, trace: &PassTrace) {
             manifest.to_json().to_string_compact().as_bytes(),
         );
     }
-    // reload-merge under the lock: another session may have extended the
-    // index since this one loaded it, and its entries must survive
-    let mut merged = load_index(store);
-    merged.extend(updates);
-    save_index(store, &merged);
+    save_index(store, index, &updates);
     store.sync_dir();
 }
 
-/// The name → key index (invalidation accounting only; lookups never
-/// depend on it). Corruption quarantines the file and yields an empty
-/// map — hit/miss behavior is unaffected.
-fn load_index(store: &mut CacheStore) -> BTreeMap<String, String> {
+/// The name → key index `name` (invalidation accounting only; lookups
+/// never depend on it). Corruption quarantines the file and yields an
+/// empty map — hit/miss behavior is unaffected.
+fn load_index(store: &mut CacheStore, name: &str) -> BTreeMap<String, String> {
     let mut map = BTreeMap::new();
-    let Some(payload) = store.read(INDEX_FILE) else {
+    let Some(payload) = store.read(name) else {
         return map;
     };
     let doc = std::str::from_utf8(&payload)
         .ok()
         .and_then(|text| titanc_il::json::parse(text).ok());
     let Some(doc) = doc else {
-        store.quarantine(INDEX_FILE);
+        store.quarantine(name);
         return map;
     };
     if let Some(Json::Obj(pairs)) = doc.get("procs") {
@@ -1044,7 +1042,7 @@ fn load_index(store: &mut CacheStore) -> BTreeMap<String, String> {
     map
 }
 
-fn save_index(store: &mut CacheStore, map: &BTreeMap<String, String>) {
+fn save_index(store: &mut CacheStore, name: &str, map: &BTreeMap<String, String>) {
     let obj = Json::obj(vec![(
         "procs",
         Json::Obj(
@@ -1053,7 +1051,7 @@ fn save_index(store: &mut CacheStore, map: &BTreeMap<String, String>) {
                 .collect(),
         ),
     )]);
-    store.publish(INDEX_FILE, obj.to_string_compact().as_bytes());
+    store.publish(name, obj.to_string_compact().as_bytes());
 }
 
 #[cfg(test)]
@@ -1257,14 +1255,14 @@ mod tests {
         (il_text(sc), report.to_json().to_string_compact())
     }
 
-    /// Every file of `dir` with its bytes (the lock file aside).
+    /// Every file of `dir` with its bytes.
     fn dir_image(dir: &Path) -> BTreeMap<String, Vec<u8>> {
         let Ok(listing) = std::fs::read_dir(dir) else {
             return BTreeMap::new();
         };
         listing
             .map(|e| e.expect("entry").path())
-            .filter(|p| p.is_file() && !p.to_string_lossy().contains("lock"))
+            .filter(|p| p.is_file())
             .map(|p| {
                 let name = p.file_name().expect("name").to_string_lossy().into_owned();
                 (name, std::fs::read(&p).expect("reads"))

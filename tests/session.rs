@@ -7,7 +7,8 @@
 //! origin-tagged spans attribute loops to the file they were written
 //! in.
 
-use std::path::PathBuf;
+use std::collections::BTreeMap;
+use std::path::{Path, PathBuf};
 
 use titanc_repro::titanc::{compile_session, OptReport, Options, SessionCompilation, SourceFile};
 
@@ -287,8 +288,9 @@ fn opt_report_attributes_loops_to_their_origin_file() {
 
 /// Several sessions racing into one cache directory stay byte-identical
 /// to a no-cache compile, and the directory they leave behind is a
-/// consistent, fully warm cache — the advisory writer lock keeps the
-/// derived index and manifest from tearing.
+/// consistent, fully warm cache — with no lock: every file is renamed
+/// into place whole, under a name that fixes its bytes (the index: its
+/// input files), so there is nothing to tear.
 #[test]
 fn concurrent_sessions_share_one_directory_safely() {
     let dir = cache_dir("concurrent");
@@ -417,9 +419,9 @@ fn v3_era_cache_dirs_fall_back_cold_with_one_remark() {
 }
 
 /// A directory written by the v4 format — the last one whose entries
-/// were JSON text. Its files share names (`index.json`,
-/// `session-*.json`) with v5's, which is exactly why the marker, not
-/// the file names, decides.
+/// were JSON text. Its files share names (`session-*.json`, and the
+/// `index.json` early v5 directories hold) with v5's, which is exactly
+/// why the marker, not the file names, decides.
 #[test]
 fn v4_era_cache_dirs_fall_back_cold_with_one_remark() {
     assert_refused_cold(
@@ -452,4 +454,152 @@ fn keep_parsed_snapshots_the_pre_pipeline_program() {
     let calls = |p: &titanc_il::Procedure| titanc_il::pretty_proc(p).contains("daxpy(");
     assert!(calls(parsed_main), "parsed main still calls daxpy");
     assert!(!calls(opt_main), "optimized main has daxpy inlined away");
+}
+
+/// Every file of `dir` (subdirectories aside) with its bytes.
+fn dir_files(dir: &Path) -> BTreeMap<String, Vec<u8>> {
+    std::fs::read_dir(dir)
+        .expect("cache dir")
+        .map(|e| e.expect("entry").path())
+        .filter(|p| p.is_file())
+        .map(|p| {
+            let name = p.file_name().expect("name").to_string_lossy().into_owned();
+            (name, std::fs::read(&p).expect("reads"))
+        })
+        .collect()
+}
+
+/// Why the cache needs no lock, (1): a name fixes its bytes. Over cold,
+/// warm, edited and warm-again runs of one session, and two threads
+/// racing the edited session into a fresh directory, every file but an
+/// index holds the same bytes each time it is seen — so concurrent
+/// writers of one name can only ever publish the same value.
+#[test]
+fn every_file_but_an_index_holds_one_value_per_name() {
+    let dir = cache_dir("one-value");
+    let options = Options::o2();
+    let lib = format!("{LIB_SRC}void reset(void)\n{{\n    fill(64, 0.0);\n}}\n");
+    let a = SourceFile::new("a.c", MAIN_SRC);
+    let b = SourceFile::new("b.c", lib.clone());
+    // the edit adds a loop, so the edited session's manifest differs too
+    let b2 = SourceFile::new(
+        "b.c",
+        format!("{lib}void clear(void)\n{{\n    int i;\n    for (i = 0; i < 64; i++)\n        buf[i] = 0.0;\n}}\n"),
+    );
+    let original = [a.clone(), b];
+    let edited = [a, b2];
+
+    // records what each name held the first time; true if all were known
+    fn check(seen: &mut BTreeMap<String, Vec<u8>>, dir: &Path, step: &str) -> bool {
+        let mut known = true;
+        for (name, bytes) in dir_files(dir) {
+            if name.starts_with("index-") {
+                continue;
+            }
+            known &= seen.contains_key(&name);
+            let first = seen.entry(name.clone()).or_insert_with(|| bytes.clone());
+            assert!(*first == bytes, "{step}: `{name}` holds other bytes");
+        }
+        known
+    }
+    let mut seen = BTreeMap::new();
+    for (step, files) in [
+        ("cold", &original),
+        ("warm", &original),
+        ("edited", &edited),
+        ("warm after the edit", &edited),
+    ] {
+        compile_session(files, &options, Some(&dir)).expect("compiles");
+        check(&mut seen, &dir, step);
+    }
+
+    let race = cache_dir("one-value-race");
+    std::thread::scope(|scope| {
+        for _ in 0..2 {
+            let (race, edited, options) = (&race, &edited, &options);
+            scope.spawn(move || compile_session(edited, options, Some(race)).expect("compiles"));
+        }
+    });
+    assert!(
+        check(&mut seen, &race, "race"),
+        "the race published no name unseen before"
+    );
+}
+
+/// Why the cache needs no lock, (2): an index belongs to one list of
+/// input files. `a.c` and `b.c` compiled by separate invocations into one
+/// directory keep separate accounting: the edited `a.c` counts its edit
+/// as an invalidation even though `b.c` was compiled in between, and
+/// `b.c` stays fully warm. One shared, blind-overwritten index would
+/// have forgotten `a.c`'s keys.
+#[test]
+fn separate_invocations_keep_their_own_invalidations() {
+    let dir = cache_dir("separate");
+    let options = Options::o2();
+    let a = [SourceFile::new("a.c", MAIN_SRC)];
+    let b = [SourceFile::new("b.c", LIB_SRC)];
+    compile_session(&a, &options, Some(&dir)).expect("a.c compiles");
+    compile_session(&b, &options, Some(&dir)).expect("b.c compiles");
+
+    let a2 = SourceFile::new("a.c", MAIN_SRC.replace("total + i", "total + 2 * i"));
+    let edited = compile_session(&[a2], &options, Some(&dir)).expect("edited a.c compiles");
+    assert_eq!((edited.stats.hits, edited.stats.misses), (0, 1));
+    assert_eq!(edited.stats.invalidated, 1, "main was edited, not cold");
+
+    let b_again = compile_session(&b, &options, Some(&dir)).expect("b.c compiles");
+    assert!(b_again.stats.full_warm, "b.c is untouched by a.c's edit");
+}
+
+/// Program `t` of [`different_programs_race_into_one_directory`]: `main`
+/// calls `fill<t>`; nothing calls `scale<t>`, whose factor is `c`.
+fn race_program(t: usize, c: usize) -> SourceFile {
+    let src = format!(
+        "float a{t}[64];\n\
+         void fill{t}(float v)\n{{\n    int i;\n    for (i = 0; i < 64; i++)\n        a{t}[i] = v;\n}}\n\
+         void scale{t}(void)\n{{\n    int i;\n    for (i = 0; i < 64; i++)\n        a{t}[i] = a{t}[i] * {c}.0;\n}}\n\
+         int main(void)\n{{\n    fill{t}(1.0);\n    return 0;\n}}\n"
+    );
+    SourceFile::new(format!("p{t}.c"), src)
+}
+
+/// Why the cache needs no lock, (3): four threads compile four different
+/// programs into one directory, three rounds — cold, with every
+/// `scale<t>` edited, then with the edit reverted. Every compile matches
+/// a store-less one with nothing corrupt or failed, the edit is exactly
+/// one invalidation per program, and the reverted round is fully warm.
+#[test]
+fn different_programs_race_into_one_directory() {
+    let dir = cache_dir("programs-race");
+    let options = Options::o2();
+    for (round, factor) in [2, 3, 2].into_iter().enumerate() {
+        let compiled: Vec<SessionCompilation> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..4)
+                .map(|t| {
+                    let (dir, options) = (&dir, &options);
+                    scope.spawn(move || {
+                        compile_session(&[race_program(t, factor)], options, Some(dir))
+                            .expect("racing compile")
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("a racing session must not panic"))
+                .collect()
+        });
+        for (t, sc) in compiled.iter().enumerate() {
+            let what = format!("round {round}, program {t}");
+            let reference = compile_session(&[race_program(t, factor)], &options, None)
+                .expect("reference compile");
+            assert_eq!(il_text(&reference), il_text(sc), "{what}");
+            assert_eq!(opt_report_json(&reference), opt_report_json(sc), "{what}");
+            assert_eq!((sc.stats.corrupt, sc.stats.write_failed), (0, 0), "{what}");
+            let s = sc.stats;
+            match round {
+                0 => assert_eq!((s.hits, s.misses, s.invalidated), (0, 3, 0), "{what}"),
+                1 => assert_eq!((s.hits, s.misses, s.invalidated), (2, 1, 1), "{what}"),
+                _ => assert!(s.full_warm && s.invalidated == 0, "{what}"),
+            }
+        }
+    }
 }
