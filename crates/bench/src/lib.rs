@@ -4,13 +4,16 @@
 //! experiments (EXP1–EXP11) whose deterministic rows *are* the generated
 //! block of `EXPERIMENTS.md` — `tests/experiments.rs` holds the document to
 //! the tool byte for byte. `cargo run --release -p titanc-bench --bin exp`
-//! prints the tables (`exp EXP3`, `exp --markdown`); the `stress` binary
-//! and [`progen`] are the differential harness.
+//! prints the tables (`exp EXP3`, `exp --markdown`). [`sweep`] is the
+//! differential harness: [`progen`]'s programs as one case stream and the
+//! named checks every case must pass (`stress --check NAME`,
+//! `tests/sweep.rs`).
 
 #![forbid(unsafe_code)]
 
 pub mod experiments;
 pub mod progen;
+pub mod sweep;
 
 use titanc::{compile, Options};
 use titanc_titan::{ExecStats, MachineConfig, Simulator};
@@ -44,50 +47,6 @@ pub fn run(src: &str, options: &Options, machine: MachineConfig) -> ExecStats {
     let mut sim = Simulator::new(&compiled.program, machine);
     let result = sim.run("main", &[]).expect("experiment runs");
     result.stats
-}
-
-/// Damages a populated `--cache-dir` in place: one random bit flip in one
-/// file and a random truncation of another (the same file when only one
-/// exists). Victims are every top-level file a fully warm run reads —
-/// entries and manifests, whatever they are named. The `FORMAT` marker,
-/// the `index-*.json` files (opened only once a procedure misses) and
-/// the `quarantine/` subdirectory are left alone, so every damaged file
-/// is one a warm run actually reads and must detect.
-/// Shared by `stress --cache-faults` and `tests/cache_faults.rs`.
-///
-/// # Errors
-///
-/// Any I/O failure, or `NotFound` when the directory holds no victim.
-pub fn corrupt_cache_dir(dir: &std::path::Path, rng: &mut progen::Rng) -> std::io::Result<()> {
-    let mut files: Vec<std::path::PathBuf> = std::fs::read_dir(dir)?
-        .filter_map(|e| e.ok().map(|e| e.path()))
-        .filter(|p| {
-            let name = p.file_name().and_then(|n| n.to_str()).unwrap_or("");
-            p.is_file() && name != "FORMAT" && !name.starts_with("index-")
-        })
-        .collect();
-    files.sort();
-    if files.is_empty() {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::NotFound,
-            "populated cache dir has no files to corrupt",
-        ));
-    }
-
-    let victim = &files[rng.below(files.len() as u64) as usize];
-    let mut bytes = std::fs::read(victim)?;
-    if bytes.is_empty() {
-        bytes.push(b'!');
-    } else {
-        let at = rng.below(bytes.len() as u64) as usize;
-        bytes[at] ^= 1 << rng.below(8);
-    }
-    std::fs::write(victim, &bytes)?;
-
-    let victim = &files[rng.below(files.len() as u64) as usize];
-    let bytes = std::fs::read(victim)?;
-    let keep = rng.below(bytes.len().max(1) as u64) as usize;
-    std::fs::write(victim, &bytes[..keep.min(bytes.len())])
 }
 
 /// MFLOPS at the Titan's 16 MHz clock.

@@ -6,9 +6,9 @@
 //! (`crates/opt/src/*_reference.rs`), and the flat dataflow frames against
 //! one `BitSet` per node (`crates/analysis/src/dataflow_reference.rs`).
 //!
-//! For every file under `corpus/` under the option sets of
-//! `wire_roundtrip.rs` plus `--fortran-aliasing`, for 320 progen programs
-//! × {`-O1`, `-O2`, `-O2 --parallel`, `--fortran-aliasing`}, for
+//! For every file under `corpus/` under every `sweep::option_sets()`, for
+//! the first 320 cases of the sweep's default run seed × {`-O1`, `-O2`,
+//! `-O2 --parallel`, `--fortran-aliasing`}, for
 //! `many_loops_source(0, {30, 120})` and for hand-written window edges,
 //! each procedure is taken through the scalar and vector passes in
 //! pipeline order; wherever the pipeline runs one of the four passes,
@@ -30,10 +30,10 @@ mod dce_reference;
 #[path = "../../opt/src/forward_reference.rs"]
 mod forward_reference;
 
-use titanc::{compile, Aliasing, OptLevel, Options, VectorOptions};
+use titanc::{compile, OptLevel, Options, VectorOptions};
 use titanc_analysis::ProcAnalyses;
 use titanc_bench::many_loops_source;
-use titanc_bench::progen::{self, Rng};
+use titanc_bench::sweep::{corpus_files, option_sets, Case, DEFAULT_SEED};
 use titanc_il::{pretty_proc, Procedure};
 
 /// What the comparisons of one test covered.
@@ -170,43 +170,16 @@ fn run_pipeline(src: &str, options: &Options, what: &str, cov: &mut Coverage) {
     }
 }
 
-/// The option sets of `wire_roundtrip.rs`, and `--fortran-aliasing`.
-fn option_sets() -> Vec<(&'static str, Options)> {
-    let mut parallel = Options::o2();
-    parallel.parallelize = true;
-    parallel.spread_lists = true;
-    let mut no_inline = Options::o2();
-    no_inline.inline = false;
-    let mut fortran = Options::o2();
-    fortran.aliasing = Aliasing::Fortran;
-    vec![
-        ("O0", Options::o0()),
-        ("O1", Options::o1()),
-        ("O2", Options::o2()),
-        ("O2 parallel", parallel),
-        ("O2 no-inline", no_inline),
-        ("O2 fortran-aliasing", fortran),
-    ]
-}
-
 #[test]
 fn corpus_agrees_under_every_option_set() {
-    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../corpus");
     let mut cov = Coverage::default();
-    let mut seen = 0;
-    for entry in std::fs::read_dir(dir).expect("corpus/") {
-        let path = entry.expect("corpus entry").path();
-        if path.extension().is_none_or(|x| x != "c") {
-            continue;
-        }
-        let src = std::fs::read_to_string(&path).expect("corpus file reads");
+    let files = corpus_files();
+    assert!(files.len() >= 7, "only {} corpus files found", files.len());
+    for (path, src) in &files {
         for (level, options) in option_sets() {
-            let what = format!("{} at {level}", path.display());
-            run_pipeline(&src, &options, &what, &mut cov);
+            run_pipeline(src, &options, &format!("{path} at {level}"), &mut cov);
         }
-        seen += 1;
     }
-    assert!(seen >= 7, "only {seen} corpus files found");
     assert!(
         cov.comparisons >= 50 && cov.substituted >= 100,
         "the corpus stopped exercising forward: {} comparisons, {} substitutions",
@@ -223,14 +196,25 @@ fn corpus_agrees_under_every_option_set() {
     assert!(cov.dataflow_queries >= 10_000, "{}", cov.dataflow_queries);
 }
 
+/// The first 320 cases of the sweep's stream, the even and the odd ones on
+/// two threads; each half alone must reach every coverage floor.
 #[test]
 fn progen_programs_agree() {
+    std::thread::scope(|scope| {
+        for half in [0, 1] {
+            scope.spawn(move || progen_half_agrees(half));
+        }
+    });
+}
+
+fn progen_half_agrees(half: u64) {
     let sets = option_sets();
     let mut cov = Coverage::default();
-    for seed in 1..=320u64 {
-        let src = progen::program(&mut Rng::new(seed));
+    for i in (half..320).step_by(2) {
+        let case = Case::nth(DEFAULT_SEED, i);
         for (level, options) in [&sets[1], &sets[2], &sets[3], &sets[5]] {
-            run_pipeline(&src, options, &format!("seed {seed} at {level}"), &mut cov);
+            let what = format!("case seed 0x{:X} at {level}", case.seed);
+            run_pipeline(&case.src, options, &what, &mut cov);
         }
     }
     assert!(

@@ -5,32 +5,15 @@
 //! same printed output, same global memory, and byte-for-byte identical
 //! execution statistics (cycle totals included — cycles are `f64`, so
 //! even the summation order must match). This suite drives both engines
-//! over the experiment corpora at every optimization level and over a
-//! progen fuzz corpus, plus the volatile poll loop and the error paths.
+//! over the experiment corpora at every optimization level, the largest
+//! generated program, the volatile poll loop and the error paths;
+//! generated programs at large run every build under both engines in the
+//! `observe` check of `titanc_bench::sweep` (`tests/sweep.rs`,
+//! `stress --check observe`).
 
 use titanc::Options;
 use titanc_bench::{backsolve_source, copy_source, corpus, daxpy_source, progen};
-use titanc_il::ScalarType;
-use titanc_titan::{observe_with, ExecEngine, MachineConfig, Simulator};
-
-/// Runs `main` under both engines and asserts identical observations and
-/// identical statistics; returns nothing of interest — the asserts are
-/// the test.
-fn assert_parity(src: &str, options: &Options, machine: MachineConfig, what: &str) {
-    let compiled = titanc::compile(src, options).unwrap_or_else(|e| panic!("{what}: {e}"));
-    let interp = observe_with(
-        &compiled.program,
-        machine.clone(),
-        ExecEngine::Interp,
-        "main",
-        &[],
-    )
-    .unwrap_or_else(|e| panic!("{what} [interp]: {e}"));
-    let vm = observe_with(&compiled.program, machine, ExecEngine::Vm, "main", &[])
-        .unwrap_or_else(|e| panic!("{what} [vm]: {e}"));
-    assert_eq!(interp.0, vm.0, "{what}: observation divergence");
-    assert_eq!(interp.1, vm.1, "{what}: statistics divergence");
-}
+use titanc_titan::{ExecEngine, MachineConfig, Simulator};
 
 /// Every experiment corpus at every shipped pipeline, on the machines the
 /// EXP tables use — the rows of `EXPERIMENTS.md` regenerate identically
@@ -62,7 +45,9 @@ fn experiment_corpora_parity() {
     ];
     for (name, src) in &sources {
         for (cname, options, machine) in &configs {
-            assert_parity(src, options, machine.clone(), &format!("{name} @ {cname}"));
+            let what = format!("{name} @ {cname}");
+            let trap = assert_same_outcome(src, options, machine, &what);
+            assert_eq!(trap, None, "{what}");
         }
     }
 }
@@ -281,54 +266,6 @@ fn step_limit_lands_identically_on_every_statement() {
 fn largest_stress_program_parity() {
     let src = progen::program(&mut progen::Rng::new(0x5EED_0001));
     let machine = MachineConfig::optimized(2);
-    assert_parity(&src, &Options::o2(), machine, "progen 0x5EED0001");
-}
-
-/// 500 progen programs at `-O2`, both engines, full observation and
-/// statistics equality — the broad random sweep behind the stress
-/// harness's `--engine both` default.
-#[test]
-fn progen_corpus_parity() {
-    let out_globals: &[(&str, ScalarType, u32)] = &[
-        ("out_g", ScalarType::Int, progen::OUT_LEN as u32),
-        ("out_f", ScalarType::Float, progen::OUT_LEN as u32),
-    ];
-    let mut checked = 0u32;
-    for seed in 0..500u64 {
-        let mut rng = progen::Rng::new(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0x5EED);
-        let src = progen::program(&mut rng);
-        let compiled = titanc::compile(&src, &Options::o2())
-            .unwrap_or_else(|e| panic!("seed {seed}: front end rejected progen output: {e}"));
-        let machine = MachineConfig::optimized(2);
-        let interp = observe_with(
-            &compiled.program,
-            machine.clone(),
-            ExecEngine::Interp,
-            "main",
-            out_globals,
-        );
-        let vm = observe_with(
-            &compiled.program,
-            machine,
-            ExecEngine::Vm,
-            "main",
-            out_globals,
-        );
-        match (interp, vm) {
-            (Ok(i), Ok(v)) => {
-                assert_eq!(i.0, v.0, "seed {seed}: observation divergence\n{src}");
-                assert_eq!(i.1, v.1, "seed {seed}: statistics divergence\n{src}");
-                checked += 1;
-            }
-            (Err(ei), Err(ev)) => {
-                assert_eq!(ei, ev, "seed {seed}: engines disagree on the error\n{src}");
-                checked += 1;
-            }
-            (i, v) => panic!(
-                "seed {seed}: one engine trapped, the other did not\n  \
-                 interp: {i:?}\n  vm: {v:?}\n{src}"
-            ),
-        }
-    }
-    assert_eq!(checked, 500, "every seed must be checked");
+    let trap = assert_same_outcome(&src, &Options::o2(), &machine, "progen 0x5EED0001");
+    assert_eq!(trap, None);
 }

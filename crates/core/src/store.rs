@@ -48,8 +48,8 @@
 //! `TITANC_INJECT_PANIC`): reads, writes, and renames can be made to
 //! fail, truncate, or delay with a configured probability, either from
 //! the environment or programmatically via [`install_io_faults`] — the
-//! lever the `stress --cache-faults` differential harness uses to prove
-//! the degradation paths.
+//! lever the sweep's `cache-faults` check (`stress --check cache-faults`)
+//! uses to prove the degradation paths.
 
 use std::fs::{self, File};
 use std::io::{self, Write as _};

@@ -61,6 +61,17 @@ pub enum LoopDecision {
 }
 
 impl LoopDecision {
+    /// Every [`tag`](Self::tag), in declaration order.
+    pub const TAGS: [&'static str; 7] = [
+        "do_converted",
+        "do_rejected",
+        "ivsub",
+        "vectorized",
+        "parallelized",
+        "list_spread",
+        "scalar",
+    ];
+
     /// Short machine-readable tag (used as the JSON discriminant).
     pub fn tag(&self) -> &'static str {
         match self {
@@ -221,6 +232,14 @@ pub enum InlineOutcome {
 }
 
 impl InlineOutcome {
+    /// Every [`tag`](Self::tag), in declaration order.
+    pub const TAGS: [&'static str; 4] = [
+        "expanded",
+        "skipped_recursive",
+        "skipped_size",
+        "skipped_growth",
+    ];
+
     /// Short machine-readable tag (used as the JSON discriminant).
     pub fn tag(&self) -> &'static str {
         match self {
@@ -388,6 +407,8 @@ mod tests {
 
     #[test]
     fn events_roundtrip_through_json() {
+        // one of every variant, in declaration order, so the tags of each
+        // list are its `TAGS`
         let loops = vec![
             LoopDecision::DoConverted,
             LoopDecision::DoRejected("branch into body".into()),
@@ -401,6 +422,8 @@ mod tests {
             LoopDecision::ListSpread,
             LoopDecision::Scalar("volatile access".into()),
         ];
+        let tags: Vec<&str> = loops.iter().map(LoopDecision::tag).collect();
+        assert_eq!(tags, LoopDecision::TAGS);
         for decision in loops {
             let e = LoopEvent {
                 proc: "main".into(),
@@ -424,6 +447,8 @@ mod tests {
                 budget: 800,
             },
         ];
+        let tags: Vec<&str> = outcomes.iter().map(InlineOutcome::tag).collect();
+        assert_eq!(tags, InlineOutcome::TAGS);
         for (i, outcome) in outcomes.into_iter().enumerate() {
             let e = InlineEvent {
                 caller: "main".into(),

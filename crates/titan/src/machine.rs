@@ -49,7 +49,7 @@ pub enum ExecEngine {
 }
 
 impl ExecEngine {
-    /// Short lowercase name, as accepted by `stress --engine`.
+    /// Short lowercase name, as differential failure messages print it.
     pub fn name(self) -> &'static str {
         match self {
             ExecEngine::Interp => "interp",
@@ -61,18 +61,6 @@ impl ExecEngine {
 impl std::fmt::Display for ExecEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.name())
-    }
-}
-
-impl std::str::FromStr for ExecEngine {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<ExecEngine, String> {
-        match s {
-            "interp" => Ok(ExecEngine::Interp),
-            "vm" => Ok(ExecEngine::Vm),
-            other => Err(format!("unknown engine `{other}` (expected interp|vm)")),
-        }
     }
 }
 

@@ -3,26 +3,8 @@
 //! byte-identical across `-j` values, the Chrome trace export is valid
 //! JSON, and the front-end error cap reports what it suppressed.
 
+use titanc_bench::sweep::corpus_files;
 use titanc_repro::titanc::{chrome_trace, compile, OptReport, Options};
-
-fn corpus_files() -> Vec<(String, String)> {
-    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/corpus");
-    let mut files: Vec<(String, String)> = std::fs::read_dir(dir)
-        .expect("corpus dir")
-        .filter_map(|e| {
-            let p = e.ok()?.path();
-            if p.extension()? == "c" {
-                let name = p.file_name()?.to_string_lossy().to_string();
-                Some((name, std::fs::read_to_string(&p).ok()?))
-            } else {
-                None
-            }
-        })
-        .collect();
-    files.sort();
-    assert!(!files.is_empty(), "corpus is empty");
-    files
-}
 
 fn report_options(jobs: usize) -> Options {
     Options {

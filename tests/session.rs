@@ -10,16 +10,8 @@
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
+use titanc_bench::sweep::{il_text, report_json, Scratch};
 use titanc_repro::titanc::{compile_session, OptReport, Options, SessionCompilation, SourceFile};
-
-/// A fresh per-test cache directory under the target dir (parallel test
-/// threads must not share one).
-fn cache_dir(test: &str) -> PathBuf {
-    let dir = PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/target/test-caches"))
-        .join(format!("{test}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
 
 fn corpus(name: &str) -> SourceFile {
     let path = PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/corpus")).join(name);
@@ -51,32 +43,12 @@ int main(void)
 }
 ";
 
-fn opt_report_json(sc: &SessionCompilation) -> String {
-    OptReport::build_for(
-        &sc.compilation.reports,
-        &sc.compilation.trace,
-        &sc.compilation.program.files,
-    )
-    .to_json()
-    .to_string_compact()
-}
-
-fn il_text(sc: &SessionCompilation) -> String {
-    sc.compilation
-        .program
-        .procs
-        .iter()
-        .map(titanc_il::pretty_proc)
-        .collect::<Vec<_>>()
-        .join("\n")
-}
-
 /// Acceptance: the warm run is byte-identical to the cold run — same
 /// optimized IL, same `--opt-report=json` — while executing **zero**
 /// optimization passes.
 #[test]
 fn warm_run_is_byte_identical_and_runs_no_passes() {
-    let dir = cache_dir("warm-identical");
+    let dir = Scratch::new("warm-identical");
     let files = [corpus("daxpy.c"), corpus("blaslib.c")];
     let options = Options::o2();
 
@@ -89,10 +61,14 @@ fn warm_run_is_byte_identical_and_runs_no_passes() {
     assert_eq!(warm.stats.passes_executed, 0, "warm run must run no passes");
     assert_eq!(warm.stats.hits, warm.compilation.program.procs.len());
 
-    assert_eq!(il_text(&cold), il_text(&warm), "optimized IL must match");
     assert_eq!(
-        opt_report_json(&cold),
-        opt_report_json(&warm),
+        il_text(&cold.compilation),
+        il_text(&warm.compilation),
+        "optimized IL must match"
+    );
+    assert_eq!(
+        report_json(&cold.compilation),
+        report_json(&warm.compilation),
         "opt report must be byte-identical cold vs warm"
     );
     assert_eq!(
@@ -106,7 +82,7 @@ fn warm_run_is_byte_identical_and_runs_no_passes() {
 /// the PR 2 invariant through the cache.
 #[test]
 fn warm_run_is_byte_identical_across_jobs() {
-    let dir = cache_dir("warm-jobs");
+    let dir = Scratch::new("warm-jobs");
     let files = [corpus("daxpy.c"), corpus("backsolve.c")];
     let mut options = Options::o2();
     options.jobs = 1;
@@ -114,15 +90,18 @@ fn warm_run_is_byte_identical_across_jobs() {
     options.jobs = 4;
     let warm = compile_session(&files, &options, Some(&dir)).expect("warm compile");
     assert!(warm.stats.full_warm);
-    assert_eq!(il_text(&cold), il_text(&warm));
-    assert_eq!(opt_report_json(&cold), opt_report_json(&warm));
+    assert_eq!(il_text(&cold.compilation), il_text(&warm.compilation));
+    assert_eq!(
+        report_json(&cold.compilation),
+        report_json(&warm.compilation)
+    );
 }
 
 /// With inlining off the growth budget no longer couples procedures, so
 /// editing one procedure invalidates exactly that procedure.
 #[test]
 fn no_inline_sessions_invalidate_per_procedure() {
-    let dir = cache_dir("per-proc");
+    let dir = Scratch::new("per-proc");
     let mut options = Options::o2();
     options.inline = false;
     let a = SourceFile::new("a.c", MAIN_SRC);
@@ -150,7 +129,7 @@ fn no_inline_sessions_invalidate_per_procedure() {
 /// can splice its body — while unrelated procedures stay warm.
 #[test]
 fn inline_sessions_invalidate_the_dependency_cone() {
-    let dir = cache_dir("cone");
+    let dir = Scratch::new("cone");
     let options = Options::o2();
     // `reset` calls `fill`; `main` calls neither.
     let lib_with_caller = format!("{LIB_SRC}void reset(void)\n{{\n    fill(64, 0.0);\n}}\n");
@@ -171,8 +150,11 @@ fn inline_sessions_invalidate_the_dependency_cone() {
 
     // the cone-scoped warm compile is byte-identical to a from-scratch one
     let fresh = compile_session(&[a, b2], &options, None).expect("reference compile");
-    assert_eq!(il_text(&fresh), il_text(&warm));
-    assert_eq!(opt_report_json(&fresh), opt_report_json(&warm));
+    assert_eq!(il_text(&fresh.compilation), il_text(&warm.compilation));
+    assert_eq!(
+        report_json(&fresh.compilation),
+        report_json(&warm.compilation)
+    );
 }
 
 /// Regression: the environment fingerprint rides in every per-procedure
@@ -180,7 +162,7 @@ fn inline_sessions_invalidate_the_dependency_cone() {
 /// untouched — even with inlining off, where no cone links them.
 #[test]
 fn global_edits_miss_every_procedure_without_inlining() {
-    let dir = cache_dir("global-edit");
+    let dir = Scratch::new("global-edit");
     let mut options = Options::o2();
     options.inline = false;
     let a = SourceFile::new("a.c", MAIN_SRC);
@@ -197,8 +179,11 @@ fn global_edits_miss_every_procedure_without_inlining() {
     assert_eq!(warm.stats.misses, n);
 
     let fresh = compile_session(&[a, b2], &options, None).expect("reference compile");
-    assert_eq!(il_text(&fresh), il_text(&warm));
-    assert_eq!(opt_report_json(&fresh), opt_report_json(&warm));
+    assert_eq!(il_text(&fresh.compilation), il_text(&warm.compilation));
+    assert_eq!(
+        report_json(&fresh.compilation),
+        report_json(&warm.compilation)
+    );
 }
 
 /// Duplicate procedure definitions keep the first (CLI order) and name
@@ -293,7 +278,7 @@ fn opt_report_attributes_loops_to_their_origin_file() {
 /// input files), so there is nothing to tear.
 #[test]
 fn concurrent_sessions_share_one_directory_safely() {
-    let dir = cache_dir("concurrent");
+    let dir = Scratch::new("concurrent");
     let files = [corpus("daxpy.c"), corpus("blaslib.c")];
     let options = Options::o2();
     let reference = compile_session(&files, &options, None).expect("reference compile");
@@ -309,8 +294,11 @@ fn concurrent_sessions_share_one_directory_safely() {
             .collect();
         for h in handles {
             let sc = h.join().expect("racing session must not panic");
-            assert_eq!(il_text(&reference), il_text(&sc));
-            assert_eq!(opt_report_json(&reference), opt_report_json(&sc));
+            assert_eq!(il_text(&reference.compilation), il_text(&sc.compilation));
+            assert_eq!(
+                report_json(&reference.compilation),
+                report_json(&sc.compilation)
+            );
             assert_eq!(sc.stats.corrupt, 0, "a race is not corruption");
         }
     });
@@ -324,8 +312,11 @@ fn concurrent_sessions_share_one_directory_safely() {
     );
     assert_eq!(warm.stats.invalidated, 0, "no phantom invalidations");
     assert_eq!(warm.stats.corrupt, 0, "no corruption from the race");
-    assert_eq!(il_text(&reference), il_text(&warm));
-    assert_eq!(opt_report_json(&reference), opt_report_json(&warm));
+    assert_eq!(il_text(&reference.compilation), il_text(&warm.compilation));
+    assert_eq!(
+        report_json(&reference.compilation),
+        report_json(&warm.compilation)
+    );
 }
 
 /// Seeds `dir` with `seed` (name → contents), compiles through it and
@@ -336,8 +327,8 @@ fn concurrent_sessions_share_one_directory_safely() {
 /// run behaves the same way (refusal is stable, not sticky state that
 /// decays into an error).
 fn assert_refused_cold(tag: &str, seed: &[(&str, &str)], marker: &str) {
-    let dir = cache_dir(tag);
-    std::fs::create_dir_all(&dir).expect("mkdir");
+    let dir = Scratch::new(tag);
+    std::fs::create_dir_all(&*dir).expect("mkdir");
     for (name, contents) in seed {
         std::fs::write(dir.join(name), contents).expect("seed file");
     }
@@ -350,8 +341,11 @@ fn assert_refused_cold(tag: &str, seed: &[(&str, &str)], marker: &str) {
         assert_eq!(sc.stats.hits, 0, "a refused directory cannot serve hits");
         assert_eq!(sc.stats.misses, reference.compilation.program.procs.len());
         assert!(!sc.stats.full_warm);
-        assert_eq!(il_text(&reference), il_text(&sc));
-        assert_eq!(opt_report_json(&reference), opt_report_json(&sc));
+        assert_eq!(il_text(&reference.compilation), il_text(&sc.compilation));
+        assert_eq!(
+            report_json(&reference.compilation),
+            report_json(&sc.compilation)
+        );
 
         let messages: Vec<_> = sc
             .compilation
@@ -373,7 +367,7 @@ fn assert_refused_cold(tag: &str, seed: &[(&str, &str)], marker: &str) {
         );
     }
 
-    let mut left: Vec<String> = std::fs::read_dir(&dir)
+    let mut left: Vec<String> = std::fs::read_dir(&*dir)
         .expect("dir survives")
         .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
         .collect();
@@ -476,7 +470,7 @@ fn dir_files(dir: &Path) -> BTreeMap<String, Vec<u8>> {
 /// writers of one name can only ever publish the same value.
 #[test]
 fn every_file_but_an_index_holds_one_value_per_name() {
-    let dir = cache_dir("one-value");
+    let dir = Scratch::new("one-value");
     let options = Options::o2();
     let lib = format!("{LIB_SRC}void reset(void)\n{{\n    fill(64, 0.0);\n}}\n");
     let a = SourceFile::new("a.c", MAIN_SRC);
@@ -513,7 +507,7 @@ fn every_file_but_an_index_holds_one_value_per_name() {
         check(&mut seen, &dir, step);
     }
 
-    let race = cache_dir("one-value-race");
+    let race = Scratch::new("one-value-race");
     std::thread::scope(|scope| {
         for _ in 0..2 {
             let (race, edited, options) = (&race, &edited, &options);
@@ -534,7 +528,7 @@ fn every_file_but_an_index_holds_one_value_per_name() {
 /// have forgotten `a.c`'s keys.
 #[test]
 fn separate_invocations_keep_their_own_invalidations() {
-    let dir = cache_dir("separate");
+    let dir = Scratch::new("separate");
     let options = Options::o2();
     let a = [SourceFile::new("a.c", MAIN_SRC)];
     let b = [SourceFile::new("b.c", LIB_SRC)];
@@ -569,7 +563,7 @@ fn race_program(t: usize, c: usize) -> SourceFile {
 /// one invalidation per program, and the reverted round is fully warm.
 #[test]
 fn different_programs_race_into_one_directory() {
-    let dir = cache_dir("programs-race");
+    let dir = Scratch::new("programs-race");
     let options = Options::o2();
     for (round, factor) in [2, 3, 2].into_iter().enumerate() {
         let compiled: Vec<SessionCompilation> = std::thread::scope(|scope| {
@@ -591,8 +585,16 @@ fn different_programs_race_into_one_directory() {
             let what = format!("round {round}, program {t}");
             let reference = compile_session(&[race_program(t, factor)], &options, None)
                 .expect("reference compile");
-            assert_eq!(il_text(&reference), il_text(sc), "{what}");
-            assert_eq!(opt_report_json(&reference), opt_report_json(sc), "{what}");
+            assert_eq!(
+                il_text(&reference.compilation),
+                il_text(&sc.compilation),
+                "{what}"
+            );
+            assert_eq!(
+                report_json(&reference.compilation),
+                report_json(&sc.compilation),
+                "{what}"
+            );
             assert_eq!((sc.stats.corrupt, sc.stats.write_failed), (0, 0), "{what}");
             let s = sc.stats;
             match round {
