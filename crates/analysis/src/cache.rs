@@ -49,7 +49,7 @@ macro_rules! cache_stats {
             $($(#[$doc])* pub $field: usize,)+
         }
 
-        titanc_il::struct_json!(CacheStats, [$($field),+]);
+        titanc_il::struct_wire!(CacheStats, [$($field),+]);
 
         impl CacheStats {
             /// Folds another counter set into this one.

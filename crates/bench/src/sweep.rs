@@ -20,7 +20,10 @@
 //!   of clients racing one-shot sessions, after an edit and its revert,
 //!   and over a damaged directory;
 //! * `codec` — the wire codec, `Procedure` JSON and catalogs round-trip
-//!   byte for byte (also run over `corpus/*.c` by `tests/sweep.rs`).
+//!   byte for byte, and so do the recorded cells and the session manifest
+//!   a cached compile publishes, whose reader refuses every truncation and
+//!   accepts no byte flip that does not re-encode to itself (also run over
+//!   `corpus/*.c` by `tests/sweep.rs`).
 //!
 //! `stress --check NAME` runs one check at sweep size and `tests/sweep.rs`
 //! every check at a small one. Both print one FAIL block per failing case,
@@ -35,15 +38,18 @@ use titanc::server::{
     il_block, opt_report_block, CompileRequest, CompileResponse, Reply, Server, ServerConfig,
     ServerTotals,
 };
+use titanc::session::Manifest;
 use titanc::{
     compile, compile_session, install_io_faults, Aliasing, Catalog, Compilation, FaultMode,
-    IoFaultSpec, IoOp, OptReport, Options, Program, SessionCompilation, SessionStats, SourceFile,
+    IoFaultSpec, IoOp, OptReport, Options, Pipeline, Program, RecordedCell, Replay,
+    SessionCompilation, SessionStats, SourceFile,
 };
 use titanc_analysis::CallGraph;
 use titanc_il::json::{parse as parse_json, FromJson, ToJson};
+use titanc_il::wire::{self, Wire};
 use titanc_il::{
     decode_proc, encode_proc, hash_proc, pretty_proc, verify_proc, InlineOutcome, LoopDecision,
-    Procedure, ScalarType, SrcSpan, StableHasher,
+    Procedure, ScalarType, SrcSpan, StableHash, StableHasher,
 };
 use titanc_titan::{observe_with, ExecEngine, MachineConfig, Observation};
 
@@ -929,7 +935,7 @@ fn server(case: &Case, totals: &mut Totals) -> Result<(), String> {
 }
 
 // ---------------------------------------------------------------------------
-// codec: wire, Procedure JSON and catalogs round-trip byte for byte
+// codec: wire, Procedure JSON, catalogs, cells and manifests round-trip
 // ---------------------------------------------------------------------------
 
 /// Every procedure of `program`: printing, hashing and both codecs are
@@ -1038,10 +1044,89 @@ pub fn codec_program<'a>(
     }
     catalog_round_trip(&catalog, &format!("{name}, span-free"))?;
 
+    let mut rng = progen::Rng::new(StableHash::of_str(src).0 as u64);
     for (level, options) in sets {
-        let c = compile(src, options).map_err(|e| format!("{name} at {level}: {e}"))?;
+        let what = format!("{name} at {level}");
+        let (c, cells, manifest) = compile_recorded(src, options, &what)?;
         totals.tally(&c);
-        round_trip(&c.program, &format!("{name} at {level}"))?;
+        round_trip(&c.program, &what)?;
+        for (p, cells) in c.program.procs.iter().zip(&cells) {
+            wire_contract(cells, &mut rng, &format!("{what}, cells of `{}`", p.name))?;
+        }
+        wire_contract(&manifest, &mut rng, &format!("{what}, manifest"))?;
+    }
+    Ok(())
+}
+
+/// `src` compiled under `options` as a cold `--cache-dir` session compiles
+/// it, with every procedure's recorded cells (none at `-O0`, which runs no
+/// per-procedure pass) and the session manifest.
+fn compile_recorded(
+    src: &str,
+    options: &Options,
+    what: &str,
+) -> Result<(Compilation, Vec<Vec<RecordedCell>>, Manifest), String> {
+    let mut program = titanc_lower::compile_to_il(src).map_err(|e| format!("{what}: {e}"))?;
+    let pipeline = Pipeline::for_options(options);
+    let mut replay: Vec<Replay> = program.procs.iter().map(|_| Replay::None).collect();
+    let mut snapshots = Vec::new();
+    let (reports, trace) = pipeline.run(&mut program, options, &mut snapshots, Some(&mut replay));
+    let recorded = replay.into_iter().filter_map(|r| match r {
+        Replay::Recorded(cells) => Some(cells),
+        _ => None,
+    });
+    let cells: Vec<_> = recorded.collect();
+    if !pipeline.proc_pass_names().is_empty() && cells.len() != program.procs.len() {
+        return Err(format!("{what}: a procedure's cells were not recorded"));
+    }
+    let manifest = Manifest::new(&pipeline, &program, &trace);
+    let c = Compilation {
+        program,
+        reports,
+        trace,
+        snapshots,
+        diagnostics: Vec::new(),
+        parsed: None,
+    };
+    Ok((c, cells, manifest))
+}
+
+/// Single-byte flips tried per encoded value.
+const FLIPS: usize = 16;
+
+/// `value`'s wire bytes round-trip both ways (`decode(encode(x)) == x`,
+/// `encode(decode(b)) == b`); every truncated prefix of them is refused;
+/// and each of [`FLIPS`] seeded single-byte flips is refused or decodes to
+/// a value whose encoding is exactly the flipped bytes. A flip inside a
+/// counter is another valid value, so canonicity is what a reader can
+/// promise: it never normalizes damage into bytes it did not read (and a
+/// panic fails the case).
+fn wire_contract<T: Wire + PartialEq>(
+    value: &T,
+    rng: &mut progen::Rng,
+    what: &str,
+) -> Result<(), String> {
+    let bytes = wire::to_bytes(value);
+    let back = wire::from_bytes::<T>(&bytes).map_err(|e| format!("{what}: decode: {e}"))?;
+    if back != *value || wire::to_bytes(&back) != bytes {
+        return Err(format!(
+            "{what}: decode(encode(x)) != x, or re-encoding differs"
+        ));
+    }
+    if let Some(cut) = (0..bytes.len()).find(|&cut| wire::from_bytes::<T>(&bytes[..cut]).is_ok()) {
+        return Err(format!("{what}: its {cut}-byte prefix decodes"));
+    }
+    for _ in 0..FLIPS {
+        let mut flipped = bytes.clone();
+        let at = rng.below(bytes.len() as u64) as usize;
+        flipped[at] ^= 1 + rng.below(255) as u8;
+        if let Ok(v) = wire::from_bytes::<T>(&flipped) {
+            if wire::to_bytes(&v) != flipped {
+                return Err(format!(
+                    "{what}: a flip at byte {at} decodes non-canonically"
+                ));
+            }
+        }
     }
     Ok(())
 }

@@ -190,7 +190,7 @@ impl Options {
 }
 
 /// Aggregated pass statistics.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct Reports {
     /// while→DO conversions across all procedures.
     pub whiledo: titanc_opt::WhileDoReport,
@@ -232,9 +232,7 @@ impl Reports {
     }
 }
 
-// serialized into the incremental session cache (per-pass deltas ride
-// each cached cell so a warm run replays to byte-identical reports)
-titanc_il::struct_json!(
+titanc_il::struct_wire!(
     Reports,
     [whiledo, ivsub, forward, constprop, dce, vector, strength, cse, spread, inline]
 );

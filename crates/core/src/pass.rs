@@ -571,8 +571,9 @@ impl PassCell {
 /// contributed, whether it changed the procedure, and its analysis-cache
 /// activity. Durations are deliberately absent — they are wall-clock data
 /// and replay as [`Duration::ZERO`], keeping everything the opt report
-/// derives from a warm run byte-identical to the cold run.
-#[derive(Clone, Debug, Default)]
+/// derives from a warm run byte-identical to the cold run. (A session
+/// manifest keeps each whole-program stage's record as one cell too.)
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct RecordedCell {
     /// The pass name (checked against the pipeline's per-procedure pass
     /// names where the hit is seeded; the session cache key includes the
@@ -586,7 +587,7 @@ pub struct RecordedCell {
     pub cache: CacheStats,
 }
 
-titanc_il::struct_json!(RecordedCell, [pass, delta, changed, cache]);
+titanc_il::struct_wire!(RecordedCell, [pass, delta, changed, cache]);
 
 /// What one cache entry holds, decoded and checked: a procedure's fully
 /// optimized IL plus the per-pass cells recorded when it was last
@@ -597,7 +598,7 @@ pub struct CachedEntry {
     pub il: Procedure,
     /// Recorded cells for every per-procedure pass, in pipeline order.
     pub cells: Vec<RecordedCell>,
-    /// Length of the JSON section `cells` was decoded from — what the
+    /// Length of the wire section `cells` was decoded from — what the
     /// compile server's entry memo charges for them.
     pub cells_bytes: usize,
 }
@@ -922,6 +923,69 @@ impl Pipeline {
         procs.map(ProcPass::name).collect()
     }
 
+    /// The records `trace` — a run of this pipeline — holds for its
+    /// whole-program stages, as cells: what no cache entry holds, so what
+    /// a session manifest keeps.
+    pub(crate) fn stage_cells(&self, trace: &PassTrace) -> Vec<RecordedCell> {
+        let records = self.stages.iter().zip(&trace.records);
+        let stages = records.filter(|(stage, _)| stage.as_proc().is_none());
+        stages
+            .map(|(_, r)| RecordedCell {
+                pass: r.name.to_string(),
+                delta: r.delta.clone(),
+                changed: r.changed,
+                cache: r.cache,
+            })
+            .collect()
+    }
+
+    /// The reports and zero-duration records of a run that executes
+    /// nothing — a fully warm session: each whole-program stage's record
+    /// from `stages` (a manifest's [`Pipeline::stage_cells`]), each
+    /// per-procedure pass's merged from every procedure's recorded `cells`
+    /// (one list per procedure, checked whole where its entry was loaded)
+    /// exactly as a run merges them. `None` when either does not fit this
+    /// pipeline.
+    pub(crate) fn replay_records(
+        &self,
+        stages: &[RecordedCell],
+        cells: &[&[RecordedCell]],
+    ) -> Option<(Reports, PassTrace)> {
+        let passes = self.stages.iter().filter_map(Stage::as_proc).count();
+        if cells.iter().any(|c| c.len() != passes) {
+            return None;
+        }
+        let mut stages = stages.iter();
+        let mut next = 0;
+        let mut records = Vec::with_capacity(self.stages.len());
+        for stage in &self.stages {
+            let name = stage.name();
+            records.push(match stage {
+                Stage::Program(_) => {
+                    let cell = stages.next().filter(|c| c.pass == name)?;
+                    merge_column(name, [PassCell::replayed(cell)])
+                }
+                Stage::Proc(_) => {
+                    let k = next;
+                    next += 1;
+                    merge_column(name, cells.iter().map(|c| PassCell::replayed(&c[k])))
+                }
+            });
+        }
+        if stages.next().is_some() {
+            return None;
+        }
+        let mut reports = Reports::default();
+        for r in &records {
+            reports.merge(r.delta.clone());
+        }
+        let trace = PassTrace {
+            records,
+            ..PassTrace::default()
+        };
+        Some((reports, trace))
+    }
+
     /// Builds the pipeline the given options describe.
     ///
     /// * Inlining (§7) always runs first when enabled, so §8's
@@ -1136,16 +1200,19 @@ impl Run<'_> {
                 false
             }
         };
-        self.reports.merge(delta.clone());
-        self.trace.records.push(PassRecord {
-            name: pass.name(),
+        let cell = PassCell {
             duration,
             delta,
             changed,
             cache: CacheStats::default(),
-            skipped_procs: 0,
-            faulted_procs: 0,
-        });
+            status: CellStatus::Ran,
+        };
+        self.record(merge_column(pass.name(), [cell]));
+    }
+
+    fn record(&mut self, record: PassRecord) {
+        self.reports.merge(record.delta.clone());
+        self.trace.records.push(record);
     }
 
     /// Fans the procedures across worker threads, each running the whole
@@ -1209,39 +1276,23 @@ impl Run<'_> {
             });
         }
 
-        let results: Vec<ProcResult> = results
+        let mut results: Vec<ProcResult> = results
             .into_iter()
             .map(|r| r.expect("every procedure ran its pass chain"))
             .collect();
 
         // merge pass-major, procedure order: identical for any worker count
+        let mut cells: Vec<_> = results
+            .iter_mut()
+            .map(|r| std::mem::take(&mut r.cells).into_iter())
+            .collect();
         for (k, pass) in group.iter().enumerate() {
-            let mut record = PassRecord {
-                name: pass.name(),
-                duration: Duration::ZERO,
-                delta: Reports::default(),
-                changed: false,
-                cache: CacheStats::default(),
-                skipped_procs: 0,
-                faulted_procs: 0,
-            };
-            for r in &results {
-                let cell = &r.cells[k];
-                record.delta.merge(cell.delta.clone());
-                record.duration += cell.duration;
-                record.changed |= cell.changed;
-                record.cache.merge(&cell.cache);
-                match cell.status {
-                    CellStatus::Ran => {}
-                    CellStatus::Faulted => record.faulted_procs += 1,
-                    CellStatus::Skipped => record.skipped_procs += 1,
-                }
-            }
+            let column = cells.iter_mut().map(|c| c.next().expect("a cell per pass"));
+            let record = merge_column(pass.name(), column);
             let snaps = results.iter().flat_map(|r| &r.snaps);
             self.snapshots
                 .extend(snaps.filter(|(ki, _)| *ki == k).map(|(_, s)| s.clone()));
-            self.reports.merge(record.delta.clone());
-            self.trace.records.push(record);
+            self.record(record);
             // incidents surface pass-major, procedure order — the same
             // deterministic merge as everything else, so `-j 1` and `-j N`
             // report identical traces
@@ -1258,6 +1309,35 @@ impl Run<'_> {
             self.trace.timeline.extend(r.items);
         }
     }
+}
+
+/// One pass's record from its cells — one per procedure, in procedure
+/// order, or the one cell of a whole-program stage. Every [`PassRecord`]
+/// is made here, from cells a run executed, replayed from hits, or — on a
+/// fully warm session — read from every cache entry
+/// ([`Pipeline::replay_records`]), so the three cannot merge differently.
+fn merge_column(name: &'static str, cells: impl IntoIterator<Item = PassCell>) -> PassRecord {
+    let mut record = PassRecord {
+        name,
+        duration: Duration::ZERO,
+        delta: Reports::default(),
+        changed: false,
+        cache: CacheStats::default(),
+        skipped_procs: 0,
+        faulted_procs: 0,
+    };
+    for cell in cells {
+        record.delta.merge(cell.delta);
+        record.duration += cell.duration;
+        record.changed |= cell.changed;
+        record.cache.merge(&cell.cache);
+        match cell.status {
+            CellStatus::Ran => {}
+            CellStatus::Faulted => record.faulted_procs += 1,
+            CellStatus::Skipped => record.skipped_procs += 1,
+        }
+    }
+    record
 }
 
 impl Default for Pipeline {

@@ -35,9 +35,8 @@
 //! A cache entry stores the post-pipeline IL — as the binary wire bytes
 //! of [`titanc_il::wire`], the same layout the hasher sweeps — *plus* the
 //! per-pass [`RecordedCell`]s — the statistics deltas, changed flags, and
-//! analysis-cache counters of the original execution — as a
-//! length-prefixed section of JSON text (reports stay JSON everywhere)
-//! that is decoded only when the hit is actually replayed. On a warm run the
+//! analysis-cache counters of the original execution — as a second wire
+//! section written through the same walker ([`Wire`]). On a warm run the
 //! pass manager substitutes the cached IL and replays the cells through
 //! its normal pass-major merge ([`Pipeline::run`]), so reports,
 //! counters, and `--opt-report` output are **byte-identical between cold
@@ -45,9 +44,11 @@
 //! (durations, the timeline) and `--snapshots` differ: replayed work is
 //! charged zero time and produces no snapshots.
 //!
-//! When every procedure hits *and* a session manifest matches, the
-//! pipeline is skipped entirely — zero passes execute; the program,
-//! aggregate reports and trace records are reconstructed from the cache.
+//! When every procedure hits *and* a session [`Manifest`] matches, the
+//! pipeline is skipped entirely — zero passes execute. The program comes
+//! from the entries and the manifest's environment; the trace records from
+//! the manifest's whole-program stage records and the entries' cells,
+//! through the same merge a run performs ([`Pipeline::replay_records`]).
 //!
 //! All on-disk interaction goes through the hardened
 //! [`CacheStore`](crate::store): entries are published atomically
@@ -67,24 +68,23 @@
 //! end per file content ([`FrontEnd`]), cache entries as typed
 //! [`CachedEntry`]s, session manifests as decoded [`Manifest`]s. A value
 //! is checked where it enters — exactly the checks a one-shot load runs
-//! on every read ([`check_entry`], [`decode_manifest`]) — and is then an
+//! on every read ([`admit_entry`], [`decode_manifest`]) — and is then an
 //! immutable `Arc` that no request re-decodes or re-verifies. A one-shot
 //! session (no resident layer) takes none of that code.
 
 use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::Arc;
-use std::time::Duration;
 
 use titanc_analysis::CallGraph;
 use titanc_cfront::{Diagnostic, DiagnosticSink, Span};
-use titanc_il::json::{FromJson, Json, ToJson};
-use titanc_il::wire::Reader;
+use titanc_il::json::Json;
+use titanc_il::wire::{self, Reader, Wire};
 use titanc_il::{Procedure, Program, StableHash, StableHasher, StructDef, VarInfo};
 
 use crate::pass::{
-    snapshot_all, verify_proc_check, verify_program_check, CachedEntry, PassRecord, PassTrace,
-    RecordedCell, Replay, SessionReplay,
+    snapshot_all, verify_proc_check, verify_program_check, CachedEntry, PassTrace, RecordedCell,
+    Replay, SessionReplay,
 };
 use crate::server::base_pipeline;
 use crate::store::{self, CacheStore, Memos, ResidentCache, CACHE_FORMAT};
@@ -96,8 +96,9 @@ use crate::{
 /// recorded cell would replay differently from how the chain now runs;
 /// entries written by other versions are treated as misses. (2: `dce`
 /// re-solves liveness over one CFG, so the recorded analysis-cache
-/// counters moved.)
-const ENTRY_VERSION: u32 = 2;
+/// counters moved. 3: cells and manifests are wire bytes, and a manifest
+/// keeps only the whole-program stages' records.)
+const ENTRY_VERSION: u32 = 3;
 
 /// One input translation unit: a display name (normally the path) and
 /// its source text.
@@ -326,12 +327,13 @@ pub(crate) fn compile_session_impl(
         }
     });
 
-    // fully warm? the manifest carries the aggregate records and the
-    // post-pipeline program environment, the entries carry the IL — no
-    // pass executes at all. Every entry is checksummed on read and its
-    // IL re-verified before being trusted; any rejection quarantines the
-    // file and falls through to a real compile — as does a manifest that
-    // decodes but fails verification.
+    // fully warm? the entries carry the IL and every per-procedure cell,
+    // the manifest the whole-program stages' records and the
+    // post-pipeline program environment — no pass executes at all. Every
+    // entry is checksummed on read and its IL re-verified before being
+    // trusted; any rejection quarantines the file and falls through to a
+    // real compile — as does a manifest that decodes but fails
+    // verification.
     let warm = cache.as_mut().and_then(|c| {
         load_full_warm(&mut c.store, &c.session_key, &program, &c.hashes, &pipeline)
             .filter(|(warm, ..)| !verify || verify_program_check(warm).is_ok())
@@ -368,7 +370,7 @@ pub(crate) fn compile_session_impl(
         if let Some(c) = cache.as_mut() {
             let replayed = |r: &&Replay| matches!(r, Replay::Replayed);
             stats.hits = c.replay.iter().filter(replayed).count();
-            persist(c, &program, &trace);
+            persist(c, &pipeline, &program, &trace);
         }
         stats.misses = program.procs.len().saturating_sub(stats.hits);
         let program_stages = pipeline.pass_names().len() - proc_passes.len();
@@ -554,9 +556,9 @@ fn options_fingerprint(options: &Options) -> String {
 /// what the environment is.
 fn environment_hash(program: &Program) -> String {
     let mut h = StableHasher::new();
-    h.write_str(&program.globals.to_json().to_string_compact());
-    h.write_str(&program.structs.to_json().to_string_compact());
-    h.write_str(&program.files.to_json().to_string_compact());
+    program.globals.write_wire(&mut h);
+    program.structs.write_wire(&mut h);
+    program.files.write_wire(&mut h);
     h.finish().hex()
 }
 
@@ -630,12 +632,14 @@ fn session_hash(
 
 /// One per-procedure cache entry's payload: the entry version, then two
 /// `u64`-length-prefixed sections — the IL's wire bytes
-/// ([`titanc_il::encode_proc`]) and the recorded cells as JSON text. The
-/// bytes are a function of the procedure's structure and its cells alone,
-/// so concurrent sessions publishing one key write identical files.
+/// ([`titanc_il::encode_proc`]) and the recorded cells' ([`Wire`] of a
+/// `Vec<RecordedCell>`). The bytes are a function of the procedure's
+/// structure and its cells alone, so concurrent sessions publishing one
+/// key write identical files.
 fn encode_entry(proc: &Procedure, cells: &[RecordedCell]) -> Vec<u8> {
-    let cells = Json::Arr(cells.iter().map(ToJson::to_json).collect()).to_string_compact();
-    frame_entry(&titanc_il::encode_proc(proc), cells.as_bytes())
+    let mut section = Vec::new();
+    wire::write_seq(&mut section, cells);
+    frame_entry(&titanc_il::encode_proc(proc), &section)
 }
 
 /// The entry framing [`split_entry`] undoes.
@@ -661,46 +665,63 @@ fn split_entry(payload: &[u8]) -> Option<(&[u8], &[u8])> {
     Some((il, cells))
 }
 
-/// Decodes an entry's cells section.
-fn decode_cells(section: &[u8]) -> Option<Vec<RecordedCell>> {
-    let doc = titanc_il::json::parse(std::str::from_utf8(section).ok()?).ok()?;
-    Vec::from_json(&doc).ok()
+/// The session manifest: what a fully warm run needs that no entry holds —
+/// the records of the whole-program stages (`inline`), one cell each, and
+/// the post-pipeline program environment. Every per-procedure record is
+/// rebuilt from the entries' cells ([`Pipeline::replay_records`]).
+#[derive(Clone, Debug, PartialEq)]
+pub struct Manifest {
+    /// The whole-program stages' records, in pipeline order.
+    pub stages: Vec<RecordedCell>,
+    /// The post-pipeline globals.
+    pub globals: Vec<VarInfo>,
+    /// The post-pipeline struct table.
+    pub structs: Vec<StructDef>,
+    /// The post-pipeline file table.
+    pub files: Vec<String>,
 }
 
-/// One aggregate pass record in the session manifest (a serializable
-/// [`PassRecord`] minus the wall-clock duration).
-#[derive(Clone)]
-struct ManifestRecord {
-    name: String,
-    delta: Reports,
-    changed: bool,
-    cache: crate::CacheStats,
-    skipped: u64,
-    faulted: u64,
+titanc_il::struct_wire!(Manifest, [stages, globals, structs, files]);
+
+impl Manifest {
+    /// The manifest of `program` as a run of `pipeline` left it, with
+    /// that run's `trace`.
+    pub fn new(pipeline: &Pipeline, program: &Program, trace: &PassTrace) -> Manifest {
+        Manifest {
+            stages: pipeline.stage_cells(trace),
+            globals: program.globals.clone(),
+            structs: program.structs.clone(),
+            files: program.files.clone(),
+        }
+    }
 }
 
-titanc_il::struct_json!(
-    ManifestRecord,
-    [name, delta, changed, cache, skipped, faulted]
-);
-
-/// The session manifest's wire form: everything a fully warm run needs
-/// beyond the per-procedure entries.
-struct ManifestDoc {
-    version: u32,
-    records: Vec<ManifestRecord>,
-    globals: Vec<VarInfo>,
-    structs: Vec<StructDef>,
-    files: Vec<String>,
-}
-
-titanc_il::struct_json!(ManifestDoc, [version, records, globals, structs, files]);
-
-/// A decoded manifest, with the length of the payload it was decoded from
-/// — what the compile server's manifest memo charges for it.
-pub(crate) struct Manifest {
-    doc: ManifestDoc,
+/// A decoded manifest with the length of the payload it was decoded from —
+/// what the compile server's manifest memo charges for it.
+pub(crate) struct DecodedManifest {
+    manifest: Manifest,
     pub(crate) bytes: usize,
+}
+
+/// A manifest payload: the entry version, then the manifest's wire bytes.
+fn encode_manifest(manifest: &Manifest) -> Vec<u8> {
+    let mut out = ENTRY_VERSION.to_le_bytes().to_vec();
+    manifest.write_wire(&mut out);
+    out
+}
+
+/// Decodes a manifest payload; `None` for anything but this version's.
+fn decode_manifest(payload: &[u8]) -> Option<DecodedManifest> {
+    let mut r = Reader::new(payload);
+    if r.u32().ok()? != ENTRY_VERSION {
+        return None;
+    }
+    let manifest = Manifest::read_wire(&mut r).ok()?;
+    r.finish().ok()?;
+    Some(DecodedManifest {
+        manifest,
+        bytes: payload.len(),
+    })
 }
 
 fn entry_name(hash: &StableHash) -> String {
@@ -708,7 +729,7 @@ fn entry_name(hash: &StableHash) -> String {
 }
 
 fn manifest_name(key: &StableHash) -> String {
-    format!("session-{}.json", key.hex())
+    format!("session-{}.bin", key.hex())
 }
 
 /// The name → key index file of one list of input files (invalidation
@@ -752,114 +773,74 @@ fn store_diagnostics(store: &CacheStore, sink: &mut DiagnosticSink) {
     }
 }
 
-/// The checks every entry passes before its IL is trusted — by a one-shot
+/// The checks every entry passes before it is trusted — by a one-shot
 /// load on each read, by the compile server once, at admission: the entry
-/// version and framing, the wire decode, the name, and — crucially — the
-/// IL verifier. Yields the IL and the still-encoded cells section.
-fn check_entry<'p>(payload: &'p [u8], name: &str) -> Option<(Procedure, &'p [u8])> {
+/// version and framing, the wire decode of both sections, the name, and —
+/// crucially — the IL verifier.
+fn admit_entry(payload: &[u8], name: &str) -> Option<CachedEntry> {
     let (il, cells) = split_entry(payload)?;
     let il = titanc_il::decode_proc(il).ok()?;
-    (il.name == name && verify_proc_check(&il).is_ok()).then_some((il, cells))
-}
-
-/// Loads and validates one entry; any failure is a miss. A missing file
-/// is a plain (cold) miss; a file that read but failed its checksum or
-/// [`check_entry`] is quarantined so the bad bytes are never trusted or
-/// re-read. `finish` receives the verified IL and the still-encoded cells
-/// section: a fully warm run drops the section unread, a replay decodes
-/// it (and a `None` from there quarantines the entry like any other
-/// damage).
-fn load_entry<T>(
-    store: &mut CacheStore,
-    hash: &StableHash,
-    name: &str,
-    finish: impl FnOnce(Procedure, &[u8]) -> Option<T>,
-) -> Option<T> {
-    let file = entry_name(hash);
-    let payload = store.read(&file)?;
-    let loaded = check_entry(&payload, name).and_then(|(il, cells)| finish(il, cells));
-    if loaded.is_none() {
-        store.quarantine(&file);
-    }
-    loaded
-}
-
-/// A checked entry's IL with its cells section decoded.
-fn typed_entry(il: Procedure, section: &[u8]) -> Option<CachedEntry> {
-    Some(CachedEntry {
+    let entry = CachedEntry {
+        cells: wire::from_bytes(cells).ok()?,
+        cells_bytes: cells.len(),
         il,
-        cells: decode_cells(section)?,
-        cells_bytes: section.len(),
-    })
+    };
+    (entry.il.name == name && verify_proc_check(&entry.il).is_ok()).then_some(entry)
 }
 
-/// Admission of an entry into the compile server's typed layer:
-/// [`check_entry`] plus the cells decode, once, for every later request.
-fn admit_entry(payload: &[u8], name: &str) -> Option<CachedEntry> {
-    let (il, section) = check_entry(payload, name)?;
-    typed_entry(il, section)
-}
-
-/// [`load_entry`] on a resident store: the shared typed entry, admitted
-/// from the backing directory on first sight. The name is compared on
-/// every hit (it is one string compare); everything else was settled at
-/// admission and the value has been immutable since.
-fn load_entry_shared(
-    store: &mut CacheStore,
-    hash: &StableHash,
-    name: &str,
-) -> Option<Arc<CachedEntry>> {
-    let file = entry_name(hash);
-    let entry = store.read_typed(&file, |m| &m.entries, |payload| admit_entry(payload, name))?;
-    if entry.il.name != name {
-        store.quarantine(&file);
-        return None;
-    }
-    Some(entry)
-}
-
-/// One procedure's hit, validated *whole* where it is seeded: beyond every
-/// check a load runs, its cells must name exactly the pipeline's
-/// per-procedure passes, in order. The key covers the pipeline
-/// fingerprint, so an entry that does not is damaged — quarantined and
-/// counted like any other damage, and the procedure compiles cold.
+/// Loads one procedure's hit, validated *whole*: beyond [`admit_entry`]'s
+/// checks — run on every read by a one-shot store, once at admission by a
+/// resident one, whose hits compare the name again — its cells must name
+/// exactly the pipeline's per-procedure passes, in order. The key covers
+/// the pipeline fingerprint, so an entry that does not is damaged. A
+/// missing file is a plain (cold) miss; a file that read but failed any
+/// check is quarantined — the bad bytes are never trusted or re-read —
+/// and counted like any other damage, and the procedure compiles cold.
 fn load_hit(
     store: &mut CacheStore,
     hash: &StableHash,
     name: &str,
     passes: &[&str],
 ) -> Option<Arc<CachedEntry>> {
-    let whole = |e: &CachedEntry| e.cells.iter().map(|c| &*c.pass).eq(passes.iter().copied());
-    if store.memos().is_none() {
-        return load_entry(store, hash, name, |il, section| {
-            typed_entry(il, section).filter(whole).map(Arc::new)
-        });
+    let file = entry_name(hash);
+    let entry = if store.memos().is_none() {
+        let payload = store.read(&file)?;
+        admit_entry(&payload, name).map(Arc::new)
+    } else {
+        let admit = |payload: &[u8]| admit_entry(payload, name);
+        Some(store.read_typed(&file, |m| &m.entries, admit)?)
+    };
+    let whole = |e: &Arc<CachedEntry>| {
+        e.il.name == name && e.cells.iter().map(|c| &*c.pass).eq(passes.iter().copied())
+    };
+    if let Some(entry) = entry.filter(whole) {
+        return Some(entry);
     }
-    let entry = load_entry_shared(store, hash, name)?;
-    if !whole(&entry) {
-        store.quarantine(&entry_name(hash));
-        return None;
-    }
-    Some(entry)
+    store.quarantine(&file);
+    None
 }
 
-/// Decodes a manifest payload; `None` for anything but this version's.
-fn decode_manifest(payload: &[u8]) -> Option<Manifest> {
-    std::str::from_utf8(payload)
-        .ok()
-        .and_then(|text| titanc_il::json::parse(text).ok())
-        .and_then(|doc| ManifestDoc::from_json(&doc).ok())
-        .filter(|doc| doc.version == ENTRY_VERSION)
-        .map(|doc| Manifest {
-            doc,
-            bytes: payload.len(),
-        })
+/// Loads and decodes the manifest `file`: typed once and shared on a
+/// resident store; on a one-shot one, a payload that passed its checksum
+/// but does not decode is quarantined.
+fn load_manifest(store: &mut CacheStore, file: &str) -> Option<Arc<DecodedManifest>> {
+    if store.memos().is_some() {
+        return store.read_typed(file, |m| &m.manifests, decode_manifest);
+    }
+    let payload = store.read(file)?;
+    let decoded = decode_manifest(&payload);
+    if decoded.is_none() {
+        store.quarantine(file);
+    }
+    decoded.map(Arc::new)
 }
 
-/// Reconstructs a fully warm compilation: the program from the manifest
-/// environment plus per-procedure entries, the trace records with zero
-/// durations, and the aggregate reports re-merged from the per-pass
-/// deltas. `None` on any mismatch — the caller compiles for real.
+/// Reconstructs a fully warm compilation: the program from every
+/// procedure's entry plus the manifest's environment, and the trace
+/// records — zero durations — from the manifest's whole-program stage
+/// records and every entry's cells, merged as a run merges them
+/// ([`Pipeline::replay_records`]); the aggregate reports follow. `None` on
+/// any mismatch — the caller compiles for real.
 fn load_full_warm(
     store: &mut CacheStore,
     key: &StableHash,
@@ -867,40 +848,25 @@ fn load_full_warm(
     hashes: &[StableHash],
     pipeline: &Pipeline,
 ) -> Option<(Program, Reports, PassTrace)> {
-    let file = manifest_name(key);
-    let resident = store.memos().is_some();
-    let names = pipeline.pass_names();
-    // the replayed records, and the warm program's environment around
-    // procedures still to be loaded
-    let ((reports, trace), (globals, structs, files)) = if resident {
-        // decoded once, at admission; this request owns copies, made one
-        // record at a time
-        let shared = store.read_typed(&file, |m| &m.manifests, decode_manifest)?;
-        let m = &shared.doc;
-        let replayed = replay_records(m.records.iter().cloned(), &names)?;
-        (
-            replayed,
-            (m.globals.clone(), m.structs.clone(), m.files.clone()),
-        )
-    } else {
-        let payload = store.read(&file)?;
-        let Some(m) = decode_manifest(&payload) else {
-            // checksum passed but the payload does not decode: quarantine
-            store.quarantine(&file);
-            return None;
-        };
-        let m = m.doc;
-        let replayed = replay_records(m.records.into_iter(), &names)?;
-        (replayed, (m.globals, m.structs, m.files))
-    };
-    let mut procs = Vec::with_capacity(program.procs.len());
+    let manifest = load_manifest(store, &manifest_name(key))?;
+    let passes = pipeline.proc_pass_names();
+    let mut entries = Vec::with_capacity(program.procs.len());
     for (p, h) in program.procs.iter().zip(hashes) {
-        procs.push(if resident {
-            load_entry_shared(store, h, &p.name)?.il.clone()
-        } else {
-            load_entry(store, h, &p.name, |il, _| Some(il))?
-        });
+        entries.push(load_hit(store, h, &p.name, &passes)?);
     }
+    let cells: Vec<&[RecordedCell]> = entries.iter().map(|e| &e.cells[..]).collect();
+    let (reports, trace) = pipeline.replay_records(&manifest.manifest.stages, &cells)?;
+    // a one-shot load owns its values outright; shared ones are copied
+    let procs = entries
+        .into_iter()
+        .map(|e| Arc::try_unwrap(e).map_or_else(|e| e.il.clone(), |e| e.il))
+        .collect();
+    let Manifest {
+        globals,
+        structs,
+        files,
+        ..
+    } = Arc::try_unwrap(manifest).map_or_else(|m| m.manifest.clone(), |m| m.manifest);
     let program = Program {
         procs,
         globals,
@@ -908,39 +874,6 @@ fn load_full_warm(
         files,
     };
     Some((program, reports, trace))
-}
-
-/// The aggregate reports and zero-duration trace records a manifest's
-/// `records` replay to; `None` when they are not this pipeline's passes
-/// in this pipeline's order (checked per request: the pipeline is the
-/// request's, whoever decoded the manifest).
-fn replay_records(
-    records: impl ExactSizeIterator<Item = ManifestRecord>,
-    names: &[&'static str],
-) -> Option<(Reports, PassTrace)> {
-    if records.len() != names.len() {
-        return None;
-    }
-    let mut reports = Reports::default();
-    let mut trace = PassTrace::default();
-    for (rec, &name) in records.zip(names) {
-        // the replayed record borrows the pipeline's static pass name;
-        // the fingerprint in the key guarantees the sequences agree
-        if rec.name != name {
-            return None;
-        }
-        reports.merge(rec.delta.clone());
-        trace.records.push(PassRecord {
-            name,
-            duration: Duration::ZERO,
-            delta: rec.delta,
-            changed: rec.changed,
-            cache: rec.cache,
-            skipped_procs: rec.skipped as usize,
-            faulted_procs: rec.faulted as usize,
-        });
-    }
-    Some((reports, trace))
 }
 
 /// Persists the run through the hardened store: per-procedure entries
@@ -954,7 +887,7 @@ fn replay_records(
 /// file is published blind and the last rename wins harmlessly. The
 /// session key was computed on the parsed program, which is exactly what
 /// the next invocation hashes before running any pass.
-fn persist(cache: &mut OpenCache, program: &Program, trace: &PassTrace) {
+fn persist(cache: &mut OpenCache, pipeline: &Pipeline, program: &Program, trace: &PassTrace) {
     let OpenCache {
         store,
         index,
@@ -989,29 +922,8 @@ fn persist(cache: &mut OpenCache, program: &Program, trace: &PassTrace) {
         .iter()
         .all(|r| r.skipped_procs == 0 && r.faulted_procs == 0);
     if all_cached && healthy {
-        let records = trace
-            .records
-            .iter()
-            .map(|r| ManifestRecord {
-                name: r.name.to_string(),
-                delta: r.delta.clone(),
-                changed: r.changed,
-                cache: r.cache,
-                skipped: r.skipped_procs as u64,
-                faulted: r.faulted_procs as u64,
-            })
-            .collect();
-        let manifest = ManifestDoc {
-            version: ENTRY_VERSION,
-            records,
-            globals: program.globals.clone(),
-            structs: program.structs.clone(),
-            files: program.files.clone(),
-        };
-        store.publish(
-            &manifest_name(session_key),
-            manifest.to_json().to_string_compact().as_bytes(),
-        );
+        let manifest = Manifest::new(pipeline, program, trace);
+        store.publish(&manifest_name(session_key), &encode_manifest(&manifest));
     }
     save_index(store, index, &updates);
     store.sync_dir();
@@ -1057,7 +969,7 @@ fn save_index(store: &mut CacheStore, name: &str, map: &BTreeMap<String, String>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{PassContext, PassOutcome};
+    use crate::{PassContext, PassOutcome, PassRecord};
     use std::path::PathBuf;
 
     const SRC: &str = "float a[64], b[64];\n\
@@ -1148,31 +1060,34 @@ mod tests {
         }
     }
 
+    /// A cells section that frames and checksums but does not decode is
+    /// refused on both warm paths — a fully warm run reads every entry's
+    /// cells as well — quarantined, counted, and its procedure compiled
+    /// cold; the re-published entry makes the next run fully warm again.
     #[test]
-    fn cells_are_decoded_only_when_a_hit_is_replayed() {
+    fn undecodable_cells_are_refused_on_every_warm_path() {
         let reference = compile(None);
-        let dir = scratch("bad-cells");
-        compile(Some(&dir));
-        let victim = entries(&dir).remove(0);
-        reseal(&dir, &victim, |il, _| {
-            (il.to_vec(), b"[{\"pass\":".to_vec())
-        });
+        for keep_manifest in [true, false] {
+            let dir = scratch("bad-cells");
+            compile(Some(&dir));
+            if !keep_manifest {
+                drop_manifests(&dir);
+            }
+            let victim = entries(&dir).remove(0);
+            reseal(&dir, &victim, |il, cells| {
+                (il.to_vec(), cells[..cells.len() - 1].to_vec())
+            });
 
-        // fully warm: the manifest carries the aggregate records, so the
-        // cells section is never opened — and never missed
-        let warm = compile(Some(&dir));
-        assert!(warm.stats.full_warm);
-        assert_eq!(warm.stats.corrupt, 0);
-        assert_eq!(il_text(&reference), il_text(&warm));
-
-        // without the manifest every hit is replayed cell by cell: now
-        // the damage matters, and is handled like any other
-        drop_manifests(&dir);
-        let replayed = compile(Some(&dir));
-        assert_eq!((replayed.stats.corrupt, replayed.stats.quarantined), (1, 1));
-        assert_eq!((replayed.stats.hits, replayed.stats.misses), (1, 1));
-        assert_eq!(il_text(&reference), il_text(&replayed));
-        let _ = std::fs::remove_dir_all(&dir);
+            let warm = compile(Some(&dir));
+            assert!(!warm.stats.full_warm);
+            assert_eq!((warm.stats.corrupt, warm.stats.quarantined), (1, 1));
+            assert_eq!((warm.stats.hits, warm.stats.misses), (1, 1));
+            assert_eq!(il_text(&reference), il_text(&warm));
+            let healed = compile(Some(&dir));
+            assert!(healed.stats.full_warm);
+            assert_eq!(healed.stats.corrupt, 0);
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     // -----------------------------------------------------------------
@@ -1248,11 +1163,24 @@ mod tests {
             .expect("compiles")
     }
 
-    /// IL and opt report: everything a warm run must reproduce.
-    fn output(sc: &SessionCompilation) -> (String, String) {
+    /// IL, opt report and every pass record but its duration: everything
+    /// a warm run must reproduce.
+    fn output(sc: &SessionCompilation) -> (String, String, String) {
         let c = &sc.compilation;
-        let report = crate::OptReport::build_for(&c.reports, &c.trace, &c.program.files);
-        (il_text(sc), report.to_json().to_string_compact())
+        let report = crate::server::opt_report_block(c, true);
+        let records = c.trace.records.iter().map(|r| {
+            let PassRecord {
+                name,
+                delta,
+                changed,
+                cache,
+                skipped_procs,
+                faulted_procs,
+                duration: _,
+            } = r;
+            format!("{name} {delta:?} {changed} {cache:?} {skipped_procs} {faulted_procs}\n")
+        });
+        (il_text(sc), report, records.collect())
     }
 
     /// Every file of `dir` with its bytes.
@@ -1290,12 +1218,12 @@ mod tests {
         assert_eq!(trace.records.len(), 7);
         assert_eq!(trace.timeline.len(), 1, "no chain ran");
         assert_eq!(trace.timeline[0].pass, "between");
-        // both hits were consumed to the end, so the manifest is back
-        assert!(
-            compile_with(split_pipeline(false), Some(&dir))
-                .stats
-                .full_warm
-        );
+        // both hits were consumed to the end, so the manifest is back, and
+        // the records rebuilt from the entries' cells are the cold run's
+        let full = compile_with(split_pipeline(false), Some(&dir));
+        assert!(full.stats.full_warm);
+        assert_eq!(full.stats.passes_executed, 0);
+        assert_eq!(output(&reference), output(&full));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1311,12 +1239,9 @@ mod tests {
             drop_manifests(&dir);
             let victim = entries(&dir).remove(0);
             reseal(&dir, &victim, |il, section| {
-                let mut cells = decode_cells(section).expect("cells decode");
+                let mut cells: Vec<RecordedCell> = wire::from_bytes(section).expect("cells decode");
                 damage(&mut cells);
-                (
-                    il.to_vec(),
-                    cells.to_json().to_string_compact().into_bytes(),
-                )
+                (il.to_vec(), wire::to_bytes(&cells))
             });
 
             // refused where it is seeded — before group one could substitute
@@ -1362,19 +1287,15 @@ mod tests {
         assert_eq!((grown.stats.write_failed, grown.stats.corrupt), (0, 0));
         assert_eq!(output(&reference), output(&grown));
         let left: Vec<String> = dir_image(&dir).into_keys().collect();
-        assert!(
-            left.iter()
-                .all(|n| !n.ends_with(".il") && !n.ends_with(".json")),
-            "{left:?}"
-        );
+        assert_eq!(left, ["FORMAT"], "no entry, manifest or index");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// The memos weigh a decoded entry and manifest by the length of the
-    /// JSON they were decoded from, carried since admission — the number
-    /// re-serialising the value would give.
+    /// wire bytes they were decoded from, carried since admission — the
+    /// number re-encoding the value would give.
     #[test]
-    fn the_carried_lengths_are_the_json_lengths() {
+    fn the_carried_lengths_are_the_wire_lengths() {
         let dir = scratch("carried-lengths");
         compile(Some(&dir));
         let mut store = CacheStore::open(&dir);
@@ -1384,10 +1305,7 @@ mod tests {
             let name = titanc_il::decode_proc(il).expect("entry decodes").name;
             let entry = admit_entry(&payload, &name).expect("admitted");
             assert!(entry.cells_bytes > 0);
-            assert_eq!(
-                entry.cells_bytes,
-                entry.cells.to_json().to_string_compact().len()
-            );
+            assert_eq!(entry.cells_bytes, wire::to_bytes(&entry.cells).len());
         }
         let manifest = dir_image(&dir)
             .into_keys()
@@ -1395,7 +1313,7 @@ mod tests {
             .expect("a manifest was published");
         let m = decode_manifest(&store.read(&manifest).expect("reads")).expect("decodes");
         assert!(m.bytes > 0);
-        assert_eq!(m.bytes, m.doc.to_json().to_string_compact().len());
+        assert_eq!(m.bytes, encode_manifest(&m.manifest).len());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1590,14 +1508,9 @@ mod tests {
             .find(|n| n.starts_with("session-"))
             .expect("a manifest was published");
         let mut store = CacheStore::open(&dir);
-        let text = String::from_utf8(store.read(&manifest).expect("reads").to_vec()).expect("json");
-        let skewed = text.replacen(
-            &format!("\"version\":{ENTRY_VERSION}"),
-            &format!("\"version\":{}", ENTRY_VERSION + 1),
-            1,
-        );
-        assert_ne!(text, skewed);
-        assert!(store.publish(&manifest, skewed.as_bytes()));
+        let mut payload = store.read(&manifest).expect("reads").to_vec();
+        payload[..4].copy_from_slice(&(ENTRY_VERSION + 1).to_le_bytes());
+        assert!(store.publish(&manifest, &payload));
 
         let resident = ResidentCache::new(Some(&dir));
         let served = compile_resident(&resident);

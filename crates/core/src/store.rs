@@ -13,8 +13,8 @@
 //!   worst an orphaned `.tmp-*` file.
 //! * **Checksummed envelopes.** Every file starts with a one-line
 //!   text header — the format name and a 128-bit FNV-1a digest of the
-//!   payload — followed by the payload bytes (binary for entries, JSON
-//!   text for the manifest and index), so a bit flip, truncation, or
+//!   payload — followed by the payload bytes (binary for entries and
+//!   manifests, JSON text for the index), so a bit flip, truncation, or
 //!   encoding skew is detected before the payload is decoded, not after
 //!   it has been trusted.
 //! * **Quarantine-and-miss.** A file that fails the checksum (or
@@ -63,16 +63,17 @@ use titanc_il::{StableHash, StableHasher};
 use crate::memo::Memo;
 use crate::pass::CachedEntry;
 use crate::server::{MemoReply, ReplyKey};
-use crate::session::{FrontEnd, Manifest, SessionStats};
+use crate::session::{DecodedManifest, FrontEnd, SessionStats};
 
 /// On-disk cache format name. Written to the directory's `FORMAT`
 /// marker and prefixed to every envelope header; folded into every
-/// content hash so a format change invalidates wholesale. v5 is the
-/// format whose entries are the IL's binary wire bytes
-/// ([`titanc_il::wire`]) instead of JSON text. A directory whose marker
-/// says anything else — or that holds files but no marker at all — is
-/// refused cleanly: one remark, cold compile, nothing touched.
-pub(crate) const CACHE_FORMAT: &str = "titanc-cache-v5";
+/// content hash so a format change invalidates wholesale. v5 made the
+/// entries' IL binary wire bytes ([`titanc_il::wire`]) instead of JSON
+/// text; v6 does the same for their recorded cells and for the session
+/// manifest, which keeps only what no entry holds. A directory whose
+/// marker says anything else — or that holds files but no marker at all —
+/// is refused cleanly: one remark, cold compile, nothing touched.
+pub(crate) const CACHE_FORMAT: &str = "titanc-cache-v6";
 
 /// The directory-level format marker file.
 const MARKER_FILE: &str = "FORMAT";
@@ -387,7 +388,7 @@ pub(crate) struct Memos {
     /// Entry file name → the decoded, verified entry.
     pub(crate) entries: Memo<String, CachedEntry>,
     /// Manifest file name → the decoded manifest.
-    pub(crate) manifests: Memo<String, Manifest>,
+    pub(crate) manifests: Memo<String, DecodedManifest>,
     /// Request minus `id` and `jobs` → the finished fully warm reply.
     pub(crate) replies: Memo<ReplyKey, MemoReply>,
 }
@@ -455,8 +456,8 @@ impl ResidentCache {
                     raw: Memo::new(raw, Vec::len),
                     front: Memo::new(front, FrontEnd::weight),
                     // a report-carrying value is charged the length of the
-                    // JSON it was decoded from, standing in for the strings
-                    // and event lists that dominate both forms
+                    // wire bytes it was decoded from, standing in for the
+                    // strings and event lists that dominate both forms
                     entries: Memo::new(entries, |e| e.il.resident_bytes() + e.cells_bytes),
                     manifests: Memo::new(manifests, |m| m.bytes),
                     replies: Memo::new(replies, MemoReply::weight),
@@ -827,7 +828,7 @@ mod tests {
         assert_eq!(unseal(&sealed[..sealed.len() - 3]), None);
 
         // wrong format name
-        let mut skewed = b"titanc-cache-v4".to_vec();
+        let mut skewed = b"titanc-cache-v5".to_vec();
         skewed.extend_from_slice(&sealed[CACHE_FORMAT.len()..]);
         assert_eq!(unseal(&skewed), None);
 
@@ -921,10 +922,10 @@ mod tests {
         // any other marker — older or newer — is refused the same way
         let dir2 = scratch("skew2");
         fs::create_dir_all(&dir2).unwrap();
-        fs::write(dir2.join(MARKER_FILE), "titanc-cache-v9\n").unwrap();
+        fs::write(dir2.join(MARKER_FILE), "titanc-cache-v7\n").unwrap();
         let store2 = CacheStore::open(&dir2);
         assert!(!store2.enabled());
-        assert!(store2.format_warning().unwrap().contains("titanc-cache-v9"));
+        assert!(store2.format_warning().unwrap().contains("titanc-cache-v7"));
 
         // transient dotfiles do not make a directory "populated": a racing
         // first opener may be mid-publish, and an older build left `.lock`

@@ -287,29 +287,26 @@ pub fn lvalue_from_json(pool: &mut ExprPool, v: &Json) -> Result<LValue, JsonErr
     }
 }
 
-impl ToJson for SrcSpan {
-    fn to_json(&self) -> Json {
-        // `[line, col]` for current-TU spans, `[line, col, file]` once an
-        // origin tag is attached — legacy two-element spans stay valid
-        let mut arr = vec![
-            Json::Int(i64::from(self.line)),
-            Json::Int(i64::from(self.col)),
-        ];
-        if self.file != 0 {
-            arr.push(Json::Int(i64::from(self.file)));
-        }
-        Json::Arr(arr)
+/// A statement span: `[line, col]` for current-TU spans, `[line, col,
+/// file]` once an origin tag is attached — legacy two-element spans stay
+/// valid.
+fn span_to_json(span: SrcSpan) -> Json {
+    let mut arr = vec![
+        Json::Int(i64::from(span.line)),
+        Json::Int(i64::from(span.col)),
+    ];
+    if span.file != 0 {
+        arr.push(Json::Int(i64::from(span.file)));
     }
+    Json::Arr(arr)
 }
 
-impl FromJson for SrcSpan {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        match v.as_arr()? {
-            [line, col] => Ok(SrcSpan::new(u32::from_json(line)?, u32::from_json(col)?)),
-            [line, col, file] => Ok(SrcSpan::new(u32::from_json(line)?, u32::from_json(col)?)
-                .in_file(u32::from_json(file)?)),
-            _ => Err(bad("span", "expected [line, col] or [line, col, file]")),
-        }
+fn span_from_json(v: &Json) -> Result<SrcSpan, JsonError> {
+    match v.as_arr()? {
+        [line, col] => Ok(SrcSpan::new(u32::from_json(line)?, u32::from_json(col)?)),
+        [line, col, file] => Ok(SrcSpan::new(u32::from_json(line)?, u32::from_json(col)?)
+            .in_file(u32::from_json(file)?)),
+        _ => Err(bad("span", "expected [line, col] or [line, col, file]")),
     }
 }
 
@@ -325,7 +322,7 @@ pub fn stmt_to_json(proc: &Procedure, s: StmtId) -> Json {
         // spans are emitted only when present so catalogs of
         // synthesized procedures stay compact (and older catalogs,
         // which predate spans, decode unchanged)
-        pairs.push(("span", span.to_json()));
+        pairs.push(("span", span_to_json(span)));
     }
     Json::obj(pairs)
 }
@@ -455,7 +452,7 @@ pub fn stmt_from_json(proc: &mut Procedure, v: &Json) -> Result<StmtId, JsonErro
     let id = StmtId::from_json(v.field("id")?)?;
     check_stmt_gap(&proc.stmts, id.index() + 1)?;
     let span = match v.get("span") {
-        Some(s) => SrcSpan::from_json(s)?,
+        Some(s) => span_from_json(s)?,
         None => SrcSpan::NONE,
     };
     let kind = stmt_kind_from_json(proc, v.field("kind")?)?;

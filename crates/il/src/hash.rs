@@ -35,6 +35,7 @@ use crate::expr::{Expr, LValue};
 use crate::program::{ConstInit, Procedure, Storage, VarInfo};
 use crate::stmt::StmtKind;
 use crate::types::Type;
+use crate::wire::Wire;
 use std::fmt;
 
 /// Version seed folded into every [`hash_proc`] digest; bump when the
@@ -189,9 +190,7 @@ pub fn write_proc<S: ByteSink>(h: &mut S, proc: &Procedure) {
         write_stmt_kind(h, kind);
     }
     for span in proc.stmts.spans() {
-        h.write(&span.line.to_le_bytes());
-        h.write(&span.col.to_le_bytes());
-        h.write(&span.file.to_le_bytes());
+        span.write_wire(h);
     }
     // expression column: one linear sweep, no recursion
     h.write(&(proc.exprs.len() as u32).to_le_bytes());
@@ -200,7 +199,7 @@ pub fn write_proc<S: ByteSink>(h: &mut S, proc: &Procedure) {
     }
 }
 
-fn write_type<S: ByteSink>(h: &mut S, ty: &Type) {
+pub(crate) fn write_type<S: ByteSink>(h: &mut S, ty: &Type) {
     match ty {
         Type::Void => h.write(&[0]),
         Type::Char => h.write(&[1]),
@@ -223,7 +222,7 @@ fn write_type<S: ByteSink>(h: &mut S, ty: &Type) {
     }
 }
 
-fn write_var_info<S: ByteSink>(h: &mut S, v: &VarInfo) {
+pub(crate) fn write_var_info<S: ByteSink>(h: &mut S, v: &VarInfo) {
     h.write_str(&v.name);
     write_type(h, &v.ty);
     h.write(&[

@@ -581,9 +581,8 @@ impl FromJson for u64 {
 /// Implements [`ToJson`]/[`FromJson`] for a plain struct as an object
 /// with one key per listed field, in order. Every field type must itself
 /// implement both traits; the field list must be exhaustive (decode
-/// constructs the struct literally). Downstream crates use this for
-/// their per-pass report types so optimization results can persist in
-/// the session cache.
+/// constructs the struct literally). The compile server's protocol types
+/// use this; what the session cache stores is [`crate::wire::Wire`].
 #[macro_export]
 macro_rules! struct_json {
     ($ty:ty, [$($field:ident),+ $(,)?]) => {

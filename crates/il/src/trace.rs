@@ -13,16 +13,10 @@
 //! `titanc-opt`, `titanc-vector` and `titanc-inline` can all produce
 //! them without depending on each other.
 
-use crate::json::{FromJson, Json, JsonError, ToJson};
+use crate::hash::ByteSink;
 use crate::span::SrcSpan;
+use crate::wire::{Reader, Wire, WireError};
 use std::fmt;
-
-fn bad(what: &str, got: &str) -> JsonError {
-    JsonError {
-        message: format!("unknown {what} `{got}`"),
-        offset: 0,
-    }
-}
 
 /// What one pass decided about one loop.
 #[derive(Clone, PartialEq, Debug)]
@@ -72,7 +66,7 @@ impl LoopDecision {
         "scalar",
     ];
 
-    /// Short machine-readable tag (used as the JSON discriminant).
+    /// Short machine-readable tag (the opt report's discriminant).
     pub fn tag(&self) -> &'static str {
         match self {
             LoopDecision::DoConverted => "do_converted",
@@ -121,52 +115,58 @@ impl fmt::Display for LoopDecision {
     }
 }
 
-impl ToJson for LoopDecision {
-    fn to_json(&self) -> Json {
+/// The tag byte is the variant's position in [`LoopDecision::TAGS`].
+impl Wire for LoopDecision {
+    const MIN_BYTES: usize = 1;
+
+    fn write_wire<S: ByteSink>(&self, out: &mut S) {
         match self {
-            LoopDecision::DoConverted => Json::Str("DoConverted".into()),
-            LoopDecision::DoRejected(why) => Json::tagged("DoRejected", why.to_json()),
+            LoopDecision::DoConverted => out.write(&[0]),
+            LoopDecision::DoRejected(why) => {
+                out.write(&[1]);
+                why.write_wire(out);
+            }
             LoopDecision::IvSubstituted { substituted } => {
-                Json::tagged("IvSubstituted", substituted.to_json())
+                out.write(&[2]);
+                substituted.write_wire(out);
             }
             LoopDecision::Vectorized {
                 stripped,
                 parallel,
                 residual,
-            } => Json::tagged(
-                "Vectorized",
-                Json::obj(vec![
-                    ("stripped", stripped.to_json()),
-                    ("parallel", parallel.to_json()),
-                    ("residual", residual.to_json()),
-                ]),
-            ),
-            LoopDecision::Parallelized => Json::Str("Parallelized".into()),
-            LoopDecision::ListSpread => Json::Str("ListSpread".into()),
-            LoopDecision::Scalar(why) => Json::tagged("Scalar", why.to_json()),
+            } => out.write(&[
+                3,
+                u8::from(*stripped),
+                u8::from(*parallel),
+                u8::from(*residual),
+            ]),
+            LoopDecision::Parallelized => out.write(&[4]),
+            LoopDecision::ListSpread => out.write(&[5]),
+            LoopDecision::Scalar(why) => {
+                out.write(&[6]);
+                why.write_wire(out);
+            }
         }
     }
-}
 
-impl FromJson for LoopDecision {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let (tag, payload) = v.variant()?;
-        match (tag, payload) {
-            ("DoConverted", None) => Ok(LoopDecision::DoConverted),
-            ("DoRejected", Some(p)) => Ok(LoopDecision::DoRejected(String::from_json(p)?)),
-            ("IvSubstituted", Some(p)) => Ok(LoopDecision::IvSubstituted {
-                substituted: usize::from_json(p)?,
-            }),
-            ("Vectorized", Some(p)) => Ok(LoopDecision::Vectorized {
-                stripped: bool::from_json(p.field("stripped")?)?,
-                parallel: bool::from_json(p.field("parallel")?)?,
-                residual: bool::from_json(p.field("residual")?)?,
-            }),
-            ("Parallelized", None) => Ok(LoopDecision::Parallelized),
-            ("ListSpread", None) => Ok(LoopDecision::ListSpread),
-            ("Scalar", Some(p)) => Ok(LoopDecision::Scalar(String::from_json(p)?)),
-            _ => Err(bad("loop decision", tag)),
-        }
+    fn read_wire(r: &mut Reader<'_>) -> Result<LoopDecision, WireError> {
+        Ok(
+            match r.tag(LoopDecision::TAGS.len(), "unknown loop decision")? {
+                0 => LoopDecision::DoConverted,
+                1 => LoopDecision::DoRejected(String::read_wire(r)?),
+                2 => LoopDecision::IvSubstituted {
+                    substituted: usize::read_wire(r)?,
+                },
+                3 => LoopDecision::Vectorized {
+                    stripped: bool::read_wire(r)?,
+                    parallel: bool::read_wire(r)?,
+                    residual: bool::read_wire(r)?,
+                },
+                4 => LoopDecision::Parallelized,
+                5 => LoopDecision::ListSpread,
+                _ => LoopDecision::Scalar(String::read_wire(r)?),
+            },
+        )
     }
 }
 
@@ -186,27 +186,7 @@ pub struct LoopEvent {
     pub decision: LoopDecision,
 }
 
-impl ToJson for LoopEvent {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("proc", self.proc.to_json()),
-            ("var", self.var.to_json()),
-            ("span", self.span.to_json()),
-            ("decision", self.decision.to_json()),
-        ])
-    }
-}
-
-impl FromJson for LoopEvent {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(LoopEvent {
-            proc: String::from_json(v.field("proc")?)?,
-            var: String::from_json(v.field("var")?)?,
-            span: SrcSpan::from_json(v.field("span")?)?,
-            decision: LoopDecision::from_json(v.field("decision")?)?,
-        })
-    }
-}
+crate::struct_wire!(LoopEvent, [proc, var, span, decision]);
 
 /// What the inliner decided about one call site.
 #[derive(Clone, PartialEq, Debug)]
@@ -240,7 +220,7 @@ impl InlineOutcome {
         "skipped_growth",
     ];
 
-    /// Short machine-readable tag (used as the JSON discriminant).
+    /// Short machine-readable tag (the opt report's discriminant).
     pub fn tag(&self) -> &'static str {
         match self {
             InlineOutcome::Expanded => "expanded",
@@ -267,45 +247,42 @@ impl fmt::Display for InlineOutcome {
     }
 }
 
-impl ToJson for InlineOutcome {
-    fn to_json(&self) -> Json {
+/// The tag byte is the variant's position in [`InlineOutcome::TAGS`].
+impl Wire for InlineOutcome {
+    const MIN_BYTES: usize = 1;
+
+    fn write_wire<S: ByteSink>(&self, out: &mut S) {
         match self {
-            InlineOutcome::Expanded => Json::Str("Expanded".into()),
-            InlineOutcome::SkippedRecursive => Json::Str("SkippedRecursive".into()),
-            InlineOutcome::SkippedSize { callee_len, cap } => Json::tagged(
-                "SkippedSize",
-                Json::obj(vec![
-                    ("callee_len", callee_len.to_json()),
-                    ("cap", cap.to_json()),
-                ]),
-            ),
-            InlineOutcome::SkippedGrowth { caller_len, budget } => Json::tagged(
-                "SkippedGrowth",
-                Json::obj(vec![
-                    ("caller_len", caller_len.to_json()),
-                    ("budget", budget.to_json()),
-                ]),
-            ),
+            InlineOutcome::Expanded => out.write(&[0]),
+            InlineOutcome::SkippedRecursive => out.write(&[1]),
+            InlineOutcome::SkippedSize { callee_len, cap } => {
+                out.write(&[2]);
+                callee_len.write_wire(out);
+                cap.write_wire(out);
+            }
+            InlineOutcome::SkippedGrowth { caller_len, budget } => {
+                out.write(&[3]);
+                caller_len.write_wire(out);
+                budget.write_wire(out);
+            }
         }
     }
-}
 
-impl FromJson for InlineOutcome {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let (tag, payload) = v.variant()?;
-        match (tag, payload) {
-            ("Expanded", None) => Ok(InlineOutcome::Expanded),
-            ("SkippedRecursive", None) => Ok(InlineOutcome::SkippedRecursive),
-            ("SkippedSize", Some(p)) => Ok(InlineOutcome::SkippedSize {
-                callee_len: usize::from_json(p.field("callee_len")?)?,
-                cap: usize::from_json(p.field("cap")?)?,
-            }),
-            ("SkippedGrowth", Some(p)) => Ok(InlineOutcome::SkippedGrowth {
-                caller_len: usize::from_json(p.field("caller_len")?)?,
-                budget: usize::from_json(p.field("budget")?)?,
-            }),
-            _ => Err(bad("inline outcome", tag)),
-        }
+    fn read_wire(r: &mut Reader<'_>) -> Result<InlineOutcome, WireError> {
+        Ok(
+            match r.tag(InlineOutcome::TAGS.len(), "unknown inline outcome")? {
+                0 => InlineOutcome::Expanded,
+                1 => InlineOutcome::SkippedRecursive,
+                2 => InlineOutcome::SkippedSize {
+                    callee_len: usize::read_wire(r)?,
+                    cap: usize::read_wire(r)?,
+                },
+                _ => InlineOutcome::SkippedGrowth {
+                    caller_len: usize::read_wire(r)?,
+                    budget: usize::read_wire(r)?,
+                },
+            },
+        )
     }
 }
 
@@ -327,29 +304,7 @@ pub struct InlineEvent {
     pub outcome: InlineOutcome,
 }
 
-impl ToJson for InlineEvent {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("caller", self.caller.to_json()),
-            ("callee", self.callee.to_json()),
-            ("span", self.span.to_json()),
-            ("site", self.site.to_json()),
-            ("outcome", self.outcome.to_json()),
-        ])
-    }
-}
-
-impl FromJson for InlineEvent {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(InlineEvent {
-            caller: String::from_json(v.field("caller")?)?,
-            callee: String::from_json(v.field("callee")?)?,
-            span: SrcSpan::from_json(v.field("span")?)?,
-            site: u32::from_json(v.field("site")?)?,
-            outcome: InlineOutcome::from_json(v.field("outcome")?)?,
-        })
-    }
-}
+crate::struct_wire!(InlineEvent, [caller, callee, span, site, outcome]);
 
 impl fmt::Display for InlineEvent {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -378,6 +333,7 @@ impl fmt::Display for LoopEvent {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::{from_bytes, to_bytes};
 
     #[test]
     fn loop_event_renders() {
@@ -406,7 +362,7 @@ mod tests {
     }
 
     #[test]
-    fn events_roundtrip_through_json() {
+    fn events_round_trip_through_the_wire() {
         // one of every variant, in declaration order, so the tags of each
         // list are its `TAGS`
         let loops = vec![
@@ -431,9 +387,8 @@ mod tests {
                 span: SrcSpan::new(7, 5).in_file(1),
                 decision,
             };
-            let text = e.to_json().to_string_compact();
-            let back = LoopEvent::from_json(&crate::json::parse(&text).unwrap()).unwrap();
-            assert_eq!(e, back);
+            let bytes = to_bytes(&e);
+            assert_eq!(from_bytes::<LoopEvent>(&bytes), Ok(e));
         }
         let outcomes = vec![
             InlineOutcome::Expanded,
@@ -457,9 +412,8 @@ mod tests {
                 site: i as u32,
                 outcome,
             };
-            let text = e.to_json().to_string_compact();
-            let back = InlineEvent::from_json(&crate::json::parse(&text).unwrap()).unwrap();
-            assert_eq!(e, back);
+            let bytes = to_bytes(&e);
+            assert_eq!(from_bytes::<InlineEvent>(&bytes), Ok(e));
         }
     }
 

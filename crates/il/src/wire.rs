@@ -1,4 +1,4 @@
-//! The binary wire format of one procedure: the hash walker's bytes, kept.
+//! The binary wire format of the cache: the hash walker's bytes, kept.
 //!
 //! [`encode_proc`] runs [`crate::hash::write_proc`] — the single definition
 //! of the byte layout — into a `Vec<u8>` instead of a hasher, over the
@@ -22,11 +22,16 @@
 //! IL verifier's job; the cache runs [`crate::verify_proc`] on everything
 //! it decodes. A human-readable form of the same data is the JSON tree in
 //! [`crate::encode`], which §7 catalogs keep using.
+//!
+//! Everything else the cache stores beside the IL — the per-pass reports,
+//! the decision events, the program environment — is a [`Wire`] value:
+//! written through the same [`ByteSink`], read under the same rules.
+//! Structs get theirs from one field list ([`struct_wire!`]).
 
 use crate::expr::{BinOp, Expr, ExprPool, LValue, UnOp};
-use crate::hash::{write_proc, IL_HASH_VERSION};
+use crate::hash::{write_proc, write_type, write_var_info, ByteSink, IL_HASH_VERSION};
 use crate::ids::{ExprId, LabelId, StmtId, StructId, VarId};
-use crate::program::{ConstInit, Procedure, Storage, VarInfo};
+use crate::program::{ConstInit, Field, Procedure, Storage, StructDef, VarInfo};
 use crate::span::SrcSpan;
 use crate::stmt::{Block, StmtKind, StmtPool};
 use crate::types::{ScalarType, Type};
@@ -104,11 +109,7 @@ pub fn decode_proc(bytes: &[u8]) -> Result<Procedure, WireError> {
     }
     let mut spans = Vec::with_capacity(nstmts);
     for _ in 0..nstmts {
-        spans.push(SrcSpan {
-            line: r.u32()?,
-            col: r.u32()?,
-            file: r.u32()?,
-        });
+        spans.push(SrcSpan::read_wire(&mut r)?);
     }
 
     let nexprs = r.count(MIN_EXPR_BYTES)?;
@@ -294,12 +295,19 @@ impl<'a> Reader<'a> {
         Ok(out)
     }
 
-    fn pick<T: Clone>(&mut self, table: &[T], what: &'static str) -> Result<T, WireError> {
-        let tag = self.u8()?;
-        table
-            .get(tag as usize)
-            .cloned()
-            .ok_or_else(|| self.error(what))
+    /// A tag byte below `n`; `what` when it is not.
+    pub(crate) fn tag(&mut self, n: usize, what: &'static str) -> Result<usize, WireError> {
+        let tag = usize::from(self.u8()?);
+        if tag < n {
+            Ok(tag)
+        } else {
+            Err(self.error(what))
+        }
+    }
+
+    /// The entry of `table` a tag byte names; `what` when it names none.
+    pub fn pick<T: Clone>(&mut self, table: &[T], what: &'static str) -> Result<T, WireError> {
+        Ok(table[self.tag(table.len(), what)?].clone())
     }
 
     fn scalar(&mut self) -> Result<ScalarType, WireError> {
@@ -536,6 +544,222 @@ impl<'a> Reader<'a> {
     }
 }
 
+/// A value with a binary wire form: written through any [`ByteSink`] — a
+/// `Vec<u8>` keeps the bytes, a [`crate::StableHasher`] digests them — and
+/// read back from untrusted bytes by the same rules [`decode_proc`]
+/// follows. Counts are `u32`, integers little-endian (`usize` as `u64`),
+/// strings length-prefixed, booleans one strict 0/1 byte and enums one
+/// range-checked tag byte, so `encode(decode(b)) == b` for every `b` that
+/// decodes.
+pub trait Wire: Sized {
+    /// The fewest bytes one value encodes to: what a count of them is
+    /// checked against before anything is allocated.
+    const MIN_BYTES: usize;
+
+    /// Writes the value.
+    fn write_wire<S: ByteSink>(&self, out: &mut S);
+
+    /// Reads one value.
+    ///
+    /// # Errors
+    ///
+    /// Truncation, an unknown tag, a non-0/1 boolean, a count larger than
+    /// the bytes that remain. Never panics.
+    fn read_wire(r: &mut Reader<'_>) -> Result<Self, WireError>;
+}
+
+/// The wire bytes of one value.
+pub fn to_bytes<T: Wire>(value: &T) -> Vec<u8> {
+    let mut out = Vec::new();
+    value.write_wire(&mut out);
+    out
+}
+
+/// Reads one value that must span `bytes` exactly.
+///
+/// # Errors
+///
+/// Anything [`Wire::read_wire`] rejects, and trailing bytes.
+pub fn from_bytes<T: Wire>(bytes: &[u8]) -> Result<T, WireError> {
+    let mut r = Reader::new(bytes);
+    let value = T::read_wire(&mut r)?;
+    r.finish()?;
+    Ok(value)
+}
+
+/// Writes `items` as a `Vec<T>` — the same bytes, from a slice.
+pub fn write_seq<S: ByteSink, T: Wire>(out: &mut S, items: &[T]) {
+    out.write(&(items.len() as u32).to_le_bytes());
+    for item in items {
+        item.write_wire(out);
+    }
+}
+
+/// The [`Wire::MIN_BYTES`] of the field `field` picks out — how
+/// [`struct_wire!`] sums a struct's minimum from its field list alone.
+#[doc(hidden)]
+pub const fn field_min_bytes<S, T: Wire>(_field: fn(&S) -> &T) -> usize {
+    T::MIN_BYTES
+}
+
+/// Implements [`Wire`] for a plain struct as its listed fields, in order.
+/// The list must be exhaustive — the reader constructs the struct
+/// literally, so a field left out is a compile error, never a field that
+/// silently fails to persist.
+#[macro_export]
+macro_rules! struct_wire {
+    ($ty:ty, [$($field:ident),+ $(,)?]) => {
+        impl $crate::wire::Wire for $ty {
+            const MIN_BYTES: usize =
+                0 $(+ $crate::wire::field_min_bytes(|v: &$ty| &v.$field))+;
+
+            fn write_wire<S: $crate::ByteSink>(&self, out: &mut S) {
+                $($crate::wire::Wire::write_wire(&self.$field, out);)+
+            }
+
+            fn read_wire(
+                r: &mut $crate::wire::Reader<'_>,
+            ) -> Result<Self, $crate::wire::WireError> {
+                Ok(Self {
+                    $($field: $crate::wire::Wire::read_wire(r)?,)+
+                })
+            }
+        }
+    };
+}
+
+impl Wire for u32 {
+    const MIN_BYTES: usize = 4;
+
+    fn write_wire<S: ByteSink>(&self, out: &mut S) {
+        out.write(&self.to_le_bytes());
+    }
+
+    fn read_wire(r: &mut Reader<'_>) -> Result<u32, WireError> {
+        r.u32()
+    }
+}
+
+impl Wire for i64 {
+    const MIN_BYTES: usize = 8;
+
+    fn write_wire<S: ByteSink>(&self, out: &mut S) {
+        out.write(&self.to_le_bytes());
+    }
+
+    fn read_wire(r: &mut Reader<'_>) -> Result<i64, WireError> {
+        Ok(i64::from_le_bytes(r.array()?))
+    }
+}
+
+impl Wire for usize {
+    const MIN_BYTES: usize = 8;
+
+    fn write_wire<S: ByteSink>(&self, out: &mut S) {
+        out.write(&(*self as u64).to_le_bytes());
+    }
+
+    fn read_wire(r: &mut Reader<'_>) -> Result<usize, WireError> {
+        usize::try_from(r.u64()?).map_err(|_| r.error("integer overflows usize"))
+    }
+}
+
+impl Wire for bool {
+    const MIN_BYTES: usize = 1;
+
+    fn write_wire<S: ByteSink>(&self, out: &mut S) {
+        out.write(&[u8::from(*self)]);
+    }
+
+    fn read_wire(r: &mut Reader<'_>) -> Result<bool, WireError> {
+        r.bool()
+    }
+}
+
+impl Wire for String {
+    const MIN_BYTES: usize = 8;
+
+    fn write_wire<S: ByteSink>(&self, out: &mut S) {
+        out.write_str(self);
+    }
+
+    fn read_wire(r: &mut Reader<'_>) -> Result<String, WireError> {
+        Ok(r.str()?.to_string())
+    }
+}
+
+impl<T: Wire> Wire for Vec<T> {
+    const MIN_BYTES: usize = 4;
+
+    fn write_wire<S: ByteSink>(&self, out: &mut S) {
+        write_seq(out, self);
+    }
+
+    fn read_wire(r: &mut Reader<'_>) -> Result<Vec<T>, WireError> {
+        let n = r.count(T::MIN_BYTES)?;
+        let mut out = Vec::with_capacity(n);
+        for _ in 0..n {
+            out.push(T::read_wire(r)?);
+        }
+        Ok(out)
+    }
+}
+
+impl<A: Wire, B: Wire> Wire for (A, B) {
+    const MIN_BYTES: usize = A::MIN_BYTES + B::MIN_BYTES;
+
+    fn write_wire<S: ByteSink>(&self, out: &mut S) {
+        self.0.write_wire(out);
+        self.1.write_wire(out);
+    }
+
+    fn read_wire(r: &mut Reader<'_>) -> Result<(A, B), WireError> {
+        Ok((A::read_wire(r)?, B::read_wire(r)?))
+    }
+}
+
+impl Wire for StmtId {
+    const MIN_BYTES: usize = 4;
+
+    fn write_wire<S: ByteSink>(&self, out: &mut S) {
+        self.0.write_wire(out);
+    }
+
+    fn read_wire(r: &mut Reader<'_>) -> Result<StmtId, WireError> {
+        Ok(StmtId(r.u32()?))
+    }
+}
+
+struct_wire!(SrcSpan, [line, col, file]);
+
+impl Wire for VarInfo {
+    const MIN_BYTES: usize = MIN_VAR_BYTES;
+
+    fn write_wire<S: ByteSink>(&self, out: &mut S) {
+        write_var_info(out, self);
+    }
+
+    fn read_wire(r: &mut Reader<'_>) -> Result<VarInfo, WireError> {
+        r.var_info()
+    }
+}
+
+/// [`write_type`]'s layout, read back bounded in depth.
+impl Wire for Type {
+    const MIN_BYTES: usize = 1;
+
+    fn write_wire<S: ByteSink>(&self, out: &mut S) {
+        write_type(out, self);
+    }
+
+    fn read_wire(r: &mut Reader<'_>) -> Result<Type, WireError> {
+        r.ty(0)
+    }
+}
+
+struct_wire!(Field, [name, ty, offset]);
+struct_wire!(StructDef, [name, fields, size]);
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -649,6 +873,38 @@ mod tests {
             "count exceeds the bytes that remain"
         );
         assert!(decode_proc(&[5u8; 4096]).is_err());
+    }
+
+    #[test]
+    fn a_struct_is_its_fields_in_order_and_its_minimum_their_sum() {
+        let field = Field {
+            name: String::new(),
+            ty: Type::Int,
+            offset: 0,
+        };
+        let def = StructDef {
+            name: String::new(),
+            fields: Vec::new(),
+            size: 0,
+        };
+        assert_eq!(to_bytes(&SrcSpan::NONE).len(), SrcSpan::MIN_BYTES);
+        assert_eq!(to_bytes(&field).len(), Field::MIN_BYTES);
+        assert_eq!(to_bytes(&def).len(), StructDef::MIN_BYTES);
+        let span = SrcSpan::new(7, 5).in_file(2);
+        let mut fields = to_bytes(&7u32);
+        fields.extend(5u32.to_le_bytes());
+        fields.extend(2u32.to_le_bytes());
+        assert_eq!(to_bytes(&span), fields);
+        let def = StructDef {
+            name: "pt".into(),
+            fields: vec![field.clone(), field],
+            size: 8,
+        };
+        let bytes = to_bytes(&vec![def.clone()]);
+        assert_eq!(from_bytes::<Vec<StructDef>>(&bytes), Ok(vec![def]));
+        for cut in 0..bytes.len() {
+            assert!(from_bytes::<Vec<StructDef>>(&bytes[..cut]).is_err());
+        }
     }
 
     #[test]

@@ -126,7 +126,7 @@ impl InlineReport {
     }
 }
 
-titanc_il::struct_json!(
+titanc_il::struct_wire!(
     InlineReport,
     [
         inlined,

@@ -48,7 +48,7 @@ impl ConstPropReport {
     }
 }
 
-titanc_il::struct_json!(
+titanc_il::struct_wire!(
     ConstPropReport,
     [replaced, removed, rounds, budget_exhausted]
 );

@@ -46,7 +46,7 @@ impl CseReport {
     }
 }
 
-titanc_il::struct_json!(CseReport, [commoned, replaced]);
+titanc_il::struct_wire!(CseReport, [commoned, replaced]);
 
 /// Runs local CSE over every block of the procedure.
 pub fn local_cse(proc: &mut Procedure) -> CseReport {

@@ -39,7 +39,7 @@ impl DceReport {
     }
 }
 
-titanc_il::struct_json!(DceReport, [removed, rounds, budget_exhausted]);
+titanc_il::struct_wire!(DceReport, [removed, rounds, budget_exhausted]);
 
 /// Runs dead-code elimination to a fixpoint.
 pub fn eliminate_dead_code(proc: &mut Procedure) -> DceReport {

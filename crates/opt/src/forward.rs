@@ -49,7 +49,7 @@ impl ForwardReport {
     }
 }
 
-titanc_il::struct_json!(ForwardReport, [substituted]);
+titanc_il::struct_wire!(ForwardReport, [substituted]);
 
 /// Expressions larger than this are not forwarded (avoids exponential
 /// growth through chains of substitutions).

@@ -64,7 +64,7 @@ impl IvSubReport {
     }
 }
 
-titanc_il::struct_json!(
+titanc_il::struct_wire!(
     IvSubReport,
     [substituted, passes, backtracks, budget_exhausted, events]
 );

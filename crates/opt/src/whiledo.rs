@@ -23,11 +23,11 @@
 
 use crate::util::{defined_in, invariant_in, register_candidate, resolve_copy};
 use titanc_analysis::{loops, Cfg, ProcAnalyses};
-use titanc_il::json::{FromJson, Json, JsonError, ToJson};
 use titanc_il::visit::{edit_tree, Order};
+use titanc_il::wire::{Reader, Wire, WireError};
 use titanc_il::{
-    BinOp, Expr, ExprId, LValue, LoopDecision, LoopEvent, Procedure, ScalarType, StmtId, StmtKind,
-    Type, VarId,
+    BinOp, ByteSink, Expr, ExprId, LValue, LoopDecision, LoopEvent, Procedure, ScalarType, StmtId,
+    StmtKind, Type, VarId,
 };
 
 /// Why a `while` loop was not converted (the EXP5 coverage table).
@@ -59,6 +59,21 @@ pub enum Reject {
 }
 
 impl Reject {
+    /// Every rejection, in declaration order.
+    pub const ALL: [Reject; 11] = [
+        Reject::BranchInto,
+        Reject::BranchOut,
+        Reject::HasReturn,
+        Reject::VolatileCond,
+        Reject::CondForm,
+        Reject::NotCandidate,
+        Reject::NoStep,
+        Reject::MultipleSteps,
+        Reject::VaryingBound,
+        Reject::VaryingStep,
+        Reject::Direction,
+    ];
+
     /// A short human-readable reason, used by loop-level opt reports.
     pub fn describe(self) -> &'static str {
         match self {
@@ -84,7 +99,7 @@ impl std::fmt::Display for Reject {
 }
 
 /// Conversion statistics for one procedure.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct WhileDoReport {
     /// Number of loops converted.
     pub converted: usize,
@@ -104,78 +119,20 @@ impl WhileDoReport {
     }
 }
 
-impl ToJson for Reject {
-    fn to_json(&self) -> Json {
-        // unit enum: the Debug name doubles as the JSON discriminant
-        Json::Str(format!("{self:?}"))
+/// The tag byte is the rejection's position in [`Reject::ALL`].
+impl Wire for Reject {
+    const MIN_BYTES: usize = 1;
+
+    fn write_wire<S: ByteSink>(&self, out: &mut S) {
+        out.write(&[*self as u8]);
+    }
+
+    fn read_wire(r: &mut Reader<'_>) -> Result<Reject, WireError> {
+        r.pick(&Reject::ALL, "unknown while-to-DO rejection")
     }
 }
 
-impl FromJson for Reject {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        const ALL: [Reject; 11] = [
-            Reject::BranchInto,
-            Reject::BranchOut,
-            Reject::HasReturn,
-            Reject::VolatileCond,
-            Reject::CondForm,
-            Reject::NotCandidate,
-            Reject::NoStep,
-            Reject::MultipleSteps,
-            Reject::VaryingBound,
-            Reject::VaryingStep,
-            Reject::Direction,
-        ];
-        let s = v.as_str()?;
-        ALL.iter()
-            .copied()
-            .find(|r| format!("{r:?}") == s)
-            .ok_or_else(|| JsonError {
-                message: format!("unknown reject `{s}`"),
-                offset: 0,
-            })
-    }
-}
-
-impl ToJson for WhileDoReport {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("converted", self.converted.to_json()),
-            (
-                "rejects",
-                Json::Arr(
-                    self.rejects
-                        .iter()
-                        .map(|(id, r)| Json::Arr(vec![id.to_json(), r.to_json()]))
-                        .collect(),
-                ),
-            ),
-            ("events", self.events.to_json()),
-        ])
-    }
-}
-
-impl FromJson for WhileDoReport {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let mut rejects = Vec::new();
-        for pair in v.field("rejects")?.as_arr()? {
-            match pair.as_arr()? {
-                [id, r] => rejects.push((StmtId::from_json(id)?, Reject::from_json(r)?)),
-                _ => {
-                    return Err(JsonError {
-                        message: "expected a [stmt, reject] pair".into(),
-                        offset: 0,
-                    })
-                }
-            }
-        }
-        Ok(WhileDoReport {
-            converted: usize::from_json(v.field("converted")?)?,
-            rejects,
-            events: Vec::from_json(v.field("events")?)?,
-        })
-    }
-}
+titanc_il::struct_wire!(WhileDoReport, [converted, rejects, events]);
 
 /// Converts every eligible `while` loop of the procedure into a `DoLoop`.
 pub fn convert_while_loops(proc: &mut Procedure) -> WhileDoReport {
@@ -536,6 +493,17 @@ fn apply(
 mod tests {
     use super::*;
     use titanc_lower::compile_to_il;
+
+    #[test]
+    fn a_rejection_is_its_position_in_all() {
+        for (i, r) in Reject::ALL.into_iter().enumerate() {
+            assert_eq!(r as usize, i);
+            let bytes = titanc_il::wire::to_bytes(&r);
+            assert_eq!(titanc_il::wire::from_bytes::<Reject>(&bytes), Ok(r));
+        }
+        let past = [Reject::ALL.len() as u8];
+        assert!(titanc_il::wire::from_bytes::<Reject>(&past).is_err());
+    }
 
     fn convert(src: &str) -> (Procedure, WhileDoReport) {
         let prog = compile_to_il(src).unwrap();

@@ -83,7 +83,7 @@ impl VectorReport {
     }
 }
 
-titanc_il::struct_json!(VectorReport, [vectorized, spread, scalar, notes, events]);
+titanc_il::struct_wire!(VectorReport, [vectorized, spread, scalar, notes, events]);
 
 /// Vectorizes every innermost DO loop of the procedure.
 pub fn vectorize(proc: &mut Procedure, opts: &VectorOptions) -> VectorReport {

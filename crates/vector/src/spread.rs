@@ -38,7 +38,7 @@ impl SpreadReport {
     }
 }
 
-titanc_il::struct_json!(SpreadReport, [spread, events]);
+titanc_il::struct_wire!(SpreadReport, [spread, events]);
 
 /// Converts eligible pointer-chasing `while` loops into spread form.
 pub fn spread_list_loops(proc: &mut Procedure) -> SpreadReport {

@@ -46,7 +46,7 @@ impl StrengthReport {
     }
 }
 
-titanc_il::struct_json!(StrengthReport, [promoted, reduced, hoisted]);
+titanc_il::struct_wire!(StrengthReport, [promoted, reduced, hoisted]);
 
 /// Runs the §6 optimizations on every remaining scalar DO loop.
 pub fn strength_reduce(proc: &mut Procedure, aliasing: Aliasing) -> StrengthReport {

@@ -429,6 +429,23 @@ fn v4_era_cache_dirs_fall_back_cold_with_one_remark() {
     );
 }
 
+/// A directory written by the v5 format — binary IL, but JSON cells and a
+/// JSON manifest that repeated every per-procedure record. Its entry
+/// names (`<key>.il`) are v6's too; the marker decides.
+#[test]
+fn v5_era_cache_dirs_fall_back_cold_with_one_remark() {
+    assert_refused_cold(
+        "v5-era",
+        &[
+            ("FORMAT", "titanc-cache-v5\n"),
+            ("index-00ff.json", "titanc-cache-v5 00ff\n{\"procs\":{}}"),
+            ("0123abcd.il", "titanc-cache-v5 00ff\n\u{2}\0\0\0"),
+            ("session-4567.json", "titanc-cache-v5 00ff\n{\"version\":2}"),
+        ],
+        "`titanc-cache-v5`",
+    );
+}
+
 /// `keep_parsed` snapshots the program before any pass runs — the §7
 /// catalog payload.
 #[test]
