@@ -5,18 +5,18 @@
 //! substitution rewrite the loop (§5.2). This module is the modern shape
 //! of that idea: every [`titanc_il::Procedure`] carries a *generation
 //! counter* that mutating passes bump, and a [`ProcAnalyses`] slot
-//! memoizes the expensive analyses ([`Cfg`], [`UseDef`], [`Liveness`],
-//! [`Dominators`], [`LoopNest`]) keyed to the generation they were built
-//! against. A request at the same generation is a hit; a request after
-//! the generation moved drops the stale artifacts and rebuilds.
+//! memoizes the expensive analyses ([`Cfg`], [`UseDef`], [`Liveness`])
+//! keyed to the generation they were built against. A request at the
+//! same generation is a hit; a request after the generation moved drops
+//! the stale artifacts and rebuilds.
 //!
 //! Two escape hatches implement the §5.2 repair discipline:
 //!
 //! * [`ProcAnalyses::rekey`] — a pass that performed only *pure
 //!   expression rewrites* (no statement added/removed/restamped, no
 //!   control-flow edge or definition site changed) may adopt the new
-//!   generation without dropping the CFG, use–def chains, dominators, or
-//!   loop nest: those artifacts are still exact. Liveness is dropped —
+//!   generation without dropping the CFG or the use–def chains: both
+//!   are still exact. Liveness is dropped —
 //!   rewrites can remove variable reads, and a stale over-approximation
 //!   is only *conservatively* correct, so it is rebuilt on next request.
 //! * A pass may hold the `Arc` of an artifact across its own mutations
@@ -36,8 +36,7 @@ use std::sync::Arc;
 
 use titanc_il::Procedure;
 
-use crate::loops::LoopNest;
-use crate::{Cfg, Dominators, Liveness, UseDef};
+use crate::{Cfg, Liveness, UseDef};
 
 /// Declares [`CacheStats`] — the struct, its wire form, its sum and its
 /// difference — from one list of the (all `usize`) counters.
@@ -82,14 +81,6 @@ cache_stats! {
     liveness_hits,
     /// Liveness requests that ran [`Liveness::build`].
     liveness_builds,
-    /// Dominator requests answered from the cache.
-    dominators_hits,
-    /// Dominator requests that ran [`Dominators::build`].
-    dominators_builds,
-    /// Loop-nest requests answered from the cache.
-    loopnest_hits,
-    /// Loop-nest requests that ran [`LoopNest::build`].
-    loopnest_builds,
     /// Times cached artifacts were dropped because the generation moved.
     invalidations,
     /// Times artifacts survived a mutation via §5.2-style repair
@@ -100,20 +91,12 @@ cache_stats! {
 impl CacheStats {
     /// Total requests answered from the cache.
     pub fn hits(&self) -> usize {
-        self.cfg_hits
-            + self.usedef_hits
-            + self.liveness_hits
-            + self.dominators_hits
-            + self.loopnest_hits
+        self.cfg_hits + self.usedef_hits + self.liveness_hits
     }
 
     /// Total requests that had to build.
     pub fn builds(&self) -> usize {
-        self.cfg_builds
-            + self.usedef_builds
-            + self.liveness_builds
-            + self.dominators_builds
-            + self.loopnest_builds
+        self.cfg_builds + self.usedef_builds + self.liveness_builds
     }
 
     /// Total analysis requests.
@@ -130,8 +113,6 @@ pub struct ProcAnalyses {
     cfg: Option<Arc<Cfg>>,
     usedef: Option<Arc<UseDef>>,
     liveness: Option<Arc<Liveness>>,
-    dominators: Option<Arc<Dominators>>,
-    loopnest: Option<Arc<LoopNest>>,
     stats: CacheStats,
 }
 
@@ -152,19 +133,13 @@ impl ProcAnalyses {
     }
 
     fn has_any(&self) -> bool {
-        self.cfg.is_some()
-            || self.usedef.is_some()
-            || self.liveness.is_some()
-            || self.dominators.is_some()
-            || self.loopnest.is_some()
+        self.cfg.is_some() || self.usedef.is_some() || self.liveness.is_some()
     }
 
     fn drop_artifacts(&mut self) {
         self.cfg = None;
         self.usedef = None;
         self.liveness = None;
-        self.dominators = None;
-        self.loopnest = None;
     }
 
     /// Drops stale artifacts when the procedure's generation has moved
@@ -192,7 +167,7 @@ impl ProcAnalyses {
     }
 
     /// §5.2 incremental repair: adopt the procedure's current generation
-    /// while keeping the CFG, use–def chains, dominators, and loop nest.
+    /// while keeping the CFG and the use–def chains.
     ///
     /// Only sound after *pure expression rewrites* that add no read: the
     /// statement set and ids, control-flow edges, definition sites and the
@@ -272,32 +247,6 @@ impl ProcAnalyses {
         self.liveness = Some(Arc::clone(&lv));
         lv
     }
-
-    /// The dominator tree at the procedure's current generation.
-    pub fn dominators(&mut self, proc: &Procedure) -> Arc<Dominators> {
-        let cfg = self.cfg(proc);
-        if let Some(d) = &self.dominators {
-            self.stats.dominators_hits += 1;
-            return Arc::clone(d);
-        }
-        self.stats.dominators_builds += 1;
-        let d = Arc::new(Dominators::build(&cfg));
-        self.dominators = Some(Arc::clone(&d));
-        d
-    }
-
-    /// The loop-nest forest at the procedure's current generation.
-    pub fn loop_nest(&mut self, proc: &Procedure) -> Arc<LoopNest> {
-        self.sync(proc);
-        if let Some(n) = &self.loopnest {
-            self.stats.loopnest_hits += 1;
-            return Arc::clone(n);
-        }
-        self.stats.loopnest_builds += 1;
-        let n = Arc::new(LoopNest::build(proc));
-        self.loopnest = Some(Arc::clone(&n));
-        n
-    }
 }
 
 #[cfg(test)]
@@ -365,10 +314,10 @@ mod tests {
         let mut a = ProcAnalyses::new();
         let before = a.stats();
         let _ = a.cfg(&proc);
-        let _ = a.loop_nest(&proc);
+        let _ = a.liveness(&proc);
         let d = a.stats().delta_since(&before);
         assert_eq!(d.cfg_builds, 1);
-        assert_eq!(d.loopnest_builds, 1);
+        assert_eq!(d.liveness_builds, 1);
         let mut total = CacheStats::default();
         total.merge(&d);
         total.merge(&d);

@@ -191,16 +191,6 @@ impl UseDef {
             .map(|(_, d)| *d)
     }
 
-    /// The unique *statement* definition of `var` reaching `at`, if there
-    /// is exactly one reaching def and it is a real statement.
-    pub fn unique_reaching_def(&self, at: StmtId, var: VarId) -> Option<StmtId> {
-        let mut defs = self.reaching_defs(at, var);
-        match (defs.next(), defs.next()) {
-            (Some(s), None) => s,
-            _ => None,
-        }
-    }
-
     /// The statements reading `var` that `def_stmt`'s definition of it
     /// reaches (the def-use direction of the chains), in preorder, from
     /// the index of readers taken when the chains were built: a statement
@@ -326,25 +316,12 @@ mod tests {
     }
 
     #[test]
-    fn unique_def_in_straight_line() {
-        let (proc, cfg) = setup("int f(void) { int x, y; x = 3; y = x + 1; return y; }");
-        let ud = UseDef::build(&proc, &cfg);
-        let x = proc.var_by_name("x").unwrap();
-        let use_stmt = stmt_matching(&proc, |_, k| {
-            k.exprs().iter().any(|e| proc.exprs.reads_var(e, x))
-        });
-        let def = ud.unique_reaching_def(use_stmt, x);
-        assert!(def.is_some());
-    }
-
-    #[test]
     fn branch_merges_two_defs() {
         let (proc, cfg) = setup("int f(int c) { int x; if (c) x = 1; else x = 2; return x; }");
         let ud = UseDef::build(&proc, &cfg);
         let x = proc.var_by_name("x").unwrap();
         let ret = stmt_matching(&proc, |_, k| matches!(k, StmtKind::Return(Some(_))));
         assert_eq!(ud.reaching_defs(ret, x).count(), 2);
-        assert!(ud.unique_reaching_def(ret, x).is_none());
     }
 
     #[test]

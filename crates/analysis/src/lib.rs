@@ -28,15 +28,12 @@ pub mod bitset;
 pub mod cache;
 pub mod cfg;
 pub mod dataflow;
-pub mod dominators;
 pub mod loops;
 
 pub use bitset::BitMatrix;
 pub use cache::{CacheStats, ProcAnalyses};
 pub use cfg::{Cfg, NodeId};
 pub use dataflow::{Liveness, UseDef};
-pub use dominators::Dominators;
-pub use loops::{LoopNest, LoopNestEntry};
 
 /// The call graph of a program: which procedures each procedure calls.
 #[derive(Debug, Default)]

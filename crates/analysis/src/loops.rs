@@ -55,91 +55,11 @@ pub fn has_return(pool: &StmtPool, s: StmtId) -> bool {
     found
 }
 
-/// True when the statement tree contains a procedure call.
-pub fn has_call(pool: &StmtPool, s: StmtId) -> bool {
-    let mut found = false;
-    visit(pool, s, &mut |k| {
-        if matches!(k, StmtKind::Call { .. }) {
-            found = true;
-        }
-    });
-    found
-}
-
 /// True when any branch inside the tree leaves it (targets a label not
 /// defined inside) — an early exit, which defeats DO conversion (§5.2).
 pub fn has_branch_out(pool: &StmtPool, s: StmtId) -> bool {
     let labels = labels_in(pool, s);
     goto_targets_in(pool, s).iter().any(|l| !labels.contains(l))
-}
-
-/// One loop of a procedure's loop-nest forest.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct LoopNestEntry {
-    /// The loop statement (`While`/`DoLoop`/`DoParallel`).
-    pub id: StmtId,
-    /// The innermost enclosing loop, if any.
-    pub parent: Option<StmtId>,
-    /// Nesting depth (outermost loops are depth 0).
-    pub depth: usize,
-}
-
-/// The loop-nest forest of a procedure, in preorder. The structured IL
-/// makes this a tree walk rather than a back-edge search; it is memoized
-/// per generation by the analysis cache so dependence-driven passes can
-/// ask "how deep is this loop" without re-walking the body.
-#[derive(Clone, PartialEq, Eq, Debug, Default)]
-pub struct LoopNest {
-    /// Every loop statement with its parent and depth, preorder.
-    pub loops: Vec<LoopNestEntry>,
-}
-
-impl LoopNest {
-    /// Builds the loop-nest forest of `proc`.
-    pub fn build(proc: &titanc_il::Procedure) -> LoopNest {
-        let mut nest = LoopNest::default();
-        fn walk(
-            pool: &StmtPool,
-            block: &[StmtId],
-            parent: Option<StmtId>,
-            depth: usize,
-            out: &mut Vec<LoopNestEntry>,
-        ) {
-            for &s in block {
-                let (p, d) = if pool[s].is_loop() {
-                    out.push(LoopNestEntry {
-                        id: s,
-                        parent,
-                        depth,
-                    });
-                    (Some(s), depth + 1)
-                } else {
-                    (parent, depth)
-                };
-                for b in pool[s].blocks() {
-                    walk(pool, b, p, d, out);
-                }
-            }
-        }
-        walk(&proc.stmts, &proc.body, None, 0, &mut nest.loops);
-        nest
-    }
-
-    /// The entry for loop `id`, if it is a loop statement.
-    pub fn entry(&self, id: StmtId) -> Option<&LoopNestEntry> {
-        self.loops.iter().find(|e| e.id == id)
-    }
-
-    /// Nesting depth of loop `id` (outermost = 0).
-    pub fn depth_of(&self, id: StmtId) -> Option<usize> {
-        self.entry(id).map(|e| e.depth)
-    }
-
-    /// The maximum nesting depth, or `None` when the procedure has no
-    /// loops.
-    pub fn max_depth(&self) -> Option<usize> {
-        self.loops.iter().map(|e| e.depth).max()
-    }
 }
 
 fn visit(pool: &StmtPool, s: StmtId, f: &mut dyn FnMut(&StmtKind)) {
@@ -201,32 +121,10 @@ mod tests {
     }
 
     #[test]
-    fn call_detected() {
-        let (p, w) = with_loop("void g(void); void f(int n) { while (n) { g(); n = n - 1; } }");
-        assert!(has_call(&p.stmts, w));
-    }
-
-    #[test]
     fn nop_has_no_inner_ids() {
         let mut p = Procedure::new("t", titanc_il::Type::Int);
         let zero = p.exprs.int(0);
         let s = p.stamp(titanc_il::StmtKind::Return(Some(zero)));
         assert!(stmt_ids_in(&p.stmts, s).is_empty());
-    }
-
-    #[test]
-    fn loop_nest_depths() {
-        let prog = titanc_lower::compile_to_il(
-            "void f(float *a, int n, int m) { int i, j; for (i = 0; i < n; i++) \
-             for (j = 0; j < m; j++) a[i * m + j] = 0; }",
-        )
-        .unwrap();
-        let nest = LoopNest::build(&prog.procs[0]);
-        assert_eq!(nest.loops.len(), 2);
-        assert_eq!(nest.loops[0].depth, 0);
-        assert_eq!(nest.loops[1].depth, 1);
-        assert_eq!(nest.loops[1].parent, Some(nest.loops[0].id));
-        assert_eq!(nest.max_depth(), Some(1));
-        assert_eq!(nest.depth_of(nest.loops[1].id), Some(1));
     }
 }

@@ -148,7 +148,6 @@ fn run_pipeline(src: &str, options: &Options, what: &str, cov: &mut Coverage) {
             aliasing: options.aliasing,
             parallelize: options.parallelize,
             strip: options.strip,
-            max_vl: options.max_vl,
         };
         titanc_vector::vectorize(proc, &vopts);
         titanc_vector::strength_reduce(proc, options.aliasing);

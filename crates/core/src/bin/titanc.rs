@@ -25,9 +25,6 @@
 //!   --emit-catalog FILE      write the parsed (pre-optimization) program
 //!                            as a catalog, as §7 prescribes — the
 //!                            consumer's inliner optimizes in context
-//!   --emit-catalog-optimized FILE
-//!                            write the post-O2 program as a catalog
-//!                            (the pre-PR-5 --emit-catalog behavior)
 //!   --run [ENTRY]            execute on the simulated Titan (default main)
 //!   --volatile-values LIST   comma-separated device-register script
 //!   --stats                  print pass statistics (per-pass deltas)
@@ -70,7 +67,6 @@ struct Cli {
     strict: bool,
     entry: String,
     emit_catalog: Option<String>,
-    emit_catalog_optimized: Option<String>,
     cache_dir: Option<String>,
     volatile_values: Vec<i64>,
     /// `--server SOCKET`: compile via a running `titand` instead of
@@ -86,7 +82,6 @@ fn usage() -> ! {
          \x20             [--verify] [--time] [--max-errors N] [--strict]\n\
          \x20             [--opt-report[=json]] [--trace-json FILE]\n\
          \x20             [--catalog FILE]... [--emit-catalog FILE]\n\
-         \x20             [--emit-catalog-optimized FILE]\n\
          \x20             [--run [ENTRY]] [--volatile-values a,b,c] [--stats]\n\
          \x20             [--server SOCKET] file.c [file.c ...]"
     );
@@ -107,7 +102,6 @@ fn parse_args() -> Cli {
         strict: false,
         entry: "main".to_string(),
         emit_catalog: None,
-        emit_catalog_optimized: None,
         cache_dir: None,
         volatile_values: Vec::new(),
         server: None,
@@ -175,9 +169,6 @@ fn parse_args() -> Cli {
                 cli.emit_catalog = Some(args.next().unwrap_or_else(|| usage()));
                 // the catalog wants the *parsed* program; keep it around
                 cli.options.keep_parsed = true;
-            }
-            "--emit-catalog-optimized" => {
-                cli.emit_catalog_optimized = Some(args.next().unwrap_or_else(|| usage()));
             }
             "--cache-dir" => {
                 cli.cache_dir = Some(args.next().unwrap_or_else(|| usage()));
@@ -322,30 +313,20 @@ fn main() -> ExitCode {
         );
     }
 
-    if cli.emit_catalog.is_some() || cli.emit_catalog_optimized.is_some() {
+    if let Some(path) = &cli.emit_catalog {
         let name = Path::new(file)
             .file_stem()
             .map(|s| s.to_string_lossy().to_string())
             .unwrap_or_else(|| "catalog".into());
-        if let Some(path) = &cli.emit_catalog {
-            // §7: catalogs hold parsed procedures, so the *consumer's*
-            // inliner can expand them in context and optimize the result
-            let parsed = compiled.parsed.as_ref().unwrap_or(&compiled.program);
-            let catalog = Catalog::from_program(name.clone(), parsed);
-            if let Err(e) = catalog.save(path) {
-                eprintln!("titanc: cannot write catalog {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-            println!("catalog written to {path}");
+        // §7: catalogs hold parsed procedures, so the *consumer's*
+        // inliner can expand them in context and optimize the result
+        let parsed = compiled.parsed.as_ref().unwrap_or(&compiled.program);
+        let catalog = Catalog::from_program(name, parsed);
+        if let Err(e) = catalog.save(path) {
+            eprintln!("titanc: cannot write catalog {path}: {e}");
+            return ExitCode::FAILURE;
         }
-        if let Some(path) = &cli.emit_catalog_optimized {
-            let catalog = Catalog::from_program(name, &compiled.program);
-            if let Err(e) = catalog.save(path) {
-                eprintln!("titanc: cannot write catalog {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-            println!("catalog written to {path}");
-        }
+        println!("catalog written to {path}");
     }
 
     if cli.run {
@@ -398,10 +379,6 @@ fn run_client(cli: &Cli, addr: &str) -> ExitCode {
         (cli.time, "--time"),
         (cli.trace_json.is_some(), "--trace-json"),
         (cli.emit_catalog.is_some(), "--emit-catalog"),
-        (
-            cli.emit_catalog_optimized.is_some(),
-            "--emit-catalog-optimized",
-        ),
         (cli.cache_dir.is_some(), "--cache-dir"),
         (cli.options.snapshots, "--snapshots"),
         (!cli.options.catalogs.is_empty(), "--catalog"),

@@ -96,8 +96,6 @@ pub struct Options {
     pub aliasing: Aliasing,
     /// Strip length for parallel vector loops.
     pub strip: i64,
-    /// Maximum single vector length.
-    pub max_vl: i64,
     /// Catalogs to link for cross-file inlining (§7).
     pub catalogs: Vec<Catalog>,
     /// Capture a pretty-printed snapshot of every procedure after each
@@ -133,7 +131,6 @@ impl Default for Options {
             spread_lists: false,
             aliasing: Aliasing::C,
             strip: 32,
-            max_vl: 2048,
             catalogs: Vec::new(),
             snapshots: false,
             verify: false,

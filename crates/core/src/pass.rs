@@ -30,9 +30,9 @@
 //! ## The generation-keyed analysis cache
 //!
 //! Each worker threads the slot's [`ProcAnalyses`] through its procedure's
-//! pass chain. Passes request the CFG, use–def chains, liveness,
-//! dominators, or loop nest from the slot; artifacts are memoized keyed
-//! to the procedure's *generation counter*, which every mutating pass
+//! pass chain. Passes request the CFG, use–def chains, or liveness from
+//! the slot; artifacts are memoized keyed to the procedure's
+//! *generation counter*, which every mutating pass
 //! bumps (the manager bumps defensively when a pass reports a change
 //! without moving the counter). Passes performing only pure expression
 //! rewrites repair instead of invalidating ([`ProcAnalyses::rekey`] —
@@ -612,25 +612,25 @@ pub struct CachedEntry {
 /// it finds afterwards: a [`Replay::Replayed`] procedure is already
 /// cached, a [`Replay::Recorded`] one is published, anything else must not
 /// be.
+///
+/// An entry holds one cell per per-procedure pass, and every shipped
+/// pipeline runs those passes as one proc group, which replays or records
+/// a procedure whole. A hand-built pipeline with a second proc group runs
+/// every chain and publishes no entry or manifest.
 pub enum Replay {
     /// A miss no pass group has run over yet.
     None,
-    /// A hit: every proc group substitutes the entry's IL for the
-    /// procedure's pass chain and replays its next cells through the
+    /// A hit: the proc group substitutes the (possibly shared) entry's IL
+    /// for the procedure's pass chain and replays every cell through the
     /// normal pass-major merge — so reports, traces and the opt report
     /// stay byte-identical to a cold run.
-    Hit {
-        /// The (possibly shared) decoded entry.
-        entry: Arc<CachedEntry>,
-        /// How many cells earlier proc groups consumed.
-        cursor: usize,
-    },
-    /// A hit replayed to its last cell.
+    Hit(Arc<CachedEntry>),
+    /// A hit, replayed.
     Replayed,
-    /// The cells of the chains executed so far, every one clean.
+    /// A miss whose one chain ran clean: its cells.
     Recorded(Vec<RecordedCell>),
-    /// Faulted, skipped, degraded, only partially replayed, or overtaken
-    /// by a stage that changed the procedure count: not to be persisted.
+    /// Faulted, skipped, degraded, run by a second chain, or overtaken by
+    /// a stage that changed the procedure count: not to be persisted.
     /// Outside a session every procedure starts here.
     Uncacheable,
 }
@@ -639,38 +639,32 @@ pub enum Replay {
 pub type SessionReplay = Vec<Replay>;
 
 impl Replay {
-    /// A group of `len` passes begins: a hit hands over its entry and the
-    /// range of cells the group replays, and is [`Replay::Replayed`] once
-    /// none are left. Hits are validated whole where they are seeded; one
-    /// that runs short anyway executes its chain like any other state.
-    fn next_group(&mut self, len: usize) -> Option<(Arc<CachedEntry>, std::ops::Range<usize>)> {
-        let Replay::Hit { entry, cursor } = self else {
+    /// A group of `len` passes begins: a hit with exactly that many cells
+    /// hands over its entry and is [`Replay::Replayed`]. Hits are validated
+    /// whole where they are seeded; one the group cannot replay executes
+    /// its chain like any other state.
+    fn take_hit(&mut self, len: usize) -> Option<Arc<CachedEntry>> {
+        let Replay::Hit(entry) = self else {
             return None;
         };
-        let range = *cursor..*cursor + len;
-        if range.end > entry.cells.len() {
+        if entry.cells.len() != len {
             return None;
         }
         let entry = Arc::clone(entry);
-        if range.end == entry.cells.len() {
-            *self = Replay::Replayed;
-        } else {
-            *cursor = range.end;
-        }
-        Some((entry, range))
+        *self = Replay::Replayed;
+        Some(entry)
     }
 
     /// The procedure's chain executed — `clean` when every pass of the
     /// group ran to completion — yielding `cells`. This is the whole "must
-    /// not be persisted" rule: only a miss whose every chain ran clean
-    /// stays recorded; a fault, a skipped pass, or a chain executed over a
-    /// (partially) replayed hit is final.
+    /// not be persisted" rule: only a miss whose chain ran clean is
+    /// recorded; a fault, a skipped pass, a chain executed over a hit, or
+    /// any second chain is final.
     fn chain_ran(&mut self, clean: bool, cells: impl Iterator<Item = RecordedCell>) {
-        match self {
-            Replay::None if clean => *self = Replay::Recorded(cells.collect()),
-            Replay::Recorded(earlier) if clean => earlier.extend(cells),
-            _ => *self = Replay::Uncacheable,
-        }
+        *self = match self {
+            Replay::None if clean => Replay::Recorded(cells.collect()),
+            _ => Replay::Uncacheable,
+        };
     }
 }
 
@@ -706,7 +700,7 @@ impl ProcSlot {
         if self.degraded {
             return None;
         }
-        let (entry, range) = self.replay.next_group(len)?;
+        let entry = self.replay.take_hit(len)?;
         let mut il = entry.il.clone();
         // land strictly past the generation already covered so the
         // closing whole-program verify re-checks the substituted IL
@@ -717,7 +711,7 @@ impl ProcSlot {
         // artifacts built against the pre-substitution IL are stale
         self.analyses.invalidate();
         Some(ProcResult {
-            cells: entry.cells[range].iter().map(PassCell::replayed).collect(),
+            cells: entry.cells.iter().map(PassCell::replayed).collect(),
             snaps: Vec::new(),
             items: Vec::new(),
             final_gen: proc.generation(),
@@ -1465,7 +1459,6 @@ const PROC_PASSES: [TablePass; 9] = [
                 aliasing: cx.options.aliasing,
                 parallelize: cx.options.parallelize,
                 strip: cx.options.strip,
-                max_vl: cx.options.max_vl,
             };
             Reports {
                 vector: titanc_vector::vectorize(p, &vopts),
@@ -1530,11 +1523,11 @@ mod tests {
         assert_eq!((seen.cfg_builds, seen.cfg_hits), (1, 0));
     }
 
-    /// The "must not be persisted" rule, as the transitions of [`Replay`]: a
-    /// hit consumed to its last cell is `Replayed`; a miss is `Recorded`
-    /// only while every chain runs clean; a fault, a skipped (degraded)
-    /// chain, or a chain executed where a hit was replayed is `Uncacheable`
-    /// — and stays so whatever runs clean afterwards.
+    /// The "must not be persisted" rule, as the transitions of [`Replay`]:
+    /// a hit the group replays whole is `Replayed`; a miss whose chain runs
+    /// clean is `Recorded`; a fault, a skipped (degraded) chain, a chain
+    /// executed over a hit, or any second chain is `Uncacheable` — and
+    /// stays so whatever runs clean afterwards.
     #[test]
     fn replay_transitions() {
         let options = Options::o2();
@@ -1546,16 +1539,19 @@ mod tests {
             let entry = (!slot.degraded).then(|| proc.clone());
             run_proc_chain(&env, group, &mut proc, entry.as_ref(), slot, 0);
         };
-        let names = |r: &Replay| match r {
-            Replay::Recorded(cells) => cells.iter().map(|c| c.pass.clone()).collect(),
-            _ => vec!["not recorded".to_string()],
-        };
 
-        // a miss records group after group
+        // a miss whose chain runs clean is recorded; a second chain (a
+        // second proc group) leaves it uncacheable
         let mut slot = ProcSlot::new(0, Replay::None);
         run(&clean, &mut slot);
+        let Replay::Recorded(cells) = &slot.replay else {
+            panic!("recorded")
+        };
+        let cells = cells.clone();
+        let names: Vec<&str> = cells.iter().map(|c| &*c.pass).collect();
+        assert_eq!(names, ["whiledo", "ivsub"]);
         run(&clean[..1], &mut slot);
-        assert_eq!(names(&slot.replay), ["whiledo", "ivsub", "whiledo"]);
+        assert!(matches!(slot.replay, Replay::Uncacheable));
 
         // a fault is final: the next group is skipped, never recorded
         for first in [&faulty[..], &clean[..]] {
@@ -1572,56 +1568,36 @@ mod tests {
         run(&clean, &mut slot);
         assert!(matches!(slot.replay, Replay::Uncacheable));
 
-        // a hit is consumed group by group, to `Replayed`
-        let Replay::Recorded(cells) = ({
-            let mut slot = ProcSlot::new(0, Replay::None);
-            run(&clean, &mut slot);
-            run(&clean[..1], &mut slot);
-            slot.replay
-        }) else {
-            panic!("recorded")
-        };
-        let hit = || Replay::Hit {
-            entry: Arc::new(CachedEntry {
+        // a hit is replayed whole, to `Replayed`; a chain executed after
+        // it (a second group) is never persisted
+        let hit = || {
+            Replay::Hit(Arc::new(CachedEntry {
                 il: countdown(),
                 cells: cells.clone(),
                 cells_bytes: 0,
-            }),
-            cursor: 0,
+            }))
         };
         let mut slot = ProcSlot::new(0, hit());
         let mut proc = countdown();
-        let first = slot.replay_group(2, &mut proc).expect("replays");
-        assert_eq!(first.cells.len(), 2);
-        assert!(matches!(slot.replay, Replay::Hit { cursor: 2, .. }));
-        assert!(proc.generation() > 0, "past the generation already covered");
-        assert_eq!(
-            slot.replay_group(1, &mut proc)
-                .expect("replays")
-                .cells
-                .len(),
-            1
-        );
+        let replayed = slot.replay_group(2, &mut proc).expect("replays");
+        assert_eq!(replayed.cells.len(), 2);
         assert!(matches!(slot.replay, Replay::Replayed));
+        assert!(proc.generation() > 0, "past the generation already covered");
+        run(&clean, &mut slot);
+        assert!(matches!(slot.replay, Replay::Uncacheable));
 
-        // a chain executed after a (partial) replay, a hit on a degraded
-        // procedure, a hit that runs short: executed, and never persisted
-        for groups in [[2, 0], [2, 1]] {
-            let mut slot = ProcSlot::new(0, hit());
-            for len in groups {
-                slot.replay_group(len, &mut proc);
-            }
-            run(&clean, &mut slot);
-            assert!(matches!(slot.replay, Replay::Uncacheable));
-        }
+        // a hit on a degraded procedure, a hit whose cells are not the
+        // group's: executed, and never persisted
         let mut slot = ProcSlot::new(0, hit());
         slot.degraded = true;
         assert!(slot.replay_group(2, &mut proc).is_none());
         run(&clean, &mut slot);
         assert!(matches!(slot.replay, Replay::Uncacheable));
-        let mut slot = ProcSlot::new(0, hit());
-        assert!(slot.replay_group(4, &mut proc).is_none(), "three cells");
-        run(&clean, &mut slot);
-        assert!(matches!(slot.replay, Replay::Uncacheable));
+        for len in [1, 3] {
+            let mut slot = ProcSlot::new(0, hit());
+            assert!(slot.replay_group(len, &mut proc).is_none(), "two cells");
+            run(&clean, &mut slot);
+            assert!(matches!(slot.replay, Replay::Uncacheable));
+        }
     }
 }

@@ -77,9 +77,6 @@ use titanc_il::StableHash;
 /// was given" — shared by the CLI and the server executor.
 pub const EXIT_INCIDENT: u8 = 3;
 
-/// Bumped when the request/response encoding changes shape.
-pub const PROTOCOL_VERSION: i64 = 1;
-
 /// The longest request line the server reads (the nine-file `mp9` line is
 /// 27 KB). A longer one is discarded through its newline unbuffered and
 /// answered with an `exit: 2` protocol error.

@@ -97,8 +97,9 @@ use crate::{
 /// entries written by other versions are treated as misses. (2: `dce`
 /// re-solves liveness over one CFG, so the recorded analysis-cache
 /// counters moved. 3: cells and manifests are wire bytes, and a manifest
-/// keeps only the whole-program stages' records.)
-const ENTRY_VERSION: u32 = 3;
+/// keeps only the whole-program stages' records. 4: a cell's cache
+/// counters lost the dominator and loop-nest pairs.)
+const ENTRY_VERSION: u32 = 4;
 
 /// One input translation unit: a display name (normally the path) and
 /// its source text.
@@ -354,7 +355,7 @@ pub(crate) fn compile_session_impl(
             for (p, h) in program.procs.iter().zip(&c.hashes) {
                 let hit = load_hit(&mut c.store, h, &p.name, &proc_passes);
                 c.replay.push(match hit {
-                    Some(entry) => Replay::Hit { entry, cursor: 0 },
+                    Some(entry) => Replay::Hit(entry),
                     None => {
                         let index = index.get_or_insert_with(|| load_index(&mut c.store, &c.index));
                         let edited = |old: &String| *old != h.hex();
@@ -532,7 +533,7 @@ fn merge_tu(
 fn options_fingerprint(options: &Options) -> String {
     format!(
         "opt={:?} inline={} depth={} callee={} growth={} parallel={} spread={} \
-         aliasing={:?} strip={} maxvl={}",
+         aliasing={:?} strip={}",
         options.opt,
         options.inline,
         options.inline_opts.max_depth,
@@ -541,8 +542,7 @@ fn options_fingerprint(options: &Options) -> String {
         options.parallelize,
         options.spread_lists,
         options.aliasing,
-        options.strip,
-        options.max_vl
+        options.strip
     )
 }
 
@@ -1091,8 +1091,8 @@ mod tests {
     }
 
     // -----------------------------------------------------------------
-    // replay through a hand-built pipeline: two proc groups, a damaged
-    // cell list, a stage that changes the procedure count
+    // hand-built pipelines: a damaged cell list, a second proc group, a
+    // stage that changes the procedure count
     // -----------------------------------------------------------------
 
     /// A whole-program stage between two proc groups: a no-op, or one that
@@ -1199,43 +1199,15 @@ mod tests {
     }
 
     #[test]
-    fn one_entry_replays_across_two_proc_groups() {
-        let reference = compile_with(split_pipeline(false), None);
-        let dir = scratch("two-groups");
-        let cold = compile_with(split_pipeline(false), Some(&dir));
-        assert_eq!((cold.stats.hits, cold.stats.misses), (0, 2));
-        assert_eq!(cold.stats.passes_executed, 1 + 6 * 2);
-        assert_eq!(output(&reference), output(&cold));
-
-        // no manifest: both groups replay from each entry's six cells
-        drop_manifests(&dir);
-        let warm = compile_with(split_pipeline(false), Some(&dir));
-        assert!(!warm.stats.full_warm);
-        assert_eq!((warm.stats.hits, warm.stats.misses), (2, 0));
-        assert_eq!(warm.stats.passes_executed, 1, "only `between` executes");
-        assert_eq!(output(&reference), output(&warm));
-        let trace = &warm.compilation.trace;
-        assert_eq!(trace.records.len(), 7);
-        assert_eq!(trace.timeline.len(), 1, "no chain ran");
-        assert_eq!(trace.timeline[0].pass, "between");
-        // both hits were consumed to the end, so the manifest is back, and
-        // the records rebuilt from the entries' cells are the cold run's
-        let full = compile_with(split_pipeline(false), Some(&dir));
-        assert!(full.stats.full_warm);
-        assert_eq!(full.stats.passes_executed, 0);
-        assert_eq!(output(&reference), output(&full));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn an_entry_whose_cells_are_not_the_pipelines_is_refused_whole() {
         type Damage = fn(&mut Vec<RecordedCell>);
-        let cut_to_the_first_group: Damage = |cells| cells.truncate(5);
-        let rename_one: Damage = |cells| cells[5].pass = "cse".to_string();
-        let reference = compile_with(split_pipeline(false), None);
-        for damage in [cut_to_the_first_group, rename_one] {
+        let cut_one: Damage = |cells| cells.truncate(4);
+        let rename_one: Damage = |cells| cells[4].pass = "cse".to_string();
+        let o1 = || Pipeline::for_options(&Options::o1());
+        let reference = compile_with(o1(), None);
+        for damage in [cut_one, rename_one] {
             let dir = scratch("cells-not-the-pipelines");
-            compile_with(split_pipeline(false), Some(&dir));
+            compile_with(o1(), Some(&dir));
             drop_manifests(&dir);
             let victim = entries(&dir).remove(0);
             reseal(&dir, &victim, |il, section| {
@@ -1244,20 +1216,40 @@ mod tests {
                 (il.to_vec(), wire::to_bytes(&cells))
             });
 
-            // refused where it is seeded — before group one could substitute
-            // IL that group two's passes would then run over again
-            let warm = compile_with(split_pipeline(false), Some(&dir));
+            // refused where it is seeded, not merely left unreplayed:
+            // quarantined, counted, and its procedure compiled cold
+            let warm = compile_with(o1(), Some(&dir));
             assert_eq!((warm.stats.corrupt, warm.stats.quarantined), (1, 1));
             assert_eq!((warm.stats.hits, warm.stats.misses), (1, 1));
-            assert_eq!(warm.stats.passes_executed, 1 + 6);
+            assert_eq!(warm.stats.passes_executed, 5);
             assert_eq!(output(&reference), output(&warm));
             // compiled cold and re-published: fully warm and clean again
-            let healed = compile_with(split_pipeline(false), Some(&dir));
+            let healed = compile_with(o1(), Some(&dir));
             assert!(healed.stats.full_warm);
             assert_eq!(healed.stats.corrupt, 0);
             assert_eq!(output(&reference), output(&healed));
             let _ = std::fs::remove_dir_all(&dir);
         }
+    }
+
+    /// A second proc group: the first cannot replay a whole entry and the
+    /// second leaves a recorded miss uncacheable, so every run compiles
+    /// exactly as a store-less one and publishes no entry or manifest.
+    #[test]
+    fn a_second_proc_group_compiles_as_store_less() {
+        let reference = compile_with(split_pipeline(false), None);
+        let dir = scratch("two-groups");
+        for round in 0..2 {
+            let sc = compile_with(split_pipeline(false), Some(&dir));
+            assert_eq!((sc.stats.hits, sc.stats.misses), (0, 2), "round {round}");
+            assert_eq!(sc.stats.passes_executed, 1 + 6 * 2);
+            assert_eq!((sc.stats.write_failed, sc.stats.corrupt), (0, 0));
+            assert_eq!(output(&reference), output(&sc), "round {round}");
+            let left = dir_image(&dir).into_keys();
+            let published = |n: &String| n.ends_with(".il") || n.starts_with("session-");
+            assert_eq!(left.filter(published).count(), 0, "round {round}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

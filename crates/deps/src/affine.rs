@@ -123,18 +123,6 @@ impl Affine {
         e
     }
 
-    /// The single `AddrOf` array this address is based on, if its symbolic
-    /// part is exactly one `&array` term with multiplier 1.
-    pub fn array_base(&self, exprs: &ExprPool) -> Option<VarId> {
-        match self.terms.as_slice() {
-            [(_, e, 1)] => match exprs[*e] {
-                Expr::AddrOf(v) => Some(v),
-                _ => None,
-            },
-            _ => None,
-        }
-    }
-
     /// The unique `&array` root among the symbolic terms, if exactly one
     /// term is an `AddrOf` with multiplier 1 (other terms may be loop
     /// bounds or outer-loop offsets). Addresses rooted in *different*
@@ -154,18 +142,6 @@ impl Affine {
             .iter()
             .any(|(_, e, m)| matches!(exprs[*e], Expr::AddrOf(_)) && *m != 1);
         (!weird).then_some(first)
-    }
-
-    /// The single pointer variable this address is based on, if its
-    /// symbolic part is exactly one `Var(p)` term with multiplier 1.
-    pub fn pointer_base(&self, exprs: &ExprPool) -> Option<VarId> {
-        match self.terms.as_slice() {
-            [(_, e, 1)] => match exprs[*e] {
-                Expr::Var(v) => Some(v),
-                _ => None,
-            },
-            _ => None,
-        }
     }
 }
 
@@ -251,7 +227,7 @@ mod tests {
         let a = decompose(&proc, &[], lv, e).unwrap();
         assert_eq!(a.coeff, 4);
         assert_eq!(a.offset, 8);
-        assert_eq!(a.array_base(&proc.exprs), Some(arr));
+        assert_eq!(a.array_root(&proc.exprs), Some(arr));
     }
 
     #[test]
@@ -268,7 +244,6 @@ mod tests {
         let a = decompose(&proc, &[], lv, e).unwrap();
         assert_eq!(a.coeff, -4);
         assert_eq!(a.offset, 200);
-        assert_eq!(a.pointer_base(&proc.exprs), Some(p));
     }
 
     #[test]

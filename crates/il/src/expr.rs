@@ -72,22 +72,6 @@ impl BinOp {
         )
     }
 
-    /// True when `a op b == b op a` for all operands of the operand kind.
-    pub fn is_commutative(self) -> bool {
-        matches!(
-            self,
-            BinOp::Add
-                | BinOp::Mul
-                | BinOp::Eq
-                | BinOp::Ne
-                | BinOp::BitAnd
-                | BinOp::BitOr
-                | BinOp::BitXor
-                | BinOp::Min
-                | BinOp::Max
-        )
-    }
-
     /// The C spelling used by the pretty-printer.
     pub fn symbol(self) -> &'static str {
         match self {
@@ -979,12 +963,9 @@ mod tests {
     }
 
     #[test]
-    fn comparison_and_commutativity_classification() {
+    fn comparison_classification() {
         assert!(BinOp::Le.is_comparison());
         assert!(!BinOp::Add.is_comparison());
-        assert!(BinOp::Mul.is_commutative());
-        assert!(!BinOp::Sub.is_commutative());
-        assert!(!BinOp::Div.is_commutative());
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! the id-rebinding rewrite idiom ergonomic without interior mutability.
 
 use crate::expr::ExprPool;
-use crate::ids::{ExprId, LabelId, ProcId, StmtId, StructId, VarId};
+use crate::ids::{LabelId, ProcId, StmtId, StructId, VarId};
 use crate::stmt::{Block, StmtKind, StmtPool};
 use crate::types::{ScalarType, Type};
 
@@ -691,19 +691,10 @@ impl Program {
     }
 }
 
-/// Helper: allocates an expression that evaluates a variable's current
-/// value, or its address if the variable is an array (C decay).
-pub fn var_value_or_decay(proc: &mut Procedure, v: VarId) -> ExprId {
-    match proc.var(v).ty {
-        Type::Array(..) => proc.exprs.addr_of(v),
-        _ => proc.exprs.var(v),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::expr::{Expr, LValue};
+    use crate::expr::LValue;
 
     #[test]
     fn fresh_temps_are_distinct() {
@@ -850,24 +841,6 @@ mod tests {
         p.params.push(x);
         assert_eq!(p.var_by_name("x"), Some(x));
         assert_eq!(p.var_by_name("y"), None);
-    }
-
-    #[test]
-    fn array_var_decays_to_address() {
-        let mut p = Procedure::new("f", Type::Void);
-        let a = p.add_var(VarInfo {
-            name: "a".into(),
-            ty: Type::array_of(Type::Float, 100),
-            storage: Storage::Auto,
-            volatile: false,
-            addressed: true,
-            init: None,
-        });
-        let i = p.fresh_temp(Type::Int);
-        let ea = var_value_or_decay(&mut p, a);
-        assert_eq!(p.exprs[ea], Expr::AddrOf(a));
-        let ei = var_value_or_decay(&mut p, i);
-        assert_eq!(p.exprs[ei], Expr::Var(i));
     }
 
     #[test]

@@ -379,11 +379,6 @@ impl StmtKind {
         }
     }
 
-    /// True when any directly evaluated expression loads from memory.
-    pub fn reads_memory(&self, exprs: &ExprPool) -> bool {
-        self.exprs().into_iter().any(|e| exprs.has_load(e))
-    }
-
     /// True when this statement performs a volatile access (directly).
     pub fn has_volatile_access(&self, exprs: &ExprPool) -> bool {
         let lhs_volatile = match self {
@@ -564,7 +559,6 @@ mod tests {
         };
         assert_eq!(s.exprs().len(), 2);
         assert!(s.writes_memory());
-        assert!(!s.reads_memory(&e));
         assert_eq!(s.defined_var(), None);
     }
 

@@ -31,21 +31,6 @@ pub fn walk_expr(exprs: &ExprPool, id: ExprId, f: &mut dyn FnMut(ExprId, &Expr))
     }
 }
 
-/// Visits every expression evaluated anywhere in the block tree
-/// (including nested subexpressions, visited preorder).
-pub fn for_each_expr(
-    stmts: &StmtPool,
-    exprs: &ExprPool,
-    block: &[StmtId],
-    f: &mut dyn FnMut(ExprId, &Expr),
-) {
-    walk_block(stmts, block, &mut |_, kind| {
-        for e in kind.exprs() {
-            walk_expr(exprs, e, f);
-        }
-    });
-}
-
 /// Bottom-up (postorder) rewrite of an expression subtree, in place.
 ///
 /// The callback receives the pool and the id of the node being visited;
@@ -133,24 +118,6 @@ pub fn edit_blocks(proc: &mut Procedure, f: &mut dyn FnMut(&mut Procedure, &mut 
     });
 }
 
-/// Removes every `Nop` statement id from the body and from every block in
-/// the arena (a `Nop` never has children, so one flat sweep over the kind
-/// column is fully recursive).
-pub fn sweep_nops(stmts: &mut StmtPool, body: &mut Block) {
-    let is_nop: Vec<bool> = stmts
-        .kinds()
-        .iter()
-        .map(|k| matches!(k, StmtKind::Nop))
-        .collect();
-    body.retain(|s| !is_nop[s.index()]);
-    for i in 0..stmts.len() {
-        let id = StmtId::from_index(i);
-        for b in stmts[id].blocks_mut() {
-            b.retain(|s| !is_nop[s.index()]);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -180,18 +147,6 @@ mod tests {
         let mut count = 0;
         walk_block(&p.stmts, &[outer], &mut |_, _| count += 1);
         assert_eq!(count, 2);
-    }
-
-    #[test]
-    fn for_each_expr_reaches_subexpressions() {
-        let mut p = Procedure::new("f", Type::Void);
-        let x = p.exprs.var(VarId(1));
-        let two = p.exprs.int(2);
-        let add = p.exprs.ibinary(BinOp::Add, x, two);
-        let s = assign(&mut p, 0, add);
-        let mut seen = 0;
-        for_each_expr(&p.stmts, &p.exprs, &[s], &mut |_, _| seen += 1);
-        assert_eq!(seen, 3); // Binary, Var, IntConst
     }
 
     #[test]
@@ -303,24 +258,5 @@ mod tests {
         let mut blocks = Vec::new();
         edit_blocks(&mut p, &mut |_, block| blocks.push(block.clone()));
         assert_eq!(blocks, [vec![c], vec![b, v, d], vec![a, w, e]]);
-    }
-
-    #[test]
-    fn sweep_removes_nested_nops() {
-        let mut p = Procedure::new("f", Type::Void);
-        let n0 = p.stamp(StmtKind::Nop);
-        let n1 = p.stamp(StmtKind::Nop);
-        let one = p.exprs.int(1);
-        let live = assign(&mut p, 0, one);
-        let cond = p.exprs.int(1);
-        let w = p.stamp(StmtKind::While {
-            cond,
-            body: vec![n1, live],
-            safe: false,
-        });
-        p.body = vec![n0, w];
-        sweep_nops(&mut p.stmts, &mut p.body);
-        assert_eq!(p.body, vec![w]);
-        assert_eq!(p.stmts[w].blocks()[0], &vec![live]);
     }
 }

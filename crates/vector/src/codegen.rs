@@ -35,9 +35,6 @@ pub struct VectorOptions {
     pub parallelize: bool,
     /// Strip length when parallelizing (the paper's examples use 32).
     pub strip: i64,
-    /// Maximum single vector length (the Titan register file holds
-    /// vectors up to 2048 elements).
-    pub max_vl: i64,
 }
 
 impl Default for VectorOptions {
@@ -46,10 +43,13 @@ impl Default for VectorOptions {
             aliasing: Aliasing::C,
             parallelize: false,
             strip: 32,
-            max_vl: 2048,
         }
     }
 }
+
+/// Maximum single vector length (the Titan register file holds vectors up
+/// to 2048 elements).
+const MAX_VL: i64 = 2048;
 
 /// What happened to each loop.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -296,7 +296,7 @@ fn try_vectorize_loop(proc: &mut Procedure, id: StmtId, opts: &VectorOptions) ->
         let residual = groups.iter().any(|g| matches!(g, Group::Scalar(_)));
         // single-VL case (short constant trip count, no spreading) skips
         // the strip loop; everything else is strip-mined
-        let stripped = opts.parallelize || trips_const.is_none_or(|n| n > opts.max_vl);
+        let stripped = opts.parallelize || trips_const.is_none_or(|n| n > MAX_VL);
         let mut strip_ids: Vec<StmtId> = Vec::new();
         let mut replacement: Block = Vec::new();
         let mut pre: Block = Vec::new();
@@ -522,7 +522,7 @@ fn emit_vector_group(
     loop_span: SrcSpan,
     replacement: &mut Block,
 ) -> Option<StmtId> {
-    let single_ok = !opts.parallelize && trips_const.is_some_and(|n| n <= opts.max_vl);
+    let single_ok = !opts.parallelize && trips_const.is_some_and(|n| n <= MAX_VL);
     if single_ok {
         let zero = proc.exprs.int(0);
         for plan in &plans {
@@ -533,11 +533,7 @@ fn emit_vector_group(
         return None;
     }
     // strip loop: ks = 0 .. trips-1 step VL; len = min(VL, trips-ks)
-    let vl = if opts.parallelize {
-        opts.strip
-    } else {
-        opts.max_vl
-    };
+    let vl = if opts.parallelize { opts.strip } else { MAX_VL };
     let ks = proc.fresh_temp(Type::Int);
     proc.var_mut(ks).name = format!("vi_{}", ks.index());
     let t_len = proc.fresh_temp(Type::Int);

@@ -1,10 +1,12 @@
 //! Parallel-pipeline regression tests: `-j 1` and `-j N` must produce
 //! byte-identical output (the merge is by procedure order, not worker
 //! order), the generation-keyed analysis cache must never serve a stale
-//! artifact across a mutating pass, and procedures whose generation did
-//! not move must be skipped by the snapshotter.
+//! artifact across a mutating pass, every counter it keeps must move on
+//! the corpus, and procedures whose generation did not move must be
+//! skipped by the snapshotter.
 
-use titanc_repro::titanc::{compile, Options};
+use titanc_bench::sweep::corpus_files;
+use titanc_repro::titanc::{compile, CacheStats, Options};
 
 /// A corpus of independent procedures, each with a constant chain hidden
 /// behind agreeing conditional definitions (forward substitution cannot
@@ -111,6 +113,26 @@ fn pipeline_reuses_and_repairs_analyses() {
     // the per-pass attribution adds up to the totals
     let constprop = c.trace.record("constprop").unwrap();
     assert!(constprop.cache.usedef_hits > 0, "{:?}", constprop.cache);
+}
+
+/// Every analysis-cache counter moves on some compile at `-O2 --parallel`
+/// of `corpus/*.c` or of this file's constant-chain corpus (the only one
+/// that makes constant propagation rerun over repaired chains, hitting
+/// them): a counter no pass moves must not ride every pass record and
+/// cache cell.
+#[test]
+fn every_cache_counter_moves_on_the_corpus() {
+    let mut totals = CacheStats::default();
+    let chains = ("constant chains".to_string(), corpus(2));
+    for (name, src) in corpus_files().into_iter().chain([chains]) {
+        let c = compile(&src, &Options::parallel()).unwrap_or_else(|e| panic!("{name}: {e}"));
+        totals.merge(&c.trace.cache_totals());
+    }
+    // every field as `Debug` names it, so a new counter is covered too
+    let shown = format!("{totals:?}");
+    let fields = shown.trim_start_matches("CacheStats { ").trim_end_matches(" }");
+    let idle: Vec<&str> = fields.split(", ").filter(|f| f.ends_with(": 0")).collect();
+    assert!(idle.is_empty(), "counters no pass moves: {idle:?}");
 }
 
 #[test]
