@@ -24,25 +24,25 @@ pub enum Value {
 
 impl Value {
     /// The value as an i64, converting floats by truncation.
-    #[inline]
+    #[inline(always)]
     pub fn as_int(self) -> i64 {
         match self {
             Value::Int(v) => v,
-            Value::Float(f) => f as i64,
+            Value::Float(f) => float_to_int(f),
         }
     }
 
     /// The value as an f64.
-    #[inline]
+    #[inline(always)]
     pub fn as_float(self) -> f64 {
         match self {
-            Value::Int(v) => v as f64,
+            Value::Int(v) => int_to_float(v),
             Value::Float(f) => f,
         }
     }
 
     /// C truthiness: nonzero is true.
-    #[inline]
+    #[inline(always)]
     pub fn is_truthy(self) -> bool {
         match self {
             Value::Int(v) => v != 0,
@@ -51,9 +51,25 @@ impl Value {
     }
 }
 
+/// The cross-kind halves of [`Value::as_int`] and [`Value::as_float`]. An
+/// operand almost always has its operator's kind, so these stay out of
+/// line and the same-kind read is one predicted branch. Casts convert
+/// inline instead: there, crossing kinds is the point.
+#[cold]
+#[inline(never)]
+fn float_to_int(f: f64) -> i64 {
+    f as i64
+}
+
+#[cold]
+#[inline(never)]
+fn int_to_float(v: i64) -> f64 {
+    v as f64
+}
+
 /// Normalizes a raw value to the representation of `ty` (wrapping integers,
 /// rounding floats).
-#[inline]
+#[inline(always)]
 pub fn normalize(v: Value, ty: ScalarType) -> Value {
     match ty {
         ScalarType::Char => Value::Int((v.as_int() as i8) as i64),
@@ -65,18 +81,25 @@ pub fn normalize(v: Value, ty: ScalarType) -> Value {
 }
 
 /// Evaluates a cast.
-#[inline]
+#[inline(always)]
 pub fn eval_cast(to: ScalarType, _from: ScalarType, v: Value) -> Value {
-    match to {
-        ScalarType::Char | ScalarType::Int | ScalarType::Ptr => {
-            normalize(Value::Int(v.as_int()), to)
-        }
-        ScalarType::Float | ScalarType::Double => normalize(Value::Float(v.as_float()), to),
+    if to.is_float() {
+        let f = match v {
+            Value::Int(i) => i as f64,
+            Value::Float(f) => f,
+        };
+        normalize(Value::Float(f), to)
+    } else {
+        let i = match v {
+            Value::Int(i) => i,
+            Value::Float(f) => f as i64,
+        };
+        normalize(Value::Int(i), to)
     }
 }
 
 /// Evaluates a unary operator on an operand of kind `ty`.
-#[inline]
+#[inline(always)]
 pub fn eval_unop(op: UnOp, ty: ScalarType, v: Value) -> Value {
     match op {
         UnOp::Neg => {
@@ -95,7 +118,7 @@ pub fn eval_unop(op: UnOp, ty: ScalarType, v: Value) -> Value {
 ///
 /// Returns `None` for division/remainder by zero (the fold must leave the
 /// expression alone and let the simulator trap at run time).
-#[inline]
+#[inline(always)]
 pub fn eval_binop(op: BinOp, ty: ScalarType, a: Value, b: Value) -> Option<Value> {
     if ty.is_float() {
         let (x, y) = (a.as_float(), b.as_float());

@@ -558,7 +558,14 @@ impl<'p> Simulator<'p> {
         let base = self
             .global_addr(name)
             .ok_or_else(|| SimError::new(format!("no global `{name}`")))?;
-        Ok(base + index * kind.size() as u32)
+        index
+            .checked_mul(kind.size() as u32)
+            .and_then(|off| base.checked_add(off))
+            .ok_or_else(|| {
+                SimError::new(format!(
+                    "element {index} of global `{name}` lies beyond the address space"
+                ))
+            })
     }
 
     pub(crate) fn proc_by_name(&self, name: &str) -> Option<(usize, &'p Procedure)> {
@@ -599,10 +606,18 @@ impl<'p> Simulator<'p> {
     /// The frame template of procedure `idx`, built on its first call.
     /// Address assignment order is part of the engine-equivalence
     /// contract, which is why both engines get their frames from here.
+    #[inline(always)]
     fn layout(&mut self, idx: usize) -> Rc<FrameLayout> {
-        if let Some(l) = &self.layouts[idx] {
-            return Rc::clone(l);
+        match &self.layouts[idx] {
+            Some(l) => Rc::clone(l),
+            None => self.first_layout(idx),
         }
+    }
+
+    /// Builds and records procedure `idx`'s frame template.
+    #[cold]
+    #[inline(never)]
+    fn first_layout(&mut self, idx: usize) -> Rc<FrameLayout> {
         let proc: &'p Procedure = &self.prog.procs[idx];
         let mut stack_bytes = 0u32;
         let homes = proc
@@ -640,6 +655,7 @@ impl<'p> Simulator<'p> {
     /// guard, call charge, stack allocation (zeroed). Returns the frame
     /// template and the activation's base address; the caller saves `sp`
     /// beforehand and hands it to [`Simulator::leave_frame`].
+    #[inline(always)]
     pub(crate) fn enter_frame(&mut self, idx: usize) -> Result<(Rc<FrameLayout>, u32), SimError> {
         if self.depth >= MAX_CALL_DEPTH {
             return Err(SimError::new("call depth exceeded (runaway recursion?)"));
@@ -663,6 +679,7 @@ impl<'p> Simulator<'p> {
     }
 
     /// Call epilogue shared by both engines.
+    #[inline(always)]
     pub(crate) fn leave_frame(&mut self, saved_sp: u32) {
         self.sp = saved_sp;
         self.depth -= 1;
@@ -673,52 +690,63 @@ impl<'p> Simulator<'p> {
     // memory
     // ------------------------------------------------------------------
 
-    /// The byte range of a `size`-byte access at `addr`. The arithmetic is
-    /// in `u64`: an address within `size` bytes of 2³² must not wrap back
-    /// into range.
-    #[inline]
-    fn span(&self, addr: u32, size: usize) -> Result<std::ops::Range<usize>, SimError> {
+    /// The index of a `size`-byte access at `addr`, checked to lie in
+    /// memory. The arithmetic is in `u64`: an address within `size` bytes
+    /// of 2³² must not wrap back into range.
+    #[inline(always)]
+    fn span(&self, addr: u32, size: usize) -> Result<usize, SimError> {
         let end = u64::from(addr) + size as u64;
         if addr < 4 || end > self.mem.len() as u64 {
             return Err(out_of_range(addr, size));
         }
-        Ok(addr as usize..end as usize)
+        Ok(addr as usize)
     }
 
-    #[inline]
+    /// The `N` bytes at `addr`. `N` is a constant at every call, so the
+    /// copy is one fixed-width move.
+    #[inline(always)]
+    fn read_bytes<const N: usize>(&self, addr: u32) -> Result<[u8; N], SimError> {
+        let a = self.span(addr, N)?;
+        Ok(self.mem[a..a + N].try_into().expect("a slice of N bytes"))
+    }
+
+    #[inline(always)]
+    fn write_bytes<const N: usize>(&mut self, addr: u32, b: [u8; N]) -> Result<(), SimError> {
+        let a = self.span(addr, N)?;
+        self.mem[a..a + N].copy_from_slice(&b);
+        Ok(())
+    }
+
+    #[inline(always)]
     pub(crate) fn read_mem(&self, addr: u32, kind: ScalarType) -> Result<Value, SimError> {
-        let b = &self.mem[self.span(addr, kind.size() as usize)?];
         Ok(match kind {
-            ScalarType::Char => Value::Int(b[0] as i8 as i64),
-            ScalarType::Int => Value::Int(i32::from_le_bytes(b.try_into().unwrap()) as i64),
-            ScalarType::Ptr => Value::Int(u32::from_le_bytes(b.try_into().unwrap()) as i64),
-            ScalarType::Float => Value::Float(f32::from_le_bytes(b.try_into().unwrap()) as f64),
-            ScalarType::Double => Value::Float(f64::from_le_bytes(b.try_into().unwrap())),
+            ScalarType::Char => Value::Int(self.read_bytes::<1>(addr)?[0] as i8 as i64),
+            ScalarType::Int => Value::Int(i32::from_le_bytes(self.read_bytes(addr)?) as i64),
+            ScalarType::Ptr => Value::Int(u32::from_le_bytes(self.read_bytes(addr)?) as i64),
+            ScalarType::Float => Value::Float(f32::from_le_bytes(self.read_bytes(addr)?) as f64),
+            ScalarType::Double => Value::Float(f64::from_le_bytes(self.read_bytes(addr)?)),
         })
     }
 
-    #[inline]
+    #[inline(always)]
     pub(crate) fn write_mem(
         &mut self,
         addr: u32,
         kind: ScalarType,
         v: Value,
     ) -> Result<(), SimError> {
-        let span = self.span(addr, kind.size() as usize)?;
-        let b = &mut self.mem[span];
         match kind {
-            ScalarType::Char => b[0] = v.as_int() as u8,
-            ScalarType::Int => b.copy_from_slice(&(v.as_int() as i32).to_le_bytes()),
-            ScalarType::Ptr => b.copy_from_slice(&(v.as_int() as u32).to_le_bytes()),
-            ScalarType::Float => b.copy_from_slice(&(v.as_float() as f32).to_le_bytes()),
-            ScalarType::Double => b.copy_from_slice(&v.as_float().to_le_bytes()),
+            ScalarType::Char => self.write_bytes(addr, [v.as_int() as u8]),
+            ScalarType::Int => self.write_bytes(addr, (v.as_int() as i32).to_le_bytes()),
+            ScalarType::Ptr => self.write_bytes(addr, (v.as_int() as u32).to_le_bytes()),
+            ScalarType::Float => self.write_bytes(addr, (v.as_float() as f32).to_le_bytes()),
+            ScalarType::Double => self.write_bytes(addr, v.as_float().to_le_bytes()),
         }
-        Ok(())
     }
 
     /// A charged scalar load. A volatile load first pops the device
     /// script into the loaded address.
-    #[inline]
+    #[inline(always)]
     pub(crate) fn load(
         &mut self,
         addr: u32,
@@ -726,17 +754,25 @@ impl<'p> Simulator<'p> {
         volatile: bool,
     ) -> Result<Value, SimError> {
         if volatile {
-            if let Some(next) = self.volatile_script.pop_front() {
-                self.write_mem(addr, kind, coerce(Value::Int(next), kind))?;
-            }
+            self.device_write(addr, kind)?;
         }
         self.bucket[Unit::Mem as usize] += self.cfg.costs.load;
         self.stats.loads += 1;
         self.read_mem(addr, kind)
     }
 
+    /// Pops the next device-script value, if any, into `addr`.
+    #[cold]
+    #[inline(never)]
+    fn device_write(&mut self, addr: u32, kind: ScalarType) -> Result<(), SimError> {
+        match self.volatile_script.pop_front() {
+            Some(next) => self.write_mem(addr, kind, coerce(Value::Int(next), kind)),
+            None => Ok(()),
+        }
+    }
+
     /// A charged scalar store of `v` coerced to `kind`.
-    #[inline]
+    #[inline(always)]
     pub(crate) fn store(&mut self, addr: u32, kind: ScalarType, v: Value) -> Result<(), SimError> {
         self.bucket[Unit::Mem as usize] += self.cfg.costs.store;
         self.stats.stores += 1;
@@ -756,7 +792,7 @@ impl<'p> Simulator<'p> {
         Ok(())
     }
 
-    #[inline]
+    #[inline(always)]
     pub(crate) fn charge(&mut self, c: Charge) {
         self.bucket[c.unit as usize] += c.cycles;
         self.stats.flops += u64::from(c.flop);
@@ -765,7 +801,7 @@ impl<'p> Simulator<'p> {
     /// Ends a straight-line region: with overlap scheduling the region
     /// costs the maximum of the three unit streams (§6 item 2); without it,
     /// their sum.
-    #[inline]
+    #[inline(always)]
     pub(crate) fn flush(&mut self, extra: u64) {
         let [int, fp, mem] = self.bucket;
         let region = if self.cfg.overlap {
@@ -778,7 +814,7 @@ impl<'p> Simulator<'p> {
     }
 
     /// `flush(costs.branch)`: the end of a region at a taken branch.
-    #[inline]
+    #[inline(always)]
     pub(crate) fn flush_branch(&mut self) {
         self.flush(self.cfg.costs.branch);
     }
@@ -888,7 +924,7 @@ fn align_up(x: u32, a: u32) -> u32 {
     x.div_ceil(a) * a
 }
 
-#[inline]
+#[inline(always)]
 pub(crate) fn coerce(v: Value, kind: ScalarType) -> Value {
     match kind {
         ScalarType::Float | ScalarType::Double => normalize(Value::Float(v.as_float()), kind),

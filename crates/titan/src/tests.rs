@@ -886,3 +886,303 @@ int main(void)
         }
     }
 }
+
+// ----------------------------------------------------------------------
+// every operator on every kind, both engines against `fold`
+// ----------------------------------------------------------------------
+
+mod operator_parity {
+    use super::*;
+    use crate::machine::MEM_SIZE;
+    use crate::{ExecEngine, SimError};
+    use titanc_il::fold::{eval_binop, eval_cast, eval_unop, normalize};
+    use titanc_il::{ExprId, Program, UnOp};
+
+    const KINDS: [ScalarType; 5] = [
+        ScalarType::Char,
+        ScalarType::Int,
+        ScalarType::Ptr,
+        ScalarType::Float,
+        ScalarType::Double,
+    ];
+
+    const BINOPS: [BinOp; 18] = [
+        BinOp::Add,
+        BinOp::Sub,
+        BinOp::Mul,
+        BinOp::Div,
+        BinOp::Rem,
+        BinOp::Eq,
+        BinOp::Ne,
+        BinOp::Lt,
+        BinOp::Le,
+        BinOp::Gt,
+        BinOp::Ge,
+        BinOp::BitAnd,
+        BinOp::BitOr,
+        BinOp::BitXor,
+        BinOp::Shl,
+        BinOp::Shr,
+        BinOp::Min,
+        BinOp::Max,
+    ];
+
+    /// Zero (a divisor), −1, the `i32` and `char` edges, 2³²−1 and shift
+    /// counts at and past the word width.
+    const INTS: [i64; 11] = [
+        0,
+        -1,
+        1,
+        7,
+        i32::MIN as i64,
+        i32::MAX as i64,
+        255,
+        u32::MAX as i64,
+        32,
+        33,
+        64,
+    ];
+
+    /// Zero (a divisor), values that round (or overflow) through `f32`,
+    /// and a negative fraction that truncates.
+    const FLOATS: [f64; 6] = [0.0, -1.0, 0.1, 16_777_217.0, 1e39, -2.5];
+
+    /// Every operand on every operator, so an integer operator also sees
+    /// floats and a float operator integers (the IL does not constrain a
+    /// node's operand kinds).
+    fn operands() -> impl Iterator<Item = Value> {
+        INTS.into_iter()
+            .map(Value::Int)
+            .chain(FLOATS.into_iter().map(Value::Float))
+    }
+
+    /// `v` as an IL constant; floats are `double` constants, so it is the
+    /// operator that rounds through `f32`.
+    fn constant(b: &mut ProcBuilder, v: Value) -> ExprId {
+        match v {
+            Value::Int(i) => b.int(i),
+            Value::Float(f) => b.double(f),
+        }
+    }
+
+    /// A program of `n` procedures `c0`, `c1`, …, each built by `body`.
+    fn program(n: usize, mut body: impl FnMut(usize, &mut ProcBuilder)) -> Program {
+        let mut prog = Program::new();
+        for i in 0..n {
+            let mut b = ProcBuilder::new(format!("c{i}"), Type::Int);
+            body(i, &mut b);
+            prog.add_proc(b.finish());
+        }
+        prog
+    }
+
+    /// A value's kind and bits: NaN equals NaN, and −0.0 differs from 0.0.
+    fn bits(v: Option<Value>) -> Option<(bool, u64)> {
+        v.map(|v| match v {
+            Value::Int(i) => (false, i as u64),
+            Value::Float(f) => (true, f.to_bits()),
+        })
+    }
+
+    /// Runs every procedure of `prog` in order, one simulator per engine
+    /// (a fresh 16 MiB memory per case would dominate the test). After each
+    /// case the engines must have returned the same value bit for bit, or
+    /// trapped with the same text, and must hold equal statistics; the
+    /// statistics accumulate, so equal totals after every case mean equal
+    /// charges for each. Returns the VM's results.
+    fn run_all(
+        prog: &Program,
+        case: &dyn Fn(usize) -> String,
+    ) -> Vec<Result<Option<Value>, SimError>> {
+        let mut interp = Simulator::with_engine(prog, MachineConfig::default(), ExecEngine::Interp);
+        let mut vm = Simulator::with_engine(prog, MachineConfig::default(), ExecEngine::Vm);
+        (0..prog.procs.len())
+            .map(|i| {
+                let name = format!("c{i}");
+                let ri = interp.run(&name, &[]).map(|r| r.value);
+                let rv = vm.run(&name, &[]).map(|r| r.value);
+                match (&ri, &rv) {
+                    (Ok(a), Ok(b)) => assert_eq!(bits(*a), bits(*b), "value of {}", case(i)),
+                    (Err(a), Err(b)) => assert_eq!(a, b, "trap of {}", case(i)),
+                    _ => panic!("{}: interp {ri:?}, vm {rv:?}", case(i)),
+                }
+                assert_eq!(interp.stats(), vm.stats(), "statistics after {}", case(i));
+                rv
+            })
+            .collect()
+    }
+
+    /// What `fold` says the operation yields: a value, or the simulator's
+    /// division-by-zero trap when it declines to fold.
+    fn check(r: &Result<Option<Value>, SimError>, want: Option<Value>, case: &str) {
+        match (r, want) {
+            (Ok(v), Some(w)) => assert_eq!(bits(*v), bits(Some(w)), "{case}"),
+            (Err(e), None) => assert_eq!(e.message, "division by zero", "{case}"),
+            _ => panic!("{case}: ran to {r:?}, fold says {want:?}"),
+        }
+    }
+
+    /// `return a op b` (the `Bin` instruction) and `if (a op b) return 1;
+    /// return 0;` (the fused compare-and-branch `BrBin`).
+    #[test]
+    fn every_binop_on_every_kind() {
+        let pairs: Vec<(Value, Value)> = operands()
+            .flat_map(|a| operands().map(move |b| (a, b)))
+            .collect();
+        for op in BINOPS {
+            for ty in KINDS {
+                let case = |i: usize| format!("{:?} {op:?} {:?} on {ty}", pairs[i].0, pairs[i].1);
+                let value = program(pairs.len(), |i, p| {
+                    let (x, y) = (constant(p, pairs[i].0), constant(p, pairs[i].1));
+                    let e = p.binary(op, ty, x, y);
+                    p.ret(Some(e));
+                });
+                let branch = program(pairs.len(), |i, p| {
+                    let (x, y) = (constant(p, pairs[i].0), constant(p, pairs[i].1));
+                    let cond = p.binary(op, ty, x, y);
+                    let then_blk = {
+                        let mut t = p.block();
+                        let one = t.int(1);
+                        t.ret(Some(one));
+                        t.stmts()
+                    };
+                    p.if_(cond, then_blk, Vec::new());
+                    let zero = p.int(0);
+                    p.ret(Some(zero));
+                });
+                let values = run_all(&value, &case);
+                let taken = run_all(&branch, &case);
+                for (i, &(a, b)) in pairs.iter().enumerate() {
+                    let want = eval_binop(op, ty, a, b);
+                    check(&values[i], want, &case(i));
+                    let truth = want.map(|v| Value::Int(i64::from(v.is_truthy())));
+                    check(&taken[i], truth, &case(i));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_unop_on_every_kind() {
+        let args: Vec<Value> = operands().collect();
+        for op in [UnOp::Neg, UnOp::Not, UnOp::BitNot] {
+            for ty in KINDS {
+                let case = |i: usize| format!("{op:?} {:?} on {ty}", args[i]);
+                let prog = program(args.len(), |i, p| {
+                    let x = constant(p, args[i]);
+                    let e = p.unary(op, ty, x);
+                    p.ret(Some(e));
+                });
+                for (i, r) in run_all(&prog, &case).iter().enumerate() {
+                    check(r, Some(eval_unop(op, ty, args[i])), &case(i));
+                }
+            }
+        }
+    }
+
+    /// Every pair of distinct kinds (the builder collapses an identity
+    /// cast, so the IL never holds one).
+    #[test]
+    fn every_cast_pair() {
+        let args: Vec<Value> = operands().collect();
+        for to in KINDS {
+            for from in KINDS.into_iter().filter(|&f| f != to) {
+                let case = |i: usize| format!("({to})({from}) {:?}", args[i]);
+                let prog = program(args.len(), |i, p| {
+                    let x = constant(p, args[i]);
+                    let e = p.cast(to, from, x);
+                    p.ret(Some(e));
+                });
+                for (i, r) in run_all(&prog, &case).iter().enumerate() {
+                    check(r, Some(eval_cast(to, from, args[i])), &case(i));
+                }
+            }
+        }
+    }
+
+    /// A load of every kind, and a store read back, at the first and last
+    /// addresses in range and the nearest ones outside it, including one
+    /// whose `addr + size` would wrap a 32-bit sum back into range.
+    #[test]
+    fn scalar_memory_access_at_the_edges() {
+        for ty in KINDS {
+            let size = ty.size() as u32;
+            let top = MEM_SIZE as u32 - size;
+            for addr in [3, 4, top, top + 1, 0xFFFF_FFFC] {
+                let in_range = (4..=top).contains(&addr);
+                let trap = format!("memory access out of range: {addr:#x}+{size}");
+                let case = |_| format!("{ty} at {addr:#x}");
+                let load = program(1, |_, p| {
+                    let a = p.int(i64::from(addr));
+                    let e = p.load(a, ty);
+                    p.ret(Some(e));
+                });
+                match run_all(&load, &case).remove(0) {
+                    Ok(v) => {
+                        assert!(in_range, "{}", case(0));
+                        let zero = if ty.is_float() {
+                            Value::Float(0.0)
+                        } else {
+                            Value::Int(0)
+                        };
+                        assert_eq!(bits(v), bits(Some(zero)), "{}", case(0));
+                    }
+                    Err(e) => {
+                        assert!(!in_range, "{}: {e}", case(0));
+                        assert_eq!(e.message, trap);
+                    }
+                }
+                let (stored, raw) = match ty {
+                    ScalarType::Float | ScalarType::Double => (Value::Float(0.1), 0.1),
+                    _ => (Value::Int(0x1_2345_6789), 0.0),
+                };
+                let store = program(1, |_, p| {
+                    let a = p.int(i64::from(addr));
+                    let v = match ty {
+                        ScalarType::Float => p.float(raw),
+                        ScalarType::Double => p.double(raw),
+                        _ => constant(p, stored),
+                    };
+                    p.assign(LValue::deref(a, ty), v);
+                    let a = p.int(i64::from(addr));
+                    let e = p.load(a, ty);
+                    p.ret(Some(e));
+                });
+                match run_all(&store, &case).remove(0) {
+                    Ok(v) => {
+                        assert!(in_range, "{}", case(0));
+                        assert_eq!(bits(v), bits(Some(normalize(stored, ty))), "{}", case(0));
+                    }
+                    Err(e) => {
+                        assert!(!in_range, "{}: {e}", case(0));
+                        assert_eq!(e.message, trap);
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn read_global_rejects_an_index_past_the_address_space() {
+    let prog = compile_to_il("int g[4]; int main(void) { g[1] = 7; return 0; }").unwrap();
+    let mut sim = Simulator::new(&prog, MachineConfig::default());
+    sim.run("main", &[]).unwrap();
+    assert_eq!(
+        sim.read_global("g", ScalarType::Int, 1).unwrap(),
+        Value::Int(7)
+    );
+    // `base + index * 4` wraps to `base` in 32 bits; it must not read g[0]
+    let err = sim
+        .read_global("g", ScalarType::Int, 1 << 30)
+        .expect_err("an index whose offset overflows");
+    assert!(err.message.contains("beyond the address space"), "{err}");
+    let err = sim
+        .read_global("g", ScalarType::Double, u32::MAX)
+        .expect_err("an index whose offset overflows");
+    assert!(err.message.contains("beyond the address space"), "{err}");
+    let err = sim
+        .read_global("g", ScalarType::Int, 1 << 24)
+        .expect_err("an index past simulated memory");
+    assert!(err.message.contains("memory access out of range"), "{err}");
+}

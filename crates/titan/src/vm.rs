@@ -123,15 +123,11 @@ impl<'p> Simulator<'p> {
     /// check, the machine's frame entry (depth guard, call charge, stack
     /// slots), then the frame template and parameter binding. Arguments
     /// come from `st.argv`.
+    #[inline(always)]
     fn vm_enter(&mut self, bc: &BcProgram, st: &mut Stack, idx: usize) -> Result<Act, SimError> {
         let bcp = &bc.procs[idx];
         if bcp.params.len() != st.argv.len() {
-            return Err(SimError::new(format!(
-                "procedure `{}` expects {} arguments, got {}",
-                self.prog.procs[idx].name,
-                bcp.params.len(),
-                st.argv.len()
-            )));
+            return Err(self.arity_error(idx, bcp.params.len(), st.argv.len()));
         }
         let saved_sp = self.sp;
         let (layout, base) = self.enter_frame(idx)?;
@@ -157,8 +153,18 @@ impl<'p> Simulator<'p> {
         })
     }
 
+    #[cold]
+    #[inline(never)]
+    fn arity_error(&self, idx: usize, want: usize, got: usize) -> SimError {
+        SimError::new(format!(
+            "procedure `{}` expects {want} arguments, got {got}",
+            self.prog.procs[idx].name
+        ))
+    }
+
     /// Finishes a value-producing instruction: an assignment to a register
     /// variable coerces to the variable's kind and charges the write.
+    #[inline(always)]
     fn sink(&mut self, v: Value, sink: Option<ScalarType>) -> Value {
         match sink {
             None => v,

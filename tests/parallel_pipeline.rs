@@ -130,7 +130,9 @@ fn every_cache_counter_moves_on_the_corpus() {
     }
     // every field as `Debug` names it, so a new counter is covered too
     let shown = format!("{totals:?}");
-    let fields = shown.trim_start_matches("CacheStats { ").trim_end_matches(" }");
+    let fields = shown
+        .trim_start_matches("CacheStats { ")
+        .trim_end_matches(" }");
     let idle: Vec<&str> = fields.split(", ").filter(|f| f.ends_with(": 0")).collect();
     assert!(idle.is_empty(), "counters no pass moves: {idle:?}");
 }
