@@ -10,16 +10,18 @@ use crate::ast::*;
 use crate::error::{Diagnostic, DiagnosticSink, Span};
 use crate::lexer::{lex, Kw, Punct, Tok, Token};
 
-/// Parses a translation unit.
+/// Parses a translation unit: [`parse_recovering`] under an error cap of
+/// one.
 ///
 /// # Errors
 ///
-/// Returns the first diagnostic encountered (the front end is
-/// fail-fast, like PCC was). Use [`parse_recovering`] for the fail-soft
-/// entry point that collects every diagnostic.
+/// Returns the first error diagnostic (fail-fast, like PCC was). Use
+/// [`parse_recovering`] directly to collect every diagnostic.
 pub fn parse(src: &str) -> Result<TranslationUnit, Diagnostic> {
-    let tokens = lex(src)?;
-    Parser::new(tokens).translation_unit()
+    let mut sink = DiagnosticSink::new(1);
+    let tu = parse_recovering(src, &mut sink);
+    let first = sink.errors().next().cloned();
+    first.map_or(Ok(tu), Err)
 }
 
 /// Parses a translation unit with error recovery.
@@ -45,9 +47,8 @@ pub fn parse_recovering(src: &str, sink: &mut DiagnosticSink) -> TranslationUnit
         }
     };
     let mut p = Parser::new(tokens);
-    p.recovering = true;
     p.sink = std::mem::take(sink);
-    let tu = p.translation_unit_recovering();
+    let tu = p.translation_unit();
     *sink = p.sink;
     tu
 }
@@ -71,9 +72,8 @@ struct Parser {
     /// `enum` constants resolve to integer literals at parse time (the
     /// front end has no symbol table; enums are pure constants in C89).
     enum_consts: std::collections::HashMap<String, i64>,
-    /// Fail-soft mode: statement errors are recorded into `sink` and the
-    /// parser synchronizes instead of aborting.
-    recovering: bool,
+    /// Statement and item errors are recorded here, and the parser
+    /// synchronizes instead of aborting until the sink's cap is reached.
     sink: DiagnosticSink,
 }
 
@@ -83,7 +83,6 @@ impl Parser {
             toks,
             pos: 0,
             enum_consts: std::collections::HashMap::new(),
-            recovering: false,
             sink: DiagnosticSink::default(),
         }
     }
@@ -377,17 +376,9 @@ impl Parser {
 
     // ---- top level ----
 
-    fn translation_unit(&mut self) -> Result<TranslationUnit, Diagnostic> {
-        let mut items = Vec::new();
-        while *self.peek() != Tok::Eof {
-            self.item(&mut items)?;
-        }
-        Ok(TranslationUnit { items })
-    }
-
     /// Fail-soft top level: every item error is recorded and the parser
     /// resynchronizes at the next plausible declaration start.
-    fn translation_unit_recovering(&mut self) -> TranslationUnit {
+    fn translation_unit(&mut self) -> TranslationUnit {
         let mut items = Vec::new();
         while *self.peek() != Tok::Eof {
             if self.sink.at_limit() {
@@ -607,7 +598,7 @@ impl Parser {
             match self.stmt() {
                 Ok(s) => stmts.push(s),
                 Err(d) => {
-                    if !self.recovering || self.sink.at_limit() {
+                    if self.sink.at_limit() {
                         return Err(d);
                     }
                     // fail-soft: one bad statement, one diagnostic, and

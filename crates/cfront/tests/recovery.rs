@@ -3,7 +3,7 @@
 //! positions), keep the items that parsed cleanly, and terminate on any
 //! input — including pure garbage.
 
-use titanc_cfront::{parse_recovering, DiagnosticSink, Severity};
+use titanc_cfront::{parse, parse_recovering, DiagnosticSink, Severity};
 
 fn errors(src: &str, cap: usize) -> (usize, Vec<(u32, u32, String)>) {
     let mut sink = DiagnosticSink::new(cap);
@@ -126,4 +126,23 @@ fn clean_input_yields_no_diagnostics() {
 fn severities_order_and_render() {
     assert!(Severity::Remark < Severity::Warning);
     assert!(Severity::Warning < Severity::Error);
+}
+
+#[test]
+fn parse_fails_with_the_first_error_recovery_reports() {
+    // a statement error, then an item error: `parse` stops at the first
+    let src = "void f(void)\n{\n    int x;\n    x = ;\n}\nint = 4;\nint g(void) { return 1; }\n";
+    let err = parse(src).expect_err("two mistakes");
+    assert_eq!(err.to_string(), "4:9: expected expression, found `;`");
+    let (_, errs) = errors(src, 20);
+    assert_eq!(errs.len(), 2, "{errs:?}");
+    assert_eq!((errs[0].0, errs[0].1), (err.span.line, err.span.col));
+    assert_eq!(errs[0].2, err.message);
+    // a lexical error is the only one
+    let err = parse("int main(void) { /* open").expect_err("unterminated comment");
+    assert!(err.message.contains("unterminated comment"), "{err}");
+    assert_eq!(
+        parse("int g(void) { return 1; }\n").map(|tu| tu.items.len()),
+        Ok(1)
+    );
 }

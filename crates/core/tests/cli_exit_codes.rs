@@ -139,6 +139,22 @@ fn wild_pointer_is_a_simulator_fault_not_a_crash() {
 }
 
 #[test]
+fn assigning_to_an_array_name_exits_one() {
+    // it once lowered, and `--run` then panicked with exit 101
+    let src = write_temp(
+        "array-assign.c",
+        "int out_g[16];\nint main(void)\n{\n    out_g = 1;\n    return 0;\n}\n",
+    );
+    let out = titanc().arg("--run").arg(&src).output().unwrap();
+    let err = stderr_of(&out);
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    assert!(
+        err.contains(":4:") && err.contains("assignment to an array"),
+        "{err}"
+    );
+}
+
+#[test]
 fn max_errors_caps_reported_diagnostics() {
     let mut body = String::from("void f(void) {\n");
     for _ in 0..30 {

@@ -348,40 +348,21 @@ fn test_in_iteration_space(
     step: i64,
     trips: Option<i64>,
 ) -> Verdict {
-    if let Some(l0) = lo_const {
-        let norm = |a: &crate::affine::Affine| crate::affine::Affine {
-            terms: a.terms.clone(),
-            coeff: a.coeff * step,
-            offset: a.offset + a.coeff * l0,
-        };
-        return test_pair(&norm(a1), &norm(a2), trips);
-    }
-    // symbolic lower bound: the lo-dependent offsets cancel only when the
-    // coefficients agree (strong SIV); otherwise stay conservative
-    if a1.coeff == a2.coeff {
-        let norm = |a: &crate::affine::Affine| crate::affine::Affine {
-            terms: a.terms.clone(),
-            coeff: a.coeff * step,
-            offset: a.offset,
-        };
-        // equal coeff·lo terms cancel inside test_pair's delta
-        if a1.coeff * step != 0 {
-            let delta = norm(a1).offset - norm(a2).offset;
-            let a = a1.coeff * step;
-            if delta % a != 0 {
-                return Verdict::Independent;
-            }
-            let d = delta / a;
-            if let Some(n) = trips {
-                if d.abs() >= n.max(0) {
-                    return Verdict::Independent;
-                }
-            }
-            return Verdict::Distance(d);
-        }
-        return test_pair(&norm(a1), &norm(a2), trips);
-    }
-    Verdict::Unknown
+    let l0 = match lo_const {
+        Some(l0) => l0,
+        // symbolic lower bound: the `coeff·lo` offsets cancel in
+        // `test_pair`'s delta only when the coefficients agree (strong
+        // SIV), so any constant stands in for `lo`; otherwise stay
+        // conservative
+        None if a1.coeff == a2.coeff => 0,
+        None => return Verdict::Unknown,
+    };
+    let norm = |a: &Affine| Affine {
+        terms: a.terms.clone(),
+        coeff: a.coeff * step,
+        offset: a.offset + a.coeff * l0,
+    };
+    test_pair(&norm(a1), &norm(a2), trips)
 }
 
 /// Distinct symbolic bases: named arrays never alias each other; under
@@ -832,6 +813,45 @@ void f(void)
             .position(|c| c.contains(&(body.len() - 1)))
             .unwrap();
         assert!(pos_t < pos_b, "producer before consumer: {sccs:?}");
+    }
+
+    /// A symbolic lower bound: with equal coefficients the `coeff·lo`
+    /// offsets cancel, so strong SIV still measures the distance, as it
+    /// does for any constant `lo`; unequal coefficients stay unknown.
+    #[test]
+    fn symbolic_lower_bound_is_strong_siv() {
+        let mut pool = ExprPool::new();
+        let e = pool.int(0);
+        let aff = |coeff, offset| Affine {
+            terms: vec![("&x".into(), e, 1)],
+            coeff,
+            offset,
+        };
+        // x[i + 1] written, x[i] read
+        let (w, r) = (aff(4, 4), aff(4, 0));
+        for lo in [None, Some(0), Some(7), Some(-3)] {
+            assert_eq!(
+                test_in_iteration_space(&w, &r, lo, 1, None),
+                Verdict::Distance(1)
+            );
+            assert_eq!(
+                test_in_iteration_space(&r, &w, lo, 1, Some(100)),
+                Verdict::Distance(-1)
+            );
+            // one trip never reaches distance 1; step 2 never meets
+            assert_eq!(
+                test_in_iteration_space(&w, &r, lo, 1, Some(1)),
+                Verdict::Independent
+            );
+            assert_eq!(
+                test_in_iteration_space(&w, &r, lo, 2, None),
+                Verdict::Independent
+            );
+        }
+        assert_eq!(
+            test_in_iteration_space(&aff(4, 0), &aff(8, 0), None, 1, None),
+            Verdict::Unknown
+        );
     }
 
     #[test]

@@ -1054,6 +1054,10 @@ impl<'e> FuncLowerer<'e> {
         span: Span,
     ) -> Result<Option<TV>, LowerError> {
         let (place, q) = self.place(lhs, out)?;
+        // an array name decays to a pointer as a value, but is no lvalue
+        if matches!(q.ty, CType::Array(..)) {
+            return Err(self.err("assignment to an array", span));
+        }
         let kind = scalar_kind(&q).ok_or_else(|| self.err("assignment to aggregate", span))?;
         // Pin the address in a temporary when we must use it twice
         // (compound assignment) — evaluate once, per C semantics.
@@ -1125,6 +1129,9 @@ impl<'e> FuncLowerer<'e> {
         span: Span,
     ) -> Result<Option<TV>, LowerError> {
         let (place, q) = self.place(arg, out)?;
+        if matches!(q.ty, CType::Array(..)) {
+            return Err(self.err("++/-- on an array", span));
+        }
         let kind = scalar_kind(&q).ok_or_else(|| self.err("++/-- on aggregate", span))?;
         let delta: ExprId = match (&q.ty, kind) {
             (CType::Ptr(inner), _) => {

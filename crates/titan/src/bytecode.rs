@@ -19,10 +19,11 @@
 //! trap-capable operation across a counter the trap would expose.
 //!
 //! Vector statements compile to a [`VecPlan`]: operand registers plus a
-//! postorder [`VStep`] program the VM executes as chunked kernels over
-//! contiguous buffers (see `vm.rs`). A statement whose loop-invariant
-//! scalar operands contain a volatile load runs element by element
-//! instead, so the device script advances once per element.
+//! postorder [`VStep`] program, marked here, once, when it is float
+//! arithmetic the VM may run as a columnar kernel (see `vm.rs`). A
+//! statement whose loop-invariant scalar operands contain a volatile load
+//! runs element by element instead, so the device script advances once
+//! per element.
 
 use crate::machine::{
     binop_charge, cast_charge, collect_sections, count_vector_ops, unop_charge, var_is_memory,
@@ -256,6 +257,9 @@ pub(crate) struct VecPlan {
     pub(crate) ops: u64,
     /// Total vector instructions: loads + ops + one store.
     pub(crate) n_instr: u64,
+    /// True when the plan may run on the VM's float kernel (see
+    /// `vm::kernel_admits`).
+    pub(crate) kernel: bool,
 }
 
 /// Bytecode for one procedure.
@@ -1108,6 +1112,7 @@ impl<'a> Lowerer<'a> {
         build_steps(exprs, rhs, &leaf_ops, &mut steps, &mut sec_i, &mut leaf_i);
         let ops = count_vector_ops(exprs, rhs);
         let n_instr = sec_ids.len() as u64 + ops + 1;
+        let kernel = crate::vm::kernel_admits(kind, &sec_refs, &steps);
         self.plans.push(VecPlan {
             base: b.reg,
             len: l.reg,
@@ -1117,6 +1122,7 @@ impl<'a> Lowerer<'a> {
             steps,
             ops,
             n_instr,
+            kernel,
         });
         match counter {
             None => self.emit(Instr::VecRun { plan: plan_idx }),

@@ -893,7 +893,7 @@ int main(void)
 
 mod operator_parity {
     use super::*;
-    use crate::machine::MEM_SIZE;
+    use crate::machine::{coerce, MEM_SIZE};
     use crate::{ExecEngine, SimError};
     use titanc_il::fold::{eval_binop, eval_cast, eval_unop, normalize};
     use titanc_il::{ExprId, Program, UnOp};
@@ -994,6 +994,15 @@ mod operator_parity {
         prog: &Program,
         case: &dyn Fn(usize) -> String,
     ) -> Vec<Result<Option<Value>, SimError>> {
+        run_inspecting(prog, case, |_, _, _| {})
+    }
+
+    /// [`run_all`], handing both simulators to `inspect` after each case.
+    fn run_inspecting(
+        prog: &Program,
+        case: &dyn Fn(usize) -> String,
+        mut inspect: impl FnMut(usize, &Simulator<'_>, &Simulator<'_>),
+    ) -> Vec<Result<Option<Value>, SimError>> {
         let mut interp = Simulator::with_engine(prog, MachineConfig::default(), ExecEngine::Interp);
         let mut vm = Simulator::with_engine(prog, MachineConfig::default(), ExecEngine::Vm);
         (0..prog.procs.len())
@@ -1007,6 +1016,7 @@ mod operator_parity {
                     _ => panic!("{}: interp {ri:?}, vm {rv:?}", case(i)),
                 }
                 assert_eq!(interp.stats(), vm.stats(), "statistics after {}", case(i));
+                inspect(i, &interp, &vm);
                 rv
             })
             .collect()
@@ -1158,6 +1168,498 @@ mod operator_parity {
                         assert_eq!(e.message, trap);
                     }
                 }
+            }
+        }
+    }
+
+    /// Where vector cases keep their operands and results, clear of the
+    /// globals (from 0x1000) and the stack (from 0x40_0000).
+    const VA: i64 = 0x10_0000;
+    const VB: i64 = 0x18_0000;
+    const VD: i64 = 0x20_0000;
+
+    /// `(ty)[base : n : stride]`.
+    fn section(p: &mut ProcBuilder, base: i64, n: i64, stride: i64, ty: ScalarType) -> ExprId {
+        let (b, l, s) = (p.int(base), p.int(n), p.int(stride));
+        p.section(b, l, s, ty)
+    }
+
+    /// `(ty)[base : n : stride] = rhs`.
+    fn assign_section(
+        p: &mut ProcBuilder,
+        base: i64,
+        n: i64,
+        stride: i64,
+        ty: ScalarType,
+        rhs: ExprId,
+    ) {
+        let (b, l, s) = (p.int(base), p.int(n), p.int(stride));
+        p.assign(
+            LValue::Section {
+                base: b,
+                len: l,
+                stride: s,
+                ty,
+            },
+            rhs,
+        );
+    }
+
+    /// The right-hand side of a vector case, over its sections.
+    #[derive(Clone, Copy, Debug)]
+    enum Rhs {
+        Bin(BinOp, ScalarType),
+        Un(UnOp, ScalarType),
+        Cast(ScalarType, ScalarType),
+    }
+
+    /// `(store)[VD : n : 2·size] = rhs` over sections holding `args`, the
+    /// first contiguous at `VA`, the second at `VB` with stride 2·size;
+    /// `want` is what `fold` makes of each element, `None` when the
+    /// statement traps.
+    struct VecCase {
+        rhs: Rhs,
+        store: ScalarType,
+        args: Vec<(ScalarType, Vec<Value>)>,
+        want: Option<Vec<Value>>,
+    }
+
+    impl VecCase {
+        fn new(rhs: Rhs, store: ScalarType, args: Vec<(ScalarType, Vec<Value>)>) -> VecCase {
+            // a section reads back what a store of the operand left
+            let want = (0..args[0].1.len())
+                .map(|k| {
+                    let x: Vec<Value> = args.iter().map(|(ty, v)| coerce(v[k], *ty)).collect();
+                    let v = match rhs {
+                        Rhs::Bin(op, ty) => eval_binop(op, ty, x[0], x[1])?,
+                        Rhs::Un(op, ty) => eval_unop(op, ty, x[0]),
+                        Rhs::Cast(to, from) => eval_cast(to, from, x[0]),
+                    };
+                    Some(coerce(v, store))
+                })
+                .collect();
+            VecCase {
+                rhs,
+                store,
+                args,
+                want,
+            }
+        }
+
+        fn name(&self) -> String {
+            let n = self.args[0].1.len();
+            let traps = if self.want.is_some() {
+                ""
+            } else {
+                ", trapping"
+            };
+            format!("{:?} into {}, {n} elements{traps}", self.rhs, self.store)
+        }
+    }
+
+    /// Runs each case as its own procedure on both engines: the operands
+    /// go to memory through scalar stores, then the vector statement runs.
+    /// After each, the bytes it may have stored must be equal on both
+    /// engines and each element what `fold` says; a trapping case must
+    /// trap alike.
+    fn run_vector_cases(cases: &[VecCase]) {
+        let prog = program(cases.len(), |i, p| {
+            let c = &cases[i];
+            let n = c.args[0].1.len() as i64;
+            let mut secs = Vec::new();
+            for (j, (ty, vals)) in c.args.iter().enumerate() {
+                let (base, stride) = ([VA, VB][j], (j as i64 + 1) * ty.size());
+                for (k, &v) in vals.iter().enumerate() {
+                    let a = p.int(base + k as i64 * stride);
+                    let x = constant(p, v);
+                    p.assign(LValue::deref(a, *ty), x);
+                }
+                secs.push(section(p, base, n, stride, *ty));
+            }
+            let rhs = match c.rhs {
+                Rhs::Bin(op, ty) => p.binary(op, ty, secs[0], secs[1]),
+                Rhs::Un(op, ty) => p.unary(op, ty, secs[0]),
+                Rhs::Cast(to, from) => p.cast(to, from, secs[0]),
+            };
+            assign_section(p, VD, n, 2 * c.store.size(), c.store, rhs);
+            let zero = p.int(0);
+            p.ret(Some(zero));
+        });
+        let results = run_inspecting(&prog, &|i| cases[i].name(), |i, interp, vm| {
+            let c = &cases[i];
+            let stride = 2 * c.store.size();
+            let stored = VD as usize..(VD + c.args[0].1.len() as i64 * stride) as usize;
+            assert!(
+                interp.mem[stored.clone()] == vm.mem[stored],
+                "memory after {}",
+                c.name()
+            );
+            for (k, &w) in c.want.iter().flatten().enumerate() {
+                let got = vm.read_mem((VD + k as i64 * stride) as u32, c.store);
+                assert_eq!(bits(got.ok()), bits(Some(w)), "element {k} of {}", c.name());
+            }
+        });
+        for (c, r) in cases.iter().zip(&results) {
+            match (&c.want, r) {
+                (Some(_), Ok(_)) => {}
+                (None, Err(e)) => {
+                    assert_eq!(
+                        e.message,
+                        "division by zero in vector statement",
+                        "{}",
+                        c.name()
+                    );
+                }
+                _ => panic!("{}: ran to {r:?}", c.name()),
+            }
+        }
+    }
+
+    /// Every operator on every kind and every cast pair as a vector
+    /// statement over in-range sections, on both engines: float
+    /// arithmetic on the VM's kernel, everything else element by element.
+    /// Operands an operator traps on (zero integer divisors; remainder,
+    /// shifts and bitwise operators on floats) get a statement of their
+    /// own; zero float divisors run on the kernel.
+    #[test]
+    fn vector_statements_on_every_operator_kind_and_cast() {
+        let args: Vec<Value> = operands().collect();
+        let mut cases = Vec::new();
+        for op in BINOPS {
+            for ty in KINDS {
+                let (ok, traps): (Vec<_>, Vec<_>) = operands()
+                    .flat_map(|a| operands().map(move |b| (a, b)))
+                    .partition(|&(a, b)| {
+                        eval_binop(op, ty, coerce(a, ty), coerce(b, ty)).is_some()
+                    });
+                for pairs in [ok, traps] {
+                    if !pairs.is_empty() {
+                        let (xs, ys): (Vec<Value>, Vec<Value>) = pairs.into_iter().unzip();
+                        cases.push(VecCase::new(Rhs::Bin(op, ty), ty, vec![(ty, xs), (ty, ys)]));
+                    }
+                }
+            }
+        }
+        for op in [UnOp::Neg, UnOp::Not, UnOp::BitNot] {
+            for ty in KINDS {
+                cases.push(VecCase::new(Rhs::Un(op, ty), ty, vec![(ty, args.clone())]));
+            }
+        }
+        for to in KINDS {
+            for from in KINDS.into_iter().filter(|&f| f != to) {
+                cases.push(VecCase::new(
+                    Rhs::Cast(to, from),
+                    to,
+                    vec![(from, args.clone())],
+                ));
+            }
+        }
+        run_vector_cases(&cases);
+    }
+
+    /// What the kernel must leave to the element path, or skip: a section
+    /// or a store reaching out of memory (past the top, below address 4,
+    /// wrapping 2³²) traps at the same element with the same text, having
+    /// stored the same bytes, and an empty statement whose sections lie
+    /// nowhere does nothing.
+    #[test]
+    fn vector_statements_at_the_edges() {
+        let top = MEM_SIZE as i64;
+        let oob =
+            |addr: i64, size: i64| Some(format!("memory access out of range: {addr:#x}+{size}"));
+        // (section base, store base, length, kind, trap)
+        let cases = [
+            (top - 8, VD, 4, ScalarType::Float, oob(top, 4)),
+            (top - 8, VD, 4, ScalarType::Int, oob(top, 4)),
+            (VA, top - 8, 4, ScalarType::Float, oob(top, 4)),
+            (0, VD, 4, ScalarType::Double, oob(0, 8)),
+            (0xFFFF_FFF8, VD, 4, ScalarType::Float, oob(0xFFFF_FFF8, 4)),
+            (0, 0, 0, ScalarType::Float, None),
+            (0, 0, 0, ScalarType::Char, None),
+        ];
+        let case = |i: usize| format!("{:?}", cases[i]);
+        let prog = program(cases.len(), |i, p| {
+            let (sec, store, n, ty, _) = cases[i].clone();
+            let x = section(p, sec, n, ty.size(), ty);
+            let one = p.int(1);
+            let rhs = p.binary(BinOp::Add, ty, x, one);
+            assign_section(p, store, n, ty.size(), ty, rhs);
+            let zero = p.int(0);
+            p.ret(Some(zero));
+        });
+        let results = run_inspecting(&prog, &case, |i, interp, vm| {
+            assert!(interp.mem == vm.mem, "memory after {}", case(i));
+        });
+        for (i, r) in results.iter().enumerate() {
+            match (&cases[i].4, r) {
+                (None, Ok(_)) => {}
+                (Some(trap), Err(e)) => assert_eq!(&e.message, trap, "{}", case(i)),
+                _ => panic!("{}: ran to {r:?}", case(i)),
+            }
+        }
+    }
+
+    /// Exactly the float-arithmetic plans run on the kernel: the shapes of
+    /// the benchmark's vector kernels (daxpy's `y = y + a·x`, copy's
+    /// `y = x`, backsolve's `z = 0.5f`) and every kernel operator, but no
+    /// plan with an integer, comparison or remainder step, a unary step, a
+    /// cast, an integer section or an integer store. Each plan also runs
+    /// on both engines.
+    #[test]
+    fn vector_kernel_runs_only_float_arithmetic() {
+        use ScalarType::{Double, Float, Int};
+        fn fsec(p: &mut ProcBuilder) -> ExprId {
+            section(p, VA, 64, 4, Float)
+        }
+        fn dsec(p: &mut ProcBuilder) -> ExprId {
+            section(p, VB, 64, 8, Double)
+        }
+        fn isec(p: &mut ProcBuilder) -> ExprId {
+            section(p, VA, 64, 4, Int)
+        }
+        type Build = fn(&mut ProcBuilder) -> ExprId;
+        let cases: [(&str, ScalarType, Build, bool); 12] = [
+            (
+                "daxpy: y = y + a*x",
+                Float,
+                |p| {
+                    let (y, a, x) = (fsec(p), p.float(1.5), fsec(p));
+                    let ax = p.binary(BinOp::Mul, Float, a, x);
+                    p.binary(BinOp::Add, Float, y, ax)
+                },
+                true,
+            ),
+            ("copy: y = x", Float, fsec, true),
+            ("backsolve: z = 0.5f", Float, |p| p.float(0.5), true),
+            (
+                "- / min max on doubles and floats",
+                Double,
+                |p| {
+                    let (a, two, f, b) = (dsec(p), p.int(2), fsec(p), dsec(p));
+                    let q = p.binary(BinOp::Div, Double, a, two);
+                    let m = p.binary(BinOp::Min, Double, q, f);
+                    let s = p.binary(BinOp::Sub, Double, m, b);
+                    let c = dsec(p);
+                    p.binary(BinOp::Max, Double, s, c)
+                },
+                true,
+            ),
+            (
+                "a float sum stored as int",
+                Int,
+                |p| {
+                    let (x, y) = (fsec(p), fsec(p));
+                    p.binary(BinOp::Add, Float, x, y)
+                },
+                false,
+            ),
+            (
+                "an int section",
+                Float,
+                |p| {
+                    let (x, i) = (fsec(p), isec(p));
+                    p.binary(BinOp::Add, Float, x, i)
+                },
+                false,
+            ),
+            (
+                "a float comparison",
+                Float,
+                |p| {
+                    let (x, y) = (fsec(p), dsec(p));
+                    p.binary(BinOp::Lt, Float, x, y)
+                },
+                false,
+            ),
+            (
+                "a float remainder",
+                Float,
+                |p| {
+                    let (x, y) = (fsec(p), fsec(p));
+                    p.binary(BinOp::Rem, Float, x, y)
+                },
+                false,
+            ),
+            (
+                "an int add of float sections",
+                Float,
+                |p| {
+                    let (x, y) = (fsec(p), fsec(p));
+                    p.binary(BinOp::Add, Int, x, y)
+                },
+                false,
+            ),
+            (
+                "a float negation",
+                Float,
+                |p| {
+                    let x = fsec(p);
+                    p.unary(UnOp::Neg, Float, x)
+                },
+                false,
+            ),
+            (
+                "a float to double cast",
+                Double,
+                |p| {
+                    let x = fsec(p);
+                    p.cast(Double, Float, x)
+                },
+                false,
+            ),
+            (
+                "int arithmetic",
+                Int,
+                |p| {
+                    let (x, y) = (isec(p), isec(p));
+                    p.binary(BinOp::Mul, Int, x, y)
+                },
+                false,
+            ),
+        ];
+        let prog = program(cases.len(), |i, p| {
+            for k in 0..64 {
+                let v = Value::Float(k as f64 * 0.37 - 5.0);
+                for (base, ty) in [(VA, Float), (VB, Double)] {
+                    let a = p.int(base + k * ty.size());
+                    let x = constant(p, v);
+                    p.assign(LValue::deref(a, ty), x);
+                }
+            }
+            let (_, store, rhs, _) = cases[i];
+            let rhs = rhs(p);
+            assign_section(p, VD, 64, store.size(), store, rhs);
+            let zero = p.int(0);
+            p.ret(Some(zero));
+        });
+        let bc = crate::bytecode::compile(&prog, &MachineConfig::default().costs);
+        for (i, &(name, _, _, kernel)) in cases.iter().enumerate() {
+            let plans = &bc.procs[i].plans;
+            assert_eq!(plans.len(), 1, "{name}");
+            assert_eq!(plans[0].kernel, kernel, "{name}");
+        }
+        run_inspecting(&prog, &|i| cases[i].0.to_string(), |i, interp, vm| {
+            assert!(interp.mem == vm.mem, "memory after {}", cases[i].0);
+        });
+    }
+
+    /// `titanperf`'s vector programs as its `gen.rs` writes them at seed 1.
+    const BENCH_DAXPY: &str = "\
+void daxpy(float *x, float *y, float *z, float alpha, int n)
+{
+    if (n <= 0)
+        return;
+    if (alpha == 0)
+        return;
+    for (; n; n--)
+        *x++ = *y++ + alpha * *z++;
+}
+float a[8192], b[8192], c[8192];
+int main(void)
+{
+    int i, r;
+    for (i = 0; i < 8192; i++) {
+        b[i] = 1421.0f + i * 0.5f;
+        c[i] = 7513.0f - i * 0.25f;
+    }
+    for (r = 0; r < 32; r++) {
+        daxpy(a, b, c, 1.5, 8192);
+        daxpy(b, a, c, 0.25, 8192);
+    }
+    return (int)(b[17] * 0.001f) & 127;
+}
+";
+    const BENCH_COPY: &str = "\
+float dst[65536], src[65536];
+int main(void)
+{
+    float *a, *b;
+    int n, i, r;
+    for (i = 0; i < 2048; i++)
+        src[i] = 1697.0f + i * 0.5f;
+    for (r = 0; r < 12; r++) {
+        a = &dst[0];
+        b = &src[1];
+        n = 65535;
+#pragma safe
+        while (n) {
+            *a++ = *b++;
+            n--;
+        }
+        a = &src[0];
+        b = &dst[0];
+        n = 65535;
+#pragma safe
+        while (n) {
+            *a++ = *b++;
+            n--;
+        }
+    }
+    return (int)src[5] & 127;
+}
+";
+    const BENCH_BACKSOLVE: &str = "\
+float x[1026], y[1026], z[1026];
+int main(void)
+{
+    float *p, *q;
+    int i, r;
+    for (i = 0; i < 1026; i++) {
+        y[i] = 1922.0f + i;
+        z[i] = 0.5f;
+    }
+    x[0] = 1.0f;
+    p = &x[1];
+    q = &x[0];
+    for (r = 0; r < 120; r++) {
+        for (i = 0; i < 1024; i++)
+            p[i] = z[i] * (y[i] - q[i]);
+        x[0] = x[1024] * 0.001f;
+    }
+    return (int)x[1024] & 127;
+}
+";
+
+    /// Every vector statement the benchmark's programs and `corpus/*.c`
+    /// compile to, through the real pipeline under the benchmark's options,
+    /// runs on the kernel. A plan that fell to the element path would keep
+    /// every simulated figure and show only as host time.
+    #[test]
+    fn vector_kernel_runs_every_benchmark_vector_statement() {
+        use titanc::Options;
+        let spread = Options {
+            spread_lists: true,
+            ..Options::parallel()
+        };
+        let mut programs = vec![
+            ("daxpy".to_string(), BENCH_DAXPY.to_string(), Options::o2()),
+            ("copy".into(), BENCH_COPY.into(), Options::o2()),
+            ("daxpy_par".into(), BENCH_DAXPY.into(), Options::parallel()),
+            ("backsolve".into(), BENCH_BACKSOLVE.into(), Options::o2()),
+        ];
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../corpus");
+        let mut corpus: Vec<_> = std::fs::read_dir(dir)
+            .expect("corpus/")
+            .map(|e| e.expect("corpus entry").path())
+            .filter(|p| p.extension().is_some_and(|x| x == "c"))
+            .collect();
+        corpus.sort();
+        for path in corpus {
+            let src = std::fs::read_to_string(&path).expect("corpus file");
+            let name = path.display().to_string();
+            programs.push((format!("{name} -O2"), src.clone(), Options::o2()));
+            programs.push((format!("{name} --parallel"), src, spread.clone()));
+        }
+        for (name, src, options) in &programs {
+            let prog = titanc::compile(src, options).expect(name).program;
+            let bc = crate::bytecode::compile(&prog, &MachineConfig::default().costs);
+            let plans: Vec<&crate::bytecode::VecPlan> =
+                bc.procs.iter().flat_map(|p| &p.plans).collect();
+            if !name.contains("corpus") {
+                assert!(!plans.is_empty(), "{name}: no vector statement");
+            }
+            for p in plans {
+                assert!(p.kernel, "{name}: a plan off the kernel: {p:?}");
             }
         }
     }

@@ -7,27 +7,28 @@
 //! tree-walking interpreter flushes, so every measured number is
 //! byte-for-byte identical to the reference engine's. Activations live on
 //! one register stack, so a call copies the callee's frame template and
-//! allocates nothing. Vector plans run as chunked kernels: each section
-//! is gathered into a contiguous `Vec<i64>`/`Vec<f64>` buffer, operations
-//! are tight element loops the host compiler can autovectorize, and the
-//! result is scattered back in one pass — with a pre-flight range check
-//! falling back to a per-element slow path that reproduces the
-//! interpreter's error behavior exactly.
+//! allocates nothing.
+//!
+//! Vector statements run one of two ways. A plan of float arithmetic over
+//! float data (`VecPlan::kernel`) whose every access lies in memory runs
+//! as a columnar kernel: each section is gathered into a contiguous `f64`
+//! buffer, each operator is one tight loop the host compiler can
+//! autovectorize, and the result is scattered back in one pass. Every
+//! other statement runs element by element through `fold` and the checked
+//! memory accessors, in the interpreter's order and with its error text.
+//! The split follows the paper: its vector results are float throughput,
+//! and every vector statement the benchmark kernels execute is a float
+//! store of float sections, float splats, `+` and `*`. A columnar copy of
+//! integer arithmetic, comparisons, unary operators and casts would be a
+//! second definition of IL arithmetic beside `fold` that no workload runs.
 
-use crate::bytecode::{BcProgram, Callee, Instr, VStep, VecPlan, NO_REG};
+use crate::bytecode::{BcProgram, Callee, Instr, Reg, SecRef, VStep, VecPlan, NO_REG};
 use crate::machine::{
     coerce, do_control_charge, reg_move_charge, FrameLayout, Quiet, SimError, Simulator, MEM_SIZE,
 };
 use std::rc::Rc;
 use titanc_il::fold::{eval_binop, eval_cast, eval_unop, Value};
-use titanc_il::{BinOp, ScalarType, UnOp};
-
-/// A vector value during kernel execution: every element in the integer
-/// or the float domain (mirroring [`Value`] element-wise).
-enum VBuf {
-    I(Vec<i64>),
-    F(Vec<f64>),
-}
+use titanc_il::{BinOp, ScalarType};
 
 /// One live procedure activation: where its registers and cycle snapshots
 /// start on the shared stacks, and where its memory-resident variables
@@ -65,7 +66,9 @@ pub(crate) struct VmState {
     quiet: Quiet,
     /// Elements computed so far by an element-by-element vector statement.
     elems: Vec<Value>,
-    scratch: Scratch,
+    /// The operand stack of one element's evaluation.
+    operands: Vec<Value>,
+    kernel: Kernel,
 }
 
 /// How the dispatch loop leaves an activation.
@@ -425,9 +428,7 @@ impl<'p> Simulator<'p> {
                         self.vm.elems.push(v);
                     }
                     Instr::VecScatter { plan } => {
-                        let elems = std::mem::take(&mut self.vm.elems);
-                        self.vec_scatter(regs, &bcp.plans[plan as usize], &elems)?;
-                        self.vm.elems = elems;
+                        self.vec_scatter(regs, &bcp.plans[plan as usize])?;
                     }
                     Instr::Trap { msg } => {
                         return Err(SimError::new(bcp.traps[msg as usize].clone()));
@@ -464,7 +465,7 @@ impl<'p> Simulator<'p> {
     }
 
     // --------------------------------------------------------------
-    // vector kernels
+    // vector statements
     // --------------------------------------------------------------
 
     /// Charges the vector cost model for one execution of `plan`.
@@ -474,313 +475,160 @@ impl<'p> Simulator<'p> {
         self.charge_vector(plan.n_instr, plan.ops, len, plan.kind.is_float());
     }
 
+    /// Runs a plan: on the float kernel when the lowerer admitted it and
+    /// every access lies in memory, element by element otherwise.
     fn vec_run(&mut self, regs: &[Value], plan: &VecPlan) -> Result<(), SimError> {
         self.vec_charge(regs, plan);
-        let len_v = regs[plan.len as usize].as_int();
-        if len_v == 0 {
+        let len = regs[plan.len as usize].as_int();
+        if len == 0 {
             return Ok(());
         }
-        let base_v = regs[plan.base as usize].as_int() as u32;
-        let stride_v = regs[plan.stride as usize].as_int();
-        // the scratch pool is taken out of `self` for the duration of the
-        // statement so buffers and `self.mem` borrow independently; a
-        // steady-state vector statement allocates nothing
-        let mut scratch = std::mem::take(&mut self.vm.scratch);
-        let mut resolved = std::mem::take(&mut scratch.secs);
-        resolved.clear();
-        resolved.extend(plan.sections.iter().map(|s| {
-            (
-                regs[s.base as usize].as_int() as u32,
-                regs[s.stride as usize].as_int(),
-                s.ty,
-            )
-        }));
-        let fast = range_ok(base_v, stride_v, len_v, plan.kind.size())
-            && resolved
-                .iter()
-                .all(|&(b, st, ty)| range_ok(b, st, len_v, ty.size()));
-        let r = if fast {
-            let n = len_v as usize;
-            self.vec_kernel(regs, plan, base_v, stride_v, &resolved, n, &mut scratch)
-        } else {
-            self.vec_slow(regs, plan, len_v)
+        let in_range = |base: Reg, stride: Reg, ty: ScalarType| {
+            let b = regs[base as usize].as_int() as u32;
+            range_ok(b, regs[stride as usize].as_int(), len, ty.size())
         };
-        scratch.secs = resolved;
-        self.vm.scratch = scratch;
-        r
+        if plan.kernel
+            && in_range(plan.base, plan.stride, plan.kind)
+            && plan
+                .sections
+                .iter()
+                .all(|s| in_range(s.base, s.stride, s.ty))
+        {
+            self.vec_kernel(regs, plan, len as usize);
+            return Ok(());
+        }
+        self.vm.elems.clear();
+        for k in 0..len {
+            let v = self.vec_elem(regs, plan, k)?;
+            self.vm.elems.push(v);
+        }
+        self.vec_scatter(regs, plan)
     }
 
-    /// Chunked kernel path: gather sections into contiguous buffers, run
-    /// tight element loops, scatter the result. Every access was
-    /// range-checked up front, and all buffers come from the reusable
-    /// scratch pool — a steady-state kernel allocates nothing.
-    #[allow(clippy::too_many_arguments)]
-    fn vec_kernel(
-        &mut self,
-        regs: &[Value],
-        plan: &VecPlan,
-        base: u32,
-        stride: i64,
-        resolved: &[(u32, i64, ScalarType)],
-        n: usize,
-        scratch: &mut Scratch,
-    ) -> Result<(), SimError> {
-        let mut stack = std::mem::take(&mut scratch.stack);
-        let mut fail = None;
+    /// The float kernel: gathers each section into a contiguous buffer,
+    /// runs each operator as one loop over whole buffers, and scatters the
+    /// result. `vec_run` range-checked every access, and every buffer is
+    /// taken from and returned to the pool, so a steady-state statement
+    /// allocates nothing.
+    fn vec_kernel(&mut self, regs: &[Value], plan: &VecPlan, n: usize) {
+        // the buffers leave `self` so they and `self.mem` borrow
+        // independently
+        let mut k = std::mem::take(&mut self.vm.kernel);
         for step in &plan.steps {
             match *step {
                 VStep::Sec(i) => {
-                    let (b, st, ty) = resolved[i as usize];
-                    stack.push(self.load_section(b, st, ty, n, scratch));
+                    let s = &plan.sections[i as usize];
+                    let b = regs[s.base as usize].as_int() as u32;
+                    let mut buf = k.take(n);
+                    self.load_section(b, regs[s.stride as usize].as_int(), s.ty, n, &mut buf);
+                    k.stack.push(buf);
                 }
-                VStep::Splat(r) => stack.push(match regs[r as usize] {
-                    Value::Int(v) => {
-                        let mut o = scratch.take_i(n);
-                        o.resize(n, v);
-                        VBuf::I(o)
-                    }
-                    Value::Float(f) => {
-                        let mut o = scratch.take_f(n);
-                        o.resize(n, f);
-                        VBuf::F(o)
-                    }
-                }),
-                VStep::Un { op, ty } => {
-                    let a = stack.pop().expect("kernel operand");
-                    stack.push(vec_un(op, ty, a, scratch));
+                VStep::Splat(r) => {
+                    let mut buf = k.take(n);
+                    buf.resize(n, regs[r as usize].as_float());
+                    k.stack.push(buf);
                 }
                 VStep::Bin { op, ty } => {
-                    let b = stack.pop().expect("kernel operand");
-                    let a = stack.pop().expect("kernel operand");
-                    match vec_bin(op, ty, a, b, scratch) {
-                        Ok(v) => stack.push(v),
-                        Err(e) => {
-                            fail = Some(e);
-                            break;
+                    let y = k.stack.pop().expect("kernel operand");
+                    let x = k.stack.last_mut().expect("kernel operand");
+                    match op {
+                        BinOp::Add => zip_with(x, &y, |p, q| p + q),
+                        BinOp::Sub => zip_with(x, &y, |p, q| p - q),
+                        BinOp::Mul => zip_with(x, &y, |p, q| p * q),
+                        BinOp::Div => zip_with(x, &y, |p, q| p / q),
+                        BinOp::Min => zip_with(x, &y, f64::min),
+                        BinOp::Max => zip_with(x, &y, f64::max),
+                        _ => unreachable!("`kernel_admits` admits float arithmetic only"),
+                    }
+                    if ty == ScalarType::Float {
+                        // `normalize` rounds a float result through f32
+                        for v in x.iter_mut() {
+                            *v = *v as f32 as f64;
                         }
                     }
+                    k.free.push(y);
                 }
-                VStep::Cast { to, .. } => {
-                    let a = stack.pop().expect("kernel operand");
-                    stack.push(vec_cast(to, a, scratch));
+                VStep::Un { .. } | VStep::Cast { .. } => {
+                    unreachable!("a kernel plan has float arithmetic only")
                 }
             }
         }
-        let r = match fail {
-            None => {
-                let root = stack.pop().expect("kernel result");
-                self.store_section(base, stride, plan.kind, &root, n, scratch);
-                scratch.give(root);
-                Ok(())
-            }
-            Some(e) => Err(e),
-        };
-        for b in stack.drain(..) {
-            scratch.give(b);
-        }
-        scratch.stack = stack;
-        r
+        let root = k.stack.pop().expect("kernel result");
+        let base = regs[plan.base as usize].as_int() as u32;
+        self.store_section(base, regs[plan.stride as usize].as_int(), plan.kind, &root);
+        k.free.push(root);
+        self.vm.kernel = k;
     }
 
-    /// Gathers one section into a contiguous buffer (the `Value` domain of
-    /// its element type), with a bounds-check-free contiguous fast case.
-    fn load_section(
-        &self,
-        b: u32,
-        st: i64,
-        ty: ScalarType,
-        n: usize,
-        scratch: &mut Scratch,
-    ) -> VBuf {
+    /// Appends the `n` elements of a float section to `out`, with a
+    /// contiguous fast case.
+    fn load_section(&self, b: u32, st: i64, ty: ScalarType, n: usize, out: &mut Vec<f64>) {
         let start = b as usize;
-        let contiguous = st == ty.size();
-        match ty {
-            ScalarType::Char => {
-                let mut out = scratch.take_i(n);
-                if contiguous {
-                    out.extend(self.mem[start..start + n].iter().map(|&x| x as i8 as i64));
-                } else {
-                    for k in 0..n {
-                        let i = (b as i64 + k as i64 * st) as u32 as usize;
-                        out.push(self.mem[i] as i8 as i64);
-                    }
-                }
-                VBuf::I(out)
-            }
-            ScalarType::Int => {
-                let mut out = scratch.take_i(n);
-                if contiguous {
-                    out.extend(
-                        self.mem[start..start + n * 4]
-                            .chunks_exact(4)
-                            .map(|ch| i32::from_le_bytes(ch.try_into().unwrap()) as i64),
-                    );
-                } else {
-                    for k in 0..n {
-                        let i = (b as i64 + k as i64 * st) as u32 as usize;
-                        out.push(i32::from_le_bytes(self.mem[i..i + 4].try_into().unwrap()) as i64);
-                    }
-                }
-                VBuf::I(out)
-            }
-            ScalarType::Ptr => {
-                let mut out = scratch.take_i(n);
-                if contiguous {
-                    out.extend(
-                        self.mem[start..start + n * 4]
-                            .chunks_exact(4)
-                            .map(|ch| u32::from_le_bytes(ch.try_into().unwrap()) as i64),
-                    );
-                } else {
-                    for k in 0..n {
-                        let i = (b as i64 + k as i64 * st) as u32 as usize;
-                        out.push(u32::from_le_bytes(self.mem[i..i + 4].try_into().unwrap()) as i64);
-                    }
-                }
-                VBuf::I(out)
-            }
-            ScalarType::Float => {
-                let mut out = scratch.take_f(n);
-                if contiguous {
-                    out.extend(
-                        self.mem[start..start + n * 4]
-                            .chunks_exact(4)
-                            .map(|ch| f32::from_le_bytes(ch.try_into().unwrap()) as f64),
-                    );
-                } else {
-                    for k in 0..n {
-                        let i = (b as i64 + k as i64 * st) as u32 as usize;
-                        out.push(f32::from_le_bytes(self.mem[i..i + 4].try_into().unwrap()) as f64);
-                    }
-                }
-                VBuf::F(out)
-            }
-            ScalarType::Double => {
-                let mut out = scratch.take_f(n);
-                if contiguous {
-                    out.extend(
-                        self.mem[start..start + n * 8]
-                            .chunks_exact(8)
-                            .map(|ch| f64::from_le_bytes(ch.try_into().unwrap())),
-                    );
-                } else {
-                    for k in 0..n {
-                        let i = (b as i64 + k as i64 * st) as u32 as usize;
-                        out.push(f64::from_le_bytes(self.mem[i..i + 8].try_into().unwrap()));
-                    }
-                }
-                VBuf::F(out)
-            }
+        let at = |k: usize| (b as i64 + k as i64 * st) as u32 as usize;
+        match (ty, st == ty.size()) {
+            (ScalarType::Float, true) => out.extend(
+                self.mem[start..start + n * 4]
+                    .chunks_exact(4)
+                    .map(|ch| f32::from_le_bytes(ch.try_into().unwrap()) as f64),
+            ),
+            (ScalarType::Float, false) => out.extend((0..n).map(|k| {
+                let i = at(k);
+                f32::from_le_bytes(self.mem[i..i + 4].try_into().unwrap()) as f64
+            })),
+            (ScalarType::Double, true) => out.extend(
+                self.mem[start..start + n * 8]
+                    .chunks_exact(8)
+                    .map(|ch| f64::from_le_bytes(ch.try_into().unwrap())),
+            ),
+            (ScalarType::Double, false) => out.extend((0..n).map(|k| {
+                let i = at(k);
+                f64::from_le_bytes(self.mem[i..i + 8].try_into().unwrap())
+            })),
+            _ => unreachable!("a kernel plan has float sections only"),
         }
     }
 
-    /// Scatters the kernel result, writing the same bytes `write_mem`
-    /// would after `coerce(v, kind)`.
-    #[allow(clippy::too_many_arguments)]
-    fn store_section(
-        &mut self,
-        b: u32,
-        st: i64,
-        kind: ScalarType,
-        root: &VBuf,
-        n: usize,
-        scratch: &mut Scratch,
-    ) {
-        match (kind.is_float(), root) {
-            (true, VBuf::F(v)) => self.store_f(b, st, kind, v, n),
-            (true, VBuf::I(v)) => {
-                let mut tmp = scratch.take_f(n);
-                tmp.extend(v.iter().map(|&x| x as f64));
-                self.store_f(b, st, kind, &tmp, n);
-                scratch.f.push(tmp);
-            }
-            (false, VBuf::I(v)) => self.store_i(b, st, kind, v, n),
-            (false, VBuf::F(v)) => {
-                let mut tmp = scratch.take_i(n);
-                tmp.extend(v.iter().map(|&x| x as i64));
-                self.store_i(b, st, kind, &tmp, n);
-                scratch.i.push(tmp);
-            }
-        }
-    }
-
-    fn store_f(&mut self, b: u32, st: i64, kind: ScalarType, vals: &[f64], n: usize) {
+    /// Scatters the kernel result to a float store, writing the same bytes
+    /// `write_mem` would after `coerce(v, kind)`.
+    fn store_section(&mut self, b: u32, st: i64, kind: ScalarType, vals: &[f64]) {
         let start = b as usize;
-        let contiguous = st == kind.size();
-        match kind {
-            ScalarType::Float => {
-                if contiguous {
-                    for (ch, &v) in self.mem[start..start + n * 4].chunks_exact_mut(4).zip(vals) {
-                        ch.copy_from_slice(&(v as f32).to_le_bytes());
-                    }
-                } else {
-                    for (k, &v) in vals.iter().enumerate().take(n) {
-                        let i = (b as i64 + k as i64 * st) as u32 as usize;
-                        self.mem[i..i + 4].copy_from_slice(&(v as f32).to_le_bytes());
-                    }
+        let n = vals.len();
+        let at = |k: usize| (b as i64 + k as i64 * st) as u32 as usize;
+        match (kind, st == kind.size()) {
+            (ScalarType::Float, true) => {
+                for (ch, &v) in self.mem[start..start + n * 4].chunks_exact_mut(4).zip(vals) {
+                    ch.copy_from_slice(&(v as f32).to_le_bytes());
                 }
             }
-            _ => {
-                if contiguous {
-                    for (ch, &v) in self.mem[start..start + n * 8].chunks_exact_mut(8).zip(vals) {
-                        ch.copy_from_slice(&v.to_le_bytes());
-                    }
-                } else {
-                    for (k, &v) in vals.iter().enumerate().take(n) {
-                        let i = (b as i64 + k as i64 * st) as u32 as usize;
-                        self.mem[i..i + 8].copy_from_slice(&v.to_le_bytes());
-                    }
+            (ScalarType::Float, false) => {
+                for (k, &v) in vals.iter().enumerate() {
+                    let i = at(k);
+                    self.mem[i..i + 4].copy_from_slice(&(v as f32).to_le_bytes());
                 }
             }
+            (ScalarType::Double, true) => {
+                for (ch, &v) in self.mem[start..start + n * 8].chunks_exact_mut(8).zip(vals) {
+                    ch.copy_from_slice(&v.to_le_bytes());
+                }
+            }
+            (ScalarType::Double, false) => {
+                for (k, &v) in vals.iter().enumerate() {
+                    let i = at(k);
+                    self.mem[i..i + 8].copy_from_slice(&v.to_le_bytes());
+                }
+            }
+            _ => unreachable!("a kernel plan has a float store only"),
         }
-    }
-
-    fn store_i(&mut self, b: u32, st: i64, kind: ScalarType, vals: &[i64], n: usize) {
-        let start = b as usize;
-        let contiguous = st == kind.size();
-        match kind {
-            ScalarType::Char => {
-                if contiguous {
-                    for (m, &v) in self.mem[start..start + n].iter_mut().zip(vals) {
-                        *m = v as u8;
-                    }
-                } else {
-                    for (k, &v) in vals.iter().enumerate().take(n) {
-                        let i = (b as i64 + k as i64 * st) as u32 as usize;
-                        self.mem[i] = v as u8;
-                    }
-                }
-            }
-            // Int and Ptr both store the low 32 bits little-endian
-            _ => {
-                if contiguous {
-                    for (ch, &v) in self.mem[start..start + n * 4].chunks_exact_mut(4).zip(vals) {
-                        ch.copy_from_slice(&(v as i32).to_le_bytes());
-                    }
-                } else {
-                    for (k, &v) in vals.iter().enumerate().take(n) {
-                        let i = (b as i64 + k as i64 * st) as u32 as usize;
-                        self.mem[i..i + 4].copy_from_slice(&(v as i32).to_le_bytes());
-                    }
-                }
-            }
-        }
-    }
-
-    /// Per-element fallback, bit-identical to the interpreter's element
-    /// loop (same traversal, same checked memory ops, same error order).
-    fn vec_slow(&mut self, regs: &[Value], plan: &VecPlan, len_v: i64) -> Result<(), SimError> {
-        let mut results = Vec::with_capacity(len_v as usize);
-        for k in 0..len_v {
-            results.push(self.vec_elem(regs, plan, k)?);
-        }
-        self.vec_scatter(regs, plan, &results)
     }
 
     /// Element `k` of the plan's right-hand side, coerced to the store's
-    /// kind, through checked memory reads.
+    /// kind: `fold` arithmetic over checked memory reads, in the
+    /// interpreter's order.
     fn vec_elem(&mut self, regs: &[Value], plan: &VecPlan, k: i64) -> Result<Value, SimError> {
-        let mut stack: Vec<Value> = Vec::with_capacity(4);
+        // the operand stack leaves `self` so it and `self.mem` borrow
+        // independently; a trap drops it, and the next statement makes one
+        let mut stack = std::mem::take(&mut self.vm.operands);
+        stack.clear();
         for step in &plan.steps {
             match *step {
                 VStep::Sec(i) => {
@@ -808,60 +656,64 @@ impl<'p> Simulator<'p> {
                 }
             }
         }
-        Ok(coerce(stack.pop().expect("element result"), plan.kind))
+        let v = stack.pop().expect("element result");
+        self.vm.operands = stack;
+        Ok(coerce(v, plan.kind))
     }
 
-    /// Stores computed elements through checked memory writes.
-    fn vec_scatter(
-        &mut self,
-        regs: &[Value],
-        plan: &VecPlan,
-        elems: &[Value],
-    ) -> Result<(), SimError> {
+    /// Stores the elements computed so far (`vm.elems`) through checked
+    /// memory writes.
+    fn vec_scatter(&mut self, regs: &[Value], plan: &VecPlan) -> Result<(), SimError> {
         let base = regs[plan.base as usize].as_int() as u32;
         let stride = regs[plan.stride as usize].as_int();
+        let elems = std::mem::take(&mut self.vm.elems);
         for (k, &v) in elems.iter().enumerate() {
-            let addr = (base as i64 + k as i64 * stride) as u32;
-            self.write_mem(addr, plan.kind, v)?;
+            self.write_mem((base as i64 + k as i64 * stride) as u32, plan.kind, v)?;
         }
+        self.vm.elems = elems;
         Ok(())
     }
 }
 
-/// Reusable kernel buffers. Gather/compute/scatter cycles return every
-/// buffer here, so steady-state vector execution allocates nothing —
-/// important for strip-mined loops where each kernel is only a few dozen
-/// elements.
-#[derive(Default)]
-pub(crate) struct Scratch {
-    i: Vec<Vec<i64>>,
-    f: Vec<Vec<f64>>,
-    /// Resolved `(base, stride, type)` sections of the current statement.
-    secs: Vec<(u32, i64, ScalarType)>,
-    /// The kernel's operand stack.
-    stack: Vec<VBuf>,
+/// True when the float kernel runs a plan: a `float` or `double` store of
+/// float sections and splats combined by `+ - * / min max` on a float
+/// kind, exactly the arms of `vec_kernel`, `load_section` and
+/// `store_section`. The lowerer asks once per plan; every other vector
+/// statement evaluates element by element through `fold`, the one
+/// definition of IL arithmetic.
+pub(crate) fn kernel_admits(kind: ScalarType, sections: &[SecRef], steps: &[VStep]) -> bool {
+    kind.is_float()
+        && sections.iter().all(|s| s.ty.is_float())
+        && steps.iter().all(|s| match *s {
+            VStep::Sec(_) | VStep::Splat(_) => true,
+            VStep::Bin { op, ty } => {
+                ty.is_float()
+                    && matches!(
+                        op,
+                        BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Min | BinOp::Max
+                    )
+            }
+            VStep::Un { .. } | VStep::Cast { .. } => false,
+        })
 }
 
-impl Scratch {
-    fn take_i(&mut self, n: usize) -> Vec<i64> {
-        let mut v = self.i.pop().unwrap_or_default();
+/// The float kernel's buffers. Every gather, splat and result is taken
+/// from `free` and returned there, so steady-state vector execution
+/// allocates nothing — important for strip-mined loops where each kernel
+/// is only a few dozen elements.
+#[derive(Default)]
+struct Kernel {
+    free: Vec<Vec<f64>>,
+    /// The operand stack of the statement being run.
+    stack: Vec<Vec<f64>>,
+}
+
+impl Kernel {
+    fn take(&mut self, n: usize) -> Vec<f64> {
+        let mut v = self.free.pop().unwrap_or_default();
         v.clear();
         v.reserve(n);
         v
-    }
-
-    fn take_f(&mut self, n: usize) -> Vec<f64> {
-        let mut v = self.f.pop().unwrap_or_default();
-        v.clear();
-        v.reserve(n);
-        v
-    }
-
-    fn give(&mut self, b: VBuf) {
-        match b {
-            VBuf::I(v) => self.i.push(v),
-            VBuf::F(v) => self.f.push(v),
-        }
     }
 }
 
@@ -882,230 +734,11 @@ fn range_ok(base: u32, stride: i64, len: i64, size: i64) -> bool {
     lo >= 4 && hi <= MEM_SIZE as i64
 }
 
-/// Moves a buffer into the float domain (recycling an integer source).
-fn to_f(b: VBuf, s: &mut Scratch) -> Vec<f64> {
-    match b {
-        VBuf::F(v) => v,
-        VBuf::I(v) => {
-            let mut o = s.take_f(v.len());
-            o.extend(v.iter().map(|&x| x as f64));
-            s.i.push(v);
-            o
-        }
-    }
-}
-
-/// Moves a buffer into the integer domain (recycling a float source).
-fn to_i(b: VBuf, s: &mut Scratch) -> Vec<i64> {
-    match b {
-        VBuf::I(v) => v,
-        VBuf::F(v) => {
-            let mut o = s.take_i(v.len());
-            o.extend(v.iter().map(|&x| x as i64));
-            s.f.push(v);
-            o
-        }
-    }
-}
-
-/// Applies `normalize(Value::Int(x), ty)` element-wise.
-fn norm_i(ty: ScalarType, v: &mut [i64]) {
-    match ty {
-        ScalarType::Char => {
-            for x in v {
-                *x = *x as i8 as i64;
-            }
-        }
-        ScalarType::Int => {
-            for x in v {
-                *x = *x as i32 as i64;
-            }
-        }
-        ScalarType::Ptr => {
-            for x in v {
-                *x = *x as u32 as i64;
-            }
-        }
-        _ => {}
-    }
-}
-
-/// Rounds every element through f32, as `normalize` does for `Float`.
-fn norm_f(ty: ScalarType, v: &mut [f64]) {
-    if ty == ScalarType::Float {
-        for x in v {
-            *x = *x as f32 as f64;
-        }
-    }
-}
-
-/// In-place element-wise float arithmetic; the closure is monomorphized
-/// per call site so the loop compiles to straight vector code.
-fn arith_f(
-    mut x: Vec<f64>,
-    y: Vec<f64>,
-    ty: ScalarType,
-    s: &mut Scratch,
-    f: impl Fn(f64, f64) -> f64,
-) -> VBuf {
-    for (p, &q) in x.iter_mut().zip(&y) {
+/// `x[k] = f(x[k], y[k])` for every element; `f` is monomorphized per
+/// operator, so the loop compiles to straight vector code.
+fn zip_with(x: &mut [f64], y: &[f64], f: impl Fn(f64, f64) -> f64) {
+    for (p, &q) in x.iter_mut().zip(y) {
         *p = f(*p, q);
-    }
-    norm_f(ty, &mut x);
-    s.f.push(y);
-    VBuf::F(x)
-}
-
-/// Element-wise float comparison into a fresh integer buffer (raw 0/1,
-/// as `eval_binop` returns for comparisons).
-fn cmp_f(x: Vec<f64>, y: Vec<f64>, s: &mut Scratch, f: impl Fn(f64, f64) -> bool) -> VBuf {
-    let mut o = s.take_i(x.len());
-    o.extend(x.iter().zip(&y).map(|(&p, &q)| i64::from(f(p, q))));
-    s.f.push(x);
-    s.f.push(y);
-    VBuf::I(o)
-}
-
-/// In-place element-wise integer arithmetic.
-fn arith_i(
-    mut x: Vec<i64>,
-    y: Vec<i64>,
-    ty: ScalarType,
-    s: &mut Scratch,
-    f: impl Fn(i64, i64) -> i64,
-) -> VBuf {
-    for (p, &q) in x.iter_mut().zip(&y) {
-        *p = f(*p, q);
-    }
-    norm_i(ty, &mut x);
-    s.i.push(y);
-    VBuf::I(x)
-}
-
-/// Element-wise integer comparison (raw 0/1).
-fn cmp_i(x: Vec<i64>, y: Vec<i64>, s: &mut Scratch, f: impl Fn(i64, i64) -> bool) -> VBuf {
-    let mut o = s.take_i(x.len());
-    o.extend(x.iter().zip(&y).map(|(&p, &q)| i64::from(f(p, q))));
-    s.i.push(x);
-    s.i.push(y);
-    VBuf::I(o)
-}
-
-/// Element-wise `eval_unop`, in place where the domain allows.
-fn vec_un(op: UnOp, ty: ScalarType, a: VBuf, s: &mut Scratch) -> VBuf {
-    match op {
-        UnOp::Neg if ty.is_float() => {
-            let mut v = to_f(a, s);
-            for x in &mut v {
-                *x = -*x;
-            }
-            norm_f(ty, &mut v);
-            VBuf::F(v)
-        }
-        UnOp::Neg => {
-            let mut v = to_i(a, s);
-            for x in &mut v {
-                *x = x.wrapping_neg();
-            }
-            norm_i(ty, &mut v);
-            VBuf::I(v)
-        }
-        UnOp::Not => match a {
-            VBuf::I(mut v) => {
-                for x in &mut v {
-                    *x = i64::from(*x == 0);
-                }
-                VBuf::I(v)
-            }
-            VBuf::F(v) => {
-                let mut o = s.take_i(v.len());
-                o.extend(v.iter().map(|&x| i64::from(x == 0.0)));
-                s.f.push(v);
-                VBuf::I(o)
-            }
-        },
-        UnOp::BitNot => {
-            let mut v = to_i(a, s);
-            for x in &mut v {
-                *x = !*x;
-            }
-            norm_i(ty, &mut v);
-            VBuf::I(v)
-        }
-    }
-}
-
-/// Element-wise `eval_cast` (which only looks at the target type).
-fn vec_cast(to: ScalarType, a: VBuf, s: &mut Scratch) -> VBuf {
-    if to.is_float() {
-        let mut v = to_f(a, s);
-        norm_f(to, &mut v);
-        VBuf::F(v)
-    } else {
-        let mut v = to_i(a, s);
-        norm_i(to, &mut v);
-        VBuf::I(v)
-    }
-}
-
-/// Element-wise `eval_binop` as tight single-domain loops.
-fn vec_bin(op: BinOp, ty: ScalarType, a: VBuf, b: VBuf, s: &mut Scratch) -> Result<VBuf, SimError> {
-    if ty.is_float() {
-        let x = to_f(a, s);
-        let y = to_f(b, s);
-        Ok(match op {
-            BinOp::Add => arith_f(x, y, ty, s, |p, q| p + q),
-            BinOp::Sub => arith_f(x, y, ty, s, |p, q| p - q),
-            BinOp::Mul => arith_f(x, y, ty, s, |p, q| p * q),
-            BinOp::Div => arith_f(x, y, ty, s, |p, q| p / q),
-            BinOp::Min => arith_f(x, y, ty, s, f64::min),
-            BinOp::Max => arith_f(x, y, ty, s, f64::max),
-            BinOp::Eq => cmp_f(x, y, s, |p, q| p == q),
-            BinOp::Ne => cmp_f(x, y, s, |p, q| p != q),
-            BinOp::Lt => cmp_f(x, y, s, |p, q| p < q),
-            BinOp::Le => cmp_f(x, y, s, |p, q| p <= q),
-            BinOp::Gt => cmp_f(x, y, s, |p, q| p > q),
-            BinOp::Ge => cmp_f(x, y, s, |p, q| p >= q),
-            // Rem/shift/bitwise on floats fold to None, which the
-            // interpreter reports as a vector division by zero
-            _ => return Err(SimError::new("division by zero in vector statement")),
-        })
-    } else {
-        let mut x = to_i(a, s);
-        let y = to_i(b, s);
-        Ok(match op {
-            BinOp::Add => arith_i(x, y, ty, s, i64::wrapping_add),
-            BinOp::Sub => arith_i(x, y, ty, s, i64::wrapping_sub),
-            BinOp::Mul => arith_i(x, y, ty, s, i64::wrapping_mul),
-            BinOp::Div | BinOp::Rem => {
-                for (p, &q) in x.iter_mut().zip(&y) {
-                    if q == 0 {
-                        return Err(SimError::new("division by zero in vector statement"));
-                    }
-                    *p = if matches!(op, BinOp::Div) {
-                        p.wrapping_div(q)
-                    } else {
-                        p.wrapping_rem(q)
-                    };
-                }
-                norm_i(ty, &mut x);
-                s.i.push(y);
-                VBuf::I(x)
-            }
-            BinOp::Eq => cmp_i(x, y, s, |p, q| p == q),
-            BinOp::Ne => cmp_i(x, y, s, |p, q| p != q),
-            BinOp::Lt => cmp_i(x, y, s, |p, q| p < q),
-            BinOp::Le => cmp_i(x, y, s, |p, q| p <= q),
-            BinOp::Gt => cmp_i(x, y, s, |p, q| p > q),
-            BinOp::Ge => cmp_i(x, y, s, |p, q| p >= q),
-            BinOp::BitAnd => arith_i(x, y, ty, s, |p, q| p & q),
-            BinOp::BitOr => arith_i(x, y, ty, s, |p, q| p | q),
-            BinOp::BitXor => arith_i(x, y, ty, s, |p, q| p ^ q),
-            BinOp::Shl => arith_i(x, y, ty, s, |p, q| p.wrapping_shl((q & 31) as u32)),
-            BinOp::Shr => arith_i(x, y, ty, s, |p, q| p.wrapping_shr((q & 31) as u32)),
-            BinOp::Min => arith_i(x, y, ty, s, |p, q| p.min(q)),
-            BinOp::Max => arith_i(x, y, ty, s, |p, q| p.max(q)),
-        })
     }
 }
 

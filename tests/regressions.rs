@@ -53,6 +53,20 @@ int main(void)
     );
 }
 
+/// An array name on the left of `=`, a compound assignment or `++`/`--`
+/// lowered to a pointer store the simulator could not execute (it
+/// panicked); it is a source error with the statement's position.
+#[test]
+fn assigning_to_an_array_name_is_a_source_error() {
+    for stmt in ["out_g = 1;", "out_g += 1;", "out_g++;", "--out_g;"] {
+        let src = format!("int out_g[16];\nint main(void)\n{{\n    {stmt}\n    return 0;\n}}\n");
+        let err = compile(&src, &Options::o0()).expect_err(stmt);
+        let d = &err.diagnostics[0];
+        assert!(d.message.contains("an array"), "{stmt}: {}", d.message);
+        assert_eq!(d.span.line, 4, "{stmt}: {}", d.message);
+    }
+}
+
 /// Hoisting out of a zero-trip loop must not execute the assignment at
 /// all when the variable is read afterwards.
 #[test]
