@@ -295,7 +295,7 @@ fn exp3() -> Vec<Row> {
 fn inlined_zero_alpha_main() -> Procedure {
     let src = daxpy_source(100).replace("1.0, 100", "0.0, 100");
     let mut prog = compile_to_il(&src).expect("compiles");
-    titanc_inline::inline_program(&mut prog, &titanc_inline::InlineOptions::default());
+    titanc_inline::inline_program(&mut prog);
     prog.proc_by_name("main").expect("main").clone()
 }
 

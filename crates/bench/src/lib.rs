@@ -16,7 +16,7 @@ pub mod progen;
 pub mod sweep;
 
 use titanc::{compile, Options};
-use titanc_titan::{ExecStats, MachineConfig, Simulator};
+use titanc_titan::{ExecStats, MachineConfig, Simulator, CLOCK_MHZ};
 
 /// The paper's corpus, embedded.
 pub mod corpus {
@@ -49,9 +49,9 @@ pub fn run(src: &str, options: &Options, machine: MachineConfig) -> ExecStats {
     result.stats
 }
 
-/// MFLOPS at the Titan's 16 MHz clock.
+/// MFLOPS at the Titan's clock.
 pub fn mflops(stats: &ExecStats) -> f64 {
-    stats.mflops(16.0)
+    stats.mflops(CLOCK_MHZ)
 }
 
 /// A row of an experiment table.

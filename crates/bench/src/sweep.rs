@@ -1086,7 +1086,6 @@ fn compile_recorded(
         trace,
         snapshots,
         diagnostics: Vec::new(),
-        parsed: None,
     };
     Ok((c, cells, manifest))
 }

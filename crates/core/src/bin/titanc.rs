@@ -49,22 +49,23 @@
 
 use std::path::Path;
 use std::process::ExitCode;
-use titanc::server;
-use titanc::{compile_session, Aliasing, Catalog, Compilation, Options, SourceFile};
-use titanc_titan::{MachineConfig, Simulator};
+use titanc::server::{self, CompileRequest};
+use titanc::{compile_session, Catalog, Compilation, OptLevel, Options, SourceFile};
+use titanc_titan::{MachineConfig, Simulator, CLOCK_MHZ};
 
 struct Cli {
     files: Vec<String>,
-    options: Options,
+    /// The option and output flags as `--server` ships them to `titand`;
+    /// its `files` are read once every argument is parsed.
+    req: CompileRequest,
+    /// `-j N`; `0` (no flag) is the machine's available parallelism.
+    jobs: usize,
+    catalogs: Vec<Catalog>,
+    snapshots: bool,
     procs: u32,
-    print_il: bool,
-    stats: bool,
-    /// `Some(false)` = text report, `Some(true)` = JSON.
-    opt_report: Option<bool>,
     trace_json: Option<String>,
     time: bool,
     run: bool,
-    strict: bool,
     entry: String,
     emit_catalog: Option<String>,
     cache_dir: Option<String>,
@@ -91,47 +92,50 @@ fn usage() -> ! {
 fn parse_args() -> Cli {
     let mut cli = Cli {
         files: Vec::new(),
-        options: Options::o2(),
+        req: CompileRequest {
+            id: i64::from(std::process::id()),
+            ..CompileRequest::default()
+        },
+        jobs: 0,
+        catalogs: Vec::new(),
+        snapshots: false,
         procs: 1,
-        print_il: false,
-        stats: false,
-        opt_report: None,
         trace_json: None,
         time: false,
         run: false,
-        strict: false,
         entry: "main".to_string(),
         emit_catalog: None,
         cache_dir: None,
         volatile_values: Vec::new(),
         server: None,
     };
-    let mut no_inline = false;
+    let req = &mut cli.req;
     let mut args = std::env::args().skip(1).peekable();
     while let Some(arg) = args.next() {
         match arg.as_str() {
             // set only the level so `-On` composes with other flags
-            // regardless of argument order; `inline` is resolved from the
-            // level and `--no-inline` once every argument is read
-            "-O0" => cli.options.opt = titanc::OptLevel::O0,
-            "-O1" => cli.options.opt = titanc::OptLevel::O1,
-            "-O2" => cli.options.opt = titanc::OptLevel::O2,
-            "--parallel" => cli.options.parallelize = true,
-            "--spread-lists" => cli.options.spread_lists = true,
-            "--fortran-aliasing" => cli.options.aliasing = Aliasing::Fortran,
-            "--no-inline" => no_inline = true,
-            "--snapshots" => cli.options.snapshots = true,
-            "--verify" => cli.options.verify = true,
-            "--strict" => cli.strict = true,
+            // regardless of argument order; `CompileRequest::options`
+            // resolves inlining from the level and `--no-inline`
+            "-O0" => req.opt = 0,
+            "-O1" => req.opt = 1,
+            "-O2" => req.opt = 2,
+            "--parallel" => req.parallelize = true,
+            "--spread-lists" => req.spread_lists = true,
+            "--fortran-aliasing" => req.fortran_aliasing = true,
+            "--no-inline" => req.inline = false,
+            "--snapshots" => cli.snapshots = true,
+            "--verify" => req.verify = true,
+            "--strict" => req.strict = true,
             "--max-errors" => {
                 let v = args.next().unwrap_or_else(|| usage());
-                cli.options.max_errors = v.parse().unwrap_or_else(|_| usage());
+                let n: usize = v.parse().unwrap_or_else(|_| usage());
+                req.max_errors = i64::try_from(n).unwrap_or(i64::MAX);
             }
             "--time" => cli.time = true,
-            "--print-il" => cli.print_il = true,
-            "--stats" => cli.stats = true,
-            "--opt-report" | "--opt-report=text" => cli.opt_report = Some(false),
-            "--opt-report=json" => cli.opt_report = Some(true),
+            "--print-il" => req.print_il = true,
+            "--stats" => req.stats = true,
+            "--opt-report" | "--opt-report=text" => req.opt_report = "text".to_string(),
+            "--opt-report=json" => req.opt_report = "json".to_string(),
             "--trace-json" => {
                 cli.trace_json = Some(args.next().unwrap_or_else(|| usage()));
             }
@@ -145,20 +149,21 @@ fn parse_args() -> Cli {
             }
             "-j" | "--jobs" => {
                 let v = args.next().unwrap_or_else(|| usage());
-                cli.options.jobs = v.parse().unwrap_or_else(|_| usage());
-                if cli.options.jobs == 0 {
+                cli.jobs = v.parse().unwrap_or_else(|_| usage());
+                if cli.jobs == 0 {
                     eprintln!("titanc: --jobs must be at least 1 (omit the flag for auto)");
                     std::process::exit(2);
                 }
+                req.jobs = cli.jobs as i64;
             }
             "--strip" => {
                 let v = args.next().unwrap_or_else(|| usage());
-                cli.options.strip = v.parse().unwrap_or_else(|_| usage());
+                req.strip = v.parse().unwrap_or_else(|_| usage());
             }
             "--catalog" => {
                 let path = args.next().unwrap_or_else(|| usage());
                 match Catalog::load(&path) {
-                    Ok(c) => cli.options.catalogs.push(c),
+                    Ok(c) => cli.catalogs.push(c),
                     Err(e) => {
                         eprintln!("titanc: cannot load catalog {path}: {e}");
                         std::process::exit(1);
@@ -167,8 +172,6 @@ fn parse_args() -> Cli {
             }
             "--emit-catalog" => {
                 cli.emit_catalog = Some(args.next().unwrap_or_else(|| usage()));
-                // the catalog wants the *parsed* program; keep it around
-                cli.options.keep_parsed = true;
             }
             "--cache-dir" => {
                 cli.cache_dir = Some(args.next().unwrap_or_else(|| usage()));
@@ -199,65 +202,42 @@ fn parse_args() -> Cli {
             _ => cli.files.push(arg),
         }
     }
-    // the rule `CompileRequest::options` applies on the server side
-    cli.options.inline = cli.options.opt == titanc::OptLevel::O2 && !no_inline;
     cli
 }
 
-/// Reads the input files and bundles them with the option and output
-/// flags — the request `--server` ships to `titand`, and the flag carrier
-/// [`server::render`] reads on the in-process path.
-fn request_of(cli: &Cli) -> Result<server::CompileRequest, ExitCode> {
-    let mut files = Vec::with_capacity(cli.files.len());
+/// Reads the input files into the request.
+fn read_files(cli: &mut Cli) -> Result<(), ExitCode> {
     for f in &cli.files {
         match std::fs::read_to_string(f) {
-            Ok(src) => files.push(SourceFile::new(f.clone(), src)),
+            Ok(src) => cli.req.files.push(SourceFile::new(f.clone(), src)),
             Err(e) => {
                 eprintln!("titanc: cannot read {f}: {e}");
                 return Err(ExitCode::FAILURE);
             }
         }
     }
-    Ok(server::CompileRequest {
-        id: i64::from(std::process::id()),
-        files,
-        opt: match cli.options.opt {
-            titanc::OptLevel::O0 => 0,
-            titanc::OptLevel::O1 => 1,
-            titanc::OptLevel::O2 => 2,
-        },
-        parallelize: cli.options.parallelize,
-        spread_lists: cli.options.spread_lists,
-        fortran_aliasing: matches!(cli.options.aliasing, Aliasing::Fortran),
-        inline: cli.options.inline,
-        strip: cli.options.strip,
-        jobs: cli.options.jobs as i64,
-        verify: cli.options.verify,
-        max_errors: cli.options.max_errors as i64,
-        strict: cli.strict,
-        print_il: cli.print_il,
-        stats: cli.stats,
-        opt_report: match cli.opt_report {
-            None => "none",
-            Some(false) => "text",
-            Some(true) => "json",
-        }
-        .to_string(),
-    })
+    Ok(())
 }
 
 fn main() -> ExitCode {
-    let cli = parse_args();
+    let mut cli = parse_args();
     if cli.files.is_empty() {
         usage();
     }
-    if let Some(addr) = &cli.server {
-        return run_client(&cli, addr);
+    if let Some(addr) = cli.server.take() {
+        return run_client(&mut cli, &addr);
     }
-    let req = match request_of(&cli) {
-        Ok(req) => req,
-        Err(code) => return code,
+    if let Err(code) = read_files(&mut cli) {
+        return code;
+    }
+    // the request's options, plus what only a local compile can take
+    let options = Options {
+        catalogs: std::mem::take(&mut cli.catalogs),
+        snapshots: cli.snapshots,
+        jobs: cli.jobs,
+        ..cli.req.options()
     };
+    let req = &cli.req;
     let file = &cli.files[0];
 
     // one driver: a single file without `--cache-dir` is a one-file,
@@ -265,9 +245,9 @@ fn main() -> ExitCode {
     // pipeline and renders through the same function, so byte identity
     // between the two entry points is by shared construction.
     let dir = cli.cache_dir.as_deref().map(Path::new);
-    let result = compile_session(&req.files, &cli.options, dir);
+    let result = compile_session(&req.files, &options, dir);
     // the cache accounting line is stable: CI's cache-smoke job parses it
-    let (stdout, stderr, exit) = server::render(&req, &result, dir.is_some());
+    let (stdout, stderr, exit) = server::render(req, &result, dir.is_some());
     eprint!("{stderr}");
     print!("{stdout}");
     let compiled: Compilation = match result {
@@ -319,9 +299,23 @@ fn main() -> ExitCode {
             .map(|s| s.to_string_lossy().to_string())
             .unwrap_or_else(|| "catalog".into());
         // §7: catalogs hold parsed procedures, so the *consumer's*
-        // inliner can expand them in context and optimize the result
-        let parsed = compiled.parsed.as_ref().unwrap_or(&compiled.program);
-        let catalog = Catalog::from_program(name, parsed);
+        // inliner can expand them in context and optimize the result. An
+        // -O0 compile without inlining runs no pass: its program is the
+        // parsed one, catalogs linked.
+        let parsed = Options {
+            opt: OptLevel::O0,
+            inline: false,
+            snapshots: false,
+            ..options.clone()
+        };
+        let parsed = match compile_session(&req.files, &parsed, None) {
+            Ok(sc) => sc.compilation.program,
+            Err(e) => {
+                eprintln!("{e}");
+                return ExitCode::FAILURE;
+            }
+        };
+        let catalog = Catalog::from_program(name, &parsed);
         if let Err(e) = catalog.save(path) {
             eprintln!("titanc: cannot write catalog {path}: {e}");
             return ExitCode::FAILURE;
@@ -331,7 +325,7 @@ fn main() -> ExitCode {
 
     if cli.run {
         let mut machine = MachineConfig::optimized(cli.procs);
-        if cli.options.opt == titanc::OptLevel::O1 || cli.options.opt == titanc::OptLevel::O0 {
+        if options.opt == OptLevel::O1 || options.opt == OptLevel::O0 {
             machine = MachineConfig::scalar();
             machine.num_procs = cli.procs;
         }
@@ -343,10 +337,10 @@ fn main() -> ExitCode {
                     println!("{line}");
                 }
                 println!(
-                    "[titan] {:.0} cycles, {:.3} ms at 16 MHz, {:.2} MFLOPS, exit {}",
+                    "[titan] {:.0} cycles, {:.3} ms at {CLOCK_MHZ} MHz, {:.2} MFLOPS, exit {}",
                     result.stats.cycles,
-                    result.stats.seconds(16.0) * 1e3,
-                    result.stats.mflops(16.0),
+                    result.stats.seconds(CLOCK_MHZ) * 1e3,
+                    result.stats.mflops(CLOCK_MHZ),
                     result
                         .value
                         .map(|v| v.as_int().to_string())
@@ -371,7 +365,7 @@ fn main() -> ExitCode {
 /// `titanc: cache:` accounting line, which one-shot runs only print
 /// under `--cache-dir`).
 #[cfg(unix)]
-fn run_client(cli: &Cli, addr: &str) -> ExitCode {
+fn run_client(cli: &mut Cli, addr: &str) -> ExitCode {
     // flags that need the client's filesystem, its terminal, or the
     // simulator cannot ride the protocol
     let unsupported = [
@@ -380,8 +374,8 @@ fn run_client(cli: &Cli, addr: &str) -> ExitCode {
         (cli.trace_json.is_some(), "--trace-json"),
         (cli.emit_catalog.is_some(), "--emit-catalog"),
         (cli.cache_dir.is_some(), "--cache-dir"),
-        (cli.options.snapshots, "--snapshots"),
-        (!cli.options.catalogs.is_empty(), "--catalog"),
+        (cli.snapshots, "--snapshots"),
+        (!cli.catalogs.is_empty(), "--catalog"),
         (!cli.volatile_values.is_empty(), "--volatile-values"),
     ];
     for (set, flag) in unsupported {
@@ -390,11 +384,10 @@ fn run_client(cli: &Cli, addr: &str) -> ExitCode {
             std::process::exit(2);
         }
     }
-    let req = match request_of(cli) {
-        Ok(req) => req,
-        Err(code) => return code,
-    };
-    match server::request_over_unix(Path::new(addr), &req) {
+    if let Err(code) = read_files(cli) {
+        return code;
+    }
+    match server::request_over_unix(Path::new(addr), &cli.req) {
         Ok(resp) => {
             print!("{}", resp.stdout);
             eprint!("{}", resp.stderr);
@@ -408,7 +401,7 @@ fn run_client(cli: &Cli, addr: &str) -> ExitCode {
 }
 
 #[cfg(not(unix))]
-fn run_client(_cli: &Cli, _addr: &str) -> ExitCode {
+fn run_client(_cli: &mut Cli, _addr: &str) -> ExitCode {
     eprintln!("titanc: --server needs Unix domain sockets on this platform");
     ExitCode::from(2)
 }

@@ -60,7 +60,6 @@ pub use titanc_analysis::{CacheStats, ProcAnalyses};
 pub use titanc_cfront::{Diagnostic, DiagnosticSink, Severity, Span};
 pub use titanc_deps::Aliasing;
 pub use titanc_il::{Catalog, Program};
-pub use titanc_inline::InlineOptions;
 pub use titanc_vector::VectorOptions;
 pub use trace::{chrome_trace, Counters, LoopReport, OptReport};
 
@@ -83,8 +82,6 @@ pub struct Options {
     pub opt: OptLevel,
     /// Inline procedure calls (§7).
     pub inline: bool,
-    /// Inlining policy.
-    pub inline_opts: InlineOptions,
     /// Spread loops across processors (`do parallel`).
     pub parallelize: bool,
     /// Spread linked-list `while` loops with a serialized pointer chase
@@ -114,11 +111,6 @@ pub struct Options {
     /// `0` means no cap). One mangled declaration can cascade — past the
     /// cap the rest of the file is abandoned.
     pub max_errors: usize,
-    /// Keep a clone of the parsed (pre-pipeline, post-catalog-link)
-    /// program on [`Compilation::parsed`]. `--emit-catalog` needs it: §7
-    /// catalogs store *parsed* IL so the consumer compilation optimizes
-    /// inlined bodies in context.
-    pub keep_parsed: bool,
 }
 
 impl Default for Options {
@@ -126,17 +118,15 @@ impl Default for Options {
         Options {
             opt: OptLevel::O2,
             inline: true,
-            inline_opts: InlineOptions::default(),
             parallelize: false,
             spread_lists: false,
             aliasing: Aliasing::C,
-            strip: 32,
+            strip: titanc_vector::DEFAULT_STRIP,
             catalogs: Vec::new(),
             snapshots: false,
             verify: false,
             jobs: 0,
             max_errors: titanc_cfront::DEFAULT_MAX_ERRORS,
-            keep_parsed: false,
         }
     }
 }
@@ -249,9 +239,6 @@ pub struct Compilation {
     /// Non-fatal diagnostics: warnings plus the optimizer's remarks
     /// (loops left scalar and why, budgets that ran out).
     pub diagnostics: Vec<Diagnostic>,
-    /// The parsed (pre-pipeline) program, kept only when
-    /// [`Options::keep_parsed`] is set — the `--emit-catalog` source.
-    pub parsed: Option<Program>,
 }
 
 impl Compilation {

@@ -1349,8 +1349,8 @@ impl Pass for InlinePass {
         "inline"
     }
 
-    fn run(&self, program: &mut Program, cx: &PassContext<'_>, delta: &mut Reports) -> PassOutcome {
-        let r = titanc_inline::inline_program(program, &cx.options.inline_opts);
+    fn run(&self, program: &mut Program, _: &PassContext<'_>, delta: &mut Reports) -> PassOutcome {
+        let r = titanc_inline::inline_program(program);
         let changed = r.inlined > 0 || r.statics_externalized > 0;
         delta.inline.merge(r);
         PassOutcome { changed }

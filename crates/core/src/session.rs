@@ -307,7 +307,6 @@ pub(crate) fn compile_session_impl(
         }
     }
 
-    let parsed = options.keep_parsed.then(|| program.clone());
     let proc_passes = pipeline.proc_pass_names();
 
     // cache keys exist only while a store is open: a store-less compile
@@ -393,7 +392,6 @@ pub(crate) fn compile_session_impl(
             trace,
             snapshots,
             diagnostics,
-            parsed,
         },
         stats,
     })
@@ -536,9 +534,9 @@ fn options_fingerprint(options: &Options) -> String {
          aliasing={:?} strip={}",
         options.opt,
         options.inline,
-        options.inline_opts.max_depth,
-        options.inline_opts.max_callee_size,
-        options.inline_opts.max_growth,
+        titanc_inline::MAX_DEPTH,
+        titanc_inline::MAX_CALLEE_SIZE,
+        titanc_inline::MAX_GROWTH,
         options.parallelize,
         options.spread_lists,
         options.aliasing,
@@ -567,7 +565,7 @@ fn environment_hash(program: &Program) -> String {
 /// With inlining on, each key covers the procedure's *inline dependency
 /// cone* ([`CallGraph::inline_cones`]): the arena encodings of itself
 /// plus every transitive callee, in program order. The per-caller
-/// `max_growth` budget keeps inline decisions local to each caller, so
+/// `MAX_GROWTH` budget keeps inline decisions local to each caller, so
 /// nothing outside the cone (and the shared environment) can change the
 /// procedure's post-inline IL — an edit invalidates exactly the edited
 /// procedure and its cone consumers, not the whole program. `--no-inline`

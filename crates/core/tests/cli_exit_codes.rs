@@ -277,3 +277,42 @@ fn struct_carrying_catalog_runs_like_the_same_file() {
         assert_eq!(exit_of(&args, &[&app_c]), "53", "{level:?}");
     }
 }
+
+/// A catalog is input from outside the program: one whose IL reads a
+/// variable the procedure does not have once reached the simulator and
+/// panicked (exit 101), or printed as `b = (a + v9)` under `--print-il`.
+/// It is refused when it loads, on every path, like any unreadable file.
+#[test]
+fn a_catalog_with_invalid_il_exits_one() {
+    let lib_c = write_temp("twice.c", "int twice(int a){int b; b=a+a; return b;}\n");
+    let app_c = write_temp(
+        "twice_app.c",
+        "int twice(int); int main(){return twice(21);}\n",
+    );
+    let cat = lib_c.with_extension("cat");
+    let emit = titanc()
+        .arg("--emit-catalog")
+        .arg(&cat)
+        .arg(&lib_c)
+        .output()
+        .unwrap();
+    assert_eq!(emit.status.code(), Some(0), "{}", stderr_of(&emit));
+    let good = std::fs::read_to_string(&cat).unwrap();
+    assert!(good.contains("{\"Var\":0}"), "{good}");
+    let bad = lib_c.with_extension("bad.json");
+    std::fs::write(&bad, good.replacen("{\"Var\":0}", "{\"Var\":9}", 1)).unwrap();
+    for args in [&["--run"][..], &["--print-il"], &["--verify", "--run"]] {
+        let out = titanc()
+            .args(args)
+            .arg("--catalog")
+            .arg(&bad)
+            .arg(&app_c)
+            .output()
+            .unwrap();
+        let err = stderr_of(&out);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {err}");
+        let want = format!("titanc: cannot load catalog {}: ", bad.display());
+        assert!(err.starts_with(&want), "{args:?}: {err}");
+        assert!(out.stdout.is_empty(), "{args:?}");
+    }
+}

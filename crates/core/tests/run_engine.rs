@@ -7,7 +7,7 @@ use std::path::{Path, PathBuf};
 use std::process::Command;
 
 use titanc::{OptLevel, Options};
-use titanc_titan::{observe_with, ExecEngine, MachineConfig, SimError, Simulator};
+use titanc_titan::{observe_with, ExecEngine, MachineConfig, SimError, Simulator, CLOCK_MHZ};
 
 /// §5.3's pointer-walk copy, with its result printed.
 const PAPER_COPY: &str = "\
@@ -100,8 +100,8 @@ fn render(
             out.push_str(&format!(
                 "[titan] {:.0} cycles, {:.3} ms at 16 MHz, {:.2} MFLOPS, exit {}\n",
                 stats.cycles,
-                stats.seconds(16.0) * 1e3,
-                stats.mflops(16.0),
+                stats.seconds(CLOCK_MHZ) * 1e3,
+                stats.mflops(CLOCK_MHZ),
                 obs.value
                     .map(|v| v.as_int().to_string())
                     .unwrap_or_else(|| "void".into())

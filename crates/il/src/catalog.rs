@@ -10,6 +10,7 @@
 use crate::json::{FromJson, Json, JsonError, ToJson};
 use crate::link::{link, LinkReport};
 use crate::program::{Procedure, Program, StructDef, VarInfo};
+use crate::verify::verify_proc;
 use std::io;
 use std::path::Path;
 
@@ -77,14 +78,17 @@ impl Catalog {
         Json::obj(pairs).to_string_compact()
     }
 
-    /// Parses a catalog from JSON.
+    /// Parses a catalog from JSON. A catalog comes from outside the
+    /// program, so every procedure must pass [`verify_proc`] before any
+    /// pass or the simulator trusts its IL.
     ///
     /// # Errors
     ///
-    /// Returns an error when the JSON is not a valid catalog.
+    /// Returns an error when the JSON is not a valid catalog, or when a
+    /// procedure it decodes to is not valid IL.
     pub fn from_json(s: &str) -> Result<Catalog, JsonError> {
         let doc = crate::json::parse(s)?;
-        Ok(Catalog {
+        let catalog = Catalog {
             name: String::from_json(doc.field("name")?)?,
             procs: Vec::from_json(doc.field("procs")?)?,
             structs: Vec::from_json(doc.field("structs")?)?,
@@ -94,7 +98,17 @@ impl Catalog {
                 Some(f) => Vec::from_json(f)?,
                 None => Vec::new(),
             },
-        })
+        };
+        for proc in &catalog.procs {
+            if let Err(errors) = verify_proc(proc) {
+                let rendered: Vec<String> = errors.iter().map(ToString::to_string).collect();
+                return Err(JsonError {
+                    message: format!("invalid IL: {}", rendered.join("; ")),
+                    offset: 0,
+                });
+            }
+        }
+        Ok(catalog)
     }
 
     /// Saves the catalog to a file.

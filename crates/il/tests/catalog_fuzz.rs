@@ -3,7 +3,7 @@
 //! an `InvalidData` I/O error (via [`Catalog::load`]) — never a panic.
 
 use std::panic::catch_unwind;
-use titanc_il::{Catalog, ProcBuilder, Procedure, Type};
+use titanc_il::{Catalog, Expr, LValue, ProcBuilder, Procedure, ScalarType, StmtKind, Type, VarId};
 
 fn sample_proc(name: &str) -> Procedure {
     let mut b = ProcBuilder::new(name, Type::Int);
@@ -131,4 +131,73 @@ fn load_reports_malformed_files_as_invalid_data() {
     sample_catalog().save(&good).unwrap();
     let back = Catalog::load(&good).unwrap();
     assert_eq!(back, sample_catalog());
+}
+
+/// A well-formed document whose IL breaks an invariant the passes and the
+/// simulator rely on decodes, so the decoder must verify it: each mutant
+/// is refused with the violation named, by `from_json` and `load` alike.
+#[test]
+fn decodable_but_invalid_catalogs_are_refused() {
+    let out_of_range_var = {
+        let mut p = Procedure::new("wild_var", Type::Void);
+        let t = p.fresh_temp(Type::Int);
+        let rhs = p.exprs.var(VarId::from_index(9));
+        p.push(StmtKind::Assign {
+            lhs: LValue::Var(t),
+            rhs,
+        });
+        p
+    };
+    let dangling_goto = {
+        let mut p = Procedure::new("dangling_goto", Type::Void);
+        let l = p.fresh_label();
+        p.push(StmtKind::Goto(l));
+        p
+    };
+    let volatile_in_vector = {
+        let mut p = Procedure::new("volatile_vector", Type::Void);
+        let a = p.fresh_temp(Type::ptr_to(Type::Float));
+        let base = p.exprs.var(a);
+        let len = p.exprs.int(8);
+        let stride = p.exprs.int(4);
+        let addr = p.exprs.var(a);
+        let rhs = p.exprs.alloc(Expr::Load {
+            addr,
+            ty: ScalarType::Float,
+            volatile: true,
+        });
+        p.push(StmtKind::Assign {
+            lhs: LValue::Section {
+                base,
+                len,
+                stride,
+                ty: ScalarType::Float,
+            },
+            rhs,
+        });
+        p
+    };
+    let dir = std::env::temp_dir().join(format!("titanc-catalog-invalid-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let cases = [
+        (out_of_range_var, "out of bounds"),
+        (dangling_goto, "goto"),
+        (volatile_in_vector, "volatile"),
+    ];
+    for (proc, violation) in cases {
+        let name = proc.name.clone();
+        let mut catalog = sample_catalog();
+        catalog.add(proc);
+        let doc = catalog.to_json();
+        let err = Catalog::from_json(&doc).expect_err("invalid IL must not decode");
+        assert!(
+            err.message.contains(&name) && err.message.contains(violation),
+            "{name}: {err}"
+        );
+        let path = dir.join(format!("{name}.json"));
+        std::fs::write(&path, &doc).unwrap();
+        let err = Catalog::load(&path).expect_err("invalid IL must not load");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{name}: {err}");
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -16,9 +16,9 @@
 //! * **recursion protection and bottom-up ordering** (§7): recursive
 //!   procedures are never inlined, and call sites are expanded leaves-first
 //!   so inlined functions may inline other functions;
-//! * **catalog linking**: `link_and_inline` pulls procedures out of a
-//!   serialized catalog the way the Titan compiler used its math-library
-//!   databases.
+//! * **catalog inlining**: procedures a serialized catalog linked into the
+//!   program (`titanc_il::Catalog::link_into`) expand like any other, the
+//!   way the Titan compiler used its math-library databases.
 //!
 //! The §8 *special inlining optimizations* (constant propagation with
 //! unreachable-code elimination, dead-code elimination) live in
@@ -35,13 +35,13 @@
 //! ## Example
 //!
 //! ```
-//! use titanc_inline::{inline_program, InlineOptions};
+//! use titanc_inline::inline_program;
 //!
 //! let mut prog = titanc_lower::compile_to_il(
 //!     "int square(int x) { return x * x; }\n\
 //!      int main(void) { return square(6) + square(7); }",
 //! ).unwrap();
-//! let report = inline_program(&mut prog, &InlineOptions::default());
+//! let report = inline_program(&mut prog);
 //! assert_eq!(report.inlined, 2);
 //! let main = prog.proc_by_name("main").unwrap();
 //! let mut calls = 0;
@@ -57,39 +57,30 @@
 use std::collections::HashMap;
 use titanc_analysis::CallGraph;
 use titanc_il::{
-    Block, Catalog, Expr, ExprId, ExprPool, InlineEvent, InlineOutcome, LValue, LabelId, Procedure,
-    Program, StmtId, StmtKind, Storage, VarId, VarInfo,
+    Block, Expr, ExprId, ExprPool, InlineEvent, InlineOutcome, LValue, LabelId, Procedure, Program,
+    StmtId, StmtKind, Storage, VarId, VarInfo,
 };
 
-/// Inlining policy.
-#[derive(Clone, Debug, PartialEq)]
-pub struct InlineOptions {
-    /// Maximum rounds of expansion (inlined bodies may contain further
-    /// calls; each round expands one layer, leaves-first).
-    pub max_depth: u32,
-    /// Skip callees larger than this many statements.
-    pub max_callee_size: usize,
-    /// Per-caller IL growth budget: once a caller has grown past
-    /// `max_growth ×` its own pre-inlining statement count (plus a small
-    /// absolute slack for tiny callers), further sites in that caller are
-    /// skipped and counted in [`InlineReport::skipped_growth`]. The
-    /// budget is deliberately local to each caller — an edit to one
-    /// procedure can then never flip an inline decision inside an
-    /// unrelated one, which is what lets the incremental cache key each
-    /// procedure on its inline dependency cone alone. `0` disables the
-    /// budget.
-    pub max_growth: usize,
-}
+/// Maximum rounds of expansion. A round expands the call sites each
+/// procedure holds when the round starts; calls an inlined body brings in
+/// wait for the next one.
+pub const MAX_DEPTH: u32 = 4;
 
-impl Default for InlineOptions {
-    fn default() -> InlineOptions {
-        InlineOptions {
-            max_depth: 4,
-            max_callee_size: 400,
-            max_growth: 8,
-        }
-    }
-}
+/// Callees larger than this many statements are skipped.
+pub const MAX_CALLEE_SIZE: usize = 400;
+
+/// Per-caller IL growth budget: once a caller has grown past `MAX_GROWTH ×`
+/// its own pre-inlining statement count (plus [`GROWTH_SLACK`] for tiny
+/// callers), further sites in that caller are skipped and counted in
+/// [`InlineReport::skipped_growth`]. The budget is deliberately local to
+/// each caller — an edit to one procedure can then never flip an inline
+/// decision inside an unrelated one, which is what lets the incremental
+/// cache key each procedure on its inline dependency cone alone.
+pub const MAX_GROWTH: usize = 8;
+
+/// Absolute statements every caller may grow by on top of its
+/// [`MAX_GROWTH`] budget, so tiny callers still get their first expansions.
+pub const GROWTH_SLACK: usize = 256;
 
 /// What the inliner did.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -101,7 +92,7 @@ pub struct InlineReport {
     /// Call sites skipped by the size budget.
     pub skipped_size: usize,
     /// Call sites skipped by the per-caller growth budget
-    /// ([`InlineOptions::max_growth`]).
+    /// ([`MAX_GROWTH`]).
     pub skipped_growth: usize,
     /// `static` variables externalized.
     pub statics_externalized: usize,
@@ -138,39 +129,23 @@ titanc_il::struct_wire!(
     ]
 );
 
-/// Links a catalog into the program (§7's database-based inlining), then
-/// inlines.
-pub fn link_and_inline(
-    prog: &mut Program,
-    catalog: &Catalog,
-    opts: &InlineOptions,
-) -> InlineReport {
-    catalog.link_into(prog);
-    inline_program(prog, opts)
-}
-
 /// Expands eligible call sites throughout the program.
-pub fn inline_program(prog: &mut Program, opts: &InlineOptions) -> InlineReport {
+pub fn inline_program(prog: &mut Program) -> InlineReport {
     let mut report = InlineReport {
         statics_externalized: externalize_statics(prog),
         ..InlineReport::default()
     };
-    // per-caller growth budgets: each caller may grow to `max_growth ×`
-    // its own pre-inlining statement count, with absolute slack so tiny
-    // callers still get their first expansions. Keeping the budget local
-    // to the caller means an edit to one procedure can never flip an
-    // inline decision inside an unrelated one — the property the
-    // incremental cache's inline-cone keys rely on.
-    let initial: Vec<usize> = prog.procs.iter().map(|p| p.len()).collect();
-    let caller_limit = |ci: usize| {
-        if opts.max_growth == 0 {
-            usize::MAX
-        } else {
-            initial[ci]
-                .saturating_mul(opts.max_growth)
-                .saturating_add(256)
-        }
-    };
+    // per-caller growth budgets, fixed from each caller's pre-inlining
+    // statement count (see `MAX_GROWTH`)
+    let limits: Vec<usize> = prog
+        .procs
+        .iter()
+        .map(|p| {
+            p.len()
+                .saturating_mul(MAX_GROWTH)
+                .saturating_add(GROWTH_SLACK)
+        })
+        .collect();
     // stable site identities: `ords[ci]` parallels the caller's current
     // `call_sites` list. A surviving site keeps its ordinal across rounds
     // and spliced-in bodies' sites take fresh ones, so event consumers
@@ -178,12 +153,12 @@ pub fn inline_program(prog: &mut Program, opts: &InlineOptions) -> InlineReport 
     // loop's revisits of one site.
     let mut ords: Vec<Option<Vec<u32>>> = vec![None; prog.procs.len()];
     let mut next_ord: Vec<u32> = vec![0; prog.procs.len()];
-    for _round in 0..opts.max_depth {
+    for _round in 0..MAX_DEPTH {
         let mut any = false;
         let cg = CallGraph::build(prog);
         for ci in 0..prog.procs.len() {
             let caller_name = prog.procs[ci].name.clone();
-            let growth_limit = caller_limit(ci);
+            let growth_limit = limits[ci];
             // Statement ids change on every restamp, so sites are
             // re-collected after each successful expansion; sites that
             // cannot inline are remembered by position to guarantee
@@ -191,7 +166,7 @@ pub fn inline_program(prog: &mut Program, opts: &InlineOptions) -> InlineReport 
             let mut skip = 0usize;
             // one round expands only the call sites present at round
             // start — calls introduced by inlined bodies wait for the
-            // next round (layer-by-layer, bounded by `max_depth`)
+            // next round (layer-by-layer, bounded by `MAX_DEPTH`)
             let mut budget = call_sites(&prog.procs[ci]).len();
             loop {
                 if budget == 0 {
@@ -235,10 +210,10 @@ pub fn inline_program(prog: &mut Program, opts: &InlineOptions) -> InlineReport 
                         } else {
                             match prog.proc_by_name(&callee_name) {
                                 None => false, // intrinsic / external
-                                Some(c) if c.len() > opts.max_callee_size => {
+                                Some(c) if c.len() > MAX_CALLEE_SIZE => {
                                     let e = event(InlineOutcome::SkippedSize {
                                         callee_len: c.len(),
-                                        cap: opts.max_callee_size,
+                                        cap: MAX_CALLEE_SIZE,
                                     });
                                     report.skipped_size += 1;
                                     report.events.push(e);

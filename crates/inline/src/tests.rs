@@ -1,7 +1,7 @@
 //! Inliner tests: §7 mechanics plus §9's driving example.
 
-use crate::{externalize_statics, inline_program, link_and_inline, InlineOptions};
-use titanc_il::{pretty_proc, Catalog, Program, ScalarType, StmtKind};
+use crate::{externalize_statics, inline_program, GROWTH_SLACK, MAX_CALLEE_SIZE, MAX_GROWTH};
+use titanc_il::{pretty_proc, Catalog, InlineOutcome, Program, ScalarType, StmtKind};
 use titanc_lower::compile_to_il;
 use titanc_titan::MachineConfig;
 
@@ -20,7 +20,7 @@ fn count_calls(prog: &Program, name: &str) -> usize {
 fn equivalent(src: &str, globals: &[(&str, ScalarType, u32)]) -> (Program, Program) {
     let base = compile_to_il(src).unwrap();
     let mut inl = base.clone();
-    inline_program(&mut inl, &InlineOptions::default());
+    inline_program(&mut inl);
     let b = titanc_titan::observe(&base, MachineConfig::default(), "main", globals)
         .unwrap()
         .0;
@@ -104,7 +104,7 @@ int main(void) { return fib(10); }
 "#;
     let base = compile_to_il(src).unwrap();
     let mut inl = base.clone();
-    let rep = inline_program(&mut inl, &InlineOptions::default());
+    let rep = inline_program(&mut inl);
     assert_eq!(rep.inlined, 0);
     assert!(rep.skipped_recursive > 0);
     assert!(count_calls(&inl, "main") > 0);
@@ -120,7 +120,7 @@ int main(void) { return even(10); }
 "#;
     let base = compile_to_il(src).unwrap();
     let mut inl = base.clone();
-    let rep = inline_program(&mut inl, &InlineOptions::default());
+    let rep = inline_program(&mut inl);
     assert_eq!(rep.inlined, 0);
     assert!(rep.skipped_recursive > 0);
 }
@@ -153,7 +153,7 @@ int main(void) { counter(); return twice(); }
 "#;
     let base = compile_to_il(src).unwrap();
     let mut inl = base.clone();
-    let rep = inline_program(&mut inl, &InlineOptions::default());
+    let rep = inline_program(&mut inl);
     assert_eq!(rep.statics_externalized, 1);
     assert!(rep.inlined >= 2);
     assert!(inl.global_by_name("counter.count").is_some());
@@ -176,69 +176,94 @@ fn externalize_preserves_initializer() {
     assert_eq!(g.init, Some(titanc_il::ConstInit::Int(5)));
 }
 
+/// `int name(int x)` with a body `len` statements long: `len - 1`
+/// assignments and the `return`.
+fn sized_callee(name: &str, len: usize) -> String {
+    let body: String = (1..len).map(|k| format!("    x = x + {k};\n")).collect();
+    format!("int {name}(int x)\n{{\n{body}    return x;\n}}\n")
+}
+
+/// `int name(void)` whose body pads `pad` assignments before calling
+/// `callee`.
+fn padded_caller(name: &str, pad: usize, callee: &str) -> String {
+    let body: String = (0..pad).map(|k| format!("    y = y + {k};\n")).collect();
+    format!("int {name}(void)\n{{\n    int y;\n    y = 0;\n{body}    return {callee}(y);\n}}\n")
+}
+
+fn proc_len(prog: &Program, name: &str) -> usize {
+    prog.proc_by_name(name).unwrap().len()
+}
+
 #[test]
 fn size_budget_respected() {
-    let src = r#"
-int big(int x)
-{
-    x = x + 1; x = x + 2; x = x + 3; x = x + 4; x = x + 5;
-    return x;
-}
-int main(void) { return big(1); }
-"#;
-    let mut prog = compile_to_il(src).unwrap();
-    let rep = inline_program(
-        &mut prog,
-        &InlineOptions {
-            max_callee_size: 3,
-            ..InlineOptions::default()
-        },
+    // a callee one statement over the cap is skipped, one at the cap
+    // expands (its caller is padded so the growth budget admits it)
+    let src = format!(
+        "{}{}{}{}",
+        sized_callee("over", MAX_CALLEE_SIZE + 1),
+        sized_callee("at", MAX_CALLEE_SIZE),
+        padded_caller("calls_over", 40, "over"),
+        padded_caller("calls_at", 40, "at"),
     );
-    assert_eq!(rep.inlined, 0);
-    assert_eq!(rep.skipped_size, 1);
+    let mut prog = compile_to_il(&src).unwrap();
+    assert_eq!(proc_len(&prog, "over"), MAX_CALLEE_SIZE + 1);
+    assert_eq!(proc_len(&prog, "at"), MAX_CALLEE_SIZE);
+    let rep = inline_program(&mut prog);
+    assert_eq!(rep.inlined, 1);
+    // `calls_over` re-attempts (and re-skips) once per round
+    assert!(rep.skipped_size >= 1);
+    assert_eq!(rep.skipped_growth, 0);
+    let skipped: Vec<_> = rep.events.iter().map(|e| &e.outcome).collect();
+    assert!(skipped.contains(&&InlineOutcome::SkippedSize {
+        callee_len: MAX_CALLEE_SIZE + 1,
+        cap: MAX_CALLEE_SIZE,
+    }));
+    assert_eq!(count_calls(&prog, "calls_over"), 1);
+    assert_eq!(count_calls(&prog, "calls_at"), 0);
 }
 
 #[test]
 fn growth_budget_is_per_caller() {
-    // one callee, two callers: the small caller's budget rejects the
-    // expansion while the large caller — whose own initial size funds a
-    // bigger budget — absorbs it. Under the old whole-program pool the
-    // two decisions were coupled.
-    let mut callee_body = String::new();
-    for i in 0..300 {
-        callee_body.push_str(&format!("    x = x + {i};\n"));
-    }
-    let mut large_body = String::new();
-    for i in 0..600 {
-        large_body.push_str(&format!("    y = y + {i};\n"));
-    }
+    // one callee, two callers: each caller may grow to `MAX_GROWTH ×` its
+    // own pre-inlining size plus `GROWTH_SLACK`. The callee fills the
+    // budget of a caller of `edge` statements exactly and overflows that
+    // of a caller one statement shorter, so the two decisions differ
+    // although both callers call the same procedure.
+    let edge = 8;
+    let grow_len = edge * (MAX_GROWTH - 1) + GROWTH_SLACK;
+    assert!(grow_len <= MAX_CALLEE_SIZE);
     let src = format!(
-        "int grow(int x)\n{{\n{callee_body}    return x;\n}}\n\
-         int small(void)\n{{\n    return grow(1);\n}}\n\
-         int large(void)\n{{\n    int y;\n    y = 0;\n{large_body}    return grow(y);\n}}\n"
+        "{}{}{}",
+        sized_callee("grow", grow_len),
+        padded_caller("lean", edge - 4, "grow"),
+        padded_caller("ample", edge - 3, "grow"),
     );
     let mut prog = compile_to_il(&src).unwrap();
-    let rep = inline_program(
-        &mut prog,
-        &InlineOptions {
-            max_growth: 2,
-            max_callee_size: 100_000,
-            ..InlineOptions::default()
-        },
-    );
-    // `small` re-attempts (and re-skips) once per global round, so the
-    // counter is ≥ 1 rather than exactly 1
-    assert!(rep.skipped_growth >= 1, "small's budget rejects grow");
-    assert_eq!(rep.inlined, 1, "large's budget absorbs grow");
-    assert_eq!(count_calls(&prog, "small"), 1);
-    assert_eq!(count_calls(&prog, "large"), 0);
+    assert_eq!(proc_len(&prog, "grow"), grow_len);
+    assert_eq!(proc_len(&prog, "lean"), edge - 1);
+    assert_eq!(proc_len(&prog, "ample"), edge);
+    let rep = inline_program(&mut prog);
+    assert_eq!(rep.inlined, 1, "ample's budget absorbs grow");
+    // `lean` re-attempts (and re-skips) once per round
+    assert!(rep.skipped_growth >= 1, "lean's budget rejects grow");
+    let lean_budget = (edge - 1) * MAX_GROWTH + GROWTH_SLACK;
+    assert!(rep.events.iter().any(|e| e.caller == "lean"
+        && e.outcome
+            == InlineOutcome::SkippedGrowth {
+                caller_len: edge - 1,
+                budget: lean_budget,
+            }));
+    // `ample` lands exactly on its budget
+    assert_eq!(edge + grow_len, edge * MAX_GROWTH + GROWTH_SLACK);
+    assert_eq!(count_calls(&prog, "lean"), 1);
+    assert_eq!(count_calls(&prog, "ample"), 0);
 }
 
 #[test]
 fn unknown_callees_left_alone() {
     let src = "int main(void) { print_int(3); return 0; }";
     let mut prog = compile_to_il(src).unwrap();
-    let rep = inline_program(&mut prog, &InlineOptions::default());
+    let rep = inline_program(&mut prog);
     assert_eq!(rep.inlined, 0);
     assert_eq!(count_calls(&prog, "main"), 1);
 }
@@ -280,7 +305,8 @@ float g_out;
 int main(void) { g_out = scale(2.0f, 21.0f); return (int)g_out; }
 "#;
     let mut app = compile_to_il(app_src).unwrap();
-    let rep = link_and_inline(&mut app, &catalog, &InlineOptions::default());
+    catalog.link_into(&mut app);
+    let rep = inline_program(&mut app);
     assert_eq!(rep.inlined, 1);
     assert_eq!(count_calls(&app, "main"), 0);
     let r = titanc_titan::observe(&app, MachineConfig::default(), "main", &[])
@@ -343,7 +369,7 @@ int main(void)
 "#;
     let base = compile_to_il(src).unwrap();
     let mut inl = base.clone();
-    inline_program(&mut inl, &InlineOptions::default());
+    inline_program(&mut inl);
     let main = inl.proc_by_name("main").unwrap().clone();
     let before_len = main.len();
     let mut opt = main;

@@ -27,7 +27,7 @@
 
 use crate::machine::{
     binop_charge, cast_charge, collect_sections, count_vector_ops, unop_charge, var_is_memory,
-    Charge, CostModel, Intrinsic, Unit,
+    Charge, Intrinsic, Unit,
 };
 use titanc_il::fold::{normalize, Value};
 use titanc_il::{
@@ -59,7 +59,7 @@ pub(crate) struct Slot {
 pub(crate) enum Instr {
     /// Carries the steps of statements that lower to no instruction.
     Nop,
-    /// `flush(costs.branch)`.
+    /// `flush(BRANCH)`.
     FlushBranch,
     /// Load a memory-resident variable (charges a scalar load).
     LoadVar {
@@ -121,7 +121,7 @@ pub(crate) enum Instr {
     Jump { target: u32 },
     /// Cost-free jump when `regs[cond]` is falsy.
     JumpIfZero { cond: Reg, target: u32 },
-    /// Conditional branch of `if`/`while`: `flush(costs.branch)`, then
+    /// Conditional branch of `if`/`while`: `flush(BRANCH)`, then
     /// jump when `regs[cond]` is falsy.
     Br { cond: Reg, target: u32 },
     /// [`Instr::Bin`] + [`Instr::Br`] on its result: a condition that is
@@ -178,7 +178,7 @@ pub(crate) enum Instr {
     /// `flush(0)`, then call via `calls[data]`.
     Call { data: u32 },
     /// Return `regs[src]` (or nothing when `src == NO_REG`), after
-    /// `flush(costs.branch)` when `flush` is set (a `return` statement,
+    /// `flush(BRANCH)` when `flush` is set (a `return` statement,
     /// as opposed to falling off the end of the body).
     Ret { src: Reg, flush: bool },
     /// Vector statement: check `len >= 0`.
@@ -284,14 +284,11 @@ pub(crate) struct BcProgram {
     pub(crate) procs: Vec<BcProc>,
 }
 
-/// Compiles every procedure of `prog` to bytecode, baking `costs` in.
-pub(crate) fn compile(prog: &Program, costs: &CostModel) -> BcProgram {
+/// Compiles every procedure of `prog` to bytecode, baking the charge
+/// table in.
+pub(crate) fn compile(prog: &Program) -> BcProgram {
     BcProgram {
-        procs: prog
-            .procs
-            .iter()
-            .map(|p| lower_proc(prog, p, costs))
-            .collect(),
+        procs: prog.procs.iter().map(|p| lower_proc(prog, p)).collect(),
     }
 }
 
@@ -334,7 +331,6 @@ struct Operand {
 struct Lowerer<'a> {
     prog: &'a Program,
     proc: &'a Procedure,
-    costs: &'a CostModel,
     mem_var: Vec<bool>,
     code: Vec<Slot>,
     /// Steps of statements begun since the last emitted instruction.
@@ -354,12 +350,11 @@ struct Lowerer<'a> {
     num_snaps: u32,
 }
 
-fn lower_proc(prog: &Program, proc: &Procedure, costs: &CostModel) -> BcProc {
+fn lower_proc(prog: &Program, proc: &Procedure) -> BcProc {
     let nvars = proc.vars.len() as u32;
     let mut lw = Lowerer {
         prog,
         proc,
-        costs,
         mem_var: proc.vars.iter().map(var_is_memory).collect(),
         code: Vec::new(),
         pending_steps: 0,
@@ -738,7 +733,7 @@ impl<'a> Lowerer<'a> {
                 ty,
                 a: a.reg,
                 b: b.reg,
-                charge: binop_charge(op, ty, self.costs),
+                charge: binop_charge(op, ty),
                 target: 0,
             });
         }
@@ -943,7 +938,7 @@ impl<'a> Lowerer<'a> {
                     op,
                     ty,
                     src: a.reg,
-                    charge: unop_charge(op, ty, self.costs),
+                    charge: unop_charge(op, ty),
                     sink,
                 });
                 dst
@@ -960,7 +955,7 @@ impl<'a> Lowerer<'a> {
                     ty,
                     a: a.reg,
                     b: b.reg,
-                    charge: binop_charge(op, ty, self.costs),
+                    charge: binop_charge(op, ty),
                     sink,
                 });
                 dst
@@ -974,7 +969,7 @@ impl<'a> Lowerer<'a> {
                     to,
                     from,
                     src: a.reg,
-                    charge: cast_charge(to, from, self.costs),
+                    charge: cast_charge(to, from),
                     sink,
                 });
                 dst

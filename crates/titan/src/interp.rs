@@ -269,7 +269,7 @@ impl<'p> Simulator<'p> {
         loop {
             self.step_guard()?;
             let cont = if step_v > 0 { iv <= hi_v } else { iv >= hi_v };
-            self.charge(do_control_charge(&self.cfg.costs));
+            self.charge(do_control_charge());
             self.flush_branch();
             if !cont {
                 break;
@@ -412,7 +412,7 @@ impl<'p> Simulator<'p> {
             Expr::FloatConst(f, ty) => Ok(normalize(Value::Float(f), ty)),
             Expr::Var(v) => self.load_var(frame, v),
             Expr::AddrOf(v) => {
-                self.charge(reg_move_charge(&self.cfg.costs));
+                self.charge(reg_move_charge());
                 let addr = frame.addr(v).ok_or_else(|| {
                     SimError::new(format!(
                         "address taken of register variable {} (not memory-resident)",
@@ -427,18 +427,18 @@ impl<'p> Simulator<'p> {
             }
             Expr::Unary { op, ty, arg } => {
                 let a = self.eval(frame, arg)?;
-                self.charge(unop_charge(op, ty, &self.cfg.costs));
+                self.charge(unop_charge(op, ty));
                 Ok(eval_unop(op, ty, a))
             }
             Expr::Binary { op, ty, lhs, rhs } => {
                 let a = self.eval(frame, lhs)?;
                 let b = self.eval(frame, rhs)?;
-                self.charge(binop_charge(op, ty, &self.cfg.costs));
+                self.charge(binop_charge(op, ty));
                 eval_binop(op, ty, a, b).ok_or_else(|| SimError::new("division by zero"))
             }
             Expr::Cast { to, from, arg } => {
                 let a = self.eval(frame, arg)?;
-                self.charge(cast_charge(to, from, &self.cfg.costs));
+                self.charge(cast_charge(to, from));
                 Ok(eval_cast(to, from, a))
             }
             Expr::Section { .. } => Err(SimError::new(
@@ -468,7 +468,7 @@ impl<'p> Simulator<'p> {
         match frame.addr(v) {
             Some(addr) => self.store(addr, kind, value),
             None => {
-                self.charge(reg_move_charge(&self.cfg.costs));
+                self.charge(reg_move_charge());
                 frame.regs[v.index()] = coerce(value, kind);
                 Ok(())
             }

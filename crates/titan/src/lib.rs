@@ -58,7 +58,7 @@ mod machine;
 mod vm;
 
 pub use machine::{
-    CostModel, ExecEngine, ExecStats, MachineConfig, RunResult, SimError, Simulator,
+    ExecEngine, ExecStats, MachineConfig, RunResult, SimError, Simulator, CLOCK_MHZ,
 };
 pub use titanc_il::fold::Value;
 

@@ -9,7 +9,7 @@
 //! This module owns everything both executors share: the configuration
 //! and statistics types, simulated memory and frame layout, the cycle
 //! meter, the *charge table* (what each IL operation costs, defined once
-//! as data) and the intrinsics. `interp.rs` walks the IL tree and applies
+//! as constants) and the intrinsics. `interp.rs` walks the IL tree and applies
 //! charges at run time; `bytecode.rs` bakes the same charges into
 //! instructions that `vm.rs` dispatches.
 //!
@@ -64,66 +64,13 @@ impl std::fmt::Display for ExecEngine {
     }
 }
 
-/// Cycle costs for each operation class.
-///
-/// Values are chosen to match the published Titan characteristics (16 MHz,
-/// pipelined scalar FP at ~6-cycle latency, one vector element per cycle
-/// after startup) and reproduce the *shape* of the paper's measurements.
-#[derive(Clone, Debug, PartialEq)]
-pub struct CostModel {
-    /// Integer add/sub/logic/compare.
-    pub int_alu: u64,
-    /// Integer multiply (no hardware multiplier on the RISC core).
-    pub int_mul: u64,
-    /// Integer divide.
-    pub int_div: u64,
-    /// Scalar FP add/sub/mul latency (pipelined).
-    pub fp_op: u64,
-    /// Scalar FP divide.
-    pub fp_div: u64,
-    /// Int↔float conversion.
-    pub fp_cvt: u64,
-    /// Scalar load (pipelined path to memory).
-    pub load: u64,
-    /// Scalar store.
-    pub store: u64,
-    /// Taken-branch / loop-back penalty.
-    pub branch: u64,
-    /// Procedure call/return overhead (save/restore, pipeline drain).
-    pub call: u64,
-    /// Vector instruction startup.
-    pub vector_startup: u64,
-    /// Per-element vector cost (1 element/cycle after startup).
-    pub vector_per_elem: u64,
-    /// Fork/join overhead for spreading a loop across processors.
-    pub fork_join: u64,
-}
-
-impl Default for CostModel {
-    fn default() -> CostModel {
-        CostModel {
-            int_alu: 1,
-            int_mul: 12,
-            int_div: 35,
-            fp_op: 6,
-            fp_div: 20,
-            fp_cvt: 4,
-            load: 2,
-            store: 2,
-            branch: 2,
-            call: 16,
-            vector_startup: 12,
-            vector_per_elem: 1,
-            fork_join: 120,
-        }
-    }
-}
+/// The Titan's clock in MHz, the one [`ExecStats::mflops`] and
+/// [`ExecStats::seconds`] are read at.
+pub const CLOCK_MHZ: f64 = 16.0;
 
 /// Configuration of the simulated machine.
 #[derive(Clone, Debug, PartialEq)]
 pub struct MachineConfig {
-    /// Clock in MHz (the Titan ran at 16 MHz).
-    pub clock_mhz: f64,
     /// Number of processors applied to `do parallel` loops (1–4).
     pub num_procs: u32,
     /// Whether the instruction scheduler's integer/FP/memory overlap is
@@ -131,8 +78,6 @@ pub struct MachineConfig {
     /// dependence information to schedule aggressively, so baselines run
     /// with this off.
     pub overlap: bool,
-    /// The cycle-cost table.
-    pub costs: CostModel,
     /// Maximum statements to execute before declaring runaway (guards
     /// accidentally-infinite loops in tests).
     pub max_steps: u64,
@@ -141,10 +86,8 @@ pub struct MachineConfig {
 impl Default for MachineConfig {
     fn default() -> MachineConfig {
         MachineConfig {
-            clock_mhz: 16.0,
             num_procs: 1,
             overlap: false,
-            costs: CostModel::default(),
             max_steps: 200_000_000,
         }
     }
@@ -240,6 +183,38 @@ pub struct RunResult {
 // the charge table
 // ----------------------------------------------------------------------
 
+// Cycle costs for each operation class. Values are chosen to match the
+// published Titan characteristics (16 MHz, pipelined scalar FP at
+// ~6-cycle latency, one vector element per cycle after startup) and
+// reproduce the *shape* of the paper's measurements.
+
+/// Integer add/sub/logic/compare.
+pub(crate) const INT_ALU: u64 = 1;
+/// Integer multiply (no hardware multiplier on the RISC core).
+pub(crate) const INT_MUL: u64 = 12;
+/// Integer divide.
+pub(crate) const INT_DIV: u64 = 35;
+/// Scalar FP add/sub/mul latency (pipelined).
+pub(crate) const FP_OP: u64 = 6;
+/// Scalar FP divide.
+pub(crate) const FP_DIV: u64 = 20;
+/// Int↔float conversion.
+pub(crate) const FP_CVT: u64 = 4;
+/// Scalar load (pipelined path to memory).
+pub(crate) const LOAD: u64 = 2;
+/// Scalar store.
+pub(crate) const STORE: u64 = 2;
+/// Taken-branch / loop-back penalty.
+pub(crate) const BRANCH: u64 = 2;
+/// Procedure call/return overhead (save/restore, pipeline drain).
+pub(crate) const CALL: u64 = 16;
+/// Vector instruction startup.
+pub(crate) const VECTOR_STARTUP: u64 = 12;
+/// Per-element vector cost (1 element/cycle after startup).
+pub(crate) const VECTOR_PER_ELEM: u64 = 1;
+/// Fork/join overhead for spreading a loop across processors.
+pub(crate) const FORK_JOIN: u64 = 120;
+
 /// The functional unit a charge occupies — one meter bucket each.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum Unit {
@@ -278,58 +253,58 @@ impl Charge {
 }
 
 /// A binary operator on operands of kind `ty`.
-pub(crate) fn binop_charge(op: BinOp, ty: ScalarType, c: &CostModel) -> Charge {
+pub(crate) fn binop_charge(op: BinOp, ty: ScalarType) -> Charge {
     if ty.is_float() {
-        let cycles = if op == BinOp::Div { c.fp_div } else { c.fp_op };
+        let cycles = if op == BinOp::Div { FP_DIV } else { FP_OP };
         Charge::fp(cycles, !op.is_comparison())
     } else {
         Charge::int(match op {
-            BinOp::Mul => c.int_mul,
-            BinOp::Div | BinOp::Rem => c.int_div,
-            _ => c.int_alu,
+            BinOp::Mul => INT_MUL,
+            BinOp::Div | BinOp::Rem => INT_DIV,
+            _ => INT_ALU,
         })
     }
 }
 
 /// A unary operator on an operand of kind `ty` (every operator costs the
 /// same; the parameter keeps the table total over `UnOp`).
-pub(crate) fn unop_charge(_op: UnOp, ty: ScalarType, c: &CostModel) -> Charge {
+pub(crate) fn unop_charge(_op: UnOp, ty: ScalarType) -> Charge {
     if ty.is_float() {
-        Charge::fp(c.fp_op, true)
+        Charge::fp(FP_OP, true)
     } else {
-        Charge::int(c.int_alu)
+        Charge::int(INT_ALU)
     }
 }
 
 /// A scalar conversion: crossing the int/float boundary goes through the
 /// FP unit's converter, anything else is an integer move.
-pub(crate) fn cast_charge(to: ScalarType, from: ScalarType, c: &CostModel) -> Charge {
+pub(crate) fn cast_charge(to: ScalarType, from: ScalarType) -> Charge {
     if to.is_float() != from.is_float() {
-        Charge::fp(c.fp_cvt, false)
+        Charge::fp(FP_CVT, false)
     } else {
-        Charge::int(c.int_alu)
+        Charge::int(INT_ALU)
     }
 }
 
 /// Writing a register-resident variable, or materializing the address of
 /// a memory-resident one: one integer ALU operation.
-pub(crate) fn reg_move_charge(c: &CostModel) -> Charge {
-    Charge::int(c.int_alu)
+pub(crate) fn reg_move_charge() -> Charge {
+    Charge::int(INT_ALU)
 }
 
 /// `do`-loop control per trip test: increment + compare.
-pub(crate) fn do_control_charge(c: &CostModel) -> Charge {
-    Charge::int(2 * c.int_alu)
+pub(crate) fn do_control_charge() -> Charge {
+    Charge::int(2 * INT_ALU)
 }
 
 /// Procedure entry (save, pipeline drain).
-pub(crate) fn call_charge(c: &CostModel) -> Charge {
-    Charge::int(c.call)
+pub(crate) fn call_charge() -> Charge {
+    Charge::int(CALL)
 }
 
 /// Procedure exit (restore).
-pub(crate) fn return_charge(c: &CostModel) -> Charge {
-    Charge::int(c.call / 2)
+pub(crate) fn return_charge() -> Charge {
+    Charge::int(CALL / 2)
 }
 
 /// The `print_*`/math routines resolved by name before procedure lookup.
@@ -355,12 +330,12 @@ impl Intrinsic {
     }
 
     /// `None` for the uncharged output routines.
-    fn charge(self, c: &CostModel) -> Option<Charge> {
+    fn charge(self) -> Option<Charge> {
         match self {
             Intrinsic::PrintInt | Intrinsic::PrintFloat => None,
-            Intrinsic::Sqrt => Some(Charge::fp(c.fp_div, true)),
-            Intrinsic::Fabs => Some(Charge::fp(c.fp_op, true)),
-            Intrinsic::Abs => Some(Charge::int(c.int_alu)),
+            Intrinsic::Sqrt => Some(Charge::fp(FP_DIV, true)),
+            Intrinsic::Fabs => Some(Charge::fp(FP_OP, true)),
+            Intrinsic::Abs => Some(Charge::int(INT_ALU)),
         }
     }
 }
@@ -661,7 +636,7 @@ impl<'p> Simulator<'p> {
             return Err(SimError::new("call depth exceeded (runaway recursion?)"));
         }
         self.depth += 1;
-        self.charge(call_charge(&self.cfg.costs));
+        self.charge(call_charge());
         let layout = self.layout(idx);
         if layout.stack_bytes == 0 {
             return Ok((layout, self.sp));
@@ -683,7 +658,7 @@ impl<'p> Simulator<'p> {
     pub(crate) fn leave_frame(&mut self, saved_sp: u32) {
         self.sp = saved_sp;
         self.depth -= 1;
-        self.charge(return_charge(&self.cfg.costs));
+        self.charge(return_charge());
     }
 
     // ------------------------------------------------------------------
@@ -756,7 +731,7 @@ impl<'p> Simulator<'p> {
         if volatile {
             self.device_write(addr, kind)?;
         }
-        self.bucket[Unit::Mem as usize] += self.cfg.costs.load;
+        self.bucket[Unit::Mem as usize] += LOAD;
         self.stats.loads += 1;
         self.read_mem(addr, kind)
     }
@@ -774,7 +749,7 @@ impl<'p> Simulator<'p> {
     /// A charged scalar store of `v` coerced to `kind`.
     #[inline(always)]
     pub(crate) fn store(&mut self, addr: u32, kind: ScalarType, v: Value) -> Result<(), SimError> {
-        self.bucket[Unit::Mem as usize] += self.cfg.costs.store;
+        self.bucket[Unit::Mem as usize] += STORE;
         self.stats.stores += 1;
         self.write_mem(addr, kind, coerce(v, kind))
     }
@@ -813,10 +788,10 @@ impl<'p> Simulator<'p> {
         self.bucket = [0; 3];
     }
 
-    /// `flush(costs.branch)`: the end of a region at a taken branch.
+    /// `flush(BRANCH)`: the end of a region at a taken branch.
     #[inline(always)]
     pub(crate) fn flush_branch(&mut self) {
-        self.flush(self.cfg.costs.branch);
+        self.flush(BRANCH);
     }
 
     /// Entry to a `do parallel` loop: drains the bucket and returns the
@@ -830,14 +805,14 @@ impl<'p> Simulator<'p> {
     /// cycles divide across the processors, plus one fork/join.
     pub(crate) fn par_exit(&mut self, before: f64) {
         self.spread_exit(before);
-        self.stats.cycles += self.cfg.costs.fork_join as f64;
+        self.stats.cycles += FORK_JOIN as f64;
     }
 
     /// Entry to a spread loop (§10 list spreading): one fork/join for the
     /// whole loop.
     pub(crate) fn spread_enter(&mut self) {
         self.flush(0);
-        self.stats.cycles += self.cfg.costs.fork_join as f64;
+        self.stats.cycles += FORK_JOIN as f64;
     }
 
     /// End of the parallel arm of one spread-loop iteration that started
@@ -870,10 +845,9 @@ impl<'p> Simulator<'p> {
     /// instructions (loads + `ops` ALU operations + one store), each
     /// costing `startup + len`.
     pub(crate) fn charge_vector(&mut self, n_instr: u64, ops: u64, len: u64, float: bool) {
-        let c = &self.cfg.costs;
         self.stats.vector_instrs += n_instr;
         self.stats.vector_elems += len * n_instr;
-        self.stats.cycles += (n_instr * (c.vector_startup + c.vector_per_elem * len)) as f64;
+        self.stats.cycles += (n_instr * (VECTOR_STARTUP + VECTOR_PER_ELEM * len)) as f64;
         if float {
             self.stats.flops += ops * len;
         }
@@ -896,7 +870,7 @@ impl<'p> Simulator<'p> {
                 "intrinsic `{name}` expects 1 argument(s)"
             )));
         };
-        if let Some(c) = which.charge(&self.cfg.costs) {
+        if let Some(c) = which.charge() {
             self.charge(c);
         }
         Ok(match which {
@@ -968,8 +942,8 @@ mod tests {
 
     #[test]
     fn default_is_titan_16mhz() {
+        assert_eq!(CLOCK_MHZ, 16.0);
         let c = MachineConfig::default();
-        assert_eq!(c.clock_mhz, 16.0);
         assert_eq!(c.num_procs, 1);
         assert!(!c.overlap);
     }
@@ -1006,8 +980,8 @@ mod tests {
         ScalarType::Ptr,
     ];
 
-    /// What the run-time charge sites produced before the table existed,
-    /// on the default cost model: (operator, cycles on an integer kind,
+    /// What the run-time charge sites produced before the table existed:
+    /// (operator, cycles on an integer kind,
     /// cycles on a float kind, counts as a flop on a float kind). The
     /// match has no wildcard arm, so a new operator needs a row here.
     fn binop_row(op: BinOp) -> (u64, u64, bool) {
@@ -1023,7 +997,24 @@ mod tests {
 
     #[test]
     fn charge_table_is_total_and_matches_the_old_charge_sites() {
-        let c = CostModel::default();
+        let table = [
+            ("INT_ALU", INT_ALU, 1),
+            ("INT_MUL", INT_MUL, 12),
+            ("INT_DIV", INT_DIV, 35),
+            ("FP_OP", FP_OP, 6),
+            ("FP_DIV", FP_DIV, 20),
+            ("FP_CVT", FP_CVT, 4),
+            ("LOAD", LOAD, 2),
+            ("STORE", STORE, 2),
+            ("BRANCH", BRANCH, 2),
+            ("CALL", CALL, 16),
+            ("VECTOR_STARTUP", VECTOR_STARTUP, 12),
+            ("VECTOR_PER_ELEM", VECTOR_PER_ELEM, 1),
+            ("FORK_JOIN", FORK_JOIN, 120),
+        ];
+        for (name, cycles, want) in table {
+            assert_eq!(cycles, want, "{name}");
+        }
         let int = |cycles| Charge {
             unit: Unit::Int,
             cycles,
@@ -1062,13 +1053,13 @@ mod tests {
                 } else {
                     int(int_cycles)
                 };
-                assert_eq!(binop_charge(op, ty, &c), want, "{op:?} on {ty}");
+                assert_eq!(binop_charge(op, ty), want, "{op:?} on {ty}");
             }
         }
         for op in [UnOp::Neg, UnOp::Not, UnOp::BitNot] {
             for ty in KINDS {
                 let want = if ty.is_float() { fp(6, true) } else { int(1) };
-                assert_eq!(unop_charge(op, ty, &c), want, "{op:?} on {ty}");
+                assert_eq!(unop_charge(op, ty), want, "{op:?} on {ty}");
             }
         }
         for to in KINDS {
@@ -1078,17 +1069,17 @@ mod tests {
                 } else {
                     int(1)
                 };
-                assert_eq!(cast_charge(to, from, &c), want, "{from} -> {to}");
+                assert_eq!(cast_charge(to, from), want, "{from} -> {to}");
             }
         }
-        assert_eq!(reg_move_charge(&c), int(1));
-        assert_eq!(do_control_charge(&c), int(2));
-        assert_eq!(call_charge(&c), int(16));
-        assert_eq!(return_charge(&c), int(8));
-        assert_eq!(Intrinsic::PrintInt.charge(&c), None);
-        assert_eq!(Intrinsic::PrintFloat.charge(&c), None);
-        assert_eq!(Intrinsic::Sqrt.charge(&c), Some(fp(20, true)));
-        assert_eq!(Intrinsic::Fabs.charge(&c), Some(fp(6, true)));
-        assert_eq!(Intrinsic::Abs.charge(&c), Some(int(1)));
+        assert_eq!(reg_move_charge(), int(1));
+        assert_eq!(do_control_charge(), int(2));
+        assert_eq!(call_charge(), int(16));
+        assert_eq!(return_charge(), int(8));
+        assert_eq!(Intrinsic::PrintInt.charge(), None);
+        assert_eq!(Intrinsic::PrintFloat.charge(), None);
+        assert_eq!(Intrinsic::Sqrt.charge(), Some(fp(20, true)));
+        assert_eq!(Intrinsic::Fabs.charge(), Some(fp(6, true)));
+        assert_eq!(Intrinsic::Abs.charge(), Some(int(1)));
     }
 }

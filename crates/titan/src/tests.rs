@@ -1532,7 +1532,7 @@ mod operator_parity {
             let zero = p.int(0);
             p.ret(Some(zero));
         });
-        let bc = crate::bytecode::compile(&prog, &MachineConfig::default().costs);
+        let bc = crate::bytecode::compile(&prog);
         for (i, &(name, _, _, kernel)) in cases.iter().enumerate() {
             let plans = &bc.procs[i].plans;
             assert_eq!(plans.len(), 1, "{name}");
@@ -1652,7 +1652,7 @@ int main(void)
         }
         for (name, src, options) in &programs {
             let prog = titanc::compile(src, options).expect(name).program;
-            let bc = crate::bytecode::compile(&prog, &MachineConfig::default().costs);
+            let bc = crate::bytecode::compile(&prog);
             let plans: Vec<&crate::bytecode::VecPlan> =
                 bc.procs.iter().flat_map(|p| &p.plans).collect();
             if !name.contains("corpus") {

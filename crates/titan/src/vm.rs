@@ -97,7 +97,7 @@ impl<'p> Simulator<'p> {
         let bc = match &self.vm.bc {
             Some(bc) => Rc::clone(bc),
             None => {
-                let bc = Rc::new(crate::bytecode::compile(self.prog, &self.cfg.costs));
+                let bc = Rc::new(crate::bytecode::compile(self.prog));
                 self.vm.bc = Some(Rc::clone(&bc));
                 bc
             }
@@ -172,7 +172,7 @@ impl<'p> Simulator<'p> {
         match sink {
             None => v,
             Some(ty) => {
-                self.charge(reg_move_charge(&self.cfg.costs));
+                self.charge(reg_move_charge());
                 coerce(v, ty)
             }
         }
@@ -225,7 +225,7 @@ impl<'p> Simulator<'p> {
                         regs[var as usize] = self.sink(regs[src as usize], Some(ty));
                     }
                     Instr::AddrOf { dst, var, sink } => {
-                        self.charge(reg_move_charge(&self.cfg.costs));
+                        self.charge(reg_move_charge());
                         let v = Value::Int(i64::from(var_addr(layout, var, base)));
                         regs[dst as usize] = self.sink(v, sink);
                     }
@@ -349,7 +349,7 @@ impl<'p> Simulator<'p> {
                         } else {
                             ivv >= hiv
                         };
-                        self.charge(do_control_charge(&self.cfg.costs));
+                        self.charge(do_control_charge());
                         self.flush_branch();
                         if !cont {
                             pc = exit as usize;

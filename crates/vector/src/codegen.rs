@@ -33,16 +33,20 @@ pub struct VectorOptions {
     pub aliasing: Aliasing,
     /// Emit `do parallel` strip loops (multiprocessor spreading).
     pub parallelize: bool,
-    /// Strip length when parallelizing (the paper's examples use 32).
+    /// Strip length when parallelizing ([`DEFAULT_STRIP`] unless set).
     pub strip: i64,
 }
+
+/// The strip length of the paper's examples (§9's `do parallel vi =
+/// 0,99,32`).
+pub const DEFAULT_STRIP: i64 = 32;
 
 impl Default for VectorOptions {
     fn default() -> VectorOptions {
         VectorOptions {
             aliasing: Aliasing::C,
             parallelize: false,
-            strip: 32,
+            strip: DEFAULT_STRIP,
         }
     }
 }

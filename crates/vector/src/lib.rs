@@ -33,7 +33,7 @@ pub mod codegen;
 pub mod spread;
 pub mod strength;
 
-pub use codegen::{vectorize, VectorOptions, VectorReport};
+pub use codegen::{vectorize, VectorOptions, VectorReport, DEFAULT_STRIP};
 pub use spread::{spread_list_loops, SpreadReport};
 pub use strength::{strength_reduce, StrengthReport};
 

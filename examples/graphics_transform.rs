@@ -8,7 +8,7 @@
 //! ```
 
 use titanc_repro::il::ScalarType;
-use titanc_repro::titan::{MachineConfig, Simulator};
+use titanc_repro::titan::{MachineConfig, Simulator, CLOCK_MHZ};
 use titanc_repro::titanc::{compile, Options};
 
 const SRC: &str = r#"
@@ -83,9 +83,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "scalar-only: {:.0} cycles ({:.2} MFLOPS) | optimized: {:.0} cycles ({:.2} MFLOPS) | {:.2}x",
         s.cycles,
-        s.mflops(16.0),
+        s.mflops(CLOCK_MHZ),
         o.cycles,
-        o.mflops(16.0),
+        o.mflops(CLOCK_MHZ),
         s.cycles / o.cycles
     );
 

@@ -5,7 +5,7 @@
 //! cargo run --example quickstart
 //! ```
 
-use titanc_repro::titan::{MachineConfig, Simulator};
+use titanc_repro::titan::{MachineConfig, Simulator, CLOCK_MHZ};
 use titanc_repro::titanc::{compile, Options};
 
 const SRC: &str = r#"
@@ -45,7 +45,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!(
             "{procs} processor(s): {:.0} cycles, {:.2} MFLOPS, output {:?}",
             run.stats.cycles,
-            run.stats.mflops(16.0),
+            run.stats.mflops(CLOCK_MHZ),
             run.stats.output
         );
     }
@@ -56,7 +56,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "scalar baseline: {:.0} cycles, {:.2} MFLOPS",
         run.stats.cycles,
-        run.stats.mflops(16.0)
+        run.stats.mflops(CLOCK_MHZ)
     );
     Ok(())
 }

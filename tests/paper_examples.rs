@@ -3,7 +3,7 @@
 //! analysis → vectorizer → Titan simulator.
 
 use titanc_repro::il::ScalarType;
-use titanc_repro::titan::{observe, MachineConfig, Simulator};
+use titanc_repro::titan::{observe, MachineConfig, Simulator, CLOCK_MHZ};
 use titanc_repro::titanc::{compile, Options};
 
 const DAXPY: &str = include_str!("../corpus/daxpy.c");
@@ -64,7 +64,7 @@ fn backsolve_mflops_shape() {
     let scalar = compile(BACKSOLVE, &Options::o1()).unwrap();
     let mut sim = Simulator::new(&scalar.program, MachineConfig::scalar());
     let s = sim.run("main", &[]).unwrap().stats;
-    let m_scalar = s.mflops(16.0);
+    let m_scalar = s.mflops(CLOCK_MHZ);
 
     let opt = compile(BACKSOLVE, &Options::o2()).unwrap();
     assert!(
@@ -78,7 +78,7 @@ fn backsolve_mflops_shape() {
     );
     let mut sim = Simulator::new(&opt.program, MachineConfig::optimized(1));
     let o = sim.run("main", &[]).unwrap().stats;
-    let m_opt = o.mflops(16.0);
+    let m_opt = o.mflops(CLOCK_MHZ);
 
     assert!(
         (0.2..0.8).contains(&m_scalar),

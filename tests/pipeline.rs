@@ -115,38 +115,51 @@ int main(void)
     assert_eq!(c_fortran.reports.vector.vectorized, 0);
 }
 
+/// `main` calling down a chain of `depth` procedures, each adding one.
+/// Declared top-down so one inlining round expands exactly one layer
+/// (declared bottom-up, the round's in-order sweep cascades fully).
+fn call_chain(depth: usize) -> String {
+    let mut src: String = (1..=depth)
+        .rev()
+        .map(|k| format!("int l{k}(int x);\n"))
+        .collect();
+    src += &format!("int main(void) {{ return l{depth}(0); }}\n");
+    for k in (2..=depth).rev() {
+        src += &format!("int l{k}(int x) {{ return l{}(x) + 1; }}\n", k - 1);
+    }
+    src + "int l1(int x) { return x + 1; }\n"
+}
+
+fn calls_in_main(c: &titanc_repro::titanc::Compilation) -> Vec<String> {
+    let mut calls = Vec::new();
+    c.program
+        .proc_by_name("main")
+        .unwrap()
+        .for_each_stmt(&mut |_, kind| {
+            if let titanc_repro::il::StmtKind::Call { callee, .. } = kind {
+                calls.push(callee.clone());
+            }
+        });
+    calls
+}
+
 #[test]
 fn inline_depth_limits_nested_expansion() {
-    // declared top-down so one inlining round expands exactly one layer
-    // (declared bottom-up, the round's in-order sweep cascades fully)
-    let src = r#"
-int l4(int x);
-int l3(int x);
-int l2(int x);
-int l1(int x);
-int main(void) { return l4(0); }
-int l4(int x) { return l3(x) + 1; }
-int l3(int x) { return l2(x) + 1; }
-int l2(int x) { return l1(x) + 1; }
-int l1(int x) { return x + 1; }
-"#;
-    let shallow = compile(
-        src,
-        &Options {
-            inline_opts: titanc_repro::titanc::InlineOptions {
-                max_depth: 1,
-                ..Default::default()
-            },
-            ..Options::o2()
-        },
-    )
-    .unwrap();
-    let deep = compile(src, &Options::o2()).unwrap();
-    assert!(deep.reports.inline.inlined > shallow.reports.inline.inlined);
-    // both still compute 4
-    for prog in [&shallow.program, &deep.program] {
-        let mut sim = Simulator::new(prog, MachineConfig::default());
-        assert_eq!(sim.run("main", &[]).unwrap().value.unwrap().as_int(), 4);
+    // the inliner runs `MAX_DEPTH` rounds. In each, a procedure expands
+    // its callee's body as the previous round left it, so the layers
+    // `main` has absorbed double plus one per round (1, 3, 7, 15): a
+    // chain that deep leaves `main` call-free, one layer more leaves the
+    // innermost call standing
+    let depth = (1 << titanc_inline::MAX_DEPTH) - 1;
+    let full = compile(&call_chain(depth), &Options::o2()).unwrap();
+    assert!(calls_in_main(&full).is_empty());
+    let cut = compile(&call_chain(depth + 1), &Options::o2()).unwrap();
+    assert_eq!(calls_in_main(&cut), ["l1"]);
+    // both still compute their depth
+    for (c, want) in [(&full, depth), (&cut, depth + 1)] {
+        let mut sim = Simulator::new(&c.program, MachineConfig::default());
+        let got = sim.run("main", &[]).unwrap().value.unwrap().as_int();
+        assert_eq!(got, want as i64);
     }
 }
 

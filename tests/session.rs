@@ -11,7 +11,9 @@ use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 use titanc_bench::sweep::{il_text, report_json, Scratch};
-use titanc_repro::titanc::{compile_session, OptReport, Options, SessionCompilation, SourceFile};
+use titanc_repro::titanc::{
+    compile_session, Catalog, OptLevel, OptReport, Options, SessionCompilation, SourceFile,
+};
 
 fn corpus(name: &str) -> SourceFile {
     let path = PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/corpus")).join(name);
@@ -446,25 +448,37 @@ fn v5_era_cache_dirs_fall_back_cold_with_one_remark() {
     );
 }
 
-/// `keep_parsed` snapshots the program before any pass runs — the §7
-/// catalog payload.
+/// `--emit-catalog` writes the program of an `-O0` compile without
+/// inlining of the same files: no pass runs, so it is the parsed program
+/// (§7: the consumer's inliner optimizes catalog bodies in context),
+/// whatever level the command line asked for.
 #[test]
-fn keep_parsed_snapshots_the_pre_pipeline_program() {
-    let mut options = Options::o2();
-    options.keep_parsed = true;
-    let sc = compile_session(&[corpus("daxpy.c")], &options, None).expect("compiles");
-    let parsed = sc.compilation.parsed.as_ref().expect("parsed snapshot");
-    assert_ne!(
-        parsed, &sc.compilation.program,
-        "the parsed snapshot must predate optimization"
+fn emit_catalog_holds_the_parsed_program() {
+    let files = [corpus("daxpy.c")];
+    let catalog_of = |options: &Options| {
+        let parsed = Options {
+            opt: OptLevel::O0,
+            inline: false,
+            ..options.clone()
+        };
+        let sc = compile_session(&files, &parsed, None).expect("compiles");
+        assert!(sc.compilation.trace.records.is_empty(), "no pass runs");
+        Catalog::from_program("daxpy", &sc.compilation.program).to_json()
+    };
+    let lowered = titanc_lower::compile_to_il(&files[0].src).expect("lowers");
+    let want = Catalog::from_program("daxpy", &lowered).to_json();
+    assert_eq!(catalog_of(&Options::o2()), want);
+    assert_eq!(catalog_of(&Options::parallel()), want);
+    // the catalog keeps the call the optimized program inlined away
+    let optimized = compile_session(&files, &Options::o2(), None).expect("compiles");
+    let calls = |p: &titanc_il::Program| {
+        titanc_il::pretty_proc(p.proc_by_name("main").expect("main")).contains("daxpy(")
+    };
+    assert!(calls(&lowered), "parsed main still calls daxpy");
+    assert!(
+        !calls(&optimized.compilation.program),
+        "optimized main has daxpy inlined away"
     );
-    // the snapshot still has the un-inlined call; the optimized main
-    // does not (daxpy was expanded into it)
-    let parsed_main = parsed.proc_by_name("main").expect("parsed main");
-    let opt_main = sc.compilation.program.proc_by_name("main").expect("main");
-    let calls = |p: &titanc_il::Procedure| titanc_il::pretty_proc(p).contains("daxpy(");
-    assert!(calls(parsed_main), "parsed main still calls daxpy");
-    assert!(!calls(opt_main), "optimized main has daxpy inlined away");
 }
 
 /// Every file of `dir` (subdirectories aside) with its bytes.
