@@ -9,7 +9,9 @@
 //! ([`Row::host`]): only the `exp` binary computes them. An `assert!` in a
 //! `run` function is the paper's claim itself and fails whatever the
 //! document says. Ablations are the shipped `-O2` [`Pipeline`] minus one
-//! named pass, never a hand-written pass list.
+//! named pass, never a hand-written pass list. Every cycles row of EXP1–3,
+//! 7, 8 and 11 also holds [`no_more_work_than_o0`]: its build executes no
+//! more flops or loads than the same source at `-O0`.
 
 use std::time::Instant;
 
@@ -22,7 +24,7 @@ use titanc_vector::{strength_reduce, vectorize};
 
 use crate::{
     backsolve_source, copy_source, corpus, daxpy_source, ivsub_chain_source, many_loops_source,
-    mflops, run, whiledo_corpus, Row,
+    mflops, no_more_work_than_o0, run, whiledo_corpus, Row,
 };
 
 /// One entry of the table.
@@ -164,14 +166,23 @@ impl Config {
     }
 }
 
+/// The work a cycles row may execute: the statistics of `src` at `-O0`,
+/// and a check of one row's statistics against them.
+fn work_bound(src: &str) -> impl Fn(&ExecStats, &str) {
+    let o0 = run(src, &Options::o0(), Titan::scalar());
+    move |s, label| no_more_work_than_o0(&o0, s).unwrap_or_else(|e| panic!("`{label}` {e}"))
+}
+
 /// A speedup table. Each case is a label, a configuration and the factor
 /// by which it must beat the first case (`0.0` claims nothing): one
 /// cycles row each, every one after the first with its speedup.
 fn cycle_rows(src: &str, cases: impl IntoIterator<Item = (String, Config, f64)>) -> Vec<Row> {
     let mut rows = Vec::new();
     let mut base = None;
+    let bound = work_bound(src);
     for (label, config, floor) in cases {
         let s = config.run(src);
+        bound(&s, &label);
         let mut note = format!("cycles, {} vector instructions", s.vector_instrs);
         let speedup = *base.get_or_insert(s.cycles) / s.cycles;
         assert!(speedup > floor, "`{label}`: {speedup:.2}x <= {floor}x");
@@ -188,18 +199,21 @@ fn cycle_rows(src: &str, cases: impl IntoIterator<Item = (String, Config, f64)>)
 /// worth more than 2× on the kernel.
 fn ablation_rows(kernel: &str, src: &str, dropped: &[&str]) -> Vec<Row> {
     let o2 = Options::o2();
-    let cycles = |pipeline: Pipeline| {
+    let bound = work_bound(src);
+    let cycles = |pipeline: Pipeline, label: &str| {
         let c = compile_with(src, &o2, pipeline).expect("experiment source compiles");
         let r = Simulator::new(&c.program, Titan::optimized(1)).run("main", &[]);
-        r.expect("experiment runs").stats.cycles
+        let s = r.expect("experiment runs").stats;
+        bound(&s, label);
+        s.cycles
     };
-    let full = cycles(Pipeline::for_options(&o2));
     let label = format!("{kernel}: shipped -O2 pipeline, 1 proc");
+    let full = cycles(Pipeline::for_options(&o2), &label);
     let mut rows = vec![Row::exact(label, full, "cycles")];
     for pass in dropped {
-        let without = cycles(Pipeline::for_options(&o2).without(pass));
-        assert!(without > 2.0 * full, "`{pass}` is load-bearing on {kernel}");
         let label = format!("{kernel}: -O2 without `{pass}`, 1 proc");
+        let without = cycles(Pipeline::for_options(&o2).without(pass), &label);
+        assert!(without > 2.0 * full, "`{pass}` is load-bearing on {kernel}");
         let note = format!("cycles, {:.1}x worse", without / full);
         rows.push(Row::exact(label, without, note));
     }
@@ -244,6 +258,7 @@ fn exp2() -> Vec<Row> {
     let mut rows = Vec::new();
     for n in [100usize, 1024] {
         let src = backsolve_source(n);
+        let bound = work_bound(&src);
         // register promotion + strength reduction + scheduling overlap
         // against the paper's baseline
         let (base, driven) = (Scalar.run(&src), Vector.run(&src));
@@ -251,9 +266,11 @@ fn exp2() -> Vec<Row> {
         assert!(mflops(&driven) > 2.0 * mflops(&base), "a clear win");
         assert_eq!(driven.vector_instrs, 0, "the loop must stay scalar");
         let label = format!("scalar only (O1, no overlap), n={n}");
+        bound(&base, &label);
         let note = format!("MFLOPS ({:.0} cycles)", base.cycles);
         rows.push(Row::exact(label, mflops(&base), note));
         let label = format!("dependence-driven (O2, overlap), n={n}");
+        bound(&driven, &label);
         let speedup = base.cycles / driven.cycles;
         let note = format!(
             "MFLOPS ({:.0} cycles, {} vector instructions), speedup {speedup:.2}x",
@@ -278,6 +295,7 @@ fn exp3() -> Vec<Row> {
     }
     let src = daxpy_source(1024);
     rows.extend(ablation_rows("daxpy n=1024", &src, &["inline"]));
+    let bound = work_bound(&src);
     for strip in [8i64, 16, 32, 64, 256, 2048] {
         let options = Options {
             strip,
@@ -285,6 +303,7 @@ fn exp3() -> Vec<Row> {
         };
         let s = run(&src, &options, Titan::optimized(2));
         let label = format!("daxpy n=1024: strip length {strip}, 2 procs");
+        bound(&s, &label);
         let note = format!("cycles ({:.2} MFLOPS)", mflops(&s));
         rows.push(Row::exact(label, s.cycles, note));
     }

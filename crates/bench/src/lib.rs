@@ -49,6 +49,21 @@ pub fn run(src: &str, options: &Options, machine: MachineConfig) -> ExecStats {
     result.stats
 }
 
+/// The work contract `sweep`'s `observe` check and `exp` hold every
+/// optimized build to: it executes no more flops and no more scalar loads
+/// than the same program built at `-O0` (optimization may add cycles of
+/// overhead, never arithmetic or memory traffic). The error names both
+/// counts.
+pub fn no_more_work_than_o0(o0: &ExecStats, opt: &ExecStats) -> Result<(), String> {
+    if opt.flops > o0.flops || opt.loads > o0.loads {
+        return Err(format!(
+            "executes more work than -O0: {} flops and {} loads against {} and {}",
+            opt.flops, opt.loads, o0.flops, o0.loads
+        ));
+    }
+    Ok(())
+}
+
 /// MFLOPS at the Titan's clock.
 pub fn mflops(stats: &ExecStats) -> f64 {
     stats.mflops(CLOCK_MHZ)

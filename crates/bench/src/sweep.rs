@@ -10,7 +10,9 @@
 //!   return value and output arrays on the Titan simulator, `-j 1` and
 //!   `-j 4` print the same IL, nothing is contained as an incident, and
 //!   every build runs under the interpreter *and* the VM with equal
-//!   observations and equal execution statistics;
+//!   observations and equal execution statistics, and no optimized build
+//!   executes more flops or more scalar loads than `-O0` (also run over
+//!   `corpus/*.c` by `tests/sweep.rs`);
 //! * `cache-faults` — a `--cache-dir` compile is byte-identical to a
 //!   store-less one under injected IO faults, with every write or every
 //!   read failing, after on-disk corruption, with sessions racing into one
@@ -51,9 +53,9 @@ use titanc_il::{
     decode_proc, encode_proc, hash_proc, pretty_proc, verify_proc, InlineOutcome, LoopDecision,
     Procedure, ScalarType, SrcSpan, StableHash, StableHasher,
 };
-use titanc_titan::{observe_with, ExecEngine, MachineConfig, Observation};
+use titanc_titan::{observe_with, ExecEngine, ExecStats, MachineConfig, Observation};
 
-use crate::progen;
+use crate::{no_more_work_than_o0, progen};
 
 /// The default run seed (an arbitrary constant, fixed so a bare run is
 /// reproducible across machines and sessions).
@@ -408,12 +410,20 @@ fn build(src: &str, options: Options, jobs: usize, what: &str) -> Result<Compila
     Ok(c)
 }
 
+/// The globals a run of `main` reads back: their names, kinds and lengths.
+type Globals<'a> = [(&'a str, ScalarType, u32)];
+
 /// Runs one build under the interpreter and the VM, which must agree on
 /// the observation and on every execution statistic (cycle totals
 /// included).
-fn run_both(c: &Compilation, machine: MachineConfig, what: &str) -> Result<Observation, String> {
+fn run_both(
+    c: &Compilation,
+    machine: MachineConfig,
+    globals: &Globals<'_>,
+    what: &str,
+) -> Result<(Observation, ExecStats), String> {
     let run = |engine| {
-        observe_with(&c.program, machine.clone(), engine, "main", &OUT_GLOBALS)
+        observe_with(&c.program, machine.clone(), engine, "main", globals)
             .map_err(|e| format!("{what} [{engine}]: simulator fault: {e}"))
     };
     let (obs, stats) = run(ExecEngine::Interp)?;
@@ -428,11 +438,22 @@ fn run_both(c: &Compilation, machine: MachineConfig, what: &str) -> Result<Obser
             "{what}: engine statistics divergence:\n  interp: {stats:?}\n  vm: {vm_stats:?}"
         ));
     }
-    Ok(obs)
+    Ok((obs, stats))
 }
 
 fn observe(case: &Case, totals: &mut Totals) -> Result<(), String> {
-    let src = &case.src;
+    observe_program(&case.src, &OUT_GLOBALS, totals)
+}
+
+/// The `observe` contracts over one program whose `main` runs to
+/// completion, reading `globals` back after every run: every build
+/// observes what `-O0` observes and executes no more flops or loads
+/// ([`no_more_work_than_o0`]).
+pub fn observe_program(
+    src: &str,
+    globals: &Globals<'_>,
+    totals: &mut Totals,
+) -> Result<(), String> {
     let o0 = build(src, Options::o0(), 1, "O0")?;
     let o1 = build(src, Options::o1(), 1, "O1")?;
     let o2 = build(src, Options::o2(), 1, "O2 -j1")?;
@@ -445,7 +466,7 @@ fn observe(case: &Case, totals: &mut Totals) -> Result<(), String> {
     if il_text(&o2) != il_text(&o2_j4) {
         return Err("-j1 and -j4 produced different IL".to_string());
     }
-    let base = run_both(&o0, MachineConfig::default(), "O0")?;
+    let (base, base_stats) = run_both(&o0, MachineConfig::default(), globals, "O0")?;
     for (what, c, machine) in [
         ("O1", &o1, MachineConfig::default()),
         ("O2 -j1", &o2, MachineConfig::optimized(1)),
@@ -457,12 +478,13 @@ fn observe(case: &Case, totals: &mut Totals) -> Result<(), String> {
             MachineConfig::optimized(4),
         ),
     ] {
-        let got = run_both(c, machine, what)?;
+        let (got, stats) = run_both(c, machine, globals, what)?;
         if got != base {
             return Err(format!(
                 "O0 vs {what} observation divergence:\n  O0: {base:?}\n  {what}: {got:?}"
             ));
         }
+        no_more_work_than_o0(&base_stats, &stats).map_err(|e| format!("{what} {e}"))?;
     }
     Ok(())
 }

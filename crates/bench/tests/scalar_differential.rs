@@ -362,6 +362,16 @@ fn rewritten_pass_edges_agree() {
              return x + y + z + (a * b + 1); }",
         ),
         (
+            "a window that ends before a while whose body redefines a dependence",
+            "int f(int a, int b, int c) { int x, y; y = 0; x = a + b + 1; if (c) { y = a + b + 1; } \
+             while (a + b + 1 < 10) { a = a * 2; } return x + y; }",
+        ),
+        (
+            "loads before a while whose body stores",
+            "int f(int *p, int c) { int x, y; y = 0; x = *p + 1; if (c) { y = *p + 1; } \
+             while (*p + 1 < 9) { *p = *p + 1; } return x + y; }",
+        ),
+        (
             "equal float and int shapes that differ only in type or constant",
             "float f(float a, float b, int i, int j) { float x, y; int k, l; x = (a + b) * 2.0f; \
              y = (a + b) * 2.0f; k = (i + j) * 2; l = (i + j) * 3; return x + y + k + l; }",

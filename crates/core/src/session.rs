@@ -98,8 +98,12 @@ use crate::{
 /// re-solves liveness over one CFG, so the recorded analysis-cache
 /// counters moved. 3: cells and manifests are wire bytes, and a manifest
 /// keeps only the whole-program stages' records. 4: a cell's cache
-/// counters lost the dominator and loop-nest pairs.)
-const ENTRY_VERSION: u32 = 4;
+/// counters lost the dominator and loop-nest pairs. 5: `forward` keeps a
+/// loading `x = E` that is read after its window, and its loads stop at
+/// assignments to globals and addressed locals; the key hashes pass
+/// names, not what the passes do, so an entry from 4 would replay IL that
+/// computes `E` twice.)
+const ENTRY_VERSION: u32 = 5;
 
 /// One input translation unit: a display name (normally the path) and
 /// its source text.

@@ -12,7 +12,15 @@
 //! Only *pure register expressions* participate (no loads, no volatile, no
 //! sections): they can be hoisted to the first occurrence without regard
 //! to memory effects. Candidate windows end at control-flow statements and
-//! at redefinitions of any variable the expression reads.
+//! at redefinitions of any variable the expression reads. A statement whose
+//! nested blocks redefine one (a DO loop's own variable counts) lends the
+//! window only its own expressions, and a `while` lends not even its
+//! condition, which reruns after the body.
+//!
+//! Loads stay out. The damage §11 means for them, `forward` copying a
+//! load-bearing `E` while `x = E` stays live, is not undone here but
+//! refused in `forward`, which is how §6's backsolve keeps
+//! `t = E; *(p) = t` after strength reduction.
 //!
 //! Candidates are compared *structurally* ([`ExprPool::expr_eq`]), so the
 //! arena layout of equal subtrees is irrelevant; the commoned definition
@@ -88,7 +96,8 @@ struct Cse {
     shape: Vec<Shape>,
     /// `defs[from..to]`, `(from, to)` being `nested[s]`: the variables
     /// defined in the blocks nested in statement `s` — the definitions in
-    /// preorder, a statement's descendants adjacent. Taken once: the run
+    /// preorder, a statement's descendants adjacent, a loop's induction
+    /// variable among its body's. Taken once: the run
     /// only adds definitions of temporaries no statement outside their
     /// block reads.
     defs: Vec<VarId>,
@@ -99,8 +108,10 @@ impl Cse {
     fn of(proc: &Procedure) -> Cse {
         fn mark(cse: &mut Cse, stmts: &StmtPool, block: &[StmtId]) {
             for &s in block {
-                cse.defs.extend(stmts[s].defined_var());
+                let (def, is_loop) = (stmts[s].defined_var(), stmts[s].is_loop());
+                cse.defs.extend(def.filter(|_| !is_loop));
                 let from = cse.defs.len() as u32;
+                cse.defs.extend(def.filter(|_| is_loop));
                 for b in stmts[s].blocks() {
                     mark(cse, stmts, b);
                 }
@@ -270,19 +281,26 @@ impl Cse {
         // whether the window takes in the blocks nested in its last statement
         let mut whole = true;
         for (j, &s) in block.iter().enumerate().skip(start) {
-            if j > start && is_barrier(&proc.stmts[s]) {
+            let kind = &proc.stmts[s];
+            if j > start && is_barrier(kind) {
                 break;
             }
-            end = j;
             // the nested blocks of an If/loop may execute conditionally but
             // the candidate is pure, so replacing there is still sound as
-            // long as deps are not redefined inside; where one is, the
-            // window ends at the statement's own expressions
+            // long as deps are not redefined inside (a DO loop's variable
+            // counts as defined there); where one is, the window ends at the
+            // statement's own expressions — none at all for a `while`, whose
+            // condition reruns after its body
             let (from, to) = self.nested.get(s.index()).copied().unwrap_or_default();
             let nested_defs = &self.defs[from as usize..to as usize];
-            whole = !deps.iter().any(|v| nested_defs.contains(v));
+            let lends_nested = !deps.iter().any(|v| nested_defs.contains(v));
+            let reruns = matches!(kind, StmtKind::While { .. } | StmtKind::WhileSpread { .. });
+            if !lends_nested && reruns {
+                break;
+            }
+            (end, whole) = (j, lends_nested);
             total += self.count_in_stmt(proc, s, cand_orig, whole);
-            if !whole || redefines_dep(&proc.stmts[s]) {
+            if !whole || redefines_dep(kind) {
                 break;
             }
         }
@@ -363,7 +381,7 @@ impl Cse {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use titanc_il::pretty_proc;
+    use titanc_il::{pretty_proc, BinOp, ProcBuilder};
     use titanc_lower::compile_to_il;
 
     fn cse(src: &str) -> (Procedure, CseReport) {
@@ -396,6 +414,47 @@ mod tests {
     fn loads_are_not_commoned_here() {
         let (_proc, rep) = cse("int f(int *p) { int x, y; x = *p + 1; y = *p + 1; return x + y; }");
         assert_eq!(rep.commoned, 0, "memory expressions are out of scope");
+    }
+
+    #[test]
+    fn a_while_condition_is_outside_a_window_its_body_ends() {
+        // the condition reruns after the body redefines `a`
+        let (proc, rep) = cse("int f(int a, int b) { int x, n; n = 0; x = a + b + 1; \
+             while (a + b + 1 < 10) { a = a + 1; n = n + 1; } return x + n; }");
+        assert_eq!(rep.commoned, 0, "{}", pretty_proc(&proc));
+        // a window that ends before such a `while` still takes in the
+        // nested blocks before it, and the run terminates
+        let (proc, rep) = cse(
+            "int f(int a, int b, int c) { int x, y; y = 0; x = a + b + 1; \
+             if (c) { y = a + b + 1; } while (a + b + 1 < 10) { a = a * 2; } return x + y; }",
+        );
+        let text = pretty_proc(&proc);
+        assert_eq!((rep.commoned, rep.replaced), (1, 2), "{text}");
+        assert!(text.contains("while ((((a + b) + 1) < 10))"), "{text}");
+    }
+
+    #[test]
+    fn a_do_loop_defines_its_variable_in_its_body() {
+        // x = i + a; do i = 0, 3 { y = i + a }: the body reads the i the
+        // loop set, not the one x read
+        let mut b = ProcBuilder::new("f", Type::Int);
+        let (a, i) = (b.param("a", Type::Int), b.local("i", Type::Int));
+        let (x, y) = (b.local("x", Type::Int), b.local("y", Type::Int));
+        let (iv, av) = (b.var(i), b.var(a));
+        let sum = b.ibinary(BinOp::Add, iv, av);
+        b.assign_var(x, sum);
+        let mut body = b.block();
+        let (iv, av) = (body.var(i), body.var(a));
+        let sum = body.ibinary(BinOp::Add, iv, av);
+        body.assign_var(y, sum);
+        let body = body.stmts();
+        let (lo, hi, step) = (b.int(0), b.int(3), b.int(1));
+        b.do_loop(i, lo, hi, step, body);
+        let xv = b.var(x);
+        b.ret(Some(xv));
+        let mut proc = b.finish();
+        let rep = local_cse(&mut proc);
+        assert_eq!(rep.commoned, 0, "{}", pretty_proc(&proc));
     }
 
     #[test]

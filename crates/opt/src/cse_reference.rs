@@ -1,12 +1,20 @@
 //! The local CSE `cse.rs` replaced, kept as the *test reference* it is
 //! diffed against: candidates are recollected and re-sorted on every
 //! visit, `size` and purity re-derived recursively at every node, and
-//! every window rescanned with structural comparison at every node (one
-//! fix is shared with `cse.rs`: a window that ends at a nested
-//! redefinition no longer replaces past it). It is compiled only into
+//! every window rescanned with structural comparison at every node (three
+//! fixes are shared with `cse.rs`: a window that ends at a nested
+//! redefinition no longer replaces past it, a DO loop's variable counts as
+//! redefined in its body, and a `while` whose body redefines a dependence
+//! lends not even its condition). It is compiled only into
 //! tests, through `#[path]` — `crates/opt/tests/reference_differential.rs`
 //! and `crates/bench/tests/scalar_differential.rs` — and depends on
 //! nothing but `titanc_il`.
+//!
+//! It stays because `cse.rs` answers every window question from per-node
+//! shapes and per-statement definition ranges it keeps current by hand;
+//! this file answers them by re-walking the IL, so a stale shape or range
+//! shows as a difference. A change to a window rule of `cse.rs` goes in
+//! here too, stated the obvious way.
 
 use titanc_il::visit::edit_blocks;
 use titanc_il::{
@@ -149,20 +157,26 @@ fn try_common(
     // the window's last statement, when only its own expressions are in it
     let mut top_only: Option<StmtId> = None;
     for (j, &s) in block.iter().enumerate().skip(start) {
-        if j > start && is_barrier(&proc.stmts[s]) {
+        let kind = &proc.stmts[s];
+        if j > start && is_barrier(kind) {
             break;
         }
         // count occurrences in this statement (top-level exprs only; the
         // nested blocks of an If/loop may execute conditionally but the
         // candidate is pure, so replacing there is still sound as long as
-        // deps are not redefined inside)
-        let nested_safe = proc.stmts[s]
+        // deps are not redefined inside, a DO loop's variable included)
+        let nested_safe = kind
             .blocks()
             .iter()
-            .all(|b| deps.iter().all(|&v| !defined_in(&proc.stmts, b, v)));
+            .all(|b| deps.iter().all(|&v| !defined_in(&proc.stmts, b, v)))
+            && !(kind.is_loop() && deps.iter().any(|&v| kind.defined_var() == Some(v)));
         if !nested_safe {
+            // a while condition reruns after its body: not even it is in
+            if matches!(kind, StmtKind::While { .. } | StmtKind::WhileSpread { .. }) {
+                break;
+            }
             // stop before descending into a block that redefines deps
-            total += proc.stmts[s]
+            total += kind
                 .exprs()
                 .iter()
                 .map(|e| count_occurrences(&proc.exprs, e, cand_orig))

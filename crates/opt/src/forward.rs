@@ -9,8 +9,19 @@
 //!
 //! A substitution stops at a redefinition of `x` or of any variable the
 //! expression reads; expressions containing (non-volatile) loads
-//! additionally stop at stores and calls. Expressions with volatile loads
-//! never move.
+//! additionally stop at stores, calls and assignments to variables that
+//! are not register candidates (globals and locals whose address is taken,
+//! which loads can read). Expressions with volatile loads never move.
+//!
+//! `cse` commons register expressions only, so this pass must not do the
+//! damage it cannot undo: a loading `x = expr` is forwarded only when `x`
+//! is not read again after its window, before its next assignment.
+//! Otherwise `x = expr` stays live and `expr`, loads and all, would be
+//! computed twice — §6's backsolve after strength reduction reads
+//! `t = E; *(p) = t; f = t`, and copying `E` into the store made every
+//! iteration do its two loads, subtract and multiply twice. Deciding
+//! that is the pass's one look-ahead: a loading definition scans the rest
+//! of its block once, when it is admitted.
 //!
 //! The pass is one *available-definitions sweep* per block: it carries the
 //! set of definitions that may still be forwarded ([`Avail`]), and each
@@ -30,8 +41,9 @@
 //! no-shared-slots invariant; the replaced `Var` nodes become arena
 //! garbage swept at the next compaction point.
 
-use crate::util::{register_candidate, replace_reads_with};
+use crate::util::{count_reads, register_candidate, replace_reads_with};
 use std::collections::HashMap;
+use titanc_il::visit::walk_block;
 use titanc_il::{ExprId, ExprPool, LValue, Procedure, StmtId, StmtKind, StmtPool, VarId};
 
 /// Substitution statistics.
@@ -159,7 +171,7 @@ impl Sweep<'_> {
     fn block(&mut self, block: &[StmtId]) {
         let stmts = self.stmts;
         let mut avail = AvailSet::default();
-        for &s in block {
+        for (i, &s) in block.iter().enumerate() {
             let kind = &stmts[s];
             // control-flow joins and departures end the straight-line
             // window: a label may be reached from elsewhere (the def does
@@ -195,7 +207,12 @@ impl Sweep<'_> {
                 avail.kill_var(v);
                 self.defined.push(v);
             }
-            if kind.writes_memory() {
+            // (a variable that is not a register candidate is memory too:
+            // a global, or a local whose address is taken)
+            let defines_memory = kind
+                .defined_var()
+                .is_some_and(|v| !self.candidate[v.index()]);
+            if kind.writes_memory() || defines_memory {
                 avail.kill_loads();
                 self.memory_writes += 1;
             }
@@ -206,10 +223,43 @@ impl Sweep<'_> {
             } = *kind
             {
                 if let Some(entry) = self.forwardable(x, rhs) {
-                    avail.admit(x, entry);
+                    if !entry.has_loads || !self.live_past_window(block, i, x, &entry.deps) {
+                        avail.admit(x, entry);
+                    }
                 }
             }
         }
+    }
+
+    /// Whether the loading definition `x = …` at `block[i]` is read after
+    /// its window ends, before `x` is next assigned: forwarded, it would
+    /// be computed twice. The window is the one [`Sweep::block`] gives the
+    /// entry, found by looking ahead with the same kill rules.
+    fn live_past_window(&self, block: &[StmtId], i: usize, x: VarId, deps: &[VarId]) -> bool {
+        let stmts = self.stmts;
+        let ends = |kind: &StmtKind| {
+            kind.writes_memory()
+                || kind
+                    .defined_var()
+                    .is_some_and(|v| v == x || deps.contains(&v) || !self.candidate[v.index()])
+        };
+        let mut in_window = true;
+        for &t in &block[i + 1..] {
+            let kind = &stmts[t];
+            let mut nested_ends = false;
+            for b in kind.blocks() {
+                walk_block(stmts, b, &mut |_, k| nested_ends |= ends(k));
+            }
+            in_window &= !(nested_ends || matches!(kind, StmtKind::Label(_) | StmtKind::Goto(_)));
+            if !in_window && count_reads(stmts, self.exprs, t, x) > 0 {
+                return true;
+            }
+            if kind.defined_var() == Some(x) {
+                return false;
+            }
+            in_window &= !ends(kind);
+        }
+        false
     }
 
     /// The candidate tests on `x = rhs` as it reads after substitution.
@@ -276,10 +326,45 @@ mod tests {
     }
 
     #[test]
+    fn loads_stop_at_assignments_to_memory_variables() {
+        // a global, and a local whose address is taken, are memory a load
+        // may read
+        for src in [
+            "int g; int f(int *p) { int t; t = *p; g = 9; return t; }",
+            "int f(void) { int a, t; int *p; p = &a; a = 1; t = *p; a = 9; return t; }",
+        ] {
+            let text = pretty_proc(&fwd(src));
+            assert!(text.contains("return t;"), "{src}: {text}");
+        }
+    }
+
+    #[test]
     fn loads_pass_pure_statements() {
         let proc = fwd("int f(int *p) { int t, u; t = *p; u = 3; return t + u; }");
         let text = pretty_proc(&proc);
         assert!(text.contains("*(int *)(p) + "), "{text}");
+    }
+
+    #[test]
+    fn a_load_read_again_after_its_window_stays() {
+        // `t = E; *q = t; u = t`: forwarded into the store, E would be
+        // computed twice (§6's backsolve after strength reduction)
+        let text = pretty_proc(&fwd(
+            "int f(int *p, int *q) { int t, u; t = *p + 1; *q = t; u = t; return u; }",
+        ));
+        assert!(text.contains("*(int *)(q) = t;"), "{text}");
+        // read nowhere else, or assigned before it is read again, the
+        // definition moves into its window
+        for src in [
+            "int f(int *p, int *q) { int t; t = *p + 1; *q = t; return 0; }",
+            "int f(int *p, int *q) { int t; t = *p + 1; *q = t; t = 2; return t; }",
+        ] {
+            let text = pretty_proc(&fwd(src));
+            assert!(
+                text.contains("*(int *)(q) = (*(int *)(p) + 1);"),
+                "{src}: {text}"
+            );
+        }
     }
 
     #[test]
@@ -347,6 +432,15 @@ mod tests {
             // ... or it loaded at first, no longer does, and a store follows
             "int f(int *p, int *q, int a) { int t, r; t = *p; r = t; t = a; *q = 1; r = r + t; \
              return r; }",
+            // ... or an assignment to a global, here or nested
+            "int g; int f(int *p, int c) { int t, u; t = *p; g = 1; u = *p; if (c) { g = 2; } \
+             return t + u; }",
+            // a loading definition read after its window: after a store,
+            // a label, a nested store and a nested redefinition of itself,
+            // and once more after its window redefines it
+            "int f(int *p, int *q, int c) { int t, u, v, w; t = *p; *q = t; u = t; v = *p; \
+             if (c) goto l; v = v + 1; l: u = u + v; w = *q; if (c) { *p = w; } u = u + w; \
+             t = *q; if (c) { t = 1; } u = u + t; t = *p; *q = t; t = 0; return t + u; }",
             // inner definitions forward before outer ones reach them
             "int f(int a, int c) { int t, u, r; t = a * 3; r = 0; if (c) { u = t; r = u + t; } \
              return r; }",

@@ -35,6 +35,13 @@ fn rewritten_passes_match_their_references() {
          x = (a * b + 1) * 2; y = (a * b + 1) * 3; a = g(a); z = (a * b + 1) * 2; \
          while (c) { x = x + (a * b + 1); b = b - 1; y = y + (a * b + 1) * 3; c = c - 1; } \
          return x + y + z + (a * b + 1) + (a * b); }",
+        // windows that end before a `while` whose body redefines a
+        // dependence, after a nested occurrence; the loading form is out of
+        // scope and must be left alone
+        "int f(int a, int b, int c) { int x, y; y = 0; x = a + b + 1; if (c) { y = a + b + 1; } \
+         while (a + b + 1 < 10) { a = a * 2; } return x + y; }",
+        "int f(int *p, int c) { int x, y; y = 0; x = *p + 1; if (c) { y = *p + 1; } \
+         while (*p + 1 < 9) { *p = *p + 1; } return x + y; }",
     ] {
         for p in &titanc_lower::compile_to_il(src).unwrap().procs {
             let (mut want, mut got) = (p.clone(), p.clone());

@@ -327,3 +327,55 @@ fn a_remark_names_the_same_edge_every_run() {
         }
     }
 }
+
+/// After strength reduction, §6's backsolve read `t = E; *(p) = t;
+/// f = t`, where `E` is `*(z) * (*(y) - f)`. The second `forward` copied
+/// `E` into the store although `f = t` still read `t`, and `cse` commons
+/// no expression that loads, so every iteration did its two loads, its
+/// subtract and its multiply twice: 4 096 flops at n = 1024 where `-O0`
+/// executes 2 048 (found counting EXP2's flops against `-O0`'s).
+#[test]
+fn backsolve_stores_its_recurrence_once() {
+    use titanc_repro::il::pretty_proc;
+    use titanc_repro::titan::Simulator;
+
+    let src = titanc_bench::backsolve_source(1024);
+    let o2 = compile(&src, &Options::o2()).expect("O2");
+    let text = pretty_proc(&o2.program.procs[0]);
+    let lines: Vec<&str> = text.lines().map(str::trim).collect();
+    let store = lines
+        .iter()
+        .position(|l| l.starts_with("*(float *)("))
+        .unwrap_or_else(|| panic!("no store in the loop:\n{text}"));
+    let (def, _) = lines[store - 1]
+        .split_once(" = ")
+        .expect("`t = E;` before it");
+    let (_, stored) = lines[store].split_once(" = ").expect("a store");
+    assert_eq!(stored, format!("{def};"), "the store recomputes E:\n{text}");
+
+    let flops = |options: &Options, machine| {
+        let c = compile(&src, options).expect("compiles");
+        let r = Simulator::new(&c.program, machine).run("main", &[]);
+        r.expect("runs").stats.flops
+    };
+    let o0 = flops(&Options::o0(), MachineConfig::default());
+    assert_eq!(o0, 2048);
+    assert_eq!(flops(&Options::o2(), MachineConfig::optimized(1)), o0);
+}
+
+/// `forward` carried `x = *p + 1` past `g = 5` when `p` pointed at `g`:
+/// an assignment to a global (or to a local whose address is taken) is a
+/// write to memory a load may read, and only stores and calls ended a
+/// loading definition's window.
+#[test]
+fn a_load_does_not_move_past_an_assignment_to_a_global() {
+    check(
+        r#"
+int out_g[2];
+int g;
+int h(int *p) { int x, y; x = *p + 1; g = 5; y = *p + 1; return x + y; }
+int main(void) { out_g[0] = h(&g); out_g[1] = g; return out_g[0]; }
+"#,
+        &[("out_g", ScalarType::Int, 2)],
+    );
+}

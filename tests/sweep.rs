@@ -1,7 +1,8 @@
 //! Every check of `titanc_bench::sweep` at a small N, inside tier-1 — the
 //! same code `stress --check NAME` runs at sweep size, over the first cases
 //! of this file's own run seed, plus the codec check over `corpus/*.c`
-//! under every option set. A failing case prints its FAIL block, whose
+//! under every option set and the observe check over the corpus files
+//! that run. A failing case prints its FAIL block, whose
 //! last line is the `stress` command that replays it.
 //!
 //! `cache-faults` and `server` write cache directories under
@@ -12,6 +13,7 @@
 use std::sync::Mutex;
 
 use titanc_bench::sweep::{self, Scratch, Totals};
+use titanc_repro::il::ScalarType;
 
 /// Not `sweep::DEFAULT_SEED`, which CI's `stress` runs use: the cases
 /// here are programs those sweeps do not also check.
@@ -57,6 +59,34 @@ fn observe() {
     ];
     assert_eq!(totals.lit(), lit, "coverage: {}", totals.coverage_line());
     assert_eq!(totals.incidents, 0);
+}
+
+/// The corpus files whose `main` runs to completion on the default
+/// machine, each with the global array it writes, read back as words so
+/// every build must store the same bits. `blaslib.c` has no `main`, and
+/// `volatile_poll.c` polls a device only a scripted machine writes (EXP10).
+const RUNNABLE_CORPUS: [(&str, &str, u32); 5] = [
+    ("backsolve.c", "x", 1026),
+    ("copy.c", "dst", 8192),
+    ("daxpy.c", "a", 100),
+    ("listwalk.c", "pool", 3 * 1024),
+    ("struct_matrix.c", "out_pts", 4 * 256),
+];
+
+#[test]
+fn observe_over_the_corpus() {
+    let files = sweep::corpus_files();
+    assert_eq!(files.len(), RUNNABLE_CORPUS.len() + 2, "{files:?}");
+    for (name, global, words) in RUNNABLE_CORPUS {
+        let (path, src) = files
+            .iter()
+            .find(|(path, _)| path.ends_with(name))
+            .unwrap_or_else(|| panic!("no corpus/{name}"));
+        let globals = [(global, ScalarType::Int, words)];
+        let mut totals = Totals::default();
+        sweep::observe_program(src, &globals, &mut totals)
+            .unwrap_or_else(|why| panic!("{path}: {why}"));
+    }
 }
 
 #[test]
