@@ -16,7 +16,7 @@
 use std::time::Instant;
 
 use titanc::{compile, compile_with, Aliasing, Catalog, Options, Pipeline, VectorOptions};
-use titanc_il::{Procedure, StmtKind};
+use titanc_il::{LoopDecision, Procedure, StmtKind};
 use titanc_lower::compile_to_il;
 use titanc_opt::{convert_while_loops, forward_substitute, induction_substitution};
 use titanc_titan::{ExecStats, MachineConfig as Titan, RunResult, Simulator};
@@ -388,10 +388,12 @@ fn exp5() -> Vec<Row> {
     let mut rows = Vec::new();
     for (name, src, expect) in whiledo_corpus() {
         let rep = convert_while_loops(&mut lowered(&src));
-        let did = rep.converted > 0;
+        let converted = LoopDecision::DoConverted;
+        let did = rep.events.iter().any(|e| e.decision == converted);
         assert_eq!(did, expect, "unexpected outcome for `{name}`");
-        let note = match rep.rejects.first() {
-            Some((_, reason)) if !did => format!("rejected: {reason:?}"),
+        let first = rep.events.first().map(|e| &e.decision);
+        let note = match first {
+            Some(LoopDecision::DoRejected(reason)) if !did => format!("rejected: {reason:?}"),
             _ => "converted".to_string(),
         };
         rows.push(Row::exact(name, f64::from(u8::from(did)), note));
@@ -417,11 +419,12 @@ fn exp6() -> Vec<Row> {
     let mut rows = Vec::new();
     for k in CHAINS {
         let rep = induction_substitution(&mut chain_proc(k));
-        assert!(rep.substituted >= k, "all {k} chains substituted");
+        let substituted = LoopDecision::ivs_substituted(&rep.events);
+        assert!(substituted >= k, "all {k} chains substituted");
         assert!(rep.passes <= 4, "near one productive pass: {}", rep.passes);
         let label = format!("{k} pointer chains: IVs substituted");
         let note = format!("passes {}, backtracks {}", rep.passes, rep.backtracks);
-        rows.push(Row::exact(label, rep.substituted as f64, note));
+        rows.push(Row::exact(label, substituted as f64, note));
     }
     // second axis: loops per procedure. Each loop converts and gives up
     // one induction variable, whatever stands around it.
@@ -507,10 +510,11 @@ fn exp7() -> Vec<Row> {
 
 fn exp8() -> Vec<Row> {
     let c = compile(corpus::STRUCT_MATRIX, &Options::o2()).expect("compiles");
-    let converted = c.reports.whiledo.converted;
+    let converted = c.reports.count("do_converted");
     assert!(converted >= 3, "all three nest levels convert");
     let label = "4x4 transform over 256 vertices: while→DO conversions";
-    let note = format!("{} IVs substituted", c.reports.ivsub.substituted);
+    let ivs = LoopDecision::ivs_substituted(&c.reports.ivsub.events);
+    let note = format!("{ivs} IVs substituted");
     let mut rows = vec![Row::exact(label, converted as f64, note)];
     let cases = [
         ("scalar only (O1)".to_string(), Scalar, 0.0),
@@ -587,9 +591,9 @@ fn exp9() -> Vec<Row> {
     let mut rows = vec![Row::exact(label, blas.procs.len() as f64, note)];
     let [cross, same] = cross_and_same(corpus::BLASLIB, BLAS_APP, Options::parallel());
     assert_eq!(cross.1.stats.cycles, same.1.stats.cycles, "same code");
-    let inlined = cross.0.reports.inline.inlined;
-    assert_eq!(inlined, same.0.reports.inline.inlined, "same decisions");
-    let vectorized = cross.0.reports.vector.vectorized;
+    let inlined = cross.0.reports.count("expanded");
+    assert_eq!(inlined, same.0.reports.count("expanded"), "same decisions");
+    let vectorized = cross.0.reports.count("vectorized");
     assert!(vectorized >= 1, "library loops vectorize after inlining");
     let note = format!("cycles; {inlined} call sites inlined, {vectorized} loops vectorized");
     let label = "BLAS-1 application, 2 procs: cross-file (catalog)";
@@ -648,7 +652,7 @@ fn exp10() -> Vec<Row> {
 fn exp11() -> Vec<Row> {
     // the walk appears twice: in `work` and inlined into `main`
     let c = compile(corpus::LISTWALK, &spread_lists()).expect("compiles");
-    let loops = c.reports.spread.spread;
+    let loops = c.reports.count("list_spread");
     assert!(loops >= 1, "{:?}", c.reports.spread);
     let note = "in `work` and inlined into `main`";
     let label = "1024-node walk: loops spread";

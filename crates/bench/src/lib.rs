@@ -373,7 +373,9 @@ mod tests {
             let prog = titanc_lower::compile_to_il(&src).unwrap_or_else(|e| panic!("{name}: {e}"));
             let mut proc = prog.procs[0].clone();
             let rep = titanc_opt::convert_while_loops(&mut proc);
-            assert_eq!(rep.converted > 0, expect, "{name}");
+            let converted = titanc_il::LoopDecision::DoConverted;
+            let converted = rep.events.iter().any(|e| e.decision == converted);
+            assert_eq!(converted, expect, "{name}");
         }
     }
 
@@ -384,6 +386,6 @@ mod tests {
         let mut proc = prog.procs[0].clone();
         titanc_opt::convert_while_loops(&mut proc);
         let rep = titanc_opt::induction_substitution(&mut proc);
-        assert!(rep.substituted >= 4);
+        assert!(titanc_il::LoopDecision::ivs_substituted(&rep.events) >= 4);
     }
 }

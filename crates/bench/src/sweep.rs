@@ -51,7 +51,7 @@ use titanc_il::json::{parse as parse_json, FromJson, ToJson};
 use titanc_il::wire::{self, Wire};
 use titanc_il::{
     decode_proc, encode_proc, hash_proc, pretty_proc, verify_proc, InlineOutcome, LoopDecision,
-    Procedure, ScalarType, SrcSpan, StableHash, StableHasher,
+    Procedure, Reject, ScalarType, SrcSpan, StableHash, StableHasher,
 };
 use titanc_titan::{observe_with, ExecEngine, ExecStats, MachineConfig, Observation};
 
@@ -125,6 +125,9 @@ pub struct Totals {
     pub failed: u64,
     /// Decision events per [`tags`] entry, over every reference compile.
     pub coverage: [u64; LoopDecision::TAGS.len() + InlineOutcome::TAGS.len()],
+    /// `do_rejected` events per [`Reject::ALL`] reason, over the same
+    /// compiles.
+    pub rejects: [u64; Reject::ALL.len()],
     /// Contained incidents over the same compiles.
     pub incidents: usize,
     /// Sessions compiled (with or without a cache directory).
@@ -140,6 +143,11 @@ impl Totals {
     fn tally(&mut self, c: &Compilation) {
         let report = OptReport::build_for(&c.reports, &c.trace, &c.program.files);
         let loops = report.loops.iter().flat_map(|l| &l.events);
+        for e in loops.clone() {
+            if let LoopDecision::DoRejected(why) = e.decision {
+                self.rejects[why as usize] += 1;
+            }
+        }
         let events = loops
             .map(|e| e.decision.tag())
             .chain(report.inline.iter().map(|e| e.outcome.tag()));
@@ -160,6 +168,8 @@ impl Totals {
         self.failed += other.failed;
         let counts = self.coverage.iter_mut().zip(other.coverage);
         counts.for_each(|(n, m)| *n += m);
+        let rejects = self.rejects.iter_mut().zip(other.rejects);
+        rejects.for_each(|(n, m)| *n += m);
         self.incidents += other.incidents;
         self.sessions += other.sessions;
         self.cache.merge(&other.cache);
@@ -172,12 +182,15 @@ impl Totals {
         hits.filter(|(_, n)| *n > 0).map(|(t, _)| t).collect()
     }
 
-    /// `tag=hits` for every tag, zeros included, then `incidents=n`.
+    /// `tag=hits` for every tag, then `do_rejected:Reason=hits` for every
+    /// rejection reason, zeros included, then `incidents=n`.
     pub fn coverage_line(&self) -> String {
         let mut words: Vec<String> = tags()
             .zip(self.coverage)
             .map(|(t, n)| format!("{t}={n}"))
             .collect();
+        let rejects = Reject::ALL.iter().zip(self.rejects);
+        words.extend(rejects.map(|(r, n)| format!("do_rejected:{r:?}={n}")));
         words.push(format!("incidents={}", self.incidents));
         words.join(" ")
     }

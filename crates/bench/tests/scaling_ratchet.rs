@@ -79,13 +79,13 @@ fn pipeline_allocations(loops: usize) -> (usize, usize) {
         trace.incidents
     );
     assert_eq!(
-        reports.whiledo.converted,
+        reports.count("do_converted"),
         loops + 1,
         "{loops} loops: every loop converts"
     );
     assert_eq!(
         (
-            reports.vector.vectorized + reports.vector.spread,
+            reports.count("vectorized") + reports.count("parallelized"),
             reports.vector.scalar
         ),
         (loops + 1, 0),

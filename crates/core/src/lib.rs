@@ -29,7 +29,7 @@
 //! }
 //! "#;
 //! let result = compile(src, &Options::o2())?;
-//! assert!(result.reports.vector.vectorized >= 1);
+//! assert!(result.reports.count("vectorized") >= 1);
 //! let mut sim = Simulator::new(&result.program, MachineConfig::optimized(2));
 //! sim.run("main", &[]).unwrap();
 //! # Ok::<(), titanc::CompileError>(())
@@ -49,8 +49,8 @@ use std::error::Error;
 use std::fmt;
 
 pub use pass::{
-    CachedEntry, IncidentKind, Pass, PassContext, PassIncident, PassOutcome, PassRecord, PassTrace,
-    Pipeline, ProcPass, RecordedCell, Replay, SessionReplay, Snapshot, WorkItem,
+    CachedEntry, IncidentKind, Pass, PassContext, PassIncident, PassRecord, PassTrace, Pipeline,
+    ProcPass, RecordedCell, Replay, SessionReplay, Snapshot, WorkItem,
 };
 pub use session::{
     compile_session, compile_session_resident, SessionCompilation, SessionStats, SourceFile,
@@ -216,6 +216,24 @@ impl Reports {
         self.cse.merge(other.cse);
         self.spread.merge(other.spread);
         self.inline.merge(other.inline);
+    }
+
+    /// Every loop decision event, in pipeline order: while→DO conversion,
+    /// induction-variable substitution, list spreading, vectorization.
+    pub fn loop_events(&self) -> impl Iterator<Item = &titanc_il::LoopEvent> {
+        let whiledo = self.whiledo.events.iter().chain(&self.ivsub.events);
+        whiledo
+            .chain(&self.spread.events)
+            .chain(&self.vector.events)
+    }
+
+    /// The loops or call sites decided as `tag` — one of
+    /// [`titanc_il::LoopDecision::TAGS`] or [`titanc_il::InlineOutcome::TAGS`]
+    /// — read off the decision events.
+    pub fn count(&self, tag: &str) -> usize {
+        let loops = self.loop_events().map(|e| e.decision.tag());
+        let sites = self.inline.events.iter().map(|e| e.outcome.tag());
+        loops.chain(sites).filter(|t| *t == tag).count()
     }
 }
 
@@ -421,11 +439,12 @@ fn optimization_remarks(reports: &Reports, sink: &mut DiagnosticSink) {
             Span::none(),
         );
     }
-    if reports.inline.skipped_growth > 0 {
+    let skipped_growth = reports.count("skipped_growth");
+    if skipped_growth > 0 {
         sink.remark(
             format!(
-                "{} call site(s) left unexpanded by the per-caller inline IL-growth budget",
-                reports.inline.skipped_growth
+                "{skipped_growth} call site(s) left unexpanded by the per-caller inline \
+                 IL-growth budget"
             ),
             Span::none(),
         );

@@ -32,9 +32,9 @@
 //! Each worker threads the slot's [`ProcAnalyses`] through its procedure's
 //! pass chain. Passes request the CFG, use–def chains, or liveness from
 //! the slot; artifacts are memoized keyed to the procedure's
-//! *generation counter*, which every mutating pass
-//! bumps (the manager bumps defensively when a pass reports a change
-//! without moving the counter). Passes performing only pure expression
+//! *generation counter*, which every mutating pass bumps — the one record
+//! of "changed" (a debug build asserts that a pass which changed the IL
+//! moved it). Passes performing only pure expression
 //! rewrites repair instead of invalidating ([`ProcAnalyses::rekey`] —
 //! the §5.2 incremental use–def maintenance). Per-pass cache counters
 //! land in [`PassRecord::cache`].
@@ -76,30 +76,13 @@ pub struct PassContext<'a> {
     pub options: &'a Options,
 }
 
-/// What a pass did, as far as the manager is concerned.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub struct PassOutcome {
-    /// True when the pass changed the program.
-    pub changed: bool,
-}
-
-impl PassOutcome {
-    /// An outcome flagged as having changed the program.
-    pub fn changed() -> PassOutcome {
-        PassOutcome { changed: true }
-    }
-
-    /// An outcome flagged as a no-op.
-    pub fn unchanged() -> PassOutcome {
-        PassOutcome { changed: false }
-    }
-}
-
 /// A whole-program transformation.
 ///
 /// A pass transforms the whole [`Program`] and accounts for its work by
 /// merging counts into `delta`, a fresh [`Reports`] value the manager
-/// aggregates and records in the [`PassTrace`]. Implement this directly
+/// aggregates and records in the [`PassTrace`]. A pass that changes a
+/// procedure bumps that procedure's generation: the manager reads
+/// "changed" off the generations alone. Implement this directly
 /// only for transformations that must see every procedure at once (the
 /// inliner); per-procedure transformations implement [`ProcPass`]
 /// instead, which runs in parallel inside pipelines.
@@ -108,7 +91,7 @@ pub trait Pass {
     fn name(&self) -> &'static str;
 
     /// Transforms `program`, recording statistics into `delta`.
-    fn run(&self, program: &mut Program, cx: &PassContext<'_>, delta: &mut Reports) -> PassOutcome;
+    fn run(&self, program: &mut Program, cx: &PassContext<'_>, delta: &mut Reports);
 }
 
 /// A per-procedure transformation — the parallel unit of the pipeline.
@@ -119,7 +102,8 @@ pub trait Pass {
 /// generation-keyed cache slot: request analyses from it instead of
 /// building them, and keep the generation honest — bump it on mutation
 /// (or let the underlying transformation do so), `rekey` after pure
-/// expression rewrites, `invalidate` after structural edits.
+/// expression rewrites, `invalidate` after structural edits. The bump is
+/// the only way the manager learns the procedure changed.
 pub trait ProcPass: Sync {
     /// Stable pass name, used in traces, snapshots and `--stats` output.
     fn name(&self) -> &'static str;
@@ -131,7 +115,7 @@ pub trait ProcPass: Sync {
         cx: &PassContext<'_>,
         analyses: &mut ProcAnalyses,
         delta: &mut Reports,
-    ) -> PassOutcome;
+    );
 }
 
 /// One executed pass in a [`PassTrace`].
@@ -147,7 +131,7 @@ pub struct PassRecord {
     pub duration: Duration,
     /// The statistics this pass alone contributed.
     pub delta: Reports,
-    /// Whether the pass reported changing the program.
+    /// Whether the pass moved some procedure's generation.
     pub changed: bool,
     /// Analysis-cache counters this pass alone contributed (always zero
     /// for whole-program passes, which do not thread the cache).
@@ -416,7 +400,6 @@ trait Unit {
     /// The generation stamp: equal stamps mean nothing moved.
     type Stamp: PartialEq;
     fn stamp(&self) -> Self::Stamp;
-    fn bump(&mut self);
     fn check(&self) -> Result<(), String>;
 }
 
@@ -425,10 +408,6 @@ impl Unit for Procedure {
 
     fn stamp(&self) -> u64 {
         self.generation()
-    }
-
-    fn bump(&mut self) {
-        self.bump_generation();
     }
 
     fn check(&self) -> Result<(), String> {
@@ -443,42 +422,32 @@ impl Unit for Program {
         self.procs.iter().map(Procedure::generation).collect()
     }
 
-    fn bump(&mut self) {
-        self.procs.iter_mut().for_each(Procedure::bump_generation);
-    }
-
     fn check(&self) -> Result<(), String> {
         verify_program_check(self)
     }
 }
 
 /// The one way a pass executes: under containment and timed (the clock
-/// stops before the bookkeeping), its generation kept honest — a change
-/// must move the generation, or a later pass could be served stale
-/// analyses, so a pass that reports one without stamping it gets the unit
-/// bumped defensively — and, with `verify`, whatever moved re-verified. A
+/// stops before the bookkeeping), and, with `verify`, re-verified when its
+/// stamp moved. Returns whether it moved — the pass changed the unit. A
 /// panic and output the verifier rejects are the same fault to the caller.
 fn run_pass<U: Unit>(
     unit: &mut U,
     verify: bool,
-    run: impl FnOnce(&mut U) -> PassOutcome,
-) -> (Instant, Duration, Result<PassOutcome, Fault>) {
+    run: impl FnOnce(&mut U),
+) -> (Instant, Duration, Result<bool, Fault>) {
     let before = unit.stamp();
     let start = Instant::now();
     let ran = contain(|| run(unit));
     let duration = start.elapsed();
     let checked = ran
         .map_err(|payload| (IncidentKind::Panic, panic_message(payload.as_ref())))
-        .and_then(|outcome| {
-            let mut moved = unit.stamp() != before;
-            if outcome.changed && !moved {
-                unit.bump();
-                moved = true;
-            }
+        .and_then(|()| {
+            let moved = unit.stamp() != before;
             if verify && moved {
                 unit.check().map_err(|d| (IncidentKind::VerifyFailed, d))?;
             }
-            Ok(outcome)
+            Ok(moved)
         });
     (start, duration, checked)
 }
@@ -568,11 +537,12 @@ impl PassCell {
 
 /// One recorded (pass × procedure) execution in a form the incremental
 /// session cache can serialize and replay: the statistics delta the pass
-/// contributed, whether it changed the procedure, and its analysis-cache
-/// activity. Durations are deliberately absent — they are wall-clock data
-/// and replay as [`Duration::ZERO`], keeping everything the opt report
-/// derives from a warm run byte-identical to the cold run. (A session
-/// manifest keeps each whole-program stage's record as one cell too.)
+/// contributed, whether it moved the procedure's generation, and its
+/// analysis-cache activity. Durations are deliberately absent — they are
+/// wall-clock data and replay as [`Duration::ZERO`], keeping everything
+/// the opt report derives from a warm run byte-identical to the cold run.
+/// (A session manifest keeps each whole-program stage's record as one
+/// cell too.)
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct RecordedCell {
     /// The pass name (checked against the pipeline's per-procedure pass
@@ -581,7 +551,7 @@ pub struct RecordedCell {
     pub pass: String,
     /// The statistics delta the pass contributed to this procedure.
     pub delta: Reports,
-    /// Whether the pass changed the procedure.
+    /// Whether the pass moved the procedure's generation.
     pub changed: bool,
     /// The analysis-cache counters of the original execution.
     pub cache: CacheStats,
@@ -767,7 +737,8 @@ fn run_proc_chain(
             continue;
         };
         // every debug run is a differential: the per-pass snapshot the
-        // replay replaced, kept to check the replay against
+        // replay replaced, kept to check the replay and the generation
+        // against
         let handed = cfg!(debug_assertions).then(|| proc.clone());
         let stats_before = slot.analyses.stats();
         let mut delta = Reports::default();
@@ -781,8 +752,16 @@ fn run_proc_chain(
             start: start.duration_since(env.epoch),
             duration,
         });
-        let outcome = match ran {
-            Ok(outcome) => outcome,
+        let changed = match ran {
+            Ok(moved) => {
+                debug_assert!(
+                    moved || handed.is_none_or(|h| *proc == h),
+                    "`{}` changed `{}` without moving its generation",
+                    pass.name(),
+                    proc.name
+                );
+                moved
+            }
             Err((kind, mut detail)) => {
                 match roll_back(proc, entry, &group[..k], &env.cx) {
                     Ok(()) => debug_assert!(
@@ -820,7 +799,7 @@ fn run_proc_chain(
         cells.push(PassCell {
             duration,
             delta,
-            changed: outcome.changed,
+            changed,
             cache: slot.analyses.stats().delta_since(&stats_before),
             status: CellStatus::Ran,
         });
@@ -1166,7 +1145,12 @@ impl Run<'_> {
             duration,
         });
         let changed = match ran {
-            Ok(outcome) => {
+            Ok(moved) => {
+                debug_assert!(
+                    moved || *program == backup,
+                    "`{}` changed the program without moving a generation",
+                    pass.name()
+                );
                 self.resync(program);
                 for (p, slot) in program.procs.iter().zip(&mut self.slots) {
                     if p.generation() != slot.seen_gen {
@@ -1177,7 +1161,7 @@ impl Run<'_> {
                         self.moved = true;
                     }
                 }
-                outcome.changed
+                moved
             }
             Err((kind, detail)) => {
                 *program = backup;
@@ -1349,22 +1333,17 @@ impl Pass for InlinePass {
         "inline"
     }
 
-    fn run(&self, program: &mut Program, _: &PassContext<'_>, delta: &mut Reports) -> PassOutcome {
-        let r = titanc_inline::inline_program(program);
-        let changed = r.inlined > 0 || r.statics_externalized > 0;
-        delta.inline.merge(r);
-        PassOutcome { changed }
+    fn run(&self, program: &mut Program, _: &PassContext<'_>, delta: &mut Reports) {
+        delta.inline.merge(titanc_inline::inline_program(program));
     }
 }
 
-/// One row of [`PROC_PASSES`]: the stable pass name, the transformation
-/// (its report placed in the matching [`Reports`] slot), and the
-/// predicate that reads "the procedure changed" off that report.
+/// One row of [`PROC_PASSES`]: the stable pass name and the
+/// transformation (its report placed in the matching [`Reports`] slot).
 #[derive(Clone, Copy)]
 struct TablePass {
     name: &'static str,
     run: fn(&mut Procedure, &PassContext<'_>, &mut ProcAnalyses) -> Reports,
-    changed: fn(&Reports) -> bool,
 }
 
 impl ProcPass for TablePass {
@@ -1378,11 +1357,8 @@ impl ProcPass for TablePass {
         cx: &PassContext<'_>,
         analyses: &mut ProcAnalyses,
         delta: &mut Reports,
-    ) -> PassOutcome {
-        let r = (self.run)(proc, cx, analyses);
-        let changed = (self.changed)(&r);
-        delta.merge(r);
-        PassOutcome { changed }
+    ) {
+        delta.merge((self.run)(proc, cx, analyses));
     }
 }
 
@@ -1402,7 +1378,6 @@ const PROC_PASSES: [TablePass; 9] = [
             whiledo: titanc_opt::convert_while_loops_cached(p, a),
             ..Reports::default()
         },
-        changed: |r| r.whiledo.converted > 0,
     },
     TablePass {
         name: "ivsub",
@@ -1410,7 +1385,6 @@ const PROC_PASSES: [TablePass; 9] = [
             ivsub: titanc_opt::induction_substitution(p),
             ..Reports::default()
         },
-        changed: |r| r.ivsub.substituted > 0,
     },
     TablePass {
         name: "forward",
@@ -1418,7 +1392,6 @@ const PROC_PASSES: [TablePass; 9] = [
             forward: titanc_opt::forward_substitute(p),
             ..Reports::default()
         },
-        changed: |r| r.forward.substituted > 0,
     },
     TablePass {
         name: "constprop",
@@ -1426,7 +1399,6 @@ const PROC_PASSES: [TablePass; 9] = [
             constprop: titanc_opt::constant_propagation_cached(p, a),
             ..Reports::default()
         },
-        changed: |r| r.constprop.replaced > 0 || r.constprop.removed > 0,
     },
     TablePass {
         name: "dce",
@@ -1434,7 +1406,6 @@ const PROC_PASSES: [TablePass; 9] = [
             dce: titanc_opt::eliminate_dead_code_cached(p, a),
             ..Reports::default()
         },
-        changed: |r| r.dce.removed > 0,
     },
     TablePass {
         name: "cse",
@@ -1442,7 +1413,6 @@ const PROC_PASSES: [TablePass; 9] = [
             cse: titanc_opt::local_cse(p),
             ..Reports::default()
         },
-        changed: |r| r.cse.commoned > 0,
     },
     TablePass {
         name: "spread_lists",
@@ -1450,7 +1420,6 @@ const PROC_PASSES: [TablePass; 9] = [
             spread: titanc_vector::spread_list_loops(p),
             ..Reports::default()
         },
-        changed: |r| r.spread.spread > 0,
     },
     TablePass {
         name: "vectorize",
@@ -1465,7 +1434,6 @@ const PROC_PASSES: [TablePass; 9] = [
                 ..Reports::default()
             }
         },
-        changed: |r| r.vector.vectorized > 0 || r.vector.spread > 0,
     },
     TablePass {
         name: "strength",
@@ -1473,7 +1441,6 @@ const PROC_PASSES: [TablePass; 9] = [
             strength: titanc_vector::strength_reduce(p, cx.options.aliasing),
             ..Reports::default()
         },
-        changed: |r| r.strength.promoted > 0 || r.strength.reduced > 0 || r.strength.hoisted > 0,
     },
 ];
 
@@ -1497,7 +1464,6 @@ mod tests {
             p.body.clear();
             panic!("injected fault")
         },
-        changed: |_| false,
     };
 
     fn countdown() -> Procedure {

@@ -348,18 +348,22 @@ fn stats_block(r: &Reports) -> String {
     let _ = writeln!(
         out,
         "inline:     {} sites ({} recursive skipped, {} growth-budget skipped)",
-        r.inline.inlined, r.inline.skipped_recursive, r.inline.skipped_growth
+        r.count("expanded"),
+        r.count("skipped_recursive"),
+        r.count("skipped_growth")
     );
     let _ = writeln!(
         out,
         "while->DO:  {} converted, {} rejected",
-        r.whiledo.converted,
-        r.whiledo.rejects.len()
+        r.count("do_converted"),
+        r.count("do_rejected")
     );
     let _ = writeln!(
         out,
         "ivsub:      {} variables, {} passes, {} backtracks",
-        r.ivsub.substituted, r.ivsub.passes, r.ivsub.backtracks
+        titanc_il::LoopDecision::ivs_substituted(&r.ivsub.events),
+        r.ivsub.passes,
+        r.ivsub.backtracks
     );
     let _ = writeln!(out, "forward:    {} substitutions", r.forward.substituted);
     let _ = writeln!(
@@ -371,7 +375,9 @@ fn stats_block(r: &Reports) -> String {
     let _ = writeln!(
         out,
         "vectorizer: {} vectorized, {} spread, {} scalar",
-        r.vector.vectorized, r.vector.spread, r.vector.scalar
+        r.count("vectorized"),
+        r.count("parallelized"),
+        r.vector.scalar
     );
     let _ = writeln!(
         out,
@@ -418,13 +424,12 @@ impl crate::ProcPass for InjectPanic {
         _cx: &crate::PassContext<'_>,
         _analyses: &mut crate::ProcAnalyses,
         _delta: &mut Reports,
-    ) -> crate::PassOutcome {
+    ) {
         assert!(
             proc.name != self.target,
             "injected fault in `{}`",
             proc.name
         );
-        crate::PassOutcome::unchanged()
     }
 }
 

@@ -102,8 +102,10 @@ use crate::{
 /// loading `x = E` that is read after its window, and its loads stop at
 /// assignments to globals and addressed locals; the key hashes pass
 /// names, not what the passes do, so an entry from 4 would replay IL that
-/// computes `E` twice.)
-const ENTRY_VERSION: u32 = 5;
+/// computes `E` twice. 6: loop and call-site counts left the reports for
+/// their decision events, `DoRejected` carries a typed reason, and a
+/// `constprop` cell that only folded records `changed`.)
+const ENTRY_VERSION: u32 = 6;
 
 /// One input translation unit: a display name (normally the path) and
 /// its source text.
@@ -971,7 +973,7 @@ fn save_index(store: &mut CacheStore, name: &str, map: &BTreeMap<String, String>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{PassContext, PassOutcome, PassRecord};
+    use crate::{PassContext, PassRecord};
     use std::path::PathBuf;
 
     const SRC: &str = "float a[64], b[64];\n\
@@ -1109,12 +1111,11 @@ mod tests {
             "between"
         }
 
-        fn run(&self, program: &mut Program, _: &PassContext<'_>, _: &mut Reports) -> PassOutcome {
+        fn run(&self, program: &mut Program, _: &PassContext<'_>, _: &mut Reports) {
             if self.grow {
                 let extra = titanc_lower::compile_to_il("int grown(void) { return 7; }");
                 program.procs.extend(extra.expect("lowers").procs);
             }
-            PassOutcome { changed: self.grow }
         }
     }
 
@@ -1132,14 +1133,12 @@ mod tests {
             _: &PassContext<'_>,
             _: &mut crate::ProcAnalyses,
             delta: &mut Reports,
-        ) -> PassOutcome {
+        ) {
             let cse = titanc_opt::local_cse(proc);
-            let changed = cse.commoned > 0;
             delta.merge(Reports {
                 cse,
                 ..Reports::default()
             });
-            PassOutcome { changed }
         }
     }
 

@@ -24,7 +24,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use titanc_il::{InlineEvent, Json, LoopDecision, LoopEvent, SrcSpan};
+use titanc_il::{InlineEvent, InlineOutcome, Json, LoopDecision, LoopEvent, SrcSpan};
 
 use crate::pass::PassTrace;
 use crate::Reports;
@@ -42,23 +42,30 @@ pub struct Counters {
 
 impl Counters {
     /// Builds the counter set from one compilation's aggregate reports
-    /// and pass trace.
+    /// and pass trace. Every loop and call-site count is read off the
+    /// decision events; `loops.scalar` is the vectorizer's own count of
+    /// the innermost loops it left scalar.
     pub fn from_run(reports: &Reports, trace: &PassTrace) -> Counters {
         let mut c = Counters::default();
         let mut set = |k: &str, v: usize| {
             c.values.insert(k.to_string(), v as u64);
         };
-        set("loops.do_converted", reports.whiledo.converted);
-        set("loops.do_rejected", reports.whiledo.rejects.len());
-        set("loops.iv_substituted", reports.ivsub.substituted);
-        set("loops.vectorized", reports.vector.vectorized);
-        set("loops.parallelized", reports.vector.spread);
+        let tags = [
+            "do_converted",
+            "do_rejected",
+            "vectorized",
+            "parallelized",
+            "list_spread",
+        ];
+        for tag in tags {
+            set(&format!("loops.{tag}"), reports.count(tag));
+        }
+        let ivs = LoopDecision::ivs_substituted(&reports.ivsub.events);
+        set("loops.iv_substituted", ivs);
         set("loops.scalar", reports.vector.scalar);
-        set("loops.list_spread", reports.spread.spread);
-        set("inline.expanded", reports.inline.inlined);
-        set("inline.skipped_recursive", reports.inline.skipped_recursive);
-        set("inline.skipped_size", reports.inline.skipped_size);
-        set("inline.skipped_growth", reports.inline.skipped_growth);
+        for tag in InlineOutcome::TAGS {
+            set(&format!("inline.{tag}"), reports.count(tag));
+        }
         let cache = trace.cache_totals();
         set("cache.hits", cache.hits());
         set("cache.builds", cache.builds());
@@ -165,14 +172,7 @@ impl OptReport {
                 .iter()
                 .position(|l| l.proc == e.proc && l.span == e.span)
         };
-        let all_events = reports
-            .whiledo
-            .events
-            .iter()
-            .chain(&reports.ivsub.events)
-            .chain(&reports.spread.events)
-            .chain(&reports.vector.events);
-        for e in all_events {
+        for e in reports.loop_events() {
             match find(&loops, e) {
                 Some(i) => {
                     if loops[i].var.is_empty() && !e.var.is_empty() {
@@ -376,7 +376,7 @@ fn classify(events: &[LoopEvent]) -> (&'static str, Option<String>) {
                 scalar_reason = Some(why.clone());
             }
             LoopDecision::DoRejected(why) if rejected_reason.is_none() => {
-                rejected_reason = Some(why.clone());
+                rejected_reason = Some(why.to_string());
             }
             _ => {}
         }
@@ -482,7 +482,7 @@ mod tests {
                 "f",
                 "",
                 9,
-                LoopDecision::DoRejected("volatile condition".into()),
+                LoopDecision::DoRejected(titanc_il::Reject::VolatileCond),
             ),
             ev(
                 "f",

@@ -203,23 +203,30 @@ pub fn value_to_expr(v: Value, ty: ScalarType) -> Expr {
 /// volatile-free). The root slot id stays valid.
 ///
 /// Folding never changes observable behaviour: volatile loads are preserved
-/// and division by a constant zero is left in place.
-pub fn fold_expr(pool: &mut ExprPool, root: ExprId) {
-    crate::visit::rewrite_expr(pool, root, &mut fold_node);
+/// and division by a constant zero is left in place. Returns whether any
+/// node was rewritten.
+pub fn fold_expr(pool: &mut ExprPool, root: ExprId) -> bool {
+    let mut rewrote = false;
+    crate::visit::rewrite_expr(pool, root, &mut |pool, id| {
+        if let Some(node) = fold_node(pool, id) {
+            pool[id] = node;
+            rewrote = true;
+        }
+    });
+    rewrote
 }
 
-fn fold_node(pool: &mut ExprPool, id: ExprId) {
+/// What the node at `id` folds to, when it folds.
+fn fold_node(pool: &ExprPool, id: ExprId) -> Option<Expr> {
     match pool[id] {
         Expr::Unary { op, ty, arg } => {
-            if let Some(v) = const_value(&pool[arg]) {
-                let result_ty = if op == UnOp::Not { ScalarType::Int } else { ty };
-                pool[id] = value_to_expr(eval_unop(op, ty, v), result_ty);
-            }
+            let v = const_value(&pool[arg])?;
+            let result_ty = if op == UnOp::Not { ScalarType::Int } else { ty };
+            Some(value_to_expr(eval_unop(op, ty, v), result_ty))
         }
         Expr::Cast { to, from, arg } => {
-            if let Some(v) = const_value(&pool[arg]) {
-                pool[id] = value_to_expr(eval_cast(to, from, v), to);
-            }
+            let v = const_value(&pool[arg])?;
+            Some(value_to_expr(eval_cast(to, from, v), to))
         }
         Expr::Binary { op, ty, lhs, rhs } => {
             let lhs_c = const_value(&pool[lhs]);
@@ -231,8 +238,7 @@ fn fold_node(pool: &mut ExprPool, id: ExprId) {
                     } else {
                         ty
                     };
-                    pool[id] = value_to_expr(v, result_ty);
-                    return;
+                    return Some(value_to_expr(v, result_ty));
                 }
             }
             // Algebraic identities, applied by hoisting the surviving
@@ -251,36 +257,24 @@ fn fold_node(pool: &mut ExprPool, id: ExprId) {
                 _ => false,
             };
             match op {
-                BinOp::Add => {
-                    if rhs_c.is_some_and(is_zero) {
-                        pool[id] = pool[lhs];
-                    } else if lhs_c.is_some_and(is_zero) {
-                        pool[id] = pool[rhs];
-                    }
-                }
-                BinOp::Sub if rhs_c.is_some_and(is_zero) => {
-                    pool[id] = pool[lhs];
-                }
-                BinOp::Mul => {
-                    if rhs_c.is_some_and(is_one) {
-                        pool[id] = pool[lhs];
-                    } else if lhs_c.is_some_and(is_one) {
-                        pool[id] = pool[rhs];
-                    } else if !ty.is_float()
+                BinOp::Add if rhs_c.is_some_and(is_zero) => Some(pool[lhs]),
+                BinOp::Add if lhs_c.is_some_and(is_zero) => Some(pool[rhs]),
+                BinOp::Sub if rhs_c.is_some_and(is_zero) => Some(pool[lhs]),
+                BinOp::Mul if rhs_c.is_some_and(is_one) => Some(pool[lhs]),
+                BinOp::Mul if lhs_c.is_some_and(is_one) => Some(pool[rhs]),
+                // 0*x -> 0 only when x has no volatile reads
+                BinOp::Mul
+                    if !ty.is_float()
                         && ((rhs_c.is_some_and(is_zero) && !pool.has_volatile_load(lhs))
-                            || (lhs_c.is_some_and(is_zero) && !pool.has_volatile_load(rhs)))
-                    {
-                        // 0*x -> 0 only when x has no volatile reads
-                        pool[id] = Expr::IntConst(0);
-                    }
+                            || (lhs_c.is_some_and(is_zero) && !pool.has_volatile_load(rhs))) =>
+                {
+                    Some(Expr::IntConst(0))
                 }
-                BinOp::Div if rhs_c.is_some_and(is_one) => {
-                    pool[id] = pool[lhs];
-                }
-                _ => {}
+                BinOp::Div if rhs_c.is_some_and(is_one) => Some(pool[lhs]),
+                _ => None,
             }
         }
-        _ => {}
+        _ => None,
     }
 }
 

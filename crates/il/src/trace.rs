@@ -18,15 +18,92 @@ use crate::span::SrcSpan;
 use crate::wire::{Reader, Wire, WireError};
 use std::fmt;
 
+/// Why a `while` loop was not converted to DO form (§5.2; the EXP5
+/// coverage table).
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Reject {
+    /// A branch from outside enters the loop body (§5.2 requirement 1).
+    BranchInto,
+    /// A branch inside the loop leaves it (early exit).
+    BranchOut,
+    /// The body contains a `return`.
+    HasReturn,
+    /// The condition reads a volatile object — a true `while` loop (§1).
+    VolatileCond,
+    /// The condition is not a recognizable iteration test.
+    CondForm,
+    /// The tested variable is addressed/volatile/global.
+    NotCandidate,
+    /// No single once-per-iteration step of the tested variable was found.
+    NoStep,
+    /// The variable is stepped more than once (or conditionally).
+    MultipleSteps,
+    /// The bound varies inside the loop (§5.2 requirement 2).
+    VaryingBound,
+    /// The step varies inside the loop.
+    VaryingStep,
+    /// Step direction can never satisfy the exit test (or `!=` with |step|
+    /// ≠ 1, which may step over the bound).
+    Direction,
+}
+
+impl Reject {
+    /// Every rejection, in declaration order.
+    pub const ALL: [Reject; 11] = [
+        Reject::BranchInto,
+        Reject::BranchOut,
+        Reject::HasReturn,
+        Reject::VolatileCond,
+        Reject::CondForm,
+        Reject::NotCandidate,
+        Reject::NoStep,
+        Reject::MultipleSteps,
+        Reject::VaryingBound,
+        Reject::VaryingStep,
+        Reject::Direction,
+    ];
+}
+
+impl fmt::Display for Reject {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            Reject::BranchInto => "branch into loop body",
+            Reject::BranchOut => "branch out of loop body",
+            Reject::HasReturn => "return inside loop body",
+            Reject::VolatileCond => "volatile condition",
+            Reject::CondForm => "unrecognized iteration test",
+            Reject::NotCandidate => "tested variable not a register candidate",
+            Reject::NoStep => "no once-per-iteration step",
+            Reject::MultipleSteps => "variable stepped more than once",
+            Reject::VaryingBound => "bound varies inside loop",
+            Reject::VaryingStep => "step varies inside loop",
+            Reject::Direction => "step direction cannot reach bound",
+        })
+    }
+}
+
+/// The tag byte is the rejection's position in [`Reject::ALL`].
+impl Wire for Reject {
+    const MIN_BYTES: usize = 1;
+
+    fn write_wire<S: ByteSink>(&self, out: &mut S) {
+        out.write(&[*self as u8]);
+    }
+
+    fn read_wire(r: &mut Reader<'_>) -> Result<Reject, WireError> {
+        r.pick(&Reject::ALL, "unknown while-to-DO rejection")
+    }
+}
+
 /// What one pass decided about one loop.
 #[derive(Clone, PartialEq, Debug)]
 pub enum LoopDecision {
     /// while→DO conversion succeeded (§5.2): the loop is now a candidate
     /// for induction-variable substitution and vectorization.
     DoConverted,
-    /// while→DO conversion rejected the loop; the payload names the §5.2
-    /// requirement that failed (branch into the body, volatile bound, …).
-    DoRejected(String),
+    /// while→DO conversion rejected the loop for the §5.2 requirement
+    /// that failed (branch into the body, volatile bound, …).
+    DoRejected(Reject),
     /// Induction-variable substitution ran on the loop.
     IvSubstituted {
         /// Auxiliary induction variables substituted away in this loop.
@@ -77,6 +154,16 @@ impl LoopDecision {
             LoopDecision::ListSpread => "list_spread",
             LoopDecision::Scalar(_) => "scalar",
         }
+    }
+
+    /// The induction variables substituted away over `events`: the sum of
+    /// their [`LoopDecision::IvSubstituted`] payloads.
+    pub fn ivs_substituted<'a>(events: impl IntoIterator<Item = &'a LoopEvent>) -> usize {
+        let subs = events.into_iter().map(|e| match e.decision {
+            LoopDecision::IvSubstituted { substituted } => substituted,
+            _ => 0,
+        });
+        subs.sum()
     }
 }
 
@@ -153,7 +240,7 @@ impl Wire for LoopDecision {
         Ok(
             match r.tag(LoopDecision::TAGS.len(), "unknown loop decision")? {
                 0 => LoopDecision::DoConverted,
-                1 => LoopDecision::DoRejected(String::read_wire(r)?),
+                1 => LoopDecision::DoRejected(Reject::read_wire(r)?),
                 2 => LoopDecision::IvSubstituted {
                     substituted: usize::read_wire(r)?,
                 },
@@ -367,7 +454,7 @@ mod tests {
         // list are its `TAGS`
         let loops = vec![
             LoopDecision::DoConverted,
-            LoopDecision::DoRejected("branch into body".into()),
+            LoopDecision::DoRejected(Reject::BranchInto),
             LoopDecision::IvSubstituted { substituted: 2 },
             LoopDecision::Vectorized {
                 stripped: true,
@@ -415,6 +502,16 @@ mod tests {
             let bytes = to_bytes(&e);
             assert_eq!(from_bytes::<InlineEvent>(&bytes), Ok(e));
         }
+    }
+
+    #[test]
+    fn a_rejection_is_its_position_in_all() {
+        for (i, r) in Reject::ALL.into_iter().enumerate() {
+            assert_eq!(r as usize, i);
+            assert_eq!(from_bytes::<Reject>(&to_bytes(&r)), Ok(r));
+        }
+        let past = [Reject::ALL.len() as u8];
+        assert!(from_bytes::<Reject>(&past).is_err());
     }
 
     #[test]

@@ -42,7 +42,7 @@
 //!      int main(void) { return square(6) + square(7); }",
 //! ).unwrap();
 //! let report = inline_program(&mut prog);
-//! assert_eq!(report.inlined, 2);
+//! assert_eq!(report.events.len(), 2, "both sites expanded");
 //! let main = prog.proc_by_name("main").unwrap();
 //! let mut calls = 0;
 //! main.for_each_stmt(&mut |_, kind| {
@@ -71,8 +71,8 @@ pub const MAX_CALLEE_SIZE: usize = 400;
 
 /// Per-caller IL growth budget: once a caller has grown past `MAX_GROWTH ×`
 /// its own pre-inlining statement count (plus [`GROWTH_SLACK`] for tiny
-/// callers), further sites in that caller are skipped and counted in
-/// [`InlineReport::skipped_growth`]. The budget is deliberately local to
+/// callers), further sites in that caller are skipped, each with an
+/// [`InlineOutcome::SkippedGrowth`] event. The budget is deliberately local to
 /// each caller — an edit to one procedure can then never flip an inline
 /// decision inside an unrelated one, which is what lets the incremental
 /// cache key each procedure on its inline dependency cone alone.
@@ -85,15 +85,6 @@ pub const GROWTH_SLACK: usize = 256;
 /// What the inliner did.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct InlineReport {
-    /// Call sites expanded.
-    pub inlined: usize,
-    /// Call sites skipped because the callee is (mutually) recursive.
-    pub skipped_recursive: usize,
-    /// Call sites skipped by the size budget.
-    pub skipped_size: usize,
-    /// Call sites skipped by the per-caller growth budget
-    /// ([`MAX_GROWTH`]).
-    pub skipped_growth: usize,
     /// `static` variables externalized.
     pub statics_externalized: usize,
     /// Per-call-site decisions (expanded / skipped with budget state),
@@ -108,26 +99,12 @@ impl InlineReport {
     /// Folds another report's counts into this one (used by the pass
     /// manager to aggregate per-pass deltas).
     pub fn merge(&mut self, other: InlineReport) {
-        self.inlined += other.inlined;
-        self.skipped_recursive += other.skipped_recursive;
-        self.skipped_size += other.skipped_size;
-        self.skipped_growth += other.skipped_growth;
         self.statics_externalized += other.statics_externalized;
         self.events.extend(other.events);
     }
 }
 
-titanc_il::struct_wire!(
-    InlineReport,
-    [
-        inlined,
-        skipped_recursive,
-        skipped_size,
-        skipped_growth,
-        statics_externalized,
-        events,
-    ]
-);
+titanc_il::struct_wire!(InlineReport, [statics_externalized, events]);
 
 /// Expands eligible call sites throughout the program.
 pub fn inline_program(prog: &mut Program) -> InlineReport {
@@ -204,7 +181,6 @@ pub fn inline_program(prog: &mut Program) -> InlineReport {
                     };
                     let inlinable =
                         if callee_name == caller_name || cg.is_recursive(prog, &callee_name) {
-                            report.skipped_recursive += 1;
                             report.events.push(event(InlineOutcome::SkippedRecursive));
                             false
                         } else {
@@ -215,7 +191,6 @@ pub fn inline_program(prog: &mut Program) -> InlineReport {
                                         callee_len: c.len(),
                                         cap: MAX_CALLEE_SIZE,
                                     });
-                                    report.skipped_size += 1;
                                     report.events.push(e);
                                     false
                                 }
@@ -224,7 +199,6 @@ pub fn inline_program(prog: &mut Program) -> InlineReport {
                                         caller_len,
                                         budget: growth_limit,
                                     });
-                                    report.skipped_growth += 1;
                                     report.events.push(e);
                                     false
                                 }
@@ -240,7 +214,6 @@ pub fn inline_program(prog: &mut Program) -> InlineReport {
                     if inline_site(&mut caller, site, &callee, prog) {
                         caller.restamp();
                         prog.procs[ci] = caller;
-                        report.inlined += 1;
                         report.events.push(event(InlineOutcome::Expanded));
                         // the spliced body's call sites take over this
                         // position; give them fresh ordinals so their

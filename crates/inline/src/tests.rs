@@ -5,6 +5,11 @@ use titanc_il::{pretty_proc, Catalog, InlineOutcome, Program, ScalarType, StmtKi
 use titanc_lower::compile_to_il;
 use titanc_titan::MachineConfig;
 
+/// Call sites the report records with the outcome tagged `tag`.
+fn sites(rep: &crate::InlineReport, tag: &str) -> usize {
+    rep.events.iter().filter(|e| e.outcome.tag() == tag).count()
+}
+
 fn count_calls(prog: &Program, name: &str) -> usize {
     let mut n = 0;
     prog.proc_by_name(name)
@@ -105,8 +110,8 @@ int main(void) { return fib(10); }
     let base = compile_to_il(src).unwrap();
     let mut inl = base.clone();
     let rep = inline_program(&mut inl);
-    assert_eq!(rep.inlined, 0);
-    assert!(rep.skipped_recursive > 0);
+    assert_eq!(sites(&rep, "expanded"), 0);
+    assert!(sites(&rep, "skipped_recursive") > 0);
     assert!(count_calls(&inl, "main") > 0);
 }
 
@@ -121,8 +126,8 @@ int main(void) { return even(10); }
     let base = compile_to_il(src).unwrap();
     let mut inl = base.clone();
     let rep = inline_program(&mut inl);
-    assert_eq!(rep.inlined, 0);
-    assert!(rep.skipped_recursive > 0);
+    assert_eq!(sites(&rep, "expanded"), 0);
+    assert!(sites(&rep, "skipped_recursive") > 0);
 }
 
 #[test]
@@ -155,7 +160,7 @@ int main(void) { counter(); return twice(); }
     let mut inl = base.clone();
     let rep = inline_program(&mut inl);
     assert_eq!(rep.statics_externalized, 1);
-    assert!(rep.inlined >= 2);
+    assert!(sites(&rep, "expanded") >= 2);
     assert!(inl.global_by_name("counter.count").is_some());
     let b = titanc_titan::observe(&base, MachineConfig::default(), "main", &[])
         .unwrap()
@@ -209,10 +214,10 @@ fn size_budget_respected() {
     assert_eq!(proc_len(&prog, "over"), MAX_CALLEE_SIZE + 1);
     assert_eq!(proc_len(&prog, "at"), MAX_CALLEE_SIZE);
     let rep = inline_program(&mut prog);
-    assert_eq!(rep.inlined, 1);
+    assert_eq!(sites(&rep, "expanded"), 1);
     // `calls_over` re-attempts (and re-skips) once per round
-    assert!(rep.skipped_size >= 1);
-    assert_eq!(rep.skipped_growth, 0);
+    assert!(sites(&rep, "skipped_size") >= 1);
+    assert_eq!(sites(&rep, "skipped_growth"), 0);
     let skipped: Vec<_> = rep.events.iter().map(|e| &e.outcome).collect();
     assert!(skipped.contains(&&InlineOutcome::SkippedSize {
         callee_len: MAX_CALLEE_SIZE + 1,
@@ -243,9 +248,12 @@ fn growth_budget_is_per_caller() {
     assert_eq!(proc_len(&prog, "lean"), edge - 1);
     assert_eq!(proc_len(&prog, "ample"), edge);
     let rep = inline_program(&mut prog);
-    assert_eq!(rep.inlined, 1, "ample's budget absorbs grow");
+    assert_eq!(sites(&rep, "expanded"), 1, "ample's budget absorbs grow");
     // `lean` re-attempts (and re-skips) once per round
-    assert!(rep.skipped_growth >= 1, "lean's budget rejects grow");
+    assert!(
+        sites(&rep, "skipped_growth") >= 1,
+        "lean's budget rejects grow"
+    );
     let lean_budget = (edge - 1) * MAX_GROWTH + GROWTH_SLACK;
     assert!(rep.events.iter().any(|e| e.caller == "lean"
         && e.outcome
@@ -264,7 +272,7 @@ fn unknown_callees_left_alone() {
     let src = "int main(void) { print_int(3); return 0; }";
     let mut prog = compile_to_il(src).unwrap();
     let rep = inline_program(&mut prog);
-    assert_eq!(rep.inlined, 0);
+    assert_eq!(sites(&rep, "expanded"), 0);
     assert_eq!(count_calls(&prog, "main"), 1);
 }
 
@@ -307,7 +315,7 @@ int main(void) { g_out = scale(2.0f, 21.0f); return (int)g_out; }
     let mut app = compile_to_il(app_src).unwrap();
     catalog.link_into(&mut app);
     let rep = inline_program(&mut app);
-    assert_eq!(rep.inlined, 1);
+    assert_eq!(sites(&rep, "expanded"), 1);
     assert_eq!(count_calls(&app, "main"), 0);
     let r = titanc_titan::observe(&app, MachineConfig::default(), "main", &[])
         .unwrap()

@@ -69,8 +69,9 @@ pub fn constant_propagation_no_unreachable(proc: &mut Procedure) -> ConstPropRep
 /// Each propagation round asks the cache for use–def chains instead of
 /// rebuilding them. Rounds that only *replace reads and fold expressions*
 /// preserve the statement set, definition sites, and control-flow edges,
-/// so the chains are repaired in place — the generation is bumped and the
-/// cache rekeyed ([`ProcAnalyses::rekey`], the §5.2 discipline) — and the
+/// so the chains are repaired in place — when the round rewrote anything
+/// (a fold alone included), the generation is bumped and the cache
+/// rekeyed ([`ProcAnalyses::rekey`], the §5.2 discipline) — and the
 /// next round is §8's re-seeding: it revisits only the statements reached
 /// by the definitions the last round made constant. Rounds that
 /// structurally simplify branches invalidate instead, and the round after
@@ -100,12 +101,12 @@ fn run(
 
         // 1. propagate constants along use-def chains, 2. fold what that
         // rewrote (slot rewrite: ids in statements stay valid)
-        let (replaced, newly_const) =
+        let (replaced, folded, newly_const) =
             propagate_once(proc, analyses, seeds, &mut const_defs, &mut report);
         let mut changed = replaced;
         seeds = Some(newly_const);
 
-        if replaced > 0 {
+        if replaced > 0 || folded {
             // pure expression rewrites: repair the chains instead of
             // invalidating them (§5.2) — the next round hits the cache
             proc.bump_generation();
@@ -154,14 +155,15 @@ fn literal_def(proc: &Procedure, ud: &UseDef, s: StmtId) -> Option<(VarId, Value
 /// reach and the roots rewritten — with the statement set and the chains
 /// unchanged, a read becomes replaceable only when one of its reaching
 /// definitions becomes a literal. Returns the (statement, variable) pairs
-/// replaced and the definitions folding made constant.
+/// replaced, whether folding rewrote a node, and the definitions folding
+/// made constant.
 fn propagate_once(
     proc: &mut Procedure,
     analyses: &mut ProcAnalyses,
     seeds: Option<Vec<StmtId>>,
     const_defs: &mut ConstDefs,
     report: &mut ConstPropReport,
-) -> (usize, Vec<StmtId>) {
+) -> (usize, bool, Vec<StmtId>) {
     let ud = analyses.usedef(proc);
     let sweep = seeds.is_none();
 
@@ -232,16 +234,17 @@ fn propagate_once(
         plan.iter().map(|p| p.0).collect()
     };
     rewritten.dedup();
+    let mut folded = false;
     rewritten.retain(|&s| {
         for e in proc.stmts[s].exprs() {
-            fold_expr(&mut proc.exprs, e);
+            folded |= fold_expr(&mut proc.exprs, e);
         }
         const_defs[s.index()].is_none() && {
             const_defs[s.index()] = literal_def(proc, &ud, s);
             const_defs[s.index()].is_some()
         }
     });
-    (plan.len(), rewritten)
+    (plan.len(), folded, rewritten)
 }
 
 /// Replaces branches with constant conditions by the taken path; removes

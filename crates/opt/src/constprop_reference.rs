@@ -43,11 +43,12 @@ fn run(proc: &mut Procedure, simplify_branches: bool, analyses: &mut ProcAnalyse
         titanc_il::visit::walk_block(&proc.stmts, &proc.body, &mut |_, kind| {
             roots.extend(kind.exprs())
         });
+        let mut folded = false;
         for r in roots {
-            fold_expr(&mut proc.exprs, r);
+            folded |= fold_expr(&mut proc.exprs, r);
         }
 
-        if replaced > 0 {
+        if replaced > 0 || folded {
             // pure expression rewrites: repair the chains instead of
             // invalidating them (§5.2) — the next round hits the cache
             proc.bump_generation();

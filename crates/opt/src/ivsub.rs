@@ -37,8 +37,6 @@ pub const MAX_PASSES: usize = 64;
 /// Substitution statistics (EXP6 measures `passes` and `backtracks`).
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct IvSubReport {
-    /// Auxiliary induction variables substituted away.
-    pub substituted: usize,
     /// Scan passes over loop bodies.
     pub passes: usize,
     /// Candidates that succeeded only after being unblocked by an earlier
@@ -48,7 +46,8 @@ pub struct IvSubReport {
     /// finding substitutions.
     pub budget_exhausted: bool,
     /// Per-loop substitution events (loops where at least one auxiliary
-    /// induction variable was removed), with source spans.
+    /// induction variable was removed), with source spans; their payloads
+    /// sum to the variables substituted away.
     pub events: Vec<titanc_il::LoopEvent>,
 }
 
@@ -56,7 +55,6 @@ impl IvSubReport {
     /// Folds another report's counts into this one (used by the pass
     /// manager to aggregate per-pass deltas).
     pub fn merge(&mut self, other: IvSubReport) {
-        self.substituted += other.substituted;
         self.passes += other.passes;
         self.backtracks += other.backtracks;
         self.budget_exhausted |= other.budget_exhausted;
@@ -64,10 +62,7 @@ impl IvSubReport {
     }
 }
 
-titanc_il::struct_wire!(
-    IvSubReport,
-    [substituted, passes, backtracks, budget_exhausted, events]
-);
+titanc_il::struct_wire!(IvSubReport, [passes, backtracks, budget_exhausted, events]);
 
 /// Runs induction-variable substitution on every DO loop of the procedure.
 pub fn induction_substitution(proc: &mut Procedure) -> IvSubReport {
@@ -84,7 +79,7 @@ pub fn induction_substitution(proc: &mut Procedure) -> IvSubReport {
         }
         i + 1
     });
-    if report.substituted > 0 {
+    if !report.events.is_empty() {
         proc.bump_generation();
     }
     report
@@ -131,7 +126,6 @@ fn substitute_in_loop(
         pass += 1;
         report.passes += 1;
         let subs = one_pass(proc, block, pos);
-        report.substituted += subs;
         loop_subs += subs;
         if pass > 1 {
             report.backtracks += subs;
@@ -406,6 +400,10 @@ mod tests {
     use titanc_il::pretty_proc;
     use titanc_lower::compile_to_il;
 
+    fn substituted(rep: &IvSubReport) -> usize {
+        titanc_il::LoopDecision::ivs_substituted(&rep.events)
+    }
+
     fn prep(src: &str) -> Procedure {
         let prog = compile_to_il(src).unwrap();
         let mut proc = prog.procs[0].clone();
@@ -419,7 +417,7 @@ mod tests {
             prep("void copy(float *a, float *b, int n) { while (n) { *a++ = *b++; n--; } }");
         let rep = induction_substitution(&mut proc);
         // a, b and n are all auxiliary induction variables
-        assert_eq!(rep.substituted, 3, "{}", pretty_proc(&proc));
+        assert_eq!(substituted(&rep), 3, "{}", pretty_proc(&proc));
         let text = pretty_proc(&proc);
         // the walking pointers are replaced by affine expressions of the
         // dummy counter
@@ -430,7 +428,7 @@ mod tests {
     fn single_pass_for_simple_loops() {
         let mut proc = prep("void f(float *a, int n) { int i; for (i = 0; i < n; i++) *a++ = 0; }");
         let rep = induction_substitution(&mut proc);
-        assert!(rep.substituted >= 1);
+        assert!(substituted(&rep) >= 1);
         // substitution finishes in one productive pass + one empty pass
         assert!(rep.passes <= 4, "passes = {}", rep.passes);
     }

@@ -26,4 +26,4 @@ pub use cse::{local_cse, CseReport};
 pub use dce::{eliminate_dead_code, eliminate_dead_code_cached, DceReport};
 pub use forward::{forward_substitute, ForwardReport};
 pub use ivsub::{induction_substitution, IvSubReport};
-pub use whiledo::{convert_while_loops, convert_while_loops_cached, Reject, WhileDoReport};
+pub use whiledo::{convert_while_loops, convert_while_loops_cached, WhileDoReport};

@@ -24,115 +24,28 @@
 use crate::util::{defined_in, invariant_in, register_candidate, resolve_copy};
 use titanc_analysis::{loops, Cfg, ProcAnalyses};
 use titanc_il::visit::{edit_tree, Order};
-use titanc_il::wire::{Reader, Wire, WireError};
 use titanc_il::{
-    BinOp, ByteSink, Expr, ExprId, LValue, LoopDecision, LoopEvent, Procedure, ScalarType, StmtId,
+    BinOp, Expr, ExprId, LValue, LoopDecision, LoopEvent, Procedure, Reject, ScalarType, StmtId,
     StmtKind, Type, VarId,
 };
 
-/// Why a `while` loop was not converted (the EXP5 coverage table).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum Reject {
-    /// A branch from outside enters the loop body (§5.2 requirement 1).
-    BranchInto,
-    /// A branch inside the loop leaves it (early exit).
-    BranchOut,
-    /// The body contains a `return`.
-    HasReturn,
-    /// The condition reads a volatile object — a true `while` loop (§1).
-    VolatileCond,
-    /// The condition is not a recognizable iteration test.
-    CondForm,
-    /// The tested variable is addressed/volatile/global.
-    NotCandidate,
-    /// No single once-per-iteration step of the tested variable was found.
-    NoStep,
-    /// The variable is stepped more than once (or conditionally).
-    MultipleSteps,
-    /// The bound varies inside the loop (§5.2 requirement 2).
-    VaryingBound,
-    /// The step varies inside the loop.
-    VaryingStep,
-    /// Step direction can never satisfy the exit test (or `!=` with |step|
-    /// ≠ 1, which may step over the bound).
-    Direction,
-}
-
-impl Reject {
-    /// Every rejection, in declaration order.
-    pub const ALL: [Reject; 11] = [
-        Reject::BranchInto,
-        Reject::BranchOut,
-        Reject::HasReturn,
-        Reject::VolatileCond,
-        Reject::CondForm,
-        Reject::NotCandidate,
-        Reject::NoStep,
-        Reject::MultipleSteps,
-        Reject::VaryingBound,
-        Reject::VaryingStep,
-        Reject::Direction,
-    ];
-
-    /// A short human-readable reason, used by loop-level opt reports.
-    pub fn describe(self) -> &'static str {
-        match self {
-            Reject::BranchInto => "branch into loop body",
-            Reject::BranchOut => "branch out of loop body",
-            Reject::HasReturn => "return inside loop body",
-            Reject::VolatileCond => "volatile condition",
-            Reject::CondForm => "unrecognized iteration test",
-            Reject::NotCandidate => "tested variable not a register candidate",
-            Reject::NoStep => "no once-per-iteration step",
-            Reject::MultipleSteps => "variable stepped more than once",
-            Reject::VaryingBound => "bound varies inside loop",
-            Reject::VaryingStep => "step varies inside loop",
-            Reject::Direction => "step direction cannot reach bound",
-        }
-    }
-}
-
-impl std::fmt::Display for Reject {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.describe())
-    }
-}
-
-/// Conversion statistics for one procedure.
+/// Conversion decisions for one procedure.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct WhileDoReport {
-    /// Number of loops converted.
-    pub converted: usize,
-    /// Rejected loops with reasons.
-    pub rejects: Vec<(StmtId, Reject)>,
-    /// Per-loop decision events (converted / rejected) with source spans.
+    /// One event per `while` loop: converted, or rejected with its
+    /// [`Reject`] reason.
     pub events: Vec<LoopEvent>,
 }
 
 impl WhileDoReport {
-    /// Folds another report's counts into this one (used by the pass
-    /// manager to aggregate per-pass deltas).
+    /// Folds another report into this one (used by the pass manager to
+    /// aggregate per-pass deltas).
     pub fn merge(&mut self, other: WhileDoReport) {
-        self.converted += other.converted;
-        self.rejects.extend(other.rejects);
         self.events.extend(other.events);
     }
 }
 
-/// The tag byte is the rejection's position in [`Reject::ALL`].
-impl Wire for Reject {
-    const MIN_BYTES: usize = 1;
-
-    fn write_wire<S: ByteSink>(&self, out: &mut S) {
-        out.write(&[*self as u8]);
-    }
-
-    fn read_wire(r: &mut Reader<'_>) -> Result<Reject, WireError> {
-        r.pick(&Reject::ALL, "unknown while-to-DO rejection")
-    }
-}
-
-titanc_il::struct_wire!(WhileDoReport, [converted, rejects, events]);
+titanc_il::struct_wire!(WhileDoReport, [events]);
 
 /// Converts every eligible `while` loop of the procedure into a `DoLoop`.
 pub fn convert_while_loops(proc: &mut Procedure) -> WhileDoReport {
@@ -157,6 +70,7 @@ pub fn convert_while_loops_cached(
     analyses: &mut ProcAnalyses,
 ) -> WhileDoReport {
     let mut report = WhileDoReport::default();
+    let mut converted = false;
     let cfg = analyses.cfg(proc);
     // preorder with the block in hand: each `While` is decided before the
     // loops nested in it, and a conversion splices its three statements in
@@ -168,7 +82,7 @@ pub fn convert_while_loops_cached(
             return i;
         }
         let span = proc.stmts.span(s);
-        if report.converted > 0 {
+        if converted {
             // reusing the CFG past a mutation is the repaired-analysis path
             analyses.note_repair();
         }
@@ -177,14 +91,10 @@ pub fn convert_while_loops_cached(
                 let var = proc.var(plan.iv).name.clone();
                 block.splice(i..=i, apply(proc, s, span, plan));
                 proc.bump_generation();
-                report.converted += 1;
+                converted = true;
                 (var, LoopDecision::DoConverted, i + 2)
             }
-            Err(r) => {
-                report.rejects.push((s, r));
-                let why = r.describe().to_string();
-                (String::new(), LoopDecision::DoRejected(why), i)
-            }
+            Err(r) => (String::new(), LoopDecision::DoRejected(r), i),
         };
         report.events.push(LoopEvent {
             proc: proc.name.clone(),
@@ -494,22 +404,27 @@ mod tests {
     use super::*;
     use titanc_lower::compile_to_il;
 
-    #[test]
-    fn a_rejection_is_its_position_in_all() {
-        for (i, r) in Reject::ALL.into_iter().enumerate() {
-            assert_eq!(r as usize, i);
-            let bytes = titanc_il::wire::to_bytes(&r);
-            assert_eq!(titanc_il::wire::from_bytes::<Reject>(&bytes), Ok(r));
-        }
-        let past = [Reject::ALL.len() as u8];
-        assert!(titanc_il::wire::from_bytes::<Reject>(&past).is_err());
-    }
-
     fn convert(src: &str) -> (Procedure, WhileDoReport) {
         let prog = compile_to_il(src).unwrap();
         let mut proc = prog.procs[0].clone();
         let report = convert_while_loops(&mut proc);
         (proc, report)
+    }
+
+    fn converted(rep: &WhileDoReport) -> usize {
+        let converted = rep
+            .events
+            .iter()
+            .filter(|e| e.decision == LoopDecision::DoConverted);
+        converted.count()
+    }
+
+    fn rejects(rep: &WhileDoReport) -> Vec<Reject> {
+        let reasons = rep.events.iter().filter_map(|e| match e.decision {
+            LoopDecision::DoRejected(r) => Some(r),
+            _ => None,
+        });
+        reasons.collect()
     }
 
     fn first_do(proc: &Procedure) -> Option<StmtKind> {
@@ -526,7 +441,7 @@ mod tests {
     fn converts_canonical_for_loop() {
         let (proc, rep) =
             convert("void f(float *a, int n) { int i; for (i = 0; i < n; i++) a[i] = 0; }");
-        assert_eq!(rep.converted, 1, "{:?}", rep.rejects);
+        assert_eq!(converted(&rep), 1, "{:?}", rep.events);
         let d = first_do(&proc).unwrap();
         if let StmtKind::DoLoop { step, .. } = &d {
             assert_eq!(proc.exprs.as_int(*step), Some(1));
@@ -548,7 +463,7 @@ void f(int n, int s)
 }
 "#;
         let (proc, rep) = convert(src);
-        assert_eq!(rep.converted, 1, "{:?}", rep.rejects);
+        assert_eq!(converted(&rep), 1, "{:?}", rep.events);
         let d = first_do(&proc).unwrap();
         if let StmtKind::DoLoop { step, .. } = &d {
             assert!(
@@ -562,7 +477,7 @@ void f(int n, int s)
     fn converts_pointer_walk_countdown() {
         let (proc, rep) =
             convert("void copy(float *a, float *b, int n) { while (n) { *a++ = *b++; n--; } }");
-        assert_eq!(rep.converted, 1, "{:?}", rep.rejects);
+        assert_eq!(converted(&rep), 1, "{:?}", rep.events);
         let d = first_do(&proc).unwrap();
         if let StmtKind::DoLoop { step, .. } = &d {
             assert_eq!(proc.exprs.as_int(*step), Some(-1));
@@ -582,46 +497,46 @@ inside:
 }
 "#;
         let (_proc, rep) = convert(src);
-        assert_eq!(rep.converted, 0);
-        assert_eq!(rep.rejects[0].1, Reject::BranchInto);
+        assert_eq!(converted(&rep), 0);
+        assert_eq!(rejects(&rep)[0], Reject::BranchInto);
     }
 
     #[test]
     fn rejects_break_out() {
         let (_p, rep) = convert("void f(int n) { while (n) { if (n == 3) break; n--; } }");
-        assert_eq!(rep.converted, 0);
-        assert_eq!(rep.rejects[0].1, Reject::BranchOut);
+        assert_eq!(converted(&rep), 0);
+        assert_eq!(rejects(&rep)[0], Reject::BranchOut);
     }
 
     #[test]
     fn rejects_varying_bound() {
         let (_p, rep) =
             convert("void f(int n, int b) { int i; for (i = 0; i < b; i++) { b = b - 1; } }");
-        assert_eq!(rep.converted, 0);
-        assert_eq!(rep.rejects[0].1, Reject::VaryingBound);
+        assert_eq!(converted(&rep), 0);
+        assert_eq!(rejects(&rep)[0], Reject::VaryingBound);
     }
 
     #[test]
     fn rejects_varying_stride() {
         let (_p, rep) =
             convert("void f(int n, int s) { int i; for (i = 0; i < n; i += s) { s = s + 1; } }");
-        assert_eq!(rep.converted, 0);
-        assert_eq!(rep.rejects[0].1, Reject::VaryingStep);
+        assert_eq!(converted(&rep), 0);
+        assert_eq!(rejects(&rep)[0], Reject::VaryingStep);
     }
 
     #[test]
     fn rejects_volatile_condition() {
         let (_p, rep) = convert("volatile int status; void f(void) { while (!status); }");
-        assert_eq!(rep.converted, 0);
-        assert_eq!(rep.rejects[0].1, Reject::VolatileCond);
+        assert_eq!(converted(&rep), 0);
+        assert_eq!(rejects(&rep)[0], Reject::VolatileCond);
     }
 
     #[test]
     fn rejects_conditional_step() {
         let (_p, rep) =
             convert("void f(int n, int c) { int i; i = 0; while (i < n) { if (c) i = i + 1; } }");
-        assert_eq!(rep.converted, 0);
-        assert_eq!(rep.rejects[0].1, Reject::MultipleSteps);
+        assert_eq!(converted(&rep), 0);
+        assert_eq!(rejects(&rep)[0], Reject::MultipleSteps);
     }
 
     #[test]
@@ -632,26 +547,25 @@ struct node { int v; struct node *next; };
 void f(struct node *p) { while (p) { p = p->next; } }
 "#;
         let (_p, rep) = convert(src);
-        assert_eq!(rep.converted, 0);
-        assert_eq!(rep.rejects[0].1, Reject::NoStep);
+        assert_eq!(converted(&rep), 0);
+        assert_eq!(rejects(&rep)[0], Reject::NoStep);
     }
 
     #[test]
     fn rejects_return_inside() {
         let (_p, rep) =
             convert("int f(int n) { while (n) { if (n == 2) return 1; n--; } return 0; }");
-        assert_eq!(rep.converted, 0);
-        assert!(rep
-            .rejects
+        assert_eq!(converted(&rep), 0);
+        assert!(rejects(&rep)
             .iter()
-            .any(|(_, r)| matches!(r, Reject::HasReturn | Reject::BranchOut)));
+            .any(|r| matches!(r, Reject::HasReturn | Reject::BranchOut)));
     }
 
     #[test]
     fn converts_ge_countdown() {
         let (proc, rep) =
             convert("void f(float *a, int n) { int i; for (i = n; i >= 0; i--) a[i] = 0; }");
-        assert_eq!(rep.converted, 1, "{:?}", rep.rejects);
+        assert_eq!(converted(&rep), 1, "{:?}", rep.events);
         let d = first_do(&proc).unwrap();
         if let StmtKind::DoLoop { step, .. } = &d {
             assert_eq!(proc.exprs.as_int(*step), Some(-1));
@@ -661,17 +575,17 @@ void f(struct node *p) { while (p) { p = p->next; } }
     #[test]
     fn rejects_wrong_direction() {
         let (_p, rep) = convert("void f(int n) { int i; for (i = 0; i < n; i--) { ; } }");
-        assert_eq!(rep.converted, 0);
-        assert_eq!(rep.rejects[0].1, Reject::Direction);
+        assert_eq!(converted(&rep), 0);
+        assert_eq!(rejects(&rep)[0], Reject::Direction);
     }
 
     #[test]
     fn ne_condition_requires_unit_step() {
         let (_p, rep) = convert("void f(int n) { int i; for (i = 0; i != n; i += 2) { ; } }");
-        assert_eq!(rep.converted, 0);
-        assert_eq!(rep.rejects[0].1, Reject::Direction);
+        assert_eq!(converted(&rep), 0);
+        assert_eq!(rejects(&rep)[0], Reject::Direction);
         let (_p2, rep2) = convert("void f(int n) { int i; for (i = 0; i != n; i++) { ; } }");
-        assert_eq!(rep2.converted, 1);
+        assert_eq!(converted(&rep2), 1);
     }
 
     #[test]
@@ -686,7 +600,7 @@ void f(float *a, int n, int m)
 }
 "#;
         let (_p, rep) = convert(src);
-        assert_eq!(rep.converted, 2, "{:?}", rep.rejects);
+        assert_eq!(converted(&rep), 2, "{:?}", rep.events);
     }
 
     #[test]
@@ -694,7 +608,7 @@ void f(float *a, int n, int m)
         let src =
             "void f(float *a, float *b, int n) {\n#pragma safe\nwhile (n) { *a++ = *b++; n--; } }";
         let (proc, rep) = convert(src);
-        assert_eq!(rep.converted, 1);
+        assert_eq!(converted(&rep), 1);
         let d = first_do(&proc).unwrap();
         assert!(matches!(d, StmtKind::DoLoop { safe: true, .. }));
     }
@@ -717,7 +631,7 @@ int main(void)
         let prog = compile_to_il(src).unwrap();
         let mut opt_prog = prog.clone();
         let rep = convert_while_loops(&mut opt_prog.procs[0]);
-        assert_eq!(rep.converted, 1);
+        assert_eq!(converted(&rep), 1);
         let cfg = titanc_titan::MachineConfig::default;
         let (before, _) =
             titanc_titan::observe(&prog, cfg(), "main", &[("out_g", ScalarType::Int, 1)]).unwrap();

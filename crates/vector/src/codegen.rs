@@ -58,17 +58,13 @@ const MAX_VL: i64 = 2048;
 /// What happened to each loop.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct VectorReport {
-    /// Loops fully vectorized.
-    pub vectorized: usize,
-    /// Loops converted to `do parallel` without vectorizing.
-    pub spread: usize,
-    /// Loops left scalar.
+    /// Innermost loops left scalar.
     pub scalar: usize,
     /// One human-readable note per scalar loop, naming the defeating
     /// dependence or construct (surfaced as compiler remarks).
     pub notes: Vec<String>,
     /// Per-loop decision events with source spans, covering every loop of
-    /// the procedure: visited innermost loops (vectorized / spread /
+    /// the procedure: visited innermost loops (vectorized / parallelized /
     /// scalar-with-reason) plus the end-of-pass sweep over loops the
     /// vectorizer never considers (non-innermost DO loops, unconverted
     /// `while` loops).
@@ -79,19 +75,18 @@ impl VectorReport {
     /// Folds another report's counts into this one (used by the pass
     /// manager to aggregate per-pass deltas).
     pub fn merge(&mut self, other: VectorReport) {
-        self.vectorized += other.vectorized;
-        self.spread += other.spread;
         self.scalar += other.scalar;
         self.notes.extend(other.notes);
         self.events.extend(other.events);
     }
 }
 
-titanc_il::struct_wire!(VectorReport, [vectorized, spread, scalar, notes, events]);
+titanc_il::struct_wire!(VectorReport, [scalar, notes, events]);
 
 /// Vectorizes every innermost DO loop of the procedure.
 pub fn vectorize(proc: &mut Procedure, opts: &VectorOptions) -> VectorReport {
     let mut report = VectorReport::default();
+    let mut changed = false;
     // loops decided here, and the strip loops generated for them
     let mut done: HashSet<StmtId> = HashSet::new();
     // by statement index: the subtree holds a loop. Grown as statements
@@ -127,7 +122,7 @@ pub fn vectorize(proc: &mut Procedure, opts: &VectorOptions) -> VectorReport {
                 strip_ids,
                 replacement,
             } => {
-                report.vectorized += 1;
+                changed = true;
                 // strip loops are compiler-generated carriers for the
                 // vector statements; never revisit (or report) them
                 done.extend(strip_ids);
@@ -140,7 +135,7 @@ pub fn vectorize(proc: &mut Procedure, opts: &VectorOptions) -> VectorReport {
                 (decision, i)
             }
             Outcome::Spread => {
-                report.spread += 1;
+                changed = true;
                 (LoopDecision::Parallelized, i + 1)
             }
             Outcome::Scalar { note, defeat } => {
@@ -158,7 +153,7 @@ pub fn vectorize(proc: &mut Procedure, opts: &VectorOptions) -> VectorReport {
         next
     });
     sweep_unvisited_loops(proc, &done, &mut report);
-    if report.vectorized > 0 || report.spread > 0 {
+    if changed {
         proc.bump_generation();
     }
     report

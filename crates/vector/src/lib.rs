@@ -23,7 +23,7 @@
 //! titanc_opt::forward_substitute(&mut proc);
 //! titanc_opt::eliminate_dead_code(&mut proc);
 //! let report = vectorize(&mut proc, &VectorOptions::default());
-//! assert_eq!(report.vectorized, 1);
+//! assert_eq!(report.events[0].decision.tag(), "vectorized");
 //! ```
 
 #![forbid(unsafe_code)]

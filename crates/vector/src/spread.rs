@@ -20,25 +20,23 @@ use titanc_il::{
 };
 use titanc_opt::util::{count_reads_block, register_candidate, resolve_copy};
 
-/// How many loops were spread.
+/// Which loops were spread.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct SpreadReport {
-    /// `while` loops converted to `WhileSpread`.
-    pub spread: usize,
-    /// Per-loop spreading events with source spans.
+    /// One event per `while` loop converted to `WhileSpread`, with its
+    /// source span.
     pub events: Vec<LoopEvent>,
 }
 
 impl SpreadReport {
-    /// Folds another report's counts into this one (used by the pass
-    /// manager to aggregate per-pass deltas).
+    /// Folds another report into this one (used by the pass manager to
+    /// aggregate per-pass deltas).
     pub fn merge(&mut self, other: SpreadReport) {
-        self.spread += other.spread;
         self.events.extend(other.events);
     }
 }
 
-titanc_il::struct_wire!(SpreadReport, [spread, events]);
+titanc_il::struct_wire!(SpreadReport, [events]);
 
 /// Converts eligible pointer-chasing `while` loops into spread form.
 pub fn spread_list_loops(proc: &mut Procedure) -> SpreadReport {
@@ -54,12 +52,11 @@ pub fn spread_list_loops(proc: &mut Procedure) -> SpreadReport {
                     decision: LoopDecision::ListSpread,
                 });
                 apply(proc, id, plan);
-                report.spread += 1;
             }
         }
         i
     });
-    if report.spread > 0 {
+    if !report.events.is_empty() {
         proc.bump_generation();
     }
     report
@@ -279,7 +276,7 @@ int main(void)
         let prog = compile_to_il(LIST_SRC).unwrap();
         let mut proc = prog.proc_by_name("work").unwrap().clone();
         let rep = spread_list_loops(&mut proc);
-        assert_eq!(rep.spread, 1, "{}", pretty_proc(&proc));
+        assert_eq!(rep.events.len(), 1, "{}", pretty_proc(&proc));
         let text = pretty_proc(&proc);
         assert!(text.contains("while spread"), "{text}");
         assert!(text.contains("next:"), "{text}");
@@ -292,7 +289,7 @@ int main(void)
         {
             let w = opt.proc_by_name_mut("work").unwrap();
             let rep = spread_list_loops(w);
-            assert_eq!(rep.spread, 1);
+            assert_eq!(rep.events.len(), 1);
         }
         let g = [("pool", titanc_il::ScalarType::Float, 8)];
         let base =
@@ -333,7 +330,7 @@ void sum(struct node *p)
         let prog = compile_to_il(src).unwrap();
         let mut proc = prog.proc_by_name("sum").unwrap().clone();
         let rep = spread_list_loops(&mut proc);
-        assert_eq!(rep.spread, 0, "accumulator is loop-carried");
+        assert_eq!(rep.events.len(), 0, "accumulator is loop-carried");
     }
 
     #[test]
@@ -342,7 +339,7 @@ void sum(struct node *p)
         let prog = compile_to_il(src).unwrap();
         let mut proc = prog.procs[0].clone();
         let rep = spread_list_loops(&mut proc);
-        assert_eq!(rep.spread, 0, "int countdown is not a pointer chase");
+        assert_eq!(rep.events.len(), 0, "int countdown is not a pointer chase");
     }
 
     #[test]
@@ -361,6 +358,6 @@ void f(struct node *p)
         let prog = compile_to_il(src).unwrap();
         let mut proc = prog.procs[0].clone();
         let rep = spread_list_loops(&mut proc);
-        assert_eq!(rep.spread, 0);
+        assert_eq!(rep.events.len(), 0);
     }
 }

@@ -16,6 +16,14 @@ fn scalar_pipeline(proc: &mut Procedure) {
     titanc_opt::eliminate_dead_code(proc);
 }
 
+/// Loops the report records with the decision tagged `tag`.
+fn loops(rep: &crate::VectorReport, tag: &str) -> usize {
+    rep.events
+        .iter()
+        .filter(|e| e.decision.tag() == tag)
+        .count()
+}
+
 fn prep(src: &str) -> Program {
     let prog = compile_to_il(src).unwrap();
     let mut out = prog.clone();
@@ -44,7 +52,12 @@ void add(void) { int i; for (i = 0; i < 100; i++) a[i] = b[i] + c[i]; }
 "#;
     let mut prog = prep(src);
     let rep = vectorize(&mut prog.procs[0], &VectorOptions::default());
-    assert_eq!(rep.vectorized, 1, "{}", pretty_proc(&prog.procs[0]));
+    assert_eq!(
+        loops(&rep, "vectorized"),
+        1,
+        "{}",
+        pretty_proc(&prog.procs[0])
+    );
     let text = pretty_proc(&prog.procs[0]);
     assert!(text.contains("(float)["), "triplet notation: {text}");
 }
@@ -75,7 +88,7 @@ int main(void)
         .unwrap();
     let rep = vectorize(&mut vec_prog.procs[main_idx], &VectorOptions::default());
     assert!(
-        rep.vectorized >= 1,
+        loops(&rep, "vectorized") >= 1,
         "{}",
         pretty_proc(&vec_prog.procs[main_idx])
     );
@@ -108,7 +121,12 @@ fn pointer_copy_loop_vectorizes_with_pragma() {
         "void copy(float *a, float *b, int n) {\n#pragma safe\nwhile (n) { *a++ = *b++; n--; } }";
     let mut prog = prep(src);
     let rep = vectorize(&mut prog.procs[0], &VectorOptions::default());
-    assert_eq!(rep.vectorized, 1, "{}", pretty_proc(&prog.procs[0]));
+    assert_eq!(
+        loops(&rep, "vectorized"),
+        1,
+        "{}",
+        pretty_proc(&prog.procs[0])
+    );
 }
 
 #[test]
@@ -116,7 +134,7 @@ fn pointer_copy_loop_does_not_vectorize_under_c_aliasing() {
     let src = "void copy(float *a, float *b, int n) { while (n) { *a++ = *b++; n--; } }";
     let mut prog = prep(src);
     let rep = vectorize(&mut prog.procs[0], &VectorOptions::default());
-    assert_eq!(rep.vectorized, 0, "pointer params may alias");
+    assert_eq!(loops(&rep, "vectorized"), 0, "pointer params may alias");
     assert_eq!(rep.scalar, 1);
 }
 
@@ -129,7 +147,12 @@ fn fortran_aliasing_option_vectorizes_pointer_params() {
         ..VectorOptions::default()
     };
     let rep = vectorize(&mut prog.procs[0], &opts);
-    assert_eq!(rep.vectorized, 1, "{}", pretty_proc(&prog.procs[0]));
+    assert_eq!(
+        loops(&rep, "vectorized"),
+        1,
+        "{}",
+        pretty_proc(&prog.procs[0])
+    );
 }
 
 #[test]
@@ -140,7 +163,7 @@ void f(void) { int i; for (i = 0; i < 99; i++) x[i + 1] = x[i] * 2.0f; }
 "#;
     let mut prog = prep(src);
     let rep = vectorize(&mut prog.procs[0], &VectorOptions::default());
-    assert_eq!(rep.vectorized, 0);
+    assert_eq!(loops(&rep, "vectorized"), 0);
 }
 
 #[test]
@@ -162,7 +185,11 @@ int main(void)
     let base = prep(src);
     let mut vec_prog = base.clone();
     let rep = vectorize(&mut vec_prog.procs[0], &VectorOptions::default());
-    assert!(rep.vectorized >= 1, "{}", pretty_proc(&vec_prog.procs[0]));
+    assert!(
+        loops(&rep, "vectorized") >= 1,
+        "{}",
+        pretty_proc(&vec_prog.procs[0])
+    );
     let g = [("a", ScalarType::Float, 64)];
     assert_eq!(observe(&base, &g), observe(&vec_prog, &g));
 }
@@ -179,7 +206,7 @@ void add(void) { int i; for (i = 0; i < 100; i++) a[i] = b[i] + c[i]; }
         ..VectorOptions::default()
     };
     let rep = vectorize(&mut prog.procs[0], &opts);
-    assert_eq!(rep.vectorized, 1);
+    assert_eq!(loops(&rep, "vectorized"), 1);
     let text = pretty_proc(&prog.procs[0]);
     assert!(text.contains("do parallel"), "{text}");
     assert!(text.contains("min(32,"), "strip length 32: {text}");
@@ -221,7 +248,7 @@ void f(void) { int i; for (i = 0; i < 64; i++) sink[i] = port; }
 "#;
     let mut prog = prep(src);
     let rep = vectorize(&mut prog.procs[0], &VectorOptions::default());
-    assert_eq!(rep.vectorized, 0);
+    assert_eq!(loops(&rep, "vectorized"), 0);
 }
 
 #[test]
@@ -233,7 +260,7 @@ void f(void) { int i; for (i = 0; i < 64; i++) a[i] = g(1.0f); }
 "#;
     let mut prog = prep(src);
     let rep = vectorize(&mut prog.procs[0], &VectorOptions::default());
-    assert_eq!(rep.vectorized, 0);
+    assert_eq!(loops(&rep, "vectorized"), 0);
 }
 
 #[test]
@@ -253,8 +280,13 @@ void f(void) { int i; for (i = 0; i < 100; i++) a[i] = i; }
     let rep = vectorize(&mut prog.procs[0], &opts);
     // a[i] = i reads lv as a value: not vectorizable, but iterations are
     // independent — spread across processors
-    assert_eq!(rep.vectorized, 0);
-    assert_eq!(rep.spread, 1, "{}", pretty_proc(&prog.procs[0]));
+    assert_eq!(loops(&rep, "vectorized"), 0);
+    assert_eq!(
+        loops(&rep, "parallelized"),
+        1,
+        "{}",
+        pretty_proc(&prog.procs[0])
+    );
     assert!(pretty_proc(&prog.procs[0]).contains("do parallel"));
 }
 
@@ -276,7 +308,11 @@ int main(void)
     let base = prep(src);
     let mut vec_prog = base.clone();
     let rep = vectorize(&mut vec_prog.procs[0], &VectorOptions::default());
-    assert!(rep.vectorized >= 1, "{}", pretty_proc(&vec_prog.procs[0]));
+    assert!(
+        loops(&rep, "vectorized") >= 1,
+        "{}",
+        pretty_proc(&vec_prog.procs[0])
+    );
     let g = [("a", ScalarType::Float, 64), ("t", ScalarType::Float, 64)];
     assert_eq!(observe(&base, &g), observe(&vec_prog, &g));
 }
@@ -459,7 +495,11 @@ int main(void)
         ..VectorOptions::default()
     };
     let rep = vectorize(&mut opt.procs[0], &opts);
-    assert!(rep.vectorized >= 1, "{}", pretty_proc(&opt.procs[0]));
+    assert!(
+        loops(&rep, "vectorized") >= 1,
+        "{}",
+        pretty_proc(&opt.procs[0])
+    );
 
     let g = [("xa", ScalarType::Float, 100)];
     let b = titanc_titan::observe(&base, MachineConfig::scalar(), "main", &g).unwrap();
@@ -488,7 +528,12 @@ int main(void)
     let base = prep(src);
     let mut opt = base.clone();
     let rep = vectorize(&mut opt.procs[0], &VectorOptions::default());
-    assert_eq!(rep.vectorized, 1, "{}", pretty_proc(&opt.procs[0]));
+    assert_eq!(
+        loops(&rep, "vectorized"),
+        1,
+        "{}",
+        pretty_proc(&opt.procs[0])
+    );
     let text = pretty_proc(&opt.procs[0]);
     assert!(text.contains("(float)["), "vector part emitted: {text}");
     assert!(
@@ -602,7 +647,7 @@ int main(void)
     assert_eq!((t[1].0, t[1].1), (6, "scalar"), "{t:?}");
     assert_ne!(t[1].2, INNER_LOOP);
     assert_eq!((t[2].0, t[2].1), (10, "vectorized"), "{t:?}");
-    assert_eq!((rep.vectorized, rep.scalar), (2, 1));
+    assert_eq!((loops(&rep, "vectorized"), rep.scalar), (2, 1));
 }
 
 const NEST_THEN_SIBLING: &str = r#"
@@ -680,7 +725,7 @@ void work(struct node *p, struct node *q, struct node *r)
     let prog = compile_to_il(src).unwrap();
     let mut proc = prog.procs[0].clone();
     let rep = spread_list_loops(&mut proc);
-    assert_eq!(rep.spread, 2, "{}", pretty_proc(&proc));
+    assert_eq!(rep.events.len(), 2, "{}", pretty_proc(&proc));
     let vars: Vec<(&str, u32)> = rep
         .events
         .iter()

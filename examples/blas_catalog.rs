@@ -71,7 +71,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     )?;
     println!(
         "inlined {} call sites, vectorized {} loops",
-        compiled.reports.inline.inlined, compiled.reports.vector.vectorized
+        compiled.reports.count("expanded"),
+        compiled.reports.count("vectorized")
     );
 
     let mut sim = Simulator::new(&compiled.program, MachineConfig::optimized(2));

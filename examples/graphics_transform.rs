@@ -7,7 +7,7 @@
 //! cargo run --example graphics_transform
 //! ```
 
-use titanc_repro::il::ScalarType;
+use titanc_repro::il::{LoopDecision, ScalarType};
 use titanc_repro::titan::{MachineConfig, Simulator, CLOCK_MHZ};
 use titanc_repro::titanc::{compile, Options};
 
@@ -69,8 +69,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let optimized = compile(SRC, &Options::o2())?;
     println!(
         "while->DO: {}, induction variables: {}, strength-reduced addresses: {}",
-        optimized.reports.whiledo.converted,
-        optimized.reports.ivsub.substituted,
+        optimized.reports.count("do_converted"),
+        LoopDecision::ivs_substituted(&optimized.reports.ivsub.events),
         optimized.reports.strength.reduced,
     );
     let mut sim = Simulator::new(&optimized.program, MachineConfig::optimized(1));

@@ -20,7 +20,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     )?;
     println!(
         "list loops spread: {} (the work procedure and its inlined copy)",
-        spread.reports.spread.spread
+        spread.reports.count("list_spread")
     );
     let work = spread.program.proc_by_name("work").unwrap();
     println!("{}", titanc_repro::il::pretty_proc(work));

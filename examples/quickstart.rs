@@ -5,6 +5,7 @@
 //! cargo run --example quickstart
 //! ```
 
+use titanc_repro::il::LoopDecision;
 use titanc_repro::titan::{MachineConfig, Simulator, CLOCK_MHZ};
 use titanc_repro::titanc::{compile, Options};
 
@@ -29,9 +30,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let compiled = compile(SRC, &Options::parallel())?;
     println!(
         "loops vectorized: {}, while loops converted: {}, induction variables substituted: {}",
-        compiled.reports.vector.vectorized,
-        compiled.reports.whiledo.converted,
-        compiled.reports.ivsub.substituted,
+        compiled.reports.count("vectorized"),
+        compiled.reports.count("do_converted"),
+        LoopDecision::ivs_substituted(&compiled.reports.ivsub.events),
     );
     println!(
         "optimized main:\n{}",

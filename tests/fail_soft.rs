@@ -5,8 +5,8 @@
 
 use titanc_il::{pretty_proc, Procedure, Program, StmtKind};
 use titanc_repro::titanc::{
-    compile, compile_with, Compilation, IncidentKind, Options, Pass, PassContext, PassOutcome,
-    Pipeline, ProcAnalyses, ProcPass, Reports,
+    compile, compile_with, Compilation, IncidentKind, Options, Pass, PassContext, Pipeline,
+    ProcAnalyses, ProcPass, Reports,
 };
 use titanc_titan::{MachineConfig, Simulator};
 
@@ -44,13 +44,12 @@ impl ProcPass for Boom {
         _cx: &PassContext<'_>,
         _analyses: &mut ProcAnalyses,
         _delta: &mut Reports,
-    ) -> PassOutcome {
+    ) {
         if proc.name == "faulty" {
             proc.body.clear();
             proc.bump_generation();
             panic!("injected fault in `{}`", proc.name);
         }
-        PassOutcome::unchanged()
     }
 }
 
@@ -70,15 +69,13 @@ impl ProcPass for Corrupt {
         _cx: &PassContext<'_>,
         _analyses: &mut ProcAnalyses,
         _delta: &mut Reports,
-    ) -> PassOutcome {
+    ) {
         if proc.name == "faulty" {
             let dangling = proc.fresh_label();
             let st = proc.stamp(StmtKind::Goto(dangling));
             proc.body.push(st);
             proc.bump_generation();
-            return PassOutcome::changed();
         }
-        PassOutcome::unchanged()
     }
 }
 
@@ -125,7 +122,7 @@ fn injected_panic_is_contained_and_rolled_back() {
 
     // and the other procedures really were optimized, not just preserved
     assert!(
-        faulted.reports.vector.vectorized >= 2,
+        faulted.reports.count("vectorized") >= 2,
         "{:?}",
         faulted.reports.vector
     );
@@ -179,12 +176,7 @@ impl Pass for ProgramBoom {
         "program-boom"
     }
 
-    fn run(
-        &self,
-        program: &mut Program,
-        _cx: &PassContext<'_>,
-        _delta: &mut Reports,
-    ) -> PassOutcome {
+    fn run(&self, program: &mut Program, _cx: &PassContext<'_>, _delta: &mut Reports) {
         program.procs.clear();
         panic!("injected whole-program fault");
     }
@@ -301,11 +293,10 @@ impl ProcPass for FailsOnReplay {
         _cx: &PassContext<'_>,
         _analyses: &mut ProcAnalyses,
         _delta: &mut Reports,
-    ) -> PassOutcome {
+    ) {
         if proc.name == "faulty" && self.0.fetch_add(1, std::sync::atomic::Ordering::SeqCst) > 0 {
             panic!("not deterministic after all");
         }
-        PassOutcome::unchanged()
     }
 }
 

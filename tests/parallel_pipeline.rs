@@ -151,7 +151,11 @@ fn mutating_pass_bumps_generation_and_stale_usedef_is_dropped() {
     let before = proc.generation();
     let stale = analyses.usedef(&proc);
     let report = titanc_opt::convert_while_loops_cached(&mut proc, &mut analyses);
-    assert!(report.converted >= 1, "{report:?}");
+    let converted = titanc_repro::il::LoopDecision::DoConverted;
+    assert!(
+        report.events.iter().any(|e| e.decision == converted),
+        "{report:?}"
+    );
     assert!(
         proc.generation() > before,
         "a mutating pass must bump the generation"

@@ -24,7 +24,7 @@ fn catalog_file_round_trip_through_driver() {
         },
     )
     .unwrap();
-    assert_eq!(c.reports.inline.inlined, 1);
+    assert_eq!(c.reports.count("expanded"), 1);
     let mut sim = Simulator::new(&c.program, MachineConfig::default());
     assert_eq!(sim.run("main", &[]).unwrap().value.unwrap().as_int(), 42);
 }
@@ -99,7 +99,8 @@ int main(void)
 "#;
     let c_strict = compile(src, &Options::o2()).unwrap();
     assert_eq!(
-        c_strict.reports.vector.vectorized, 0,
+        c_strict.reports.count("vectorized"),
+        0,
         "overlap detected: same base"
     );
     let c_fortran = compile(
@@ -112,7 +113,7 @@ int main(void)
     .unwrap();
     // same-base references are still tested precisely — even Fortran
     // semantics does not license ignoring a provable overlap
-    assert_eq!(c_fortran.reports.vector.vectorized, 0);
+    assert_eq!(c_fortran.reports.count("vectorized"), 0);
 }
 
 /// `main` calling down a chain of `depth` procedures, each adding one.
@@ -204,7 +205,7 @@ int main(void)
 "#;
     let c = compile(src, &Options::o2()).unwrap();
     assert!(
-        c.reports.vector.vectorized >= 1,
+        c.reports.count("vectorized") >= 1,
         "inner loop vectorizes: {:?}\n{}",
         c.reports.vector,
         titanc_repro::il::pretty_proc(c.program.proc_by_name("main").unwrap())

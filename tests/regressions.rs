@@ -111,7 +111,8 @@ int main(void)
 "#;
     let c = compile(src, &Options::o2()).unwrap();
     assert_eq!(
-        c.reports.vector.vectorized, 0,
+        c.reports.count("vectorized"),
+        0,
         "recurrence wrongly vectorized"
     );
     check(src, &[("buf", ScalarType::Float, 64)]);
@@ -133,7 +134,7 @@ int main(void)
 }
 "#;
     let c = compile(src, &Options::o2()).unwrap();
-    assert!(c.reports.vector.vectorized >= 1, "{:?}", c.reports.vector);
+    assert!(c.reports.count("vectorized") >= 1, "{:?}", c.reports.vector);
     check(src, &[("m", ScalarType::Float, 1024)]);
 }
 
@@ -378,4 +379,25 @@ int main(void) { out_g[0] = h(&g); out_g[1] = g; return out_g[0]; }
 "#,
         &[("out_g", ScalarType::Int, 2)],
     );
+}
+
+/// `constprop` folded `y * 0 + g * 0` to `0` in a round that replaced no
+/// read, and moved the generation only for replacements: the fold was
+/// snapshotted, timed and recorded as `dce`'s change.
+#[test]
+fn a_fold_alone_moves_the_generation() {
+    let src = "int g; int main(void){int y; y = 5; g = y * 0 + g * 0; return 0;}";
+    let options = Options {
+        snapshots: true,
+        ..Options::o1()
+    };
+    let c = compile(src, &options).expect("compiles");
+    let constprop = c.snapshots.iter().filter(|s| s.phase == "constprop");
+    let images: Vec<&str> = constprop.map(|s| s.il.as_str()).collect();
+    assert!(
+        images.iter().any(|il| il.contains("g = 0;")),
+        "no `constprop` snapshot folds the store: {images:?}"
+    );
+    let record = c.trace.record("constprop").expect("O1 runs constprop");
+    assert!(record.changed, "{record:?}");
 }
