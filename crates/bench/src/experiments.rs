@@ -564,8 +564,11 @@ int main(void)
 /// serialized form, plus the size of that form.
 fn catalog_of(name: &str, lib: &str) -> (Catalog, usize) {
     let lib = compile_to_il(lib).expect("library compiles");
-    let json = Catalog::from_program(name, &lib).to_json();
-    (Catalog::from_json(&json).expect("round-trips"), json.len())
+    let bytes = Catalog::from_program(name, &lib).to_bytes();
+    (
+        Catalog::from_bytes(&bytes).expect("round-trips"),
+        bytes.len(),
+    )
 }
 
 /// Compiles and runs `app` against a catalog of `lib`, then `lib + app`

@@ -970,14 +970,14 @@ fn server(case: &Case, totals: &mut Totals) -> Result<(), String> {
 }
 
 // ---------------------------------------------------------------------------
-// codec: wire, Procedure JSON, catalogs, cells and manifests round-trip
+// codec: wire, catalogs, cells and manifests round-trip
 // ---------------------------------------------------------------------------
 
-/// Every procedure of `program`: printing, hashing and both codecs are
-/// pure functions of the arena (a clone agrees); `decode(encode(p)) == p`
-/// down to the stamp watermark, and re-encoding reproduces the bytes; the
-/// wire-decoded procedure passes the IL verifier, and its arena hash is
-/// the FNV of its own wire bytes — hashing and encoding are one walker.
+/// Every procedure of `program`: printing, hashing and encoding are pure
+/// functions of the arena (a clone agrees); `decode(encode(p)) == p` down
+/// to the stamp watermark, and re-encoding reproduces the bytes; the
+/// decoded procedure passes the IL verifier, and its arena hash is the FNV
+/// of its own wire bytes — hashing and encoding are one walker.
 fn round_trip(program: &Program, what: &str) -> Result<(), String> {
     for p in &program.procs {
         let what = format!("{what}, proc `{}`", p.name);
@@ -1004,33 +1004,22 @@ fn round_trip(program: &Program, what: &str) -> Result<(), String> {
         if hash_proc(&q) != h.finish() || hash_proc(&p.canonical()) != hash_proc(&q) {
             return fail("hash != FNV(wire bytes), or != the canonical layout's hash");
         }
-
-        let text = p.to_json().to_string_compact();
-        if clone.to_json().to_string_compact() != text {
-            return fail("a clone JSON-encodes differently");
-        }
-        let doc = parse_json(&text).map_err(|e| format!("{what}: JSON unparseable: {e:?}"))?;
-        let d = Procedure::from_json(&doc).map_err(|e| format!("{what}: JSON decode: {e:?}"))?;
-        // decoding rebuilds the arena in traversal order, so the arena
-        // hash may change across the trip; the encoding may not
-        if d != *p || d.to_json().to_string_compact() != text {
-            return fail("JSON decode(encode(p)) != p, or the re-encoding differs");
-        }
     }
     Ok(())
 }
 
-/// `decode(encode(c)) == c`, and the re-encoding is byte-identical.
-fn catalog_round_trip(catalog: &Catalog, what: &str) -> Result<(), String> {
-    let text = catalog.to_json();
+/// `from_bytes(to_bytes(c)) == c`, and the re-encoding is byte-identical.
+/// Returns the decoded catalog, for checks on its fields.
+fn catalog_round_trip(catalog: &Catalog, what: &str) -> Result<Catalog, String> {
+    let bytes = catalog.to_bytes();
     let decoded =
-        Catalog::from_json(&text).map_err(|e| format!("{what}: catalog decode: {e:?}"))?;
-    if decoded != *catalog || decoded.to_json() != text {
+        Catalog::from_bytes(&bytes).map_err(|e| format!("{what}: catalog decode: {e}"))?;
+    if decoded != *catalog || decoded.to_bytes() != bytes {
         return Err(format!(
             "{what}: catalog decode(encode(c)) != c, or re-encoding differs"
         ));
     }
-    Ok(())
+    Ok(decoded)
 }
 
 /// The codec contracts over one source: its parsed program (plain, and as
@@ -1059,25 +1048,23 @@ pub fn codec_program<'a>(
     for p in &mut tagged.procs {
         p.retag_spans(&[tag]);
     }
-    let catalog = Catalog::from_program(name, &tagged);
-    if !catalog.to_json().contains("\"files\"") {
-        return Err(format!(
-            "{name}: an origin-tagged catalog lost its file table"
-        ));
+    let what = format!("{name}, origin-tagged");
+    let decoded = catalog_round_trip(&Catalog::from_program(name, &tagged), &what)?;
+    if decoded.files.is_empty() {
+        return Err(format!("{what}: the catalog lost its file table"));
     }
-    catalog_round_trip(&catalog, &format!("{name}, origin-tagged"))?;
 
-    // a catalog written before spans existed has no span fields at all;
-    // erasing every span reproduces that encoding exactly
+    // a catalog of procedures without source positions keeps none
     let mut bare = parsed;
     for p in &mut bare.procs {
         p.stmts.spans_mut().fill(SrcSpan::NONE);
     }
-    let catalog = Catalog::from_program(name, &bare);
-    if catalog.to_json().contains("\"span\"") {
-        return Err(format!("{name}: a span-free catalog encodes spans"));
+    let what = format!("{name}, span-free");
+    let decoded = catalog_round_trip(&Catalog::from_program(name, &bare), &what)?;
+    let spanned = |p: &Procedure| p.stmts.spans().iter().any(|s| *s != SrcSpan::NONE);
+    if decoded.procs.iter().any(spanned) {
+        return Err(format!("{what}: the catalog decodes spans"));
     }
-    catalog_round_trip(&catalog, &format!("{name}, span-free"))?;
 
     let mut rng = progen::Rng::new(StableHash::of_str(src).0 as u64);
     for (level, options) in sets {

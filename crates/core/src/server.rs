@@ -67,11 +67,11 @@ use std::sync::{mpsc, Arc, Mutex};
 
 use crate::pass::{contain, panic_message};
 use crate::session::{compile_session_resident, SessionCompilation, SourceFile};
-use crate::store::{self, ResidentCache};
+use crate::store::ResidentCache;
 use crate::trace::OptReport;
 use crate::{Compilation, CompileError, Options, Pipeline, Reports, SessionStats};
 use titanc_il::json::{parse, FromJson, Json, ToJson};
-use titanc_il::StableHash;
+use titanc_il::{wire, StableHash};
 
 /// Exit code for "a contained pass incident was reported and `--strict`
 /// was given" — shared by the CLI and the server executor.
@@ -589,7 +589,7 @@ fn reply_key(req: &CompileRequest) -> Option<ReplyKey> {
         opt_report: req.opt_report.clone(),
         ..*req
     };
-    let digest = |f: &SourceFile| (f.name.clone(), store::digest(f.src.as_bytes()));
+    let digest = |f: &SourceFile| (f.name.clone(), wire::digest(f.src.as_bytes()));
     let files = req.files.iter().map(digest).collect();
     (!req.verify).then(|| (files, flags.to_json().to_string_compact()))
 }

@@ -87,7 +87,7 @@ use crate::pass::{
     Replay, SessionReplay,
 };
 use crate::server::base_pipeline;
-use crate::store::{self, CacheStore, Memos, ResidentCache, CACHE_FORMAT};
+use crate::store::{CacheStore, Memos, ResidentCache, CACHE_FORMAT};
 use crate::{
     link_catalogs, optimization_remarks, Compilation, CompileError, Options, Pipeline, Reports,
 };
@@ -460,7 +460,7 @@ fn front_end_memoised(
     max_errors: usize,
     stats: &mut SessionStats,
 ) -> (Option<Program>, Vec<Diagnostic>) {
-    let key = (store::digest(src.as_bytes()), max_errors);
+    let key = (wire::digest(src.as_bytes()), max_errors);
     if let Some(hit) = memos.front.get(&key, |f| f.src == src) {
         stats.front_hits += 1;
         return (Some(hit.program.clone()), hit.diagnostics.clone());

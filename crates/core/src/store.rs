@@ -16,7 +16,8 @@
 //!   payload — followed by the payload bytes (binary for entries and
 //!   manifests, JSON text for the index), so a bit flip, truncation, or
 //!   encoding skew is detected before the payload is decoded, not after
-//!   it has been trusted.
+//!   it has been trusted. The envelope is [`titanc_il::wire::seal`]'s,
+//!   under `CACHE_FORMAT`; §7 catalogs use it under their own name.
 //! * **Quarantine-and-miss.** A file that fails the checksum (or
 //!   decodes to something the IL verifier rejects) is moved into a
 //!   `quarantine/` subdirectory and treated as a miss. The bad bytes
@@ -58,7 +59,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
 
-use titanc_il::{StableHash, StableHasher};
+use titanc_il::wire::{seal, unseal};
+use titanc_il::StableHash;
 
 use crate::memo::Memo;
 use crate::pass::CachedEntry;
@@ -303,38 +305,6 @@ fn faulty_rename(from: &Path, to: &Path) -> io::Result<()> {
         None => {}
     }
     fs::rename(from, to)
-}
-
-// ---------------------------------------------------------------------
-// Checksummed envelopes
-// ---------------------------------------------------------------------
-
-pub(crate) fn digest(payload: &[u8]) -> StableHash {
-    let mut h = StableHasher::new();
-    h.write(payload);
-    h.finish()
-}
-
-/// Wraps a payload in the envelope: a `FORMAT <fnv128-hex>` header
-/// line, then the payload bytes the digest covers.
-fn seal(payload: &[u8]) -> Vec<u8> {
-    let mut out = format!("{CACHE_FORMAT} {}\n", digest(payload).hex()).into_bytes();
-    out.extend_from_slice(payload);
-    out
-}
-
-/// Opens an envelope in place: checks the format name and the payload
-/// digest and returns the payload's slice of `bytes`. `None` on any
-/// mismatch — wrong format, bad header shape, checksum failure.
-fn unseal(bytes: &[u8]) -> Option<&[u8]> {
-    let newline = bytes.iter().position(|&b| b == b'\n')?;
-    let header = std::str::from_utf8(&bytes[..newline]).ok()?;
-    let payload = &bytes[newline + 1..];
-    let (format, hex) = header.split_once(' ')?;
-    if format != CACHE_FORMAT {
-        return None;
-    }
-    (digest(payload) == StableHash::from_hex(hex)?).then_some(payload)
 }
 
 /// One unsealed payload, borrowed from wherever the store found it: the
@@ -653,7 +623,7 @@ impl CacheStore {
             }
         }
         let file = self.read_disk(name)?;
-        let Some(payload) = unseal(&file) else {
+        let Some(payload) = unseal(CACHE_FORMAT, &file) else {
             self.quarantine(name);
             return None;
         };
@@ -699,7 +669,7 @@ impl CacheStore {
         }
         let admitted = match resident.memos().raw.get(name, |_| true) {
             Some(payload) => admit(&payload),
-            None => unseal(&self.read_disk(name)?).and_then(admit),
+            None => unseal(CACHE_FORMAT, &self.read_disk(name)?).and_then(admit),
         };
         let Some(value) = admitted else {
             self.quarantine(name);
@@ -724,7 +694,7 @@ impl CacheStore {
         if !self.enabled {
             return false;
         }
-        let ok = !self.disk || self.publish_raw(name, &seal(payload));
+        let ok = !self.disk || self.publish_raw(name, &seal(CACHE_FORMAT, payload));
         if ok {
             if let Some(resident) = &self.resident {
                 resident.put(name, payload);
@@ -809,34 +779,6 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("titanc-store-{name}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         dir
-    }
-
-    #[test]
-    fn seal_round_trips_and_detects_damage() {
-        // payloads are bytes: newlines and non-UTF-8 are fine past the header
-        let payload: &[u8] = b"\x00\xff\n{\"version\":1}\n\xfe";
-        let sealed = seal(payload);
-        assert_eq!(unseal(&sealed), Some(payload));
-
-        // flip one payload byte
-        let mut bytes = sealed.clone();
-        let last = bytes.len() - 1;
-        bytes[last] ^= 0x55;
-        assert_eq!(unseal(&bytes), None);
-
-        // truncate mid-payload
-        assert_eq!(unseal(&sealed[..sealed.len() - 3]), None);
-
-        // wrong format name
-        let mut skewed = b"titanc-cache-v5".to_vec();
-        skewed.extend_from_slice(&sealed[CACHE_FORMAT.len()..]);
-        assert_eq!(unseal(&skewed), None);
-
-        // a header that is not UTF-8
-        assert_eq!(unseal(&[0xFF, 0xFE, b'\n', b'x']), None);
-        // empty and header-only
-        assert_eq!(unseal(b""), None);
-        assert_eq!(unseal(format!("{CACHE_FORMAT} zz\n").as_bytes()), None);
     }
 
     #[test]

@@ -33,10 +33,10 @@ fn titanc(dir: &Path, args: &[&str]) -> Output {
         .unwrap()
 }
 
-/// Writes `lib.c` and its §7 catalog `lib.json` into `dir`.
+/// Writes `lib.c` and its §7 catalog `lib.cat` into `dir`.
 fn emit_catalog(dir: &Path) {
     std::fs::write(dir.join("lib.c"), LIB).unwrap();
-    let out = titanc(dir, &["--emit-catalog", "lib.json", "lib.c"]);
+    let out = titanc(dir, &["--emit-catalog", "lib.cat", "lib.c"]);
     assert!(out.status.success(), "{out:?}");
 }
 
@@ -69,7 +69,7 @@ fn shadow_warning_names_the_file_either_way() {
     let dir = scratch("shadow");
     emit_catalog(&dir);
     std::fs::write(dir.join("a.c"), format!("{LIB}{CALLER}")).unwrap();
-    let (_, err) = assert_parity(&dir, &["a.c", "--catalog", "lib.json"]);
+    let (_, err) = assert_parity(&dir, &["a.c", "--catalog", "lib.cat"]);
     assert!(
         err.contains("procedure `fill` from catalog `lib` is shadowed by `a.c`"),
         "{err}"
@@ -88,7 +88,7 @@ fn catalog_procedures_get_a_lower_snapshot_either_way() {
         "--verify",
         "b.c",
         "--catalog",
-        "lib.json",
+        "lib.cat",
     ];
     let (out, _) = assert_parity(&dir, &args);
     assert!(out.contains("===== fill after lower ====="), "{out}");

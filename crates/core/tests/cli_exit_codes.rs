@@ -4,6 +4,7 @@
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
+use titanc_il::{BinOp, Catalog, ProcBuilder, Type, VarId};
 
 fn titanc() -> Command {
     Command::new(env!("CARGO_BIN_EXE_titanc"))
@@ -281,38 +282,52 @@ fn struct_carrying_catalog_runs_like_the_same_file() {
 /// A catalog is input from outside the program: one whose IL reads a
 /// variable the procedure does not have once reached the simulator and
 /// panicked (exit 101), or printed as `b = (a + v9)` under `--print-il`.
-/// It is refused when it loads, on every path, like any unreadable file.
+/// It is refused when it loads, on every path, like any unreadable file —
+/// and so is a catalog in the JSON form catalogs had before they became
+/// sealed wire bytes, with the remedy named.
 #[test]
 fn a_catalog_with_invalid_il_exits_one() {
-    let lib_c = write_temp("twice.c", "int twice(int a){int b; b=a+a; return b;}\n");
     let app_c = write_temp(
         "twice_app.c",
         "int twice(int); int main(){return twice(21);}\n",
     );
-    let cat = lib_c.with_extension("cat");
-    let emit = titanc()
-        .arg("--emit-catalog")
-        .arg(&cat)
-        .arg(&lib_c)
-        .output()
-        .unwrap();
-    assert_eq!(emit.status.code(), Some(0), "{}", stderr_of(&emit));
-    let good = std::fs::read_to_string(&cat).unwrap();
-    assert!(good.contains("{\"Var\":0}"), "{good}");
-    let bad = lib_c.with_extension("bad.json");
-    std::fs::write(&bad, good.replacen("{\"Var\":0}", "{\"Var\":9}", 1)).unwrap();
-    for args in [&["--run"][..], &["--print-il"], &["--verify", "--run"]] {
-        let out = titanc()
-            .args(args)
-            .arg("--catalog")
-            .arg(&bad)
-            .arg(&app_c)
-            .output()
-            .unwrap();
-        let err = stderr_of(&out);
-        assert_eq!(out.status.code(), Some(1), "{args:?}: {err}");
-        let want = format!("titanc: cannot load catalog {}: ", bad.display());
-        assert!(err.starts_with(&want), "{args:?}: {err}");
-        assert!(out.stdout.is_empty(), "{args:?}");
+    // `int twice(int a) { return a + v9; }`: `save` does not verify
+    let mut b = ProcBuilder::new("twice", Type::Int);
+    let a = b.param("a", Type::Int);
+    let av = b.var(a);
+    let wild = b.var(VarId::from_index(9));
+    let sum = b.ibinary(BinOp::Add, av, wild);
+    b.ret(Some(sum));
+    let mut catalog = Catalog::new("twice");
+    catalog.add(b.finish());
+    let bad = app_c.with_file_name("twice.cat");
+    catalog.save(&bad).unwrap();
+    let json = write_temp("twice.json", TWICE_JSON);
+    let cases = [
+        (&bad, "malformed catalog: variable id out of range at byte "),
+        (
+            &json,
+            "not a titanc-catalog-v1 file; re-emit it with --emit-catalog\n",
+        ),
+    ];
+    for (file, why) in cases {
+        for args in [&["--run"][..], &["--print-il"], &["--verify", "--run"]] {
+            let out = titanc()
+                .args(args)
+                .arg("--catalog")
+                .arg(file)
+                .arg(&app_c)
+                .output()
+                .unwrap();
+            let err = stderr_of(&out);
+            assert_eq!(out.status.code(), Some(1), "{args:?}: {err}");
+            let want = format!("titanc: cannot load catalog {}: {why}", file.display());
+            assert!(err.starts_with(&want), "{args:?}: {err}");
+            assert!(out.stdout.is_empty(), "{args:?}");
+        }
     }
 }
+
+/// `titanc --emit-catalog twice.json` of `int twice(int a){int b; b=a+a;
+/// return b;}`, as it was written while catalogs were JSON.
+const TWICE_JSON: &str = r#"{"name":"twice","procs":[{"name":"twice","ret":"Int","params":[0],"vars":[{"name":"a","ty":"Int","storage":"Param","volatile":false,"addressed":false,"init":null},{"name":"b","ty":"Int","storage":"Auto","volatile":false,"addressed":false,"init":null}],"num_labels":0,"body":[{"id":0,"kind":{"Assign":{"lhs":{"Var":1},"rhs":{"Binary":{"op":"Add","ty":"Int","lhs":{"Var":0},"rhs":{"Var":0}}}}}},{"id":1,"kind":{"Return":{"Var":1}}}],"next_stmt":2,"next_temp":0}],"structs":[],"globals":[]}"#;

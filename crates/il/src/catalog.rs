@@ -6,13 +6,21 @@
 //! are used as a source for header files"). A catalog carries the
 //! procedures plus the struct layouts and globals they reference, so a
 //! compilation can link any subset in by name.
+//!
+//! A catalog file is the cache's wire bytes: the
+//! [`Wire`](crate::wire::Wire) encoding of a [`Catalog`], sealed under
+//! [`CATALOG_FORMAT`] ([`crate::wire::seal`]). `titanc -O0 --print-il
+//! --catalog lib.cat empty.c` prints one readably.
 
-use crate::json::{FromJson, Json, JsonError, ToJson};
 use crate::link::{link, LinkReport};
 use crate::program::{Procedure, Program, StructDef, VarInfo};
 use crate::verify::verify_proc;
+use crate::wire;
 use std::io;
 use std::path::Path;
+
+/// The envelope format name of a catalog file.
+pub const CATALOG_FORMAT: &str = "titanc-catalog-v1";
 
 /// A serializable library of parsed procedures (§7).
 #[derive(Clone, PartialEq, Debug, Default)]
@@ -27,10 +35,11 @@ pub struct Catalog {
     /// externalized when the procedure was cataloged (§7).
     pub globals: Vec<VarInfo>,
     /// Origin file table for span file tags carried by the stored
-    /// procedures (mirrors [`Program::files`]). Legacy catalogs without
-    /// the field decode to an empty table.
+    /// procedures (mirrors [`Program::files`]).
     pub files: Vec<String>,
 }
+
+crate::struct_wire!(Catalog, [name, procs, structs, globals, files]);
 
 impl Catalog {
     /// An empty catalog with the given name.
@@ -62,73 +71,54 @@ impl Catalog {
         self.procs.iter().find(|p| p.name == name)
     }
 
-    /// Serializes the catalog to a JSON string.
-    pub fn to_json(&self) -> String {
-        let mut pairs = vec![
-            ("name", self.name.to_json()),
-            ("procs", self.procs.to_json()),
-            ("structs", self.structs.to_json()),
-            ("globals", self.globals.to_json()),
-        ];
-        if !self.files.is_empty() {
-            // emitted only when present so catalogs without cross-file
-            // spans keep the legacy shape
-            pairs.push(("files", self.files.to_json()));
-        }
-        Json::obj(pairs).to_string_compact()
+    /// The catalog file's bytes: its wire encoding, sealed.
+    pub fn to_bytes(&self) -> Vec<u8> {
+        wire::seal(CATALOG_FORMAT, &wire::to_bytes(self))
     }
 
-    /// Parses a catalog from JSON. A catalog comes from outside the
-    /// program, so every procedure must pass [`verify_proc`] before any
-    /// pass or the simulator trusts its IL.
+    /// Reads what [`Catalog::to_bytes`] wrote. A catalog comes from
+    /// outside the program, so every procedure must pass [`verify_proc`]
+    /// before any pass or the simulator trusts its IL.
     ///
     /// # Errors
     ///
-    /// Returns an error when the JSON is not a valid catalog, or when a
-    /// procedure it decodes to is not valid IL.
-    pub fn from_json(s: &str) -> Result<Catalog, JsonError> {
-        let doc = crate::json::parse(s)?;
-        let catalog = Catalog {
-            name: String::from_json(doc.field("name")?)?,
-            procs: Vec::from_json(doc.field("procs")?)?,
-            structs: Vec::from_json(doc.field("structs")?)?,
-            globals: Vec::from_json(doc.field("globals")?)?,
-            // legacy catalogs predate the file table
-            files: match doc.get("files") {
-                Some(f) => Vec::from_json(f)?,
-                None => Vec::new(),
-            },
-        };
+    /// An `InvalidData` error when `bytes` are not a sealed
+    /// [`CATALOG_FORMAT`] envelope (a JSON catalog included), when the
+    /// payload does not decode, or when a procedure is not valid IL.
+    pub fn from_bytes(bytes: &[u8]) -> io::Result<Catalog> {
+        let invalid = |message: String| io::Error::new(io::ErrorKind::InvalidData, message);
+        let payload = wire::unseal(CATALOG_FORMAT, bytes).ok_or_else(|| {
+            invalid(format!(
+                "not a {CATALOG_FORMAT} file; re-emit it with --emit-catalog"
+            ))
+        })?;
+        let catalog: Catalog =
+            wire::from_bytes(payload).map_err(|e| invalid(format!("malformed catalog: {e}")))?;
         for proc in &catalog.procs {
             if let Err(errors) = verify_proc(proc) {
                 let rendered: Vec<String> = errors.iter().map(ToString::to_string).collect();
-                return Err(JsonError {
-                    message: format!("invalid IL: {}", rendered.join("; ")),
-                    offset: 0,
-                });
+                return Err(invalid(format!("invalid IL: {}", rendered.join("; "))));
             }
         }
         Ok(catalog)
     }
 
-    /// Saves the catalog to a file.
+    /// Saves the catalog to a file. Nothing is verified on the way out.
     ///
     /// # Errors
     ///
     /// Returns any I/O error from writing the file.
     pub fn save(&self, path: impl AsRef<Path>) -> io::Result<()> {
-        std::fs::write(path, self.to_json())
+        std::fs::write(path, self.to_bytes())
     }
 
     /// Loads a catalog from a file.
     ///
     /// # Errors
     ///
-    /// Returns any I/O error, or an `InvalidData` error when the file is
-    /// not a valid catalog.
+    /// Returns any I/O error, or what [`Catalog::from_bytes`] refuses.
     pub fn load(path: impl AsRef<Path>) -> io::Result<Catalog> {
-        let text = std::fs::read_to_string(path)?;
-        Catalog::from_json(&text).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
+        Catalog::from_bytes(&std::fs::read(path)?)
     }
 
     /// Links every procedure, struct and global of the catalog into `prog`
@@ -166,14 +156,16 @@ mod tests {
     }
 
     #[test]
-    fn json_roundtrip_preserves_procedures() {
+    fn bytes_roundtrip_preserves_procedures() {
         let mut c = Catalog::new("blas");
         c.add(sample_proc("daxpy"));
         c.add(sample_proc("ddot"));
         c.files.push("blas.c".into());
-        let json = c.to_json();
-        let back = Catalog::from_json(&json).unwrap();
+        let bytes = c.to_bytes();
+        assert!(bytes.starts_with(b"titanc-catalog-v1 "));
+        let back = Catalog::from_bytes(&bytes).unwrap();
         assert_eq!(c, back);
+        assert_eq!(back.to_bytes(), bytes);
         assert!(back.proc_by_name("ddot").is_some());
     }
 
@@ -183,7 +175,7 @@ mod tests {
         c.add(sample_proc("f"));
         let dir = std::env::temp_dir().join("titanc-catalog-test");
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("lib.json");
+        let path = dir.join("lib.cat");
         c.save(&path).unwrap();
         let back = Catalog::load(&path).unwrap();
         assert_eq!(c, back);

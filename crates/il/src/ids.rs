@@ -109,13 +109,4 @@ mod tests {
     fn id_overflow_panics() {
         let _ = VarId::from_index(usize::MAX);
     }
-
-    #[test]
-    fn json_roundtrip() {
-        use crate::json::{FromJson, ToJson};
-        let p = ProcId(7);
-        let json = p.to_json().to_string_compact();
-        let back = ProcId::from_json(&crate::json::parse(&json).unwrap()).unwrap();
-        assert_eq!(p, back);
-    }
 }

@@ -1,14 +1,12 @@
-//! A dependency-free JSON layer for catalog serialization.
+//! A dependency-free JSON layer for the interfaces that are JSON.
 //!
-//! The §7 catalog workflow needs procedures to round-trip through files,
-//! but the build must work hermetically (no external crates). This module
-//! provides a small JSON document model ([`Json`]), a writer, a
-//! recursive-descent parser, and the [`ToJson`]/[`FromJson`] conversions
-//! for every IL type a [`crate::Catalog`] contains.
-//!
-//! Conventions follow the externally-tagged enum encoding: unit variants
-//! are strings (`"Add"`), data-carrying variants are single-key objects
-//! (`{"Ptr": …}`, `{"Load": {…}}`).
+//! The compile server's protocol, `--opt-report=json`, `--trace-json` and
+//! the cache's `index-*.json` are JSON documents, and the build must work
+//! hermetically (no external crates). This module provides a small
+//! document model ([`Json`]), a writer, a recursive-descent parser, and
+//! the [`ToJson`]/[`FromJson`] conversions the protocol types are built
+//! from ([`crate::struct_json!`]). The IL is stored as [`crate::wire`]
+//! bytes, by the cache and §7 catalogs alike.
 
 use std::fmt;
 
@@ -63,11 +61,6 @@ impl Json {
         Json::Obj(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
     }
 
-    /// A single-key object `{tag: value}` (enum variant encoding).
-    pub fn tagged(tag: &str, value: Json) -> Json {
-        Json::Obj(vec![(tag.to_string(), value)])
-    }
-
     /// Looks up a key in an object.
     pub fn get(&self, key: &str) -> Option<&Json> {
         match self {
@@ -80,18 +73,6 @@ impl Json {
     pub fn field(&self, key: &str) -> Result<&Json, JsonError> {
         self.get(key)
             .ok_or_else(|| JsonError::new(format!("missing field `{key}`")))
-    }
-
-    /// The single `(tag, value)` pair of an enum-variant object, or the
-    /// string itself for unit variants.
-    pub fn variant(&self) -> Result<(&str, Option<&Json>), JsonError> {
-        match self {
-            Json::Str(s) => Ok((s.as_str(), None)),
-            Json::Obj(pairs) if pairs.len() == 1 => Ok((pairs[0].0.as_str(), Some(&pairs[0].1))),
-            _ => Err(JsonError::new(
-                "expected enum variant (string or 1-key object)",
-            )),
-        }
     }
 
     /// The value as `i64`.
@@ -464,36 +445,6 @@ impl<T: FromJson> FromJson for Vec<T> {
     }
 }
 
-impl<T: ToJson> ToJson for Option<T> {
-    fn to_json(&self) -> Json {
-        match self {
-            Some(v) => v.to_json(),
-            None => Json::Null,
-        }
-    }
-}
-
-impl<T: FromJson> FromJson for Option<T> {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        match v {
-            Json::Null => Ok(None),
-            other => Ok(Some(T::from_json(other)?)),
-        }
-    }
-}
-
-impl<T: ToJson> ToJson for Box<T> {
-    fn to_json(&self) -> Json {
-        (**self).to_json()
-    }
-}
-
-impl<T: FromJson> FromJson for Box<T> {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(Box::new(T::from_json(v)?))
-    }
-}
-
 impl ToJson for String {
     fn to_json(&self) -> Json {
         Json::Str(self.clone())
@@ -518,18 +469,6 @@ impl FromJson for i64 {
     }
 }
 
-impl ToJson for f64 {
-    fn to_json(&self) -> Json {
-        Json::Float(*self)
-    }
-}
-
-impl FromJson for f64 {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        v.as_f64()
-    }
-}
-
 impl ToJson for bool {
     fn to_json(&self) -> Json {
         Json::Bool(*self)
@@ -539,42 +478,6 @@ impl ToJson for bool {
 impl FromJson for bool {
     fn from_json(v: &Json) -> Result<Self, JsonError> {
         v.as_bool()
-    }
-}
-
-impl ToJson for usize {
-    fn to_json(&self) -> Json {
-        Json::Int(*self as i64)
-    }
-}
-
-impl FromJson for usize {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        usize::try_from(v.as_i64()?).map_err(|_| JsonError::new("negative length"))
-    }
-}
-
-impl ToJson for u32 {
-    fn to_json(&self) -> Json {
-        Json::Int(i64::from(*self))
-    }
-}
-
-impl FromJson for u32 {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        u32::try_from(v.as_i64()?).map_err(|_| JsonError::new("u32 out of range"))
-    }
-}
-
-impl ToJson for u64 {
-    fn to_json(&self) -> Json {
-        Json::Int(i64::try_from(*self).unwrap_or(i64::MAX))
-    }
-}
-
-impl FromJson for u64 {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        u64::try_from(v.as_i64()?).map_err(|_| JsonError::new("u64 out of range"))
     }
 }
 
@@ -673,15 +576,5 @@ mod tests {
         let objects = "{\"a\":".repeat(MAX_DEPTH + 1);
         assert_eq!(parse(&objects).unwrap_err().message, "nested too deeply");
         assert!(parse(&"[".repeat(2_000_000)).is_err());
-    }
-
-    #[test]
-    fn variant_helpers() {
-        let unit = Json::Str("Add".into());
-        assert_eq!(unit.variant().unwrap(), ("Add", None));
-        let tagged = Json::tagged("Ptr", Json::Str("Int".into()));
-        let (tag, val) = tagged.variant().unwrap();
-        assert_eq!(tag, "Ptr");
-        assert!(val.is_some());
     }
 }

@@ -21,7 +21,9 @@
 //! * **No hard pointers.** Every cross-reference is an index
 //!   ([`VarId`], [`ProcId`], [`LabelId`], [`StmtId`], [`ExprId`]), so
 //!   procedures can be serialized into inlining *catalogs* (§7) and paged
-//!   or shipped between compilations; see the [`catalog`] module.
+//!   or shipped between compilations; see the [`catalog`] module. One
+//!   codec serves both: a catalog file and a cache entry are the same
+//!   binary [`wire`] bytes, sealed under their own format names.
 //!
 //! ## Memory layout
 //!
@@ -68,7 +70,6 @@
 
 pub mod builder;
 pub mod catalog;
-pub mod encode;
 pub mod expr;
 pub mod fold;
 pub mod hash;
@@ -87,7 +88,7 @@ mod weigh;
 pub mod wire;
 
 pub use builder::{BlockBuilder, ProcBuilder};
-pub use catalog::Catalog;
+pub use catalog::{Catalog, CATALOG_FORMAT};
 pub use expr::{BinOp, Expr, ExprPool, LValue, SlotsMut, UnOp};
 pub use fold::{fold_expr, Value};
 pub use hash::{hash_proc, write_proc, ByteSink, StableHash, StableHasher};

@@ -20,17 +20,27 @@
 //! What the reader cannot know — that the procedure *means* something
 //! sensible (kinds agree, gotos land, no stamp appears twice) — stays the
 //! IL verifier's job; the cache runs [`crate::verify_proc`] on everything
-//! it decodes. A human-readable form of the same data is the JSON tree in
-//! [`crate::encode`], which §7 catalogs keep using.
+//! it decodes. The human-readable form of the same data is the pretty
+//! printer ([`crate::pretty`]).
 //!
 //! Everything else the cache stores beside the IL — the per-pass reports,
 //! the decision events, the program environment — is a [`Wire`] value:
 //! written through the same [`ByteSink`], read under the same rules.
-//! Structs get theirs from one field list ([`struct_wire!`]).
+//! Structs get theirs from one field list ([`struct_wire!`]). A §7
+//! [`crate::Catalog`] is one such value too.
+//!
+//! Every file either writes is [`seal`]ed: a one-line `<format>
+//! <fnv128-hex>` header, then the payload the digest covers. The cache
+//! seals under its directory format, a catalog under `titanc-catalog-v1`;
+//! [`unseal`] refuses any other format name, a bad header and a checksum
+//! mismatch alike, before a byte of the payload is decoded.
 
 use crate::expr::{BinOp, Expr, ExprPool, LValue, UnOp};
-use crate::hash::{write_proc, write_type, write_var_info, ByteSink, IL_HASH_VERSION};
+use crate::hash::{
+    write_proc, write_type, write_var_info, ByteSink, StableHash, StableHasher, IL_HASH_VERSION,
+};
 use crate::ids::{ExprId, LabelId, StmtId, StructId, VarId};
+use crate::json::{FromJson, Json, JsonError, ToJson};
 use crate::program::{ConstInit, Field, Procedure, Storage, StructDef, VarInfo};
 use crate::span::SrcSpan;
 use crate::stmt::{Block, StmtKind, StmtPool};
@@ -131,6 +141,63 @@ pub fn decode_proc(bytes: &[u8]) -> Result<Procedure, WireError> {
     proc.stmts = StmtPool::from_columns(kinds, spans);
     proc.exprs = ExprPool::from_nodes(nodes);
     Ok(proc)
+}
+
+/// A procedure as JSON: the hex of its [`encode_proc`] bytes. This and
+/// [`FromJson`] below exist only because `titanperf`'s frozen `il.*`
+/// replay calls them; ROADMAP item 8(b) deletes them.
+impl ToJson for Procedure {
+    fn to_json(&self) -> Json {
+        let digit = |n: u8| char::from(b"0123456789abcdef"[usize::from(n)]);
+        let bytes = encode_proc(self);
+        Json::Str(
+            bytes
+                .iter()
+                .flat_map(|&b| [digit(b >> 4), digit(b & 15)])
+                .collect(),
+        )
+    }
+}
+
+impl FromJson for Procedure {
+    fn from_json(v: &Json) -> Result<Procedure, JsonError> {
+        let bad = |message: String| JsonError { message, offset: 0 };
+        let nibble = |c: u8| char::from(c).to_digit(16);
+        let bytes = (v.as_str()?.as_bytes().chunks(2))
+            .map(|pair| match *pair {
+                [hi, lo] => Some((nibble(hi)? << 4 | nibble(lo)?) as u8),
+                _ => None,
+            })
+            .collect::<Option<Vec<u8>>>()
+            .ok_or_else(|| bad("procedure is not a hex string".into()))?;
+        decode_proc(&bytes).map_err(|e| bad(format!("procedure: {e}")))
+    }
+}
+
+/// The digest an envelope header carries: 128-bit FNV-1a of the payload.
+pub fn digest(payload: &[u8]) -> StableHash {
+    let mut h = StableHasher::new();
+    h.write(payload);
+    h.finish()
+}
+
+/// Wraps a payload in an envelope: a `<format> <fnv128-hex>` header line,
+/// then the payload bytes the digest covers.
+pub fn seal(format: &str, payload: &[u8]) -> Vec<u8> {
+    let mut out = format!("{format} {}\n", digest(payload).hex()).into_bytes();
+    out.extend_from_slice(payload);
+    out
+}
+
+/// Opens an envelope in place: checks the format name and the payload
+/// digest and returns the payload's slice of `bytes`. `None` on any
+/// mismatch — another format, a bad header shape, a checksum failure.
+pub fn unseal<'a>(format: &str, bytes: &'a [u8]) -> Option<&'a [u8]> {
+    let newline = bytes.iter().position(|&b| b == b'\n')?;
+    let header = std::str::from_utf8(&bytes[..newline]).ok()?;
+    let payload = &bytes[newline + 1..];
+    let (found, hex) = header.split_once(' ')?;
+    (found == format && digest(payload) == StableHash::from_hex(hex)?).then_some(payload)
 }
 
 /// The smallest encodings of one variable / statement (kind + span) /
@@ -760,6 +827,22 @@ impl Wire for Type {
 struct_wire!(Field, [name, ty, offset]);
 struct_wire!(StructDef, [name, fields, size]);
 
+/// A procedure inside a larger value: its [`encode_proc`] bytes as one
+/// length-prefixed section, read back by [`decode_proc`].
+impl Wire for Procedure {
+    const MIN_BYTES: usize = 8;
+
+    fn write_wire<S: ByteSink>(&self, out: &mut S) {
+        let bytes = encode_proc(self);
+        out.write(&(bytes.len() as u64).to_le_bytes());
+        out.write(&bytes);
+    }
+
+    fn read_wire(r: &mut Reader<'_>) -> Result<Procedure, WireError> {
+        decode_proc(r.section()?)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -904,6 +987,68 @@ mod tests {
         assert_eq!(from_bytes::<Vec<StructDef>>(&bytes), Ok(vec![def]));
         for cut in 0..bytes.len() {
             assert!(from_bytes::<Vec<StructDef>>(&bytes[..cut]).is_err());
+        }
+    }
+
+    #[test]
+    fn seal_round_trips_and_detects_damage() {
+        const FORMAT: &str = "titanc-cache-v6";
+        // payloads are bytes: newlines and non-UTF-8 are fine past the header
+        let payload: &[u8] = b"\x00\xff\n{\"version\":1}\n\xfe";
+        let sealed = seal(FORMAT, payload);
+        assert_eq!(unseal(FORMAT, &sealed), Some(payload));
+        // the header names the format and the digest of the payload
+        let header = format!("{FORMAT} {}\n", digest(payload).hex());
+        assert!(sealed.starts_with(header.as_bytes()));
+
+        // flip one payload byte
+        let mut bytes = sealed.clone();
+        let last = bytes.len() - 1;
+        bytes[last] ^= 0x55;
+        assert_eq!(unseal(FORMAT, &bytes), None);
+
+        // truncate mid-payload
+        assert_eq!(unseal(FORMAT, &sealed[..sealed.len() - 3]), None);
+
+        // another format name, on either side
+        assert_eq!(unseal("titanc-catalog-v1", &sealed), None);
+        let mut skewed = b"titanc-cache-v5".to_vec();
+        skewed.extend_from_slice(&sealed[FORMAT.len()..]);
+        assert_eq!(unseal(FORMAT, &skewed), None);
+
+        // a header that is not UTF-8
+        assert_eq!(unseal(FORMAT, &[0xFF, 0xFE, b'\n', b'x']), None);
+        // empty and header-only
+        assert_eq!(unseal(FORMAT, b""), None);
+        assert_eq!(unseal(FORMAT, format!("{FORMAT} zz\n").as_bytes()), None);
+    }
+
+    #[test]
+    fn a_procedure_nests_as_its_encoding_and_its_json_is_that_in_hex() {
+        let p = sample();
+        let bytes = to_bytes(&vec![p.clone(), p.clone()]);
+        let inner = encode_proc(&p);
+        assert_eq!(bytes.len(), 4 + 2 * (8 + inner.len()));
+        assert_eq!(&bytes[12..12 + inner.len()], &inner[..]);
+        assert_eq!(
+            from_bytes::<Vec<Procedure>>(&bytes),
+            Ok(vec![p.clone(), p.clone()])
+        );
+        for cut in 0..bytes.len() {
+            assert!(from_bytes::<Vec<Procedure>>(&bytes[..cut]).is_err());
+        }
+
+        let json = p.to_json();
+        let Json::Str(hex) = &json else {
+            panic!("a procedure's JSON is a string")
+        };
+        assert_eq!(hex.len(), 2 * inner.len());
+        assert_eq!(Procedure::from_json(&json), Ok(p));
+        for bad in ["", "0", "zz", "00"] {
+            assert!(
+                Procedure::from_json(&Json::Str(bad.into())).is_err(),
+                "{bad:?}"
+            );
         }
     }
 

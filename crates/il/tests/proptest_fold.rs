@@ -1,13 +1,15 @@
 //! Property tests for the IL's arithmetic semantics: folding a constant
 //! expression must agree with direct evaluation, and expressions round-trip
-//! through the JSON encoding. Random trees come from a small deterministic
+//! through the wire encoding. Random trees come from a small deterministic
 //! generator (fixed-seed xorshift) so the suite needs no external crates
 //! and every run checks the same cases.
 
-use titanc_il::encode::{expr_from_json, expr_to_json};
 use titanc_il::fold::{const_value, eval_binop, eval_cast, eval_unop, fold_expr, normalize, Value};
 use titanc_il::pretty::pretty_expr_in;
-use titanc_il::{BinOp, Expr, ExprId, ExprPool, ScalarType, UnOp};
+use titanc_il::{
+    decode_proc, encode_proc, BinOp, Expr, ExprId, ExprPool, Procedure, ScalarType, StmtKind, Type,
+    UnOp,
+};
 
 const CASES: u64 = 512;
 
@@ -137,17 +139,22 @@ fn fold_is_idempotent() {
     }
 }
 
-/// Expressions survive a JSON round-trip.
+/// Expressions survive a wire round-trip, as what a procedure returns.
 #[test]
-fn expr_json_roundtrip() {
+fn expr_wire_roundtrip() {
     let mut rng = Rng::new(0x105E);
     for _ in 0..CASES {
-        let mut pool = ExprPool::new();
-        let e = const_int_expr(&mut rng, 3, &mut pool);
-        let json = expr_to_json(&pool, e).to_string_compact();
-        let mut decoded = ExprPool::new();
-        let back = expr_from_json(&mut decoded, &titanc_il::json::parse(&json).unwrap()).unwrap();
-        assert!(pool.expr_eq(e, &decoded, back));
+        let mut p = Procedure::new("f", Type::Int);
+        let e = const_int_expr(&mut rng, 3, &mut p.exprs);
+        p.push(StmtKind::Return(Some(e)));
+        let bytes = encode_proc(&p);
+        let q = decode_proc(&bytes).expect("decodes");
+        assert_eq!(q, p, "{}", pretty_expr_in(&p.exprs, e));
+        let StmtKind::Return(Some(back)) = q.stmts[q.body[0]] else {
+            panic!("the body is one return")
+        };
+        assert!(p.exprs.expr_eq(e, &q.exprs, back));
+        assert_eq!(encode_proc(&q), bytes, "re-encoding is the identity");
     }
 }
 

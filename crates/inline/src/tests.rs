@@ -304,8 +304,9 @@ fn catalog_inlining_matches_same_file() {
     let lib_src = "float scale(float x, float k) { return x * k; }";
     let lib = compile_to_il(lib_src).unwrap();
     let catalog = Catalog::from_program("mathlib", &lib);
-    // round-trip the catalog through JSON, as the on-disk database would
-    let catalog = Catalog::from_json(&catalog.to_json()).unwrap();
+    // round-trip the catalog through its file bytes, as the on-disk
+    // database would
+    let catalog = Catalog::from_bytes(&catalog.to_bytes()).unwrap();
 
     let app_src = r#"
 float scale(float x, float k);

@@ -1009,8 +1009,17 @@ impl<'e> FuncLowerer<'e> {
                 }))
             }
             ExprKind::SizeofExpr(inner) => {
-                let q = self.type_of(inner)?;
-                let size = self.size_of_ctype(&q, span)?;
+                // C never evaluates the operand: lower it into a block that
+                // is thrown away for its type, then put back everything
+                // lowering touched
+                let saved = (
+                    self.proc.clone(),
+                    self.ctypes.clone(),
+                    self.global_imports.clone(),
+                );
+                let typed = self.rvalue(inner, &mut Vec::new());
+                (self.proc, self.ctypes, self.global_imports) = saved;
+                let size = self.size_of_ctype(&typed?.ty, span)?;
                 Ok(Some(TV {
                     e: self.proc.exprs.int(size),
                     ty: int_ty(),
@@ -1483,35 +1492,6 @@ impl<'e> FuncLowerer<'e> {
             }
         };
         Ok(TV { e, ty })
-    }
-
-    /// Type of an expression without lowering it (for `sizeof`).
-    fn type_of(&mut self, e: &ast::Expr) -> Result<QualType, LowerError> {
-        Ok(match &e.kind {
-            ExprKind::IntLit(_) | ExprKind::CharLit(_) => int_ty(),
-            ExprKind::FloatLit(_, single) => {
-                QualType::plain(if *single { CType::Float } else { CType::Double })
-            }
-            ExprKind::Ident(name) => {
-                let v = self.lookup(name, e.span)?;
-                self.ctype_of(v)
-            }
-            ExprKind::Unary(CUnOp::Deref, inner) => {
-                let q = self.type_of(inner)?;
-                pointee(&q)
-                    .cloned()
-                    .ok_or_else(|| self.err("dereferencing a non-pointer", e.span))?
-            }
-            ExprKind::Unary(CUnOp::AddrOf, inner) => self.type_of(inner)?.ptr(),
-            ExprKind::Index(base, _) => {
-                let q = self.type_of(base)?;
-                pointee(&q)
-                    .cloned()
-                    .ok_or_else(|| self.err("indexing a non-array", e.span))?
-            }
-            ExprKind::Cast(q, _) => q.clone(),
-            _ => int_ty(),
-        })
     }
 }
 

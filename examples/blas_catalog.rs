@@ -52,7 +52,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let catalog = Catalog::from_program("blas", &lib);
     let dir = std::env::temp_dir().join("titanc-example");
     std::fs::create_dir_all(&dir)?;
-    let path = dir.join("blas.catalog.json");
+    let path = dir.join("blas.cat");
     catalog.save(&path)?;
     println!(
         "catalog written to {} ({} procedures)",

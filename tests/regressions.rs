@@ -401,3 +401,30 @@ fn a_fold_alone_moves_the_generation() {
     let record = c.trace.record("constprop").expect("O1 runs constprop");
     assert!(record.changed, "{record:?}");
 }
+
+/// `sizeof expr` typed every operand it did not list as `int`: a member, a
+/// member array, a member through `->` and a `double` sum all read 4. The
+/// operand is typed by lowering it, and never evaluated: `sizeof (i = 3)`
+/// assigns nothing. The sizes are gcc's for the same declarations.
+#[test]
+fn sizeof_an_expression_is_the_size_of_its_type() {
+    let src = "
+struct s { double d; float f[3]; char c; };
+struct s g, *gp;
+double darr[4];
+char ch;
+int arr[10], *p, i, out[9];
+int main(void)
+{
+    out[0] = sizeof g.d; out[1] = sizeof g.f; out[2] = sizeof gp->c;
+    out[3] = sizeof (darr[1] + 1); out[4] = sizeof arr; out[5] = sizeof (ch + ch);
+    out[6] = sizeof *p; out[7] = sizeof (i = 3); out[8] = i;
+    return 0;
+}
+";
+    let c = compile(src, &Options::o0()).expect("compiles");
+    let globals = [("out", ScalarType::Int, 9)];
+    let (seen, _) = observe(&c.program, MachineConfig::default(), "main", &globals).expect("runs");
+    let sizes: Vec<i64> = seen.globals[0].1.iter().map(|v| v.as_int()).collect();
+    assert_eq!(sizes, [8, 12, 1, 8, 40, 4, 4, 4, 0]);
+}

@@ -463,10 +463,10 @@ fn emit_catalog_holds_the_parsed_program() {
         };
         let sc = compile_session(&files, &parsed, None).expect("compiles");
         assert!(sc.compilation.trace.records.is_empty(), "no pass runs");
-        Catalog::from_program("daxpy", &sc.compilation.program).to_json()
+        Catalog::from_program("daxpy", &sc.compilation.program).to_bytes()
     };
     let lowered = titanc_lower::compile_to_il(&files[0].src).expect("lowers");
-    let want = Catalog::from_program("daxpy", &lowered).to_json();
+    let want = Catalog::from_program("daxpy", &lowered).to_bytes();
     assert_eq!(catalog_of(&Options::o2()), want);
     assert_eq!(catalog_of(&Options::parallel()), want);
     // the catalog keeps the call the optimized program inlined away
