@@ -16,7 +16,7 @@
 //!   --procs N                simulate N processors (1-4, default 1)
 //!   --fortran-aliasing       assume pointer parameters do not alias (§9)
 //!   --no-inline              disable inline expansion
-//!   --strip N                vector strip length (default 32)
+//!   --strip N                vector strip length (at least 1, default 32)
 //!   --print-il               print the optimized IL for every procedure
 //!   --snapshots              print every procedure after every phase
 //!   --verify                 run the IL verifier between passes
@@ -201,6 +201,11 @@ fn parse_args() -> Cli {
             }
             _ => cli.files.push(arg),
         }
+    }
+    // the check `titand` runs on a request line
+    if let Err(why) = cli.req.check() {
+        eprintln!("titanc: {why}");
+        std::process::exit(2);
     }
     cli
 }

@@ -15,11 +15,13 @@
 //!   --quiet             suppress the per-request accounting log lines
 //! ```
 //!
-//! The daemon keeps the content-addressed IL cache resident in memory,
-//! as typed values checked once on the way in: the first compile of a
-//! program pays the full pipeline, every subsequent compile parses only
-//! the files whose text changed and replays unchanged procedures from
-//! the shared entries, and warm repeats skip the pipeline outright. Requests
+//! The daemon keeps the content-addressed IL cache resident in memory as
+//! the bytes of its files, and loads them exactly as one-shot `titanc
+//! --cache-dir` loads the files themselves: every entry is decoded and
+//! verified on every read. The first compile of a program pays the full
+//! pipeline, every subsequent compile parses every file and replays
+//! unchanged procedures from their entries, and warm repeats skip the
+//! pipeline outright. Requests
 //! are batched across the worker pool; responses stream back as they
 //! finish, tagged by request id. Responses are byte-identical to
 //! one-shot `titanc` on the same inputs (modulo the `titanc: cache:`

@@ -1,18 +1,18 @@
 //! The compile server's one memo type.
 //!
-//! A [`Memo`] maps a key to an immutable, shared value (`Arc<V>`) that
-//! was checked once, when it entered. `titand` keeps one per layer (see
-//! [`Memos`](crate::store::Memos)). Every layer holds values that are pure
-//! functions of bytes the daemon has already seen, so an evicted value is
-//! only ever *recomputed* — the front end re-parses, an entry or manifest
-//! is re-admitted from the backing directory or recompiled, a reply is
-//! executed again — never wrong. That is what makes a fixed byte budget
-//! with least-recently-used eviction safe by construction: each value is
+//! A [`Memo`] maps a key to an immutable, shared value (`Arc<V>`).
+//! `titand` keeps one per layer (see [`Memos`](crate::store::Memos)): the
+//! unsealed payloads of cache files, and finished replies. Both hold
+//! values that are pure functions of bytes the daemon has already seen,
+//! so an evicted value is only ever *recomputed* — a payload is read from
+//! the backing directory again or recompiled, a reply is executed again —
+//! never wrong. That is what makes a fixed byte budget with
+//! least-recently-used eviction safe by construction: each value is
 //! weighed once, on the way in, and the memo never holds more.
 //!
 //! One mutex guards the map, the recency tick and the counters; a hit
-//! clones an `Arc` under it and everything else (decoding, verifying,
-//! weighing, cloning the value out) happens outside.
+//! clones an `Arc` under it and everything else (weighing, decoding what
+//! a hit hands out) happens outside.
 
 use std::borrow::Borrow;
 use std::collections::BTreeMap;
@@ -25,8 +25,6 @@ pub(crate) struct MemoCounts {
     pub hits: u64,
     /// Lookups that found nothing (or something `accept` turned down).
     pub misses: u64,
-    /// Values inserted.
-    pub admitted: u64,
     /// Values dropped to make room for another.
     pub evicted: u64,
     /// The summed weight of the values resident right now.
@@ -134,7 +132,6 @@ impl<K: Ord + Clone, V> Memo<K, V> {
             inner.forget(&victim);
             inner.counts.evicted += 1;
         }
-        inner.counts.admitted += 1;
         inner.counts.resident_bytes += bytes as u64;
         let slot = Slot {
             value: Arc::clone(&value),
@@ -146,7 +143,7 @@ impl<K: Ord + Clone, V> Memo<K, V> {
     }
 
     /// Drops the value under `key`, if any (a quarantined payload must not
-    /// stay resident in typed form).
+    /// stay resident).
     pub(crate) fn remove<Q>(&self, key: &Q)
     where
         K: Borrow<Q>,
@@ -191,7 +188,7 @@ mod tests {
         assert_eq!(memo.len(), 1);
         let counts = memo.counts();
         assert_eq!((counts.hits, counts.misses), (1, 2));
-        assert_eq!((counts.admitted, counts.evicted), (1, 0));
+        assert_eq!(counts.evicted, 0);
         memo.remove(&1);
         assert!(memo.get(&1, |_| true).is_none());
         assert_eq!((memo.len(), memo.counts().resident_bytes), (0, 0));
@@ -225,6 +222,6 @@ mod tests {
         let big = memo.insert(5, "f".repeat(memo.budget));
         assert_eq!(big.len(), memo.budget);
         assert!(memo.get(&5, |_| true).is_none() && memo.get(&4, |_| true).is_some());
-        assert_eq!((memo.counts().admitted, memo.counts().evicted), (6, 3));
+        assert_eq!((memo.len(), memo.counts().evicted), (1, 3));
     }
 }

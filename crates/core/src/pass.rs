@@ -61,7 +61,7 @@
 use std::any::Any;
 use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Mutex, Once};
+use std::sync::{Mutex, Once};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -561,16 +561,13 @@ titanc_il::struct_wire!(RecordedCell, [pass, delta, changed, cache]);
 
 /// What one cache entry holds, decoded and checked: a procedure's fully
 /// optimized IL plus the per-pass cells recorded when it was last
-/// compiled. Immutable once built — the compile server shares one behind
-/// an `Arc` between every request that hits it.
+/// compiled. Every load decodes its own; a replay moves the IL into the
+/// procedure.
 pub struct CachedEntry {
     /// The procedure's post-pipeline IL, decoded from the cache entry.
     pub il: Procedure,
     /// Recorded cells for every per-procedure pass, in pipeline order.
     pub cells: Vec<RecordedCell>,
-    /// Length of the wire section `cells` was decoded from — what the
-    /// compile server's entry memo charges for them.
-    pub cells_bytes: usize,
 }
 
 /// Where one procedure stands with the incremental session cache. The
@@ -590,11 +587,11 @@ pub struct CachedEntry {
 pub enum Replay {
     /// A miss no pass group has run over yet.
     None,
-    /// A hit: the proc group substitutes the (possibly shared) entry's IL
+    /// A hit: the proc group substitutes the entry's IL
     /// for the procedure's pass chain and replays every cell through the
     /// normal pass-major merge — so reports, traces and the opt report
     /// stay byte-identical to a cold run.
-    Hit(Arc<CachedEntry>),
+    Hit(Box<CachedEntry>),
     /// A hit, replayed.
     Replayed,
     /// A miss whose one chain ran clean: its cells.
@@ -613,16 +610,14 @@ impl Replay {
     /// hands over its entry and is [`Replay::Replayed`]. Hits are validated
     /// whole where they are seeded; one the group cannot replay executes
     /// its chain like any other state.
-    fn take_hit(&mut self, len: usize) -> Option<Arc<CachedEntry>> {
-        let Replay::Hit(entry) = self else {
-            return None;
-        };
-        if entry.cells.len() != len {
-            return None;
+    fn take_hit(&mut self, len: usize) -> Option<Box<CachedEntry>> {
+        match std::mem::replace(self, Replay::Replayed) {
+            Replay::Hit(entry) if entry.cells.len() == len => Some(entry),
+            other => {
+                *self = other;
+                None
+            }
         }
-        let entry = Arc::clone(entry);
-        *self = Replay::Replayed;
-        Some(entry)
     }
 
     /// The procedure's chain executed — `clean` when every pass of the
@@ -670,8 +665,7 @@ impl ProcSlot {
         if self.degraded {
             return None;
         }
-        let entry = self.replay.take_hit(len)?;
-        let mut il = entry.il.clone();
+        let CachedEntry { mut il, cells } = *self.replay.take_hit(len)?;
         // land strictly past the generation already covered so the
         // closing whole-program verify re-checks the substituted IL
         while il.generation() <= self.seen_gen {
@@ -681,7 +675,7 @@ impl ProcSlot {
         // artifacts built against the pre-substitution IL are stale
         self.analyses.invalidate();
         Some(ProcResult {
-            cells: entry.cells.iter().map(PassCell::replayed).collect(),
+            cells: cells.iter().map(PassCell::replayed).collect(),
             snaps: Vec::new(),
             items: Vec::new(),
             final_gen: proc.generation(),
@@ -1537,10 +1531,9 @@ mod tests {
         // a hit is replayed whole, to `Replayed`; a chain executed after
         // it (a second group) is never persisted
         let hit = || {
-            Replay::Hit(Arc::new(CachedEntry {
+            Replay::Hit(Box::new(CachedEntry {
                 il: countdown(),
                 cells: cells.clone(),
-                cells_bytes: 0,
             }))
         };
         let mut slot = ProcSlot::new(0, hit());

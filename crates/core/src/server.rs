@@ -27,15 +27,14 @@
 //!
 //! ## Shared cache semantics
 //!
-//! All requests compile through one [`ResidentCache`], which makes the
-//! daemon a small query engine: keyed memos — the front end per file
-//! content, cache entries as decoded and verified typed values, session
-//! manifests decoded, finished replies — each filled by checking a value
-//! once, where it enters, and answering every later request with the
-//! shared immutable result (see [`crate::session`] § Resident sessions),
-//! each under a fixed byte budget. A fully warm request parses, decodes
-//! and verifies nothing; repeated, it is one lookup (§ Memoised replies
-//! below). The layer writes through to the
+//! All requests compile through one [`ResidentCache`]: two keyed memos of
+//! bytes, each under a fixed byte budget — the unsealed payload of every
+//! cache file the daemon published or read, and finished replies. A
+//! request that executes loads the cache exactly as one-shot `titanc`
+//! does (see [`crate::session`] § Resident sessions): it parses every
+//! file and decodes and verifies every entry it replays, reading the
+//! payloads from memory instead of disk. A repeated fully warm request is
+//! one lookup (§ Memoised replies below). The layer writes through to the
 //! daemon's `--cache-dir` (when it has one), so one-shot
 //! `titanc --cache-dir` invocations and the daemon interoperate on the
 //! same directory. The per-request pipeline still fans procedures across
@@ -53,7 +52,9 @@
 //! fully warm with no incident and no store degradation — the one state
 //! whose `titanc: cache:` line every later execution would repeat — and a
 //! hit is confirmed by comparing the source texts; `verify: true` bypasses
-//! the layer both ways. No line takes the daemon down: one over
+//! the layer both ways. A request whose fields no command line could
+//! produce ([`CompileRequest::check`]) is refused `exit: 2` unexecuted,
+//! as the CLI refuses the flag. No line takes the daemon down: one over
 //! [`MAX_LINE_BYTES`] or not UTF-8 is never buffered or parsed (`exit: 2`,
 //! `rejected`), a panic outside a pass cell is answered `exit: 3`
 //! (`contained`). See `docs/architecture.md` § The compile server.
@@ -108,7 +109,7 @@ pub struct CompileRequest {
     pub fortran_aliasing: bool,
     /// Inline expansion (§7); `false` for `--no-inline` / `-O0` / `-O1`.
     pub inline: bool,
-    /// `--strip N`.
+    /// `--strip N`: at least 1.
     pub strip: i64,
     /// `-j N` for the *per-request* pipeline. `0` resolves to 1 on the
     /// server: concurrent requests already saturate the daemon's pool,
@@ -173,6 +174,31 @@ impl Default for CompileRequest {
 }
 
 impl CompileRequest {
+    /// Refuses a field no command line could set, naming it: an `opt`
+    /// level other than 0, 1 or 2, a `strip` length below 1 (a strip loop
+    /// that steps by zero or backwards), an `opt_report` flavor other than
+    /// `"none"`, `"text"` or `"json"`. `titanc` makes the message a usage
+    /// error (exit 2), as does the server's [`execute`].
+    ///
+    /// # Errors
+    ///
+    /// The first bad field, as a message.
+    pub fn check(&self) -> Result<(), String> {
+        if !(0..=2).contains(&self.opt) {
+            return Err(format!("`opt` must be 0, 1 or 2, not {}", self.opt));
+        }
+        if self.strip < 1 {
+            return Err(format!("`strip` must be at least 1, not {}", self.strip));
+        }
+        if !["none", "text", "json"].contains(&self.opt_report.as_str()) {
+            return Err(format!(
+                "`opt_report` must be \"none\", \"text\" or \"json\", not {:?}",
+                self.opt_report
+            ));
+        }
+        Ok(())
+    }
+
     /// The [`Options`] this request describes. `jobs == 0` maps to one
     /// pipeline worker (see the field docs).
     pub fn options(&self) -> Options {
@@ -278,27 +304,15 @@ server_totals! {
     quarantined = quarantined,
     /// Summed [`SessionStats::write_failed`].
     write_failed = write_failed,
-    /// Input files answered from the front-end memo (failed requests
-    /// included — a file that parsed is remembered even when its
-    /// neighbour did not).
-    front_hits,
-    /// Input files parsed and lowered for real.
-    front_misses,
-    /// Cache entries admitted into the typed layer: decoded and verified
-    /// once, on first use, from this daemon's own publish or the backing
-    /// directory.
-    admitted,
-    /// Memoised values dropped to stay inside the byte budgets, every
-    /// layer.
+    /// Memoised values dropped to stay inside the byte budgets, both
+    /// layers.
     evicted,
-    /// Typed cache entries resident at the time of the snapshot.
-    resident_entries,
     /// Requests answered from the reply memo without executing.
     reply_hits,
     /// Requests that looked the reply memo up and executed (`verify`
     /// requests never look).
     reply_misses,
-    /// Bytes the memo layers weigh at the time of the snapshot.
+    /// Bytes the two memo layers weigh at the time of the snapshot.
     resident_bytes,
     /// Lines refused unparsed: over [`MAX_LINE_BYTES`], or not UTF-8.
     rejected,
@@ -547,6 +561,9 @@ pub fn execute(req: &CompileRequest, resident: &ResidentCache) -> Executed {
         let stderr = "titanc: server: request carries no files\n".to_string();
         return Executed::refused(req.id, 2, stderr);
     }
+    if let Err(why) = req.check() {
+        return Executed::refused(req.id, 2, format!("titanc: server: {why}\n"));
+    }
     // the `TITANC_INJECT_PANIC` hook, outside any pass cell: naming one of
     // the request's *files* faults the request itself
     if let Ok(target) = std::env::var("TITANC_INJECT_PANIC") {
@@ -693,17 +710,11 @@ impl Server {
     /// what the resident memos have counted since the server started.
     pub fn totals(&self) -> ServerTotals {
         let mut totals = self.totals.lock().unwrap().clone();
-        let memos = self.resident.memos();
-        let (front, replies) = (memos.front.counts(), memos.replies.counts());
-        let (evicted, resident_bytes) = memos.pressure();
-        totals.front_hits = front.hits as i64;
-        totals.front_misses = front.misses as i64;
-        totals.admitted = memos.entries.counts().admitted as i64;
-        totals.evicted = evicted as i64;
-        totals.resident_entries = memos.entries.len() as i64;
+        let [raw, replies] = self.resident.memos().counts();
+        totals.evicted = (raw.evicted + replies.evicted) as i64;
         totals.reply_hits = replies.hits as i64;
         totals.reply_misses = replies.misses as i64;
-        totals.resident_bytes = resident_bytes as i64;
+        totals.resident_bytes = (raw.resident_bytes + replies.resident_bytes) as i64;
         totals
     }
 
@@ -767,12 +778,7 @@ impl Server {
                 ) {
                     let reply = MemoReply {
                         tail: line[reply_head(id).len()..].to_string(),
-                        // a hit parses no file
-                        stats: SessionStats {
-                            front_hits: 0,
-                            front_misses: 0,
-                            ..stats
-                        },
+                        stats,
                         files: req.files,
                     };
                     replies.insert(key, reply);
@@ -792,14 +798,7 @@ impl Server {
             // the daemon's own stderr (the response carries the client's
             // copy inside its stderr field)
             let reply = if hit.is_some() { "hit" } else { "miss" };
-            let cache = stats.map_or(String::new(), |s| {
-                format!(
-                    " front={}/{} {}",
-                    s.front_hits,
-                    s.front_misses,
-                    cache_line(&s)
-                )
-            });
+            let cache = stats.map_or(String::new(), |s| format!(" {}", cache_line(&s)));
             eprintln!("titand: req={id} files={files} exit={exit} reply={reply}{cache}");
         }
         Reply::Line(line)
@@ -1035,16 +1034,23 @@ fn bad_data(what: &str, e: impl std::fmt::Display) -> io::Error {
 }
 
 #[cfg(test)]
+impl Server {
+    /// A quiet one-worker server over `resident`, so a test can hand it
+    /// one with small budgets.
+    pub(crate) fn over(resident: ResidentCache) -> Server {
+        Server {
+            resident,
+            totals: Mutex::default(),
+            workers: 1,
+            quiet: true,
+        }
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
-    use std::path::PathBuf;
-
-    fn scratch(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("titanc-server-{name}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
-    }
+    use crate::store::BUDGETS;
 
     fn tiny_request(id: i64, tag: usize) -> CompileRequest {
         let src = format!(
@@ -1122,13 +1128,6 @@ mod tests {
     /// used one makes room, and comes back byte for byte when asked again.
     #[test]
     fn replies_evict_least_recently_used_first_and_recompute_to_the_same_bytes() {
-        let dir = scratch("reply-evict");
-        let over = |resident| Server {
-            resident,
-            totals: Mutex::default(),
-            workers: 1,
-            quiet: true,
-        };
         let serve = |server: &Server, tag: usize| {
             let line = tiny_request(7, tag).to_json().to_string_compact();
             let before = server.totals().reply_hits;
@@ -1142,11 +1141,11 @@ mod tests {
                 replies.resident_bytes,
             )
         };
-        let roomy = over(ResidentCache::new(None));
+        let roomy = Server::over(ResidentCache::new(None));
         let one = [serve(&roomy, 0), serve(&roomy, 0)][1].2;
         assert!(one > 0, "the fully warm reply was admitted");
-        // over a directory, so entries too heavy for this budget re-read
-        let server = over(ResidentCache::capped(Some(&dir), (one * 5 / 2) as usize));
+        let budgets = [BUDGETS[0], (one * 5 / 2) as usize];
+        let server = Server::over(ResidentCache::with_budgets(None, budgets));
         let admitted: Vec<String> = (0..3)
             .map(|tag| [serve(&server, tag), serve(&server, tag)][1].0.clone())
             .collect();
@@ -1157,6 +1156,5 @@ mod tests {
             assert!(resident <= one * 5 / 2 && resident >= one);
         }
         assert_eq!(server.resident.memos().replies.counts().evicted, 3);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

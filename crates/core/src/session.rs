@@ -63,18 +63,16 @@
 //! ## Resident sessions
 //!
 //! A session whose store belongs to the compile server's
-//! [`ResidentCache`] answers from three keyed memos instead of
-//! recomputing functions of bytes the daemon has already seen: the front
-//! end per file content ([`FrontEnd`]), cache entries as typed
-//! [`CachedEntry`]s, session manifests as decoded [`Manifest`]s. A value
-//! is checked where it enters — exactly the checks a one-shot load runs
-//! on every read ([`admit_entry`], [`decode_manifest`]) — and is then an
-//! immutable `Arc` that no request re-decodes or re-verifies. A one-shot
-//! session (no resident layer) takes none of that code.
+//! [`ResidentCache`] runs exactly the code a one-shot session runs: it
+//! parses every file, and every entry it loads goes through
+//! [`admit_entry`] and every manifest through [`decode_manifest`], on
+//! every read. The only difference is where the bytes come from — the
+//! resident layer keeps the unsealed payload of each file the daemon
+//! published or read, so a warm request reads no file and checks no
+//! envelope.
 
 use std::collections::BTreeMap;
 use std::path::Path;
-use std::sync::Arc;
 
 use titanc_analysis::CallGraph;
 use titanc_cfront::{Diagnostic, DiagnosticSink, Span};
@@ -87,7 +85,7 @@ use crate::pass::{
     Replay, SessionReplay,
 };
 use crate::server::base_pipeline;
-use crate::store::{CacheStore, Memos, ResidentCache, CACHE_FORMAT};
+use crate::store::{CacheStore, ResidentCache, CACHE_FORMAT};
 use crate::{
     link_catalogs, optimization_remarks, Compilation, CompileError, Options, Pipeline, Reports,
 };
@@ -176,12 +174,6 @@ session_stats! {
     /// Cache files that could not be published (write/rename failure);
     /// surfaced as a warning, never a compilation failure.
     write_failed,
-    /// Input files whose front-end result came from the compile server's
-    /// memo (always zero in a one-shot session; not on the `titanc:
-    /// cache:` line, which one-shot and served output share).
-    front_hits,
-    /// Input files a resident session parsed and lowered for real.
-    front_misses,
 }
 
 /// A [`Compilation`] plus the session's cache accounting. The stats stay
@@ -271,12 +263,8 @@ pub(crate) fn compile_session_impl(
     let mut tus: Vec<(String, Program)> = Vec::new();
     let mut failed = false;
     let mut stats = SessionStats::default();
-    let memos = store.as_ref().and_then(CacheStore::memos);
     for f in files {
-        let (tu, diags) = match memos {
-            Some(memos) => front_end_memoised(memos, &f.src, options.max_errors, &mut stats),
-            None => front_end(&f.src, options.max_errors),
-        };
+        let (tu, diags) = front_end(&f.src, options.max_errors);
         match tu {
             Some(tu) => tus.push((f.name.clone(), tu)),
             None => failed = true,
@@ -360,7 +348,7 @@ pub(crate) fn compile_session_impl(
             for (p, h) in program.procs.iter().zip(&c.hashes) {
                 let hit = load_hit(&mut c.store, h, &p.name, &proc_passes);
                 c.replay.push(match hit {
-                    Some(entry) => Replay::Hit(entry),
+                    Some(entry) => Replay::Hit(Box::new(entry)),
                     None => {
                         let index = index.get_or_insert_with(|| load_index(&mut c.store, &c.index));
                         let edited = |old: &String| *old != h.hex();
@@ -429,53 +417,6 @@ fn front_end(src: &str, max_errors: usize) -> (Option<Program>, Vec<Diagnostic>)
         }
     }
     (program, sink.into_diagnostics())
-}
-
-/// What the compile server remembers of one error-free file: the text it
-/// stands for, the lowered TU and the (warning) diagnostics, untagged —
-/// the same text may arrive under any file name.
-pub(crate) struct FrontEnd {
-    src: String,
-    program: Program,
-    diagnostics: Vec<Diagnostic>,
-}
-
-impl FrontEnd {
-    /// What the front-end memo charges for one file (a diagnostic's
-    /// message taken as a line of text).
-    pub(crate) fn weight(&self) -> usize {
-        let notes = self.diagnostics.len() * (size_of::<Diagnostic>() + 80);
-        self.src.len() + self.program.resident_bytes() + notes
-    }
-}
-
-/// [`front_end`] through the compile server's memo, keyed by the digest
-/// of the text and the error cap. A hit is confirmed by comparing the
-/// text itself, so a digest collision is a miss; a file with errors is
-/// never remembered (its diagnostics depend on the cap in ways a success
-/// does not, and it is about to be edited anyway).
-fn front_end_memoised(
-    memos: &Memos,
-    src: &str,
-    max_errors: usize,
-    stats: &mut SessionStats,
-) -> (Option<Program>, Vec<Diagnostic>) {
-    let key = (wire::digest(src.as_bytes()), max_errors);
-    if let Some(hit) = memos.front.get(&key, |f| f.src == src) {
-        stats.front_hits += 1;
-        return (Some(hit.program.clone()), hit.diagnostics.clone());
-    }
-    stats.front_misses += 1;
-    let (program, diagnostics) = front_end(src, max_errors);
-    if let Some(program) = &program {
-        let remembered = FrontEnd {
-            src: src.to_string(),
-            program: program.clone(),
-            diagnostics: diagnostics.clone(),
-        };
-        memos.front.insert(key, remembered);
-    }
-    (program, diagnostics)
 }
 
 /// Appends `diags`, folding the file name (and the position, when
@@ -700,13 +641,6 @@ impl Manifest {
     }
 }
 
-/// A decoded manifest with the length of the payload it was decoded from —
-/// what the compile server's manifest memo charges for it.
-pub(crate) struct DecodedManifest {
-    manifest: Manifest,
-    pub(crate) bytes: usize,
-}
-
 /// A manifest payload: the entry version, then the manifest's wire bytes.
 fn encode_manifest(manifest: &Manifest) -> Vec<u8> {
     let mut out = ENTRY_VERSION.to_le_bytes().to_vec();
@@ -715,17 +649,14 @@ fn encode_manifest(manifest: &Manifest) -> Vec<u8> {
 }
 
 /// Decodes a manifest payload; `None` for anything but this version's.
-fn decode_manifest(payload: &[u8]) -> Option<DecodedManifest> {
+fn decode_manifest(payload: &[u8]) -> Option<Manifest> {
     let mut r = Reader::new(payload);
     if r.u32().ok()? != ENTRY_VERSION {
         return None;
     }
     let manifest = Manifest::read_wire(&mut r).ok()?;
     r.finish().ok()?;
-    Some(DecodedManifest {
-        manifest,
-        bytes: payload.len(),
-    })
+    Some(manifest)
 }
 
 fn entry_name(hash: &StableHash) -> String {
@@ -777,66 +708,50 @@ fn store_diagnostics(store: &CacheStore, sink: &mut DiagnosticSink) {
     }
 }
 
-/// The checks every entry passes before it is trusted — by a one-shot
-/// load on each read, by the compile server once, at admission: the entry
-/// version and framing, the wire decode of both sections, the name, and —
-/// crucially — the IL verifier.
+/// The checks every entry passes, on every read, before it is trusted:
+/// the entry version and framing, the wire decode of both sections, the
+/// name, and — crucially — the IL verifier.
 fn admit_entry(payload: &[u8], name: &str) -> Option<CachedEntry> {
     let (il, cells) = split_entry(payload)?;
-    let il = titanc_il::decode_proc(il).ok()?;
     let entry = CachedEntry {
+        il: titanc_il::decode_proc(il).ok()?,
         cells: wire::from_bytes(cells).ok()?,
-        cells_bytes: cells.len(),
-        il,
     };
     (entry.il.name == name && verify_proc_check(&entry.il).is_ok()).then_some(entry)
 }
 
 /// Loads one procedure's hit, validated *whole*: beyond [`admit_entry`]'s
-/// checks — run on every read by a one-shot store, once at admission by a
-/// resident one, whose hits compare the name again — its cells must name
-/// exactly the pipeline's per-procedure passes, in order. The key covers
-/// the pipeline fingerprint, so an entry that does not is damaged. A
-/// missing file is a plain (cold) miss; a file that read but failed any
-/// check is quarantined — the bad bytes are never trusted or re-read —
-/// and counted like any other damage, and the procedure compiles cold.
+/// checks its cells must name exactly the pipeline's per-procedure passes,
+/// in order. The key covers the pipeline fingerprint, so an entry that
+/// does not is damaged. A missing file is a plain (cold) miss; a file that
+/// read but failed any check is quarantined — the bad bytes are never
+/// trusted or re-read — and counted like any other damage, and the
+/// procedure compiles cold.
 fn load_hit(
     store: &mut CacheStore,
     hash: &StableHash,
     name: &str,
     passes: &[&str],
-) -> Option<Arc<CachedEntry>> {
+) -> Option<CachedEntry> {
     let file = entry_name(hash);
-    let entry = if store.memos().is_none() {
-        let payload = store.read(&file)?;
-        admit_entry(&payload, name).map(Arc::new)
-    } else {
-        let admit = |payload: &[u8]| admit_entry(payload, name);
-        Some(store.read_typed(&file, |m| &m.entries, admit)?)
-    };
-    let whole = |e: &Arc<CachedEntry>| {
-        e.il.name == name && e.cells.iter().map(|c| &*c.pass).eq(passes.iter().copied())
-    };
-    if let Some(entry) = entry.filter(whole) {
-        return Some(entry);
+    let payload = store.read(&file)?;
+    let whole = |e: &CachedEntry| e.cells.iter().map(|c| &*c.pass).eq(passes.iter().copied());
+    let entry = admit_entry(&payload, name).filter(whole);
+    if entry.is_none() {
+        store.quarantine(&file);
     }
-    store.quarantine(&file);
-    None
+    entry
 }
 
-/// Loads and decodes the manifest `file`: typed once and shared on a
-/// resident store; on a one-shot one, a payload that passed its checksum
-/// but does not decode is quarantined.
-fn load_manifest(store: &mut CacheStore, file: &str) -> Option<Arc<DecodedManifest>> {
-    if store.memos().is_some() {
-        return store.read_typed(file, |m| &m.manifests, decode_manifest);
-    }
+/// Loads and decodes the manifest `file`; a payload that passed its
+/// checksum but does not decode is quarantined.
+fn load_manifest(store: &mut CacheStore, file: &str) -> Option<Manifest> {
     let payload = store.read(file)?;
     let decoded = decode_manifest(&payload);
     if decoded.is_none() {
         store.quarantine(file);
     }
-    decoded.map(Arc::new)
+    decoded
 }
 
 /// Reconstructs a fully warm compilation: the program from every
@@ -859,23 +774,12 @@ fn load_full_warm(
         entries.push(load_hit(store, h, &p.name, &passes)?);
     }
     let cells: Vec<&[RecordedCell]> = entries.iter().map(|e| &e.cells[..]).collect();
-    let (reports, trace) = pipeline.replay_records(&manifest.manifest.stages, &cells)?;
-    // a one-shot load owns its values outright; shared ones are copied
-    let procs = entries
-        .into_iter()
-        .map(|e| Arc::try_unwrap(e).map_or_else(|e| e.il.clone(), |e| e.il))
-        .collect();
-    let Manifest {
-        globals,
-        structs,
-        files,
-        ..
-    } = Arc::try_unwrap(manifest).map_or_else(|m| m.manifest.clone(), |m| m.manifest);
+    let (reports, trace) = pipeline.replay_records(&manifest.stages, &cells)?;
     let program = Program {
-        procs,
-        globals,
-        structs,
-        files,
+        procs: entries.into_iter().map(|e| e.il).collect(),
+        globals: manifest.globals,
+        structs: manifest.structs,
+        files: manifest.files,
     };
     Some((program, reports, trace))
 }
@@ -973,8 +877,11 @@ fn save_index(store: &mut CacheStore, name: &str, map: &BTreeMap<String, String>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::server::{render, CompileRequest, CompileResponse, Reply, Server};
+    use crate::store::BUDGETS;
     use crate::{PassContext, PassRecord};
     use std::path::PathBuf;
+    use titanc_il::json::{FromJson, ToJson};
 
     const SRC: &str = "float a[64], b[64];\n\
         void scale(float *x, int n) { int i; for (i = 0; i < n; i++) x[i] = x[i] * 2.0f; }\n\
@@ -1010,8 +917,11 @@ mod tests {
     /// Rewrites entry `name` through `damage` and re-seals it, so the
     /// envelope checksum is *valid* for the damaged payload — the one
     /// kind of corruption only the decoder and verifier can catch.
-    fn reseal(dir: &Path, name: &str, damage: impl FnOnce(&[u8], &[u8]) -> (Vec<u8>, Vec<u8>)) {
-        let mut store = CacheStore::open(dir);
+    fn reseal(
+        store: &mut CacheStore,
+        name: &str,
+        damage: impl FnOnce(&[u8], &[u8]) -> (Vec<u8>, Vec<u8>),
+    ) {
         let payload = store.read(name).expect("entry reads");
         let (il, cells) = split_entry(&payload).expect("entry splits");
         let (il, cells) = damage(il, cells);
@@ -1026,7 +936,7 @@ mod tests {
         assert_eq!(cold.stats.misses, 2);
         let victim = entries(&dir).remove(0);
         // the IL section loses its last byte (its length prefix agrees)
-        reseal(&dir, &victim, |il, cells| {
+        reseal(&mut CacheStore::open(&dir), &victim, |il, cells| {
             (il[..il.len() - 1].to_vec(), cells.to_vec())
         });
 
@@ -1078,7 +988,7 @@ mod tests {
                 drop_manifests(&dir);
             }
             let victim = entries(&dir).remove(0);
-            reseal(&dir, &victim, |il, cells| {
+            reseal(&mut CacheStore::open(&dir), &victim, |il, cells| {
                 (il.to_vec(), cells[..cells.len() - 1].to_vec())
             });
 
@@ -1211,7 +1121,7 @@ mod tests {
             compile_with(o1(), Some(&dir));
             drop_manifests(&dir);
             let victim = entries(&dir).remove(0);
-            reseal(&dir, &victim, |il, section| {
+            reseal(&mut CacheStore::open(&dir), &victim, |il, section| {
                 let mut cells: Vec<RecordedCell> = wire::from_bytes(section).expect("cells decode");
                 damage(&mut cells);
                 (il.to_vec(), wire::to_bytes(&cells))
@@ -1284,34 +1194,8 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// The memos weigh a decoded entry and manifest by the length of the
-    /// wire bytes they were decoded from, carried since admission — the
-    /// number re-encoding the value would give.
-    #[test]
-    fn the_carried_lengths_are_the_wire_lengths() {
-        let dir = scratch("carried-lengths");
-        compile(Some(&dir));
-        let mut store = CacheStore::open(&dir);
-        for file in entries(&dir) {
-            let payload = store.read(&file).expect("entry reads");
-            let (il, _) = split_entry(&payload).expect("entry splits");
-            let name = titanc_il::decode_proc(il).expect("entry decodes").name;
-            let entry = admit_entry(&payload, &name).expect("admitted");
-            assert!(entry.cells_bytes > 0);
-            assert_eq!(entry.cells_bytes, wire::to_bytes(&entry.cells).len());
-        }
-        let manifest = dir_image(&dir)
-            .into_keys()
-            .find(|n| n.starts_with("session-"))
-            .expect("a manifest was published");
-        let m = decode_manifest(&store.read(&manifest).expect("reads")).expect("decodes");
-        assert!(m.bytes > 0);
-        assert_eq!(m.bytes, encode_manifest(&m.manifest).len());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
     // -----------------------------------------------------------------
-    // resident sessions: the memo layers
+    // resident sessions: the same loads, over bytes held in memory
     // -----------------------------------------------------------------
 
     fn compile_resident(resident: &ResidentCache) -> SessionCompilation {
@@ -1321,58 +1205,21 @@ mod tests {
             .expect("compiles")
     }
 
-    /// (typed entries, typed manifests, payloads still raw bytes).
-    fn resident_shape(resident: &ResidentCache) -> (usize, usize, usize) {
-        let memos = resident.memos();
-        let typed = memos.entries.len() + memos.manifests.len();
-        (
-            memos.entries.len(),
-            memos.manifests.len(),
-            resident.entries() - typed,
-        )
-    }
-
     #[test]
-    fn a_resident_payload_is_bytes_or_typed_never_both() {
+    fn quarantine_evicts_the_resident_bytes_with_the_file() {
         let reference = compile(None);
-        let resident = ResidentCache::new(None);
-        let cold = compile_resident(&resident);
-        assert_eq!((cold.stats.front_hits, cold.stats.front_misses), (0, 1));
-        // published, not yet asked for: two entries, the manifest and the
-        // index wait as bytes
-        assert_eq!(resident_shape(&resident), (0, 0, 4));
-
-        let warm = compile_resident(&resident);
-        assert!(warm.stats.full_warm);
-        assert_eq!((warm.stats.front_hits, warm.stats.front_misses), (1, 0));
-        assert_eq!(il_text(&reference), il_text(&warm));
-        // admitted on first use, and the bytes went with it: only the
-        // index has no typed form
-        assert_eq!(resident_shape(&resident), (2, 1, 1));
-        assert_eq!(resident.memos().entries.counts().admitted, 2);
-
-        // nothing is decoded or admitted twice
-        let again = compile_resident(&resident);
-        assert!(again.stats.full_warm);
-        assert_eq!(il_text(&reference), il_text(&again));
-        assert_eq!(resident.memos().entries.counts().admitted, 2);
-        assert_eq!(resident.memos().manifests.counts().admitted, 1);
-    }
-
-    #[test]
-    fn quarantine_evicts_the_typed_value_with_the_file() {
-        let reference = compile(None);
-        let dir = scratch("typed-quarantine");
+        let dir = scratch("resident-quarantine");
         let resident = ResidentCache::new(Some(&dir));
         compile_resident(&resident);
-        compile_resident(&resident);
-        assert_eq!(resident_shape(&resident), (2, 1, 1));
+        assert!(compile_resident(&resident).stats.full_warm);
+        // two entries, the manifest and the index
+        assert_eq!(resident.entries(), 4);
 
         let victim = entries(&dir).remove(0);
         let mut store = CacheStore::open_resident(&resident);
         store.quarantine(&victim);
         assert_eq!((store.stats.corrupt, store.stats.quarantined), (1, 1));
-        assert_eq!(resident_shape(&resident).0, 1, "gone from the typed layer");
+        assert_eq!(resident.entries(), 3, "gone from the resident layer");
         assert!(!dir.join(&victim).exists(), "and from the directory");
 
         // the next request recompiles exactly that procedure, cold
@@ -1380,51 +1227,42 @@ mod tests {
         assert_eq!((healed.stats.hits, healed.stats.misses), (1, 1));
         assert_eq!(healed.stats.corrupt, 0);
         assert_eq!(il_text(&reference), il_text(&healed));
-        // the republished manifest superseded its typed form: bytes again
-        assert_eq!(resident_shape(&resident), (1, 0, 3));
+        assert_eq!(resident.entries(), 4);
         assert!(compile_resident(&resident).stats.full_warm);
-        assert_eq!(resident_shape(&resident), (2, 1, 1));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// Every check a one-shot load runs on each read is an admission
-    /// check: a payload that fails one never becomes a typed value, is
-    /// quarantined and counted exactly as the one-shot path counts it, and
-    /// the procedure is recompiled to the same bytes. Each case damages
-    /// one thing only, so removing the check it names admits the entry
-    /// (`corrupt` 0) and fails the case.
+    /// Damages the payload `victim` through `store` (the second name is
+    /// the other procedure's entry).
+    type Damage = fn(&mut CacheStore, &str, &str);
+
+    /// Every check a one-shot load runs on each read, a resident read runs
+    /// too: a payload that fails one is quarantined and counted exactly as
+    /// the one-shot path counts it, and the procedure is recompiled to the
+    /// same bytes — whether the damaged bytes came from the directory or
+    /// were already resident in a warm daemon, which checks them on every
+    /// read, not once. Each case damages one thing only, so removing the
+    /// check it names replays the entry (`corrupt` 0) and fails the case.
     #[test]
-    fn admission_runs_every_check_a_load_runs() {
-        type Damage = fn(&Path, &str, &str);
-        let header: Damage = |dir, victim, _| {
-            // a valid payload under a digest that is not its own: only the
-            // envelope checksum can object
-            let path = dir.join(victim);
-            let mut bytes = std::fs::read(&path).expect("entry file");
-            let at = CACHE_FORMAT.len() + 1;
-            bytes[at] = if bytes[at] == b'0' { b'1' } else { b'0' };
-            std::fs::write(&path, bytes).expect("rewrite");
-        };
-        let version: Damage = |dir, victim, _| {
-            let mut store = CacheStore::open(dir);
+    fn a_resident_read_runs_every_check_a_load_runs() {
+        let version: Damage = |store, victim, _| {
             let mut payload = store.read(victim).expect("entry reads").to_vec();
             payload[..4].copy_from_slice(&(ENTRY_VERSION + 1).to_le_bytes());
             assert!(store.publish(victim, &payload));
         };
-        let decode: Damage = |dir, victim, _| {
-            reseal(dir, victim, |il, cells| {
+        let decode: Damage = |store, victim, _| {
+            reseal(store, victim, |il, cells| {
                 (il[..il.len() - 1].to_vec(), cells.to_vec())
             });
         };
-        let name: Damage = |dir, victim, other| {
+        let name: Damage = |store, victim, other| {
             // a perfectly good entry — of the other procedure
-            let mut store = CacheStore::open(dir);
             let payload = store.read(other).expect("entry reads").to_vec();
             assert!(store.publish(victim, &payload));
         };
-        let verifier: Damage = |dir, victim, _| {
+        let verifier: Damage = |store, victim, _| {
             // decodes cleanly, but jumps to a label nobody defines
-            reseal(dir, victim, |il, cells| {
+            reseal(store, victim, |il, cells| {
                 let mut p = titanc_il::decode_proc(il).expect("entry decodes");
                 let dangling = p.fresh_label();
                 let st = p.stamp(titanc_il::StmtKind::Goto(dangling));
@@ -1432,48 +1270,65 @@ mod tests {
                 (titanc_il::encode_proc(&p), cells.to_vec())
             });
         };
-        let cases: [(&str, Damage); 5] = [
-            ("checksum", header),
-            ("entry version", version),
-            ("decode", decode),
-            ("name", name),
-            ("verifier", verifier),
+        // only a file has an envelope: the checksum case damages the disk
+        let cases: [(&str, Option<Damage>); 5] = [
+            ("checksum", None),
+            ("entry version", Some(version)),
+            ("decode", Some(decode)),
+            ("name", Some(name)),
+            ("verifier", Some(verifier)),
         ];
 
         let reference = compile(None);
         for (what, damage) in cases {
-            let dir = scratch("admission");
+            let dir = scratch("resident-checks");
             compile(Some(&dir));
             let names = entries(&dir);
-            damage(&dir, &names[0], &names[1]);
+            match damage {
+                Some(damage) => damage(&mut CacheStore::open(&dir), &names[0], &names[1]),
+                None => {
+                    // a valid payload under a digest that is not its own
+                    let path = dir.join(&names[0]);
+                    let mut bytes = std::fs::read(&path).expect("entry file");
+                    let at = CACHE_FORMAT.len() + 1;
+                    bytes[at] = if bytes[at] == b'0' { b'1' } else { b'0' };
+                    std::fs::write(&path, bytes).expect("rewrite");
+                }
+            }
 
-            let one_shot_dir = scratch("admission-oneshot");
+            let one_shot_dir = scratch("resident-checks-oneshot");
             copy_dir(&dir, &one_shot_dir);
             let one_shot = compile(Some(&one_shot_dir));
+            let counted = |sc: &SessionCompilation| {
+                let s = &sc.stats;
+                (s.hits, s.misses, s.corrupt, s.quarantined)
+            };
+            assert_eq!(counted(&one_shot), (1, 1, 1, 1), "{what}");
 
             let resident = ResidentCache::new(Some(&dir));
             let served = compile_resident(&resident);
             assert_eq!(il_text(&reference), il_text(&served), "{what}");
             assert_eq!(
-                (served.stats.corrupt, served.stats.quarantined),
-                (1, 1),
-                "{what}"
+                counted(&served),
+                counted(&one_shot),
+                "{what}: a refused resident read is accounted like a refused load"
             );
-            assert_eq!(
-                (served.stats.hits, served.stats.misses, served.stats.corrupt),
-                (
-                    one_shot.stats.hits,
-                    one_shot.stats.misses,
-                    one_shot.stats.corrupt
-                ),
-                "{what}: a refused admission is accounted like a refused load"
-            );
-            // only what passed is resident, and the recompile healed it
-            assert_eq!(resident.memos().entries.counts().admitted, 1, "{what}");
             let healed = compile_resident(&resident);
             assert!(healed.stats.full_warm, "{what}");
             assert_eq!(healed.stats.corrupt, 0, "{what}");
             assert_eq!(il_text(&reference), il_text(&healed), "{what}");
+
+            // the same damage to bytes a warm daemon already holds
+            if let Some(damage) = damage {
+                let mut store = CacheStore::open_resident(&resident);
+                damage(&mut store, &names[0], &names[1]);
+                let again = compile_resident(&resident);
+                assert_eq!(il_text(&reference), il_text(&again), "{what}");
+                assert_eq!(counted(&again), counted(&one_shot), "{what}, resident");
+            }
+            let warm = compile_resident(&resident);
+            assert!(warm.stats.full_warm, "{what}");
+            assert_eq!(il_text(&reference), il_text(&warm), "{what}");
             for d in [dir, one_shot_dir] {
                 let _ = std::fs::remove_dir_all(d);
             }
@@ -1490,8 +1345,10 @@ mod tests {
         }
     }
 
+    /// A manifest of another entry version is refused on a resident read
+    /// — from the directory, and again once the daemon holds the bytes.
     #[test]
-    fn a_manifest_of_another_version_is_refused_at_admission() {
+    fn a_manifest_of_another_version_is_refused_on_a_resident_read() {
         let reference = compile(None);
         let dir = scratch("manifest-version");
         compile(Some(&dir));
@@ -1500,93 +1357,109 @@ mod tests {
             .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
             .find(|n| n.starts_with("session-"))
             .expect("a manifest was published");
-        let mut store = CacheStore::open(&dir);
-        let mut payload = store.read(&manifest).expect("reads").to_vec();
-        payload[..4].copy_from_slice(&(ENTRY_VERSION + 1).to_le_bytes());
-        assert!(store.publish(&manifest, &payload));
+        let skew = |store: &mut CacheStore| {
+            let mut payload = store.read(&manifest).expect("reads").to_vec();
+            payload[..4].copy_from_slice(&(ENTRY_VERSION + 1).to_le_bytes());
+            assert!(store.publish(&manifest, &payload));
+        };
+        skew(&mut CacheStore::open(&dir));
 
         let resident = ResidentCache::new(Some(&dir));
-        let served = compile_resident(&resident);
-        // the entries still hit (and replay); only the shortcut is gone
-        assert!(!served.stats.full_warm);
-        assert_eq!((served.stats.hits, served.stats.misses), (2, 0));
-        assert_eq!((served.stats.corrupt, served.stats.quarantined), (1, 1));
-        assert_eq!(il_text(&reference), il_text(&served));
-        assert_eq!(resident.memos().manifests.counts().admitted, 0);
-        assert!(compile_resident(&resident).stats.full_warm);
+        for round in ["from the directory", "resident"] {
+            let served = compile_resident(&resident);
+            // the entries still hit (and replay); only the shortcut is gone
+            assert!(!served.stats.full_warm, "{round}");
+            assert_eq!((served.stats.hits, served.stats.misses), (2, 0), "{round}");
+            let damage = (served.stats.corrupt, served.stats.quarantined);
+            assert_eq!(damage, (1, 1), "{round}");
+            assert_eq!(il_text(&reference), il_text(&served), "{round}");
+            assert!(compile_resident(&resident).stats.full_warm, "{round}");
+            skew(&mut CacheStore::open_resident(&resident));
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    #[test]
-    fn a_front_end_hit_is_confirmed_by_comparing_the_source() {
-        let reference = compile(None);
-        let resident = ResidentCache::new(None);
-        // forge a digest collision: under SRC's key sits the front end of
-        // some other text
-        let other = "int main(void) { return 7; }\n";
-        let mut h = StableHasher::new();
-        h.write(SRC.as_bytes());
-        let key = (h.finish(), Options::o2().max_errors);
-        let (program, diagnostics) = front_end(other, key.1);
-        let forged = FrontEnd {
-            src: other.to_string(),
-            program: program.expect("compiles"),
-            diagnostics,
-        };
-        resident.memos().front.insert(key, forged);
-
-        let served = compile_resident(&resident);
-        assert_eq!((served.stats.front_hits, served.stats.front_misses), (0, 1));
-        assert_eq!(il_text(&reference), il_text(&served));
-        // the real text took the slot; now it hits
-        let again = compile_resident(&resident);
-        assert_eq!((again.stats.front_hits, again.stats.front_misses), (1, 0));
-        assert_eq!(il_text(&reference), il_text(&again));
-    }
-
-    /// With every layer held to a budget one byte short of what the two
-    /// front ends — then the three typed entries — weigh together, a
-    /// two-file, three-procedure session evicts on almost every admission
-    /// (and under the smaller budget no entry is admitted at all). Eviction
-    /// can only cost recomputation: each round still produces the
-    /// reference's bytes, whether it re-parsed, re-admitted from the
-    /// directory, or — on a memory-only daemon, where the evicted value was
-    /// the only copy — recompiled.
+    /// With one layer held to a budget one byte short of what it weighs
+    /// when nothing is evicted (the other at its shipped budget), a daemon
+    /// answering two programs in turn evicts on almost every admission.
+    /// Eviction can only cost recomputation: each reply is still the
+    /// store-less reference's bytes, whether the daemon re-read the
+    /// directory, re-executed an evicted reply, or — on a memory-only
+    /// daemon, where an evicted payload was the only copy — recompiled.
     #[test]
     fn an_evicted_value_re_misses_to_the_same_bytes() {
         let second =
             "float c[64];\nvoid fill(void) { int i; for (i = 0; i < 64; i++) c[i] = 3.0f; }\n";
-        let files = [SourceFile::new("t.c", SRC), SourceFile::new("u.c", second)];
-        let options = Options::o2();
-        let serve = |resident: &ResidentCache| {
-            compile_session_resident(&files, &options, base_pipeline(&options), resident)
-                .expect("compiles")
+        let request = |files: Vec<SourceFile>| CompileRequest {
+            files,
+            print_il: true,
+            opt_report: "json".to_string(),
+            ..CompileRequest::default()
         };
-        let reference = compile_session(&files, &options, None).expect("compiles");
-        let layers = |r: &ResidentCache| [r.memos().front.counts(), r.memos().entries.counts()];
-        // what the two layers weigh when nothing is evicted
-        let roomy = ResidentCache::new(None);
-        assert!(!serve(&roomy).stats.full_warm && serve(&roomy).stats.full_warm);
-        let full = layers(&roomy).map(|c| c.resident_bytes);
+        let requests = [
+            request(vec![
+                SourceFile::new("t.c", SRC),
+                SourceFile::new("u.c", second),
+            ]),
+            request(vec![SourceFile::new("t.c", SRC)]),
+        ];
+        let references = requests.clone().map(|req| {
+            let storeless = compile_session(&req.files, &req.options(), None);
+            let (stdout, stderr, exit) = render(&req, &storeless, false);
+            (i64::from(exit), stdout, stderr)
+        });
+        let serve = |server: &Server, req: &CompileRequest| {
+            let Reply::Line(line) = server.handle_line(&req.to_json().to_string_compact()) else {
+                panic!("unexpected shutdown ack");
+            };
+            let doc = titanc_il::json::parse(&line).expect("a response line");
+            let resp = CompileResponse::from_json(&doc).expect("a response");
+            let stderr = resp
+                .stderr
+                .lines()
+                .filter(|l| !l.starts_with("titanc: cache:"));
+            (
+                resp.exit,
+                resp.stdout,
+                stderr.map(|l| format!("{l}\n")).collect(),
+            )
+        };
+        // what the two layers weigh when nothing is evicted: cold, fully
+        // warm (and admitted), reply hit
+        let roomy = Server::over(ResidentCache::new(None));
+        for _ in 0..3 {
+            requests.iter().for_each(|req| drop(serve(&roomy, req)));
+        }
+        assert_eq!(roomy.totals().reply_hits, 2);
+        let full = roomy
+            .resident()
+            .memos()
+            .counts()
+            .map(|c| c.resident_bytes as usize);
 
         let dir = scratch("evict");
-        for (layer, budget) in full.into_iter().map(|bytes| bytes - 1).enumerate() {
+        for (layer, bytes) in full.into_iter().enumerate() {
+            let mut budgets = BUDGETS;
+            budgets[layer] = bytes - 1;
             for backing in [None, Some(dir.as_path())] {
                 let _ = std::fs::remove_dir_all(&dir);
-                let resident = ResidentCache::capped(backing, budget as usize);
-                let mut full_warm = 0;
+                let server = Server::over(ResidentCache::with_budgets(backing, budgets));
                 for round in 0..4 {
-                    let served = serve(&resident);
-                    assert_eq!(il_text(&reference), il_text(&served), "round {round}");
-                    assert_eq!(served.stats.corrupt, 0, "eviction is not damage");
-                    full_warm += usize::from(served.stats.full_warm);
-                    assert!(layers(&resident).iter().all(|c| c.resident_bytes <= budget));
+                    for (req, reference) in requests.iter().zip(&references) {
+                        assert_eq!(&serve(&server, req), reference, "round {round}");
+                    }
                 }
-                assert!(layers(&resident)[layer].evicted > 0);
-                // over a directory whatever was evicted (or never fitted)
-                // is read again, so every round after the first is still
-                // fully warm
-                assert!(backing.is_none() || full_warm == 3, "{full_warm}");
+                let counts = server.resident().memos().counts();
+                assert!(counts
+                    .iter()
+                    .zip(budgets)
+                    .all(|(c, b)| c.resident_bytes as usize <= b));
+                assert!(counts[layer].evicted > 0, "layer {layer}");
+                let totals = server.totals();
+                assert_eq!(totals.corrupt, 0, "eviction is not damage");
+                // over a directory whatever was evicted is read again, so
+                // every round after the first is still fully warm
+                assert!(backing.is_none() || totals.fully_warm == 6, "{totals}");
             }
         }
         let _ = std::fs::remove_dir_all(&dir);

@@ -34,16 +34,14 @@
 //!   wait for.
 //!
 //! The [`ResidentCache`] layer on top is the `titand` compile server's
-//! shared memory: keyed [`Memo`]s of *typed* values — front-end results
-//! per file content, decoded and verified cache entries, decoded session
-//! manifests, finished replies — plus the raw bytes of whatever was
-//! published and not yet asked for, or has no typed form (the index).
-//! Each layer lives under a fixed byte budget. A payload is resident
-//! either as bytes or as its typed value, never both; a typed value ran
-//! the whole per-load check sequence once, when it was admitted, and is
-//! immutable behind its `Arc` from then on. Every request's store reads
-//! through the layer and writes through to the backing directory, so the
-//! daemon and one-shot processes interoperate on the same `--cache-dir`.
+//! shared memory: two keyed [`Memo`]s of bytes — the unsealed payload of
+//! every cache file the daemon published or read, and finished replies —
+//! each under a fixed byte budget. A resident payload stands in for the
+//! file's envelope only: whoever reads it decodes and checks it exactly
+//! as a one-shot session checks what it reads from disk. Every request's
+//! store reads through the layer and writes through to the backing
+//! directory, so the daemon and one-shot processes interoperate on the
+//! same `--cache-dir`.
 //!
 //! The store also hosts the `TITANC_INJECT_IO` fault hook (a sibling of
 //! `TITANC_INJECT_PANIC`): reads, writes, and renames can be made to
@@ -60,12 +58,10 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
 
 use titanc_il::wire::{seal, unseal};
-use titanc_il::StableHash;
 
-use crate::memo::Memo;
-use crate::pass::CachedEntry;
+use crate::memo::{Memo, MemoCounts};
 use crate::server::{MemoReply, ReplyKey};
-use crate::session::{DecodedManifest, FrontEnd, SessionStats};
+use crate::session::SessionStats;
 
 /// On-disk cache format name. Written to the directory's `FORMAT`
 /// marker and prefixed to every envelope header; folded into every
@@ -332,66 +328,42 @@ impl std::ops::Deref for Payload {
 // The resident (in-memory) cache layer
 // ---------------------------------------------------------------------
 
-/// How many bytes each layer of a [`ResidentCache`] — raw payloads, front
-/// ends, typed entries, manifests, replies, in [`Memos`] order — keeps
-/// before least recently used values make room: 304 MiB together,
-/// whatever the requests. Fixed on purpose: every value is a pure function
-/// of bytes the daemon has seen, so eviction can only cost a
-/// recomputation, and a bound an operator can unset is not a bound.
+/// How many bytes each layer of a [`ResidentCache`] — raw payloads,
+/// replies, in [`Memos`] order — keeps before least recently used values
+/// make room: 96 MiB together, whatever the requests. Fixed on purpose:
+/// every value is a pure function of bytes the daemon has seen, so
+/// eviction can only cost a recomputation, and a bound an operator can
+/// unset is not a bound.
 const MIB: usize = 1 << 20;
-const BUDGETS: [usize; 5] = [64 * MIB, 64 * MIB, 128 * MIB, 16 * MIB, 32 * MIB];
+pub(crate) const BUDGETS: [usize; 2] = [64 * MIB, 32 * MIB];
 
-/// The front-end memo's key: the FNV-128 digest of the source text and the
-/// error cap the file was parsed under.
-pub(crate) type FrontKey = (StableHash, usize);
-
-/// The compile server's memo layers. Each maps a key to a value that was
-/// checked once on the way in and is shared, immutable, from then on; see
-/// [`crate::session`] and [`crate::server`] for what admission checks.
+/// The compile server's memo layers.
 pub(crate) struct Memos {
-    /// File name → a published payload nobody has asked for yet, or one
-    /// with no typed form (the index), unsealed.
+    /// File name → the unsealed payload this daemon published or read
+    /// (its envelope checksum already passed; nothing else about it has).
     raw: Memo<String, Vec<u8>>,
-    /// File content → what the front end makes of it (error-free files
-    /// only; a hit compares the source text itself).
-    pub(crate) front: Memo<FrontKey, FrontEnd>,
-    /// Entry file name → the decoded, verified entry.
-    pub(crate) entries: Memo<String, CachedEntry>,
-    /// Manifest file name → the decoded manifest.
-    pub(crate) manifests: Memo<String, DecodedManifest>,
-    /// Request minus `id` and `jobs` → the finished fully warm reply.
+    /// Request minus `id` and `jobs` → the finished fully warm reply; see
+    /// [`crate::server`] for what admits one.
     pub(crate) replies: Memo<ReplyKey, MemoReply>,
 }
 
 impl Memos {
-    /// (values evicted so far, bytes resident now), every layer summed.
-    pub(crate) fn pressure(&self) -> (u64, u64) {
-        let layers = [
-            self.raw.counts(),
-            self.front.counts(),
-            self.entries.counts(),
-            self.manifests.counts(),
-            self.replies.counts(),
-        ];
-        layers.iter().fold((0, 0), |(evicted, bytes), c| {
-            (evicted + c.evicted, bytes + c.resident_bytes)
-        })
+    /// What each layer has counted so far, in [`BUDGETS`] order.
+    pub(crate) fn counts(&self) -> [MemoCounts; 2] {
+        [self.raw.counts(), self.replies.counts()]
     }
 }
 
 /// The compile server's process-shared, in-memory cache layer.
 ///
 /// A `ResidentCache` is shared by all the [`CacheStore`]s opened against
-/// it — one per request in the daemon. Cache entries and session
-/// manifests are resident as *typed values* in its [`Memos`]: admitted
-/// once — envelope checksum (disk reads), entry version, decode, name,
-/// IL verifier; manifest version — and handed out as `Arc`s afterwards,
-/// so a warm request decodes and verifies nothing. Only payloads with no
-/// typed form (the index) stay as raw bytes, and nothing is held in both
-/// forms. Reads hit the layer before touching disk; published payloads
-/// write through to the backing `--cache-dir` (when there is one) so
-/// one-shot `titanc` processes and the daemon interoperate on the same
-/// directory.
+/// it — one per request in the daemon. It keeps the unsealed payload of
+/// every cache file a request published or read, so a later read skips
+/// the disk and the envelope checksum; the decode and every check after
+/// it run on each read, as they do in a one-shot session. Published
+/// payloads write through to the backing `--cache-dir` (when there is
+/// one) so one-shot `titanc` processes and the daemon interoperate on the
+/// same directory.
 #[derive(Clone)]
 pub struct ResidentCache {
     inner: Arc<ResidentInner>,
@@ -410,26 +382,14 @@ impl ResidentCache {
         ResidentCache::with_budgets(dir, BUDGETS)
     }
 
-    /// [`ResidentCache::new`] with every layer held to `budget` bytes, so
-    /// a test can watch eviction happen.
-    #[cfg(test)]
-    pub(crate) fn capped(dir: Option<&Path>, budget: usize) -> ResidentCache {
-        ResidentCache::with_budgets(dir, [budget; 5])
-    }
-
-    fn with_budgets(dir: Option<&Path>, budgets: [usize; 5]) -> Self {
-        let [raw, front, entries, manifests, replies] = budgets;
+    /// [`ResidentCache::new`] with each layer held to its own budget, so a
+    /// test can watch eviction happen.
+    pub(crate) fn with_budgets(dir: Option<&Path>, [raw, replies]: [usize; 2]) -> Self {
         ResidentCache {
             inner: Arc::new(ResidentInner {
                 dir: dir.map(Path::to_path_buf),
                 memos: Memos {
                     raw: Memo::new(raw, Vec::len),
-                    front: Memo::new(front, FrontEnd::weight),
-                    // a report-carrying value is charged the length of the
-                    // wire bytes it was decoded from, standing in for the
-                    // strings and event lists that dominate both forms
-                    entries: Memo::new(entries, |e| e.il.resident_bytes() + e.cells_bytes),
-                    manifests: Memo::new(manifests, |m| m.bytes),
                     replies: Memo::new(replies, MemoReply::weight),
                 },
             }),
@@ -441,32 +401,21 @@ impl ResidentCache {
         self.inner.dir.as_deref()
     }
 
-    /// How many cache payloads are resident right now, typed or raw.
+    /// How many cache payloads are resident right now.
     pub fn entries(&self) -> usize {
-        let memos = &self.inner.memos;
-        memos.raw.len() + memos.entries.len() + memos.manifests.len()
+        self.inner.memos.raw.len()
     }
 
-    /// The typed layers.
+    /// The memo layers.
     pub(crate) fn memos(&self) -> &Memos {
         &self.inner.memos
     }
 
     fn put(&self, name: &str, payload: &[u8]) -> Arc<Vec<u8>> {
-        // a republish (a healed manifest, say) supersedes the typed value:
-        // the bytes are the resident form again until someone asks
-        self.remove(name);
         self.inner
             .memos
             .raw
             .insert(name.to_string(), payload.to_vec())
-    }
-
-    /// Forgets `name` in whichever form it is resident.
-    fn remove(&self, name: &str) {
-        self.inner.memos.raw.remove(name);
-        self.inner.memos.entries.remove(name);
-        self.inner.memos.manifests.remove(name);
     }
 }
 
@@ -572,11 +521,6 @@ impl CacheStore {
         }
     }
 
-    /// The compile server's typed layers, when this store belongs to one.
-    pub(crate) fn memos(&self) -> Option<&Memos> {
-        self.resident.as_ref().map(ResidentCache::memos)
-    }
-
     /// True when reads and writes are live (format marker matched).
     pub(crate) fn enabled(&self) -> bool {
         self.enabled
@@ -622,7 +566,10 @@ impl CacheStore {
                 return Some(Payload::Resident(payload));
             }
         }
-        let file = self.read_disk(name)?;
+        if !self.disk {
+            return None;
+        }
+        let file = faulty_read(&self.dir.join(name)).ok()?;
         let Some(payload) = unseal(CACHE_FORMAT, &file) else {
             self.quarantine(name);
             return None;
@@ -634,52 +581,6 @@ impl CacheStore {
                 file,
             },
         })
-    }
-
-    /// The sealed bytes of `name` from the backing directory, if there is
-    /// one and the read went through.
-    fn read_disk(&self, name: &str) -> Option<Vec<u8>> {
-        if !self.disk {
-            return None;
-        }
-        faulty_read(&self.dir.join(name)).ok()
-    }
-
-    /// A resident store's typed read: the value of `name` in `layer`. On a
-    /// memo miss the payload's bytes — a publish of this daemon's still
-    /// waiting in the raw map, else the backing directory's file — are
-    /// admitted through `admit`, which runs every check a per-request
-    /// load would; from then on the payload is resident as the typed value
-    /// and the bytes are gone. A checksum failure or a refused admission
-    /// quarantines the file and counts it corrupt, exactly as an untyped
-    /// read would. `None` on a store without a resident layer.
-    pub(crate) fn read_typed<V>(
-        &mut self,
-        name: &str,
-        layer: impl Fn(&Memos) -> &Memo<String, V>,
-        admit: impl FnOnce(&[u8]) -> Option<V>,
-    ) -> Option<Arc<V>> {
-        if !self.enabled {
-            return None;
-        }
-        let resident = self.resident.clone()?;
-        let memo = layer(resident.memos());
-        if let Some(value) = memo.get(name, |_| true) {
-            return Some(value);
-        }
-        let admitted = match resident.memos().raw.get(name, |_| true) {
-            Some(payload) => admit(&payload),
-            None => unseal(CACHE_FORMAT, &self.read_disk(name)?).and_then(admit),
-        };
-        let Some(value) = admitted else {
-            self.quarantine(name);
-            return None;
-        };
-        let value = memo.insert(name.to_string(), value);
-        // the bytes go only now: a worker racing this one finds one form
-        // or the other, never neither
-        resident.memos().raw.remove(name);
-        Some(value)
     }
 
     /// Seals `payload` and publishes it atomically under `name`:
@@ -753,7 +654,7 @@ impl CacheStore {
     pub(crate) fn quarantine(&mut self, name: &str) {
         self.stats.corrupt += 1;
         if let Some(resident) = &self.resident {
-            resident.remove(name);
+            resident.memos().raw.remove(name);
         }
         if !self.disk {
             // eviction from the map *is* the quarantine: the bad bytes

@@ -63,6 +63,25 @@ fn usage_errors_exit_two() {
     }
 }
 
+/// A strip loop steps by the strip length: a negative one ran zero
+/// iterations (exit 0, the arrays never written) and zero failed in the
+/// simulator. Both are usage errors now, named, before anything compiles.
+#[test]
+fn a_strip_length_below_one_is_a_usage_error() {
+    let src = write_temp("strip.c", GOOD);
+    for strip in ["-3", "0"] {
+        let out = titanc()
+            .args(["--parallel", "--procs", "2", "--run", "--strip", strip])
+            .arg(&src)
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(2), "--strip {strip}");
+        assert!(out.stdout.is_empty(), "--strip {strip}");
+        let err = stderr_of(&out);
+        assert!(err.contains("`strip` must be at least 1"), "{err}");
+    }
+}
+
 #[test]
 fn contained_incident_exits_zero_without_strict() {
     let src = write_temp("inject.c", GOOD);

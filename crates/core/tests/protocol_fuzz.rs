@@ -51,9 +51,9 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOC: Counting = Counting;
 
-/// What the daemon promises to keep resident at most (the five budgets of
+/// What the daemon promises to keep resident at most (the two budgets of
 /// `store.rs`, summed).
-const RESIDENT_BUDGET: i64 = 304 << 20;
+const RESIDENT_BUDGET: i64 = 96 << 20;
 
 const SRC: &str = "float a[64], b[64];\n\
     void scale(float s) { int i; for (i = 0; i < 64; i++) a[i] = b[i] * s; }\n\

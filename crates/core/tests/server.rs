@@ -7,10 +7,10 @@
 //!
 //! The second half drives an in-process [`Server`] one request at a time
 //! — so the order is known and its totals can be read between requests —
-//! through the resident memo layers (front end per file content, typed
-//! entries, manifests, replies): every reply is still compared byte for
-//! byte with a store-less one-shot `titanc` run on the same files. The
-//! last part feeds a real `titand` the lines that used to kill it.
+//! through the resident cache (payloads in memory, then replies): every
+//! reply is still compared byte for byte with a store-less one-shot
+//! `titanc` run on the same files. The last part feeds a real `titand`
+//! the lines that used to kill it.
 
 use std::collections::BTreeMap;
 use std::fs;
@@ -320,7 +320,7 @@ fn eight_concurrent_socket_clients_each_match_one_shot() {
 }
 
 // ---------------------------------------------------------------------
-// The resident memo layers, differentially
+// The resident cache, differentially
 // ---------------------------------------------------------------------
 
 /// One kernel file of the nine-file program: a procedure of vectorizable
@@ -435,38 +435,23 @@ fn serve_checked(server: &Server, req: &CompileRequest, extra: &[&str]) -> Compi
     resp
 }
 
-/// (front-end hits, front-end misses, entries admitted) since `before`.
-fn memo_delta(server: &Server, before: &ServerTotals) -> (i64, i64, i64) {
-    let now = server.totals();
-    (
-        now.front_hits - before.front_hits,
-        now.front_misses - before.front_misses,
-        now.admitted - before.admitted,
-    )
-}
-
 #[test]
-fn edit_and_revert_reuse_the_front_end_and_admit_each_entry_once() {
+fn edit_and_revert_replay_cached_entries_and_a_repeat_is_a_reply_hit() {
     let server = Server::new(&ServerConfig::default()).quiet();
     let original = nine_files();
     let mut edited = original.clone();
     edited[3] = kernel_file(3, 2);
 
-    // cold: nine files parsed, nine entries published as bytes — nothing
-    // has been asked for yet, so nothing is admitted
-    let t0 = server.totals();
+    // cold: nine procedures compiled, nine entries published
     let cold = serve_checked(&server, &request_of(1, &original), &[]);
     assert!(
         cold.stderr.contains("0 hit(s), 9 miss(es)"),
         "{}",
         cold.stderr
     );
-    assert_eq!(memo_delta(&server, &t0), (0, 9, 0));
 
-    // mp3.c edited: eight files come from the memo; `k3` and `main` (its
-    // cone holds `k3`) recompile, the seven hits are admitted as typed
-    // entries on this first use
-    let t1 = server.totals();
+    // mp3.c edited: `k3` and `main` (its cone holds `k3`) recompile, the
+    // other seven replay their resident entries
     let warm_edit = serve_checked(&server, &request_of(2, &edited), &[]);
     assert!(
         warm_edit
@@ -475,43 +460,36 @@ fn edit_and_revert_reuse_the_front_end_and_admit_each_entry_once() {
         "{}",
         warm_edit.stderr
     );
-    assert_eq!(memo_delta(&server, &t1), (8, 1, 7));
 
-    // reverted: the old text of mp3.c is still memoised, and the two
-    // entries the edit displaced are admitted now — each entry once
-    let t2 = server.totals();
+    // reverted: the two entries the edit displaced are still resident
     let reverted = serve_checked(&server, &request_of(3, &original), &[]);
     assert!(
         reverted.stderr.contains("(fully warm)"),
         "{}",
         reverted.stderr
     );
-    assert_eq!(memo_delta(&server, &t2), (9, 0, 2));
     assert_eq!(reverted.stdout, cold.stdout);
 
     // and from here on a repeat is one lookup: the fully warm reply was
     // admitted above, so nothing is parsed, hashed or rendered
-    let t3 = server.totals();
+    let t = server.totals();
     let again = serve_checked(&server, &request_of(4, &original), &[]);
-    assert_eq!(memo_delta(&server, &t3), (0, 0, 0));
+    assert_eq!(reply_delta(&server, &t), HIT);
     assert_eq!(again.stdout, cold.stdout);
     let totals = server.totals();
     assert_eq!((totals.reply_hits, totals.reply_misses), (1, 3));
-    assert_eq!((totals.admitted, totals.evicted), (9, 0));
-    assert_eq!(totals.resident_entries, 9);
+    assert_eq!(totals.evicted, 0);
     assert_eq!((totals.requests, totals.fully_warm), (4, 2));
 }
 
 #[test]
-fn one_text_under_two_names_hits_and_diagnostics_name_the_requester() {
+fn one_text_under_two_names_is_diagnosed_under_the_requesters_names() {
     let server = Server::new(&ServerConfig::default()).quiet();
     let text = kernel_file(0, 1).src;
     let pair = |a: &str, b: &str| vec![SourceFile::new(a, &*text), SourceFile::new(b, &*text)];
 
     // within one request: the second file is the first one's text
-    let t0 = server.totals();
     let first = serve_checked(&server, &request_of(1, &pair("a.c", "b.c")), &[]);
-    assert_eq!(memo_delta(&server, &t0), (1, 1, 0));
     assert!(
         first
             .stderr
@@ -520,11 +498,9 @@ fn one_text_under_two_names_hits_and_diagnostics_name_the_requester() {
         first.stderr
     );
 
-    // across requests, under two more names: both hit, and nothing the
-    // reply says mentions the names the text was first seen under
-    let t1 = server.totals();
+    // across requests, under two more names: nothing the reply says
+    // mentions the names the text was first seen under
     let second = serve_checked(&server, &request_of(2, &pair("c.c", "d.c")), &[]);
-    assert_eq!(memo_delta(&server, &t1).0, 2);
     assert!(
         second
             .stderr
@@ -553,13 +529,8 @@ fn warnings_and_remarks_replay_byte_identically_on_a_hit() {
     let cold = serve_checked(&server, &req, &[]);
     assert_eq!(cold.exit, 0);
     assert!(cold.stderr.contains("remark:"), "{}", cold.stderr);
-    let t0 = server.totals();
     let warm = serve_checked(&server, &req, &[]);
-    assert_eq!(
-        memo_delta(&server, &t0).0,
-        1,
-        "the repeat was a front-end hit"
-    );
+    assert!(warm.stderr.contains("(fully warm)"), "{}", warm.stderr);
     assert_eq!(warm.stdout, cold.stdout);
     assert_eq!(
         strip_cache_lines(&warm.stderr),
@@ -568,7 +539,7 @@ fn warnings_and_remarks_replay_byte_identically_on_a_hit() {
 }
 
 #[test]
-fn files_with_errors_are_never_memoised_and_the_error_cap_is_part_of_the_key() {
+fn files_with_errors_are_diagnosed_under_each_requests_error_cap() {
     let server = Server::new(&ServerConfig::default()).quiet();
     let broken = [SourceFile::new(
         "broken.c",
@@ -579,32 +550,27 @@ fn files_with_errors_are_never_memoised_and_the_error_cap_is_part_of_the_key() {
         ..request_of(id, files)
     };
 
-    // an erroneous file is parsed on every request…
-    let t0 = server.totals();
+    // an erroneous file fails the same way every time…
     let many = serve_checked(&server, &capped(1, &broken, 20), &["--max-errors", "20"]);
-    serve_checked(&server, &capped(2, &broken, 20), &["--max-errors", "20"]);
-    assert_eq!(many.exit, 1);
-    assert_eq!(memo_delta(&server, &t0), (0, 2, 0));
+    let again = serve_checked(&server, &capped(2, &broken, 20), &["--max-errors", "20"]);
+    assert_eq!((many.exit, &many.stderr), (1, &again.stderr));
     // …and what a cap of 1 reports is not what a cap of 20 reports
     let one = serve_checked(&server, &capped(3, &broken, 1), &["--max-errors", "1"]);
     assert!(one.stderr.contains("too many errors"), "{}", one.stderr);
     assert_ne!(one.stderr, many.stderr);
 
-    // a clean file parsed under one cap is not served under another
+    // a clean file compiles to the same bytes under any cap
     let clean = [kernel_file(6, 1)];
-    let t1 = server.totals();
     serve_checked(&server, &capped(4, &clean, 1), &["--max-errors", "1"]);
     serve_checked(&server, &capped(5, &clean, 20), &["--max-errors", "20"]);
-    assert_eq!(memo_delta(&server, &t1), (0, 2, 1));
     serve_checked(&server, &capped(6, &clean, 1), &["--max-errors", "1"]);
-    assert_eq!(memo_delta(&server, &t1).0, 1);
 }
 
 /// A daemon over a `--cache-dir` that a one-shot process primed and
-/// something then damaged: the damaged entry is refused at admission —
-/// quarantined, counted, absent from the typed layer — the reply is still
-/// byte-identical, and the recompile heals the directory for both kinds
-/// of reader.
+/// something then damaged: the damaged entry is refused on its read —
+/// quarantined, counted, dropped from the resident layer — the reply is
+/// still byte-identical, and the recompile heals the directory for both
+/// kinds of reader.
 #[test]
 fn a_quarantined_entry_is_not_resident_and_the_next_request_heals_it() {
     let dir = scratch("typed-quarantine");
@@ -669,14 +635,12 @@ fn a_quarantined_entry_is_not_resident_and_the_next_request_heals_it() {
     assert!(totals.misses >= 1, "the damaged procedure recompiled cold");
     assert_eq!(fs::read_dir(cache.join("quarantine")).unwrap().count(), 1);
 
-    // healed: the daemon answers fully warm, every entry typed exactly
-    // once, and a one-shot process reads the daemon's recompiled entry
+    // healed: the daemon answers fully warm, and a one-shot process reads
+    // the daemon's recompiled entry
     let healed = serve_checked(&server, &request_of(2, &files), &[]);
     assert!(healed.stderr.contains("(fully warm)"), "{}", healed.stderr);
     assert_eq!(healed.stdout, served.stdout);
-    let totals = server.totals();
-    assert_eq!((totals.corrupt, totals.resident_entries), (1, 9));
-    assert!(totals.admitted <= 10, "{totals}");
+    assert_eq!(server.totals().corrupt, 1);
     assert!(one_shot("after healing").contains("9 hit(s), 0 miss(es)"));
     let _ = fs::remove_dir_all(&dir);
 }
@@ -732,10 +696,8 @@ fn a_repeated_fully_warm_request_is_a_reply_hit_for_every_output_flag() {
                 assert!(cold.contains("0 hit(s), 9 miss(es)"), "{what}: {cold}");
                 let (warm, counted) = serve_line(&server, &req);
                 assert_eq!(counted, MISS, "{what}: a cold reply was admitted");
-                let t = server.totals();
                 let (memoised, counted) = serve_line(&server, &req);
                 assert_eq!(counted, HIT, "{what}");
-                assert_eq!(memo_delta(&server, &t), (0, 0, 0), "{what}");
                 assert_eq!(memoised, warm, "{what}");
 
                 let resp = serve_checked(&server, &req, &[]);
@@ -833,6 +795,38 @@ fn only_id_and_jobs_are_left_out_of_the_reply_key() {
     assert_eq!(serve_line(&server, &base).1, HIT);
 }
 
+/// A field no command line could set is refused `exit: 2`, naming it,
+/// before anything compiles: a negative strip length ran zero strip
+/// iterations, `opt: 7` compiled as `-O2`, and an unknown report flavor
+/// printed none — each with exit 0.
+#[test]
+fn a_field_no_command_line_could_set_is_refused_exit_two() {
+    let server = Server::new(&ServerConfig::default()).quiet();
+    let base = request_of(1, &[kernel_file(0, 1)]);
+    type Edit = fn(&mut CompileRequest);
+    let fields: [(&str, Edit); 4] = [
+        ("strip", |r| r.strip = -3),
+        ("strip", |r| r.strip = 0),
+        ("opt", |r| r.opt = 7),
+        ("opt_report", |r| r.opt_report = "yaml".to_string()),
+    ];
+    for (field, edit) in fields {
+        let mut req = base.clone();
+        edit(&mut req);
+        let resp = serve(&server, &req);
+        assert_eq!((resp.id, resp.exit, &*resp.stdout), (1, 2, ""), "{field}");
+        assert!(
+            resp.stderr
+                .starts_with(&format!("titanc: server: `{field}` must be")),
+            "{}",
+            resp.stderr
+        );
+    }
+    let totals = server.totals();
+    assert_eq!((totals.requests, totals.hits, totals.misses), (4, 0, 0));
+    serve_checked(&server, &base, &[]);
+}
+
 #[test]
 fn verify_requests_bypass_the_reply_memo_in_both_directions() {
     let server = Server::new(&ServerConfig::default()).quiet();
@@ -853,8 +847,7 @@ fn verify_requests_bypass_the_reply_memo_in_both_directions() {
     // never answered from: the plain reply is resident, the verifier runs
     let t = server.totals();
     let resp = serve_checked(&server, &verifying, &[]);
-    assert_eq!(reply_delta(&server, &t), (0, 0));
-    assert_eq!(memo_delta(&server, &t).0, 2, "it executed");
+    assert_eq!(reply_delta(&server, &t), (0, 0), "not looked up");
     assert_eq!(resp.stdout, serve(&server, &plain).stdout);
 }
 

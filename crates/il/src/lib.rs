@@ -84,7 +84,6 @@ pub mod trace;
 pub mod types;
 pub mod verify;
 pub mod visit;
-mod weigh;
 pub mod wire;
 
 pub use builder::{BlockBuilder, ProcBuilder};
