@@ -44,7 +44,7 @@ use titanc::session::Manifest;
 use titanc::{
     compile, compile_session, install_io_faults, Aliasing, Catalog, Compilation, FaultMode,
     IoFaultSpec, IoOp, OptReport, Options, Pipeline, Program, RecordedCell, Replay,
-    SessionCompilation, SessionStats, SourceFile,
+    SessionCompilation, SessionReplay, SessionStats, SourceFile,
 };
 use titanc_analysis::CallGraph;
 use titanc_il::json::{parse as parse_json, FromJson, ToJson};
@@ -1084,10 +1084,13 @@ fn compile_recorded(
 ) -> Result<(Compilation, Vec<Vec<RecordedCell>>, Manifest), String> {
     let mut program = titanc_lower::compile_to_il(src).map_err(|e| format!("{what}: {e}"))?;
     let pipeline = Pipeline::for_options(options);
-    let mut replay: Vec<Replay> = program.procs.iter().map(|_| Replay::None).collect();
+    let mut session = SessionReplay {
+        procs: program.procs.iter().map(|_| Replay::None).collect(),
+        manifest: None,
+    };
     let mut snapshots = Vec::new();
-    let (reports, trace) = pipeline.run(&mut program, options, &mut snapshots, Some(&mut replay));
-    let recorded = replay.into_iter().filter_map(|r| match r {
+    let (reports, trace) = pipeline.run(&mut program, options, &mut snapshots, Some(&mut session));
+    let recorded = session.procs.into_iter().filter_map(|r| match r {
         Replay::Recorded(cells) => Some(cells),
         _ => None,
     });

@@ -101,7 +101,7 @@ pub struct Options {
     /// Run the IL verifier between passes even in release builds (debug
     /// builds always verify). A violation is an internal compiler error.
     pub verify: bool,
-    /// Worker threads for the per-procedure pass groups (`-j`/`--jobs`).
+    /// Worker threads for the per-procedure pass chain (`-j`/`--jobs`).
     /// `0` means "use the machine's available parallelism"; requests
     /// beyond the available parallelism are capped there, since extra
     /// threads only add scheduler churn to a CPU-bound pipeline. The

@@ -9,23 +9,24 @@
 //! description of one compilation strategy: `-O1` and `-O2` are nothing
 //! more than different pipeline constructions (see
 //! [`Pipeline::for_options`]), mirroring the paper's presentation of the
-//! compiler as a fixed sequence of cooperating phases.
+//! compiler as a fixed sequence of cooperating phases — and it has the
+//! paper's one shape: a whole-program *prefix* (§7 inlining, or nothing)
+//! followed by one per-procedure *chain*.
 //!
 //! ## Parallel per-procedure execution
 //!
-//! Maximal runs of consecutive [`ProcPass`] stages are grouped: each
-//! procedure is sent through the *whole group* as one unit of work, and
-//! the procedures fan out across [`Options::jobs`] worker threads
+//! Each procedure is sent through the *whole chain* as one unit of work,
+//! and the procedures fan out across [`Options::jobs`] worker threads
 //! (`std::thread::scope`, no runtime dependency). Each unit carries the
 //! procedure and its [`ProcSlot`] — everything the manager keeps about one
 //! procedure, one value at the procedure's position: its analyses, the
-//! generation already snapshotted and verified, whether a fault degraded
-//! it, and where it stands with the session cache ([`Replay`]) — and
-//! produces a [`ProcResult`]: per-pass deltas, timings, cache counters and
-//! snapshots. Results are merged **in procedure order, pass-major**, and
-//! the serial path (`jobs = 1`) runs the exact same per-procedure chain,
-//! so `-j 1` and `-j N` produce byte-identical programs, reports, traces
-//! and snapshot sequences.
+//! generation already snapshotted and verified, and where it stands with
+//! the session cache ([`Replay`]) — and produces a [`ProcResult`]:
+//! per-pass deltas, timings, cache counters and snapshots. Results are
+//! merged **in procedure order, pass-major**, and the serial path
+//! (`jobs = 1`) runs the exact same per-procedure chain, so `-j 1` and
+//! `-j N` produce byte-identical programs, reports, traces and snapshot
+//! sequences.
 //!
 //! ## The generation-keyed analysis cache
 //!
@@ -43,7 +44,7 @@
 //! program:
 //!
 //! * a [`PassTrace`] with one [`PassRecord`] per executed pass — its
-//!   wall-clock duration (summed across workers for parallel groups), the
+//!   wall-clock duration (summed across workers for the chain), the
 //!   per-pass *delta* of the aggregate [`Reports`], and the cache
 //!   hit/build counters, so regressions in compile time, pass
 //!   effectiveness, or cache effectiveness are visible per pass;
@@ -55,7 +56,8 @@
 //!   with [`titanc_il::verify_proc`] after the pass that moved them (in
 //!   debug builds, and in release builds when [`Options::verify`] is
 //!   set); a final whole-program [`titanc_il::verify_program`] closes the
-//!   run when anything changed. Unchanged procedures skip re-verification
+//!   run when anything changed, unless the session verified the program
+//!   it replayed whole. Unchanged procedures skip re-verification
 //!   entirely.
 
 use std::any::Any;
@@ -68,6 +70,7 @@ use std::time::{Duration, Instant};
 use titanc_analysis::{CacheStats, ProcAnalyses};
 use titanc_il::{Procedure, Program};
 
+use crate::session::Manifest;
 use crate::{OptLevel, Options, Reports, VectorOptions};
 
 /// Read-only context handed to every pass.
@@ -124,7 +127,7 @@ pub struct PassRecord {
     /// The pass name.
     pub name: &'static str,
     /// Wall-clock time the pass took (summed across procedures for
-    /// parallel per-procedure groups, so it stays comparable between
+    /// per-procedure passes, so it stays comparable between
     /// `-j 1` and `-j N`). Skipped (pass × procedure) cells contribute
     /// exactly zero; faulted cells contribute the time spent before the
     /// fault was contained.
@@ -155,8 +158,8 @@ pub struct WorkItem {
     pub pass: &'static str,
     /// The procedure it ran on (empty for whole-program passes).
     pub proc: String,
-    /// Worker lane: `0` for the main thread (serial groups and
-    /// whole-program passes), `1..=N` for parallel group workers.
+    /// Worker lane: `0` for the main thread (a serial chain and
+    /// whole-program passes), `1..=N` for parallel chain workers.
     pub lane: usize,
     /// Offset of the execution's start from the pipeline's start.
     pub start: Duration,
@@ -367,29 +370,6 @@ pub(crate) fn panic_message(payload: &(dyn Any + Send)) -> String {
     }
 }
 
-/// One stage of a pipeline: a whole-program pass, or a per-procedure pass
-/// eligible for parallel grouped execution.
-enum Stage {
-    Program(Box<dyn Pass>),
-    Proc(Box<dyn ProcPass>),
-}
-
-impl Stage {
-    fn name(&self) -> &'static str {
-        match self {
-            Stage::Program(p) => p.name(),
-            Stage::Proc(p) => p.name(),
-        }
-    }
-
-    fn as_proc(&self) -> Option<&dyn ProcPass> {
-        match self {
-            Stage::Program(_) => None,
-            Stage::Proc(p) => Some(&**p),
-        }
-    }
-}
-
 /// A contained fault: its kind, and the panic message or the verifier's
 /// rendered violation list.
 type Fault = (IncidentKind, String);
@@ -452,17 +432,17 @@ fn run_pass<U: Unit>(
     (start, duration, checked)
 }
 
-/// What one procedure produced from one grouped per-procedure chain.
+/// What one procedure produced from the per-procedure chain.
 struct ProcResult {
-    /// One cell per pass in the group, in group order.
+    /// One cell per pass of the chain, in chain order.
     cells: Vec<PassCell>,
-    /// Snapshots taken along the chain: (group pass index, snapshot).
+    /// Snapshots taken along the chain: (chain pass index, snapshot).
     snaps: Vec<(usize, Snapshot)>,
     /// Execution intervals for the passes that actually ran.
     items: Vec<WorkItem>,
     /// The procedure's generation when the chain finished.
     final_gen: u64,
-    /// The contained fault, if one happened: (group pass index, record).
+    /// The contained fault, if one happened: (chain pass index, record).
     /// Set at most once — the chain degrades after the first fault.
     incident: Option<(usize, PassIncident)>,
 }
@@ -541,7 +521,7 @@ impl PassCell {
 /// analysis-cache activity. Durations are deliberately absent — they are
 /// wall-clock data and replay as [`Duration::ZERO`], keeping everything
 /// the opt report derives from a warm run byte-identical to the cold run.
-/// (A session manifest keeps each whole-program stage's record as one
+/// (A session manifest keeps each prefix pass's record as one
 /// cell too.)
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct RecordedCell {
@@ -578,41 +558,47 @@ pub struct CachedEntry {
 /// moves each through the transitions below, and the driver persists what
 /// it finds afterwards: a [`Replay::Replayed`] procedure is already
 /// cached, a [`Replay::Recorded`] one is published, anything else must not
-/// be.
-///
-/// An entry holds one cell per per-procedure pass, and every shipped
-/// pipeline runs those passes as one proc group, which replays or records
-/// a procedure whole. A hand-built pipeline with a second proc group runs
-/// every chain and publishes no entry or manifest.
+/// be. An entry holds one cell per pass of the chain, so the chain replays
+/// or records a procedure whole.
 pub enum Replay {
-    /// A miss no pass group has run over yet.
+    /// A miss the chain has not run over yet.
     None,
-    /// A hit: the proc group substitutes the entry's IL
-    /// for the procedure's pass chain and replays every cell through the
+    /// A hit, validated whole where it was seeded: the entry's IL stands
+    /// in for the procedure's chain and every cell replays through the
     /// normal pass-major merge — so reports, traces and the opt report
     /// stay byte-identical to a cold run.
     Hit(Box<CachedEntry>),
     /// A hit, replayed.
     Replayed,
-    /// A miss whose one chain ran clean: its cells.
+    /// A miss whose chain ran clean: its cells.
     Recorded(Vec<RecordedCell>),
-    /// Faulted, skipped, degraded, run by a second chain, or overtaken by
-    /// a stage that changed the procedure count: not to be persisted.
-    /// Outside a session every procedure starts here.
+    /// Faulted, or overtaken by a prefix pass that changed the procedure
+    /// count: not to be persisted. Outside a session every procedure
+    /// starts here.
     Uncacheable,
 }
 
-/// Per-procedure [`Replay`] states, by position in [`Program::procs`].
-pub type SessionReplay = Vec<Replay>;
+/// What a session hands [`Pipeline::run`], and gets back: one [`Replay`]
+/// per procedure, by position in [`Program::procs`], and — when every
+/// procedure hit — the session [`Manifest`] that replays the prefix.
+#[derive(Default)]
+pub struct SessionReplay {
+    /// Per-procedure states, by position.
+    pub procs: Vec<Replay>,
+    /// Replays the prefix instead of running it: its records merge as the
+    /// live ones did, and its environment becomes the program's. The run
+    /// takes it. Under verification it is handed over only once the
+    /// program it makes of the hits has passed the whole-program verifier,
+    /// so such a run skips its closing check.
+    pub manifest: Option<Manifest>,
+}
 
 impl Replay {
-    /// A group of `len` passes begins: a hit with exactly that many cells
-    /// hands over its entry and is [`Replay::Replayed`]. Hits are validated
-    /// whole where they are seeded; one the group cannot replay executes
-    /// its chain like any other state.
-    fn take_hit(&mut self, len: usize) -> Option<Box<CachedEntry>> {
+    /// The chain begins: a hit hands over its entry and is
+    /// [`Replay::Replayed`].
+    fn take_hit(&mut self) -> Option<Box<CachedEntry>> {
         match std::mem::replace(self, Replay::Replayed) {
-            Replay::Hit(entry) if entry.cells.len() == len => Some(entry),
+            Replay::Hit(entry) => Some(entry),
             other => {
                 *self = other;
                 None
@@ -620,11 +606,9 @@ impl Replay {
         }
     }
 
-    /// The procedure's chain executed — `clean` when every pass of the
-    /// group ran to completion — yielding `cells`. This is the whole "must
-    /// not be persisted" rule: only a miss whose chain ran clean is
-    /// recorded; a fault, a skipped pass, a chain executed over a hit, or
-    /// any second chain is final.
+    /// The procedure's chain executed — `clean` when every pass ran to
+    /// completion — yielding `cells`. This is the whole "must not be
+    /// persisted" rule: only a miss whose chain ran clean is recorded.
     fn chain_ran(&mut self, clean: bool, cells: impl Iterator<Item = RecordedCell>) {
         *self = match self {
             Replay::None if clean => Replay::Recorded(cells.collect()),
@@ -633,15 +617,13 @@ impl Replay {
     }
 }
 
-/// What the manager keeps about one procedure for one run — one slot per
+/// What the manager keeps about one procedure for the chain — one slot per
 /// procedure, at the procedure's position in [`Program::procs`].
 struct ProcSlot {
     /// The generation-keyed analyses the procedure's passes share.
     analyses: ProcAnalyses,
     /// The generation already covered by a snapshot and verification.
     seen_gen: u64,
-    /// A pass faulted on the procedure: its remaining passes are skipped.
-    degraded: bool,
     /// Where the procedure stands with the session cache.
     replay: Replay,
 }
@@ -651,21 +633,17 @@ impl ProcSlot {
         ProcSlot {
             analyses: ProcAnalyses::new(),
             seen_gen,
-            degraded: false,
             replay,
         }
     }
 
-    /// Session replay: a healthy procedure with a hit skips its chain —
-    /// the cached post-pipeline IL replaces it and the recorded cells feed
-    /// the pass-major merge exactly as live cells would, so a warm run
-    /// merges to byte-identical reports and traces (durations excepted:
-    /// replayed cells charge zero time).
-    fn replay_group(&mut self, len: usize, proc: &mut Procedure) -> Option<ProcResult> {
-        if self.degraded {
-            return None;
-        }
-        let CachedEntry { mut il, cells } = *self.replay.take_hit(len)?;
+    /// Session replay: a procedure with a hit skips its chain — the cached
+    /// post-pipeline IL replaces it and the recorded cells feed the
+    /// pass-major merge exactly as live cells would, so a warm run merges
+    /// to byte-identical reports and traces (durations excepted: replayed
+    /// cells charge zero time).
+    fn replay(&mut self, proc: &mut Procedure) -> Option<ProcResult> {
+        let CachedEntry { mut il, cells } = *self.replay.take_hit()?;
         // land strictly past the generation already covered so the
         // closing whole-program verify re-checks the substituted IL
         while il.generation() <= self.seen_gen {
@@ -695,7 +673,7 @@ struct Env<'a> {
     epoch: Instant,
 }
 
-/// Runs one procedure through a group of per-procedure passes. Both the
+/// Runs one procedure through the per-procedure chain. Both the
 /// serial and the parallel path execute exactly this function, which is
 /// what makes `-j 1` and `-j N` byte-identical.
 ///
@@ -707,29 +685,28 @@ struct Env<'a> {
 /// `entry` snapshot with the passes that ran clean replayed over it), the
 /// slot's analyses are invalidated (artifacts built against the abandoned
 /// IL must not survive the rollback), a [`PassIncident`] is recorded, and
-/// the rest of the chain is skipped: the procedure is *degraded*. `entry`
-/// is `None` for a procedure an earlier group already degraded — every
-/// pass is skipped. Panics never cross the worker-thread boundary, so one
-/// faulty procedure cannot poison the thread scope.
+/// the rest of the chain is skipped: the procedure is *degraded*. Panics
+/// never cross the worker-thread boundary, so one faulty procedure cannot
+/// poison the thread scope.
 fn run_proc_chain(
     env: &Env<'_>,
-    group: &[&dyn ProcPass],
+    chain: &[&dyn ProcPass],
     proc: &mut Procedure,
-    entry: Option<&Procedure>,
+    entry: &Procedure,
     slot: &mut ProcSlot,
     lane: usize,
 ) -> ProcResult {
-    let mut cells = Vec::with_capacity(group.len());
+    let mut cells = Vec::with_capacity(chain.len());
     let mut snaps = Vec::new();
     let mut items = Vec::new();
     // the generation already covered by a snapshot + verification
     let mut last_seen = slot.seen_gen;
     let mut incident: Option<(usize, PassIncident)> = None;
-    for (k, pass) in group.iter().enumerate() {
-        let Some(entry) = entry.filter(|_| incident.is_none()) else {
+    for (k, pass) in chain.iter().enumerate() {
+        if incident.is_some() {
             cells.push(PassCell::skipped());
             continue;
-        };
+        }
         // every debug run is a differential: the per-pass snapshot the
         // replay replaced, kept to check the replay and the generation
         // against
@@ -757,7 +734,7 @@ fn run_proc_chain(
                 moved
             }
             Err((kind, mut detail)) => {
-                match roll_back(proc, entry, &group[..k], &env.cx) {
+                match roll_back(proc, entry, &chain[..k], &env.cx) {
                     Ok(()) => debug_assert!(
                         handed.is_some_and(|h| *proc == h && proc.generation() == h.generation()),
                         "replaying `{}` up to `{}` left other IL than that pass was handed",
@@ -779,7 +756,6 @@ fn run_proc_chain(
                         detail,
                     },
                 ));
-                slot.degraded = true;
                 cells.push(PassCell::faulted(duration));
                 continue;
             }
@@ -799,7 +775,7 @@ fn run_proc_chain(
         });
     }
     let clean = cells.iter().all(|c| c.status == CellStatus::Ran);
-    let recorded = group.iter().zip(&cells).map(|(p, c)| c.recorded(p.name()));
+    let recorded = chain.iter().zip(&cells).map(|(p, c)| c.recorded(p.name()));
     slot.replay.chain_ran(clean, recorded);
     ProcResult {
         cells,
@@ -835,69 +811,76 @@ fn roll_back(
     Ok(())
 }
 
-/// A declarative sequence of passes.
+/// A declarative sequence of passes: a whole-program prefix, then one
+/// per-procedure chain.
+#[derive(Default)]
 pub struct Pipeline {
-    stages: Vec<Stage>,
+    prefix: Vec<Box<dyn Pass>>,
+    chain: Vec<Box<dyn ProcPass>>,
 }
 
 impl Pipeline {
     /// An empty pipeline.
     pub fn new() -> Pipeline {
-        Pipeline { stages: Vec::new() }
+        Pipeline::default()
     }
 
-    /// Appends a whole-program pass (runs serially on the main thread).
+    /// Appends a whole-program pass to the prefix (runs serially on the
+    /// main thread, before every per-procedure pass). Calling order
+    /// relative to [`Pipeline::push_proc`] is ignored: a pass pushed after
+    /// the chain's passes still runs before all of them.
     pub fn push(&mut self, pass: impl Pass + 'static) {
-        self.stages.push(Stage::Program(Box::new(pass)));
+        self.prefix.push(Box::new(pass));
     }
 
-    /// Appends a per-procedure pass. Consecutive per-procedure passes are
-    /// grouped and each procedure runs the whole group on one worker,
-    /// fanned out across [`Options::jobs`] threads.
+    /// Appends a per-procedure pass to the chain. Each procedure runs the
+    /// whole chain on one worker, fanned out across [`Options::jobs`]
+    /// threads.
     pub fn push_proc(&mut self, pass: impl ProcPass + 'static) {
-        self.stages.push(Stage::Proc(Box::new(pass)));
+        self.chain.push(Box::new(pass));
     }
 
-    /// [`Pipeline::push_proc`] at stage `at`: a faulting pass *inside* a chain.
+    /// [`Pipeline::push_proc`] at chain position `at`: a faulting pass
+    /// *inside* the chain.
     pub fn insert_proc(&mut self, at: usize, pass: impl ProcPass + 'static) {
-        self.stages.insert(at, Stage::Proc(Box::new(pass)));
+        self.chain.insert(at, Box::new(pass));
     }
 
-    /// This pipeline cut to its first `len` stages — what a procedure
-    /// degraded at stage `len` must look like.
+    /// This pipeline with its chain cut to the first `len` passes — what a
+    /// procedure degraded at chain position `len` must look like.
     pub fn truncated(mut self, len: usize) -> Pipeline {
-        self.stages.truncate(len);
+        self.chain.truncate(len);
         self
     }
 
-    /// This pipeline minus every stage called `name` — how an ablation is
+    /// This pipeline minus every pass called `name` — how an ablation is
     /// phrased: the shipped order with one pass taken away, never a
     /// hand-written pass list that can drift from [`Pipeline::for_options`].
     pub fn without(mut self, name: &str) -> Pipeline {
-        self.stages.retain(|s| s.name() != name);
+        self.prefix.retain(|p| p.name() != name);
+        self.chain.retain(|p| p.name() != name);
         self
     }
 
-    /// The pass names, in execution order.
+    /// The pass names, in execution order: the prefix, then the chain.
     pub fn pass_names(&self) -> Vec<&'static str> {
-        self.stages.iter().map(Stage::name).collect()
+        let prefix = self.prefix.iter().map(|p| p.name());
+        prefix.chain(self.proc_pass_names()).collect()
     }
 
-    /// The names of the per-procedure passes alone, in execution order —
-    /// what a cache entry's recorded cells must name to be replayed.
+    /// The names of the chain's passes alone, in execution order — what a
+    /// cache entry's recorded cells must name to be replayed.
     pub fn proc_pass_names(&self) -> Vec<&'static str> {
-        let procs = self.stages.iter().filter_map(Stage::as_proc);
-        procs.map(ProcPass::name).collect()
+        self.chain.iter().map(|p| p.name()).collect()
     }
 
     /// The records `trace` — a run of this pipeline — holds for its
-    /// whole-program stages, as cells: what no cache entry holds, so what
-    /// a session manifest keeps.
-    pub(crate) fn stage_cells(&self, trace: &PassTrace) -> Vec<RecordedCell> {
-        let records = self.stages.iter().zip(&trace.records);
-        let stages = records.filter(|(stage, _)| stage.as_proc().is_none());
-        stages
-            .map(|(_, r)| RecordedCell {
+    /// prefix, as cells: what no cache entry holds, so what a session
+    /// manifest keeps.
+    pub(crate) fn prefix_cells(&self, trace: &PassTrace) -> Vec<RecordedCell> {
+        let records = trace.records.iter().take(self.prefix.len());
+        records
+            .map(|r| RecordedCell {
                 pass: r.name.to_string(),
                 delta: r.delta.clone(),
                 changed: r.changed,
@@ -906,57 +889,10 @@ impl Pipeline {
             .collect()
     }
 
-    /// The reports and zero-duration records of a run that executes
-    /// nothing — a fully warm session: each whole-program stage's record
-    /// from `stages` (a manifest's [`Pipeline::stage_cells`]), each
-    /// per-procedure pass's merged from every procedure's recorded `cells`
-    /// (one list per procedure, checked whole where its entry was loaded)
-    /// exactly as a run merges them. `None` when either does not fit this
-    /// pipeline.
-    pub(crate) fn replay_records(
-        &self,
-        stages: &[RecordedCell],
-        cells: &[&[RecordedCell]],
-    ) -> Option<(Reports, PassTrace)> {
-        let passes = self.stages.iter().filter_map(Stage::as_proc).count();
-        if cells.iter().any(|c| c.len() != passes) {
-            return None;
-        }
-        let mut stages = stages.iter();
-        let mut next = 0;
-        let mut records = Vec::with_capacity(self.stages.len());
-        for stage in &self.stages {
-            let name = stage.name();
-            records.push(match stage {
-                Stage::Program(_) => {
-                    let cell = stages.next().filter(|c| c.pass == name)?;
-                    merge_column(name, [PassCell::replayed(cell)])
-                }
-                Stage::Proc(_) => {
-                    let k = next;
-                    next += 1;
-                    merge_column(name, cells.iter().map(|c| PassCell::replayed(&c[k])))
-                }
-            });
-        }
-        if stages.next().is_some() {
-            return None;
-        }
-        let mut reports = Reports::default();
-        for r in &records {
-            reports.merge(r.delta.clone());
-        }
-        let trace = PassTrace {
-            records,
-            ..PassTrace::default()
-        };
-        Some((reports, trace))
-    }
-
     /// Builds the pipeline the given options describe.
     ///
-    /// * Inlining (§7) always runs first when enabled, so §8's
-    ///   specialization opportunities exist before scalar optimization.
+    /// * Inlining (§7) is the prefix when enabled, so §8's specialization
+    ///   opportunities exist before scalar optimization.
     /// * `-O1` is the §5.2 scalar sequence: while→DO conversion right
     ///   after use–def chains, induction-variable substitution, forward
     ///   substitution, constant propagation, dead-code elimination.
@@ -965,8 +901,8 @@ impl Pipeline {
     ///   cleanup round (forward substitution, local CSE, DCE) for the dead
     ///   index arithmetic strength reduction leaves behind.
     ///
-    /// Everything after the inliner is per-procedure, so the entire
-    /// scalar + vector sequence forms one parallel group.
+    /// Everything after the inliner is per-procedure: the entire scalar +
+    /// vector sequence is the chain.
     pub fn for_options(options: &Options) -> Pipeline {
         let mut pl = Pipeline::new();
         if options.inline {
@@ -995,7 +931,7 @@ impl Pipeline {
         pl
     }
 
-    /// Runs every stage in order over `program`.
+    /// Runs the prefix, then the chain, over `program`.
     ///
     /// Returns the aggregated [`Reports`] and the [`PassTrace`]; when
     /// [`Options::snapshots`] is set, a [`Snapshot`] of every procedure
@@ -1006,19 +942,19 @@ impl Pipeline {
     ///
     /// The run is *fail-soft*: a pass that panics or produces
     /// unverifiable IL is contained — the affected procedure (or, for
-    /// whole-program passes, the whole program) rolls back to its
-    /// last-verified IL, a [`PassIncident`] lands in the trace, and the
-    /// degraded procedure skips its remaining optimization passes. The
-    /// pipeline itself never panics on a pass fault and never fails:
-    /// callers inspect [`PassTrace::incidents`] to decide how strict to
-    /// be.
+    /// prefix passes, the whole program) rolls back to its last-verified
+    /// IL, a [`PassIncident`] lands in the trace, and the degraded
+    /// procedure skips the rest of its chain. The pipeline itself never
+    /// panics on a pass fault and never fails: callers inspect
+    /// [`PassTrace::incidents`] to decide how strict to be.
     ///
-    /// With a `session` — one seeded [`Replay`] per procedure — hits skip
-    /// their per-procedure pass chains: their cached IL is substituted and
-    /// their recorded cells replay through the normal pass-major merge,
+    /// With a `session`, hits skip their chains: their cached IL is
+    /// substituted and their recorded cells replay through the normal
+    /// pass-major merge, and a manifest replays the prefix the same way,
     /// so the output (program, reports, opt report) is byte-identical to
-    /// a cold run. The states come back in `session`, by position, for the
-    /// driver to persist. Without one, nothing is replayed or recorded.
+    /// a cold run. The states come back in `session`, by position, for
+    /// the driver to persist. Without one, nothing is replayed or
+    /// recorded.
     pub fn run(
         &self,
         program: &mut Program,
@@ -1026,13 +962,6 @@ impl Pipeline {
         snapshots: &mut Vec<Snapshot>,
         mut session: Option<&mut SessionReplay>,
     ) -> (Reports, PassTrace) {
-        // outside a session (or past its seeds) nothing is cacheable
-        let seeds = session.as_deref_mut().map(std::mem::take);
-        let mut seeds = seeds.unwrap_or_default().into_iter();
-        let slots = program.procs.iter().map(|p| {
-            // the "lower" snapshot + verify ran before the pipeline
-            ProcSlot::new(p.generation(), seeds.next().unwrap_or(Replay::Uncacheable))
-        });
         let mut run = Run {
             env: Env {
                 cx: PassContext { options },
@@ -1041,29 +970,51 @@ impl Pipeline {
                 epoch: Instant::now(),
             },
             jobs: options.effective_jobs(),
-            slots: slots.collect(),
+            slots: Vec::new(),
             moved: false,
             reports: Reports::default(),
             trace: PassTrace::default(),
             snapshots,
         };
-        // a whole-program stage alone, or a maximal run of per-procedure ones
-        let both_proc = |a: &Stage, b: &Stage| a.as_proc().is_some() && b.as_proc().is_some();
-        for stages in self.stages.chunk_by(both_proc) {
-            match &stages[0] {
-                Stage::Program(pass) => run.program_stage(&**pass, program),
-                Stage::Proc(_) => {
-                    let group: Vec<&dyn ProcPass> =
-                        stages.iter().filter_map(Stage::as_proc).collect();
-                    run.proc_group(&group, program);
+        let manifest = session.as_deref_mut().and_then(|s| s.manifest.take());
+        let replayed_prefix = manifest.is_some();
+        match manifest {
+            Some(mut manifest) => {
+                // validated whole where it was loaded; its environment
+                // becomes the program's
+                for (pass, cell) in self.prefix.iter().zip(manifest.swap_environment(program)) {
+                    run.record(merge_column(pass.name(), [PassCell::replayed(cell)]));
+                }
+            }
+            None => {
+                for pass in &self.prefix {
+                    run.program_stage(&**pass, program);
                 }
             }
         }
 
+        // one slot per procedure, seeded by position — unless a prefix pass
+        // changed the procedure count, which leaves positions meaningless:
+        // then nothing replays or is recorded, so nothing is persisted.
+        // Outside a session nothing is cacheable either
+        let seeds = session.as_deref_mut().map(|s| std::mem::take(&mut s.procs));
+        let seeds = seeds.filter(|s| s.len() == program.procs.len());
+        let mut seeds = seeds.unwrap_or_default().into_iter();
+        run.slots = program
+            .procs
+            .iter()
+            .map(|p| ProcSlot::new(p.generation(), seeds.next().unwrap_or(Replay::Uncacheable)))
+            .collect();
+        if !self.chain.is_empty() {
+            let chain: Vec<&dyn ProcPass> = self.chain.iter().map(|p| &**p).collect();
+            run.chain(&chain, program);
+        }
+
         // per-proc verification skips program-level invariants (call
         // targets, globals); close the run with one whole-program check
-        // when anything moved
-        if run.env.verify && run.moved {
+        // when anything moved — unless everything replayed, a program the
+        // session verified before handing the manifest over
+        if run.env.verify && run.moved && !replayed_prefix {
             if let Err(detail) = verify_program_check(program) {
                 run.trace.incidents.push(PassIncident {
                     pass: "pipeline",
@@ -1075,18 +1026,18 @@ impl Pipeline {
         }
         run.trace.wall = run.env.epoch.elapsed();
         if let Some(session) = session {
-            session.extend(run.slots.into_iter().map(|slot| slot.replay));
+            session.procs = run.slots.into_iter().map(|slot| slot.replay).collect();
         }
         (run.reports, run.trace)
     }
 }
 
-/// One execution of a [`Pipeline`]: what every stage reads, one
-/// [`ProcSlot`] per procedure, and what the run accumulates.
+/// One execution of a [`Pipeline`]: what every pass reads, one
+/// [`ProcSlot`] per procedure for the chain, and what the run accumulates.
 struct Run<'a> {
     env: Env<'a>,
     jobs: usize,
-    /// By position in [`Program::procs`]; sized in [`Run::resync`] alone.
+    /// By position in [`Program::procs`], made once the prefix has run.
     slots: Vec<ProcSlot>,
     /// Some procedure's generation moved past the one it entered with.
     moved: bool,
@@ -1096,33 +1047,14 @@ struct Run<'a> {
 }
 
 impl Run<'_> {
-    /// Keeps one slot per procedure after a whole-program stage. A stage
-    /// that changed the procedure count made positions meaningless:
-    /// procedures it introduced count as never seen (and healthy), no
-    /// analysis survives, and nothing replays or is recorded from here on
-    /// — so nothing of this run is persisted.
-    fn resync(&mut self, program: &Program) {
-        if self.slots.len() == program.procs.len() {
-            return;
-        }
-        self.slots.resize_with(program.procs.len(), || {
-            ProcSlot::new(u64::MAX, Replay::Uncacheable)
-        });
-        for slot in &mut self.slots {
-            slot.analyses.invalidate();
-            slot.replay = Replay::Uncacheable;
-        }
-        self.moved = true;
-    }
-
-    /// Runs one whole-program stage; snapshots and verification cover
-    /// exactly the procedures whose generation moved.
+    /// Runs one prefix pass; snapshots and verification cover exactly the
+    /// procedures whose generation moved (and any the pass added).
     ///
     /// Whole-program passes are isolated at program granularity: on a
     /// panic or a verifier rejection the *entire program* rolls back to
     /// its state before the pass (there is no narrower verified unit — the
     /// pass may have moved code between procedures), an incident is
-    /// recorded, and the pipeline continues with the remaining stages. No
+    /// recorded, and the pipeline continues with the remaining passes. No
     /// procedure is marked degraded: the rolled-back program is exactly
     /// the verified pre-pass state.
     fn program_stage(&mut self, pass: &dyn Pass, program: &mut Program) {
@@ -1145,23 +1077,17 @@ impl Run<'_> {
                     "`{}` changed the program without moving a generation",
                     pass.name()
                 );
-                self.resync(program);
-                for (p, slot) in program.procs.iter().zip(&mut self.slots) {
-                    if p.generation() != slot.seen_gen {
-                        if self.env.want_snaps {
-                            self.snapshots.push(Snapshot::of(pass.name(), p));
-                        }
-                        slot.seen_gen = p.generation();
-                        self.moved = true;
+                for (k, p) in program.procs.iter().enumerate() {
+                    let before = backup.procs.get(k).map(Procedure::generation);
+                    if self.env.want_snaps && before != Some(p.generation()) {
+                        self.snapshots.push(Snapshot::of(pass.name(), p));
                     }
                 }
+                self.moved |= moved;
                 moved
             }
             Err((kind, detail)) => {
                 *program = backup;
-                for slot in &mut self.slots {
-                    slot.analyses.invalidate();
-                }
                 self.trace.incidents.push(PassIncident {
                     pass: pass.name(),
                     proc: None,
@@ -1188,15 +1114,15 @@ impl Run<'_> {
     }
 
     /// Fans the procedures across worker threads, each running the whole
-    /// group of per-procedure passes, then merges the results in procedure
-    /// order so the output is independent of scheduling.
-    fn proc_group(&mut self, group: &[&dyn ProcPass], program: &mut Program) {
+    /// chain, then merges the results in procedure order so the output is
+    /// independent of scheduling.
+    fn chain(&mut self, chain: &[&dyn ProcPass], program: &mut Program) {
         let env = &self.env;
         let mut results: Vec<Option<ProcResult>> = program
             .procs
             .iter_mut()
             .zip(&mut self.slots)
-            .map(|(proc, slot)| slot.replay_group(group.len(), proc))
+            .map(|(proc, slot)| slot.replay(proc))
             .collect();
         let tasks: Vec<_> = program
             .procs
@@ -1217,8 +1143,8 @@ impl Run<'_> {
         if workers <= 1 {
             for ((proc, slot), out) in tasks {
                 // the chain's one rollback snapshot
-                let entry = (!slot.degraded).then(|| proc.clone());
-                *out = Some(run_proc_chain(env, group, proc, entry.as_ref(), slot, 0));
+                let entry = proc.clone();
+                *out = Some(run_proc_chain(env, chain, proc, &entry, slot, 0));
             }
         } else {
             let queue = Mutex::new(tasks.into_iter());
@@ -1240,8 +1166,7 @@ impl Run<'_> {
                         // Faults inside the chain are caught there, so a
                         // panicking pass cannot poison this scope.
                         let mut local = proc.clone();
-                        let entry = (!slot.degraded).then_some(&*proc);
-                        *out = Some(run_proc_chain(env, group, &mut local, entry, slot, lane));
+                        *out = Some(run_proc_chain(env, chain, &mut local, proc, slot, lane));
                         *proc = local;
                     });
                 }
@@ -1258,7 +1183,7 @@ impl Run<'_> {
             .iter_mut()
             .map(|r| std::mem::take(&mut r.cells).into_iter())
             .collect();
-        for (k, pass) in group.iter().enumerate() {
+        for (k, pass) in chain.iter().enumerate() {
             let column = cells.iter_mut().map(|c| c.next().expect("a cell per pass"));
             let record = merge_column(pass.name(), column);
             let snaps = results.iter().flat_map(|r| &r.snaps);
@@ -1275,19 +1200,17 @@ impl Run<'_> {
         }
         // the timeline is appended in procedure order too; the timestamps
         // inside are wall-clock data and carry the real worker interleaving
-        for (slot, r) in self.slots.iter_mut().zip(results) {
+        for (slot, r) in self.slots.iter().zip(results) {
             self.moved |= slot.seen_gen != r.final_gen;
-            slot.seen_gen = r.final_gen;
             self.trace.timeline.extend(r.items);
         }
     }
 }
 
 /// One pass's record from its cells — one per procedure, in procedure
-/// order, or the one cell of a whole-program stage. Every [`PassRecord`]
-/// is made here, from cells a run executed, replayed from hits, or — on a
-/// fully warm session — read from every cache entry
-/// ([`Pipeline::replay_records`]), so the three cannot merge differently.
+/// order, or the one cell of a prefix pass. Every [`PassRecord`] is made
+/// here, from cells a run executed or replayed from hits and manifests, so
+/// the two cannot merge differently.
 fn merge_column(name: &'static str, cells: impl IntoIterator<Item = PassCell>) -> PassRecord {
     let mut record = PassRecord {
         name,
@@ -1310,12 +1233,6 @@ fn merge_column(name: &'static str, cells: impl IntoIterator<Item = PassCell>) -
         }
     }
     record
-}
-
-impl Default for Pipeline {
-    fn default() -> Pipeline {
-        Pipeline::new()
-    }
 }
 
 /// §7 inline expansion (runs before scalar optimization). Whole-program:
@@ -1473,7 +1390,7 @@ mod tests {
         let (entry, options) = (proc.clone(), Options::o2());
         let mut slot = ProcSlot::new(proc.generation(), Replay::Uncacheable);
         let g: [&dyn ProcPass; 2] = [&PROC_PASSES[0], &BOOM];
-        let result = run_proc_chain(&env(&options), &g, &mut proc, Some(&entry), &mut slot, 0);
+        let result = run_proc_chain(&env(&options), &g, &mut proc, &entry, &mut slot, 0);
         assert_eq!(result.incident.expect("contained").0, 1);
         assert_eq!(proc.generation(), entry.generation() + 1, "replayed");
         assert_eq!(slot.analyses.cached_generation(), None);
@@ -1484,24 +1401,22 @@ mod tests {
     }
 
     /// The "must not be persisted" rule, as the transitions of [`Replay`]:
-    /// a hit the group replays whole is `Replayed`; a miss whose chain runs
-    /// clean is `Recorded`; a fault, a skipped (degraded) chain, a chain
-    /// executed over a hit, or any second chain is `Uncacheable` — and
-    /// stays so whatever runs clean afterwards.
+    /// a hit the chain replays whole is `Replayed`; a miss whose chain runs
+    /// clean is `Recorded`; a fault — which skips the rest of the chain — is
+    /// `Uncacheable`, and so is every chain run outside a session.
     #[test]
     fn replay_transitions() {
         let options = Options::o2();
         let env = env(&options);
         let clean: [&dyn ProcPass; 2] = [&PROC_PASSES[0], &PROC_PASSES[1]];
-        let faulty: [&dyn ProcPass; 2] = [&PROC_PASSES[0], &BOOM];
-        let run = |group: &[&dyn ProcPass], slot: &mut ProcSlot| {
+        let faulty: [&dyn ProcPass; 2] = [&BOOM, &PROC_PASSES[1]];
+        let run = |chain: &[&dyn ProcPass], slot: &mut ProcSlot| {
             let mut proc = countdown();
-            let entry = (!slot.degraded).then(|| proc.clone());
-            run_proc_chain(&env, group, &mut proc, entry.as_ref(), slot, 0);
+            let entry = proc.clone();
+            run_proc_chain(&env, chain, &mut proc, &entry, slot, 0)
         };
 
-        // a miss whose chain runs clean is recorded; a second chain (a
-        // second proc group) leaves it uncacheable
+        // a miss whose chain runs clean is recorded
         let mut slot = ProcSlot::new(0, Replay::None);
         run(&clean, &mut slot);
         let Replay::Recorded(cells) = &slot.replay else {
@@ -1510,53 +1425,31 @@ mod tests {
         let cells = cells.clone();
         let names: Vec<&str> = cells.iter().map(|c| &*c.pass).collect();
         assert_eq!(names, ["whiledo", "ivsub"]);
-        run(&clean[..1], &mut slot);
+
+        // a fault skips the rest of the chain and is never recorded
+        let mut slot = ProcSlot::new(0, Replay::None);
+        let result = run(&faulty, &mut slot);
+        let status: Vec<CellStatus> = result.cells.iter().map(|c| c.status).collect();
+        assert_eq!(status, [CellStatus::Faulted, CellStatus::Skipped]);
         assert!(matches!(slot.replay, Replay::Uncacheable));
 
-        // a fault is final: the next group is skipped, never recorded
-        for first in [&faulty[..], &clean[..]] {
-            let mut slot = ProcSlot::new(0, Replay::None);
-            run(first, &mut slot);
-            run(&faulty, &mut slot);
-            assert!(slot.degraded);
-            run(&clean, &mut slot);
-            assert!(matches!(slot.replay, Replay::Uncacheable));
-        }
-
-        // outside a session nothing is ever recorded
+        // outside a session nothing is ever recorded, or replayed
         let mut slot = ProcSlot::new(0, Replay::Uncacheable);
+        assert!(slot.replay(&mut countdown()).is_none());
         run(&clean, &mut slot);
         assert!(matches!(slot.replay, Replay::Uncacheable));
 
-        // a hit is replayed whole, to `Replayed`; a chain executed after
-        // it (a second group) is never persisted
-        let hit = || {
-            Replay::Hit(Box::new(CachedEntry {
-                il: countdown(),
-                cells: cells.clone(),
-            }))
-        };
-        let mut slot = ProcSlot::new(0, hit());
+        // a hit is replayed whole, to `Replayed`; a miss is not replayed
+        let hit = Replay::Hit(Box::new(CachedEntry {
+            il: countdown(),
+            cells,
+        }));
+        let mut slot = ProcSlot::new(0, hit);
         let mut proc = countdown();
-        let replayed = slot.replay_group(2, &mut proc).expect("replays");
+        let replayed = slot.replay(&mut proc).expect("replays");
         assert_eq!(replayed.cells.len(), 2);
         assert!(matches!(slot.replay, Replay::Replayed));
         assert!(proc.generation() > 0, "past the generation already covered");
-        run(&clean, &mut slot);
-        assert!(matches!(slot.replay, Replay::Uncacheable));
-
-        // a hit on a degraded procedure, a hit whose cells are not the
-        // group's: executed, and never persisted
-        let mut slot = ProcSlot::new(0, hit());
-        slot.degraded = true;
-        assert!(slot.replay_group(2, &mut proc).is_none());
-        run(&clean, &mut slot);
-        assert!(matches!(slot.replay, Replay::Uncacheable));
-        for len in [1, 3] {
-            let mut slot = ProcSlot::new(0, hit());
-            assert!(slot.replay_group(len, &mut proc).is_none(), "two cells");
-            run(&clean, &mut slot);
-            assert!(matches!(slot.replay, Replay::Uncacheable));
-        }
+        assert!(ProcSlot::new(0, Replay::None).replay(&mut proc).is_none());
     }
 }

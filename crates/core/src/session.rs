@@ -44,11 +44,11 @@
 //! (durations, the timeline) and `--snapshots` differ: replayed work is
 //! charged zero time and produces no snapshots.
 //!
-//! When every procedure hits *and* a session [`Manifest`] matches, the
-//! pipeline is skipped entirely — zero passes execute. The program comes
-//! from the entries and the manifest's environment; the trace records from
-//! the manifest's whole-program stage records and the entries' cells,
-//! through the same merge a run performs ([`Pipeline::replay_records`]).
+//! When every procedure hits *and* a session [`Manifest`] loads, the
+//! manifest replays the pipeline's whole-program prefix the same way — its
+//! recorded cells through the same merge, its environment as the
+//! program's — and zero passes execute. There is one warm path: a fully
+//! warm compile is a [`Pipeline::run`] in which everything replays.
 //!
 //! All on-disk interaction goes through the hardened
 //! [`CacheStore`](crate::store): entries are published atomically
@@ -86,9 +86,7 @@ use crate::pass::{
 };
 use crate::server::base_pipeline;
 use crate::store::{CacheStore, ResidentCache, CACHE_FORMAT};
-use crate::{
-    link_catalogs, optimization_remarks, Compilation, CompileError, Options, Pipeline, Reports,
-};
+use crate::{link_catalogs, optimization_remarks, Compilation, CompileError, Options, Pipeline};
 
 /// Bumped when the entry or manifest encoding changes shape, or when a
 /// recorded cell would replay differently from how the chain now runs;
@@ -135,8 +133,8 @@ macro_rules! session_stats {
         #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
         pub struct SessionStats {
             $($(#[$doc])* pub $field: usize,)+
-            /// True when the whole pipeline was skipped and the result was
-            /// reconstructed from the session manifest.
+            /// True when no pass executed: the session manifest replayed
+            /// the prefix and every procedure its entry.
             pub full_warm: bool,
         }
 
@@ -162,7 +160,7 @@ session_stats! {
     /// options/pipeline), not a cold one.
     invalidated,
     /// Optimization-pass executions this run actually performed
-    /// (whole-program stages plus per-procedure chains for misses). A
+    /// (the prefix's passes plus per-procedure chains for misses). A
     /// fully warm run reports zero.
     passes_executed,
     /// Cache files whose checksum, decode, or IL verification failed;
@@ -243,7 +241,8 @@ struct OpenCache {
 /// The compile driver — every public entry point is a wrapper over this.
 /// Front end per file, merge (earlier files win), catalog link, the
 /// `lower` snapshot and post-lower verification over the *linked*
-/// program, then the pipeline. Without a `store` nothing is hashed,
+/// program, then the pipeline — one [`Pipeline::run`] whether cold,
+/// partially or fully warm. Without a `store` nothing is hashed,
 /// replayed or recorded.
 pub(crate) fn compile_session_impl(
     files: &[SourceFile],
@@ -301,7 +300,9 @@ pub(crate) fn compile_session_impl(
         }
     }
 
-    let proc_passes = pipeline.proc_pass_names();
+    let names = pipeline.pass_names();
+    let chain = pipeline.proc_pass_names();
+    let prefix = &names[..names.len() - chain.len()];
 
     // cache keys exist only while a store is open: a store-less compile
     // builds no call graph, hashes nothing and records nothing. The
@@ -309,7 +310,7 @@ pub(crate) fn compile_session_impl(
     // next invocation computes before any pass runs, so the manifest a
     // run persists is the manifest its successor looks up
     let mut cache = store.map(|store| {
-        let pipeline_fp = pipeline.pass_names().join(",");
+        let pipeline_fp = names.join(",");
         let hashes = proc_hashes(&program, options, &pipeline_fp);
         let session_key = session_hash(&program, options, &pipeline_fp, &hashes);
         OpenCache {
@@ -317,60 +318,58 @@ pub(crate) fn compile_session_impl(
             index: index_name(files),
             hashes,
             session_key,
-            replay: SessionReplay::new(),
+            replay: SessionReplay::default(),
         }
     });
 
-    // fully warm? the entries carry the IL and every per-procedure cell,
-    // the manifest the whole-program stages' records and the
-    // post-pipeline program environment — no pass executes at all. Every
-    // entry is checksummed on read and its IL re-verified before being
-    // trusted; any rejection quarantines the file and falls through to a
-    // real compile — as does a manifest that decodes but fails
-    // verification.
-    let warm = cache.as_mut().and_then(|c| {
-        load_full_warm(&mut c.store, &c.session_key, &program, &c.hashes, &pipeline)
-            .filter(|(warm, ..)| !verify || verify_program_check(warm).is_ok())
-    });
-    let (reports, trace) = if let Some((warm, reports, trace)) = warm {
-        stats.hits = warm.procs.len();
-        stats.full_warm = true;
-        program = warm;
-        (reports, trace)
-    } else {
-        // cold or partially warm: seed one replay state per procedure and
-        // run the pipeline; hits replay, misses execute (and, with a store
-        // open, are recorded for `persist`)
-        if let Some(c) = cache.as_mut() {
-            // the keys the last session over these files cached, read at
-            // the first miss: only a miss can be an invalidation
-            let mut index = None;
-            for (p, h) in program.procs.iter().zip(&c.hashes) {
-                let hit = load_hit(&mut c.store, h, &p.name, &proc_passes);
-                c.replay.push(match hit {
-                    Some(entry) => Replay::Hit(Box::new(entry)),
-                    None => {
-                        let index = index.get_or_insert_with(|| load_index(&mut c.store, &c.index));
-                        let edited = |old: &String| *old != h.hex();
-                        stats.invalidated += usize::from(index.get(&p.name).is_some_and(edited));
-                        Replay::None
-                    }
-                });
-            }
+    // seed one replay state per procedure, each entry read once: hits
+    // replay, misses execute (and are recorded for `persist`). When every
+    // procedure hits, the manifest replays the prefix as well and no pass
+    // executes — a fully warm compile, which persists nothing
+    if let Some(c) = cache.as_mut() {
+        // read before the entries, so a damaged manifest is counted
+        // whatever they hold
+        let file = manifest_name(&c.session_key);
+        let manifest = load_manifest(&mut c.store, &file, prefix);
+        // the keys the last session over these files cached, read at
+        // the first miss: only a miss can be an invalidation
+        let mut index = None;
+        for (p, h) in program.procs.iter().zip(&c.hashes) {
+            let hit = load_hit(&mut c.store, h, &p.name, &chain);
+            c.replay.procs.push(match hit {
+                Some(entry) => Replay::Hit(Box::new(entry)),
+                None => {
+                    let index = index.get_or_insert_with(|| load_index(&mut c.store, &c.index));
+                    let edited = |old: &String| *old != h.hex();
+                    stats.invalidated += usize::from(index.get(&p.name).is_some_and(edited));
+                    Replay::None
+                }
+            });
         }
-        let replay = cache.as_mut().map(|c| &mut c.replay);
-        let (reports, trace) = pipeline.run(&mut program, options, &mut snapshots, replay);
-
-        if let Some(c) = cache.as_mut() {
-            let replayed = |r: &&Replay| matches!(r, Replay::Replayed);
-            stats.hits = c.replay.iter().filter(replayed).count();
+        let all_hit = c.replay.procs.iter().all(|r| matches!(r, Replay::Hit(_)));
+        let mut manifest = manifest.filter(|_| all_hit);
+        // under verification, the program the manifest makes of the hits
+        // must verify: one that does not is damage like any other
+        let rejected = |m: &mut Manifest| verify && !verifies(&mut program, m, &mut c.replay.procs);
+        if manifest.as_mut().is_some_and(rejected) {
+            c.store.quarantine(&file);
+        } else {
+            c.replay.manifest = manifest;
+        }
+        stats.full_warm = c.replay.manifest.is_some();
+    }
+    let replay = cache.as_mut().map(|c| &mut c.replay);
+    let (reports, trace) = pipeline.run(&mut program, options, &mut snapshots, replay);
+    if let Some(c) = cache.as_mut() {
+        let replayed = |r: &&Replay| matches!(r, Replay::Replayed);
+        stats.hits = c.replay.procs.iter().filter(replayed).count();
+        if !stats.full_warm {
             persist(c, &pipeline, &program, &trace);
         }
-        stats.misses = program.procs.len().saturating_sub(stats.hits);
-        let program_stages = pipeline.pass_names().len() - proc_passes.len();
-        stats.passes_executed = program_stages + proc_passes.len() * stats.misses;
-        (reports, trace)
-    };
+    }
+    stats.misses = program.procs.len().saturating_sub(stats.hits);
+    let prefix_runs = if stats.full_warm { 0 } else { prefix.len() };
+    stats.passes_executed = prefix_runs + chain.len() * stats.misses;
 
     optimization_remarks(&reports, &mut sink);
     if let Some(c) = &cache {
@@ -611,12 +610,12 @@ fn split_entry(payload: &[u8]) -> Option<(&[u8], &[u8])> {
 }
 
 /// The session manifest: what a fully warm run needs that no entry holds —
-/// the records of the whole-program stages (`inline`), one cell each, and
-/// the post-pipeline program environment. Every per-procedure record is
-/// rebuilt from the entries' cells ([`Pipeline::replay_records`]).
+/// the records of the pipeline's prefix (`inline`), one cell each, and the
+/// post-pipeline program environment. It replays the prefix in
+/// [`Pipeline::run`]; the chain replays the entries.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Manifest {
-    /// The whole-program stages' records, in pipeline order.
+    /// The prefix passes' records, in pipeline order.
     pub stages: Vec<RecordedCell>,
     /// The post-pipeline globals.
     pub globals: Vec<VarInfo>,
@@ -633,11 +632,20 @@ impl Manifest {
     /// that run's `trace`.
     pub fn new(pipeline: &Pipeline, program: &Program, trace: &PassTrace) -> Manifest {
         Manifest {
-            stages: pipeline.stage_cells(trace),
+            stages: pipeline.prefix_cells(trace),
             globals: program.globals.clone(),
             structs: program.structs.clone(),
             files: program.files.clone(),
         }
+    }
+
+    /// Swaps this manifest's environment with `program`'s, and hands back
+    /// the prefix's records.
+    pub(crate) fn swap_environment(&mut self, program: &mut Program) -> &[RecordedCell] {
+        std::mem::swap(&mut self.globals, &mut program.globals);
+        std::mem::swap(&mut self.structs, &mut program.structs);
+        std::mem::swap(&mut self.files, &mut program.files);
+        &self.stages
     }
 }
 
@@ -743,45 +751,36 @@ fn load_hit(
     entry
 }
 
-/// Loads and decodes the manifest `file`; a payload that passed its
-/// checksum but does not decode is quarantined.
-fn load_manifest(store: &mut CacheStore, file: &str) -> Option<Manifest> {
+/// Loads the manifest `file`, validated *whole*: it decodes, and its
+/// records name exactly the pipeline's `prefix` passes. A missing file is
+/// a plain miss; a file that read but failed a check is quarantined and
+/// counted, and the prefix runs for real.
+fn load_manifest(store: &mut CacheStore, file: &str, prefix: &[&str]) -> Option<Manifest> {
     let payload = store.read(file)?;
-    let decoded = decode_manifest(&payload);
-    if decoded.is_none() {
+    let whole = |m: &Manifest| m.stages.iter().map(|c| &*c.pass).eq(prefix.iter().copied());
+    let manifest = decode_manifest(&payload).filter(whole);
+    if manifest.is_none() {
         store.quarantine(file);
     }
-    decoded
+    manifest
 }
 
-/// Reconstructs a fully warm compilation: the program from every
-/// procedure's entry plus the manifest's environment, and the trace
-/// records — zero durations — from the manifest's whole-program stage
-/// records and every entry's cells, merged as a run merges them
-/// ([`Pipeline::replay_records`]); the aggregate reports follow. `None` on
-/// any mismatch — the caller compiles for real.
-fn load_full_warm(
-    store: &mut CacheStore,
-    key: &StableHash,
-    program: &Program,
-    hashes: &[StableHash],
-    pipeline: &Pipeline,
-) -> Option<(Program, Reports, PassTrace)> {
-    let manifest = load_manifest(store, &manifest_name(key))?;
-    let passes = pipeline.proc_pass_names();
-    let mut entries = Vec::with_capacity(program.procs.len());
-    for (p, h) in program.procs.iter().zip(hashes) {
-        entries.push(load_hit(store, h, &p.name, &passes)?);
-    }
-    let cells: Vec<&[RecordedCell]> = entries.iter().map(|e| &e.cells[..]).collect();
-    let (reports, trace) = pipeline.replay_records(&manifest.stages, &cells)?;
-    let program = Program {
-        procs: entries.into_iter().map(|e| e.il).collect(),
-        globals: manifest.globals,
-        structs: manifest.structs,
-        files: manifest.files,
+/// Whether `program` with `manifest`'s environment and every hit's IL —
+/// the program a fully warm run makes — passes the whole-program
+/// verifier. Both are swapped in for the check and back out after it.
+fn verifies(program: &mut Program, manifest: &mut Manifest, hits: &mut [Replay]) -> bool {
+    let mut swap = |program: &mut Program| {
+        manifest.swap_environment(program);
+        for (proc, hit) in program.procs.iter_mut().zip(hits.iter_mut()) {
+            if let Replay::Hit(entry) = hit {
+                std::mem::swap(proc, &mut entry.il);
+            }
+        }
     };
-    Some((program, reports, trace))
+    swap(program);
+    let verified = verify_program_check(program).is_ok();
+    swap(program);
+    verified
 }
 
 /// Persists the run through the hardened store: per-procedure entries
@@ -810,7 +809,7 @@ fn persist(cache: &mut OpenCache, pipeline: &Pipeline, program: &Program, trace:
     }
     let mut updates: BTreeMap<String, String> = BTreeMap::new();
     let mut all_cached = true;
-    for ((p, h), replay) in program.procs.iter().zip(hashes).zip(replay) {
+    for ((p, h), replay) in program.procs.iter().zip(hashes).zip(&replay.procs) {
         let cached = match replay {
             Replay::Replayed => true,
             Replay::Recorded(cells) => store.publish(&entry_name(h), &encode_entry(p, cells)),
@@ -879,7 +878,7 @@ mod tests {
     use super::*;
     use crate::server::{render, CompileRequest, CompileResponse, Reply, Server};
     use crate::store::BUDGETS;
-    use crate::{PassContext, PassRecord};
+    use crate::{PassContext, PassRecord, Reports};
     use std::path::PathBuf;
     use titanc_il::json::{FromJson, ToJson};
 
@@ -975,9 +974,9 @@ mod tests {
     }
 
     /// A cells section that frames and checksums but does not decode is
-    /// refused on both warm paths — a fully warm run reads every entry's
-    /// cells as well — quarantined, counted, and its procedure compiled
-    /// cold; the re-published entry makes the next run fully warm again.
+    /// refused where the entry is read, with or without a manifest beside
+    /// it — quarantined, counted, and its procedure compiled cold; the
+    /// re-published entry makes the next run fully warm again.
     #[test]
     fn undecodable_cells_are_refused_on_every_warm_path() {
         let reference = compile(None);
@@ -1005,20 +1004,19 @@ mod tests {
     }
 
     // -----------------------------------------------------------------
-    // hand-built pipelines: a damaged cell list, a second proc group, a
-    // stage that changes the procedure count
+    // hand-built pipelines: a damaged cell list, a prefix that changes the
+    // procedure count
     // -----------------------------------------------------------------
 
-    /// A whole-program stage between two proc groups: a no-op, or one that
-    /// appends a procedure. Both go by one name, so both pipelines share
-    /// their cache keys.
-    struct Between {
+    /// A prefix pass: a no-op, or one that appends a procedure. Both go by
+    /// one name, so both pipelines share their cache keys.
+    struct Grow {
         grow: bool,
     }
 
-    impl crate::Pass for Between {
+    impl crate::Pass for Grow {
         fn name(&self) -> &'static str {
-            "between"
+            "grow"
         }
 
         fn run(&self, program: &mut Program, _: &PassContext<'_>, _: &mut Reports) {
@@ -1029,7 +1027,7 @@ mod tests {
         }
     }
 
-    /// A per-procedure pass outside the shipped `-O1` group.
+    /// A per-procedure pass outside the shipped `-O1` chain.
     struct LateCse;
 
     impl crate::ProcPass for LateCse {
@@ -1052,18 +1050,10 @@ mod tests {
         }
     }
 
-    /// `-O1`'s five-pass group, `between`, then a one-pass group.
-    fn split_pipeline(grow: bool) -> Pipeline {
-        let mut pl = Pipeline::for_options(&Options::o1());
-        pl.push(Between { grow });
-        pl.push_proc(LateCse);
-        pl
-    }
-
-    /// `between` first, then the one-pass group.
-    fn grow_first_pipeline(grow: bool) -> Pipeline {
+    /// `grow` as the prefix, then a one-pass chain.
+    fn grow_pipeline(grow: bool) -> Pipeline {
         let mut pl = Pipeline::new();
-        pl.push(Between { grow });
+        pl.push(Grow { grow });
         pl.push_proc(LateCse);
         pl
     }
@@ -1143,54 +1133,114 @@ mod tests {
         }
     }
 
-    /// A second proc group: the first cannot replay a whole entry and the
-    /// second leaves a recorded miss uncacheable, so every run compiles
-    /// exactly as a store-less one and publishes no entry or manifest.
-    #[test]
-    fn a_second_proc_group_compiles_as_store_less() {
-        let reference = compile_with(split_pipeline(false), None);
-        let dir = scratch("two-groups");
-        for round in 0..2 {
-            let sc = compile_with(split_pipeline(false), Some(&dir));
-            assert_eq!((sc.stats.hits, sc.stats.misses), (0, 2), "round {round}");
-            assert_eq!(sc.stats.passes_executed, 1 + 6 * 2);
-            assert_eq!((sc.stats.write_failed, sc.stats.corrupt), (0, 0));
-            assert_eq!(output(&reference), output(&sc), "round {round}");
-            let left = dir_image(&dir).into_keys();
-            let published = |n: &String| n.ends_with(".il") || n.starts_with("session-");
-            assert_eq!(left.filter(published).count(), 0, "round {round}");
-        }
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
+    /// A prefix pass that adds a procedure leaves positions meaningless:
+    /// the seeded hits do not replay, and nothing is persisted.
     #[test]
     fn a_stage_that_changes_the_procedure_count_ends_replay_and_persists_nothing() {
         // over a primed directory: the seeded hits must not replay
-        let reference = compile_with(grow_first_pipeline(true), None);
+        let reference = compile_with(grow_pipeline(true), None);
         assert_eq!(reference.compilation.program.procs.len(), 3);
         let dir = scratch("grow-primed");
-        compile_with(grow_first_pipeline(false), Some(&dir));
+        compile_with(grow_pipeline(false), Some(&dir));
         drop_manifests(&dir);
         let primed = dir_image(&dir);
         assert_eq!(entries(&dir).len(), 2);
-        let grown = compile_with(grow_first_pipeline(true), Some(&dir));
+        let grown = compile_with(grow_pipeline(true), Some(&dir));
         assert_eq!((grown.stats.hits, grown.stats.misses), (0, 3));
         assert_eq!(grown.stats.passes_executed, 1 + 3);
         assert_eq!((grown.stats.write_failed, grown.stats.corrupt), (0, 0));
         assert_eq!(output(&reference), output(&grown));
         assert!(dir_image(&dir) == primed, "nothing was persisted");
         let _ = std::fs::remove_dir_all(&dir);
+    }
 
-        // over an empty one, between two groups: what group one recorded
-        // is dropped where the count changes
-        let reference = compile_with(split_pipeline(true), None);
-        let dir = scratch("grow-cold");
-        let grown = compile_with(split_pipeline(true), Some(&dir));
-        assert_eq!((grown.stats.hits, grown.stats.misses), (0, 3));
-        assert_eq!((grown.stats.write_failed, grown.stats.corrupt), (0, 0));
-        assert_eq!(output(&reference), output(&grown));
-        let left: Vec<String> = dir_image(&dir).into_keys().collect();
-        assert_eq!(left, ["FORMAT"], "no entry, manifest or index");
+    /// Rewrites the one session manifest of `dir` through `damage` and
+    /// re-seals it: a checksum-valid manifest only its checks can refuse.
+    fn reseal_manifest(dir: &Path, damage: impl FnOnce(&mut Manifest)) {
+        let file = dir_image(dir)
+            .into_keys()
+            .find(|n| n.starts_with("session-"))
+            .expect("a manifest was published");
+        let mut store = CacheStore::open(dir);
+        let mut manifest = decode_manifest(&store.read(&file).expect("reads")).expect("decodes");
+        damage(&mut manifest);
+        assert!(store.publish(&file, &encode_manifest(&manifest)));
+    }
+
+    /// A manifest whose records do not name exactly the prefix's passes is
+    /// damage: quarantined and counted, and the prefix runs for real while
+    /// every entry replays.
+    #[test]
+    fn a_manifest_whose_records_are_not_the_prefixs_is_refused_whole() {
+        type Damage = fn(&mut Manifest);
+        let renamed: Damage = |m| m.stages[0].pass = "inlined".to_string();
+        let extra: Damage = |m| m.stages.push(m.stages[0].clone());
+        let missing: Damage = |m| m.stages.clear();
+        let reference = compile(None);
+        for damage in [renamed, extra, missing] {
+            let dir = scratch("manifest-stages");
+            compile(Some(&dir));
+            reseal_manifest(&dir, damage);
+            let warm = compile(Some(&dir));
+            assert!(!warm.stats.full_warm);
+            assert_eq!((warm.stats.corrupt, warm.stats.quarantined), (1, 1));
+            assert_eq!((warm.stats.hits, warm.stats.misses), (2, 0));
+            assert_eq!(warm.stats.passes_executed, 1, "the prefix alone");
+            assert_eq!(output(&reference), output(&warm));
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    /// Under verification, a manifest whose environment the verifier
+    /// rejects around the entries' IL is refused like any damaged file:
+    /// quarantined and counted. The prefix then runs for real and every
+    /// entry replays, to the store-less output plus the corrupt-file
+    /// warning, and the re-published manifest makes the next run fully
+    /// warm again.
+    #[test]
+    fn a_manifest_the_verifier_rejects_is_quarantined_and_counted() {
+        let src = "struct pt { float x; float y; };\nstruct pt origin;\n\
+            float sum(void) { return origin.x + origin.y; }\n\
+            int main(void) { origin.x = 1.0f; origin.y = sum(); return 0; }\n";
+        let files = [SourceFile::new("s.c", src)];
+        let options = Options {
+            verify: true,
+            ..Options::o2()
+        };
+        let compile = |dir| compile_session(&files, &options, dir).expect("compiles");
+        let messages = |sc: &SessionCompilation| {
+            let diags = sc.compilation.diagnostics.iter();
+            diags.map(|d| d.message.clone()).collect::<Vec<_>>()
+        };
+        let reference = compile(None);
+        let dir = scratch("manifest-verifier");
+        compile(Some(&dir));
+        reseal_manifest(&dir, |manifest| {
+            // `origin` is struct-typed: an emptied struct table leaves it
+            // dangling
+            assert_eq!(manifest.structs.len(), 1);
+            manifest.structs.clear();
+        });
+
+        let warm = compile(Some(&dir));
+        assert!(!warm.stats.full_warm);
+        assert_eq!((warm.stats.corrupt, warm.stats.quarantined), (1, 1));
+        assert_eq!((warm.stats.hits, warm.stats.misses), (2, 0));
+        assert_eq!(warm.stats.passes_executed, 1, "the prefix alone");
+        assert!(!warm.compilation.trace.has_incidents());
+        assert_eq!(output(&reference), output(&warm));
+        let mut expected = messages(&reference);
+        expected.push(
+            "1 corrupt cache file(s) detected (1 quarantined); the affected procedures \
+             were recompiled cold"
+                .to_string(),
+        );
+        assert_eq!(messages(&warm), expected);
+
+        let healed = compile(Some(&dir));
+        assert!(healed.stats.full_warm);
+        assert_eq!(healed.stats.corrupt, 0);
+        assert_eq!(output(&reference), output(&healed));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

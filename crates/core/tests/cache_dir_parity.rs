@@ -108,3 +108,57 @@ fn syntax_errors_render_the_same_either_way() {
     assert!(err.starts_with("bad.c:4:"), "{err}");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Every file under `dir`, by path relative to it, with its bytes.
+fn tree(dir: &Path) -> Vec<(PathBuf, Vec<u8>)> {
+    let mut files = Vec::new();
+    let mut pending = vec![dir.to_path_buf()];
+    while let Some(at) = pending.pop() {
+        for e in std::fs::read_dir(&at).unwrap() {
+            let path = e.unwrap().path();
+            if path.is_dir() {
+                pending.push(path);
+            } else {
+                let bytes = std::fs::read(&path).unwrap();
+                files.push((path.strip_prefix(dir).unwrap().to_path_buf(), bytes));
+            }
+        }
+    }
+    files.sort();
+    files
+}
+
+/// A fully warm compile runs the same pipeline a cold one does, with
+/// everything replayed, and must write nothing: with every write and
+/// rename made to fail, it still reports no failed write and leaves the
+/// directory byte for byte as the priming run left it.
+#[test]
+fn a_fully_warm_compile_writes_nothing() {
+    let dir = scratch("warm-writes");
+    let corpus = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../corpus");
+    let mut args: Vec<String> = ["daxpy.c", "blaslib.c"]
+        .iter()
+        .map(|f| corpus.join(f).to_string_lossy().into_owned())
+        .collect();
+    args.extend(["--cache-dir".to_string(), "cache".to_string()]);
+    let args: Vec<&str> = args.iter().map(String::as_str).collect();
+    let primed = titanc(&dir, &args);
+    assert!(primed.status.success(), "{primed:?}");
+    let before = tree(&dir.join("cache"));
+
+    let warm = Command::new(env!("CARGO_BIN_EXE_titanc"))
+        .current_dir(&dir)
+        .args(&args)
+        .env("TITANC_INJECT_IO", "write:fail:1,rename:fail:1")
+        .output()
+        .unwrap();
+    assert!(warm.status.success(), "{warm:?}");
+    let stderr = String::from_utf8(warm.stderr).unwrap();
+    assert!(
+        stderr.contains("0 pass execution(s) (fully warm)"),
+        "{stderr}"
+    );
+    assert!(stderr.contains("0 write-failed"), "{stderr}");
+    assert!(tree(&dir.join("cache")) == before, "the directory moved");
+    let _ = std::fs::remove_dir_all(&dir);
+}

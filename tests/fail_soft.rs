@@ -187,6 +187,8 @@ fn whole_program_pass_panic_restores_the_backup() {
     let reference = compile(KERNEL, &options(1)).expect("reference compile");
     let opts = options(1);
     let mut pipeline = Pipeline::for_options(&opts);
+    // pushed after the chain, but a whole-program pass joins the prefix:
+    // ProgramBoom runs first, and the chain runs over the restored program
     pipeline.push(ProgramBoom);
     let faulted = compile_with(KERNEL, &opts, pipeline).expect("front end is clean");
 
