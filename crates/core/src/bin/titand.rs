@@ -21,11 +21,12 @@
 //! verified on every read. The first compile of a program pays the full
 //! pipeline, every subsequent compile parses every file and replays
 //! unchanged procedures from their entries, and warm repeats skip the
-//! pipeline outright. Requests
-//! are batched across the worker pool; responses stream back as they
-//! finish, tagged by request id. Responses are byte-identical to
-//! one-shot `titanc` on the same inputs (modulo the `titanc: cache:`
-//! accounting line, which reflects cache state).
+//! pipeline outright. Each of the `-j` lanes (the main thread is one)
+//! reads the next request line, or accepts the next connection, only once
+//! it is free; responses stream back as they finish, tagged by request
+//! id. Responses are byte-identical to one-shot `titanc` on the same
+//! inputs (modulo the `titanc: cache:` accounting line, which reflects
+//! cache state).
 //!
 //! A fully warm repeat of a request it has answered is one lookup in the
 //! reply memo. Everything resident lives under fixed byte budgets, and no
@@ -118,7 +119,8 @@ fn serve_socket(server: &Server, path: &std::path::Path) -> std::io::Result<()> 
     // the ready line goes out *after* bind succeeds, so a supervisor can
     // wait for it before launching clients
     eprintln!("titand: listening on {}", path.display());
-    server.serve_listener(listener, path)
+    server.serve_listener(listener, path);
+    Ok(())
 }
 
 #[cfg(not(unix))]

@@ -40,6 +40,7 @@
 
 mod memo;
 pub mod pass;
+mod pool;
 pub mod server;
 pub mod session;
 pub mod store;
@@ -101,7 +102,8 @@ pub struct Options {
     /// Run the IL verifier between passes even in release builds (debug
     /// builds always verify). A violation is an internal compiler error.
     pub verify: bool,
-    /// Worker threads for the per-procedure pass chain (`-j`/`--jobs`).
+    /// Lanes for the per-procedure pass chain (`-j`/`--jobs`; the calling
+    /// thread is one of them).
     /// `0` means "use the machine's available parallelism"; requests
     /// beyond the available parallelism are capped there, since extra
     /// threads only add scheduler churn to a CPU-bound pipeline. The
@@ -167,12 +169,7 @@ impl Options {
     /// The worker-thread count the pipeline will actually use: `jobs`,
     /// with `0` resolved to the machine's available parallelism.
     pub fn effective_jobs(&self) -> usize {
-        match self.jobs {
-            0 => std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1),
-            n => n,
-        }
+        pool::lanes(self.jobs)
     }
 }
 

@@ -16,15 +16,16 @@
 //! ## Parallel per-procedure execution
 //!
 //! Each procedure is sent through the *whole chain* as one unit of work,
-//! and the procedures fan out across [`Options::jobs`] worker threads
-//! (`std::thread::scope`, no runtime dependency). Each unit carries the
+//! and the procedures fan out across [`Options::jobs`] lanes of the
+//! crate's one worker pool (scoped threads, no runtime dependency; the
+//! calling thread is lane 0). Each unit carries the
 //! procedure and its [`ProcSlot`] — everything the manager keeps about one
 //! procedure, one value at the procedure's position: its analyses, the
 //! generation already snapshotted and verified, and where it stands with
 //! the session cache ([`Replay`]) — and produces a [`ProcResult`]:
 //! per-pass deltas, timings, cache counters and snapshots. Results are
-//! merged **in procedure order, pass-major**, and the serial path
-//! (`jobs = 1`) runs the exact same per-procedure chain, so `-j 1` and
+//! merged **in procedure order, pass-major**, and every lane count runs
+//! the same loop over the same per-procedure chain, so `-j 1` and
 //! `-j N` produce byte-identical programs, reports, traces and snapshot
 //! sequences.
 //!
@@ -63,8 +64,7 @@
 use std::any::Any;
 use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Mutex, Once};
-use std::thread;
+use std::sync::Once;
 use std::time::{Duration, Instant};
 
 use titanc_analysis::{CacheStats, ProcAnalyses};
@@ -158,8 +158,9 @@ pub struct WorkItem {
     pub pass: &'static str,
     /// The procedure it ran on (empty for whole-program passes).
     pub proc: String,
-    /// Worker lane: `0` for the main thread (a serial chain and
-    /// whole-program passes), `1..=N` for parallel chain workers.
+    /// Worker lane: `0` for the thread that runs the pipeline (every
+    /// whole-program pass, and chain cells beside the other lanes),
+    /// `1..N` for the pool's spawned threads at `-j N`.
     pub lane: usize,
     /// Offset of the execution's start from the pipeline's start.
     pub start: Duration,
@@ -433,6 +434,7 @@ fn run_pass<U: Unit>(
 }
 
 /// What one procedure produced from the per-procedure chain.
+#[derive(Default)]
 struct ProcResult {
     /// One cell per pass of the chain, in chain order.
     cells: Vec<PassCell>,
@@ -673,9 +675,9 @@ struct Env<'a> {
     epoch: Instant,
 }
 
-/// Runs one procedure through the per-procedure chain. Both the
-/// serial and the parallel path execute exactly this function, which is
-/// what makes `-j 1` and `-j N` byte-identical.
+/// Runs one procedure through the per-procedure chain — on whichever lane
+/// pulled it, at every lane count, which is what makes `-j 1` and `-j N`
+/// byte-identical.
 ///
 /// ## Fault isolation
 ///
@@ -686,8 +688,7 @@ struct Env<'a> {
 /// slot's analyses are invalidated (artifacts built against the abandoned
 /// IL must not survive the rollback), a [`PassIncident`] is recorded, and
 /// the rest of the chain is skipped: the procedure is *degraded*. Panics
-/// never cross the worker-thread boundary, so one faulty procedure cannot
-/// poison the thread scope.
+/// never leave the lane, so one faulty procedure cannot poison the pool.
 fn run_proc_chain(
     env: &Env<'_>,
     chain: &[&dyn ProcPass],
@@ -825,8 +826,8 @@ impl Pipeline {
         Pipeline::default()
     }
 
-    /// Appends a whole-program pass to the prefix (runs serially on the
-    /// main thread, before every per-procedure pass). Calling order
+    /// Appends a whole-program pass to the prefix (runs on the calling
+    /// thread, before every per-procedure pass). Calling order
     /// relative to [`Pipeline::push_proc`] is ignored: a pass pushed after
     /// the chain's passes still runs before all of them.
     pub fn push(&mut self, pass: impl Pass + 'static) {
@@ -834,8 +835,7 @@ impl Pipeline {
     }
 
     /// Appends a per-procedure pass to the chain. Each procedure runs the
-    /// whole chain on one worker, fanned out across [`Options::jobs`]
-    /// threads.
+    /// whole chain on one lane, fanned out across [`Options::jobs`] lanes.
     pub fn push_proc(&mut self, pass: impl ProcPass + 'static) {
         self.chain.push(Box::new(pass));
     }
@@ -1113,70 +1113,42 @@ impl Run<'_> {
         self.trace.records.push(record);
     }
 
-    /// Fans the procedures across worker threads, each running the whole
-    /// chain, then merges the results in procedure order so the output is
-    /// independent of scheduling.
+    /// Fans the procedures across the lanes — a hit replays, a miss runs
+    /// the whole chain — then merges the results in procedure order so the
+    /// output is independent of scheduling.
     fn chain(&mut self, chain: &[&dyn ProcPass], program: &mut Program) {
         let env = &self.env;
-        let mut results: Vec<Option<ProcResult>> = program
+        // more lanes than hardware threads only add scheduler churn to a
+        // CPU-bound pipeline, and more than the misses would find nothing
+        // left to run
+        let misses = self
+            .slots
+            .iter()
+            .filter(|s| !matches!(s.replay, Replay::Hit(_)))
+            .count();
+        let lanes = misses.min(self.jobs).min(crate::pool::lanes(0)).max(1);
+        let mut results: Vec<ProcResult> =
+            self.slots.iter().map(|_| ProcResult::default()).collect();
+        let tasks = program
             .procs
             .iter_mut()
             .zip(&mut self.slots)
-            .map(|(proc, slot)| slot.replay(proc))
-            .collect();
-        let tasks: Vec<_> = program
-            .procs
-            .iter_mut()
-            .zip(&mut self.slots)
-            .zip(&mut results)
-            .filter(|(_, out)| out.is_none())
-            .collect();
-
-        // more worker threads than hardware threads only adds scheduler churn
-        // to a CPU-bound pipeline, so the request is capped at the machine's
-        // available parallelism (and at the task count — spare workers would
-        // find an empty queue and exit immediately anyway)
-        let avail = thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1);
-        let workers = self.jobs.min(avail).clamp(1, tasks.len().max(1));
-        if workers <= 1 {
-            for ((proc, slot), out) in tasks {
-                // the chain's one rollback snapshot
-                let entry = proc.clone();
-                *out = Some(run_proc_chain(env, chain, proc, &entry, slot, 0));
-            }
-        } else {
-            let queue = Mutex::new(tasks.into_iter());
-            thread::scope(|s| {
-                for lane in 1..=workers {
-                    let queue = &queue;
-                    s.spawn(move || loop {
-                        // take the lock only to pop; run outside it
-                        let task = queue.lock().unwrap().next();
-                        let Some(((proc, slot), out)) = task else {
-                            break;
-                        };
-                        // run the chain on a worker-local clone: the passes'
-                        // allocation churn then stays in this thread's malloc
-                        // arena instead of contending for the main thread's
-                        // (the procedure itself was built there), and the
-                        // original is freed in one sweep at write-back —
-                        // until when it is the chain's rollback snapshot.
-                        // Faults inside the chain are caught there, so a
-                        // panicking pass cannot poison this scope.
-                        let mut local = proc.clone();
-                        *out = Some(run_proc_chain(env, chain, &mut local, proc, slot, lane));
-                        *proc = local;
-                    });
-                }
+            .zip(&mut results);
+        crate::pool::fan_out(lanes, tasks, |((proc, slot), out), lane| {
+            *out = slot.replay(proc).unwrap_or_else(|| {
+                // run the chain on a lane-local clone: the passes'
+                // allocation churn then stays in this thread's malloc
+                // arena instead of contending for the thread the
+                // procedure was built on, and the original is freed in
+                // one sweep at write-back — until when it is the chain's
+                // one rollback snapshot. Faults inside the chain are
+                // caught there, so a panicking pass cannot poison the pool.
+                let mut local = proc.clone();
+                let result = run_proc_chain(env, chain, &mut local, proc, slot, lane);
+                *proc = local;
+                result
             });
-        }
-
-        let mut results: Vec<ProcResult> = results
-            .into_iter()
-            .map(|r| r.expect("every procedure ran its pass chain"))
-            .collect();
+        });
 
         // merge pass-major, procedure order: identical for any worker count
         let mut cells: Vec<_> = results

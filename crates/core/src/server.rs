@@ -37,12 +37,14 @@
 //! one lookup (§ Memoised replies below). The layer writes through to the
 //! daemon's `--cache-dir` (when it has one), so one-shot
 //! `titanc --cache-dir` invocations and the daemon interoperate on the
-//! same directory. The per-request pipeline still fans procedures across
-//! its own `-j` worker pool; the daemon's pool (its own `-j`) batches
-//! independent *requests*. Analysis caches stay per-request — they are
-//! keyed by in-memory generation counters that restart with every
-//! compilation — but a warm request skips the pipeline (and with it all
-//! analyses) outright.
+//! same directory. Both transports run on the crate's one worker pool,
+//! the one the pass chain fans procedures across: the daemon's `-j` lanes
+//! each pull the next line (stdio) or connection (socket) only once they
+//! are free, the thread that called the transport being lane 0, and each
+//! request's pipeline has its own `-j`. Analysis caches stay per-request
+//! — they are keyed by in-memory generation counters that restart with
+//! every compilation — but a warm request skips the pipeline (and with it
+//! all analyses) outright.
 //!
 //! ## Memoised replies and containment
 //!
@@ -64,7 +66,7 @@ use std::io::{self, BufRead, BufReader, Read, Write};
 #[cfg(unix)]
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::Mutex;
 
 use crate::pass::{contain, panic_message};
 use crate::session::{compile_session_resident, SessionCompilation, SourceFile};
@@ -661,8 +663,8 @@ pub enum Reply {
     Shutdown(String),
 }
 
-/// A long-lived compile server: one shared [`ResidentCache`], a request
-/// worker pool, and aggregate accounting. Drive it with [`serve_stdio`]
+/// A long-lived compile server: one shared [`ResidentCache`], a lane count
+/// for its transports, and aggregate accounting. Drive it with [`serve_stdio`]
 /// (newline-delimited JSON on stdin/stdout) or [`serve_listener`] (a Unix
 /// domain socket bound with [`bind_unix`]), or feed it lines directly
 /// with [`handle_line`] for in-process use (tests, benches).
@@ -684,12 +686,7 @@ impl Server {
         Server {
             resident: ResidentCache::new(config.cache_dir.as_deref()),
             totals: Mutex::new(ServerTotals::default()),
-            workers: match config.workers {
-                0 => std::thread::available_parallelism()
-                    .map(std::num::NonZeroUsize::get)
-                    .unwrap_or(1),
-                n => n,
-            },
+            workers: crate::pool::lanes(config.workers),
             quiet: false,
         }
     }
@@ -824,128 +821,101 @@ impl Server {
         })
     }
 
-    /// Serves newline-delimited JSON on stdin/stdout: requests are
-    /// batched across the worker pool and responses stream back as they
-    /// finish (tagged by id — completion order is not request order).
+    /// Serves newline-delimited JSON on stdin/stdout: each free lane of
+    /// the pool reads the next line and answers it, so responses stream
+    /// back as they finish (tagged by id — completion order is not request
+    /// order) and no more lines are read ahead than there are lanes.
     /// EOF on stdin is a graceful shutdown, as is a `{"shutdown":true}`
-    /// line (acknowledged before the loop stops accepting).
+    /// line (acknowledged, after which no further line is read).
     ///
     /// # Errors
     ///
     /// Returns the first stdin read error.
     pub fn serve_stdio(&self) -> io::Result<()> {
-        let stdout: Arc<Mutex<Box<dyn Write + Send>>> =
-            Arc::new(Mutex::new(Box::new(io::stdout())));
         let stop = AtomicBool::new(false);
-        let (tx, rx) = mpsc::channel::<Vec<u8>>();
-        let rx = Mutex::new(rx);
-        std::thread::scope(|s| {
-            for _ in 0..self.workers {
-                let out = Arc::clone(&stdout);
-                let rx = &rx;
-                let stop = &stop;
-                s.spawn(move || loop {
-                    let line = rx.lock().unwrap().recv();
-                    let Ok(line) = line else { break };
-                    let Some(reply) = self.handle_bytes(&line) else {
-                        continue;
-                    };
-                    if matches!(reply, Reply::Shutdown(_)) {
-                        stop.store(true, Ordering::SeqCst);
-                    }
-                    let (Reply::Line(text) | Reply::Shutdown(text)) = reply;
-                    let mut out = out.lock().unwrap();
-                    let _ = writeln!(out, "{text}");
-                    let _ = out.flush();
-                });
+        let mut failed = None;
+        let lines = std::iter::from_fn(|| {
+            if stop.load(Ordering::SeqCst) {
+                return None;
             }
-            let mut stdin = io::stdin().lock();
             let mut line = Vec::new();
-            let read = loop {
-                match read_line(&mut stdin, &mut line) {
-                    Ok(true) if !stop.load(Ordering::SeqCst) => {
-                        let _ = tx.send(std::mem::take(&mut line));
-                    }
-                    Ok(_) => break Ok(()),
-                    Err(e) => break Err(e),
+            match read_line(&mut io::stdin().lock(), &mut line) {
+                Ok(true) if !stop.load(Ordering::SeqCst) => Some(line),
+                Ok(_) => None,
+                Err(e) => {
+                    failed = Some(e);
+                    None
                 }
+            }
+        });
+        crate::pool::fan_out(self.workers, lines, |line, _| {
+            let Some(reply) = self.handle_bytes(&line) else {
+                return;
             };
-            drop(tx);
-            read
-        })
+            if matches!(reply, Reply::Shutdown(_)) {
+                stop.store(true, Ordering::SeqCst);
+            }
+            let (Reply::Line(text) | Reply::Shutdown(text)) = reply;
+            let mut out = io::stdout().lock();
+            let _ = writeln!(out, "{text}");
+            let _ = out.flush();
+        });
+        failed.map_or(Ok(()), Err)
     }
 
     /// Serves a Unix domain socket over an already-bound `listener` (see
     /// [`bind_unix`]; the daemon binds first so it can announce readiness
-    /// before the accept loop starts): each accepted connection is handed
-    /// to the worker pool, which answers every request line on that
-    /// connection in order (concurrency comes from concurrent
-    /// connections). A `{"shutdown":true}` request is acknowledged, then
-    /// the listener stops accepting and `path` is removed.
-    ///
-    /// # Errors
-    ///
-    /// Returns accept errors; per-connection IO errors just drop that
-    /// connection.
+    /// before the accept loop starts): each free lane of the pool accepts
+    /// the next connection and answers every request line on it in order
+    /// (concurrency comes from concurrent connections). A
+    /// `{"shutdown":true}` request is acknowledged, then the listener stops
+    /// accepting and `path` is removed. A failed `accept` or connection
+    /// drops only that connection.
     #[cfg(unix)]
-    pub fn serve_listener(
-        &self,
-        listener: std::os::unix::net::UnixListener,
-        path: &Path,
-    ) -> io::Result<()> {
+    pub fn serve_listener(&self, listener: std::os::unix::net::UnixListener, path: &Path) {
         use std::os::unix::net::UnixStream;
 
         let stop = AtomicBool::new(false);
-        let (tx, rx) = mpsc::channel::<UnixStream>();
-        let rx = Mutex::new(rx);
-        std::thread::scope(|s| -> io::Result<()> {
-            for _ in 0..self.workers {
-                let rx = &rx;
-                let stop = &stop;
-                s.spawn(move || loop {
-                    let stream = rx.lock().unwrap().recv();
-                    let Ok(stream) = stream else { break };
-                    let Ok(read) = stream.try_clone() else {
-                        continue;
-                    };
-                    let mut write = stream;
-                    let mut reader = BufReader::new(read);
-                    let mut line = Vec::new();
-                    while let Ok(true) = read_line(&mut reader, &mut line) {
-                        let Some(reply) = self.handle_bytes(&line) else {
-                            continue;
-                        };
-                        let shutdown = matches!(reply, Reply::Shutdown(_));
-                        let (Reply::Line(text) | Reply::Shutdown(text)) = reply;
-                        let sent = writeln!(write, "{text}").and_then(|()| write.flush());
-                        if shutdown {
-                            stop.store(true, Ordering::SeqCst);
-                            // unblock the accept loop so it can see the
-                            // stop flag
-                            let _ = UnixStream::connect(path);
-                        }
-                        if shutdown || sent.is_err() {
-                            break;
-                        }
-                    }
-                });
+        // one lane at a time blocks in `accept` (the pool holds the source's
+        // lock), so the one wake-up connection a shutdown makes releases it
+        let streams = std::iter::from_fn(|| loop {
+            if stop.load(Ordering::SeqCst) {
+                return None;
             }
-            for stream in listener.incoming() {
-                if stop.load(Ordering::SeqCst) {
+            let accepted = listener.accept();
+            if stop.load(Ordering::SeqCst) {
+                return None;
+            }
+            if let Ok((stream, _)) = accepted {
+                return Some(stream);
+            }
+        });
+        crate::pool::fan_out(self.workers, streams, |stream, _| {
+            let Ok(read) = stream.try_clone() else {
+                return;
+            };
+            let mut write = stream;
+            let mut reader = BufReader::new(read);
+            let mut line = Vec::new();
+            while let Ok(true) = read_line(&mut reader, &mut line) {
+                let Some(reply) = self.handle_bytes(&line) else {
+                    continue;
+                };
+                let shutdown = matches!(reply, Reply::Shutdown(_));
+                let (Reply::Line(text) | Reply::Shutdown(text)) = reply;
+                let sent = writeln!(write, "{text}").and_then(|()| write.flush());
+                if shutdown {
+                    stop.store(true, Ordering::SeqCst);
+                    // wake the lane blocked in `accept`, if any, so it
+                    // sees the stop flag
+                    let _ = UnixStream::connect(path);
+                }
+                if shutdown || sent.is_err() {
                     break;
                 }
-                match stream {
-                    Ok(s) => {
-                        let _ = tx.send(s);
-                    }
-                    Err(_) => continue,
-                }
             }
-            drop(tx);
-            Ok(())
-        })?;
+        });
         let _ = std::fs::remove_file(path);
-        Ok(())
     }
 }
 

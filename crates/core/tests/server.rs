@@ -220,16 +220,14 @@ fn client_rejects_flags_that_cannot_ride_the_protocol() {
     }
 }
 
+/// Starts `titand --quiet --socket SOCK` with `extra` flags and waits
+/// until it has bound the socket.
 #[cfg(unix)]
-#[test]
-fn eight_concurrent_socket_clients_each_match_one_shot() {
-    let dir = scratch("socket");
-    let sock = dir.join("titand.sock");
-    let mut daemon = Command::new(env!("CARGO_BIN_EXE_titand"))
+fn socket_daemon(sock: &std::path::Path, extra: &[&str]) -> std::process::Child {
+    let daemon = Command::new(env!("CARGO_BIN_EXE_titand"))
         .args(["--quiet", "--socket"])
-        .arg(&sock)
-        .args(["--cache-dir"])
-        .arg(dir.join("cache"))
+        .arg(sock)
+        .args(extra)
         .stderr(Stdio::piped())
         .spawn()
         .unwrap();
@@ -240,6 +238,16 @@ fn eight_concurrent_socket_clients_each_match_one_shot() {
         std::thread::sleep(std::time::Duration::from_millis(25));
     }
     assert!(sock.exists(), "titand never bound its socket");
+    daemon
+}
+
+#[cfg(unix)]
+#[test]
+fn eight_concurrent_socket_clients_each_match_one_shot() {
+    let dir = scratch("socket");
+    let sock = dir.join("titand.sock");
+    let cache = dir.join("cache");
+    let mut daemon = socket_daemon(&sock, &["--cache-dir", cache.to_str().unwrap()]);
 
     // 8+ concurrent clients: every corpus file once, plus repeats of the
     // first two — distinct and identical requests in flight together
@@ -316,6 +324,52 @@ fn eight_concurrent_socket_clients_each_match_one_shot() {
     );
     let status = daemon.wait().unwrap();
     assert!(status.success());
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// One lane: the lane that answered a request on one connection takes the
+/// shutdown on the next, and must see the stop flag before it blocks in
+/// `accept` again. A missed wake-up fails the deadline instead of hanging.
+#[cfg(unix)]
+#[test]
+fn a_one_lane_socket_daemon_answers_then_shuts_down() {
+    let dir = scratch("one-lane");
+    let sock = dir.join("titand.sock");
+    let mut daemon = socket_daemon(&sock, &["-j", "1"]);
+    let file = corpus_files().remove(0);
+    let client = {
+        let (sock, file) = (sock.clone(), file.clone());
+        std::thread::spawn(move || {
+            let reply = titanc::server::request_over_unix(&sock, &request_for(7, &file)).unwrap();
+            (reply, titanc::server::shutdown_over_unix(&sock).unwrap())
+        })
+    };
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+    let status = loop {
+        if let Some(status) = daemon.try_wait().unwrap() {
+            break status;
+        }
+        if std::time::Instant::now() > deadline {
+            let _ = daemon.kill();
+            let _ = daemon.wait();
+            panic!("a one-lane titand did not exit after acknowledging shutdown");
+        }
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    };
+    assert!(status.success());
+    let (reply, totals) = client.join().unwrap();
+    let reference = one_shot(&file);
+    assert_eq!(
+        (reply.id, Some(reply.exit as i32)),
+        (7, reference.status.code())
+    );
+    assert_eq!(reply.stdout, String::from_utf8_lossy(&reference.stdout));
+    assert_eq!(
+        strip_cache_lines(&reply.stderr),
+        String::from_utf8_lossy(&reference.stderr)
+    );
+    assert_eq!(totals.requests, 1);
+    assert!(!sock.exists(), "the socket file outlived the daemon");
     let _ = fs::remove_dir_all(&dir);
 }
 
