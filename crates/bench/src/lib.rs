@@ -7,11 +7,13 @@
 //! prints the tables (`exp EXP3`, `exp --markdown`). [`sweep`] is the
 //! differential harness: [`progen`]'s programs as one case stream and the
 //! named checks every case must pass (`stress --check NAME`,
-//! `tests/sweep.rs`).
+//! `tests/sweep.rs`). [`golden`] is the compiler's printed output over
+//! the corpus, checked in under `tests/golden/` (`--bin golden` writes it).
 
 #![forbid(unsafe_code)]
 
 pub mod experiments;
+pub mod golden;
 pub mod progen;
 pub mod sweep;
 
