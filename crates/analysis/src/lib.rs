@@ -38,6 +38,8 @@ pub use dataflow::{Liveness, UseDef};
 /// The call graph of a program: which procedures each procedure calls.
 #[derive(Debug, Default)]
 pub struct CallGraph {
+    /// Procedure names, in [`titanc_il::Program::procs`] order.
+    pub names: Vec<String>,
     /// `calls[i]` lists callee names of procedure `i` (in
     /// [`titanc_il::Program::procs`] order), with repeats.
     pub calls: Vec<Vec<String>>,
@@ -56,24 +58,27 @@ impl CallGraph {
             });
             calls.push(list);
         }
-        CallGraph { calls }
+        let names = prog.procs.iter().map(|p| p.name.clone()).collect();
+        CallGraph { names, calls }
     }
 
     /// True when `name` can (transitively) call itself — inlining it
-    /// without care would never terminate (§7).
-    pub fn is_recursive(&self, prog: &titanc_il::Program, name: &str) -> bool {
-        let idx = match prog.procs.iter().position(|p| p.name == name) {
+    /// without care would never terminate (§7). Names resolve through
+    /// the graph's own [`CallGraph::names`], so the answer holds while a
+    /// procedure of the program is being rewritten.
+    pub fn is_recursive(&self, name: &str) -> bool {
+        let idx = match self.names.iter().position(|p| p == name) {
             Some(i) => i,
             None => return false,
         };
         let mut stack = vec![idx];
-        let mut seen = vec![false; prog.procs.len()];
+        let mut seen = vec![false; self.names.len()];
         while let Some(i) = stack.pop() {
             for callee in &self.calls[i] {
                 if callee == name {
                     return true;
                 }
-                if let Some(j) = prog.procs.iter().position(|p| &p.name == callee) {
+                if let Some(j) = self.names.iter().position(|p| p == callee) {
                     if !seen[j] {
                         seen[j] = true;
                         stack.push(j);
@@ -161,9 +166,9 @@ int leaf(int n) { return n + 1; }
         )
         .unwrap();
         let cg = CallGraph::build(&prog);
-        assert!(cg.is_recursive(&prog, "fib"));
-        assert!(!cg.is_recursive(&prog, "helper"));
-        assert!(!cg.is_recursive(&prog, "leaf"));
+        assert!(cg.is_recursive("fib"));
+        assert!(!cg.is_recursive("helper"));
+        assert!(!cg.is_recursive("leaf"));
         assert_eq!(cg.calls[0].len(), 2);
     }
 
@@ -219,7 +224,7 @@ int odd(int n) { if (n == 0) return 0; return even(n - 1); }
         )
         .unwrap();
         let cg = CallGraph::build(&prog);
-        assert!(cg.is_recursive(&prog, "even"));
-        assert!(cg.is_recursive(&prog, "odd"));
+        assert!(cg.is_recursive("even"));
+        assert!(cg.is_recursive("odd"));
     }
 }

@@ -53,22 +53,32 @@ pub fn cases() -> Vec<Case> {
             });
         }
     }
-    let mut files: Vec<SourceFile> = (0..8)
-        .map(|k| SourceFile::new(format!("k{k}.c"), many_loops_source(k, 30)))
-        .collect();
-    let calls: String = (0..8).map(|k| format!("    kernel{k}({});\n", k + 1)).collect();
-    let main = format!("int main(void)\n{{\n{calls}    return 0;\n}}\n");
-    files.push(SourceFile::new("main.c", main));
     let parallel = Options {
         parallelize: true,
         ..Options::o2()
     };
     cases.push(Case {
         name: "mp9.o2-parallel.txt".to_string(),
-        request: request(&parallel, files),
+        request: request(&parallel, mp9_files()),
     });
     cases.sort_by(|a, b| a.name.cmp(&b.name));
     cases
+}
+
+/// The `mp9`-shaped session: `k0.c` … `k7.c`, each one 30-loop
+/// [`many_loops_source`] procedure `kernelK`, and a `main.c` that calls
+/// each. At `-O2` `main`'s growth budget admits two expansions and skips
+/// the other six sites.
+pub fn mp9_files() -> Vec<SourceFile> {
+    let mut files: Vec<SourceFile> = (0..8)
+        .map(|k| SourceFile::new(format!("k{k}.c"), many_loops_source(k, 30)))
+        .collect();
+    let calls: String = (0..8)
+        .map(|k| format!("    kernel{k}({});\n", k + 1))
+        .collect();
+    let main = format!("int main(void)\n{{\n{calls}    return 0;\n}}\n");
+    files.push(SourceFile::new("main.c", main));
+    files
 }
 
 /// The `--stats --opt-report=json` request for `options` over `files`.

@@ -100,8 +100,10 @@ use crate::{link_catalogs, optimization_remarks, Compilation, CompileError, Opti
 /// names, not what the passes do, so an entry from 4 would replay IL that
 /// computes `E` twice. 6: loop and call-site counts left the reports for
 /// their decision events, `DoRejected` carries a typed reason, and a
-/// `constprop` cell that only folded records `changed`.)
-const ENTRY_VERSION: u32 = 6;
+/// `constprop` cell that only folded records `changed`. 7: an inline
+/// event lost its site ordinal, and the inliner records each call site
+/// once, so a manifest's inline record holds fewer events.)
+const ENTRY_VERSION: u32 = 7;
 
 /// One input translation unit: a display name (normally the path) and
 /// its source text.

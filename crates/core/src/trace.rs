@@ -136,10 +136,8 @@ pub struct OptReport {
     /// One entry per (procedure, source span) that any pass made a loop
     /// decision about, in first-decision order.
     pub loops: Vec<LoopReport>,
-    /// Call-site decisions, one per physical site — deduplicated by
-    /// `(caller, callee, span, site)` since the inliner revisits skipped
-    /// sites every round, while distinct sites sharing a source span
-    /// stay distinct through the per-caller site ordinal.
+    /// Call-site decisions, one per physical site in decision order: the
+    /// inliner's events as it recorded them.
     pub inline: Vec<InlineEvent>,
     /// The compilation counters.
     pub counters: Counters,
@@ -197,23 +195,9 @@ impl OptReport {
             l.classification = class;
             l.reason = reason;
         }
-        // dedupe by site identity, not event equality: the inliner
-        // revisits skipped sites every round (and a growth-skip's payload
-        // drifts as the caller grows), while two distinct sites can share
-        // a span (two calls in one expression statement). The first
-        // decision per physical site wins.
-        let mut inline: Vec<InlineEvent> = Vec::new();
-        for e in &reports.inline.events {
-            let seen = inline.iter().any(|x| {
-                x.caller == e.caller && x.callee == e.callee && x.span == e.span && x.site == e.site
-            });
-            if !seen {
-                inline.push(e.clone());
-            }
-        }
         OptReport {
             loops,
-            inline,
+            inline: reports.inline.events.clone(),
             counters: Counters::from_run(reports, trace),
             files: files.to_vec(),
         }
@@ -337,7 +321,6 @@ impl OptReport {
                     ("callee", Json::Str(e.callee.clone())),
                     ("line", Json::Int(i64::from(e.span.line))),
                     ("col", Json::Int(i64::from(e.span.col))),
-                    ("site", Json::Int(i64::from(e.site))),
                 ];
                 if let Some(file) = self.origin(&e.span) {
                     fields.push(("file", Json::Str(file.to_string())));

@@ -277,24 +277,6 @@ impl Procedure {
         walk(&self.stmts, &self.body, f);
     }
 
-    /// Finds a *reachable* statement by stamp (preorder search). An
-    /// orphaned arena slot — its id no longer linked from any block — is
-    /// not found, even though indexing the pool directly would still
-    /// resolve it.
-    pub fn find_stmt(&self, id: StmtId) -> Option<&StmtKind> {
-        let mut found = false;
-        self.for_each_stmt(&mut |s, _| {
-            if s == id {
-                found = true;
-            }
-        });
-        if found {
-            Some(&self.stmts[id])
-        } else {
-            None
-        }
-    }
-
     /// Compacts both arenas: rebuilds the statement pool with fresh
     /// consecutive preorder stamps and the expression pool with only the
     /// reachable nodes in canonical (postorder) layout. Used after an
@@ -780,23 +762,6 @@ mod tests {
             _ => unreachable!(),
         }
         assert_eq!(p, q, "structural equality is layout-independent");
-    }
-
-    #[test]
-    fn find_stmt_searches_nested_blocks() {
-        let mut p = Procedure::new("f", Type::Void);
-        let inner = p.stamp(StmtKind::Nop);
-        let cond = p.exprs.int(1);
-        let w = p.stamp(StmtKind::While {
-            cond,
-            body: vec![inner],
-            safe: false,
-        });
-        p.body.push(w);
-        assert!(p.find_stmt(inner).is_some());
-        assert_eq!(p.len(), 2);
-        let orphan = p.stamp(StmtKind::Nop);
-        assert!(p.find_stmt(orphan).is_none(), "orphans are unreachable");
     }
 
     #[test]

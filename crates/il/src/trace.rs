@@ -380,18 +380,15 @@ pub struct InlineEvent {
     pub caller: String,
     /// The called procedure.
     pub callee: String,
-    /// Source position of the call.
+    /// Source position of the call. Two calls in one expression
+    /// statement share it and are still two events: the inliner decides
+    /// each call site once.
     pub span: SrcSpan,
-    /// Stable per-caller site ordinal: distinguishes distinct call sites
-    /// that share a source span (two calls in one expression statement),
-    /// and stays fixed when the round loop revisits a site — consumers
-    /// dedupe on `(caller, callee, span, site)`.
-    pub site: u32,
     /// What the inliner decided.
     pub outcome: InlineOutcome,
 }
 
-crate::struct_wire!(InlineEvent, [caller, callee, span, site, outcome]);
+crate::struct_wire!(InlineEvent, [caller, callee, span, outcome]);
 
 impl fmt::Display for InlineEvent {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -491,12 +488,11 @@ mod tests {
         ];
         let tags: Vec<&str> = outcomes.iter().map(InlineOutcome::tag).collect();
         assert_eq!(tags, InlineOutcome::TAGS);
-        for (i, outcome) in outcomes.into_iter().enumerate() {
+        for outcome in outcomes {
             let e = InlineEvent {
                 caller: "main".into(),
                 callee: "daxpy".into(),
                 span: SrcSpan::new(12, 3),
-                site: i as u32,
                 outcome,
             };
             let bytes = to_bytes(&e);
@@ -520,7 +516,6 @@ mod tests {
             caller: "main".into(),
             callee: "daxpy".into(),
             span: SrcSpan::new(12, 3),
-            site: 0,
             outcome: InlineOutcome::SkippedGrowth {
                 caller_len: 900,
                 budget: 800,

@@ -54,16 +54,18 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::collections::HashMap;
+use std::collections::HashSet;
 use titanc_analysis::CallGraph;
+use titanc_il::visit::{edit_tree, rewrite_expr, Order};
 use titanc_il::{
-    Block, Expr, ExprId, ExprPool, InlineEvent, InlineOutcome, LValue, LabelId, Procedure, Program,
+    block_len, Block, Expr, InlineEvent, InlineOutcome, LValue, LabelId, Procedure, Program,
     StmtId, StmtKind, Storage, VarId, VarInfo,
 };
 
-/// Maximum rounds of expansion. A round expands the call sites each
-/// procedure holds when the round starts; calls an inlined body brings in
-/// wait for the next one.
+/// Maximum rounds of expansion. In a round each caller walks its body
+/// once, visiting a spliced body's calls right after it, and makes at most
+/// as many expansions as it held call sites when the round started; calls
+/// the expansions bring in beyond that wait for the next round.
 pub const MAX_DEPTH: u32 = 4;
 
 /// Callees larger than this many statements are skipped.
@@ -87,11 +89,10 @@ pub const GROWTH_SLACK: usize = 256;
 pub struct InlineReport {
     /// `static` variables externalized.
     pub statics_externalized: usize,
-    /// Per-call-site decisions (expanded / skipped with budget state),
-    /// anchored to the call's source span and a stable per-caller site
-    /// ordinal. A site the round loop revisits appears once per visit
-    /// under the same ordinal; consumers dedupe by site identity —
-    /// `(caller, callee, span, site)`.
+    /// One decision per call site the inliner expanded or skipped, in
+    /// decision order, anchored to the call's source span. Every decision
+    /// is final, so no site appears twice; two sites that share a span
+    /// (two calls in one expression statement) are two events.
     pub events: Vec<InlineEvent>,
 }
 
@@ -107,6 +108,13 @@ impl InlineReport {
 titanc_il::struct_wire!(InlineReport, [statics_externalized, events]);
 
 /// Expands eligible call sites throughout the program.
+///
+/// Each call site is decided once. A skip is final: a caller and its
+/// callees only grow while inlining runs, and expanding a non-recursive
+/// callee breaks no call-graph cycle. So statement ids stay put until
+/// every round is done — each caller that expanded anything is restamped
+/// once, at the end — and a site skipped in one round is passed over in
+/// the next.
 pub fn inline_program(prog: &mut Program) -> InlineReport {
     let mut report = InlineReport {
         statics_externalized: externalize_statics(prog),
@@ -123,124 +131,85 @@ pub fn inline_program(prog: &mut Program) -> InlineReport {
                 .saturating_add(GROWTH_SLACK)
         })
         .collect();
-    // stable site identities: `ords[ci]` parallels the caller's current
-    // `call_sites` list. A surviving site keeps its ordinal across rounds
-    // and spliced-in bodies' sites take fresh ones, so event consumers
-    // can tell two same-span sites apart while still collapsing the round
-    // loop's revisits of one site.
-    let mut ords: Vec<Option<Vec<u32>>> = vec![None; prog.procs.len()];
-    let mut next_ord: Vec<u32> = vec![0; prog.procs.len()];
+    // the sites each caller keeps as calls, decided in an earlier visit
+    let mut kept: Vec<HashSet<StmtId>> = vec![HashSet::new(); prog.procs.len()];
+    let mut grew = vec![false; prog.procs.len()];
     for _round in 0..MAX_DEPTH {
-        let mut any = false;
         let cg = CallGraph::build(prog);
+        let mut any = false;
         for ci in 0..prog.procs.len() {
-            let caller_name = prog.procs[ci].name.clone();
-            let growth_limit = limits[ci];
-            // Statement ids change on every restamp, so sites are
-            // re-collected after each successful expansion; sites that
-            // cannot inline are remembered by position to guarantee
-            // progress.
-            let mut skip = 0usize;
-            // one round expands only the call sites present at round
-            // start — calls introduced by inlined bodies wait for the
-            // next round (layer-by-layer, bounded by `MAX_DEPTH`)
-            let mut budget = call_sites(&prog.procs[ci]).len();
-            loop {
-                if budget == 0 {
-                    break;
+            // the caller stays in place; its callees are every other
+            // procedure
+            let (before, rest) = prog.procs.split_at_mut(ci);
+            let (caller, after) = rest.split_first_mut().expect("ci is in range");
+            let globals = &mut prog.globals;
+            let kept = &mut kept[ci];
+            let limit = limits[ci];
+            let mut len = caller.len();
+            let mut budget = cg.calls[ci].len();
+            edit_tree(caller, Order::Post, &mut |caller, block, i| {
+                let site = block[i];
+                let StmtKind::Call { dst, callee, args } = &caller.stmts[site] else {
+                    return i + 1;
+                };
+                if budget == 0 || kept.contains(&site) {
+                    return i + 1;
                 }
-                let sites = call_sites(&prog.procs[ci]);
-                let site_ords = ords[ci].get_or_insert_with(|| {
-                    next_ord[ci] = sites.len() as u32;
-                    (0..sites.len() as u32).collect()
-                });
-                debug_assert_eq!(site_ords.len(), sites.len());
-                if site_ords.len() != sites.len() {
-                    // defensive resync; identities restart but stay unique
-                    *site_ords = (0..sites.len()).map(|k| next_ord[ci] + k as u32).collect();
-                    next_ord[ci] += sites.len() as u32;
-                }
-                let caller_len = prog.procs[ci].len();
-                let mut expanded = false;
-                for (pos, &site) in sites.iter().enumerate().skip(skip) {
-                    let callee_name = match callee_of(&prog.procs[ci], site) {
-                        Some(n) => n,
-                        None => {
-                            skip += 1;
-                            continue;
+                let (dst, args) = (*dst, args.clone());
+                let event = |outcome| InlineEvent {
+                    caller: caller.name.clone(),
+                    callee: callee.clone(),
+                    span: caller.stmts.span(site),
+                    outcome,
+                };
+                let target = before
+                    .iter()
+                    .chain(after.iter())
+                    .find(|p| p.name == *callee);
+                let skip = if *callee == caller.name || cg.is_recursive(callee) {
+                    Some(event(InlineOutcome::SkippedRecursive))
+                } else {
+                    match target {
+                        Some(c) if c.len() > MAX_CALLEE_SIZE => {
+                            Some(event(InlineOutcome::SkippedSize {
+                                callee_len: c.len(),
+                                cap: MAX_CALLEE_SIZE,
+                            }))
                         }
-                    };
-                    let site_span = prog.procs[ci].stmts.span(site);
-                    let site_ord = site_ords[pos];
-                    let event = |outcome: InlineOutcome| InlineEvent {
-                        caller: caller_name.clone(),
-                        callee: callee_name.clone(),
-                        span: site_span,
-                        site: site_ord,
-                        outcome,
-                    };
-                    let inlinable =
-                        if callee_name == caller_name || cg.is_recursive(prog, &callee_name) {
-                            report.events.push(event(InlineOutcome::SkippedRecursive));
-                            false
-                        } else {
-                            match prog.proc_by_name(&callee_name) {
-                                None => false, // intrinsic / external
-                                Some(c) if c.len() > MAX_CALLEE_SIZE => {
-                                    let e = event(InlineOutcome::SkippedSize {
-                                        callee_len: c.len(),
-                                        cap: MAX_CALLEE_SIZE,
-                                    });
-                                    report.events.push(e);
-                                    false
-                                }
-                                Some(c) if caller_len.saturating_add(c.len()) > growth_limit => {
-                                    let e = event(InlineOutcome::SkippedGrowth {
-                                        caller_len,
-                                        budget: growth_limit,
-                                    });
-                                    report.events.push(e);
-                                    false
-                                }
-                                Some(_) => true,
-                            }
-                        };
-                    if !inlinable {
-                        skip += 1;
-                        continue;
+                        Some(c) if len.saturating_add(c.len()) > limit => {
+                            Some(event(InlineOutcome::SkippedGrowth {
+                                caller_len: len,
+                                budget: limit,
+                            }))
+                        }
+                        Some(c) if args.len() == c.params.len() => {
+                            let expanded = event(InlineOutcome::Expanded);
+                            let body = expand(caller, dst, &args, c, globals);
+                            len += block_len(&caller.stmts, &body) - 1;
+                            block.splice(i..=i, body);
+                            report.events.push(expanded);
+                            budget -= 1;
+                            any = true;
+                            grew[ci] = true;
+                            // the expansion's own calls are the next sites
+                            return i;
+                        }
+                        // an intrinsic, an external, or a mismatched call
+                        _ => None,
                     }
-                    let callee = prog.proc_by_name(&callee_name).unwrap().clone();
-                    let mut caller = prog.procs[ci].clone();
-                    if inline_site(&mut caller, site, &callee, prog) {
-                        caller.restamp();
-                        prog.procs[ci] = caller;
-                        report.events.push(event(InlineOutcome::Expanded));
-                        // the spliced body's call sites take over this
-                        // position; give them fresh ordinals so their
-                        // next-round decisions carry distinct identities
-                        let new_count = call_sites(&prog.procs[ci]).len();
-                        let spliced = (new_count + 1).saturating_sub(sites.len());
-                        let fresh: Vec<u32> =
-                            (0..spliced).map(|k| next_ord[ci] + k as u32).collect();
-                        next_ord[ci] += spliced as u32;
-                        site_ords.splice(pos..=pos, fresh);
-                        any = true;
-                        expanded = true;
-                        budget -= 1;
-                        // the inlined body's own calls belong to the next
-                        // round (its call sites start after `skip` anyway,
-                        // but ids moved — re-collect)
-                        break;
-                    }
-                    skip += 1;
-                }
-                if !expanded {
-                    break;
-                }
-            }
+                };
+                report.events.extend(skip);
+                kept.insert(site);
+                i + 1
+            });
         }
         if !any {
             break;
+        }
+    }
+    for (p, grew) in prog.procs.iter_mut().zip(grew) {
+        if grew {
+            p.restamp();
         }
     }
     report
@@ -282,61 +251,33 @@ pub fn externalize_statics(prog: &mut Program) -> usize {
     count
 }
 
-fn call_sites(proc: &Procedure) -> Vec<StmtId> {
-    let mut out = Vec::new();
-    proc.for_each_stmt(&mut |s, kind| {
-        if matches!(kind, StmtKind::Call { .. }) {
-            out.push(s);
-        }
-    });
-    out
+/// How a callee's names land in one caller at one site.
+struct Renaming {
+    /// The caller variable of each callee variable, by callee index.
+    vars: Vec<VarId>,
+    /// The caller label of callee label 0; the rest follow in order.
+    labels: u32,
+    /// The landing label every `return` branches to.
+    end: LabelId,
+    /// The temporary a value-returning `return` assigns.
+    ret: Option<VarId>,
 }
 
-fn callee_of(proc: &Procedure, site: StmtId) -> Option<String> {
-    proc.find_stmt(site).and_then(|kind| match kind {
-        StmtKind::Call { callee, .. } => Some(callee.clone()),
-        _ => None,
-    })
-}
-
-/// Copies one callee statement tree into the caller's arenas: nested
-/// blocks are imported recursively and every expression slot is deep
-/// copied across pools.
-fn import_stmt(caller: &mut Procedure, callee: &Procedure, s: StmtId) -> StmtId {
-    let span = callee.stmts.span(s);
-    let mut kind = callee.stmts[s].clone();
-    for b in kind.blocks_mut() {
-        for id in b.iter_mut() {
-            *id = import_stmt(caller, callee, *id);
-        }
-    }
-    for e in kind.expr_slots_mut() {
-        *e = caller.exprs.import(&callee.exprs, *e);
-    }
-    caller.stamp_at(kind, span)
-}
-
-/// Expands one call site. Returns false when the site no longer exists or
-/// the argument count mismatches.
-fn inline_site(
+/// The statements that replace the call `dst = callee(args)` in `caller`:
+/// the parameter bindings, the renamed body, the landing label and the
+/// read of the return value.
+fn expand(
     caller: &mut Procedure,
-    site: StmtId,
+    dst: Option<LValue>,
+    args: &[titanc_il::ExprId],
     callee: &Procedure,
-    prog: &mut Program,
-) -> bool {
-    let (dst, args) = match caller.find_stmt(site) {
-        Some(StmtKind::Call { dst, args, .. }) => (*dst, args.clone()),
-        _ => return false,
-    };
-    if args.len() != callee.params.len() {
-        return false;
-    }
-
+    globals: &mut Vec<VarInfo>,
+) -> Block {
     // 1. map callee variables into the caller
-    let mut var_map: HashMap<VarId, VarId> = HashMap::new();
-    for (i, info) in callee.vars.iter().enumerate() {
-        let old = VarId::from_index(i);
-        let new = match info.storage {
+    let vars = callee
+        .vars
+        .iter()
+        .map(|info| match info.storage {
             Storage::Param => caller.add_var(VarInfo {
                 name: format!("in_{}", info.name),
                 ty: info.ty.clone(),
@@ -354,8 +295,8 @@ fn inline_site(
                 {
                     Some(idx) => VarId::from_index(idx),
                     None => {
-                        if prog.global_by_name(&info.name).is_none() {
-                            prog.ensure_global(info.clone());
+                        if !globals.iter().any(|g| g.name == info.name) {
+                            globals.push(info.clone());
                         }
                         caller.add_var(info.clone())
                     }
@@ -370,19 +311,16 @@ fn inline_site(
                 addressed: info.addressed,
                 init: None,
             }),
-        };
-        var_map.insert(old, new);
-    }
+        })
+        .collect();
 
-    // 2. map labels
-    let mut label_map: HashMap<LabelId, LabelId> = HashMap::new();
-    for l in 0..callee.num_labels {
-        label_map.insert(LabelId(l), caller.fresh_label());
-    }
-    let end_label = caller.fresh_label();
+    // 2. map labels: the callee's, then the landing label
+    let labels = caller.num_labels;
+    caller.num_labels += callee.num_labels;
+    let end = caller.fresh_label();
 
     // return-value temp
-    let ret_tmp = callee.ret.scalar().filter(|_| dst.is_some()).map(|_| {
+    let ret = callee.ret.scalar().filter(|_| dst.is_some()).map(|_| {
         caller.add_var(VarInfo {
             name: format!("ret_{}", callee.name),
             ty: callee.ret.clone(),
@@ -392,176 +330,96 @@ fn inline_site(
             init: None,
         })
     });
+    let names = Renaming {
+        vars,
+        labels,
+        end,
+        ret,
+    };
 
     // 3. parameter bindings: the argument exprs move from the (garbage)
     // call statement into the bindings, each used exactly once
-    let mut replacement: Block = Vec::new();
-    for (pi, &pv) in callee.params.iter().enumerate() {
-        let s = caller.stamp(StmtKind::Assign {
-            lhs: LValue::Var(var_map[&pv]),
-            rhs: args[pi],
-        });
-        replacement.push(s);
-    }
-
-    // 4. import + rewrite the body
-    let mut body: Block = callee
-        .body
+    let mut replacement: Block = callee
+        .params
         .iter()
-        .map(|&s| import_stmt(caller, callee, s))
+        .zip(args)
+        .map(|(&pv, &arg)| {
+            caller.stamp(StmtKind::Assign {
+                lhs: LValue::Var(names.vars[pv.index()]),
+                rhs: arg,
+            })
+        })
         .collect();
-    rewrite_block(caller, &mut body, &var_map, &label_map, end_label, ret_tmp);
-    replacement.extend(body);
-    let lbl = caller.stamp(StmtKind::Label(end_label));
-    replacement.push(lbl);
-    if let (Some(d), Some(rt)) = (dst, ret_tmp) {
+
+    // 4. the body, imported and renamed, then the landing label
+    replacement.extend(import_block(caller, callee, &callee.body, &names));
+    replacement.push(caller.stamp(StmtKind::Label(end)));
+    if let (Some(d), Some(rt)) = (dst, ret) {
         let rt_read = caller.exprs.var(rt);
-        let s = caller.stamp(StmtKind::Assign {
+        replacement.push(caller.stamp(StmtKind::Assign {
             lhs: d,
             rhs: rt_read,
-        });
-        replacement.push(s);
+        }));
     }
-
-    // 5. splice
-    splice(caller, site, replacement)
+    replacement
 }
 
-fn rewrite_block(
+/// Copies one callee block into the caller's arenas: each statement is
+/// stamped anew with its span, each expression tree deep-copied across
+/// pools with the callee's variables renamed, labels move to the caller's,
+/// and `return E` becomes `[ret = E;] goto end`.
+fn import_block(
     caller: &mut Procedure,
-    block: &mut Block,
-    var_map: &HashMap<VarId, VarId>,
-    label_map: &HashMap<LabelId, LabelId>,
-    end_label: LabelId,
-    ret_tmp: Option<VarId>,
-) {
-    let mut i = 0;
-    while i < block.len() {
-        let sid = block[i];
-        let mut kind = std::mem::replace(&mut caller.stmts[sid], StmtKind::Nop);
-        // rewrite nested blocks first
+    callee: &Procedure,
+    block: &[StmtId],
+    names: &Renaming,
+) -> Block {
+    let rename = |v: &mut VarId| *v = names.vars[v.index()];
+    let relabel = |l: &mut LabelId| l.0 += names.labels;
+    let mut out = Block::with_capacity(block.len());
+    for &s in block {
+        let mut kind = callee.stmts[s].clone();
         for b in kind.blocks_mut() {
-            rewrite_block(caller, b, var_map, label_map, end_label, ret_tmp);
+            *b = import_block(caller, callee, b, names);
         }
-        // remap variables in expressions (covers memory-target address
-        // expressions too, via the statement's expr roots)
-        for e in kind.exprs() {
-            remap_expr(&mut caller.exprs, e, var_map);
+        // every expression root, memory-target addresses included
+        for e in kind.expr_slots_mut() {
+            *e = caller.exprs.import(&callee.exprs, *e);
+            rewrite_expr(&mut caller.exprs, *e, &mut |pool, id| {
+                if let Expr::Var(v) | Expr::AddrOf(v) = &mut pool[id] {
+                    rename(v);
+                }
+            });
         }
-        // remap assignment targets and labels. Plain variable targets only:
-        // address expressions were already handled above, and a second pass
-        // over one would re-map a caller id that collides with a callee id.
-        let replacement_seq: Option<Block> = match &mut kind {
+        match &mut kind {
             StmtKind::Assign {
                 lhs: LValue::Var(v),
                 ..
-            } => {
-                if let Some(n) = var_map.get(v) {
-                    *v = *n;
-                }
-                None
             }
-            StmtKind::Call {
+            | StmtKind::Call {
                 dst: Some(LValue::Var(v)),
                 ..
-            } => {
-                if let Some(n) = var_map.get(v) {
-                    *v = *n;
-                }
-                None
             }
-            StmtKind::DoLoop { var, .. } | StmtKind::DoParallel { var, .. } => {
-                *var = var_map[var];
-                None
-            }
-            StmtKind::Label(l) => {
-                *l = label_map[l];
-                None
-            }
-            StmtKind::Goto(l) => {
-                *l = label_map[l];
-                None
-            }
-            StmtKind::IfGoto { target, .. } => {
-                *target = label_map[target];
-                None
+            | StmtKind::DoLoop { var: v, .. }
+            | StmtKind::DoParallel { var: v, .. } => rename(v),
+            StmtKind::Label(l) | StmtKind::Goto(l) | StmtKind::IfGoto { target: l, .. } => {
+                relabel(l)
             }
             StmtKind::Return(v) => {
-                // return E  =>  [ret_tmp = E;] goto end
-                let mut seq = Vec::new();
-                if let (Some(rt), Some(e)) = (ret_tmp, v.take()) {
-                    seq.push(caller.stamp(StmtKind::Assign {
+                if let (Some(rt), Some(e)) = (names.ret, v.take()) {
+                    out.push(caller.stamp(StmtKind::Assign {
                         lhs: LValue::Var(rt),
                         rhs: e,
                     }));
                 }
-                seq.push(caller.stamp(StmtKind::Goto(end_label)));
-                Some(seq)
+                out.push(caller.stamp(StmtKind::Goto(names.end)));
+                continue;
             }
-            _ => None,
-        };
-        match replacement_seq {
-            Some(seq) => {
-                // the original statement drops out of the block; its slot
-                // keeps the Nop already swapped in
-                let n = seq.len();
-                block.splice(i..=i, seq);
-                i += n;
-            }
-            None => {
-                caller.stmts[sid] = kind;
-                i += 1;
-            }
+            _ => {}
         }
+        out.push(caller.stamp_at(kind, callee.stmts.span(s)));
     }
-}
-
-fn remap_expr(exprs: &mut ExprPool, e: ExprId, var_map: &HashMap<VarId, VarId>) {
-    match &mut exprs[e] {
-        Expr::Var(v) | Expr::AddrOf(v) => {
-            if let Some(n) = var_map.get(v) {
-                *v = *n;
-            }
-        }
-        _ => {}
-    }
-    for c in exprs[e].child_ids() {
-        remap_expr(exprs, c, var_map);
-    }
-}
-
-fn splice(proc: &mut Procedure, site: StmtId, replacement: Block) -> bool {
-    fn walk(
-        stmts: &mut titanc_il::StmtPool,
-        block: &mut Block,
-        site: StmtId,
-        repl: &mut Option<Block>,
-    ) -> bool {
-        for i in 0..block.len() {
-            if block[i] == site {
-                block.splice(i..=i, repl.take().unwrap());
-                return true;
-            }
-            let s = block[i];
-            let mut kind = std::mem::replace(&mut stmts[s], StmtKind::Nop);
-            let mut hit = false;
-            for b in kind.blocks_mut() {
-                if walk(stmts, b, site, repl) {
-                    hit = true;
-                    break;
-                }
-            }
-            stmts[s] = kind;
-            if hit {
-                return true;
-            }
-        }
-        false
-    }
-    let mut body = std::mem::take(&mut proc.body);
-    let ok = walk(&mut proc.stmts, &mut body, site, &mut Some(replacement));
-    proc.body = body;
-    ok
+    out
 }
 
 #[cfg(test)]

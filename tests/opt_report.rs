@@ -3,8 +3,9 @@
 //! byte-identical across `-j` values, the Chrome trace export is valid
 //! JSON, and the front-end error cap reports what it suppressed.
 
+use titanc_bench::golden::mp9_files;
 use titanc_bench::sweep::corpus_files;
-use titanc_repro::titanc::{chrome_trace, compile, OptReport, Options};
+use titanc_repro::titanc::{chrome_trace, compile, compile_session, OptReport, Options};
 
 fn report_options(jobs: usize) -> Options {
     Options {
@@ -143,7 +144,7 @@ fn vectorization_rate_holds_on_a_corpus_built_to_vectorize() {
 
 /// Two distinct call sites sharing one source span — `sq(2) + sq(3)`
 /// lowers both calls onto the statement's span — are distinct inline
-/// decisions: the report dedupes on site identity, not span equality.
+/// decisions: the inliner records one event per site it decides.
 #[test]
 fn same_span_call_sites_stay_distinct_in_the_report() {
     let src = "\
@@ -167,17 +168,51 @@ int main(void)
     assert_eq!(
         sites.len(),
         2,
-        "both physical call sites must survive dedupe: {:?}",
+        "both physical call sites must be reported: {:?}",
         report.inline
     );
-    assert_ne!(
-        sites[0].site, sites[1].site,
-        "each site carries its own ordinal"
-    );
-    // and the JSON form exposes the ordinal so downstream consumers can
-    // key on it too
-    let json = report.to_json().to_string_compact();
-    assert!(json.contains("\"site\":"), "{json}");
+}
+
+/// The inliner decides each call site once, so its counters and the
+/// report's inline records agree: `main` of the `mp9` shape keeps six of
+/// its eight calls under the growth budget, and a self-recursive `r`
+/// called from `main` keeps both of its sites, however many rounds the
+/// expansion of `h` drives.
+#[test]
+fn skip_counts_are_call_sites() {
+    let recursive = "\
+int r(int n)
+{
+    if (n <= 0)
+        return 0;
+    return n + r(n - 1);
+}
+
+int h(int x)
+{
+    return x + 1;
+}
+
+int main(void)
+{
+    return r(4) + h(1);
+}
+";
+    let mp9 = compile_session(&mp9_files(), &Options::o2(), None).expect("mp9 compiles");
+    let r = compile(recursive, &Options::o2()).expect("compiles");
+    for (c, tag, sites) in [
+        (&mp9.compilation, "skipped_growth", 6),
+        (&r, "skipped_recursive", 2),
+    ] {
+        let report = OptReport::build_for(&c.reports, &c.trace, &c.program.files);
+        let records = report
+            .inline
+            .iter()
+            .filter(|e| e.outcome.tag() == tag)
+            .count();
+        assert_eq!(records, sites, "{tag} records: {:?}", report.inline);
+        assert_eq!(c.reports.count(tag), records, "{tag} counter");
+    }
 }
 
 /// The Chrome trace export is valid JSON with one complete event per
