@@ -720,27 +720,35 @@ impl Server {
     /// `exit: 2` response rather than killing the connection; a panicking
     /// execution an `exit: 3` one.
     pub fn handle_line(&self, line: &str) -> Reply {
+        match self.parse_line(line) {
+            Ok(doc) => self.answer(&doc),
+            Err(reply) => reply,
+        }
+    }
+
+    /// The first half of [`handle_line`](Server::handle_line): the parsed
+    /// line, or the reply to one that is too long or does not parse.
+    fn parse_line(&self, line: &str) -> Result<Json, Reply> {
         if line.len() > MAX_LINE_BYTES {
-            return self.reject(TOO_LONG);
+            return Err(self.reject(TOO_LONG));
         }
-        let doc = match parse(line) {
-            Ok(doc) => doc,
-            Err(e) => {
-                self.totals.lock().unwrap().protocol_errors += 1;
-                return Reply::Line(protocol_error(-1, &format!("bad request line: {e}")));
-            }
-        };
-        if let Some(flag) = doc.get("shutdown") {
-            if flag.as_bool().unwrap_or(false) {
-                let totals = self.totals();
-                let ack = Json::obj(vec![
-                    ("shutdown", Json::Bool(true)),
-                    ("totals", totals.to_json()),
-                ]);
-                return Reply::Shutdown(ack.to_string_compact());
-            }
+        parse(line).map_err(|e| {
+            self.totals.lock().unwrap().protocol_errors += 1;
+            Reply::Line(protocol_error(-1, &format!("bad request line: {e}")))
+        })
+    }
+
+    /// The second half of [`handle_line`](Server::handle_line): the
+    /// shutdown acknowledgement, or the reply to a request.
+    fn answer(&self, doc: &Json) -> Reply {
+        if is_shutdown(doc) {
+            let ack = Json::obj(vec![
+                ("shutdown", Json::Bool(true)),
+                ("totals", self.totals().to_json()),
+            ]);
+            return Reply::Shutdown(ack.to_string_compact());
         }
-        let req = match CompileRequest::from_json(&doc) {
+        let req = match CompileRequest::from_json(doc) {
             Ok(req) => req,
             Err(e) => {
                 self.totals.lock().unwrap().protocol_errors += 1;
@@ -807,54 +815,64 @@ impl Server {
         Reply::Line(protocol_error(-1, &format!("request line rejected: {why}")))
     }
 
-    /// [`handle_line`](Server::handle_line) for a line as [`read_line`]
+    /// [`parse_line`](Server::parse_line) for a line as [`read_line`]
     /// delivers it; `None` for a blank one.
-    fn handle_bytes(&self, line: &[u8]) -> Option<Reply> {
+    fn parse_bytes(&self, line: &[u8]) -> Option<Result<Json, Reply>> {
         if line.iter().all(u8::is_ascii_whitespace) {
             return None;
         }
         Some(match std::str::from_utf8(line) {
-            Ok(text) => self.handle_line(text),
+            Ok(text) => self.parse_line(text),
             // an over-long line arrives cut, perhaps inside a character
-            Err(_) if line.len() > MAX_LINE_BYTES => self.reject(TOO_LONG),
-            Err(_) => self.reject("not UTF-8"),
+            Err(_) if line.len() > MAX_LINE_BYTES => Err(self.reject(TOO_LONG)),
+            Err(_) => Err(self.reject("not UTF-8")),
         })
     }
 
+    /// [`handle_line`](Server::handle_line) for a line as [`read_line`]
+    /// delivers it; `None` for a blank one.
+    fn handle_bytes(&self, line: &[u8]) -> Option<Reply> {
+        let parsed = self.parse_bytes(line)?;
+        Some(parsed.map_or_else(|reply| reply, |doc| self.answer(&doc)))
+    }
+
     /// Serves newline-delimited JSON on stdin/stdout: each free lane of
-    /// the pool reads the next line and answers it, so responses stream
-    /// back as they finish (tagged by id — completion order is not request
-    /// order) and no more lines are read ahead than there are lanes.
-    /// EOF on stdin is a graceful shutdown, as is a `{"shutdown":true}`
-    /// line (acknowledged, after which no further line is read).
+    /// the pool reads and parses the next line, then answers it, so
+    /// responses stream back as they finish (tagged by id — completion
+    /// order is not request order) and no more lines are read ahead than
+    /// there are lanes. EOF on stdin is a graceful shutdown, as is a
+    /// `{"shutdown":true}` line: it is recognised as it is read, so no
+    /// lane reads after it, and every line read before it is answered.
     ///
     /// # Errors
     ///
     /// Returns the first stdin read error.
     pub fn serve_stdio(&self) -> io::Result<()> {
-        let stop = AtomicBool::new(false);
         let mut failed = None;
+        let mut shut = false;
+        // a line is parsed by the lane that read it, before the next lane
+        // may read: once the shutdown line is in, no lane reads again
         let lines = std::iter::from_fn(|| {
-            if stop.load(Ordering::SeqCst) {
-                return None;
-            }
             let mut line = Vec::new();
-            match read_line(&mut io::stdin().lock(), &mut line) {
-                Ok(true) if !stop.load(Ordering::SeqCst) => Some(line),
-                Ok(_) => None,
-                Err(e) => {
-                    failed = Some(e);
-                    None
+            while !shut {
+                match read_line(&mut io::stdin().lock(), &mut line) {
+                    Ok(true) => {}
+                    Ok(false) => return None,
+                    Err(e) => {
+                        failed = Some(e);
+                        return None;
+                    }
                 }
+                let Some(parsed) = self.parse_bytes(&line) else {
+                    continue;
+                };
+                shut = parsed.as_ref().is_ok_and(is_shutdown);
+                return Some(parsed);
             }
+            None
         });
-        crate::pool::fan_out(self.workers, lines, |line, _| {
-            let Some(reply) = self.handle_bytes(&line) else {
-                return;
-            };
-            if matches!(reply, Reply::Shutdown(_)) {
-                stop.store(true, Ordering::SeqCst);
-            }
+        crate::pool::fan_out(self.workers, lines, |parsed, _| {
+            let reply = parsed.map_or_else(|reply| reply, |doc| self.answer(&doc));
             let (Reply::Line(text) | Reply::Shutdown(text)) = reply;
             let mut out = io::stdout().lock();
             let _ = writeln!(out, "{text}");
@@ -929,6 +947,12 @@ impl Server {
 pub fn bind_unix(path: &Path) -> io::Result<std::os::unix::net::UnixListener> {
     let _ = std::fs::remove_file(path);
     std::os::unix::net::UnixListener::bind(path)
+}
+
+/// True for a `{"shutdown":true}` line.
+fn is_shutdown(doc: &Json) -> bool {
+    doc.get("shutdown")
+        .is_some_and(|flag| flag.as_bool().unwrap_or(false))
 }
 
 /// Reads one line into `line` (cleared first, newline dropped), keeping

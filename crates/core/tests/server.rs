@@ -373,6 +373,66 @@ fn a_one_lane_socket_daemon_answers_then_shuts_down() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+/// Two lanes on stdin: the lane that did not read the shutdown must not
+/// block in a read once the other lane has it, so the daemon ends on its
+/// acknowledgement while stdin stays open — and the request read before
+/// the shutdown is still answered.
+#[test]
+fn a_two_lane_stdio_daemon_ends_on_its_shutdown_ack() {
+    let request = CompileRequest {
+        id: 5,
+        files: vec![SourceFile::new("t.c", "int main(void) { return 0; }\n")],
+        ..CompileRequest::default()
+    };
+    for trial in 0..20 {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_titand"))
+            .args(["--stdio", "--quiet", "-j", "2"])
+            .stdin(Stdio::piped())
+            .stdout(Stdio::piped())
+            .stderr(Stdio::null())
+            .spawn()
+            .unwrap();
+        // held until the daemon is gone: EOF must not be what ends it
+        let mut stdin = child.stdin.take().unwrap();
+        writeln!(stdin, "{}", request.to_json().to_string_compact()).unwrap();
+        writeln!(stdin, "{{\"shutdown\":true}}").unwrap();
+        stdin.flush().unwrap();
+        let mut stdout = child.stdout.take().unwrap();
+        let reader = std::thread::spawn(move || {
+            let mut text = String::new();
+            std::io::Read::read_to_string(&mut stdout, &mut text).unwrap();
+            text
+        });
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        let status = loop {
+            if let Some(status) = child.try_wait().unwrap() {
+                break status;
+            }
+            if std::time::Instant::now() > deadline {
+                let _ = child.kill();
+                let _ = child.wait();
+                panic!("trial {trial}: titand -j 2 was still up 10 s after its shutdown line");
+            }
+            std::thread::sleep(std::time::Duration::from_millis(10));
+        };
+        drop(stdin);
+        assert!(status.success(), "trial {trial}: {status:?}");
+        let text = reader.join().unwrap();
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), 2, "trial {trial}: {text}");
+        let docs: Vec<_> = lines.iter().map(|l| parse(l).unwrap()).collect();
+        assert!(
+            docs.iter().any(|d| d.get("shutdown").is_some()),
+            "trial {trial}: no acknowledgement in {text}"
+        );
+        assert!(
+            docs.iter()
+                .any(|d| CompileResponse::from_json(d).is_ok_and(|r| r.id == 5 && r.exit == 0)),
+            "trial {trial}: the request went unanswered in {text}"
+        );
+    }
+}
+
 // ---------------------------------------------------------------------
 // The resident cache, differentially
 // ---------------------------------------------------------------------
