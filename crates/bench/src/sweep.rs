@@ -354,7 +354,7 @@ impl std::ops::Deref for Scratch {
 /// file and a random truncation of another (the same file when only one
 /// exists). Victims are every top-level file a fully warm run reads —
 /// entries and manifests, whatever they are named. The `FORMAT` marker,
-/// the `index-*.json` files (opened only once a procedure misses) and the
+/// the `index-*.bin` files (opened only once a procedure misses) and the
 /// `quarantine/` subdirectory are left alone, so every damaged file is one
 /// a warm run actually reads and must detect.
 ///

@@ -76,7 +76,6 @@ use std::path::Path;
 
 use titanc_analysis::CallGraph;
 use titanc_cfront::{Diagnostic, DiagnosticSink, Span};
-use titanc_il::json::Json;
 use titanc_il::wire::{self, Reader, Wire};
 use titanc_il::{Procedure, Program, StableHash, StableHasher, StructDef, VarInfo};
 
@@ -685,7 +684,7 @@ fn index_name(files: &[SourceFile]) -> String {
     for f in files {
         h.write_str(&f.name);
     }
-    format!("index-{}.json", h.finish().hex())
+    format!("index-{}.bin", h.finish().hex())
 }
 
 /// Surfaces the store's degradations as warnings — a format-skewed
@@ -834,45 +833,26 @@ fn persist(cache: &mut OpenCache, pipeline: &Pipeline, program: &Program, trace:
         let manifest = Manifest::new(pipeline, program, trace);
         store.publish(&manifest_name(session_key), &encode_manifest(&manifest));
     }
-    save_index(store, index, &updates);
+    let index_pairs: Vec<(String, String)> = updates.into_iter().collect();
+    store.publish(index, &wire::to_bytes(&index_pairs));
     store.sync_dir();
 }
 
 /// The name → key index `name` (invalidation accounting only; lookups
-/// never depend on it). Corruption quarantines the file and yields an
-/// empty map — hit/miss behavior is unaffected.
+/// never depend on it): a `Vec<(String, String)>` in wire bytes.
+/// Corruption quarantines the file and yields an empty map — hit/miss
+/// behavior is unaffected.
 fn load_index(store: &mut CacheStore, name: &str) -> BTreeMap<String, String> {
-    let mut map = BTreeMap::new();
     let Some(payload) = store.read(name) else {
-        return map;
+        return BTreeMap::new();
     };
-    let doc = std::str::from_utf8(&payload)
-        .ok()
-        .and_then(|text| titanc_il::json::parse(text).ok());
-    let Some(doc) = doc else {
-        store.quarantine(name);
-        return map;
-    };
-    if let Some(Json::Obj(pairs)) = doc.get("procs") {
-        for (k, v) in pairs {
-            if let Ok(s) = v.as_str() {
-                map.insert(k.clone(), s.to_string());
-            }
+    match wire::from_bytes::<Vec<(String, String)>>(&payload) {
+        Ok(pairs) => pairs.into_iter().collect(),
+        Err(_) => {
+            store.quarantine(name);
+            BTreeMap::new()
         }
     }
-    map
-}
-
-fn save_index(store: &mut CacheStore, name: &str, map: &BTreeMap<String, String>) {
-    let obj = Json::obj(vec![(
-        "procs",
-        Json::Obj(
-            map.iter()
-                .map(|(k, v)| (k.clone(), Json::Str(v.clone())))
-                .collect(),
-        ),
-    )]);
-    store.publish(name, obj.to_string_compact().as_bytes());
 }
 
 #[cfg(test)]
@@ -1281,6 +1261,35 @@ mod tests {
         assert_eq!(il_text(&reference), il_text(&healed));
         assert_eq!(resident.entries(), 4);
         assert!(compile_resident(&resident).stats.full_warm);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The name → key index is wire bytes like every other cache file: a
+    /// session over an edited file reads it and counts the invalidation,
+    /// and one whose payload does not decode is quarantined and counted
+    /// corrupt, feeds no invalidation, and is written whole again.
+    #[test]
+    fn the_index_is_wire_bytes_and_a_damaged_one_is_quarantined() {
+        let dir = scratch("index");
+        compile(Some(&dir));
+        let names: Vec<String> = std::fs::read_dir(&dir)
+            .expect("cache dir")
+            .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
+            .filter(|n| n.starts_with("index-"))
+            .collect();
+        assert_eq!(names, [index_name(&[SourceFile::new("t.c", SRC)])]);
+        assert!(names[0].ends_with(".bin"), "{names:?}");
+        let edit = |salt: &str| {
+            let files = [SourceFile::new("t.c", SRC.replace("1.0f", salt))];
+            compile_session(&files, &Options::o2(), Some(&dir)).expect("compiles")
+        };
+        assert_eq!(edit("2.0f").stats.invalidated, 1, "main was edited");
+
+        assert!(CacheStore::open(&dir).publish(&names[0], &[0xff; 3]));
+        let damaged = edit("3.0f");
+        assert_eq!(damaged.stats.invalidated, 0, "no map, no invalidation");
+        assert_eq!((damaged.stats.corrupt, damaged.stats.quarantined), (1, 1));
+        assert_eq!(edit("4.0f").stats.invalidated, 1, "rewritten whole");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

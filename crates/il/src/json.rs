@@ -1,12 +1,12 @@
 //! A dependency-free JSON layer for the interfaces that are JSON.
 //!
-//! The compile server's protocol, `--opt-report=json`, `--trace-json` and
-//! the cache's `index-*.json` are JSON documents, and the build must work
-//! hermetically (no external crates). This module provides a small
-//! document model ([`Json`]), a writer, a recursive-descent parser, and
-//! the [`ToJson`]/[`FromJson`] conversions the protocol types are built
-//! from ([`crate::struct_json!`]). The IL is stored as [`crate::wire`]
-//! bytes, by the cache and §7 catalogs alike.
+//! The compile server's protocol, `--opt-report=json` and `--trace-json`
+//! are JSON documents, and the build must work hermetically (no external
+//! crates). This module provides a small document model ([`Json`]), a
+//! writer, a recursive-descent parser, and the [`ToJson`]/[`FromJson`]
+//! conversions the protocol types are built from ([`crate::struct_json!`]).
+//! Nothing is stored as JSON: every cache file and every §7 catalog is
+//! [`crate::wire`] bytes.
 
 use std::fmt;
 
