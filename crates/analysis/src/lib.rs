@@ -39,7 +39,7 @@ pub use dataflow::{Liveness, UseDef};
 #[derive(Debug, Default)]
 pub struct CallGraph {
     /// Procedure names, in [`titanc_il::Program::procs`] order.
-    pub names: Vec<String>,
+    names: Vec<String>,
     /// `calls[i]` lists callee names of procedure `i` (in
     /// [`titanc_il::Program::procs`] order), with repeats.
     pub calls: Vec<Vec<String>>,
@@ -64,8 +64,8 @@ impl CallGraph {
 
     /// True when `name` can (transitively) call itself — inlining it
     /// without care would never terminate (§7). Names resolve through
-    /// the graph's own [`CallGraph::names`], so the answer holds while a
-    /// procedure of the program is being rewritten.
+    /// the graph's own copy of the procedure names, so the answer holds
+    /// while a procedure of the program is being rewritten.
     pub fn is_recursive(&self, name: &str) -> bool {
         let idx = match self.names.iter().position(|p| p == name) {
             Some(i) => i,

@@ -720,10 +720,7 @@ impl Server {
     /// `exit: 2` response rather than killing the connection; a panicking
     /// execution an `exit: 3` one.
     pub fn handle_line(&self, line: &str) -> Reply {
-        match self.parse_line(line) {
-            Ok(doc) => self.answer(&doc),
-            Err(reply) => reply,
-        }
+        self.answer(self.parse_line(line))
     }
 
     /// The first half of [`handle_line`](Server::handle_line): the parsed
@@ -738,17 +735,22 @@ impl Server {
         })
     }
 
-    /// The second half of [`handle_line`](Server::handle_line): the
-    /// shutdown acknowledgement, or the reply to a request.
-    fn answer(&self, doc: &Json) -> Reply {
-        if is_shutdown(doc) {
+    /// The second half of [`handle_line`](Server::handle_line): the reply
+    /// a refused line already has, the shutdown acknowledgement, or the
+    /// reply to a request.
+    fn answer(&self, parsed: Result<Json, Reply>) -> Reply {
+        let doc = match parsed {
+            Ok(doc) => doc,
+            Err(reply) => return reply,
+        };
+        if is_shutdown(&doc) {
             let ack = Json::obj(vec![
                 ("shutdown", Json::Bool(true)),
                 ("totals", self.totals().to_json()),
             ]);
             return Reply::Shutdown(ack.to_string_compact());
         }
-        let req = match CompileRequest::from_json(doc) {
+        let req = match CompileRequest::from_json(&doc) {
             Ok(req) => req,
             Err(e) => {
                 self.totals.lock().unwrap().protocol_errors += 1;
@@ -829,13 +831,6 @@ impl Server {
         })
     }
 
-    /// [`handle_line`](Server::handle_line) for a line as [`read_line`]
-    /// delivers it; `None` for a blank one.
-    fn handle_bytes(&self, line: &[u8]) -> Option<Reply> {
-        let parsed = self.parse_bytes(line)?;
-        Some(parsed.map_or_else(|reply| reply, |doc| self.answer(&doc)))
-    }
-
     /// Serves newline-delimited JSON on stdin/stdout: each free lane of
     /// the pool reads and parses the next line, then answers it, so
     /// responses stream back as they finish (tagged by id — completion
@@ -872,8 +867,7 @@ impl Server {
             None
         });
         crate::pool::fan_out(self.workers, lines, |parsed, _| {
-            let reply = parsed.map_or_else(|reply| reply, |doc| self.answer(&doc));
-            let (Reply::Line(text) | Reply::Shutdown(text)) = reply;
+            let (Reply::Line(text) | Reply::Shutdown(text)) = self.answer(parsed);
             let mut out = io::stdout().lock();
             let _ = writeln!(out, "{text}");
             let _ = out.flush();
@@ -916,9 +910,10 @@ impl Server {
             let mut reader = BufReader::new(read);
             let mut line = Vec::new();
             while let Ok(true) = read_line(&mut reader, &mut line) {
-                let Some(reply) = self.handle_bytes(&line) else {
+                let Some(parsed) = self.parse_bytes(&line) else {
                     continue;
                 };
+                let reply = self.answer(parsed);
                 let shutdown = matches!(reply, Reply::Shutdown(_));
                 let (Reply::Line(text) | Reply::Shutdown(text)) = reply;
                 let sent = writeln!(write, "{text}").and_then(|()| write.flush());
