@@ -58,8 +58,8 @@ use std::collections::HashSet;
 use titanc_analysis::CallGraph;
 use titanc_il::visit::{edit_tree, rewrite_expr, Order};
 use titanc_il::{
-    block_len, Block, Expr, InlineEvent, InlineOutcome, LValue, LabelId, Procedure, Program,
-    StmtId, StmtKind, Storage, VarId, VarInfo,
+    block_len, Block, Expr, ExprId, InlineEvent, InlineOutcome, LValue, LabelId, Procedure,
+    Program, StmtId, StmtKind, Storage, VarId, VarInfo,
 };
 
 /// Maximum rounds of expansion. In a round each caller walks its body
@@ -269,7 +269,7 @@ struct Renaming {
 fn expand(
     caller: &mut Procedure,
     dst: Option<LValue>,
-    args: &[titanc_il::ExprId],
+    args: &[ExprId],
     callee: &Procedure,
     globals: &mut Vec<VarInfo>,
 ) -> Block {
