@@ -1,12 +1,15 @@
 //! The compiler's printed output, held to `tests/golden/`: every case of
 //! `titanc_bench::golden` is recompiled at `-j 1` and must equal its
 //! checked-in file byte for byte, and at `-j 4` must equal the `-j 1`
-//! bytes. The files are only read here; a deliberate output change is
+//! bytes; so must the listing of the `mp9` session's cache directory.
+//! The files are only read here; a deliberate output change is
 //! re-blessed with the `golden` bin and lands as a reviewed diff.
 
 use std::fs;
 
-use titanc_bench::golden::{cases, dir, render_case, BLESS};
+use titanc_bench::golden::{
+    cases, dir, file_names, render_cache_dir, render_case, BLESS, CACHE_DIR_FILE,
+};
 
 /// The first line where `want` and `got` part, as a message.
 fn first_difference(want: &str, got: &str) -> String {
@@ -37,7 +40,7 @@ fn printed_output_matches_the_golden_files() {
         .filter(|n| n.ends_with(".txt"))
         .collect();
     on_disk.sort();
-    let names: Vec<&str> = cases.iter().map(|c| c.name.as_str()).collect();
+    let names = file_names();
     assert_eq!(
         on_disk, names,
         "the golden file set is stale; re-bless with `{BLESS}`"
@@ -67,5 +70,23 @@ fn printed_output_matches_the_golden_files() {
         failures.is_empty(),
         "{}\n\nif the change is intended, re-bless with `{BLESS}` and commit the diff",
         failures.join("\n")
+    );
+}
+
+#[test]
+fn the_mp9_cache_directory_matches_its_golden_file() {
+    let want = fs::read_to_string(dir().join(CACHE_DIR_FILE)).expect("a golden file reads");
+    let got = render_cache_dir(1);
+    assert!(
+        got == want,
+        "tests/golden/{CACHE_DIR_FILE} differs at {}\n\n\
+         if the change is intended, re-bless with `{BLESS}` and commit the diff",
+        first_difference(&want, &got)
+    );
+    let wide = render_cache_dir(4);
+    assert!(
+        wide == got,
+        "{CACHE_DIR_FILE}: -j 4 differs from -j 1 at {}",
+        first_difference(&got, &wide)
     );
 }
