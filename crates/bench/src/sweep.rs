@@ -970,8 +970,8 @@ fn server(case: &Case, totals: &mut Totals) -> Result<(), String> {
 /// Every procedure of `program`: printing, hashing and encoding are pure
 /// functions of the arena (a clone agrees); `decode(encode(p)) == p` down
 /// to the stamp watermark, and re-encoding reproduces the bytes; the
-/// decoded procedure passes the IL verifier, and its arena hash is the FNV
-/// of its own wire bytes — hashing and encoding are one walker.
+/// decoded procedure passes the IL verifier, and its arena hash is the
+/// digest of its own wire bytes — hashing and encoding are one walker.
 fn round_trip(program: &Program, what: &str) -> Result<(), String> {
     for p in &program.procs {
         let what = format!("{what}, proc `{}`", p.name);
@@ -996,7 +996,7 @@ fn round_trip(program: &Program, what: &str) -> Result<(), String> {
         let mut h = StableHasher::new();
         h.write(&bytes);
         if hash_proc(&q) != h.finish() || hash_proc(&p.canonical()) != hash_proc(&q) {
-            return fail("hash != FNV(wire bytes), or != the canonical layout's hash");
+            return fail("hash != digest(wire bytes), or != the canonical layout's hash");
         }
     }
     Ok(())

@@ -320,6 +320,9 @@ server_totals! {
     rejected,
     /// Requests whose execution panicked and was answered `exit: 3`.
     contained,
+    /// Replies the client never received: writing them failed, as it
+    /// does once the client has closed its end.
+    disconnects,
 }
 
 // ---------------------------------------------------------------------
@@ -593,7 +596,7 @@ pub fn execute(req: &CompileRequest, resident: &ResidentCache) -> Executed {
 }
 
 /// What a fully warm reply is a function of: each file's name and the
-/// FNV-128 digest of its text, in order, and (serialized) every other
+/// [`wire::digest`] of its text, in order, and (serialized) every other
 /// [`CompileRequest`] field but `id` and `jobs`.
 pub(crate) type ReplyKey = (Vec<(String, StableHash)>, String);
 
@@ -765,7 +768,14 @@ impl Server {
             .as_ref()
             .and_then(|key| replies.get(key, |reply| reply.files == req.files));
         let (line, exit, stats) = match &hit {
-            Some(reply) => (reply_head(id) + &reply.tail, 0, Some(reply.stats)),
+            Some(reply) => {
+                // with room for the newline the transport appends
+                let head = reply_head(id);
+                let mut line = String::with_capacity(head.len() + reply.tail.len() + 1);
+                line.push_str(&head);
+                line.push_str(&reply.tail);
+                (line, 0, Some(reply.stats))
+            }
             None => {
                 let done = contain(|| execute(&req, &self.resident)).unwrap_or_else(|panic| {
                     self.totals.lock().unwrap().contained += 1;
@@ -809,6 +819,17 @@ impl Server {
             eprintln!("titand: req={id} files={files} exit={exit} reply={reply}{cache}");
         }
         Reply::Line(line)
+    }
+
+    /// Writes one reply line and its newline in a single write, counting
+    /// a reply that could not be delivered. False when the write failed.
+    fn send(&self, out: &mut impl Write, mut text: String) -> bool {
+        text.push('\n');
+        let sent = out.write_all(text.as_bytes()).and_then(|()| out.flush());
+        if sent.is_err() {
+            self.totals.lock().unwrap().disconnects += 1;
+        }
+        sent.is_ok()
     }
 
     /// Answers a line that is never parsed.
@@ -868,9 +889,7 @@ impl Server {
         });
         crate::pool::fan_out(self.workers, lines, |parsed, _| {
             let (Reply::Line(text) | Reply::Shutdown(text)) = self.answer(parsed);
-            let mut out = io::stdout().lock();
-            let _ = writeln!(out, "{text}");
-            let _ = out.flush();
+            self.send(&mut io::stdout().lock(), text);
         });
         failed.map_or(Ok(()), Err)
     }
@@ -916,14 +935,14 @@ impl Server {
                 let reply = self.answer(parsed);
                 let shutdown = matches!(reply, Reply::Shutdown(_));
                 let (Reply::Line(text) | Reply::Shutdown(text)) = reply;
-                let sent = writeln!(write, "{text}").and_then(|()| write.flush());
+                let sent = self.send(&mut write, text);
                 if shutdown {
                     stop.store(true, Ordering::SeqCst);
                     // wake the lane blocked in `accept`, if any, so it
                     // sees the stop flag
                     let _ = UnixStream::connect(path);
                 }
-                if shutdown || sent.is_err() {
+                if shutdown || !sent {
                     break;
                 }
             }

@@ -12,8 +12,8 @@
 //!   never observe a half-written entry; a crash mid-write leaves at
 //!   worst an orphaned `.tmp-*` file.
 //! * **Checksummed envelopes.** Every file starts with a one-line
-//!   text header — the format name and a 128-bit FNV-1a digest of the
-//!   payload — followed by the payload bytes (binary for entries and
+//!   text header — the format name and a 128-bit
+//!   [`titanc_il::StableHasher`] digest of the payload — followed by the payload bytes (binary for entries and
 //!   manifests, JSON text for the index), so a bit flip, truncation, or
 //!   encoding skew is detected before the payload is decoded, not after
 //!   it has been trusted. The envelope is [`titanc_il::wire::seal`]'s,
@@ -68,10 +68,14 @@ use crate::session::SessionStats;
 /// content hash so a format change invalidates wholesale. v5 made the
 /// entries' IL binary wire bytes ([`titanc_il::wire`]) instead of JSON
 /// text; v6 does the same for their recorded cells and for the session
-/// manifest, which keeps only what no entry holds. A directory whose
+/// manifest, which keeps only what no entry holds. v7 replaced the
+/// byte-at-a-time FNV-1a digest with the block hash of
+/// [`titanc_il::hash`], which moves every key and every envelope
+/// checksum: without the bump a v6 directory would fail every checksum
+/// and be quarantined file by file. A directory whose
 /// marker says anything else — or that holds files but no marker at all —
 /// is refused cleanly: one remark, cold compile, nothing touched.
-pub(crate) const CACHE_FORMAT: &str = "titanc-cache-v6";
+pub(crate) const CACHE_FORMAT: &str = "titanc-cache-v7";
 
 /// The directory-level format marker file.
 const MARKER_FILE: &str = "FORMAT";
@@ -765,10 +769,10 @@ mod tests {
         // any other marker — older or newer — is refused the same way
         let dir2 = scratch("skew2");
         fs::create_dir_all(&dir2).unwrap();
-        fs::write(dir2.join(MARKER_FILE), "titanc-cache-v7\n").unwrap();
+        fs::write(dir2.join(MARKER_FILE), "titanc-cache-v8\n").unwrap();
         let store2 = CacheStore::open(&dir2);
         assert!(!store2.enabled());
-        assert!(store2.format_warning().unwrap().contains("titanc-cache-v7"));
+        assert!(store2.format_warning().unwrap().contains("titanc-cache-v8"));
 
         // transient dotfiles do not make a directory "populated": a racing
         // first opener may be mid-publish, and an older build left `.lock`

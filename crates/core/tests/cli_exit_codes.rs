@@ -326,7 +326,7 @@ fn a_catalog_with_invalid_il_exits_one() {
         (&bad, "malformed catalog: variable id out of range at byte "),
         (
             &json,
-            "not a titanc-catalog-v1 file; re-emit it with --emit-catalog\n",
+            "not a titanc-catalog-v2 file; re-emit it with --emit-catalog\n",
         ),
     ];
     for (file, why) in cases {

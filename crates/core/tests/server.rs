@@ -373,6 +373,40 @@ fn a_one_lane_socket_daemon_answers_then_shuts_down() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+/// A client that sends a request and closes before reading costs the
+/// daemon one undeliverable reply, counted `disconnects`, and nothing
+/// else: the lane moves on and serves the next connection. The daemon has
+/// one lane, held by an idle first connection until the leaving client
+/// is gone, so the reply is always written to a closed socket.
+#[cfg(unix)]
+#[test]
+fn a_client_that_leaves_before_its_reply_is_counted_and_the_next_is_served() {
+    use std::os::unix::net::UnixStream;
+
+    let dir = scratch("disconnect");
+    let sock = dir.join("titand.sock");
+    let mut daemon = socket_daemon(&sock, &["-j", "1"]);
+    let file = corpus_files().remove(0);
+    let holder = UnixStream::connect(&sock).unwrap();
+    {
+        let mut leaver = UnixStream::connect(&sock).unwrap();
+        let line = request_for(1, &file).to_json().to_string_compact();
+        writeln!(leaver, "{line}").unwrap();
+    }
+    drop(holder);
+    let reply = titanc::server::request_over_unix(&sock, &request_for(2, &file)).unwrap();
+    let reference = one_shot(&file);
+    assert_eq!(
+        (reply.id, Some(reply.exit as i32)),
+        (2, reference.status.code())
+    );
+    assert_eq!(reply.stdout, String::from_utf8_lossy(&reference.stdout));
+    let totals = titanc::server::shutdown_over_unix(&sock).unwrap();
+    assert_eq!((totals.requests, totals.disconnects), (2, 1), "{totals}");
+    assert!(daemon.wait().unwrap().success());
+    let _ = fs::remove_dir_all(&dir);
+}
+
 /// Two lanes on stdin: the lane that did not read the shutdown must not
 /// block in a read once the other lane has it, so the daemon ends on its
 /// acknowledgement while stdin stays open — and the request read before

@@ -19,8 +19,9 @@ use crate::wire;
 use std::io;
 use std::path::Path;
 
-/// The envelope format name of a catalog file.
-pub const CATALOG_FORMAT: &str = "titanc-catalog-v1";
+/// The envelope format name of a catalog file. v2 moved the envelope's
+/// checksum to the block hash of [`crate::hash`].
+pub const CATALOG_FORMAT: &str = "titanc-catalog-v2";
 
 /// A serializable library of parsed procedures (§7).
 #[derive(Clone, PartialEq, Debug, Default)]
@@ -162,7 +163,7 @@ mod tests {
         c.add(sample_proc("ddot"));
         c.files.push("blas.c".into());
         let bytes = c.to_bytes();
-        assert!(bytes.starts_with(b"titanc-catalog-v1 "));
+        assert!(bytes.starts_with(b"titanc-catalog-v2 "));
         let back = Catalog::from_bytes(&bytes).unwrap();
         assert_eq!(c, back);
         assert_eq!(back.to_bytes(), bytes);

@@ -192,6 +192,7 @@ pub const MAX_DEPTH: usize = 128;
 /// nesting deeper than [`MAX_DEPTH`] is one.
 pub fn parse(input: &str) -> Result<Json, JsonError> {
     let mut p = Parser {
+        text: input,
         bytes: input.as_bytes(),
         pos: 0,
         depth: 0,
@@ -206,6 +207,8 @@ pub fn parse(input: &str) -> Result<Json, JsonError> {
 }
 
 struct Parser<'a> {
+    /// The input, already UTF-8: a string's plain runs are slices of it.
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     /// Arrays and objects open around `pos`.
@@ -336,18 +339,15 @@ impl<'a> Parser<'a> {
         self.eat(b'"')?;
         let mut out = String::new();
         loop {
+            // the plain run ends at a quote, a backslash or a control byte,
+            // all ASCII: a character boundary of the input on both ends
             let start = self.pos;
-            // fast-forward over the plain run
-            while let Some(b) = self.peek() {
-                if b == b'"' || b == b'\\' || b < 0x20 {
-                    break;
-                }
-                self.pos += 1;
-            }
-            out.push_str(
-                std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|_| self.err("invalid utf-8"))?,
-            );
+            let rest = &self.bytes[start..];
+            self.pos += (rest.iter())
+                .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                .unwrap_or(rest.len());
+            let run = (self.text.get(start..self.pos)).ok_or_else(|| self.err("invalid utf-8"))?;
+            out.push_str(run);
             match self.peek() {
                 Some(b'"') => {
                     self.pos += 1;

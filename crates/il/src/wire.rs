@@ -30,8 +30,8 @@
 //! [`crate::Catalog`] is one such value too.
 //!
 //! Every file either writes is [`seal`]ed: a one-line `<format>
-//! <fnv128-hex>` header, then the payload the digest covers. The cache
-//! seals under its directory format, a catalog under `titanc-catalog-v1`;
+//! <digest-hex>` header, then the payload the digest covers. The cache
+//! seals under its directory format, a catalog under `titanc-catalog-v2`;
 //! [`unseal`] refuses any other format name, a bad header and a checksum
 //! mismatch alike, before a byte of the payload is decoded.
 
@@ -174,14 +174,15 @@ impl FromJson for Procedure {
     }
 }
 
-/// The digest an envelope header carries: 128-bit FNV-1a of the payload.
+/// The digest an envelope header carries: the [`StableHasher`] digest of
+/// the payload, absorbed in one bulk write.
 pub fn digest(payload: &[u8]) -> StableHash {
     let mut h = StableHasher::new();
     h.write(payload);
     h.finish()
 }
 
-/// Wraps a payload in an envelope: a `<format> <fnv128-hex>` header line,
+/// Wraps a payload in an envelope: a `<format> <digest-hex>` header line,
 /// then the payload bytes the digest covers.
 pub fn seal(format: &str, payload: &[u8]) -> Vec<u8> {
     let mut out = format!("{format} {}\n", digest(payload).hex()).into_bytes();
@@ -916,7 +917,7 @@ mod tests {
         assert_eq!(q.next_temp, p.next_temp);
         assert_eq!(encode_proc(&q), bytes, "re-encoding is the identity");
         // one walker, two sinks: the digest of the decoded procedure is
-        // the FNV of its wire bytes
+        // the digest of its wire bytes
         let mut h = StableHasher::new();
         h.write(&bytes);
         assert_eq!(hash_proc(&q), h.finish());
@@ -992,7 +993,7 @@ mod tests {
 
     #[test]
     fn seal_round_trips_and_detects_damage() {
-        const FORMAT: &str = "titanc-cache-v6";
+        const FORMAT: &str = "titanc-cache-v7";
         // payloads are bytes: newlines and non-UTF-8 are fine past the header
         let payload: &[u8] = b"\x00\xff\n{\"version\":1}\n\xfe";
         let sealed = seal(FORMAT, payload);
@@ -1011,8 +1012,8 @@ mod tests {
         assert_eq!(unseal(FORMAT, &sealed[..sealed.len() - 3]), None);
 
         // another format name, on either side
-        assert_eq!(unseal("titanc-catalog-v1", &sealed), None);
-        let mut skewed = b"titanc-cache-v5".to_vec();
+        assert_eq!(unseal("titanc-catalog-v2", &sealed), None);
+        let mut skewed = b"titanc-cache-v6".to_vec();
         skewed.extend_from_slice(&sealed[FORMAT.len()..]);
         assert_eq!(unseal(FORMAT, &skewed), None);
 

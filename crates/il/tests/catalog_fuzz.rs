@@ -54,7 +54,7 @@ fn load(bytes: &[u8], what: &str) -> Result<Catalog, String> {
     }
 }
 
-const NOT_A_CATALOG: &str = "not a titanc-catalog-v1 file; re-emit it with --emit-catalog";
+const NOT_A_CATALOG: &str = "not a titanc-catalog-v2 file; re-emit it with --emit-catalog";
 
 /// The envelope guards every byte: each truncation, each seeded byte flip
 /// and each inserted byte is refused before the payload is decoded.
@@ -127,8 +127,10 @@ fn foreign_files_are_refused_with_the_remedy() {
         good[..=header_end].to_vec(),
         // a JSON catalog, as `--emit-catalog` once wrote
         br#"{"name":"x","procs":[],"structs":[],"globals":[]}"#.to_vec(),
-        // the right payload under the cache's envelope
-        seal("titanc-cache-v6", &payload),
+        // the right payload under the cache's envelope, and under the
+        // previous catalog format (an FNV-1a checksum)
+        seal("titanc-cache-v7", &payload),
+        seal("titanc-catalog-v1", &payload),
         // a header without a digest, and one with a short digest
         [CATALOG_FORMAT.as_bytes(), b"\n", &payload].concat(),
         [CATALOG_FORMAT.as_bytes(), b" 00\n", &payload].concat(),

@@ -341,6 +341,7 @@ fn assert_refused_cold(tag: &str, seed: &[(&str, &str)], marker: &str) {
         let sc = compile_session(&files, &Options::o2(), Some(&dir))
             .unwrap_or_else(|e| panic!("{tag}, {run} run: a foreign dir must not error: {e}"));
         assert_eq!(sc.stats.hits, 0, "a refused directory cannot serve hits");
+        assert_eq!(sc.stats.corrupt, 0, "a refused directory is not corrupt");
         assert_eq!(sc.stats.misses, reference.compilation.program.procs.len());
         assert!(!sc.stats.full_warm);
         assert_eq!(il_text(&reference.compilation), il_text(&sc.compilation));
@@ -445,6 +446,24 @@ fn v5_era_cache_dirs_fall_back_cold_with_one_remark() {
             ("session-4567.json", "titanc-cache-v5 00ff\n{\"version\":2}"),
         ],
         "`titanc-cache-v5`",
+    );
+}
+
+/// A directory written by the v6 format — today's file names and
+/// layouts, but keys and envelope checksums from the byte-at-a-time
+/// FNV-1a hash. Without its own marker every file would fail its
+/// checksum and be quarantined; the marker refuses it whole instead.
+#[test]
+fn v6_era_cache_dirs_fall_back_cold_with_one_remark() {
+    assert_refused_cold(
+        "v6-era",
+        &[
+            ("FORMAT", "titanc-cache-v6\n"),
+            ("index-00ff.bin", "titanc-cache-v6 00ff\n\0\0\0\0"),
+            ("0123abcd.il", "titanc-cache-v6 00ff\n\u{2}\0\0\0"),
+            ("session-4567.bin", "titanc-cache-v6 00ff\n\0"),
+        ],
+        "`titanc-cache-v6`",
     );
 }
 
