@@ -1,28 +1,13 @@
 //! Scalar dataflow: reaching definitions (→ use-def chains, §5.2's
 //! prerequisite) and live variables (→ dead-code elimination).
 //!
-//! Both analyses track only *register candidates*: scalar variables whose
-//! address is never taken and that are not volatile, static or global.
-//! Anything else can be modified through memory, so chain-driven
-//! optimizations must simply leave it alone — exactly the conservatism the
-//! paper ascribes to C's `&` operator (§1 item 7).
+//! Both analyses track only *register candidates*
+//! ([`VarInfo::is_register_candidate`]); chain-driven optimizations leave
+//! every other variable alone.
 
 use crate::bitset::{union_except, BitMatrix};
 use crate::cfg::{Cfg, NodeId};
-use titanc_il::{Procedure, StmtId, Storage, VarId};
-
-/// Which variables the chain-driven analyses track, by `VarId` index.
-fn tracked_vars(proc: &Procedure) -> Vec<bool> {
-    proc.vars
-        .iter()
-        .map(|v| {
-            v.ty.scalar().is_some()
-                && !v.addressed
-                && !v.volatile
-                && matches!(v.storage, Storage::Auto | Storage::Param | Storage::Temp)
-        })
-        .collect()
-}
+use titanc_il::{Procedure, StmtId, VarId, VarInfo};
 
 /// A stable counting sort by variable: `grouped[first[v]..first[v + 1]]`
 /// are the items keyed `v`, in the order given.
@@ -71,7 +56,11 @@ impl UseDef {
     /// Builds use–def chains for a procedure.
     pub fn build(proc: &Procedure, cfg: &Cfg) -> UseDef {
         let nvars = proc.vars.len();
-        let tracked = tracked_vars(proc);
+        let tracked: Vec<bool> = proc
+            .vars
+            .iter()
+            .map(VarInfo::is_register_candidate)
+            .collect();
 
         // one walk: every tracked variable's entry definition, then the
         // defining statements; and each statement's distinct tracked reads
@@ -226,7 +215,11 @@ impl Liveness {
     /// Runs the backward analysis.
     pub fn build(proc: &Procedure, cfg: &Cfg) -> Liveness {
         let nvars = proc.vars.len();
-        let tracked = tracked_vars(proc);
+        let tracked: Vec<bool> = proc
+            .vars
+            .iter()
+            .map(VarInfo::is_register_candidate)
+            .collect();
         // per node: the variables it reads (`reads[from..to]`, untracked
         // ones and repeats included) and the tracked one it defines
         let mut reads: Vec<VarId> = Vec::new();

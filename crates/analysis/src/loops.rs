@@ -1,30 +1,23 @@
 //! Tree-level loop facts.
 
 use std::collections::HashSet;
+use titanc_il::visit::walk_block;
 use titanc_il::{LabelId, StmtId, StmtKind, StmtPool};
 
 /// All statement ids inside a statement's nested blocks (excluding the
 /// statement itself).
 pub fn stmt_ids_in(pool: &StmtPool, s: StmtId) -> HashSet<StmtId> {
     let mut out = HashSet::new();
-    fn walk(pool: &StmtPool, block: &[StmtId], out: &mut HashSet<StmtId>) {
-        for &s in block {
-            out.insert(s);
-            for b in pool[s].blocks() {
-                walk(pool, b, out);
-            }
-        }
-    }
-    for b in pool[s].blocks() {
-        walk(pool, b, &mut out);
-    }
+    visit(pool, s, &mut |id, _| {
+        out.insert(id);
+    });
     out
 }
 
 /// Labels defined inside a statement's nested blocks.
 pub fn labels_in(pool: &StmtPool, s: StmtId) -> HashSet<LabelId> {
     let mut out = HashSet::new();
-    visit(pool, s, &mut |k| {
+    visit(pool, s, &mut |_, k| {
         if let StmtKind::Label(l) = k {
             out.insert(*l);
         }
@@ -35,7 +28,7 @@ pub fn labels_in(pool: &StmtPool, s: StmtId) -> HashSet<LabelId> {
 /// Branch targets referenced from inside a statement's nested blocks.
 pub fn goto_targets_in(pool: &StmtPool, s: StmtId) -> HashSet<LabelId> {
     let mut out = HashSet::new();
-    visit(pool, s, &mut |k| match k {
+    visit(pool, s, &mut |_, k| match k {
         StmtKind::Goto(l) | StmtKind::IfGoto { target: l, .. } => {
             out.insert(*l);
         }
@@ -47,7 +40,7 @@ pub fn goto_targets_in(pool: &StmtPool, s: StmtId) -> HashSet<LabelId> {
 /// True when the statement tree contains a `Return`.
 pub fn has_return(pool: &StmtPool, s: StmtId) -> bool {
     let mut found = false;
-    visit(pool, s, &mut |k| {
+    visit(pool, s, &mut |_, k| {
         if matches!(k, StmtKind::Return(_)) {
             found = true;
         }
@@ -62,12 +55,10 @@ pub fn has_branch_out(pool: &StmtPool, s: StmtId) -> bool {
     goto_targets_in(pool, s).iter().any(|l| !labels.contains(l))
 }
 
-fn visit(pool: &StmtPool, s: StmtId, f: &mut dyn FnMut(&StmtKind)) {
+/// Preorder walk over the statements nested in `s`, not `s` itself.
+fn visit(pool: &StmtPool, s: StmtId, f: &mut dyn FnMut(StmtId, &StmtKind)) {
     for b in pool[s].blocks() {
-        for &inner in b {
-            f(&pool[inner]);
-            visit(pool, inner, f);
-        }
+        walk_block(pool, b, f);
     }
 }
 

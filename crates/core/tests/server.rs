@@ -1182,6 +1182,43 @@ fn hostile_lines_are_answered_and_the_next_request_is_still_one_shot_identical()
     assert_eq!((totals.contained, totals.fully_warm), (0, 1));
 }
 
+/// A request as Python's default `json.dumps` writes it: every character
+/// outside ASCII escaped, one beyond the BMP as a surrogate pair.
+fn ascii_escaped(line: &str) -> String {
+    let mut out = String::new();
+    for c in line.chars() {
+        if c.is_ascii() {
+            out.push(c);
+        } else {
+            for unit in c.encode_utf16(&mut [0; 2]) {
+                out.push_str(&format!("\\u{unit:04x}"));
+            }
+        }
+    }
+    out
+}
+
+#[test]
+fn an_ascii_escaped_request_gets_the_reply_of_the_raw_utf8_one() {
+    let files = [SourceFile::new(
+        "emoji.c",
+        "/* caf\u{e9} \u{1F600} */\nint main(void) { return 0; }\n",
+    )];
+    let raw = request_of(3, &files).to_json().to_string_compact();
+    let escaped = ascii_escaped(&raw);
+    assert!(escaped.contains(r"\ud83d\ude00") && escaped.is_ascii());
+    let reply = |line: &str| match Server::new(&ServerConfig::default())
+        .quiet()
+        .handle_line(line)
+    {
+        Reply::Line(line) => line,
+        Reply::Shutdown(ack) => panic!("unexpected shutdown ack: {ack}"),
+    };
+    let (from_raw, from_escaped) = (reply(&raw), reply(&escaped));
+    assert_eq!(response_of(&from_raw).exit, 0, "{from_raw}");
+    assert_eq!(from_escaped, from_raw);
+}
+
 #[test]
 fn a_panic_outside_a_pass_cell_is_answered_exit_three_and_the_worker_lives() {
     let valid = request_of(1, &[kernel_file(0, 1)]);

@@ -190,7 +190,7 @@ pub fn decompose(proc: &Procedure, body: &[StmtId], lv: VarId, e: ExprId) -> Opt
 }
 
 fn invariant_term(proc: &Procedure, body: &[StmtId], lv: VarId, e: ExprId) -> Option<Affine> {
-    if proc.exprs.reads_var(e, lv) {
+    if proc.exprs.any(e, |n| *n == Expr::Var(lv)) {
         return None;
     }
     if invariant_in(proc, body, e) {

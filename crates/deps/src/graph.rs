@@ -6,7 +6,6 @@ use crate::affine::{decompose, Affine};
 use crate::test::{test_pair, Verdict};
 use std::collections::BTreeMap;
 use titanc_il::{Expr, ExprId, ExprPool, LValue, Procedure, StmtId, StmtKind, VarId};
-use titanc_opt::util::register_candidate;
 
 /// The kind of a dependence edge.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -474,7 +473,7 @@ fn scalar_edges(proc: &Procedure, body: &[StmtId], lv: VarId, edges: &mut Vec<De
     let mut reads: BTreeMap<VarId, Vec<usize>> = BTreeMap::new();
     for (i, &s) in body.iter().enumerate() {
         if let Some(v) = proc.stmts[s].defined_var() {
-            if v != lv && register_candidate(proc, v) {
+            if v != lv && proc.var(v).is_register_candidate() {
                 writes.entry(v).or_default().push(i);
             }
         }
@@ -491,7 +490,7 @@ fn scalar_edges(proc: &Procedure, body: &[StmtId], lv: VarId, edges: &mut Vec<De
         }
         gather(proc, s, &mut rs);
         for v in rs {
-            if v != lv && register_candidate(proc, v) {
+            if v != lv && proc.var(v).is_register_candidate() {
                 reads.entry(v).or_default().push(i);
             }
         }

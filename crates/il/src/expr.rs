@@ -305,6 +305,12 @@ impl Expr {
     pub fn is_const(&self) -> bool {
         matches!(self, Expr::IntConst(_) | Expr::FloatConst(..))
     }
+
+    /// True if the node is a volatile load (§1 item 6: it must not be
+    /// deleted, duplicated or moved).
+    pub fn is_volatile_load(&self) -> bool {
+        matches!(self, Expr::Load { volatile: true, .. })
+    }
 }
 
 /// The flat expression arena of one procedure: a `Vec<Expr>` indexed by
@@ -517,45 +523,10 @@ impl ExprPool {
         }
     }
 
-    /// True if the subtree at `id` reads the value of `v`.
-    pub fn reads_var(&self, id: ExprId, v: VarId) -> bool {
-        match self[id] {
-            Expr::Var(w) => w == v,
-            _ => self[id]
-                .child_ids()
-                .into_iter()
-                .any(|c| self.reads_var(c, v)),
-        }
-    }
-
-    /// True if the subtree at `id` contains a memory load.
-    pub fn has_load(&self, id: ExprId) -> bool {
-        match self[id] {
-            Expr::Load { .. } => true,
-            _ => self[id].child_ids().into_iter().any(|c| self.has_load(c)),
-        }
-    }
-
-    /// True if the subtree at `id` contains a volatile load.
-    pub fn has_volatile_load(&self, id: ExprId) -> bool {
-        match self[id] {
-            Expr::Load { volatile: true, .. } => true,
-            _ => self[id]
-                .child_ids()
-                .into_iter()
-                .any(|c| self.has_volatile_load(c)),
-        }
-    }
-
-    /// True if the subtree at `id` contains a vector section.
-    pub fn has_section(&self, id: ExprId) -> bool {
-        match self[id] {
-            Expr::Section { .. } => true,
-            _ => self[id]
-                .child_ids()
-                .into_iter()
-                .any(|c| self.has_section(c)),
-        }
+    /// True if some node of the subtree at `id` satisfies `pred` (an
+    /// `AddrOf` node is a leaf: `&v` does not read `v`).
+    pub fn any(&self, id: ExprId, pred: impl Fn(&Expr) -> bool + Copy) -> bool {
+        pred(&self[id]) || (self[id].child_ids().into_iter()).any(|c| self.any(c, pred))
     }
 
     /// Node count of the subtree at `id`, used as a substitution-size
@@ -728,45 +699,6 @@ impl ExprPool {
             _ => false,
         }
     }
-
-    /// Structural equality of two lvalues, given their owning pools.
-    pub fn lvalue_eq(&self, a: &LValue, other: &ExprPool, b: &LValue) -> bool {
-        match (*a, *b) {
-            (LValue::Var(x), LValue::Var(y)) => x == y,
-            (
-                LValue::Deref {
-                    addr: aa,
-                    ty: ta,
-                    volatile: va,
-                },
-                LValue::Deref {
-                    addr: ab,
-                    ty: tb,
-                    volatile: vb,
-                },
-            ) => ta == tb && va == vb && self.expr_eq(aa, other, ab),
-            (
-                LValue::Section {
-                    base: ba,
-                    len: la,
-                    stride: sa,
-                    ty: ta,
-                },
-                LValue::Section {
-                    base: bb,
-                    len: lb,
-                    stride: sb,
-                    ty: tb,
-                },
-            ) => {
-                ta == tb
-                    && self.expr_eq(ba, other, bb)
-                    && self.expr_eq(la, other, lb)
-                    && self.expr_eq(sa, other, sb)
-            }
-            _ => false,
-        }
-    }
 }
 
 /// The target of an assignment statement. Address operands are [`ExprId`]s
@@ -865,8 +797,8 @@ mod tests {
         let b = p.int(1);
         let e = p.ibinary(BinOp::Add, a, b);
         assert_eq!(p.size(e), 3);
-        assert!(p.reads_var(e, v(0)));
-        assert!(!p.reads_var(e, v(1)));
+        assert!(p.any(e, |n| *n == Expr::Var(v(0))));
+        assert!(!p.any(e, |n| *n == Expr::Var(v(1))));
         assert!(!p.is_const(e));
         let three = p.int(3);
         assert!(p.is_const(three));
@@ -879,7 +811,7 @@ mod tests {
         let mut p = ExprPool::new();
         let e = p.addr_of(v(4));
         assert!(p.vars_read(e).is_empty());
-        assert!(!p.reads_var(e, v(4)));
+        assert!(!p.any(e, |n| *n == Expr::Var(v(4))));
     }
 
     #[test]
@@ -903,7 +835,7 @@ mod tests {
         let seven = p.int(7);
         let n = p.substitute_var(e, v(1), seven);
         assert_eq!(n, 2);
-        assert!(!p.reads_var(e, v(1)));
+        assert!(!p.any(e, |n| *n == Expr::Var(v(1))));
     }
 
     #[test]
@@ -917,9 +849,9 @@ mod tests {
         let repl = p.ibinary(BinOp::Mul, y, two);
         p.substitute_var(root, v(0), repl);
         // the root id is unchanged and now reads v9 through the copy
-        assert!(p.reads_var(root, v(9)));
+        assert!(p.any(root, |n| *n == Expr::Var(v(9))));
         // the replacement subtree itself is untouched and independent
-        assert!(p.reads_var(repl, v(9)));
+        assert!(p.any(repl, |n| *n == Expr::Var(v(9))));
         let mut q = ExprPool::new();
         let qy = q.var(v(9));
         let q2 = q.int(2);
@@ -940,12 +872,12 @@ mod tests {
         });
         let one = p.int(1);
         let e = p.ibinary(BinOp::Add, vl, one);
-        assert!(p.has_volatile_load(e));
-        assert!(p.has_load(e));
+        assert!(p.any(e, Expr::is_volatile_load));
+        assert!(p.any(e, |n| matches!(n, Expr::Load { .. })));
         let a2 = p.addr_of(v(0));
         let pure = p.load(a2, ScalarType::Int);
-        assert!(!p.has_volatile_load(pure));
-        assert!(p.has_load(pure));
+        assert!(!p.any(pure, Expr::is_volatile_load));
+        assert!(p.any(pure, |n| matches!(n, Expr::Load { .. })));
     }
 
     #[test]
@@ -988,7 +920,7 @@ mod tests {
         let stride = p.int(4);
         let s = p.section(base, len, stride, ScalarType::Float);
         assert_eq!(p[s].child_ids().len(), 3);
-        assert!(p.has_section(s));
+        assert!(p.any(s, |n| matches!(n, Expr::Section { .. })));
     }
 
     #[test]

@@ -265,8 +265,10 @@ fn fold_node(pool: &ExprPool, id: ExprId) -> Option<Expr> {
                 // 0*x -> 0 only when x has no volatile reads
                 BinOp::Mul
                     if !ty.is_float()
-                        && ((rhs_c.is_some_and(is_zero) && !pool.has_volatile_load(lhs))
-                            || (lhs_c.is_some_and(is_zero) && !pool.has_volatile_load(rhs))) =>
+                        && ((rhs_c.is_some_and(is_zero)
+                            && !pool.any(lhs, Expr::is_volatile_load))
+                            || (lhs_c.is_some_and(is_zero)
+                                && !pool.any(rhs, Expr::is_volatile_load))) =>
                 {
                     Some(Expr::IntConst(0))
                 }
@@ -373,7 +375,10 @@ mod tests {
         let zero = p.int(0);
         let e = p.ibinary(BinOp::Mul, vl, zero);
         fold_expr(&mut p, e);
-        assert!(p.has_volatile_load(e), "volatile read must not be deleted");
+        assert!(
+            p.any(e, Expr::is_volatile_load),
+            "volatile read must not be deleted"
+        );
 
         let y = p.var(VarId(1));
         let zero2 = p.int(0);

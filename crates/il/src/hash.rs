@@ -233,11 +233,10 @@ impl fmt::Display for StableHash {
 
 /// Content-hashes a procedure over its flat arenas.
 ///
-/// The digest covers everything [`crate::Procedure`]'s structural equality
-/// covers — signature, variable table, body ids, both arena columns with
-/// spans — plus the stamp/temp counters, and nothing else (no capacities,
-/// no lifetime counters). Equal layouts hash equal; the digest is stable
-/// across clones and across runs.
+/// The digest covers the signature, variable table, body ids, both arena
+/// columns with spans and the stamp/temp counters, and nothing else (no
+/// capacities, no lifetime counters). Equal layouts hash equal; the digest
+/// is stable across clones and across runs.
 pub fn hash_proc(proc: &Procedure) -> StableHash {
     let mut h = StableHasher::new();
     write_proc(&mut h, proc);

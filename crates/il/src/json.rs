@@ -365,18 +365,24 @@ impl<'a> Parser<'a> {
                         Some(b'b') => out.push('\u{8}'),
                         Some(b'f') => out.push('\u{c}'),
                         Some(b'u') => {
-                            if self.pos + 5 > self.bytes.len() {
-                                return Err(self.err("truncated \\u escape"));
+                            let mut code = self.hex4(self.pos + 1)?;
+                            self.pos += 4;
+                            // a high surrogate and the low one escaped
+                            // after it are one character; a lone or
+                            // mismatched surrogate is no character at all
+                            if (0xD800..0xDC00).contains(&code)
+                                && self.bytes[self.pos + 1..].starts_with(b"\\u")
+                            {
+                                let low = self.hex4(self.pos + 3)?;
+                                if (0xDC00..0xE000).contains(&low) {
+                                    code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
+                                    self.pos += 6;
+                                }
                             }
-                            let hex = std::str::from_utf8(&self.bytes[self.pos + 1..self.pos + 5])
-                                .map_err(|_| self.err("invalid \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("invalid \\u escape"))?;
                             out.push(
                                 char::from_u32(code)
                                     .ok_or_else(|| self.err("invalid \\u code point"))?,
                             );
-                            self.pos += 4;
                         }
                         _ => return Err(self.err("invalid escape")),
                     }
@@ -385,6 +391,18 @@ impl<'a> Parser<'a> {
                 _ => return Err(self.err("unterminated string")),
             }
         }
+    }
+
+    /// The four hex digits of a `\\u` escape, starting at byte `at`.
+    fn hex4(&self, at: usize) -> Result<u32, JsonError> {
+        let digits =
+            (self.bytes.get(at..at + 4)).ok_or_else(|| self.err("truncated \\u escape"))?;
+        if !digits.iter().all(u8::is_ascii_hexdigit) {
+            return Err(self.err("invalid \\u escape"));
+        }
+        Ok(digits
+            .iter()
+            .fold(0, |n, &d| n << 4 | char::from(d).to_digit(16).unwrap_or(0)))
     }
 
     fn number(&mut self) -> Result<Json, JsonError> {
@@ -530,6 +548,30 @@ mod tests {
         let v = parse(" { \"a\" : [ 1 , 2.0 ] , \"s\" : \"x\\ty\\u0041\" } ").unwrap();
         assert_eq!(v.field("a").unwrap().as_arr().unwrap().len(), 2);
         assert_eq!(v.field("s").unwrap().as_str().unwrap(), "x\tyA");
+    }
+
+    #[test]
+    fn surrogate_pairs_are_one_character_and_lone_halves_an_error() {
+        // what Python's `json.dumps` writes for a non-BMP character
+        assert_eq!(
+            parse(r#""a\ud83d\ude00b""#).unwrap().as_str().unwrap(),
+            "a\u{1F600}b"
+        );
+        assert_eq!(
+            parse(r#""\uD834\uDD1E""#).unwrap().as_str().unwrap(),
+            "\u{1D11E}"
+        );
+        for bad in [
+            r#""\ud83d""#,
+            r#""\ude00""#,
+            r#""\ud83dx""#,
+            r#""\ud83d\u0041""#,
+            r#""\ud83d\ud83d""#,
+            r#""\ud83d\ude0""#,
+            r#""\u+041""#,
+        ] {
+            assert!(parse(bad).is_err(), "{bad} must be refused");
+        }
     }
 
     #[test]

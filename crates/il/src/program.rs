@@ -62,6 +62,21 @@ impl VarInfo {
     pub fn scalar(&self) -> Option<ScalarType> {
         self.ty.scalar()
     }
+
+    /// True when the variable is a *register candidate*: a scalar whose
+    /// address is never taken, not volatile, and neither static nor
+    /// global. Nothing but a direct assignment can change such a variable,
+    /// so only these are tracked by the dataflow analyses and rewritten by
+    /// the chain-driven passes; anything else may be modified through
+    /// memory, which is the conservatism §1 item 7 ascribes to C's `&`. The
+    /// same variables are the ones the Titan keeps in registers (§4), so
+    /// the simulator gives every other variable a memory home.
+    pub fn is_register_candidate(&self) -> bool {
+        self.ty.scalar().is_some()
+            && !self.addressed
+            && !self.volatile
+            && matches!(self.storage, Storage::Auto | Storage::Param | Storage::Temp)
+    }
 }
 
 /// One field of a struct definition.
@@ -123,22 +138,14 @@ pub struct Procedure {
     pub(crate) generation: u64,
 }
 
+/// Two procedures are equal when they encode to the same
+/// [`crate::wire::encode_proc`] bytes: the canonical wire form is the one
+/// definition of IL identity. The generation and the arena layout are not
+/// part of it, and constants compare by their bits, so a `NaN` constant
+/// equals itself and `0.0` differs from `-0.0`.
 impl PartialEq for Procedure {
     fn eq(&self, other: &Procedure) -> bool {
-        // `generation` is deliberately excluded: two procedures with the
-        // same content are equal regardless of their mutation history
-        // (catalog encode/decode round-trips rely on this). Arena *layout*
-        // is also excluded — the body is compared structurally, so a
-        // procedure equals its compacted self as long as statement stamps
-        // and spans match.
-        self.name == other.name
-            && self.ret == other.ret
-            && self.params == other.params
-            && self.vars == other.vars
-            && self.num_labels == other.num_labels
-            && self.next_temp == other.next_temp
-            && self.stmts.len() == other.stmts.len()
-            && self.block_eq(&self.body, other, &other.body)
+        crate::wire::encode_proc(self) == crate::wire::encode_proc(other)
     }
 }
 
@@ -266,15 +273,7 @@ impl Procedure {
 
     /// Iterates over every reachable statement in the tree (preorder).
     pub fn for_each_stmt(&self, f: &mut dyn FnMut(StmtId, &StmtKind)) {
-        fn walk(pool: &StmtPool, block: &[StmtId], f: &mut dyn FnMut(StmtId, &StmtKind)) {
-            for &s in block {
-                f(s, &pool[s]);
-                for b in pool[s].blocks() {
-                    walk(pool, b, f);
-                }
-            }
-        }
-        walk(&self.stmts, &self.body, f);
+        crate::visit::walk_block(&self.stmts, &self.body, f);
     }
 
     /// Compacts both arenas: rebuilds the statement pool with fresh
@@ -334,11 +333,12 @@ impl Procedure {
     /// at its own stamp with its span, every other statement slot a
     /// span-less `Nop`, and the expression arena holding only reachable
     /// nodes, operands before their node, in statement preorder. The
-    /// result equals `self` (equality is structural) but is a function of
-    /// the IL's structure alone — arena garbage and allocation history are
-    /// gone — which is what lets [`crate::wire::encode_proc`] promise
-    /// identical bytes for equal procedures. Unlike [`Procedure::restamp`]
-    /// the stamps are kept: reports and traces key on them.
+    /// result is a function of the IL's structure alone — arena garbage
+    /// and allocation history are gone — which is what lets
+    /// [`crate::wire::encode_proc`] write the same bytes, and `==` call
+    /// equal, procedures that differ only in layout. Unlike
+    /// [`Procedure::restamp`] the stamps are kept: reports and traces key
+    /// on them.
     pub fn canonical(&self) -> Procedure {
         fn walk(block: &[StmtId], old: &Procedure, stmts: &mut StmtPool, exprs: &mut ExprPool) {
             for &s in block {
@@ -406,162 +406,6 @@ impl Procedure {
             *e = self.exprs.copy(*e);
         }
         self.stamp_at(kind, span)
-    }
-
-    /// Structural equality of a block of this procedure against a block of
-    /// `other`: same length, and pairwise equal stamps, spans, and kinds
-    /// (expressions compared structurally across the two pools).
-    pub fn block_eq(&self, a: &[StmtId], other: &Procedure, b: &[StmtId]) -> bool {
-        a.len() == b.len()
-            && a.iter()
-                .zip(b.iter())
-                .all(|(&x, &y)| self.stmt_eq(x, other, y))
-    }
-
-    fn stmt_eq(&self, a: StmtId, other: &Procedure, b: StmtId) -> bool {
-        if a != b || self.stmts.span(a) != other.stmts.span(b) {
-            return false;
-        }
-        let (ep, eq) = (&self.exprs, &other.exprs);
-        match (&self.stmts[a], &other.stmts[b]) {
-            (StmtKind::Assign { lhs: la, rhs: ra }, StmtKind::Assign { lhs: lb, rhs: rb }) => {
-                ep.lvalue_eq(la, eq, lb) && ep.expr_eq(*ra, eq, *rb)
-            }
-            (
-                StmtKind::If {
-                    cond: ca,
-                    then_blk: ta,
-                    else_blk: ea,
-                },
-                StmtKind::If {
-                    cond: cb,
-                    then_blk: tb,
-                    else_blk: eb,
-                },
-            ) => {
-                ep.expr_eq(*ca, eq, *cb)
-                    && self.block_eq(ta, other, tb)
-                    && self.block_eq(ea, other, eb)
-            }
-            (
-                StmtKind::While {
-                    cond: ca,
-                    body: ba,
-                    safe: sa,
-                },
-                StmtKind::While {
-                    cond: cb,
-                    body: bb,
-                    safe: sb,
-                },
-            ) => sa == sb && ep.expr_eq(*ca, eq, *cb) && self.block_eq(ba, other, bb),
-            (
-                StmtKind::DoLoop {
-                    var: va,
-                    lo: la,
-                    hi: ha,
-                    step: pa,
-                    body: ba,
-                    safe: sa,
-                },
-                StmtKind::DoLoop {
-                    var: vb,
-                    lo: lb,
-                    hi: hb,
-                    step: pb,
-                    body: bb,
-                    safe: sb,
-                },
-            ) => {
-                va == vb
-                    && sa == sb
-                    && ep.expr_eq(*la, eq, *lb)
-                    && ep.expr_eq(*ha, eq, *hb)
-                    && ep.expr_eq(*pa, eq, *pb)
-                    && self.block_eq(ba, other, bb)
-            }
-            (
-                StmtKind::DoParallel {
-                    var: va,
-                    lo: la,
-                    hi: ha,
-                    step: pa,
-                    body: ba,
-                },
-                StmtKind::DoParallel {
-                    var: vb,
-                    lo: lb,
-                    hi: hb,
-                    step: pb,
-                    body: bb,
-                },
-            ) => {
-                va == vb
-                    && ep.expr_eq(*la, eq, *lb)
-                    && ep.expr_eq(*ha, eq, *hb)
-                    && ep.expr_eq(*pa, eq, *pb)
-                    && self.block_eq(ba, other, bb)
-            }
-            (
-                StmtKind::WhileSpread {
-                    cond: ca,
-                    parallel: pa,
-                    serial: sa,
-                },
-                StmtKind::WhileSpread {
-                    cond: cb,
-                    parallel: pb,
-                    serial: sb,
-                },
-            ) => {
-                ep.expr_eq(*ca, eq, *cb)
-                    && self.block_eq(pa, other, pb)
-                    && self.block_eq(sa, other, sb)
-            }
-            (StmtKind::Label(la), StmtKind::Label(lb)) => la == lb,
-            (StmtKind::Goto(la), StmtKind::Goto(lb)) => la == lb,
-            (
-                StmtKind::IfGoto {
-                    cond: ca,
-                    target: ta,
-                },
-                StmtKind::IfGoto {
-                    cond: cb,
-                    target: tb,
-                },
-            ) => ta == tb && ep.expr_eq(*ca, eq, *cb),
-            (
-                StmtKind::Call {
-                    dst: da,
-                    callee: na,
-                    args: aa,
-                },
-                StmtKind::Call {
-                    dst: db,
-                    callee: nb,
-                    args: ab,
-                },
-            ) => {
-                na == nb
-                    && match (da, db) {
-                        (None, None) => true,
-                        (Some(x), Some(y)) => ep.lvalue_eq(x, eq, y),
-                        _ => false,
-                    }
-                    && aa.len() == ab.len()
-                    && aa
-                        .iter()
-                        .zip(ab.iter())
-                        .all(|(&x, &y)| ep.expr_eq(x, eq, y))
-            }
-            (StmtKind::Return(ra), StmtKind::Return(rb)) => match (ra, rb) {
-                (None, None) => true,
-                (Some(x), Some(y)) => ep.expr_eq(*x, eq, *y),
-                _ => false,
-            },
-            (StmtKind::Nop, StmtKind::Nop) => true,
-            _ => false,
-        }
     }
 
     /// Remaps the origin file tag of every known span through `map`
@@ -761,7 +605,67 @@ mod tests {
             StmtKind::Assign { rhs, .. } => *rhs = one2,
             _ => unreachable!(),
         }
-        assert_eq!(p, q, "structural equality is layout-independent");
+        assert_eq!(p, q, "equality is layout-independent");
+    }
+
+    /// `f = <value>;` over a float temporary.
+    fn storing(value: f64) -> Procedure {
+        let mut p = Procedure::new("f", Type::Void);
+        let f = p.fresh_temp(Type::Float);
+        let rhs = p.exprs.float(value);
+        p.push(StmtKind::Assign {
+            lhs: LValue::Var(f),
+            rhs,
+        });
+        p
+    }
+
+    #[test]
+    fn a_nan_constant_equals_itself() {
+        let mut p = storing(f64::NAN);
+        p.add_var(VarInfo {
+            name: "k".into(),
+            ty: Type::Double,
+            storage: Storage::Static,
+            volatile: false,
+            addressed: true,
+            init: Some(ConstInit::Float(f64::NAN)),
+        });
+        assert_eq!(p, p.clone());
+        let decoded = crate::wire::decode_proc(&crate::wire::encode_proc(&p)).unwrap();
+        assert_eq!(p, decoded);
+    }
+
+    #[test]
+    fn constants_compare_by_their_bits() {
+        assert_ne!(
+            storing(0.0),
+            storing(-0.0),
+            "0.0f and -0.0f are different IL"
+        );
+        assert_eq!(storing(-0.0), storing(-0.0));
+    }
+
+    #[test]
+    fn register_candidates_are_unaddressed_non_volatile_scalar_locals() {
+        let var = |ty: Type, storage: Storage, volatile: bool, addressed: bool| VarInfo {
+            name: "v".into(),
+            ty,
+            storage,
+            volatile,
+            addressed,
+            init: None,
+        };
+        for storage in [Storage::Auto, Storage::Param, Storage::Temp] {
+            assert!(var(Type::Int, storage.clone(), false, false).is_register_candidate());
+            assert!(!var(Type::Int, storage.clone(), false, true).is_register_candidate());
+            assert!(!var(Type::Int, storage.clone(), true, false).is_register_candidate());
+            let array = Type::array_of(Type::Int, 4);
+            assert!(!var(array, storage, false, false).is_register_candidate());
+        }
+        for storage in [Storage::Static, Storage::Global] {
+            assert!(!var(Type::Float, storage, false, false).is_register_candidate());
+        }
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! parallel arena columns, so procedure clones copy three flat vectors
 //! instead of walking a pointer tree.
 
-use crate::expr::{ExprPool, LValue, SlotsMut};
+use crate::expr::{Expr, ExprPool, LValue, SlotsMut};
 use crate::ids::{ExprId, LabelId, StmtId, VarId};
 use crate::span::SrcSpan;
 use std::ops::{Index, IndexMut};
@@ -385,7 +385,11 @@ impl StmtKind {
             StmtKind::Assign { lhs, .. } => lhs.is_volatile(),
             _ => false,
         };
-        lhs_volatile || self.exprs().into_iter().any(|e| exprs.has_volatile_load(e))
+        lhs_volatile
+            || self
+                .exprs()
+                .into_iter()
+                .any(|e| exprs.any(e, Expr::is_volatile_load))
     }
 
     /// True when the statement is a structured or counted loop head.

@@ -413,8 +413,8 @@ impl<'a> Checker<'a> {
                 // recursive pool queries are only safe once the expression
                 // subgraph checked out (no dangling ids, no cycles)
                 if self.errors.len() == errs_before {
-                    let is_vector =
-                        matches!(lhs, LValue::Section { .. }) || proc.exprs.has_section(rhs);
+                    let is_vector = matches!(lhs, LValue::Section { .. })
+                        || proc.exprs.any(rhs, |n| matches!(n, Expr::Section { .. }));
                     if is_vector
                         && (lhs.is_volatile() || proc.stmts[s].has_volatile_access(&proc.exprs))
                     {

@@ -72,8 +72,8 @@ pub fn encode_proc(proc: &Procedure) -> Vec<u8> {
     out
 }
 
-/// Decodes what [`encode_proc`] wrote. The result is structurally equal
-/// to the encoded procedure, in canonical arena layout, at generation 0.
+/// Decodes what [`encode_proc`] wrote. The result equals the encoded
+/// procedure, in canonical arena layout, at generation 0.
 ///
 /// # Errors
 ///

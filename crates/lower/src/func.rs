@@ -1037,7 +1037,7 @@ impl<'e> FuncLowerer<'e> {
     ) -> Result<(), LowerError> {
         let tv = self.expr(e, out, false)?;
         if let Some(tv) = tv {
-            if self.proc.exprs.has_volatile_load(tv.e) {
+            if self.proc.exprs.any(tv.e, Expr::is_volatile_load) {
                 if let Some(kind) = scalar_kind(&tv.ty) {
                     let tmp = self.temp(kind);
                     self.emit(

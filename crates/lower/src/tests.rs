@@ -83,7 +83,7 @@ fn chained_assignment_writes_volatile_once() {
             if lhs.is_volatile() {
                 volatile_stores += 1;
             }
-            if proc.exprs.has_volatile_load(*rhs) {
+            if proc.exprs.any(*rhs, Expr::is_volatile_load) {
                 volatile_loads += 1;
             }
         }
@@ -103,7 +103,7 @@ fn volatile_poll_loop_reads_every_iteration() {
         .expect("loop");
     if let StmtKind::While { cond, .. } = &proc.stmts[*w] {
         assert!(
-            proc.exprs.has_volatile_load(*cond),
+            proc.exprs.any(*cond, Expr::is_volatile_load),
             "condition must re-read the register"
         );
     }
@@ -268,7 +268,7 @@ fn comma_keeps_volatile_reads() {
     let stmts = flat(&proc);
     let keeps = stmts
         .iter()
-        .any(|k| matches!(k, StmtKind::Assign { rhs, .. } if proc.exprs.has_volatile_load(*rhs)));
+        .any(|k| matches!(k, StmtKind::Assign { rhs, .. } if proc.exprs.any(*rhs, Expr::is_volatile_load)));
     assert!(keeps, "volatile read in discarded comma operand is kept");
 }
 

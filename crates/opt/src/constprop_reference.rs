@@ -10,7 +10,7 @@
 use titanc_analysis::ProcAnalyses;
 use titanc_il::fold::{const_value, fold_expr, value_to_expr, Value};
 use titanc_il::visit::{edit_blocks, edit_tree, Order};
-use titanc_il::{Block, Procedure, ScalarType, StmtId, StmtKind};
+use titanc_il::{Block, Expr, Procedure, ScalarType, StmtId, StmtKind};
 
 const MAX_ROUNDS: usize = 32;
 
@@ -174,7 +174,7 @@ fn simplify_stmt(proc: &mut Procedure, block: &mut Block, i: usize, removed: &mu
             then_blk,
             else_blk,
         } => match const_value(&proc.exprs[*cond]) {
-            Some(v) if !proc.exprs.has_volatile_load(*cond) => {
+            Some(v) if !proc.exprs.any(*cond, Expr::is_volatile_load) => {
                 let (taken, dead) = if v.is_truthy() {
                     (then_blk.clone(), else_blk)
                 } else {
@@ -186,7 +186,7 @@ fn simplify_stmt(proc: &mut Procedure, block: &mut Block, i: usize, removed: &mu
             _ => None,
         },
         StmtKind::While { cond, body, .. } => match const_value(&proc.exprs[*cond]) {
-            Some(v) if !v.is_truthy() && !proc.exprs.has_volatile_load(*cond) => {
+            Some(v) if !v.is_truthy() && !proc.exprs.any(*cond, Expr::is_volatile_load) => {
                 *removed += 1 + titanc_il::block_len(&proc.stmts, body);
                 Some(Vec::new())
             }
@@ -215,7 +215,7 @@ fn simplify_stmt(proc: &mut Procedure, block: &mut Block, i: usize, removed: &mu
             }
         }
         StmtKind::IfGoto { cond, target } => match const_value(&proc.exprs[*cond]) {
-            Some(v) if !proc.exprs.has_volatile_load(*cond) => {
+            Some(v) if !proc.exprs.any(*cond, Expr::is_volatile_load) => {
                 if v.is_truthy() {
                     let t = *target;
                     proc.stmts[s] = StmtKind::Goto(t);

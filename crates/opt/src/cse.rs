@@ -30,7 +30,6 @@
 //! node, computed bottom-up once for the procedure and kept current along
 //! the path of every replacement.
 
-use crate::util::register_candidate;
 use titanc_il::visit::{edit_blocks, walk_block};
 use titanc_il::{
     Block, Expr, ExprId, ExprPool, LValue, Procedure, StmtId, StmtKind, StmtPool, Type, VarId,
@@ -269,7 +268,7 @@ impl Cse {
     ) -> bool {
         deps.clear();
         proc.exprs.collect_vars_read(cand_orig, deps);
-        if deps.iter().any(|&v| !register_candidate(proc, v)) {
+        if deps.iter().any(|&v| !proc.var(v).is_register_candidate()) {
             return false;
         }
         let redefines_dep = |kind: &StmtKind| deps.iter().any(|&v| kind.defined_var() == Some(v));

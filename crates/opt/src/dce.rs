@@ -8,10 +8,9 @@
 //! `Nop`s, unreferenced labels, and empty branches, and iterates to a
 //! fixpoint.
 
-use crate::util::register_candidate;
 use titanc_analysis::{Liveness, ProcAnalyses};
 use titanc_il::visit::edit_blocks;
-use titanc_il::{LValue, Procedure, StmtId, StmtKind, VarId};
+use titanc_il::{Expr, LValue, Procedure, StmtId, StmtKind, VarId, VarInfo};
 
 /// Resource budget: maximum fixpoint rounds per procedure. Hitting the cap
 /// is sound (every completed round leaves verified IL) but is reported so
@@ -98,7 +97,7 @@ fn kill_dead_stores(live: &Liveness, proc: &mut Procedure, removed: &mut usize) 
             rhs,
         } = kind
         {
-            if !proc.exprs.has_volatile_load(*rhs) && !live.live_after(s, *v) {
+            if !proc.exprs.any(*rhs, Expr::is_volatile_load) && !live.live_after(s, *v) {
                 dead.push(s);
             }
         }
@@ -116,15 +115,17 @@ fn kill_dead_stores(live: &Liveness, proc: &mut Procedure, removed: &mut usize) 
 /// flow-sensitive liveness cannot, which matters after inlining and
 /// induction-variable substitution leave orphaned updates behind.
 fn eliminate_faint(proc: &mut Procedure) -> usize {
-    let candidate: Vec<bool> = (0..proc.vars.len())
-        .map(|i| register_candidate(proc, VarId::from_index(i)))
+    let candidate: Vec<bool> = proc
+        .vars
+        .iter()
+        .map(VarInfo::is_register_candidate)
         .collect();
     // the candidate a removable assignment defines
     let removable = |kind: &StmtKind| match kind {
         StmtKind::Assign {
             lhs: LValue::Var(v),
             rhs,
-        } if candidate[v.index()] && !proc.exprs.has_volatile_load(*rhs) => Some(*v),
+        } if candidate[v.index()] && !proc.exprs.any(*rhs, Expr::is_volatile_load) => Some(*v),
         _ => None,
     };
     let mut contributes: Vec<(VarId, usize, usize)> = Vec::new();
@@ -208,15 +209,15 @@ pub fn sweep(proc: &mut Procedure) -> usize {
                 } => {
                     then_blk.is_empty()
                         && else_blk.is_empty()
-                        && !proc.exprs.has_volatile_load(*cond)
+                        && !proc.exprs.any(*cond, Expr::is_volatile_load)
                 }
                 StmtKind::DoLoop {
                     body, lo, hi, step, ..
                 } => {
                     body.is_empty()
-                        && !proc.exprs.has_volatile_load(*lo)
-                        && !proc.exprs.has_volatile_load(*hi)
-                        && !proc.exprs.has_volatile_load(*step)
+                        && !proc.exprs.any(*lo, Expr::is_volatile_load)
+                        && !proc.exprs.any(*hi, Expr::is_volatile_load)
+                        && !proc.exprs.any(*step, Expr::is_volatile_load)
                 }
                 _ => false,
             };

@@ -9,7 +9,7 @@
 
 use titanc_analysis::{Liveness, ProcAnalyses};
 use titanc_il::visit::edit_blocks;
-use titanc_il::{LValue, Procedure, StmtId, StmtKind, Storage, VarId};
+use titanc_il::{Expr, LValue, Procedure, StmtId, StmtKind, Storage, VarId};
 
 const MAX_ROUNDS: usize = 32;
 
@@ -72,7 +72,7 @@ fn kill_dead_stores(live: &Liveness, proc: &mut Procedure, removed: &mut usize) 
             rhs,
         } = kind
         {
-            if !proc.exprs.has_volatile_load(*rhs) && !live.live_after(s, *v) {
+            if !proc.exprs.any(*rhs, Expr::is_volatile_load) && !live.live_after(s, *v) {
                 dead.push(s);
             }
         }
@@ -99,7 +99,7 @@ fn eliminate_faint(proc: &mut Procedure) -> usize {
         StmtKind::Assign {
             lhs: LValue::Var(v),
             rhs,
-        } if register_candidate(proc, *v) && !proc.exprs.has_volatile_load(*rhs) => {
+        } if register_candidate(proc, *v) && !proc.exprs.any(*rhs, Expr::is_volatile_load) => {
             contributes.push((*v, proc.exprs.vars_read(*rhs)));
         }
         StmtKind::DoLoop { var, .. } | StmtKind::DoParallel { var, .. } => {
@@ -147,7 +147,7 @@ fn eliminate_faint(proc: &mut Procedure) -> usize {
         {
             if register_candidate(proc, *v)
                 && !needed.contains(v)
-                && !proc.exprs.has_volatile_load(*rhs)
+                && !proc.exprs.any(*rhs, Expr::is_volatile_load)
             {
                 dead.push(s);
             }
@@ -188,15 +188,15 @@ fn sweep(proc: &mut Procedure) -> usize {
                 } => {
                     then_blk.is_empty()
                         && else_blk.is_empty()
-                        && !proc.exprs.has_volatile_load(*cond)
+                        && !proc.exprs.any(*cond, Expr::is_volatile_load)
                 }
                 StmtKind::DoLoop {
                     body, lo, hi, step, ..
                 } => {
                     body.is_empty()
-                        && !proc.exprs.has_volatile_load(*lo)
-                        && !proc.exprs.has_volatile_load(*hi)
-                        && !proc.exprs.has_volatile_load(*step)
+                        && !proc.exprs.any(*lo, Expr::is_volatile_load)
+                        && !proc.exprs.any(*hi, Expr::is_volatile_load)
+                        && !proc.exprs.any(*step, Expr::is_volatile_load)
                 }
                 _ => false,
             };

@@ -41,10 +41,12 @@
 //! no-shared-slots invariant; the replaced `Var` nodes become arena
 //! garbage swept at the next compaction point.
 
-use crate::util::{count_reads, register_candidate, replace_reads_with};
+use crate::util::{count_reads, replace_reads_with};
 use std::collections::HashMap;
 use titanc_il::visit::walk_block;
-use titanc_il::{ExprId, ExprPool, LValue, Procedure, StmtId, StmtKind, StmtPool, VarId};
+use titanc_il::{
+    Expr, ExprId, ExprPool, LValue, Procedure, StmtId, StmtKind, StmtPool, VarId, VarInfo,
+};
 
 /// Substitution statistics.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -69,8 +71,10 @@ const MAX_FORWARDED_SIZE: usize = 24;
 
 /// Runs forward substitution over every block of the procedure.
 pub fn forward_substitute(proc: &mut Procedure) -> ForwardReport {
-    let candidate: Vec<bool> = (0..proc.vars.len())
-        .map(|i| register_candidate(proc, VarId::from_index(i)))
+    let candidate: Vec<bool> = proc
+        .vars
+        .iter()
+        .map(VarInfo::is_register_candidate)
         .collect();
     let mut sweep = Sweep {
         stmts: &proc.stmts,
@@ -155,7 +159,7 @@ impl AvailSet {
 struct Sweep<'a> {
     stmts: &'a StmtPool,
     exprs: &'a mut ExprPool,
-    /// [`register_candidate`], by `VarId` index.
+    /// [`VarInfo::is_register_candidate`], by `VarId` index.
     candidate: Vec<bool>,
     /// Every variable defined by a statement visited so far, in visit
     /// order: the definitions inside a nested block are the tail pushed
@@ -266,9 +270,9 @@ impl Sweep<'_> {
     fn forwardable(&self, x: VarId, rhs: ExprId) -> Option<Avail> {
         let exprs = &*self.exprs;
         if !self.candidate[x.index()]
-            || exprs.has_volatile_load(rhs)
-            || exprs.has_section(rhs)
-            || exprs.reads_var(rhs, x) // x = f(x): nothing to forward
+            || exprs.any(rhs, Expr::is_volatile_load)
+            || exprs.any(rhs, |n| matches!(n, Expr::Section { .. }))
+            || exprs.any(rhs, |n| *n == Expr::Var(x)) // x = f(x): nothing to forward
             || exprs.size(rhs) > MAX_FORWARDED_SIZE
         {
             return None;
@@ -276,7 +280,7 @@ impl Sweep<'_> {
         Some(Avail {
             rhs,
             deps: exprs.vars_read(rhs),
-            has_loads: exprs.has_load(rhs),
+            has_loads: exprs.any(rhs, |n| matches!(n, Expr::Load { .. })),
         })
     }
 }

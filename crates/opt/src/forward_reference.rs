@@ -8,7 +8,9 @@
 //! `crates/bench/tests/scalar_differential.rs` — and depends on nothing
 //! but `titanc_il`, so a change to the pass's helpers cannot move it.
 
-use titanc_il::{ExprId, ExprPool, LValue, Procedure, StmtId, StmtKind, StmtPool, Storage, VarId};
+use titanc_il::{
+    Expr, ExprId, ExprPool, LValue, Procedure, StmtId, StmtKind, StmtPool, Storage, VarId,
+};
 
 /// Runs the reference substitution; returns the reads replaced.
 pub fn forward_substitute(proc: &mut Procedure) -> usize {
@@ -76,10 +78,12 @@ fn run_block(proc: &mut Procedure, input: &Procedure, block: &[StmtId], substitu
         if !register_candidate(proc, x) {
             continue;
         }
-        if proc.exprs.has_volatile_load(rhs) || proc.exprs.has_section(rhs) {
+        if proc.exprs.any(rhs, Expr::is_volatile_load)
+            || proc.exprs.any(rhs, |n| matches!(n, Expr::Section { .. }))
+        {
             continue;
         }
-        if proc.exprs.reads_var(rhs, x) {
+        if proc.exprs.any(rhs, |n| *n == Expr::Var(x)) {
             continue; // x = f(x): nothing to forward
         }
         // avoid exponential growth: cap the substituted expression size
@@ -87,7 +91,7 @@ fn run_block(proc: &mut Procedure, input: &Procedure, block: &[StmtId], substitu
             continue;
         }
         let deps: Vec<VarId> = proc.exprs.vars_read(rhs);
-        let has_loads = proc.exprs.has_load(rhs);
+        let has_loads = proc.exprs.any(rhs, |n| matches!(n, Expr::Load { .. }));
         // the window: block[i + 1..end]
         let mut end = i + 1;
         while end < len {
@@ -156,7 +160,9 @@ fn run_block(proc: &mut Procedure, input: &Procedure, block: &[StmtId], substitu
 /// Whether the statement tree at `s` reads `x`.
 fn reads(proc: &Procedure, s: StmtId, x: VarId) -> bool {
     let kind = &proc.stmts[s];
-    kind.exprs().into_iter().any(|e| proc.exprs.reads_var(e, x))
+    kind.exprs()
+        .into_iter()
+        .any(|e| proc.exprs.any(e, |n| *n == Expr::Var(x)))
         || kind
             .blocks()
             .iter()

@@ -21,7 +21,7 @@
 //! tree is built from *deep copies*; the per-occurrence copies made by
 //! [`titanc_il::ExprPool::substitute_var`] keep replacement sites disjoint.
 
-use crate::util::{invariant_in, register_candidate, replace_reads, resolve_copy};
+use crate::util::{invariant_in, replace_reads, resolve_copy};
 use titanc_il::visit::{edit_tree, Order};
 use titanc_il::{
     BinOp, Block, Expr, ExprId, ExprPool, LValue, Procedure, ScalarType, StmtId, StmtKind,
@@ -209,7 +209,7 @@ fn find_candidates(proc: &Procedure, shape: &LoopShape, body: &[StmtId]) -> Vec<
             Some(v) => v,
             None => continue,
         };
-        if v == shape.lv || !register_candidate(proc, v) {
+        if v == shape.lv || !proc.var(v).is_register_candidate() {
             continue;
         }
         // single def across the whole body
@@ -245,10 +245,8 @@ fn find_candidates(proc: &Procedure, shape: &LoopShape, body: &[StmtId]) -> Vec<
         let inner = match inc {
             IncPlan::Pos(e) | IncPlan::Neg(e) => e,
         };
-        if proc.exprs.reads_var(inner, shape.lv)
-            || proc.exprs.reads_var(inner, v)
-            || !invariant_in(proc, body, inner)
-        {
+        let reads_either = |n: &Expr| matches!(*n, Expr::Var(w) if w == shape.lv || w == v);
+        if proc.exprs.any(inner, reads_either) || !invariant_in(proc, body, inner) {
             continue;
         }
         out.push(Candidate {

@@ -3,20 +3,6 @@
 
 use titanc_il::{Expr, ExprId, ExprPool, Procedure, StmtId, StmtKind, StmtPool, VarId};
 
-/// True when `v` is a register candidate: scalar, never addressed, not
-/// volatile, not static/global. Only these participate in chain-driven
-/// rewrites (§1 item 7 conservatism).
-pub fn register_candidate(proc: &Procedure, v: VarId) -> bool {
-    let info = proc.var(v);
-    info.ty.scalar().is_some()
-        && !info.addressed
-        && !info.volatile
-        && matches!(
-            info.storage,
-            titanc_il::Storage::Auto | titanc_il::Storage::Param | titanc_il::Storage::Temp
-        )
-}
-
 /// True when some statement in `block` (recursively) defines `v`.
 pub fn defined_in(pool: &StmtPool, block: &[StmtId], v: VarId) -> bool {
     block.iter().any(|&s| {
@@ -28,13 +14,14 @@ pub fn defined_in(pool: &StmtPool, block: &[StmtId], v: VarId) -> bool {
 /// and every variable it reads is a register candidate with no definition
 /// inside `body`.
 pub fn invariant_in(proc: &Procedure, body: &[StmtId], e: ExprId) -> bool {
-    if proc.exprs.has_load(e) || proc.exprs.has_section(e) {
+    let reads_memory = |n: &Expr| matches!(n, Expr::Load { .. } | Expr::Section { .. });
+    if proc.exprs.any(e, reads_memory) {
         return false;
     }
     proc.exprs
         .vars_read(e)
         .iter()
-        .all(|&v| register_candidate(proc, v) && !defined_in(&proc.stmts, body, v))
+        .all(|&v| proc.var(v).is_register_candidate() && !defined_in(&proc.stmts, body, v))
 }
 
 /// Resolves `w` backwards through top-level copies to an "origin" variable,
@@ -42,7 +29,7 @@ pub fn invariant_in(proc: &Procedure, body: &[StmtId], e: ExprId) -> bool {
 /// the search to `u` provided neither `w` nor `u` is redefined in between.
 /// Returns the origin (possibly `w` itself).
 pub fn resolve_copy(proc: &Procedure, body: &[StmtId], pos: usize, w: VarId) -> VarId {
-    if !register_candidate(proc, w) {
+    if !proc.var(w).is_register_candidate() {
         return w;
     }
     let pool = &proc.stmts;
@@ -59,7 +46,7 @@ pub fn resolve_copy(proc: &Procedure, body: &[StmtId], pos: usize, w: VarId) -> 
             if pool[s].defined_var() == Some(target) {
                 if let StmtKind::Assign { rhs, .. } = &pool[s] {
                     if let Expr::Var(u) = proc.exprs[*rhs] {
-                        if u != target && register_candidate(proc, u) {
+                        if u != target && proc.var(u).is_register_candidate() {
                             // ensure u not redefined between i+1..pos
                             let redefined = body[i + 1..pos].iter().any(|&t| {
                                 pool[t].defined_var() == Some(u)
@@ -220,22 +207,6 @@ mod tests {
         b.assign_var(x, add);
         let p = b.finish();
         assert_eq!(count_reads_block(&p.stmts, &p.exprs, &p.body, x), 2);
-    }
-
-    #[test]
-    fn addressed_is_not_candidate() {
-        let mut b = ProcBuilder::new("t", Type::Void);
-        let x = b.local("x", Type::Int);
-        let a = b.local("arr", Type::array_of(Type::Int, 4));
-        let v = b.volatile_local("vol", Type::Int);
-        let p = {
-            let mut p = b.finish();
-            p.var_mut(x).addressed = true;
-            p
-        };
-        assert!(!register_candidate(&p, x));
-        assert!(!register_candidate(&p, a));
-        assert!(!register_candidate(&p, v));
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //! header takes *deep copies* — sharing the slots would let a later body
 //! rewrite silently change the header.
 
-use crate::util::{defined_in, invariant_in, register_candidate, resolve_copy};
+use crate::util::{defined_in, invariant_in, resolve_copy};
 use titanc_analysis::{loops, Cfg, ProcAnalyses};
 use titanc_il::visit::{edit_tree, Order};
 use titanc_il::{
@@ -136,7 +136,7 @@ fn analyze(proc: &Procedure, cfg: &Cfg, w: StmtId) -> Result<Plan, Reject> {
         StmtKind::While { cond, body, safe } => (*cond, body.clone(), *safe),
         _ => unreachable!("analyze called on non-while"),
     };
-    if proc.exprs.has_volatile_load(cond) {
+    if proc.exprs.any(cond, Expr::is_volatile_load) {
         return Err(Reject::VolatileCond);
     }
     if loops::has_return(&proc.stmts, w) {
@@ -151,7 +151,7 @@ fn analyze(proc: &Procedure, cfg: &Cfg, w: StmtId) -> Result<Plan, Reject> {
 
     // Parse the condition into (iv, relation, bound).
     let (iv, rel, bound) = parse_condition(proc, &body, cond)?;
-    if !register_candidate(proc, iv) {
+    if !proc.var(iv).is_register_candidate() {
         return Err(Reject::NotCandidate);
     }
     if let Some(b) = bound {

@@ -26,8 +26,8 @@
 //! per element.
 
 use crate::machine::{
-    binop_charge, cast_charge, collect_sections, count_vector_ops, unop_charge, var_is_memory,
-    Charge, Intrinsic, Unit,
+    binop_charge, cast_charge, collect_sections, count_vector_ops, unop_charge, Charge, Intrinsic,
+    Unit,
 };
 use titanc_il::fold::{normalize, Value};
 use titanc_il::{
@@ -355,7 +355,11 @@ fn lower_proc(prog: &Program, proc: &Procedure) -> BcProc {
     let mut lw = Lowerer {
         prog,
         proc,
-        mem_var: proc.vars.iter().map(var_is_memory).collect(),
+        mem_var: proc
+            .vars
+            .iter()
+            .map(|v| !v.is_register_candidate())
+            .collect(),
         code: Vec::new(),
         pending_steps: 0,
         consts: Vec::new(),
@@ -530,7 +534,11 @@ impl<'a> Lowerer<'a> {
                 }
             }
             StmtKind::Assign { lhs, rhs } => {
-                if matches!(lhs, LValue::Section { .. }) || self.exprs().has_section(*rhs) {
+                if matches!(lhs, LValue::Section { .. })
+                    || self
+                        .exprs()
+                        .any(*rhs, |n| matches!(n, Expr::Section { .. }))
+                {
                     self.lower_vector_assign(lhs, *rhs);
                 } else {
                     match *lhs {
@@ -1055,7 +1063,9 @@ impl<'a> Lowerer<'a> {
         // unread by a zero-length kernel).
         let mut leaves = Vec::new();
         collect_scalar_leaves(exprs, rhs, &mut leaves);
-        let per_element = leaves.iter().any(|&le| exprs.has_volatile_load(le));
+        let per_element = leaves
+            .iter()
+            .any(|&le| exprs.any(le, Expr::is_volatile_load));
         let mut leaf_ops = Vec::with_capacity(leaves.len());
         let mut counter = None;
         if per_element {

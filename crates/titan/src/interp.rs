@@ -128,7 +128,9 @@ impl<'p> Simulator<'p> {
         match &proc.stmts[s] {
             StmtKind::Nop | StmtKind::Label(_) => Ok(Flow::Normal),
             StmtKind::Assign { lhs, rhs } => {
-                if matches!(lhs, LValue::Section { .. }) || proc.exprs.has_section(*rhs) {
+                if matches!(lhs, LValue::Section { .. })
+                    || proc.exprs.any(*rhs, |n| matches!(n, Expr::Section { .. }))
+                {
                     self.exec_vector_assign(frame, lhs, *rhs)?;
                     return Ok(Flow::Normal);
                 }

@@ -349,19 +349,6 @@ const GLOBAL_BASE: u32 = 0x1000;
 const STACK_BASE: u32 = 0x40_0000;
 const MAX_CALL_DEPTH: u32 = 512;
 
-/// True when a variable must live in simulated memory rather than a
-/// register: its address is taken, it is an aggregate, it is volatile, or
-/// it has static/global storage. Both engines and the bytecode lowerer
-/// must agree on this predicate, so it lives in one place.
-pub(crate) fn var_is_memory(info: &VarInfo) -> bool {
-    match info.storage {
-        Storage::Global | Storage::Static => true,
-        Storage::Auto | Storage::Param | Storage::Temp => {
-            info.addressed || info.ty.scalar().is_none() || info.volatile
-        }
-    }
-}
-
 /// Where one variable of a procedure lives.
 #[derive(Clone, Copy, Debug)]
 enum Home {
@@ -612,7 +599,7 @@ impl<'p> Simulator<'p> {
                     };
                     Home::Fixed(addr)
                 }
-                Storage::Auto | Storage::Param | Storage::Temp if var_is_memory(info) => {
+                Storage::Auto | Storage::Param | Storage::Temp if !info.is_register_candidate() => {
                     let size = self.prog.type_size(&info.ty).max(1) as u32;
                     let off = align_up(stack_bytes, 8);
                     stack_bytes = off.saturating_add(size);
@@ -926,11 +913,15 @@ pub(crate) fn collect_sections(pool: &ExprPool, e: ExprId, out: &mut Vec<ExprId>
 pub(crate) fn count_vector_ops(pool: &ExprPool, e: ExprId) -> u64 {
     match pool[e] {
         Expr::Binary { lhs, rhs, .. } => {
-            let mine = u64::from(pool.has_section(lhs) || pool.has_section(rhs));
+            let mine = u64::from(
+                pool.any(lhs, |n| matches!(n, Expr::Section { .. }))
+                    || pool.any(rhs, |n| matches!(n, Expr::Section { .. })),
+            );
             mine + count_vector_ops(pool, lhs) + count_vector_ops(pool, rhs)
         }
         Expr::Unary { arg, .. } | Expr::Cast { arg, .. } => {
-            u64::from(pool.has_section(arg)) + count_vector_ops(pool, arg)
+            u64::from(pool.any(arg, |n| matches!(n, Expr::Section { .. })))
+                + count_vector_ops(pool, arg)
         }
         _ => 0,
     }

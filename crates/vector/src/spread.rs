@@ -18,7 +18,7 @@ use titanc_il::visit::{edit_tree, Order};
 use titanc_il::{
     Expr, ExprId, LoopDecision, LoopEvent, Procedure, ScalarType, StmtId, StmtKind, VarId,
 };
-use titanc_opt::util::{count_reads_block, register_candidate, resolve_copy};
+use titanc_opt::util::{count_reads_block, resolve_copy};
 
 /// Which loops were spread.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -84,7 +84,7 @@ fn analyze(proc: &Procedure, cond: ExprId, body: &[StmtId]) -> Option<Plan> {
         },
         _ => return None,
     };
-    if !register_candidate(proc, p) || proc.var_scalar(p) != ScalarType::Ptr {
+    if !proc.var(p).is_register_candidate() || proc.var_scalar(p) != ScalarType::Ptr {
         return None;
     }
     // the body must be straight-line assignments/ifs (no calls, gotos,
@@ -140,7 +140,7 @@ fn analyze(proc: &Procedure, cond: ExprId, body: &[StmtId]) -> Option<Plan> {
         .collect();
     for i in (0..def_pos).rev() {
         if let Some(v) = proc.stmts[body[i]].defined_var() {
-            if needed.contains(&v) && register_candidate(proc, v) {
+            if needed.contains(&v) && proc.var(v).is_register_candidate() {
                 serial.push(i);
                 needed.extend(
                     proc.stmts[body[i]]
@@ -161,17 +161,17 @@ fn analyze(proc: &Procedure, cond: ExprId, body: &[StmtId]) -> Option<Plan> {
             continue;
         }
         if let Some(v) = proc.stmts[s].defined_var() {
-            if v == p || !register_candidate(proc, v) {
+            if v == p || !proc.var(v).is_register_candidate() {
                 continue;
             }
-            if proc.exprs.reads_var(cond, v) {
+            if proc.exprs.any(cond, |n| *n == Expr::Var(v)) {
                 return None;
             }
             if serial.iter().any(|&j| {
                 proc.stmts[body[j]]
                     .exprs()
                     .iter()
-                    .any(|e| proc.exprs.reads_var(e, v))
+                    .any(|e| proc.exprs.any(e, |n| *n == Expr::Var(v)))
             }) {
                 return None;
             }

@@ -319,8 +319,8 @@ fn hoist_invariants(proc: &Procedure, l: &mut Loop, pre: &mut Block, report: &mu
                 lhs: LValue::Var(v),
                 rhs,
             } => {
-                titanc_opt::util::register_candidate(proc, *v)
-                    && !proc.exprs.reads_var(*rhs, lv)
+                proc.var(*v).is_register_candidate()
+                    && !proc.exprs.any(*rhs, |n| *n == Expr::Var(lv))
                     && invariant_in(proc, body, *rhs)
                     && body
                         .iter()

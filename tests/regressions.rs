@@ -428,3 +428,19 @@ int main(void)
     let sizes: Vec<i64> = seen.globals[0].1.iter().map(|v| v.as_int()).collect();
     assert_eq!(sizes, [8, 12, 1, 8, 40, 4, 4, 4, 0]);
 }
+
+/// Procedures compared their constants with `f64 ==`, so one holding a
+/// NaN constant was unequal to itself: a debug build's check that a pass
+/// which changed the IL moved its generation fired on `vectorize`, which
+/// had changed nothing (`constprop` folds `z / z` to a NaN constant).
+#[test]
+fn a_nan_constant_equals_itself() {
+    let src = "float g; int main(void){float z; z = 0.0f; g = z / z; print_float(g); return 0;}";
+    for options in [Options::o2(), Options::parallel()] {
+        let c = compile(src, &options).expect("compiles");
+        let globals = [("g", ScalarType::Float, 1)];
+        let (seen, _) =
+            observe(&c.program, MachineConfig::optimized(2), "main", &globals).expect("runs");
+        assert!(seen.globals[0].1[0].as_float().is_nan());
+    }
+}
