@@ -266,9 +266,7 @@ pub fn il_text(c: &Compilation) -> String {
 
 /// A compilation's `--opt-report=json`, the second identity unit.
 pub fn report_json(c: &Compilation) -> String {
-    OptReport::build_for(&c.reports, &c.trace, &c.program.files)
-        .to_json()
-        .to_string_compact()
+    OptReport::build_for(&c.reports, &c.trace, &c.program.files).render_json()
 }
 
 /// Every flag set that reaches a distinct statement form: scalar-only,

@@ -14,8 +14,12 @@
 //! `short`/`long`/`unsigned` accepted as `int`), pointers, multi-dimensional
 //! arrays, structs (including arrays embedded in structs, the §10 Doré
 //! lesson), prototypes, `static`/`extern`/`register`, `volatile`/`const`,
-//! all of C89's statements except `switch`, and the full expression grammar
-//! minus function pointers.
+//! all of C89's statements (`case` labels only directly in a `switch`
+//! body), and the full expression grammar minus function pointers.
+//!
+//! The parser is one forward, clone-free pass over the token vector, with
+//! C's ten binary precedence levels parsed by precedence climbing
+//! ([`parser`] has the details).
 //!
 //! ## Example
 //!

@@ -1,5 +1,12 @@
 //! Recursive-descent parser for the C subset.
 //!
+//! One forward pass over the token vector: `Parser::bump` moves each
+//! token out (an identifier's `String` goes into the AST uncopied), and
+//! look-ahead reads only tokens not yet consumed. Statements and unary
+//! and postfix operators dispatch on a borrowed token. The ten binary
+//! precedence levels are one precedence-climbing loop,
+//! `Parser::binary`: an operand costs one call, not one per level.
+//!
 //! Because the front end supports no `typedef`, the classic
 //! declaration/expression ambiguity disappears: a parenthesis opens a cast
 //! exactly when the next token is a type keyword or `struct`. Declarators
@@ -87,8 +94,9 @@ impl Parser {
         }
     }
 
+    // `pos` never passes the final `Eof`, and it only moves forward
     fn peek(&self) -> &Tok {
-        &self.toks[self.pos.min(self.toks.len() - 1)].tok
+        &self.toks[self.pos].tok
     }
 
     fn peek2(&self) -> &Tok {
@@ -96,11 +104,13 @@ impl Parser {
     }
 
     fn span(&self) -> Span {
-        self.toks[self.pos.min(self.toks.len() - 1)].span
+        self.toks[self.pos].span
     }
 
+    /// Consumes the current token by moving it out (its slot keeps only
+    /// `Eof`): the parser never backtracks, so nothing reads it again.
     fn bump(&mut self) -> Tok {
-        let t = self.toks[self.pos.min(self.toks.len() - 1)].tok.clone();
+        let t = std::mem::replace(&mut self.toks[self.pos].tok, Tok::Eof);
         if self.pos < self.toks.len() - 1 {
             self.pos += 1;
         }
@@ -264,19 +274,7 @@ impl Parser {
         &mut self,
         base: QualType,
     ) -> Result<(String, QualType, Option<Vec<Param>>), Diagnostic> {
-        let mut ty = base;
-        while self.eat_punct(Punct::Star) {
-            let mut volatile = false;
-            while matches!(self.peek(), Tok::Kw(Kw::Volatile | Kw::Const)) {
-                if self.eat_kw(Kw::Volatile) {
-                    volatile = true;
-                } else {
-                    self.bump();
-                }
-            }
-            ty = ty.ptr();
-            ty.volatile = volatile;
-        }
+        let mut ty = self.pointers(base);
         let name = self.ident()?;
         if self.eat_punct(Punct::LParen) {
             let params = self.param_list()?;
@@ -316,19 +314,7 @@ impl Parser {
         }
         loop {
             let (_storage, base) = self.decl_specifiers()?;
-            let mut ty = base;
-            while self.eat_punct(Punct::Star) {
-                let mut volatile = false;
-                while matches!(self.peek(), Tok::Kw(Kw::Volatile | Kw::Const)) {
-                    if self.eat_kw(Kw::Volatile) {
-                        volatile = true;
-                    } else {
-                        self.bump();
-                    }
-                }
-                ty = ty.ptr();
-                ty.volatile = volatile;
-            }
+            let mut ty = self.pointers(base);
             let name = match self.peek() {
                 Tok::Ident(_) => Some(self.ident()?),
                 _ => None,
@@ -358,7 +344,12 @@ impl Parser {
     /// Parses an abstract type name (for casts and `sizeof`).
     fn type_name(&mut self) -> Result<QualType, Diagnostic> {
         let (_s, base) = self.decl_specifiers()?;
-        let mut ty = base;
+        Ok(self.pointers(base))
+    }
+
+    /// Wraps `ty` in one pointer per `*`, each qualified by the
+    /// `volatile`/`const` after it (only `volatile` is kept).
+    fn pointers(&mut self, mut ty: QualType) -> QualType {
         while self.eat_punct(Punct::Star) {
             let mut volatile = false;
             while matches!(self.peek(), Tok::Kw(Kw::Volatile | Kw::Const)) {
@@ -371,7 +362,7 @@ impl Parser {
             ty = ty.ptr();
             ty.volatile = volatile;
         }
-        Ok(ty)
+        ty
     }
 
     // ---- top level ----
@@ -466,8 +457,6 @@ impl Parser {
     }
 
     fn item(&mut self, items: &mut Vec<Item>) -> Result<(), Diagnostic> {
-        let span = self.span();
-        let _ = span;
         // enum definition? `enum [Tag] { A, B = 5, C };`
         if *self.peek() == Tok::Kw(Kw::Enum) {
             let brace_at = if matches!(self.peek2(), Tok::Ident(_)) {
@@ -619,7 +608,7 @@ impl Parser {
             let inner = self.stmt()?;
             return Ok(Stmt::Label(name, Box::new(inner)));
         }
-        match self.peek().clone() {
+        match self.peek() {
             Tok::PragmaSafe => {
                 self.bump();
                 Ok(Stmt::PragmaSafe)
@@ -849,12 +838,13 @@ impl Parser {
         }
     }
 
-    fn binop_at(&self, level: u8) -> Option<CBinOp> {
-        let p = match self.peek() {
-            Tok::Punct(p) => *p,
-            _ => return None,
+    /// The binary operator at the cursor with its precedence, from 0
+    /// (`||`) to 9 (`*` `/` `%`).
+    fn binop(&self) -> Option<(CBinOp, u8)> {
+        let Tok::Punct(p) = self.peek() else {
+            return None;
         };
-        let (op, l) = match p {
+        Some(match p {
             Punct::PipePipe => (CBinOp::LogOr, 0),
             Punct::AmpAmp => (CBinOp::LogAnd, 1),
             Punct::Pipe => (CBinOp::BitOr, 2),
@@ -874,19 +864,19 @@ impl Parser {
             Punct::Slash => (CBinOp::Div, 9),
             Punct::Percent => (CBinOp::Rem, 9),
             _ => return None,
-        };
-        (l == level).then_some(op)
+        })
     }
 
-    fn binary(&mut self, level: u8) -> Result<Expr, Diagnostic> {
-        if level > 9 {
-            return self.unary();
-        }
+    /// Precedence climbing: one operand, then every binary operator of
+    /// precedence `min` or tighter. A right operand takes only strictly
+    /// tighter operators, so equal precedence folds left. Every node is
+    /// spanned at its leftmost operand.
+    fn binary(&mut self, min: u8) -> Result<Expr, Diagnostic> {
         let span = self.span();
-        let mut lhs = self.binary(level + 1)?;
-        while let Some(op) = self.binop_at(level) {
+        let mut lhs = self.unary()?;
+        while let Some((op, prec)) = self.binop().filter(|&(_, prec)| prec >= min) {
             self.bump();
-            let rhs = self.binary(level + 1)?;
+            let rhs = self.binary(prec + 1)?;
             lhs = Expr::new(ExprKind::Binary(op, Box::new(lhs), Box::new(rhs)), span);
         }
         Ok(lhs)
@@ -894,87 +884,36 @@ impl Parser {
 
     fn unary(&mut self) -> Result<Expr, Diagnostic> {
         let span = self.span();
-        match self.peek().clone() {
-            Tok::Punct(Punct::PlusPlus) => {
+        let op = match self.peek() {
+            Tok::Punct(p @ (Punct::PlusPlus | Punct::MinusMinus)) => {
+                let inc = *p == Punct::PlusPlus;
                 self.bump();
-                let arg = self.unary()?;
-                Ok(Expr::new(
-                    ExprKind::IncDec {
-                        inc: true,
-                        prefix: true,
-                        arg: Box::new(arg),
-                    },
-                    span,
-                ))
+                let arg = Box::new(self.unary()?);
+                let prefix = true;
+                return Ok(Expr::new(ExprKind::IncDec { inc, prefix, arg }, span));
             }
-            Tok::Punct(Punct::MinusMinus) => {
-                self.bump();
-                let arg = self.unary()?;
-                Ok(Expr::new(
-                    ExprKind::IncDec {
-                        inc: false,
-                        prefix: true,
-                        arg: Box::new(arg),
-                    },
-                    span,
-                ))
-            }
-            Tok::Punct(Punct::Minus) => {
-                self.bump();
-                Ok(Expr::new(
-                    ExprKind::Unary(CUnOp::Neg, Box::new(self.cast_expr()?)),
-                    span,
-                ))
-            }
-            Tok::Punct(Punct::Plus) => {
-                self.bump();
-                Ok(Expr::new(
-                    ExprKind::Unary(CUnOp::Plus, Box::new(self.cast_expr()?)),
-                    span,
-                ))
-            }
-            Tok::Punct(Punct::Bang) => {
-                self.bump();
-                Ok(Expr::new(
-                    ExprKind::Unary(CUnOp::Not, Box::new(self.cast_expr()?)),
-                    span,
-                ))
-            }
-            Tok::Punct(Punct::Tilde) => {
-                self.bump();
-                Ok(Expr::new(
-                    ExprKind::Unary(CUnOp::BitNot, Box::new(self.cast_expr()?)),
-                    span,
-                ))
-            }
-            Tok::Punct(Punct::Star) => {
-                self.bump();
-                Ok(Expr::new(
-                    ExprKind::Unary(CUnOp::Deref, Box::new(self.cast_expr()?)),
-                    span,
-                ))
-            }
-            Tok::Punct(Punct::Amp) => {
-                self.bump();
-                Ok(Expr::new(
-                    ExprKind::Unary(CUnOp::AddrOf, Box::new(self.cast_expr()?)),
-                    span,
-                ))
-            }
+            Tok::Punct(Punct::Minus) => CUnOp::Neg,
+            Tok::Punct(Punct::Plus) => CUnOp::Plus,
+            Tok::Punct(Punct::Bang) => CUnOp::Not,
+            Tok::Punct(Punct::Tilde) => CUnOp::BitNot,
+            Tok::Punct(Punct::Star) => CUnOp::Deref,
+            Tok::Punct(Punct::Amp) => CUnOp::AddrOf,
             Tok::Kw(Kw::Sizeof) => {
                 self.bump();
                 if *self.peek() == Tok::Punct(Punct::LParen) && self.type_follows_paren() {
                     self.bump();
                     let ty = self.type_name()?;
                     self.expect_punct(Punct::RParen)?;
-                    Ok(Expr::new(ExprKind::SizeofTy(ty), span))
-                } else {
-                    let e = self.unary()?;
-                    Ok(Expr::new(ExprKind::SizeofExpr(Box::new(e)), span))
+                    return Ok(Expr::new(ExprKind::SizeofTy(ty), span));
                 }
+                let e = self.unary()?;
+                return Ok(Expr::new(ExprKind::SizeofExpr(Box::new(e)), span));
             }
-            _ => self.cast_expr(),
-        }
+            _ => return self.cast_expr(),
+        };
+        self.bump();
+        let arg = Box::new(self.cast_expr()?);
+        Ok(Expr::new(ExprKind::Unary(op, arg), span))
     }
 
     fn type_follows_paren(&self) -> bool {
@@ -1003,7 +942,8 @@ impl Parser {
             self.bump();
             let ty = self.type_name()?;
             self.expect_punct(Punct::RParen)?;
-            let arg = self.cast_expr()?;
+            // C's cast operand is any unary expression: `(float)*p`, `(int)-x`
+            let arg = self.unary()?;
             return Ok(Expr::new(ExprKind::Cast(ty, Box::new(arg)), span));
         }
         self.postfix()
@@ -1013,58 +953,25 @@ impl Parser {
         let span = self.span();
         let mut e = self.primary()?;
         loop {
-            match self.peek().clone() {
+            match self.peek() {
                 Tok::Punct(Punct::LBracket) => {
                     self.bump();
                     let idx = self.expr()?;
                     self.expect_punct(Punct::RBracket)?;
                     e = Expr::new(ExprKind::Index(Box::new(e), Box::new(idx)), span);
                 }
-                Tok::Punct(Punct::Dot) => {
+                Tok::Punct(p @ (Punct::Dot | Punct::Arrow)) => {
+                    let arrow = *p == Punct::Arrow;
                     self.bump();
                     let field = self.ident()?;
-                    e = Expr::new(
-                        ExprKind::Member {
-                            base: Box::new(e),
-                            field,
-                            arrow: false,
-                        },
-                        span,
-                    );
+                    let base = Box::new(e);
+                    e = Expr::new(ExprKind::Member { base, field, arrow }, span);
                 }
-                Tok::Punct(Punct::Arrow) => {
+                Tok::Punct(p @ (Punct::PlusPlus | Punct::MinusMinus)) => {
+                    let inc = *p == Punct::PlusPlus;
                     self.bump();
-                    let field = self.ident()?;
-                    e = Expr::new(
-                        ExprKind::Member {
-                            base: Box::new(e),
-                            field,
-                            arrow: true,
-                        },
-                        span,
-                    );
-                }
-                Tok::Punct(Punct::PlusPlus) => {
-                    self.bump();
-                    e = Expr::new(
-                        ExprKind::IncDec {
-                            inc: true,
-                            prefix: false,
-                            arg: Box::new(e),
-                        },
-                        span,
-                    );
-                }
-                Tok::Punct(Punct::MinusMinus) => {
-                    self.bump();
-                    e = Expr::new(
-                        ExprKind::IncDec {
-                            inc: false,
-                            prefix: false,
-                            arg: Box::new(e),
-                        },
-                        span,
-                    );
+                    let (arg, prefix) = (Box::new(e), false);
+                    e = Expr::new(ExprKind::IncDec { inc, prefix, arg }, span);
                 }
                 _ => return Ok(e),
             }

@@ -410,7 +410,7 @@ fn stats_block(r: &Reports) -> String {
 pub fn opt_report_block(compiled: &Compilation, json: bool) -> String {
     let report = OptReport::build_for(&compiled.reports, &compiled.trace, &compiled.program.files);
     if json {
-        format!("{}\n", report.to_json().to_string_compact())
+        report.render_json() + "\n"
     } else {
         report.render()
     }

@@ -21,9 +21,11 @@
 //!   <https://ui.perfetto.dev>). Unlike the opt report, the timeline is
 //!   real timing data and varies run to run.
 
+use std::collections::hash_map::{Entry, HashMap};
 use std::collections::BTreeMap;
 use std::fmt;
 
+use titanc_il::json::JsonWriter;
 use titanc_il::{InlineEvent, InlineOutcome, Json, LoopDecision, LoopEvent, SrcSpan};
 
 use crate::pass::PassTrace;
@@ -86,16 +88,6 @@ impl Counters {
     /// A counter's value (0 when absent).
     pub fn get(&self, name: &str) -> u64 {
         self.values.get(name).copied().unwrap_or(0)
-    }
-
-    /// The counters as a JSON object, keys sorted.
-    pub fn to_json(&self) -> Json {
-        Json::Obj(
-            self.values
-                .iter()
-                .map(|(k, v)| (k.clone(), Json::Int(*v as i64)))
-                .collect(),
-        )
     }
 }
 
@@ -163,31 +155,30 @@ impl OptReport {
     /// preserves first-seen order.
     pub fn build_for(reports: &Reports, trace: &PassTrace, files: &[String]) -> OptReport {
         let mut loops: Vec<LoopReport> = Vec::new();
-        // (proc, span) -> index in `loops`; linear scan keeps first-seen
-        // order without hashing a float-free key type
-        let find = |loops: &[LoopReport], e: &LoopEvent| {
-            loops
-                .iter()
-                .position(|l| l.proc == e.proc && l.span == e.span)
-        };
+        // (proc, span) -> index in `loops`, which keeps first-seen order
+        let mut index: HashMap<(&str, SrcSpan), usize> = HashMap::new();
         for e in reports.loop_events() {
-            match find(&loops, e) {
-                Some(i) => {
-                    if loops[i].var.is_empty() && !e.var.is_empty() {
-                        loops[i].var = e.var.clone();
+            match index.entry((&e.proc, e.span)) {
+                Entry::Occupied(at) => {
+                    let l = &mut loops[*at.get()];
+                    if l.var.is_empty() && !e.var.is_empty() {
+                        l.var = e.var.clone();
                     }
-                    if !loops[i].events.contains(e) {
-                        loops[i].events.push(e.clone());
+                    if !l.events.contains(e) {
+                        l.events.push(e.clone());
                     }
                 }
-                None => loops.push(LoopReport {
-                    proc: e.proc.clone(),
-                    var: e.var.clone(),
-                    span: e.span,
-                    classification: "scalar",
-                    reason: None,
-                    events: vec![e.clone()],
-                }),
+                Entry::Vacant(at) => {
+                    at.insert(loops.len());
+                    loops.push(LoopReport {
+                        proc: e.proc.clone(),
+                        var: e.var.clone(),
+                        span: e.span,
+                        classification: "scalar",
+                        reason: None,
+                        events: vec![e.clone()],
+                    });
+                }
             }
         }
         for l in &mut loops {
@@ -276,65 +267,58 @@ impl OptReport {
         out
     }
 
-    /// The report as JSON (the `--opt-report=json` surface).
-    pub fn to_json(&self) -> Json {
-        let loops = self
-            .loops
-            .iter()
-            .map(|l| {
-                let mut fields = vec![
-                    ("proc", Json::Str(l.proc.clone())),
-                    ("var", Json::Str(l.var.clone())),
-                    ("line", Json::Int(i64::from(l.span.line))),
-                    ("col", Json::Int(i64::from(l.span.col))),
-                    ("classification", Json::Str(l.classification.to_string())),
-                ];
-                if let Some(file) = self.origin(&l.span) {
-                    fields.push(("file", Json::Str(file.to_string())));
-                }
-                if let Some(r) = &l.reason {
-                    fields.push(("reason", Json::Str(r.clone())));
-                }
-                fields.push((
-                    "events",
-                    Json::Arr(
-                        l.events
-                            .iter()
-                            .map(|e| {
-                                Json::obj(vec![
-                                    ("tag", Json::Str(e.decision.tag().to_string())),
-                                    ("detail", Json::Str(e.decision.to_string())),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ));
-                Json::obj(fields)
-            })
-            .collect();
-        let inline = self
-            .inline
-            .iter()
-            .map(|e| {
-                let mut fields = vec![
-                    ("caller", Json::Str(e.caller.clone())),
-                    ("callee", Json::Str(e.callee.clone())),
-                    ("line", Json::Int(i64::from(e.span.line))),
-                    ("col", Json::Int(i64::from(e.span.col))),
-                ];
-                if let Some(file) = self.origin(&e.span) {
-                    fields.push(("file", Json::Str(file.to_string())));
-                }
-                fields.push(("outcome", Json::Str(e.outcome.tag().to_string())));
-                fields.push(("detail", Json::Str(e.outcome.to_string())));
-                Json::obj(fields)
-            })
-            .collect();
-        Json::obj(vec![
-            ("loops", Json::Arr(loops)),
-            ("inline", Json::Arr(inline)),
-            ("counters", self.counters.to_json()),
-        ])
+    /// The report as one line of compact JSON (the `--opt-report=json`
+    /// surface), streamed from the report without building a tree.
+    pub fn render_json(&self) -> String {
+        let mut w = JsonWriter::default();
+        w.open('{');
+        w.key("loops").open('[');
+        for l in &self.loops {
+            w.open('{');
+            w.key("proc").str(&l.proc);
+            w.key("var").str(&l.var);
+            w.key("line").int(i64::from(l.span.line));
+            w.key("col").int(i64::from(l.span.col));
+            w.key("classification").str(l.classification);
+            if let Some(file) = self.origin(&l.span) {
+                w.key("file").str(file);
+            }
+            if let Some(r) = &l.reason {
+                w.key("reason").str(r);
+            }
+            w.key("events").open('[');
+            for e in &l.events {
+                w.open('{');
+                w.key("tag").str(e.decision.tag());
+                w.key("detail").display(&e.decision);
+                w.close('}');
+            }
+            w.close(']');
+            w.close('}');
+        }
+        w.close(']');
+        w.key("inline").open('[');
+        for e in &self.inline {
+            w.open('{');
+            w.key("caller").str(&e.caller);
+            w.key("callee").str(&e.callee);
+            w.key("line").int(i64::from(e.span.line));
+            w.key("col").int(i64::from(e.span.col));
+            if let Some(file) = self.origin(&e.span) {
+                w.key("file").str(file);
+            }
+            w.key("outcome").str(e.outcome.tag());
+            w.key("detail").display(&e.outcome);
+            w.close('}');
+        }
+        w.close(']');
+        w.key("counters").open('{');
+        for (k, v) in &self.counters.values {
+            w.key(k).int(*v as i64);
+        }
+        w.close('}');
+        w.close('}');
+        w.finish()
     }
 }
 
@@ -517,7 +501,7 @@ mod tests {
         assert_eq!(report.loops[1].reason.as_deref(), Some("dependence cycle"));
         let text = report.render();
         assert!(text.contains("loop on `i` at 3:1: vectorized"), "{text}");
-        let json = report.to_json().to_string_compact();
+        let json = report.render_json();
         titanc_il::json::parse(&json).expect("opt report json parses");
     }
 

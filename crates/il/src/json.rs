@@ -8,7 +8,7 @@
 //! Nothing is stored as JSON: every cache file and every §7 catalog is
 //! [`crate::wire`] bytes.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A parsed JSON document.
 #[derive(Clone, PartialEq, Debug)]
@@ -118,64 +118,148 @@ impl Json {
 
     /// Serializes compactly (no whitespace).
     pub fn to_string_compact(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out);
-        out
+        let mut w = JsonWriter::default();
+        self.write(&mut w);
+        w.finish()
     }
 
-    fn write(&self, out: &mut String) {
+    fn write(&self, w: &mut JsonWriter) {
         match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(true) => out.push_str("true"),
-            Json::Bool(false) => out.push_str("false"),
-            Json::Int(v) => out.push_str(&v.to_string()),
-            Json::Float(v) => {
-                // `{:?}` is the shortest representation that round-trips;
-                // non-finite values print as NaN/inf, which the parser
-                // accepts as an extension (strict JSON has no spelling).
-                out.push_str(&format!("{v:?}"));
-            }
-            Json::Str(s) => write_escaped(s, out),
+            Json::Null => w.raw("null"),
+            Json::Bool(true) => w.raw("true"),
+            Json::Bool(false) => w.raw("false"),
+            Json::Int(v) => w.int(*v),
+            // `{:?}` is the shortest representation that round-trips;
+            // non-finite values print as NaN/inf, which the parser
+            // accepts as an extension (strict JSON has no spelling)
+            Json::Float(v) => w.raw(format_args!("{v:?}")),
+            Json::Str(s) => w.str(s),
             Json::Arr(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    item.write(out);
-                }
-                out.push(']');
+                w.open('[');
+                items.iter().for_each(|item| item.write(w));
+                w.close(']');
             }
             Json::Obj(pairs) => {
-                out.push('{');
-                for (i, (k, v)) in pairs.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    write_escaped(k, out);
-                    out.push(':');
-                    v.write(out);
+                w.open('{');
+                for (k, v) in pairs {
+                    w.key(k);
+                    v.write(w);
                 }
-                out.push('}');
+                w.close('}');
             }
         }
     }
 }
 
+/// Compact JSON text, written as it is produced: the one emitter behind
+/// [`Json::to_string_compact`], and what a document with no use for a
+/// tree streams through. The writer places the commas; the caller opens,
+/// fills and closes containers in order.
+#[derive(Default)]
+pub struct JsonWriter {
+    out: String,
+    /// The next key or value follows a sibling, so it needs a `,`.
+    sibling: bool,
+}
+
+impl JsonWriter {
+    /// The text written so far.
+    pub fn finish(self) -> String {
+        self.out
+    }
+
+    /// Starts a value: the `,` a sibling needs, and the buffer.
+    fn value(&mut self) -> &mut String {
+        if self.sibling {
+            self.out.push(',');
+        }
+        self.sibling = true;
+        &mut self.out
+    }
+
+    /// Opens an array (`[`) or an object (`{`).
+    pub fn open(&mut self, bracket: char) {
+        self.value().push(bracket);
+        self.sibling = false;
+    }
+
+    /// Closes the innermost array (`]`) or object (`}`).
+    pub fn close(&mut self, bracket: char) {
+        self.out.push(bracket);
+        self.sibling = true;
+    }
+
+    /// An object key; the next call writes its value.
+    pub fn key(&mut self, key: &str) -> &mut JsonWriter {
+        write_escaped(key, self.value());
+        self.out.push(':');
+        self.sibling = false;
+        self
+    }
+
+    /// A string value.
+    pub fn str(&mut self, s: &str) {
+        write_escaped(s, self.value());
+    }
+
+    /// A string value: `v`'s `Display` text, escaped as it is formatted.
+    pub fn display(&mut self, v: impl fmt::Display) {
+        let out = self.value();
+        out.push('"');
+        let _ = write!(Escaping(out), "{v}");
+        out.push('"');
+    }
+
+    /// An integer value.
+    pub fn int(&mut self, v: i64) {
+        self.raw(v);
+    }
+
+    /// A value written as `v`'s `Display` text, unescaped.
+    fn raw(&mut self, v: impl fmt::Display) {
+        let _ = write!(self.value(), "{v}");
+    }
+}
+
+/// Escapes what is written through it into the body of a JSON string.
+struct Escaping<'a>(&'a mut String);
+
+impl fmt::Write for Escaping<'_> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        escape_into(s, self.0);
+        Ok(())
+    }
+}
+
 fn write_escaped(s: &str, out: &mut String) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+    escape_into(s, out);
+    out.push('"');
+}
+
+/// Appends `s` with JSON's escapes, each run of plain bytes as one slice.
+/// Every byte that needs an escape is ASCII, so a run always ends on a
+/// character boundary.
+fn escape_into(s: &str, out: &mut String) {
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if !(b == b'"' || b == b'\\' || b < 0x20) {
+            continue;
+        }
+        out.push_str(&s[run..i]);
+        run = i + 1;
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                let _ = write!(out, "\\u{b:04x}");
+            }
         }
     }
-    out.push('"');
+    out.push_str(&s[run..]);
 }
 
 /// How deeply arrays and objects may nest. The parser recurses once per
@@ -541,6 +625,82 @@ mod tests {
         ]);
         let text = doc.to_string_compact();
         assert_eq!(parse(&text).unwrap(), doc);
+    }
+
+    #[test]
+    fn writes_exact_bytes() {
+        let text = |v: Json| v.to_string_compact();
+        // every control byte: five short escapes, the rest (`\b` and `\f`
+        // too) as `\u00xx`
+        let controls: String = (0u8..0x20).map(char::from).collect();
+        assert_eq!(
+            text(Json::Str(controls)),
+            concat!(
+                r#""\u0000\u0001\u0002\u0003\u0004\u0005\u0006\u0007"#,
+                r#"\u0008\t\n\u000b\u000c\r\u000e\u000f"#,
+                r#"\u0010\u0011\u0012\u0013\u0014\u0015\u0016\u0017"#,
+                r#"\u0018\u0019\u001a\u001b\u001c\u001d\u001e\u001f""#,
+            )
+        );
+        assert_eq!(text(Json::Str(r#"a"b\c"#.into())), r#""a\"b\\c""#);
+        // DEL and a non-BMP character pass through as their UTF-8 bytes
+        assert_eq!(text(Json::Str("x\u{7f}y".into())).as_bytes(), b"\"x\x7fy\"");
+        assert_eq!(
+            text(Json::Str("\u{1F600}.".into())).as_bytes(),
+            b"\"\xF0\x9F\x98\x80.\""
+        );
+        assert_eq!(text(Json::Int(i64::MIN)), "-9223372036854775808");
+        assert_eq!(text(Json::Int(i64::MAX)), "9223372036854775807");
+        assert_eq!(text(Json::Int(0)), "0");
+        let nested = Json::obj(vec![
+            (
+                "a",
+                Json::Arr(vec![
+                    Json::Arr(vec![]),
+                    Json::Obj(vec![]),
+                    Json::Arr(vec![
+                        Json::Int(1),
+                        Json::obj(vec![(
+                            "b\n",
+                            Json::Arr(vec![Json::Null, Json::Bool(true), Json::Bool(false)]),
+                        )]),
+                    ]),
+                ]),
+            ),
+            ("c", Json::Obj(vec![])),
+            ("d", Json::Float(-0.5)),
+        ]);
+        let expected = r#"{"a":[[],{},[1,{"b\n":[null,true,false]}]],"c":{},"d":-0.5}"#;
+        assert_eq!(text(nested), expected);
+        // the same document streamed through the writer, with a `Display`
+        // value escaped as it is formatted
+        let mut w = JsonWriter::default();
+        w.open('{');
+        w.key("a").open('[');
+        w.open('[');
+        w.close(']');
+        w.open('{');
+        w.close('}');
+        w.open('[');
+        w.int(1);
+        w.open('{');
+        w.key("b\n").open('[');
+        w.raw("null");
+        w.raw(true);
+        w.raw(false);
+        w.close(']');
+        w.close('}');
+        w.close(']');
+        w.close(']');
+        w.key("c").open('{');
+        w.close('}');
+        w.key("d").raw(format_args!("{:?}", -0.5));
+        w.key("e").display(format_args!("{}\"{}", 'q', "\\\t"));
+        w.close('}');
+        assert_eq!(
+            w.finish(),
+            format!(r#"{},"e":"q\"\\\t"}}"#, &expected[..expected.len() - 1])
+        );
     }
 
     #[test]

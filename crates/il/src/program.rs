@@ -49,12 +49,24 @@ pub struct VarInfo {
 }
 
 /// A constant initializer for a global or static variable.
-#[derive(Clone, Copy, PartialEq, Debug)]
+#[derive(Clone, Copy, Debug)]
 pub enum ConstInit {
     /// Integral initializer.
     Int(i64),
     /// Floating initializer.
     Float(f64),
+}
+
+/// Floats compare by bit pattern, as their wire bytes do: a NaN equals
+/// itself, and `0.0` and `-0.0` differ. So a `Program` equals its clone.
+impl PartialEq for ConstInit {
+    fn eq(&self, other: &ConstInit) -> bool {
+        match (self, other) {
+            (ConstInit::Int(a), ConstInit::Int(b)) => a == b,
+            (ConstInit::Float(a), ConstInit::Float(b)) => a.to_bits() == b.to_bits(),
+            _ => false,
+        }
+    }
 }
 
 impl VarInfo {
@@ -521,6 +533,26 @@ impl Program {
 mod tests {
     use super::*;
     use crate::expr::LValue;
+
+    #[test]
+    fn a_program_with_a_nan_global_equals_its_clone() {
+        let global = |name: &str, init: f64| VarInfo {
+            name: name.to_string(),
+            ty: Type::Double,
+            storage: Storage::Global,
+            volatile: false,
+            addressed: false,
+            init: Some(ConstInit::Float(init)),
+        };
+        let mut p = Program::new();
+        p.globals.push(global("nan", f64::NAN));
+        p.globals.push(global("z", 0.0));
+        assert_eq!(p, p.clone());
+        let mut q = p.clone();
+        q.globals[1] = global("z", -0.0);
+        assert_ne!(p, q, "0.0 and -0.0 are different initializers");
+        assert_ne!(ConstInit::Int(0), ConstInit::Float(0.0));
+    }
 
     #[test]
     fn fresh_temps_are_distinct() {

@@ -75,8 +75,8 @@ fn report_is_deterministic_across_jobs() {
         let r4 = OptReport::build(&c4.reports, &c4.trace);
         assert_eq!(r1.render(), r4.render(), "{name}: text report differs");
         assert_eq!(
-            r1.to_json().to_string_compact(),
-            r4.to_json().to_string_compact(),
+            r1.render_json(),
+            r4.render_json(),
             "{name}: JSON report differs"
         );
     }
@@ -91,13 +91,21 @@ fn counters_track_the_corpus() {
     let mut inlined = 0;
     for (_, src) in corpus_files() {
         let c = compile(&src, &report_options(1)).unwrap();
-        let counters = OptReport::build(&c.reports, &c.trace).counters;
+        let report = OptReport::build(&c.reports, &c.trace);
+        let counters = &report.counters;
         vectorized += counters.get("loops.vectorized");
         spread += counters.get("loops.list_spread");
         inlined += counters.get("inline.expanded");
-        // the JSON form parses back
-        let json = counters.to_json().to_string_compact();
-        titanc_repro::il::json::parse(&json).expect("counters JSON parses");
+        // the JSON form parses back, every counter under its name
+        let json =
+            titanc_repro::il::json::parse(&report.render_json()).expect("report JSON parses");
+        let parsed = json.field("counters").expect("report JSON has counters");
+        for (name, value) in &counters.values {
+            assert_eq!(
+                parsed.field(name).and_then(|v| v.as_i64()),
+                Ok(*value as i64)
+            );
+        }
     }
     assert!(vectorized > 0, "corpus vectorizes nothing");
     assert!(spread > 0, "corpus spreads no list walks");

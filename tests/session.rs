@@ -269,7 +269,7 @@ fn opt_report_attributes_loops_to_their_origin_file() {
         rendered.contains("main.c:6:"),
         "main's loop must be attributed to main.c line 6:\n{rendered}"
     );
-    let json = report.to_json().to_string_compact();
+    let json = report.render_json();
     assert!(json.contains("\"file\":\"lib.c\""), "{json}");
 }
 
