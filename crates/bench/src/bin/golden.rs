@@ -1,11 +1,14 @@
 //! `golden` — rewrites `tests/golden/` from the current build: one file
-//! per case of `titanc_bench::golden::cases` and the `mp9` cache
-//! directory's listing, each at `-j 1`, and any other `.txt` file there
-//! removed. Review the diff, then commit it.
+//! per case of `titanc_bench::golden::cases`, the `mp9` cache
+//! directory's listing and the generated programs' digests, each at
+//! `-j 1`, and any other `.txt` file there removed. Review the diff, then commit it.
 
 use std::fs;
 
-use titanc_bench::golden::{cases, dir, file_names, render_cache_dir, render_case, CACHE_DIR_FILE};
+use titanc_bench::golden::{
+    cases, dir, file_names, render_cache_dir, render_case, render_progen_digests, CACHE_DIR_FILE,
+    PROGEN_FILE,
+};
 
 fn main() {
     let dir = dir();
@@ -23,5 +26,6 @@ fn main() {
         fs::write(dir.join(&case.name), render_case(case, 1)).expect("a golden file writes");
     }
     fs::write(dir.join(CACHE_DIR_FILE), render_cache_dir(1)).expect("a golden file writes");
+    fs::write(dir.join(PROGEN_FILE), render_progen_digests(1)).expect("a golden file writes");
     println!("wrote {} golden files to {}", names.len(), dir.display());
 }

@@ -4,7 +4,8 @@
 //! --opt-report=json` of one `mp9`-shaped session (eight 30-loop
 //! procedures and a `main` that calls each) at `-O2 --parallel`, and the
 //! `--cache-dir` that session leaves after a cold, a warm, an edited and a
-//! second warm compile ([`render_cache_dir`]).
+//! second warm compile ([`render_cache_dir`]), and one line of digests per
+//! generated program ([`render_progen_digests`]).
 //!
 //! Each case renders through [`titanc::server::render`], the function
 //! `titanc` prints with, so a file holds the tool's own bytes: exit code,
@@ -19,10 +20,10 @@ use std::path::{Path, PathBuf};
 
 use titanc::server::{cache_line, render, CompileRequest};
 use titanc::{compile_session, Aliasing, OptLevel, Options, SourceFile};
-use titanc_il::wire;
+use titanc_il::{wire, write_proc};
 
 use crate::many_loops_source;
-use crate::sweep::{self, Scratch};
+use crate::sweep::{self, Scratch, DEFAULT_SEED};
 
 /// The command that rewrites every golden file from the current build.
 pub const BLESS: &str = "cargo run -q --release -p titanc-bench --bin golden";
@@ -142,11 +143,19 @@ pub fn render_case(case: &Case, jobs: usize) -> String {
 /// The golden file [`render_cache_dir`] is held to.
 pub const CACHE_DIR_FILE: &str = "mp9.o2-parallel.cache-dir.txt";
 
-/// Every golden file name, sorted: one per [`cases`] entry and
-/// [`CACHE_DIR_FILE`].
+/// The golden file [`render_progen_digests`] is held to.
+pub const PROGEN_FILE: &str = "progen.digests.txt";
+
+/// How many `sweep::Case::nth(DEFAULT_SEED, i)` programs [`PROGEN_FILE`]
+/// covers.
+pub const PROGEN_CASES: u64 = 500;
+
+/// Every golden file name, sorted: one per [`cases`] entry,
+/// [`CACHE_DIR_FILE`] and [`PROGEN_FILE`].
 pub fn file_names() -> Vec<String> {
     let mut names: Vec<String> = cases().into_iter().map(|c| c.name).collect();
     names.push(CACHE_DIR_FILE.to_string());
+    names.push(PROGEN_FILE.to_string());
     names.sort();
     names
 }
@@ -196,4 +205,65 @@ fn files_under(root: &Path, dir: &Path) -> Vec<(String, Vec<u8>)> {
     }
     found.sort();
     found
+}
+
+/// The programs [`PROGEN_FILE`] covers, as (name, source): the first
+/// [`PROGEN_CASES`] sweep cases at [`DEFAULT_SEED`], then
+/// `many_loops_source(0, 120)` without and with a `main` that calls it.
+fn progen_sources() -> Vec<(String, String)> {
+    let mut sources: Vec<(String, String)> = (0..PROGEN_CASES)
+        .map(|i| {
+            let case = sweep::Case::nth(DEFAULT_SEED, i);
+            (format!("case-{i:03}-{:#018x}", case.seed), case.src)
+        })
+        .collect();
+    let loops = many_loops_source(0, 120);
+    let main = format!("{loops}\nint main(void)\n{{\n    kernel0(1);\n    return 0;\n}}\n");
+    sources.push(("many-loops-120".to_string(), loops));
+    sources.push(("many-loops-120-main".to_string(), main));
+    sources
+}
+
+/// One line per program of [`progen_sources`], compiled on `jobs` lanes:
+/// its name, then the digests of three byte strings — what `titanc -O0
+/// --print-il` prints (the lowerer's IL), what `titanc -O2 --parallel
+/// --print-il --stats --opt-report=json` prints (both as [`render_case`]
+/// writes them), and the `write_proc` bytes of every lowered procedure in
+/// program order (which the cache keys hash). A change to the lowerer's
+/// IL, its temp numbering, its statement stamps or its expression arena,
+/// or to anything the optimizer prints, moves a digest.
+pub fn render_progen_digests(jobs: usize) -> String {
+    let mut out = String::new();
+    for (name, src) in progen_sources() {
+        let files = vec![SourceFile::new(format!("{name}.c"), src.clone())];
+        let o0 = Case {
+            name: String::new(),
+            request: CompileRequest {
+                print_il: true,
+                opt_report: "none".to_string(),
+                stats: false,
+                ..request(&Options::o0(), files.clone())
+            },
+        };
+        let o2 = Case {
+            name: String::new(),
+            request: CompileRequest {
+                print_il: true,
+                ..request(&Options::parallel(), files)
+            },
+        };
+        let program = titanc_lower::compile_to_il(&src).expect("a golden program lowers");
+        let mut procs = Vec::new();
+        for proc in &program.procs {
+            write_proc(&mut procs, proc);
+        }
+        let _ = writeln!(
+            out,
+            "{name} {} {} {}",
+            wire::digest(render_case(&o0, jobs).as_bytes()),
+            wire::digest(render_case(&o2, jobs).as_bytes()),
+            wire::digest(&procs)
+        );
+    }
+    out
 }

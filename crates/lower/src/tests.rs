@@ -554,3 +554,144 @@ int main(void) { return f(5) * 10 + f(1); }
     let r = sim.run("main", &[]).unwrap();
     assert_eq!(r.value.unwrap().as_int(), 71);
 }
+
+/// The procedure every lvalue-form case is lowered in: one of each kind
+/// of object a C access can name.
+const LVALUE_PRELUDE: &str = "struct pt { int f; int arr[4]; };
+int g;
+int f(int *p, struct pt *q, int i, int j)
+{
+    int x, t, *r; volatile int v; int a[4]; int m[4][4]; struct pt s; struct pt sa[4];
+    ";
+
+/// Every lvalue form in every context, as the lowerer prints it: as a
+/// value, a store target, an `op=` target, a `++`/`--` operand and under
+/// `&`. One line per case — the statement, then the procedure's body
+/// statements or the lowering error.
+#[test]
+fn every_lvalue_form_in_every_context() {
+    use std::fmt::Write as _;
+    // the last four name aggregates: a row, a struct element, an array
+    // member, and a member reached through a dereferenced struct
+    let forms = [
+        "x", "v", "a", "s", "g", "(*p)", "a[i]", "m[i][j]", "s.f", "s.arr[i]", "q->f", "sa[i].f",
+        "m[i]", "sa[i]", "s.arr", "(*q).f",
+    ];
+    let contexts = ["t = #", "# = 1", "# += 2", "t = #++", "--#", "r = &#"];
+    let mut got = String::new();
+    for form in forms {
+        for ctx in contexts {
+            let stmt = ctx.replace('#', form);
+            let src = format!("{LVALUE_PRELUDE}{stmt};\n    return 0;\n}}\n");
+            let lowered = match compile_to_il(&src) {
+                Ok(prog) => {
+                    let text = pretty_proc(prog.proc_by_name("f").expect("f"));
+                    let lines: Vec<&str> = text.lines().map(str::trim).collect();
+                    // drop the signature, the braces and `return 0;`
+                    lines[2..lines.len() - 2].join(" ")
+                }
+                Err(e) => format!("error: {e}"),
+            };
+            let _ = writeln!(got, "{stmt:<15}| {lowered}");
+        }
+    }
+    assert_eq!(got, LVALUE_FORMS, "\n{got}");
+}
+
+const LVALUE_FORMS: &str = r"t = x          | t = x;
+x = 1          | x = 1;
+x += 2         | x = (x + 2);
+t = x++        | temp_0 = x; x = (temp_0 + 1); t = temp_0;
+--x            | x = (x - 1);
+r = &x         | r = &x;
+t = v          | t = *(int volatile *)(&v);
+v = 1          | *(int volatile *)(&v) = 1;
+v += 2         | temp_0 = &v; *(int volatile *)(temp_0) = (*(int volatile *)(temp_0) + 2);
+t = v++        | temp_0 = &v; temp_1 = *(int volatile *)(temp_0); temp_2 = (temp_1 + 1); *(int volatile *)(temp_0) = temp_2; t = temp_1;
+--v            | temp_0 = &v; temp_1 = *(int volatile *)(temp_0); temp_2 = (temp_1 - 1); *(int volatile *)(temp_0) = temp_2;
+r = &v         | r = &v;
+t = a          | t = (int)(&a);
+a = 1          | error: 6:5: assignment to an array
+a += 2         | error: 6:5: assignment to an array
+t = a++        | error: 6:9: ++/-- on an array
+--a            | error: 6:5: ++/-- on an array
+r = &a         | r = &a;
+t = s          | error: 6:5: expected a scalar value
+s = 1          | error: 6:5: assignment to aggregate
+s += 2         | error: 6:5: assignment to aggregate
+t = s++        | error: 6:9: ++/-- on aggregate
+--s            | error: 6:5: ++/-- on aggregate
+r = &s         | r = &s;
+t = g          | t = g;
+g = 1          | g = 1;
+g += 2         | g = (g + 2);
+t = g++        | temp_0 = g; g = (temp_0 + 1); t = temp_0;
+--g            | g = (g - 1);
+r = &g         | r = &g;
+t = (*p)       | t = *(int *)(p);
+(*p) = 1       | *(int *)(p) = 1;
+(*p) += 2      | temp_0 = p; *(int *)(temp_0) = (*(int *)(temp_0) + 2);
+t = (*p)++     | temp_0 = p; temp_1 = *(int *)(temp_0); temp_2 = (temp_1 + 1); *(int *)(temp_0) = temp_2; t = temp_1;
+--(*p)         | temp_0 = p; temp_1 = *(int *)(temp_0); temp_2 = (temp_1 - 1); *(int *)(temp_0) = temp_2;
+r = &(*p)      | r = p;
+t = a[i]       | t = *(int *)((&a + (i * 4)));
+a[i] = 1       | *(int *)((&a + (i * 4))) = 1;
+a[i] += 2      | temp_0 = (&a + (i * 4)); *(int *)(temp_0) = (*(int *)(temp_0) + 2);
+t = a[i]++     | temp_0 = (&a + (i * 4)); temp_1 = *(int *)(temp_0); temp_2 = (temp_1 + 1); *(int *)(temp_0) = temp_2; t = temp_1;
+--a[i]         | temp_0 = (&a + (i * 4)); temp_1 = *(int *)(temp_0); temp_2 = (temp_1 - 1); *(int *)(temp_0) = temp_2;
+r = &a[i]      | r = (&a + (i * 4));
+t = m[i][j]    | t = *(int *)(((&m + (i * 16)) + (j * 4)));
+m[i][j] = 1    | *(int *)(((&m + (i * 16)) + (j * 4))) = 1;
+m[i][j] += 2   | temp_0 = ((&m + (i * 16)) + (j * 4)); *(int *)(temp_0) = (*(int *)(temp_0) + 2);
+t = m[i][j]++  | temp_0 = ((&m + (i * 16)) + (j * 4)); temp_1 = *(int *)(temp_0); temp_2 = (temp_1 + 1); *(int *)(temp_0) = temp_2; t = temp_1;
+--m[i][j]      | temp_0 = ((&m + (i * 16)) + (j * 4)); temp_1 = *(int *)(temp_0); temp_2 = (temp_1 - 1); *(int *)(temp_0) = temp_2;
+r = &m[i][j]   | r = ((&m + (i * 16)) + (j * 4));
+t = s.f        | t = *(int *)((&s + 0));
+s.f = 1        | *(int *)((&s + 0)) = 1;
+s.f += 2       | temp_0 = (&s + 0); *(int *)(temp_0) = (*(int *)(temp_0) + 2);
+t = s.f++      | temp_0 = (&s + 0); temp_1 = *(int *)(temp_0); temp_2 = (temp_1 + 1); *(int *)(temp_0) = temp_2; t = temp_1;
+--s.f          | temp_0 = (&s + 0); temp_1 = *(int *)(temp_0); temp_2 = (temp_1 - 1); *(int *)(temp_0) = temp_2;
+r = &s.f       | r = (&s + 0);
+t = s.arr[i]   | t = *(int *)(((&s + 4) + (i * 4)));
+s.arr[i] = 1   | *(int *)(((&s + 4) + (i * 4))) = 1;
+s.arr[i] += 2  | temp_0 = ((&s + 4) + (i * 4)); *(int *)(temp_0) = (*(int *)(temp_0) + 2);
+t = s.arr[i]++ | temp_0 = ((&s + 4) + (i * 4)); temp_1 = *(int *)(temp_0); temp_2 = (temp_1 + 1); *(int *)(temp_0) = temp_2; t = temp_1;
+--s.arr[i]     | temp_0 = ((&s + 4) + (i * 4)); temp_1 = *(int *)(temp_0); temp_2 = (temp_1 - 1); *(int *)(temp_0) = temp_2;
+r = &s.arr[i]  | r = ((&s + 4) + (i * 4));
+t = q->f       | t = *(int *)((q + 0));
+q->f = 1       | *(int *)((q + 0)) = 1;
+q->f += 2      | temp_0 = (q + 0); *(int *)(temp_0) = (*(int *)(temp_0) + 2);
+t = q->f++     | temp_0 = (q + 0); temp_1 = *(int *)(temp_0); temp_2 = (temp_1 + 1); *(int *)(temp_0) = temp_2; t = temp_1;
+--q->f         | temp_0 = (q + 0); temp_1 = *(int *)(temp_0); temp_2 = (temp_1 - 1); *(int *)(temp_0) = temp_2;
+r = &q->f      | r = (q + 0);
+t = sa[i].f    | t = *(int *)(((&sa + (i * 20)) + 0));
+sa[i].f = 1    | *(int *)(((&sa + (i * 20)) + 0)) = 1;
+sa[i].f += 2   | temp_0 = ((&sa + (i * 20)) + 0); *(int *)(temp_0) = (*(int *)(temp_0) + 2);
+t = sa[i].f++  | temp_0 = ((&sa + (i * 20)) + 0); temp_1 = *(int *)(temp_0); temp_2 = (temp_1 + 1); *(int *)(temp_0) = temp_2; t = temp_1;
+--sa[i].f      | temp_0 = ((&sa + (i * 20)) + 0); temp_1 = *(int *)(temp_0); temp_2 = (temp_1 - 1); *(int *)(temp_0) = temp_2;
+r = &sa[i].f   | r = ((&sa + (i * 20)) + 0);
+t = m[i]       | t = (int)((&m + (i * 16)));
+m[i] = 1       | error: 6:5: assignment to an array
+m[i] += 2      | error: 6:5: assignment to an array
+t = m[i]++     | error: 6:9: ++/-- on an array
+--m[i]         | error: 6:5: ++/-- on an array
+r = &m[i]      | r = (&m + (i * 16));
+t = sa[i]      | error: 6:5: expected a scalar value
+sa[i] = 1      | error: 6:5: indexing to a non-scalar
+sa[i] += 2     | error: 6:5: indexing to a non-scalar
+t = sa[i]++    | error: 6:9: indexing to a non-scalar
+--sa[i]        | error: 6:7: indexing to a non-scalar
+r = &sa[i]     | r = (&sa + (i * 20));
+t = s.arr      | t = (int)((&s + 4));
+s.arr = 1      | error: 6:5: assignment to an array
+s.arr += 2     | error: 6:5: assignment to an array
+t = s.arr++    | error: 6:9: ++/-- on an array
+--s.arr        | error: 6:5: ++/-- on an array
+r = &s.arr     | r = (&s + 4);
+t = (*q).f     | t = *(int *)((q + 0));
+(*q).f = 1     | *(int *)((q + 0)) = 1;
+(*q).f += 2    | temp_0 = (q + 0); *(int *)(temp_0) = (*(int *)(temp_0) + 2);
+t = (*q).f++   | temp_0 = (q + 0); temp_1 = *(int *)(temp_0); temp_2 = (temp_1 + 1); *(int *)(temp_0) = temp_2; t = temp_1;
+--(*q).f       | temp_0 = (q + 0); temp_1 = *(int *)(temp_0); temp_2 = (temp_1 - 1); *(int *)(temp_0) = temp_2;
+r = &(*q).f    | r = (q + 0);
+";

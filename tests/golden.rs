@@ -1,14 +1,16 @@
 //! The compiler's printed output, held to `tests/golden/`: every case of
 //! `titanc_bench::golden` is recompiled at `-j 1` and must equal its
 //! checked-in file byte for byte, and at `-j 4` must equal the `-j 1`
-//! bytes; so must the listing of the `mp9` session's cache directory.
+//! bytes; so must the listing of the `mp9` session's cache directory and
+//! the digest lines of the generated programs.
 //! The files are only read here; a deliberate output change is
 //! re-blessed with the `golden` bin and lands as a reviewed diff.
 
 use std::fs;
 
 use titanc_bench::golden::{
-    cases, dir, file_names, render_cache_dir, render_case, BLESS, CACHE_DIR_FILE,
+    cases, dir, file_names, render_cache_dir, render_case, render_progen_digests, BLESS,
+    CACHE_DIR_FILE, PROGEN_FILE,
 };
 
 /// The first line where `want` and `got` part, as a message.
@@ -87,6 +89,24 @@ fn the_mp9_cache_directory_matches_its_golden_file() {
     assert!(
         wide == got,
         "{CACHE_DIR_FILE}: -j 4 differs from -j 1 at {}",
+        first_difference(&got, &wide)
+    );
+}
+
+#[test]
+fn the_generated_programs_match_their_digest_lines() {
+    let want = fs::read_to_string(dir().join(PROGEN_FILE)).expect("a golden file reads");
+    let got = render_progen_digests(1);
+    assert!(
+        got == want,
+        "tests/golden/{PROGEN_FILE} differs at {}\n\n\
+         if the change is intended, re-bless with `{BLESS}` and commit the diff",
+        first_difference(&want, &got)
+    );
+    let wide = render_progen_digests(4);
+    assert!(
+        wide == got,
+        "{PROGEN_FILE}: -j 4 differs from -j 1 at {}",
         first_difference(&got, &wide)
     );
 }
