@@ -3,8 +3,15 @@
 //! The central convention (§4): lowering an expression *emits* the
 //! statement list SL into the current block and *returns* the pure IL
 //! expression E. Contexts that need C's value semantics (embedded
-//! assignment, `++` as a value, calls as values) introduce temporaries,
-//! trusting the Titan's global register allocation to make them free.
+//! assignment, `++` as a value, calls as values) introduce temporaries
+//! ([`FuncLowerer::assign_temp`]), trusting the Titan's global register
+//! allocation to make them free.
+//!
+//! What an access names is decided once, by [`FuncLowerer::place`]: a
+//! register variable, a scalar memory location, or an aggregate whose
+//! value is its address. A value is the place's [`FuncLowerer::load`],
+//! `&e` its [`FuncLowerer::addr`], and a store, `op=`, `++` and `--` go
+//! through [`FuncLowerer::store`], so every operand is lowered once.
 //!
 //! Expression nodes are allocated directly into the procedure's
 //! [`titanc_il::ExprPool`] as lowering proceeds — a [`TV`] carries an
@@ -79,15 +86,20 @@ struct TV {
     ty: QualType,
 }
 
-/// An lvalue: where a store goes.
+/// What an access names.
 #[derive(Clone, Copy, Debug)]
 enum Place {
+    /// A register variable: read and written by name.
     Var(VarId),
+    /// A scalar in memory: read by a load, written by a store through
+    /// `addr`.
     Mem {
         addr: ExprId,
         kind: ScalarType,
         volatile: bool,
     },
+    /// An array or a struct: its value is its address.
+    Agg(ExprId),
 }
 
 struct LoopCtx {
@@ -128,8 +140,34 @@ fn pointee(q: &QualType) -> Option<&QualType> {
     }
 }
 
+fn is_aggregate(q: &QualType) -> bool {
+    matches!(q.ty, CType::Array(..) | CType::Struct(_))
+}
+
 fn int_ty() -> QualType {
     QualType::plain(CType::Int)
+}
+
+/// The C type of an arithmetic result of kind `k`; a pointer result has
+/// the type of its pointer operand, `ptr`.
+fn kind_type(k: ScalarType, ptr: QualType) -> QualType {
+    QualType::plain(match k {
+        ScalarType::Char | ScalarType::Int => CType::Int,
+        ScalarType::Float => CType::Float,
+        ScalarType::Double => CType::Double,
+        ScalarType::Ptr => return ptr,
+    })
+}
+
+/// Why the access `e` names no scalar: its form's message.
+fn not_scalar(e: &ExprKind) -> &'static str {
+    match e {
+        ExprKind::Unary(..) => "dereferencing to a non-scalar",
+        ExprKind::Index(..) => "indexing to a non-scalar",
+        ExprKind::Member { .. } => "assigning to an aggregate field",
+        // an identifier: only a volatile `void` variable gets here
+        _ => "volatile aggregate read",
+    }
 }
 
 impl<'e> FuncLowerer<'e> {
@@ -148,6 +186,13 @@ impl<'e> FuncLowerer<'e> {
     fn emit_at(&mut self, out: &mut Block, kind: StmtKind, span: Span) {
         let s = self.proc.stamp_at(kind, src_span(span));
         out.push(s);
+    }
+
+    /// §4's temporary: a fresh `t`, and `t = rhs` emitted into `out`.
+    fn assign_temp(&mut self, kind: ScalarType, rhs: ExprId, out: &mut Block) -> VarId {
+        let t = self.temp(kind);
+        self.store(Place::Var(t), rhs, out);
+        t
     }
 
     fn temp(&mut self, kind: ScalarType) -> VarId {
@@ -276,12 +321,11 @@ impl<'e> FuncLowerer<'e> {
                 }
                 // `for (;;)` has no condition to anchor the loop to; fall
                 // back to the init or step expression's position
-                let head_span = cond
-                    .as_ref()
-                    .map(|c| c.span)
-                    .or_else(|| init.as_ref().map(|i| i.span))
-                    .or_else(|| step.as_ref().map(|s| s.span))
-                    .unwrap_or_default();
+                let head_span = [cond, init, step]
+                    .into_iter()
+                    .flatten()
+                    .next()
+                    .map_or_else(Span::default, |e| e.span);
                 let one = ast::Expr::new(ExprKind::IntLit(1), head_span);
                 let cond_e = cond.as_ref().unwrap_or(&one);
                 self.lower_while(cond_e, step.as_ref(), body, was_safe, out)?;
@@ -441,14 +485,7 @@ impl<'e> FuncLowerer<'e> {
     ) -> Result<(), LowerError> {
         let tv = self.rvalue(cond, out)?;
         let scrut = self.convert(tv, ScalarType::Int, cond.span)?;
-        let t = self.temp(ScalarType::Int);
-        self.emit(
-            out,
-            StmtKind::Assign {
-                lhs: LValue::Var(t),
-                rhs: scrut,
-            },
-        );
+        let t = self.assign_temp(ScalarType::Int, scrut, out);
         // allocate labels for every case marker
         let mut case_labels: Vec<(i64, LabelId)> = Vec::new();
         let mut default_label: Option<LabelId> = None;
@@ -526,15 +563,15 @@ impl<'e> FuncLowerer<'e> {
         });
         self.scopes.last_mut().unwrap().insert(d.name.clone(), id);
         self.ctypes.insert(id, d.ty.clone());
-        if !is_static {
-            if let Some(e) = &d.init {
-                let tv = self.rvalue(e, out)?;
-                let kind = scalar_kind(&self.ctype_of(id))
-                    .ok_or_else(|| self.err("cannot initialize aggregates", d.span))?;
-                let value = self.convert(tv, kind, d.span)?;
-                let place = Place::for_var(self, id);
-                self.store(place, value, out);
-            }
+        if let Some(e) = d.init.as_ref().filter(|_| !is_static) {
+            let tv = self.rvalue(e, out)?;
+            let kind = scalar_kind(&d.ty)
+                .filter(|_| !is_aggregate(&d.ty))
+                .ok_or_else(|| self.err("cannot initialize aggregates", d.span))?;
+            let value = self.convert(tv, kind, d.span)?;
+            let target = ast::Expr::new(ExprKind::Ident(d.name.clone()), d.span);
+            let (place, _) = self.place(&target, out)?;
+            self.store(place, value, out);
         }
         Ok(())
     }
@@ -543,57 +580,65 @@ impl<'e> FuncLowerer<'e> {
     // places (lvalues)
     // ------------------------------------------------------------------
 
+    /// What the access `e` names, with its C type. The one function that
+    /// decides it: an identifier, `*p`, `a[i]`, `s.f` and `p->f` are
+    /// lowered here and only here, so their operands' statements are
+    /// emitted exactly once.
     fn place(&mut self, e: &ast::Expr, out: &mut Block) -> Result<(Place, QualType), LowerError> {
-        match &e.kind {
+        let (addr, q) = match &e.kind {
             ExprKind::Ident(name) => {
                 let v = self.lookup(name, e.span)?;
                 let q = self.ctype_of(v);
-                Ok((Place::for_var(self, v), q))
+                if !is_aggregate(&q) && !self.proc.var(v).volatile {
+                    return Ok((Place::Var(v), q));
+                }
+                (self.addr(Place::Var(v)), q)
             }
             ExprKind::Unary(CUnOp::Deref, inner) => {
                 let ptr = self.rvalue(inner, out)?;
                 let pt = pointee(&ptr.ty)
                     .cloned()
                     .ok_or_else(|| self.err("dereferencing a non-pointer", e.span))?;
-                let kind = scalar_kind(&pt)
-                    .ok_or_else(|| self.err("dereferencing to a non-scalar", e.span))?;
-                Ok((
-                    Place::Mem {
-                        addr: ptr.e,
-                        kind,
-                        volatile: pt.volatile,
-                    },
-                    pt,
-                ))
+                (ptr.e, pt)
             }
-            ExprKind::Index(base, idx) => {
-                let (addr, elem) = self.element_addr(base, idx, out, e.span)?;
-                let kind = scalar_kind(&elem)
-                    .ok_or_else(|| self.err("indexing to a non-scalar", e.span))?;
-                Ok((
-                    Place::Mem {
-                        addr,
-                        kind,
-                        volatile: elem.volatile,
-                    },
-                    elem,
-                ))
-            }
+            ExprKind::Index(base, idx) => self.element_addr(base, idx, out, e.span)?,
             ExprKind::Member { base, field, arrow } => {
-                let (addr, fty) = self.member_addr(base, field, *arrow, out, e.span)?;
-                let kind = scalar_kind(&fty)
-                    .ok_or_else(|| self.err("assigning to an aggregate field", e.span))?;
-                Ok((
-                    Place::Mem {
-                        addr,
-                        kind,
-                        volatile: fty.volatile,
-                    },
-                    fty,
-                ))
+                self.member_addr(base, field, *arrow, out, e.span)?
             }
-            _ => Err(self.err("expression is not assignable", e.span)),
+            _ => return Err(self.err("expression is not assignable", e.span)),
+        };
+        if is_aggregate(&q) {
+            return Ok((Place::Agg(addr), q));
         }
+        let kind = scalar_kind(&q).ok_or_else(|| self.err(not_scalar(&e.kind), e.span))?;
+        let volatile = q.volatile;
+        Ok((
+            Place::Mem {
+                addr,
+                kind,
+                volatile,
+            },
+            q,
+        ))
+    }
+
+    /// The kind a store through `target` (of type `q`) writes, or the
+    /// error refusing it; `what` is `assignment to` or `++/-- on`.
+    fn store_kind(
+        &self,
+        target: &ast::Expr,
+        q: &QualType,
+        what: &str,
+        span: Span,
+    ) -> Result<ScalarType, LowerError> {
+        if matches!(q.ty, CType::Array(..)) {
+            // an array name decays to a pointer as a value, but is no lvalue
+            return Err(self.err(format!("{what} an array"), span));
+        }
+        scalar_kind(q).ok_or_else(|| match target.kind {
+            ExprKind::Ident(_) => self.err(format!("{what} aggregate"), span),
+            ref form => self.err(not_scalar(form), target.span),
+        })
     }
 
     /// The address of `base[idx]` and the element's type.
@@ -636,47 +681,23 @@ impl<'e> FuncLowerer<'e> {
                 .ok_or_else(|| self.err("`->` on a non-pointer", span))?;
             (p.e, pt)
         } else {
-            let (pl, q) = self.place(base, out).or_else(|_| {
-                // base may itself be a struct-valued member chain; handle
-                // via struct rvalue = address
-                let tv = self.rvalue(base, out)?;
-                Ok::<_, LowerError>((
-                    Place::Mem {
-                        addr: tv.e,
-                        kind: ScalarType::Ptr,
-                        volatile: false,
-                    },
-                    tv.ty,
-                ))
-            })?;
-            let addr = match pl {
-                Place::Var(v) => {
-                    self.proc.var_mut(v).addressed = true;
-                    self.proc.exprs.addr_of(v)
-                }
-                Place::Mem { addr, .. } => addr,
-            };
-            (addr, q)
+            let (place, q) = self.place(base, out)?;
+            (self.addr(place), q)
         };
-        let tag = match &sq.ty {
-            CType::Struct(tag) => tag.clone(),
-            _ => return Err(self.err("member access on a non-struct", span)),
+        let CType::Struct(tag) = &sq.ty else {
+            return Err(self.err("member access on a non-struct", span));
         };
         let sid = self
             .env
             .structs
-            .get(&tag)
+            .get(tag)
             .ok_or_else(|| self.err(format!("unknown struct `{tag}`"), span))?;
-        let def = self.env.struct_def(*sid);
-        let fld = def
-            .field(field)
+        let fld = (self.env.struct_def(*sid).field(field))
             .ok_or_else(|| self.err(format!("struct `{tag}` has no field `{field}`"), span))?;
-        let offset = fld.offset;
-        // recover the AST-level type of the field for further lowering
-        let fq = self
-            .field_qualtype(&tag, field)
-            .ok_or_else(|| self.err("field type unavailable", span))?;
-        let off_e = self.proc.exprs.int(offset);
+        // fields carry no qualifiers in this subset, so the IL type is all
+        // there is to recover
+        let fq = il_to_qualtype(self.env, &fld.ty);
+        let off_e = self.proc.exprs.int(fld.offset);
         let addr = self
             .proc
             .exprs
@@ -684,69 +705,89 @@ impl<'e> FuncLowerer<'e> {
         Ok((addr, fq))
     }
 
-    fn field_qualtype(&self, tag: &str, field: &str) -> Option<QualType> {
-        // Reconstruct from the IL field type (qualifiers are dropped on
-        // fields in this subset).
-        let sid = self.env.structs.get(tag)?;
-        let def = self.env.struct_def(*sid);
-        let f = def.field(field)?;
-        Some(il_to_qualtype(self.env, &f.ty))
-    }
-
-    fn store(&mut self, place: Place, value: ExprId, out: &mut Block) {
+    /// The value of a place: the register, one load, or the aggregate's
+    /// address.
+    fn load(&mut self, place: Place) -> ExprId {
         match place {
-            Place::Var(v) => {
-                self.emit(
-                    out,
-                    StmtKind::Assign {
-                        lhs: LValue::Var(v),
-                        rhs: value,
-                    },
-                );
-            }
+            Place::Var(v) => self.proc.exprs.var(v),
             Place::Mem {
                 addr,
                 kind,
                 volatile,
-            } => {
-                self.emit(
-                    out,
-                    StmtKind::Assign {
-                        lhs: LValue::Deref {
-                            addr,
-                            ty: kind,
-                            volatile,
-                        },
-                        rhs: value,
-                    },
-                );
-            }
+            } => self.proc.exprs.alloc(Expr::Load {
+                addr,
+                ty: kind,
+                volatile,
+            }),
+            Place::Agg(addr) => addr,
         }
     }
 
-    fn load_place(&mut self, place: &Place, q: &QualType) -> TV {
+    /// `&place`: a variable whose address is taken is no register
+    /// candidate any more.
+    fn addr(&mut self, place: Place) -> ExprId {
         match place {
-            Place::Var(v) => TV {
-                e: self.proc.exprs.var(*v),
-                ty: q.clone(),
+            Place::Var(v) => {
+                self.proc.var_mut(v).addressed = true;
+                self.proc.exprs.addr_of(v)
+            }
+            Place::Mem { addr, .. } | Place::Agg(addr) => addr,
+        }
+    }
+
+    /// Emits `place = value`. Only a scalar is stored: callers refuse an
+    /// aggregate through [`FuncLowerer::store_kind`] first.
+    fn store(&mut self, place: Place, rhs: ExprId, out: &mut Block) {
+        let lhs = match place {
+            Place::Var(v) => LValue::Var(v),
+            Place::Mem {
+                addr,
+                kind,
+                volatile,
+            } => LValue::Deref {
+                addr,
+                ty: kind,
+                volatile,
             },
+            Place::Agg(_) => unreachable!("an aggregate is never a store target"),
+        };
+        self.emit(out, StmtKind::Assign { lhs, rhs });
+    }
+
+    /// The same place with its own copy of the address, so a load and a
+    /// store through it never share expression slots.
+    fn reuse(&mut self, place: Place) -> Place {
+        match place {
+            Place::Mem {
+                addr,
+                kind,
+                volatile,
+            } => Place::Mem {
+                addr: self.proc.exprs.copy(addr),
+                kind,
+                volatile,
+            },
+            other => other,
+        }
+    }
+
+    /// Pins a memory place's address in a temporary, so an access that
+    /// loads and stores through it evaluates the address once.
+    fn pin(&mut self, place: Place, out: &mut Block) -> Place {
+        match place {
             Place::Mem {
                 addr,
                 kind,
                 volatile,
             } => {
-                // copy the address so the load and the eventual store
-                // never share expression slots
-                let a = self.proc.exprs.copy(*addr);
-                TV {
-                    e: self.proc.exprs.alloc(Expr::Load {
-                        addr: a,
-                        ty: *kind,
-                        volatile: *volatile,
-                    }),
-                    ty: q.clone(),
+                let t = self.assign_temp(ScalarType::Ptr, addr, out);
+                Place::Mem {
+                    addr: self.proc.exprs.var(t),
+                    kind,
+                    volatile,
                 }
             }
+            other => other,
         }
     }
 
@@ -795,11 +836,7 @@ impl<'e> FuncLowerer<'e> {
     ) -> Result<Option<TV>, LowerError> {
         let span = e.span;
         match &e.kind {
-            ExprKind::IntLit(v) => Ok(Some(TV {
-                e: self.proc.exprs.int(*v),
-                ty: int_ty(),
-            })),
-            ExprKind::CharLit(v) => Ok(Some(TV {
+            ExprKind::IntLit(v) | ExprKind::CharLit(v) => Ok(Some(TV {
                 e: self.proc.exprs.int(*v),
                 ty: int_ty(),
             })),
@@ -814,41 +851,21 @@ impl<'e> FuncLowerer<'e> {
             ExprKind::StrLit(_) => {
                 Err(self.err("string literals are not supported by this subset", span))
             }
-            ExprKind::Ident(name) => {
-                let v = self.lookup(name, span)?;
-                let q = self.ctype_of(v);
-                if matches!(q.ty, CType::Array(..)) {
-                    // array decays to its address
-                    return Ok(Some(TV {
-                        e: self.proc.exprs.addr_of(v),
-                        ty: q,
-                    }));
-                }
-                if matches!(q.ty, CType::Struct(_)) {
-                    // struct rvalue = its address (used by member access)
-                    self.proc.var_mut(v).addressed = true;
-                    return Ok(Some(TV {
-                        e: self.proc.exprs.addr_of(v),
-                        ty: q,
-                    }));
-                }
-                let info = self.proc.var(v);
-                if info.volatile {
-                    let kind =
-                        scalar_kind(&q).ok_or_else(|| self.err("volatile aggregate read", span))?;
-                    let a = self.proc.exprs.addr_of(v);
-                    return Ok(Some(TV {
-                        e: self.proc.exprs.alloc(Expr::Load {
-                            addr: a,
-                            ty: kind,
-                            volatile: true,
-                        }),
-                        ty: q,
-                    }));
-                }
+            ExprKind::Ident(_)
+            | ExprKind::Index(..)
+            | ExprKind::Member { .. }
+            | ExprKind::Unary(CUnOp::Deref, _) => {
+                let (place, ty) = self.place(e, out)?;
                 Ok(Some(TV {
-                    e: self.proc.exprs.var(v),
-                    ty: q,
+                    e: self.load(place),
+                    ty,
+                }))
+            }
+            ExprKind::Unary(CUnOp::AddrOf, arg) => {
+                let (place, q) = self.place(arg, out)?;
+                Ok(Some(TV {
+                    e: self.addr(place),
+                    ty: q.ptr(),
                 }))
             }
             ExprKind::Assign { op, lhs, rhs } => {
@@ -875,20 +892,11 @@ impl<'e> FuncLowerer<'e> {
                 let ek =
                     scalar_kind(&e_tv.ty).ok_or_else(|| self.err("non-scalar ?: branch", span))?;
                 let k = common_kind(tk, ek);
-                let result_ty = t_tv.ty.clone();
-                let tmp = self.temp(k);
+                let ty = kind_type(k, t_tv.ty.clone());
                 let tval = self.convert(t_tv, k, span)?;
-                let s = self.proc.stamp(StmtKind::Assign {
-                    lhs: LValue::Var(tmp),
-                    rhs: tval,
-                });
-                then_blk.push(s);
+                let tmp = self.assign_temp(k, tval, &mut then_blk);
                 let eval = self.convert(e_tv, k, span)?;
-                let s = self.proc.stamp(StmtKind::Assign {
-                    lhs: LValue::Var(tmp),
-                    rhs: eval,
-                });
-                else_blk.push(s);
+                self.store(Place::Var(tmp), eval, &mut else_blk);
                 self.emit(
                     out,
                     StmtKind::If {
@@ -897,13 +905,6 @@ impl<'e> FuncLowerer<'e> {
                         else_blk,
                     },
                 );
-                let ty = match k {
-                    ScalarType::Ptr => result_ty,
-                    ScalarType::Int => int_ty(),
-                    ScalarType::Float => QualType::plain(CType::Float),
-                    ScalarType::Double => QualType::plain(CType::Double),
-                    ScalarType::Char => int_ty(),
-                };
                 Ok(Some(TV {
                     e: self.proc.exprs.var(tmp),
                     ty,
@@ -929,67 +930,22 @@ impl<'e> FuncLowerer<'e> {
                     arg_exprs.push(converted);
                 }
                 let ret_q = sig.as_ref().map(|s| s.ret.clone()).unwrap_or_else(int_ty);
-                if value_needed {
+                let dst = if value_needed {
                     let kind = scalar_kind(&ret_q)
                         .ok_or_else(|| self.err("using a void return value", span))?;
-                    let tmp = self.temp(kind);
-                    self.emit_at(
-                        out,
-                        StmtKind::Call {
-                            dst: Some(LValue::Var(tmp)),
-                            callee: name.clone(),
-                            args: arg_exprs,
-                        },
-                        span,
-                    );
-                    Ok(Some(TV {
-                        e: self.proc.exprs.var(tmp),
-                        ty: ret_q,
-                    }))
+                    Some(self.temp(kind))
                 } else {
-                    self.emit_at(
-                        out,
-                        StmtKind::Call {
-                            dst: None,
-                            callee: name.clone(),
-                            args: arg_exprs,
-                        },
-                        span,
-                    );
-                    Ok(None)
-                }
-            }
-            ExprKind::Index(base, idx) => {
-                let (addr, elem) = self.element_addr(base, idx, out, span)?;
-                if matches!(elem.ty, CType::Array(..) | CType::Struct(_)) {
-                    // multi-dim: the element decays again
-                    return Ok(Some(TV { e: addr, ty: elem }));
-                }
-                let kind =
-                    scalar_kind(&elem).ok_or_else(|| self.err("indexing to non-scalar", span))?;
-                Ok(Some(TV {
-                    e: self.proc.exprs.alloc(Expr::Load {
-                        addr,
-                        ty: kind,
-                        volatile: elem.volatile,
-                    }),
-                    ty: elem,
-                }))
-            }
-            ExprKind::Member { base, field, arrow } => {
-                let (addr, fty) = self.member_addr(base, field, *arrow, out, span)?;
-                if matches!(fty.ty, CType::Array(..) | CType::Struct(_)) {
-                    return Ok(Some(TV { e: addr, ty: fty }));
-                }
-                let kind =
-                    scalar_kind(&fty).ok_or_else(|| self.err("aggregate member value", span))?;
-                Ok(Some(TV {
-                    e: self.proc.exprs.alloc(Expr::Load {
-                        addr,
-                        ty: kind,
-                        volatile: fty.volatile,
-                    }),
-                    ty: fty,
+                    None
+                };
+                let call = StmtKind::Call {
+                    dst: dst.map(LValue::Var),
+                    callee: name.clone(),
+                    args: arg_exprs,
+                };
+                self.emit_at(out, call, span);
+                Ok(dst.map(|t| TV {
+                    e: self.proc.exprs.var(t),
+                    ty: ret_q,
                 }))
             }
             ExprKind::Cast(q, arg) => {
@@ -1039,14 +995,7 @@ impl<'e> FuncLowerer<'e> {
         if let Some(tv) = tv {
             if self.proc.exprs.any(tv.e, Expr::is_volatile_load) {
                 if let Some(kind) = scalar_kind(&tv.ty) {
-                    let tmp = self.temp(kind);
-                    self.emit(
-                        out,
-                        StmtKind::Assign {
-                            lhs: LValue::Var(tmp),
-                            rhs: tv.e,
-                        },
-                    );
+                    self.assign_temp(kind, tv.e, out);
                 }
             }
         }
@@ -1063,35 +1012,11 @@ impl<'e> FuncLowerer<'e> {
         span: Span,
     ) -> Result<Option<TV>, LowerError> {
         let (place, q) = self.place(lhs, out)?;
-        // an array name decays to a pointer as a value, but is no lvalue
-        if matches!(q.ty, CType::Array(..)) {
-            return Err(self.err("assignment to an array", span));
-        }
-        let kind = scalar_kind(&q).ok_or_else(|| self.err("assignment to aggregate", span))?;
-        // Pin the address in a temporary when we must use it twice
-        // (compound assignment) — evaluate once, per C semantics.
-        let place = match (place, op) {
-            (
-                Place::Mem {
-                    addr,
-                    kind,
-                    volatile,
-                },
-                Some(_),
-            ) if !self.proc.exprs.is_const(addr) => {
-                let taddr = self.temp(ScalarType::Ptr);
-                self.emit(
-                    out,
-                    StmtKind::Assign {
-                        lhs: LValue::Var(taddr),
-                        rhs: addr,
-                    },
-                );
-                Place::Mem {
-                    addr: self.proc.exprs.var(taddr),
-                    kind,
-                    volatile,
-                }
+        let kind = self.store_kind(lhs, &q, "assignment to", span)?;
+        // `op=` reads and writes the place: evaluate its address once
+        let place = match place {
+            Place::Mem { addr, .. } if op.is_some() && !self.proc.exprs.is_const(addr) => {
+                self.pin(place, out)
             }
             _ => place,
         };
@@ -1099,33 +1024,29 @@ impl<'e> FuncLowerer<'e> {
         let new_value = match op {
             None => self.convert(rhs_tv, kind, span)?,
             Some(cop) => {
-                let old = self.load_place(&place, &q);
+                let old = self.reuse(place);
+                let old = TV {
+                    e: self.load(old),
+                    ty: q.clone(),
+                };
                 let tv = self.arith(*cop, old, rhs_tv, span)?;
                 self.convert(tv, kind, span)?
             }
         };
-        if value_needed {
-            // (SL1; SL2; t = E2; E1 = t, t) — §4's temporary scheme: the
-            // value of the assignment is the temporary, so a volatile
-            // target is written once and never read.
-            let tmp = self.temp(kind);
-            self.emit(
-                out,
-                StmtKind::Assign {
-                    lhs: LValue::Var(tmp),
-                    rhs: new_value,
-                },
-            );
-            let tv = self.proc.exprs.var(tmp);
-            self.store(place, tv, out);
-            Ok(Some(TV {
-                e: self.proc.exprs.var(tmp),
-                ty: q,
-            }))
-        } else {
+        if !value_needed {
             self.store(place, new_value, out);
-            Ok(None)
+            return Ok(None);
         }
+        // (SL1; SL2; t = E2; E1 = t, t) — §4's temporary scheme: the value
+        // of the assignment is the temporary, so a volatile target is
+        // written once and never read.
+        let tmp = self.assign_temp(kind, new_value, out);
+        let tv = self.proc.exprs.var(tmp);
+        self.store(place, tv, out);
+        Ok(Some(TV {
+            e: self.proc.exprs.var(tmp),
+            ty: q,
+        }))
     }
 
     fn lower_incdec(
@@ -1138,10 +1059,7 @@ impl<'e> FuncLowerer<'e> {
         span: Span,
     ) -> Result<Option<TV>, LowerError> {
         let (place, q) = self.place(arg, out)?;
-        if matches!(q.ty, CType::Array(..)) {
-            return Err(self.err("++/-- on an array", span));
-        }
-        let kind = scalar_kind(&q).ok_or_else(|| self.err("++/-- on aggregate", span))?;
+        let kind = self.store_kind(arg, &q, "++/-- on", span)?;
         let delta: ExprId = match (&q.ty, kind) {
             (CType::Ptr(inner), _) => {
                 let sz = self.size_of_ctype(inner, span)?;
@@ -1152,106 +1070,34 @@ impl<'e> FuncLowerer<'e> {
             _ => self.proc.exprs.int(1),
         };
         let op = if inc { BinOp::Add } else { BinOp::Sub };
-        match place {
-            Place::Var(v) => {
-                if value_needed && !prefix {
-                    // §5.3 shape: temp_1 = a; a = temp_1 + 4
-                    let tmp = self.temp(kind);
-                    let rv = self.proc.exprs.var(v);
-                    self.emit(
-                        out,
-                        StmtKind::Assign {
-                            lhs: LValue::Var(tmp),
-                            rhs: rv,
-                        },
-                    );
-                    let tv = self.proc.exprs.var(tmp);
-                    let newv = self.proc.exprs.binary(op, kind, tv, delta);
-                    self.emit(
-                        out,
-                        StmtKind::Assign {
-                            lhs: LValue::Var(v),
-                            rhs: newv,
-                        },
-                    );
-                    Ok(Some(TV {
-                        e: self.proc.exprs.var(tmp),
-                        ty: q,
-                    }))
-                } else {
-                    let rv = self.proc.exprs.var(v);
-                    let newv = self.proc.exprs.binary(op, kind, rv, delta);
-                    self.emit(
-                        out,
-                        StmtKind::Assign {
-                            lhs: LValue::Var(v),
-                            rhs: newv,
-                        },
-                    );
-                    Ok(value_needed.then(|| TV {
-                        e: self.proc.exprs.var(v),
-                        ty: q,
-                    }))
-                }
+        let place = self.pin(place, out);
+        let mut old = self.load(place);
+        let value = if let Place::Var(_) = place {
+            let mut value = place;
+            if value_needed && !prefix {
+                // §5.3 shape: temp_1 = a; a = temp_1 + 4
+                let t = self.assign_temp(kind, old, out);
+                old = self.proc.exprs.var(t);
+                value = Place::Var(t);
             }
-            Place::Mem {
-                addr,
-                kind: mkind,
-                volatile,
-            } => {
-                // pin the address once
-                let taddr = self.temp(ScalarType::Ptr);
-                self.emit(
-                    out,
-                    StmtKind::Assign {
-                        lhs: LValue::Var(taddr),
-                        rhs: addr,
-                    },
-                );
-                let la = self.proc.exprs.var(taddr);
-                let load = self.proc.exprs.alloc(Expr::Load {
-                    addr: la,
-                    ty: mkind,
-                    volatile,
-                });
-                let told = self.temp(mkind);
-                self.emit(
-                    out,
-                    StmtKind::Assign {
-                        lhs: LValue::Var(told),
-                        rhs: load,
-                    },
-                );
-                let ov = self.proc.exprs.var(told);
-                let newv = self.proc.exprs.binary(op, kind, ov, delta);
-                let tnew = self.temp(mkind);
-                self.emit(
-                    out,
-                    StmtKind::Assign {
-                        lhs: LValue::Var(tnew),
-                        rhs: newv,
-                    },
-                );
-                let sa = self.proc.exprs.var(taddr);
-                let nv = self.proc.exprs.var(tnew);
-                self.emit(
-                    out,
-                    StmtKind::Assign {
-                        lhs: LValue::Deref {
-                            addr: sa,
-                            ty: mkind,
-                            volatile,
-                        },
-                        rhs: nv,
-                    },
-                );
-                let result = if prefix { tnew } else { told };
-                Ok(value_needed.then(|| TV {
-                    e: self.proc.exprs.var(result),
-                    ty: q,
-                }))
-            }
-        }
+            let new = self.proc.exprs.binary(op, kind, old, delta);
+            self.store(place, new, out);
+            value
+        } else {
+            // told = *a; tnew = told + 1; *a = tnew
+            let told = self.assign_temp(kind, old, out);
+            old = self.proc.exprs.var(told);
+            let new = self.proc.exprs.binary(op, kind, old, delta);
+            let tnew = self.assign_temp(kind, new, out);
+            let target = self.reuse(place);
+            let new = self.proc.exprs.var(tnew);
+            self.store(target, new, out);
+            Place::Var(if prefix { tnew } else { told })
+        };
+        Ok(value_needed.then(|| TV {
+            e: self.load(value),
+            ty: q,
+        }))
     }
 
     fn lower_unary(
@@ -1263,55 +1109,7 @@ impl<'e> FuncLowerer<'e> {
         span: Span,
     ) -> Result<Option<TV>, LowerError> {
         match op {
-            CUnOp::AddrOf => {
-                match self.place(arg, out) {
-                    Ok((place, q)) => {
-                        let addr = match place {
-                            Place::Var(v) => {
-                                self.proc.var_mut(v).addressed = true;
-                                self.proc.exprs.addr_of(v)
-                            }
-                            Place::Mem { addr, .. } => addr,
-                        };
-                        Ok(Some(TV {
-                            e: addr,
-                            ty: q.ptr(),
-                        }))
-                    }
-                    Err(e) => {
-                        // aggregates (struct/array elements) have no scalar
-                        // place, but their rvalue *is* their address
-                        let tv = self.rvalue(arg, out)?;
-                        if matches!(tv.ty.ty, CType::Struct(_) | CType::Array(..)) {
-                            Ok(Some(TV {
-                                e: tv.e,
-                                ty: tv.ty.ptr(),
-                            }))
-                        } else {
-                            Err(e)
-                        }
-                    }
-                }
-            }
-            CUnOp::Deref => {
-                let ptr = self.rvalue(arg, out)?;
-                let pt = pointee(&ptr.ty)
-                    .cloned()
-                    .ok_or_else(|| self.err("dereferencing a non-pointer", span))?;
-                if matches!(pt.ty, CType::Array(..) | CType::Struct(_)) {
-                    return Ok(Some(TV { e: ptr.e, ty: pt }));
-                }
-                let kind =
-                    scalar_kind(&pt).ok_or_else(|| self.err("dereferencing void pointer", span))?;
-                Ok(Some(TV {
-                    e: self.proc.exprs.alloc(Expr::Load {
-                        addr: ptr.e,
-                        ty: kind,
-                        volatile: pt.volatile,
-                    }),
-                    ty: pt,
-                }))
-            }
+            CUnOp::AddrOf | CUnOp::Deref => unreachable!("accesses are lowered through `place`"),
             CUnOp::Plus => self.expr(arg, out, value_needed),
             CUnOp::Neg => {
                 let tv = self.rvalue(arg, out)?;
@@ -1361,17 +1159,10 @@ impl<'e> FuncLowerer<'e> {
                 let is_and = op == CBinOp::LogAnd;
                 let ltv = self.rvalue(l, out)?;
                 let lc = self.truth(ltv, span)?;
-                let tmp = self.temp(ScalarType::Int);
                 // t = (E_l != 0); if (t ==/!= 0) { SL_r; t = (E_r != 0); }
                 let lnot = self.proc.exprs.unary(UnOp::Not, ScalarType::Int, lc);
                 let lnorm = self.proc.exprs.unary(UnOp::Not, ScalarType::Int, lnot);
-                self.emit(
-                    out,
-                    StmtKind::Assign {
-                        lhs: LValue::Var(tmp),
-                        rhs: lnorm,
-                    },
-                );
+                let tmp = self.assign_temp(ScalarType::Int, lnorm, out);
                 let guard = if is_and {
                     self.proc.exprs.var(tmp)
                 } else {
@@ -1383,11 +1174,7 @@ impl<'e> FuncLowerer<'e> {
                 let rc = self.truth(rtv, span)?;
                 let rnot = self.proc.exprs.unary(UnOp::Not, ScalarType::Int, rc);
                 let rnorm = self.proc.exprs.unary(UnOp::Not, ScalarType::Int, rnot);
-                let s = self.proc.stamp(StmtKind::Assign {
-                    lhs: LValue::Var(tmp),
-                    rhs: rnorm,
-                });
-                inner.push(s);
+                self.store(Place::Var(tmp), rnorm, &mut inner);
                 self.emit(
                     out,
                     StmtKind::If {
@@ -1478,36 +1265,9 @@ impl<'e> FuncLowerer<'e> {
         let ty = if bop.is_comparison() {
             int_ty()
         } else {
-            match k {
-                ScalarType::Int | ScalarType::Char => int_ty(),
-                ScalarType::Float => QualType::plain(CType::Float),
-                ScalarType::Double => QualType::plain(CType::Double),
-                ScalarType::Ptr => {
-                    if l_is_ptr {
-                        l.ty
-                    } else {
-                        r.ty
-                    }
-                }
-            }
+            kind_type(k, if l_is_ptr { l.ty } else { r.ty })
         };
         Ok(TV { e, ty })
-    }
-}
-
-impl Place {
-    fn for_var(lw: &mut FuncLowerer<'_>, v: VarId) -> Place {
-        let info = lw.proc.var(v);
-        if info.volatile {
-            let kind = info.ty.scalar().unwrap_or(ScalarType::Int);
-            Place::Mem {
-                addr: lw.proc.exprs.addr_of(v),
-                kind,
-                volatile: true,
-            }
-        } else {
-            Place::Var(v)
-        }
     }
 }
 

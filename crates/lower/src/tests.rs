@@ -695,3 +695,27 @@ t = (*q).f++   | temp_0 = (q + 0); temp_1 = *(int *)(temp_0); temp_2 = (temp_1 +
 --(*q).f       | temp_0 = (q + 0); temp_1 = *(int *)(temp_0); temp_2 = (temp_1 - 1); *(int *)(temp_0) = temp_2;
 r = &(*q).f    | r = (q + 0);
 ";
+
+/// An access refused as a scalar place is refused by `place` itself, once,
+/// with the form's message — the error no longer depends on lowering the
+/// operand a second time as a value.
+#[test]
+fn an_access_naming_no_scalar_is_refused_by_its_form() {
+    let refused = |body: &str| {
+        let src = format!(
+            "struct pt {{ int f; }}; int h(int x);\n\
+             int f(int x, void *vp) {{ int y; {body} return 0; }}"
+        );
+        compile_to_il(&src).expect_err("refused")
+    };
+    assert_eq!(refused("y = *vp;"), "2:37: dereferencing to a non-scalar");
+    assert_eq!(refused("y = h(1).f;"), "2:37: expression is not assignable");
+    assert_eq!(
+        refused("int *p; p = &(x + z);"),
+        "2:47: expression is not assignable"
+    );
+    assert_eq!(
+        refused("int a[4] = x;"),
+        "2:33: cannot initialize aggregates"
+    );
+}

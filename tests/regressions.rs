@@ -3,7 +3,7 @@
 //! program that once diverged between optimization levels.
 
 use titanc_repro::il::ScalarType;
-use titanc_repro::titan::{observe, MachineConfig};
+use titanc_repro::titan::{observe, observe_with, ExecEngine, MachineConfig};
 use titanc_repro::titanc::{compile, Options};
 
 fn check(src: &str, globals: &[(&str, ScalarType, u32)]) {
@@ -442,5 +442,50 @@ fn a_nan_constant_equals_itself() {
         let (seen, _) =
             observe(&c.program, MachineConfig::optimized(2), "main", &globals).expect("runs");
         assert!(seen.globals[0].1[0].as_float().is_nan());
+    }
+}
+
+/// Taking the address of a struct element, or reaching a member through
+/// one, lowered the subscript twice: the lowerer refused the element as
+/// a scalar place and lowered it again as a value, so `i++` ran twice and
+/// each access below left `i == 2`, at every level and on both engines.
+#[test]
+fn a_struct_element_subscript_is_evaluated_once() {
+    let src = "
+struct pt { float x; float y; };
+struct pt a[4];
+int out[3];
+float got[3];
+int main(void)
+{
+    int i; struct pt *p;
+    a[0].y = 2.5f; a[1].y = 7.0f;
+    i = 0; p = &a[i++]; out[0] = i; got[0] = p->y;
+    i = 0; a[i++].x = 1.0f; out[1] = i; got[1] = a[0].x;
+    i = 0; got[2] = a[i++].y; out[2] = i;
+    return 0;
+}
+";
+    let globals = [("out", ScalarType::Int, 3), ("got", ScalarType::Float, 3)];
+    for (level, options) in [("O0", Options::o0()), ("O2", Options::o2())] {
+        let c = compile(src, &options).expect("compiles");
+        for engine in [ExecEngine::Interp, ExecEngine::Vm] {
+            let (seen, _) = observe_with(
+                &c.program,
+                MachineConfig::default(),
+                engine,
+                "main",
+                &globals,
+            )
+            .unwrap_or_else(|e| panic!("{level} {engine:?}: {e}"));
+            let out: Vec<i64> = seen.globals[0].1.iter().map(|v| v.as_int()).collect();
+            let got: Vec<f64> = seen.globals[1].1.iter().map(|v| v.as_float()).collect();
+            assert_eq!(out, [1, 1, 1], "{level} {engine:?}: i after each access");
+            assert_eq!(
+                got,
+                [2.5, 1.0, 2.5],
+                "{level} {engine:?}: the element each access reached"
+            );
+        }
     }
 }
