@@ -345,13 +345,17 @@ impl<'a> Lexer<'a> {
                 b'#' => {
                     // Preprocessor lines are ignored (the corpus is
                     // preprocessed by hand) — except `#pragma safe`, which
-                    // becomes a token (§9's vectorization pragma).
+                    // becomes a token (§9's vectorization pragma). It is
+                    // recognised by its words: `#pragma unsafe` asserts
+                    // nothing.
+                    self.bump();
                     let start = self.pos;
                     while self.pos < self.src.len() && self.peek() != b'\n' {
                         self.bump();
                     }
                     let line = std::str::from_utf8(&self.src[start..self.pos]).unwrap_or("");
-                    if line.contains("pragma") && line.contains("safe") {
+                    let mut words = line.split_whitespace();
+                    if words.next() == Some("pragma") && words.next() == Some("safe") {
                         self.pending = Some(Tok::PragmaSafe);
                         return Ok(());
                     }
@@ -666,9 +670,20 @@ mod tests {
         let t = toks("#pragma safe\nwhile(n) n--;");
         assert_eq!(t[0], Tok::PragmaSafe);
         assert_eq!(t[1], Tok::Kw(Kw::While));
-        // other pragmas are skipped
-        let t2 = toks("#pragma once\nint x;");
-        assert_eq!(t2[0], Tok::Kw(Kw::Int));
+        assert_eq!(toks("# pragma\tsafe\nint x;")[0], Tok::PragmaSafe);
+        // other pragmas are skipped, those that merely contain the word too
+        for other in [
+            "#pragma once",
+            "#pragma unsafe",
+            "#pragma safety",
+            "#safe pragma",
+        ] {
+            assert_eq!(
+                toks(&format!("{other}\nint x;"))[0],
+                Tok::Kw(Kw::Int),
+                "{other}"
+            );
+        }
     }
 
     #[test]

@@ -4,7 +4,7 @@
 
 use titanc_repro::il::ScalarType;
 use titanc_repro::titan::{observe, observe_with, ExecEngine, MachineConfig};
-use titanc_repro::titanc::{compile, Options};
+use titanc_repro::titanc::{compile, OptReport, Options};
 
 fn check(src: &str, globals: &[(&str, ScalarType, u32)]) {
     let base = compile(src, &Options::o0()).expect("O0");
@@ -488,4 +488,29 @@ int main(void)
             );
         }
     }
+}
+
+/// The lexer took any preprocessor line holding the substrings `pragma`
+/// and `safe` for `#pragma safe`, so `#pragma unsafe` asserted §9's
+/// independence and a copy between two pointer parameters, which may
+/// overlap, was strip-mined. It stays scalar, as without the line.
+#[test]
+fn pragma_unsafe_asserts_nothing() {
+    let src = "
+void f(float *x, float *y, int n)
+{
+    int i;
+#pragma unsafe
+    for (i = 0; i < n; i++)
+        x[i] = y[i] + 1.0f;
+}
+";
+    let c = compile(src, &Options::o2()).expect("compiles");
+    let report = OptReport::build(&c.reports, &c.trace).render();
+    assert!(
+        report.contains("loop on `i` at 6:17: scalar — loop-carried flow dependence"),
+        "{report}"
+    );
+    let safe = compile(&src.replace("unsafe", "safe"), &Options::o2()).expect("compiles");
+    assert_eq!(safe.reports.count("vectorized"), 1);
 }
