@@ -202,14 +202,14 @@ pub enum Stmt {
     },
     /// `return`.
     Return(Option<Expr>),
-    /// `break`.
-    Break,
-    /// `continue`.
-    Continue,
-    /// `goto label`.
-    Goto(String),
-    /// `label: stmt`.
-    Label(String, Box<Stmt>),
+    /// `break`, at its keyword.
+    Break(Span),
+    /// `continue`, at its keyword.
+    Continue(Span),
+    /// `goto label`, at its keyword.
+    Goto(String, Span),
+    /// `label: stmt`, at the label.
+    Label(String, Box<Stmt>, Span),
     /// `#pragma safe` — asserts the next loop's iterations are independent
     /// (the §9 vectorization pragma).
     PragmaSafe,
@@ -222,10 +222,12 @@ pub enum Stmt {
         /// Body with interleaved case markers.
         body: Vec<Stmt>,
     },
-    /// `case N:` marker (only valid directly inside a switch body).
-    Case(i64),
-    /// `default:` marker (only valid directly inside a switch body).
-    Default,
+    /// `case N:` marker (only valid directly inside a switch body), at
+    /// its keyword.
+    Case(i64, Span),
+    /// `default:` marker (only valid directly inside a switch body), at
+    /// its keyword.
+    Default(Span),
 }
 
 /// Binary operators as written in C (`&&`/`||` included; they are recast by

@@ -602,11 +602,12 @@ impl Parser {
 
     fn stmt(&mut self) -> Result<Stmt, Diagnostic> {
         // label?
+        let span = self.span();
         if let (Tok::Ident(_), Tok::Punct(Punct::Colon)) = (self.peek(), self.peek2()) {
             let name = self.ident()?;
             self.bump(); // :
             let inner = self.stmt()?;
-            return Ok(Stmt::Label(name, Box::new(inner)));
+            return Ok(Stmt::Label(name, Box::new(inner), span));
         }
         match self.peek() {
             Tok::PragmaSafe => {
@@ -700,18 +701,18 @@ impl Parser {
             Tok::Kw(Kw::Break) => {
                 self.bump();
                 self.expect_punct(Punct::Semi)?;
-                Ok(Stmt::Break)
+                Ok(Stmt::Break(span))
             }
             Tok::Kw(Kw::Continue) => {
                 self.bump();
                 self.expect_punct(Punct::Semi)?;
-                Ok(Stmt::Continue)
+                Ok(Stmt::Continue(span))
             }
             Tok::Kw(Kw::Goto) => {
                 self.bump();
                 let l = self.ident()?;
                 self.expect_punct(Punct::Semi)?;
-                Ok(Stmt::Goto(l))
+                Ok(Stmt::Goto(l, span))
             }
             Tok::Kw(Kw::Switch) => {
                 self.bump();
@@ -724,15 +725,16 @@ impl Parser {
                     if *self.peek() == Tok::Eof {
                         return Err(self.err("unexpected end of file in switch"));
                     }
+                    let at = self.span();
                     if self.eat_kw(Kw::Case) {
                         let v = self.const_int_expr()?;
                         self.expect_punct(Punct::Colon)?;
-                        body.push(Stmt::Case(v));
+                        body.push(Stmt::Case(v, at));
                         continue;
                     }
                     if self.eat_kw(Kw::Default) {
                         self.expect_punct(Punct::Colon)?;
-                        body.push(Stmt::Default);
+                        body.push(Stmt::Default(at));
                         continue;
                     }
                     body.push(self.stmt()?);
@@ -742,7 +744,6 @@ impl Parser {
             Tok::Kw(Kw::Case | Kw::Default) => Err(self
                 .err("`case`/`default` labels are only supported directly inside a switch body")),
             _ if self.starts_decl() => {
-                let span = self.span();
                 let (storage, base) = self.decl_specifiers()?;
                 let mut decls = Vec::new();
                 loop {
@@ -1237,7 +1238,7 @@ struct matrix g;
                 assert!(f
                     .body
                     .iter()
-                    .any(|s| matches!(s, Stmt::Label(name, _) if name == "loop")));
+                    .any(|s| matches!(s, Stmt::Label(name, ..) if name == "loop")));
             }
             _ => panic!(),
         }
@@ -1328,9 +1329,9 @@ int f(int x)
         match &tu.items[0] {
             Item::Func(f) => match &f.body[0] {
                 Stmt::Switch { body, .. } => {
-                    assert!(matches!(body[0], Stmt::Case(1)));
-                    assert!(body.iter().any(|s| matches!(s, Stmt::Case(3))));
-                    assert!(body.iter().any(|s| matches!(s, Stmt::Default)));
+                    assert!(matches!(body[0], Stmt::Case(1, _)));
+                    assert!(body.iter().any(|s| matches!(s, Stmt::Case(3, _))));
+                    assert!(body.iter().any(|s| matches!(s, Stmt::Default(_))));
                 }
                 other => panic!("expected switch, got {other:?}"),
             },

@@ -174,6 +174,48 @@ fn assigning_to_an_array_name_exits_one() {
     );
 }
 
+/// A `goto` without its label once compiled (exit 0 in release, and
+/// `--run` failed in the simulator), a label defined twice ran silently,
+/// and `break` / `continue` / a second `default` outside their place were
+/// reported without a position. Each is a source error at `file:line:col:`.
+#[test]
+fn label_and_jump_mistakes_exit_one_at_their_position() {
+    for (name, body, want) in [
+        (
+            "goto.c",
+            "    goto nowhere;\n",
+            "goto.c:3:5: label `nowhere` used but not defined",
+        ),
+        (
+            "dup.c",
+            "l:  ;\nl:  goto l;\n",
+            "dup.c:4:1: duplicate label `l`",
+        ),
+        ("brk.c", "    break;\n", "brk.c:3:5: break outside a loop"),
+        (
+            "cont.c",
+            "    continue;\n",
+            "cont.c:3:5: continue outside a loop",
+        ),
+        (
+            "default.c",
+            "    switch (1) { default: break; default: break; }\n",
+            "default.c:3:34: duplicate default label",
+        ),
+    ] {
+        let src = write_temp(
+            name,
+            &format!("int main(void)\n{{\n{body}    return 0;\n}}\n"),
+        );
+        for args in [&["--run"][..], &["--verify"][..]] {
+            let out = titanc().args(args).arg(&src).output().unwrap();
+            let err = stderr_of(&out);
+            assert_eq!(out.status.code(), Some(1), "{name} {args:?}: {err}");
+            assert!(err.contains(want), "{name} {args:?}: {err}");
+        }
+    }
+}
+
 #[test]
 fn max_errors_caps_reported_diagnostics() {
     let mut body = String::from("void f(void) {\n");

@@ -75,6 +75,13 @@ pub fn lower_function(env: &Env, f: &ast::FuncDef) -> Result<Procedure, LowerErr
     for s in &f.body {
         lw.stmt(s, &mut out)?;
     }
+    // report the first `goto` (in source order) whose label never came
+    let undefined = (lw.user_labels.iter().filter(|(_, l)| !l.defined))
+        .min_by_key(|(_, l)| (l.first_use.line, l.first_use.col));
+    if let Some((name, l)) = undefined {
+        let msg = format!("label `{name}` used but not defined");
+        return Err(LowerError::new(msg, l.first_use));
+    }
     lw.proc.body = out;
     Ok(lw.proc)
 }
@@ -102,6 +109,14 @@ enum Place {
     Agg(ExprId),
 }
 
+/// A `goto` target: its IL label, whether its `name:` has been lowered
+/// yet, and where the function first mentions it.
+struct UserLabel {
+    id: LabelId,
+    defined: bool,
+    first_use: Span,
+}
+
 struct LoopCtx {
     break_l: LabelId,
     /// `None` inside a `switch`: `continue` binds to the enclosing loop.
@@ -116,7 +131,7 @@ struct FuncLowerer<'e> {
     scopes: Vec<HashMap<String, VarId>>,
     ctypes: HashMap<VarId, QualType>,
     global_imports: HashMap<String, VarId>,
-    user_labels: HashMap<String, LabelId>,
+    user_labels: HashMap<String, UserLabel>,
     loops: Vec<LoopCtx>,
     pending_safe: bool,
 }
@@ -244,13 +259,20 @@ impl<'e> FuncLowerer<'e> {
         Ok(type_size(self.env, &ty))
     }
 
-    fn user_label(&mut self, name: &str) -> LabelId {
-        if let Some(l) = self.user_labels.get(name) {
-            return *l;
+    /// The IL label of user label `name`, mentioned at `span` by a `goto`
+    /// or, when `define`, by `name:` itself — which a function may hold
+    /// once.
+    fn user_label(&mut self, name: &str, span: Span, define: bool) -> Result<LabelId, LowerError> {
+        let proc = &mut self.proc;
+        let l = (self.user_labels.entry(name.to_string())).or_insert_with(|| UserLabel {
+            id: proc.fresh_label(),
+            defined: false,
+            first_use: span,
+        });
+        if define && std::mem::replace(&mut l.defined, true) {
+            return Err(LowerError::new(format!("duplicate label `{name}`"), span));
         }
-        let l = self.proc.fresh_label();
-        self.user_labels.insert(name.to_string(), l);
-        l
+        Ok(l.id)
     }
 
     /// Converts an rvalue to a target scalar kind.
@@ -374,17 +396,17 @@ impl<'e> FuncLowerer<'e> {
                 };
                 self.emit(out, StmtKind::Return(value));
             }
-            ast::Stmt::Break => {
+            ast::Stmt::Break(span) => {
                 let l = match self.loops.last_mut() {
                     Some(ctx) => {
                         ctx.break_used = true;
                         ctx.break_l
                     }
-                    None => return Err(self.err("break outside a loop", Span::default())),
+                    None => return Err(self.err("break outside a loop", *span)),
                 };
                 self.emit(out, StmtKind::Goto(l));
             }
-            ast::Stmt::Continue => {
+            ast::Stmt::Continue(span) => {
                 // `continue` binds to the nearest enclosing *loop*,
                 // skipping switches
                 let l = match self.loops.iter_mut().rev().find(|ctx| ctx.cont_l.is_some()) {
@@ -392,23 +414,20 @@ impl<'e> FuncLowerer<'e> {
                         ctx.cont_used = true;
                         ctx.cont_l.unwrap()
                     }
-                    None => return Err(self.err("continue outside a loop", Span::default())),
+                    None => return Err(self.err("continue outside a loop", *span)),
                 };
                 self.emit(out, StmtKind::Goto(l));
             }
-            ast::Stmt::Goto(name) => {
-                let l = self.user_label(name);
+            ast::Stmt::Goto(name, span) => {
+                let l = self.user_label(name, *span, false)?;
                 self.emit(out, StmtKind::Goto(l));
             }
             ast::Stmt::Switch { cond, body } => self.lower_switch(cond, body, out)?,
-            ast::Stmt::Case(_) | ast::Stmt::Default => {
-                return Err(self.err(
-                    "case/default outside the immediate switch body",
-                    Span::default(),
-                ));
+            ast::Stmt::Case(_, span) | ast::Stmt::Default(span) => {
+                return Err(self.err("case/default outside the immediate switch body", *span));
             }
-            ast::Stmt::Label(name, inner) => {
-                let l = self.user_label(name);
+            ast::Stmt::Label(name, inner, span) => {
+                let l = self.user_label(name, *span, true)?;
                 self.emit(out, StmtKind::Label(l));
                 self.stmt(inner, out)?;
             }
@@ -491,10 +510,10 @@ impl<'e> FuncLowerer<'e> {
         let mut default_label: Option<LabelId> = None;
         for s in body {
             match s {
-                ast::Stmt::Case(v) => case_labels.push((*v, self.proc.fresh_label())),
-                ast::Stmt::Default => {
+                ast::Stmt::Case(v, _) => case_labels.push((*v, self.proc.fresh_label())),
+                ast::Stmt::Default(span) => {
                     if default_label.is_some() {
-                        return Err(self.err("duplicate default label", Span::default()));
+                        return Err(self.err("duplicate default label", *span));
                     }
                     default_label = Some(self.proc.fresh_label());
                 }
@@ -520,12 +539,12 @@ impl<'e> FuncLowerer<'e> {
         let mut next_case = 0usize;
         for s in body {
             match s {
-                ast::Stmt::Case(_) => {
+                ast::Stmt::Case(..) => {
                     let (_, l) = case_labels[next_case];
                     next_case += 1;
                     self.emit(out, StmtKind::Label(l));
                 }
-                ast::Stmt::Default => {
+                ast::Stmt::Default(_) => {
                     self.emit(out, StmtKind::Label(default_label.unwrap()));
                 }
                 other => self.stmt(other, out)?,
