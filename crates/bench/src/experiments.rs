@@ -16,7 +16,7 @@
 use std::time::Instant;
 
 use titanc::{compile, compile_with, Aliasing, Catalog, Options, Pipeline, VectorOptions};
-use titanc_il::{LoopDecision, Procedure, StmtKind};
+use titanc_il::{Count, LoopDecision, Procedure, StmtKind};
 use titanc_lower::compile_to_il;
 use titanc_opt::{convert_while_loops, forward_substitute, induction_substitution};
 use titanc_titan::{ExecStats, MachineConfig as Titan, RunResult, Simulator};
@@ -321,7 +321,7 @@ fn inlined_zero_alpha_main() -> Procedure {
 /// The paper's heuristic: propagation + branch folding + the postpass,
 /// re-seeded each round. Returns the statements it removed.
 fn heuristic(p: &mut Procedure) -> usize {
-    let removed = titanc_opt::constant_propagation(p).removed;
+    let removed = titanc_opt::constant_propagation(p).get(Count::ConstpropRemoved);
     titanc_opt::eliminate_dead_code(p);
     removed
 }
@@ -336,7 +336,7 @@ fn cfg_rebuild(p: &mut Procedure) -> usize {
     loop {
         titanc_opt::constant_propagation_no_unreachable(p);
         let before = p.len();
-        removed += titanc_opt::constant_propagation(p).removed;
+        removed += titanc_opt::constant_propagation(p).get(Count::ConstpropRemoved);
         removed += titanc_opt::eliminate_unreachable_cfg(p);
         if p.len() == before {
             break;
@@ -389,9 +389,9 @@ fn exp5() -> Vec<Row> {
     for (name, src, expect) in whiledo_corpus() {
         let rep = convert_while_loops(&mut lowered(&src));
         let converted = LoopDecision::DoConverted;
-        let did = rep.events.iter().any(|e| e.decision == converted);
+        let did = rep.loops.iter().any(|e| e.decision == converted);
         assert_eq!(did, expect, "unexpected outcome for `{name}`");
-        let first = rep.events.first().map(|e| &e.decision);
+        let first = rep.loops.first().map(|e| &e.decision);
         let note = match first {
             Some(LoopDecision::DoRejected(reason)) if !did => format!("rejected: {reason:?}"),
             _ => "converted".to_string(),
@@ -419,11 +419,12 @@ fn exp6() -> Vec<Row> {
     let mut rows = Vec::new();
     for k in CHAINS {
         let rep = induction_substitution(&mut chain_proc(k));
-        let substituted = LoopDecision::ivs_substituted(&rep.events);
+        let substituted = LoopDecision::ivs_substituted(&rep.loops);
         assert!(substituted >= k, "all {k} chains substituted");
-        assert!(rep.passes <= 4, "near one productive pass: {}", rep.passes);
+        let (passes, backtracks) = (rep.get(Count::IvsubPasses), rep.get(Count::IvsubBacktracks));
+        assert!(passes <= 4, "near one productive pass: {passes}");
         let label = format!("{k} pointer chains: IVs substituted");
-        let note = format!("passes {}, backtracks {}", rep.passes, rep.backtracks);
+        let note = format!("passes {passes}, backtracks {backtracks}");
         rows.push(Row::exact(label, substituted as f64, note));
     }
     // second axis: loops per procedure. Each loop converts and gives up
@@ -513,7 +514,7 @@ fn exp8() -> Vec<Row> {
     let converted = c.reports.count("do_converted");
     assert!(converted >= 3, "all three nest levels convert");
     let label = "4x4 transform over 256 vertices: while→DO conversions";
-    let ivs = LoopDecision::ivs_substituted(&c.reports.ivsub.events);
+    let ivs = LoopDecision::ivs_substituted(&c.reports.loops);
     let note = format!("{ivs} IVs substituted");
     let mut rows = vec![Row::exact(label, converted as f64, note)];
     let cases = [
@@ -656,7 +657,7 @@ fn exp11() -> Vec<Row> {
     // the walk appears twice: in `work` and inlined into `main`
     let c = compile(corpus::LISTWALK, &spread_lists()).expect("compiles");
     let loops = c.reports.count("list_spread");
-    assert!(loops >= 1, "{:?}", c.reports.spread);
+    assert!(loops >= 1, "{:?}", c.reports.loops);
     let note = "in `work` and inlined into `main`";
     let label = "1024-node walk: loops spread";
     let mut rows = vec![Row::exact(label, loops as f64, note)];

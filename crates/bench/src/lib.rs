@@ -376,7 +376,7 @@ mod tests {
             let mut proc = prog.procs[0].clone();
             let rep = titanc_opt::convert_while_loops(&mut proc);
             let converted = titanc_il::LoopDecision::DoConverted;
-            let converted = rep.events.iter().any(|e| e.decision == converted);
+            let converted = rep.loops.iter().any(|e| e.decision == converted);
             assert_eq!(converted, expect, "{name}");
         }
     }
@@ -388,6 +388,6 @@ mod tests {
         let mut proc = prog.procs[0].clone();
         titanc_opt::convert_while_loops(&mut proc);
         let rep = titanc_opt::induction_substitution(&mut proc);
-        assert!(titanc_il::LoopDecision::ivs_substituted(&rep.events) >= 4);
+        assert!(titanc_il::LoopDecision::ivs_substituted(&rep.loops) >= 4);
     }
 }

@@ -34,7 +34,7 @@ use titanc::{compile, OptLevel, Options, VectorOptions};
 use titanc_analysis::ProcAnalyses;
 use titanc_bench::many_loops_source;
 use titanc_bench::sweep::{corpus_files, option_sets, Case, DEFAULT_SEED};
-use titanc_il::{pretty_proc, Procedure};
+use titanc_il::{pretty_proc, Count, Procedure};
 
 /// What the comparisons of one test covered.
 #[derive(Default)]
@@ -75,7 +75,7 @@ fn assert_forward_agrees(proc: &mut Procedure, what: &str, cov: &mut Coverage) {
         proc,
         &format!("{what}: forward"),
         forward_reference::forward_substitute,
-        |p| titanc_opt::forward_substitute(p).substituted,
+        |p| titanc_opt::forward_substitute(p).get(Count::ForwardSubstituted),
     );
     cov.comparisons += 1;
 }
@@ -94,9 +94,9 @@ fn assert_dce_agrees(
         |p| {
             let r = titanc_opt::eliminate_dead_code_cached(p, analyses);
             dce_reference::Report {
-                removed: r.removed,
-                rounds: r.rounds,
-                budget_exhausted: r.budget_exhausted,
+                removed: r.get(Count::DceRemoved),
+                rounds: r.get(Count::DceRounds),
+                budget_exhausted: r.get(Count::DceBudgetHit) > 0,
             }
         },
     )
@@ -129,10 +129,10 @@ fn run_pipeline(src: &str, options: &Options, what: &str, cov: &mut Coverage) {
             |p| {
                 let r = titanc_opt::constant_propagation_cached(p, &mut analyses);
                 constprop_reference::Report {
-                    replaced: r.replaced,
-                    removed: r.removed,
-                    rounds: r.rounds,
-                    budget_exhausted: r.budget_exhausted,
+                    replaced: r.get(Count::ConstpropReplaced),
+                    removed: r.get(Count::ConstpropRemoved),
+                    rounds: r.get(Count::ConstpropRounds),
+                    budget_exhausted: r.get(Count::ConstpropBudgetHit) > 0,
                 }
             },
         )
@@ -159,8 +159,8 @@ fn run_pipeline(src: &str, options: &Options, what: &str, cov: &mut Coverage) {
             |p| {
                 let r = titanc_opt::local_cse(p);
                 cse_reference::Report {
-                    commoned: r.commoned,
-                    replaced: r.replaced,
+                    commoned: r.get(Count::CseCommoned),
+                    replaced: r.get(Count::CseReplaced),
                 }
             },
         )

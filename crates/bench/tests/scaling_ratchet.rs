@@ -86,7 +86,7 @@ fn pipeline_allocations(loops: usize) -> (usize, usize) {
     assert_eq!(
         (
             reports.count("vectorized") + reports.count("parallelized"),
-            reports.vector.scalar
+            reports.notes.len()
         ),
         (loops + 1, 0),
         "{loops} loops: every loop leaves the scalar form"

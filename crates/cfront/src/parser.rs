@@ -910,10 +910,19 @@ impl Parser {
                 let e = self.unary()?;
                 return Ok(Expr::new(ExprKind::SizeofExpr(Box::new(e)), span));
             }
-            _ => return self.cast_expr(),
+            Tok::Punct(Punct::LParen) if self.type_follows_paren() => {
+                self.bump();
+                let ty = self.type_name()?;
+                self.expect_punct(Punct::RParen)?;
+                let arg = Box::new(self.unary()?);
+                return Ok(Expr::new(ExprKind::Cast(ty, arg), span));
+            }
+            _ => return self.postfix(),
         };
         self.bump();
-        let arg = Box::new(self.cast_expr()?);
+        // C's operand of a prefix operator or a cast is any unary
+        // expression: `-*p`, `!!x`, `&*p`, `(float)*p`, `(int)-x`
+        let arg = Box::new(self.unary()?);
         Ok(Expr::new(ExprKind::Unary(op, arg), span))
     }
 
@@ -935,19 +944,6 @@ impl Parser {
                     | Kw::Const
             )
         )
-    }
-
-    fn cast_expr(&mut self) -> Result<Expr, Diagnostic> {
-        let span = self.span();
-        if *self.peek() == Tok::Punct(Punct::LParen) && self.type_follows_paren() {
-            self.bump();
-            let ty = self.type_name()?;
-            self.expect_punct(Punct::RParen)?;
-            // C's cast operand is any unary expression: `(float)*p`, `(int)-x`
-            let arg = self.unary()?;
-            return Ok(Expr::new(ExprKind::Cast(ty, Box::new(arg)), span));
-        }
-        self.postfix()
     }
 
     fn postfix(&mut self) -> Result<Expr, Diagnostic> {

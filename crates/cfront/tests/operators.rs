@@ -172,12 +172,34 @@ fn unary_cast_and_postfix_bind_tighter_than_multiplication() {
         let e = parse_expr(src).unwrap_or_else(|d| panic!("`{src}`: {d}"));
         assert_eq!(shape(&e), expected, "`{src}`");
     }
-    // the operand of a unary operator is a cast expression, never a product
+    // the operand of a unary operator is a unary expression, never a product
     match parse_expr("-a * b").unwrap().kind {
         ExprKind::Binary(CBinOp::Mul, l, _) => {
             assert!(matches!(l.kind, ExprKind::Unary(CUnOp::Neg, _)));
         }
         other => panic!("{other:?}"),
+    }
+}
+
+#[test]
+fn prefix_operators_nest() {
+    // C's operand of a prefix operator is itself a unary expression
+    for (src, expected) in [
+        ("-*p", "(Neg (Deref p))"),
+        ("**pp", "(Deref (Deref pp))"),
+        ("!!x", "(Not (Not x))"),
+        ("- -x", "(Neg (Neg x))"),
+        ("~-x", "(BitNot (Neg x))"),
+        ("&*p", "(AddrOf (Deref p))"),
+        ("!-x", "(Not (Neg x))"),
+        ("-(float)*p", "(Neg ((float) (Deref p)))"),
+        ("-++a", "(Neg (++a))"),
+        ("*-*p * b", "((Deref (Neg (Deref p))) * b)"),
+        ("sizeof -x", "(sizeof (Neg x))"),
+        ("- - -x[i]++", "(Neg (Neg (Neg ((x[i])++))))"),
+    ] {
+        let e = parse_expr(src).unwrap_or_else(|d| panic!("`{src}`: {d}"));
+        assert_eq!(shape(&e), expected, "`{src}`");
     }
 }
 

@@ -60,7 +60,7 @@ pub use store::{install_io_faults, FaultMode, IoFaultSpec, IoOp, ResidentCache};
 pub use titanc_analysis::{CacheStats, ProcAnalyses};
 pub use titanc_cfront::{Diagnostic, DiagnosticSink, Severity, Span};
 pub use titanc_deps::Aliasing;
-pub use titanc_il::{Catalog, Program};
+pub use titanc_il::{Catalog, Count, Program, Report};
 pub use titanc_vector::VectorOptions;
 pub use trace::{chrome_trace, Counters, LoopReport, OptReport};
 
@@ -173,79 +173,13 @@ impl Options {
     }
 }
 
-/// Aggregated pass statistics.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct Reports {
-    /// while→DO conversions across all procedures.
-    pub whiledo: titanc_opt::WhileDoReport,
-    /// Induction-variable substitution.
-    pub ivsub: titanc_opt::IvSubReport,
-    /// Forward substitution.
-    pub forward: titanc_opt::ForwardReport,
-    /// Constant propagation.
-    pub constprop: titanc_opt::ConstPropReport,
-    /// Dead-code elimination.
-    pub dce: titanc_opt::DceReport,
-    /// Vectorizer outcomes.
-    pub vector: titanc_vector::VectorReport,
-    /// §6 scalar optimizations.
-    pub strength: titanc_vector::StrengthReport,
-    /// Local common-subexpression elimination.
-    pub cse: titanc_opt::CseReport,
-    /// §10 linked-list loop spreading.
-    pub spread: titanc_vector::SpreadReport,
-    /// Inliner outcomes.
-    pub inline: titanc_inline::InlineReport,
-}
-
-impl Reports {
-    /// Folds another aggregate into this one, field by field. The pass
-    /// manager uses this to combine per-pass deltas into the compilation
-    /// total.
-    pub fn merge(&mut self, other: Reports) {
-        self.whiledo.merge(other.whiledo);
-        self.ivsub.merge(other.ivsub);
-        self.forward.merge(other.forward);
-        self.constprop.merge(other.constprop);
-        self.dce.merge(other.dce);
-        self.vector.merge(other.vector);
-        self.strength.merge(other.strength);
-        self.cse.merge(other.cse);
-        self.spread.merge(other.spread);
-        self.inline.merge(other.inline);
-    }
-
-    /// Every loop decision event, in pipeline order: while→DO conversion,
-    /// induction-variable substitution, list spreading, vectorization.
-    pub fn loop_events(&self) -> impl Iterator<Item = &titanc_il::LoopEvent> {
-        let whiledo = self.whiledo.events.iter().chain(&self.ivsub.events);
-        whiledo
-            .chain(&self.spread.events)
-            .chain(&self.vector.events)
-    }
-
-    /// The loops or call sites decided as `tag` — one of
-    /// [`titanc_il::LoopDecision::TAGS`] or [`titanc_il::InlineOutcome::TAGS`]
-    /// — read off the decision events.
-    pub fn count(&self, tag: &str) -> usize {
-        let loops = self.loop_events().map(|e| e.decision.tag());
-        let sites = self.inline.events.iter().map(|e| e.outcome.tag());
-        loops.chain(sites).filter(|t| *t == tag).count()
-    }
-}
-
-titanc_il::struct_wire!(
-    Reports,
-    [whiledo, ivsub, forward, constprop, dce, vector, strength, cse, spread, inline]
-);
-
 /// The result of a compilation.
 #[derive(Clone, Debug)]
 pub struct Compilation {
     /// The optimized program, ready for the Titan simulator.
     pub program: Program,
     /// Pass statistics, aggregated across the whole pipeline.
-    pub reports: Reports,
+    pub reports: Report,
     /// Per-pass execution records: wall-clock time, the statistics
     /// delta each pass contributed, and any contained [`PassIncident`]s.
     pub trace: PassTrace,
@@ -404,47 +338,35 @@ fn link_catalogs(
 
 /// Turns the aggregate pass reports into user-facing remarks: which loops
 /// defeated the vectorizer and why, and which fixpoint budgets ran out.
-fn optimization_remarks(reports: &Reports, sink: &mut DiagnosticSink) {
-    for note in &reports.vector.notes {
+fn optimization_remarks(reports: &Report, sink: &mut DiagnosticSink) {
+    for note in &reports.notes {
         sink.remark(note.clone(), Span::none());
     }
-    if reports.constprop.budget_exhausted {
-        sink.remark(
-            format!(
-                "constant propagation stopped at its {}-round budget; remaining \
-                 opportunities were left to later passes",
-                titanc_opt::constprop::MAX_ROUNDS
-            ),
-            Span::none(),
+    if reports.get(Count::ConstpropBudgetHit) > 0 {
+        let cp = titanc_opt::constprop::MAX_ROUNDS;
+        let text = format!(
+            "constant propagation stopped at its {cp}-round budget; remaining \
+             opportunities were left to later passes"
         );
+        sink.remark(text, Span::none());
     }
-    if reports.dce.budget_exhausted {
-        sink.remark(
-            format!(
-                "dead-code elimination stopped at its {}-round budget",
-                titanc_opt::dce::MAX_ROUNDS
-            ),
-            Span::none(),
-        );
+    if reports.get(Count::DceBudgetHit) > 0 {
+        let dce = titanc_opt::dce::MAX_ROUNDS;
+        let text = format!("dead-code elimination stopped at its {dce}-round budget");
+        sink.remark(text, Span::none());
     }
-    if reports.ivsub.budget_exhausted {
-        sink.remark(
-            format!(
-                "induction-variable substitution stopped at its {}-pass budget",
-                titanc_opt::ivsub::MAX_PASSES
-            ),
-            Span::none(),
-        );
+    if reports.get(Count::IvsubBudgetHit) > 0 {
+        let passes = titanc_opt::ivsub::MAX_PASSES;
+        let text = format!("induction-variable substitution stopped at its {passes}-pass budget");
+        sink.remark(text, Span::none());
     }
     let skipped_growth = reports.count("skipped_growth");
     if skipped_growth > 0 {
-        sink.remark(
-            format!(
-                "{skipped_growth} call site(s) left unexpanded by the per-caller inline \
-                 IL-growth budget"
-            ),
-            Span::none(),
+        let text = format!(
+            "{skipped_growth} call site(s) left unexpanded by the per-caller inline \
+             IL-growth budget"
         );
+        sink.remark(text, Span::none());
     }
 }
 

@@ -46,7 +46,7 @@
 //!
 //! * a [`PassTrace`] with one [`PassRecord`] per executed pass — its
 //!   wall-clock duration (summed across workers for the chain), the
-//!   per-pass *delta* of the aggregate [`Reports`], and the cache
+//!   per-pass *delta* of the aggregate [`Report`], and the cache
 //!   hit/build counters, so regressions in compile time, pass
 //!   effectiveness, or cache effectiveness are visible per pass;
 //! * typed [`Snapshot`]s (when [`Options::snapshots`] is set) of every
@@ -68,10 +68,10 @@ use std::sync::Once;
 use std::time::{Duration, Instant};
 
 use titanc_analysis::{CacheStats, ProcAnalyses};
-use titanc_il::{Procedure, Program};
+use titanc_il::{Procedure, Program, Report};
 
 use crate::session::Manifest;
-use crate::{OptLevel, Options, Reports, VectorOptions};
+use crate::{OptLevel, Options, VectorOptions};
 
 /// Read-only context handed to every pass.
 pub struct PassContext<'a> {
@@ -82,7 +82,7 @@ pub struct PassContext<'a> {
 /// A whole-program transformation.
 ///
 /// A pass transforms the whole [`Program`] and accounts for its work by
-/// merging counts into `delta`, a fresh [`Reports`] value the manager
+/// merging counts into `delta`, a fresh [`Report`] the manager
 /// aggregates and records in the [`PassTrace`]. A pass that changes a
 /// procedure bumps that procedure's generation: the manager reads
 /// "changed" off the generations alone. Implement this directly
@@ -94,7 +94,7 @@ pub trait Pass {
     fn name(&self) -> &'static str;
 
     /// Transforms `program`, recording statistics into `delta`.
-    fn run(&self, program: &mut Program, cx: &PassContext<'_>, delta: &mut Reports);
+    fn run(&self, program: &mut Program, cx: &PassContext<'_>, delta: &mut Report);
 }
 
 /// A per-procedure transformation — the parallel unit of the pipeline.
@@ -117,7 +117,7 @@ pub trait ProcPass: Sync {
         proc: &mut Procedure,
         cx: &PassContext<'_>,
         analyses: &mut ProcAnalyses,
-        delta: &mut Reports,
+        delta: &mut Report,
     );
 }
 
@@ -133,7 +133,7 @@ pub struct PassRecord {
     /// fault was contained.
     pub duration: Duration,
     /// The statistics this pass alone contributed.
-    pub delta: Reports,
+    pub delta: Report,
     /// Whether the pass moved some procedure's generation.
     pub changed: bool,
     /// Analysis-cache counters this pass alone contributed (always zero
@@ -149,7 +149,7 @@ pub struct PassRecord {
 
 /// One (pass × procedure) execution interval, stamped against the
 /// pipeline's start instant — the raw material of `--trace-json`'s Chrome
-/// trace-event export. Unlike [`PassRecord`]s and [`Reports`], the
+/// trace-event export. Unlike [`PassRecord`]s and [`Report`], the
 /// timeline is *timing* data: wall-clock offsets and worker-lane
 /// assignments legitimately differ between runs and between `-j` values.
 #[derive(Clone, Debug)]
@@ -465,7 +465,7 @@ enum CellStatus {
 
 struct PassCell {
     duration: Duration,
-    delta: Reports,
+    delta: Report,
     changed: bool,
     cache: CacheStats,
     status: CellStatus,
@@ -477,7 +477,7 @@ impl PassCell {
     fn skipped() -> PassCell {
         PassCell {
             duration: Duration::ZERO,
-            delta: Reports::default(),
+            delta: Report::default(),
             changed: false,
             cache: CacheStats::default(),
             status: CellStatus::Skipped,
@@ -532,7 +532,7 @@ pub struct RecordedCell {
     /// pipeline fingerprint, so a mismatch means a damaged entry).
     pub pass: String,
     /// The statistics delta the pass contributed to this procedure.
-    pub delta: Reports,
+    pub delta: Report,
     /// Whether the pass moved the procedure's generation.
     pub changed: bool,
     /// The analysis-cache counters of the original execution.
@@ -713,7 +713,7 @@ fn run_proc_chain(
         // against
         let handed = cfg!(debug_assertions).then(|| proc.clone());
         let stats_before = slot.analyses.stats();
-        let mut delta = Reports::default();
+        let mut delta = Report::default();
         let (start, duration, ran) = run_pass(proc, env.verify, |p| {
             pass.run_on(p, &env.cx, &mut slot.analyses, &mut delta)
         });
@@ -803,7 +803,7 @@ fn roll_back(
     // and nothing the replay builds is accounted to a pass cell
     let mut analyses = ProcAnalyses::new();
     for pass in clean {
-        let replay = |p: &mut Procedure| pass.run_on(p, cx, &mut analyses, &mut Reports::default());
+        let replay = |p: &mut Procedure| pass.run_on(p, cx, &mut analyses, &mut Report::default());
         if let (.., Err((_, why))) = run_pass(proc, false, replay) {
             proc.clone_from(entry);
             return Err(why);
@@ -933,7 +933,7 @@ impl Pipeline {
 
     /// Runs the prefix, then the chain, over `program`.
     ///
-    /// Returns the aggregated [`Reports`] and the [`PassTrace`]; when
+    /// Returns the aggregated [`Report`] and the [`PassTrace`]; when
     /// [`Options::snapshots`] is set, a [`Snapshot`] of every procedure
     /// *whose generation moved* is appended to `snapshots` after the pass
     /// that moved it (pass-major, procedure order). The IL verifier runs
@@ -961,7 +961,7 @@ impl Pipeline {
         options: &Options,
         snapshots: &mut Vec<Snapshot>,
         mut session: Option<&mut SessionReplay>,
-    ) -> (Reports, PassTrace) {
+    ) -> (Report, PassTrace) {
         let mut run = Run {
             env: Env {
                 cx: PassContext { options },
@@ -972,7 +972,7 @@ impl Pipeline {
             jobs: options.effective_jobs(),
             slots: Vec::new(),
             moved: false,
-            reports: Reports::default(),
+            reports: Report::default(),
             trace: PassTrace::default(),
             snapshots,
         };
@@ -1041,7 +1041,7 @@ struct Run<'a> {
     slots: Vec<ProcSlot>,
     /// Some procedure's generation moved past the one it entered with.
     moved: bool,
-    reports: Reports,
+    reports: Report,
     trace: PassTrace,
     snapshots: &'a mut Vec<Snapshot>,
 }
@@ -1059,7 +1059,7 @@ impl Run<'_> {
     /// the verified pre-pass state.
     fn program_stage(&mut self, pass: &dyn Pass, program: &mut Program) {
         let backup = program.clone();
-        let mut delta = Reports::default();
+        let mut delta = Report::default();
         let cx = &self.env.cx;
         let (start, duration, ran) =
             run_pass(program, self.env.verify, |p| pass.run(p, cx, &mut delta));
@@ -1094,7 +1094,7 @@ impl Run<'_> {
                     kind,
                     detail,
                 });
-                delta = Reports::default();
+                delta = Report::default();
                 false
             }
         };
@@ -1187,7 +1187,7 @@ fn merge_column(name: &'static str, cells: impl IntoIterator<Item = PassCell>) -
     let mut record = PassRecord {
         name,
         duration: Duration::ZERO,
-        delta: Reports::default(),
+        delta: Report::default(),
         changed: false,
         cache: CacheStats::default(),
         skipped_procs: 0,
@@ -1216,17 +1216,17 @@ impl Pass for InlinePass {
         "inline"
     }
 
-    fn run(&self, program: &mut Program, _: &PassContext<'_>, delta: &mut Reports) {
-        delta.inline.merge(titanc_inline::inline_program(program));
+    fn run(&self, program: &mut Program, _: &PassContext<'_>, delta: &mut Report) {
+        delta.merge(titanc_inline::inline_program(program));
     }
 }
 
 /// One row of [`PROC_PASSES`]: the stable pass name and the
-/// transformation (its report placed in the matching [`Reports`] slot).
+/// transformation.
 #[derive(Clone, Copy)]
 struct TablePass {
     name: &'static str,
-    run: fn(&mut Procedure, &PassContext<'_>, &mut ProcAnalyses) -> Reports,
+    run: fn(&mut Procedure, &PassContext<'_>, &mut ProcAnalyses) -> Report,
 }
 
 impl ProcPass for TablePass {
@@ -1239,7 +1239,7 @@ impl ProcPass for TablePass {
         proc: &mut Procedure,
         cx: &PassContext<'_>,
         analyses: &mut ProcAnalyses,
-        delta: &mut Reports,
+        delta: &mut Report,
     ) {
         delta.merge((self.run)(proc, cx, analyses));
     }
@@ -1257,52 +1257,31 @@ impl ProcPass for TablePass {
 const PROC_PASSES: [TablePass; 9] = [
     TablePass {
         name: "whiledo",
-        run: |p, _, a| Reports {
-            whiledo: titanc_opt::convert_while_loops_cached(p, a),
-            ..Reports::default()
-        },
+        run: |p, _, a| titanc_opt::convert_while_loops_cached(p, a),
     },
     TablePass {
         name: "ivsub",
-        run: |p, _, _| Reports {
-            ivsub: titanc_opt::induction_substitution(p),
-            ..Reports::default()
-        },
+        run: |p, _, _| titanc_opt::induction_substitution(p),
     },
     TablePass {
         name: "forward",
-        run: |p, _, _| Reports {
-            forward: titanc_opt::forward_substitute(p),
-            ..Reports::default()
-        },
+        run: |p, _, _| titanc_opt::forward_substitute(p),
     },
     TablePass {
         name: "constprop",
-        run: |p, _, a| Reports {
-            constprop: titanc_opt::constant_propagation_cached(p, a),
-            ..Reports::default()
-        },
+        run: |p, _, a| titanc_opt::constant_propagation_cached(p, a),
     },
     TablePass {
         name: "dce",
-        run: |p, _, a| Reports {
-            dce: titanc_opt::eliminate_dead_code_cached(p, a),
-            ..Reports::default()
-        },
+        run: |p, _, a| titanc_opt::eliminate_dead_code_cached(p, a),
     },
     TablePass {
         name: "cse",
-        run: |p, _, _| Reports {
-            cse: titanc_opt::local_cse(p),
-            ..Reports::default()
-        },
+        run: |p, _, _| titanc_opt::local_cse(p),
     },
     TablePass {
         name: "spread_lists",
-        run: |p, _, _| Reports {
-            spread: titanc_vector::spread_list_loops(p),
-            ..Reports::default()
-        },
+        run: |p, _, _| titanc_vector::spread_list_loops(p),
     },
     TablePass {
         name: "vectorize",
@@ -1312,18 +1291,12 @@ const PROC_PASSES: [TablePass; 9] = [
                 parallelize: cx.options.parallelize,
                 strip: cx.options.strip,
             };
-            Reports {
-                vector: titanc_vector::vectorize(p, &vopts),
-                ..Reports::default()
-            }
+            titanc_vector::vectorize(p, &vopts)
         },
     },
     TablePass {
         name: "strength",
-        run: |p, cx, _| Reports {
-            strength: titanc_vector::strength_reduce(p, cx.options.aliasing),
-            ..Reports::default()
-        },
+        run: |p, cx, _| titanc_vector::strength_reduce(p, cx.options.aliasing),
     },
 ];
 

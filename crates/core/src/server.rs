@@ -72,7 +72,7 @@ use crate::pass::{contain, panic_message};
 use crate::session::{compile_session_resident, SessionCompilation, SourceFile};
 use crate::store::ResidentCache;
 use crate::trace::OptReport;
-use crate::{Compilation, CompileError, Options, Pipeline, Reports, SessionStats};
+use crate::{Compilation, CompileError, Count, Options, Pipeline, Report, SessionStats};
 use titanc_il::json::{parse, FromJson, Json, ToJson};
 use titanc_il::{wire, StableHash};
 
@@ -362,48 +362,36 @@ fn write_il(out: &mut String, program: &titanc_il::Program) {
 }
 
 /// The `--stats` block.
-fn stats_block(r: &Reports) -> String {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "inline:     {} sites ({} recursive skipped, {} growth-budget skipped)",
-        r.count("expanded"),
-        r.count("skipped_recursive"),
-        r.count("skipped_growth")
-    );
-    let _ = writeln!(
-        out,
-        "while->DO:  {} converted, {} rejected",
-        r.count("do_converted"),
-        r.count("do_rejected")
-    );
-    let _ = writeln!(
-        out,
-        "ivsub:      {} variables, {} passes, {} backtracks",
-        titanc_il::LoopDecision::ivs_substituted(&r.ivsub.events),
-        r.ivsub.passes,
-        r.ivsub.backtracks
-    );
-    let _ = writeln!(out, "forward:    {} substitutions", r.forward.substituted);
-    let _ = writeln!(
-        out,
-        "constprop:  {} replaced, {} removed, {} rounds",
-        r.constprop.replaced, r.constprop.removed, r.constprop.rounds
-    );
-    let _ = writeln!(out, "dce:        {} removed", r.dce.removed);
-    let _ = writeln!(
-        out,
-        "vectorizer: {} vectorized, {} spread, {} scalar",
-        r.count("vectorized"),
-        r.count("parallelized"),
-        r.vector.scalar
-    );
-    let _ = writeln!(
-        out,
-        "strength:   {} promoted, {} reduced, {} hoisted",
-        r.strength.promoted, r.strength.reduced, r.strength.hoisted
-    );
-    out
+fn stats_block(r: &Report) -> String {
+    format!(
+        "inline:     {sites} sites ({recur} recursive skipped, {growth} growth-budget skipped)\n\
+         while->DO:  {converted} converted, {rejected} rejected\n\
+         ivsub:      {ivs} variables, {passes} passes, {backtracks} backtracks\n\
+         forward:    {forward} substitutions\n\
+         constprop:  {replaced} replaced, {cp_removed} removed, {rounds} rounds\n\
+         dce:        {dce_removed} removed\n\
+         vectorizer: {vectorized} vectorized, {spread} spread, {scalar} scalar\n\
+         strength:   {promoted} promoted, {reduced} reduced, {hoisted} hoisted\n",
+        sites = r.count("expanded"),
+        recur = r.count("skipped_recursive"),
+        growth = r.count("skipped_growth"),
+        converted = r.count("do_converted"),
+        rejected = r.count("do_rejected"),
+        ivs = titanc_il::LoopDecision::ivs_substituted(&r.loops),
+        passes = r.get(Count::IvsubPasses),
+        backtracks = r.get(Count::IvsubBacktracks),
+        forward = r.get(Count::ForwardSubstituted),
+        replaced = r.get(Count::ConstpropReplaced),
+        cp_removed = r.get(Count::ConstpropRemoved),
+        rounds = r.get(Count::ConstpropRounds),
+        dce_removed = r.get(Count::DceRemoved),
+        vectorized = r.count("vectorized"),
+        spread = r.count("parallelized"),
+        scalar = r.notes.len(),
+        promoted = r.get(Count::StrengthPromoted),
+        reduced = r.get(Count::StrengthReduced),
+        hoisted = r.get(Count::StrengthHoisted),
+    )
 }
 
 /// The `--opt-report` block (text or JSON flavor).
@@ -442,7 +430,7 @@ impl crate::ProcPass for InjectPanic {
         proc: &mut titanc_il::Procedure,
         _cx: &crate::PassContext<'_>,
         _analyses: &mut crate::ProcAnalyses,
-        _delta: &mut Reports,
+        _delta: &mut Report,
     ) {
         assert!(
             proc.name != self.target,

@@ -101,8 +101,10 @@ use crate::{link_catalogs, optimization_remarks, Compilation, CompileError, Opti
 /// their decision events, `DoRejected` carries a typed reason, and a
 /// `constprop` cell that only folded records `changed`. 7: an inline
 /// event lost its site ordinal, and the inliner records each call site
-/// once, so a manifest's inline record holds fewer events.)
-const ENTRY_VERSION: u32 = 7;
+/// once, so a manifest's inline record holds fewer events. 8: a recorded
+/// delta is one `titanc_il::Report` — a fixed array of counts, then the
+/// loop events, inline events and notes — not ten per-pass reports.)
+const ENTRY_VERSION: u32 = 8;
 
 /// One input translation unit: a display name (normally the path) and
 /// its source text.
@@ -860,7 +862,7 @@ mod tests {
     use super::*;
     use crate::server::{render, CompileRequest, CompileResponse, Reply, Server};
     use crate::store::BUDGETS;
-    use crate::{PassContext, PassRecord, Reports};
+    use crate::{PassContext, PassRecord, Report};
     use std::path::PathBuf;
     use titanc_il::json::{FromJson, ToJson};
 
@@ -1001,7 +1003,7 @@ mod tests {
             "grow"
         }
 
-        fn run(&self, program: &mut Program, _: &PassContext<'_>, _: &mut Reports) {
+        fn run(&self, program: &mut Program, _: &PassContext<'_>, _: &mut Report) {
             if self.grow {
                 let extra = titanc_lower::compile_to_il("int grown(void) { return 7; }");
                 program.procs.extend(extra.expect("lowers").procs);
@@ -1022,13 +1024,9 @@ mod tests {
             proc: &mut Procedure,
             _: &PassContext<'_>,
             _: &mut crate::ProcAnalyses,
-            delta: &mut Reports,
+            delta: &mut Report,
         ) {
-            let cse = titanc_opt::local_cse(proc);
-            delta.merge(Reports {
-                cse,
-                ..Reports::default()
-            });
+            delta.merge(titanc_opt::local_cse(proc));
         }
     }
 

@@ -1,7 +1,7 @@
 //! Driver tests: end-to-end compilations at every optimization level,
 //! checked for observational equivalence, plus the §9 walkthrough.
 
-use crate::{compile, compile_and_run, OptLevel, Options};
+use crate::{compile, compile_and_run, Count, OptLevel, Options};
 use titanc_il::ScalarType;
 use titanc_titan::MachineConfig;
 
@@ -161,8 +161,8 @@ int main(void)
     let c = compile(src, &Options::parallel()).unwrap();
     assert!(c.reports.count("expanded") >= 1, "{:?}", c.reports.inline);
     assert!(c.reports.count("do_converted") >= 1);
-    let ivs = titanc_il::LoopDecision::ivs_substituted(&c.reports.ivsub.events);
-    assert!(ivs >= 3, "{:?}", c.reports.ivsub);
+    let ivs = titanc_il::LoopDecision::ivs_substituted(&c.reports.loops);
+    assert!(ivs >= 3, "{:?}", c.reports.loops);
     assert!(
         c.reports.count("vectorized") >= 1,
         "main after pipeline:\n{}",
@@ -252,7 +252,7 @@ fn compile_and_run_one_call() {
 fn o0_does_not_optimize() {
     let src = "int main(void) { int x; x = 2 + 3; return x; }";
     let c = compile(src, &Options::o0()).unwrap();
-    assert_eq!(c.reports.constprop.replaced, 0);
+    assert_eq!(c.reports.get(Count::ConstpropReplaced), 0);
     assert_eq!(c.reports.count("vectorized"), 0);
     let c1 = compile(src, &Options::o1()).unwrap();
     assert_eq!(c1.reports.count("vectorized"), 0, "O1 never vectorizes");
@@ -278,4 +278,25 @@ int main(void)
         let r = sim.run("main", &[]).unwrap();
         assert_eq!(r.value.unwrap().as_int(), 9, "opt must keep re-reading");
     }
+}
+
+/// A fixpoint that hit its budget is a count; its remark prints, with the
+/// same text, whenever the count is above 0.
+#[test]
+fn a_budget_count_above_zero_prints_its_remark() {
+    let remarks = |count, n| {
+        let (mut r, mut sink) = (crate::Report::default(), crate::DiagnosticSink::new(0));
+        r.add(count, n);
+        crate::optimization_remarks(&r, &mut sink);
+        let messages = sink.into_diagnostics().into_iter().map(|d| d.message);
+        messages.collect::<Vec<_>>()
+    };
+    assert!(remarks(Count::DceBudgetHit, 0).is_empty());
+    let cp = "constant propagation stopped at its 32-round budget; remaining opportunities \
+              were left to later passes";
+    assert_eq!(remarks(Count::ConstpropBudgetHit, 2), [cp]);
+    let dce = "dead-code elimination stopped at its 32-round budget";
+    assert_eq!(remarks(Count::DceBudgetHit, 1), [dce]);
+    let ivsub = "induction-variable substitution stopped at its 64-pass budget";
+    assert_eq!(remarks(Count::IvsubBudgetHit, 1), [ivsub]);
 }

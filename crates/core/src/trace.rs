@@ -29,7 +29,7 @@ use titanc_il::json::JsonWriter;
 use titanc_il::{InlineEvent, InlineOutcome, Json, LoopDecision, LoopEvent, SrcSpan};
 
 use crate::pass::PassTrace;
-use crate::Reports;
+use crate::Report;
 
 /// Named compilation counters, sorted by name.
 ///
@@ -45,9 +45,9 @@ pub struct Counters {
 impl Counters {
     /// Builds the counter set from one compilation's aggregate reports
     /// and pass trace. Every loop and call-site count is read off the
-    /// decision events; `loops.scalar` is the vectorizer's own count of
-    /// the innermost loops it left scalar.
-    pub fn from_run(reports: &Reports, trace: &PassTrace) -> Counters {
+    /// decision events; `loops.scalar` counts the vectorizer's notes, one
+    /// per innermost loop it left scalar.
+    pub fn from_run(reports: &Report, trace: &PassTrace) -> Counters {
         let mut c = Counters::default();
         let mut set = |k: &str, v: usize| {
             c.values.insert(k.to_string(), v as u64);
@@ -62,9 +62,9 @@ impl Counters {
         for tag in tags {
             set(&format!("loops.{tag}"), reports.count(tag));
         }
-        let ivs = LoopDecision::ivs_substituted(&reports.ivsub.events);
+        let ivs = LoopDecision::ivs_substituted(&reports.loops);
         set("loops.iv_substituted", ivs);
-        set("loops.scalar", reports.vector.scalar);
+        set("loops.scalar", reports.notes.len());
         for tag in InlineOutcome::TAGS {
             set(&format!("inline.{tag}"), reports.count(tag));
         }
@@ -142,7 +142,7 @@ pub struct OptReport {
 impl OptReport {
     /// [`OptReport::build_for`] without a file table; origin-tagged
     /// spans render with their bare `@fN` tag.
-    pub fn build(reports: &Reports, trace: &PassTrace) -> OptReport {
+    pub fn build(reports: &Report, trace: &PassTrace) -> OptReport {
         OptReport::build_for(reports, trace, &[])
     }
 
@@ -153,11 +153,11 @@ impl OptReport {
     /// were written in. Deterministic: events arrive in the pass
     /// manager's pass-major, procedure-order merge, and grouping
     /// preserves first-seen order.
-    pub fn build_for(reports: &Reports, trace: &PassTrace, files: &[String]) -> OptReport {
+    pub fn build_for(reports: &Report, trace: &PassTrace, files: &[String]) -> OptReport {
         let mut loops: Vec<LoopReport> = Vec::new();
         // (proc, span) -> index in `loops`, which keeps first-seen order
         let mut index: HashMap<(&str, SrcSpan), usize> = HashMap::new();
-        for e in reports.loop_events() {
+        for e in &reports.loops {
             match index.entry((&e.proc, e.span)) {
                 Entry::Occupied(at) => {
                     let l = &mut loops[*at.get()];
@@ -188,7 +188,7 @@ impl OptReport {
         }
         OptReport {
             loops,
-            inline: reports.inline.events.clone(),
+            inline: reports.inline.clone(),
             counters: Counters::from_run(reports, trace),
             files: files.to_vec(),
         }
@@ -470,12 +470,11 @@ mod tests {
 
     #[test]
     fn opt_report_groups_by_proc_and_span() {
-        let mut reports = Reports::default();
+        let mut reports = Report::default();
         reports
-            .whiledo
-            .events
+            .loops
             .push(ev("f", "i", 3, LoopDecision::DoConverted));
-        reports.vector.events.push(ev(
+        reports.loops.push(ev(
             "f",
             "dummy_3",
             3,
@@ -485,7 +484,7 @@ mod tests {
                 residual: false,
             },
         ));
-        reports.vector.events.push(ev(
+        reports.loops.push(ev(
             "f",
             "j",
             7,

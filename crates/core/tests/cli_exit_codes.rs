@@ -216,6 +216,61 @@ fn label_and_jump_mistakes_exit_one_at_their_position() {
     }
 }
 
+/// `void` has no size. `sizeof(void)`, stepping or indexing a `void *`,
+/// the difference of two and a `void` struct field once panicked the
+/// lowerer (exit 101); a `void` object once compiled and panicked the
+/// simulator under `--run`. Each is a source error at `file:line:col:`.
+#[test]
+fn a_void_size_exits_one_at_its_position() {
+    for (name, src, want) in [
+        (
+            "sizeof.c",
+            "int main(void) { return sizeof(void); }",
+            ":1:25:",
+        ),
+        (
+            "index.c",
+            "int main(void) { void *p; p = 0; p[1]; return 0; }",
+            ":1:34:",
+        ),
+        (
+            "sub.c",
+            "int main(void) { void *p; p = 0; p = p - 1; return 0; }",
+            ":1:38:",
+        ),
+        (
+            "inc.c",
+            "int main(void) { void *p; p = 0; p++; return 0; }",
+            ":1:34:",
+        ),
+        (
+            "diff.c",
+            "int main(void) { void *p, *q; p = q = 0; return p - q; }",
+            ":1:49:",
+        ),
+        ("field.c", "struct s { void v; };", ":1:1:"),
+        ("local.c", "int main(void) { void x; return 0; }", ":1:18:"),
+        (
+            "local-array.c",
+            "int main(void) { void a[3]; return 0; }",
+            ":1:18:",
+        ),
+        ("global.c", "void g;", ":1:1:"),
+        ("global-array.c", "void g[2];", ":1:1:"),
+    ] {
+        let path = write_temp(name, &format!("{src}\nint f(void) {{ return 0; }}\n"));
+        for level in ["-O0", "-O2"] {
+            let out = titanc().args([level, "--run"]).arg(&path).output().unwrap();
+            let err = stderr_of(&out);
+            assert_eq!(out.status.code(), Some(1), "{name} {level}: {err}");
+            assert!(
+                err.contains(&format!("{name}{want}")) && err.contains("has no size"),
+                "{name} {level}: {err}"
+            );
+        }
+    }
+}
+
 #[test]
 fn max_errors_caps_reported_diagnostics() {
     let mut body = String::from("void f(void) {\n");

@@ -98,7 +98,7 @@ pub use pretty::{pretty_block, pretty_expr, pretty_expr_in, pretty_lvalue, prett
 pub use program::{ConstInit, Field, Procedure, Program, Storage, StructDef, VarInfo};
 pub use span::SrcSpan;
 pub use stmt::{block_len, Block, Blocks, BlocksMut, ExprSlotsMut, StmtExprs, StmtKind, StmtPool};
-pub use trace::{InlineEvent, InlineOutcome, LoopDecision, LoopEvent, Reject};
+pub use trace::{Count, InlineEvent, InlineOutcome, LoopDecision, LoopEvent, Reject, Report};
 pub use types::{ScalarType, Type};
 pub use verify::{verify_proc, verify_program, VerifyError};
 pub use wire::{decode_proc, encode_proc, WireError};

@@ -1,13 +1,15 @@
-//! Structured per-loop and per-call-site optimization decision events.
+//! What the passes report: one [`Report`] of counters and structured
+//! per-loop and per-call-site decision events.
 //!
 //! The paper's whole value proposition is *which loops* got vectorized,
 //! parallelized, or inlined-then-optimized — so every optimizing crate
 //! records what it decided about each loop (and each call site) as a
-//! typed event anchored to the loop's [`SrcSpan`]. The pass manager
-//! aggregates events exactly like the numeric report counters
-//! (pass-major, procedure order), which keeps the stream byte-identical
-//! between `-j 1` and `-j N`; the driver's `--opt-report` correlates
-//! them back into a per-source-loop report.
+//! typed event anchored to the loop's [`SrcSpan`], beside the [`Count`]s
+//! its quantitative claims are read off (§5.3's passes, §8's rounds).
+//! Every pass returns the same [`Report`], and the pass manager merges
+//! them pass-major in procedure order, which keeps the stream
+//! byte-identical between `-j 1` and `-j N`; the driver's `--opt-report`
+//! correlates the events back into a per-source-loop report.
 //!
 //! The types live in `titanc-il` (the shared base crate) so that
 //! `titanc-opt`, `titanc-vector` and `titanc-inline` can all produce
@@ -414,6 +416,120 @@ impl fmt::Display for LoopEvent {
     }
 }
 
+/// One pass counter: a slot of [`Report`]'s counts.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Count {
+    /// §5.3 induction-variable substitution: scan passes over loop bodies.
+    IvsubPasses,
+    /// Candidates substituted only after an earlier substitution
+    /// unblocked them (the backtracking events).
+    IvsubBacktracks,
+    /// Loops whose re-scan hit the pass budget while still substituting.
+    IvsubBudgetHit,
+    /// Forward substitution: reads replaced.
+    ForwardSubstituted,
+    /// §8 constant propagation: variable reads replaced by constants.
+    ConstpropReplaced,
+    /// Statements removed by branch simplification.
+    ConstpropRemoved,
+    /// Fixpoint rounds (the paper's re-seeding events + 1).
+    ConstpropRounds,
+    /// Procedures whose fixpoint hit the round budget while still changing.
+    ConstpropBudgetHit,
+    /// Dead-code elimination: dead assignments removed.
+    DceRemoved,
+    /// Fixpoint rounds.
+    DceRounds,
+    /// Procedures whose fixpoint hit the round budget while still changing.
+    DceBudgetHit,
+    /// Local CSE: statements whose right-hand side now reads a temporary.
+    CseCommoned,
+    /// Occurrences replaced by a temporary.
+    CseReplaced,
+    /// §6: memory scalars promoted to registers inside loops.
+    StrengthPromoted,
+    /// Array addresses reduced to pointer increments.
+    StrengthReduced,
+    /// Loop-invariant expressions hoisted.
+    StrengthHoisted,
+    /// §7: internal-linkage statics given external names so inlined
+    /// copies can reach them.
+    InlineStaticsExternalized,
+}
+
+impl Count {
+    /// Every counter, in declaration order: a count's slot in
+    /// [`Report`] is its position here.
+    pub const ALL: [Count; 17] = [
+        Count::IvsubPasses,
+        Count::IvsubBacktracks,
+        Count::IvsubBudgetHit,
+        Count::ForwardSubstituted,
+        Count::ConstpropReplaced,
+        Count::ConstpropRemoved,
+        Count::ConstpropRounds,
+        Count::ConstpropBudgetHit,
+        Count::DceRemoved,
+        Count::DceRounds,
+        Count::DceBudgetHit,
+        Count::CseCommoned,
+        Count::CseReplaced,
+        Count::StrengthPromoted,
+        Count::StrengthReduced,
+        Count::StrengthHoisted,
+        Count::InlineStaticsExternalized,
+    ];
+}
+
+/// What one or more passes did: every [`Count`], the loop and call-site
+/// decision events and the remarks, in the order they were recorded.
+/// Each pass returns one; the pass manager [`merge`](Report::merge)s
+/// them into the per-pass deltas and the compilation total.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct Report {
+    counts: [usize; Count::ALL.len()],
+    /// Per-loop decision events.
+    pub loops: Vec<LoopEvent>,
+    /// Per-call-site inlining decisions.
+    pub inline: Vec<InlineEvent>,
+    /// One note per loop the vectorizer left scalar, naming the defeating
+    /// dependence or construct (surfaced as compiler remarks).
+    pub notes: Vec<String>,
+}
+
+crate::struct_wire!(Report, [counts, loops, inline, notes]);
+
+impl Report {
+    /// A counter's value.
+    pub fn get(&self, count: Count) -> usize {
+        self.counts[count as usize]
+    }
+
+    /// Adds `n` to a counter.
+    pub fn add(&mut self, count: Count, n: usize) {
+        self.counts[count as usize] += n;
+    }
+
+    /// Adds `other`'s counts to this report's and appends its lists.
+    pub fn merge(&mut self, other: Report) {
+        for (mine, theirs) in self.counts.iter_mut().zip(other.counts) {
+            *mine += theirs;
+        }
+        self.loops.extend(other.loops);
+        self.inline.extend(other.inline);
+        self.notes.extend(other.notes);
+    }
+
+    /// The loops or call sites decided as `tag` — one of
+    /// [`LoopDecision::TAGS`] or [`InlineOutcome::TAGS`] — read off the
+    /// decision events.
+    pub fn count(&self, tag: &str) -> usize {
+        let loops = self.loops.iter().map(|e| e.decision.tag());
+        let sites = self.inline.iter().map(|e| e.outcome.tag());
+        loops.chain(sites).filter(|t| *t == tag).count()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -508,6 +624,110 @@ mod tests {
         }
         let past = [Reject::ALL.len() as u8];
         assert!(from_bytes::<Reject>(&past).is_err());
+    }
+
+    /// A report with every count set to a distinct value, every loop
+    /// decision and every inline outcome once, and one note.
+    fn full_report(seed: usize) -> Report {
+        let mut r = Report::default();
+        for (i, c) in Count::ALL.into_iter().enumerate() {
+            r.add(c, seed + i);
+        }
+        let loops = [
+            LoopDecision::DoConverted,
+            LoopDecision::DoRejected(Reject::NoStep),
+            LoopDecision::IvSubstituted { substituted: seed },
+            LoopDecision::Vectorized {
+                stripped: false,
+                parallel: true,
+                residual: false,
+            },
+            LoopDecision::Parallelized,
+            LoopDecision::ListSpread,
+            LoopDecision::Scalar(format!("note {seed}")),
+        ];
+        for (line, decision) in (1..).zip(loops) {
+            let (proc, var) = (format!("p{seed}"), "i".to_string());
+            let span = SrcSpan::new(line, 1);
+            r.loops.push(LoopEvent {
+                proc,
+                var,
+                span,
+                decision,
+            });
+        }
+        let outcomes = [
+            InlineOutcome::Expanded,
+            InlineOutcome::SkippedRecursive,
+            InlineOutcome::SkippedSize {
+                callee_len: seed,
+                cap: 1,
+            },
+            InlineOutcome::SkippedGrowth {
+                caller_len: seed,
+                budget: 2,
+            },
+        ];
+        for outcome in outcomes {
+            let (caller, callee) = (format!("p{seed}"), "g".to_string());
+            let span = SrcSpan::new(9, 2);
+            r.inline.push(InlineEvent {
+                caller,
+                callee,
+                span,
+                outcome,
+            });
+        }
+        r.notes.push(format!("note {seed}"));
+        r
+    }
+
+    #[test]
+    fn merge_adds_every_count_and_appends_the_lists_in_order() {
+        let (a, b) = (full_report(1), full_report(100));
+        let mut merged = a.clone();
+        merged.merge(b.clone());
+        for c in Count::ALL {
+            assert_eq!(merged.get(c), a.get(c) + b.get(c), "{c:?}");
+        }
+        assert_eq!(merged.loops, [a.loops.clone(), b.loops.clone()].concat());
+        assert_eq!(merged.inline, [a.inline.clone(), b.inline.clone()].concat());
+        assert_eq!(merged.notes, ["note 1", "note 100"]);
+        let mut empty = Report::default();
+        empty.merge(a.clone());
+        assert_eq!(empty, a, "the default report is merge's identity");
+    }
+
+    #[test]
+    fn a_report_round_trips_as_a_byte_fixed_point() {
+        for r in [Report::default(), full_report(7)] {
+            let bytes = to_bytes(&r);
+            let back = from_bytes::<Report>(&bytes).expect("decodes");
+            assert_eq!(back, r);
+            assert_eq!(to_bytes(&back), bytes);
+            assert!(from_bytes::<Report>(&bytes[..bytes.len() - 1]).is_err());
+        }
+    }
+
+    #[test]
+    fn count_reads_every_decision_tag_off_the_events() {
+        let r = full_report(3);
+        for tag in LoopDecision::TAGS.into_iter().chain(InlineOutcome::TAGS) {
+            assert_eq!(r.count(tag), 1, "{tag}");
+        }
+        assert_eq!(r.count("no such tag"), 0);
+        let mut twice = r.clone();
+        twice.merge(r);
+        for tag in LoopDecision::TAGS.into_iter().chain(InlineOutcome::TAGS) {
+            assert_eq!(twice.count(tag), 2, "{tag}");
+        }
+    }
+
+    #[test]
+    fn a_count_is_its_position_in_all() {
+        for (i, c) in Count::ALL.into_iter().enumerate() {
+            assert_eq!(c as usize, i);
+        }
     }
 
     #[test]

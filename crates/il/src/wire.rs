@@ -773,6 +773,24 @@ impl<T: Wire> Wire for Vec<T> {
     }
 }
 
+impl<T: Wire + Copy + Default, const N: usize> Wire for [T; N] {
+    const MIN_BYTES: usize = T::MIN_BYTES * N;
+
+    fn write_wire<S: ByteSink>(&self, out: &mut S) {
+        for item in self {
+            item.write_wire(out);
+        }
+    }
+
+    fn read_wire(r: &mut Reader<'_>) -> Result<[T; N], WireError> {
+        let mut out = [T::default(); N];
+        for item in &mut out {
+            *item = T::read_wire(r)?;
+        }
+        Ok(out)
+    }
+}
+
 impl<A: Wire, B: Wire> Wire for (A, B) {
     const MIN_BYTES: usize = A::MIN_BYTES + B::MIN_BYTES;
 

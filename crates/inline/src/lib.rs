@@ -42,7 +42,7 @@
 //!      int main(void) { return square(6) + square(7); }",
 //! ).unwrap();
 //! let report = inline_program(&mut prog);
-//! assert_eq!(report.events.len(), 2, "both sites expanded");
+//! assert_eq!(report.inline.len(), 2, "both sites expanded");
 //! let main = prog.proc_by_name("main").unwrap();
 //! let mut calls = 0;
 //! main.for_each_stmt(&mut |_, kind| {
@@ -58,8 +58,8 @@ use std::collections::HashSet;
 use titanc_analysis::CallGraph;
 use titanc_il::visit::{edit_tree, rewrite_expr, Order};
 use titanc_il::{
-    block_len, Block, Expr, ExprId, InlineEvent, InlineOutcome, LValue, LabelId, Procedure,
-    Program, StmtId, StmtKind, Storage, VarId, VarInfo,
+    block_len, Block, Count, Expr, ExprId, InlineEvent, InlineOutcome, LValue, LabelId, Procedure,
+    Program, Report, StmtId, StmtKind, Storage, VarId, VarInfo,
 };
 
 /// Maximum rounds of expansion. In a round each caller walks its body
@@ -84,29 +84,6 @@ pub const MAX_GROWTH: usize = 8;
 /// [`MAX_GROWTH`] budget, so tiny callers still get their first expansions.
 pub const GROWTH_SLACK: usize = 256;
 
-/// What the inliner did.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct InlineReport {
-    /// `static` variables externalized.
-    pub statics_externalized: usize,
-    /// One decision per call site the inliner expanded or skipped, in
-    /// decision order, anchored to the call's source span. Every decision
-    /// is final, so no site appears twice; two sites that share a span
-    /// (two calls in one expression statement) are two events.
-    pub events: Vec<InlineEvent>,
-}
-
-impl InlineReport {
-    /// Folds another report's counts into this one (used by the pass
-    /// manager to aggregate per-pass deltas).
-    pub fn merge(&mut self, other: InlineReport) {
-        self.statics_externalized += other.statics_externalized;
-        self.events.extend(other.events);
-    }
-}
-
-titanc_il::struct_wire!(InlineReport, [statics_externalized, events]);
-
 /// Expands eligible call sites throughout the program.
 ///
 /// Each call site is decided once. A skip is final: a caller and its
@@ -115,11 +92,15 @@ titanc_il::struct_wire!(InlineReport, [statics_externalized, events]);
 /// every round is done — each caller that expanded anything is restamped
 /// once, at the end — and a site skipped in one round is passed over in
 /// the next.
-pub fn inline_program(prog: &mut Program) -> InlineReport {
-    let mut report = InlineReport {
-        statics_externalized: externalize_statics(prog),
-        ..InlineReport::default()
-    };
+///
+/// The report counts the `static` variables externalized and holds one
+/// decision per call site expanded or skipped, in decision order, anchored
+/// to the call's source span. Every decision is final, so no site appears
+/// twice; two sites that share a span (two calls in one expression
+/// statement) are two events.
+pub fn inline_program(prog: &mut Program) -> Report {
+    let mut report = Report::default();
+    report.add(Count::InlineStaticsExternalized, externalize_statics(prog));
     // per-caller growth budgets, fixed from each caller's pre-inlining
     // statement count (see `MAX_GROWTH`)
     let limits: Vec<usize> = prog
@@ -187,7 +168,7 @@ pub fn inline_program(prog: &mut Program) -> InlineReport {
                             let body = expand(caller, dst, &args, c, globals);
                             len += block_len(&caller.stmts, &body) - 1;
                             block.splice(i..=i, body);
-                            report.events.push(expanded);
+                            report.inline.push(expanded);
                             budget -= 1;
                             any = true;
                             grew[ci] = true;
@@ -198,7 +179,7 @@ pub fn inline_program(prog: &mut Program) -> InlineReport {
                         _ => None,
                     }
                 };
-                report.events.extend(skip);
+                report.inline.extend(skip);
                 kept.insert(site);
                 i + 1
             });

@@ -1,13 +1,15 @@
 //! Inliner tests: §7 mechanics plus §9's driving example.
 
 use crate::{externalize_statics, inline_program, GROWTH_SLACK, MAX_CALLEE_SIZE, MAX_GROWTH};
-use titanc_il::{pretty_proc, Catalog, InlineOutcome, Program, ScalarType, StmtKind};
+use titanc_il::{
+    pretty_proc, Catalog, Count, InlineOutcome, Program, Report, ScalarType, StmtKind,
+};
 use titanc_lower::compile_to_il;
 use titanc_titan::MachineConfig;
 
 /// Call sites the report records with the outcome tagged `tag`.
-fn sites(rep: &crate::InlineReport, tag: &str) -> usize {
-    rep.events.iter().filter(|e| e.outcome.tag() == tag).count()
+fn sites(rep: &Report, tag: &str) -> usize {
+    rep.inline.iter().filter(|e| e.outcome.tag() == tag).count()
 }
 
 fn count_calls(prog: &Program, name: &str) -> usize {
@@ -159,7 +161,7 @@ int main(void) { counter(); return twice(); }
     let base = compile_to_il(src).unwrap();
     let mut inl = base.clone();
     let rep = inline_program(&mut inl);
-    assert_eq!(rep.statics_externalized, 1);
+    assert_eq!(rep.get(Count::InlineStaticsExternalized), 1);
     assert!(sites(&rep, "expanded") >= 2);
     assert!(inl.global_by_name("counter.count").is_some());
     let b = titanc_titan::observe(&base, MachineConfig::default(), "main", &[])
@@ -218,7 +220,7 @@ fn size_budget_respected() {
     // `calls_over` re-attempts (and re-skips) once per round
     assert!(sites(&rep, "skipped_size") >= 1);
     assert_eq!(sites(&rep, "skipped_growth"), 0);
-    let skipped: Vec<_> = rep.events.iter().map(|e| &e.outcome).collect();
+    let skipped: Vec<_> = rep.inline.iter().map(|e| &e.outcome).collect();
     assert!(skipped.contains(&&InlineOutcome::SkippedSize {
         callee_len: MAX_CALLEE_SIZE + 1,
         cap: MAX_CALLEE_SIZE,
@@ -255,7 +257,7 @@ fn growth_budget_is_per_caller() {
         "lean's budget rejects grow"
     );
     let lean_budget = (edge - 1) * MAX_GROWTH + GROWTH_SLACK;
-    assert!(rep.events.iter().any(|e| e.caller == "lean"
+    assert!(rep.inline.iter().any(|e| e.caller == "lean"
         && e.outcome
             == InlineOutcome::SkippedGrowth {
                 caller_len: edge - 1,

@@ -256,7 +256,7 @@ impl<'e> FuncLowerer<'e> {
 
     fn size_of_ctype(&self, q: &QualType, span: Span) -> Result<i64, LowerError> {
         let (ty, _) = cvt_qualtype(self.env, q, span)?;
-        Ok(type_size(self.env, &ty))
+        type_size(self.env, &ty, span)
     }
 
     /// The IL label of user label `name`, mentioned at `span` by a `goto`
@@ -557,6 +557,7 @@ impl<'e> FuncLowerer<'e> {
 
     fn decl(&mut self, d: &ast::VarDecl, out: &mut Block) -> Result<(), LowerError> {
         let (ty, volatile) = cvt_qualtype(self.env, &d.ty, d.span)?;
+        type_size(self.env, &ty, d.span)?;
         let is_static = d.storage == ast::StorageClass::Static;
         let storage = if is_static {
             Storage::Static

@@ -105,6 +105,7 @@ pub fn lower(tu: &ast::TranslationUnit) -> Result<Program, LowerError> {
             }
             ast::Item::Global(g) => {
                 let (ty, volatile) = types::cvt_qualtype(&env, &g.ty, g.span)?;
+                types::type_size(&env, &ty, g.span)?;
                 let init = match &g.init {
                     None => None,
                     Some(e) => Some(types::const_init(e)?),

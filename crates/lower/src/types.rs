@@ -75,9 +75,19 @@ fn cvt_ctype(env: &Env, t: &CType, span: Span) -> Result<Type, LowerError> {
     })
 }
 
-/// Size of an IL type in bytes given the environment's struct layouts.
-pub fn type_size(env: &Env, ty: &Type) -> i64 {
-    ty.size_with(&|sid| env.struct_def(sid).size)
+/// Size of an IL type in bytes given the environment's struct layouts:
+/// the one check that an object, a `sizeof`, a struct field or a pointer
+/// step has a sized type. `void`, and an array of it, have none — a source
+/// error at `span`.
+pub fn type_size(env: &Env, ty: &Type, span: Span) -> Result<i64, LowerError> {
+    let mut elem = ty;
+    while let Type::Array(inner, _) = elem {
+        elem = inner;
+    }
+    if *elem == Type::Void {
+        return Err(LowerError::new(format!("`{ty}` has no size"), span));
+    }
+    Ok(ty.size_with(&|sid| env.struct_def(sid).size))
 }
 
 /// Alignment of an IL type (the Titan aligns to the largest scalar member;
@@ -107,7 +117,7 @@ pub fn layout_struct(env: &mut Env, sd: &ast::StructDecl) -> Result<StructDef, L
     for (name, q) in &sd.fields {
         let (ty, _vol) = cvt_qualtype(env, q, sd.span)?;
         let align = type_align(env, &ty);
-        let size = type_size(env, &ty);
+        let size = type_size(env, &ty, sd.span)?;
         offset = (offset + align - 1) / align * align;
         fields.push(titanc_il::Field {
             name: name.clone(),

@@ -16,51 +16,25 @@
 use titanc_analysis::{Cfg, ProcAnalyses, UseDef};
 use titanc_il::fold::{const_value, fold_expr, value_to_expr, Value};
 use titanc_il::visit::{edit_blocks, edit_tree, Order};
-use titanc_il::{Block, Expr, LValue, Procedure, ScalarType, StmtId, StmtKind, VarId};
+use titanc_il::{
+    Block, Count, Expr, LValue, Procedure, Report, ScalarType, StmtId, StmtKind, VarId,
+};
 
 /// Resource budget: maximum fixpoint rounds per procedure. Hitting the cap
 /// is sound (each round leaves verified IL) but is reported so the driver
 /// can emit a remark.
 pub const MAX_ROUNDS: usize = 32;
 
-/// Propagation statistics (EXP4 compares these across strategies).
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct ConstPropReport {
-    /// Variable reads replaced by constants.
-    pub replaced: usize,
-    /// Statements removed by branch simplification / unreachable
-    /// elimination.
-    pub removed: usize,
-    /// Fixpoint rounds (the paper's re-seeding events + 1).
-    pub rounds: usize,
-    /// The fixpoint was cut off by [`MAX_ROUNDS`] while still changing.
-    pub budget_exhausted: bool,
-}
-
-impl ConstPropReport {
-    /// Folds another report's counts into this one (used by the pass
-    /// manager to aggregate per-pass deltas).
-    pub fn merge(&mut self, other: ConstPropReport) {
-        self.replaced += other.replaced;
-        self.removed += other.removed;
-        self.rounds += other.rounds;
-        self.budget_exhausted |= other.budget_exhausted;
-    }
-}
-
-titanc_il::struct_wire!(
-    ConstPropReport,
-    [replaced, removed, rounds, budget_exhausted]
-);
-
-/// Constant propagation with the §8 unreachable-code heuristic.
-pub fn constant_propagation(proc: &mut Procedure) -> ConstPropReport {
+/// Constant propagation with the §8 unreachable-code heuristic. The
+/// report's replaced, removed and rounds counts are what EXP4 compares
+/// across strategies.
+pub fn constant_propagation(proc: &mut Procedure) -> Report {
     run(proc, true, &mut ProcAnalyses::new())
 }
 
 /// Constant propagation alone (no branch simplification) — one half of the
 /// "rebuild basic blocks" baseline.
-pub fn constant_propagation_no_unreachable(proc: &mut Procedure) -> ConstPropReport {
+pub fn constant_propagation_no_unreachable(proc: &mut Procedure) -> Report {
     run(proc, false, &mut ProcAnalyses::new())
 }
 
@@ -76,28 +50,21 @@ pub fn constant_propagation_no_unreachable(proc: &mut Procedure) -> ConstPropRep
 /// by the definitions the last round made constant. Rounds that
 /// structurally simplify branches invalidate instead, and the round after
 /// one sweeps the procedure over rebuilt chains, as the first does.
-pub fn constant_propagation_cached(
-    proc: &mut Procedure,
-    analyses: &mut ProcAnalyses,
-) -> ConstPropReport {
+pub fn constant_propagation_cached(proc: &mut Procedure, analyses: &mut ProcAnalyses) -> Report {
     run(proc, true, analyses)
 }
 
 /// The literal each defining statement assigns, by `StmtId` index.
 type ConstDefs = Vec<Option<(VarId, Value, ScalarType)>>;
 
-fn run(
-    proc: &mut Procedure,
-    simplify_branches: bool,
-    analyses: &mut ProcAnalyses,
-) -> ConstPropReport {
-    let mut report = ConstPropReport::default();
+fn run(proc: &mut Procedure, simplify_branches: bool, analyses: &mut ProcAnalyses) -> Report {
+    let mut report = Report::default();
     let mut const_defs: ConstDefs = Vec::new();
     // the definitions the last round made constant, which seed this one;
     // `None` when the chains are new and the whole procedure is swept
     let mut seeds: Option<Vec<StmtId>> = None;
     loop {
-        report.rounds += 1;
+        report.add(Count::ConstpropRounds, 1);
 
         // 1. propagate constants along use-def chains, 2. fold what that
         // rewrote (slot rewrite: ids in statements stay valid)
@@ -116,7 +83,7 @@ fn run(
         // 3. simplify constant branches (the unreachable-code elimination)
         if simplify_branches {
             let removed = simplify_constant_branches(proc);
-            report.removed += removed;
+            report.add(Count::ConstpropRemoved, removed);
             changed += removed;
             if removed > 0 {
                 // structural edit: statements vanished, edges moved — a
@@ -130,8 +97,8 @@ fn run(
         if changed == 0 {
             break;
         }
-        if report.rounds >= MAX_ROUNDS {
-            report.budget_exhausted = true;
+        if report.get(Count::ConstpropRounds) >= MAX_ROUNDS {
+            report.add(Count::ConstpropBudgetHit, 1);
             break;
         }
     }
@@ -162,7 +129,7 @@ fn propagate_once(
     analyses: &mut ProcAnalyses,
     seeds: Option<Vec<StmtId>>,
     const_defs: &mut ConstDefs,
-    report: &mut ConstPropReport,
+    report: &mut Report,
 ) -> (usize, bool, Vec<StmtId>) {
     let ud = analyses.usedef(proc);
     let sweep = seeds.is_none();
@@ -222,7 +189,10 @@ fn propagate_once(
     for &(s, v, val, scalar) in &plan {
         let rep = proc.exprs.alloc(value_to_expr(val, scalar));
         for e in proc.stmts[s].exprs() {
-            report.replaced += proc.exprs.substitute_var(e, v, rep);
+            report.add(
+                Count::ConstpropReplaced,
+                proc.exprs.substitute_var(e, v, rep),
+            );
         }
     }
 
@@ -402,7 +372,7 @@ mod tests {
     use titanc_il::pretty_proc;
     use titanc_lower::compile_to_il;
 
-    fn cp(src: &str) -> (Procedure, ConstPropReport) {
+    fn cp(src: &str) -> (Procedure, Report) {
         let prog = compile_to_il(src).unwrap();
         let mut proc = prog.procs[0].clone();
         let rep = constant_propagation(&mut proc);
@@ -414,7 +384,7 @@ mod tests {
         let (proc, rep) = cp("int f(void) { int x; x = 3; return x + 4; }");
         let text = pretty_proc(&proc);
         assert!(text.contains("return 7;"), "{text}");
-        assert!(rep.replaced >= 1);
+        assert!(rep.get(Count::ConstpropReplaced) >= 1);
     }
 
     #[test]
@@ -437,7 +407,7 @@ mod tests {
         let text = pretty_proc(&proc);
         assert!(text.contains("return 1;"), "{text}");
         assert!(!text.contains("return 2;"), "postpass removes it: {text}");
-        assert!(rep.removed >= 1);
+        assert!(rep.get(Count::ConstpropRemoved) >= 1);
     }
 
     #[test]
@@ -475,7 +445,7 @@ void f(float *x, float y, float z)
         let rep = constant_propagation(&mut proc);
         let text = pretty_proc(&proc);
         assert!(!text.contains("do fortran"), "{text}");
-        assert!(rep.removed >= 1);
+        assert!(rep.get(Count::ConstpropRemoved) >= 1);
     }
 
     #[test]
@@ -493,7 +463,7 @@ int f(void)
         let (proc, rep) = cp(src);
         let text = pretty_proc(&proc);
         assert!(text.contains("return 10;"), "{text}");
-        assert!(rep.rounds >= 2);
+        assert!(rep.get(Count::ConstpropRounds) >= 2);
     }
 
     #[test]

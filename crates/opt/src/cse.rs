@@ -32,37 +32,18 @@
 
 use titanc_il::visit::{edit_blocks, walk_block};
 use titanc_il::{
-    Block, Expr, ExprId, ExprPool, LValue, Procedure, StmtId, StmtKind, StmtPool, Type, VarId,
+    Block, Count, Expr, ExprId, ExprPool, LValue, Procedure, Report, StmtId, StmtKind, StmtPool,
+    Type, VarId,
 };
 
-/// CSE statistics.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct CseReport {
-    /// Subexpressions commoned into temporaries.
-    pub commoned: usize,
-    /// Individual occurrences replaced.
-    pub replaced: usize,
-}
-
-impl CseReport {
-    /// Folds another report's counts into this one (used by the pass
-    /// manager to aggregate per-pass deltas).
-    pub fn merge(&mut self, other: CseReport) {
-        self.commoned += other.commoned;
-        self.replaced += other.replaced;
-    }
-}
-
-titanc_il::struct_wire!(CseReport, [commoned, replaced]);
-
 /// Runs local CSE over every block of the procedure.
-pub fn local_cse(proc: &mut Procedure) -> CseReport {
-    let mut report = CseReport::default();
+pub fn local_cse(proc: &mut Procedure) -> Report {
+    let mut report = Report::default();
     let mut cse = Cse::of(proc);
     edit_blocks(proc, &mut |proc, block| {
         cse.run_block(proc, block, &mut report)
     });
-    if report.commoned > 0 || report.replaced > 0 {
+    if report.get(Count::CseCommoned) > 0 {
         proc.bump_generation();
     }
     report
@@ -179,7 +160,7 @@ impl Cse {
     }
 
     /// Commons within one block, the blocks nested in it already done.
-    fn run_block(&mut self, proc: &mut Procedure, block: &mut Block, report: &mut CseReport) {
+    fn run_block(&mut self, proc: &mut Procedure, block: &mut Block, report: &mut Report) {
         // scratch every try of the block shares
         let (mut cands, mut deps) = (Vec::new(), Vec::new());
         let mut i = 0;
@@ -264,7 +245,7 @@ impl Cse {
         start: usize,
         cand_orig: ExprId,
         deps: &mut Vec<VarId>,
-        report: &mut CseReport,
+        report: &mut Report,
     ) -> bool {
         deps.clear();
         proc.exprs.collect_vars_read(cand_orig, deps);
@@ -334,8 +315,8 @@ impl Cse {
             }
         }
         block.insert(start, def);
-        report.commoned += 1;
-        report.replaced += replaced;
+        report.add(Count::CseCommoned, 1);
+        report.add(Count::CseReplaced, replaced);
         true
     }
 
@@ -383,7 +364,7 @@ mod tests {
     use titanc_il::{pretty_proc, BinOp, ProcBuilder};
     use titanc_lower::compile_to_il;
 
-    fn cse(src: &str) -> (Procedure, CseReport) {
+    fn cse(src: &str) -> (Procedure, Report) {
         let prog = compile_to_il(src).unwrap();
         let mut proc = prog.procs[0].clone();
         let rep = local_cse(&mut proc);
@@ -395,8 +376,8 @@ mod tests {
         let (proc, rep) = cse(
             "int f(int a, int b) { int x, y; x = (a + b) * 2; y = (a + b) * 2 + 1; return x + y; }",
         );
-        assert_eq!(rep.commoned, 1, "{}", pretty_proc(&proc));
-        assert_eq!(rep.replaced, 2);
+        assert_eq!(rep.get(Count::CseCommoned), 1, "{}", pretty_proc(&proc));
+        assert_eq!(rep.get(Count::CseReplaced), 2);
         let text = pretty_proc(&proc);
         assert!(text.contains("cse_"), "{text}");
     }
@@ -406,13 +387,21 @@ mod tests {
         let (_proc, rep) = cse(
             "int f(int a, int b) { int x, y; x = a + b + 1; a = 0; y = a + b + 1; return x + y; }",
         );
-        assert_eq!(rep.commoned, 0, "a changed between the occurrences");
+        assert_eq!(
+            rep.get(Count::CseCommoned),
+            0,
+            "a changed between the occurrences"
+        );
     }
 
     #[test]
     fn loads_are_not_commoned_here() {
         let (_proc, rep) = cse("int f(int *p) { int x, y; x = *p + 1; y = *p + 1; return x + y; }");
-        assert_eq!(rep.commoned, 0, "memory expressions are out of scope");
+        assert_eq!(
+            rep.get(Count::CseCommoned),
+            0,
+            "memory expressions are out of scope"
+        );
     }
 
     #[test]
@@ -420,7 +409,7 @@ mod tests {
         // the condition reruns after the body redefines `a`
         let (proc, rep) = cse("int f(int a, int b) { int x, n; n = 0; x = a + b + 1; \
              while (a + b + 1 < 10) { a = a + 1; n = n + 1; } return x + n; }");
-        assert_eq!(rep.commoned, 0, "{}", pretty_proc(&proc));
+        assert_eq!(rep.get(Count::CseCommoned), 0, "{}", pretty_proc(&proc));
         // a window that ends before such a `while` still takes in the
         // nested blocks before it, and the run terminates
         let (proc, rep) = cse(
@@ -428,7 +417,11 @@ mod tests {
              if (c) { y = a + b + 1; } while (a + b + 1 < 10) { a = a * 2; } return x + y; }",
         );
         let text = pretty_proc(&proc);
-        assert_eq!((rep.commoned, rep.replaced), (1, 2), "{text}");
+        assert_eq!(
+            (rep.get(Count::CseCommoned), rep.get(Count::CseReplaced)),
+            (1, 2),
+            "{text}"
+        );
         assert!(text.contains("while ((((a + b) + 1) < 10))"), "{text}");
     }
 
@@ -453,13 +446,13 @@ mod tests {
         b.ret(Some(xv));
         let mut proc = b.finish();
         let rep = local_cse(&mut proc);
-        assert_eq!(rep.commoned, 0, "{}", pretty_proc(&proc));
+        assert_eq!(rep.get(Count::CseCommoned), 0, "{}", pretty_proc(&proc));
     }
 
     #[test]
     fn single_occurrence_untouched() {
         let (proc, rep) = cse("int f(int a, int b) { return (a + b) * 3; }");
-        assert_eq!(rep.commoned, 0);
+        assert_eq!(rep.get(Count::CseCommoned), 0);
         assert_eq!(proc.len(), 1);
     }
 
@@ -481,7 +474,7 @@ int main(void)
         let prog = compile_to_il(src).unwrap();
         let mut opt = prog.clone();
         let rep = local_cse(&mut opt.procs[0]);
-        assert!(rep.commoned >= 1);
+        assert!(rep.get(Count::CseCommoned) >= 1);
         let g = [("out_g", titanc_il::ScalarType::Int, 2)];
         let cfg = titanc_titan::MachineConfig::default;
         let (b, _) = titanc_titan::observe(&prog, cfg(), "main", &g).unwrap();
@@ -493,6 +486,10 @@ int main(void)
     fn volatile_untouched() {
         let (_proc, rep) =
             cse("volatile int s; int f(void) { int x, y; x = s + 1; y = s + 1; return x + y; }");
-        assert_eq!(rep.commoned, 0, "volatile reads must both happen");
+        assert_eq!(
+            rep.get(Count::CseCommoned),
+            0,
+            "volatile reads must both happen"
+        );
     }
 }

@@ -10,38 +10,15 @@
 
 use titanc_analysis::{Liveness, ProcAnalyses};
 use titanc_il::visit::edit_blocks;
-use titanc_il::{Expr, LValue, Procedure, StmtId, StmtKind, VarId, VarInfo};
+use titanc_il::{Count, Expr, LValue, Procedure, Report, StmtId, StmtKind, VarId, VarInfo};
 
 /// Resource budget: maximum fixpoint rounds per procedure. Hitting the cap
 /// is sound (every completed round leaves verified IL) but is reported so
 /// the driver can emit a remark.
 pub const MAX_ROUNDS: usize = 32;
 
-/// Elimination statistics.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct DceReport {
-    /// Dead assignments removed.
-    pub removed: usize,
-    /// Fixpoint rounds.
-    pub rounds: usize,
-    /// The fixpoint was cut off by [`MAX_ROUNDS`] while still changing.
-    pub budget_exhausted: bool,
-}
-
-impl DceReport {
-    /// Folds another report's counts into this one (used by the pass
-    /// manager to aggregate per-pass deltas).
-    pub fn merge(&mut self, other: DceReport) {
-        self.removed += other.removed;
-        self.rounds += other.rounds;
-        self.budget_exhausted |= other.budget_exhausted;
-    }
-}
-
-titanc_il::struct_wire!(DceReport, [removed, rounds, budget_exhausted]);
-
 /// Runs dead-code elimination to a fixpoint.
-pub fn eliminate_dead_code(proc: &mut Procedure) -> DceReport {
+pub fn eliminate_dead_code(proc: &mut Procedure) -> Report {
     eliminate_dead_code_cached(proc, &mut ProcAnalyses::new())
 }
 
@@ -55,10 +32,10 @@ pub fn eliminate_dead_code(proc: &mut Procedure) -> DceReport {
 /// surviving statement is the one a rebuilt graph would give
 /// ([`ProcAnalyses::keep_cfg`]). That graph is no use to a later pass, so
 /// an invocation that removed anything leaves the slot empty.
-pub fn eliminate_dead_code_cached(proc: &mut Procedure, analyses: &mut ProcAnalyses) -> DceReport {
-    let mut report = DceReport::default();
+pub fn eliminate_dead_code_cached(proc: &mut Procedure, analyses: &mut ProcAnalyses) -> Report {
+    let mut report = Report::default();
     loop {
-        report.rounds += 1;
+        report.add(Count::DceRounds, 1);
         let mut removed = 0;
 
         // liveness-driven dead stores
@@ -71,18 +48,18 @@ pub fn eliminate_dead_code_cached(proc: &mut Procedure, analyses: &mut ProcAnaly
         // structural cleanups
         removed += sweep(proc);
 
-        report.removed += removed;
+        report.add(Count::DceRemoved, removed);
         if removed == 0 {
             break;
         }
         proc.bump_generation();
         analyses.keep_cfg(proc);
-        if report.rounds >= MAX_ROUNDS {
-            report.budget_exhausted = true;
+        if report.get(Count::DceRounds) >= MAX_ROUNDS {
+            report.add(Count::DceBudgetHit, 1);
             break;
         }
     }
-    if report.removed > 0 {
+    if report.get(Count::DceRemoved) > 0 {
         analyses.invalidate();
     }
     report

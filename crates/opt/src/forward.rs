@@ -45,32 +45,16 @@ use crate::util::{count_reads, replace_reads_with};
 use std::collections::HashMap;
 use titanc_il::visit::walk_block;
 use titanc_il::{
-    Expr, ExprId, ExprPool, LValue, Procedure, StmtId, StmtKind, StmtPool, VarId, VarInfo,
+    Count, Expr, ExprId, ExprPool, LValue, Procedure, Report, StmtId, StmtKind, StmtPool, VarId,
+    VarInfo,
 };
-
-/// Substitution statistics.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct ForwardReport {
-    /// Reads replaced.
-    pub substituted: usize,
-}
-
-impl ForwardReport {
-    /// Folds another report's counts into this one (used by the pass
-    /// manager to aggregate per-pass deltas).
-    pub fn merge(&mut self, other: ForwardReport) {
-        self.substituted += other.substituted;
-    }
-}
-
-titanc_il::struct_wire!(ForwardReport, [substituted]);
 
 /// Expressions larger than this are not forwarded (avoids exponential
 /// growth through chains of substitutions).
 const MAX_FORWARDED_SIZE: usize = 24;
 
 /// Runs forward substitution over every block of the procedure.
-pub fn forward_substitute(proc: &mut Procedure) -> ForwardReport {
+pub fn forward_substitute(proc: &mut Procedure) -> Report {
     let candidate: Vec<bool> = proc
         .vars
         .iter()
@@ -85,10 +69,9 @@ pub fn forward_substitute(proc: &mut Procedure) -> ForwardReport {
         substituted: 0,
     };
     sweep.block(&proc.body);
-    let report = ForwardReport {
-        substituted: sweep.substituted,
-    };
-    if report.substituted > 0 {
+    let mut report = Report::default();
+    report.add(Count::ForwardSubstituted, sweep.substituted);
+    if sweep.substituted > 0 {
         proc.bump_generation();
     }
     report
@@ -404,7 +387,7 @@ mod tests {
         for p in &prog.procs {
             let (mut want, mut got) = (p.clone(), p.clone());
             let want_n = crate::forward_reference::forward_substitute(&mut want);
-            let got_n = forward_substitute(&mut got).substituted;
+            let got_n = forward_substitute(&mut got).get(Count::ForwardSubstituted);
             assert_eq!(pretty_proc(&got), pretty_proc(&want), "{src}");
             assert_eq!(got_n, want_n, "{src}");
             assert_eq!(got.generation(), want.generation(), "{src}");

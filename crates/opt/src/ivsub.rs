@@ -24,8 +24,8 @@
 use crate::util::{invariant_in, replace_reads, resolve_copy};
 use titanc_il::visit::{edit_tree, Order};
 use titanc_il::{
-    BinOp, Block, Expr, ExprId, ExprPool, LValue, Procedure, ScalarType, StmtId, StmtKind,
-    StmtPool, Type, VarId,
+    BinOp, Block, Count, Expr, ExprId, ExprPool, LValue, Procedure, Report, ScalarType, StmtId,
+    StmtKind, StmtPool, Type, VarId,
 };
 
 /// Resource budget: maximum scan passes per loop (worst case is `n`
@@ -34,39 +34,12 @@ use titanc_il::{
 /// emit a remark.
 pub const MAX_PASSES: usize = 64;
 
-/// Substitution statistics (EXP6 measures `passes` and `backtracks`).
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct IvSubReport {
-    /// Scan passes over loop bodies.
-    pub passes: usize,
-    /// Candidates that succeeded only after being unblocked by an earlier
-    /// substitution (the backtracking events).
-    pub backtracks: usize,
-    /// Some loop's re-scan was cut off by [`MAX_PASSES`] while still
-    /// finding substitutions.
-    pub budget_exhausted: bool,
-    /// Per-loop substitution events (loops where at least one auxiliary
-    /// induction variable was removed), with source spans; their payloads
-    /// sum to the variables substituted away.
-    pub events: Vec<titanc_il::LoopEvent>,
-}
-
-impl IvSubReport {
-    /// Folds another report's counts into this one (used by the pass
-    /// manager to aggregate per-pass deltas).
-    pub fn merge(&mut self, other: IvSubReport) {
-        self.passes += other.passes;
-        self.backtracks += other.backtracks;
-        self.budget_exhausted |= other.budget_exhausted;
-        self.events.extend(other.events);
-    }
-}
-
-titanc_il::struct_wire!(IvSubReport, [passes, backtracks, budget_exhausted, events]);
-
 /// Runs induction-variable substitution on every DO loop of the procedure.
-pub fn induction_substitution(proc: &mut Procedure) -> IvSubReport {
-    let mut report = IvSubReport::default();
+/// The report counts scan passes and backtracks (EXP6) and holds one event
+/// per loop where at least one auxiliary induction variable was removed;
+/// their payloads sum to the variables substituted away.
+pub fn induction_substitution(proc: &mut Procedure) -> Report {
+    let mut report = Report::default();
     // innermost-first (postorder) with the block in hand: a substitution
     // puts its snapshot and finalization beside the loop without searching
     // for it from the procedure root
@@ -79,7 +52,7 @@ pub fn induction_substitution(proc: &mut Procedure) -> IvSubReport {
         }
         i + 1
     });
-    if !report.events.is_empty() {
+    if !report.loops.is_empty() {
         proc.bump_generation();
     }
     report
@@ -115,7 +88,7 @@ fn substitute_in_loop(
     proc: &mut Procedure,
     block: &mut Block,
     pos: &mut usize,
-    report: &mut IvSubReport,
+    report: &mut Report,
 ) {
     // repeat until no candidate substitutes; the worklist effect of
     // blocking/backtracking is realized by the re-scan, and `backtracks`
@@ -124,18 +97,18 @@ fn substitute_in_loop(
     let mut loop_subs = 0usize;
     loop {
         pass += 1;
-        report.passes += 1;
+        report.add(Count::IvsubPasses, 1);
         let subs = one_pass(proc, block, pos);
         loop_subs += subs;
         if pass > 1 {
-            report.backtracks += subs;
+            report.add(Count::IvsubBacktracks, subs);
         }
         if subs == 0 {
             break;
         }
         // guard: worst case n passes (n = body length)
         if pass >= MAX_PASSES {
-            report.budget_exhausted = true;
+            report.add(Count::IvsubBudgetHit, 1);
             break;
         }
     }
@@ -147,7 +120,7 @@ fn substitute_in_loop(
             }
             _ => String::new(),
         };
-        report.events.push(titanc_il::LoopEvent {
+        report.loops.push(titanc_il::LoopEvent {
             proc: proc.name.clone(),
             var,
             span: proc.stmts.span(loop_id),
@@ -398,8 +371,8 @@ mod tests {
     use titanc_il::pretty_proc;
     use titanc_lower::compile_to_il;
 
-    fn substituted(rep: &IvSubReport) -> usize {
-        titanc_il::LoopDecision::ivs_substituted(&rep.events)
+    fn substituted(rep: &Report) -> usize {
+        titanc_il::LoopDecision::ivs_substituted(&rep.loops)
     }
 
     fn prep(src: &str) -> Procedure {
@@ -428,7 +401,11 @@ mod tests {
         let rep = induction_substitution(&mut proc);
         assert!(substituted(&rep) >= 1);
         // substitution finishes in one productive pass + one empty pass
-        assert!(rep.passes <= 4, "passes = {}", rep.passes);
+        assert!(
+            rep.get(Count::IvsubPasses) <= 4,
+            "passes = {}",
+            rep.get(Count::IvsubPasses)
+        );
     }
 
     #[test]

@@ -20,10 +20,10 @@ pub mod whiledo;
 
 pub use constprop::{
     constant_propagation, constant_propagation_cached, constant_propagation_no_unreachable,
-    eliminate_unreachable_cfg, unreachable_postpass, ConstPropReport,
+    eliminate_unreachable_cfg, unreachable_postpass,
 };
-pub use cse::{local_cse, CseReport};
-pub use dce::{eliminate_dead_code, eliminate_dead_code_cached, DceReport};
-pub use forward::{forward_substitute, ForwardReport};
-pub use ivsub::{induction_substitution, IvSubReport};
-pub use whiledo::{convert_while_loops, convert_while_loops_cached, WhileDoReport};
+pub use cse::local_cse;
+pub use dce::{eliminate_dead_code, eliminate_dead_code_cached};
+pub use forward::forward_substitute;
+pub use ivsub::induction_substitution;
+pub use whiledo::{convert_while_loops, convert_while_loops_cached};

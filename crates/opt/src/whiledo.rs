@@ -25,30 +25,14 @@ use crate::util::{defined_in, invariant_in, resolve_copy};
 use titanc_analysis::{loops, Cfg, ProcAnalyses};
 use titanc_il::visit::{edit_tree, Order};
 use titanc_il::{
-    BinOp, Expr, ExprId, LValue, LoopDecision, LoopEvent, Procedure, Reject, ScalarType, StmtId,
-    StmtKind, Type, VarId,
+    BinOp, Expr, ExprId, LValue, LoopDecision, LoopEvent, Procedure, Reject, Report, ScalarType,
+    StmtId, StmtKind, Type, VarId,
 };
 
-/// Conversion decisions for one procedure.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct WhileDoReport {
-    /// One event per `while` loop: converted, or rejected with its
-    /// [`Reject`] reason.
-    pub events: Vec<LoopEvent>,
-}
-
-impl WhileDoReport {
-    /// Folds another report into this one (used by the pass manager to
-    /// aggregate per-pass deltas).
-    pub fn merge(&mut self, other: WhileDoReport) {
-        self.events.extend(other.events);
-    }
-}
-
-titanc_il::struct_wire!(WhileDoReport, [events]);
-
-/// Converts every eligible `while` loop of the procedure into a `DoLoop`.
-pub fn convert_while_loops(proc: &mut Procedure) -> WhileDoReport {
+/// Converts every eligible `while` loop of the procedure into a `DoLoop`,
+/// reporting one event per `while` loop: converted, or rejected with its
+/// [`Reject`] reason.
+pub fn convert_while_loops(proc: &mut Procedure) -> Report {
     convert_while_loops_cached(proc, &mut ProcAnalyses::new())
 }
 
@@ -65,11 +49,8 @@ pub fn convert_while_loops(proc: &mut Procedure) -> WhileDoReport {
 /// [`Cfg::has_branch_into`] answers identically on the original graph.
 /// Each conversion bumps the procedure's generation, so downstream passes
 /// see the cache invalidate instead of a stale graph.
-pub fn convert_while_loops_cached(
-    proc: &mut Procedure,
-    analyses: &mut ProcAnalyses,
-) -> WhileDoReport {
-    let mut report = WhileDoReport::default();
+pub fn convert_while_loops_cached(proc: &mut Procedure, analyses: &mut ProcAnalyses) -> Report {
+    let mut report = Report::default();
     let mut converted = false;
     let cfg = analyses.cfg(proc);
     // preorder with the block in hand: each `While` is decided before the
@@ -96,7 +77,7 @@ pub fn convert_while_loops_cached(
             }
             Err(r) => (String::new(), LoopDecision::DoRejected(r), i),
         };
-        report.events.push(LoopEvent {
+        report.loops.push(LoopEvent {
             proc: proc.name.clone(),
             var,
             span,
@@ -404,23 +385,23 @@ mod tests {
     use super::*;
     use titanc_lower::compile_to_il;
 
-    fn convert(src: &str) -> (Procedure, WhileDoReport) {
+    fn convert(src: &str) -> (Procedure, Report) {
         let prog = compile_to_il(src).unwrap();
         let mut proc = prog.procs[0].clone();
         let report = convert_while_loops(&mut proc);
         (proc, report)
     }
 
-    fn converted(rep: &WhileDoReport) -> usize {
+    fn converted(rep: &Report) -> usize {
         let converted = rep
-            .events
+            .loops
             .iter()
             .filter(|e| e.decision == LoopDecision::DoConverted);
         converted.count()
     }
 
-    fn rejects(rep: &WhileDoReport) -> Vec<Reject> {
-        let reasons = rep.events.iter().filter_map(|e| match e.decision {
+    fn rejects(rep: &Report) -> Vec<Reject> {
+        let reasons = rep.loops.iter().filter_map(|e| match e.decision {
             LoopDecision::DoRejected(r) => Some(r),
             _ => None,
         });
@@ -441,7 +422,7 @@ mod tests {
     fn converts_canonical_for_loop() {
         let (proc, rep) =
             convert("void f(float *a, int n) { int i; for (i = 0; i < n; i++) a[i] = 0; }");
-        assert_eq!(converted(&rep), 1, "{:?}", rep.events);
+        assert_eq!(converted(&rep), 1, "{:?}", rep.loops);
         let d = first_do(&proc).unwrap();
         if let StmtKind::DoLoop { step, .. } = &d {
             assert_eq!(proc.exprs.as_int(*step), Some(1));
@@ -463,7 +444,7 @@ void f(int n, int s)
 }
 "#;
         let (proc, rep) = convert(src);
-        assert_eq!(converted(&rep), 1, "{:?}", rep.events);
+        assert_eq!(converted(&rep), 1, "{:?}", rep.loops);
         let d = first_do(&proc).unwrap();
         if let StmtKind::DoLoop { step, .. } = &d {
             assert!(
@@ -477,7 +458,7 @@ void f(int n, int s)
     fn converts_pointer_walk_countdown() {
         let (proc, rep) =
             convert("void copy(float *a, float *b, int n) { while (n) { *a++ = *b++; n--; } }");
-        assert_eq!(converted(&rep), 1, "{:?}", rep.events);
+        assert_eq!(converted(&rep), 1, "{:?}", rep.loops);
         let d = first_do(&proc).unwrap();
         if let StmtKind::DoLoop { step, .. } = &d {
             assert_eq!(proc.exprs.as_int(*step), Some(-1));
@@ -565,7 +546,7 @@ void f(struct node *p) { while (p) { p = p->next; } }
     fn converts_ge_countdown() {
         let (proc, rep) =
             convert("void f(float *a, int n) { int i; for (i = n; i >= 0; i--) a[i] = 0; }");
-        assert_eq!(converted(&rep), 1, "{:?}", rep.events);
+        assert_eq!(converted(&rep), 1, "{:?}", rep.loops);
         let d = first_do(&proc).unwrap();
         if let StmtKind::DoLoop { step, .. } = &d {
             assert_eq!(proc.exprs.as_int(*step), Some(-1));
@@ -600,7 +581,7 @@ void f(float *a, int n, int m)
 }
 "#;
         let (_p, rep) = convert(src);
-        assert_eq!(converted(&rep), 2, "{:?}", rep.events);
+        assert_eq!(converted(&rep), 2, "{:?}", rep.loops);
     }
 
     #[test]

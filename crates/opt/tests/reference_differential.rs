@@ -9,7 +9,7 @@ mod cse_reference;
 #[path = "../src/dce_reference.rs"]
 mod dce_reference;
 
-use titanc_il::pretty_proc;
+use titanc_il::{pretty_proc, Count};
 
 /// `constprop`, `cse` and `dce` against the bodies they had before they
 /// were made to pay per change (`*_reference.rs`), on shapes each
@@ -47,7 +47,12 @@ fn rewritten_passes_match_their_references() {
             let (mut want, mut got) = (p.clone(), p.clone());
             let w = constprop_reference::constant_propagation(&mut want);
             let g = titanc_opt::constant_propagation(&mut got);
-            let g = (g.replaced, g.removed, g.rounds, g.budget_exhausted);
+            let g = (
+                g.get(Count::ConstpropReplaced),
+                g.get(Count::ConstpropRemoved),
+                g.get(Count::ConstpropRounds),
+                g.get(Count::ConstpropBudgetHit) > 0,
+            );
             assert_eq!(
                 g,
                 (w.replaced, w.removed, w.rounds, w.budget_exhausted),
@@ -55,13 +60,15 @@ fn rewritten_passes_match_their_references() {
             );
             let w = cse_reference::local_cse(&mut want);
             let c = titanc_opt::local_cse(&mut got);
-            assert_eq!((c.commoned, c.replaced), (w.commoned, w.replaced), "{src}");
+            let c = (c.get(Count::CseCommoned), c.get(Count::CseReplaced));
+            assert_eq!(c, (w.commoned, w.replaced), "{src}");
             let w = dce_reference::eliminate_dead_code(&mut want);
             let d = titanc_opt::eliminate_dead_code(&mut got);
-            assert_eq!((d.removed, d.rounds), (w.removed, w.rounds), "{src}");
+            let d = (d.get(Count::DceRemoved), d.get(Count::DceRounds));
+            assert_eq!(d, (w.removed, w.rounds), "{src}");
             assert_eq!(pretty_proc(&got), pretty_proc(&want), "{src}");
             assert!(got.vars == want.vars && got.generation() == want.generation());
-            work = (work.0 + g.0, work.1 + c.commoned, work.2 + d.removed);
+            work = (work.0 + g.0, work.1 + c.0, work.2 + d.0);
         }
     }
     assert!(work.0 > 5 && work.1 > 0 && work.2 > 5, "{work:?}");

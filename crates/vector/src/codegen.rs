@@ -21,8 +21,8 @@ use std::collections::HashSet;
 use titanc_deps::{const_trip_count, decompose, Aliasing, DepGraph, DepKind, Verdict};
 use titanc_il::visit::{edit_tree, Order};
 use titanc_il::{
-    BinOp, Block, Expr, ExprId, LValue, LoopDecision, LoopEvent, Procedure, ScalarType, SrcSpan,
-    StmtId, StmtKind, Type, VarId,
+    BinOp, Block, Expr, ExprId, LValue, LoopDecision, LoopEvent, Procedure, Report, ScalarType,
+    SrcSpan, StmtId, StmtKind, Type, VarId,
 };
 use titanc_opt::util::defined_in;
 
@@ -55,37 +55,14 @@ impl Default for VectorOptions {
 /// to 2048 elements).
 const MAX_VL: i64 = 2048;
 
-/// What happened to each loop.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct VectorReport {
-    /// Innermost loops left scalar.
-    pub scalar: usize,
-    /// One human-readable note per scalar loop, naming the defeating
-    /// dependence or construct (surfaced as compiler remarks).
-    pub notes: Vec<String>,
-    /// Per-loop decision events with source spans, covering every loop of
-    /// the procedure: visited innermost loops (vectorized / parallelized /
-    /// scalar-with-reason) plus the end-of-pass sweep over loops the
-    /// vectorizer never considers (non-innermost DO loops, unconverted
-    /// `while` loops).
-    pub events: Vec<LoopEvent>,
-}
-
-impl VectorReport {
-    /// Folds another report's counts into this one (used by the pass
-    /// manager to aggregate per-pass deltas).
-    pub fn merge(&mut self, other: VectorReport) {
-        self.scalar += other.scalar;
-        self.notes.extend(other.notes);
-        self.events.extend(other.events);
-    }
-}
-
-titanc_il::struct_wire!(VectorReport, [scalar, notes, events]);
-
-/// Vectorizes every innermost DO loop of the procedure.
-pub fn vectorize(proc: &mut Procedure, opts: &VectorOptions) -> VectorReport {
-    let mut report = VectorReport::default();
+/// Vectorizes every innermost DO loop of the procedure. The report holds
+/// one decision event for every loop of the procedure — visited innermost
+/// loops (vectorized / parallelized / scalar-with-reason) plus the
+/// end-of-pass sweep over loops the vectorizer never considers
+/// (non-innermost DO loops, unconverted `while` loops) — and one note per
+/// innermost loop left scalar.
+pub fn vectorize(proc: &mut Procedure, opts: &VectorOptions) -> Report {
+    let mut report = Report::default();
     let mut changed = false;
     // loops decided here, and the strip loops generated for them
     let mut done: HashSet<StmtId> = HashSet::new();
@@ -139,12 +116,11 @@ pub fn vectorize(proc: &mut Procedure, opts: &VectorOptions) -> VectorReport {
                 (LoopDecision::Parallelized, i + 1)
             }
             Outcome::Scalar { note, defeat } => {
-                report.scalar += 1;
                 report.notes.push(note);
                 (LoopDecision::Scalar(defeat), i + 1)
             }
         };
-        report.events.push(LoopEvent {
+        report.loops.push(LoopEvent {
             proc: proc.name.clone(),
             var,
             span,
@@ -164,10 +140,10 @@ pub fn vectorize(proc: &mut Procedure, opts: &VectorOptions) -> VectorReport {
 /// loops (the vectorizer only considers innermost loops) and `while` loops
 /// that survived DO conversion. Spread (`WhileSpread`) and `do parallel`
 /// loops are already covered by their own events.
-fn sweep_unvisited_loops(proc: &Procedure, done: &HashSet<StmtId>, report: &mut VectorReport) {
+fn sweep_unvisited_loops(proc: &Procedure, done: &HashSet<StmtId>, report: &mut Report) {
     proc.for_each_stmt(&mut |s, kind| match kind {
         StmtKind::DoLoop { var, .. } if !done.contains(&s) => {
-            report.events.push(LoopEvent {
+            report.loops.push(LoopEvent {
                 proc: proc.name.clone(),
                 var: proc.var(*var).name.clone(),
                 span: proc.stmts.span(s),
@@ -177,7 +153,7 @@ fn sweep_unvisited_loops(proc: &Procedure, done: &HashSet<StmtId>, report: &mut 
             });
         }
         StmtKind::While { .. } => {
-            report.events.push(LoopEvent {
+            report.loops.push(LoopEvent {
                 proc: proc.name.clone(),
                 var: String::new(),
                 span: proc.stmts.span(s),

@@ -23,7 +23,7 @@
 //! titanc_opt::forward_substitute(&mut proc);
 //! titanc_opt::eliminate_dead_code(&mut proc);
 //! let report = vectorize(&mut proc, &VectorOptions::default());
-//! assert_eq!(report.events[0].decision.tag(), "vectorized");
+//! assert_eq!(report.loops[0].decision.tag(), "vectorized");
 //! ```
 
 #![forbid(unsafe_code)]
@@ -33,9 +33,9 @@ pub mod codegen;
 pub mod spread;
 pub mod strength;
 
-pub use codegen::{vectorize, VectorOptions, VectorReport, DEFAULT_STRIP};
-pub use spread::{spread_list_loops, SpreadReport};
-pub use strength::{strength_reduce, StrengthReport};
+pub use codegen::{vectorize, VectorOptions, DEFAULT_STRIP};
+pub use spread::spread_list_loops;
+pub use strength::strength_reduce;
 
 #[cfg(test)]
 mod tests;

@@ -16,36 +16,19 @@
 
 use titanc_il::visit::{edit_tree, Order};
 use titanc_il::{
-    Expr, ExprId, LoopDecision, LoopEvent, Procedure, ScalarType, StmtId, StmtKind, VarId,
+    Expr, ExprId, LoopDecision, LoopEvent, Procedure, Report, ScalarType, StmtId, StmtKind, VarId,
 };
 use titanc_opt::util::{count_reads_block, resolve_copy};
 
-/// Which loops were spread.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct SpreadReport {
-    /// One event per `while` loop converted to `WhileSpread`, with its
-    /// source span.
-    pub events: Vec<LoopEvent>,
-}
-
-impl SpreadReport {
-    /// Folds another report into this one (used by the pass manager to
-    /// aggregate per-pass deltas).
-    pub fn merge(&mut self, other: SpreadReport) {
-        self.events.extend(other.events);
-    }
-}
-
-titanc_il::struct_wire!(SpreadReport, [events]);
-
-/// Converts eligible pointer-chasing `while` loops into spread form.
-pub fn spread_list_loops(proc: &mut Procedure) -> SpreadReport {
-    let mut report = SpreadReport::default();
+/// Converts eligible pointer-chasing `while` loops into spread form,
+/// reporting one event per loop converted to `WhileSpread`.
+pub fn spread_list_loops(proc: &mut Procedure) -> Report {
+    let mut report = Report::default();
     edit_tree(proc, Order::Pre, &mut |proc, block, i| {
         let id = block[i];
         if let StmtKind::While { cond, body, .. } = &proc.stmts[id] {
             if let Some(plan) = analyze(proc, *cond, body) {
-                report.events.push(LoopEvent {
+                report.loops.push(LoopEvent {
                     proc: proc.name.clone(),
                     var: proc.var(plan.p).name.clone(),
                     span: proc.stmts.span(id),
@@ -56,7 +39,7 @@ pub fn spread_list_loops(proc: &mut Procedure) -> SpreadReport {
         }
         i
     });
-    if !report.events.is_empty() {
+    if !report.loops.is_empty() {
         proc.bump_generation();
     }
     report
@@ -276,7 +259,7 @@ int main(void)
         let prog = compile_to_il(LIST_SRC).unwrap();
         let mut proc = prog.proc_by_name("work").unwrap().clone();
         let rep = spread_list_loops(&mut proc);
-        assert_eq!(rep.events.len(), 1, "{}", pretty_proc(&proc));
+        assert_eq!(rep.loops.len(), 1, "{}", pretty_proc(&proc));
         let text = pretty_proc(&proc);
         assert!(text.contains("while spread"), "{text}");
         assert!(text.contains("next:"), "{text}");
@@ -289,7 +272,7 @@ int main(void)
         {
             let w = opt.proc_by_name_mut("work").unwrap();
             let rep = spread_list_loops(w);
-            assert_eq!(rep.events.len(), 1);
+            assert_eq!(rep.loops.len(), 1);
         }
         let g = [("pool", titanc_il::ScalarType::Float, 8)];
         let base =
@@ -330,7 +313,7 @@ void sum(struct node *p)
         let prog = compile_to_il(src).unwrap();
         let mut proc = prog.proc_by_name("sum").unwrap().clone();
         let rep = spread_list_loops(&mut proc);
-        assert_eq!(rep.events.len(), 0, "accumulator is loop-carried");
+        assert_eq!(rep.loops.len(), 0, "accumulator is loop-carried");
     }
 
     #[test]
@@ -339,7 +322,7 @@ void sum(struct node *p)
         let prog = compile_to_il(src).unwrap();
         let mut proc = prog.procs[0].clone();
         let rep = spread_list_loops(&mut proc);
-        assert_eq!(rep.events.len(), 0, "int countdown is not a pointer chase");
+        assert_eq!(rep.loops.len(), 0, "int countdown is not a pointer chase");
     }
 
     #[test]
@@ -358,6 +341,6 @@ void f(struct node *p)
         let prog = compile_to_il(src).unwrap();
         let mut proc = prog.procs[0].clone();
         let rep = spread_list_loops(&mut proc);
-        assert_eq!(rep.events.len(), 0);
+        assert_eq!(rep.loops.len(), 0);
     }
 }

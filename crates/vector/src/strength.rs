@@ -21,36 +21,16 @@
 use titanc_deps::{const_trip_count, decompose, Affine, Aliasing, DepGraph};
 use titanc_il::visit::{edit_tree, Order};
 use titanc_il::{
-    BinOp, Block, Expr, ExprId, LValue, Procedure, ScalarType, StmtId, StmtKind, Type, VarId,
+    BinOp, Block, Count, Expr, ExprId, LValue, Procedure, Report, ScalarType, StmtId, StmtKind,
+    Type, VarId,
 };
 use titanc_opt::util::invariant_in;
 
-/// What the pass did.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct StrengthReport {
-    /// Memory cells promoted to registers.
-    pub promoted: usize,
-    /// Distinct affine addresses strength-reduced to pointer walks.
-    pub reduced: usize,
-    /// Invariant statements hoisted.
-    pub hoisted: usize,
-}
-
-impl StrengthReport {
-    /// Folds another report's counts into this one (used by the pass
-    /// manager to aggregate per-pass deltas).
-    pub fn merge(&mut self, other: StrengthReport) {
-        self.promoted += other.promoted;
-        self.reduced += other.reduced;
-        self.hoisted += other.hoisted;
-    }
-}
-
-titanc_il::struct_wire!(StrengthReport, [promoted, reduced, hoisted]);
-
-/// Runs the §6 optimizations on every remaining scalar DO loop.
-pub fn strength_reduce(proc: &mut Procedure, aliasing: Aliasing) -> StrengthReport {
-    let mut report = StrengthReport::default();
+/// Runs the §6 optimizations on every remaining scalar DO loop, counting
+/// the memory cells promoted to registers, the distinct affine addresses
+/// reduced to pointer walks and the invariant statements hoisted.
+pub fn strength_reduce(proc: &mut Procedure, aliasing: Aliasing) -> Report {
+    let mut report = Report::default();
     // a loop before the loops nested in it (preorder), the block in hand:
     // what the loop hoists or initializes goes in right in front of it
     edit_tree(proc, Order::Pre, &mut |proc, block, i| {
@@ -69,7 +49,7 @@ pub fn strength_reduce(proc: &mut Procedure, aliasing: Aliasing) -> StrengthRepo
         block.splice(i..i, pre);
         at
     });
-    if report.promoted > 0 || report.reduced > 0 || report.hoisted > 0 {
+    if report != Report::default() {
         proc.bump_generation();
     }
     report
@@ -130,7 +110,7 @@ fn promote_registers(
     l: &mut Loop,
     pre: &mut Block,
     aliasing: Aliasing,
-    report: &mut StrengthReport,
+    report: &mut Report,
 ) {
     let Loop {
         lv,
@@ -254,7 +234,7 @@ fn promote_registers(
     });
     l.body.splice(store_idx..=store_idx, [s1, s2, s3]);
     pre.push(load_reg);
-    report.promoted += 1;
+    report.add(Count::StrengthPromoted, 1);
 }
 
 fn replace_matching_load(
@@ -289,7 +269,7 @@ fn replace_matching_load(
 // loop-invariant hoisting
 // ---------------------------------------------------------------------
 
-fn hoist_invariants(proc: &Procedure, l: &mut Loop, pre: &mut Block, report: &mut StrengthReport) {
+fn hoist_invariants(proc: &Procedure, l: &mut Loop, pre: &mut Block, report: &mut Report) {
     let Loop {
         lv,
         lo,
@@ -351,7 +331,7 @@ fn hoist_invariants(proc: &Procedure, l: &mut Loop, pre: &mut Block, report: &mu
     if hoisted.is_empty() {
         return;
     }
-    report.hoisted += hoisted.len();
+    report.add(Count::StrengthHoisted, hoisted.len());
     pre.extend(hoisted);
     l.body = kept;
 }
@@ -363,12 +343,7 @@ fn hoist_invariants(proc: &Procedure, l: &mut Loop, pre: &mut Block, report: &mu
 /// (base key, coefficient, offset, representative affine)
 type AddrKey = (Vec<(String, i64)>, i64, i64, Affine);
 
-fn reduce_addresses(
-    proc: &mut Procedure,
-    l: &mut Loop,
-    pre: &mut Block,
-    report: &mut StrengthReport,
-) {
+fn reduce_addresses(proc: &mut Procedure, l: &mut Loop, pre: &mut Block, report: &mut Report) {
     let Loop {
         lv,
         lo,
@@ -440,7 +415,7 @@ fn reduce_addresses(
                 }
             }
         }
-        report.reduced += 1;
+        report.add(Count::StrengthReduced, 1);
     }
     l.body.extend(post_incs);
 }

@@ -3,7 +3,9 @@
 
 use crate::{spread_list_loops, strength_reduce, vectorize, VectorOptions};
 use titanc_deps::Aliasing;
-use titanc_il::{pretty_proc, LoopDecision, LoopEvent, Procedure, Program, ScalarType};
+use titanc_il::{
+    pretty_proc, Count, LoopDecision, LoopEvent, Procedure, Program, Report, ScalarType,
+};
 use titanc_lower::compile_to_il;
 use titanc_titan::MachineConfig;
 
@@ -17,11 +19,8 @@ fn scalar_pipeline(proc: &mut Procedure) {
 }
 
 /// Loops the report records with the decision tagged `tag`.
-fn loops(rep: &crate::VectorReport, tag: &str) -> usize {
-    rep.events
-        .iter()
-        .filter(|e| e.decision.tag() == tag)
-        .count()
+fn loops(rep: &Report, tag: &str) -> usize {
+    rep.loops.iter().filter(|e| e.decision.tag() == tag).count()
 }
 
 fn prep(src: &str) -> Program {
@@ -135,7 +134,7 @@ fn pointer_copy_loop_does_not_vectorize_under_c_aliasing() {
     let mut prog = prep(src);
     let rep = vectorize(&mut prog.procs[0], &VectorOptions::default());
     assert_eq!(loops(&rep, "vectorized"), 0, "pointer params may alias");
-    assert_eq!(rep.scalar, 1);
+    assert_eq!(rep.notes.len(), 1);
 }
 
 #[test]
@@ -342,8 +341,13 @@ int main(void)
     let mut opt = base.clone();
     vectorize(&mut opt.procs[0], &VectorOptions::default());
     let rep = strength_reduce(&mut opt.procs[0], Aliasing::C);
-    assert_eq!(rep.promoted, 1, "{}", pretty_proc(&opt.procs[0]));
-    assert!(rep.reduced >= 2, "{rep:?}");
+    assert_eq!(
+        rep.get(Count::StrengthPromoted),
+        1,
+        "{}",
+        pretty_proc(&opt.procs[0])
+    );
+    assert!(rep.get(Count::StrengthReduced) >= 2, "{rep:?}");
     let text = pretty_proc(&opt.procs[0]);
     assert!(text.contains("f_reg"), "{text}");
 
@@ -412,7 +416,7 @@ int main(void)
     let base = prep(src);
     let mut opt = base.clone();
     let rep = strength_reduce(&mut opt.procs[0], Aliasing::C);
-    assert!(rep.reduced >= 2, "{rep:?}");
+    assert!(rep.get(Count::StrengthReduced) >= 2, "{rep:?}");
     let text = pretty_proc(&opt.procs[0]);
     assert!(text.contains("sr_p"), "{text}");
     let g = [("a", ScalarType::Float, 64)];
@@ -452,7 +456,11 @@ int main(void)
     // constant bounds must be visible for the trips>=1 safety check
     titanc_opt::constant_propagation(&mut proc);
     let rep = strength_reduce(&mut proc, Aliasing::C);
-    assert!(rep.hoisted >= 1, "{}", pretty_proc(&proc));
+    assert!(
+        rep.get(Count::StrengthHoisted) >= 1,
+        "{}",
+        pretty_proc(&proc)
+    );
     // equivalence
     let mut opt_prog = prog.clone();
     opt_prog.procs[0] = proc;
@@ -634,20 +642,20 @@ int main(void)
     let mut prog = prep(src);
     let rep = vectorize(&mut prog.procs[0], &VectorOptions::default());
     assert_eq!(
-        rep.events[0].decision,
+        rep.loops[0].decision,
         LoopDecision::Vectorized {
             stripped: false,
             parallel: false,
             residual: true
         }
     );
-    let t = trail(&rep.events);
+    let t = trail(&rep.loops);
     assert_eq!(t.len(), 3, "the residual loop is reported once: {t:?}");
     assert_eq!((t[0].0, t[0].1), (6, "vectorized"));
     assert_eq!((t[1].0, t[1].1), (6, "scalar"), "{t:?}");
     assert_ne!(t[1].2, INNER_LOOP);
     assert_eq!((t[2].0, t[2].1), (10, "vectorized"), "{t:?}");
-    assert_eq!((loops(&rep, "vectorized"), rep.scalar), (2, 1));
+    assert_eq!((loops(&rep, "vectorized"), rep.notes.len()), (2, 1));
 }
 
 const NEST_THEN_SIBLING: &str = r#"
@@ -668,7 +676,7 @@ fn parent_of_an_unstripped_inner_loop_is_the_next_candidate() {
     // behind and its parent is innermost by the time the sweep reaches it
     let mut prog = prep(NEST_THEN_SIBLING);
     let rep = vectorize(&mut prog.procs[0], &VectorOptions::default());
-    let t = trail(&rep.events);
+    let t = trail(&rep.loops);
     assert_eq!(t.len(), 3, "{t:?}");
     assert_eq!((t[0].0, t[0].1), (7, "vectorized"), "{t:?}");
     assert_eq!(
@@ -687,7 +695,7 @@ fn parent_of_a_strip_mined_inner_loop_is_swept_last() {
         ..VectorOptions::default()
     };
     let rep = vectorize(&mut prog.procs[0], &opts);
-    let t = trail(&rep.events);
+    let t = trail(&rep.loops);
     assert_eq!(
         t,
         [
@@ -725,18 +733,18 @@ void work(struct node *p, struct node *q, struct node *r)
     let prog = compile_to_il(src).unwrap();
     let mut proc = prog.procs[0].clone();
     let rep = spread_list_loops(&mut proc);
-    assert_eq!(rep.events.len(), 2, "{}", pretty_proc(&proc));
+    assert_eq!(rep.loops.len(), 2, "{}", pretty_proc(&proc));
     let vars: Vec<(&str, u32)> = rep
-        .events
+        .loops
         .iter()
         .map(|e| (e.var.as_str(), e.span.line))
         .collect();
     assert_eq!(vars, [("p", 7), ("r", 17)]);
     assert!(
-        rep.events
+        rep.loops
             .iter()
             .all(|e| e.decision == LoopDecision::ListSpread),
         "{:?}",
-        rep.events
+        rep.loops
     );
 }

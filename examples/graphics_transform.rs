@@ -9,7 +9,7 @@
 
 use titanc_repro::il::{LoopDecision, ScalarType};
 use titanc_repro::titan::{MachineConfig, Simulator, CLOCK_MHZ};
-use titanc_repro::titanc::{compile, Options};
+use titanc_repro::titanc::{compile, Count, Options};
 
 const SRC: &str = r#"
 struct matrix {
@@ -70,8 +70,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "while->DO: {}, induction variables: {}, strength-reduced addresses: {}",
         optimized.reports.count("do_converted"),
-        LoopDecision::ivs_substituted(&optimized.reports.ivsub.events),
-        optimized.reports.strength.reduced,
+        LoopDecision::ivs_substituted(&optimized.reports.loops),
+        optimized.reports.get(Count::StrengthReduced),
     );
     let mut sim = Simulator::new(&optimized.program, MachineConfig::optimized(1));
     let o = sim.run("main", &[])?.stats;

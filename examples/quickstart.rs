@@ -32,7 +32,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "loops vectorized: {}, while loops converted: {}, induction variables substituted: {}",
         compiled.reports.count("vectorized"),
         compiled.reports.count("do_converted"),
-        LoopDecision::ivs_substituted(&compiled.reports.ivsub.events),
+        LoopDecision::ivs_substituted(&compiled.reports.loops),
     );
     println!(
         "optimized main:\n{}",

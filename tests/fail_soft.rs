@@ -6,7 +6,7 @@
 use titanc_il::{pretty_proc, Procedure, Program, StmtKind};
 use titanc_repro::titanc::{
     compile, compile_with, Compilation, IncidentKind, Options, Pass, PassContext, Pipeline,
-    ProcAnalyses, ProcPass, Reports,
+    ProcAnalyses, ProcPass, Report,
 };
 use titanc_titan::{MachineConfig, Simulator};
 
@@ -43,7 +43,7 @@ impl ProcPass for Boom {
         proc: &mut Procedure,
         _cx: &PassContext<'_>,
         _analyses: &mut ProcAnalyses,
-        _delta: &mut Reports,
+        _delta: &mut Report,
     ) {
         if proc.name == "faulty" {
             proc.body.clear();
@@ -68,7 +68,7 @@ impl ProcPass for Corrupt {
         proc: &mut Procedure,
         _cx: &PassContext<'_>,
         _analyses: &mut ProcAnalyses,
-        _delta: &mut Reports,
+        _delta: &mut Report,
     ) {
         if proc.name == "faulty" {
             let dangling = proc.fresh_label();
@@ -124,7 +124,7 @@ fn injected_panic_is_contained_and_rolled_back() {
     assert!(
         faulted.reports.count("vectorized") >= 2,
         "{:?}",
-        faulted.reports.vector
+        faulted.reports.loops
     );
 }
 
@@ -176,7 +176,7 @@ impl Pass for ProgramBoom {
         "program-boom"
     }
 
-    fn run(&self, program: &mut Program, _cx: &PassContext<'_>, _delta: &mut Reports) {
+    fn run(&self, program: &mut Program, _cx: &PassContext<'_>, _delta: &mut Report) {
         program.procs.clear();
         panic!("injected whole-program fault");
     }
@@ -294,7 +294,7 @@ impl ProcPass for FailsOnReplay {
         proc: &mut Procedure,
         _cx: &PassContext<'_>,
         _analyses: &mut ProcAnalyses,
-        _delta: &mut Reports,
+        _delta: &mut Report,
     ) {
         if proc.name == "faulty" && self.0.fetch_add(1, std::sync::atomic::Ordering::SeqCst) > 0 {
             panic!("not deterministic after all");

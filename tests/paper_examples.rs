@@ -4,7 +4,7 @@
 
 use titanc_repro::il::{LoopDecision, ScalarType};
 use titanc_repro::titan::{observe, MachineConfig, Simulator, CLOCK_MHZ};
-use titanc_repro::titanc::{compile, Options};
+use titanc_repro::titanc::{compile, Count, Options};
 
 const DAXPY: &str = include_str!("../corpus/daxpy.c");
 const BACKSOLVE: &str = include_str!("../corpus/backsolve.c");
@@ -68,9 +68,9 @@ fn backsolve_mflops_shape() {
 
     let opt = compile(BACKSOLVE, &Options::o2()).unwrap();
     assert!(
-        opt.reports.strength.promoted >= 1,
+        opt.reports.get(Count::StrengthPromoted) >= 1,
         "{:?}",
-        opt.reports.strength
+        opt.reports
     );
     assert_eq!(
         opt.reports.count("vectorized"),
@@ -97,9 +97,9 @@ fn copy_all_levels_agree_and_vectorize() {
     let c = compile(COPY, &Options::o2()).unwrap();
     assert!(c.reports.count("vectorized") >= 1);
     assert!(
-        LoopDecision::ivs_substituted(&c.reports.ivsub.events) >= 3,
+        LoopDecision::ivs_substituted(&c.reports.loops) >= 3,
         "{:?}",
-        c.reports.ivsub
+        c.reports.loops
     );
 }
 
@@ -157,9 +157,11 @@ fn daxpy_without_inlining_stays_scalar_under_c_aliasing() {
 fn reports_accumulate_sensibly() {
     let c = compile(DAXPY, &Options::parallel()).unwrap();
     assert!(c.reports.count("do_converted") >= 1);
-    assert!(c.reports.forward.substituted > 0);
+    assert!(c.reports.get(Count::ForwardSubstituted) > 0);
     // forward substitution may propagate the constants first; branch
     // folding still credits constprop
-    assert!(c.reports.constprop.replaced + c.reports.constprop.removed > 0);
-    assert!(c.reports.dce.removed > 0);
+    let constprop =
+        c.reports.get(Count::ConstpropReplaced) + c.reports.get(Count::ConstpropRemoved);
+    assert!(constprop > 0);
+    assert!(c.reports.get(Count::DceRemoved) > 0);
 }

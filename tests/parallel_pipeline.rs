@@ -153,7 +153,7 @@ fn mutating_pass_bumps_generation_and_stale_usedef_is_dropped() {
     let report = titanc_opt::convert_while_loops_cached(&mut proc, &mut analyses);
     let converted = titanc_repro::il::LoopDecision::DoConverted;
     assert!(
-        report.events.iter().any(|e| e.decision == converted),
+        report.loops.iter().any(|e| e.decision == converted),
         "{report:?}"
     );
     assert!(

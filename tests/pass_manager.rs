@@ -8,7 +8,7 @@
 //! strength reductions (which rewrite the vector IL the vectorizer emits).
 
 use titanc_repro::il::LoopDecision;
-use titanc_repro::titanc::{compile, Options, Pass, PassContext, Pipeline};
+use titanc_repro::titanc::{compile, Count, Options, Pass, PassContext, Pipeline};
 
 /// A while-loop kernel that exercises every scalar pass plus the
 /// vectorizer: daxpy with pointer bumping, inlined into main.
@@ -48,7 +48,7 @@ fn while_do_conversion_runs_before_ivsub() {
     );
     // and the ordering matters: both actually fired on this kernel
     assert!(c.reports.count("do_converted") >= 1);
-    assert!(LoopDecision::ivs_substituted(&c.reports.ivsub.events) >= 1);
+    assert!(LoopDecision::ivs_substituted(&c.reports.loops) >= 1);
 }
 
 #[test]
@@ -105,8 +105,14 @@ fn per_pass_deltas_attribute_work_to_the_right_pass() {
 #[test]
 fn aggregate_reports_equal_sum_of_deltas() {
     let c = compile(KERNEL, &Options::parallel()).unwrap();
-    let summed: usize = c.trace.records.iter().map(|r| r.delta.dce.removed).sum();
-    assert_eq!(c.reports.dce.removed, summed, "dce total = sum of deltas");
+    for count in Count::ALL {
+        let summed: usize = c.trace.records.iter().map(|r| r.delta.get(count)).sum();
+        assert_eq!(
+            c.reports.get(count),
+            summed,
+            "{count:?} total = sum of deltas"
+        );
+    }
     let inlined: usize = c
         .trace
         .records
@@ -155,7 +161,7 @@ fn custom_pipeline_runs_user_defined_passes() {
             &self,
             program: &mut titanc_repro::titanc::Program,
             _cx: &PassContext<'_>,
-            _delta: &mut titanc_repro::titanc::Reports,
+            _delta: &mut titanc_repro::titanc::Report,
         ) {
             self.seen.set(program.procs.len());
         }

@@ -207,7 +207,7 @@ int main(void)
     assert!(
         c.reports.count("vectorized") >= 1,
         "inner loop vectorizes: {:?}\n{}",
-        c.reports.vector,
+        c.reports.loops,
         titanc_repro::il::pretty_proc(c.program.proc_by_name("main").unwrap())
     );
     let (obs, _) = titanc_repro::titan::observe(

@@ -4,7 +4,7 @@
 
 use titanc_repro::il::ScalarType;
 use titanc_repro::titan::{observe, observe_with, ExecEngine, MachineConfig};
-use titanc_repro::titanc::{compile, OptReport, Options};
+use titanc_repro::titanc::{compile, Count, OptReport, Options};
 
 fn check(src: &str, globals: &[(&str, ScalarType, u32)]) {
     let base = compile(src, &Options::o0()).expect("O0");
@@ -134,7 +134,7 @@ int main(void)
 }
 "#;
     let c = compile(src, &Options::o2()).unwrap();
-    assert!(c.reports.count("vectorized") >= 1, "{:?}", c.reports.vector);
+    assert!(c.reports.count("vectorized") >= 1, "{:?}", c.reports.loops);
     check(src, &[("m", ScalarType::Float, 1024)]);
 }
 
@@ -288,7 +288,7 @@ int main(void) { out_g[3] = 9; return f(3, 4, 2); }
     };
     let c = compile(src, &no_inline).expect("O2");
     assert!(
-        c.reports.cse.commoned > 0,
+        c.reports.get(Count::CseCommoned) > 0,
         "the shape no longer reaches cse"
     );
     let (got, _) =
@@ -513,4 +513,50 @@ void f(float *x, float *y, int n)
     );
     let safe = compile(&src.replace("unsafe", "safe"), &Options::o2()).expect("compiles");
     assert_eq!(safe.reports.count("vectorized"), 1);
+}
+
+/// A prefix operator's operand was parsed as a cast or postfix
+/// expression, never as another prefix operator, so `-*p`, `**pp`, `!!x`,
+/// `- -x`, `~-x` and `&*p` were rejected with `expected expression`. Each
+/// computes what C computes (the values `cc -O0` prints), at every level
+/// and on both engines.
+#[test]
+fn prefix_operators_nest() {
+    let src = "
+int out[9];
+int main(void)
+{
+    int v, x, *p, **pp;
+    v = 5; x = 7; p = &v; pp = &p;
+    out[0] = -*p; out[1] = **pp; out[2] = - -x; out[3] = !!x; out[4] = *&*p;
+    out[5] = ~-v; out[6] = - -*p; out[7] = -(int)2.5f; out[8] = !-x;
+    return *&*p;
+}
+";
+    let globals = [("out", ScalarType::Int, 9)];
+    for (level, options) in [
+        ("O0", Options::o0()),
+        ("O1", Options::o1()),
+        ("O2", Options::o2()),
+        ("O2-parallel", Options::parallel()),
+    ] {
+        let c = compile(src, &options).unwrap_or_else(|e| panic!("{level}: {e}"));
+        for engine in [ExecEngine::Interp, ExecEngine::Vm] {
+            let (seen, _) = observe_with(
+                &c.program,
+                MachineConfig::default(),
+                engine,
+                "main",
+                &globals,
+            )
+            .unwrap_or_else(|e| panic!("{level} {engine:?}: {e}"));
+            let out: Vec<i64> = seen.globals[0].1.iter().map(|v| v.as_int()).collect();
+            assert_eq!(out, [-5, 5, 7, 1, 5, 4, 5, -2, 0], "{level} {engine:?}");
+            assert_eq!(
+                seen.value.map(|v| v.as_int()),
+                Some(5),
+                "{level} {engine:?}"
+            );
+        }
+    }
 }
