@@ -94,8 +94,8 @@ pub enum Item {
 pub struct StructDecl {
     /// The tag.
     pub name: String,
-    /// Fields in order.
-    pub fields: Vec<(String, QualType)>,
+    /// Fields in order: name, type and the position of the declarator.
+    pub fields: Vec<(String, QualType, Span)>,
     /// Source position.
     pub span: Span,
 }

@@ -506,11 +506,12 @@ impl Parser {
                     while !self.eat_punct(Punct::RBrace) {
                         let (_s, base) = self.decl_specifiers()?;
                         loop {
+                            let fspan = self.span();
                             let (fname, fty, fparams) = self.declarator(base.clone())?;
                             if fparams.is_some() {
                                 return Err(self.err("function fields are not supported"));
                             }
-                            fields.push((fname, fty));
+                            fields.push((fname, fty, fspan));
                             if !self.eat_punct(Punct::Comma) {
                                 break;
                             }

@@ -271,6 +271,40 @@ fn a_void_size_exits_one_at_its_position() {
     }
 }
 
+/// A struct is incomplete until its closing brace: a field of its own type
+/// once laid out at size 0, so `g.inner.a = 1` stored past `g`. A pointer
+/// to it is complete, and `--run` exits with `main`'s `sizeof`.
+#[test]
+fn a_struct_that_contains_itself_exits_one_at_the_field() {
+    for (name, field, want) in [
+        ("self.c", "struct s inner;", ":1:28:"),
+        ("self-array.c", "struct s arr[2];", ":1:28:"),
+    ] {
+        let src = format!(
+            "struct s {{ int a; {field} }};\nstruct s g;\n\
+             int main(void) {{ g.a = 1; return 0; }}\n"
+        );
+        let path = write_temp(name, &src);
+        for level in ["-O0", "-O2"] {
+            let out = titanc().args([level, "--run"]).arg(&path).output().unwrap();
+            let err = stderr_of(&out);
+            assert_eq!(out.status.code(), Some(1), "{name} {level}: {err}");
+            assert!(
+                err.contains(&format!("{name}{want}"))
+                    && err.contains("incomplete type `struct s`"),
+                "{name} {level}: {err}"
+            );
+        }
+    }
+    let path = write_temp(
+        "self-pointer.c",
+        "struct u { int a; struct u *next; };\nstruct u g;\n\
+         int main(void) { g.next = &g; g.next->a = 3; return sizeof(struct u) + g.a; }\n",
+    );
+    let out = titanc().args(["-O0", "--run"]).arg(&path).output().unwrap();
+    assert_eq!(out.status.code(), Some(11), "{}", stderr_of(&out));
+}
+
 #[test]
 fn max_errors_caps_reported_diagnostics() {
     let mut body = String::from("void f(void) {\n");

@@ -80,14 +80,18 @@ fn cvt_ctype(env: &Env, t: &CType, span: Span) -> Result<Type, LowerError> {
 /// step has a sized type. `void`, and an array of it, have none — a source
 /// error at `span`.
 pub fn type_size(env: &Env, ty: &Type, span: Span) -> Result<i64, LowerError> {
-    let mut elem = ty;
-    while let Type::Array(inner, _) = elem {
-        elem = inner;
-    }
-    if *elem == Type::Void {
+    if *element_type(ty) == Type::Void {
         return Err(LowerError::new(format!("`{ty}` has no size"), span));
     }
     Ok(ty.size_with(&|sid| env.struct_def(sid).size))
+}
+
+/// The element type of a (nested) array type; any other type itself.
+fn element_type(mut ty: &Type) -> &Type {
+    while let Type::Array(inner, _) = ty {
+        ty = inner;
+    }
+    ty
 }
 
 /// Alignment of an IL type (the Titan aligns to the largest scalar member;
@@ -109,13 +113,21 @@ pub fn type_align(env: &Env, ty: &Type) -> i64 {
     }
 }
 
-/// Computes the layout of a struct declaration.
+/// Computes the layout of a struct declaration. A field of the struct's
+/// own type (or an array of it) is a source error at the field: the tag
+/// is registered before its layout so pointer fields resolve, but the
+/// struct is not complete until its closing brace.
 pub fn layout_struct(env: &mut Env, sd: &ast::StructDecl) -> Result<StructDef, LowerError> {
+    let this = env.structs.get(&sd.name).copied();
     let mut offset: i64 = 0;
     let mut max_align: i64 = 1;
     let mut fields = Vec::new();
-    for (name, q) in &sd.fields {
+    for (name, q, span) in &sd.fields {
         let (ty, _vol) = cvt_qualtype(env, q, sd.span)?;
+        if matches!(element_type(&ty), Type::Struct(sid) if Some(*sid) == this) {
+            let msg = format!("field `{name}` has incomplete type `struct {}`", sd.name);
+            return Err(LowerError::new(msg, *span));
+        }
         let align = type_align(env, &ty);
         let size = type_size(env, &ty, sd.span)?;
         offset = (offset + align - 1) / align * align;
@@ -186,9 +198,9 @@ mod tests {
         let sd = ast::StructDecl {
             name: "s".into(),
             fields: vec![
-                ("c".into(), QualType::plain(CType::Char)),
-                ("d".into(), QualType::plain(CType::Double)),
-                ("i".into(), QualType::plain(CType::Int)),
+                ("c".into(), QualType::plain(CType::Char), Span::default()),
+                ("d".into(), QualType::plain(CType::Double), Span::default()),
+                ("i".into(), QualType::plain(CType::Int), Span::default()),
             ],
             span: Span::default(),
         };
@@ -214,8 +226,9 @@ mod tests {
                         ))),
                         Some(4),
                     )),
+                    Span::default(),
                 ),
-                ("tag".into(), QualType::plain(CType::Int)),
+                ("tag".into(), QualType::plain(CType::Int), Span::default()),
             ],
             span: Span::default(),
         };
