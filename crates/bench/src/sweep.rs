@@ -50,8 +50,8 @@ use titanc_analysis::CallGraph;
 use titanc_il::json::{parse as parse_json, FromJson, ToJson};
 use titanc_il::wire::{self, Wire};
 use titanc_il::{
-    decode_proc, encode_proc, hash_proc, pretty_proc, verify_proc, InlineOutcome, LoopDecision,
-    Procedure, Reject, ScalarType, SrcSpan, StableHash, StableHasher,
+    decode_proc, encode_proc, hash_proc, pretty_proc, verify_proc, Count, InlineOutcome,
+    LoopDecision, Procedure, Reject, ScalarType, SrcSpan, StableHash, StableHasher,
 };
 use titanc_titan::{observe_with, ExecEngine, ExecStats, MachineConfig, Observation};
 
@@ -128,6 +128,9 @@ pub struct Totals {
     /// `do_rejected` events per [`Reject::ALL`] reason, over the same
     /// compiles.
     pub rejects: [u64; Reject::ALL.len()],
+    /// §6 constant multiplies reduced to shifts and adds, over the same
+    /// compiles ([`Count::StrengthMulReduced`]).
+    pub muls_reduced: usize,
     /// Contained incidents over the same compiles.
     pub incidents: usize,
     /// Sessions compiled (with or without a cache directory).
@@ -155,6 +158,7 @@ impl Totals {
             let i = tags().position(|t| t == tag);
             self.coverage[i.expect("every tag is in its type's TAGS")] += 1;
         }
+        self.muls_reduced += c.reports.get(Count::StrengthMulReduced);
         self.incidents += c.trace.incidents.len();
     }
 
@@ -170,20 +174,27 @@ impl Totals {
         counts.for_each(|(n, m)| *n += m);
         let rejects = self.rejects.iter_mut().zip(other.rejects);
         rejects.for_each(|(n, m)| *n += m);
+        self.muls_reduced += other.muls_reduced;
         self.incidents += other.incidents;
         self.sessions += other.sessions;
         self.cache.merge(&other.cache);
         self.daemon.merge(&other.daemon);
     }
 
-    /// The tags with at least one hit.
+    /// The tags with at least one hit, then `muls_reduced` when a
+    /// multiply was reduced.
     pub fn lit(&self) -> Vec<&'static str> {
         let hits = tags().zip(self.coverage);
-        hits.filter(|(_, n)| *n > 0).map(|(t, _)| t).collect()
+        let mut lit: Vec<_> = hits.filter(|(_, n)| *n > 0).map(|(t, _)| t).collect();
+        if self.muls_reduced > 0 {
+            lit.push("muls_reduced");
+        }
+        lit
     }
 
     /// `tag=hits` for every tag, then `do_rejected:Reason=hits` for every
-    /// rejection reason, zeros included, then `incidents=n`.
+    /// rejection reason, zeros included, then `muls_reduced=n` and
+    /// `incidents=n`.
     pub fn coverage_line(&self) -> String {
         let mut words: Vec<String> = tags()
             .zip(self.coverage)
@@ -191,6 +202,7 @@ impl Totals {
             .collect();
         let rejects = Reject::ALL.iter().zip(self.rejects);
         words.extend(rejects.map(|(r, n)| format!("do_rejected:{r:?}={n}")));
+        words.push(format!("muls_reduced={}", self.muls_reduced));
         words.push(format!("incidents={}", self.incidents));
         words.join(" ")
     }

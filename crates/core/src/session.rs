@@ -103,8 +103,11 @@ use crate::{link_catalogs, optimization_remarks, Compilation, CompileError, Opti
 /// event lost its site ordinal, and the inliner records each call site
 /// once, so a manifest's inline record holds fewer events. 8: a recorded
 /// delta is one `titanc_il::Report` — a fixed array of counts, then the
-/// loop events, inline events and notes — not ten per-pass reports.)
-const ENTRY_VERSION: u32 = 8;
+/// loop events, inline events and notes — not ten per-pass reports. 9:
+/// `strength` ends with a sweep that folds, reassociates constant offsets
+/// and reduces constant multiplies, and its report has one more count, so
+/// the same key now maps to other post-pipeline IL and other cell bytes.)
+const ENTRY_VERSION: u32 = 9;
 
 /// One input translation unit: a display name (normally the path) and
 /// its source text.

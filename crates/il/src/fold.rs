@@ -10,7 +10,7 @@
 //! 32-bit word. `float` rounds through IEEE single precision.
 
 use crate::expr::{BinOp, Expr, ExprPool, UnOp};
-use crate::ids::ExprId;
+use crate::ids::{ExprId, VarId};
 use crate::types::ScalarType;
 
 /// A runtime (or compile-time) scalar value.
@@ -280,10 +280,130 @@ fn fold_node(pool: &ExprPool, id: ExprId) -> Option<Expr> {
     }
 }
 
+// ---------------------------------------------------------------------
+// §6 operation reduction
+// ---------------------------------------------------------------------
+//
+// The node rewrites of the `-O2` strength sweep. [`fold_expr`] does not
+// call them, so constant propagation (`-O1`) prints what it always did.
+// Each is exact under the wrapping arithmetic of [`eval_binop`]:
+// normalizing to an integer kind is reduction modulo its width, which
+// commutes with wrapping addition, multiplication and left shift. An
+// operand of kind `ty` holds a value already normalized to `ty`, as
+// `fold_node`'s `x + 0 → x` assumes too.
+
+/// Rewrites an integer `(e + c1) + c2`, both `Add`s of one kind, to
+/// `e + c`, where `c` is `c1 + c2` normalized to that kind, or to `e` when
+/// `c` is 0. Float kinds stay: their addition does not reassociate.
+/// Returns whether the node at `id` was rewritten.
+pub fn reassociate_offset(pool: &mut ExprPool, id: ExprId) -> bool {
+    let Expr::Binary {
+        op: BinOp::Add,
+        ty,
+        lhs,
+        rhs,
+    } = pool[id]
+    else {
+        return false;
+    };
+    let Some(c2) = pool.as_int(rhs).filter(|_| !ty.is_float()) else {
+        return false;
+    };
+    let Expr::Binary {
+        op: BinOp::Add,
+        ty: inner,
+        lhs: e,
+        rhs: c1,
+    } = pool[lhs]
+    else {
+        return false;
+    };
+    let Some(c1) = pool.as_int(c1).filter(|_| inner == ty) else {
+        return false;
+    };
+    let sum = eval_binop(BinOp::Add, ty, Value::Int(c1), Value::Int(c2));
+    let c = sum.expect("addition is total").as_int();
+    pool[id] = if c == 0 {
+        pool[e]
+    } else {
+        let c = pool.int(c);
+        Expr::Binary {
+            op: BinOp::Add,
+            ty,
+            lhs: e,
+            rhs: c,
+        }
+    };
+    true
+}
+
+/// Rewrites an integer `x * c` or `c * x` to `x << k` when `c = 2^k` with
+/// 1 ≤ k ≤ 30, and — when `c < 2^30` has exactly two set bits `h > l` and
+/// `x` is a variable `in_register` accepts — to `(x << h) + (x << l)`, or
+/// `(x << h) + x` when `l = 0`. Only a register read is duplicated: a
+/// second read of memory would be a second load. Negative and other
+/// constants, and float kinds, stay. Returns whether the node at `id` was
+/// rewritten.
+pub fn reduce_multiply(
+    pool: &mut ExprPool,
+    id: ExprId,
+    in_register: &dyn Fn(VarId) -> bool,
+) -> bool {
+    let Expr::Binary {
+        op: BinOp::Mul,
+        ty,
+        lhs,
+        rhs,
+    } = pool[id]
+    else {
+        return false;
+    };
+    if ty.is_float() {
+        return false;
+    }
+    let (x, c) = match (pool.as_int(lhs), pool.as_int(rhs)) {
+        (None, Some(c)) => (lhs, c),
+        (Some(c), None) => (rhs, c),
+        _ => return false,
+    };
+    if !(2..1 << 31).contains(&c) {
+        return false;
+    }
+    let (h, l) = (63 - c.leading_zeros(), c.trailing_zeros());
+    let shl = |pool: &mut ExprPool, x: ExprId, k: u32| {
+        let k = pool.int(i64::from(k));
+        Expr::Binary {
+            op: BinOp::Shl,
+            ty,
+            lhs: x,
+            rhs: k,
+        }
+    };
+    pool[id] = match (c.count_ones(), pool[x]) {
+        (1, _) if h <= 30 => shl(pool, x, h),
+        (2, Expr::Var(v)) if h < 30 && in_register(v) => {
+            let high = shl(pool, x, h);
+            let high = pool.alloc(high);
+            let mut low = pool.var(v);
+            if l > 0 {
+                let shifted = shl(pool, low, l);
+                low = pool.alloc(shifted);
+            }
+            Expr::Binary {
+                op: BinOp::Add,
+                ty,
+                lhs: high,
+                rhs: low,
+            }
+        }
+        _ => return false,
+    };
+    true
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ids::VarId;
 
     #[test]
     fn int_wraps_to_32_bits() {
@@ -430,6 +550,157 @@ mod tests {
             eval_binop(BinOp::Max, ScalarType::Int, Value::Int(3), Value::Int(5)).unwrap(),
             Value::Int(5)
         );
+    }
+
+    /// Evaluates a tree of integer constants, `VarId(0)` (bound to `x`)
+    /// and binary nodes through [`eval_binop`].
+    fn eval(p: &ExprPool, id: ExprId, x: Value) -> Value {
+        match p[id] {
+            Expr::IntConst(v) => Value::Int(v),
+            Expr::Var(_) => x,
+            Expr::Binary { op, ty, lhs, rhs } => {
+                eval_binop(op, ty, eval(p, lhs, x), eval(p, rhs, x)).expect("total")
+            }
+            e => panic!("unexpected {e:?}"),
+        }
+    }
+
+    const INT_KINDS: [ScalarType; 3] = [ScalarType::Char, ScalarType::Int, ScalarType::Ptr];
+
+    /// Operand values, normalized to each kind before use: an operand of
+    /// kind `ty` holds a value of that kind.
+    const OPERANDS: [i64; 9] = [
+        0,
+        1,
+        -1,
+        7,
+        i8::MIN as i64,
+        i8::MAX as i64,
+        i32::MIN as i64,
+        i32::MAX as i64,
+        u32::MAX as i64,
+    ];
+
+    fn register(_: VarId) -> bool {
+        true
+    }
+
+    #[test]
+    fn reduced_multiplies_equal_mul_on_every_integer_kind() {
+        let consts = [2, 4, 16, 1 << 30, 3, 5, 6, 12, 40, (1 << 29) + 1];
+        for ty in INT_KINDS {
+            for c in consts {
+                for x in OPERANDS {
+                    for c_first in [false, true] {
+                        let x = normalize(Value::Int(x), ty);
+                        let mut p = ExprPool::new();
+                        let (v, k) = (p.var(VarId(0)), p.int(c));
+                        let (lhs, rhs) = if c_first { (k, v) } else { (v, k) };
+                        let e = p.binary(BinOp::Mul, ty, lhs, rhs);
+                        let want = eval(&p, e, x);
+                        let what = format!("{ty:?} {x:?} * {c}");
+                        assert!(!fold_expr(&mut p, e), "{what}: fold_expr left it alone");
+                        assert!(reduce_multiply(&mut p, e, &register), "{what}");
+                        let mul = |n: &Expr| matches!(n, Expr::Binary { op: BinOp::Mul, .. });
+                        assert!(!p.any(e, mul), "{what}: no multiply is left");
+                        assert_eq!(eval(&p, e, x), want, "{what}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn reassociated_offsets_equal_the_two_adds_including_wraparound() {
+        let pairs = [
+            (5, -5),
+            (-32768, 32768),
+            (7, 12),
+            (1, i32::MAX as i64),
+            (i32::MIN as i64, -1),
+            (127, 1),
+            (-128, -1),
+            (u32::MAX as i64, 1),
+            (u32::MAX as i64, u32::MAX as i64),
+            (200, 56),
+        ];
+        for ty in INT_KINDS {
+            for (c1, c2) in pairs {
+                for x in OPERANDS {
+                    let x = normalize(Value::Int(x), ty);
+                    let mut p = ExprPool::new();
+                    let (v, k1, k2) = (p.var(VarId(0)), p.int(c1), p.int(c2));
+                    let inner = p.binary(BinOp::Add, ty, v, k1);
+                    let e = p.binary(BinOp::Add, ty, inner, k2);
+                    let want = eval(&p, e, x);
+                    let what = format!("{ty:?} ({x:?} + {c1}) + {c2}");
+                    assert!(reassociate_offset(&mut p, e), "{what}");
+                    assert_eq!(eval(&p, e, x), want, "{what}");
+                    let c = normalize(Value::Int(c1 + c2), ty).as_int();
+                    match p[e] {
+                        Expr::Binary { rhs, .. } => assert_eq!(p.as_int(rhs), Some(c), "{what}"),
+                        _ => assert_eq!((p[e], c), (Expr::Var(VarId(0)), 0), "{what}"),
+                    }
+                }
+            }
+        }
+    }
+
+    /// Rewrites that must not fire: each case leaves the node as it was.
+    #[test]
+    fn floats_memory_and_other_constants_are_left_alone() {
+        let mut p = ExprPool::new();
+        let mut cases = Vec::new();
+        for ty in [ScalarType::Float, ScalarType::Double] {
+            let (v, four) = (p.var(VarId(0)), p.float(4.0));
+            cases.push(p.binary(BinOp::Mul, ty, v, four));
+            let (v, four) = (p.var(VarId(0)), p.int(4));
+            cases.push(p.binary(BinOp::Mul, ty, v, four));
+        }
+        for ty in [ScalarType::Int, ScalarType::Ptr] {
+            for c in [-4, 1 << 31, 1, 0, 7, 1 << 30 | 1] {
+                let (v, k) = (p.var(VarId(0)), p.int(c));
+                cases.push(p.binary(BinOp::Mul, ty, v, k));
+            }
+        }
+        // a second read of memory or of a volatile would be a second load
+        for volatile in [false, true] {
+            let addr = p.addr_of(VarId(1));
+            let x = p.alloc(Expr::Load {
+                addr,
+                ty: ScalarType::Int,
+                volatile,
+            });
+            let five = p.int(5);
+            cases.push(p.ibinary(BinOp::Mul, x, five));
+        }
+        let muls = cases.len();
+        for ty in [ScalarType::Float, ScalarType::Double] {
+            let (v, c1, c2) = (p.var(VarId(0)), p.float(0.5), p.float(-0.5));
+            let inner = p.binary(BinOp::Add, ty, v, c1);
+            cases.push(p.binary(BinOp::Add, ty, inner, c2));
+        }
+        let (v, c1, c2) = (p.var(VarId(0)), p.int(4), p.int(-4));
+        let inner = p.binary(BinOp::Add, ScalarType::Int, v, c1);
+        cases.push(p.binary(BinOp::Add, ScalarType::Ptr, inner, c2));
+        for (i, e) in cases.into_iter().enumerate() {
+            let before = p[e];
+            let rewrote = if i < muls {
+                reduce_multiply(&mut p, e, &register)
+            } else {
+                reassociate_offset(&mut p, e)
+            };
+            assert!(!rewrote, "case {i}: {before:?}");
+            assert_eq!(p[e], before, "case {i}");
+        }
+        // a variable outside a register is read once, so only a power of
+        // two reduces
+        let (v, five) = (p.var(VarId(0)), p.int(5));
+        let e = p.ibinary(BinOp::Mul, v, five);
+        assert!(!reduce_multiply(&mut p, e, &|_| false));
+        let (v, four) = (p.var(VarId(0)), p.int(4));
+        let e = p.ibinary(BinOp::Mul, v, four);
+        assert!(reduce_multiply(&mut p, e, &|_| false));
     }
 
     #[test]

@@ -455,12 +455,14 @@ pub enum Count {
     /// §7: internal-linkage statics given external names so inlined
     /// copies can reach them.
     InlineStaticsExternalized,
+    /// §6: constant integer multiplies reduced to shifts and adds.
+    StrengthMulReduced,
 }
 
 impl Count {
     /// Every counter, in declaration order: a count's slot in
     /// [`Report`] is its position here.
-    pub const ALL: [Count; 17] = [
+    pub const ALL: [Count; 18] = [
         Count::IvsubPasses,
         Count::IvsubBacktracks,
         Count::IvsubBudgetHit,
@@ -478,6 +480,7 @@ impl Count {
         Count::StrengthReduced,
         Count::StrengthHoisted,
         Count::InlineStaticsExternalized,
+        Count::StrengthMulReduced,
     ];
 }
 

@@ -17,18 +17,33 @@
 //!   share one temporary — the combined CSE the paper describes.
 //! * **Loop-invariant hoisting**: invariant top-level right-hand sides move
 //!   in front of the loop.
+//! * **Operation reduction** (§6's "simultaneously reduce expensive
+//!   operations"): one last sweep over every expression the statement tree
+//!   reaches — not the arena, which rewrites have left mostly garbage —
+//!   folds constants, reassociates `(e + c1) + c2` into `e + c`, and turns
+//!   a multiply by `2^k` into a shift, and one by a two-bit constant on a
+//!   register into two shifts and an add (the Titan's integer unit has no
+//!   fast multiply). This is how the later passes "undo any damage" (§11)
+//!   for the address arithmetic the vectorizer emits after the last
+//!   `constprop`. The rewrites are `titanc_il::fold`'s
+//!   [`reassociate_offset`] and [`reduce_multiply`], exact under
+//!   `eval_binop`'s wrapping arithmetic; `fold_expr` never applies them,
+//!   so `-O1` output does not see them.
 
 use titanc_deps::{const_trip_count, decompose, Affine, Aliasing, DepGraph};
-use titanc_il::visit::{edit_tree, Order};
+use titanc_il::fold::{fold_expr, reassociate_offset, reduce_multiply};
+use titanc_il::visit::{edit_tree, rewrite_expr, Order};
 use titanc_il::{
     BinOp, Block, Count, Expr, ExprId, LValue, Procedure, Report, ScalarType, StmtId, StmtKind,
     Type, VarId,
 };
 use titanc_opt::util::invariant_in;
 
-/// Runs the §6 optimizations on every remaining scalar DO loop, counting
-/// the memory cells promoted to registers, the distinct affine addresses
-/// reduced to pointer walks and the invariant statements hoisted.
+/// Runs the §6 optimizations on every remaining scalar DO loop, then the
+/// operation-reduction sweep over the whole procedure, counting the memory
+/// cells promoted to registers, the distinct affine addresses reduced to
+/// pointer walks, the invariant statements hoisted and the multiplies
+/// reduced.
 pub fn strength_reduce(proc: &mut Procedure, aliasing: Aliasing) -> Report {
     let mut report = Report::default();
     // a loop before the loops nested in it (preorder), the block in hand:
@@ -49,10 +64,33 @@ pub fn strength_reduce(proc: &mut Procedure, aliasing: Aliasing) -> Report {
         block.splice(i..i, pre);
         at
     });
-    if report != Report::default() {
+    let swept = reduce_operations(proc, &mut report);
+    if swept || report != Report::default() {
         proc.bump_generation();
     }
     report
+}
+
+/// The operation-reduction sweep over every expression root the statement
+/// tree reaches: fold, then reassociate constant offsets and reduce
+/// constant multiplies bottom-up. Returns whether anything was rewritten.
+fn reduce_operations(proc: &mut Procedure, report: &mut Report) -> bool {
+    let mut roots = Vec::new();
+    proc.for_each_stmt(&mut |_, s| roots.extend(s.exprs().iter()));
+    let Procedure { vars, exprs, .. } = proc;
+    let in_register = |v: VarId| vars[v.index()].is_register_candidate();
+    let mut changed = false;
+    for root in roots {
+        changed |= fold_expr(exprs, root);
+        rewrite_expr(exprs, root, &mut |pool, id| {
+            changed |= reassociate_offset(pool, id);
+            if reduce_multiply(pool, id, &in_register) {
+                report.add(Count::StrengthMulReduced, 1);
+                changed = true;
+            }
+        });
+    }
+    changed
 }
 
 /// A DO loop with a nonzero constant step; its body is out of the pool

@@ -560,3 +560,126 @@ int main(void)
         }
     }
 }
+
+/// §6's operation reduction turns `x * c` into shifts and adds and
+/// `(e + c1) + c2` into `e + c` at `-O2`. Every value here goes through
+/// one of them: `int` products that wrap, `char` truncation, `i * 12` in a
+/// loop and `&r[i].f` chains over a struct array; the second program
+/// faults through a reduced address. Both engines observe at every level
+/// what `-O0` observes, fault with the same text, and no `-O2` build
+/// executes more flops or loads than `-O0`.
+#[test]
+fn reduced_multiplies_compute_what_o0_computes() {
+    let edges = "
+struct rec { int f; int g; char c; };
+struct rec r[8];
+int in[6];
+int out[64];
+char cs[16];
+int main(void)
+{
+    int i, j, x, s;
+    char c;
+    int *p;
+    in[0] = 2147483647; in[1] = -2147483647 - 1; in[2] = -1;
+    in[3] = 127; in[4] = -128; in[5] = 7;
+    for (j = 0; j < 6; j++) {
+        x = in[j];
+        out[j * 10 + 0] = x * 2;
+        out[j * 10 + 1] = 4 * x;
+        out[j * 10 + 2] = x * 16;
+        out[j * 10 + 3] = x * 1073741824;
+        out[j * 10 + 4] = x * 3;
+        out[j * 10 + 5] = 5 * x;
+        out[j * 10 + 6] = x * 6;
+        out[j * 10 + 7] = x * 12;
+        out[j * 10 + 8] = x * 40;
+        out[j * 10 + 9] = x * 536870913;
+        c = x;
+        cs[j] = c * 12;
+        cs[j + 8] = c * 2;
+    }
+    s = 0;
+    for (i = 0; i < 8; i++) {
+        s = s + i * 12;
+        r[i].f = i * 3;
+        r[i].g = in[i % 6] * 1073741824;
+        r[i].c = i * 40;
+    }
+    for (i = 0; i < 8; i++) {
+        p = &r[i].g;
+        out[60 + i % 4] = out[60 + i % 4] + *p + r[i].c + *(&r[i].f + 1);
+    }
+    return s;
+}
+";
+    let fault = "
+struct rec { int f; int g; char c; };
+struct rec r[8];
+int in[2];
+int main(void)
+{
+    int k, x;
+    in[0] = 1; in[1] = 16777216;
+    for (k = 0; k < 2; k++) {
+        x = in[k] * 4;
+        r[x].g = k + 1;
+    }
+    return 0;
+}
+";
+    let edges_read = [
+        ("out", ScalarType::Int, 64),
+        ("cs", ScalarType::Char, 16),
+        ("r", ScalarType::Int, 24),
+    ];
+    let fault_read = [("r", ScalarType::Int, 24)];
+    for (src, globals, want) in [
+        (edges, &edges_read[..], Ok(())),
+        (fault, &fault_read[..], Err("out of range")),
+    ] {
+        let mut base = None;
+        for (level, options) in [
+            ("O0", Options::o0()),
+            ("O2", Options::o2()),
+            ("O2-parallel", Options::parallel()),
+        ] {
+            let c = compile(src, &options).unwrap_or_else(|e| panic!("{level}: {e}"));
+            if level != "O0" {
+                let n = c.reports.get(Count::StrengthMulReduced);
+                assert!(n > 0, "{level}: no multiply was reduced");
+            }
+            for engine in [ExecEngine::Interp, ExecEngine::Vm] {
+                let machine = match level {
+                    "O0" => MachineConfig::default(),
+                    _ => MachineConfig::optimized(2),
+                };
+                let (seen, stats) = match observe_with(&c.program, machine, engine, "main", globals)
+                {
+                    Ok((seen, stats)) => (Ok(seen), Some(stats)),
+                    Err(e) => (Err(e.to_string()), None),
+                };
+                match (&seen, want) {
+                    (Ok(_), Ok(())) => {}
+                    (Err(e), Err(part)) if e.contains(part) => {}
+                    _ => panic!("{level} {engine:?}: {seen:?}"),
+                }
+                let Some((o0_seen, o0_stats)) = &base else {
+                    base = Some((seen, stats));
+                    continue;
+                };
+                assert_eq!(&seen, o0_seen, "{level} {engine:?} diverged from O0");
+                if let (Some(got), Some(o0)) = (stats, o0_stats) {
+                    assert!(
+                        got.flops <= o0.flops && got.loads <= o0.loads,
+                        "{level} {engine:?}: {} flops and {} loads against {} and {}",
+                        got.flops,
+                        got.loads,
+                        o0.flops,
+                        o0.loads
+                    );
+                }
+            }
+        }
+    }
+}

@@ -56,6 +56,7 @@ fn observe() {
         "parallelized",
         "scalar",
         "expanded",
+        "muls_reduced",
     ];
     assert_eq!(totals.lit(), lit, "coverage: {}", totals.coverage_line());
     assert_eq!(totals.incidents, 0);
