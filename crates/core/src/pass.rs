@@ -496,10 +496,10 @@ impl PassCell {
 
     /// A recorded cell, replayed: it merges exactly as the live cell did,
     /// charged zero time.
-    fn replayed(cell: &RecordedCell) -> PassCell {
+    fn replayed(cell: RecordedCell) -> PassCell {
         PassCell {
             duration: Duration::ZERO,
-            delta: cell.delta.clone(),
+            delta: cell.delta,
             changed: cell.changed,
             cache: cell.cache,
             status: CellStatus::Ran,
@@ -655,7 +655,7 @@ impl ProcSlot {
         // artifacts built against the pre-substitution IL are stale
         self.analyses.invalidate();
         Some(ProcResult {
-            cells: cells.iter().map(PassCell::replayed).collect(),
+            cells: cells.into_iter().map(PassCell::replayed).collect(),
             snaps: Vec::new(),
             items: Vec::new(),
             final_gen: proc.generation(),
@@ -983,7 +983,8 @@ impl Pipeline {
                 // validated whole where it was loaded; its environment
                 // becomes the program's
                 for (pass, cell) in self.prefix.iter().zip(manifest.swap_environment(program)) {
-                    run.record(merge_column(pass.name(), [PassCell::replayed(cell)]));
+                    let cell = PassCell::replayed(cell.clone());
+                    run.record(merge_column(pass.name(), [cell]));
                 }
             }
             None => {

@@ -357,7 +357,8 @@ pub fn il_block(program: &titanc_il::Program) -> String {
 
 fn write_il(out: &mut String, program: &titanc_il::Program) {
     for p in &program.procs {
-        let _ = writeln!(out, "{}", titanc_il::pretty_proc(p));
+        titanc_il::pretty_proc_into(out, p);
+        out.push('\n');
     }
 }
 

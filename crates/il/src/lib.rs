@@ -94,7 +94,9 @@ pub use hash::{hash_proc, write_proc, ByteSink, StableHash, StableHasher};
 pub use ids::{ExprId, LabelId, ProcId, StmtId, StructId, VarId};
 pub use json::{FromJson, Json, JsonError, ToJson};
 pub use link::{link, LinkReport};
-pub use pretty::{pretty_block, pretty_expr, pretty_expr_in, pretty_lvalue, pretty_proc};
+pub use pretty::{
+    pretty_block, pretty_expr, pretty_expr_in, pretty_lvalue, pretty_proc, pretty_proc_into,
+};
 pub use program::{ConstInit, Field, Procedure, Program, Storage, StructDef, VarInfo};
 pub use span::SrcSpan;
 pub use stmt::{block_len, Block, Blocks, BlocksMut, ExprSlotsMut, StmtExprs, StmtKind, StmtPool};

@@ -38,11 +38,17 @@ pub fn pretty_lvalue(proc: &Procedure, lv: &LValue) -> String {
 /// Renders a whole procedure.
 pub fn pretty_proc(proc: &Procedure) -> String {
     let mut s = String::new();
-    let _ = writeln!(s, "{} {}(...)", proc.ret, proc.name);
-    let _ = writeln!(s, "{{");
-    write_block(&mut s, &proc.body, proc, 1);
-    let _ = writeln!(s, "}}");
+    pretty_proc_into(&mut s, proc);
     s
+}
+
+/// Appends [`pretty_proc`]'s text to `out`, so a caller rendering many
+/// procedures fills one buffer.
+pub fn pretty_proc_into(out: &mut String, proc: &Procedure) {
+    let _ = writeln!(out, "{} {}(...)", proc.ret, proc.name);
+    out.push_str("{\n");
+    write_block(out, &proc.body, proc, 1);
+    out.push_str("}\n");
 }
 
 /// Renders a statement block at the given indent depth.
@@ -52,10 +58,20 @@ pub fn pretty_block(proc: &Procedure, block: &[StmtId], indent: usize) -> String
     s
 }
 
-fn var_name(proc: Option<&Procedure>, v: crate::ids::VarId) -> String {
+/// Writes `v`'s name, or its positional name (`v0`) without a procedure.
+fn write_var(out: &mut String, proc: Option<&Procedure>, v: crate::ids::VarId) {
     match proc {
-        Some(p) if v.index() < p.vars.len() => p.var(v).name.clone(),
-        _ => format!("{v}"),
+        Some(p) if v.index() < p.vars.len() => out.push_str(&p.var(v).name),
+        _ => {
+            let _ = write!(out, "{v}");
+        }
+    }
+}
+
+/// Four spaces per nesting level.
+fn indent(out: &mut String, depth: usize) {
+    for _ in 0..depth {
+        out.push_str("    ");
     }
 }
 
@@ -70,10 +86,10 @@ fn write_expr(out: &mut String, pool: &ExprPool, id: ExprId, proc: Option<&Proce
                 out.push('f');
             }
         }
-        Expr::Var(v) => out.push_str(&var_name(proc, v)),
+        Expr::Var(v) => write_var(out, proc, v),
         Expr::AddrOf(v) => {
             out.push('&');
-            out.push_str(&var_name(proc, v));
+            write_var(out, proc, v);
         }
         Expr::Load { addr, ty, volatile } => {
             let _ = write!(out, "*({ty}{} *)(", if volatile { " volatile" } else { "" });
@@ -126,7 +142,7 @@ fn write_expr(out: &mut String, pool: &ExprPool, id: ExprId, proc: Option<&Proce
 
 fn write_lvalue(out: &mut String, pool: &ExprPool, lv: &LValue, proc: Option<&Procedure>) {
     match *lv {
-        LValue::Var(v) => out.push_str(&var_name(proc, v)),
+        LValue::Var(v) => write_var(out, proc, v),
         LValue::Deref { addr, ty, volatile } => {
             let _ = write!(out, "*({ty}{} *)(", if volatile { " volatile" } else { "" });
             write_expr(out, pool, addr, proc);
@@ -155,12 +171,22 @@ fn write_block(out: &mut String, block: &[StmtId], proc: &Procedure, depth: usiz
     }
 }
 
+/// Closes a block opened at `depth`.
+fn close(out: &mut String, depth: usize) {
+    indent(out, depth);
+    out.push_str("}\n");
+}
+
 fn write_stmt(out: &mut String, s: StmtId, proc: &Procedure, depth: usize) {
     let pool = &proc.exprs;
-    let pad = "    ".repeat(depth);
-    match &proc.stmts[s] {
+    let kind = &proc.stmts[s];
+    // a label sits one level out; the rest at their depth
+    match kind {
+        StmtKind::Label(_) => indent(out, depth.saturating_sub(1)),
+        _ => indent(out, depth),
+    }
+    match kind {
         StmtKind::Assign { lhs, rhs } => {
-            out.push_str(&pad);
             write_lvalue(out, pool, lhs, Some(proc));
             out.push_str(" = ");
             write_expr(out, pool, *rhs, Some(proc));
@@ -171,21 +197,20 @@ fn write_stmt(out: &mut String, s: StmtId, proc: &Procedure, depth: usize) {
             then_blk,
             else_blk,
         } => {
-            out.push_str(&pad);
             out.push_str("if (");
             write_expr(out, pool, *cond, Some(proc));
             out.push_str(") {\n");
             write_block(out, then_blk, proc, depth + 1);
             if else_blk.is_empty() {
-                let _ = writeln!(out, "{pad}}}");
+                close(out, depth);
             } else {
-                let _ = writeln!(out, "{pad}}} else {{");
+                indent(out, depth);
+                out.push_str("} else {\n");
                 write_block(out, else_blk, proc, depth + 1);
-                let _ = writeln!(out, "{pad}}}");
+                close(out, depth);
             }
         }
         StmtKind::While { cond, body, safe } => {
-            out.push_str(&pad);
             if *safe {
                 out.push_str("/* pragma safe */ ");
             }
@@ -193,7 +218,7 @@ fn write_stmt(out: &mut String, s: StmtId, proc: &Procedure, depth: usize) {
             write_expr(out, pool, *cond, Some(proc));
             out.push_str(") {\n");
             write_block(out, body, proc, depth + 1);
-            let _ = writeln!(out, "{pad}}}");
+            close(out, depth);
         }
         StmtKind::DoLoop {
             var,
@@ -203,7 +228,6 @@ fn write_stmt(out: &mut String, s: StmtId, proc: &Procedure, depth: usize) {
             body,
             safe,
         } => {
-            out.push_str(&pad);
             if *safe {
                 out.push_str("/* pragma safe */ ");
             }
@@ -215,7 +239,7 @@ fn write_stmt(out: &mut String, s: StmtId, proc: &Procedure, depth: usize) {
             write_expr(out, pool, *step, Some(proc));
             out.push_str(" {\n");
             write_block(out, body, proc, depth + 1);
-            let _ = writeln!(out, "{pad}}}");
+            close(out, depth);
         }
         StmtKind::DoParallel {
             var,
@@ -224,7 +248,6 @@ fn write_stmt(out: &mut String, s: StmtId, proc: &Procedure, depth: usize) {
             step,
             body,
         } => {
-            out.push_str(&pad);
             let _ = write!(out, "do parallel {} = ", proc.var(*var).name);
             write_expr(out, pool, *lo, Some(proc));
             out.push_str(", ");
@@ -233,41 +256,34 @@ fn write_stmt(out: &mut String, s: StmtId, proc: &Procedure, depth: usize) {
             write_expr(out, pool, *step, Some(proc));
             out.push_str(" {\n");
             write_block(out, body, proc, depth + 1);
-            let _ = writeln!(out, "{pad}}}");
+            close(out, depth);
         }
         StmtKind::WhileSpread {
             cond,
             parallel,
             serial,
         } => {
-            out.push_str(&pad);
             out.push_str("while spread (");
             write_expr(out, pool, *cond, Some(proc));
             out.push_str(") {\n");
             write_block(out, parallel, proc, depth + 1);
-            let _ = writeln!(out, "{pad}  next:");
+            indent(out, depth);
+            out.push_str("  next:\n");
             write_block(out, serial, proc, depth + 1);
-            let _ = writeln!(out, "{pad}}}");
+            close(out, depth);
         }
         StmtKind::Label(l) => {
-            let _ = writeln!(
-                out,
-                "{}lb_{}:;",
-                "    ".repeat(depth.saturating_sub(1)),
-                l.0
-            );
+            let _ = writeln!(out, "lb_{}:;", l.0);
         }
         StmtKind::Goto(l) => {
-            let _ = writeln!(out, "{pad}goto lb_{};", l.0);
+            let _ = writeln!(out, "goto lb_{};", l.0);
         }
         StmtKind::IfGoto { cond, target } => {
-            out.push_str(&pad);
             out.push_str("if (");
             write_expr(out, pool, *cond, Some(proc));
             let _ = writeln!(out, ") goto lb_{};", target.0);
         }
         StmtKind::Call { dst, callee, args } => {
-            out.push_str(&pad);
             if let Some(d) = dst {
                 write_lvalue(out, pool, d, Some(proc));
                 out.push_str(" = ");
@@ -282,7 +298,6 @@ fn write_stmt(out: &mut String, s: StmtId, proc: &Procedure, depth: usize) {
             out.push_str(");\n");
         }
         StmtKind::Return(v) => {
-            out.push_str(&pad);
             out.push_str("return");
             if let Some(e) = v {
                 out.push(' ');
@@ -290,9 +305,7 @@ fn write_stmt(out: &mut String, s: StmtId, proc: &Procedure, depth: usize) {
             }
             out.push_str(";\n");
         }
-        StmtKind::Nop => {
-            let _ = writeln!(out, "{pad};");
-        }
+        StmtKind::Nop => out.push_str(";\n"),
     }
 }
 
