@@ -106,8 +106,12 @@ use crate::{link_catalogs, optimization_remarks, Compilation, CompileError, Opti
 /// loop events, inline events and notes — not ten per-pass reports. 9:
 /// `strength` ends with a sweep that folds, reassociates constant offsets
 /// and reduces constant multiplies, and its report has one more count, so
-/// the same key now maps to other post-pipeline IL and other cell bytes.)
-const ENTRY_VERSION: u32 = 9;
+/// the same key now maps to other post-pipeline IL and other cell bytes.
+/// 10: `strength` and the vectorizer build addresses and unit-step trip
+/// counts through one affine form that collects the loop start's terms,
+/// and `cse` no longer merges `0.0` with `-0.0`, so the same key now maps
+/// to other post-pipeline IL.)
+const ENTRY_VERSION: u32 = 10;
 
 /// One input translation unit: a display name (normally the path) and
 /// its source text.

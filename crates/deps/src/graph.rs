@@ -327,8 +327,8 @@ fn classify_pair(
 ) -> Verdict {
     match (&r1.affine, &r2.affine) {
         (Some(a1), Some(a2)) => {
-            if a1.same_base(a2) {
-                test_in_iteration_space(a1, a2, lo_const, step, trips)
+            if a1.same_base(a2, exprs) {
+                test_in_iteration_space(exprs, a1, a2, lo_const, step, trips)
             } else {
                 bases_may_alias(exprs, a1, a2, aliasing)
             }
@@ -341,8 +341,9 @@ fn classify_pair(
 /// iteration number `k`: `base + coeff·lv + off` becomes
 /// `base + (coeff·step)·k + (off + coeff·lo)`.
 fn test_in_iteration_space(
-    a1: &crate::affine::Affine,
-    a2: &crate::affine::Affine,
+    exprs: &ExprPool,
+    a1: &Affine,
+    a2: &Affine,
     lo_const: Option<i64>,
     step: i64,
     trips: Option<i64>,
@@ -356,12 +357,12 @@ fn test_in_iteration_space(
         None if a1.coeff == a2.coeff => 0,
         None => return Verdict::Unknown,
     };
-    let norm = |a: &Affine| Affine {
-        terms: a.terms.clone(),
-        coeff: a.coeff * step,
-        offset: a.offset + a.coeff * l0,
-    };
-    test_pair(&norm(a1), &norm(a2), trips)
+    let lv = Affine::new(Vec::new(), step, l0);
+    test_pair(
+        &a1.substitute(exprs, &lv),
+        &a2.substitute(exprs, &lv),
+        trips,
+    )
 }
 
 /// Distinct symbolic bases: named arrays never alias each other; under
@@ -822,7 +823,7 @@ void f(void)
         let mut pool = ExprPool::new();
         let e = pool.int(0);
         let aff = |coeff, offset| Affine {
-            terms: vec![("&x".into(), e, 1)],
+            terms: vec![(e, 1)],
             coeff,
             offset,
         };
@@ -830,25 +831,25 @@ void f(void)
         let (w, r) = (aff(4, 4), aff(4, 0));
         for lo in [None, Some(0), Some(7), Some(-3)] {
             assert_eq!(
-                test_in_iteration_space(&w, &r, lo, 1, None),
+                test_in_iteration_space(&pool, &w, &r, lo, 1, None),
                 Verdict::Distance(1)
             );
             assert_eq!(
-                test_in_iteration_space(&r, &w, lo, 1, Some(100)),
+                test_in_iteration_space(&pool, &r, &w, lo, 1, Some(100)),
                 Verdict::Distance(-1)
             );
             // one trip never reaches distance 1; step 2 never meets
             assert_eq!(
-                test_in_iteration_space(&w, &r, lo, 1, Some(1)),
+                test_in_iteration_space(&pool, &w, &r, lo, 1, Some(1)),
                 Verdict::Independent
             );
             assert_eq!(
-                test_in_iteration_space(&w, &r, lo, 2, None),
+                test_in_iteration_space(&pool, &w, &r, lo, 2, None),
                 Verdict::Independent
             );
         }
         assert_eq!(
-            test_in_iteration_space(&aff(4, 0), &aff(8, 0), None, 1, None),
+            test_in_iteration_space(&pool, &aff(4, 0), &aff(8, 0), None, 1, None),
             Verdict::Unknown
         );
     }

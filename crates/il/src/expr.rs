@@ -620,11 +620,14 @@ impl ExprPool {
     }
 
     /// Structural equality of the subtree at `a` (in this pool) and the
-    /// subtree at `b` (in `other`), independent of arena layout.
+    /// subtree at `b` (in `other`), independent of arena layout. Float
+    /// constants compare by their bits: `0.0` and `-0.0` differ.
     pub fn expr_eq(&self, a: ExprId, other: &ExprPool, b: ExprId) -> bool {
         match (self[a], other[b]) {
             (Expr::IntConst(x), Expr::IntConst(y)) => x == y,
-            (Expr::FloatConst(x, tx), Expr::FloatConst(y, ty)) => x == y && tx == ty,
+            (Expr::FloatConst(x, tx), Expr::FloatConst(y, ty)) => {
+                x.to_bits() == y.to_bits() && tx == ty
+            }
             (Expr::Var(x), Expr::Var(y)) => x == y,
             (Expr::AddrOf(x), Expr::AddrOf(y)) => x == y,
             (

@@ -294,8 +294,11 @@ fn fold_node(pool: &ExprPool, id: ExprId) -> Option<Expr> {
 
 /// Rewrites an integer `(e + c1) + c2`, both `Add`s of one kind, to
 /// `e + c`, where `c` is `c1 + c2` normalized to that kind, or to `e` when
-/// `c` is 0. Float kinds stay: their addition does not reassociate.
-/// Returns whether the node at `id` was rewritten.
+/// `c` is 0. Float kinds stay: their addition does not reassociate. Its
+/// input is a struct member at a constant subscript: `pool[1023].next`
+/// reaches `-O2`'s sweep as `((&pool + 12276) + 8)`, the element's address
+/// plus the member's offset, which `constprop` leaves apart. Returns
+/// whether the node at `id` was rewritten.
 pub fn reassociate_offset(pool: &mut ExprPool, id: ExprId) -> bool {
     let Expr::Binary {
         op: BinOp::Add,

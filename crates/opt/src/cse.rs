@@ -117,8 +117,7 @@ impl Cse {
         let mix = |h: u64, x: u64| (h.rotate_left(5) ^ x).wrapping_mul(0x517c_c1b7_2722_0a95);
         let (hash, pure) = match exprs[e] {
             Expr::IntConst(v) => (mix(1, v as u64), true),
-            // `expr_eq` compares with `==`: both zeros must hash alike
-            Expr::FloatConst(v, ty) => (mix(mix(2, (v + 0.0).to_bits()), ty as u64), true),
+            Expr::FloatConst(v, ty) => (mix(mix(2, v.to_bits()), ty as u64), true),
             Expr::Var(v) => (mix(3, v.index() as u64), true),
             Expr::AddrOf(v) => (mix(4, v.index() as u64), true),
             Expr::Load { ty, volatile, .. } => (mix(mix(5, ty as u64), volatile as u64), false),

@@ -263,7 +263,9 @@ fn iteration_index(exprs: &mut ExprPool, shape: &LoopShape) -> ExprId {
 }
 
 /// The trip-count expression `max(0, (hi - lo + step) / step)`. Builds a
-/// fresh tree (deep-copying `lo` and `hi`).
+/// fresh tree (deep-copying `lo` and `hi`). `-O1` prints this form, so it
+/// stays, apart from `titanc_deps::trips_expression`: this crate cannot
+/// depend on `titanc-deps`.
 fn trip_count(exprs: &mut ExprPool, shape: &LoopShape) -> ExprId {
     let hi = exprs.copy(shape.hi);
     let lo = exprs.copy(shape.lo);

@@ -18,7 +18,9 @@
 //! spreading, §2 item 2).
 
 use std::collections::HashSet;
-use titanc_deps::{const_trip_count, decompose, Aliasing, DepGraph, DepKind, Verdict};
+use titanc_deps::{
+    const_trip_count, decompose, trips_expression, Aliasing, DepGraph, DepKind, Verdict,
+};
 use titanc_il::visit::{edit_tree, Order};
 use titanc_il::{
     BinOp, Block, Expr, ExprId, LValue, LoopDecision, LoopEvent, Procedure, Report, ScalarType,
@@ -274,9 +276,17 @@ fn try_vectorize_loop(proc: &mut Procedure, id: StmtId, opts: &VectorOptions) ->
         let stripped = opts.parallelize || trips_const.is_none_or(|n| n > MAX_VL);
         let mut strip_ids: Vec<StmtId> = Vec::new();
         let mut replacement: Block = Vec::new();
-        let mut pre: Block = Vec::new();
-        let trips_expr = trips_expression(proc, lo, hi, step, trips_const, loop_span, &mut pre);
-        replacement.extend(pre);
+        // a template: every use deep-copies it
+        let trips_expr = match trips_const {
+            Some(n) => proc.exprs.int(n),
+            None => {
+                let t = proc.fresh_temp(Type::Int);
+                let rhs = trips_expression(proc, &body, lv, lo, hi, step);
+                let lhs = LValue::Var(t);
+                replacement.push(proc.stamp_at(StmtKind::Assign { lhs, rhs }, loop_span));
+                proc.exprs.var(t)
+            }
+        };
         for group in groups {
             match group {
                 Group::Vector(plans) => {
@@ -391,45 +401,6 @@ fn describe_defeat(graph: &DepGraph, sccs: &[Vec<usize>], safe: bool) -> String 
         return format!("dependence cycle among statements {c:?}");
     }
     "no statement in the body is a vectorizable assignment".to_string()
-}
-
-/// Materializes the trip-count expression, pushing a setup statement into
-/// `pre` when it is not a constant. The returned id is a *template*:
-/// callers deep-copy it per use and never embed it directly.
-fn trips_expression(
-    proc: &mut Procedure,
-    lo: ExprId,
-    hi: ExprId,
-    step: i64,
-    trips_const: Option<i64>,
-    loop_span: SrcSpan,
-    pre: &mut Block,
-) -> ExprId {
-    match trips_const {
-        Some(n) => proc.exprs.int(n),
-        None => {
-            let t = proc.fresh_temp(Type::Int);
-            let hi_c = proc.exprs.copy(hi);
-            let lo_c = proc.exprs.copy(lo);
-            let diff = proc.exprs.ibinary(BinOp::Sub, hi_c, lo_c);
-            let step_c = proc.exprs.int(step);
-            let span_e = proc.exprs.ibinary(BinOp::Add, diff, step_c);
-            let zero = proc.exprs.int(0);
-            let step_c2 = proc.exprs.int(step);
-            let div = proc.exprs.ibinary(BinOp::Div, span_e, step_c2);
-            let e = proc.exprs.ibinary(BinOp::Max, zero, div);
-            titanc_il::fold_expr(&mut proc.exprs, e);
-            let st = proc.stamp_at(
-                StmtKind::Assign {
-                    lhs: LValue::Var(t),
-                    rhs: e,
-                },
-                loop_span,
-            );
-            pre.push(st);
-            proc.exprs.var(t)
-        }
-    }
 }
 
 /// Checks one statement and extracts its vector plan.
@@ -563,27 +534,6 @@ fn emit_vector_group(
     Some(sid)
 }
 
-/// The address of iteration `origin` for an affine reference:
-/// `A(lo) + origin * coeff * step`. Allocates a fresh tree (the `lo` and
-/// `origin` templates are deep-copied, never embedded).
-fn addr_at(
-    proc: &mut Procedure,
-    aff: &titanc_deps::Affine,
-    lo: ExprId,
-    step: i64,
-    origin: ExprId,
-) -> ExprId {
-    let lo_c = proc.exprs.copy(lo);
-    let a0 = aff.materialize(&mut proc.exprs, lo_c);
-    let d = aff.coeff * step;
-    let origin_c = proc.exprs.copy(origin);
-    let d_c = proc.exprs.int(d);
-    let mul = proc.exprs.ibinary(BinOp::Mul, origin_c, d_c);
-    let e = proc.exprs.binary(BinOp::Add, ScalarType::Ptr, a0, mul);
-    titanc_il::fold_expr(&mut proc.exprs, e);
-    e
-}
-
 /// Builds the vector assignment for one plan at a strip origin.
 #[allow(clippy::too_many_arguments)]
 fn vector_assign(
@@ -596,7 +546,9 @@ fn vector_assign(
     origin: ExprId,
     len: ExprId,
 ) -> StmtKind {
-    let base = addr_at(proc, &plan.lhs_affine, lo, step, origin);
+    let base = plan
+        .lhs_affine
+        .emit_at(proc, body, lv, lo, step, Some(origin));
     let len_c = proc.exprs.copy(len);
     let stride = proc.exprs.int(plan.lhs_affine.coeff * step);
     let lhs = LValue::Section {
@@ -632,7 +584,7 @@ fn rewrite_loads(
     {
         if let Some(aff) = decompose(proc, body, lv, addr) {
             if aff.coeff != 0 {
-                let base = addr_at(proc, &aff, lo, step, origin);
+                let base = aff.emit_at(proc, body, lv, lo, step, Some(origin));
                 let len_c = proc.exprs.copy(len);
                 let stride = proc.exprs.int(aff.coeff * step);
                 proc.exprs[e] = Expr::Section {
@@ -645,8 +597,7 @@ fn rewrite_loads(
             }
             // invariant load: rebuild its address at lv = lo so the loop
             // variable does not leak into the vector statement
-            let lo_c = proc.exprs.copy(lo);
-            let new_addr = aff.materialize(&mut proc.exprs, lo_c);
+            let new_addr = aff.emit_at(proc, body, lv, lo, step, None);
             proc.exprs[addr] = proc.exprs[new_addr];
             return;
         }

@@ -24,18 +24,20 @@
 //!   a multiply by `2^k` into a shift, and one by a two-bit constant on a
 //!   register into two shifts and an add (the Titan's integer unit has no
 //!   fast multiply). This is how the later passes "undo any damage" (§11)
-//!   for the address arithmetic the vectorizer emits after the last
-//!   `constprop`. The rewrites are `titanc_il::fold`'s
-//!   [`reassociate_offset`] and [`reduce_multiply`], exact under
-//!   `eval_binop`'s wrapping arithmetic; `fold_expr` never applies them,
-//!   so `-O1` output does not see them.
+//!   after the last `constprop`: the multiplies are chiefly the scalings
+//!   in the addresses that ivsub and `titanc_deps::Affine::emit_at` build,
+//!   and the offsets are a struct member's at a constant subscript
+//!   (`pool[1023].next` arrives as `((&pool + 12276) + 8)`). The rewrites
+//!   are `titanc_il::fold`'s [`reassociate_offset`] and
+//!   [`reduce_multiply`], exact under `eval_binop`'s wrapping arithmetic;
+//!   `fold_expr` never applies them, so `-O1` output does not see them.
 
 use titanc_deps::{const_trip_count, decompose, Affine, Aliasing, DepGraph};
 use titanc_il::fold::{fold_expr, reassociate_offset, reduce_multiply};
 use titanc_il::visit::{edit_tree, rewrite_expr, Order};
 use titanc_il::{
-    BinOp, Block, Count, Expr, ExprId, LValue, Procedure, Report, ScalarType, StmtId, StmtKind,
-    Type, VarId,
+    BinOp, Block, Count, Expr, ExprId, ExprPool, LValue, Procedure, Report, ScalarType, StmtId,
+    StmtKind, Type, VarId,
 };
 use titanc_opt::util::invariant_in;
 
@@ -127,12 +129,6 @@ fn take_loop(proc: &mut Procedure, id: StmtId) -> Option<Loop> {
     })
 }
 
-/// Semantic affine equality: same symbolic base, coefficient, and offset
-/// (term *ids* differ between two decompositions of distinct loads).
-fn affine_eq(a: &Affine, b: &Affine) -> bool {
-    a.same_base(b) && a.coeff == b.coeff && a.offset == b.offset
-}
-
 // ---------------------------------------------------------------------
 // register promotion
 // ---------------------------------------------------------------------
@@ -194,15 +190,15 @@ fn promote_registers(
     };
     // the load: find the unique Load in the sink statement whose affine is
     // store_aff shifted by exactly one iteration
-    let want_offset = store_aff.offset - store_aff.coeff * step;
-    let matches_load = |aff: &Affine| {
-        aff.same_base(&store_aff) && aff.coeff == store_aff.coeff && aff.offset == want_offset
+    let load_aff = Affine {
+        offset: store_aff.offset - store_aff.coeff * step,
+        ..store_aff.clone()
     };
     // ensure no OTHER write may touch the promoted cell range
     for r in &graph.refs {
         if r.is_write && r.stmt != store_idx {
             match &r.affine {
-                Some(a) if a.same_base(&store_aff) => return,
+                Some(a) if a.same_base(&store_aff, &proc.exprs) => return,
                 Some(_) => {}
                 None => return,
             }
@@ -229,13 +225,7 @@ fn promote_registers(
     let tval = proc.fresh_temp(proc.var(reg).ty.clone());
 
     // preheader: reg = load(A_load(lo))
-    let load_aff = Affine {
-        terms: store_aff.terms.clone(),
-        coeff: store_aff.coeff,
-        offset: want_offset,
-    };
-    let lo_c = proc.exprs.copy(lo);
-    let pre_addr = load_aff.materialize(&mut proc.exprs, lo_c);
+    let pre_addr = load_aff.emit_at(proc, body, lv, lo, step, None);
     let pre_rhs = proc.exprs.load(pre_addr, store_ty);
     let load_reg = proc.stamp(StmtKind::Assign {
         lhs: LValue::Var(reg),
@@ -244,9 +234,11 @@ fn promote_registers(
 
     // replace the matching load in the sink statement with reg
     let mut replaced = false;
-    let roots: Vec<ExprId> = proc.stmts[body[load_idx]].exprs().iter().collect();
-    for e in roots {
-        replace_matching_load(proc, body, lv, e, &matches_load, reg, &mut replaced);
+    for (load, addr) in loads(proc, &body[load_idx..=load_idx]) {
+        if decompose(proc, body, lv, addr).is_some_and(|a| a.same(&load_aff, &proc.exprs)) {
+            proc.exprs[load] = Expr::Var(reg);
+            replaced = true;
+        }
     }
     if !replaced {
         return;
@@ -275,32 +267,29 @@ fn promote_registers(
     report.add(Count::StrengthPromoted, 1);
 }
 
-fn replace_matching_load(
-    proc: &mut Procedure,
-    body: &[StmtId],
-    lv: VarId,
-    e: ExprId,
-    matches: &dyn Fn(&Affine) -> bool,
-    reg: VarId,
-    replaced: &mut bool,
-) {
-    if let Expr::Load {
-        addr,
-        volatile: false,
-        ..
-    } = proc.exprs[e]
-    {
-        if let Some(aff) = decompose(proc, body, lv, addr) {
-            if matches(&aff) {
-                proc.exprs[e] = Expr::Var(reg);
-                *replaced = true;
-                return;
-            }
+/// The non-volatile loads of the statements' expression trees in
+/// preorder, each with its address.
+fn loads(proc: &Procedure, stmts: &[StmtId]) -> Vec<(ExprId, ExprId)> {
+    fn walk(exprs: &ExprPool, e: ExprId, out: &mut Vec<(ExprId, ExprId)>) {
+        if let Expr::Load {
+            addr,
+            volatile: false,
+            ..
+        } = exprs[e]
+        {
+            out.push((e, addr));
+        }
+        for c in exprs[e].child_ids() {
+            walk(exprs, c, out);
         }
     }
-    for c in proc.exprs[e].child_ids() {
-        replace_matching_load(proc, body, lv, c, matches, reg, replaced);
+    let mut out = Vec::new();
+    for &s in stmts {
+        for e in proc.stmts[s].exprs() {
+            walk(&proc.exprs, e, &mut out);
+        }
     }
+    out
 }
 
 // ---------------------------------------------------------------------
@@ -378,9 +367,6 @@ fn hoist_invariants(proc: &Procedure, l: &mut Loop, pre: &mut Block, report: &mu
 // strength reduction of affine addresses
 // ---------------------------------------------------------------------
 
-/// (base key, coefficient, offset, representative affine)
-type AddrKey = (Vec<(String, i64)>, i64, i64, Affine);
-
 fn reduce_addresses(proc: &mut Procedure, l: &mut Loop, pre: &mut Block, report: &mut Report) {
     let Loop {
         lv,
@@ -389,22 +375,25 @@ fn reduce_addresses(proc: &mut Procedure, l: &mut Loop, pre: &mut Block, report:
         ref body,
         ..
     } = *l;
-    // collect distinct varying affine addresses from loads and stores
-    let mut keys: Vec<AddrKey> = Vec::new();
+    // every load and store address, then the distinct varying affine ones
+    let mut addrs = Vec::new();
     for &s in body {
-        for e in proc.stmts[s].exprs() {
-            collect_affine_addrs(proc, body, lv, e, &mut keys);
-        }
+        addrs.extend(loads(proc, &[s]).into_iter().map(|(_, addr)| addr));
         if let StmtKind::Assign {
             lhs: LValue::Deref { addr, .. },
             ..
-        } = &proc.stmts[s]
+        } = proc.stmts[s]
         {
-            if let Some(aff) = decompose(proc, body, lv, *addr) {
-                if aff.coeff != 0 {
-                    push_key(&mut keys, aff);
-                }
+            addrs.push(addr);
+        }
+    }
+    let mut keys: Vec<Affine> = Vec::new();
+    for &addr in &addrs {
+        match decompose(proc, body, lv, addr) {
+            Some(aff) if aff.coeff != 0 && !keys.iter().any(|k| k.same(&aff, &proc.exprs)) => {
+                keys.push(aff)
             }
+            _ => {}
         }
     }
     if keys.is_empty() {
@@ -412,18 +401,17 @@ fn reduce_addresses(proc: &mut Procedure, l: &mut Loop, pre: &mut Block, report:
     }
 
     let mut post_incs = Vec::new();
-    for (_, coeff, _off, aff) in &keys {
+    for aff in &keys {
         let pt = proc.fresh_temp(Type::ptr_to(Type::Void));
         proc.var_mut(pt).name = format!("sr_p{}", pt.index());
-        let lo_c = proc.exprs.copy(lo);
-        let init_rhs = aff.materialize(&mut proc.exprs, lo_c);
+        let init_rhs = aff.emit_at(proc, body, lv, lo, step, None);
         let init = proc.stamp(StmtKind::Assign {
             lhs: LValue::Var(pt),
             rhs: init_rhs,
         });
         pre.push(init);
         let pt_read = proc.exprs.var(pt);
-        let delta = proc.exprs.int(coeff * step);
+        let delta = proc.exprs.int(aff.coeff * step);
         let bump_rhs = proc
             .exprs
             .binary(BinOp::Add, ScalarType::Ptr, pt_read, delta);
@@ -432,90 +420,13 @@ fn reduce_addresses(proc: &mut Procedure, l: &mut Loop, pre: &mut Block, report:
             rhs: bump_rhs,
         });
         post_incs.push(bump);
-        // replace address expressions equal to this affine with Var(pt)
-        for &s in body {
-            let roots: Vec<ExprId> = proc.stmts[s].exprs().iter().collect();
-            for e in roots {
-                replace_affine_addr(proc, body, lv, e, aff, pt);
-            }
-            let store_addr = match &proc.stmts[s] {
-                StmtKind::Assign {
-                    lhs: LValue::Deref { addr, .. },
-                    ..
-                } => Some(*addr),
-                _ => None,
-            };
-            if let Some(addr) = store_addr {
-                if let Some(a2) = decompose(proc, body, lv, addr) {
-                    if affine_eq(&a2, aff) {
-                        proc.exprs[addr] = Expr::Var(pt);
-                    }
-                }
+        // the addresses equal to this affine read the pointer instead
+        for &addr in &addrs {
+            if decompose(proc, body, lv, addr).is_some_and(|a| a.same(aff, &proc.exprs)) {
+                proc.exprs[addr] = Expr::Var(pt);
             }
         }
         report.add(Count::StrengthReduced, 1);
     }
     l.body.extend(post_incs);
-}
-
-fn push_key(keys: &mut Vec<AddrKey>, aff: Affine) {
-    let key = (aff.base_key(), aff.coeff, aff.offset);
-    if !keys
-        .iter()
-        .any(|(b, c, o, _)| *b == key.0 && *c == key.1 && *o == key.2)
-    {
-        keys.push((key.0, key.1, key.2, aff));
-    }
-}
-
-fn collect_affine_addrs(
-    proc: &Procedure,
-    body: &[StmtId],
-    lv: VarId,
-    e: ExprId,
-    keys: &mut Vec<AddrKey>,
-) {
-    if let Expr::Load {
-        addr,
-        volatile: false,
-        ..
-    } = proc.exprs[e]
-    {
-        if let Some(aff) = decompose(proc, body, lv, addr) {
-            if aff.coeff != 0 {
-                push_key(keys, aff);
-            }
-        }
-    }
-    for c in proc.exprs[e].child_ids() {
-        collect_affine_addrs(proc, body, lv, c, keys);
-    }
-}
-
-/// Overwrites the *address slot* of every load whose affine form equals
-/// `aff` with a read of the pointer temporary.
-fn replace_affine_addr(
-    proc: &mut Procedure,
-    body: &[StmtId],
-    lv: VarId,
-    e: ExprId,
-    aff: &Affine,
-    pt: VarId,
-) {
-    if let Expr::Load {
-        addr,
-        volatile: false,
-        ..
-    } = proc.exprs[e]
-    {
-        if let Some(a2) = decompose(proc, body, lv, addr) {
-            if affine_eq(&a2, aff) {
-                proc.exprs[addr] = Expr::Var(pt);
-                return;
-            }
-        }
-    }
-    for c in proc.exprs[e].child_ids() {
-        replace_affine_addr(proc, body, lv, c, aff, pt);
-    }
 }

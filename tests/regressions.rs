@@ -683,3 +683,141 @@ int main(void)
         }
     }
 }
+
+/// `cse` treated `0.0f` and `-0.0f` as one expression: `expr_eq`
+/// compared float constants with `==`, so `g2 = b * -0.0f` reused `b *
+/// 0.0f` and `-O2 --no-inline` printed `0.000000` / `inf` where `cc`
+/// prints `-0.000000` / `-inf`.
+#[test]
+fn cse_keeps_negative_zero_apart() {
+    let src = "
+float g1, g2, g3;
+float f(float b) { g1 = b * 0.0f; g2 = b * -0.0f; g3 = 1.0f / (b * -0.0f); return g3; }
+int main(void) { f(3.0f); return 0; }
+";
+    let globals = [
+        ("g1", ScalarType::Float, 1),
+        ("g2", ScalarType::Float, 1),
+        ("g3", ScalarType::Float, 1),
+    ];
+    let no_inline = Options {
+        inline: false,
+        ..Options::o2()
+    };
+    for (level, options) in [("O0", Options::o0()), ("O2 --no-inline", no_inline)] {
+        let c = compile(src, &options).expect("compiles");
+        for engine in [ExecEngine::Interp, ExecEngine::Vm] {
+            let (seen, _) = observe_with(
+                &c.program,
+                MachineConfig::default(),
+                engine,
+                "main",
+                &globals,
+            )
+            .unwrap_or_else(|e| panic!("{level} {engine:?}: {e}"));
+            let bits: Vec<u64> = seen
+                .globals
+                .iter()
+                .map(|g| g.1[0].as_float().to_bits())
+                .collect();
+            let want = [0.0f64, -0.0, f64::NEG_INFINITY].map(f64::to_bits);
+            assert_eq!(bits, want, "{level} {engine:?}");
+        }
+    }
+}
+
+/// Countdown pointer walks, whose start addresses and trip counts the
+/// loop passes build through one affine form: `lo`'s terms cancel
+/// against the pointer's (`p + (n - i)·4` at `i = n` is `p`) and a unit
+/// step counts `max(0, n)` trips without a divide, which must still be 0
+/// for `n` = 0, −3 and `INT_MIN`. Strides 1 and 2, and a pointer read
+/// after its loop, agree with `-O0` at every level and on both engines.
+#[test]
+fn countdown_pointer_walks_agree_at_every_level() {
+    let src = "
+float a[40], b[40];
+int out[4];
+void scale_while(float *p, float *q, int n)
+{
+    while (n) {
+        *p++ = *q++ * 2.0f;
+        n--;
+    }
+}
+void stride_for(float *p, float *q, int n)
+{
+    for (; n > 0; n--) {
+        *p = *q + 1.0f;
+        p += 2;
+        q++;
+    }
+}
+int walk_end(float *p, int n)
+{
+    float *s;
+    s = p;
+    for (; n > 0; n--) {
+        *p = 3.0f;
+        p++;
+    }
+    return p - s;
+}
+int main(void)
+{
+    int i;
+    for (i = 0; i < 40; i++) {
+        a[i] = 0.0f;
+        b[i] = i;
+    }
+    scale_while(a, b, 7);
+    scale_while(a + 30, b, 0);
+    stride_for(a + 8, b + 1, 6);
+    stride_for(a + 20, b, 0);
+    stride_for(a + 20, b, -3);
+    stride_for(a + 20, b, -2147483647 - 1);
+    out[0] = walk_end(a + 32, 5);
+    out[1] = walk_end(a + 32, -3);
+    out[2] = walk_end(a + 32, -2147483647 - 1);
+    out[3] = walk_end(a + 32, 0);
+    return out[0];
+}
+";
+    let globals = [("a", ScalarType::Float, 40), ("out", ScalarType::Int, 4)];
+    let mut base = None;
+    for (level, options, procs) in [
+        ("O0", Options::o0(), 1),
+        (
+            "O2",
+            Options {
+                inline: false,
+                ..Options::o2()
+            },
+            1,
+        ),
+        (
+            "O2 --parallel",
+            Options {
+                inline: false,
+                ..Options::parallel()
+            },
+            2,
+        ),
+    ] {
+        let c = compile(src, &options).unwrap_or_else(|e| panic!("{level}: {e}"));
+        if level != "O0" {
+            let n = c.reports.count("vectorized");
+            assert_eq!(n, 2, "{level}: main's and walk_end's loops vectorize");
+        }
+        for engine in [ExecEngine::Interp, ExecEngine::Vm] {
+            let machine = MachineConfig::optimized(procs);
+            let (seen, _) = observe_with(&c.program, machine, engine, "main", &globals)
+                .unwrap_or_else(|e| panic!("{level} {engine:?}: {e}"));
+            let out: Vec<i64> = seen.globals[1].1.iter().map(|v| v.as_int()).collect();
+            assert_eq!(out, [5, 0, 0, 0], "{level} {engine:?}");
+            match &base {
+                None => base = Some(seen),
+                Some(o0) => assert_eq!(&seen, o0, "{level} {engine:?} diverged from O0"),
+            }
+        }
+    }
+}

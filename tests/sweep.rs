@@ -66,10 +66,11 @@ fn observe() {
 /// machine, each with the global array it writes, read back as words so
 /// every build must store the same bits. `blaslib.c` has no `main`, and
 /// `volatile_poll.c` polls a device only a scripted machine writes (EXP10).
-const RUNNABLE_CORPUS: [(&str, &str, u32); 5] = [
+const RUNNABLE_CORPUS: [(&str, &str, u32); 6] = [
     ("backsolve.c", "x", 1026),
     ("copy.c", "dst", 8192),
     ("daxpy.c", "a", 100),
+    ("gauss.c", "a", 16 * 16),
     ("listwalk.c", "pool", 3 * 1024),
     ("struct_matrix.c", "out_pts", 4 * 256),
 ];
