@@ -205,7 +205,13 @@ pub fn decompose(proc: &Procedure, body: &[StmtId], lv: VarId, e: ExprId) -> Opt
         Expr::Unary {
             op: UnOp::Neg, arg, ..
         } => Some(decompose(proc, body, lv, arg)?.scale(-1)),
-        Expr::Cast { arg, .. } => decompose(proc, body, lv, arg),
+        // a cast that keeps the value (Int↔Ptr, widening a char) is looked
+        // through; one that truncates or converts a float stays opaque
+        Expr::Cast { to, from, arg }
+            if !to.is_float() && !from.is_float() && to.size() >= from.size() =>
+        {
+            decompose(proc, body, lv, arg)
+        }
         _ => invariant_term(proc, body, lv, e),
     }
 }
@@ -351,6 +357,33 @@ mod tests {
         let pv2 = proc.exprs.var(p);
         let e2 = proc.exprs.load(pv2, ScalarType::Ptr);
         assert!(decompose(&proc, &[], lv, e2).is_none());
+        // a truncating cast of the loop variable is not affine in it
+        let i3 = proc.exprs.var(lv);
+        let c = proc.exprs.cast(ScalarType::Char, ScalarType::Int, i3);
+        assert!(decompose(&proc, &[], lv, c).is_none());
+    }
+
+    /// Casts that keep the value are looked through; `(char)n` and
+    /// `(int)y` stay one opaque term each, so a bound built from the form
+    /// keeps them.
+    #[test]
+    fn value_changing_casts_stay_opaque() {
+        let (mut proc, lv, _arr, p) = setup();
+        let (n, y) = (named(&proc, "n"), named(&proc, "y"));
+        let e = &mut proc.exprs;
+        let nv = e.var(n);
+        let narrow = e.cast(ScalarType::Char, ScalarType::Int, nv);
+        let widened = e.cast(ScalarType::Int, ScalarType::Char, narrow);
+        let yv = e.var(y);
+        let truncated = e.cast(ScalarType::Int, ScalarType::Float, yv);
+        let pv = e.var(p);
+        let as_int = e.cast(ScalarType::Int, ScalarType::Ptr, pv);
+        let a = decompose(&proc, &[], lv, widened).unwrap();
+        assert_eq!((a.terms.len(), a.terms[0].0), (1, narrow));
+        let a = decompose(&proc, &[], lv, truncated).unwrap();
+        assert_eq!((a.terms.len(), a.terms[0].0), (1, truncated));
+        let a = decompose(&proc, &[], lv, as_int).unwrap();
+        assert_eq!((a.terms.len(), a.terms[0].0), (1, pv));
     }
 
     /// Evaluates a load-free tree through `fold`, every variable read as

@@ -348,6 +348,7 @@ fn test_in_iteration_space(
     step: i64,
     trips: Option<i64>,
 ) -> Verdict {
+    debug_assert!(a1.same_base(a2, exprs), "test_pair requires a common base");
     let l0 = match lo_const {
         Some(l0) => l0,
         // symbolic lower bound: the `coeff·lo` offsets cancel in

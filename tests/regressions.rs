@@ -821,3 +821,93 @@ int main(void)
         }
     }
 }
+
+/// A cast that changes a loop bound's value must survive the affine form
+/// the loop passes build bounds and start addresses from: looking through
+/// `(char)n` counted 300 trips for `n` = 300 instead of 44, and `(int)x`
+/// emitted integer arithmetic on the float `x`. Bounds and lower bounds of
+/// both kinds agree with `-O0` at `-O2`, with and without inlining, on
+/// both engines.
+#[test]
+fn value_changing_casts_in_loop_bounds_are_kept() {
+    let src = "
+float a[320], b[320];
+int marks[1];
+void char_hi(int n)
+{
+    int i;
+    for (i = 0; i < (char)n; i++)
+        a[i] = b[i];
+}
+void char_lo(int n)
+{
+    int i;
+    for (i = (char)n; i < 60; i++)
+        a[i] = b[i] + 1.0f;
+}
+void float_hi(float x)
+{
+    int i;
+    for (i = 0; i < (int)x; i++)
+        a[i + 100] = b[i] * 2.0f;
+}
+void float_lo(float x)
+{
+    int i;
+    for (i = (int)x; i < 50; i++)
+        a[i + 200] = b[i] * 3.0f;
+}
+int main(void)
+{
+    int i;
+    for (i = 0; i < 320; i++) {
+        a[i] = 0.0f;
+        b[i] = i + 1;
+    }
+    char_hi(300);
+    char_lo(260);
+    float_hi(10.7f);
+    float_lo(5.5f);
+    for (i = 0; i < 320; i++)
+        if (a[i] != 0.0f)
+            marks[0]++;
+    return marks[0];
+}
+";
+    let globals = [("a", ScalarType::Float, 320), ("marks", ScalarType::Int, 1)];
+    let no_inline = Options {
+        inline: false,
+        ..Options::o2()
+    };
+    let mut base = None;
+    for (level, options) in [
+        ("O0", Options::o0()),
+        ("O2 --no-inline", no_inline),
+        ("O2", Options::o2()),
+    ] {
+        let c = compile(src, &options).unwrap_or_else(|e| panic!("{level}: {e}"));
+        if level == "O2 --no-inline" {
+            let n = c.reports.count("vectorized");
+            assert_eq!(
+                n, 5,
+                "{level}: main's zeroing and every cast-bounded loop vectorize"
+            );
+        }
+        for engine in [ExecEngine::Interp, ExecEngine::Vm] {
+            let (seen, _) = observe_with(
+                &c.program,
+                MachineConfig::default(),
+                engine,
+                "main",
+                &globals,
+            )
+            .unwrap_or_else(|e| panic!("{level} {engine:?}: {e}"));
+            let marks = seen.globals[1].1[0].as_int();
+            assert_eq!(marks, 60 + 10 + 45, "{level} {engine:?}");
+            match &base {
+                None => base = Some(seen),
+                Some(o0) => assert_eq!(&seen, o0, "{level} {engine:?} diverged from O0"),
+            }
+        }
+    }
+}
