@@ -924,6 +924,7 @@ impl Pipeline {
             }
             pl.push_proc(vectorize);
             pl.push_proc(strength);
+            // substitutes the constants and copies `constprop` exposed after the first ran
             pl.push_proc(forward);
             pl.push_proc(cse);
             pl.push_proc(dce);

@@ -110,8 +110,10 @@ use crate::{link_catalogs, optimization_remarks, Compilation, CompileError, Opti
 /// 10: `strength` and the vectorizer build addresses and unit-step trip
 /// counts through one affine form that collects the loop start's terms,
 /// and `cse` no longer merges `0.0` with `-0.0`, so the same key now maps
-/// to other post-pipeline IL.)
-const ENTRY_VERSION: u32 = 10;
+/// to other post-pipeline IL. 11: while→DO, ivsub and constprop build DO
+/// bounds and trip counts through that form, which subtracts a negative
+/// term, so the same key now maps to other post-pipeline IL.)
+const ENTRY_VERSION: u32 = 11;
 
 /// One input translation unit: a display name (normally the path) and
 /// its source text.

@@ -2,10 +2,10 @@
 //! condensation — the structure driving vectorization (§5), register
 //! promotion, instruction scheduling and strength reduction (§6).
 
-use crate::affine::{decompose, Affine};
 use crate::test::{test_pair, Verdict};
 use std::collections::BTreeMap;
 use titanc_il::{Expr, ExprId, ExprPool, LValue, Procedure, StmtId, StmtKind, VarId};
+use titanc_opt::affine::{decompose, Affine};
 
 /// The kind of a dependence edge.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]

@@ -4,7 +4,7 @@
 //! the same byte on different (or the same) iterations of a single loop
 //! [Bane 76, Alle 83, Wolf 82 in the paper's bibliography].
 
-use crate::affine::Affine;
+use titanc_opt::affine::Affine;
 
 /// The verdict of a dependence test between two affine references.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -118,7 +118,7 @@ fn gcd(mut a: i64, mut b: i64) -> i64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::affine::Affine;
+    use titanc_opt::affine::Affine;
 
     fn aff(coeff: i64, offset: i64) -> Affine {
         // the term id is only used as an opaque token here: `test_pair`

@@ -292,40 +292,41 @@ fn fold_node(pool: &ExprPool, id: ExprId) -> Option<Expr> {
 // operand of kind `ty` holds a value already normalized to `ty`, as
 // `fold_node`'s `x + 0 → x` assumes too.
 
-/// Rewrites an integer `(e + c1) + c2`, both `Add`s of one kind, to
-/// `e + c`, where `c` is `c1 + c2` normalized to that kind, or to `e` when
-/// `c` is 0. Float kinds stay: their addition does not reassociate. Its
-/// input is a struct member at a constant subscript: `pool[1023].next`
-/// reaches `-O2`'s sweep as `((&pool + 12276) + 8)`, the element's address
-/// plus the member's offset, which `constprop` leaves apart. Returns
+/// Rewrites an integer `(e ± c1) ± c2`, both operators `Add` or `Sub` of
+/// one kind, to `e + c`, where `c` is `±c1 ± c2` normalized to that kind,
+/// or to `e` when `c` is 0. Float kinds stay: their addition does not
+/// reassociate. Its inputs are a struct member at a constant subscript:
+/// `pool[1023].next` reaches `-O2`'s sweep as `((&pool + 12276) + 8)`, the
+/// element's address plus the member's offset, which `constprop` leaves
+/// apart; and a loop bound that `forward` substitutes into a trip count,
+/// both written by the loop passes' affine form: `(n - 1) + 1`. Returns
 /// whether the node at `id` was rewritten.
 pub fn reassociate_offset(pool: &mut ExprPool, id: ExprId) -> bool {
-    let Expr::Binary {
-        op: BinOp::Add,
-        ty,
-        lhs,
-        rhs,
-    } = pool[id]
-    else {
+    // an integer `e ± c` as its kind, `e` and the signed constant
+    let offset = |pool: &ExprPool, id: ExprId| match pool[id] {
+        Expr::Binary {
+            op: op @ (BinOp::Add | BinOp::Sub),
+            ty,
+            lhs,
+            rhs,
+        } if !ty.is_float() => {
+            let c = pool.as_int(rhs)?;
+            let c = if op == BinOp::Sub {
+                c.wrapping_neg()
+            } else {
+                c
+            };
+            Some((ty, lhs, c))
+        }
+        _ => None,
+    };
+    let Some((ty, lhs, c2)) = offset(pool, id) else {
         return false;
     };
-    let Some(c2) = pool.as_int(rhs).filter(|_| !ty.is_float()) else {
+    let Some((_, e, c1)) = offset(pool, lhs).filter(|&(inner, ..)| inner == ty) else {
         return false;
     };
-    let Expr::Binary {
-        op: BinOp::Add,
-        ty: inner,
-        lhs: e,
-        rhs: c1,
-    } = pool[lhs]
-    else {
-        return false;
-    };
-    let Some(c1) = pool.as_int(c1).filter(|_| inner == ty) else {
-        return false;
-    };
-    let sum = eval_binop(BinOp::Add, ty, Value::Int(c1), Value::Int(c2));
-    let c = sum.expect("addition is total").as_int();
+    let c = normalize(Value::Int(c1.wrapping_add(c2)), ty).as_int();
     pool[id] = if c == 0 {
         pool[e]
     } else {
@@ -613,6 +614,7 @@ mod tests {
         }
     }
 
+    /// `(e ± c1) ± c2`, every sign pair, equals its two operations.
     #[test]
     fn reassociated_offsets_equal_the_two_adds_including_wraparound() {
         let pairs = [
@@ -627,22 +629,29 @@ mod tests {
             (u32::MAX as i64, u32::MAX as i64),
             (200, 56),
         ];
+        let (add, sub) = (BinOp::Add, BinOp::Sub);
+        let sign = |op| if op == sub { -1 } else { 1 };
         for ty in INT_KINDS {
             for (c1, c2) in pairs {
-                for x in OPERANDS {
-                    let x = normalize(Value::Int(x), ty);
-                    let mut p = ExprPool::new();
-                    let (v, k1, k2) = (p.var(VarId(0)), p.int(c1), p.int(c2));
-                    let inner = p.binary(BinOp::Add, ty, v, k1);
-                    let e = p.binary(BinOp::Add, ty, inner, k2);
-                    let want = eval(&p, e, x);
-                    let what = format!("{ty:?} ({x:?} + {c1}) + {c2}");
-                    assert!(reassociate_offset(&mut p, e), "{what}");
-                    assert_eq!(eval(&p, e, x), want, "{what}");
-                    let c = normalize(Value::Int(c1 + c2), ty).as_int();
-                    match p[e] {
-                        Expr::Binary { rhs, .. } => assert_eq!(p.as_int(rhs), Some(c), "{what}"),
-                        _ => assert_eq!((p[e], c), (Expr::Var(VarId(0)), 0), "{what}"),
+                for (op1, op2) in [(add, add), (sub, add), (add, sub), (sub, sub)] {
+                    for x in OPERANDS {
+                        let x = normalize(Value::Int(x), ty);
+                        let mut p = ExprPool::new();
+                        let (v, k1, k2) = (p.var(VarId(0)), p.int(c1), p.int(c2));
+                        let inner = p.binary(op1, ty, v, k1);
+                        let e = p.binary(op2, ty, inner, k2);
+                        let want = eval(&p, e, x);
+                        let what = format!("{ty:?} ({x:?} {op1:?} {c1}) {op2:?} {c2}");
+                        assert!(reassociate_offset(&mut p, e), "{what}");
+                        assert_eq!(eval(&p, e, x), want, "{what}");
+                        let c = sign(op1) * c1 + sign(op2) * c2;
+                        let c = normalize(Value::Int(c), ty).as_int();
+                        match p[e] {
+                            Expr::Binary { rhs, .. } => {
+                                assert_eq!(p.as_int(rhs), Some(c), "{what}")
+                            }
+                            _ => assert_eq!((p[e], c), (Expr::Var(VarId(0)), 0), "{what}"),
+                        }
                     }
                 }
             }
@@ -683,9 +692,11 @@ mod tests {
             let inner = p.binary(BinOp::Add, ty, v, c1);
             cases.push(p.binary(BinOp::Add, ty, inner, c2));
         }
-        let (v, c1, c2) = (p.var(VarId(0)), p.int(4), p.int(-4));
-        let inner = p.binary(BinOp::Add, ScalarType::Int, v, c1);
-        cases.push(p.binary(BinOp::Add, ScalarType::Ptr, inner, c2));
+        for op in [BinOp::Add, BinOp::Sub] {
+            let (v, c1, c2) = (p.var(VarId(0)), p.int(4), p.int(-4));
+            let inner = p.binary(op, ScalarType::Int, v, c1);
+            cases.push(p.binary(op, ScalarType::Ptr, inner, c2));
+        }
         for (i, e) in cases.into_iter().enumerate() {
             let before = p[e];
             let rewrote = if i < muls {

@@ -13,6 +13,7 @@
 //! §8 *postpass* for code trapped behind always-taken branches, and the
 //! rejected "rebuild basic blocks" strategy as a measurable baseline.
 
+use crate::affine::const_trip_count;
 use titanc_analysis::{Cfg, ProcAnalyses, UseDef};
 use titanc_il::fold::{const_value, fold_expr, value_to_expr, Value};
 use titanc_il::visit::{edit_blocks, edit_tree, Order};
@@ -258,25 +259,9 @@ fn simplify_stmt(proc: &mut Procedure, block: &mut Block, i: usize, removed: &mu
         },
         StmtKind::DoLoop {
             lo, hi, step, body, ..
-        } => {
-            let consts = (
-                const_value(&proc.exprs[*lo]),
-                const_value(&proc.exprs[*hi]),
-                const_value(&proc.exprs[*step]),
-            );
-            match consts {
-                (Some(l), Some(h), Some(st)) => {
-                    let (l, h, st) = (l.as_int(), h.as_int(), st.as_int());
-                    let zero_trip = st != 0 && ((st > 0 && l > h) || (st < 0 && l < h));
-                    if zero_trip {
-                        *removed += 1 + titanc_il::block_len(&proc.stmts, body);
-                        Some(Vec::new())
-                    } else {
-                        None
-                    }
-                }
-                _ => None,
-            }
+        } if const_trip_count(&proc.exprs, *lo, *hi, *step) == Some(0) => {
+            *removed += 1 + titanc_il::block_len(&proc.stmts, body);
+            Some(Vec::new())
         }
         StmtKind::IfGoto { cond, target } => match const_value(&proc.exprs[*cond]) {
             Some(v) if !proc.exprs.any(*cond, Expr::is_volatile_load) => {

@@ -21,6 +21,7 @@
 //! tree is built from *deep copies*; the per-occurrence copies made by
 //! [`titanc_il::ExprPool::substitute_var`] keep replacement sites disjoint.
 
+use crate::affine::trips_expression;
 use crate::util::{invariant_in, replace_reads, resolve_copy};
 use titanc_il::visit::{edit_tree, Order};
 use titanc_il::{
@@ -168,7 +169,7 @@ fn one_pass(proc: &mut Procedure, block: &mut Block, pos: &mut usize) -> usize {
 
     let candidates = find_candidates(proc, &shape, &body);
     for cand in &candidates {
-        apply_candidate(proc, block, pos, &shape, cand);
+        apply_candidate(proc, block, pos, &shape, &body, cand);
     }
     candidates.len()
 }
@@ -262,24 +263,6 @@ fn iteration_index(exprs: &mut ExprPool, shape: &LoopShape) -> ExprId {
     k
 }
 
-/// The trip-count expression `max(0, (hi - lo + step) / step)`. Builds a
-/// fresh tree (deep-copying `lo` and `hi`). `-O1` prints this form, so it
-/// stays, apart from `titanc_deps::trips_expression`: this crate cannot
-/// depend on `titanc-deps`.
-fn trip_count(exprs: &mut ExprPool, shape: &LoopShape) -> ExprId {
-    let hi = exprs.copy(shape.hi);
-    let lo = exprs.copy(shape.lo);
-    let diff = exprs.ibinary(BinOp::Sub, hi, lo);
-    let st = exprs.int(shape.step);
-    let span = exprs.ibinary(BinOp::Add, diff, st);
-    let zero = exprs.int(0);
-    let st2 = exprs.int(shape.step);
-    let div = exprs.ibinary(BinOp::Div, span, st2);
-    let t = exprs.ibinary(BinOp::Max, zero, div);
-    titanc_il::fold::fold_expr(exprs, t);
-    t
-}
-
 /// Materializes the signed increment as a fresh tree.
 fn make_inc(exprs: &mut ExprPool, inc: &IncPlan) -> ExprId {
     match *inc {
@@ -302,6 +285,7 @@ fn apply_candidate(
     block: &mut Block,
     pos: &mut usize,
     shape: &LoopShape,
+    body: &[StmtId],
     cand: &Candidate,
 ) {
     let kind = proc.var_scalar(cand.v);
@@ -334,7 +318,7 @@ fn apply_candidate(
         affine(&mut proc.exprs, k1, inc)
     };
     let final_value = {
-        let t = trip_count(&mut proc.exprs, shape);
+        let t = trips_expression(proc, body, shape.lv, shape.lo, shape.hi, shape.step);
         let inc = make_inc(&mut proc.exprs, &cand.inc);
         affine(&mut proc.exprs, t, inc)
     };

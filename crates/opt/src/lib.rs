@@ -4,10 +4,15 @@
 //! induction-variable substitution with the blocking/backtracking
 //! heuristic, forward/copy substitution, constant propagation with the
 //! unreachable-code re-seeding heuristic, and dead-code elimination.
+//!
+//! [`affine`] holds the one affine form the loop passes build from:
+//! while→DO's upper bounds, every DO-loop trip count, and the addresses
+//! `titanc-vector` emits; `titanc-deps` decomposes subscripts with it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod affine;
 pub mod constprop;
 pub mod cse;
 pub mod dce;

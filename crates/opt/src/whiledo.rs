@@ -21,6 +21,7 @@
 //! header takes *deep copies* — sharing the slots would let a later body
 //! rewrite silently change the header.
 
+use crate::affine::{decompose, Affine};
 use crate::util::{defined_in, invariant_in, resolve_copy};
 use titanc_analysis::{loops, Cfg, ProcAnalyses};
 use titanc_il::visit::{edit_tree, Order};
@@ -90,10 +91,10 @@ pub fn convert_while_loops_cached(proc: &mut Procedure, analyses: &mut ProcAnaly
 
 struct Plan {
     iv: VarId,
-    hi_adjust: i64,
-    /// The bound expression (a subtree of the surviving condition) —
-    /// `None` encodes a zero bound (`while (v)` form).
-    bound: Option<ExprId>,
+    /// The DO loop's upper bound: the condition's bound (its terms are
+    /// subtrees of the surviving condition) plus the relation's
+    /// adjustment.
+    hi: Affine,
     step: StepPlan,
     safe: bool,
 }
@@ -191,10 +192,15 @@ fn analyze(proc: &Procedure, cfg: &Cfg, w: StmtId) -> Result<Plan, Reject> {
         _ => return Err(Reject::CondForm),
     }
 
+    // a bound that does not decompose stays one opaque term
+    let mut hi = match bound {
+        Some(b) => decompose(proc, &body, iv, b).unwrap_or_else(|| Affine::new(vec![(b, 1)], 0, 0)),
+        None => Affine::new(Vec::new(), 0, 0),
+    };
+    hi.offset += hi_adjust;
     Ok(Plan {
         iv,
-        hi_adjust,
-        bound,
+        hi,
         step: step_plan,
         safe,
     })
@@ -331,15 +337,7 @@ fn apply(
         },
         span,
     );
-    let mut hi_rhs = match plan.bound {
-        Some(b) => proc.exprs.copy(b),
-        None => proc.exprs.int(0),
-    };
-    if plan.hi_adjust != 0 {
-        let adj = proc.exprs.int(plan.hi_adjust);
-        hi_rhs = proc.exprs.ibinary(BinOp::Add, hi_rhs, adj);
-    }
-    titanc_il::fold::fold_expr(&mut proc.exprs, hi_rhs);
+    let hi_rhs = plan.hi.emit(&mut proc.exprs, ScalarType::Int, None);
     let hi_assign = proc.stamp_at(
         StmtKind::Assign {
             lhs: LValue::Var(t_hi),

@@ -18,14 +18,13 @@
 //! spreading, §2 item 2).
 
 use std::collections::HashSet;
-use titanc_deps::{
-    const_trip_count, decompose, trips_expression, Aliasing, DepGraph, DepKind, Verdict,
-};
+use titanc_deps::{Aliasing, DepGraph, DepKind, Verdict};
 use titanc_il::visit::{edit_tree, Order};
 use titanc_il::{
     BinOp, Block, Expr, ExprId, LValue, LoopDecision, LoopEvent, Procedure, Report, ScalarType,
     SrcSpan, StmtId, StmtKind, Type, VarId,
 };
+use titanc_opt::affine::{const_trip_count, decompose, trips_expression, Affine};
 use titanc_opt::util::defined_in;
 
 /// Vectorizer configuration.
@@ -190,7 +189,7 @@ enum Outcome {
 }
 
 struct VecStmtPlan {
-    lhs_affine: titanc_deps::Affine,
+    lhs_affine: Affine,
     lhs_ty: ScalarType,
     /// The original rhs expression; deep-copied per emitted statement.
     rhs: ExprId,
@@ -506,9 +505,8 @@ fn emit_vector_group(
         let st = proc.stamp_at(kind, loop_span);
         inner.push(st);
     }
-    let trips_c2 = proc.exprs.copy(trips_expr);
-    let one = proc.exprs.int(1);
-    let hi_expr = proc.exprs.ibinary(BinOp::Sub, trips_c2, one);
+    let last = Affine::new(vec![(trips_expr, 1)], 0, -1);
+    let hi_expr = last.emit(&mut proc.exprs, ScalarType::Int, None);
     let lo_expr = proc.exprs.int(0);
     let step_expr = proc.exprs.int(vl);
     let kind = if opts.parallelize {

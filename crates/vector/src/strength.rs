@@ -20,25 +20,27 @@
 //! * **Operation reduction** (§6's "simultaneously reduce expensive
 //!   operations"): one last sweep over every expression the statement tree
 //!   reaches — not the arena, which rewrites have left mostly garbage —
-//!   folds constants, reassociates `(e + c1) + c2` into `e + c`, and turns
+//!   folds constants, reassociates `(e ± c1) ± c2` into `e + c`, and turns
 //!   a multiply by `2^k` into a shift, and one by a two-bit constant on a
 //!   register into two shifts and an add (the Titan's integer unit has no
 //!   fast multiply). This is how the later passes "undo any damage" (§11)
 //!   after the last `constprop`: the multiplies are chiefly the scalings
-//!   in the addresses that ivsub and `titanc_deps::Affine::emit_at` build,
-//!   and the offsets are a struct member's at a constant subscript
-//!   (`pool[1023].next` arrives as `((&pool + 12276) + 8)`). The rewrites
-//!   are `titanc_il::fold`'s [`reassociate_offset`] and
+//!   in the addresses that ivsub and `titanc_opt::affine::Affine::emit_at`
+//!   build, and the offsets are a struct member's at a constant subscript
+//!   (`pool[1023].next` arrives as `((&pool + 12276) + 8)`) and a loop
+//!   bound that `forward` substituted into a trip count (`(n - 1) + 1`).
+//!   The rewrites are `titanc_il::fold`'s [`reassociate_offset`] and
 //!   [`reduce_multiply`], exact under `eval_binop`'s wrapping arithmetic;
 //!   `fold_expr` never applies them, so `-O1` output does not see them.
 
-use titanc_deps::{const_trip_count, decompose, Affine, Aliasing, DepGraph};
+use titanc_deps::{Aliasing, DepGraph};
 use titanc_il::fold::{fold_expr, reassociate_offset, reduce_multiply};
 use titanc_il::visit::{edit_tree, rewrite_expr, Order};
 use titanc_il::{
     BinOp, Block, Count, Expr, ExprId, ExprPool, LValue, Procedure, Report, ScalarType, StmtId,
     StmtKind, Type, VarId,
 };
+use titanc_opt::affine::{const_trip_count, decompose, Affine};
 use titanc_opt::util::invariant_in;
 
 /// Runs the §6 optimizations on every remaining scalar DO loop, then the

@@ -911,3 +911,145 @@ int main(void)
         }
     }
 }
+
+/// Compiles `src` at `-O0`, `-O1`, `-O2 --no-inline` and `-O2`, and
+/// checks that each build observes what `-O0` does on both engines.
+/// Returns the builds after `-O0`, with their names.
+fn agree_with_o0(
+    src: &str,
+    globals: &[(&str, ScalarType, u32)],
+) -> Vec<(&'static str, titanc_repro::titanc::Compilation)> {
+    let no_inline = Options {
+        inline: false,
+        ..Options::o2()
+    };
+    let mut base = None;
+    let mut builds = Vec::new();
+    for (level, options) in [
+        ("O0", Options::o0()),
+        ("O1", Options::o1()),
+        ("O2 --no-inline", no_inline),
+        ("O2", Options::o2()),
+    ] {
+        let c = compile(src, &options).unwrap_or_else(|e| panic!("{level}: {e}"));
+        for engine in [ExecEngine::Interp, ExecEngine::Vm] {
+            let machine = MachineConfig::default();
+            let (seen, _) = observe_with(&c.program, machine, engine, "main", globals)
+                .unwrap_or_else(|e| panic!("{level} {engine:?}: {e}"));
+            match &base {
+                None => base = Some(seen),
+                Some(o0) => assert_eq!(&seen, o0, "{level} {engine:?} diverged from O0"),
+            }
+        }
+        if level != "O0" {
+            builds.push((level, c));
+        }
+    }
+    builds
+}
+
+/// ivsub finalized a pointer read after a countdown loop with its own trip
+/// count, `max(0, (((1 - n) + -1) / -1))`: an `INT_DIV` by −1 where
+/// `max(0, n)` will do. It now counts trips with the affine form's
+/// `trips_expression`.
+#[test]
+fn a_countdown_finalization_does_not_divide() {
+    let src = "
+float a[16];
+int out[4];
+int walk_end(float *p, int n)
+{
+    float *s;
+    s = p;
+    for (; n > 0; n--) {
+        *p = 3.0f;
+        p++;
+    }
+    return p - s;
+}
+int main(void)
+{
+    out[0] = walk_end(a, 5);
+    out[1] = walk_end(a, -3);
+    out[2] = walk_end(a, -2147483647 - 1);
+    out[3] = walk_end(a + 8, 0);
+    return out[0];
+}
+";
+    let globals = [("a", ScalarType::Float, 16), ("out", ScalarType::Int, 4)];
+    for (level, c) in agree_with_o0(src, &globals) {
+        let text = titanc_bench::sweep::il_text(&c);
+        assert!(!text.contains("/ -1"), "{level} divides by -1:\n{text}");
+    }
+}
+
+/// while→DO builds a loop's upper bound from the affine form of its
+/// condition's bound: a difference, a truncating cast (one opaque term)
+/// and a product of two variables (not a form) agree with `-O0`, and no
+/// DO header the form wrote multiplies. A global bound (`g - 1`) is not
+/// invariant, so its loop stays a `while`.
+#[test]
+fn while_do_bounds_are_built_from_the_affine_form() {
+    let src = "
+float a[64], b[64];
+int g;
+int cnt[1];
+void diff_bound(int n, int m)
+{
+    int i;
+    for (i = 0; i < n - m; i++)
+        a[i] = b[i] + 1.0f;
+}
+void char_bound(int n)
+{
+    int i;
+    for (i = 0; i <= (char)n - 1; i++)
+        a[i] = a[i] + 2.0f;
+}
+void global_bound(void)
+{
+    int i;
+    for (i = 0; i < g - 1; i++)
+        a[i] = a[i] * 3.0f;
+}
+void product_bound(int n, int m)
+{
+    int i;
+    for (i = 0; i < n * m; i++)
+        a[i] = a[i] - 4.0f;
+}
+int main(void)
+{
+    int i;
+    for (i = 0; i < 64; i++) {
+        a[i] = 0.0f;
+        b[i] = i;
+    }
+    diff_bound(40, 9);
+    diff_bound(3, 9);
+    char_bound(270);
+    char_bound(-5);
+    g = 21;
+    global_bound();
+    product_bound(5, 7);
+    product_bound(-5, 7);
+    for (i = 0; i < 64; i++)
+        if (a[i] != 0.0f)
+            cnt[0]++;
+    return cnt[0];
+}
+";
+    let globals = [("a", ScalarType::Float, 64), ("cnt", ScalarType::Int, 1)];
+    for (level, c) in agree_with_o0(src, &globals) {
+        if level == "O2" {
+            continue;
+        }
+        for proc in c.program.procs.iter().filter(|p| p.name != "product_bound") {
+            let text = titanc_repro::il::pretty_proc(proc);
+            let headers = text.lines().filter(|l| l.trim_start().starts_with("do "));
+            for header in headers {
+                assert!(!header.contains(" * "), "{level}: {header}");
+            }
+        }
+    }
+}
