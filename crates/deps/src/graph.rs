@@ -5,7 +5,7 @@
 use crate::test::{test_pair, Verdict};
 use std::collections::BTreeMap;
 use titanc_il::{Expr, ExprId, ExprPool, LValue, Procedure, StmtId, StmtKind, VarId};
-use titanc_opt::affine::{decompose, Affine};
+use titanc_opt::affine::{decompose, Affine, DoHeader};
 
 /// The kind of a dependence edge.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -75,33 +75,20 @@ pub enum Aliasing {
 }
 
 impl DepGraph {
-    /// Builds the dependence graph for the body of a DO loop with loop
-    /// variable `lv` and optional constant trip count, assuming unit
-    /// positive stride (`lo = 0, step = 1` iteration space). Prefer
-    /// [`DepGraph::build_for_loop`] when the loop's bounds are at hand.
+    /// Builds the dependence graph of `body`, the body of the DO loop
+    /// `head`, in *iteration space*: references are tested after
+    /// substituting `lv = lo + k·step`, so distances are in iterations —
+    /// correct for countdown loops and non-unit strides. A constant `lo`
+    /// and a constant trip count sharpen the tests.
     pub fn build(
         proc: &Procedure,
         body: &[StmtId],
-        lv: VarId,
-        trips: Option<i64>,
+        head: &DoHeader,
         aliasing: Aliasing,
     ) -> DepGraph {
-        DepGraph::build_for_loop(proc, body, lv, Some(0), 1, trips, aliasing)
-    }
-
-    /// Builds the dependence graph in *iteration space*: references are
-    /// tested after substituting `lv = lo + k·step`, so distances are in
-    /// iterations — correct for countdown loops and non-unit strides.
-    /// `lo_const` is the constant lower bound if known.
-    pub fn build_for_loop(
-        proc: &Procedure,
-        body: &[StmtId],
-        lv: VarId,
-        lo_const: Option<i64>,
-        step: i64,
-        trips: Option<i64>,
-        aliasing: Aliasing,
-    ) -> DepGraph {
+        let DoHeader { lv, step, .. } = *head;
+        let lo_const = proc.exprs.as_int(head.lo);
+        let trips = head.const_trip_count(&proc.exprs);
         let n = body.len();
         let mut refs = Vec::new();
         let mut pinned = vec![false; n];
@@ -633,7 +620,7 @@ mod tests {
     };
 
     /// Compile, convert, substitute, clean — then find the first DO loop.
-    fn prep(src: &str) -> (Procedure, VarId, Block, Option<i64>) {
+    fn prep(src: &str) -> (Procedure, DoHeader, Block) {
         let prog = compile_to_il(src).unwrap();
         let mut proc = prog.procs[0].clone();
         convert_while_loops(&mut proc);
@@ -642,30 +629,12 @@ mod tests {
         eliminate_dead_code(&mut proc);
         let mut found = None;
         proc.for_each_stmt(&mut |_, k| {
-            if found.is_none() {
-                if let StmtKind::DoLoop {
-                    var,
-                    lo,
-                    hi,
-                    step,
-                    body,
-                    ..
-                } = k
-                {
-                    let trips = match (
-                        proc.exprs.as_int(*lo),
-                        proc.exprs.as_int(*hi),
-                        proc.exprs.as_int(*step),
-                    ) {
-                        (Some(l), Some(h), Some(st)) if st != 0 => Some(((h - l + st) / st).max(0)),
-                        _ => None,
-                    };
-                    found = Some((*var, body.clone(), trips));
-                }
+            if let (None, StmtKind::DoLoop { body, .. }) = (&found, k) {
+                found = Some((DoHeader::of(k, &proc.exprs), body.clone()));
             }
         });
-        let (lv, body, trips) = found.expect("DO loop");
-        (proc, lv, body, trips)
+        let (head, body) = found.expect("DO loop");
+        (proc, head.expect("a constant step"), body)
     }
 
     #[test]
@@ -674,8 +643,8 @@ mod tests {
 float a[100], b[100];
 void f(void) { int i; for (i = 0; i < 100; i++) a[i] = b[i] + 1.0f; }
 "#;
-        let (proc, lv, body, trips) = prep(src);
-        let g = DepGraph::build(&proc, &body, lv, trips, Aliasing::C);
+        let (proc, head, body) = prep(src);
+        let g = DepGraph::build(&proc, &body, &head, Aliasing::C);
         assert!(
             g.edges
                 .iter()
@@ -701,8 +670,8 @@ void f(int n)
         p[i] = z[i] * (y[i] - q[i]);
 }
 "#;
-        let (proc, lv, body, trips) = prep(src);
-        let g = DepGraph::build(&proc, &body, lv, trips, Aliasing::C);
+        let (proc, head, body) = prep(src);
+        let g = DepGraph::build(&proc, &body, &head, Aliasing::C);
         let dists = g.carried_true_distances();
         assert_eq!(dists.len(), 1, "edges: {:#?}", g.edges);
         assert_eq!(
@@ -722,10 +691,10 @@ void f(float *a, float *b, int n)
         a[i] = b[i] + 1.0f;
 }
 "#;
-        let (proc, lv, body, trips) = prep(src);
-        let g_c = DepGraph::build(&proc, &body, lv, trips, Aliasing::C);
+        let (proc, head, body) = prep(src);
+        let g_c = DepGraph::build(&proc, &body, &head, Aliasing::C);
         assert!(!g_c.iterations_independent(), "C pointers may alias");
-        let g_f = DepGraph::build(&proc, &body, lv, trips, Aliasing::Fortran);
+        let g_f = DepGraph::build(&proc, &body, &head, Aliasing::Fortran);
         assert!(g_f.iterations_independent(), "{:#?}", g_f.edges);
     }
 
@@ -736,8 +705,8 @@ void f(float *a, float *b, int n)
 float x[100];
 void f(int n) { int i; for (i = 0; i < n; i++) x[i + 1] = x[i] * 2.0f; }
 "#;
-        let (proc, lv, body, trips) = prep(src);
-        let g = DepGraph::build(&proc, &body, lv, trips, Aliasing::C);
+        let (proc, head, body) = prep(src);
+        let g = DepGraph::build(&proc, &body, &head, Aliasing::C);
         let store_stmt = body
             .iter()
             .position(|&s| proc.stmts[s].writes_memory())
@@ -752,8 +721,8 @@ void f(int n) { int i; for (i = 0; i < n; i++) x[i + 1] = x[i] * 2.0f; }
 float x[100];
 void f(int n) { int i; for (i = 0; i < n; i++) x[i] = x[i + 1]; }
 "#;
-        let (proc, lv, body, trips) = prep(src);
-        let g = DepGraph::build(&proc, &body, lv, trips, Aliasing::C);
+        let (proc, head, body) = prep(src);
+        let g = DepGraph::build(&proc, &body, &head, Aliasing::C);
         let store_stmt = body
             .iter()
             .position(|&s| proc.stmts[s].writes_memory())
@@ -772,8 +741,8 @@ volatile int port;
 float x[100];
 void f(int n) { int i; for (i = 0; i < n; i++) x[i] = port; }
 "#;
-        let (proc, lv, body, trips) = prep(src);
-        let g = DepGraph::build(&proc, &body, lv, trips, Aliasing::C);
+        let (proc, head, body) = prep(src);
+        let g = DepGraph::build(&proc, &body, &head, Aliasing::C);
         assert!(g.pinned.iter().any(|&p| p), "volatile access pins");
     }
 
@@ -784,8 +753,8 @@ float g(float v);
 float x[100];
 void f(int n) { int i; for (i = 0; i < n; i++) x[i] = g(1.0f); }
 "#;
-        let (proc, lv, body, trips) = prep(src);
-        let g = DepGraph::build(&proc, &body, lv, trips, Aliasing::C);
+        let (proc, head, body) = prep(src);
+        let g = DepGraph::build(&proc, &body, &head, Aliasing::C);
         assert!(g.pinned.iter().any(|&p| p));
     }
 
@@ -804,8 +773,8 @@ void f(void)
     }
 }
 "#;
-        let (proc, lv, body, trips) = prep(src);
-        let g = DepGraph::build(&proc, &body, lv, trips, Aliasing::C);
+        let (proc, head, body) = prep(src);
+        let g = DepGraph::build(&proc, &body, &head, Aliasing::C);
         let sccs = g.sccs();
         // find positions of the two stores
         let pos_t = sccs.iter().position(|c| c.contains(&0)).unwrap();

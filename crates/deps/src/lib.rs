@@ -11,6 +11,7 @@
 //! ```
 //! use titanc_deps::{Aliasing, DepGraph};
 //! use titanc_il::StmtKind;
+//! use titanc_opt::affine::DoHeader;
 //!
 //! let prog = titanc_lower::compile_to_il(
 //!     "float a[64], b[64];\nvoid f(void) { int i; for (i = 0; i < 64; i++) a[i] = b[i]; }",
@@ -22,14 +23,13 @@
 //! titanc_opt::eliminate_dead_code(&mut proc);
 //! let mut found = None;
 //! proc.for_each_stmt(&mut |_, kind| {
-//!     if let StmtKind::DoLoop { var, body, .. } = kind {
-//!         if found.is_none() {
-//!             found = Some((*var, body.clone()));
-//!         }
+//!     if let (None, StmtKind::DoLoop { body, .. }) = (&found, kind) {
+//!         found = Some((DoHeader::of(kind, &proc.exprs).unwrap(), body.clone()));
 //!     }
 //! });
-//! let (lv, body) = found.unwrap();
-//! let g = DepGraph::build(&proc, &body, lv, Some(64), Aliasing::C);
+//! let (head, body) = found.unwrap();
+//! assert_eq!(head.const_trip_count(&proc.exprs), Some(64));
+//! let g = DepGraph::build(&proc, &body, &head, Aliasing::C);
 //! assert!(g.iterations_independent());
 //! ```
 

@@ -15,57 +15,85 @@
 //! [`Affine::emit_at`] is the one place the loop passes build an address
 //! from a form: it substitutes the loop's start into the form, collecting
 //! terms, and deep-copies what is left into fresh slots. The DO-loop
-//! arithmetic goes through the same form: while→DO's upper bound,
-//! [`trips_expression`] (ivsub's finalization and the vectorizer's
-//! strips) and [`const_trip_count`].
+//! arithmetic goes through the same form: while→DO's upper bound, and
+//! [`DoHeader::trips_expression`] (ivsub's finalization and the
+//! vectorizer's strips). [`DoHeader`] is the one reading of a DO loop's
+//! header that every loop pass and the dependence graph share.
 
 use crate::util::invariant_in;
 use titanc_il::{
-    fold_expr, BinOp, Expr, ExprId, ExprPool, Procedure, ScalarType, StmtId, UnOp, VarId,
+    fold_expr, BinOp, Expr, ExprId, ExprPool, Procedure, ScalarType, StmtId, StmtKind, UnOp, VarId,
 };
 
-/// The constant trip count of a DO loop, when its bounds fold.
-pub fn const_trip_count(exprs: &ExprPool, lo: ExprId, hi: ExprId, step: ExprId) -> Option<i64> {
-    match (exprs.as_int(lo), exprs.as_int(hi), exprs.as_int(step)) {
-        (Some(l), Some(h), Some(s)) if s != 0 => Some(((h - l + s) / s).max(0)),
-        _ => None,
-    }
+/// The header of a DO loop whose step is a nonzero constant: the one
+/// place a loop pass reads `lv = lo, hi, step` from.
+#[derive(Clone, Copy, Debug)]
+pub struct DoHeader {
+    /// The loop variable.
+    pub lv: VarId,
+    /// The header's lower bound (the loop's own slot, read shared).
+    pub lo: ExprId,
+    /// The header's upper bound (the loop's own slot, read shared).
+    pub hi: ExprId,
+    /// The constant step, never 0.
+    pub step: i64,
 }
 
-/// The trip count of the DO loop `lv = lo, hi, step` as a fresh tree: for
-/// a unit step over invariant affine bounds `max(0, ±(hi − lo) + 1)`,
-/// collected through [`Affine`] and without a divide, otherwise `max(0,
-/// (hi − lo + step) / step)`.
-pub fn trips_expression(
-    proc: &mut Procedure,
-    body: &[StmtId],
-    lv: VarId,
-    lo: ExprId,
-    hi: ExprId,
-    step: i64,
-) -> ExprId {
-    let bound = |e| decompose(proc, body, lv, e).filter(|a| a.coeff == 0);
-    let span = match (step, bound(lo), bound(hi)) {
-        (1 | -1, Some(lo), Some(hi)) => {
-            let (first, last) = if step == 1 { (lo, hi) } else { (hi, lo) };
-            let mut span = last.add(&proc.exprs, first.scale(-1));
-            span.offset += 1;
-            span.emit(&mut proc.exprs, ScalarType::Int, None)
+impl DoHeader {
+    /// The header of a `DoLoop` or `DoParallel` whose step is a nonzero
+    /// constant; `None` for any other statement.
+    pub fn of(kind: &StmtKind, exprs: &ExprPool) -> Option<DoHeader> {
+        let (StmtKind::DoLoop {
+            var, lo, hi, step, ..
         }
-        _ => {
-            let exprs = &mut proc.exprs;
-            let (hi, lo) = (exprs.copy(hi), exprs.copy(lo));
-            let diff = exprs.ibinary(BinOp::Sub, hi, lo);
-            let step_c = exprs.int(step);
-            let span = exprs.ibinary(BinOp::Add, diff, step_c);
-            let step_c = exprs.int(step);
-            exprs.ibinary(BinOp::Div, span, step_c)
-        }
-    };
-    let zero = proc.exprs.int(0);
-    let e = proc.exprs.ibinary(BinOp::Max, zero, span);
-    fold_expr(&mut proc.exprs, e);
-    e
+        | StmtKind::DoParallel {
+            var, lo, hi, step, ..
+        }) = *kind
+        else {
+            return None;
+        };
+        Some(DoHeader {
+            lv: var,
+            lo,
+            hi,
+            step: exprs.as_int(step).filter(|&st| st != 0)?,
+        })
+    }
+
+    /// The constant trip count, when the bounds fold.
+    pub fn const_trip_count(&self, exprs: &ExprPool) -> Option<i64> {
+        let (l, h, s) = (exprs.as_int(self.lo)?, exprs.as_int(self.hi)?, self.step);
+        Some(((h - l + s) / s).max(0))
+    }
+
+    /// The trip count as a fresh tree: for a unit step over invariant
+    /// affine bounds `max(0, ±(hi − lo) + 1)`, collected through [`Affine`]
+    /// and without a divide, otherwise `max(0, (hi − lo + step) / step)`.
+    pub fn trips_expression(&self, proc: &mut Procedure, body: &[StmtId]) -> ExprId {
+        let DoHeader { lv, lo, hi, step } = *self;
+        let bound = |e| decompose(proc, body, lv, e).filter(|a| a.coeff == 0);
+        let span = match (step, bound(lo), bound(hi)) {
+            (1 | -1, Some(lo), Some(hi)) => {
+                let (first, last) = if step == 1 { (lo, hi) } else { (hi, lo) };
+                let mut span = last.add(&proc.exprs, first.scale(-1));
+                span.offset += 1;
+                span.emit(&mut proc.exprs, ScalarType::Int, None)
+            }
+            _ => {
+                let exprs = &mut proc.exprs;
+                let (hi, lo) = (exprs.copy(hi), exprs.copy(lo));
+                let diff = exprs.ibinary(BinOp::Sub, hi, lo);
+                let step_c = exprs.int(step);
+                let span = exprs.ibinary(BinOp::Add, diff, step_c);
+                let step_c = exprs.int(step);
+                exprs.ibinary(BinOp::Div, span, step_c)
+            }
+        };
+        let zero = proc.exprs.int(0);
+        let e = proc.exprs.ibinary(BinOp::Max, zero, span);
+        fold_expr(&mut proc.exprs, e);
+        e
+    }
 }
 
 /// An address decomposed as `Σ mult·term + coeff·lv + offset` where every
@@ -141,20 +169,19 @@ impl Affine {
         base.add(exprs, v.clone().scale(self.coeff))
     }
 
-    /// Emits, as a fresh tree, the address of iteration `k` of a loop
-    /// running `lv = lo, lo + step, …`: the form at `lv := lo + step·k`,
-    /// with `k` the tree `origin` (deep-copied), or 0 when that is `None`.
-    /// An invariant affine `lo` has its terms collected into the form's
-    /// before anything is emitted; any other `lo` stays one opaque term.
+    /// Emits, as a fresh tree, the address of iteration `k` of the loop
+    /// `head`: the form at `lv := lo + step·k`, with `k` the tree `origin`
+    /// (deep-copied), or 0 when that is `None`. An invariant affine `lo`
+    /// has its terms collected into the form's before anything is
+    /// emitted; any other `lo` stays one opaque term.
     pub fn emit_at(
         &self,
         proc: &mut Procedure,
         body: &[StmtId],
-        lv: VarId,
-        lo: ExprId,
-        step: i64,
+        head: &DoHeader,
         origin: Option<ExprId>,
     ) -> ExprId {
+        let DoHeader { lv, lo, step, .. } = *head;
         let start = match decompose(proc, body, lv, lo) {
             Some(a) if a.coeff == 0 => Affine::new(a.terms, step, a.offset),
             _ => Affine::new(vec![(lo, 1)], step, 0),
@@ -511,12 +538,13 @@ mod tests {
         let walk_aff = decompose(&proc, &[], lv, walk).unwrap();
         let fwd_aff = decompose(&proc, &[], lv, fwd).unwrap();
 
-        let at_n = walk_aff.emit_at(&mut proc, &[], lv, n_lo, -1, None);
+        let head = |lo, hi, step| DoHeader { lv, lo, hi, step };
+        let at_n = walk_aff.emit_at(&mut proc, &[], &head(n_lo, one, -1), None);
         assert!(
             proc.exprs.expr_eq(at_n, &proc.exprs, pv),
             "p + (n - i)·4 at i = n is p"
         );
-        let trips = trips_expression(&mut proc, &[], lv, n_lo, one, -1);
+        let trips = head(n_lo, one, -1).trips_expression(&mut proc, &[]);
         let div = |x: &Expr| matches!(x, Expr::Binary { op: BinOp::Div, .. });
         assert!(
             !proc.exprs.any(trips, div),
@@ -527,10 +555,10 @@ mod tests {
         for aff in [&walk_aff, &fwd_aff] {
             for lo in [n_lo, n_minus_1, zero, minus_3, opaque] {
                 for (step, k) in [(1, origin), (-1, origin), (2, at_zero), (-1, at_zero)] {
-                    let new = aff.emit_at(&mut proc, &[], lv, lo, step, Some(k));
+                    let new = aff.emit_at(&mut proc, &[], &head(lo, lo, step), Some(k));
                     let old = old_address(&mut proc.exprs, aff, lo, step, k);
                     for hi in [n_lo, one, opaque, minus_3] {
-                        let new_trips = trips_expression(&mut proc, &[], lv, lo, hi, step);
+                        let new_trips = head(lo, hi, step).trips_expression(&mut proc, &[]);
                         let (h, l, st) = (
                             proc.exprs.copy(hi),
                             proc.exprs.copy(lo),

@@ -13,7 +13,7 @@
 //! §8 *postpass* for code trapped behind always-taken branches, and the
 //! rejected "rebuild basic blocks" strategy as a measurable baseline.
 
-use crate::affine::const_trip_count;
+use crate::affine::DoHeader;
 use titanc_analysis::{Cfg, ProcAnalyses, UseDef};
 use titanc_il::fold::{const_value, fold_expr, value_to_expr, Value};
 use titanc_il::visit::{edit_blocks, edit_tree, Order};
@@ -257,9 +257,11 @@ fn simplify_stmt(proc: &mut Procedure, block: &mut Block, i: usize, removed: &mu
             }
             _ => None,
         },
-        StmtKind::DoLoop {
-            lo, hi, step, body, ..
-        } if const_trip_count(&proc.exprs, *lo, *hi, *step) == Some(0) => {
+        StmtKind::DoLoop { body, .. }
+            if DoHeader::of(&proc.stmts[s], &proc.exprs)
+                .and_then(|h| h.const_trip_count(&proc.exprs))
+                == Some(0) =>
+        {
             *removed += 1 + titanc_il::block_len(&proc.stmts, body);
             Some(Vec::new())
         }

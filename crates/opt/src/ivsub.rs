@@ -21,12 +21,12 @@
 //! tree is built from *deep copies*; the per-occurrence copies made by
 //! [`titanc_il::ExprPool::substitute_var`] keep replacement sites disjoint.
 
-use crate::affine::trips_expression;
-use crate::util::{invariant_in, replace_reads, resolve_copy};
+use crate::affine::DoHeader;
+use crate::util::{invariant_in, replace_reads, step_of, Step};
 use titanc_il::visit::{edit_tree, Order};
 use titanc_il::{
     BinOp, Block, Count, Expr, ExprId, ExprPool, LValue, Procedure, Report, ScalarType, StmtId,
-    StmtKind, StmtPool, Type, VarId,
+    StmtKind, Type, VarId,
 };
 
 /// Resource budget: maximum scan passes per loop (worst case is `n`
@@ -59,28 +59,11 @@ pub fn induction_substitution(proc: &mut Procedure) -> Report {
     report
 }
 
-/// The loop header slots; `lo`/`hi` are the DoLoop's own expressions (read
-/// shared, deep-copied into derived trees).
-struct LoopShape {
-    lv: VarId,
-    lo: ExprId,
-    hi: ExprId,
-    step: i64,
-}
-
-/// An identified auxiliary induction variable.
+/// An identified auxiliary induction variable and its step (whose
+/// increment is a subtree of the body's step statement).
 struct Candidate {
     v: VarId,
-    def_pos: usize,
-    /// signed increment (a subtree of the body's step statement)
-    inc: IncPlan,
-}
-
-/// How to materialize the increment; `Neg` defers the negation allocation
-/// so candidate discovery stays `&Procedure`.
-enum IncPlan {
-    Pos(ExprId),
-    Neg(ExprId),
+    step: Step,
 }
 
 /// Substitutes in the loop at `block[*pos]`; `*pos` follows the loop as
@@ -135,122 +118,53 @@ fn substitute_in_loop(
 /// Performs one scan over the loop at `block[*pos]`, substituting every
 /// currently-unblocked candidate. Returns the number substituted.
 fn one_pass(proc: &mut Procedure, block: &mut Block, pos: &mut usize) -> usize {
-    let (var, lo, hi, step, body) = match &proc.stmts[block[*pos]] {
-        StmtKind::DoLoop {
-            var,
-            lo,
-            hi,
-            step,
-            body,
-            ..
-        }
-        | StmtKind::DoParallel {
-            var,
-            lo,
-            hi,
-            step,
-            body,
-        } => (*var, *lo, *hi, *step, body.clone()),
-        _ => return 0,
+    // a symbolic stride: no substitution
+    let Some(head) = DoHeader::of(&proc.stmts[block[*pos]], &proc.exprs) else {
+        return 0;
     };
-    let step_c = match proc.exprs.as_int(step) {
-        Some(c) if c != 0 => c,
-        _ => return 0, // symbolic stride: no substitution
-    };
-    if !invariant_in(proc, &body, lo) || !invariant_in(proc, &body, hi) {
+    let body = proc.stmts[block[*pos]].blocks()[0].clone();
+    if !invariant_in(proc, &body, head.lo) || !invariant_in(proc, &body, head.hi) {
         return 0;
     }
-    let shape = LoopShape {
-        lv: var,
-        lo,
-        hi,
-        step: step_c,
-    };
-
-    let candidates = find_candidates(proc, &shape, &body);
+    let candidates = find_candidates(proc, head.lv, &body);
     for cand in &candidates {
-        apply_candidate(proc, block, pos, &shape, &body, cand);
+        apply_candidate(proc, block, pos, &head, &body, cand);
     }
     candidates.len()
 }
 
-/// Finds unblocked candidates: single top-level def `v = origin ± c` where
-/// the origin resolves to `v` through copies and `c` is loop-invariant.
-fn find_candidates(proc: &Procedure, shape: &LoopShape, body: &[StmtId]) -> Vec<Candidate> {
+/// Finds unblocked candidates: each register variable other than the loop
+/// variable `lv` with a [`step_of`] whose increment is loop-invariant.
+fn find_candidates(proc: &Procedure, lv: VarId, body: &[StmtId]) -> Vec<Candidate> {
     let mut out = Vec::new();
-    for (pos, &s) in body.iter().enumerate() {
+    for &s in body {
         let v = match proc.stmts[s].defined_var() {
-            Some(v) => v,
-            None => continue,
+            Some(v) if v != lv && proc.var(v).is_register_candidate() => v,
+            _ => continue,
         };
-        if v == shape.lv || !proc.var(v).is_register_candidate() {
+        // a variable defined twice fails at each definition
+        let Ok(step) = step_of(proc, body, v) else {
             continue;
-        }
-        // single def across the whole body
-        if count_defs(&proc.stmts, body, v) != 1 {
-            continue;
-        }
-        let rhs = match &proc.stmts[s] {
-            StmtKind::Assign {
-                lhs: LValue::Var(_),
-                rhs,
-            } => *rhs,
-            _ => continue,
-        };
-        let (op, lhs, rhs) = match proc.exprs[rhs] {
-            Expr::Binary { op, lhs, rhs, .. } => (op, lhs, rhs),
-            _ => continue,
-        };
-        let resolve = |e: ExprId| match proc.exprs[e] {
-            Expr::Var(w) => Some(resolve_copy(proc, body, pos, w)),
-            _ => None,
-        };
-        let (origin_l, origin_r) = (resolve(lhs), resolve(rhs));
-        let inc = match op {
-            BinOp::Add if origin_l == Some(v) => IncPlan::Pos(rhs),
-            BinOp::Add if origin_r == Some(v) => IncPlan::Pos(lhs),
-            BinOp::Sub if origin_l == Some(v) => IncPlan::Neg(rhs),
-            _ => continue,
         };
         // the increment must be invariant; if it reads another candidate
         // the candidate is blocked — it will be re-examined next pass.
         // Note the loop variable is defined by the DO header, not by a
         // body statement, so it needs an explicit check.
-        let inner = match inc {
-            IncPlan::Pos(e) | IncPlan::Neg(e) => e,
-        };
-        let reads_either = |n: &Expr| matches!(*n, Expr::Var(w) if w == shape.lv || w == v);
-        if proc.exprs.any(inner, reads_either) || !invariant_in(proc, body, inner) {
+        let reads_either = |n: &Expr| matches!(*n, Expr::Var(w) if w == lv || w == v);
+        if proc.exprs.any(step.c, reads_either) || !invariant_in(proc, body, step.c) {
             continue;
         }
-        out.push(Candidate {
-            v,
-            def_pos: pos,
-            inc,
-        });
+        out.push(Candidate { v, step });
     }
     out
 }
 
-fn count_defs(pool: &StmtPool, block: &[StmtId], v: VarId) -> usize {
-    let mut n = 0;
-    for &s in block {
-        if pool[s].defined_var() == Some(v) {
-            n += 1;
-        }
-        for b in pool[s].blocks() {
-            n += count_defs(pool, b, v);
-        }
-    }
-    n
-}
-
 /// The iteration-index expression `k` = (lv - lo) / step, simplified for
 /// unit strides. Builds a fresh tree (deep-copying `lo`).
-fn iteration_index(exprs: &mut ExprPool, shape: &LoopShape) -> ExprId {
-    let lv = exprs.var(shape.lv);
-    let lo = exprs.copy(shape.lo);
-    let k = match shape.step {
+fn iteration_index(exprs: &mut ExprPool, head: &DoHeader) -> ExprId {
+    let lv = exprs.var(head.lv);
+    let lo = exprs.copy(head.lo);
+    let k = match head.step {
         1 => exprs.ibinary(BinOp::Sub, lv, lo),
         -1 => exprs.ibinary(BinOp::Sub, lo, lv),
         s => {
@@ -264,13 +178,11 @@ fn iteration_index(exprs: &mut ExprPool, shape: &LoopShape) -> ExprId {
 }
 
 /// Materializes the signed increment as a fresh tree.
-fn make_inc(exprs: &mut ExprPool, inc: &IncPlan) -> ExprId {
-    match *inc {
-        IncPlan::Pos(e) => exprs.copy(e),
-        IncPlan::Neg(e) => {
-            let c = exprs.copy(e);
-            exprs.unary(titanc_il::UnOp::Neg, ScalarType::Int, c)
-        }
+fn make_inc(exprs: &mut ExprPool, step: &Step) -> ExprId {
+    let c = exprs.copy(step.c);
+    match step.positive {
+        true => c,
+        false => exprs.unary(titanc_il::UnOp::Neg, ScalarType::Int, c),
     }
 }
 
@@ -284,7 +196,7 @@ fn apply_candidate(
     proc: &mut Procedure,
     block: &mut Block,
     pos: &mut usize,
-    shape: &LoopShape,
+    head: &DoHeader,
     body: &[StmtId],
     cand: &Candidate,
 ) {
@@ -306,20 +218,20 @@ fn apply_candidate(
         e
     };
     let pre_value = {
-        let k = iteration_index(&mut proc.exprs, shape);
-        let inc = make_inc(&mut proc.exprs, &cand.inc);
+        let k = iteration_index(&mut proc.exprs, head);
+        let inc = make_inc(&mut proc.exprs, &cand.step);
         affine(&mut proc.exprs, k, inc)
     };
     let post_value = {
-        let k = iteration_index(&mut proc.exprs, shape);
+        let k = iteration_index(&mut proc.exprs, head);
         let one = proc.exprs.int(1);
         let k1 = proc.exprs.ibinary(BinOp::Add, k, one);
-        let inc = make_inc(&mut proc.exprs, &cand.inc);
+        let inc = make_inc(&mut proc.exprs, &cand.step);
         affine(&mut proc.exprs, k1, inc)
     };
     let final_value = {
-        let t = trips_expression(proc, body, shape.lv, shape.lo, shape.hi, shape.step);
-        let inc = make_inc(&mut proc.exprs, &cand.inc);
+        let t = head.trips_expression(proc, body);
+        let inc = make_inc(&mut proc.exprs, &cand.step);
         affine(&mut proc.exprs, t, inc)
     };
 
@@ -337,7 +249,7 @@ fn apply_candidate(
     let (stmts, exprs) = (&proc.stmts, &mut proc.exprs);
     if let StmtKind::DoLoop { body, .. } | StmtKind::DoParallel { body, .. } = &stmts[block[*pos]] {
         for (p, &inner) in body.iter().enumerate() {
-            let value = if p <= cand.def_pos {
+            let value = if p <= cand.step.pos {
                 pre_value
             } else {
                 post_value

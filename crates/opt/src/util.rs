@@ -1,7 +1,13 @@
 //! Shared helpers for the scalar passes: loop-invariance, copy-chain
-//! resolution, and position-aware use replacement.
+//! resolution, position-aware use replacement, and the one recogniser of
+//! a loop's induction step — [`sole_def`] finds a variable's only
+//! definition in a body and `step_of` matches it as `v = v ± c`, which
+//! is what while→DO, induction-variable substitution, list spreading and
+//! strength's hoisting all ask.
 
-use titanc_il::{Expr, ExprId, ExprPool, Procedure, StmtId, StmtKind, StmtPool, VarId};
+use titanc_il::{
+    BinOp, Expr, ExprId, ExprPool, LValue, Procedure, Reject, StmtId, StmtKind, StmtPool, VarId,
+};
 
 /// True when some statement in `block` (recursively) defines `v`.
 pub fn defined_in(pool: &StmtPool, block: &[StmtId], v: VarId) -> bool {
@@ -65,6 +71,61 @@ pub fn resolve_copy(proc: &Procedure, body: &[StmtId], pos: usize, w: VarId) -> 
         }
         return target;
     }
+}
+
+/// The position in `body` of `v`'s only definition, which must be a
+/// top-level statement: [`Reject::NoStep`] when nothing defines `v`,
+/// [`Reject::MultipleSteps`] for a second definition or a nested
+/// (conditional) one.
+pub fn sole_def(pool: &StmtPool, body: &[StmtId], v: VarId) -> Result<usize, Reject> {
+    let nested = |s: &StmtId| pool[*s].blocks().iter().any(|b| defined_in(pool, b, v));
+    if body.iter().any(nested) {
+        return Err(Reject::MultipleSteps);
+    }
+    let mut defs = (0..body.len()).filter(|&i| pool[body[i]].defined_var() == Some(v));
+    match (defs.next(), defs.next()) {
+        (None, _) => Err(Reject::NoStep),
+        (Some(pos), None) => Ok(pos),
+        (Some(_), Some(_)) => Err(Reject::MultipleSteps),
+    }
+}
+
+/// A variable's once-per-iteration step, found by [`step_of`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct Step {
+    /// The position of the step statement in the body.
+    pub pos: usize,
+    /// `v = o + c` or `v = c + o` (true), or `v = o - c` (false).
+    pub positive: bool,
+    /// The amount `c`: a subtree of the step statement.
+    pub c: ExprId,
+}
+
+/// `v`'s [`sole_def`] matched as `v = o + c`, `v = c + o` or `v = o - c`,
+/// where the origin `o` is `v` itself or a copy of it ([`resolve_copy`]).
+/// Any other definition is [`Reject::NoStep`]. Whether `c` is invariant
+/// is each caller's own rule.
+pub(crate) fn step_of(proc: &Procedure, body: &[StmtId], v: VarId) -> Result<Step, Reject> {
+    let pos = sole_def(&proc.stmts, body, v)?;
+    let StmtKind::Assign {
+        lhs: LValue::Var(_),
+        rhs,
+    } = proc.stmts[body[pos]]
+    else {
+        return Err(Reject::NoStep);
+    };
+    let Expr::Binary { op, lhs, rhs, .. } = proc.exprs[rhs] else {
+        return Err(Reject::NoStep);
+    };
+    let is_v =
+        |e: ExprId| matches!(proc.exprs[e], Expr::Var(w) if resolve_copy(proc, body, pos, w) == v);
+    let (positive, c) = match op {
+        BinOp::Add if is_v(lhs) => (true, rhs),
+        BinOp::Add if is_v(rhs) => (true, lhs),
+        BinOp::Sub if is_v(lhs) => (false, rhs),
+        _ => return Err(Reject::NoStep),
+    };
+    Ok(Step { pos, positive, c })
 }
 
 /// Replaces every read of `v` in the statement tree at `s` (including
@@ -207,6 +268,100 @@ mod tests {
         b.assign_var(x, add);
         let p = b.finish();
         assert_eq!(count_reads_block(&p.stmts, &p.exprs, &p.body, x), 2);
+    }
+
+    /// A procedure with the int locals `v`, `t`, `u` and `c`, whose body
+    /// `build` writes.
+    fn body_of(build: impl FnOnce(&mut ProcBuilder, [VarId; 4])) -> (Procedure, [VarId; 4]) {
+        let mut b = ProcBuilder::new("t", Type::Void);
+        let vars = ["v", "t", "u", "c"].map(|n| b.local(n, Type::Int));
+        build(&mut b, vars);
+        (b.finish(), vars)
+    }
+
+    #[test]
+    fn sole_def_rejects_none_two_and_nested() {
+        let (p, [v, ..]) = body_of(|_, _| {});
+        assert_eq!(sole_def(&p.stmts, &p.body, v), Err(Reject::NoStep));
+        let (p, [v, ..]) = body_of(|b, [v, ..]| {
+            for k in [1, 2] {
+                let e = b.int(k);
+                b.assign_var(v, e);
+            }
+        });
+        assert_eq!(sole_def(&p.stmts, &p.body, v), Err(Reject::MultipleSteps));
+        let (p, [v, _, _, c]) = body_of(|b, [v, _, _, c]| {
+            let inner = {
+                let mut lb = b.block();
+                let one = lb.int(1);
+                lb.assign_var(v, one);
+                lb.stmts()
+            };
+            let cond = b.var(c);
+            b.if_(cond, inner, vec![]);
+        });
+        assert_eq!(sole_def(&p.stmts, &p.body, v), Err(Reject::MultipleSteps));
+        assert_eq!(sole_def(&p.stmts, &p.body, c), Err(Reject::NoStep));
+    }
+
+    #[test]
+    fn step_of_needs_a_binary_assignment() {
+        let (p, [v, ..]) = body_of(|b, [v, ..]| b.call(Some(LValue::Var(v)), "next", vec![]));
+        assert_eq!(step_of(&p, &p.body, v), Err(Reject::NoStep));
+        let (p, [v, ..]) = body_of(|b, [v, _, _, c]| {
+            let e = b.var(c);
+            b.assign_var(v, e);
+        });
+        assert_eq!(step_of(&p, &p.body, v), Err(Reject::NoStep));
+    }
+
+    #[test]
+    fn step_of_reads_both_directions() {
+        // v = 4 + v
+        let (p, [v, ..]) = body_of(|b, [v, ..]| {
+            let (four, ev) = (b.int(4), b.var(v));
+            let sum = b.ibinary(BinOp::Add, four, ev);
+            b.assign_var(v, sum);
+        });
+        let step = step_of(&p, &p.body, v).unwrap();
+        assert_eq!((step.pos, step.positive), (0, true));
+        assert_eq!(p.exprs.as_int(step.c), Some(4));
+        // t = v; v = t - c: a negative step through the copy
+        let (p, [v, _, _, c]) = body_of(|b, [v, t, _, c]| {
+            let ev = b.var(v);
+            b.assign_var(t, ev);
+            let (et, ec) = (b.var(t), b.var(c));
+            let diff = b.ibinary(BinOp::Sub, et, ec);
+            b.assign_var(v, diff);
+        });
+        let step = step_of(&p, &p.body, v).unwrap();
+        assert_eq!((step.pos, step.positive), (1, false));
+        assert_eq!(p.exprs[step.c], Expr::Var(c));
+    }
+
+    #[test]
+    fn step_of_stops_at_a_redefined_copy_source() {
+        // u = v; t = u; [u = 0;] v = t + 1 — with `u = 0` the copy `t = u`
+        // no longer carries v, so there is no step
+        let build = |redefine: bool| {
+            body_of(move |b, [v, t, u, _]| {
+                let ev = b.var(v);
+                b.assign_var(u, ev);
+                let eu = b.var(u);
+                b.assign_var(t, eu);
+                if redefine {
+                    let zero = b.int(0);
+                    b.assign_var(u, zero);
+                }
+                let (et, one) = (b.var(t), b.int(1));
+                let sum = b.ibinary(BinOp::Add, et, one);
+                b.assign_var(v, sum);
+            })
+        };
+        let (p, [v, ..]) = build(false);
+        assert!(step_of(&p, &p.body, v).is_ok_and(|s| s.positive));
+        let (p, [v, ..]) = build(true);
+        assert_eq!(step_of(&p, &p.body, v), Err(Reject::NoStep));
     }
 
     #[test]

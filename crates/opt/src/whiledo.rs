@@ -11,10 +11,10 @@
 //! zero, the paper's `i = n; while (i) { … i = temp - s; }` form), and the
 //! body advances the variable by a loop-invariant step exactly once per
 //! iteration — possibly through the copy temporaries the front end
-//! introduces. The body is left untouched: a fresh *dummy* counter drives
-//! the iteration, exactly as in the paper's example, and induction-variable
-//! substitution plus dead-code elimination subsequently clean up the
-//! original variable.
+//! introduces (`util::step_of`, which ivsub asks too). The body
+//! is left untouched: a fresh *dummy* counter drives the iteration,
+//! exactly as in the paper's example, and induction-variable substitution
+//! plus dead-code elimination subsequently clean up the original variable.
 //!
 //! Arena discipline: the bound and step expressions referenced by the plan
 //! are subtrees of the surviving loop body, so the rewritten `DoLoop`
@@ -22,7 +22,7 @@
 //! rewrite silently change the header.
 
 use crate::affine::{decompose, Affine};
-use crate::util::{defined_in, invariant_in, resolve_copy};
+use crate::util::{invariant_in, step_of, Step};
 use titanc_analysis::{loops, Cfg, ProcAnalyses};
 use titanc_il::visit::{edit_tree, Order};
 use titanc_il::{
@@ -107,12 +107,6 @@ enum StepPlan {
     NegExpr(ExprId),
 }
 
-/// The induction step found in the body: `iv = iv ± c`.
-struct StepInfo {
-    positive: bool,
-    c: ExprId,
-}
-
 fn analyze(proc: &Procedure, cfg: &Cfg, w: StmtId) -> Result<Plan, Reject> {
     let (cond, body, safe) = match &proc.stmts[w] {
         StmtKind::While { cond, body, safe } => (*cond, body.clone(), *safe),
@@ -131,8 +125,8 @@ fn analyze(proc: &Procedure, cfg: &Cfg, w: StmtId) -> Result<Plan, Reject> {
         return Err(Reject::BranchInto);
     }
 
-    // Parse the condition into (iv, relation, bound).
-    let (iv, rel, bound) = parse_condition(proc, &body, cond)?;
+    // Parse the condition into (iv, relation, bound, iv's step).
+    let (iv, rel, bound, step) = parse_condition(proc, &body, cond)?;
     if !proc.var(iv).is_register_candidate() {
         return Err(Reject::NotCandidate);
     }
@@ -142,8 +136,8 @@ fn analyze(proc: &Procedure, cfg: &Cfg, w: StmtId) -> Result<Plan, Reject> {
         }
     }
 
-    // Find the unique once-per-iteration step of iv.
-    let step = find_step(proc, &body, iv)?;
+    // iv must have a unique once-per-iteration step.
+    let step = step?;
     if !invariant_in(proc, &body, step.c) {
         return Err(Reject::VaryingStep);
     }
@@ -206,26 +200,26 @@ fn analyze(proc: &Procedure, cfg: &Cfg, w: StmtId) -> Result<Plan, Reject> {
     })
 }
 
-/// Parses the loop condition into `(iv, relation, bound)`, normalizing so
-/// the variable is on the left. A `None` bound means zero.
-fn parse_condition(
-    proc: &Procedure,
-    body: &[StmtId],
-    cond: ExprId,
-) -> Result<(VarId, BinOp, Option<ExprId>), Reject> {
+/// A parsed loop condition: `(iv, relation, bound, iv's step)`.
+type Condition = (VarId, BinOp, Option<ExprId>, Result<Step, Reject>);
+
+/// Parses the loop condition, normalizing so the variable is on the left.
+/// A `None` bound means zero. A `while (iv)` loop's step comes back
+/// unchecked: its rejection ranks after the variable's and the bound's.
+fn parse_condition(proc: &Procedure, body: &[StmtId], cond: ExprId) -> Result<Condition, Reject> {
     match proc.exprs[cond] {
-        Expr::Var(v) => Ok((v, BinOp::Ne, None)),
+        Expr::Var(v) => Ok((v, BinOp::Ne, None, step_of(proc, body, v))),
         Expr::Binary { op, lhs, rhs, .. } if op.is_comparison() => {
             // prefer the side that is stepped in the body
             let lv = as_var(proc, lhs);
-            let rv = as_var(proc, rhs);
-            let l_step = lv.map(|v| find_step(proc, body, v));
-            let r_step = rv.map(|v| find_step(proc, body, v));
-            if let (Some(v), Some(Ok(_))) = (lv, &l_step) {
-                return Ok((v, op, Some(rhs)));
+            let l_step = lv.map(|v| step_of(proc, body, v));
+            if let (Some(v), Some(Ok(step))) = (lv, l_step) {
+                return Ok((v, op, Some(rhs), Ok(step)));
             }
-            if let (Some(v), Some(Ok(_))) = (rv, &r_step) {
-                return Ok((v, flip(op), Some(lhs)));
+            let rv = as_var(proc, rhs);
+            let r_step = rv.map(|v| step_of(proc, body, v));
+            if let (Some(v), Some(Ok(step))) = (rv, r_step) {
+                return Ok((v, flip(op), Some(lhs), Ok(step)));
             }
             // propagate the more specific failure when a side looked like
             // an induction variable but was stepped conditionally
@@ -254,60 +248,6 @@ fn flip(op: BinOp) -> BinOp {
         BinOp::Gt => BinOp::Lt,
         BinOp::Ge => BinOp::Le,
         other => other,
-    }
-}
-
-/// Finds the unique top-level step `iv = iv ± c` (possibly via front-end
-/// copy temporaries) in the body. The returned `c` is a subtree of the
-/// body's step statement.
-fn find_step(proc: &Procedure, body: &[StmtId], iv: VarId) -> Result<StepInfo, Reject> {
-    // nested (conditional) definitions disqualify
-    for &s in body {
-        if proc.stmts[s]
-            .blocks()
-            .iter()
-            .any(|b| defined_in(&proc.stmts, b, iv))
-        {
-            return Err(Reject::MultipleSteps);
-        }
-    }
-    let defs: Vec<(usize, StmtId)> = body
-        .iter()
-        .enumerate()
-        .filter(|(_, &s)| proc.stmts[s].defined_var() == Some(iv))
-        .map(|(i, &s)| (i, s))
-        .collect();
-    match defs.as_slice() {
-        [] => Err(Reject::NoStep),
-        [(pos, s)] => {
-            if let StmtKind::Assign {
-                lhs: LValue::Var(_),
-                rhs,
-            } = &proc.stmts[*s]
-            {
-                if let Expr::Binary { op, lhs, rhs, .. } = proc.exprs[*rhs] {
-                    let l_origin = as_var(proc, lhs).map(|v| resolve_copy(proc, body, *pos, v));
-                    let r_origin = as_var(proc, rhs).map(|v| resolve_copy(proc, body, *pos, v));
-                    return match op {
-                        BinOp::Add if l_origin == Some(iv) => Ok(StepInfo {
-                            positive: true,
-                            c: rhs,
-                        }),
-                        BinOp::Add if r_origin == Some(iv) => Ok(StepInfo {
-                            positive: true,
-                            c: lhs,
-                        }),
-                        BinOp::Sub if l_origin == Some(iv) => Ok(StepInfo {
-                            positive: false,
-                            c: rhs,
-                        }),
-                        _ => Err(Reject::NoStep),
-                    };
-                }
-            }
-            Err(Reject::NoStep)
-        }
-        _ => Err(Reject::MultipleSteps),
     }
 }
 

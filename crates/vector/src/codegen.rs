@@ -24,7 +24,7 @@ use titanc_il::{
     BinOp, Block, Expr, ExprId, LValue, LoopDecision, LoopEvent, Procedure, Report, ScalarType,
     SrcSpan, StmtId, StmtKind, Type, VarId,
 };
-use titanc_opt::affine::{const_trip_count, decompose, trips_expression, Affine};
+use titanc_opt::affine::{decompose, Affine, DoHeader};
 use titanc_opt::util::defined_in;
 
 /// Vectorizer configuration.
@@ -198,11 +198,9 @@ struct VecStmtPlan {
 fn try_vectorize_loop(proc: &mut Procedure, id: StmtId, opts: &VectorOptions) -> Outcome {
     let StmtKind::DoLoop {
         var: lv,
-        lo,
-        hi,
-        step: step_e,
         ref body,
         safe,
+        ..
     } = proc.stmts[id]
     else {
         unreachable!("try_vectorize_loop called on a non-DO statement");
@@ -215,18 +213,16 @@ fn try_vectorize_loop(proc: &mut Procedure, id: StmtId, opts: &VectorOptions) ->
         note: format!("{proc_name}: loop on `{lv_name}` left scalar: {defeat}"),
         defeat,
     };
-    let step = match proc.exprs.as_int(step_e) {
-        Some(s) if s != 0 => s,
-        _ => return scalar("step is not a nonzero constant".to_string()),
+    let Some(head) = DoHeader::of(&proc.stmts[id], &proc.exprs) else {
+        return scalar("step is not a nonzero constant".to_string());
     };
-    let trips_const = const_trip_count(&proc.exprs, lo, hi, step_e);
+    let trips_const = head.const_trip_count(&proc.exprs);
     let aliasing = if safe {
         Aliasing::Fortran
     } else {
         opts.aliasing
     };
-    let lo_const = proc.exprs.as_int(lo);
-    let graph = DepGraph::build_for_loop(proc, &body, lv, lo_const, step, trips_const, aliasing);
+    let graph = DepGraph::build(proc, &body, &head, aliasing);
 
     // When the user asserted safety, memory dependence edges are waived.
     let blocking_cycle = |i: usize| !safe && graph.has_carried_self_cycle(i);
@@ -280,7 +276,7 @@ fn try_vectorize_loop(proc: &mut Procedure, id: StmtId, opts: &VectorOptions) ->
             Some(n) => proc.exprs.int(n),
             None => {
                 let t = proc.fresh_temp(Type::Int);
-                let rhs = trips_expression(proc, &body, lv, lo, hi, step);
+                let rhs = head.trips_expression(proc, &body);
                 let lhs = LValue::Var(t);
                 replacement.push(proc.stamp_at(StmtKind::Assign { lhs, rhs }, loop_span));
                 proc.exprs.var(t)
@@ -291,10 +287,8 @@ fn try_vectorize_loop(proc: &mut Procedure, id: StmtId, opts: &VectorOptions) ->
                 Group::Vector(plans) => {
                     if let Some(sid) = emit_vector_group(
                         proc,
-                        lv,
                         &body,
-                        lo,
-                        step,
+                        &head,
                         trips_const,
                         trips_expr,
                         plans,
@@ -311,9 +305,9 @@ fn try_vectorize_loop(proc: &mut Procedure, id: StmtId, opts: &VectorOptions) ->
                     // the loop header exprs are deep-copied so no two
                     // reachable statements share expression slots
                     let residual_body: Block = members.iter().map(|&i| body[i]).collect();
-                    let lo_c = proc.exprs.copy(lo);
-                    let hi_c = proc.exprs.copy(hi);
-                    let step_c = proc.exprs.copy(step_e);
+                    let lo_c = proc.exprs.copy(head.lo);
+                    let hi_c = proc.exprs.copy(head.hi);
+                    let step_c = proc.exprs.int(head.step);
                     let st = proc.stamp_at(
                         StmtKind::DoLoop {
                             var: lv,
@@ -456,10 +450,8 @@ fn rhs_vectorizable(proc: &Procedure, body: &[StmtId], lv: VarId, e: ExprId) -> 
 #[allow(clippy::too_many_arguments)]
 fn emit_vector_group(
     proc: &mut Procedure,
-    lv: VarId,
     body: &[StmtId],
-    lo: ExprId,
-    step: i64,
+    head: &DoHeader,
     trips_const: Option<i64>,
     trips_expr: ExprId,
     plans: Vec<VecStmtPlan>,
@@ -471,7 +463,7 @@ fn emit_vector_group(
     if single_ok {
         let zero = proc.exprs.int(0);
         for plan in &plans {
-            let kind = vector_assign(proc, body, lv, lo, step, plan, zero, trips_expr);
+            let kind = vector_assign(proc, body, head, plan, zero, trips_expr);
             let st = proc.stamp_at(kind, loop_span);
             replacement.push(st);
         }
@@ -501,7 +493,7 @@ fn emit_vector_group(
     let origin = proc.exprs.var(ks);
     let len = proc.exprs.var(t_len);
     for plan in &plans {
-        let kind = vector_assign(proc, body, lv, lo, step, plan, origin, len);
+        let kind = vector_assign(proc, body, head, plan, origin, len);
         let st = proc.stamp_at(kind, loop_span);
         inner.push(st);
     }
@@ -533,22 +525,17 @@ fn emit_vector_group(
 }
 
 /// Builds the vector assignment for one plan at a strip origin.
-#[allow(clippy::too_many_arguments)]
 fn vector_assign(
     proc: &mut Procedure,
     body: &[StmtId],
-    lv: VarId,
-    lo: ExprId,
-    step: i64,
+    head: &DoHeader,
     plan: &VecStmtPlan,
     origin: ExprId,
     len: ExprId,
 ) -> StmtKind {
-    let base = plan
-        .lhs_affine
-        .emit_at(proc, body, lv, lo, step, Some(origin));
+    let base = plan.lhs_affine.emit_at(proc, body, head, Some(origin));
     let len_c = proc.exprs.copy(len);
-    let stride = proc.exprs.int(plan.lhs_affine.coeff * step);
+    let stride = proc.exprs.int(plan.lhs_affine.coeff * head.step);
     let lhs = LValue::Section {
         base,
         len: len_c,
@@ -556,20 +543,17 @@ fn vector_assign(
         ty: plan.lhs_ty,
     };
     let rhs = proc.exprs.copy(plan.rhs);
-    rewrite_loads(proc, body, lv, lo, step, origin, len, rhs);
+    rewrite_loads(proc, body, head, origin, len, rhs);
     StmtKind::Assign { lhs, rhs }
 }
 
 /// Replaces every varying affine load in the (freshly copied) rhs tree
 /// with a section, rewriting slots in place; invariant loads stay scalar
 /// with their address rebuilt at `lv = lo`.
-#[allow(clippy::too_many_arguments)]
 fn rewrite_loads(
     proc: &mut Procedure,
     body: &[StmtId],
-    lv: VarId,
-    lo: ExprId,
-    step: i64,
+    head: &DoHeader,
     origin: ExprId,
     len: ExprId,
     e: ExprId,
@@ -580,11 +564,11 @@ fn rewrite_loads(
         volatile: false,
     } = proc.exprs[e]
     {
-        if let Some(aff) = decompose(proc, body, lv, addr) {
+        if let Some(aff) = decompose(proc, body, head.lv, addr) {
             if aff.coeff != 0 {
-                let base = aff.emit_at(proc, body, lv, lo, step, Some(origin));
+                let base = aff.emit_at(proc, body, head, Some(origin));
                 let len_c = proc.exprs.copy(len);
-                let stride = proc.exprs.int(aff.coeff * step);
+                let stride = proc.exprs.int(aff.coeff * head.step);
                 proc.exprs[e] = Expr::Section {
                     base,
                     len: len_c,
@@ -595,13 +579,13 @@ fn rewrite_loads(
             }
             // invariant load: rebuild its address at lv = lo so the loop
             // variable does not leak into the vector statement
-            let new_addr = aff.emit_at(proc, body, lv, lo, step, None);
+            let new_addr = aff.emit_at(proc, body, head, None);
             proc.exprs[addr] = proc.exprs[new_addr];
             return;
         }
     }
     for c in proc.exprs[e].child_ids() {
-        rewrite_loads(proc, body, lv, lo, step, origin, len, c);
+        rewrite_loads(proc, body, head, origin, len, c);
     }
 }
 

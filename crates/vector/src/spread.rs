@@ -18,7 +18,7 @@ use titanc_il::visit::{edit_tree, Order};
 use titanc_il::{
     Expr, ExprId, LoopDecision, LoopEvent, Procedure, Report, ScalarType, StmtId, StmtKind, VarId,
 };
-use titanc_opt::util::{count_reads_block, resolve_copy};
+use titanc_opt::util::{count_reads_block, resolve_copy, sole_def};
 
 /// Converts eligible pointer-chasing `while` loops into spread form,
 /// reporting one event per loop converted to `WhileSpread`.
@@ -77,24 +77,7 @@ fn analyze(proc: &Procedure, cond: ExprId, body: &[StmtId]) -> Option<Plan> {
     }
     // exactly one definition of p, at top level: p = Load(addr) where the
     // address reads (a copy of) p — the pointer chase
-    let defs: Vec<usize> = body
-        .iter()
-        .enumerate()
-        .filter(|(_, &s)| proc.stmts[s].defined_var() == Some(p))
-        .map(|(i, _)| i)
-        .collect();
-    let [def_pos] = defs.as_slice() else {
-        return None;
-    };
-    let def_pos = *def_pos;
-    if body.iter().any(|&s| {
-        proc.stmts[s]
-            .blocks()
-            .iter()
-            .any(|b| titanc_opt::util::defined_in(&proc.stmts, b, p))
-    }) {
-        return None;
-    }
+    let def_pos = sole_def(&proc.stmts, body, p).ok()?;
     let chase_ok = match &proc.stmts[body[def_pos]] {
         StmtKind::Assign { rhs, .. } => match proc.exprs[*rhs] {
             Expr::Load {

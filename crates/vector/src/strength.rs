@@ -15,8 +15,9 @@
 //!   induction-variable substitution introduced (the "deoptimization" the
 //!   paper admits IVS causes on non-vector loops). Common affine addresses
 //!   share one temporary — the combined CSE the paper describes.
-//! * **Loop-invariant hoisting**: invariant top-level right-hand sides move
-//!   in front of the loop.
+//! * **Loop-invariant hoisting**: invariant top-level right-hand sides of
+//!   a variable's sole definition move in front of a loop that runs at
+//!   least once.
 //! * **Operation reduction** (§6's "simultaneously reduce expensive
 //!   operations"): one last sweep over every expression the statement tree
 //!   reaches — not the arena, which rewrites have left mostly garbage —
@@ -32,6 +33,10 @@
 //!   The rewrites are `titanc_il::fold`'s [`reassociate_offset`] and
 //!   [`reduce_multiply`], exact under `eval_binop`'s wrapping arithmetic;
 //!   `fold_expr` never applies them, so `-O1` output does not see them.
+//!
+//! The three loop rewrites read the loop through
+//! `titanc_opt::affine::DoHeader` and its dependence graph through
+//! [`DepGraph::build`], as the vectorizer does.
 
 use titanc_deps::{Aliasing, DepGraph};
 use titanc_il::fold::{fold_expr, reassociate_offset, reduce_multiply};
@@ -40,8 +45,8 @@ use titanc_il::{
     BinOp, Block, Count, Expr, ExprId, ExprPool, LValue, Procedure, Report, ScalarType, StmtId,
     StmtKind, Type, VarId,
 };
-use titanc_opt::affine::{const_trip_count, decompose, Affine};
-use titanc_opt::util::invariant_in;
+use titanc_opt::affine::{decompose, Affine, DoHeader};
+use titanc_opt::util::{count_reads_block, invariant_in, sole_def};
 
 /// Runs the §6 optimizations on every remaining scalar DO loop, then the
 /// operation-reduction sweep over the whole procedure, counting the memory
@@ -100,35 +105,18 @@ fn reduce_operations(proc: &mut Procedure, report: &mut Report) -> bool {
 /// A DO loop with a nonzero constant step; its body is out of the pool
 /// while the three rewrites edit it.
 struct Loop {
-    lv: VarId,
-    lo: ExprId,
-    hi: ExprId,
-    step: i64,
-    step_e: ExprId,
+    head: DoHeader,
     body: Block,
 }
 
 /// Takes the body of the DO loop `id` out, if its step is a nonzero constant.
 fn take_loop(proc: &mut Procedure, id: StmtId) -> Option<Loop> {
-    let StmtKind::DoLoop {
-        var,
-        lo,
-        hi,
-        step,
-        body,
-        ..
-    } = &mut proc.stmts[id]
-    else {
+    let head = DoHeader::of(&proc.stmts[id], &proc.exprs)?;
+    let StmtKind::DoLoop { body, .. } = &mut proc.stmts[id] else {
         return None;
     };
-    Some(Loop {
-        lv: *var,
-        lo: *lo,
-        hi: *hi,
-        step: proc.exprs.as_int(*step).filter(|&st| st != 0)?,
-        step_e: *step,
-        body: std::mem::take(body),
-    })
+    let body = std::mem::take(body);
+    Some(Loop { head, body })
 }
 
 // ---------------------------------------------------------------------
@@ -148,17 +136,9 @@ fn promote_registers(
     aliasing: Aliasing,
     report: &mut Report,
 ) {
-    let Loop {
-        lv,
-        lo,
-        hi,
-        step,
-        step_e,
-        ref body,
-    } = *l;
-    let trips = const_trip_count(&proc.exprs, lo, hi, step_e);
-    let lo_const = proc.exprs.as_int(lo);
-    let graph = DepGraph::build_for_loop(proc, body, lv, lo_const, step, trips, aliasing);
+    let Loop { ref head, ref body } = *l;
+    let DoHeader { lv, step, .. } = *head;
+    let graph = DepGraph::build(proc, body, head, aliasing);
     if graph.pinned.iter().any(|&p| p) {
         return;
     }
@@ -227,7 +207,7 @@ fn promote_registers(
     let tval = proc.fresh_temp(proc.var(reg).ty.clone());
 
     // preheader: reg = load(A_load(lo))
-    let pre_addr = load_aff.emit_at(proc, body, lv, lo, step, None);
+    let pre_addr = load_aff.emit_at(proc, body, head, None);
     let pre_rhs = proc.exprs.load(pre_addr, store_ty);
     let load_reg = proc.stamp(StmtKind::Assign {
         lhs: LValue::Var(reg),
@@ -299,24 +279,14 @@ fn loads(proc: &Procedure, stmts: &[StmtId]) -> Vec<(ExprId, ExprId)> {
 // ---------------------------------------------------------------------
 
 fn hoist_invariants(proc: &Procedure, l: &mut Loop, pre: &mut Block, report: &mut Report) {
-    let Loop {
-        lv,
-        lo,
-        hi,
-        step_e,
-        ref body,
-        ..
-    } = *l;
+    let Loop { ref head, ref body } = *l;
     // Hoisting executes the assignment exactly once *before* the loop, so
     // it is only sound when (a) the loop provably runs at least once —
     // otherwise a post-loop reader would observe a write that never
     // happened — and (b) nothing at or before the definition reads the
     // variable, whose first-iteration value would otherwise still be the
     // pre-loop one.
-    let runs_at_least_once = matches!(
-        const_trip_count(&proc.exprs, lo, hi, step_e),
-        Some(n) if n >= 1
-    );
+    let runs_at_least_once = head.const_trip_count(&proc.exprs) >= Some(1);
     if !runs_at_least_once {
         return;
     }
@@ -329,25 +299,10 @@ fn hoist_invariants(proc: &Procedure, l: &mut Loop, pre: &mut Block, report: &mu
                 rhs,
             } => {
                 proc.var(*v).is_register_candidate()
-                    && !proc.exprs.any(*rhs, |n| *n == Expr::Var(lv))
+                    && !proc.exprs.any(*rhs, |n| *n == Expr::Var(head.lv))
                     && invariant_in(proc, body, *rhs)
-                    && body
-                        .iter()
-                        .filter(|&&t| proc.stmts[t].defined_var() == Some(*v))
-                        .count()
-                        == 1
-                    && !body.iter().any(|&t| {
-                        proc.stmts[t]
-                            .blocks()
-                            .iter()
-                            .any(|b| titanc_opt::util::defined_in(&proc.stmts, b, *v))
-                    })
-                    && titanc_opt::util::count_reads_block(
-                        &proc.stmts,
-                        &proc.exprs,
-                        &body[..=pos],
-                        *v,
-                    ) == 0
+                    && sole_def(&proc.stmts, body, *v).is_ok()
+                    && count_reads_block(&proc.stmts, &proc.exprs, &body[..=pos], *v) == 0
             }
             _ => false,
         };
@@ -370,13 +325,8 @@ fn hoist_invariants(proc: &Procedure, l: &mut Loop, pre: &mut Block, report: &mu
 // ---------------------------------------------------------------------
 
 fn reduce_addresses(proc: &mut Procedure, l: &mut Loop, pre: &mut Block, report: &mut Report) {
-    let Loop {
-        lv,
-        lo,
-        step,
-        ref body,
-        ..
-    } = *l;
+    let Loop { ref head, ref body } = *l;
+    let DoHeader { lv, step, .. } = *head;
     // every load and store address, then the distinct varying affine ones
     let mut addrs = Vec::new();
     for &s in body {
@@ -406,7 +356,7 @@ fn reduce_addresses(proc: &mut Procedure, l: &mut Loop, pre: &mut Block, report:
     for aff in &keys {
         let pt = proc.fresh_temp(Type::ptr_to(Type::Void));
         proc.var_mut(pt).name = format!("sr_p{}", pt.index());
-        let init_rhs = aff.emit_at(proc, body, lv, lo, step, None);
+        let init_rhs = aff.emit_at(proc, body, head, None);
         let init = proc.stamp(StmtKind::Assign {
             lhs: LValue::Var(pt),
             rhs: init_rhs,
