@@ -224,7 +224,7 @@ fn progen_sources() -> Vec<(String, String)> {
     sources
 }
 
-/// One line per program of [`progen_sources`], compiled on `jobs` lanes:
+/// One line per program of `progen_sources`, compiled on `jobs` lanes:
 /// its name, then the digests of three byte strings — what `titanc -O0
 /// --print-il` prints (the lowerer's IL), what `titanc -O2 --parallel
 /// --print-il --stats --opt-report=json` prints (both as [`render_case`]

@@ -123,7 +123,7 @@ fn tags() -> impl Iterator<Item = &'static str> {
 pub struct Totals {
     /// Cases that printed a FAIL block.
     pub failed: u64,
-    /// Decision events per [`tags`] entry, over every reference compile.
+    /// Decision events per `tags` entry, over every reference compile.
     pub coverage: [u64; LoopDecision::TAGS.len() + InlineOutcome::TAGS.len()],
     /// `do_rejected` events per [`Reject::ALL`] reason, over the same
     /// compiles.
@@ -209,7 +209,7 @@ impl Totals {
 }
 
 /// Runs `check` on `case` under one `catch_unwind`, leaving no IO fault
-/// installed whatever happened ([`with_faults`] resets on return, this on
+/// installed whatever happened (`with_faults` resets on return, this on
 /// a panic — never after a passing case, which may run beside another
 /// check's faults). A failure is counted and prints the FAIL block — the
 /// line, the program, the replay command — to stderr; `at` is the case's

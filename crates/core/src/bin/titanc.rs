@@ -38,8 +38,9 @@
 //!
 //! Exit codes: `0` success, `1` source diagnostics (or I/O / simulator
 //! failure), `2` usage error, `3` a contained pass incident under
-//! `--strict`. With `--run`, a successful simulation exits with the
-//! program's own return value instead.
+//! `--strict`, or a panic inside `--run`'s simulator. With `--run`, a
+//! successful simulation exits with the program's own return value
+//! instead.
 //!
 //! Example:
 //!
@@ -336,7 +337,21 @@ fn main() -> ExitCode {
         }
         let mut sim = Simulator::new(&compiled.program, machine);
         sim.push_volatile_values(&cli.volatile_values);
-        match sim.run(&cli.entry, &[]) {
+        let ran = titanc::contain_panic(|| {
+            // the `TITANC_INJECT_PANIC=--run` hook: the simulator faults
+            if std::env::var("TITANC_INJECT_PANIC").is_ok_and(|t| t == "--run") {
+                panic!("injected fault in the simulator");
+            }
+            sim.run(&cli.entry, &[])
+        });
+        let ran = match ran {
+            Ok(ran) => ran,
+            Err(panic) => {
+                eprintln!("titanc: internal error: {panic}");
+                return ExitCode::from(server::EXIT_INCIDENT);
+            }
+        };
+        match ran {
             Ok(result) => {
                 for line in &result.stats.output {
                     println!("{line}");

@@ -50,8 +50,8 @@ use std::error::Error;
 use std::fmt;
 
 pub use pass::{
-    CachedEntry, IncidentKind, Pass, PassContext, PassIncident, PassRecord, PassTrace, Pipeline,
-    ProcPass, RecordedCell, Replay, SessionReplay, Snapshot, WorkItem,
+    contain_panic, CachedEntry, IncidentKind, Pass, PassContext, PassIncident, PassRecord,
+    PassTrace, Pipeline, ProcPass, RecordedCell, Replay, SessionReplay, Snapshot, WorkItem,
 };
 pub use session::{
     compile_session, compile_session_resident, SessionCompilation, SessionStats, SourceFile,
@@ -337,8 +337,15 @@ fn link_catalogs(
 }
 
 /// Turns the aggregate pass reports into user-facing remarks: which loops
-/// defeated the vectorizer and why, and which fixpoint budgets ran out.
+/// the vectorizer sank, which defeated it and why, and which fixpoint
+/// budgets ran out.
 fn optimization_remarks(reports: &Report, sink: &mut DiagnosticSink) {
+    for e in &reports.loops {
+        if let titanc_il::LoopDecision::Sunk(_) = e.decision {
+            let text = format!("{}: loop on `{}` {}", e.proc, e.var, e.decision);
+            sink.remark(text, Span::none());
+        }
+    }
     for note in &reports.notes {
         sink.remark(note.clone(), Span::none());
     }

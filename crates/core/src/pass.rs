@@ -19,10 +19,10 @@
 //! and the procedures fan out across [`Options::jobs`] lanes of the
 //! crate's one worker pool (scoped threads, no runtime dependency; the
 //! calling thread is lane 0). Each unit carries the
-//! procedure and its [`ProcSlot`] — everything the manager keeps about one
+//! procedure and its `ProcSlot` — everything the manager keeps about one
 //! procedure, one value at the procedure's position: its analyses, the
 //! generation already snapshotted and verified, and where it stands with
-//! the session cache ([`Replay`]) — and produces a [`ProcResult`]:
+//! the session cache ([`Replay`]) — and produces a `ProcResult`:
 //! per-pass deltas, timings, cache counters and snapshots. Results are
 //! merged **in procedure order, pass-major**, and every lane count runs
 //! the same loop over the same per-procedure chain, so `-j 1` and
@@ -357,6 +357,13 @@ pub(crate) fn contain<R>(f: impl FnOnce() -> R) -> Result<R, Box<dyn Any + Send>
     let result = catch_unwind(AssertUnwindSafe(f));
     CONTAINING.with(|c| c.set(outer));
     result
+}
+
+/// `contain` for callers outside the crate: runs `f`, a panic coming back
+/// as its message, without the default hook's echo. `titanc --run` wraps
+/// the simulator in it, as the pipeline wraps each pass.
+pub fn contain_panic<R>(f: impl FnOnce() -> R) -> Result<R, String> {
+    contain(f).map_err(|payload| panic_message(&*payload))
 }
 
 /// Renders a caught panic payload (the `&str`/`String` carried by almost
@@ -1035,7 +1042,7 @@ impl Pipeline {
 }
 
 /// One execution of a [`Pipeline`]: what every pass reads, one
-/// [`ProcSlot`] per procedure for the chain, and what the run accumulates.
+/// `ProcSlot` per procedure for the chain, and what the run accumulates.
 struct Run<'a> {
     env: Env<'a>,
     jobs: usize,

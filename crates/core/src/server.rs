@@ -49,7 +49,7 @@
 //! ## Memoised replies and containment
 //!
 //! A fully warm reply is a pure function of the request line minus `id`
-//! and `jobs`, so [`Server::handle_line`] keeps it under a [`ReplyKey`],
+//! and `jobs`, so [`Server::handle_line`] keeps it under a `ReplyKey`,
 //! in memory only. It is admitted only from an execution that exited 0
 //! fully warm with no incident and no store degradation — the one state
 //! whose `titanc: cache:` line every later execution would repeat — and a

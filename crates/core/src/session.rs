@@ -65,7 +65,7 @@
 //! A session whose store belongs to the compile server's
 //! [`ResidentCache`] runs exactly the code a one-shot session runs: it
 //! parses every file, and every entry it loads goes through
-//! [`admit_entry`] and every manifest through [`decode_manifest`], on
+//! `admit_entry` and every manifest through `decode_manifest`, on
 //! every read. The only difference is where the bytes come from — the
 //! resident layer keeps the unsealed payload of each file the daemon
 //! published or read, so a warm request reads no file and checks no
@@ -112,8 +112,11 @@ use crate::{link_catalogs, optimization_remarks, Compilation, CompileError, Opti
 /// and `cse` no longer merges `0.0` with `-0.0`, so the same key now maps
 /// to other post-pipeline IL. 11: while→DO, ivsub and constprop build DO
 /// bounds and trip counts through that form, which subtracts a negative
-/// term, so the same key now maps to other post-pipeline IL.)
-const ENTRY_VERSION: u32 = 11;
+/// term, so the same key now maps to other post-pipeline IL. 12: the
+/// vectorizer sinks a loop that carries nothing to the innermost level of
+/// its nest, and records it in a `Sunk` loop event, a new tag byte, so
+/// the same key now maps to other post-pipeline IL and other cell bytes.)
+const ENTRY_VERSION: u32 = 12;
 
 /// One input translation unit: a display name (normally the path) and
 /// its source text.

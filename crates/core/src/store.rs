@@ -3,7 +3,7 @@
 //! The cache in [`crate::session`] is an accelerator, never a
 //! correctness risk — but that contract only holds if every on-disk
 //! interaction degrades to a cold compile instead of a crash, a torn
-//! file, or (worst of all) silently replaying wrong IL. [`CacheStore`]
+//! file, or (worst of all) silently replaying wrong IL. `CacheStore`
 //! is the single point through which all cache bytes flow, and it
 //! enforces four properties:
 //!
@@ -34,7 +34,7 @@
 //!   wait for.
 //!
 //! The [`ResidentCache`] layer on top is the `titand` compile server's
-//! shared memory: two keyed [`Memo`]s of bytes — the unsealed payload of
+//! shared memory: two keyed `Memo`s of bytes — the unsealed payload of
 //! every cache file the daemon published or read, and finished replies —
 //! each under a fixed byte budget. A resident payload stands in for the
 //! file's envelope only: whoever reads it decodes and checks it exactly
@@ -360,7 +360,7 @@ impl Memos {
 
 /// The compile server's process-shared, in-memory cache layer.
 ///
-/// A `ResidentCache` is shared by all the [`CacheStore`]s opened against
+/// A `ResidentCache` is shared by all the `CacheStore`s opened against
 /// it — one per request in the daemon. It keeps the unsealed payload of
 /// every cache file a request published or read, so a later read skips
 /// the disk and the envelope checksum; the decode and every check after

@@ -117,6 +117,33 @@ fn contained_incident_exits_three_under_strict() {
     }
 }
 
+/// A panic inside `--run`'s simulator is contained: one `titanc:
+/// internal error` line, exit 3, never Rust's 101 and its backtrace.
+#[test]
+fn a_simulator_panic_exits_three() {
+    let src = write_temp("inject-run.c", GOOD);
+    let out = titanc()
+        .env("TITANC_INJECT_PANIC", "--run")
+        .args(["--run"])
+        .arg(&src)
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(3), "{}", stderr_of(&out));
+    let err = stderr_of(&out);
+    assert!(
+        err.contains("titanc: internal error: injected fault in the simulator"),
+        "{err}"
+    );
+    assert!(!err.contains("panicked"), "noisy containment:\n{err}");
+    // only the `--run` path reads that value
+    let out = titanc()
+        .env("TITANC_INJECT_PANIC", "--run")
+        .arg(&src)
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(0), "{}", stderr_of(&out));
+}
+
 #[test]
 fn degraded_program_still_runs_correctly() {
     // the faulty procedure is rolled back to its last-verified IL, so the

@@ -1,11 +1,13 @@
 //! The statement-level dependence graph of a DO loop and its SCC
 //! condensation — the structure driving vectorization (§5), register
-//! promotion, instruction scheduling and strength reduction (§6).
+//! promotion, instruction scheduling and strength reduction (§6) — and
+//! [`level_carried`], the question the vectorizer asks of a loop nest
+//! before it moves a loop inward.
 
-use crate::test::{test_pair, Verdict};
+use crate::test::{test_level, test_pair, NestRef, Verdict};
 use std::collections::BTreeMap;
 use titanc_il::{Expr, ExprId, ExprPool, LValue, Procedure, StmtId, StmtKind, VarId};
-use titanc_opt::affine::{decompose, Affine, DoHeader};
+use titanc_opt::affine::{decompose, decompose_nest, Affine, DoHeader, NEST_LEVELS};
 
 /// The kind of a dependence edge.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -210,6 +212,148 @@ impl DepGraph {
                 _ => None,
             })
             .collect()
+    }
+}
+
+/// Whether the DO loop `head`, whose body `body` is a nest of assignments
+/// and DO loops, carries a memory dependence at its own level: whether two
+/// of the nest's references, at least one of them a store, can touch a
+/// common byte in two different iterations of the loop, each DO variable
+/// inside it ranging over its loop's bounds ([`test_level`]). Scalars are
+/// the caller's question. A reference that is volatile or does not
+/// decompose, a loop or a level whose bounds are not constant, a nest
+/// deeper than [`NEST_LEVELS`] below the loop, any other statement, and
+/// any pair the tests cannot separate (symbolic parts that differ within
+/// one array, like `a[i][j]` against `a[k][j]`) count as carried.
+pub fn level_carried(
+    proc: &Procedure,
+    body: &[StmtId],
+    head: &DoHeader,
+    aliasing: Aliasing,
+) -> bool {
+    let (Some(lo), Some(trips)) = (
+        proc.exprs.as_int(head.lo),
+        head.const_trip_count(&proc.exprs),
+    ) else {
+        return true;
+    };
+    let mut nest = Nest {
+        proc,
+        body,
+        head,
+        lo,
+        levels: Vec::new(),
+        refs: Vec::new(),
+    };
+    if nest.collect(body).is_none() {
+        return true;
+    }
+    let refs = nest.refs;
+    let exprs = &proc.exprs;
+    refs.iter().enumerate().any(|(i, (a, a_writes))| {
+        refs[i..].iter().any(|(b, b_writes)| {
+            (*a_writes || *b_writes)
+                && if a.affine.same_base(&b.affine, exprs) {
+                    test_level(a, b, trips)
+                } else {
+                    bases_may_alias(exprs, &a.affine, &b.affine, aliasing).may_depend()
+                }
+        })
+    })
+}
+
+/// The walk behind [`level_carried`]: every memory reference of the nest
+/// in iteration space, with the headers of the DO loops around it.
+struct Nest<'a> {
+    proc: &'a Procedure,
+    body: &'a [StmtId],
+    head: &'a DoHeader,
+    /// The level's constant first value.
+    lo: i64,
+    /// (variable, first value, step, trip count) of each enclosing inner
+    /// loop, outermost first.
+    levels: Vec<(VarId, i64, i64, i64)>,
+    /// Each reference, and whether it stores.
+    refs: Vec<(NestRef, bool)>,
+}
+
+impl Nest<'_> {
+    /// Collects `block`'s references; `None` on anything the level test
+    /// cannot read.
+    fn collect(&mut self, block: &[StmtId]) -> Option<()> {
+        let proc = self.proc;
+        for &s in block {
+            match &proc.stmts[s] {
+                StmtKind::Assign { lhs, rhs } => {
+                    match *lhs {
+                        LValue::Var(_) => {}
+                        LValue::Deref {
+                            addr,
+                            ty,
+                            volatile: false,
+                        } => self.push(addr, ty.size(), true)?,
+                        _ => return None,
+                    }
+                    for e in lhs.address_exprs().into_iter().chain([*rhs]) {
+                        self.loads(e)?;
+                    }
+                }
+                StmtKind::DoLoop { body, .. } if self.levels.len() < NEST_LEVELS => {
+                    let h = DoHeader::of(&proc.stmts[s], &proc.exprs)?;
+                    let first = proc.exprs.as_int(h.lo)?;
+                    let trips = h.const_trip_count(&proc.exprs)?;
+                    self.levels.push((h.lv, first, h.step, trips));
+                    self.collect(body)?;
+                    self.levels.pop();
+                }
+                _ => return None,
+            }
+        }
+        Some(())
+    }
+
+    /// Collects the loads of `e`, an address's own included.
+    fn loads(&mut self, e: ExprId) -> Option<()> {
+        match self.proc.exprs[e] {
+            Expr::Load {
+                addr,
+                ty,
+                volatile: false,
+            } => self.push(addr, ty.size(), false)?,
+            Expr::Load { .. } | Expr::Section { .. } => return None,
+            _ => {}
+        }
+        for c in self.proc.exprs[e].child_ids() {
+            self.loads(c)?;
+        }
+        Some(())
+    }
+
+    /// Records the reference at `addr` with every variable of the nest at
+    /// its first value plus its step times its iteration number.
+    fn push(&mut self, addr: ExprId, width: i64, is_write: bool) -> Option<()> {
+        let vars: Vec<VarId> = self.levels.iter().map(|l| l.0).collect();
+        let mut affine = decompose_nest(self.proc, self.body, self.head.lv, &vars, addr)?;
+        // (coefficient, first value, step) → (coefficient·step, its offset)
+        let number =
+            |m: i64, first: i64, step: i64| Some((m.checked_mul(step)?, m.checked_mul(first)?));
+        let (coeff, at_lo) = number(affine.coeff, self.lo, self.head.step)?;
+        affine.coeff = coeff;
+        affine.offset = affine.offset.checked_add(at_lo)?;
+        let mut inner_trips = [1; NEST_LEVELS];
+        for (j, &(_, first, step, trips)) in self.levels.iter().enumerate() {
+            let (m, at_first) = number(affine.inner[j], first, step)?;
+            affine.inner[j] = m;
+            affine.offset = affine.offset.checked_add(at_first)?;
+            inner_trips[j] = trips;
+        }
+        let r = NestRef {
+            affine,
+            inner_trips,
+            width,
+        };
+        self.refs.push((r, is_write));
+        Some(())
     }
 }
 
@@ -792,11 +936,7 @@ void f(void)
     fn symbolic_lower_bound_is_strong_siv() {
         let mut pool = ExprPool::new();
         let e = pool.int(0);
-        let aff = |coeff, offset| Affine {
-            terms: vec![(e, 1)],
-            coeff,
-            offset,
-        };
+        let aff = |coeff, offset| Affine::new(vec![(e, 1)], coeff, offset);
         // x[i + 1] written, x[i] read
         let (w, r) = (aff(4, 4), aff(4, 0));
         for lo in [None, Some(0), Some(7), Some(-3)] {

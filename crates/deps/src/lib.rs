@@ -39,5 +39,5 @@
 pub mod graph;
 pub mod test;
 
-pub use graph::{Aliasing, DepEdge, DepGraph, DepKind, MemRef};
-pub use test::{test_pair, Verdict};
+pub use graph::{level_carried, Aliasing, DepEdge, DepGraph, DepKind, MemRef};
+pub use test::{test_level, test_pair, NestRef, Verdict};

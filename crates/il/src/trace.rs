@@ -131,11 +131,15 @@ pub enum LoopDecision {
     /// The loop stayed scalar; the payload names the defeating
     /// dependence or construct.
     Scalar(String),
+    /// The vectorizer sank the loop, which carries no dependence, to the
+    /// innermost level of its nest (§10); the payload names the loops it
+    /// now sits inside and the scalars it expanded.
+    Sunk(String),
 }
 
 impl LoopDecision {
     /// Every [`tag`](Self::tag), in declaration order.
-    pub const TAGS: [&'static str; 7] = [
+    pub const TAGS: [&'static str; 8] = [
         "do_converted",
         "do_rejected",
         "ivsub",
@@ -143,6 +147,7 @@ impl LoopDecision {
         "parallelized",
         "list_spread",
         "scalar",
+        "sunk",
     ];
 
     /// Short machine-readable tag (the opt report's discriminant).
@@ -155,6 +160,7 @@ impl LoopDecision {
             LoopDecision::Parallelized => "parallelized",
             LoopDecision::ListSpread => "list_spread",
             LoopDecision::Scalar(_) => "scalar",
+            LoopDecision::Sunk(_) => "sunk",
         }
     }
 
@@ -200,6 +206,7 @@ impl fmt::Display for LoopDecision {
             LoopDecision::Parallelized => f.write_str("parallelized (`do parallel`, unvectorized)"),
             LoopDecision::ListSpread => f.write_str("spread (serialized pointer chase, §10)"),
             LoopDecision::Scalar(why) => write!(f, "scalar: {why}"),
+            LoopDecision::Sunk(how) => write!(f, "sunk {how}"),
         }
     }
 }
@@ -235,6 +242,10 @@ impl Wire for LoopDecision {
                 out.write(&[6]);
                 why.write_wire(out);
             }
+            LoopDecision::Sunk(how) => {
+                out.write(&[7]);
+                how.write_wire(out);
+            }
         }
     }
 
@@ -253,7 +264,8 @@ impl Wire for LoopDecision {
                 },
                 4 => LoopDecision::Parallelized,
                 5 => LoopDecision::ListSpread,
-                _ => LoopDecision::Scalar(String::read_wire(r)?),
+                6 => LoopDecision::Scalar(String::read_wire(r)?),
+                _ => LoopDecision::Sunk(String::read_wire(r)?),
             },
         )
     }
@@ -580,6 +592,7 @@ mod tests {
             LoopDecision::Parallelized,
             LoopDecision::ListSpread,
             LoopDecision::Scalar("volatile access".into()),
+            LoopDecision::Sunk("below `r`".into()),
         ];
         let tags: Vec<&str> = loops.iter().map(LoopDecision::tag).collect();
         assert_eq!(tags, LoopDecision::TAGS);
@@ -648,6 +661,7 @@ mod tests {
             LoopDecision::Parallelized,
             LoopDecision::ListSpread,
             LoopDecision::Scalar(format!("note {seed}")),
+            LoopDecision::Sunk(format!("below `r{seed}`")),
         ];
         for (line, decision) in (1..).zip(loops) {
             let (proc, var) = (format!("p{seed}"), "i".to_string());

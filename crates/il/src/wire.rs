@@ -26,7 +26,7 @@
 //! Everything else the cache stores beside the IL — the per-pass reports,
 //! the decision events, the program environment — is a [`Wire`] value:
 //! written through the same [`ByteSink`], read under the same rules.
-//! Structs get theirs from one field list ([`struct_wire!`]). A §7
+//! Structs get theirs from one field list (`struct_wire!`). A §7
 //! [`crate::Catalog`] is one such value too.
 //!
 //! Every file either writes is [`seal`]ed: a one-line `<format>
@@ -830,7 +830,7 @@ impl Wire for VarInfo {
     }
 }
 
-/// [`write_type`]'s layout, read back bounded in depth.
+/// `write_type`'s layout, read back bounded in depth.
 impl Wire for Type {
     const MIN_BYTES: usize = 1;
 

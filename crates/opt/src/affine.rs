@@ -19,6 +19,9 @@
 //! [`DoHeader::trips_expression`] (ivsub's finalization and the
 //! vectorizer's strips). [`DoHeader`] is the one reading of a DO loop's
 //! header that every loop pass and the dependence graph share.
+//! [`decompose_nest`] asks the same form for a nest: each DO variable of
+//! the nest below the loop gets a coefficient of its own, which the
+//! dependence tests range over that loop's bounds.
 
 use crate::util::invariant_in;
 use titanc_il::{
@@ -96,8 +99,13 @@ impl DoHeader {
     }
 }
 
-/// An address decomposed as `Σ mult·term + coeff·lv + offset` where every
-/// `term` is loop-invariant.
+/// The most DO levels below a loop that [`decompose_nest`] gives a
+/// coefficient of their own: a nest is at most three deep.
+pub const NEST_LEVELS: usize = 2;
+
+/// An address decomposed as `Σ mult·term + coeff·lv + Σ inner·v + offset`
+/// where every `term` is loop-invariant and the `v` are the DO variables
+/// of the nest below the loop (none outside [`decompose_nest`]).
 #[derive(Clone, Debug)]
 pub struct Affine {
     /// Invariant symbolic terms with their nonzero integer multipliers, no
@@ -105,6 +113,9 @@ pub struct Affine {
     pub terms: Vec<(ExprId, i64)>,
     /// Bytes per unit of the loop variable.
     pub coeff: i64,
+    /// Bytes per unit of each inner DO variable of the nest, outermost
+    /// first; all 0 unless [`decompose_nest`] was asked for them.
+    pub inner: [i64; NEST_LEVELS],
     /// Constant byte offset.
     pub offset: i64,
 }
@@ -115,6 +126,7 @@ impl Affine {
         Affine {
             terms,
             coeff,
+            inner: [0; NEST_LEVELS],
             offset,
         }
     }
@@ -122,6 +134,9 @@ impl Affine {
     pub(crate) fn add(mut self, exprs: &ExprPool, other: Affine) -> Affine {
         self.coeff += other.coeff;
         self.offset += other.offset;
+        for (c, o) in self.inner.iter_mut().zip(other.inner) {
+            *c += o;
+        }
         for (e, m) in other.terms {
             let at = (self.terms.iter()).position(|&(t, _)| exprs.expr_eq(t, exprs, e));
             match at {
@@ -136,6 +151,9 @@ impl Affine {
     pub(crate) fn scale(mut self, c: i64) -> Affine {
         self.coeff *= c;
         self.offset *= c;
+        for m in &mut self.inner {
+            *m *= c;
+        }
         for t in &mut self.terms {
             t.1 *= c;
         }
@@ -153,9 +171,12 @@ impl Affine {
     }
 
     /// True when both forms denote the same address: the same base,
-    /// coefficient and offset.
+    /// coefficients and offset.
     pub fn same(&self, other: &Affine, exprs: &ExprPool) -> bool {
-        self.coeff == other.coeff && self.offset == other.offset && self.same_base(other, exprs)
+        self.coeff == other.coeff
+            && self.inner == other.inner
+            && self.offset == other.offset
+            && self.same_base(other, exprs)
     }
 
     /// The form with the loop variable replaced by `v`, whose own `coeff`
@@ -196,6 +217,7 @@ impl Affine {
     /// subtracted, never multiplied by a negative constant, and a form
     /// whose first part is a negative term starts from its offset.
     pub fn emit(&self, exprs: &mut ExprPool, ty: ScalarType, k: Option<ExprId>) -> ExprId {
+        debug_assert_eq!(self.inner, [0; NEST_LEVELS], "a nest form has no tree");
         let wrap = |v: i64| i64::from(v as i32);
         let k = k.filter(|_| self.coeff != 0);
         let first = match self.terms.first() {
@@ -264,19 +286,44 @@ impl Affine {
 /// required to be invariant in `body`. Returns `None` for non-affine
 /// addresses (the reference is then unanalyzable and pessimized).
 pub fn decompose(proc: &Procedure, body: &[StmtId], lv: VarId, e: ExprId) -> Option<Affine> {
+    decompose_nest(proc, body, lv, &[], e)
+}
+
+/// [`decompose`] inside a nest: `e` may also be affine in the DO variables
+/// `inner` of the loops of `body` that enclose it, outermost first, each
+/// of which gets its own coefficient in [`Affine::inner`].
+///
+/// # Panics
+///
+/// Panics when `inner` names more than [`NEST_LEVELS`] variables.
+pub fn decompose_nest(
+    proc: &Procedure,
+    body: &[StmtId],
+    lv: VarId,
+    inner: &[VarId],
+    e: ExprId,
+) -> Option<Affine> {
+    assert!(inner.len() <= NEST_LEVELS, "a nest is at most three deep");
     let exprs = &proc.exprs;
+    let level = |v| inner.iter().position(|&w| w == v);
     match exprs[e] {
         Expr::IntConst(v) => Some(Affine::new(Vec::new(), 0, v)),
         Expr::Var(v) if v == lv => Some(Affine::new(Vec::new(), 1, 0)),
+        Expr::Var(v) if level(v).is_some() => {
+            let mut a = Affine::new(Vec::new(), 0, 0);
+            a.inner[level(v)?] = 1;
+            Some(a)
+        }
         Expr::Binary {
             op: op @ (BinOp::Add | BinOp::Sub | BinOp::Mul),
             lhs,
             rhs,
             ..
         } => {
-            let a = decompose(proc, body, lv, lhs)?;
-            let b = decompose(proc, body, lv, rhs)?;
-            let constant = |f: &Affine| f.terms.is_empty() && f.coeff == 0;
+            let a = decompose_nest(proc, body, lv, inner, lhs)?;
+            let b = decompose_nest(proc, body, lv, inner, rhs)?;
+            let constant =
+                |f: &Affine| f.terms.is_empty() && f.coeff == 0 && f.inner == [0; NEST_LEVELS];
             match op {
                 BinOp::Add => Some(a.add(exprs, b)),
                 BinOp::Sub => Some(a.add(exprs, b.scale(-1))),
@@ -288,23 +335,22 @@ pub fn decompose(proc: &Procedure, body: &[StmtId], lv: VarId, e: ExprId) -> Opt
         }
         Expr::Unary {
             op: UnOp::Neg, arg, ..
-        } => Some(decompose(proc, body, lv, arg)?.scale(-1)),
+        } => Some(decompose_nest(proc, body, lv, inner, arg)?.scale(-1)),
         // a cast that keeps the value (Int↔Ptr, widening a char) is looked
         // through; one that truncates or converts a float stays opaque
         Expr::Cast { to, from, arg }
             if !to.is_float() && !from.is_float() && to.size() >= from.size() =>
         {
-            decompose(proc, body, lv, arg)
+            decompose_nest(proc, body, lv, inner, arg)
         }
-        _ => invariant_term(proc, body, lv, e),
+        _ => {
+            let varying = |n: &Expr| matches!(*n, Expr::Var(v) if v == lv || inner.contains(&v));
+            if proc.exprs.any(e, varying) {
+                return None;
+            }
+            invariant_in(proc, body, e).then(|| Affine::new(vec![(e, 1)], 0, 0))
+        }
     }
-}
-
-fn invariant_term(proc: &Procedure, body: &[StmtId], lv: VarId, e: ExprId) -> Option<Affine> {
-    if proc.exprs.any(e, |n| *n == Expr::Var(lv)) {
-        return None;
-    }
-    invariant_in(proc, body, e).then(|| Affine::new(vec![(e, 1)], 0, 0))
 }
 
 #[cfg(test)]

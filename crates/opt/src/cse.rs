@@ -26,7 +26,7 @@
 //! arena layout of equal subtrees is irrelevant; the commoned definition
 //! gets a detached deep copy of the subtree so later slot rewrites of the
 //! occurrences cannot disturb it. What comparison, size order and purity
-//! test would re-derive by recursion at every node is a [`Shape`] per
+//! test would re-derive by recursion at every node is a `Shape` per
 //! node, computed bottom-up once for the procedure and kept current along
 //! the path of every replacement.
 

@@ -24,7 +24,7 @@
 //! of its block once, when it is admitted.
 //!
 //! The pass is one *available-definitions sweep* per block: it carries the
-//! set of definitions that may still be forwarded ([`Avail`]), and each
+//! set of definitions that may still be forwarded (`Avail`), and each
 //! statement is visited once — entries its nested blocks could invalidate
 //! are dropped, every remaining entry is substituted in a single walk of
 //! the statement tree, entries the statement itself invalidates are

@@ -16,16 +16,30 @@
 //! When a loop cannot be vectorized but its iterations are proven
 //! independent, it is converted to `do parallel` unchanged (loop
 //! spreading, §2 item 2).
+//!
+//! Before that sweep, a DO loop that holds a nest and carries no
+//! dependence at its own level is *sunk* to the innermost level (§10's
+//! struct-matrix transform): the scalars private to one of its iterations
+//! are expanded into a compiler-made array of one element per iteration,
+//! and the loop is distributed around each run of assignments of the
+//! nest, so that
+//!
+//! ```text
+//! do i { s1; do r { s2; do c { s3 } }; s4 }
+//! ```
+//!
+//! becomes `do i {s1}; do r { do i {s2}; do c { do i {s3} } }; do i {s4}`,
+//! whose innermost loops the sweep then vectorizes as it does any other.
 
 use std::collections::HashSet;
-use titanc_deps::{Aliasing, DepGraph, DepKind, Verdict};
+use titanc_deps::{level_carried, Aliasing, DepGraph, DepKind, Verdict};
 use titanc_il::visit::{edit_tree, Order};
 use titanc_il::{
     BinOp, Block, Expr, ExprId, LValue, LoopDecision, LoopEvent, Procedure, Report, ScalarType,
-    SrcSpan, StmtId, StmtKind, Type, VarId,
+    SrcSpan, StmtId, StmtKind, Storage, Type, VarId, VarInfo,
 };
-use titanc_opt::affine::{decompose, Affine, DoHeader};
-use titanc_opt::util::defined_in;
+use titanc_opt::affine::{decompose, Affine, DoHeader, NEST_LEVELS};
+use titanc_opt::util::{count_reads_block, defined_in, replace_reads_with};
 
 /// Vectorizer configuration.
 #[derive(Clone, Debug, PartialEq)]
@@ -56,15 +70,18 @@ impl Default for VectorOptions {
 /// to 2048 elements).
 const MAX_VL: i64 = 2048;
 
-/// Vectorizes every innermost DO loop of the procedure. The report holds
-/// one decision event for every loop of the procedure — visited innermost
-/// loops (vectorized / parallelized / scalar-with-reason) plus the
-/// end-of-pass sweep over loops the vectorizer never considers
-/// (non-innermost DO loops, unconverted `while` loops) — and one note per
+/// Sinks every loop nest it can, then vectorizes every innermost DO loop
+/// of the procedure. The report holds one decision event for every loop
+/// of the procedure — visited innermost loops (vectorized / parallelized /
+/// scalar-with-reason) plus the end-of-pass sweep over loops the
+/// vectorizer never considers (non-innermost DO loops, unconverted
+/// `while` loops), and one for each sunk loop — and one note per
 /// innermost loop left scalar.
 pub fn vectorize(proc: &mut Procedure, opts: &VectorOptions) -> Report {
     let mut report = Report::default();
-    let mut changed = false;
+    // the loops a sunk loop now sits inside: never innermost candidates
+    let outer = sink_nests(proc, opts, &mut report);
+    let mut changed = !outer.is_empty();
     // loops decided here, and the strip loops generated for them
     let mut done: HashSet<StmtId> = HashSet::new();
     // by statement index: the subtree holds a loop. Grown as statements
@@ -88,7 +105,7 @@ pub fn vectorize(proc: &mut Procedure, opts: &VectorOptions) -> Report {
         let StmtKind::DoLoop { var, .. } = proc.stmts[id] else {
             return i + 1;
         };
-        if holds_loop || !done.insert(id) {
+        if holds_loop || outer.contains(&id) || !done.insert(id) {
             return i + 1;
         }
         let (var, span) = (proc.var(var).name.clone(), proc.stmts.span(id));
@@ -134,6 +151,388 @@ pub fn vectorize(proc: &mut Procedure, opts: &VectorOptions) -> Report {
         proc.bump_generation();
     }
     report
+}
+
+/// Walks every DO nest top-down and sinks the first loop of it that
+/// [`plan_sink`] admits, with an event naming the loops it moved below and
+/// the scalars it expanded. Returns the ids of those loops.
+fn sink_nests(proc: &mut Procedure, opts: &VectorOptions, report: &mut Report) -> HashSet<StmtId> {
+    let mut outer = HashSet::new();
+    let nested = |_, k: &StmtKind| match k {
+        StmtKind::DoLoop { body, .. } => body.iter().any(|&s| proc.stmts[s].is_loop()),
+        _ => false,
+    };
+    if !proc.any_stmt(nested) {
+        return outer;
+    }
+    // reads of each variable across the procedure, counted before the walk
+    // takes the blocks above the loop in hand out of the pool
+    let mut reads = vec![0usize; proc.vars.len()];
+    proc.for_each_stmt(&mut |_, kind| {
+        for e in kind.exprs() {
+            for v in proc.exprs.vars_read(e) {
+                reads[v.index()] += 1;
+            }
+        }
+    });
+    edit_tree(proc, Order::Pre, &mut |proc, block, i| {
+        let id = block[i];
+        if outer.contains(&id) {
+            return i;
+        }
+        let Some(sink) = plan_sink(proc, id, opts) else {
+            return i;
+        };
+        // a scalar read outside the nest gets its last value back, one
+        // scalar load each, which the nest's own loads must pay for: the
+        // sink adds no memory traffic
+        let inside: Vec<usize> = (sink.expand.iter())
+            .map(|&v| count_reads_block(&proc.stmts, &proc.exprs, &[id], v))
+            .collect();
+        let live_out: Vec<VarId> = (sink.expand.iter().zip(&inside))
+            .filter(|&(v, &n)| reads[v.index()] > n)
+            .map(|(&v, _)| v)
+            .collect();
+        if live_out.len() as i64 > sink.loads {
+            return i;
+        }
+        for (v, n) in sink.expand.iter().zip(inside) {
+            reads[v.index()] -= n;
+        }
+        let names = |vars: &[VarId]| {
+            let names: Vec<String> = vars
+                .iter()
+                .map(|&v| format!("`{}`", proc.var(v).name))
+                .collect();
+            names.join(", ")
+        };
+        let mut how = format!("below {}", names(&sink.below));
+        if !sink.expand.is_empty() {
+            how += &format!("; {} expanded", names(&sink.expand));
+        }
+        report.loops.push(LoopEvent {
+            proc: proc.name.clone(),
+            var: proc.var(sink.head.lv).name.clone(),
+            span: proc.stmts.span(id),
+            decision: LoopDecision::Sunk(how),
+        });
+        let StmtKind::DoLoop { body, safe, .. } = &mut proc.stmts[id] else {
+            unreachable!("plan_sink admits DO loops only");
+        };
+        let (body, safe) = (std::mem::take(body), *safe);
+        let span = proc.stmts.span(id);
+        let cells = expand(proc, &sink);
+        nest_loops(proc, &body, &mut outer);
+        let mut replacement = distribute(proc, body, &sink.head, &cells, safe, span);
+        for cell in cells.iter().filter(|c| live_out.contains(&c.var)) {
+            let last = sink.lo + sink.head.step * (sink.trips - 1);
+            let at_last = Affine {
+                coeff: 0,
+                offset: cell.form.offset + cell.form.coeff * last,
+                ..cell.form.clone()
+            };
+            let addr = at_last.emit(&mut proc.exprs, ScalarType::Ptr, None);
+            let rhs = proc.exprs.load(addr, cell.ty);
+            let kind = StmtKind::Assign {
+                lhs: LValue::Var(cell.var),
+                rhs,
+            };
+            replacement.push(proc.stamp_at(kind, span));
+        }
+        let n = replacement.len();
+        block.splice(i..=i, replacement);
+        i + n - 1
+    });
+    outer
+}
+
+/// What [`plan_sink`] found in a loop it admits.
+struct Sink {
+    head: DoHeader,
+    /// The loop's constant first value and trip count.
+    lo: i64,
+    trips: i64,
+    /// The DO variables of the nest below the loop, in textual order.
+    below: Vec<VarId>,
+    /// The scalars private to one iteration, in order of first write.
+    expand: Vec<VarId>,
+    /// The scalar loads the nest executes, all of which become vector
+    /// loads.
+    loads: i64,
+}
+
+/// The DO loop `id`, when it can be sunk to the innermost level of its
+/// nest:
+/// - (a) it carries no dependence at its own level: no memory one
+///   ([`level_carried`]), and every scalar the nest writes is private to
+///   one iteration — each of its reads follows a write in the same
+///   iteration;
+/// - (b) it runs a constant 2 to [`MAX_VL`] trips, and every DO loop in it
+///   constant bounds and at least one trip (so no bound reads its
+///   variable, and every iteration writes what it wrote before), at most
+///   [`NEST_LEVELS`] deep;
+/// - (c) its body holds only assignments and DO loops, at least one of
+///   each;
+/// - (d) with its private scalars expanded, every assignment of the nest
+///   is a vector statement over it: the loop variable is read only inside
+///   addresses, and every other variable read is an inner DO variable or
+///   a register candidate the nest does not write;
+/// - (e) it runs more trips than any loop it would move below, so the
+///   vectors get longer: a short outer loop over a long inner one is left
+///   to the sweep, which vectorizes the inner loop.
+fn plan_sink(proc: &Procedure, id: StmtId, opts: &VectorOptions) -> Option<Sink> {
+    let StmtKind::DoLoop { body, safe, .. } = &proc.stmts[id] else {
+        return None;
+    };
+    let head = DoHeader::of(&proc.stmts[id], &proc.exprs)?;
+    let trips = (head.const_trip_count(&proc.exprs)).filter(|n| (2..=MAX_VL).contains(n))?;
+    let lo = proc.exprs.as_int(head.lo)?;
+    let mut shape = Shape {
+        lv: head.lv,
+        body,
+        below: Vec::new(),
+        written: Vec::new(),
+        assigns: 0,
+        most_trips: 0,
+        loads: 0,
+    };
+    shape.walk(proc, body, trips, 0)?;
+    if shape.below.is_empty() || shape.assigns == 0 || shape.most_trips >= trips {
+        return None;
+    }
+    // an expanded cell is indexed by the iteration, `±(lv − lo)`
+    if !shape.written.is_empty() && head.step.abs() != 1 {
+        return None;
+    }
+    let aliasing = if *safe {
+        Aliasing::Fortran
+    } else {
+        opts.aliasing
+    };
+    if level_carried(proc, body, &head, aliasing) {
+        return None;
+    }
+    Some(Sink {
+        head,
+        lo,
+        trips,
+        below: shape.below,
+        expand: shape.written,
+        loads: shape.loads,
+    })
+}
+
+/// The loads of the tree at `e`.
+fn loads_in(proc: &Procedure, e: ExprId) -> i64 {
+    let own = i64::from(matches!(proc.exprs[e], Expr::Load { .. }));
+    own + (proc.exprs[e].child_ids().iter())
+        .map(|&c| loads_in(proc, c))
+        .sum::<i64>()
+}
+
+/// The walk behind [`plan_sink`]'s (b), (c), (d) and scalar half of (a).
+struct Shape<'a> {
+    lv: VarId,
+    /// The loop's body.
+    body: &'a [StmtId],
+    below: Vec<VarId>,
+    /// The scalars written so far in one iteration, in order of first
+    /// write.
+    written: Vec<VarId>,
+    assigns: usize,
+    /// The most trips of any loop below.
+    most_trips: i64,
+    /// The scalar loads the nest executes.
+    loads: i64,
+}
+
+impl Shape<'_> {
+    /// Walks `block`, whose statements run `runs` times over the nest, at
+    /// `depth` loops below the sunk one.
+    fn walk(&mut self, proc: &Procedure, block: &[StmtId], runs: i64, depth: usize) -> Option<()> {
+        for &s in block {
+            match &proc.stmts[s] {
+                StmtKind::Assign { lhs, rhs } => {
+                    self.assigns += 1;
+                    let loads: i64 = proc.stmts[s]
+                        .exprs()
+                        .iter()
+                        .map(|e| loads_in(proc, e))
+                        .sum();
+                    self.loads = self.loads.saturating_add(runs.saturating_mul(loads));
+                    for e in lhs.address_exprs() {
+                        self.reads(proc, e, true)?;
+                    }
+                    self.reads(proc, *rhs, false)?;
+                    match *lhs {
+                        LValue::Var(v) => {
+                            if !self.free_scalar(proc, v) {
+                                return None;
+                            }
+                            if !self.written.contains(&v) {
+                                self.written.push(v);
+                            }
+                        }
+                        LValue::Deref {
+                            volatile: false, ..
+                        } => {}
+                        _ => return None,
+                    }
+                }
+                StmtKind::DoLoop { var, body, .. } if depth < NEST_LEVELS => {
+                    let head = DoHeader::of(&proc.stmts[s], &proc.exprs)?;
+                    proc.exprs.as_int(head.lo)?;
+                    let trips = head.const_trip_count(&proc.exprs).filter(|&n| n > 0)?;
+                    self.most_trips = self.most_trips.max(trips);
+                    if self.written.contains(var) {
+                        return None; // assigned before its loop: not private
+                    }
+                    if !self.below.contains(var) {
+                        self.below.push(*var);
+                    }
+                    self.walk(proc, body, runs.saturating_mul(trips), depth + 1)?;
+                }
+                _ => return None,
+            }
+        }
+        Some(())
+    }
+
+    /// A register candidate that is neither the loop's variable nor one
+    /// of the nest's.
+    fn free_scalar(&self, proc: &Procedure, v: VarId) -> bool {
+        v != self.lv && !self.below.contains(&v) && proc.var(v).is_register_candidate()
+    }
+
+    /// Checks the variables `e` reads; `in_address` when `e` is a store's
+    /// address, where the loop variable may be read.
+    fn reads(&self, proc: &Procedure, e: ExprId, in_address: bool) -> Option<()> {
+        match proc.exprs[e] {
+            Expr::Load { addr, .. } => return self.reads(proc, addr, true),
+            Expr::Var(v) if v == self.lv => return in_address.then_some(()),
+            Expr::Var(v) if self.below.contains(&v) => {}
+            // a scalar the nest writes must have been written first
+            Expr::Var(v) if !self.free_scalar(proc, v) => return None,
+            Expr::Var(v) if self.written.contains(&v) => {}
+            Expr::Var(v) if defined_in(&proc.stmts, self.body, v) => return None,
+            _ => {}
+        }
+        for c in proc.exprs[e].child_ids() {
+            self.reads(proc, c, in_address)?;
+        }
+        Some(())
+    }
+}
+
+/// A private scalar expanded into a compiler-made array of one element
+/// per iteration of the sunk loop.
+struct Cell {
+    var: VarId,
+    ty: ScalarType,
+    /// The address of the iteration's element, `&array + size·step·(lv −
+    /// lo)`, as a form in the loop variable.
+    form: Affine,
+    /// Templates, deep-copied at every use: the element's address and its
+    /// load.
+    addr: ExprId,
+    load: ExprId,
+}
+
+/// Gives each of `sink`'s private scalars its array.
+fn expand(proc: &mut Procedure, sink: &Sink) -> Vec<Cell> {
+    let lv = proc.exprs.var(sink.head.lv);
+    let cells = sink.expand.iter().map(|&var| {
+        let ty = proc.var_scalar(var);
+        let info = VarInfo {
+            name: format!("{}_x{}", proc.var(var).name, proc.vars.len()),
+            ty: Type::array_of(proc.var(var).ty.clone(), sink.trips as usize),
+            storage: Storage::Temp,
+            volatile: false,
+            addressed: true,
+            init: None,
+        };
+        let array = proc.add_var(info);
+        let base = proc.exprs.addr_of(array);
+        let size = ty.size() * sink.head.step;
+        let form = Affine::new(vec![(base, 1)], size, -size * sink.lo);
+        let addr = form.emit(&mut proc.exprs, ScalarType::Ptr, Some(lv));
+        let load = proc.exprs.load(addr, ty);
+        Cell {
+            var,
+            ty,
+            form,
+            addr,
+            load,
+        }
+    });
+    cells.collect()
+}
+
+/// Collects the DO loops of a nest.
+fn nest_loops(proc: &Procedure, block: &[StmtId], out: &mut HashSet<StmtId>) {
+    for &s in block {
+        if let StmtKind::DoLoop { body, .. } = &proc.stmts[s] {
+            out.insert(s);
+            nest_loops(proc, body, out);
+        }
+    }
+}
+
+/// The sink's rewrite of the loop `head`'s body: each run of assignments
+/// of the nest, its scalars expanded, goes into a loop of its own with the
+/// sunk loop's header, where it stood.
+fn distribute(
+    proc: &mut Procedure,
+    body: Block,
+    head: &DoHeader,
+    cells: &[Cell],
+    safe: bool,
+    span: SrcSpan,
+) -> Block {
+    let close = |proc: &mut Procedure, run: &mut Block, out: &mut Block| {
+        if run.is_empty() {
+            return;
+        }
+        let (lo, hi) = (proc.exprs.copy(head.lo), proc.exprs.copy(head.hi));
+        let step = proc.exprs.int(head.step);
+        let kind = StmtKind::DoLoop {
+            var: head.lv,
+            lo,
+            hi,
+            step,
+            body: std::mem::take(run),
+            safe,
+        };
+        out.push(proc.stamp_at(kind, span));
+    };
+    let (mut out, mut run) = (Vec::new(), Vec::new());
+    for s in body {
+        if let StmtKind::DoLoop { body, .. } = &mut proc.stmts[s] {
+            let inner = std::mem::take(body);
+            close(proc, &mut run, &mut out);
+            let inner = distribute(proc, inner, head, cells, safe, span);
+            if let StmtKind::DoLoop { body, .. } = &mut proc.stmts[s] {
+                *body = inner;
+            }
+            out.push(s);
+            continue;
+        }
+        replace_reads_with(&proc.stmts, &mut proc.exprs, s, &|v| {
+            cells.iter().find(|c| c.var == v).map(|c| c.load)
+        });
+        if let StmtKind::Assign { lhs, .. } = &mut proc.stmts[s] {
+            if let Some(c) = cells.iter().find(|c| *lhs == LValue::Var(c.var)) {
+                *lhs = LValue::Deref {
+                    addr: proc.exprs.copy(c.addr),
+                    ty: c.ty,
+                    volatile: false,
+                };
+            }
+        }
+        run.push(s);
+    }
+    close(proc, &mut run, &mut out);
+    out
 }
 
 /// Accounts for every loop the innermost-DO walk never visits, so the

@@ -2,11 +2,12 @@
 //! scalar optimization
 //!
 //! The back half of the paper's pipeline: Allen–Kennedy-style vector code
-//! generation over the dependence graph (§5), `do parallel` loop spreading
-//! with strip mining (§9), and the §6 optimizations that reuse the same
-//! dependence graph when a loop stays scalar — register promotion of
-//! loop-carried values, strength reduction of affine addresses, and
-//! loop-invariant hoisting.
+//! generation over the dependence graph (§5), after a DO loop that carries
+//! nothing is sunk to the innermost level of its nest (§10), `do parallel`
+//! loop spreading with strip mining (§9), and the §6 optimizations that
+//! reuse the same dependence graph when a loop stays scalar — register
+//! promotion of loop-carried values, strength reduction of affine
+//! addresses, and loop-invariant hoisting.
 //!
 //! ## Example
 //!

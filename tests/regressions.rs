@@ -1053,3 +1053,168 @@ int main(void)
         }
     }
 }
+
+/// Every build of `src` observes what `-O0` does (both engines, and
+/// `--parallel` on two processors); returns the `sunk` events of the `-O2`
+/// build as `loop on `v` sunk …` lines.
+fn sunk_loops(src: &str, globals: &[(&str, ScalarType, u32)]) -> Vec<String> {
+    check(src, globals);
+    let builds = agree_with_o0(src, globals);
+    let (_, c) = builds
+        .iter()
+        .find(|(level, _)| *level == "O2")
+        .expect("a build");
+    let sunk = c
+        .reports
+        .loops
+        .iter()
+        .filter(|e| e.decision.tag() == "sunk");
+    sunk.map(|e| format!("loop on `{}` {}", e.var, e.decision))
+        .collect()
+}
+
+/// EXP8's nest: the vertex loop carries nothing, so it is sunk below the
+/// row and column loops with `acc` expanded, and every loop it lands in
+/// vectorizes; the opt report classifies the source loop as vectorized.
+#[test]
+fn the_struct_matrix_vertex_loop_is_sunk() {
+    let src = include_str!("../corpus/struct_matrix.c");
+    let globals = [("out_pts", ScalarType::Float, 1024)];
+    assert_eq!(
+        sunk_loops(src, &globals),
+        ["loop on `dummy_7` sunk below `dummy_10`, `dummy_13`; `acc` expanded"]
+    );
+    let c = compile(src, &Options::o2()).unwrap();
+    let report = OptReport::build(&c.reports, &c.trace);
+    assert_eq!(report.loops[0].var, "i");
+    assert_eq!(report.loops[0].classification, "vectorized");
+    assert_eq!(c.reports.count("vectorized"), 3);
+}
+
+/// The same transform over initialized data, with `acc` read after the
+/// nest: it needs the last iteration's value back.
+#[test]
+fn a_sunk_scalar_read_after_the_nest_gets_its_last_value() {
+    let src = "
+struct matrix { float m[4][4]; };
+struct vertex { float v[4]; };
+struct matrix xf;
+struct vertex pts[64], out_pts[64];
+float last[1];
+int main(void)
+{
+    int i, r, c;
+    float acc;
+    for (r = 0; r < 4; r++)
+        for (c = 0; c < 4; c++)
+            xf.m[r][c] = 0.5f * r - 0.25f * c;
+    for (i = 0; i < 64; i++)
+        for (c = 0; c < 4; c++)
+            pts[i].v[c] = 3.0f + i + c;
+    for (i = 0; i < 64; i++) {
+        for (r = 0; r < 4; r++) {
+            acc = 1.0f;
+            for (c = 0; c < 4; c++)
+                acc += xf.m[r][c] * pts[i].v[c];
+            out_pts[i].v[r] = acc;
+        }
+    }
+    last[0] = acc;
+    return (int)acc;
+}
+";
+    let globals = [
+        ("out_pts", ScalarType::Float, 256),
+        ("last", ScalarType::Float, 1),
+    ];
+    let sunk = sunk_loops(src, &globals);
+    assert_eq!(sunk.len(), 1, "{sunk:?}");
+    assert!(sunk[0].ends_with("; `acc` expanded"), "{sunk:?}");
+    let c = compile(src, &Options::o2()).unwrap();
+    let main = c.program.procs.iter().find(|p| p.name == "main").unwrap();
+    let text = titanc_repro::il::pretty_proc(main);
+    assert!(
+        text.contains("acc = *(float *)"),
+        "no last-value copy:\n{text}"
+    );
+}
+
+/// A three-deep rectangular nest with a private scalar: the outer loop is
+/// sunk below both inner ones, and each assignment becomes a vector
+/// statement over it.
+#[test]
+fn a_three_deep_rectangular_nest_is_sunk() {
+    let src = "
+float a[32][4][3], b[32][4][3], c[4][3];
+int main(void)
+{
+    int i, j, k;
+    float t;
+    for (i = 0; i < 32; i++)
+        for (j = 0; j < 4; j++)
+            for (k = 0; k < 3; k++) {
+                b[i][j][k] = i - j * k;
+                if (i == 0)
+                    c[j][k] = j + 0.5f * k;
+            }
+    for (i = 0; i < 32; i++)
+        for (j = 0; j < 4; j++)
+            for (k = 0; k < 3; k++) {
+                t = b[i][j][k] * 2.0f;
+                a[i][j][k] = t + c[j][k];
+            }
+    return 0;
+}
+";
+    let globals = [("a", ScalarType::Float, 384)];
+    let sunk = sunk_loops(src, &globals);
+    assert_eq!(sunk.len(), 1, "{sunk:?}");
+    let below = sunk[0].split("sunk below ").nth(1).unwrap();
+    assert_eq!(below.matches('`').count(), 6, "two loops and `t`: {sunk:?}");
+    assert!(below.ends_with("; `t` expanded"), "{sunk:?}");
+}
+
+/// Nests the sink must leave alone, each for one of its conditions: the
+/// outer level carries a dependence (in the second nest, one that sinking
+/// would reverse); the inner bound reads the outer
+/// variable; a scalar is carried across the outer loop; an `if` or a
+/// call sits in the nest; a right-hand side reads the outer variable
+/// (titanperf's `xform` initialises its vertices that way).
+#[test]
+fn nests_that_carry_or_cannot_vectorize_are_not_sunk() {
+    let head = "
+float a[64][64], b[64][64], out[2];
+int deep(int x)
+{
+    if (x <= 0)
+        return 0;
+    return deep(x - 1) + 1;
+}
+int main(void)
+{
+    int i, j;
+    float s;
+    for (i = 0; i < 64; i++)
+        for (j = 0; j < 4; j++)
+            b[i][j] = 0.5f * (i - j);
+    s = 0.0f;
+";
+    let nests = [
+        "for (i = 1; i < 64; i++) for (j = 0; j < 4; j++) a[i][j] = a[i - 1][j] + 1.0f;",
+        "for (i = 1; i < 64; i++) for (j = 0; j < 4; j++) a[i][j] = a[i - 1][j + 1] + 1.0f;",
+        "for (i = 0; i < 64; i++) for (j = 0; j < i; j++) a[i][j] = b[i][j];",
+        "for (i = 0; i < 64; i++) for (j = 0; j < 4; j++) s += b[i][j];",
+        "for (i = 0; i < 64; i++) for (j = 0; j < 4; j++) if (b[i][j] > 0.0f) a[i][j] = 1.0f;",
+        "for (i = 0; i < 64; i++) for (j = 0; j < 4; j++) a[i][j] = deep(j);",
+        "for (i = 0; i < 64; i++) for (j = 0; j < 4; j++) a[i][j] = 7.0f + i + j;",
+    ];
+    let globals = [
+        ("a", ScalarType::Float, 4096),
+        ("out", ScalarType::Float, 2),
+    ];
+    for nest in nests {
+        let src = format!("{head}    {nest}\n    out[0] = s;\n    return 0;\n}}\n");
+        let sunk = sunk_loops(&src, &globals);
+        assert!(sunk.is_empty(), "{nest}: {sunk:?}");
+    }
+}
