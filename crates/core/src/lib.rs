@@ -337,11 +337,12 @@ fn link_catalogs(
 }
 
 /// Turns the aggregate pass reports into user-facing remarks: which loops
-/// the vectorizer sank, which defeated it and why, and which fixpoint
-/// budgets ran out.
+/// the vectorizer unrolled or sank, which defeated it and why, and which
+/// fixpoint budgets ran out.
 fn optimization_remarks(reports: &Report, sink: &mut DiagnosticSink) {
+    use titanc_il::LoopDecision::{Sunk, Unrolled};
     for e in &reports.loops {
-        if let titanc_il::LoopDecision::Sunk(_) = e.decision {
+        if let Sunk(_) | Unrolled(_) = e.decision {
             let text = format!("{}: loop on `{}` {}", e.proc, e.var, e.decision);
             sink.remark(text, Span::none());
         }

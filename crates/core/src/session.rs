@@ -115,8 +115,11 @@ use crate::{link_catalogs, optimization_remarks, Compilation, CompileError, Opti
 /// term, so the same key now maps to other post-pipeline IL. 12: the
 /// vectorizer sinks a loop that carries nothing to the innermost level of
 /// its nest, and records it in a `Sunk` loop event, a new tag byte, so
-/// the same key now maps to other post-pipeline IL and other cell bytes.)
-const ENTRY_VERSION: u32 = 12;
+/// the same key now maps to other post-pipeline IL and other cell bytes.
+/// 13: before it sinks a nest, the vectorizer unrolls its short inner
+/// loops into the loop around them when that lets it vectorize, and
+/// records each in an `Unrolled` loop event, a new tag byte.)
+const ENTRY_VERSION: u32 = 13;
 
 /// One input translation unit: a display name (normally the path) and
 /// its source text.

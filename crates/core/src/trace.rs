@@ -113,7 +113,8 @@ pub struct LoopReport {
     /// Source position of the loop head.
     pub span: SrcSpan,
     /// Final classification: `"vectorized"`, `"parallelized"`,
-    /// `"spread"`, or `"scalar"`.
+    /// `"spread"`, `"unrolled"` (its copies went into the loop around it),
+    /// or `"scalar"`.
     pub classification: &'static str,
     /// For scalar loops, the defeating dependence or construct.
     pub reason: Option<String>,
@@ -323,9 +324,10 @@ impl OptReport {
 }
 
 /// Reduces a loop's event history to its final classification. The
-/// strongest outcome wins: vectorized, then list-spread, then
-/// parallelized; otherwise the loop is scalar and the first defeating
-/// reason (a vectorizer defeat or a DO-conversion rejection) is kept.
+/// strongest outcome wins: vectorized, then list-spread, then unrolled
+/// into the loop around it, then parallelized; otherwise the loop is
+/// scalar and the first defeating reason (a vectorizer defeat or a
+/// DO-conversion rejection) is kept.
 fn classify(events: &[LoopEvent]) -> (&'static str, Option<String>) {
     let mut scalar_reason: Option<String> = None;
     let mut rejected_reason: Option<String> = None;
@@ -333,6 +335,7 @@ fn classify(events: &[LoopEvent]) -> (&'static str, Option<String>) {
         match &e.decision {
             LoopDecision::Vectorized { .. } => return ("vectorized", None),
             LoopDecision::ListSpread => return ("spread", None),
+            LoopDecision::Unrolled(_) => return ("unrolled", None),
             _ => {}
         }
     }

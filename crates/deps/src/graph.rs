@@ -47,6 +47,8 @@ pub struct MemRef {
     pub is_write: bool,
     /// Affine form, if the address was analyzable.
     pub affine: Option<Affine>,
+    /// Bytes the access touches (0 when the address was not analyzable).
+    pub width: i64,
     /// Access is volatile.
     pub volatile: bool,
 }
@@ -100,7 +102,7 @@ impl DepGraph {
                 StmtKind::Assign { lhs, rhs } => {
                     match lhs {
                         LValue::Var(_) => {}
-                        LValue::Deref { addr, volatile, .. } => {
+                        LValue::Deref { addr, ty, volatile } => {
                             let affine = decompose(proc, body, lv, *addr);
                             if affine.is_none() || *volatile {
                                 pinned[i] = true;
@@ -109,6 +111,7 @@ impl DepGraph {
                                 stmt: i,
                                 is_write: true,
                                 affine,
+                                width: ty.size(),
                                 volatile: *volatile,
                             });
                         }
@@ -121,6 +124,7 @@ impl DepGraph {
                                 stmt: i,
                                 is_write: true,
                                 affine: None,
+                                width: 0,
                                 volatile: false,
                             });
                         }
@@ -370,11 +374,12 @@ fn collect_refs_deep(
 ) {
     if let StmtKind::Assign { lhs, .. } = &proc.stmts[s] {
         match lhs {
-            LValue::Deref { addr, volatile, .. } => {
+            LValue::Deref { addr, ty, volatile } => {
                 refs.push(MemRef {
                     stmt,
                     is_write: true,
                     affine: decompose(proc, body, lv, *addr),
+                    width: ty.size(),
                     volatile: *volatile,
                 });
             }
@@ -383,6 +388,7 @@ fn collect_refs_deep(
                     stmt,
                     is_write: true,
                     affine: None,
+                    width: 0,
                     volatile: false,
                 });
             }
@@ -395,6 +401,7 @@ fn collect_refs_deep(
             stmt,
             is_write: true,
             affine: None,
+            width: 0,
             volatile: false,
         });
     }
@@ -418,7 +425,7 @@ fn collect_loads(
     pinned: &mut [bool],
 ) {
     match proc.exprs[e] {
-        Expr::Load { addr, volatile, .. } => {
+        Expr::Load { addr, ty, volatile } => {
             let affine = decompose(proc, body, lv, addr);
             if affine.is_none() || volatile {
                 pinned[stmt] = true;
@@ -427,6 +434,7 @@ fn collect_loads(
                 stmt,
                 is_write: false,
                 affine,
+                width: ty.size(),
                 volatile,
             });
         }
@@ -437,6 +445,7 @@ fn collect_loads(
                 stmt,
                 is_write: false,
                 affine: None,
+                width: 0,
                 volatile: false,
             });
         }
@@ -459,7 +468,8 @@ fn classify_pair(
     match (&r1.affine, &r2.affine) {
         (Some(a1), Some(a2)) => {
             if a1.same_base(a2, exprs) {
-                test_in_iteration_space(exprs, a1, a2, lo_const, step, trips)
+                let widths = [r1.width, r2.width];
+                test_in_iteration_space(exprs, a1, a2, widths, lo_const, step, trips)
             } else {
                 bases_may_alias(exprs, a1, a2, aliasing)
             }
@@ -475,6 +485,7 @@ fn test_in_iteration_space(
     exprs: &ExprPool,
     a1: &Affine,
     a2: &Affine,
+    widths: [i64; 2],
     lo_const: Option<i64>,
     step: i64,
     trips: Option<i64>,
@@ -493,6 +504,7 @@ fn test_in_iteration_space(
     test_pair(
         &a1.substitute(exprs, &lv),
         &a2.substitute(exprs, &lv),
+        widths,
         trips,
     )
 }
@@ -941,25 +953,25 @@ void f(void)
         let (w, r) = (aff(4, 4), aff(4, 0));
         for lo in [None, Some(0), Some(7), Some(-3)] {
             assert_eq!(
-                test_in_iteration_space(&pool, &w, &r, lo, 1, None),
+                test_in_iteration_space(&pool, &w, &r, [4, 4], lo, 1, None),
                 Verdict::Distance(1)
             );
             assert_eq!(
-                test_in_iteration_space(&pool, &r, &w, lo, 1, Some(100)),
+                test_in_iteration_space(&pool, &r, &w, [4, 4], lo, 1, Some(100)),
                 Verdict::Distance(-1)
             );
             // one trip never reaches distance 1; step 2 never meets
             assert_eq!(
-                test_in_iteration_space(&pool, &w, &r, lo, 1, Some(1)),
+                test_in_iteration_space(&pool, &w, &r, [4, 4], lo, 1, Some(1)),
                 Verdict::Independent
             );
             assert_eq!(
-                test_in_iteration_space(&pool, &w, &r, lo, 2, None),
+                test_in_iteration_space(&pool, &w, &r, [4, 4], lo, 2, None),
                 Verdict::Independent
             );
         }
         assert_eq!(
-            test_in_iteration_space(&pool, &aff(4, 0), &aff(8, 0), None, 1, None),
+            test_in_iteration_space(&pool, &aff(4, 0), &aff(8, 0), [4, 4], None, 1, None),
             Verdict::Unknown
         );
     }

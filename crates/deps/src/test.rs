@@ -39,47 +39,56 @@ impl Verdict {
 }
 
 /// Tests whether reference `a` (earlier in some iteration) and reference
-/// `b` can access a common address, with iterations ranging over
-/// `0..trips` when the trip count is known.
+/// `b`, touching `widths[0]` and `widths[1]` bytes, can share a byte, with
+/// iterations ranging over `0..trips` when the trip count is known.
 ///
 /// Addresses are `base + coeff·k + offset` with `k` the 0-based iteration
 /// number. The references must share a symbolic base (check
 /// [`Affine::same_base`] first); different-base pairs are the caller's
-/// aliasing problem.
-pub fn test_pair(a: &Affine, b: &Affine, trips: Option<i64>) -> Verdict {
-    let (a1, c1) = (a.coeff, a.offset);
-    let (a2, c2) = (b.coeff, b.offset);
-    let delta = c1 - c2; // a1*k1 + c1 = a2*k2 + c2  =>  a2*k2 - a1*k1 = delta... see below
+/// aliasing problem. A distance is returned only when it is the one
+/// distance at which the two can share a byte.
+pub fn test_pair(a: &Affine, b: &Affine, widths: [i64; 2], trips: Option<i64>) -> Verdict {
+    let (a1, a2) = (i128::from(a.coeff), i128::from(b.coeff));
+    // A − B = a1·k1 − a2·k2 + (a.offset − b.offset), and the accesses
+    // share a byte when A − B lies in [1 − widths[0], widths[1] − 1]: when
+    // a1·k1 − a2·k2 lies in [lo, hi]
+    let delta = i128::from(a.offset) - i128::from(b.offset);
+    let lo = 1 - i128::from(widths[0]) - delta;
+    let hi = i128::from(widths[1]) - 1 - delta;
 
     // ZIV: neither varies.
     if a1 == 0 && a2 == 0 {
-        return if delta == 0 {
+        return if lo <= 0 && 0 <= hi {
             Verdict::Distance(0)
         } else {
             Verdict::Independent
         };
     }
 
-    // Strong SIV: equal coefficients. a1*k1 + c1 = a1*k2 + c2
-    // => k2 - k1 = (c1 - c2) / a1.
+    // Strong SIV: equal coefficients, so a1·(k1 − k2) lies in [lo, hi],
+    // and the distance d = k2 − k1 satisfies m·d ∈ [l, h] with m = |a1|.
     if a1 == a2 {
-        if delta % a1 != 0 {
-            return Verdict::Independent;
-        }
-        let d = delta / a1;
+        let (m, l, h) = if a1 > 0 {
+            (a1, -hi, -lo)
+        } else {
+            (-a1, lo, hi)
+        };
+        let (mut first, mut last) = (-(-l).div_euclid(m), h.div_euclid(m));
         if let Some(n) = trips {
-            if d.abs() >= n.max(0) {
-                return Verdict::Independent;
-            }
+            let most = i128::from(n.max(0)) - 1;
+            (first, last) = (first.max(-most), last.min(most));
         }
-        return Verdict::Distance(d);
+        return match (last - first, i64::try_from(first)) {
+            (..0, _) => Verdict::Independent,
+            (0, Ok(d)) => Verdict::Distance(d),
+            _ => Verdict::Unknown,
+        };
     }
 
-    // General SIV/MIV collapsed to one variable: solutions to
-    // a1*k1 - a2*k2 = c2 - c1 with k1, k2 in [0, trips).
-    let rhs = i128::from(c2 - c1);
-    let g = gcd(a1.into(), a2.into());
-    if g != 0 && rhs % g != 0 {
+    // General SIV/MIV collapsed to one variable: a1·k1 − a2·k2 ∈ [lo, hi]
+    // with k1, k2 in [0, trips). GCD: some multiple of the gcd lies there.
+    let g = gcd(a1, a2);
+    if g != 0 && lo + (-lo).rem_euclid(g) > hi {
         return Verdict::Independent;
     }
     // Banerjee bounds when the trip count is known.
@@ -88,11 +97,9 @@ pub fn test_pair(a: &Affine, b: &Affine, trips: Option<i64>) -> Verdict {
             return Verdict::Independent;
         }
         let u = i128::from(n) - 1;
-        let (lo1, hi1) = span(a1.into(), u);
-        let (lo2, hi2) = span(-i128::from(a2), u);
-        let lo = lo1 + lo2;
-        let hi = hi1 + hi2;
-        if rhs < lo || rhs > hi {
+        let (lo1, hi1) = span(a1, u);
+        let (lo2, hi2) = span(-a2, u);
+        if lo1 + lo2 > hi || hi1 + hi2 < lo {
             return Verdict::Independent;
         }
     }
@@ -198,11 +205,11 @@ mod tests {
     #[test]
     fn ziv() {
         assert_eq!(
-            test_pair(&aff(0, 4), &aff(0, 4), None),
+            test_pair(&aff(0, 4), &aff(0, 4), [4, 4], None),
             Verdict::Distance(0)
         );
         assert_eq!(
-            test_pair(&aff(0, 4), &aff(0, 8), None),
+            test_pair(&aff(0, 4), &aff(0, 8), [4, 4], None),
             Verdict::Independent
         );
     }
@@ -212,25 +219,31 @@ mod tests {
         // x[i+1] written, x[i] read: coeff 4, offsets 4 vs 0 → distance 1
         let w = aff(4, 4);
         let r = aff(4, 0);
-        assert_eq!(test_pair(&w, &r, Some(100)), Verdict::Distance(1));
+        assert_eq!(test_pair(&w, &r, [4, 4], Some(100)), Verdict::Distance(1));
         // reversed: distance -1
-        assert_eq!(test_pair(&r, &w, Some(100)), Verdict::Distance(-1));
+        assert_eq!(test_pair(&r, &w, [4, 4], Some(100)), Verdict::Distance(-1));
     }
 
     #[test]
     fn strong_siv_same_element() {
         assert_eq!(
-            test_pair(&aff(4, 0), &aff(4, 0), None),
+            test_pair(&aff(4, 0), &aff(4, 0), [4, 4], None),
             Verdict::Distance(0)
         );
     }
 
     #[test]
     fn strong_siv_misaligned_independent() {
-        // byte offsets 2 apart with stride 4: never collide
+        // byte offsets 2 apart with stride 4: 2-byte accesses never share
+        // a byte, 4-byte ones share two with the same or the next
+        // iteration's
         assert_eq!(
-            test_pair(&aff(4, 0), &aff(4, 2), Some(100)),
+            test_pair(&aff(4, 0), &aff(4, 2), [2, 2], Some(100)),
             Verdict::Independent
+        );
+        assert_eq!(
+            test_pair(&aff(4, 0), &aff(4, 2), [4, 4], Some(100)),
+            Verdict::Unknown
         );
     }
 
@@ -238,21 +251,21 @@ mod tests {
     fn strong_siv_distance_beyond_trip_count() {
         // distance 50 in a 10-trip loop: no dependence
         assert_eq!(
-            test_pair(&aff(4, 200), &aff(4, 0), Some(10)),
+            test_pair(&aff(4, 200), &aff(4, 0), [4, 4], Some(10)),
             Verdict::Independent
         );
         assert_eq!(
-            test_pair(&aff(4, 200), &aff(4, 0), Some(51)),
+            test_pair(&aff(4, 200), &aff(4, 0), [4, 4], Some(51)),
             Verdict::Distance(50)
         );
     }
 
     #[test]
     fn gcd_test_rejects() {
-        // 4*k1 vs 4*k2 + 2 (different strides 8 and 4): gcd 4 does not
-        // divide 2
+        // 2-byte accesses at 8*k1 and 4*k2 + 2: every byte of one is at
+        // 0 or 1 mod 4, of the other at 2 or 3
         assert_eq!(
-            test_pair(&aff(8, 0), &aff(4, 2), None),
+            test_pair(&aff(8, 0), &aff(4, 2), [2, 2], None),
             Verdict::Independent
         );
     }
@@ -260,7 +273,10 @@ mod tests {
     #[test]
     fn gcd_test_admits() {
         // 8*k1 = 4*k2 + 4 has solutions
-        assert_eq!(test_pair(&aff(8, 0), &aff(4, 4), None), Verdict::Unknown);
+        assert_eq!(
+            test_pair(&aff(8, 0), &aff(4, 4), [4, 4], None),
+            Verdict::Unknown
+        );
     }
 
     #[test]
@@ -268,7 +284,7 @@ mod tests {
         // 4*k1 = 4*k2 + 400 within 10 iterations: max reach 36 < 400
         // (different coeff signs force the general path)
         assert_eq!(
-            test_pair(&aff(4, 0), &aff(-4, 400), Some(10)),
+            test_pair(&aff(4, 0), &aff(-4, 400), [4, 4], Some(10)),
             Verdict::Independent
         );
     }
@@ -277,7 +293,7 @@ mod tests {
     fn banerjee_bounds_admit() {
         // 4*k1 + 0 = -4*k2 + 20 reachable within 10 iterations
         assert_eq!(
-            test_pair(&aff(4, 0), &aff(-4, 20), Some(10)),
+            test_pair(&aff(4, 0), &aff(-4, 20), [4, 4], Some(10)),
             Verdict::Unknown
         );
     }
@@ -287,13 +303,13 @@ mod tests {
         // countdown loops: coeff -4 each, offsets differ by -4 → distance 1
         let w = aff(-4, -4);
         let r = aff(-4, 0);
-        assert_eq!(test_pair(&w, &r, Some(100)), Verdict::Distance(1));
+        assert_eq!(test_pair(&w, &r, [4, 4], Some(100)), Verdict::Distance(1));
     }
 
     #[test]
     fn zero_trip_loop_is_independent() {
         assert_eq!(
-            test_pair(&aff(4, 0), &aff(8, 0), Some(0)),
+            test_pair(&aff(4, 0), &aff(8, 0), [4, 4], Some(0)),
             Verdict::Independent
         );
     }
@@ -338,7 +354,7 @@ mod tests {
             let c1 = rng.range(-24, 24);
             let c2 = rng.range(-24, 24);
             let n = rng.range(0, 12);
-            let verdict = test_pair(&aff(a1, c1), &aff(a2, c2), Some(n));
+            let verdict = test_pair(&aff(a1, c1), &aff(a2, c2), [1, 1], Some(n));
             let mut collision = None;
             for k1 in 0..n {
                 for k2 in 0..n {
@@ -360,6 +376,52 @@ mod tests {
                 _ => {}
             }
         }
+    }
+
+    /// The enumeration referee for [`test_pair`]: seeded pairs of
+    /// references of widths 1, 2, 4 and 8 at byte offsets that are often
+    /// not multiples of their width, strides −24…24, every iteration pair
+    /// enumerated. The test must never call two references independent
+    /// when they share a byte, and a distance it names must be the only
+    /// one at which they do.
+    #[test]
+    fn pair_test_never_misses_a_shared_byte() {
+        let mut rng = Rng(0x5EED_9A1E);
+        let draw = |rng: &mut Rng| {
+            let width = [1, 2, 4, 8][rng.range(0, 3) as usize];
+            let offset = width * rng.range(-3, 3) + rng.range(0, width - 1);
+            (aff(rng.range(-24, 24), offset), width)
+        };
+        let (mut free, mut conservative) = (0, 0);
+        for case in 0..4000 {
+            let ((a, wa), (b, wb)) = (draw(&mut rng), draw(&mut rng));
+            // an unknown trip count is enumerated over 8 iterations
+            let n = rng.range(0, 8);
+            let trips = (rng.range(0, 3) > 0).then_some(n);
+            let verdict = test_pair(&a, &b, [wa, wb], trips);
+            let mut distances = Vec::new();
+            for k1 in 0..n {
+                for k2 in 0..n {
+                    let (x, y) = (a.coeff * k1 + a.offset, b.coeff * k2 + b.offset);
+                    if x < y + wb && y < x + wa {
+                        distances.push(k2 - k1);
+                    }
+                }
+            }
+            let why = format!("case {case}: {a:?} width {wa}, {b:?} width {wb}, trips {trips:?}");
+            match verdict {
+                Verdict::Independent => assert!(distances.is_empty(), "{why}: {distances:?}"),
+                Verdict::Distance(d) => {
+                    assert!(distances.iter().all(|&e| e == d), "{why}: {distances:?}")
+                }
+                Verdict::Unknown => {}
+            }
+            if distances.is_empty() {
+                free += 1;
+                conservative += usize::from(verdict.may_depend());
+            }
+        }
+        println!("pair test: dependent on {conservative} of {free} free pairs");
     }
 
     /// The enumeration referee for [`test_level`]: seeded pairs of nest

@@ -506,6 +506,15 @@ impl StmtPool {
         id
     }
 
+    /// Withdraws every stamp issued after the first `len`, so a pass that
+    /// built statements it then drops (the vectorizer's trial unrolling)
+    /// leaves the stamp watermark, and the encoded procedure, as it found
+    /// them. No block may hold a withdrawn id.
+    pub fn truncate(&mut self, len: usize) {
+        self.kinds.truncate(len);
+        self.spans.truncate(len);
+    }
+
     /// Grows the arena with `Nop` slots until `len() == n` (decode uses
     /// this to respect serialized stamps and their gaps).
     pub fn grow_to(&mut self, n: usize) {

@@ -135,11 +135,16 @@ pub enum LoopDecision {
     /// innermost level of its nest (§10); the payload names the loops it
     /// now sits inside and the scalars it expanded.
     Sunk(String),
+    /// The vectorizer replaced the loop, short and constant, by copies of
+    /// its body in the loop around it, so that the loop around it
+    /// vectorizes (§10); the payload names that loop and the scalars folded
+    /// into the one statement reading them.
+    Unrolled(String),
 }
 
 impl LoopDecision {
     /// Every [`tag`](Self::tag), in declaration order.
-    pub const TAGS: [&'static str; 8] = [
+    pub const TAGS: [&'static str; 9] = [
         "do_converted",
         "do_rejected",
         "ivsub",
@@ -148,6 +153,7 @@ impl LoopDecision {
         "list_spread",
         "scalar",
         "sunk",
+        "unrolled",
     ];
 
     /// Short machine-readable tag (the opt report's discriminant).
@@ -161,6 +167,7 @@ impl LoopDecision {
             LoopDecision::ListSpread => "list_spread",
             LoopDecision::Scalar(_) => "scalar",
             LoopDecision::Sunk(_) => "sunk",
+            LoopDecision::Unrolled(_) => "unrolled",
         }
     }
 
@@ -207,6 +214,7 @@ impl fmt::Display for LoopDecision {
             LoopDecision::ListSpread => f.write_str("spread (serialized pointer chase, §10)"),
             LoopDecision::Scalar(why) => write!(f, "scalar: {why}"),
             LoopDecision::Sunk(how) => write!(f, "sunk {how}"),
+            LoopDecision::Unrolled(how) => write!(f, "unrolled {how}"),
         }
     }
 }
@@ -246,6 +254,10 @@ impl Wire for LoopDecision {
                 out.write(&[7]);
                 how.write_wire(out);
             }
+            LoopDecision::Unrolled(how) => {
+                out.write(&[8]);
+                how.write_wire(out);
+            }
         }
     }
 
@@ -265,7 +277,8 @@ impl Wire for LoopDecision {
                 4 => LoopDecision::Parallelized,
                 5 => LoopDecision::ListSpread,
                 6 => LoopDecision::Scalar(String::read_wire(r)?),
-                _ => LoopDecision::Sunk(String::read_wire(r)?),
+                7 => LoopDecision::Sunk(String::read_wire(r)?),
+                _ => LoopDecision::Unrolled(String::read_wire(r)?),
             },
         )
     }
@@ -593,6 +606,7 @@ mod tests {
             LoopDecision::ListSpread,
             LoopDecision::Scalar("volatile access".into()),
             LoopDecision::Sunk("below `r`".into()),
+            LoopDecision::Unrolled("into the loop on `i`".into()),
         ];
         let tags: Vec<&str> = loops.iter().map(LoopDecision::tag).collect();
         assert_eq!(tags, LoopDecision::TAGS);
@@ -662,6 +676,7 @@ mod tests {
             LoopDecision::ListSpread,
             LoopDecision::Scalar(format!("note {seed}")),
             LoopDecision::Sunk(format!("below `r{seed}`")),
+            LoopDecision::Unrolled(format!("into the loop on `i{seed}`")),
         ];
         for (line, decision) in (1..).zip(loops) {
             let (proc, var) = (format!("p{seed}"), "i".to_string());

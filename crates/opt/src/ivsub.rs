@@ -133,13 +133,21 @@ fn one_pass(proc: &mut Procedure, block: &mut Block, pos: &mut usize) -> usize {
     candidates.len()
 }
 
-/// Finds unblocked candidates: each register variable other than the loop
-/// variable `lv` with a [`step_of`] whose increment is loop-invariant.
+/// Finds unblocked candidates: each integer or pointer register variable
+/// other than the loop variable `lv` with a [`step_of`] whose increment is
+/// loop-invariant. A float sum is no candidate: `k` additions of `c` need
+/// not round to `k * c`.
 fn find_candidates(proc: &Procedure, lv: VarId, body: &[StmtId]) -> Vec<Candidate> {
     let mut out = Vec::new();
     for &s in body {
         let v = match proc.stmts[s].defined_var() {
-            Some(v) if v != lv && proc.var(v).is_register_candidate() => v,
+            Some(v)
+                if v != lv
+                    && proc.var(v).is_register_candidate()
+                    && !proc.var_scalar(v).is_float() =>
+            {
+                v
+            }
             _ => continue,
         };
         // a variable defined twice fails at each definition

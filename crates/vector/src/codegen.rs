@@ -17,9 +17,13 @@
 //! independent, it is converted to `do parallel` unchanged (loop
 //! spreading, §2 item 2).
 //!
-//! Before that sweep, a DO loop that holds a nest and carries no
-//! dependence at its own level is *sunk* to the innermost level (§10's
-//! struct-matrix transform): the scalars private to one of its iterations
+//! Before that sweep, each DO nest is walked top-down. A loop whose inner
+//! loops all run a few constant trips takes in their copies, its private
+//! scalars folded into the statements that read them, when that leaves an
+//! innermost loop that vectorizes whole (`unroll.rs`). Otherwise a DO
+//! loop that holds a nest and carries no dependence at its own level is
+//! *sunk* to the innermost level (§10's struct-matrix transform): the
+//! scalars private to one of its iterations
 //! are expanded into a compiler-made array of one element per iteration,
 //! and the loop is distributed around each run of assignments of the
 //! nest, so that
@@ -31,6 +35,7 @@
 //! becomes `do i {s1}; do r { do i {s2}; do c { do i {s3} } }; do i {s4}`,
 //! whose innermost loops the sweep then vectorizes as it does any other.
 
+use crate::unroll::unroll_nest;
 use std::collections::HashSet;
 use titanc_deps::{level_carried, Aliasing, DepGraph, DepKind, Verdict};
 use titanc_il::visit::{edit_tree, Order};
@@ -70,18 +75,19 @@ impl Default for VectorOptions {
 /// to 2048 elements).
 const MAX_VL: i64 = 2048;
 
-/// Sinks every loop nest it can, then vectorizes every innermost DO loop
-/// of the procedure. The report holds one decision event for every loop
-/// of the procedure — visited innermost loops (vectorized / parallelized /
-/// scalar-with-reason) plus the end-of-pass sweep over loops the
-/// vectorizer never considers (non-innermost DO loops, unconverted
-/// `while` loops), and one for each sunk loop — and one note per
-/// innermost loop left scalar.
+/// Unrolls or sinks every loop nest it can, then vectorizes every
+/// innermost DO loop of the procedure. The report holds one decision event
+/// for every loop of the procedure — visited innermost loops (vectorized /
+/// parallelized / scalar-with-reason) plus the end-of-pass sweep over
+/// loops the vectorizer never considers (non-innermost DO loops,
+/// unconverted `while` loops), and one for each unrolled or sunk loop —
+/// and one note per innermost loop left scalar.
 pub fn vectorize(proc: &mut Procedure, opts: &VectorOptions) -> Report {
     let mut report = Report::default();
     // the loops a sunk loop now sits inside: never innermost candidates
-    let outer = sink_nests(proc, opts, &mut report);
-    let mut changed = !outer.is_empty();
+    let outer = reshape_nests(proc, opts, &mut report);
+    // so far the report holds an event for each loop unrolled or sunk
+    let mut changed = !report.loops.is_empty();
     // loops decided here, and the strip loops generated for them
     let mut done: HashSet<StmtId> = HashSet::new();
     // by statement index: the subtree holds a loop. Grown as statements
@@ -153,10 +159,17 @@ pub fn vectorize(proc: &mut Procedure, opts: &VectorOptions) -> Report {
     report
 }
 
-/// Walks every DO nest top-down and sinks the first loop of it that
-/// [`plan_sink`] admits, with an event naming the loops it moved below and
-/// the scalars it expanded. Returns the ids of those loops.
-fn sink_nests(proc: &mut Procedure, opts: &VectorOptions, report: &mut Report) -> HashSet<StmtId> {
+/// Walks every DO nest top-down and reshapes the first loop of it that
+/// can be: unrolls its inner loops into it ([`unroll_nest`]), with an
+/// event for each naming the loop it went into and the scalars folded, or
+/// else sinks it when [`plan_sink`] admits it, with an event naming the
+/// loops it moved below and the scalars it expanded. Returns the ids of
+/// the loops a sunk loop sits inside.
+fn reshape_nests(
+    proc: &mut Procedure,
+    opts: &VectorOptions,
+    report: &mut Report,
+) -> HashSet<StmtId> {
     let mut outer = HashSet::new();
     let nested = |_, k: &StmtKind| match k {
         StmtKind::DoLoop { body, .. } => body.iter().any(|&s| proc.stmts[s].is_loop()),
@@ -175,9 +188,34 @@ fn sink_nests(proc: &mut Procedure, opts: &VectorOptions, report: &mut Report) -
             }
         }
     });
+    let names = |proc: &Procedure, vars: &[VarId]| {
+        let names: Vec<String> = vars
+            .iter()
+            .map(|&v| format!("`{}`", proc.var(v).name))
+            .collect();
+        names.join(", ")
+    };
     edit_tree(proc, Order::Pre, &mut |proc, block, i| {
         let id = block[i];
         if outer.contains(&id) {
+            return i;
+        }
+        if let Some(unrolled) = unroll_nest(proc, id, opts, &mut reads) {
+            let StmtKind::DoLoop { var, .. } = proc.stmts[id] else {
+                unreachable!("unroll_nest unrolls into DO loops only");
+            };
+            let mut how = format!("into the loop on `{}`", proc.var(var).name);
+            if !unrolled.folded.is_empty() {
+                how += &format!("; {} folded", names(proc, &unrolled.folded));
+            }
+            for (var, span) in unrolled.loops {
+                report.loops.push(LoopEvent {
+                    proc: proc.name.clone(),
+                    var: proc.var(var).name.clone(),
+                    span,
+                    decision: LoopDecision::Unrolled(how.clone()),
+                });
+            }
             return i;
         }
         let Some(sink) = plan_sink(proc, id, opts) else {
@@ -199,16 +237,9 @@ fn sink_nests(proc: &mut Procedure, opts: &VectorOptions, report: &mut Report) -
         for (v, n) in sink.expand.iter().zip(inside) {
             reads[v.index()] -= n;
         }
-        let names = |vars: &[VarId]| {
-            let names: Vec<String> = vars
-                .iter()
-                .map(|&v| format!("`{}`", proc.var(v).name))
-                .collect();
-            names.join(", ")
-        };
-        let mut how = format!("below {}", names(&sink.below));
+        let mut how = format!("below {}", names(proc, &sink.below));
         if !sink.expand.is_empty() {
-            how += &format!("; {} expanded", names(&sink.expand));
+            how += &format!("; {} expanded", names(proc, &sink.expand));
         }
         report.loops.push(LoopEvent {
             proc: proc.name.clone(),
@@ -304,12 +335,7 @@ fn plan_sink(proc: &Procedure, id: StmtId, opts: &VectorOptions) -> Option<Sink>
     if !shape.written.is_empty() && head.step.abs() != 1 {
         return None;
     }
-    let aliasing = if *safe {
-        Aliasing::Fortran
-    } else {
-        opts.aliasing
-    };
-    if level_carried(proc, body, &head, aliasing) {
+    if level_carried(proc, body, &head, aliasing(*safe, opts)) {
         return None;
     }
     Some(Sink {
@@ -616,51 +642,8 @@ fn try_vectorize_loop(proc: &mut Procedure, id: StmtId, opts: &VectorOptions) ->
         return scalar("step is not a nonzero constant".to_string());
     };
     let trips_const = head.const_trip_count(&proc.exprs);
-    let aliasing = if safe {
-        Aliasing::Fortran
-    } else {
-        opts.aliasing
-    };
-    let graph = DepGraph::build(proc, &body, &head, aliasing);
-
-    // When the user asserted safety, memory dependence edges are waived.
-    let blocking_cycle = |i: usize| !safe && graph.has_carried_self_cycle(i);
-
-    // Allen–Kennedy distribution: classify each strongly connected
-    // component of the dependence graph; trivial components whose
-    // statement is a vectorizable assignment become vector statements, the
-    // rest stay in residual scalar loops, all emitted in topological
-    // order. Scalar values flowing between statements force them into one
-    // component (the conservative scalar edges are cyclic), so
-    // distribution never separates a scalar def from its uses.
-    let sccs = graph.sccs();
-    enum Group {
-        Vector(Vec<VecStmtPlan>),
-        Scalar(Vec<usize>),
-    }
-    let mut groups: Vec<Group> = Vec::new();
-    for comp in &sccs {
-        let plan = if comp.len() == 1 {
-            let i = comp[0];
-            if graph.pinned[i] || blocking_cycle(i) {
-                None
-            } else {
-                plan_stmt(proc, &body, lv, body[i])
-            }
-        } else {
-            None
-        };
-        match plan {
-            Some(p) => match groups.last_mut() {
-                Some(Group::Vector(v)) => v.push(p),
-                _ => groups.push(Group::Vector(vec![p])),
-            },
-            None => match groups.last_mut() {
-                Some(Group::Scalar(v)) => v.extend(comp.iter().copied()),
-                _ => groups.push(Group::Scalar(comp.clone())),
-            },
-        }
-    }
+    let graph = DepGraph::build(proc, &body, &head, aliasing(safe, opts));
+    let groups = distribution(proc, &body, lv, &graph, safe);
     let any_vector = groups.iter().any(|g| matches!(g, Group::Vector(_)));
 
     if any_vector && !body.is_empty() {
@@ -739,14 +722,83 @@ fn try_vectorize_loop(proc: &mut Procedure, id: StmtId, opts: &VectorOptions) ->
         convert_to_parallel(proc, id);
         return Outcome::Spread;
     }
-    scalar(describe_defeat(&graph, &sccs, safe))
+    scalar(describe_defeat(&graph, safe))
+}
+
+/// The aliasing regime of a loop: Fortran's when the user asserted its
+/// safety, the options' otherwise.
+fn aliasing(safe: bool, opts: &VectorOptions) -> Aliasing {
+    if safe {
+        Aliasing::Fortran
+    } else {
+        opts.aliasing
+    }
+}
+
+/// A run of consecutive components of a loop's dependence graph.
+enum Group {
+    /// Vector statements, in order.
+    Vector(Vec<VecStmtPlan>),
+    /// The indices of statements left in a residual scalar loop.
+    Scalar(Vec<usize>),
+}
+
+/// Allen–Kennedy distribution: classifies each strongly connected
+/// component of the dependence graph of `body`; trivial components whose
+/// statement is a vectorizable assignment become vector statements, the
+/// rest stay in residual scalar loops, all in topological order. Scalar
+/// values flowing between statements force them into one component (the
+/// conservative scalar edges are cyclic), so distribution never separates
+/// a scalar def from its uses. When the user asserted safety, memory
+/// dependence edges are waived.
+fn distribution(
+    proc: &Procedure,
+    body: &[StmtId],
+    lv: VarId,
+    graph: &DepGraph,
+    safe: bool,
+) -> Vec<Group> {
+    let mut groups: Vec<Group> = Vec::new();
+    for comp in graph.sccs() {
+        let plan = match comp[..] {
+            [i] if !graph.pinned[i] && (safe || !graph.has_carried_self_cycle(i)) => {
+                plan_stmt(proc, body, lv, body[i])
+            }
+            _ => None,
+        };
+        match plan {
+            Some(p) => match groups.last_mut() {
+                Some(Group::Vector(v)) => v.push(p),
+                _ => groups.push(Group::Vector(vec![p])),
+            },
+            None => match groups.last_mut() {
+                Some(Group::Scalar(v)) => v.extend(comp.iter().copied()),
+                _ => groups.push(Group::Scalar(comp)),
+            },
+        }
+    }
+    groups
+}
+
+/// True when every statement of `body`, as the body of the DO loop
+/// `head`, would become a vector statement.
+pub(crate) fn vectorizes_whole(
+    proc: &Procedure,
+    body: &[StmtId],
+    head: &DoHeader,
+    safe: bool,
+    opts: &VectorOptions,
+) -> bool {
+    let graph = DepGraph::build(proc, body, head, aliasing(safe, opts));
+    let groups = distribution(proc, body, head.lv, &graph, safe);
+    !body.is_empty() && groups.iter().all(|g| matches!(g, Group::Vector(_)))
 }
 
 /// Names the first construct or dependence that kept the loop scalar, in
 /// the order the vectorizer gives up: pinned statements, carried
 /// self-dependences, multi-statement dependence cycles, and finally
 /// statements that are simply not vector assignments.
-fn describe_defeat(graph: &DepGraph, sccs: &[Vec<usize>], safe: bool) -> String {
+fn describe_defeat(graph: &DepGraph, safe: bool) -> String {
     if let Some(i) = graph.pinned.iter().position(|&p| p) {
         return format!(
             "statement {i} is pinned (call, goto, volatile access, \
@@ -773,7 +825,7 @@ fn describe_defeat(graph: &DepGraph, sccs: &[Vec<usize>], safe: bool) -> String 
             );
         }
     }
-    if let Some(c) = sccs.iter().find(|c| c.len() > 1) {
+    if let Some(c) = graph.sccs().iter().find(|c| c.len() > 1) {
         if let Some(e) = graph
             .edges
             .iter()

@@ -2,8 +2,9 @@
 //! scalar optimization
 //!
 //! The back half of the paper's pipeline: Allen–Kennedy-style vector code
-//! generation over the dependence graph (§5), after a DO loop that carries
-//! nothing is sunk to the innermost level of its nest (§10), `do parallel`
+//! generation over the dependence graph (§5), after a DO loop's short
+//! inner loops are unrolled into it or a DO loop that carries nothing is
+//! sunk to the innermost level of its nest (§10), `do parallel`
 //! loop spreading with strip mining (§9), and the §6 optimizations that
 //! reuse the same dependence graph when a loop stays scalar — register
 //! promotion of loop-carried values, strength reduction of affine
@@ -33,6 +34,7 @@
 pub mod codegen;
 pub mod spread;
 pub mod strength;
+mod unroll;
 
 pub use codegen::{vectorize, VectorOptions, DEFAULT_STRIP};
 pub use spread::spread_list_loops;

@@ -151,6 +151,11 @@ fn promote_registers(
     };
     let store_idx = edge.from;
     let load_idx = edge.to;
+    // a load after the store in the body would read the register after
+    // the store has already moved it on to this iteration's value
+    if load_idx > store_idx {
+        return;
+    }
 
     // the store statement: lhs Deref affine
     let (store_aff, store_ty) = {
@@ -176,14 +181,16 @@ fn promote_registers(
         offset: store_aff.offset - store_aff.coeff * step,
         ..store_aff.clone()
     };
-    // ensure no OTHER write may touch the promoted cell range
+    // ensure no OTHER write may touch the promoted cell range: one into
+    // another named array cannot, one with another base into the same
+    // array can (`a[r][c]` against `a[c][c]`)
+    let other_array = |a: &Affine| {
+        let roots = (store_aff.array_root(&proc.exprs), a.array_root(&proc.exprs));
+        matches!(roots, (Some(x), Some(y)) if x != y)
+    };
     for r in &graph.refs {
-        if r.is_write && r.stmt != store_idx {
-            match &r.affine {
-                Some(a) if a.same_base(&store_aff, &proc.exprs) => return,
-                Some(_) => {}
-                None => return,
-            }
+        if r.is_write && r.stmt != store_idx && !r.affine.as_ref().is_some_and(other_array) {
+            return;
         }
     }
     // and the load must execute unconditionally at top level

@@ -49,7 +49,7 @@ fn every_corpus_loop_is_accounted_for() {
             assert!(
                 matches!(
                     l.classification,
-                    "vectorized" | "parallelized" | "spread" | "scalar"
+                    "vectorized" | "parallelized" | "spread" | "unrolled" | "scalar"
                 ),
                 "{name}: unclassified loop {l:?}"
             );

@@ -1055,44 +1055,108 @@ int main(void)
 }
 
 /// Every build of `src` observes what `-O0` does (both engines, and
-/// `--parallel` on two processors); returns the `sunk` events of the `-O2`
-/// build as `loop on `v` sunk …` lines.
-fn sunk_loops(src: &str, globals: &[(&str, ScalarType, u32)]) -> Vec<String> {
+/// `--parallel` on two processors); returns the `unrolled` and `sunk`
+/// events of the `-O2` build as `loop on `v` …` lines, and checks that
+/// `--parallel` reshapes the same loops.
+fn reshaped_loops(src: &str, globals: &[(&str, ScalarType, u32)]) -> Vec<String> {
     check(src, globals);
     let builds = agree_with_o0(src, globals);
     let (_, c) = builds
         .iter()
         .find(|(level, _)| *level == "O2")
         .expect("a build");
-    let sunk = c
-        .reports
-        .loops
-        .iter()
-        .filter(|e| e.decision.tag() == "sunk");
-    sunk.map(|e| format!("loop on `{}` {}", e.var, e.decision))
-        .collect()
+    let lines = |c: &titanc_repro::titanc::Compilation| -> Vec<String> {
+        let reshaped =
+            (c.reports.loops.iter()).filter(|e| matches!(e.decision.tag(), "unrolled" | "sunk"));
+        reshaped
+            .map(|e| format!("loop on `{}` {}", e.var, e.decision))
+            .collect()
+    };
+    let parallel = compile(src, &Options::parallel()).unwrap();
+    assert_eq!(
+        lines(&parallel),
+        lines(c),
+        "--parallel reshaped other loops"
+    );
+    lines(c)
 }
 
-/// EXP8's nest: the vertex loop carries nothing, so it is sunk below the
-/// row and column loops with `acc` expanded, and every loop it lands in
-/// vectorizes; the opt report classifies the source loop as vectorized.
+/// EXP8's nest: the row and column loops run 4 trips each, so they are
+/// unrolled into the vertex loop with `acc` folded into its one store per
+/// row, and the vertex loop vectorizes whole; the opt report classifies
+/// the source loop as vectorized and the inner ones as unrolled.
 #[test]
-fn the_struct_matrix_vertex_loop_is_sunk() {
+fn the_struct_matrix_row_and_column_loops_are_unrolled() {
     let src = include_str!("../corpus/struct_matrix.c");
     let globals = [("out_pts", ScalarType::Float, 1024)];
+    let into = "unrolled into the loop on `dummy_7`; `acc` folded";
     assert_eq!(
-        sunk_loops(src, &globals),
-        ["loop on `dummy_7` sunk below `dummy_10`, `dummy_13`; `acc` expanded"]
+        reshaped_loops(src, &globals),
+        [
+            format!("loop on `dummy_10` {into}"),
+            format!("loop on `dummy_13` {into}")
+        ]
     );
     let c = compile(src, &Options::o2()).unwrap();
     let report = OptReport::build(&c.reports, &c.trace);
-    assert_eq!(report.loops[0].var, "i");
-    assert_eq!(report.loops[0].classification, "vectorized");
-    assert_eq!(c.reports.count("vectorized"), 3);
+    let classes: Vec<(&str, &str)> = (report.loops.iter())
+        .map(|l| (l.var.as_str(), l.classification))
+        .collect();
+    assert_eq!(
+        classes,
+        [("i", "vectorized"), ("r", "unrolled"), ("c", "unrolled")]
+    );
+    assert_eq!(c.reports.count("vectorized"), 1);
 }
 
-/// The same transform over initialized data, with `acc` read after the
-/// nest: it needs the last iteration's value back.
+/// The same transform over a 3×3 matrix of initialized data: nine
+/// copies, three stores.
+#[test]
+fn a_three_by_three_transform_is_unrolled() {
+    let src = "
+struct matrix { float m[3][3]; };
+struct vertex { float v[3]; };
+struct matrix xf;
+struct vertex pts[100], out_pts[100];
+int main(void)
+{
+    int i, r, c;
+    float acc;
+    for (r = 0; r < 3; r++)
+        for (c = 0; c < 3; c++)
+            xf.m[r][c] = 0.5f * r - 0.25f * c;
+    for (i = 0; i < 100; i++)
+        for (c = 0; c < 3; c++)
+            pts[i].v[c] = 3.0f + i + c;
+    for (i = 0; i < 100; i++) {
+        for (r = 0; r < 3; r++) {
+            acc = 0.0f;
+            for (c = 0; c < 3; c++)
+                acc += xf.m[r][c] * pts[i].v[c];
+            out_pts[i].v[r] = acc;
+        }
+    }
+    return 0;
+}
+";
+    let globals = [("out_pts", ScalarType::Float, 300)];
+    let reshaped = reshaped_loops(src, &globals);
+    assert_eq!(reshaped.len(), 2, "{reshaped:?}");
+    for line in &reshaped {
+        assert!(line.ends_with("; `acc` folded"), "{reshaped:?}");
+    }
+    let c = compile(src, &Options::o2()).unwrap();
+    let main = c.program.procs.iter().find(|p| p.name == "main").unwrap();
+    let text = titanc_repro::il::pretty_proc(main);
+    let stores = text
+        .lines()
+        .filter(|l| l.contains("[(&out_pts") || l.contains("[&out_pts"));
+    assert_eq!(stores.count(), 3, "{text}");
+}
+
+/// The same transform with `acc` read after the nest: unrolling would
+/// fold away its last value, so the vertex loop is sunk instead and gets
+/// that value back.
 #[test]
 fn a_sunk_scalar_read_after_the_nest_gets_its_last_value() {
     let src = "
@@ -1127,8 +1191,9 @@ int main(void)
         ("out_pts", ScalarType::Float, 256),
         ("last", ScalarType::Float, 1),
     ];
-    let sunk = sunk_loops(src, &globals);
+    let sunk = reshaped_loops(src, &globals);
     assert_eq!(sunk.len(), 1, "{sunk:?}");
+    assert!(sunk[0].contains(" sunk below "), "{sunk:?}");
     assert!(sunk[0].ends_with("; `acc` expanded"), "{sunk:?}");
     let c = compile(src, &Options::o2()).unwrap();
     let main = c.program.procs.iter().find(|p| p.name == "main").unwrap();
@@ -1139,35 +1204,96 @@ int main(void)
     );
 }
 
-/// A three-deep rectangular nest with a private scalar: the outer loop is
-/// sunk below both inner ones, and each assignment becomes a vector
-/// statement over it.
+/// A definition is folded only into the statement right after it, and
+/// only when that statement is the one that reads its value: `t` read by
+/// two statements, or with a store between its definition and its read,
+/// stays, so the unrolled copies do not vectorize whole and the vertex
+/// loop is sunk with `t` expanded instead.
 #[test]
-fn a_three_deep_rectangular_nest_is_sunk() {
-    let src = "
-float a[32][4][3], b[32][4][3], c[4][3];
+fn a_scalar_read_twice_or_past_a_store_is_not_folded() {
+    let bodies = [
+        "t = b[i][j] * 2.0f; a[i][j] = t; c[i][j] = t + 1.0f;",
+        "t = a[i][j]; a[i][j] = 0.5f; c[i][j] = t;",
+    ];
+    for body in bodies {
+        let src = format!(
+            "
+float a[64][4], b[64][4], c[64][4];
 int main(void)
-{
+{{
+    int i, j;
+    float t;
+    for (i = 0; i < 64; i++)
+        for (j = 0; j < 4; j++) {{
+            a[i][j] = 1.0f + i - j;
+            b[i][j] = 2.0f * i + j;
+        }}
+    for (i = 0; i < 64; i++)
+        for (j = 0; j < 4; j++) {{
+            {body}
+        }}
+    return 0;
+}}
+"
+        );
+        let globals = [("a", ScalarType::Float, 256), ("c", ScalarType::Float, 256)];
+        let reshaped = reshaped_loops(&src, &globals);
+        assert_eq!(reshaped.len(), 1, "{body}: {reshaped:?}");
+        assert!(
+            reshaped[0].ends_with("; `t` expanded"),
+            "{body}: {reshaped:?}"
+        );
+    }
+}
+
+/// A three-deep rectangular nest with a private scalar, over `inner`
+/// trips at its innermost level.
+fn three_deep_nest(inner: usize) -> String {
+    format!(
+        "
+float a[32][4][{inner}], b[32][4][{inner}], c[4][{inner}];
+int main(void)
+{{
     int i, j, k;
     float t;
     for (i = 0; i < 32; i++)
         for (j = 0; j < 4; j++)
-            for (k = 0; k < 3; k++) {
+            for (k = 0; k < {inner}; k++) {{
                 b[i][j][k] = i - j * k;
                 if (i == 0)
                     c[j][k] = j + 0.5f * k;
-            }
+            }}
     for (i = 0; i < 32; i++)
         for (j = 0; j < 4; j++)
-            for (k = 0; k < 3; k++) {
+            for (k = 0; k < {inner}; k++) {{
                 t = b[i][j][k] * 2.0f;
                 a[i][j][k] = t + c[j][k];
-            }
+            }}
     return 0;
+}}
+"
+    )
 }
-";
+
+/// Over 3 trips at the innermost level, both inner loops are unrolled
+/// into the outer one, `t` is folded into each of the twelve stores, and
+/// each becomes a vector statement over it.
+#[test]
+fn a_three_deep_rectangular_nest_is_unrolled() {
     let globals = [("a", ScalarType::Float, 384)];
-    let sunk = sunk_loops(src, &globals);
+    let unrolled = reshaped_loops(&three_deep_nest(3), &globals);
+    assert_eq!(unrolled.len(), 2, "{unrolled:?}");
+    for line in &unrolled {
+        assert!(line.ends_with("; `t` folded"), "{unrolled:?}");
+    }
+}
+
+/// Over 6 trips at the innermost level the nest would make 24 copies, so
+/// the outer loop is sunk below both inner ones, `t` expanded, instead.
+#[test]
+fn a_three_deep_nest_of_six_inner_trips_is_sunk() {
+    let globals = [("a", ScalarType::Float, 768)];
+    let sunk = reshaped_loops(&three_deep_nest(6), &globals);
     assert_eq!(sunk.len(), 1, "{sunk:?}");
     let below = sunk[0].split("sunk below ").nth(1).unwrap();
     assert_eq!(below.matches('`').count(), 6, "two loops and `t`: {sunk:?}");
@@ -1176,10 +1302,14 @@ int main(void)
 
 /// Nests the sink must leave alone, each for one of its conditions: the
 /// outer level carries a dependence (in the second nest, one that sinking
-/// would reverse); the inner bound reads the outer
-/// variable; a scalar is carried across the outer loop; an `if` or a
-/// call sits in the nest; a right-hand side reads the outer variable
-/// (titanperf's `xform` initialises its vertices that way).
+/// would reverse); the inner bound reads the outer variable; a scalar is
+/// carried across the outer loop; an `if` or a call sits in the nest; a
+/// right-hand side reads the outer variable (titanperf's `xform`
+/// initialises its vertices that way). Unrolling the inner loop leaves a
+/// statement that does not vectorize in each but the second, where the
+/// copy of `a[i][j] = a[i - 1][j + 1] + 1.0f` for `j = J + 1` writes what
+/// the one for `J` reads an outer iteration later: the copies vectorize
+/// over `i` in that order, last first, so that nest is unrolled.
 #[test]
 fn nests_that_carry_or_cannot_vectorize_are_not_sunk() {
     let head = "
@@ -1212,9 +1342,146 @@ int main(void)
         ("a", ScalarType::Float, 4096),
         ("out", ScalarType::Float, 2),
     ];
-    for nest in nests {
+    for (n, nest) in nests.into_iter().enumerate() {
         let src = format!("{head}    {nest}\n    out[0] = s;\n    return 0;\n}}\n");
-        let sunk = sunk_loops(&src, &globals);
-        assert!(sunk.is_empty(), "{nest}: {sunk:?}");
+        let reshaped = reshaped_loops(&src, &globals);
+        if n == 1 {
+            assert_eq!(reshaped.len(), 1, "{nest}: {reshaped:?}");
+            assert!(
+                reshaped[0].contains(" unrolled into "),
+                "{nest}: {reshaped:?}"
+            );
+        } else {
+            assert!(reshaped.is_empty(), "{nest}: {reshaped:?}");
+        }
     }
+}
+
+/// The single-loop dependence test compared exact byte addresses, so
+/// `int` stores two bytes past `int` loads of the same buffer looked
+/// independent, and the loop became one vector statement that reads every
+/// element before it stores any: over a buffer holding 0, 1, 2, …, `-O2`
+/// left `buf[6]` at 5 where `-O0` leaves 3. `test_pair` now counts
+/// overlapping byte ranges as a dependence, and the loop stays scalar.
+#[test]
+fn overlapping_misaligned_accesses_keep_their_order() {
+    for init in ["", "for (i = 0; i < 80; i++) buf[i] = i;"] {
+        let src = format!(
+            "
+char buf[80];
+int main(void)
+{{
+    int *p, *q;
+    int i;
+    {init}
+    q = (int *)buf;
+    p = (int *)(buf + 2);
+    for (i = 0; i < 16; i++)
+        p[i] = q[i] + 1;
+    return buf[2] + 10 * buf[6];
+}}
+"
+        );
+        let globals = [("buf", ScalarType::Char, 80)];
+        check(&src, &globals);
+        for (level, c) in agree_with_o0(&src, &globals) {
+            assert_eq!(c.reports.count("vectorized"), 0, "{level}: {init}");
+        }
+        if init.is_empty() {
+            let o2 = compile(&src, &Options::o2()).unwrap();
+            let (seen, _) =
+                observe(&o2.program, MachineConfig::default(), "main", &globals).expect("O2 runs");
+            let bytes: Vec<i64> = seen.globals[0].1[2..10]
+                .iter()
+                .map(|v| v.as_int())
+                .collect();
+            assert_eq!(bytes, [1, 0, 0, 0, 1, 0, 0, 0]);
+        }
+    }
+}
+
+/// Register promotion carries a value stored in one iteration to a load
+/// of the next through a register, which the store moves on. A load that
+/// follows the store in the body then read this iteration's value: `-O2`
+/// returned 54 where `-O0` returns 12. Promotion now needs the load at or
+/// before the store, as in §6's backsolve.
+#[test]
+fn a_promoted_load_after_its_store_reads_the_previous_iteration() {
+    let src = "
+float a[40][6][6], b[40][6][6];
+int main(void)
+{
+    int i;
+    float t;
+    t = 2.0f;
+    for (i = 0; i < 40; i++) {
+        a[i][1][3] = 1.0f * i;
+        b[i][1][3] = 0.5f * i;
+    }
+    for (i = 1; i < 39; i++) {
+        a[i][1][3] = b[i][2][1] - t;
+        t = b[i][1][3] - a[i - 1][1][3];
+    }
+    return (int)(a[20][1][3] * 10.0f) & 127;
+}
+";
+    let globals = [("a", ScalarType::Float, 40 * 36)];
+    check(src, &globals);
+    agree_with_o0(src, &globals);
+}
+
+/// ivsub took a float sum `t = t + s` for an induction variable and
+/// rebuilt it as `t0 + k * s` through an integer multiply, which read
+/// `0.5f` as 0: `-O1` returned 2 where `-O0` returns 9. A float variable
+/// is no candidate now.
+#[test]
+fn a_float_sum_is_not_an_induction_variable() {
+    let src = "
+float a[8];
+int main(void)
+{
+    int r, c;
+    float s, t;
+    t = 2.0f;
+    s = 0.5f;
+    for (r = 0; r < 3; r++)
+        for (c = 0; c < 5; c++) {
+            t = t + s;
+            a[c] = t;
+        }
+    return (int)t;
+}
+";
+    let globals = [("a", ScalarType::Float, 8)];
+    check(src, &globals);
+    agree_with_o0(src, &globals);
+}
+
+/// Register promotion loads the carried cell before the loop, so no
+/// other store of the loop may reach it. It let through a store whose
+/// address has another symbolic base, here `a[r][c]` (its `r` term)
+/// beside the promoted `a[c][c]`: at `c = 0` both name `a[0][0]`, and
+/// `-O2` returned 8 where `-O0` returns 4. Only a store into another named
+/// array lets promotion go ahead now.
+#[test]
+fn a_promoted_cell_is_not_stored_through_another_base() {
+    let src = "
+float a[6][6];
+int main(void)
+{
+    int r, c;
+    for (r = 0; r < 6; r++)
+        for (c = 0; c < 6; c++)
+            a[r][c] = r - 0.5f * c;
+    for (r = 0; r < 1; r++)
+        for (c = 0; c < 4; c++) {
+            a[r][c] = a[c][4] + 1.0f;
+            a[c + 1][c + 1] = 1.0f + (a[c][c] - a[c][r]);
+        }
+    return (int)(a[1][1] * 4.0f) & 127;
+}
+";
+    let globals = [("a", ScalarType::Float, 36)];
+    check(src, &globals);
+    agree_with_o0(src, &globals);
 }
