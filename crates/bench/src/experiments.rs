@@ -530,6 +530,19 @@ fn exp8() -> Vec<Row> {
         ),
     ];
     rows.extend(cycle_rows(corpus::STRUCT_MATRIX, cases));
+    // over 8x8 matrices the inner loops run 8 trips, too many to unroll:
+    // the vertex loop is sunk below them, and `acc`'s 256 elements stay
+    // in a vector register (20x claims that they do)
+    let cases = [
+        ("8x8 transform: scalar only (O1)".to_string(), Scalar, 0.0),
+        ("8x8 transform: optimized (O2)".to_string(), Vector, 20.0),
+        (
+            "8x8 transform: vector + 2 procs (O2 --parallel)".to_string(),
+            Parallel(2),
+            15.0,
+        ),
+    ];
+    rows.extend(cycle_rows(corpus::STRUCT_MATRIX8, cases));
     rows
 }
 

@@ -32,6 +32,8 @@ pub mod corpus {
     pub const VOLATILE_POLL: &str = include_str!("../../../corpus/volatile_poll.c");
     /// §10 struct-embedded arrays (graphics transform).
     pub const STRUCT_MATRIX: &str = include_str!("../../../corpus/struct_matrix.c");
+    /// The same transform over 8×8 matrices (the sink's nest).
+    pub const STRUCT_MATRIX8: &str = include_str!("../../../corpus/struct_matrix8.c");
     /// BLAS-1 library used for catalog inlining.
     pub const BLASLIB: &str = include_str!("../../../corpus/blaslib.c");
     /// §10 linked-list walk (future-work spreading).
@@ -354,6 +356,7 @@ mod tests {
             ("copy", corpus::COPY),
             ("volatile", corpus::VOLATILE_POLL),
             ("struct_matrix", corpus::STRUCT_MATRIX),
+            ("struct_matrix8", corpus::STRUCT_MATRIX8),
             ("blaslib", corpus::BLASLIB),
             ("listwalk", corpus::LISTWALK),
         ] {

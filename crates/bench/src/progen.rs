@@ -7,6 +7,11 @@
 //! program is valid C in the compiler's subset, so any front-end
 //! rejection, contained incident, or observation divergence found by the
 //! stress harness is a compiler bug, not a generator artifact.
+//!
+//! [`section_program`] is a second grammar: float loops whose statements
+//! read and write sections of four arrays at a few strides and offsets,
+//! so the vectorizer meets runs of vector statements that share sections
+//! and stores between the reads of one, and a nest that it sinks.
 
 /// Names of the integer scalar variables every program declares.
 pub const SCALARS: [&str; 4] = ["va", "vb", "vc", "vd"];
@@ -278,5 +283,94 @@ pub fn program(rng: &mut Rng) -> String {
          va = ha; vb = hb; vc = 5; vd = 7; {inits}\n{hbody}    return {hret};\n}}\n\
          int main(void)\n{{\n    {decls}\n    \
          va = 1; vb = 2; vc = 3; vd = 4; {inits}\n{body}    return {mret};\n}}\n"
+    )
+}
+
+/// Length of each array of a [`section_program`].
+pub const SECTION_LEN: usize = 96;
+
+/// The arrays a [`section_program`] declares, all `float`.
+pub const SECTION_ARRAYS: [&str; 4] = ["fa", "fb", "fc", "fd"];
+
+/// One section of a [`section_program`]: array, stride and offset, each
+/// element `array[stride * i + offset]`.
+type Sect = (usize, i64, i64);
+
+fn render_sect(&(array, stride, offset): &Sect) -> String {
+    format!("{}[{stride} * i + {offset}]", SECTION_ARRAYS[array])
+}
+
+/// Generates a program of float loops over sections: after filling four
+/// arrays, one loop of two to four statements, each storing a section the
+/// sum or product of one to three sections, drawn mostly from three of
+/// `fa` and `fb` the program picks up front and sometimes from what an
+/// earlier statement stored (so statements often read the same section,
+/// and sometimes store to one another reads), then, half the time, a
+/// 64-iteration loop around a 5–7-trip dot product into a private `t`,
+/// which a quarter of the time is read after it. Every subscript stays
+/// below [`SECTION_LEN`] and every value finite.
+pub fn section_program(rng: &mut Rng) -> String {
+    let trips = rng.range(8, 40);
+    // reads of `fa` and `fb`, stores to disjoint halves of `fc` and `fd`,
+    // a quarter of them to the start of `fa` or `fb` instead, which every
+    // read of it is at or ahead of
+    let sect =
+        |rng: &mut Rng| -> Sect { (rng.below(2) as usize, rng.range(1, 3), rng.range(0, 4)) };
+    let common: Vec<Sect> = (0..3).map(|_| sect(rng)).collect();
+    let mut halves = vec![(2, 0), (2, 48), (3, 0), (3, 48)];
+    let mut stored: Vec<Sect> = Vec::new();
+    let mut body = String::new();
+    for _ in 0..rng.range(2, 5) {
+        let target = match rng.below(4) {
+            0 => (rng.below(2) as usize, 1, 0),
+            _ => {
+                let (array, offset) = halves.remove(rng.below(halves.len() as u64) as usize);
+                (array, 1, offset)
+            }
+        };
+        let mut rhs = String::new();
+        for k in 0..rng.range(1, 4) {
+            let read = match rng.below(6) {
+                0 => sect(rng),
+                1 if !stored.is_empty() => stored[rng.below(stored.len() as u64) as usize],
+                _ => common[rng.below(3) as usize],
+            };
+            if k > 0 {
+                rhs.push_str([" + ", " - ", " * 0.5f + "][rng.below(3) as usize]);
+            }
+            rhs.push_str(&render_sect(&read));
+        }
+        body.push_str(&format!("        {} = {rhs};\n", render_sect(&target)));
+        stored.push(target);
+    }
+    let mut nest = String::new();
+    if rng.below(2) == 0 {
+        let inner = rng.range(5, 8);
+        let (x, y) = (rng.below(4) as usize, rng.below(4) as usize);
+        let out = (x + 1 + rng.below(3) as usize) % 4;
+        let [x, y, out] = [x, y, out].map(|a| SECTION_ARRAYS[a]);
+        nest = format!(
+            "    for (i = 0; i < 64; i++) {{\n        t = 1.0f;\n        \
+             for (j = 0; j < {inner}; j++)\n            t = t + {x}[i + j] * {y}[j];\n        \
+             {out}[i] = t;\n    }}\n"
+        );
+        if rng.below(4) == 0 {
+            nest.push_str(&format!("    {out}[95] = t;\n"));
+        }
+    }
+    let decls: String = (SECTION_ARRAYS.iter())
+        .map(|a| format!("float {a}[{SECTION_LEN}];\n"))
+        .collect();
+    let fills: String = (SECTION_ARRAYS.iter().enumerate())
+        .map(|(k, a)| {
+            let first = rng.range(-9, 10) + k as i64;
+            format!("        {a}[i] = {first}.0f + 0.25f * i;\n")
+        })
+        .collect();
+    format!(
+        "{decls}int main(void)\n{{\n    int i, j;\n    float t;\n    \
+         for (i = 0; i < {SECTION_LEN}; i++) {{\n{fills}    }}\n    \
+         for (i = 0; i < {trips}; i++) {{\n{body}    }}\n{nest}    \
+         return (int)(fa[5] + fd[7]) & 127;\n}}\n"
     )
 }

@@ -91,6 +91,13 @@ impl Case {
     pub fn nth(run_seed: u64, i: u64) -> Case {
         Case::new(case_seed(run_seed, i))
     }
+
+    /// For every fourth case seed, a [`progen::section_program`] drawn from
+    /// it, which `observe` and `codec` check beside the case's program.
+    pub fn section_program(&self) -> Option<String> {
+        let mut rng = progen::Rng::new(self.seed ^ 0x5EC7_10A5);
+        (self.seed.is_multiple_of(4)).then(|| progen::section_program(&mut rng))
+    }
 }
 
 /// A family of contracts, checked on one case at a time; it adds what it
@@ -131,6 +138,9 @@ pub struct Totals {
     /// §6 constant multiplies reduced to shifts and adds, over the same
     /// compiles ([`Count::StrengthMulReduced`]).
     pub muls_reduced: usize,
+    /// Vector registers made, over the same compiles
+    /// ([`Count::VectorRegisters`]).
+    pub vregs: usize,
     /// Contained incidents over the same compiles.
     pub incidents: usize,
     /// Sessions compiled (with or without a cache directory).
@@ -159,6 +169,7 @@ impl Totals {
             self.coverage[i.expect("every tag is in its type's TAGS")] += 1;
         }
         self.muls_reduced += c.reports.get(Count::StrengthMulReduced);
+        self.vregs += c.reports.get(Count::VectorRegisters);
         self.incidents += c.trace.incidents.len();
     }
 
@@ -175,6 +186,7 @@ impl Totals {
         let rejects = self.rejects.iter_mut().zip(other.rejects);
         rejects.for_each(|(n, m)| *n += m);
         self.muls_reduced += other.muls_reduced;
+        self.vregs += other.vregs;
         self.incidents += other.incidents;
         self.sessions += other.sessions;
         self.cache.merge(&other.cache);
@@ -182,19 +194,22 @@ impl Totals {
     }
 
     /// The tags with at least one hit, then `muls_reduced` when a
-    /// multiply was reduced.
+    /// multiply was reduced and `vregs` when a register was made.
     pub fn lit(&self) -> Vec<&'static str> {
         let hits = tags().zip(self.coverage);
         let mut lit: Vec<_> = hits.filter(|(_, n)| *n > 0).map(|(t, _)| t).collect();
         if self.muls_reduced > 0 {
             lit.push("muls_reduced");
         }
+        if self.vregs > 0 {
+            lit.push("vregs");
+        }
         lit
     }
 
     /// `tag=hits` for every tag, then `do_rejected:Reason=hits` for every
-    /// rejection reason, zeros included, then `muls_reduced=n` and
-    /// `incidents=n`.
+    /// rejection reason, zeros included, then `muls_reduced=n`, `vregs=n`
+    /// and `incidents=n`.
     pub fn coverage_line(&self) -> String {
         let mut words: Vec<String> = tags()
             .zip(self.coverage)
@@ -203,6 +218,7 @@ impl Totals {
         let rejects = Reject::ALL.iter().zip(self.rejects);
         words.extend(rejects.map(|(r, n)| format!("do_rejected:{r:?}={n}")));
         words.push(format!("muls_reduced={}", self.muls_reduced));
+        words.push(format!("vregs={}", self.vregs));
         words.push(format!("incidents={}", self.incidents));
         words.join(" ")
     }
@@ -464,8 +480,27 @@ fn run_both(
     Ok((obs, stats))
 }
 
+/// What a run of a [`progen::section_program`] observes.
+const SECTION_GLOBALS: [(&str, ScalarType, u32); 4] = {
+    let len = progen::SECTION_LEN as u32;
+    let [a, b, c, d] = progen::SECTION_ARRAYS;
+    [
+        (a, ScalarType::Float, len),
+        (b, ScalarType::Float, len),
+        (c, ScalarType::Float, len),
+        (d, ScalarType::Float, len),
+    ]
+};
+
+/// The `observe` contracts over the case's program and its section
+/// program.
 fn observe(case: &Case, totals: &mut Totals) -> Result<(), String> {
-    observe_program(&case.src, &OUT_GLOBALS, totals)
+    observe_program(&case.src, &OUT_GLOBALS, totals)?;
+    match case.section_program() {
+        Some(src) => observe_program(&src, &SECTION_GLOBALS, totals)
+            .map_err(|e| format!("{e}\n  in the case's section program:\n{src}")),
+        None => Ok(()),
+    }
 }
 
 /// The `observe` contracts over one program whose `main` runs to
@@ -1163,7 +1198,11 @@ fn wire_contract<T: Wire + PartialEq>(
 fn codec(case: &Case, totals: &mut Totals) -> Result<(), String> {
     let sets = option_sets();
     let rotating = &sets[(case.seed % sets.len() as u64) as usize];
-    codec_program(&case.src, "case", [&sets[2], rotating], totals)
+    codec_program(&case.src, "case", [&sets[2], rotating], totals)?;
+    match case.section_program() {
+        Some(src) => codec_program(&src, "section", [&sets[2], rotating], totals),
+        None => Ok(()),
+    }
 }
 
 #[cfg(test)]

@@ -29,6 +29,7 @@ fn experiment_corpora_parity() {
         ("exp3 daxpy n=1024", daxpy_source(1024)),
         ("exp3/9 daxpy corpus", corpus::DAXPY.to_string()),
         ("exp8 struct_matrix", corpus::STRUCT_MATRIX.to_string()),
+        ("exp8 struct_matrix8", corpus::STRUCT_MATRIX8.to_string()),
         ("exp11 listwalk", corpus::LISTWALK.to_string()),
     ];
     let spread = Options {

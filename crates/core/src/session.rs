@@ -118,8 +118,12 @@ use crate::{link_catalogs, optimization_remarks, Compilation, CompileError, Opti
 /// the same key now maps to other post-pipeline IL and other cell bytes.
 /// 13: before it sinks a nest, the vectorizer unrolls its short inner
 /// loops into the loop around them when that lets it vectorize, and
-/// records each in an `Unrolled` loop event, a new tag byte.)
-const ENTRY_VERSION: u32 = 13;
+/// records each in an `Unrolled` loop event, a new tag byte. 14: the
+/// vectorizer keeps sections a run of vector statements shares, and sink
+/// arrays, in vector registers — a new storage class and a new section
+/// tag in the IL — and counts them in a new `Count`, so the same key now
+/// maps to other post-pipeline IL and other cell bytes.)
+const ENTRY_VERSION: u32 = 14;
 
 /// One input translation unit: a display name (normally the path) and
 /// its source text.

@@ -65,6 +65,19 @@ pub struct DepGraph {
     /// Statements that can never be vectorized (calls, gotos, volatile
     /// accesses, nested control flow, non-affine memory references).
     pub pinned: Vec<bool>,
+    /// The iteration space the references were tested in.
+    space: Space,
+}
+
+/// What [`DepGraph::build`] tests two references of one loop in: the
+/// loop's constant first value, step and constant trip count, and the
+/// aliasing regime.
+#[derive(Clone, Copy, Debug)]
+struct Space {
+    lo_const: Option<i64>,
+    step: i64,
+    trips: Option<i64>,
+    aliasing: Aliasing,
 }
 
 /// Aliasing regime for unprovable base pairs (§9: "a compiler option that
@@ -91,8 +104,12 @@ impl DepGraph {
         aliasing: Aliasing,
     ) -> DepGraph {
         let DoHeader { lv, step, .. } = *head;
-        let lo_const = proc.exprs.as_int(head.lo);
-        let trips = head.const_trip_count(&proc.exprs);
+        let space = Space {
+            lo_const: proc.exprs.as_int(head.lo),
+            step,
+            trips: head.const_trip_count(&proc.exprs),
+            aliasing,
+        };
         let n = body.len();
         let mut refs = Vec::new();
         let mut pinned = vec![false; n];
@@ -156,7 +173,12 @@ impl DepGraph {
                 if r1.stmt == r2.stmt && std::ptr::eq(r1, r2) {
                     continue;
                 }
-                let verdict = classify_pair(&proc.exprs, r1, r2, lo_const, step, trips, aliasing);
+                let verdict = match (&r1.affine, &r2.affine) {
+                    (Some(a1), Some(a2)) => {
+                        space.classify(&proc.exprs, a1, a2, [r1.width, r2.width])
+                    }
+                    _ => Verdict::Unknown,
+                };
                 if verdict.may_depend() {
                     push_mem_edges(&mut edges, r1, r2, verdict);
                 }
@@ -170,7 +192,15 @@ impl DepGraph {
             edges,
             refs,
             pinned,
+            space,
         }
+    }
+
+    /// Whether two accesses of the loop — each an address in the loop
+    /// variable and the bytes it touches — may touch a common byte in any
+    /// two iterations, by the test behind the graph's memory edges.
+    pub fn may_overlap(&self, exprs: &ExprPool, a: (&Affine, i64), b: (&Affine, i64)) -> bool {
+        (self.space.classify(exprs, a.0, b.0, [a.1, b.1])).may_depend()
     }
 
     /// Strongly connected components of the statement graph, returned in a
@@ -456,25 +486,20 @@ fn collect_loads(
     }
 }
 
-fn classify_pair(
-    exprs: &ExprPool,
-    r1: &MemRef,
-    r2: &MemRef,
-    lo_const: Option<i64>,
-    step: i64,
-    trips: Option<i64>,
-    aliasing: Aliasing,
-) -> Verdict {
-    match (&r1.affine, &r2.affine) {
-        (Some(a1), Some(a2)) => {
-            if a1.same_base(a2, exprs) {
-                let widths = [r1.width, r2.width];
-                test_in_iteration_space(exprs, a1, a2, widths, lo_const, step, trips)
-            } else {
-                bases_may_alias(exprs, a1, a2, aliasing)
-            }
+impl Space {
+    /// The verdict on two accesses of `widths` bytes at `a1` and `a2`.
+    fn classify(&self, exprs: &ExprPool, a1: &Affine, a2: &Affine, widths: [i64; 2]) -> Verdict {
+        let Space {
+            lo_const,
+            step,
+            trips,
+            aliasing,
+        } = *self;
+        if a1.same_base(a2, exprs) {
+            test_in_iteration_space(exprs, a1, a2, widths, lo_const, step, trips)
+        } else {
+            bases_may_alias(exprs, a1, a2, aliasing)
         }
-        _ => Verdict::Unknown,
     }
 }
 

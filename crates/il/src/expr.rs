@@ -189,6 +189,15 @@ pub enum Expr {
         /// Element kind.
         ty: ScalarType,
     },
+    /// The vector section at `section`, read from memory and also kept in
+    /// the vector register `reg` ([`Storage::VReg`](crate::Storage::VReg)):
+    /// later statements of the same run read it from the register.
+    Keep {
+        /// The register bound.
+        reg: VarId,
+        /// The [`Expr::Section`] read.
+        section: ExprId,
+    },
 }
 
 /// The (up to three) operand ids of one [`Expr`] node, without heap
@@ -284,7 +293,7 @@ impl Expr {
             Expr::IntConst(_) | Expr::FloatConst(..) | Expr::Var(_) | Expr::AddrOf(_) => {
                 ExprChildren::NONE
             }
-            Expr::Load { addr, .. } => ExprChildren::one(addr),
+            Expr::Load { addr, .. } | Expr::Keep { section: addr, .. } => ExprChildren::one(addr),
             Expr::Unary { arg, .. } | Expr::Cast { arg, .. } => ExprChildren::one(arg),
             Expr::Binary { lhs, rhs, .. } => ExprChildren::two(lhs, rhs),
             Expr::Section {
@@ -492,6 +501,7 @@ impl ExprPool {
             }
             Expr::Cast { to, .. } => to,
             Expr::Section { ty, .. } => ty,
+            Expr::Keep { section, .. } => self.result_type(section, var_type),
         }
     }
 
@@ -545,7 +555,7 @@ impl ExprPool {
         let mut node = self[id];
         match &mut node {
             Expr::IntConst(_) | Expr::FloatConst(..) | Expr::Var(_) | Expr::AddrOf(_) => {}
-            Expr::Load { addr, .. } => *addr = self.copy(*addr),
+            Expr::Load { addr, .. } | Expr::Keep { section: addr, .. } => *addr = self.copy(*addr),
             Expr::Unary { arg, .. } | Expr::Cast { arg, .. } => *arg = self.copy(*arg),
             Expr::Binary { lhs, rhs, .. } => {
                 *lhs = self.copy(*lhs);
@@ -568,7 +578,9 @@ impl ExprPool {
         let mut node = other[id];
         match &mut node {
             Expr::IntConst(_) | Expr::FloatConst(..) | Expr::Var(_) | Expr::AddrOf(_) => {}
-            Expr::Load { addr, .. } => *addr = self.import(other, *addr),
+            Expr::Load { addr, .. } | Expr::Keep { section: addr, .. } => {
+                *addr = self.import(other, *addr)
+            }
             Expr::Unary { arg, .. } | Expr::Cast { arg, .. } => *arg = self.import(other, *arg),
             Expr::Binary { lhs, rhs, .. } => {
                 *lhs = self.import(other, *lhs);
@@ -680,6 +692,16 @@ impl ExprPool {
                     arg: ab,
                 },
             ) => ta == tb && fa == fb && self.expr_eq(aa, other, ab),
+            (
+                Expr::Keep {
+                    reg: ra,
+                    section: sa,
+                },
+                Expr::Keep {
+                    reg: rb,
+                    section: sb,
+                },
+            ) => ra == rb && self.expr_eq(sa, other, sb),
             (
                 Expr::Section {
                     base: ba,

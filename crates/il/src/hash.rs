@@ -313,6 +313,7 @@ pub(crate) fn write_var_info<S: ByteSink>(h: &mut S, v: &VarInfo) {
             Storage::Temp => 2,
             Storage::Static => 3,
             Storage::Global => 4,
+            Storage::VReg => 5,
         },
         u8::from(v.volatile),
         u8::from(v.addressed),
@@ -375,6 +376,11 @@ fn write_expr_node<S: ByteSink>(h: &mut S, e: &Expr) {
             h.write(&base.0.to_le_bytes());
             h.write(&len.0.to_le_bytes());
             h.write(&stride.0.to_le_bytes());
+        }
+        Expr::Keep { reg, section } => {
+            h.write(&[9]);
+            h.write(&reg.0.to_le_bytes());
+            h.write(&section.0.to_le_bytes());
         }
     }
 }

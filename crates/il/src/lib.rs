@@ -97,10 +97,10 @@ pub use link::{link, LinkReport};
 pub use pretty::{
     pretty_block, pretty_expr, pretty_expr_in, pretty_lvalue, pretty_proc, pretty_proc_into,
 };
-pub use program::{ConstInit, Field, Procedure, Program, Storage, StructDef, VarInfo};
+pub use program::{ConstInit, Field, Procedure, Program, Storage, StructDef, VarInfo, VREG_WORDS};
 pub use span::SrcSpan;
 pub use stmt::{block_len, Block, Blocks, BlocksMut, ExprSlotsMut, StmtExprs, StmtKind, StmtPool};
 pub use trace::{Count, InlineEvent, InlineOutcome, LoopDecision, LoopEvent, Reject, Report};
 pub use types::{ScalarType, Type};
-pub use verify::{verify_proc, verify_program, VerifyError};
+pub use verify::{verify_proc, verify_program, verify_registers, VerifyError};
 pub use wire::{decode_proc, encode_proc, WireError};

@@ -137,6 +137,13 @@ fn write_expr(out: &mut String, pool: &ExprPool, id: ExprId, proc: Option<&Proce
             write_expr(out, pool, stride, proc);
             out.push(']');
         }
+        Expr::Keep { reg, section } => {
+            out.push('(');
+            write_expr(out, pool, section, proc);
+            out.push_str(" -> ");
+            write_var(out, proc, reg);
+            out.push(')');
+        }
     }
 }
 

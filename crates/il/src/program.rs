@@ -6,8 +6,8 @@
 //! (`&proc.stmts[s]` while holding `&mut proc.exprs`), which is what makes
 //! the id-rebinding rewrite idiom ergonomic without interior mutability.
 
-use crate::expr::ExprPool;
-use crate::ids::{LabelId, ProcId, StmtId, StructId, VarId};
+use crate::expr::{Expr, ExprPool};
+use crate::ids::{ExprId, LabelId, ProcId, StmtId, StructId, VarId};
 use crate::stmt::{Block, StmtKind, StmtPool};
 use crate::types::{ScalarType, Type};
 
@@ -26,7 +26,19 @@ pub enum Storage {
     Static,
     /// A reference to the program-level global of the same name.
     Global,
+    /// A compiler-made vector register (§2, §6): an array the vectorizer
+    /// keeps in the Titan's vector register file instead of memory. It is
+    /// named only as `&v`, the base of a section of stride one element
+    /// over the whole of it, or as the register a memory section read is
+    /// kept in ([`Expr::Keep`]); the verifier holds
+    /// every use to that, and the simulator charges a register operand no
+    /// load and a register target no store.
+    VReg,
 }
+
+/// The words of one processor's vector register file (§2): the most
+/// [`Storage::VReg`] elements one procedure may declare.
+pub const VREG_WORDS: usize = 8192;
 
 /// A symbol-table entry for one variable.
 #[derive(Clone, PartialEq, Debug)]
@@ -210,6 +222,25 @@ impl Procedure {
     /// Mutable access to the symbol-table entry for `v`.
     pub fn var_mut(&mut self, v: VarId) -> &mut VarInfo {
         &mut self.vars[v.index()]
+    }
+
+    /// The vector register a section whose base is `base` lives in: `v`
+    /// when `base` is `&v` and `v` is a [`Storage::VReg`].
+    pub fn vreg_of(&self, base: ExprId) -> Option<VarId> {
+        match self.exprs[base] {
+            Expr::AddrOf(v) if self.var(v).storage == Storage::VReg => Some(v),
+            _ => None,
+        }
+    }
+
+    /// The elements the procedure's vector registers hold: what they take
+    /// of the [`VREG_WORDS`] of the register file.
+    pub fn vreg_words(&self) -> usize {
+        let words = |v: &VarInfo| match v.ty {
+            Type::Array(_, n) if v.storage == Storage::VReg => n,
+            _ => 0,
+        };
+        self.vars.iter().map(words).sum()
     }
 
     /// The scalar kind of variable `v`.

@@ -482,12 +482,15 @@ pub enum Count {
     InlineStaticsExternalized,
     /// §6: constant integer multiplies reduced to shifts and adds.
     StrengthMulReduced,
+    /// §2, §6: vector registers made — sections a run of vector
+    /// statements shares, and sink arrays kept in the register file.
+    VectorRegisters,
 }
 
 impl Count {
     /// Every counter, in declaration order: a count's slot in
     /// [`Report`] is its position here.
-    pub const ALL: [Count; 18] = [
+    pub const ALL: [Count; 19] = [
         Count::IvsubPasses,
         Count::IvsubBacktracks,
         Count::IvsubBudgetHit,
@@ -506,6 +509,7 @@ impl Count {
         Count::StrengthHoisted,
         Count::InlineStaticsExternalized,
         Count::StrengthMulReduced,
+        Count::VectorRegisters,
     ];
 }
 

@@ -57,6 +57,20 @@ impl fmt::Display for ScalarType {
     }
 }
 
+/// The type of a compiler temporary of a scalar kind (a pointer is a
+/// `void *`).
+impl From<ScalarType> for Type {
+    fn from(ty: ScalarType) -> Type {
+        match ty {
+            ScalarType::Char => Type::Char,
+            ScalarType::Int => Type::Int,
+            ScalarType::Float => Type::Float,
+            ScalarType::Double => Type::Double,
+            ScalarType::Ptr => Type::ptr_to(Type::Void),
+        }
+    }
+}
+
 /// A C-level type: scalars, pointers, arrays, structs, or `void`.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub enum Type {

@@ -20,7 +20,7 @@
 
 use crate::expr::{Expr, LValue};
 use crate::ids::{ExprId, LabelId, StmtId, VarId};
-use crate::program::{Procedure, Program, Storage};
+use crate::program::{Procedure, Program, Storage, VREG_WORDS};
 use crate::stmt::StmtKind;
 use crate::types::{ScalarType, Type};
 use std::collections::HashSet;
@@ -67,7 +67,16 @@ impl fmt::Display for VerifyError {
 ///   floating constants);
 /// * no volatile access appears inside a vector (section) assignment;
 /// * assignment value kinds agree with the stored kind (exactly for floats,
-///   up to integer promotion for `Char`/`Int`/`Ptr`).
+///   up to integer promotion for `Char`/`Int`/`Ptr`);
+/// * every [`Storage::VReg`] is an array of scalars, together at most
+///   [`VREG_WORDS`] elements, named only as the whole-register section
+///   `[&v : len : size]` of its element kind or as the register a section
+///   read is kept in, with a length that reads no memory; each read of it
+///   follows a binding (a kept read or a register target) in an earlier
+///   statement of its block or of a block around it, at a structurally
+///   equal length that nothing assigned in between. A label forgets every
+///   binding (a jump may land there), and a `do parallel` body starts
+///   with none (each processor has its own register file).
 ///
 /// # Errors
 ///
@@ -76,6 +85,25 @@ pub fn verify_proc(proc: &Procedure) -> Result<(), Vec<VerifyError>> {
     let mut ck = Checker::new(proc, None);
     ck.run();
     ck.finish()
+}
+
+/// Checks only the vector-register rules of [`verify_proc`] (the
+/// [`Storage::VReg`] item), for a procedure whose ids are known good: the
+/// question a pass asks before it moves an array into the register file.
+///
+/// # Errors
+///
+/// Returns every violation of those rules.
+pub fn verify_registers(proc: &Procedure) -> Result<(), Vec<VerifyError>> {
+    let mut regs = Registers {
+        proc,
+        errors: Vec::new(),
+    };
+    regs.check();
+    match regs.errors.is_empty() {
+        true => Ok(()),
+        false => Err(regs.errors),
+    }
 }
 
 /// Checks every procedure of a program (see [`verify_proc`]), plus the
@@ -200,6 +228,14 @@ impl<'a> Checker<'a> {
                 self.error(Some(stmt), format!("goto targets undefined label {label}"));
             }
         }
+        // the register walk's pool queries are safe once ids checked out;
+        // without a register there is nothing for it to check
+        let vregs = self.proc.vars.iter().any(|v| v.storage == Storage::VReg);
+        if self.errors.is_empty() && vregs {
+            if let Err(e) = verify_registers(self.proc) {
+                self.errors = e;
+            }
+        }
     }
 
     fn finish(self) -> Result<(), Vec<VerifyError>> {
@@ -317,6 +353,25 @@ impl<'a> Checker<'a> {
                     }
                 }
                 Some(ty)
+            }
+            Expr::Keep { reg, section } => {
+                self.check_var(stmt, reg, "section kept in");
+                if reg.index() < self.proc.vars.len() && self.proc.var(reg).storage != Storage::VReg
+                {
+                    let name = &self.proc.var(reg).name;
+                    self.error(
+                        Some(stmt),
+                        format!("section kept in {name}, not a register"),
+                    );
+                }
+                let kind = self.check_expr(stmt, section);
+                if kind.is_some() && !matches!(self.proc.exprs[section], Expr::Section { .. }) {
+                    self.error(
+                        Some(stmt),
+                        format!("kept expression {section} is no section"),
+                    );
+                }
+                kind
             }
         }
     }
@@ -484,6 +539,226 @@ impl<'a> Checker<'a> {
             StmtKind::Nop => {}
         }
         true
+    }
+}
+
+/// A register and the length expression it was last bound at.
+type Binding = (VarId, ExprId);
+
+/// The [`Storage::VReg`] half of the checker: one walk over the statement
+/// tree in execution order, carrying the registers bound so far.
+struct Registers<'a> {
+    proc: &'a Procedure,
+    errors: Vec<VerifyError>,
+}
+
+impl Registers<'_> {
+    fn error(&mut self, stmt: Option<StmtId>, message: String) {
+        self.errors.push(VerifyError {
+            proc: self.proc.name.clone(),
+            stmt,
+            message,
+        });
+    }
+
+    fn is_vreg(&self, v: VarId) -> bool {
+        self.proc.var(v).storage == Storage::VReg
+    }
+
+    fn check(&mut self) {
+        for info in &self.proc.vars {
+            let array = matches!(&info.ty, Type::Array(elem, _) if elem.scalar().is_some());
+            if info.storage == Storage::VReg && !array {
+                let name = &info.name;
+                self.error(
+                    None,
+                    format!("vector register {name} is not an array of scalars"),
+                );
+            }
+        }
+        let words = self.proc.vreg_words();
+        if words > VREG_WORDS {
+            self.error(
+                None,
+                format!(
+                    "vector registers hold {words} words, more than the {VREG_WORDS} there are"
+                ),
+            );
+        }
+        self.block(&self.proc.body, &mut Vec::new());
+    }
+
+    fn block(&mut self, block: &[StmtId], bound: &mut Vec<Binding>) {
+        for &s in block {
+            self.stmt(s, bound);
+        }
+    }
+
+    fn stmt(&mut self, s: StmtId, bound: &mut Vec<Binding>) {
+        let proc = self.proc;
+        let kind = &proc.stmts[s];
+        // the statement's reads see the registers bound before it; a
+        // register target's base is no read
+        let target = match *kind {
+            StmtKind::Assign {
+                lhs:
+                    LValue::Section {
+                        base,
+                        len,
+                        stride,
+                        ty,
+                    },
+                ..
+            } => proc.vreg_of(base).map(|v| (v, base, len, stride, ty)),
+            _ => None,
+        };
+        if let Some((v, _, len, stride, ty)) = target {
+            self.whole(s, v, len, Some(stride), ty);
+        }
+        for e in kind.exprs() {
+            if target.is_none_or(|t| t.1 != e) {
+                self.expr(s, e, bound);
+            }
+        }
+        if matches!(kind, StmtKind::Label(_)) {
+            bound.clear();
+        }
+        let (mut binds, mut assigned) = (Vec::new(), Vec::new());
+        effects(proc, s, &mut binds, &mut assigned);
+        // a binding whose length the statement assigns is gone
+        bound.retain(|b| {
+            let reads = proc.exprs.vars_read(b.1);
+            !assigned.iter().any(|w| reads.contains(w))
+        });
+        if kind.blocks().is_empty() {
+            for (v, len) in binds {
+                bound.retain(|b| b.0 != v);
+                bound.push((v, len));
+            }
+            return;
+        }
+        // the nested blocks may rely, on every entry and after, on the
+        // bindings they do not rebind at another length
+        bound.retain(|&(v, len)| {
+            (binds.iter().filter(|b| b.0 == v)).all(|b| proc.exprs.expr_eq(b.1, &proc.exprs, len))
+        });
+        for b in kind.blocks() {
+            let mut inner = match kind {
+                StmtKind::DoParallel { .. } => Vec::new(),
+                _ => bound.clone(),
+            };
+            self.block(b, &mut inner);
+        }
+    }
+
+    /// Checks the register uses of the expression at `e`.
+    fn expr(&mut self, s: StmtId, e: ExprId, bound: &[Binding]) {
+        let proc = self.proc;
+        match proc.exprs[e] {
+            Expr::Section {
+                base,
+                len,
+                stride,
+                ty,
+            } => {
+                if let Some(v) = proc.vreg_of(base) {
+                    self.whole(s, v, len, Some(stride), ty);
+                    let name = &proc.var(v).name;
+                    match bound.iter().find(|b| b.0 == v) {
+                        None => self.error(Some(s), format!("{name} is read before it is bound")),
+                        Some(b) if !proc.exprs.expr_eq(b.1, &proc.exprs, len) => self.error(
+                            Some(s),
+                            format!("{name} is read at another length than it was bound"),
+                        ),
+                        Some(_) => {}
+                    }
+                    for c in [len, stride] {
+                        self.expr(s, c, bound);
+                    }
+                    return;
+                }
+            }
+            Expr::Keep { reg, section } => {
+                if let Expr::Section { len, ty, .. } = proc.exprs[section] {
+                    if self.is_vreg(reg) {
+                        self.whole(s, reg, len, None, ty);
+                    }
+                }
+            }
+            Expr::AddrOf(v) if self.is_vreg(v) => {
+                let name = &proc.var(v).name;
+                self.error(Some(s), format!("scalar access to vector register {name}"));
+            }
+            _ => {}
+        }
+        for c in proc.exprs[e].child_ids() {
+            self.expr(s, c, bound);
+        }
+    }
+
+    /// Checks a section over all of register `v`: its element kind, a
+    /// stride of one element, and a length that reads no memory and, when
+    /// constant, fits.
+    fn whole(&mut self, s: StmtId, v: VarId, len: ExprId, stride: Option<ExprId>, ty: ScalarType) {
+        let proc = self.proc;
+        let info = proc.var(v);
+        let Type::Array(elem, cap) = &info.ty else {
+            return; // reported once, by `check`
+        };
+        if elem.scalar() != Some(ty) {
+            self.error(Some(s), format!("{} is accessed as {ty}", info.name));
+        }
+        if stride.is_some_and(|st| proc.exprs.as_int(st) != Some(ty.size())) {
+            self.error(Some(s), format!("{} is accessed at a stride", info.name));
+        }
+        let memory = |n: &Expr| match n {
+            Expr::Var(w) => !proc.var(*w).is_register_candidate(),
+            _ => matches!(
+                n,
+                Expr::Load { .. } | Expr::AddrOf(_) | Expr::Section { .. }
+            ),
+        };
+        if proc.exprs.any(len, memory) {
+            self.error(Some(s), format!("the length of {} reads memory", info.name));
+        }
+        if proc.exprs.as_int(len).is_some_and(|n| n > *cap as i64) {
+            self.error(Some(s), format!("{} is accessed past its end", info.name));
+        }
+    }
+}
+
+/// Collects what the statement tree at `s` binds and the variables it
+/// assigns (a DO loop its own variable too).
+fn effects(proc: &Procedure, s: StmtId, binds: &mut Vec<Binding>, assigned: &mut Vec<VarId>) {
+    let kind = &proc.stmts[s];
+    match *kind {
+        StmtKind::Assign { lhs, .. } | StmtKind::Call { dst: Some(lhs), .. } => match lhs {
+            LValue::Var(v) => assigned.push(v),
+            LValue::Section { base, len, .. } => binds.extend(proc.vreg_of(base).map(|v| (v, len))),
+            LValue::Deref { .. } => {}
+        },
+        StmtKind::DoLoop { var, .. } | StmtKind::DoParallel { var, .. } => assigned.push(var),
+        _ => {}
+    }
+    for e in kind.exprs() {
+        kept(proc, e, binds);
+    }
+    for b in kind.blocks() {
+        for &inner in b {
+            effects(proc, inner, binds, assigned);
+        }
+    }
+}
+
+/// Collects the registers the sections of the expression at `e` keep.
+fn kept(proc: &Procedure, e: ExprId, binds: &mut Vec<Binding>) {
+    if let Expr::Keep { reg, section } = proc.exprs[e] {
+        if let Expr::Section { len, .. } = proc.exprs[section] {
+            binds.push((reg, len));
+        }
+    }
+    for c in proc.exprs[e].child_ids() {
+        kept(proc, c, binds);
     }
 }
 
@@ -706,6 +981,85 @@ mod tests {
         prog.add_proc(p);
         let errs = verify_program(&prog).unwrap_err();
         assert!(errs.iter().any(|e| e.message.contains("no program global")));
+    }
+
+    /// A vector register read before it is bound, read by a scalar
+    /// access, read at another length than it was bound at, or larger
+    /// than the register file is rejected; kept and then read at its
+    /// length, it verifies.
+    #[test]
+    fn vector_register_misuse_is_rejected() {
+        let f = ScalarType::Float;
+        // `m` in memory and a register `vr` of `cap` floats; `body` adds
+        // the statements
+        let check = |cap: usize, body: &dyn Fn(&mut Procedure, VarId, VarId)| {
+            let mut p = Procedure::new("r", Type::Void);
+            let mut array = |name: &str, n, storage| {
+                p.add_var(crate::program::VarInfo {
+                    name: name.into(),
+                    ty: Type::array_of(Type::Float, n),
+                    storage,
+                    volatile: false,
+                    addressed: true,
+                    init: None,
+                })
+            };
+            let (m, vr) = (
+                array("m", 8, Storage::Auto),
+                array("vr", cap, Storage::VReg),
+            );
+            body(&mut p, m, vr);
+            verify_proc(&p).map_err(|e| e[0].message.clone())
+        };
+        let section = |p: &mut Procedure, v, n| {
+            let (base, len, stride) = (p.exprs.addr_of(v), p.exprs.int(n), p.exprs.int(4));
+            (base, len, stride)
+        };
+        let store = |p: &mut Procedure, v, n, rhs| {
+            let (base, len, stride) = section(p, v, n);
+            let lhs = LValue::Section {
+                base,
+                len,
+                stride,
+                ty: f,
+            };
+            p.push(StmtKind::Assign { lhs, rhs });
+        };
+        let read = |p: &mut Procedure, v, n| {
+            let (base, len, stride) = section(p, v, n);
+            p.exprs.section(base, len, stride, f)
+        };
+        let keep = |p: &mut Procedure, m, vr| {
+            let section = read(p, m, 8);
+            let kept = p.exprs.alloc(Expr::Keep { reg: vr, section });
+            store(p, m, 8, kept);
+        };
+        let ok = check(8, &|p, m, vr| {
+            keep(p, m, vr);
+            let x = read(p, vr, 8);
+            store(p, m, 8, x);
+        });
+        assert_eq!(ok, Ok(()));
+        let unbound = check(8, &|p, m, vr| {
+            let x = read(p, vr, 8);
+            store(p, m, 8, x);
+        });
+        assert!(unbound.unwrap_err().contains("read before it is bound"));
+        let scalar = check(8, &|p, m, vr| {
+            keep(p, m, vr);
+            let addr = p.exprs.addr_of(vr);
+            let x = p.exprs.load(addr, f);
+            store(p, m, 8, x);
+        });
+        assert!(scalar.unwrap_err().contains("scalar access"));
+        let shorter = check(8, &|p, m, vr| {
+            keep(p, m, vr);
+            let x = read(p, vr, 4);
+            store(p, m, 4, x);
+        });
+        assert!(shorter.unwrap_err().contains("another length"));
+        let too_big = check(VREG_WORDS + 1, &|p, m, vr| keep(p, m, vr));
+        assert!(too_big.unwrap_err().contains("more than the 8192"));
     }
 
     #[test]

@@ -217,12 +217,13 @@ const SCALARS: [ScalarType; 5] = [
     ScalarType::Double,
     ScalarType::Ptr,
 ];
-const STORAGES: [Storage; 5] = [
+const STORAGES: [Storage; 6] = [
     Storage::Auto,
     Storage::Param,
     Storage::Temp,
     Storage::Static,
     Storage::Global,
+    Storage::VReg,
 ];
 const UNOPS: [UnOp; 3] = [UnOp::Neg, UnOp::Not, UnOp::BitNot];
 const BINOPS: [BinOp; 18] = [
@@ -473,6 +474,11 @@ impl<'a> Reader<'a> {
                     stride,
                     ty,
                 }
+            }
+            9 => {
+                let reg = VarId(self.below(nvars, "variable id out of range")?);
+                let section = ExprId(self.below(index, OPERAND)?);
+                Expr::Keep { reg, section }
             }
             _ => return Err(self.error("unknown expression tag")),
         })

@@ -211,14 +211,7 @@ impl<'e> FuncLowerer<'e> {
     }
 
     fn temp(&mut self, kind: ScalarType) -> VarId {
-        let ty = match kind {
-            ScalarType::Char => Type::Char,
-            ScalarType::Int => Type::Int,
-            ScalarType::Float => Type::Float,
-            ScalarType::Double => Type::Double,
-            ScalarType::Ptr => Type::ptr_to(Type::Void),
-        };
-        self.proc.fresh_temp(ty)
+        self.proc.fresh_temp(Type::from(kind))
     }
 
     fn lookup(&mut self, name: &str, span: Span) -> Result<VarId, LowerError> {

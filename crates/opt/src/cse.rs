@@ -125,6 +125,7 @@ impl Cse {
             Expr::Binary { op, ty, .. } => (mix(mix(7, op as u64), ty as u64), true),
             Expr::Cast { to, from, .. } => (mix(mix(8, to as u64), from as u64), true),
             Expr::Section { ty, .. } => (mix(9, ty as u64), false),
+            Expr::Keep { reg, .. } => (mix(10, reg.index() as u64), false),
         };
         let node = Shape {
             hash,
@@ -291,13 +292,7 @@ impl Cse {
         // a detached deep copy so replacing the occurrences (including the
         // original subtree) cannot corrupt it.
         let scalar = proc.exprs.result_type(cand_orig, &|v| proc.var_scalar(v));
-        let t = proc.fresh_temp(match scalar {
-            titanc_il::ScalarType::Char => Type::Char,
-            titanc_il::ScalarType::Int => Type::Int,
-            titanc_il::ScalarType::Float => Type::Float,
-            titanc_il::ScalarType::Double => Type::Double,
-            titanc_il::ScalarType::Ptr => Type::ptr_to(Type::Void),
-        });
+        let t = proc.fresh_temp(Type::from(scalar));
         proc.var_mut(t).name = format!("cse_{}", t.index());
         let cand = proc.exprs.copy(cand_orig);
         self.shape_tree(&proc.exprs, cand);

@@ -199,13 +199,7 @@ fn try_common(
     // a detached deep copy so replacing the occurrences (including the
     // original subtree) cannot corrupt it.
     let scalar = proc.exprs.result_type(cand_orig, &|v| proc.var_scalar(v));
-    let t = proc.fresh_temp(match scalar {
-        titanc_il::ScalarType::Char => Type::Char,
-        titanc_il::ScalarType::Int => Type::Int,
-        titanc_il::ScalarType::Float => Type::Float,
-        titanc_il::ScalarType::Double => Type::Double,
-        titanc_il::ScalarType::Ptr => Type::ptr_to(Type::Void),
-    });
+    let t = proc.fresh_temp(Type::from(scalar));
     proc.var_mut(t).name = format!("cse_{}", t.index());
     let cand = proc.exprs.copy(cand_orig);
     let def = proc.stamp(StmtKind::Assign {

@@ -209,13 +209,7 @@ fn apply_candidate(
     cand: &Candidate,
 ) {
     let kind = proc.var_scalar(cand.v);
-    let v0 = proc.fresh_temp(match kind {
-        ScalarType::Ptr => Type::ptr_to(Type::Void),
-        ScalarType::Int => Type::Int,
-        ScalarType::Char => Type::Char,
-        ScalarType::Float => Type::Float,
-        ScalarType::Double => Type::Double,
-    });
+    let v0 = proc.fresh_temp(Type::from(kind));
     // three independent affine trees (templates): each gets its own
     // copies of lo/hi/inc so no slots are shared between them
     let affine = |exprs: &mut ExprPool, iters: ExprId, inc: ExprId| {

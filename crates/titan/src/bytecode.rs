@@ -26,8 +26,8 @@
 //! per element.
 
 use crate::machine::{
-    binop_charge, cast_charge, collect_sections, count_vector_ops, unop_charge, Charge, Intrinsic,
-    Unit,
+    binop_charge, cast_charge, collect_sections, count_vector_ops, unop_charge, vector_instrs,
+    Charge, Intrinsic, Unit,
 };
 use titanc_il::fold::{normalize, Value};
 use titanc_il::{
@@ -225,6 +225,8 @@ pub(crate) struct SecRef {
     pub(crate) len: Reg,
     pub(crate) stride: Reg,
     pub(crate) ty: ScalarType,
+    /// The address of the vector register the read is kept in, if any.
+    pub(crate) keep: Option<Reg>,
 }
 
 /// One postorder step of a vector rhs program.
@@ -255,7 +257,7 @@ pub(crate) struct VecPlan {
     pub(crate) steps: Vec<VStep>,
     /// Vector ALU op count (for flop accounting).
     pub(crate) ops: u64,
-    /// Total vector instructions: loads + ops + one store.
+    /// Total vector instructions (`machine::vector_instrs`).
     pub(crate) n_instr: u64,
     /// True when the plan may run on the VM's float kernel (see
     /// `vm::kernel_admits`).
@@ -910,18 +912,7 @@ impl<'a> Lowerer<'a> {
             }
             Expr::AddrOf(v) => {
                 let dst = self.dest(into);
-                if self.mem_var[v.index()] {
-                    self.emit(Instr::AddrOf {
-                        dst,
-                        var: v.index() as u32,
-                        sink,
-                    });
-                } else {
-                    self.trap(format!(
-                        "address taken of register variable {} (not memory-resident)",
-                        self.proc.var(v).name
-                    ));
-                }
+                self.addr_of(v, dst, sink);
                 dst
             }
             Expr::Load { addr, ty, volatile } => {
@@ -982,7 +973,7 @@ impl<'a> Lowerer<'a> {
                 });
                 dst
             }
-            Expr::Section { .. } => {
+            Expr::Section { .. } | Expr::Keep { .. } => {
                 // errors before evaluating operands, like the interpreter
                 self.trap("vector section used outside a vector statement".to_string());
                 self.dest(into)
@@ -1004,6 +995,32 @@ impl<'a> Lowerer<'a> {
     // vector statements
     // --------------------------------------------------------------
 
+    /// `&v` into `dst`, or the interpreter's trap when `v` is a register
+    /// variable.
+    fn addr_of(&mut self, v: VarId, dst: Reg, sink: Option<ScalarType>) {
+        if self.mem_var[v.index()] {
+            let var = v.index() as u32;
+            self.emit(Instr::AddrOf { dst, var, sink });
+        } else {
+            self.trap(format!(
+                "address taken of register variable {} (not memory-resident)",
+                self.proc.var(v).name
+            ));
+        }
+    }
+
+    /// The base address of a vector section, as the interpreter's
+    /// `section_base` charges it: a vector register's costs nothing.
+    fn lower_section_base(&mut self, base: ExprId) -> Operand {
+        if self.proc.vreg_of(base).is_none() {
+            return self.lower_expr(base);
+        }
+        self.emit(Instr::QuietSave);
+        let b = self.lower_expr(base);
+        self.emit(Instr::QuietRestore);
+        b
+    }
+
     fn lower_vector_assign(&mut self, lhs: &LValue, rhs: ExprId) {
         let exprs = self.exprs();
         let (base, len, stride, kind) = match *lhs {
@@ -1018,7 +1035,7 @@ impl<'a> Lowerer<'a> {
                 return;
             }
         };
-        let b = self.lower_expr(base);
+        let b = self.lower_section_base(base);
         let l = self.lower_expr(len);
         let strd = self.lower_expr(stride);
         let plan_idx = self.plans.len() as u32;
@@ -1028,7 +1045,8 @@ impl<'a> Lowerer<'a> {
         collect_sections(exprs, rhs, &mut sec_ids);
         let mut sec_refs = Vec::with_capacity(sec_ids.len());
         let mut sec_ops = Vec::new();
-        for (i, &sid) in sec_ids.iter().enumerate() {
+        let mut memory_loads = 0;
+        for (i, &(sid, keep)) in sec_ids.iter().enumerate() {
             let Expr::Section {
                 base: sb,
                 len: sl,
@@ -1038,22 +1056,31 @@ impl<'a> Lowerer<'a> {
             else {
                 unreachable!("collect_sections returns sections")
             };
-            let ob = self.lower_expr(sb);
+            let ob = self.lower_section_base(sb);
             let ol = self.lower_expr(sl);
             let os = self.lower_expr(ss);
-            sec_refs.push(SecRef {
-                base: ob.reg,
-                len: ol.reg,
-                stride: os.reg,
-                ty,
-            });
-            sec_ops.push((ob, ol, os));
+            memory_loads += u64::from(self.proc.vreg_of(sb).is_none());
             // length checks interleave with operand evaluation, matching
             // the interpreter's per-section check
             self.emit(Instr::VecCheckSec {
                 plan: plan_idx,
                 idx: i as u32,
             });
+            let keep = keep.map(|v| {
+                let dst = self.alloc_reg();
+                self.emit(Instr::QuietSave);
+                self.addr_of(v, dst, None);
+                self.emit(Instr::QuietRestore);
+                dst
+            });
+            sec_refs.push(SecRef {
+                base: ob.reg,
+                len: ol.reg,
+                stride: os.reg,
+                ty,
+                keep,
+            });
+            sec_ops.push((ob, ol, os, keep));
         }
 
         // Loop-invariant scalar leaves are cost-free. The interpreter
@@ -1116,7 +1143,7 @@ impl<'a> Lowerer<'a> {
         let mut leaf_i = 0usize;
         build_steps(exprs, rhs, &leaf_ops, &mut steps, &mut sec_i, &mut leaf_i);
         let ops = count_vector_ops(exprs, rhs);
-        let n_instr = sec_ids.len() as u64 + ops + 1;
+        let n_instr = vector_instrs(memory_loads, ops, self.proc.vreg_of(base).is_some());
         let kernel = crate::vm::kernel_admits(kind, &sec_refs, &steps);
         self.plans.push(VecPlan {
             base: b.reg,
@@ -1146,10 +1173,13 @@ impl<'a> Lowerer<'a> {
         for o in leaf_ops {
             self.free(o);
         }
-        for (ob, ol, os) in sec_ops {
+        for (ob, ol, os, keep) in sec_ops {
             self.free(ob);
             self.free(ol);
             self.free(os);
+            if let Some(r) = keep {
+                self.free_reg(r);
+            }
         }
         self.free(b);
         self.free(l);
@@ -1162,7 +1192,7 @@ impl<'a> Lowerer<'a> {
 /// a section and not an interior Binary/Unary/Cast node.
 fn collect_scalar_leaves(pool: &ExprPool, e: ExprId, out: &mut Vec<ExprId>) {
     match pool[e] {
-        Expr::Section { .. } => {}
+        Expr::Section { .. } | Expr::Keep { .. } => {}
         Expr::Binary { lhs, rhs, .. } => {
             collect_scalar_leaves(pool, lhs, out);
             collect_scalar_leaves(pool, rhs, out);
@@ -1184,7 +1214,7 @@ fn build_steps(
     leaf_i: &mut usize,
 ) {
     match pool[e] {
-        Expr::Section { .. } => {
+        Expr::Section { .. } | Expr::Keep { .. } => {
             steps.push(VStep::Sec(*sec_i));
             *sec_i += 1;
         }

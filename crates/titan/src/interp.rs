@@ -9,7 +9,7 @@
 
 use crate::machine::{
     binop_charge, cast_charge, coerce, collect_sections, count_vector_ops, do_control_charge,
-    reg_move_charge, unop_charge, FrameLayout, Intrinsic, SimError, Simulator,
+    reg_move_charge, unop_charge, vector_instrs, FrameLayout, Intrinsic, SimError, Simulator,
 };
 use std::rc::Rc;
 use titanc_il::fold::{eval_binop, eval_cast, eval_unop, normalize, Value};
@@ -300,7 +300,8 @@ impl<'p> Simulator<'p> {
         lhs: &LValue,
         rhs: ExprId,
     ) -> Result<(), SimError> {
-        let exprs = &self.cur_proc(frame).exprs;
+        let proc = self.cur_proc(frame);
+        let exprs = &proc.exprs;
         let (base, len, stride, kind) = match lhs {
             LValue::Section {
                 base,
@@ -314,7 +315,7 @@ impl<'p> Simulator<'p> {
                 ))
             }
         };
-        let base_v = self.eval(frame, base)?.as_int() as u32;
+        let base_v = self.section_base(frame, base)?;
         let len_v = self.eval(frame, len)?.as_int();
         let stride_v = self.eval(frame, stride)?.as_int();
         if len_v < 0 {
@@ -327,7 +328,9 @@ impl<'p> Simulator<'p> {
         let mut sections = Vec::new();
         collect_sections(exprs, rhs, &mut sections);
         let mut resolved = Vec::new();
-        for &sec in &sections {
+        let mut memory_loads = 0;
+        let mut keeps = Vec::new();
+        for &(sec, keep) in &sections {
             if let Expr::Section {
                 base,
                 len,
@@ -335,7 +338,7 @@ impl<'p> Simulator<'p> {
                 ty,
             } = exprs[sec]
             {
-                let b = self.eval(frame, base)?.as_int() as u32;
+                let b = self.section_base(frame, base)?;
                 let l = self.eval(frame, len)?.as_int();
                 let st = self.eval(frame, stride)?.as_int();
                 if l != len_v {
@@ -343,12 +346,19 @@ impl<'p> Simulator<'p> {
                         "vector length mismatch: {l} vs {len_v}"
                     )));
                 }
+                memory_loads += u64::from(proc.vreg_of(base).is_none());
+                if let Some(v) = keep {
+                    keeps.push((b, st, ty, self.var_addr(frame, v)?));
+                }
                 resolved.push((b, st, ty));
             }
         }
         let ops = count_vector_ops(exprs, rhs);
-        let n_instr = sections.len() as u64 + ops + 1; // loads + ops + store
+        let n_instr = vector_instrs(memory_loads, ops, proc.vreg_of(base).is_some());
         self.charge_vector(n_instr, ops, len_u, kind.is_float());
+        for (b, st, ty, reg) in keeps {
+            self.keep_section(b, st, ty, len_v, reg)?;
+        }
 
         // Element-wise semantics (vector stores complete after all loads of
         // the statement — IL vector statements are only emitted for proven
@@ -384,6 +394,7 @@ impl<'p> Simulator<'p> {
                 let addr = (b as i64 + k * st) as u32;
                 self.read_mem(addr, ty)
             }
+            Expr::Keep { section, .. } => self.eval_vector_elem(frame, section, k, resolved, idx),
             Expr::Binary { op, ty, lhs, rhs } => {
                 let a = self.eval_vector_elem(frame, lhs, k, resolved, idx)?;
                 let b = self.eval_vector_elem(frame, rhs, k, resolved, idx)?;
@@ -415,13 +426,7 @@ impl<'p> Simulator<'p> {
             Expr::Var(v) => self.load_var(frame, v),
             Expr::AddrOf(v) => {
                 self.charge(reg_move_charge());
-                let addr = frame.addr(v).ok_or_else(|| {
-                    SimError::new(format!(
-                        "address taken of register variable {} (not memory-resident)",
-                        self.prog.procs[frame.proc_index].var(v).name
-                    ))
-                })?;
-                Ok(Value::Int(addr as i64))
+                Ok(Value::Int(self.var_addr(frame, v)? as i64))
             }
             Expr::Load { addr, ty, volatile } => {
                 let a = self.eval(frame, addr)?.as_int() as u32;
@@ -443,10 +448,30 @@ impl<'p> Simulator<'p> {
                 self.charge(cast_charge(to, from));
                 Ok(eval_cast(to, from, a))
             }
-            Expr::Section { .. } => Err(SimError::new(
+            Expr::Section { .. } | Expr::Keep { .. } => Err(SimError::new(
                 "vector section used outside a vector statement",
             )),
         }
+    }
+
+    /// The address of a memory-resident variable.
+    fn var_addr(&self, frame: &Frame, v: VarId) -> Result<u32, SimError> {
+        frame.addr(v).ok_or_else(|| {
+            SimError::new(format!(
+                "address taken of register variable {} (not memory-resident)",
+                self.cur_proc(frame).var(v).name
+            ))
+        })
+    }
+
+    /// The base address of a vector section. A vector register's costs
+    /// nothing: it names a register, not a place in memory.
+    fn section_base(&mut self, frame: &mut Frame, base: ExprId) -> Result<u32, SimError> {
+        let v = match self.cur_proc(frame).vreg_of(base) {
+            Some(_) => self.eval_quiet(frame, base)?,
+            None => self.eval(frame, base)?,
+        };
+        Ok(v.as_int() as u32)
     }
 
     /// Evaluates without charging costs (used for loop-invariant scalar

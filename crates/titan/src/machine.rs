@@ -6,6 +6,18 @@
 //! addressable at any offset/length/stride). Up to four processors share
 //! memory over a high-speed bus.
 //!
+//! The compiler names what stays in that register file: a
+//! [`Storage::VReg`] array is a vector register, which a vector statement
+//! reads or writes as a whole section over `&v`, or binds as it reads a
+//! memory section (`Expr::Keep`). Its elements live in the
+//! activation's frame like a local array's, but the charge differs
+//! ([`vector_instrs`]): a register operand costs no load instruction and a
+//! register target no store, exactly as a loop-invariant scalar operand
+//! costs nothing, while every ALU operation costs what it does over
+//! memory and a statement never costs fewer than one instruction. Binding
+//! a register costs nothing beyond the load the read already pays. The
+//! simulator finds no reuse by itself: only what the IL keeps is kept.
+//!
 //! This module owns everything both executors share: the configuration
 //! and statistics types, simulated memory and frame layout, the cycle
 //! meter, the *charge table* (what each IL operation costs, defined once
@@ -29,7 +41,7 @@ use std::rc::Rc;
 use titanc_il::fold::{normalize, Value};
 use titanc_il::{
     BinOp, ConstInit, Expr, ExprId, ExprPool, Procedure, Program, ScalarType, Storage, Type, UnOp,
-    VarInfo,
+    VarId, VarInfo,
 };
 
 /// Which backend executes the IL.
@@ -599,13 +611,16 @@ impl<'p> Simulator<'p> {
                     };
                     Home::Fixed(addr)
                 }
-                Storage::Auto | Storage::Param | Storage::Temp if !info.is_register_candidate() => {
+                Storage::Auto | Storage::Param | Storage::Temp if info.is_register_candidate() => {
+                    Home::Reg
+                }
+                // a vector register's elements live in the frame
+                Storage::Auto | Storage::Param | Storage::Temp | Storage::VReg => {
                     let size = self.prog.type_size(&info.ty).max(1) as u32;
                     let off = align_up(stack_bytes, 8);
                     stack_bytes = off.saturating_add(size);
                     Home::Stack(off)
                 }
-                Storage::Auto | Storage::Param | Storage::Temp => Home::Reg,
             })
             .collect();
         let layout = Rc::new(FrameLayout { homes, stack_bytes });
@@ -828,9 +843,26 @@ impl<'p> Simulator<'p> {
         self.stats.flops = q.flops;
     }
 
+    /// Copies the `len` elements of a section read at `src`, `stride`
+    /// bytes apart, into the vector register whose elements start at
+    /// `reg`: the binding of a kept section.
+    pub(crate) fn keep_section(
+        &mut self,
+        src: u32,
+        stride: i64,
+        ty: ScalarType,
+        len: i64,
+        reg: u32,
+    ) -> Result<(), SimError> {
+        for k in 0..len {
+            let v = self.read_mem((src as i64 + k * stride) as u32, ty)?;
+            self.write_mem((reg as i64 + k * ty.size()) as u32, ty, v)?;
+        }
+        Ok(())
+    }
+
     /// Charges one vector statement of `len` elements: `n_instr` vector
-    /// instructions (loads + `ops` ALU operations + one store), each
-    /// costing `startup + len`.
+    /// instructions ([`vector_instrs`]), each costing `startup + len`.
     pub(crate) fn charge_vector(&mut self, n_instr: u64, ops: u64, len: u64, float: bool) {
         self.stats.vector_instrs += n_instr;
         self.stats.vector_elems += len * n_instr;
@@ -897,14 +929,25 @@ pub(crate) fn coerce(v: Value, kind: ScalarType) -> Value {
 // the shape of a vector statement
 // ----------------------------------------------------------------------
 
-/// The section operands of a vector rhs, in evaluation order.
-pub(crate) fn collect_sections(pool: &ExprPool, e: ExprId, out: &mut Vec<ExprId>) {
-    if matches!(pool[e], Expr::Section { .. }) {
-        out.push(e);
-        return;
-    }
-    for c in pool[e].child_ids() {
-        collect_sections(pool, c, out);
+/// The vector instructions one statement issues: a load per section
+/// operand in memory (`memory_loads`), its `ops` ALU operations, and a
+/// store unless the target is a vector register — never fewer than one.
+/// A register operand, like a loop-invariant scalar one, costs nothing.
+pub(crate) fn vector_instrs(memory_loads: u64, ops: u64, register_target: bool) -> u64 {
+    (memory_loads + ops + u64::from(!register_target)).max(1)
+}
+
+/// The section operands of a vector rhs, in evaluation order, each with
+/// the vector register it is kept in.
+pub(crate) fn collect_sections(pool: &ExprPool, e: ExprId, out: &mut Vec<(ExprId, Option<VarId>)>) {
+    match pool[e] {
+        Expr::Section { .. } => out.push((e, None)),
+        Expr::Keep { reg, section } => out.push((section, Some(reg))),
+        _ => {
+            for c in pool[e].child_ids() {
+                collect_sections(pool, c, out);
+            }
+        }
     }
 }
 
@@ -1072,5 +1115,9 @@ mod tests {
         assert_eq!(Intrinsic::Sqrt.charge(), Some(fp(20, true)));
         assert_eq!(Intrinsic::Fabs.charge(), Some(fp(6, true)));
         assert_eq!(Intrinsic::Abs.charge(), Some(int(1)));
+        // (memory loads, ALU ops, register target) → vector instructions
+        for (loads, ops, register, want) in [(2, 3, false, 6), (0, 1, true, 1), (0, 0, true, 1)] {
+            assert_eq!(vector_instrs(loads, ops, register), want);
+        }
     }
 }

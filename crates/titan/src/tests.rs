@@ -731,6 +731,84 @@ int main(void)
     /// `a[0:n:4] = b[0:n:4] * 2.0 + c`, built in IL, both engines: the
     /// VM's chunked kernel must match the interpreter's element loop
     /// bit-for-bit (values, flop counts, vector statistics).
+    /// A vector register: a section kept at its first read, then read and
+    /// written whole, costs no load where it is read and no store where
+    /// it is written, and a statement costs at least one instruction.
+    #[test]
+    fn vector_registers_cost_no_load_and_no_store() {
+        use titanc_il::{Expr, Procedure, Storage, VarInfo};
+        let mut p = Procedure::new("main", Type::Int);
+        let mut var = |name: &str, storage| {
+            p.add_var(VarInfo {
+                name: name.into(),
+                ty: Type::array_of(Type::Float, 8),
+                storage,
+                volatile: false,
+                addressed: true,
+                init: None,
+            })
+        };
+        let (va, vb) = (var("va", Storage::Global), var("vb", Storage::Global));
+        let vr = var("vr", Storage::VReg);
+        let f = ScalarType::Float;
+        // the whole of `v`, 8 floats
+        let whole = |p: &mut Procedure, v| (p.exprs.addr_of(v), p.exprs.int(8), p.exprs.int(4));
+        let assign = |p: &mut Procedure, v, rhs| {
+            let (base, len, stride) = whole(p, v);
+            let lhs = LValue::Section {
+                base,
+                len,
+                stride,
+                ty: f,
+            };
+            p.push(StmtKind::Assign { lhs, rhs });
+        };
+        let read = |p: &mut Procedure, v| {
+            let (base, len, stride) = whole(p, v);
+            p.exprs.section(base, len, stride, f)
+        };
+        // (vector instructions) vb = 1.5 (1); va = (vb -> vr) + 2 (3);
+        // vb = vr * 3 (2); vr = vr + 1 (1); va = vr (1); vr = 0 (1)
+        let c = p.exprs.float(1.5);
+        assign(&mut p, vb, c);
+        let section = read(&mut p, vb);
+        let kept = p.exprs.alloc(Expr::Keep { reg: vr, section });
+        let c = p.exprs.float(2.0);
+        let rhs = p.exprs.binary(BinOp::Add, f, kept, c);
+        assign(&mut p, va, rhs);
+        for (target, op, c) in [(vb, BinOp::Mul, 3.0), (vr, BinOp::Add, 1.0)] {
+            let x = read(&mut p, vr);
+            let c = p.exprs.float(c);
+            let rhs = p.exprs.binary(op, f, x, c);
+            assign(&mut p, target, rhs);
+        }
+        let x = read(&mut p, vr);
+        assign(&mut p, va, x);
+        let c = p.exprs.float(0.0);
+        assign(&mut p, vr, c);
+        // return (int)(va[1] * 10 + vb[1]): 2.5 * 10 + 4.5
+        let elem = |p: &mut Procedure, v| {
+            let base = p.exprs.addr_of(v);
+            let four = p.exprs.int(4);
+            let addr = p.exprs.binary(BinOp::Add, ScalarType::Ptr, base, four);
+            p.exprs.load(addr, f)
+        };
+        let (a1, b1, ten) = (elem(&mut p, va), elem(&mut p, vb), p.exprs.float(10.0));
+        let scaled = p.exprs.binary(BinOp::Mul, f, a1, ten);
+        let sum = p.exprs.binary(BinOp::Add, f, scaled, b1);
+        let ret = p.exprs.cast(ScalarType::Int, f, sum);
+        p.push(StmtKind::Return(Some(ret)));
+        titanc_il::verify_proc(&p).expect("a well-formed register program");
+        let mut prog = titanc_il::Program::new();
+        for v in [va, vb] {
+            prog.ensure_global(p.var(v).clone());
+        }
+        prog.add_proc(p);
+        let r = run_both(&prog, &MachineConfig::default(), &[]);
+        assert_eq!(r.value.unwrap().as_int(), 29);
+        assert_eq!(r.stats.vector_instrs, 1 + 3 + 2 + 1 + 1 + 1);
+    }
+
     #[test]
     fn vector_statement_parity() {
         let n = 64i64;

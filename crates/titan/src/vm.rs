@@ -419,7 +419,7 @@ impl<'p> Simulator<'p> {
                     }
                     Instr::VecRun { plan } => self.vec_run(regs, &bcp.plans[plan as usize])?,
                     Instr::VecCharge { plan } => {
-                        self.vec_charge(regs, &bcp.plans[plan as usize]);
+                        self.vec_charge(regs, &bcp.plans[plan as usize])?;
                         self.vm.elems.clear();
                     }
                     Instr::VecElem { plan, k } => {
@@ -468,17 +468,26 @@ impl<'p> Simulator<'p> {
     // vector statements
     // --------------------------------------------------------------
 
-    /// Charges the vector cost model for one execution of `plan`.
-    fn vec_charge(&mut self, regs: &[Value], plan: &VecPlan) {
+    /// Charges the vector cost model for one execution of `plan`, then
+    /// binds the registers its kept sections go to.
+    fn vec_charge(&mut self, regs: &[Value], plan: &VecPlan) -> Result<(), SimError> {
         // `VecCheckLen` guaranteed a non-negative length
-        let len = regs[plan.len as usize].as_int() as u64;
-        self.charge_vector(plan.n_instr, plan.ops, len, plan.kind.is_float());
+        let len = regs[plan.len as usize].as_int();
+        self.charge_vector(plan.n_instr, plan.ops, len as u64, plan.kind.is_float());
+        for s in &plan.sections {
+            if let Some(reg) = s.keep {
+                let (b, st) = (regs[s.base as usize], regs[s.stride as usize]);
+                let reg = regs[reg as usize].as_int() as u32;
+                self.keep_section(b.as_int() as u32, st.as_int(), s.ty, len, reg)?;
+            }
+        }
+        Ok(())
     }
 
     /// Runs a plan: on the float kernel when the lowerer admitted it and
     /// every access lies in memory, element by element otherwise.
     fn vec_run(&mut self, regs: &[Value], plan: &VecPlan) -> Result<(), SimError> {
-        self.vec_charge(regs, plan);
+        self.vec_charge(regs, plan)?;
         let len = regs[plan.len as usize].as_int();
         if len == 0 {
             return Ok(());

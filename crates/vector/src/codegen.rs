@@ -40,8 +40,9 @@ use std::collections::HashSet;
 use titanc_deps::{level_carried, Aliasing, DepGraph, DepKind, Verdict};
 use titanc_il::visit::{edit_tree, Order};
 use titanc_il::{
-    BinOp, Block, Expr, ExprId, LValue, LoopDecision, LoopEvent, Procedure, Report, ScalarType,
-    SrcSpan, StmtId, StmtKind, Storage, Type, VarId, VarInfo,
+    verify_registers, BinOp, Block, Count, Expr, ExprId, LValue, LoopDecision, LoopEvent,
+    Procedure, Report, ScalarType, SrcSpan, StmtId, StmtKind, Storage, Type, VarId, VarInfo,
+    VREG_WORDS,
 };
 use titanc_opt::affine::{decompose, Affine, DoHeader, NEST_LEVELS};
 use titanc_opt::util::{count_reads_block, defined_in, replace_reads_with};
@@ -84,8 +85,10 @@ const MAX_VL: i64 = 2048;
 /// and one note per innermost loop left scalar.
 pub fn vectorize(proc: &mut Procedure, opts: &VectorOptions) -> Report {
     let mut report = Report::default();
-    // the loops a sunk loop now sits inside: never innermost candidates
-    let outer = reshape_nests(proc, opts, &mut report);
+    let vars_before = proc.vars.len();
+    // the loops a sunk loop now sits inside: never innermost candidates,
+    // and the arrays it expanded scalars into
+    let (outer, arrays) = reshape_nests(proc, opts, &mut report);
     // so far the report holds an event for each loop unrolled or sunk
     let mut changed = !report.loops.is_empty();
     // loops decided here, and the strip loops generated for them
@@ -153,10 +156,33 @@ pub fn vectorize(proc: &mut Procedure, opts: &VectorOptions) -> Report {
         next
     });
     sweep_unvisited_loops(proc, &done, &mut report);
+    for array in arrays {
+        keep_in_register(proc, array);
+    }
+    let made = proc.vars[vars_before..].iter();
+    let made = made.filter(|v| v.storage == Storage::VReg).count();
+    report.add(Count::VectorRegisters, made);
     if changed {
         proc.bump_generation();
     }
     report
+}
+
+/// Moves a sink array into the vector register file when it fits and the
+/// verifier's register rules hold of it: every access is a section of
+/// the whole array, so its last value is read after the nest by no scalar
+/// load, and each read follows a store.
+fn keep_in_register(proc: &mut Procedure, array: VarId) {
+    let Type::Array(_, n) = proc.var(array).ty else {
+        return;
+    };
+    if proc.vreg_words() + n > VREG_WORDS {
+        return;
+    }
+    let storage = std::mem::replace(&mut proc.var_mut(array).storage, Storage::VReg);
+    if verify_registers(proc).is_err() {
+        proc.var_mut(array).storage = storage;
+    }
 }
 
 /// Walks every DO nest top-down and reshapes the first loop of it that
@@ -164,19 +190,19 @@ pub fn vectorize(proc: &mut Procedure, opts: &VectorOptions) -> Report {
 /// event for each naming the loop it went into and the scalars folded, or
 /// else sinks it when [`plan_sink`] admits it, with an event naming the
 /// loops it moved below and the scalars it expanded. Returns the ids of
-/// the loops a sunk loop sits inside.
+/// the loops a sunk loop sits inside, and the arrays it expanded into.
 fn reshape_nests(
     proc: &mut Procedure,
     opts: &VectorOptions,
     report: &mut Report,
-) -> HashSet<StmtId> {
-    let mut outer = HashSet::new();
+) -> (HashSet<StmtId>, Vec<VarId>) {
+    let (mut outer, mut arrays) = (HashSet::new(), Vec::new());
     let nested = |_, k: &StmtKind| match k {
         StmtKind::DoLoop { body, .. } => body.iter().any(|&s| proc.stmts[s].is_loop()),
         _ => false,
     };
     if !proc.any_stmt(nested) {
-        return outer;
+        return (outer, arrays);
     }
     // reads of each variable across the procedure, counted before the walk
     // takes the blocks above the loop in hand out of the pool
@@ -237,6 +263,14 @@ fn reshape_nests(
         for (v, n) in sink.expand.iter().zip(inside) {
             reads[v.index()] -= n;
         }
+        let constants: Vec<(VarId, ExprId)> = (sink.constants.iter())
+            .filter(|&&(v, _)| {
+                let n = count_reads_block(&proc.stmts, &proc.exprs, &[id], v);
+                reads[v.index()] -= n;
+                reads[v.index()] > 0
+            })
+            .copied()
+            .collect();
         let mut how = format!("below {}", names(proc, &sink.below));
         if !sink.expand.is_empty() {
             how += &format!("; {} expanded", names(proc, &sink.expand));
@@ -253,8 +287,14 @@ fn reshape_nests(
         let (body, safe) = (std::mem::take(body), *safe);
         let span = proc.stmts.span(id);
         let cells = expand(proc, &sink);
+        arrays.extend(cells.iter().map(|c| c.array));
         nest_loops(proc, &body, &mut outer);
-        let mut replacement = distribute(proc, body, &sink.head, &cells, safe, span);
+        let mut replacement = distribute(proc, body, &sink, &cells, safe, span);
+        for &(var, value) in &constants {
+            let rhs = proc.exprs.copy(value);
+            let lhs = LValue::Var(var);
+            replacement.push(proc.stamp_at(StmtKind::Assign { lhs, rhs }, span));
+        }
         for cell in cells.iter().filter(|c| live_out.contains(&c.var)) {
             let last = sink.lo + sink.head.step * (sink.trips - 1);
             let at_last = Affine {
@@ -274,7 +314,7 @@ fn reshape_nests(
         block.splice(i..=i, replacement);
         i + n - 1
     });
-    outer
+    (outer, arrays)
 }
 
 /// What [`plan_sink`] found in a loop it admits.
@@ -285,8 +325,14 @@ struct Sink {
     trips: i64,
     /// The DO variables of the nest below the loop, in textual order.
     below: Vec<VarId>,
-    /// The scalars private to one iteration, in order of first write.
+    /// The scalars private to one iteration, in order of first write,
+    /// but for `constants`.
     expand: Vec<VarId>,
+    /// The private scalars whose one definition in the nest is a
+    /// constant, with it: every iteration reads that value, so they keep
+    /// no array, and one assignment after the nest gives them their last
+    /// value.
+    constants: Vec<(VarId, ExprId)>,
     /// The scalar loads the nest executes, all of which become vector
     /// loads.
     loads: i64,
@@ -338,14 +384,40 @@ fn plan_sink(proc: &Procedure, id: StmtId, opts: &VectorOptions) -> Option<Sink>
     if level_carried(proc, body, &head, aliasing(*safe, opts)) {
         return None;
     }
+    let mut defs = Vec::new();
+    definitions(proc, body, &mut defs);
+    let constant = |v: VarId| match defs.iter().filter(|d| d.0 == v).collect::<Vec<_>>()[..] {
+        [&(_, rhs)] => proc.exprs.is_const(rhs).then_some((v, rhs)),
+        _ => None,
+    };
+    let constants: Vec<(VarId, ExprId)> =
+        shape.written.iter().filter_map(|&v| constant(v)).collect();
+    let mut expand = shape.written;
+    expand.retain(|v| !constants.iter().any(|c| c.0 == *v));
     Some(Sink {
         head,
         lo,
         trips,
         below: shape.below,
-        expand: shape.written,
+        expand,
+        constants,
         loads: shape.loads,
     })
+}
+
+/// The scalar assignments of a nest of assignments and DO loops, as
+/// (variable, value).
+fn definitions(proc: &Procedure, block: &[StmtId], out: &mut Vec<(VarId, ExprId)>) {
+    for &s in block {
+        match proc.stmts[s] {
+            StmtKind::Assign {
+                lhs: LValue::Var(v),
+                rhs,
+            } => out.push((v, rhs)),
+            StmtKind::DoLoop { ref body, .. } => definitions(proc, body, out),
+            _ => {}
+        }
+    }
 }
 
 /// The loads of the tree at `e`.
@@ -454,6 +526,8 @@ impl Shape<'_> {
 /// per iteration of the sunk loop.
 struct Cell {
     var: VarId,
+    /// The array it is expanded into.
+    array: VarId,
     ty: ScalarType,
     /// The address of the iteration's element, `&array + size·step·(lv −
     /// lo)`, as a form in the loop variable.
@@ -485,6 +559,7 @@ fn expand(proc: &mut Procedure, sink: &Sink) -> Vec<Cell> {
         let load = proc.exprs.load(addr, ty);
         Cell {
             var,
+            array,
             ty,
             form,
             addr,
@@ -505,16 +580,18 @@ fn nest_loops(proc: &Procedure, block: &[StmtId], out: &mut HashSet<StmtId>) {
 }
 
 /// The sink's rewrite of the loop `head`'s body: each run of assignments
-/// of the nest, its scalars expanded, goes into a loop of its own with the
-/// sunk loop's header, where it stood.
+/// of the nest, its scalars expanded and its constant scalars substituted
+/// (their definitions dropped), goes into a loop of its own with the sunk
+/// loop's header, where it stood.
 fn distribute(
     proc: &mut Procedure,
     body: Block,
-    head: &DoHeader,
+    sink: &Sink,
     cells: &[Cell],
     safe: bool,
     span: SrcSpan,
 ) -> Block {
+    let head = &sink.head;
     let close = |proc: &mut Procedure, run: &mut Block, out: &mut Block| {
         if run.is_empty() {
             return;
@@ -536,15 +613,20 @@ fn distribute(
         if let StmtKind::DoLoop { body, .. } = &mut proc.stmts[s] {
             let inner = std::mem::take(body);
             close(proc, &mut run, &mut out);
-            let inner = distribute(proc, inner, head, cells, safe, span);
+            let inner = distribute(proc, inner, sink, cells, safe, span);
             if let StmtKind::DoLoop { body, .. } = &mut proc.stmts[s] {
                 *body = inner;
             }
             out.push(s);
             continue;
         }
+        let constant = |lhs: &LValue| (sink.constants.iter()).any(|c| *lhs == LValue::Var(c.0));
+        if matches!(&proc.stmts[s], StmtKind::Assign { lhs, .. } if constant(lhs)) {
+            continue;
+        }
         replace_reads_with(&proc.stmts, &mut proc.exprs, s, &|v| {
-            cells.iter().find(|c| c.var == v).map(|c| c.load)
+            let cell = cells.iter().find(|c| c.var == v).map(|c| c.load);
+            cell.or_else(|| sink.constants.iter().find(|c| c.0 == v).map(|c| c.1))
         });
         if let StmtKind::Assign { lhs, .. } = &mut proc.stmts[s] {
             if let Some(c) = cells.iter().find(|c| *lhs == LValue::Var(c.var)) {
@@ -671,6 +753,7 @@ fn try_vectorize_loop(proc: &mut Procedure, id: StmtId, opts: &VectorOptions) ->
                         proc,
                         &body,
                         &head,
+                        &graph,
                         trips_const,
                         trips_expr,
                         plans,
@@ -885,7 +968,7 @@ fn rhs_vectorizable(proc: &Procedure, body: &[StmtId], lv: VarId, e: ExprId) -> 
             volatile: false,
             ..
         } => decompose(proc, body, lv, addr).is_some(),
-        Expr::Load { .. } | Expr::Section { .. } => false,
+        Expr::Load { .. } | Expr::Section { .. } | Expr::Keep { .. } => false,
         Expr::Var(v) => v != lv && !defined_in(&proc.stmts, body, v),
         Expr::AddrOf(_) | Expr::IntConst(_) | Expr::FloatConst(..) => true,
         Expr::Unary { arg, .. } | Expr::Cast { arg, .. } => rhs_vectorizable(proc, body, lv, arg),
@@ -903,6 +986,7 @@ fn emit_vector_group(
     proc: &mut Procedure,
     body: &[StmtId],
     head: &DoHeader,
+    graph: &DepGraph,
     trips_const: Option<i64>,
     trips_expr: ExprId,
     plans: Vec<VecStmtPlan>,
@@ -911,10 +995,12 @@ fn emit_vector_group(
     replacement: &mut Block,
 ) -> Option<StmtId> {
     let single_ok = !opts.parallelize && trips_const.is_some_and(|n| n <= MAX_VL);
-    if single_ok {
+    if let (true, Some(n)) = (single_ok, trips_const) {
         let zero = proc.exprs.int(0);
-        for plan in &plans {
-            let kind = vector_assign(proc, body, head, plan, zero, trips_expr);
+        let reads = share_sections(proc, body, head, graph, &plans, n);
+        for (j, plan) in plans.iter().enumerate() {
+            let reads = reads.get(j).map_or(&[][..], Vec::as_slice);
+            let kind = vector_assign(proc, body, head, plan, zero, trips_expr, reads);
             let st = proc.stamp_at(kind, loop_span);
             replacement.push(st);
         }
@@ -922,6 +1008,7 @@ fn emit_vector_group(
     }
     // strip loop: ks = 0 .. trips-1 step VL; len = min(VL, trips-ks)
     let vl = if opts.parallelize { opts.strip } else { MAX_VL };
+    let reads = share_sections(proc, body, head, graph, &plans, vl);
     let ks = proc.fresh_temp(Type::Int);
     proc.var_mut(ks).name = format!("vi_{}", ks.index());
     let t_len = proc.fresh_temp(Type::Int);
@@ -943,8 +1030,9 @@ fn emit_vector_group(
     inner.push(len_assign);
     let origin = proc.exprs.var(ks);
     let len = proc.exprs.var(t_len);
-    for plan in &plans {
-        let kind = vector_assign(proc, body, head, plan, origin, len);
+    for (j, plan) in plans.iter().enumerate() {
+        let reads = reads.get(j).map_or(&[][..], Vec::as_slice);
+        let kind = vector_assign(proc, body, head, plan, origin, len, reads);
         let st = proc.stamp_at(kind, loop_span);
         inner.push(st);
     }
@@ -975,7 +1063,139 @@ fn emit_vector_group(
     Some(sid)
 }
 
-/// Builds the vector assignment for one plan at a strip origin.
+/// How a varying load of a run of vector statements is read; `R` names
+/// the register.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Read<R = VarId> {
+    /// From memory.
+    Memory,
+    /// From memory, and kept in the vector register for later statements.
+    Keep(R),
+    /// From the vector register an earlier statement kept it in.
+    Register(R),
+}
+
+/// Decides how each varying load of a run of vector statements of one
+/// length is read, in the order [`rewrite_loads`] meets them, statement by
+/// statement (nothing for a run of one, which reads everything from
+/// memory). A section that a later statement of the run reads again is
+/// kept in a vector register of `cap` elements, and the later statements
+/// read the register, as long as no statement from the keeping one up to
+/// the reading one stores to a byte of it ([`DepGraph::may_overlap`]); a
+/// store in between makes the next read load and keep it again. Registers
+/// are made while the procedure's fit in [`VREG_WORDS`].
+fn share_sections(
+    proc: &mut Procedure,
+    body: &[StmtId],
+    head: &DoHeader,
+    graph: &DepGraph,
+    plans: &[VecStmtPlan],
+    cap: i64,
+) -> Vec<Vec<Read>> {
+    if plans.len() < 2 {
+        return Vec::new();
+    }
+    let loads: Vec<Vec<(Affine, ScalarType)>> = (plans.iter())
+        .map(|p| {
+            let mut out = Vec::new();
+            varying_loads(proc, body, head.lv, p.rhs, &mut out);
+            out
+        })
+        .collect();
+    let exprs = &proc.exprs;
+    let same =
+        |a: &(Affine, ScalarType), b: &(Affine, ScalarType)| a.1 == b.1 && a.0.same(&b.0, exprs);
+    // no statement from `from` up to `to` stores to a byte of `load`
+    let holds = |load: &(Affine, ScalarType), from: usize, to: usize| {
+        plans[from..to].iter().all(|m| {
+            let store = (&m.lhs_affine, m.lhs_ty.size());
+            !graph.may_overlap(exprs, store, (&load.0, load.1.size()))
+        })
+    };
+    // each register, by index: its section, and the statement that last
+    // kept it
+    let mut regs: Vec<(&(Affine, ScalarType), usize)> = Vec::new();
+    let mut reads: Vec<Vec<Read<usize>>> = Vec::new();
+    for (j, mine) in loads.iter().enumerate() {
+        let mut row = Vec::new();
+        for load in mine {
+            let reg = regs.iter().position(|r| same(r.0, load));
+            let read = match reg.map(|r| (r, regs[r].1)) {
+                // kept by this statement already: a register is read from
+                // the next statement on
+                Some((_, at)) if at == j => Read::Memory,
+                Some((r, at)) if holds(load, at, j) => Read::Register(r),
+                _ if (j + 1..plans.len())
+                    .any(|k| loads[k].iter().any(|l| same(l, load)) && holds(load, j, k)) =>
+                {
+                    let r = reg.unwrap_or(regs.len());
+                    if r == regs.len() {
+                        regs.push((load, j));
+                    }
+                    regs[r].1 = j;
+                    Read::Keep(r)
+                }
+                _ => Read::Memory,
+            };
+            row.push(read);
+        }
+        reads.push(row);
+    }
+    // the registers that fit, in order of first use
+    let kinds: Vec<ScalarType> = regs.iter().map(|r| r.0 .1).collect();
+    let fit = (VREG_WORDS.saturating_sub(proc.vreg_words()) as i64 / cap.max(1)) as usize;
+    let vars: Vec<VarId> = (kinds.into_iter().take(fit))
+        .map(|ty| {
+            let info = VarInfo {
+                name: format!("vr_{}", proc.vars.len()),
+                ty: Type::array_of(Type::from(ty), cap as usize),
+                storage: Storage::VReg,
+                volatile: false,
+                addressed: true,
+                init: None,
+            };
+            proc.add_var(info)
+        })
+        .collect();
+    let read = |read: Read<usize>| match read {
+        Read::Keep(r) => vars.get(r).map_or(Read::Memory, |&v| Read::Keep(v)),
+        Read::Register(r) => vars.get(r).map_or(Read::Memory, |&v| Read::Register(v)),
+        Read::Memory => Read::Memory,
+    };
+    (reads.into_iter())
+        .map(|row| row.into_iter().map(read).collect())
+        .collect()
+}
+
+/// The varying affine loads of the rhs at `e`, with their kinds, in the
+/// order [`rewrite_loads`] meets them.
+fn varying_loads(
+    proc: &Procedure,
+    body: &[StmtId],
+    lv: VarId,
+    e: ExprId,
+    out: &mut Vec<(Affine, ScalarType)>,
+) {
+    if let Expr::Load {
+        addr,
+        ty,
+        volatile: false,
+    } = proc.exprs[e]
+    {
+        if let Some(aff) = decompose(proc, body, lv, addr) {
+            if aff.coeff != 0 {
+                out.push((aff, ty));
+            }
+            return;
+        }
+    }
+    for c in proc.exprs[e].child_ids() {
+        varying_loads(proc, body, lv, c, out);
+    }
+}
+
+/// Builds the vector assignment for one plan at a strip origin, its
+/// varying loads read as `reads` says.
 fn vector_assign(
     proc: &mut Procedure,
     body: &[StmtId],
@@ -983,6 +1203,7 @@ fn vector_assign(
     plan: &VecStmtPlan,
     origin: ExprId,
     len: ExprId,
+    reads: &[Read],
 ) -> StmtKind {
     let base = plan.lhs_affine.emit_at(proc, body, head, Some(origin));
     let len_c = proc.exprs.copy(len);
@@ -994,20 +1215,22 @@ fn vector_assign(
         ty: plan.lhs_ty,
     };
     let rhs = proc.exprs.copy(plan.rhs);
-    rewrite_loads(proc, body, head, origin, len, rhs);
+    rewrite_loads(proc, body, head, origin, len, rhs, &mut reads.iter());
     StmtKind::Assign { lhs, rhs }
 }
 
 /// Replaces every varying affine load in the (freshly copied) rhs tree
-/// with a section, rewriting slots in place; invariant loads stay scalar
-/// with their address rebuilt at `lv = lo`.
-fn rewrite_loads(
+/// with a section, read as the next of `reads` says, rewriting slots in
+/// place; invariant loads stay scalar with their address rebuilt at
+/// `lv = lo`.
+fn rewrite_loads<'r>(
     proc: &mut Procedure,
     body: &[StmtId],
     head: &DoHeader,
     origin: ExprId,
     len: ExprId,
     e: ExprId,
+    reads: &mut impl Iterator<Item = &'r Read>,
 ) {
     if let Expr::Load {
         addr,
@@ -1017,14 +1240,28 @@ fn rewrite_loads(
     {
         if let Some(aff) = decompose(proc, body, head.lv, addr) {
             if aff.coeff != 0 {
-                let base = aff.emit_at(proc, body, head, Some(origin));
-                let len_c = proc.exprs.copy(len);
-                let stride = proc.exprs.int(aff.coeff * head.step);
-                proc.exprs[e] = Expr::Section {
+                let len = proc.exprs.copy(len);
+                let read = reads.next().copied().unwrap_or(Read::Memory);
+                let (base, stride) = match read {
+                    Read::Register(v) => (proc.exprs.addr_of(v), ty.size()),
+                    Read::Memory | Read::Keep(_) => (
+                        aff.emit_at(proc, body, head, Some(origin)),
+                        aff.coeff * head.step,
+                    ),
+                };
+                let stride = proc.exprs.int(stride);
+                let section = Expr::Section {
                     base,
-                    len: len_c,
+                    len,
                     stride,
                     ty,
+                };
+                proc.exprs[e] = match read {
+                    Read::Keep(reg) => {
+                        let section = proc.exprs.alloc(section);
+                        Expr::Keep { reg, section }
+                    }
+                    _ => section,
                 };
                 return;
             }
@@ -1036,7 +1273,7 @@ fn rewrite_loads(
         }
     }
     for c in proc.exprs[e].child_ids() {
-        rewrite_loads(proc, body, head, origin, len, c);
+        rewrite_loads(proc, body, head, origin, len, c, reads);
     }
 }
 

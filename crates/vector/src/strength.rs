@@ -203,13 +203,7 @@ fn promote_registers(
     }
 
     // build the transformation
-    let reg = proc.fresh_temp(match store_ty {
-        ScalarType::Float => Type::Float,
-        ScalarType::Double => Type::Double,
-        ScalarType::Char => Type::Char,
-        ScalarType::Ptr => Type::ptr_to(Type::Void),
-        ScalarType::Int => Type::Int,
-    });
+    let reg = proc.fresh_temp(Type::from(store_ty));
     proc.var_mut(reg).name = format!("f_reg{}", reg.index());
     let tval = proc.fresh_temp(proc.var(reg).ty.clone());
 

@@ -1485,3 +1485,214 @@ int main(void)
     check(src, &globals);
     agree_with_o0(src, &globals);
 }
+
+/// Observes `src` at every build on both engines, and under `--parallel`
+/// on two processors; returns the vector registers the `-O2` and the
+/// `--parallel` builds made.
+fn registers_made(src: &str, globals: &[(&str, ScalarType, u32)]) -> (usize, usize) {
+    check(src, globals);
+    let builds = agree_with_o0(src, globals);
+    let (_, o2) = builds.iter().find(|(level, _)| *level == "O2").unwrap();
+    let parallel = compile(src, &Options::parallel()).unwrap();
+    let made = |c: &titanc_repro::titanc::Compilation| c.reports.get(Count::VectorRegisters);
+    (made(o2), made(&parallel))
+}
+
+/// A run of vector statements reads a section from memory once and keeps
+/// it in a vector register only while no statement of the run stores to
+/// one of its bytes. Here the middle statement stores into the section
+/// the first and the last read — all of it, or one misaligned `char` of
+/// each `int` — so the last one loads it again; in the float program the
+/// `b` section, which nothing stores to, is read from a register.
+#[test]
+fn a_store_between_two_reads_of_a_section_makes_the_second_load_it() {
+    let float = "
+float a[80], b[80], c[80], d[80];
+int main(void)
+{
+    int i;
+    for (i = 0; i < 80; i++) {
+        a[i] = 0.5f * i;
+        b[i] = 1.0f + i;
+    }
+    for (i = 0; i < 64; i++) {
+        c[i] = a[i + 1] * 2.0f + b[i];
+        a[i + 1] = b[i] + 1.0f;
+        d[i] = a[i + 1] - b[i];
+    }
+    return (int)(c[7] + d[9]);
+}
+";
+    let globals = [("c", ScalarType::Float, 80), ("d", ScalarType::Float, 80)];
+    assert_eq!(registers_made(float, &globals), (1, 1));
+    for init in ["", "for (i = 0; i < 80; i++) buf[i] = i;"] {
+        let misaligned = format!(
+            "
+char buf[80];
+int r1[16], r3[16];
+int main(void)
+{{
+    int *q;
+    int i;
+    {init}
+    q = (int *)buf;
+    for (i = 0; i < 16; i++) {{
+        r1[i] = q[i] + 1;
+        buf[4 * i + 1] = 9;
+        r3[i] = q[i] * 2;
+    }}
+    return (r1[3] + r3[3]) & 127;
+}}
+"
+        );
+        let globals = [("r1", ScalarType::Int, 16), ("r3", ScalarType::Int, 16)];
+        assert_eq!(registers_made(&misaligned, &globals), (0, 0), "{init}");
+    }
+}
+
+/// Two sections of one array at two strides are two values: each gets
+/// its own register, and a third section of the array, read once, stays
+/// a load.
+#[test]
+fn one_base_read_at_two_strides_keeps_two_registers() {
+    let src = "
+float a[200], c[64], d[64];
+int main(void)
+{
+    int i;
+    for (i = 0; i < 200; i++)
+        a[i] = 0.25f * i;
+    for (i = 0; i < 64; i++) {
+        c[i] = a[2 * i] + a[i];
+        d[i] = a[2 * i] * a[i] - a[i + 1];
+    }
+    return (int)(c[7] + d[9]);
+}
+";
+    let globals = [("c", ScalarType::Float, 64), ("d", ScalarType::Float, 64)];
+    assert_eq!(registers_made(src, &globals), (2, 2));
+    let c = compile(src, &Options::o2()).unwrap();
+    let main = c.program.procs.iter().find(|p| p.name == "main").unwrap();
+    let text = titanc_repro::il::pretty_proc(main);
+    assert!(text.contains("[(&a + 4) : 64 : 4]"), "{text}");
+}
+
+/// Under `--parallel` the transform's four statements run in 32-element
+/// `do parallel` strips over 100 vertices, the last strip short: each
+/// strip keeps the four `pts` sections in its processor's registers, at
+/// the strip's length.
+#[test]
+fn a_strip_body_shares_its_sections_under_parallel() {
+    let src = "
+struct matrix { float m[4][4]; };
+struct vertex { float v[4]; };
+struct matrix xf;
+struct vertex pts[100], out_pts[100];
+int main(void)
+{
+    int i, r, c;
+    float acc;
+    for (r = 0; r < 4; r++)
+        for (c = 0; c < 4; c++)
+            xf.m[r][c] = 0.5f * r - 0.25f * c;
+    for (i = 0; i < 100; i++)
+        for (c = 0; c < 4; c++)
+            pts[i].v[c] = 3.0f + i + c;
+    for (i = 0; i < 100; i++)
+        for (r = 0; r < 4; r++) {
+            acc = 0.0f;
+            for (c = 0; c < 4; c++)
+                acc += xf.m[r][c] * pts[i].v[c];
+            out_pts[i].v[r] = acc;
+        }
+    return 0;
+}
+";
+    let globals = [("out_pts", ScalarType::Float, 400)];
+    assert_eq!(registers_made(src, &globals), (4, 4));
+    let parallel = compile(src, &Options::parallel()).unwrap();
+    let main = parallel.program.procs.iter().find(|p| p.name == "main");
+    let text = titanc_repro::il::pretty_proc(main.unwrap());
+    assert!(text.contains("do parallel"), "{text}");
+    assert_eq!(text.matches(" -> vr_").count(), 4, "{text}");
+}
+
+/// The 8×8 transform: its inner loops run 8 trips, so the vertex loop is
+/// sunk and `acc` expanded into a 256-element array that every statement
+/// reads and writes whole, which goes into a vector register. Read after
+/// the nest, its last element is a scalar load, so it stays in memory,
+/// and the value read is the last vertex's.
+#[test]
+fn a_sink_array_whose_last_value_is_read_after_the_nest_stays_in_memory() {
+    for (after, registers) in [("", 1), ("last[0] = acc;", 0)] {
+        let src = format!(
+            "
+struct matrix {{ float m[8][8]; }};
+struct vertex {{ float v[8]; }};
+struct matrix xf;
+struct vertex pts[256], out_pts[256];
+float last[1];
+int main(void)
+{{
+    int i, r, c;
+    float acc;
+    for (r = 0; r < 8; r++)
+        for (c = 0; c < 8; c++)
+            xf.m[r][c] = 0.5f * r - 0.25f * c;
+    for (i = 0; i < 256; i++)
+        for (c = 0; c < 8; c++)
+            pts[i].v[c] = 3.0f + i + c;
+    for (i = 0; i < 256; i++) {{
+        for (r = 0; r < 8; r++) {{
+            acc = 1.0f;
+            for (c = 0; c < 8; c++)
+                acc += xf.m[r][c] * pts[i].v[c];
+            out_pts[i].v[r] = acc;
+        }}
+    }}
+    {after}
+    return 0;
+}}
+"
+        );
+        let globals = [
+            ("out_pts", ScalarType::Float, 2048),
+            ("last", ScalarType::Float, 1),
+        ];
+        assert_eq!(registers_made(&src, &globals).0, registers, "{after}");
+    }
+}
+
+/// The sink expanded every private scalar, a constant too: `r`, whose
+/// one definition in the nest is the inner loop's final value 4, became a
+/// 64-element array stored with 4 and loaded back after the nest. It now
+/// keeps no array, and one `r = 4` after the nest gives it its value.
+#[test]
+fn a_constant_private_scalar_is_assigned_once_after_the_nest() {
+    let src = "
+float a[64][4], b[64][4], c[64];
+int main(void)
+{
+    int i, r;
+    for (i = 0; i < 64; i++)
+        for (r = 0; r < 4; r++)
+            b[i][r] = 0.5f * i + r;
+    for (i = 0; i < 64; i++) {
+        for (r = 0; r < 4; r++)
+            a[i][r] = b[i][r] * 2.0f;
+        c[i] = r;
+    }
+    return (int)(a[5][3] + c[9] + r);
+}
+";
+    let globals = [("a", ScalarType::Float, 256), ("c", ScalarType::Float, 64)];
+    assert_eq!(reshaped_loops(src, &globals).len(), 1);
+    for (level, c) in agree_with_o0(src, &globals) {
+        let main = c.program.procs.iter().find(|p| p.name == "main").unwrap();
+        let arrays: Vec<&str> = (main.vars.iter())
+            .map(|v| v.name.as_str())
+            .filter(|n| n.starts_with("r_x"))
+            .collect();
+        assert!(arrays.is_empty(), "{level}: {arrays:?}");
+    }
+}

@@ -55,8 +55,10 @@ fn observe() {
         "vectorized",
         "parallelized",
         "scalar",
+        "sunk",
         "expanded",
         "muls_reduced",
+        "vregs",
     ];
     assert_eq!(totals.lit(), lit, "coverage: {}", totals.coverage_line());
     assert_eq!(totals.incidents, 0);
@@ -66,13 +68,14 @@ fn observe() {
 /// machine, each with the global array it writes, read back as words so
 /// every build must store the same bits. `blaslib.c` has no `main`, and
 /// `volatile_poll.c` polls a device only a scripted machine writes (EXP10).
-const RUNNABLE_CORPUS: [(&str, &str, u32); 6] = [
+const RUNNABLE_CORPUS: [(&str, &str, u32); 7] = [
     ("backsolve.c", "x", 1026),
     ("copy.c", "dst", 8192),
     ("daxpy.c", "a", 100),
     ("gauss.c", "a", 16 * 16),
     ("listwalk.c", "pool", 3 * 1024),
     ("struct_matrix.c", "out_pts", 4 * 256),
+    ("struct_matrix8.c", "out_pts", 8 * 256),
 ];
 
 #[test]
